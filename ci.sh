@@ -66,6 +66,16 @@ start_serve() {
 echo "==> cargo build --release"
 cargo build --release
 
+# ssbench is a package of its own (BENCHMARK.json runs it; tier-1 never
+# builds it) that links core/server by path: compiling it here turns the
+# API it pins — handlers::route, AppState, CacheKey::new, … — into a
+# gate, so a rename cannot break the benchmark silently. Read-only with
+# respect to its directory (its Cargo.lock is committed; the build lands
+# in the shared target dir).
+echo "==> cargo build --release (ssbench)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo build --release --offline \
+    --manifest-path crates/bench/src/bin/ssbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -513,7 +523,7 @@ grep -q '"key":' "$SNAP_REPLY" || {
 # The lazy path really ran: both shards were loaded on first touch and
 # the 1-slot cap forced at least one eviction.
 SNAP_HEALTH=$(curl -sf "http://127.0.0.1:$SNAP_PORT/healthz")
-echo "$SNAP_HEALTH" | grep -Eq '"snapshots":\{"resident":[0-9]+,"capacity":1,"loads":[1-9]' || {
+echo "$SNAP_HEALTH" | grep -Eq '"snapshots":\{"resident":[0-9]+,"capacity":1,[^}]*"loads":[1-9]' || {
     echo "snapshot smoke: healthz shows no lazy shard loads"
     echo "$SNAP_HEALTH"; exit 1;
 }

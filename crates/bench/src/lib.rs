@@ -22,7 +22,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use shapesearch_core::{EngineOptions, SegmenterKind, ShapeEngine, ShapeQuery, TopKResult};
+use shapesearch_core::{
+    EngineOptions, PruningMode, SegmenterKind, ShapeEngine, ShapeQuery, TopKResult,
+};
 use shapesearch_datagen::{table11::DatasetId, tasks, TaskKind};
 use shapesearch_datastore::Trendline;
 use shapesearch_parser::parse_regex;
@@ -31,22 +33,31 @@ use std::time::{Duration, Instant};
 /// Default dataset seed for all experiments (deterministic).
 pub const SEED: u64 = 42;
 
+/// A benchmarked algorithm: a segmenter under a §6.3 pruning mode.
+pub type Algo = (SegmenterKind, PruningMode);
+
 /// The algorithms compared in Figure 10/12/13, in the paper's order.
-pub const FIG10_ALGOS: [(SegmenterKind, &str); 5] = [
-    (SegmenterKind::Dp, "DP"),
-    (SegmenterKind::Dtw, "DTW"),
-    (SegmenterKind::Greedy, "Greedy"),
-    (SegmenterKind::SegmentTree, "Segment Tree"),
+/// "Segment Tree" vs "Segment Tree with Pruning" is one segmenter under
+/// two pruning modes; every other row runs under the engine's default.
+pub const FIG10_ALGOS: [(Algo, &str); 5] = [
+    ((SegmenterKind::Dp, PruningMode::Auto), "DP"),
+    ((SegmenterKind::Dtw, PruningMode::Auto), "DTW"),
+    ((SegmenterKind::Greedy, PruningMode::Auto), "Greedy"),
     (
-        SegmenterKind::SegmentTreePruned,
+        (SegmenterKind::SegmentTree, PruningMode::Off),
+        "Segment Tree",
+    ),
+    (
+        (SegmenterKind::SegmentTree, PruningMode::Auto),
         "Segment Tree with Pruning",
     ),
 ];
 
-/// Builds an engine with the given segmenter over owned trendlines.
-pub fn engine(trendlines: Vec<Trendline>, kind: SegmenterKind) -> ShapeEngine {
+/// Builds an engine running the given algorithm over owned trendlines.
+pub fn engine(trendlines: Vec<Trendline>, (segmenter, pruning_mode): Algo) -> ShapeEngine {
     ShapeEngine::from_trendlines(trendlines).with_options(EngineOptions {
-        segmenter: kind,
+        segmenter,
+        pruning_mode,
         ..EngineOptions::default()
     })
 }
@@ -203,7 +214,7 @@ pub fn fig12_accuracy(id: DatasetId, scale: f64, ks: &[usize]) -> Vec<Fig12Cell>
     let queries: Vec<ShapeQuery> = id.fuzzy_queries().iter().map(|q| query(q)).collect();
     let k_max = ks.iter().copied().max().unwrap_or(20);
 
-    let dp = engine(data.clone(), SegmenterKind::Dp);
+    let dp = engine(data.clone(), (SegmenterKind::Dp, PruningMode::Auto));
     let reference: Vec<Vec<TopKResult>> = queries
         .iter()
         .map(|q| dp.top_k(q, k_max).expect("dp"))
@@ -216,7 +227,7 @@ pub fn fig12_accuracy(id: DatasetId, scale: f64, ks: &[usize]) -> Vec<Fig12Cell>
     ];
     let mut cells = Vec::new();
     for (kind, name) in algos {
-        let eng = engine(data.clone(), kind);
+        let eng = engine(data.clone(), (kind, PruningMode::Auto));
         let results: Vec<Vec<TopKResult>> = queries
             .iter()
             .map(|q| eng.top_k(q, k_max).expect("algo"))
@@ -248,11 +259,14 @@ pub struct SweepPoint {
 }
 
 /// Algorithms shown in Figure 13.
-pub const FIG13_ALGOS: [(SegmenterKind, &str); 3] = [
-    (SegmenterKind::Dp, "DP"),
-    (SegmenterKind::SegmentTree, "Segment Tree"),
+pub const FIG13_ALGOS: [(Algo, &str); 3] = [
+    ((SegmenterKind::Dp, PruningMode::Auto), "DP"),
     (
-        SegmenterKind::SegmentTreePruned,
+        (SegmenterKind::SegmentTree, PruningMode::Off),
+        "Segment Tree",
+    ),
+    (
+        (SegmenterKind::SegmentTree, PruningMode::Auto),
         "Segment Tree with Pruning",
     ),
 ];
@@ -358,7 +372,7 @@ pub fn fig9a_scoring(n: usize, length: usize, repeats: u64) -> Vec<Fig9aRow> {
                     let mut total = 0.0;
                     for rep in 0..repeats {
                         let task = tasks::generate(kind, n, length, SEED + rep);
-                        let eng = engine(task.trendlines.clone(), seg);
+                        let eng = engine(task.trendlines.clone(), (seg, PruningMode::Auto));
                         let results = eng
                             .top_k(&task.query, task.positives.len())
                             .expect("task query");

@@ -49,8 +49,6 @@ pub enum SegmenterKind {
     /// SegmentTree pattern-aware segmentation (default; O(nk⁴)).
     #[default]
     SegmentTree,
-    /// SegmentTree plus two-stage collective pruning across the collection.
-    SegmentTreePruned,
     /// Greedy extend/shrink local search.
     Greedy,
     /// Dynamic-time-warping whole-series baseline.
@@ -64,8 +62,11 @@ impl SegmenterKind {
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "dp" => Some(SegmenterKind::Dp),
-            "tree" | "segment_tree" => Some(SegmenterKind::SegmentTree),
-            "pruned" | "tree_pruned" => Some(SegmenterKind::SegmentTreePruned),
+            // "pruned" / "tree_pruned" named a variant that was SegmentTree
+            // scoring plus the §6.3 bound check; pruning is a
+            // [`PruningMode`] now, so they stay accepted as spellings of
+            // SegmentTree.
+            "tree" | "segment_tree" | "pruned" | "tree_pruned" => Some(SegmenterKind::SegmentTree),
             "greedy" => Some(SegmenterKind::Greedy),
             "dtw" => Some(SegmenterKind::Dtw),
             "euclid" | "euclidean" => Some(SegmenterKind::Euclidean),
@@ -78,7 +79,6 @@ impl SegmenterKind {
         match self {
             SegmenterKind::Dp => "dp",
             SegmenterKind::SegmentTree => "tree",
-            SegmenterKind::SegmentTreePruned => "pruned",
             SegmenterKind::Greedy => "greedy",
             SegmenterKind::Dtw => "dtw",
             SegmenterKind::Euclidean => "euclid",

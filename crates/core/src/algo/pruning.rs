@@ -76,13 +76,11 @@ impl Default for PruningConfig {
 /// skipped segmentation work, exactly like the scheduling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningMode {
-    /// Prune for the exact segmenters (DP and both SegmentTree variants),
-    /// whose scores the Theorem 6.4 bounds provably dominate. The
+    /// Prune for the exact segmenters (DP and SegmentTree), whose scores the Theorem 6.4 bounds provably dominate. The
     /// default.
     #[default]
     Auto,
-    /// Never prune ([`SegmenterKind::SegmentTreePruned`] then degrades to
-    /// a plain SegmentTree pass).
+    /// Never prune: every candidate is segmented in full.
     Off,
     /// Also prune for the greedy segmenter: its score never exceeds the
     /// DP optimum, so the same upper bounds remain sound. The
@@ -116,10 +114,7 @@ impl PruningMode {
     pub fn active_for(self, kind: SegmenterKind) -> bool {
         match self {
             Self::Off => false,
-            Self::Auto => matches!(
-                kind,
-                SegmenterKind::Dp | SegmenterKind::SegmentTree | SegmenterKind::SegmentTreePruned
-            ),
+            Self::Auto => matches!(kind, SegmenterKind::Dp | SegmenterKind::SegmentTree),
             Self::Force => !matches!(kind, SegmenterKind::Dtw | SegmenterKind::Euclidean),
         }
     }
@@ -897,11 +892,7 @@ mod tests {
 
     #[test]
     fn mode_gates_match_segmenter_exactness() {
-        for kind in [
-            SegmenterKind::Dp,
-            SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
-        ] {
+        for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
             assert!(PruningMode::Auto.active_for(kind));
             assert!(PruningMode::Force.active_for(kind));
             assert!(!PruningMode::Off.active_for(kind));

@@ -574,10 +574,7 @@ impl ShapeEngine {
             }
             match kind {
                 SegmenterKind::Dp => DpSegmenter.match_viz(&ev, chains),
-                // The pruned variant is SegmentTree scoring; what made it
-                // "pruned" — the §6.3 bound check — is now the driver
-                // below, shared by every exact segmenter.
-                SegmenterKind::SegmentTree | SegmenterKind::SegmentTreePruned => {
+                SegmenterKind::SegmentTree => {
                     SegmentTreeSegmenter::default().match_viz(&ev, chains)
                 }
                 SegmenterKind::Greedy => GreedySegmenter::new().match_viz(&ev, chains),
@@ -758,7 +755,6 @@ mod tests {
         for kind in [
             SegmenterKind::Dp,
             SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
             SegmenterKind::Greedy,
         ] {
             let engine = ShapeEngine::from_trendlines(collection()).with_segmenter(kind);
@@ -846,7 +842,6 @@ mod tests {
         for kind in [
             SegmenterKind::Dp,
             SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
             SegmenterKind::Greedy,
             SegmenterKind::Dtw,
             SegmenterKind::Euclidean,
@@ -902,11 +897,7 @@ mod tests {
         let engine = ShapeEngine::from_trendlines(tls);
         let want = engine.top_k_with_options(&q, 3, &off).unwrap();
 
-        for kind in [
-            SegmenterKind::Dp,
-            SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
-        ] {
+        for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
             let opts = EngineOptions {
                 segmenter: kind,
                 ..EngineOptions::default()

@@ -628,7 +628,6 @@ mod tests {
         for kind in [
             SegmenterKind::Dp,
             SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
             SegmenterKind::Greedy,
             SegmenterKind::Dtw,
             SegmenterKind::Euclidean,
@@ -792,12 +791,12 @@ mod tests {
         assert_eq!(order, vec![0, 1, 4, 6]);
     }
 
-    /// The acceptance benchmark: with real parallel hardware, fanning a
-    /// large collection across ≥4 shards must beat a single shard on
-    /// wall-clock. Self-gates on single-core machines (where there is
-    /// nothing to win) but still asserts result equality there.
+    /// Fanning a large collection across 4 parallel shards answers
+    /// exactly like one sequential shard. (The wall-clock side of this
+    /// comparison lives in `ssbench`'s `engine.fanout_speedup`, where
+    /// noise is controlled — tier-1 carries no timing assertions.)
     #[test]
-    fn multi_shard_parallel_beats_single_shard_wall_clock() {
+    fn multi_shard_parallel_matches_single_shard_on_a_large_collection() {
         let tls: Vec<Trendline> = (0..48)
             .map(|i| {
                 let pairs: Vec<(f64, f64)> = (0..400)
@@ -824,29 +823,5 @@ mod tests {
 
         let want = single.top_k(&q, 8).unwrap();
         assert_eq!(sharded.top_k(&q, 8).unwrap(), want);
-
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores < 2 {
-            eprintln!("single-core machine: skipping the wall-clock comparison");
-            return;
-        }
-        let time = |engine: &ShardedEngine| {
-            let mut best = std::time::Duration::MAX;
-            for _ in 0..3 {
-                let started = std::time::Instant::now();
-                let _ = engine.top_k(&q, 8).unwrap();
-                best = best.min(started.elapsed());
-            }
-            best
-        };
-        let t_single = time(&single);
-        let t_sharded = time(&sharded);
-        assert!(
-            t_sharded < t_single,
-            "4-shard parallel run should beat 1 shard on {cores} cores: \
-             sharded {t_sharded:?} vs single {t_single:?}"
-        );
     }
 }

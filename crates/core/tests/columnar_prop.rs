@@ -181,7 +181,6 @@ proptest! {
         for kind in [
             SegmenterKind::Dp,
             SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
             SegmenterKind::Greedy,
             SegmenterKind::Dtw,
             SegmenterKind::Euclidean,

@@ -276,7 +276,7 @@ pub fn options_fingerprint(o: &EngineOptions) -> String {
 /// critical section, so `hits + misses + coalesced == lookups` holds in
 /// every snapshot — never only between updates, as it would with
 /// independently loaded atomics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Counted lookups (always exactly `hits + misses + coalesced`).
     pub lookups: u64,

@@ -1,82 +1,33 @@
-//! Route handlers tying the catalog, the query cache (with its
-//! singleflight latch), the shared compute pool, and the sharded engine
-//! together behind the JSON protocol.
+//! Shared application state, routing, and the route handlers that are
+//! not the query pipeline: dataset and registry routes, the shard-server
+//! route, and the two `POST /query` response envelopes.
 //!
-//! `POST /query` accepts a single query object or an array of them. A
-//! batch is planned per item, deduplicated through the cache's
-//! singleflight lookup (identical queries within the batch — or racing in
-//! from other requests — collapse onto one computation), and the cache
-//! misses are grouped per `(dataset, options)`. Each group then fans out
-//! as **one compute-pool task per engine shard** (each task a
-//! [`shapesearch_core::ShapeEngine::top_k_batch`] pass over that shard's
-//! partition, so the GROUP stage still runs once per trendline for the
-//! whole group) and the per-shard top-k partials merge deterministically
-//! — one query can saturate every core, while a giant batch decomposes
-//! into short shard tasks that interleave fairly with other requests on
-//! the same pool.
+//! `POST /query` accepts a single query object or an array of them, and
+//! both forms run through the one pipeline in the `exec` module
+//! (`resolve_items` — a single query is a batch of one). They differ
+//! only in how the resolved items are rendered: `single_envelope`
+//! (the item's error becomes the HTTP status; `micros`, `shard_micros`,
+//! the `request` explain tree, the per-query slow-log line) and
+//! `batch_envelope` (`{"batch","micros","responses"}`, per-item error
+//! objects, flat item traces, the `batch=N` slow-log line). `GET
+//! /healthz` and `GET /metrics` are the two renderings of one
+//! [`StatsSnapshot`] ([`crate::stats`]).
 
-use crate::cache::{CacheKey, Lookup, QueryCache};
-use crate::catalog::{Catalog, DataSource, DatasetEntry, ShardPlacement, REGISTRY_TTL_SECS};
-use crate::client::{EndpointHealthSnapshot, PooledClient};
+use crate::cache::QueryCache;
+use crate::catalog::{Catalog, DataSource, REGISTRY_TTL_SECS};
+use crate::client::PooledClient;
 use crate::compute::ComputePool;
 use crate::error::ServerError;
+use crate::exec::{execute_on_shards, resolve_items, Resolved, Source};
 use crate::http::{Request, Response};
 use crate::json::{self, obj, Json};
 use crate::obs::{self, Span};
 use crate::protocol;
-use shapesearch_core::{
-    merge_topk_refs, EngineOptions, EngineStage, PruningSnapshot, ShapeQuery, SharedThresholds,
-    StageObserver, TopKResult,
-};
-use std::collections::{BTreeMap, HashMap};
+use crate::stats::{Stats, StatsSnapshot};
+use shapesearch_core::{EngineOptions, PruningSnapshot};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-/// The crate version baked into `/healthz` and `/metrics` build info.
-fn build_version() -> &'static str {
-    env!("CARGO_PKG_VERSION")
-}
-
-/// The git revision baked in at compile time (`SHAPESEARCH_GIT_REV`,
-/// stamped by CI/release builds), or `"unknown"` for plain builds.
-fn build_git_rev() -> &'static str {
-    option_env!("SHAPESEARCH_GIT_REV").unwrap_or("unknown")
-}
-
-/// Aggregate **local** shard-execution gauges for `/healthz`. One mutex
-/// guards both fields, and every fan-out records them in a single
-/// critical section, so a snapshot can never be mutually inconsistent
-/// mid-update (e.g. tasks from one batch without its micros). Remote
-/// shard RPCs are tracked separately in [`RemoteShardStats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Local shard tasks executed (one per local shard per query group).
-    pub tasks: u64,
-    /// Total engine-side microseconds spent in local shard tasks.
-    pub micros_total: u64,
-}
-
-/// Per-endpoint remote-shard RPC gauges for the `/healthz`
-/// `remote_shards` block. Every RPC records all three fields in one
-/// critical section of the shared map's mutex, so the block is a
-/// consistent snapshot like the other healthz gauges.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteShardStats {
-    /// RPC attempts sent to this endpoint — one per *replica attempt*,
-    /// so a failover that tries two replicas books one request on each
-    /// (a connect-retry pair within one attempt still counts once).
-    pub requests: u64,
-    /// Attempts that failed (unreachable endpoint, non-200 reply, or a
-    /// malformed body). A failed attempt makes failover move on to the
-    /// shard's next replica; only when every replica fails does the
-    /// caller see a `shard_unavailable` error naming each attempt.
-    pub errors: u64,
-    /// Total round-trip microseconds spent on this endpoint's RPCs
-    /// (network plus the remote engine time).
-    pub micros_total: u64,
-}
 
 /// Shared application state, one per server.
 pub struct AppState {
@@ -89,22 +40,9 @@ pub struct AppState {
     pub compute: ComputePool,
     /// The connection-pooled RPC client remote shard tasks go out on.
     pub remote: PooledClient,
-    /// Consistent-snapshot local shard gauges for `/healthz`.
-    pub shard_stats: Mutex<ShardStats>,
-    /// Process-lifetime §6.3 pruning gauges for `/healthz` (aggregated
-    /// per computation from the engine's shared counters; local engine
-    /// work only — a remote shard's counters show on *its* healthz).
-    pub pruning: Mutex<PruningSnapshot>,
-    /// Per-endpoint remote-shard RPC gauges for `/healthz`, keyed and
-    /// reported in endpoint order (a `BTreeMap` so the block serializes
-    /// deterministically).
-    pub remote_stats: Mutex<BTreeMap<String, RemoteShardStats>>,
-    /// Total queries received (each batch item counts once).
-    pub queries: AtomicU64,
-    /// Total `POST /shard/query` RPCs served (this process acting as a
-    /// shard server); kept apart from `queries` so a router's fan-in
-    /// doesn't inflate a shard server's user-facing query count.
-    pub shard_queries: AtomicU64,
+    /// The process-lifetime counters the query pipeline writes: queries
+    /// received, local shard tasks, §6.3 pruning, per-endpoint RPCs.
+    pub stats: Stats,
     /// Per-dataset engine defaults; requests may override per call.
     pub default_options: EngineOptions,
     /// Worker-pool size, echoed in `/healthz`.
@@ -120,8 +58,6 @@ pub struct AppState {
     pub data_root: Option<PathBuf>,
     /// The latency histogram registry `GET /metrics` exposes: request
     /// and per-stage duration histograms plus per-endpoint RPC series.
-    /// Assembled from the same counters `/healthz` reads, so the two
-    /// endpoints always reconcile.
     pub metrics: obs::Metrics,
     /// Process start (monotonic), for `uptime_secs`.
     pub started: Instant,
@@ -155,11 +91,7 @@ impl AppState {
             cache: QueryCache::new(cache_capacity),
             compute: ComputePool::new(workers),
             remote: PooledClient::new(),
-            shard_stats: Mutex::new(ShardStats::default()),
-            pruning: Mutex::new(PruningSnapshot::default()),
-            remote_stats: Mutex::new(BTreeMap::new()),
-            queries: AtomicU64::new(0),
-            shard_queries: AtomicU64::new(0),
+            stats: Stats::default(),
             default_options: EngineOptions::default(),
             workers,
             max_batch: protocol::MAX_BATCH_SIZE,
@@ -173,11 +105,6 @@ impl AppState {
             slow_query_micros: 0,
             conn_stats: Arc::new(crate::http::ConnStats::default()),
         }
-    }
-
-    /// A consistent snapshot of the shard gauges.
-    pub fn shard_stats(&self) -> ShardStats {
-        *self.shard_stats.lock().expect("shard stats lock")
     }
 }
 
@@ -222,8 +149,11 @@ fn fail(err: &ServerError) -> Response {
 pub fn route(state: &Arc<AppState>, request: &Request) -> Response {
     let path = request.path.split('?').next().unwrap_or("");
     let result = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => Ok(healthz(state)),
-        ("GET", "/metrics") => Ok(metrics(state)),
+        ("GET", "/healthz") => Ok(ok(StatsSnapshot::gather(state).to_healthz())),
+        ("GET", "/metrics") => Ok(Response::metrics_text(
+            200,
+            StatsSnapshot::gather(state).to_metrics(),
+        )),
         ("GET", "/datasets") => Ok(list_datasets(state)),
         ("POST", "/datasets") => register_dataset(state, request),
         ("POST", "/query") => query(state, request),
@@ -257,461 +187,6 @@ fn body_json(request: &Request) -> Result<Json, ServerError> {
         .body_text()
         .map_err(|_| ServerError::bad_request("body is not utf-8"))?;
     json::parse(text).map_err(|e| ServerError::bad_request(format!("invalid JSON body: {e}")))
-}
-
-fn healthz(state: &Arc<AppState>) -> Response {
-    // Each block is one consistent snapshot: the cache counters come
-    // from a single lock acquisition (hits + misses + coalesced ==
-    // lookups in every reply), the shard gauges from another, and the
-    // per-dataset shard totals from one pass under the catalog's read
-    // lock.
-    let stats = state.cache.stats();
-    let shard_stats = state.shard_stats();
-    let pruning = *state.pruning.lock().expect("pruning stats lock");
-    let snapshots = state.catalog.resident().stats();
-    let dataset_shards: usize = state.catalog.list().iter().map(|e| e.shard_count).sum();
-    // The remote gauges are one consistent snapshot too: every RPC
-    // records requests/errors/micros inside one critical section of this
-    // map's lock, and the whole block is read under one acquisition.
-    // The failover client's per-endpoint health (consecutive failures,
-    // ejection state, ejection count) is a second snapshot, merged by
-    // endpoint — the union of keys, since an endpoint can have been
-    // dialed (health) without ever completing an RPC (stats), and
-    // vice versa after a restart.
-    let mut remote: BTreeMap<String, RemoteShardStats> = state
-        .remote_stats
-        .lock()
-        .expect("remote stats lock")
-        .iter()
-        .map(|(endpoint, s)| (endpoint.clone(), *s))
-        .collect();
-    let health: BTreeMap<String, EndpointHealthSnapshot> = state
-        .remote
-        .health_snapshot()
-        .into_iter()
-        .map(|h| (h.endpoint.clone(), h))
-        .collect();
-    for endpoint in health.keys() {
-        remote.entry(endpoint.clone()).or_default();
-    }
-    // Registry staleness: one consistent snapshot of every announced
-    // shard slot with the age of its freshest and stalest heartbeat, so
-    // an operator can see a replica about to fall out of the TTL before
-    // a registry-placed registration starts failing.
-    let registry_slots = state.catalog.registry().slot_staleness();
-    let registry_stale_slots = registry_slots
-        .iter()
-        .filter(|s| s.fresh_replicas == 0)
-        .count();
-    let remote_totals =
-        remote
-            .values()
-            .fold(RemoteShardStats::default(), |acc, s| RemoteShardStats {
-                requests: acc.requests + s.requests,
-                errors: acc.errors + s.errors,
-                micros_total: acc.micros_total + s.micros_total,
-            });
-    let ejections_total: u64 = health.values().map(|h| h.ejections).sum();
-    ok(obj([
-        ("status", "ok".into()),
-        ("version", build_version().into()),
-        ("git_rev", build_git_rev().into()),
-        ("uptime_secs", state.started.elapsed().as_secs().into()),
-        ("started_at", state.started_at_epoch.into()),
-        ("datasets", state.catalog.len().into()),
-        ("queries", state.queries.load(Ordering::Relaxed).into()),
-        ("workers", state.workers.into()),
-        ("max_batch", state.max_batch.into()),
-        (
-            "cache",
-            obj([
-                ("lookups", stats.lookups.into()),
-                ("hits", stats.hits.into()),
-                ("misses", stats.misses.into()),
-                ("coalesced", stats.coalesced.into()),
-                ("entries", stats.entries.into()),
-                ("capacity", stats.capacity.into()),
-            ]),
-        ),
-        (
-            "shards",
-            obj([
-                ("default", state.catalog.default_shards().into()),
-                ("dataset_shards", dataset_shards.into()),
-                ("compute_workers", state.compute.workers().into()),
-                ("tasks", shard_stats.tasks.into()),
-                ("micros_total", shard_stats.micros_total.into()),
-                (
-                    "shard_queries",
-                    state.shard_queries.load(Ordering::Relaxed).into(),
-                ),
-            ]),
-        ),
-        ("pruning", protocol::pruning_to_json(pruning)),
-        (
-            "snapshots",
-            obj([
-                ("resident", snapshots.resident.into()),
-                ("capacity", snapshots.capacity.into()),
-                ("resident_bytes", snapshots.resident_bytes.into()),
-                ("capacity_bytes", snapshots.capacity_bytes.into()),
-                ("loads", snapshots.loads.into()),
-                ("evictions", snapshots.evictions.into()),
-                ("load_micros_total", snapshots.load_micros_total.into()),
-            ]),
-        ),
-        (
-            "connections",
-            obj([
-                (
-                    "active",
-                    state.conn_stats.active.load(Ordering::Relaxed).into(),
-                ),
-                (
-                    "idle_keepalive",
-                    state
-                        .conn_stats
-                        .idle_keepalive
-                        .load(Ordering::Relaxed)
-                        .into(),
-                ),
-                (
-                    "accepted_total",
-                    state
-                        .conn_stats
-                        .accepted_total
-                        .load(Ordering::Relaxed)
-                        .into(),
-                ),
-                (
-                    "timeouts",
-                    state.conn_stats.timeouts.load(Ordering::Relaxed).into(),
-                ),
-                (
-                    "event_loop_wakeups",
-                    state
-                        .conn_stats
-                        .event_loop_wakeups
-                        .load(Ordering::Relaxed)
-                        .into(),
-                ),
-            ]),
-        ),
-        (
-            "remote_shards",
-            obj([
-                ("endpoints", remote.len().into()),
-                ("requests", remote_totals.requests.into()),
-                ("errors", remote_totals.errors.into()),
-                ("ejections", ejections_total.into()),
-                ("micros_total", remote_totals.micros_total.into()),
-                (
-                    "by_endpoint",
-                    Json::Arr(
-                        remote
-                            .iter()
-                            .map(|(endpoint, s)| {
-                                let h = health.get(endpoint);
-                                obj([
-                                    ("endpoint", endpoint.as_str().into()),
-                                    ("requests", s.requests.into()),
-                                    ("errors", s.errors.into()),
-                                    ("micros_total", s.micros_total.into()),
-                                    (
-                                        "connect_attempts",
-                                        h.map_or(0, |h| h.connect_attempts).into(),
-                                    ),
-                                    (
-                                        "consecutive_failures",
-                                        u64::from(h.map_or(0, |h| h.consecutive_failures)).into(),
-                                    ),
-                                    ("ejected", h.is_some_and(|h| h.ejected).into()),
-                                    ("ejections", h.map_or(0, |h| h.ejections).into()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "registry",
-            obj([
-                ("slots", registry_slots.len().into()),
-                ("stale_slots", registry_stale_slots.into()),
-                (
-                    "by_slot",
-                    Json::Arr(
-                        registry_slots
-                            .iter()
-                            .map(|s| {
-                                obj([
-                                    ("dataset", s.dataset.as_str().into()),
-                                    ("shard", s.shard.into()),
-                                    ("shards", s.shards.into()),
-                                    ("replicas", s.replicas.into()),
-                                    ("fresh_replicas", s.fresh_replicas.into()),
-                                    ("freshest_age_secs", s.freshest_age_secs.into()),
-                                    ("stalest_age_secs", s.stalest_age_secs.into()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-    ]))
-}
-
-/// `GET /metrics`: Prometheus text exposition assembled from the same
-/// registries `/healthz` reads — the counter series here always
-/// reconcile with the healthz totals, and the histograms add the
-/// latency distributions healthz's monotonic counters cannot carry.
-/// Metric names follow one scheme: `shapesearch_<noun>_<unit|total>`,
-/// with `stage`/`endpoint`/`event`/`outcome` labels for families.
-fn metrics(state: &Arc<AppState>) -> Response {
-    let stats = state.cache.stats();
-    let shard_stats = state.shard_stats();
-    let pruning = *state.pruning.lock().expect("pruning stats lock");
-    let remote: Vec<(String, RemoteShardStats)> = state
-        .remote_stats
-        .lock()
-        .expect("remote stats lock")
-        .iter()
-        .map(|(endpoint, s)| (endpoint.clone(), *s))
-        .collect();
-
-    let mut expo = obs::Exposition::new();
-    expo.gauge(
-        "shapesearch_uptime_seconds",
-        "Seconds since this server process started.",
-        state.started.elapsed().as_secs(),
-    );
-    expo.gauge(
-        "shapesearch_datasets",
-        "Registered datasets.",
-        state.catalog.len() as u64,
-    );
-    expo.counter(
-        "shapesearch_queries_total",
-        "Queries received on POST /query (each batch item counts once).",
-        state.queries.load(Ordering::Relaxed),
-    );
-    expo.counter(
-        "shapesearch_shard_queries_total",
-        "POST /shard/query RPCs served by this process.",
-        state.shard_queries.load(Ordering::Relaxed),
-    );
-
-    expo.counter(
-        "shapesearch_cache_lookups_total",
-        "Query-cache lookups.",
-        stats.lookups,
-    );
-    expo.counter_family(
-        "shapesearch_cache_events_total",
-        "Query-cache lookup outcomes (hit + miss + coalesced = lookups).",
-        "event",
-        &[
-            ("hit", stats.hits),
-            ("miss", stats.misses),
-            ("coalesced", stats.coalesced),
-        ],
-    );
-    expo.gauge(
-        "shapesearch_cache_entries",
-        "Live query-cache entries.",
-        stats.entries as u64,
-    );
-    expo.gauge(
-        "shapesearch_cache_capacity",
-        "Query-cache capacity in entries.",
-        stats.capacity as u64,
-    );
-
-    expo.counter(
-        "shapesearch_shard_tasks_total",
-        "Local shard tasks executed.",
-        shard_stats.tasks,
-    );
-    expo.counter(
-        "shapesearch_shard_micros_total",
-        "Engine-side microseconds spent in local shard tasks.",
-        shard_stats.micros_total,
-    );
-
-    expo.counter_family(
-        "shapesearch_pruning_candidates_total",
-        "Pruning-driver candidate outcomes (bounded = bound-checked, \
-         pruned = skipped, scored = segmented in full).",
-        "outcome",
-        &[
-            ("bounded", pruning.bounded),
-            ("pruned", pruning.pruned),
-            ("scored", pruning.scored),
-        ],
-    );
-    expo.counter(
-        "shapesearch_pruning_bound_micros_total",
-        "Microseconds spent computing pruning upper bounds.",
-        pruning.bound_micros,
-    );
-
-    let snapshots = state.catalog.resident().stats();
-    expo.gauge(
-        "shapesearch_snapshot_resident_shards",
-        "Snapshot shards currently materialized in memory.",
-        snapshots.resident as u64,
-    );
-    expo.gauge(
-        "shapesearch_snapshot_resident_capacity",
-        "Resident-shard cap (--resident-shards; 0 = unlimited).",
-        snapshots.capacity as u64,
-    );
-    expo.counter(
-        "shapesearch_snapshot_loads_total",
-        "Cold snapshot-shard loads (first touch or reload after eviction).",
-        snapshots.loads,
-    );
-    expo.counter(
-        "shapesearch_snapshot_evictions_total",
-        "Snapshot shards evicted by the resident-shard LRU.",
-        snapshots.evictions,
-    );
-    expo.counter(
-        "shapesearch_snapshot_load_micros_total",
-        "Microseconds spent materializing snapshot shards.",
-        snapshots.load_micros_total,
-    );
-    expo.gauge(
-        "shapesearch_snapshot_resident_bytes",
-        "Columnar-arena bytes held by resident snapshot shards.",
-        snapshots.resident_bytes,
-    );
-    expo.gauge(
-        "shapesearch_snapshot_resident_capacity_bytes",
-        "Resident-shard byte budget (--resident-bytes; 0 = unlimited).",
-        snapshots.capacity_bytes,
-    );
-
-    expo.gauge(
-        "shapesearch_connections_active",
-        "Open client connections (any phase, including keep-alive idle).",
-        state.conn_stats.active.load(Ordering::Relaxed),
-    );
-    expo.gauge(
-        "shapesearch_connections_idle_keepalive",
-        "Open client connections parked idle between keep-alive requests.",
-        state.conn_stats.idle_keepalive.load(Ordering::Relaxed),
-    );
-    expo.counter(
-        "shapesearch_connections_accepted_total",
-        "Client connections accepted since startup.",
-        state.conn_stats.accepted_total.load(Ordering::Relaxed),
-    );
-    expo.counter(
-        "shapesearch_connections_timeouts_total",
-        "Connections cut by the idle or slow-request deadline.",
-        state.conn_stats.timeouts.load(Ordering::Relaxed),
-    );
-    expo.counter(
-        "shapesearch_connections_event_loop_wakeups_total",
-        "Readiness event-loop wakeups that delivered at least one event.",
-        state.conn_stats.event_loop_wakeups.load(Ordering::Relaxed),
-    );
-
-    let requests: Vec<(&str, u64)> = remote
-        .iter()
-        .map(|(e, s)| (e.as_str(), s.requests))
-        .collect();
-    let errors: Vec<(&str, u64)> = remote.iter().map(|(e, s)| (e.as_str(), s.errors)).collect();
-    let micros: Vec<(&str, u64)> = remote
-        .iter()
-        .map(|(e, s)| (e.as_str(), s.micros_total))
-        .collect();
-    if !remote.is_empty() {
-        expo.counter_family(
-            "shapesearch_remote_requests_total",
-            "Remote shard RPCs sent, by endpoint.",
-            "endpoint",
-            &requests,
-        );
-        expo.counter_family(
-            "shapesearch_remote_errors_total",
-            "Failed remote shard RPCs, by endpoint.",
-            "endpoint",
-            &errors,
-        );
-        expo.counter_family(
-            "shapesearch_remote_micros_total",
-            "Round-trip microseconds of remote shard RPCs, by endpoint.",
-            "endpoint",
-            &micros,
-        );
-    }
-    let health = state.remote.health_snapshot();
-    if !health.is_empty() {
-        let ejections: Vec<(&str, u64)> = health
-            .iter()
-            .map(|h| (h.endpoint.as_str(), h.ejections))
-            .collect();
-        expo.counter_family(
-            "shapesearch_remote_ejections_total",
-            "Replica endpoints ejected by the failover circuit breaker \
-             (each transition into ejection counts once), by endpoint.",
-            "endpoint",
-            &ejections,
-        );
-        let ejected: Vec<(&str, u64)> = health
-            .iter()
-            .map(|h| (h.endpoint.as_str(), u64::from(h.ejected)))
-            .collect();
-        expo.gauge_family(
-            "shapesearch_remote_ejected",
-            "Whether the failover circuit breaker currently holds this \
-             replica endpoint ejected (1) or admits it (0), by endpoint.",
-            "endpoint",
-            &ejected,
-        );
-    }
-
-    expo.histogram_family(
-        "shapesearch_request_duration_micros",
-        "End-to-end POST /query latency.",
-        &[(None, state.metrics.requests.snapshot())],
-    );
-    expo.histogram_family(
-        "shapesearch_shard_request_duration_micros",
-        "End-to-end POST /shard/query service latency.",
-        &[(None, state.metrics.shard_requests.snapshot())],
-    );
-    let stages: Vec<(Option<(&str, &str)>, obs::HistogramSnapshot)> = obs::Stage::ALL
-        .iter()
-        .map(|&stage| {
-            (
-                Some(("stage", stage.name())),
-                state.metrics.stage_snapshot(stage),
-            )
-        })
-        .collect();
-    expo.histogram_family(
-        "shapesearch_stage_duration_micros",
-        "Per-stage latency across the request pipeline.",
-        &stages,
-    );
-    let remote_hists = state.metrics.remote_snapshots();
-    if !remote_hists.is_empty() {
-        let series: Vec<(Option<(&str, &str)>, obs::HistogramSnapshot)> = remote_hists
-            .iter()
-            .map(|(endpoint, snap)| (Some(("endpoint", endpoint.as_str())), *snap))
-            .collect();
-        expo.histogram_family(
-            "shapesearch_remote_rpc_duration_micros",
-            "Remote shard RPC round-trip latency, by endpoint.",
-            &series,
-        );
-    }
-    Response::metrics_text(200, expo.finish())
 }
 
 fn list_datasets(state: &Arc<AppState>) -> Response {
@@ -774,693 +249,6 @@ fn registry_list(state: &Arc<AppState>) -> Response {
     ]))
 }
 
-/// One query of a request, planned: dataset resolved, query text parsed
-/// to its canonical AST, effective options and cache key computed.
-struct PlannedQuery {
-    entry: Arc<DatasetEntry>,
-    query_ast: ShapeQuery,
-    notes: Vec<String>,
-    k: usize,
-    options: EngineOptions,
-    key: CacheKey,
-    /// The request explicitly sent `"parallel": false` — batch groups
-    /// honor the opt-out instead of defaulting parallelism on.
-    parallel_opt_out: bool,
-    /// The request asked for its trace (`"explain": true`) in the
-    /// response envelope. Never part of the cache key: tracing observes
-    /// the computation, it does not change it.
-    explain: bool,
-    /// The request opted into degraded answers (`"partial": true`): if
-    /// every replica of some shard is down, it prefers the responsive
-    /// shards' merged partial (flagged with a `degraded` block) over a
-    /// 502. Never part of the cache key — a degraded answer is never
-    /// cached, and the exact answer is the same either way.
-    partial: bool,
-}
-
-fn plan_query(state: &Arc<AppState>, body: &Json) -> Result<PlannedQuery, ServerError> {
-    let req = protocol::query_request_from_json(body)?;
-    let entry = state
-        .catalog
-        .get(&req.dataset)
-        .ok_or_else(|| ServerError::not_found(format!("unknown dataset `{}`", req.dataset)))?;
-    let (query_ast, notes) = protocol::parse_query(&req)?;
-    let options = req.effective_options(&state.default_options);
-    let key = CacheKey::new(
-        &entry.id,
-        entry.generation,
-        entry.shard_count,
-        &entry.placement_fp,
-        &query_ast,
-        req.k,
-        &options,
-    );
-    Ok(PlannedQuery {
-        entry,
-        query_ast,
-        notes,
-        k: req.k,
-        options,
-        key,
-        parallel_opt_out: req.parallel == Some(false),
-        explain: req.explain,
-        partial: req.partial,
-    })
-}
-
-/// Accumulated engine-stage time of one local shard task, for its trace
-/// span (the same samples also land in the global stage histograms).
-#[derive(Debug, Default, Clone, Copy)]
-struct StageMicros {
-    group: u64,
-    segment_score: u64,
-    prune_bound: u64,
-}
-
-/// The per-task [`StageObserver`]: forwards every engine stage sample
-/// into the process-wide histograms and accumulates per-task totals for
-/// the task's span. Atomics because the engine may report from several
-/// scoring threads at once.
-struct StageTap<'m> {
-    metrics: &'m obs::Metrics,
-    group: AtomicU64,
-    segment_score: AtomicU64,
-    prune_bound: AtomicU64,
-}
-
-impl<'m> StageTap<'m> {
-    fn new(metrics: &'m obs::Metrics) -> Self {
-        Self {
-            metrics,
-            group: AtomicU64::new(0),
-            segment_score: AtomicU64::new(0),
-            prune_bound: AtomicU64::new(0),
-        }
-    }
-
-    fn totals(&self) -> StageMicros {
-        StageMicros {
-            group: self.group.load(Ordering::Relaxed),
-            segment_score: self.segment_score.load(Ordering::Relaxed),
-            prune_bound: self.prune_bound.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl StageObserver for StageTap<'_> {
-    fn stage(&self, stage: EngineStage, micros: u64) {
-        self.metrics.stage(obs::Stage::from_engine(stage), micros);
-        let slot = match stage {
-            EngineStage::Group => &self.group,
-            EngineStage::SegmentScore => &self.segment_score,
-            EngineStage::PruneBound => &self.prune_bound,
-        };
-        slot.fetch_add(micros, Ordering::Relaxed);
-    }
-}
-
-/// One shard's contribution to a query group: per-query outcomes (the
-/// shard's top-k partial or a structured error), the shard's
-/// microseconds (engine-side for local shards, RPC round-trip for remote
-/// ones), and — for remote shards — the per-query `pruned_bound`s the
-/// reply declared (what the shard pruned on our hint's authority alone;
-/// the verification pass must discharge every one of them).
-struct ShardRun {
-    outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
-    micros: u64,
-    pruned_bounds: Vec<Option<f64>>,
-    /// Engine-stage totals of a local task (zero for remote shards —
-    /// their engine time shows in their own spans below).
-    stages: StageMicros,
-    /// A remote shard server's own span tree (present only when the RPC
-    /// carried a `trace_id`; always empty for local shards).
-    remote_spans: Vec<Span>,
-}
-
-/// One **local** shard task: the batched engine pass over one partition,
-/// against the computation's shared threshold cells (so this shard's
-/// proven progress prunes the other shards' work and vice versa), with
-/// its engine-side time (every execution path times shards the same
-/// way). Engine errors map to 400s here so local and remote partials
-/// carry one error type into the merge. Hint-justified prunes are
-/// tracked inside the shared cells, not per shard, so `pruned_bounds`
-/// is all-`None` here.
-fn run_local_shard(
-    state: &AppState,
-    shard: &shapesearch_core::ShapeEngine,
-    queries: &[(ShapeQuery, usize)],
-    options: &EngineOptions,
-    shared: &SharedThresholds,
-) -> ShardRun {
-    let tap = StageTap::new(&state.metrics);
-    let started = Instant::now();
-    let items: Vec<(&ShapeQuery, usize)> = queries.iter().map(|(q, k)| (q, *k)).collect();
-    let outcomes = shard
-        .top_k_batch_observed(&items, options, shared, &tap)
-        .into_iter()
-        .map(|outcome| outcome.map_err(|e| ServerError::bad_request(format!("query failed: {e}"))))
-        .collect();
-    let micros = started.elapsed().as_micros() as u64;
-    state.metrics.stage(obs::Stage::ShardCompute, micros);
-    ShardRun {
-        outcomes,
-        micros,
-        pruned_bounds: vec![None; queries.len()],
-        stages: tap.totals(),
-        remote_spans: Vec::new(),
-    }
-}
-
-/// One **remote** shard task: ships the query group to the shard's
-/// replica list over the pooled RPC client's health-checked failover
-/// ([`PooledClient::post_replicas`]) and decodes the per-query partials
-/// from the first replica that answers well. Per-replica failures
-/// (connect — after the client's configured retries —, I/O, a non-200
-/// envelope, or a malformed body) make failover move to the next
-/// replica; this is safe for any failure class because `/shard/query`
-/// is a pure idempotent read — at worst a slow replica computes an
-/// answer nobody consumes. Only when **every** replica has failed does
-/// the group get a [`ServerError::replicas_unavailable`] naming each
-/// attempted endpoint with its failure, replicated across every query
-/// of the group. *Per-query* engine errors inside a 200 envelope pass
-/// through with their original status and message, so an all-remote
-/// placement reports the same errors an all-local one would. Records
-/// every attempted endpoint's `/healthz` gauges, successful or not.
-fn run_remote_shard(
-    state: &AppState,
-    replicas: &[String],
-    dataset: &str,
-    queries: &[(ShapeQuery, usize)],
-    options: &EngineOptions,
-    hints: &[Option<f64>],
-    trace: Option<&str>,
-) -> ShardRun {
-    let body = protocol::shard_request_to_json(dataset, queries, hints, options, trace);
-    let started = Instant::now();
-    let outcome = state
-        .remote
-        .post_replicas(replicas, "/shard/query", &body, |response| {
-            if response.status == 200 {
-                protocol::shard_outcomes_from_json(&response.body, queries.len())
-            } else {
-                Err(format!(
-                    "status {}: {}",
-                    response.status,
-                    response
-                        .body
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("(no error detail)")
-                ))
-            }
-        });
-    let micros = started.elapsed().as_micros() as u64;
-    state.metrics.stage(obs::Stage::RemoteRpc, micros);
-    {
-        // All of an endpoint's gauges move in one critical section so a
-        // `/healthz` snapshot can never show a request without its
-        // error/micros; one acquisition covers the whole failover trail.
-        let mut stats = state.remote_stats.lock().expect("remote stats lock");
-        for attempt in &outcome.attempts {
-            let entry = stats.entry(attempt.endpoint.clone()).or_default();
-            entry.requests += 1;
-            entry.errors += u64::from(attempt.error.is_some());
-            entry.micros_total += attempt.micros;
-        }
-    }
-    for attempt in &outcome.attempts {
-        state
-            .metrics
-            .record_remote(&attempt.endpoint, attempt.micros);
-    }
-    match outcome.accepted {
-        Some((partials, _served_by)) => ShardRun {
-            outcomes: partials.outcomes,
-            micros,
-            pruned_bounds: partials.pruned_bounds,
-            stages: StageMicros::default(),
-            remote_spans: partials.spans,
-        },
-        None => {
-            let err = ServerError::replicas_unavailable(outcome.attempts.iter().map(|a| {
-                (
-                    a.endpoint.as_str(),
-                    a.error.as_deref().unwrap_or("unknown failure"),
-                )
-            }));
-            ShardRun {
-                outcomes: vec![Err(err); queries.len()],
-                micros,
-                pruned_bounds: vec![None; queries.len()],
-                stages: StageMicros::default(),
-                remote_spans: Vec::new(),
-            }
-        }
-    }
-}
-
-/// Merges per-shard runs into per-query outcomes under the engine's one
-/// ordering contract ([`merge_topk_refs`]: score descending, ties to
-/// the lower global `viz_index`). The first failing shard's error (in
-/// partition order) stands for the query — a partial top-k missing a
-/// shard's candidates must never be passed off as the global answer.
-/// Borrows the runs (cloning only each query's k winners) because the
-/// hint-verification pass may re-merge after retrying a shard.
-fn merge_shard_runs(runs: &[ShardRun], ks: &[usize]) -> Vec<Result<Vec<TopKResult>, ServerError>> {
-    ks.iter()
-        .enumerate()
-        .map(|(qi, &k)| {
-            let mut partials: Vec<&[TopKResult]> = Vec::with_capacity(runs.len());
-            let mut first_err = None;
-            for run in runs {
-                match &run.outcomes[qi] {
-                    Ok(results) => partials.push(results),
-                    Err(e) => {
-                        first_err.get_or_insert_with(|| e.clone());
-                    }
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(merge_topk_refs(partials, k)),
-            }
-        })
-        .collect()
-}
-
-/// Everything one shard fan-out produced: the merged per-query outcomes,
-/// the per-shard timings (placement order), the per-query hint debt this
-/// computation still owes *its own* caller (largest upper bound pruned on
-/// the authority of a caller-supplied hint — forwarded up the
-/// `/shard/query` reply so the caller can verify), and the computation's
-/// pruning counter snapshot.
-struct ShardExec {
-    outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
-    shard_micros: Vec<u64>,
-    hint_pruned: Vec<Option<f64>>,
-    pruning: PruningSnapshot,
-    /// The fan-out's span forest, one span per shard slot (stitching in
-    /// remote servers' own spans) plus the merge span. Empty unless the
-    /// computation was traced.
-    spans: Vec<Span>,
-    /// Per query: the best *partial* answer assemblable from the shards
-    /// that did respond, present only when the query failed **and** the
-    /// failure is maskable — every failing shard failed with
-    /// `shard_unavailable` (all replicas dead; an engine error is never
-    /// maskable) and the computation was seeded with no caller hints (a
-    /// `/shard/query` callee must report its failure upward, not degrade
-    /// on the router's behalf). Consumed only by queries that opted in
-    /// with `"partial": true`; everyone else keeps the error.
-    degraded: Vec<Option<DegradedQuery>>,
-}
-
-/// A partial answer for one query: the deterministic merge of the
-/// responsive shards' top-k partials, plus which partitions are missing
-/// and why. Never cached, never presented as exact.
-struct DegradedQuery {
-    results: Vec<TopKResult>,
-    info: DegradedInfo,
-}
-
-/// The `degraded` response block of a partial answer: the missing
-/// partition indices and each one's replica-failure message.
-#[derive(Debug, Clone)]
-struct DegradedInfo {
-    missing: Vec<usize>,
-    errors: Vec<(usize, String)>,
-}
-
-/// True when a shard's reported hint-pruned bound is **not** discharged
-/// by the merged answer: with fewer than `k` merged results, or a k-th
-/// score not strictly above the bound, a candidate that shard pruned on
-/// our hint's authority could still belong to the true top k (strictness
-/// covers score ties, which break by index). The merged k-th is proven —
-/// it comes from exactly scored candidates — and the global k-th can
-/// only be higher, so a discharged bound is sound no matter what the
-/// hint was.
-fn hint_undischarged(
-    outcome: &Result<Vec<TopKResult>, ServerError>,
-    k: usize,
-    pruned_bound: Option<f64>,
-) -> bool {
-    // k = 0 asks for nothing, so nothing prunable can be dropped.
-    if k == 0 {
-        return false;
-    }
-    match (outcome, pruned_bound) {
-        (Ok(results), Some(bound)) => {
-            results.len() < k
-                || results[k - 1].score.total_cmp(&bound) != std::cmp::Ordering::Greater
-        }
-        _ => false,
-    }
-}
-
-/// Executes one `(dataset, options)` query group over the dataset's
-/// partition map and merges each query's per-shard top-k partials
-/// deterministically. Local shards fan out **one compute-pool task per
-/// shard** — the submitting HTTP worker helps drain the pool while it
-/// waits, so a single query can saturate every core and large batches
-/// interleave with other requests as short shard tasks — while remote
-/// shards go out as RPC tasks on the same pool (leaf work either way:
-/// neither submits further tasks, so the help-while-waiting protocol
-/// cannot deadlock). `sequential` (a client's explicit
-/// `"parallel": false` CPU cap) runs every slot inline one after
-/// another instead. Single-shard **local** datasets run inline on the
-/// caller — with the options untouched, preserving the unsharded
-/// engine's exact execution profile (including its own viz-level
-/// parallelism policy), unless the client opted out, in which case the
-/// engine's auto-parallel threshold is disabled too (the cap must hold
-/// on every path).
-///
-/// **Threshold flow.** Every local shard task shares one
-/// [`SharedThresholds`] (one cell per query), seeded from the caller's
-/// `hints` (a `/shard/query` RPC's `threshold_hint`s; empty for
-/// user-facing queries). Remote RPC tasks are enqueued *after* the local
-/// tasks and read the cells at execution time, so whatever the local
-/// shards have proven by then rides along as the remote
-/// `threshold_hint` — hints are pure accelerators and arrive as fresh as
-/// scheduling allows. After the merge, every remote-reported
-/// `pruned_bound` must be discharged by the merged answer
-/// ([`hint_undischarged`]); shards that fail verification are re-queried
-/// **hint-less** (their exact partial) and the merge repeats — which is
-/// what makes a stale or poisoned hint unable to silently drop a true
-/// top-k result.
-///
-/// This is the pool-task twin of the in-process fan-out in
-/// [`shapesearch_core::ShardedEngine::top_k_batch`] (which uses scoped
-/// threads over borrowed queries, where the server needs `'static`
-/// tasks over `Arc`s); the two must keep the same single-shard and
-/// inner-options policy. The distributed invariant rides on the shared
-/// merge: partials are partials, whether they came off this process's
-/// pool or over the wire, so results stay byte-identical to a
-/// single-process run for every placement.
-fn execute_on_shards(
-    state: &Arc<AppState>,
-    entry: &Arc<DatasetEntry>,
-    queries: Vec<(ShapeQuery, usize)>,
-    options: &EngineOptions,
-    sequential: bool,
-    hints: &[Option<f64>],
-    trace: Option<&str>,
-) -> ShardExec {
-    let ks: Vec<usize> = queries.iter().map(|&(_, k)| k).collect();
-    // Resolve every local slot's engine up front. An eager entry hands
-    // back its resident Arcs for free; a snapshot entry materializes
-    // cold shards through the catalog's resident LRU (singleflight —
-    // queries racing one cold shard share a single load, and the load
-    // happens before the fan-out so pool tasks never block on I/O). A
-    // failed load fails the whole fan-out with its structured error:
-    // a partial answer must never pass as the global top-k.
-    let mut local: Vec<Option<Arc<shapesearch_core::ShapeEngine>>> =
-        Vec::with_capacity(entry.placement.len());
-    for (slot, placement) in entry.placement.iter().enumerate() {
-        match placement {
-            ShardPlacement::Local => match entry.local_shard(slot) {
-                Ok(engine) => local.push(Some(engine)),
-                Err(e) => {
-                    return ShardExec {
-                        outcomes: ks.iter().map(|_| Err(e.clone())).collect(),
-                        shard_micros: Vec::new(),
-                        hint_pruned: vec![None; ks.len()],
-                        pruning: PruningSnapshot::default(),
-                        spans: Vec::new(),
-                        degraded: ks.iter().map(|_| None).collect(),
-                    }
-                }
-            },
-            ShardPlacement::Remote(_) => local.push(None),
-        }
-    }
-    let queries = Arc::new(queries);
-    let shared = SharedThresholds::new(queries.len());
-    for (i, hint) in hints.iter().enumerate().take(shared.len()) {
-        if let Some(hint) = hint {
-            shared.seed_hint(i, *hint);
-        }
-    }
-    // Shard tasks are the unit of parallelism: the engine's inner
-    // viz-level parallelism is switched off rather than oversubscribing
-    // the pool's cores. (Remote shard servers schedule their own cores;
-    // scheduling never changes results.) Also the options any
-    // verification retry re-sends.
-    let inner = EngineOptions {
-        parallel: false,
-        parallel_threshold: usize::MAX,
-        ..options.clone()
-    };
-
-    let mut runs: Vec<ShardRun> = if local.len() == 1 && entry.placement[0] == ShardPlacement::Local
-    {
-        // An explicit opt-out must also defeat the engine's internal
-        // auto-parallel threshold — a capped client gets one thread
-        // no matter the collection size.
-        let capped = EngineOptions {
-            parallel: false,
-            parallel_threshold: usize::MAX,
-            ..options.clone()
-        };
-        let effective = if sequential { &capped } else { options };
-        let shard = local[0].as_ref().expect("single local slot resolved");
-        vec![run_local_shard(state, shard, &queries, effective, &shared)]
-    } else if sequential {
-        entry
-            .placement
-            .iter()
-            .zip(&local)
-            .map(|(placement, shard)| match placement {
-                ShardPlacement::Local => {
-                    let shard = shard.as_ref().expect("local slot resolved");
-                    run_local_shard(state, shard, &queries, &inner, &shared)
-                }
-                ShardPlacement::Remote(replicas) => {
-                    let hints = live_hints(&shared);
-                    run_remote_shard(state, replicas, &entry.id, &queries, &inner, &hints, trace)
-                }
-            })
-            .collect()
-    } else {
-        // Pool tasks run on long-lived threads, so each owns `Arc`s
-        // of its shard (or of the app state, for the RPC client and
-        // gauges) and of the shared query list. Local tasks are
-        // enqueued first so the queue's FIFO order gives remote RPCs
-        // the freshest possible threshold hints; `order` maps the
-        // submission order back onto placement slots.
-        let mut order: Vec<usize> = Vec::with_capacity(local.len());
-        let mut tasks: Vec<Box<dyn FnOnce() -> ShardRun + Send>> = Vec::with_capacity(local.len());
-        for (slot, (placement, shard)) in entry.placement.iter().zip(&local).enumerate() {
-            if *placement != ShardPlacement::Local {
-                continue;
-            }
-            let task_state = Arc::clone(state);
-            let shard = Arc::clone(shard.as_ref().expect("local slot resolved"));
-            let queries = Arc::clone(&queries);
-            let inner = inner.clone();
-            let shared = shared.clone();
-            order.push(slot);
-            tasks.push(Box::new(move || {
-                run_local_shard(&task_state, &shard, &queries, &inner, &shared)
-            }));
-        }
-        for (slot, placement) in entry.placement.iter().enumerate() {
-            let ShardPlacement::Remote(replicas) = placement else {
-                continue;
-            };
-            let state = Arc::clone(state);
-            let entry = Arc::clone(entry);
-            let replicas = replicas.clone();
-            let queries = Arc::clone(&queries);
-            let inner = inner.clone();
-            let shared = shared.clone();
-            let trace = trace.map(str::to_owned);
-            order.push(slot);
-            tasks.push(Box::new(move || {
-                // Hints read at execution time: locals enqueued ahead
-                // may already have proven a threshold.
-                let hints = live_hints(&shared);
-                run_remote_shard(
-                    &state,
-                    &replicas,
-                    &entry.id,
-                    &queries,
-                    &inner,
-                    &hints,
-                    trace.as_deref(),
-                )
-            }));
-        }
-        let mut slots: Vec<Option<ShardRun>> = (0..local.len()).map(|_| None).collect();
-        for (slot, run) in order.into_iter().zip(state.compute.run_all(tasks)) {
-            slots[slot] = Some(run);
-        }
-        slots
-            .into_iter()
-            .map(|run| run.expect("every shard slot ran"))
-            .collect()
-    };
-
-    {
-        // One critical section per fan-out keeps the gauges mutually
-        // consistent (never tasks without their micros). Only local
-        // slots count here; remote RPCs were recorded per endpoint.
-        let local_micros: Vec<u64> = entry
-            .placement
-            .iter()
-            .zip(&runs)
-            .filter(|(p, _)| matches!(p, ShardPlacement::Local))
-            .map(|(_, run)| run.micros)
-            .collect();
-        let mut stats = state.shard_stats.lock().expect("shard stats lock");
-        stats.tasks += local_micros.len() as u64;
-        stats.micros_total += local_micros.iter().sum::<u64>();
-    }
-
-    let merge_started = Instant::now();
-    let mut outcomes = merge_shard_runs(&runs, &ks);
-    let mut merge_micros = merge_started.elapsed().as_micros() as u64;
-
-    // Verification: every remote-reported hint-pruned bound must be
-    // strictly cleared by the merged answer; shards owing an
-    // undischarged bound are re-queried hint-less (their reply is then
-    // the exact partial, with nothing left to verify).
-    let retry: Vec<usize> = entry
-        .placement
-        .iter()
-        .enumerate()
-        .filter(|(slot, placement)| {
-            matches!(placement, ShardPlacement::Remote(_))
-                && runs[*slot]
-                    .pruned_bounds
-                    .iter()
-                    .zip(&outcomes)
-                    .zip(&ks)
-                    .any(|((&bound, outcome), &k)| hint_undischarged(outcome, k, bound))
-        })
-        .map(|(slot, _)| slot)
-        .collect();
-    if !retry.is_empty() {
-        let no_hints = vec![None; queries.len()];
-        for slot in retry {
-            let ShardPlacement::Remote(replicas) = &entry.placement[slot] else {
-                unreachable!("only remote shards are retried");
-            };
-            runs[slot] = run_remote_shard(
-                state, replicas, &entry.id, &queries, &inner, &no_hints, trace,
-            );
-        }
-        let remerge_started = Instant::now();
-        outcomes = merge_shard_runs(&runs, &ks);
-        merge_micros += remerge_started.elapsed().as_micros() as u64;
-    }
-    state.metrics.stage(obs::Stage::Merge, merge_micros);
-
-    let pruning = shared.snapshot();
-    state
-        .pruning
-        .lock()
-        .expect("pruning stats lock")
-        .add(pruning);
-
-    // The fan-out's span forest: one span per shard slot — a local
-    // shard's engine-stage breakdown, or a remote RPC with the remote
-    // server's own spans stitched underneath — plus the merge. Built
-    // only for traced computations; untraced requests pay nothing here.
-    let spans = if trace.is_some() {
-        let mut spans: Vec<Span> = entry
-            .placement
-            .iter()
-            .zip(&runs)
-            .enumerate()
-            .map(|(slot, (placement, run))| match placement {
-                ShardPlacement::Local => {
-                    let mut span = Span::new("shard_compute", run.micros)
-                        .with_detail(format!("shard {slot} local"));
-                    for (stage, micros) in [
-                        (obs::Stage::Group, run.stages.group),
-                        (obs::Stage::SegmentScore, run.stages.segment_score),
-                        (obs::Stage::PruneBound, run.stages.prune_bound),
-                    ] {
-                        if micros > 0 {
-                            span.push(Span::new(stage.name(), micros));
-                        }
-                    }
-                    span
-                }
-                ShardPlacement::Remote(replicas) => {
-                    let mut span = Span::new("remote_rpc", run.micros)
-                        .with_detail(format!("shard {slot} @ {}", replicas.join("|")));
-                    for remote_span in &run.remote_spans {
-                        span.push(remote_span.clone());
-                    }
-                    span
-                }
-            })
-            .collect();
-        spans.push(Span::new("merge", merge_micros));
-        spans
-    } else {
-        Vec::new()
-    };
-
-    // Degraded fallbacks, computed only for queries that failed: the
-    // merge of whatever shards *did* answer, offered upward so a
-    // `"partial": true` caller can trade completeness for availability.
-    // A fan-out seeded with caller hints is a `/shard/query` callee —
-    // its caller owns the degradation decision, so nothing is offered.
-    let no_caller_hints = hints.iter().all(Option::is_none);
-    let degraded: Vec<Option<DegradedQuery>> = outcomes
-        .iter()
-        .enumerate()
-        .map(|(qi, outcome)| {
-            if outcome.is_ok() || !no_caller_hints {
-                return None;
-            }
-            let mut partials: Vec<&[TopKResult]> = Vec::new();
-            let mut missing = Vec::new();
-            let mut errors = Vec::new();
-            for (slot, run) in runs.iter().enumerate() {
-                match &run.outcomes[qi] {
-                    Ok(results) => partials.push(results),
-                    Err(e) if e.code == Some("shard_unavailable") => {
-                        missing.push(slot);
-                        errors.push((slot, e.message.clone()));
-                    }
-                    // A real engine error on any shard poisons the whole
-                    // query — masking it as "degraded" would hide a bug.
-                    Err(_) => return None,
-                }
-            }
-            Some(DegradedQuery {
-                results: merge_topk_refs(partials, ks[qi]),
-                info: DegradedInfo { missing, errors },
-            })
-        })
-        .collect();
-
-    ShardExec {
-        outcomes,
-        shard_micros: runs.iter().map(|run| run.micros).collect(),
-        hint_pruned: (0..queries.len()).map(|i| shared.hint_pruned(i)).collect(),
-        pruning,
-        spans,
-        degraded,
-    }
-}
-
-/// The per-query `threshold_hint`s to forward to a remote shard: each
-/// cell's current effective threshold (proven progress plus any hint
-/// this process itself received — sound to forward because every tier
-/// verifies the bounds its downstream reports), or `None` while a cell
-/// is still empty.
-fn live_hints(shared: &SharedThresholds) -> Vec<Option<f64>> {
-    (0..shared.len())
-        .map(|i| {
-            let threshold = shared.cell(i).get();
-            (threshold > f64::NEG_INFINITY).then_some(threshold)
-        })
-        .collect()
-}
-
 /// `POST /shard/query`: this process acting as a **shard server**. Runs
 /// the RPC's query group over the addressed dataset's own partition map
 /// (typically the single partition a `--shard-of` registration owns, but
@@ -1480,7 +268,7 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
         .catalog
         .get(&req.dataset)
         .ok_or_else(|| ServerError::not_found(format!("unknown dataset `{}`", req.dataset)))?;
-    state.shard_queries.fetch_add(1, Ordering::Relaxed);
+    state.stats.count_shard_query();
     let started = Instant::now();
     let exec = execute_on_shards(
         state,
@@ -1498,9 +286,7 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
     // branches carry the remote servers' own timings.
     let spans = req.trace_id.as_deref().map(|trace_id| {
         let mut root = Span::new("shard_request", micros).with_detail(format!("trace {trace_id}"));
-        for span in exec.spans {
-            root.push(span);
-        }
+        root.children = exec.spans;
         vec![root]
     });
     Ok(ok(protocol::shard_outcomes_to_json(
@@ -1513,108 +299,107 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
     )))
 }
 
-/// One planned query's computation, outside any singleflight: either the
-/// exact merged results or the error — alongside the degraded fallback
-/// (when one was assemblable), the per-shard micros, the fan-out's spans
-/// (when traced), and the computation's pruning stats.
-struct Computed {
-    outcome: Result<Arc<Vec<TopKResult>>, ServerError>,
-    /// The best partial answer when `outcome` failed maskably (every
-    /// failing shard had all replicas down). `None` on success or on
-    /// engine errors; consumed only by `"partial": true` requests.
-    degraded: Option<DegradedQuery>,
-    shard_micros: Vec<u64>,
-    spans: Vec<Span>,
-    pruning: PruningSnapshot,
-}
-
-/// Runs one planned query on the engine (all shards), outside any
-/// singleflight.
-fn compute(state: &Arc<AppState>, planned: &PlannedQuery, trace: Option<&str>) -> Computed {
-    let mut exec = execute_on_shards(
-        state,
-        &planned.entry,
-        vec![(planned.query_ast.clone(), planned.k)],
-        &planned.options,
-        planned.parallel_opt_out,
-        &[],
-        trace,
-    );
-    Computed {
-        outcome: exec
-            .outcomes
-            .pop()
-            .expect("one outcome per query")
-            .map(Arc::new),
-        degraded: exec.degraded.pop().expect("one fallback slot per query"),
-        shard_micros: exec.shard_micros,
-        spans: exec.spans,
-        pruning: exec.pruning,
+/// `POST /query`: resolves the body's items through the one pipeline and
+/// hands them to the envelope matching the body's form.
+fn query(state: &Arc<AppState>, request: &Request) -> Result<Response, ServerError> {
+    let received = Instant::now();
+    let body = body_json(request)?;
+    let items = match &body {
+        Json::Arr(items) => {
+            if let Some(refusal) = refuse_batch(items.len(), state.max_batch) {
+                return Ok(refusal);
+            }
+            items.as_slice()
+        }
+        single => std::slice::from_ref(single),
+    };
+    // Counted on receipt, so `queries` means "queries that reached
+    // planning", whether or not they planned cleanly.
+    state.stats.count_queries(items.len());
+    let trace_id = obs::new_trace_id();
+    let started = Instant::now();
+    let mut resolved = resolve_items(state, items, &trace_id);
+    let micros = started.elapsed().as_micros() as u64;
+    if matches!(body, Json::Arr(_)) {
+        Ok(batch_envelope(
+            state, received, micros, &trace_id, &resolved,
+        ))
+    } else {
+        let item = resolved.pop().expect("one result per item")?;
+        Ok(single_envelope(state, received, micros, &trace_id, &item))
     }
 }
 
-/// The per-query response body (shared between the single and batch
-/// forms; only the single form carries `micros` — a batch reports one
-/// wall-clock figure for the whole request instead). `shard_micros`
-/// carries the per-shard engine time of the computation this response
-/// came from, so it is present only when this very request did the
-/// computing (absent on cache hits and coalesced waits).
-fn query_response(
-    planned: &PlannedQuery,
-    results: &[TopKResult],
-    cached: bool,
-    coalesced: bool,
-    micros: Option<u64>,
-    shard_micros: Option<&[u64]>,
-    degraded: Option<&DegradedInfo>,
-) -> Json {
+/// The refusal for a batch of `len` items the pipeline must not run, if
+/// any: an empty batch, or one over the server's cap (structured so
+/// clients can split and retry programmatically instead of
+/// pattern-matching an error string).
+fn refuse_batch(len: usize, max_batch: usize) -> Option<Response> {
+    if len == 0 {
+        return Some(fail(&ServerError::bad_request(
+            "batch must contain at least one query object",
+        )));
+    }
+    (len > max_batch).then(|| {
+        let message =
+            format!("batch of {len} queries exceeds this server's maximum of {max_batch}");
+        let body = obj([
+            ("error", message.into()),
+            ("code", "batch_too_large".into()),
+            ("max_batch", max_batch.into()),
+            ("batch_len", len.into()),
+        ]);
+        Response::json(400, body.to_text())
+    })
+}
+
+/// The per-query response body shared by the two envelopes. Only the
+/// single form carries `micros` (a batch reports one wall-clock figure
+/// for the whole request instead) and, with it, `shard_micros` — the
+/// per-shard time of the computation this response came from, present
+/// only when this very request did the computing (absent on cache hits
+/// and coalesced waits).
+fn query_response(item: &Resolved, single_micros: Option<u64>) -> Json {
+    let planned = &item.planned;
     let mut fields = vec![
         ("dataset", Json::Str(planned.entry.id.clone())),
         ("query", Json::Str(planned.query_ast.to_string())),
         ("k", planned.k.into()),
         ("algo", planned.options.segmenter.name().into()),
         ("shards", planned.entry.shard_count.into()),
-        ("cached", cached.into()),
-        ("coalesced", coalesced.into()),
+        ("cached", item.led().is_none().into()),
+        ("coalesced", matches!(item.source, Source::Coalesced).into()),
     ];
-    if let Some(micros) = micros {
+    if let Some(micros) = single_micros {
         fields.push(("micros", micros.into()));
+        if let Some(led) = item.led() {
+            let shard_micros = led.shard_micros.iter().map(|&m| m.into()).collect();
+            fields.push(("shard_micros", Json::Arr(shard_micros)));
+        }
     }
-    if let Some(shard_micros) = shard_micros {
-        fields.push((
-            "shard_micros",
-            Json::Arr(shard_micros.iter().map(|&m| m.into()).collect()),
-        ));
-    }
-    if let Some(degraded) = degraded {
+    if let Some(degraded) = &item.degraded {
         // The one block that marks an answer as inexact: which
         // partitions are missing, and the replica trail of each failure.
+        let missing = degraded.missing.iter().map(|&s| s.into()).collect();
+        let errors = degraded
+            .errors
+            .iter()
+            .map(|(slot, message)| {
+                obj([
+                    ("shard", (*slot).into()),
+                    ("error", message.as_str().into()),
+                ])
+            })
+            .collect();
         fields.push((
             "degraded",
             obj([
-                (
-                    "missing_shards",
-                    Json::Arr(degraded.missing.iter().map(|&s| s.into()).collect()),
-                ),
-                (
-                    "errors",
-                    Json::Arr(
-                        degraded
-                            .errors
-                            .iter()
-                            .map(|(slot, message)| {
-                                obj([
-                                    ("shard", (*slot).into()),
-                                    ("error", message.as_str().into()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("missing_shards", Json::Arr(missing)),
+                ("errors", Json::Arr(errors)),
             ]),
         ));
     }
-    fields.push(("results", protocol::results_to_json(results)));
+    fields.push(("results", protocol::results_to_json(&item.value)));
     if !planned.notes.is_empty() {
         fields.push((
             "notes",
@@ -1624,524 +409,92 @@ fn query_response(
     obj(fields)
 }
 
-/// One resolved query: the results, how they were obtained, and — when
-/// this caller led the computation itself — its per-shard timings, trace
-/// spans, and pruning stats.
-struct ResolvedQuery {
-    value: Arc<Vec<TopKResult>>,
-    cached: bool,
-    coalesced: bool,
-    shard_micros: Option<Vec<u64>>,
-    /// Total time spent in cache lookups (and coalesced waiting) before
-    /// the outcome was known.
-    lookup_micros: u64,
-    /// The computation's span forest; empty unless this caller led a
-    /// traced computation.
-    exec_spans: Vec<Span>,
-    /// Pruning stats of the led computation (zeros on hits/waits — a
-    /// cached answer did no pruning work for this request).
-    pruning: PruningSnapshot,
-    /// Present when `value` is a **degraded** partial answer: the
-    /// missing partitions and their failures. Only ever set for
-    /// `"partial": true` requests that led a computation; degraded
-    /// values are never cached, so hits and coalesced waits are always
-    /// exact.
-    degraded: Option<DegradedInfo>,
-}
-
-/// Resolves one planned query through the singleflight cache, blocking
-/// as long as it takes. When a foreign leader fails, the waiters retry
-/// the lookup — the next one elects itself leader (a fresh, *counted*
-/// miss) and the rest re-coalesce onto it — so every engine computation
-/// shows up as exactly one `misses` tick, even on error paths.
-fn resolve_query(
-    state: &Arc<AppState>,
-    planned: &PlannedQuery,
-    trace: Option<&str>,
-) -> Result<ResolvedQuery, ServerError> {
-    let mut lookup_micros = 0u64;
-    loop {
-        let lookup_started = Instant::now();
-        let lookup = state.cache.lookup(&planned.key);
-        let this_lookup = lookup_started.elapsed().as_micros() as u64;
-        state.metrics.stage(obs::Stage::CacheLookup, this_lookup);
-        lookup_micros += this_lookup;
-        match lookup {
-            Lookup::Hit(v) => {
-                return Ok(ResolvedQuery {
-                    value: v,
-                    cached: true,
-                    coalesced: false,
-                    shard_micros: None,
-                    lookup_micros,
-                    exec_spans: Vec::new(),
-                    pruning: PruningSnapshot::default(),
-                    degraded: None,
-                })
-            }
-            Lookup::Pending(waiter) => {
-                let wait_started = Instant::now();
-                let outcome = waiter.wait();
-                lookup_micros += wait_started.elapsed().as_micros() as u64;
-                match outcome {
-                    Some(v) => {
-                        return Ok(ResolvedQuery {
-                            value: v,
-                            cached: true,
-                            coalesced: true,
-                            shard_micros: None,
-                            lookup_micros,
-                            exec_spans: Vec::new(),
-                            pruning: PruningSnapshot::default(),
-                            degraded: None,
-                        })
-                    }
-                    // Leader failed: its flight is gone; loop to contend
-                    // for the vacated key (engine errors are
-                    // deterministic, so whoever wins next will surface
-                    // the same error).
-                    None => continue,
-                }
-            }
-            Lookup::Lead(guard) => {
-                let computed = compute(state, planned, trace);
-                match computed.outcome {
-                    Ok(v) => {
-                        guard.complete(Arc::clone(&v));
-                        return Ok(ResolvedQuery {
-                            value: v,
-                            cached: false,
-                            coalesced: false,
-                            shard_micros: Some(computed.shard_micros),
-                            lookup_micros,
-                            exec_spans: computed.spans,
-                            pruning: computed.pruning,
-                            degraded: None,
-                        });
-                    }
-                    Err(e) => {
-                        // Dropping the guard publishes the failure so
-                        // coalesced waiters wake (and re-contend) instead
-                        // of deadlocking — crucially it also means a
-                        // degraded answer is NEVER cached: only this
-                        // opted-in caller sees it, and the next request
-                        // recomputes from scratch.
-                        drop(guard);
-                        if planned.partial {
-                            if let Some(DegradedQuery { results, info }) = computed.degraded {
-                                return Ok(ResolvedQuery {
-                                    value: Arc::new(results),
-                                    cached: false,
-                                    coalesced: false,
-                                    shard_micros: Some(computed.shard_micros),
-                                    lookup_micros,
-                                    exec_spans: computed.spans,
-                                    pruning: computed.pruning,
-                                    degraded: Some(info),
-                                });
-                            }
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
+/// Attaches an explained item's `trace` object to its response body.
+fn push_trace(response: &mut Json, trace_id: &str, spans: &[Span], pruning: PruningSnapshot) {
+    if let Json::Obj(fields) = response {
+        fields.push((
+            "trace".to_owned(),
+            obj([
+                ("trace_id", trace_id.into()),
+                ("spans", obs::spans_to_json(spans)),
+                ("pruning", protocol::pruning_to_json(pruning)),
+            ]),
+        ));
     }
 }
 
-fn query(state: &Arc<AppState>, request: &Request) -> Result<Response, ServerError> {
-    let received = Instant::now();
-    let body = body_json(request)?;
-    if let Json::Arr(items) = &body {
-        return query_batch(state, items, received);
-    }
-    // Counted on receipt — like batch items — so `queries` means
-    // "queries that reached planning", whether or not they planned
-    // cleanly.
-    state.queries.fetch_add(1, Ordering::Relaxed);
-    let trace_id = obs::new_trace_id();
-    let plan_started = Instant::now();
-    let planned = plan_query(state, &body);
-    let plan_micros = plan_started.elapsed().as_micros() as u64;
-    state.metrics.stage(obs::Stage::ParsePlan, plan_micros);
-    let planned = planned?;
-    // The trace ID rides the shard wire only for explained requests:
-    // remote span collection is strictly opt-in per query, so the
-    // distributed reply stays byte-identical for everyone else.
-    let trace = planned.explain.then_some(trace_id.as_str());
-
-    let started = Instant::now();
-    let resolved = resolve_query(state, &planned, trace)?;
-    let micros = started.elapsed().as_micros() as u64;
-
+/// The single-query envelope: the item's own response body with
+/// `micros` (resolve time, planning excluded) and — when explained — one
+/// stitched tree: parse → cache → the fan-out (per-shard spans, remote
+/// servers' own timings included) → serialize (envelope assembly).
+fn single_envelope(
+    state: &AppState,
+    received: Instant,
+    micros: u64,
+    trace_id: &str,
+    item: &Resolved,
+) -> Response {
+    let micros = micros.saturating_sub(item.plan_micros);
     let serialize_started = Instant::now();
-    let mut response = query_response(
-        &planned,
-        &resolved.value,
-        resolved.cached,
-        resolved.coalesced,
-        Some(micros),
-        resolved.shard_micros.as_deref(),
-        resolved.degraded.as_ref(),
-    );
+    let mut response = query_response(item, Some(micros));
     let serialize_micros = serialize_started.elapsed().as_micros() as u64;
     state.metrics.stage(obs::Stage::Serialize, serialize_micros);
     let total_micros = received.elapsed().as_micros() as u64;
     state.metrics.requests.record(total_micros);
 
-    if planned.explain {
-        // One stitched tree: parse → cache → the fan-out (per-shard
-        // spans, remote servers' own timings included) → serialize
-        // (envelope assembly, measured just above).
-        let outcome = match (resolved.cached, resolved.coalesced) {
-            (true, true) => "coalesced",
-            (true, false) => "hit",
-            _ => "miss",
-        };
+    if item.planned.explain {
         let mut root = Span::new("request", total_micros).with_detail(format!("trace {trace_id}"));
-        root.push(Span::new(obs::Stage::ParsePlan.name(), plan_micros));
-        root.push(
-            Span::new(obs::Stage::CacheLookup.name(), resolved.lookup_micros).with_detail(outcome),
-        );
-        if !resolved.exec_spans.is_empty() {
+        root.push(Span::new(obs::Stage::ParsePlan.name(), item.plan_micros));
+        root.push(item.lookup_span());
+        if let Some(led) = item.led() {
             let mut fanout = Span::new("shard_fanout", micros);
-            for span in resolved.exec_spans {
-                fanout.push(span);
-            }
+            fanout.children = led.spans.clone();
             root.push(fanout);
         }
         root.push(Span::new(obs::Stage::Serialize.name(), serialize_micros));
-        if let Json::Obj(fields) = &mut response {
-            fields.push((
-                "trace".to_owned(),
-                obj([
-                    ("trace_id", trace_id.as_str().into()),
-                    ("spans", obs::spans_to_json(&[root])),
-                    ("pruning", protocol::pruning_to_json(resolved.pruning)),
-                ]),
-            ));
-        }
+        let pruning = item.led().map(|led| led.pruning).unwrap_or_default();
+        push_trace(&mut response, trace_id, &[root], pruning);
     }
-
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
         eprintln!(
             "slow-query trace_id={trace_id} dataset={} query={} micros={total_micros} cached={}",
-            planned.entry.id, planned.query_ast, resolved.cached
+            item.planned.entry.id,
+            item.planned.query_ast,
+            item.led().is_none()
         );
     }
-    Ok(ok(response))
+    ok(response)
 }
 
-/// Progress of one batch item through plan → singleflight → engine.
-enum ItemProgress<'a> {
-    Failed(ServerError),
-    Ready {
-        planned: PlannedQuery,
-        value: Arc<Vec<TopKResult>>,
-        cached: bool,
-        coalesced: bool,
-        /// The item's `degraded` block, present only when the item opted
-        /// into partial answers and some shard had every replica down.
-        degraded: Option<DegradedInfo>,
-        /// The item's assembled `trace` object, present only when the
-        /// item sent `"explain": true`.
-        trace: Option<Json>,
-    },
-    Waiting(PlannedQuery, crate::cache::FlightWaiter),
-    Leading(PlannedQuery, crate::cache::FlightGuard<'a>),
-}
-
-/// One batch item's `trace` envelope object (batch items share the
-/// request's trace ID; each explained item carries the spans of how *it*
-/// was resolved — its group's fan-out when it led, its cache outcome
-/// otherwise).
-fn item_trace(trace_id: &str, spans: &[Span], pruning: PruningSnapshot) -> Json {
-    obj([
-        ("trace_id", trace_id.into()),
-        ("spans", obs::spans_to_json(spans)),
-        ("pruning", protocol::pruning_to_json(pruning)),
-    ])
-}
-
-fn query_batch(
-    state: &Arc<AppState>,
-    items: &[Json],
+/// The batch envelope: `{"batch","micros","responses"}` with one slot
+/// per item — a response body or a per-item `{"error","status"}` object
+/// that does not fail the batch. Items share the request's trace ID;
+/// each explained item carries the spans of how *it* was resolved — its
+/// group's fan-out when it led, its cache outcome otherwise.
+fn batch_envelope(
+    state: &AppState,
     received: Instant,
-) -> Result<Response, ServerError> {
-    if items.is_empty() {
-        return Err(ServerError::bad_request(
-            "batch must contain at least one query object",
-        ));
-    }
-    if items.len() > state.max_batch {
-        // Structured so clients can split and retry programmatically
-        // instead of pattern-matching an error string.
-        return Ok(Response::json(
-            400,
-            obj([
-                (
-                    "error",
-                    format!(
-                        "batch of {} queries exceeds this server's maximum of {}",
-                        items.len(),
-                        state.max_batch
-                    )
-                    .into(),
-                ),
-                ("code", "batch_too_large".into()),
-                ("max_batch", state.max_batch.into()),
-                ("batch_len", items.len().into()),
-            ])
-            .to_text(),
-        ));
-    }
-    state
-        .queries
-        .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let started = Instant::now();
-    let trace_id = obs::new_trace_id();
-
-    // Phase 1 — plan every item and run each through the singleflight
-    // lookup, in order. Duplicate keys *within* the batch coalesce here
-    // too: the first occurrence leads, later ones receive waiters on the
-    // very flight this request is about to compute.
-    let mut progress: Vec<ItemProgress<'_>> = items
-        .iter()
-        .map(|item| {
-            let plan_started = Instant::now();
-            let planned = plan_query(state, item);
-            state.metrics.stage(
-                obs::Stage::ParsePlan,
-                plan_started.elapsed().as_micros() as u64,
-            );
-            let planned = match planned {
-                Ok(planned) => planned,
-                Err(e) => return ItemProgress::Failed(e),
-            };
-            let lookup_started = Instant::now();
-            let lookup = state.cache.lookup(&planned.key);
-            let lookup_micros = lookup_started.elapsed().as_micros() as u64;
-            state.metrics.stage(obs::Stage::CacheLookup, lookup_micros);
-            match lookup {
-                Lookup::Hit(value) => {
-                    let trace = planned.explain.then(|| {
-                        let span = Span::new("cache_lookup", lookup_micros).with_detail("hit");
-                        item_trace(&trace_id, &[span], PruningSnapshot::default())
-                    });
-                    ItemProgress::Ready {
-                        planned,
-                        value,
-                        cached: true,
-                        coalesced: false,
-                        degraded: None,
-                        trace,
-                    }
-                }
-                Lookup::Pending(waiter) => ItemProgress::Waiting(planned, waiter),
-                Lookup::Lead(guard) => ItemProgress::Leading(planned, guard),
-            }
-        })
-        .collect();
-
-    // Phase 2 — execute every lead through the engine's batched path,
-    // grouped by (dataset registration, effective options): each group is
-    // one pass over its trendline collection, sharing the GROUP stage
-    // across all its queries. `generation` is globally unique, so it
-    // alone pins the dataset; the fingerprint pins every result-affecting
-    // option.
-    let mut groups: HashMap<(u64, String), Vec<usize>> = HashMap::new();
-    for (i, p) in progress.iter().enumerate() {
-        if let ItemProgress::Leading(planned, _) = p {
-            groups
-                .entry((planned.entry.generation, planned.key.options_fp.clone()))
-                .or_default()
-                .push(i);
-        }
-    }
-    for indices in groups.into_values() {
-        let specs: Vec<(ShapeQuery, usize)> = indices
-            .iter()
-            .map(|&i| match &progress[i] {
-                ItemProgress::Leading(planned, _) => (planned.query_ast.clone(), planned.k),
-                _ => unreachable!("group members are leads"),
-            })
-            .collect();
-        let (entry, mut options) = match &progress[indices[0]] {
-            ItemProgress::Leading(planned, _) => {
-                (Arc::clone(&planned.entry), planned.options.clone())
-            }
-            _ => unreachable!("group members are leads"),
-        };
-        // Batch execution policy: a group's work is parallel by default —
-        // multi-shard datasets fan their shard tasks across the compute
-        // pool, and a single-shard group carrying several queries gets
-        // the engine's viz-level parallelism on top of the shared GROUP
-        // pass. Scores are scheduling-invariant (`parallel` is excluded
-        // from the cache fingerprint for the same reason), so results
-        // stay byte-identical to sequential runs. An explicit
-        // `"parallel": false` on any group member is an opt-out (a
-        // client capping its CPU footprint) and wins over the default.
-        let opted_out = indices
-            .iter()
-            .any(|&i| matches!(&progress[i], ItemProgress::Leading(p, _) if p.parallel_opt_out));
-        if opted_out {
-            options.parallel = false;
-        } else if specs.len() > 1 {
-            options.parallel = true;
-        }
-        // One member asking for `explain` traces the whole group's
-        // fan-out — the computation is shared, so its spans are too.
-        let traced = indices
-            .iter()
-            .any(|&i| matches!(&progress[i], ItemProgress::Leading(p, _) if p.explain));
-        let exec = execute_on_shards(
-            state,
-            &entry,
-            specs,
-            &options,
-            opted_out,
-            &[],
-            traced.then_some(trace_id.as_str()),
-        );
-        let group_spans = exec.spans;
-        let group_pruning = exec.pruning;
-        for ((&i, outcome), fallback) in indices.iter().zip(exec.outcomes).zip(exec.degraded) {
-            let ItemProgress::Leading(planned, guard) = std::mem::replace(
-                &mut progress[i],
-                ItemProgress::Failed(ServerError::internal("batch item resolved twice")),
-            ) else {
-                unreachable!("group members are leads");
-            };
-            progress[i] = match outcome {
-                Ok(results) => {
-                    let value = Arc::new(results);
-                    guard.complete(Arc::clone(&value));
-                    let trace = planned
-                        .explain
-                        .then(|| item_trace(&trace_id, &group_spans, group_pruning));
-                    ItemProgress::Ready {
-                        planned,
-                        value,
-                        cached: false,
-                        coalesced: false,
-                        degraded: None,
-                        trace,
-                    }
-                }
-                Err(e) => {
-                    // Dropping the guard publishes the failure and frees
-                    // the key for the next attempt — which is also what
-                    // keeps a degraded partial out of the cache when the
-                    // item opted into one below.
-                    drop(guard);
-                    match (planned.partial, fallback) {
-                        (true, Some(DegradedQuery { results, info })) => {
-                            let trace = planned
-                                .explain
-                                .then(|| item_trace(&trace_id, &group_spans, group_pruning));
-                            ItemProgress::Ready {
-                                planned,
-                                value: Arc::new(results),
-                                cached: false,
-                                coalesced: false,
-                                degraded: Some(info),
-                                trace,
-                            }
-                        }
-                        _ => ItemProgress::Failed(e),
-                    }
-                }
-            };
-        }
-    }
-
-    // Phase 3 — only now that every lead this request owns has been
-    // completed do we block on foreign (or own, for in-batch duplicates)
-    // flights. Completing before waiting means two requests leading
-    // different keys and waiting on each other's can never deadlock.
-    for p in progress.iter_mut() {
-        if !matches!(p, ItemProgress::Waiting(..)) {
-            continue;
-        }
-        let ItemProgress::Waiting(planned, waiter) = std::mem::replace(
-            p,
-            ItemProgress::Failed(ServerError::internal("batch item resolved twice")),
-        ) else {
-            unreachable!("matched Waiting above");
-        };
-        let wait_started = Instant::now();
-        let outcome = waiter.wait();
-        let wait_micros = wait_started.elapsed().as_micros() as u64;
-        *p = match outcome {
-            Some(value) => {
-                let trace = planned.explain.then(|| {
-                    let span = Span::new("cache_lookup", wait_micros).with_detail("coalesced");
-                    item_trace(&trace_id, &[span], PruningSnapshot::default())
-                });
-                ItemProgress::Ready {
-                    planned,
-                    value,
-                    cached: true,
-                    coalesced: true,
-                    degraded: None,
-                    trace,
-                }
-            }
-            // Leader failed: re-contend through the singleflight so the
-            // retry is a counted miss (or re-coalesces onto whoever wins).
-            None => {
-                let trace = planned.explain.then_some(trace_id.as_str());
-                match resolve_query(state, &planned, trace) {
-                    Ok(resolved) => {
-                        let trace = planned
-                            .explain
-                            .then(|| item_trace(&trace_id, &resolved.exec_spans, resolved.pruning));
-                        ItemProgress::Ready {
-                            planned,
-                            value: resolved.value,
-                            cached: resolved.cached,
-                            coalesced: resolved.coalesced,
-                            degraded: resolved.degraded,
-                            trace,
-                        }
-                    }
-                    Err(e) => ItemProgress::Failed(e),
-                }
-            }
-        };
-    }
-
-    let micros = started.elapsed().as_micros() as u64;
+    micros: u64,
+    trace_id: &str,
+    items: &[Result<Resolved, ServerError>],
+) -> Response {
     let serialize_started = Instant::now();
-    let responses: Vec<Json> = progress
+    let responses: Vec<Json> = items
         .iter()
-        .map(|p| match p {
-            ItemProgress::Ready {
-                planned,
-                value,
-                cached,
-                coalesced,
-                degraded,
-                trace,
-            } => {
-                let mut item = query_response(
-                    planned,
-                    value,
-                    *cached,
-                    *coalesced,
-                    None,
-                    None,
-                    degraded.as_ref(),
-                );
-                if let (Some(trace), Json::Obj(fields)) = (trace, &mut item) {
-                    fields.push(("trace".into(), trace.clone()));
+        .map(|item| match item {
+            Ok(item) => {
+                let mut response = query_response(item, None);
+                if item.planned.explain {
+                    let lookup = [item.lookup_span()];
+                    let (spans, pruning) = match item.led() {
+                        Some(led) => (led.spans.as_slice(), led.pruning),
+                        None => (lookup.as_slice(), PruningSnapshot::default()),
+                    };
+                    push_trace(&mut response, trace_id, spans, pruning);
                 }
-                item
+                response
             }
-            ItemProgress::Failed(e) => protocol::error_item_to_json(e),
-            ItemProgress::Waiting(..) | ItemProgress::Leading(..) => {
-                unreachable!("all items resolved before assembly")
-            }
+            Err(e) => protocol::error_item_to_json(e),
         })
         .collect();
     let response = ok(obj([
@@ -2149,10 +502,8 @@ fn query_batch(
         ("micros", micros.into()),
         ("responses", Json::Arr(responses)),
     ]));
-    state.metrics.stage(
-        obs::Stage::Serialize,
-        serialize_started.elapsed().as_micros() as u64,
-    );
+    let serialize_micros = serialize_started.elapsed().as_micros() as u64;
+    state.metrics.stage(obs::Stage::Serialize, serialize_micros);
     let total_micros = received.elapsed().as_micros() as u64;
     state.metrics.requests.record(total_micros);
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
@@ -2161,12 +512,14 @@ fn query_batch(
             items.len()
         );
     }
-    Ok(response)
+    response
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
+    use crate::exec::hint_undischarged;
 
     const CSV: &str = "z,x,y\\na,1,1\\na,2,3\\na,3,1\\nb,1,3\\nb,2,2\\nb,3,1\\n";
 
@@ -2324,7 +677,7 @@ mod tests {
         // well-formed JSON bodies above — matching how batch items are
         // counted; unparseable bodies never become queries. None of them
         // touched the cache.
-        assert_eq!(state.queries.load(Ordering::Relaxed), 3);
+        assert_eq!(state.stats.queries(), 3);
         let stats = state.cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.coalesced), (0, 0, 0));
     }
@@ -2385,43 +738,276 @@ mod tests {
         assert_eq!(stats.misses, 2, "warm miss + one batch lead");
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.coalesced, 1);
-        assert_eq!(state.queries.load(Ordering::Relaxed), 6);
+        assert_eq!(state.stats.queries(), 6);
     }
 
-    #[test]
-    fn batch_equals_sequential_results() {
-        let state = state();
-        register(&state);
-        let queries = ["[p=up]", "[p=up][p=down]", "[p=down][p=up]"];
-        let sequential: Vec<String> = queries
-            .iter()
-            .map(|q| {
-                let resp = route(
-                    &state,
-                    &post(
-                        "/query",
-                        &format!(r#"{{"dataset":"t1","query":"{q}","k":2}}"#),
-                    ),
-                );
-                assert_eq!(resp.status, 200, "{}", resp.body);
-                let body = json::parse(&resp.body).unwrap();
-                body.get("results").unwrap().to_text()
-            })
-            .collect();
+    /// One row of [`single_form_is_a_batch_of_items`]: how to build the
+    /// state the items meet, and the items themselves.
+    struct EnvelopeRow {
+        name: &'static str,
+        /// Builds a fresh state (with any shard servers it routes to,
+        /// returned so they outlive the requests). Called twice per row,
+        /// so the two forms meet identical-but-separate states.
+        setup: fn() -> (Arc<AppState>, Vec<crate::Service>),
+        items: Vec<String>,
+        /// What the first item's single-form reply must contain — pins
+        /// the row to the outcome it is named after.
+        expect: &'static str,
+        /// The test thread takes the singleflight lead on the item's key
+        /// before sending, so the request coalesces onto a foreign flight.
+        foreign_lead: bool,
+    }
 
-        // Re-register to clear the cache: the batch recomputes cold.
-        register(&state);
-        let items: Vec<String> = queries
+    fn haystack_state(extra: &str) -> Arc<AppState> {
+        let state = state();
+        let csv = haystack_csv().replace('\n', "\\n");
+        let body =
+            format!(r#"{{"name":"t","id":"t1","csv":"{csv}","z":"z","x":"x","y":"y"{extra}}}"#);
+        let resp = route(&state, &post("/datasets", &body));
+        assert_eq!(resp.status, 201, "{}", resp.body);
+        state
+    }
+
+    /// Sends one `/query` body. With `foreign_lead`, first leads the
+    /// body's key (`[p=up][p=down]`, k = 2 on `t1`) from this thread,
+    /// waits until the request has coalesced onto that flight, and only
+    /// then completes it.
+    fn send(state: &Arc<AppState>, body: &str, foreign_lead: bool) -> Response {
+        if !foreign_lead {
+            return route(state, &post("/query", body));
+        }
+        let entry = state.catalog.get("t1").unwrap();
+        let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
+        let key = CacheKey::new(
+            &entry.id,
+            entry.generation,
+            entry.shard_count,
+            &entry.placement_fp,
+            &q,
+            2,
+            &state.default_options,
+        );
+        let crate::cache::Lookup::Lead(guard) = state.cache.lookup(&key) else {
+            panic!("a fresh state must elect the first lookup leader");
+        };
+        let exec = execute_on_shards(
+            state,
+            &entry,
+            vec![(q, 2)],
+            &state.default_options,
+            false,
+            &[],
+            None,
+        );
+        let value = Arc::new(exec.outcomes.into_iter().next().unwrap().unwrap());
+        std::thread::scope(|scope| {
+            let request = scope.spawn(|| route(state, &post("/query", body)));
+            while state.cache.stats().coalesced == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            guard.complete(value);
+            request.join().unwrap()
+        })
+    }
+
+    /// A response body (or batch slot) with everything that is a timing
+    /// — or the per-item HTTP status a batch slot carries in-band —
+    /// removed, so what is left must agree byte for byte.
+    fn comparable(reply: &Json) -> String {
+        let Json::Obj(fields) = reply else {
+            panic!("not an object: {}", reply.to_text());
+        };
+        let kept = fields
             .iter()
-            .map(|q| format!(r#"{{"dataset":"t1","query":"{q}","k":2}}"#))
+            .filter(|(k, _)| !matches!(k.as_str(), "micros" | "shard_micros" | "trace" | "status"))
+            .cloned()
             .collect();
-        let resp = route(&state, &post("/query", &format!("[{}]", items.join(","))));
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        let parsed = json::parse(&resp.body).unwrap();
-        let responses = parsed.get("responses").unwrap().as_array().unwrap();
-        for (got, want) in responses.iter().zip(&sequential) {
-            assert_eq!(got.get("cached").unwrap().as_bool(), Some(false));
-            assert_eq!(&got.get("results").unwrap().to_text(), want);
+        Json::Obj(kept).to_text()
+    }
+
+    /// A single query is a batch of one: for every shape of outcome, the
+    /// object form and the array form agree on everything but timings —
+    /// body, error, status, trace presence, and how the cache counters
+    /// moved. Multi-item rows send the items once sequentially and once
+    /// as one batch (cold both times), covering "batch ≡ sequential".
+    #[test]
+    fn single_form_is_a_batch_of_items() {
+        fn item(extra: &str) -> String {
+            format!(r#"{{"dataset":"t1","query":"[p=up][p=down]","k":2{extra}}}"#)
+        }
+        fn plain() -> (Arc<AppState>, Vec<crate::Service>) {
+            (haystack_state(""), Vec::new())
+        }
+        fn warmed() -> (Arc<AppState>, Vec<crate::Service>) {
+            let state = haystack_state("");
+            assert_eq!(route(&state, &post("/query", &item(""))).status, 200);
+            (state, Vec::new())
+        }
+        fn dead_replicas() -> (Arc<AppState>, Vec<crate::Service>) {
+            let placement = r#","shard_endpoints":["local",["127.0.0.1:1","127.0.0.1:2"]]"#;
+            (haystack_state(placement), Vec::new())
+        }
+        fn four_shards() -> (Arc<AppState>, Vec<crate::Service>) {
+            (haystack_state(r#","shards":4"#), Vec::new())
+        }
+        fn mixed_placement() -> (Arc<AppState>, Vec<crate::Service>) {
+            let config = crate::ServerConfig {
+                workers: 2,
+                ..crate::ServerConfig::default()
+            };
+            let shard_server = crate::serve("127.0.0.1:0", config).unwrap();
+            let csv = haystack_csv().replace('\n', "\\n");
+            let body = format!(
+                r#"{{"name":"t","id":"t1","csv":"{csv}","z":"z","x":"x","y":"y","shard_of":"1/2"}}"#
+            );
+            let reply = route(shard_server.state(), &post("/datasets", &body));
+            assert_eq!(reply.status, 201, "{}", reply.body);
+            let placement = format!(r#","shard_endpoints":["local","{}"]"#, shard_server.addr());
+            (haystack_state(&placement), vec![shard_server])
+        }
+        let row = |name, setup, items: &[String], expect| EnvelopeRow {
+            name,
+            setup,
+            items: items.to_vec(),
+            expect,
+            foreign_lead: false,
+        };
+        let rows = [
+            row("cold miss", plain, &[item("")], r#""cached":false"#),
+            row(
+                "hit",
+                warmed,
+                &[item("")],
+                r#""cached":true,"coalesced":false"#,
+            ),
+            EnvelopeRow {
+                foreign_lead: true,
+                ..row(
+                    "coalesced onto a foreign lead",
+                    plain,
+                    &[item("")],
+                    r#""coalesced":true"#,
+                )
+            },
+            row(
+                "unknown dataset",
+                plain,
+                &[item("").replace("t1", "ghost")],
+                "unknown dataset `ghost`",
+            ),
+            row(
+                "malformed query",
+                plain,
+                &[item("").replace("[p=down]", "[p=bogus")],
+                r#"{"error":"#,
+            ),
+            row(
+                "explain",
+                plain,
+                &[item(r#","explain":true"#)],
+                r#""name":"shard_fanout""#,
+            ),
+            row(
+                "partial with a shard's every replica down",
+                dead_replicas,
+                &[item(r#","partial":true"#)],
+                r#""degraded":{"missing_shards":[1]"#,
+            ),
+            row(
+                "refused without partial",
+                dead_replicas,
+                &[item("")],
+                r#""code":"shard_unavailable""#,
+            ),
+            row("4-shard local", four_shards, &[item("")], r#""shards":4"#),
+            row(
+                "mixed local+remote",
+                mixed_placement,
+                &[item("")],
+                r#""shards":2,"cached":false"#,
+            ),
+            row(
+                "three cold queries, one of them twice",
+                plain,
+                &[
+                    item("").replace("[p=up][p=down]", "[p=up]"),
+                    item(""),
+                    item("").replace("[p=up][p=down]", "[p=down][p=up]"),
+                    item(""),
+                ],
+                r#""cached":false"#,
+            ),
+        ];
+        for row in rows {
+            let name = row.name;
+            let (single_state, single_servers) = (row.setup)();
+            let singles: Vec<Response> = row
+                .items
+                .iter()
+                .map(|item| send(&single_state, item, row.foreign_lead))
+                .collect();
+            assert!(
+                singles[0].body.contains(row.expect),
+                "{name}: {}",
+                singles[0].body
+            );
+            let (batch_state, batch_servers) = (row.setup)();
+            let body = format!("[{}]", row.items.join(","));
+            let batch = send(&batch_state, &body, row.foreign_lead);
+            assert_eq!(batch.status, 200, "{name}: {}", batch.body);
+            let batch = json::parse(&batch.body).unwrap();
+            let slots = batch.get("responses").unwrap().as_array().unwrap();
+            assert_eq!(slots.len(), singles.len(), "{name}");
+            for (i, (single, slot)) in singles.iter().zip(slots).enumerate() {
+                let parsed = json::parse(&single.body).unwrap();
+                // A repeat is a hit when sent on its own and coalesces
+                // onto its twin's flight inside one batch; everything
+                // else about it still agrees.
+                let repeat = row.items[..i].contains(&row.items[i]);
+                let strip = |reply: &Json| {
+                    let text = comparable(reply);
+                    match repeat {
+                        true => text.replace(r#""coalesced":true"#, r#""coalesced":false"#),
+                        false => text,
+                    }
+                };
+                assert_eq!(strip(&parsed), strip(slot), "{name}, item {i}");
+                let slot_status = slot.get("status").map_or(200, |s| s.as_usize().unwrap());
+                assert_eq!(usize::from(single.status), slot_status, "{name}, item {i}");
+                assert_eq!(
+                    parsed.get("trace").is_some(),
+                    slot.get("trace").is_some(),
+                    "{name}, item {i}"
+                );
+                assert_eq!(
+                    parsed.get("trace").is_some(),
+                    row.items[i].contains("explain"),
+                    "{name}, item {i}"
+                );
+            }
+            let (single_stats, batch_stats) =
+                (single_state.cache.stats(), batch_state.cache.stats());
+            if row.items.len() == 1 {
+                assert_eq!(single_stats, batch_stats, "{name}");
+            } else {
+                // The in-batch repeat moves one tick from `hits` to
+                // `coalesced`; lookups and computations agree exactly.
+                assert_eq!(single_stats.lookups, batch_stats.lookups, "{name}");
+                assert_eq!(single_stats.misses, batch_stats.misses, "{name}");
+                assert_eq!(
+                    single_stats.hits + single_stats.coalesced,
+                    batch_stats.hits + batch_stats.coalesced,
+                    "{name}"
+                );
+            }
+            assert_eq!(
+                single_state.stats.queries(),
+                batch_state.stats.queries(),
+                "{name}"
+            );
+            for server in single_servers.into_iter().chain(batch_servers) {
+                server.shutdown();
+            }
         }
     }
 
@@ -2623,8 +1209,8 @@ mod tests {
             merged.get("results").unwrap().to_text()
         );
         // Shard RPCs are counted apart from user queries.
-        assert_eq!(state.shard_queries.load(Ordering::Relaxed), 1);
-        assert_eq!(state.queries.load(Ordering::Relaxed), 1);
+        assert_eq!(state.stats.shard_queries(), 1);
+        assert_eq!(state.stats.queries(), 1);
         // And they bypass the result cache entirely.
         assert_eq!(state.cache.stats().lookups, 1, "only /query looked up");
 
@@ -3156,8 +1742,8 @@ mod tests {
         );
         // The retry really happened: each endpoint answered the original
         // (hinted) RPC plus the hint-less retry.
-        let stats = router.remote_stats.lock().unwrap();
-        for (endpoint, s) in stats.iter() {
+        for (endpoint, row) in &StatsSnapshot::gather(&router).remote {
+            let s = row.rpc.expect("both endpoints answered RPCs");
             assert!(
                 s.requests >= 2,
                 "endpoint {endpoint} should have been re-queried (got {} requests)",
@@ -3165,7 +1751,6 @@ mod tests {
             );
             assert_eq!(s.errors, 0, "retries are not transport errors");
         }
-        drop(stats);
 
         // Sanity: the honest path (no hints) does exactly one RPC per
         // endpoint and produces the same answer.

@@ -1377,9 +1377,22 @@ mod tests {
         // Far more parked connections than event (2) + dispatch (2)
         // threads; under the old thread-per-connection model these would
         // starve the pool.
-        let conns: Vec<TcpStream> = (0..200)
-            .map(|_| TcpStream::connect(handle.addr()).unwrap())
-            .collect();
+        // Connect in waves the listen backlog can hold, letting accepts
+        // catch up between them: a backlog overflow stalls the client on
+        // a ~1 s SYN retransmit, longer than the test-profile idle
+        // timeout, so the first connections would expire before the
+        // last ones registered.
+        let mut conns: Vec<TcpStream> = Vec::with_capacity(200);
+        while conns.len() < 200 {
+            conns.extend((0..50).map(|_| TcpStream::connect(handle.addr()).unwrap()));
+            let dialed = conns.len() as u64;
+            assert!(
+                wait_until(Duration::from_secs(5), || {
+                    stats.accepted_total.load(Ordering::Relaxed) == dialed
+                }),
+                "accepts stalled at {dialed} connections"
+            );
+        }
         assert!(
             wait_until(Duration::from_secs(5), || {
                 stats.active.load(Ordering::Relaxed) == 200

@@ -3,9 +3,9 @@
 //! The concurrent ShapeSearch query service (the system of paper
 //! Figure 2, productionized): a long-running process that registers
 //! datasets once, keeps their extracted trendlines hot behind `Arc`, and
-//! serves ShapeQueries over a std-only HTTP/1.1 JSON protocol from a
-//! fixed worker pool, with an LRU query-result cache in front of the
-//! segmentation engine.
+//! serves ShapeQueries over a std-only HTTP/1.1 JSON protocol from
+//! readiness event loops and a fixed dispatch tier, with an LRU
+//! query-result cache in front of the segmentation engine.
 //!
 //! Architecture (one module per box; `docs/ARCHITECTURE.md` at the repo
 //! root walks the full request lifecycle):
@@ -13,6 +13,8 @@
 //! ```text
 //!        TcpListener ─► event loops (http) ─► dispatch ─► route (handlers)
 //!                       (epoll readiness)     (CPU tier)         │
+//!                          POST /query, /shard/query ─► one pipeline (exec):
+//!                          plan → singleflight resolve → shard fan-out → merge
 //!                    ┌──────────────┬───────────────┼──────────────┐
 //!                    ▼              ▼               ▼              ▼
 //!              Catalog (catalog)  QueryCache    protocol/json  ComputePool
@@ -22,6 +24,8 @@
 //!                    │
 //!                    ▼
 //!          shards: [Arc<ShapeEngine>; N]  ── fan out per query, merge
+//!
+//!        GET /healthz, /metrics ─► one StatsSnapshot (stats), two renderers
 //! ```
 //!
 //! * Registration (`POST /datasets`) runs EXTRACT eagerly and partitions
@@ -51,8 +55,9 @@
 //!   variants of one query share an entry, and concurrent identical
 //!   misses coalesce onto one computation (the singleflight latch in
 //!   [`cache`]).
-//! * `GET /healthz` exposes hit/miss/coalesced counters for
-//!   observability.
+//! * `GET /healthz` and `GET /metrics` render one [`StatsSnapshot`] —
+//!   cache hit/miss/coalesced counters, shard and pruning gauges,
+//!   per-endpoint RPC health — so the two always reconcile.
 //!
 //! ## Quickstart
 //!
@@ -91,12 +96,14 @@ pub mod chaos;
 pub mod client;
 pub mod compute;
 pub mod error;
+mod exec;
 pub mod handlers;
 pub mod http;
 pub mod json;
 pub mod obs;
 pub mod protocol;
 pub mod resident;
+pub mod stats;
 
 pub use cache::{CacheKey, CacheStats, LruCache, QueryCache};
 pub use catalog::{Catalog, DataSource, DatasetEntry, DatasetSpec, ShardPlacement};
@@ -107,6 +114,7 @@ pub use handlers::AppState;
 pub use http::{ConnStats, HttpConfig, Request, Response, ServerHandle};
 pub use obs::{Histogram, HistogramSnapshot, Metrics, Span, Stage};
 pub use resident::{ResidentShards, ResidentStats};
+pub use stats::{Stats, StatsSnapshot};
 
 use std::io;
 use std::sync::Arc;

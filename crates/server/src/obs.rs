@@ -24,7 +24,7 @@
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Number of histogram buckets: upper bounds `2^0 ‥ 2^24` microseconds
@@ -227,11 +227,18 @@ impl Metrics {
         self.stages[stage.index()].snapshot()
     }
 
+    /// The per-endpoint histograms, recovering from poison like
+    /// [`crate::stats::Stats`] does: a histogram is a bag of monotone
+    /// counters, so a panic elsewhere never makes `/metrics` panic too.
+    fn remote(&self) -> MutexGuard<'_, BTreeMap<String, Histogram>> {
+        self.remote.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one remote-RPC latency sample against its endpoint (in
     /// addition to the endpoint-agnostic [`Stage::RemoteRpc`] series,
     /// which the caller records separately).
     pub fn record_remote(&self, endpoint: &str, micros: u64) {
-        let mut remote = self.remote.lock().expect("remote metrics lock poisoned");
+        let mut remote = self.remote();
         remote
             .entry(endpoint.to_owned())
             .or_default()
@@ -240,7 +247,7 @@ impl Metrics {
 
     /// Per-endpoint RPC histogram snapshots, endpoint-sorted.
     pub fn remote_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
-        let remote = self.remote.lock().expect("remote metrics lock poisoned");
+        let remote = self.remote();
         remote
             .iter()
             .map(|(endpoint, h)| (endpoint.clone(), h.snapshot()))

@@ -2,7 +2,7 @@
 //! engine → top-k, spanning every crate in the workspace.
 
 use shapesearch::prelude::*;
-use shapesearch_core::SegmenterKind;
+use shapesearch_core::{EngineOptions, PruningMode, SegmenterKind};
 
 fn sales_csv() -> &'static str {
     "\
@@ -93,7 +93,6 @@ fn all_segmenters_run_table11_queries() {
         for kind in [
             SegmenterKind::Dp,
             SegmenterKind::SegmentTree,
-            SegmenterKind::SegmentTreePruned,
             SegmenterKind::Greedy,
             SegmenterKind::Dtw,
             SegmenterKind::Euclidean,
@@ -141,10 +140,13 @@ fn pruned_run_preserves_top_k() {
         .take(60)
         .collect();
     let q = parse_regex("[p=flat][p=up][p=down][p=flat]").unwrap();
-    let plain =
-        ShapeEngine::from_trendlines(data.clone()).with_segmenter(SegmenterKind::SegmentTree);
-    let pruned =
-        ShapeEngine::from_trendlines(data).with_segmenter(SegmenterKind::SegmentTreePruned);
+    let tree = |pruning_mode| EngineOptions {
+        segmenter: SegmenterKind::SegmentTree,
+        pruning_mode,
+        ..EngineOptions::default()
+    };
+    let plain = ShapeEngine::from_trendlines(data.clone()).with_options(tree(PruningMode::Off));
+    let pruned = ShapeEngine::from_trendlines(data).with_options(tree(PruningMode::Auto));
     let a = plain.top_k(&q, 5).unwrap();
     let b = pruned.top_k(&q, 5).unwrap();
     let ka: Vec<&str> = a.iter().map(|r| r.key.as_str()).collect();

@@ -204,7 +204,6 @@ proptest! {
         let matrix = [
             (SegmenterKind::Dp, PruningMode::Auto),
             (SegmenterKind::SegmentTree, PruningMode::Auto),
-            (SegmenterKind::SegmentTreePruned, PruningMode::Auto),
             (SegmenterKind::Greedy, PruningMode::Force),
         ];
         for (kind, mode) in matrix {

@@ -153,26 +153,18 @@ fn concurrent_clients_match_in_process_engine_and_cache_accelerates() {
     });
 
     // Cold vs warm: a fresh query text (normalizes to a new AST) misses
-    // once, then hits. Compare the server-reported service times; the
-    // warm side takes the minimum of several runs so a scheduler
-    // preemption under CI load can't fail the assertion spuriously (the
-    // real margin is ~1000×: multi-ms segmentation vs a µs map lookup).
+    // once, then hits. (How much faster a hit is than a miss is
+    // `ssbench`'s `hot_hits` vs `*_miss` comparison — tier-1 carries no
+    // timing assertions.)
     let body = query_body("[p=up][p=down][p=up]", 9);
     let cold = client.post("/query", &body).unwrap().expect_ok("cold");
     assert_eq!(cold.get("cached").unwrap().as_bool(), Some(false));
-    let cold_us = cold.get("micros").unwrap().as_f64().unwrap();
-    let mut warm_us = f64::INFINITY;
     for _ in 0..3 {
         let warm = client.post("/query", &body).unwrap().expect_ok("warm");
         assert_eq!(warm.get("cached").unwrap().as_bool(), Some(true));
-        warm_us = warm_us.min(warm.get("micros").unwrap().as_f64().unwrap());
         // The warm answer is byte-identical to the cold one.
         assert_eq!(decode_results(&cold), decode_results(&warm));
     }
-    assert!(
-        warm_us * 2.0 < cold_us,
-        "cache hit should be measurably faster: cold {cold_us}µs vs warm {warm_us}µs"
-    );
 
     // Whitespace variants of one query normalize onto the same entry.
     let variant = client
@@ -327,25 +319,13 @@ fn batch_item(query: &str, k: usize) -> json::Json {
     .unwrap()
 }
 
-/// A bench item with a binning width: GROUP still walks every raw point,
-/// while segmentation runs over the (much shorter) binned canvas — the
-/// per-query profile where the batch's shared GROUP pass pays off most.
-fn binned_item(query: &str, k: usize) -> json::Json {
-    json::parse(&format!(
-        r#"{{"dataset":"market","query":"{query}","k":{k},"bin_width":8}}"#
-    ))
-    .unwrap()
-}
-
 /// Batched execution end to end: a 10-query batch returns exactly the
 /// per-query answers of 10 sequential requests, and pays one HTTP round
-/// trip instead of ten. (The batch used to also amortize GROUP; the
-/// engine's columnar arena cache now amortizes GROUP across *all*
-/// requests, sequential included, so the wall-clock gap is just the HTTP
-/// overhead — the timing check below only guards against the batch path
-/// regressing to meaningfully slower than sequential.)
+/// trip instead of ten. (The wall-clock comparison of the two forms is
+/// `ssbench`'s `mixed_batch` workload, where noise is controlled —
+/// tier-1 carries no timing assertions.)
 #[test]
-fn batch_matches_sequential_and_not_slower() {
+fn batch_matches_sequential() {
     let service = shapesearch::server::serve(
         "127.0.0.1:0",
         ServerConfig {
@@ -392,38 +372,6 @@ fn batch_matches_sequential_and_not_slower() {
             "batch diverged from sequential"
         );
     }
-
-    // --- Wall clock: cold batch vs cold sequential, best of 3 rounds
-    // each (re-registering between rounds re-colds the result cache and
-    // the engine's arena cache; min-of-N absorbs scheduler noise under CI
-    // load). Both paths GROUP once per round — sequential warms the
-    // engine's arena cache on its first request — so near-parity is
-    // expected; the batch must just never be meaningfully slower.
-    let mut best_sequential = std::time::Duration::MAX;
-    let mut best_batch = std::time::Duration::MAX;
-    for _ in 0..3 {
-        register_market(&client);
-        let started = std::time::Instant::now();
-        for (q, k) in &queries {
-            client
-                .post("/query", &binned_item(q, *k))
-                .unwrap()
-                .expect_ok("timed sequential");
-        }
-        best_sequential = best_sequential.min(started.elapsed());
-
-        register_market(&client);
-        let started = std::time::Instant::now();
-        client
-            .query_batch(queries.iter().map(|(q, k)| binned_item(q, *k)).collect())
-            .unwrap()
-            .expect_ok("timed batch");
-        best_batch = best_batch.min(started.elapsed());
-    }
-    assert!(
-        best_batch < best_sequential + best_sequential / 2,
-        "a 10-query batch should not be meaningfully slower than 10 sequential requests: batch {best_batch:?} vs sequential {best_sequential:?}"
-    );
 
     service.shutdown();
 }
