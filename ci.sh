@@ -76,6 +76,12 @@ echo "==> cargo build --release (ssbench)"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo build --release --offline \
     --manifest-path crates/bench/src/bin/ssbench/Cargo.toml
 
+# Its unit tests are not in the workspace's `cargo test` either; same
+# shared target dir, so this too writes nothing under that directory.
+echo "==> cargo test --release (ssbench)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo test --release --offline \
+    --manifest-path crates/bench/src/bin/ssbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

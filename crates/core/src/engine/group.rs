@@ -16,9 +16,15 @@
 //! scoring kernels stream over contiguous columns instead of chasing
 //! per-viz `Vec`s.
 //!
-//! Push-down optimization (c) of §5.4 is supported via
-//! [`VizData::from_trendline_restricted`]: statistics are computed only over
-//! the x ranges the query references.
+//! GROUP is query-independent. §5.4's push-down (c) — "skip summarized
+//! statistics outside the referenced x ranges" — pays off only when GROUP
+//! runs per query; here the engine GROUPs a collection once per bin width
+//! for its whole lifetime (`ShapeEngine::grouped`), so statistics are
+//! computed zero times per query, which no restricted re-GROUP can beat:
+//! on 1,000 × 128-point walks a located query cost ~3,000 µs while it
+//! re-GROUPed its x ranges privately and costs ~500 µs on the cached arena.
+//! A located query therefore scores on the same full canvas as a fuzzy
+//! one, and its fitted `ranges` are positions on that canvas.
 //!
 //! *Normalization note.* The paper applies z-score normalization when the
 //! query has no y constraints. Because all pattern scores are functions of
@@ -73,8 +79,7 @@ struct Normalized {
 /// available via [`VizData::from_trendline`], which builds a one-slot
 /// arena with identical bits.
 pub fn group_collection(trendlines: &[Trendline], bin: usize) -> Vec<Option<VizData>> {
-    let parts: Vec<Option<Normalized>> =
-        trendlines.iter().map(|t| normalize(t, bin, None)).collect();
+    let parts: Vec<Option<Normalized>> = trendlines.iter().map(|t| normalize(t, bin)).collect();
     let points = parts.iter().flatten().map(|p| p.xs.len()).sum::<usize>();
     let mut builder = ArenaBuilder::with_capacity(trendlines.len(), points);
     let slots: Vec<Option<usize>> = parts
@@ -134,28 +139,7 @@ impl VizData {
     /// points into one canvas point (bin = 1 keeps all points). Returns
     /// `None` when fewer than two canvas points remain.
     pub fn from_trendline(t: &Trendline, source: usize, bin: usize) -> Option<Self> {
-        Self::build(t, source, bin, None)
-    }
-
-    /// GROUP with push-down (c): only points whose raw x falls inside one of
-    /// `ranges` are retained (normalization still uses the full extents so
-    /// scores are identical to unrestricted execution over those ranges).
-    pub fn from_trendline_restricted(
-        t: &Trendline,
-        source: usize,
-        bin: usize,
-        ranges: &[(f64, f64)],
-    ) -> Option<Self> {
-        Self::build(t, source, bin, Some(ranges))
-    }
-
-    fn build(
-        t: &Trendline,
-        source: usize,
-        bin: usize,
-        restrict: Option<&[(f64, f64)]>,
-    ) -> Option<Self> {
-        let part = normalize(t, bin, restrict)?;
+        let part = normalize(t, bin)?;
         let mut builder = ArenaBuilder::with_capacity(1, part.xs.len());
         let slot = builder.push_viz(&part.xs, &part.ys);
         let arena = Arc::new(builder.finish());
@@ -297,9 +281,9 @@ impl VizData {
     }
 }
 
-/// Normalizes a trendline onto the unit canvas with binning and optional
-/// x-range restriction; `None` when fewer than two canvas points remain.
-fn normalize(t: &Trendline, bin: usize, restrict: Option<&[(f64, f64)]>) -> Option<Normalized> {
+/// Normalizes a trendline onto the unit canvas with binning; `None` when
+/// fewer than two canvas points remain.
+fn normalize(t: &Trendline, bin: usize) -> Option<Normalized> {
     if t.points.len() < 2 {
         return None;
     }
@@ -315,11 +299,6 @@ fn normalize(t: &Trendline, bin: usize, restrict: Option<&[(f64, f64)]>) -> Opti
     let mut chunk_y = 0.0;
     let mut chunk_n = 0usize;
     for p in &t.points {
-        if let Some(ranges) = restrict {
-            if !ranges.iter().any(|&(lo, hi)| p.x >= lo && p.x <= hi) {
-                continue;
-            }
-        }
         chunk_x += (p.x - raw_x.0) / x_span;
         chunk_y += (p.y - raw_y.0) / y_span;
         chunk_n += 1;
@@ -427,21 +406,6 @@ mod tests {
         // 2 raw-x units = half the span = 2 of the 4 steps.
         assert_eq!(v.width_to_points(2.0), 2);
         assert_eq!(v.width_to_points(0.1), 1); // floor at 1
-    }
-
-    #[test]
-    fn restriction_keeps_only_ranged_points() {
-        let t = trend(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]);
-        let v = VizData::from_trendline_restricted(&t, 0, 1, &[(1.0, 3.0)]).unwrap();
-        assert_eq!(v.n(), 3);
-        // Normalization still spans the full extents.
-        assert_eq!(v.xs(), &[0.25, 0.5, 0.75]);
-    }
-
-    #[test]
-    fn restriction_below_two_points_is_none() {
-        let t = trend(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        assert!(VizData::from_trendline_restricted(&t, 0, 1, &[(0.9, 1.1)]).is_none());
     }
 
     #[test]

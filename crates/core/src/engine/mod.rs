@@ -391,9 +391,9 @@ impl ShapeEngine {
     /// Outcomes are per query, in input order, and are bit-identical to
     /// running [`Self::top_k_with_options`] on each `(query, k)` pair
     /// individually — one malformed query fails only its own slot, never
-    /// the rest of the batch. Queries that need a restricted GROUP
-    /// (push-down (c): fully pinned x ranges) fall back to a private
-    /// per-query GROUP so their restriction cannot leak into neighbours.
+    /// the rest of the batch. GROUP is query-independent: located and fuzzy
+    /// queries alike score on the one cached collection, so `ranges` are
+    /// always positions on the full canvas.
     pub fn top_k_batch(
         &self,
         items: &[(&ShapeQuery, usize)],
@@ -424,9 +424,11 @@ impl ShapeEngine {
 
     /// [`Self::top_k_batch_shared`] with stage timing reported to
     /// `observer`: the GROUP stage once per batch, SEGMENT+SCORE once
-    /// per query, and §6.3 bound computations per bound-checked
-    /// candidate (see [`observe::EngineStage`]). Observation never
-    /// changes results — the observer only receives durations.
+    /// per query (candidate selection included, so no work between the
+    /// two reports is untimed), and §6.3 bound computations per
+    /// bound-checked candidate (see [`observe::EngineStage`]).
+    /// Observation never changes results — the observer only receives
+    /// durations.
     ///
     /// # Panics
     /// When `shared` was not built for exactly `items.len()` queries.
@@ -447,9 +449,6 @@ impl ShapeEngine {
             k: usize,
             chains: Vec<Chain>,
             pinned: Vec<(f64, f64)>,
-            /// Push-down (c): fully pinned queries GROUP privately over
-            /// their own x ranges.
-            restrict: bool,
         }
 
         let preps: Vec<Result<Prep<'_>>> = items
@@ -465,7 +464,6 @@ impl ShapeEngine {
                     k,
                     chains,
                     pinned: query.pinned_x_ranges(),
-                    restrict: options.pushdown && pushdown::fully_pinned(query),
                 })
             })
             .collect();
@@ -494,31 +492,14 @@ impl ShapeEngine {
             .enumerate()
             .map(|(qi, prep)| {
                 let p = prep?;
-                let private: Vec<VizData>;
-                let vizzes: Vec<&VizData> = if p.restrict {
-                    private = self
-                        .trendlines
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| wants(&p, t))
-                        .filter_map(|(source, t)| {
-                            VizData::from_trendline_restricted(
-                                t,
-                                source,
-                                options.bin_width,
-                                &p.pinned,
-                            )
-                        })
-                        .collect();
-                    private.iter().collect()
-                } else {
-                    self.trendlines
-                        .iter()
-                        .zip(grouped.iter())
-                        .filter(|(t, _)| wants(&p, t))
-                        .filter_map(|(_, v)| v.as_ref())
-                        .collect()
-                };
+                let score_started = Instant::now();
+                let vizzes: Vec<&VizData> = self
+                    .trendlines
+                    .iter()
+                    .zip(grouped.iter())
+                    .filter(|(t, _)| wants(&p, t))
+                    .filter_map(|(_, v)| v.as_ref())
+                    .collect();
 
                 let driver = options.pruning_mode.active_for(options.segmenter).then(|| {
                     PruningDriver::new(
@@ -530,7 +511,6 @@ impl ShapeEngine {
                     )
                     .with_observer(observer)
                 });
-                let score_started = Instant::now();
                 let results = self.run_per_viz(
                     &vizzes,
                     &p.chains,
@@ -809,23 +789,79 @@ mod tests {
         assert!(results.iter().all(|r| r.key != "short"));
     }
 
+    fn pinned(pattern: Pattern, xs: f64, xe: f64) -> ShapeQuery {
+        ShapeQuery::Segment(ShapeSegment::pinned(pattern, xs, xe))
+    }
+
     #[test]
     fn pushdown_on_off_same_results() {
-        let q = ShapeQuery::concat(vec![
-            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 0.0, 8.0)),
-            ShapeQuery::down(),
-        ]);
-        let on = ShapeEngine::from_trendlines(collection());
+        // Every trendline covers the pins, so push-down (a) filters
+        // nothing; (b) only discards candidates the k-cut drops anyway.
         let off_opts = EngineOptions {
             pushdown: false,
             ..EngineOptions::default()
         };
+        let on = ShapeEngine::from_trendlines(collection());
         let off = ShapeEngine::from_trendlines(collection()).with_options(off_opts);
-        let a = on.top_k(&q, 2).unwrap();
-        let b = off.top_k(&q, 2).unwrap();
-        let ka: Vec<&str> = a.iter().map(|r| r.key.as_str()).collect();
-        let kb: Vec<&str> = b.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(ka, kb);
+        for q in [
+            ShapeQuery::concat(vec![pinned(Pattern::Up, 0.0, 8.0), ShapeQuery::down()]),
+            ShapeQuery::concat(vec![
+                pinned(Pattern::Up, 0.0, 8.0),
+                pinned(Pattern::Down, 12.0, 15.0),
+            ]),
+        ] {
+            let a = on.top_k(&q, 2).unwrap();
+            assert_eq!(a.len(), 2);
+            assert_eq!(a, off.top_k(&q, 2).unwrap(), "diverged on {q}");
+        }
+    }
+
+    #[test]
+    fn located_ranges_are_canvas_positions() {
+        // Integer x: canvas point i sits at raw x = i.
+        let tls: Vec<Trendline> = (0..5)
+            .map(|i| peaked(&format!("p{i}"), 44.0 + 3.0 * i as f64, 128))
+            .collect();
+        let full = VizData::from_trendline(&tls[0], 0, 1).unwrap();
+        let on_grid = ShapeQuery::concat(vec![
+            pinned(Pattern::Up, 30.0, 50.0),
+            pinned(Pattern::Down, 50.0, 100.0),
+        ]);
+        let off_grid = pinned(Pattern::Up, 10.4, 40.6);
+        let cases = [
+            (&on_grid, vec![(30, 50), (50, 100)]),
+            (
+                &off_grid,
+                vec![(full.x_to_index(10.4), full.x_to_index(40.6))],
+            ),
+        ];
+        assert_eq!(cases[1].1, vec![(10, 41)]);
+        for (q, want) in cases {
+            for kind in [
+                SegmenterKind::Dp,
+                SegmenterKind::SegmentTree,
+                SegmenterKind::Greedy,
+            ] {
+                let answers: Vec<Vec<TopKResult>> = [true, false]
+                    .into_iter()
+                    .map(|pushdown| {
+                        let opts = EngineOptions {
+                            segmenter: kind,
+                            pushdown,
+                            ..EngineOptions::default()
+                        };
+                        ShapeEngine::from_trendlines(tls.clone())
+                            .top_k_with_options(q, 5, &opts)
+                            .unwrap()
+                    })
+                    .collect();
+                assert_eq!(answers[0].len(), 5, "{kind:?} on {q}");
+                for r in &answers[0] {
+                    assert_eq!(r.ranges, want, "{kind:?} on {q}: {}", r.key);
+                }
+                assert_eq!(answers[0], answers[1], "{kind:?} on {q}: pushdown on/off");
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,16 @@ pub enum EngineStage {
     Group,
     /// One query's SEGMENT + SCORE pass over the candidate
     /// visualizations (per query, covers the whole `run_per_viz` walk
-    /// including any parallel fan-out).
+    /// including any parallel fan-out). The clock starts before
+    /// candidate selection (push-down (a)'s filter), so everything a
+    /// batch does after its `Group` report lies inside some query's
+    /// `SegmentScore` sample and an executor's wall time ≈ `Group` +
+    /// Σ `SegmentScore` — work outside every stage is a bug, not a
+    /// blind spot.
     SegmentScore,
     /// §6.3 bound computation inside the pruning driver (accumulated
     /// over every bound-checked candidate; reported per candidate).
+    /// Taken inside `SegmentScore`: a share of it, not an addend.
     PruneBound,
 }
 

@@ -9,9 +9,14 @@
 //!   and an up/down pattern are scored first; a negative score discards the
 //!   visualization before any fuzzy segmentation is attempted — see
 //!   [`eager_discard`].
-//! * **(c) Stat skipping in GROUP**: for fully non-fuzzy queries, summarized
-//!   statistics are computed only over the referenced x ranges — see
-//!   [`VizData::from_trendline_restricted`](crate::engine::group::VizData::from_trendline_restricted).
+//! * **(c) Stat skipping in GROUP**: subsumed. The paper computes
+//!   summarized statistics only over the referenced x ranges because its
+//!   GROUP runs per query; this engine GROUPs a collection once per bin
+//!   width for its lifetime, so statistics are computed zero times per
+//!   query and there is nothing left to skip (see
+//!   [`crate::engine::group`]). The `pushdown` option therefore only
+//!   filters (a) and discards (b) candidates; it never changes the canvas
+//!   a surviving candidate is scored on, nor its `ranges`.
 
 use crate::ast::Pattern;
 use crate::chain::Chain;
@@ -22,17 +27,14 @@ use shapesearch_datastore::Trendline;
 /// True when the trendline has at least one point in every required range
 /// (push-down (a): "prune visualizations that do not have any value in the
 /// specified x ranges").
+///
+/// `Trendline::points` is ascending in x, so the first point at or past
+/// `lo` decides each range: O(log n) per range.
 pub fn covers_ranges(t: &Trendline, ranges: &[(f64, f64)]) -> bool {
-    ranges
-        .iter()
-        .all(|&(lo, hi)| t.points.iter().any(|p| p.x >= lo && p.x <= hi))
-}
-
-/// True when *every* segment of the query is non-fuzzy (both x endpoints
-/// pinned), enabling GROUP stat skipping (c).
-pub fn fully_pinned(q: &ShapeQuery) -> bool {
-    let segs = q.segments();
-    !segs.is_empty() && segs.iter().all(|s| !s.is_fuzzy())
+    ranges.iter().all(|&(lo, hi)| {
+        let first = t.points.partition_point(|p| p.x < lo);
+        t.points.get(first).is_some_and(|p| p.x <= hi)
+    })
 }
 
 /// Push-down (b): returns `true` when the visualization can be discarded
@@ -77,20 +79,14 @@ mod tests {
         assert!(covers_ranges(&t, &[(0.0, 2.0), (9.0, 11.0)]));
         assert!(!covers_ranges(&t, &[(6.0, 8.0)]));
         assert!(covers_ranges(&t, &[]));
-    }
-
-    #[test]
-    fn fully_pinned_detection() {
-        let pinned = ShapeQuery::concat(vec![
-            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 0.0, 5.0)),
-            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Down, 5.0, 9.0)),
-        ]);
-        assert!(fully_pinned(&pinned));
-        let hybrid = ShapeQuery::concat(vec![
-            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 0.0, 5.0)),
-            ShapeQuery::down(),
-        ]);
-        assert!(!fully_pinned(&hybrid));
+        // A range past the last point, and one before the first.
+        assert!(!covers_ranges(&t, &[(0.0, 2.0), (10.5, 20.0)]));
+        assert!(!covers_ranges(&t, &[(-5.0, -1.0)]));
+        // Inclusive at both ends.
+        assert!(covers_ranges(&t, &[(10.0, 10.0)]));
+        let empty = Trendline::from_pairs("e", &[]);
+        assert!(!covers_ranges(&empty, &[(0.0, 1.0)]));
+        assert!(covers_ranges(&empty, &[]));
     }
 
     #[test]

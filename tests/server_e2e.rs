@@ -439,6 +439,72 @@ fn sharded_server_matches_in_process_engine() {
     service.shutdown();
 }
 
+/// A located answer's `ranges` are positions on the full canvas — the
+/// points the front-end overlays — whatever executes it: 1 or 4 shards,
+/// `pushdown` on or off, alone or in a batch beside a fuzzy query. On
+/// the market's integer x axis an on-grid pin is its own index, and an
+/// off-grid pin snaps to the nearest point of the *whole* trendline.
+#[test]
+fn located_ranges_are_canvas_positions_in_every_execution_shape() {
+    let service = shapesearch::server::serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let client = Client::new(service.addr());
+
+    let spec = VisualSpec::new("ticker", "day", "price");
+    let engine = ShapeEngine::new(&market_table(), &spec).unwrap();
+    let full = shapesearch_core::VizData::from_trendline(&engine.trendlines()[0], 0, 1).unwrap();
+    let cases = [
+        (
+            "[x.s=30, x.e=50, p=up][x.s=50, x.e=100, p=down]",
+            vec![(30, 50), (50, 100)],
+        ),
+        (
+            "[x.s=10.4, x.e=40.6, p=up]",
+            vec![(full.x_to_index(10.4), full.x_to_index(40.6))],
+        ),
+    ];
+    assert_eq!(cases[1].1, vec![(10, 41)]);
+
+    for (query, want_ranges) in cases {
+        let mut answers: Vec<(String, Vec<TopKResult>)> = Vec::new();
+        for shards in [1, 4] {
+            // Re-registering bumps the generation: every run below is cold.
+            register_market_sharded(&client, Some(shards));
+            for pushdown in [true, false] {
+                let item = json::parse(&format!(
+                    r#"{{"dataset":"market","query":"{query}","k":5,"pushdown":{pushdown}}}"#
+                ))
+                .unwrap();
+                let single = client.post("/query", &item).unwrap().expect_ok(query);
+                let batch = client
+                    .query_batch(vec![batch_item("[p=up][p=down]", 3), item])
+                    .unwrap()
+                    .expect_ok("batch");
+                let in_batch = &batch.get("responses").unwrap().as_array().unwrap()[1];
+                let shape = format!("{shards} shards, pushdown {pushdown}");
+                answers.push((format!("{shape}, single"), decode_results(&single)));
+                answers.push((format!("{shape}, batch"), decode_results(in_batch)));
+            }
+        }
+        let (first_shape, first) = &answers[0];
+        assert_eq!(first.len(), 5, "{query}");
+        for (shape, got) in &answers {
+            for r in got {
+                assert_eq!(r.ranges, want_ranges, "{query} ({shape}): {}", r.key);
+            }
+            assert_eq!(got, first, "{query}: {shape} vs {first_shape}");
+        }
+    }
+
+    service.shutdown();
+}
+
 /// Re-registering a dataset under a new shard count must invalidate its
 /// cached results (the key carries generation *and* shard count), while
 /// the recomputed answers stay identical — sharding never changes
