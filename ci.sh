@@ -82,6 +82,23 @@ echo "==> cargo test --release (ssbench)"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo test --release --offline \
     --manifest-path crates/bench/src/bin/ssbench/Cargo.toml
 
+# A smoke-sized run of the two workloads that live in SEGMENT+SCORE:
+# every reply is checked against ssbench's in-process reference and
+# every request must be answered. Timing-free — the latencies it prints
+# are not read (four short passes each, ~10 s together).
+echo "==> ssbench smoke (fuzzy_miss, needle_miss: answers correct, 0 failed)"
+for w in fuzzy_miss needle_miss; do
+    out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+        "${CARGO_TARGET_DIR:-target}/release/ssbench" --workload "$w" --seconds 1 --trace 0)
+    case "$out" in
+        *'"correct":true,'*'"failed":0,'*) ;;
+        *)
+            echo "ci: ssbench $w smoke failed: $out" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -38,7 +38,7 @@ use crate::engine::group::VizData;
 use crate::engine::observe::{EngineStage, StageObserver, NOOP_OBSERVER};
 use crate::score::{score_down, score_flat, score_theta, score_up, ScoreParams};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Budget of consecutive *non-pruning* bound computations a query's
 /// executors will pay before concluding the workload is unprunable and
@@ -340,7 +340,9 @@ pub struct PruningCounters {
     bounded: AtomicU64,
     pruned: AtomicU64,
     scored: AtomicU64,
-    bound_micros: AtomicU64,
+    /// Nanoseconds, not microseconds: one bound takes 10–100 ns, so a
+    /// per-bound truncation to µs would add up a column of zeros.
+    bound_nanos: AtomicU64,
 }
 
 impl PruningCounters {
@@ -349,13 +351,20 @@ impl PruningCounters {
         Self::default()
     }
 
+    /// Counts one computed bound that took `elapsed`.
+    fn record_bound(&self, elapsed: Duration) {
+        self.bounded.fetch_add(1, Ordering::Relaxed);
+        self.bound_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> PruningSnapshot {
         PruningSnapshot {
             bounded: self.bounded.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
             scored: self.scored.load(Ordering::Relaxed),
-            bound_micros: self.bound_micros.load(Ordering::Relaxed),
+            bound_micros: self.bound_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
 }
@@ -465,12 +474,10 @@ impl<'a> PruningDriver<'a> {
         }
         let started = Instant::now();
         let (_, upper) = query_bounds(self.query, viz, self.params);
-        let bound_micros = started.elapsed().as_micros() as u64;
-        self.counters.bounded.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bound_micros
-            .fetch_add(bound_micros, Ordering::Relaxed);
-        self.observer.stage(EngineStage::PruneBound, bound_micros);
+        let elapsed = started.elapsed();
+        self.counters.record_bound(elapsed);
+        self.observer
+            .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
         // Strictly below the threshold: even a tie could not displace
         // the k-th result, so the candidate is gone for good.
         let pruned = upper < threshold;
@@ -792,6 +799,23 @@ mod tests {
         assert_eq!(zero.proven(), f64::NEG_INFINITY);
         // Default is the empty cell, not zeroed bits.
         assert_eq!(ThresholdCell::default().get(), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn bound_time_accumulates_below_a_microsecond_per_bound() {
+        let counters = PruningCounters::new();
+        // 2,500 bounds of 400 ns: each truncates to 0 µs on its own, the
+        // run took a millisecond.
+        for _ in 0..2_500 {
+            counters.record_bound(Duration::from_nanos(400));
+        }
+        let snap = counters.snapshot();
+        assert_eq!((snap.bounded, snap.bound_micros), (2_500, 1_000));
+        // The sub-microsecond remainder is dropped once, at the read.
+        counters.record_bound(Duration::from_nanos(999));
+        assert_eq!(counters.snapshot().bound_micros, 1_000);
+        counters.record_bound(Duration::from_nanos(1));
+        assert_eq!(counters.snapshot().bound_micros, 1_001);
     }
 
     #[test]

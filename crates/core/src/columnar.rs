@@ -296,6 +296,22 @@ impl ColumnarArena {
         self.point_starts[slot] + slot
     }
 
+    /// Viz `slot`'s four prefix-sum runs as plain slices, resolved once:
+    /// a kernel that scores many windows of one viz (the SegmentTree
+    /// visits ~10 per node) pays the column dispatch and the offset
+    /// arithmetic here, not per window.
+    #[inline]
+    pub(crate) fn prefix_runs(&self, slot: usize) -> PrefixRuns<'_> {
+        let p = self.prefix_start(slot);
+        let run = p..p + self.n(slot) + 1;
+        PrefixRuns {
+            sum_x: &self.sum_x[run.clone()],
+            sum_y: &self.sum_y[run.clone()],
+            sum_xy: &self.sum_xy[run.clone()],
+            sum_xx: &self.sum_xx[run],
+        }
+    }
+
     /// Summarized statistics over the inclusive point range `[i, j]` of
     /// viz `slot` — the same per-field subtraction as
     /// [`StatsIndex::range`](crate::stats::StatsIndex::range), so the
@@ -305,17 +321,7 @@ impl ColumnarArena {
     /// Panics when `j < i` (debug) or `j` is out of bounds.
     #[inline]
     pub fn range_stats(&self, slot: usize, i: usize, j: usize) -> SummaryStats {
-        debug_assert!(i <= j, "range [{i}, {j}] is inverted");
-        let p = self.prefix_start(slot);
-        let (lo, hi) = (p + i, p + j + 1);
-        debug_assert!(hi <= self.prefix_start(slot) + self.n(slot));
-        SummaryStats {
-            sx: self.sum_x[hi] - self.sum_x[lo],
-            sy: self.sum_y[hi] - self.sum_y[lo],
-            sxy: self.sum_xy[hi] - self.sum_xy[lo],
-            sxx: self.sum_xx[hi] - self.sum_xx[lo],
-            n: (j + 1 - i) as u32,
-        }
+        self.prefix_runs(slot).range_stats(i, j)
     }
 
     /// Fitted slope over the inclusive point range `[i, j]` of viz
@@ -426,6 +432,35 @@ impl ColumnarArena {
                 }
             },
         ));
+    }
+}
+
+/// One viz's prefix-sum runs (`n + 1` entries each, leading zero
+/// included), borrowed from its [`ColumnarArena`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PrefixRuns<'a> {
+    sum_x: &'a [f64],
+    sum_y: &'a [f64],
+    sum_xy: &'a [f64],
+    sum_xx: &'a [f64],
+}
+
+impl PrefixRuns<'_> {
+    /// [`ColumnarArena::range_stats`] of the viz these runs belong to.
+    // `always`: left to its own judgement LLVM keeps this a call from the
+    // SegmentTree's window loop, and the statistics round-trip through
+    // memory (measured: +25 % per scored trendline).
+    #[inline(always)]
+    pub(crate) fn range_stats(&self, i: usize, j: usize) -> SummaryStats {
+        debug_assert!(i <= j, "range [{i}, {j}] is inverted");
+        let hi = j + 1;
+        SummaryStats {
+            sx: self.sum_x[hi] - self.sum_x[i],
+            sy: self.sum_y[hi] - self.sum_y[i],
+            sxy: self.sum_xy[hi] - self.sum_xy[i],
+            sxx: self.sum_xx[hi] - self.sum_xx[i],
+            n: (hi - i) as u32,
+        }
     }
 }
 

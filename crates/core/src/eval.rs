@@ -98,8 +98,41 @@ pub enum SlopeLeaf {
     Flat,
     /// `Pattern::Any` — constant 1.
     Any,
-    /// `Pattern::Slope(deg)` — [`score_theta`] against `deg`.
-    Slope(f64),
+    /// `Pattern::Slope(deg)` — [`score_theta`] against `deg`, held as the
+    /// pattern's two constants so no window re-derives them.
+    Theta {
+        /// The target angle in radians, clamped to ±π/2.
+        target: f64,
+        /// The largest possible distance of a fitted angle from `target`.
+        worst: f64,
+    },
+}
+
+impl SlopeLeaf {
+    /// The leaf's whole evaluation of one window, from the window's
+    /// fitted angle (`slope.atan()`) and canvas width. Every slope-leaf
+    /// path — per window, per run, and the SegmentTree's shared angle per
+    /// node — ends here, so they cannot drift from each other or from
+    /// [`Evaluator::eval_segment`], which this reproduces bit for bit:
+    /// the Table-5 maps are the ones the slope-taking scorers in
+    /// [`crate::score`] apply after their `atan`.
+    /// [`score::width_penalty`] ignores `width` when `min_width_frac <= 0`,
+    /// so a caller with the term off need not load it.
+    #[inline]
+    pub(crate) fn eval_at(self, theta: f64, width: f64, min_width_frac: f64) -> f64 {
+        let raw = match self {
+            SlopeLeaf::Up => score::up_at(theta),
+            SlopeLeaf::Down => score::down_at(theta),
+            SlopeLeaf::Flat => score::flat_at(theta),
+            SlopeLeaf::Any => 1.0,
+            SlopeLeaf::Theta { target, worst } => score::theta_at(theta, target, worst),
+        };
+        // `0.0 +` replicates the general path's sum/count accumulation:
+        // IEEE `0.0 + (-0.0)` is `+0.0`, so a raw `-0.0` pattern score
+        // must flip sign here exactly as it does there.
+        let score = (0.0 + raw) / 1.0;
+        clamp_score(score::width_penalty(score, width, min_width_frac))
+    }
 }
 
 /// Classifies a query node as a [`SlopeLeaf`] when its evaluation is a
@@ -118,7 +151,10 @@ pub fn slope_leaf(q: &ShapeQuery) -> Option<SlopeLeaf> {
         Some(Pattern::Down) => Some(SlopeLeaf::Down),
         Some(Pattern::Flat) => Some(SlopeLeaf::Flat),
         Some(Pattern::Any) => Some(SlopeLeaf::Any),
-        Some(Pattern::Slope(deg)) => Some(SlopeLeaf::Slope(deg)),
+        Some(Pattern::Slope(deg)) => {
+            let (target, worst) = score::theta_target(deg);
+            Some(SlopeLeaf::Theta { target, worst })
+        }
         _ => None,
     }
 }
@@ -151,16 +187,8 @@ impl<'a> Evaluator<'a> {
         debug_assert!(j > i && j < self.viz.n());
         match q {
             ShapeQuery::Segment(s) => self.eval_segment(s, i, j, pos),
-            ShapeQuery::And(cs) => combine_and(
-                &cs.iter()
-                    .map(|c| self.eval_node(c, i, j, pos))
-                    .collect::<Vec<_>>(),
-            ),
-            ShapeQuery::Or(cs) => combine_or(
-                &cs.iter()
-                    .map(|c| self.eval_node(c, i, j, pos))
-                    .collect::<Vec<_>>(),
-            ),
+            ShapeQuery::And(cs) => combine_and(cs.iter().map(|c| self.eval_node(c, i, j, pos))),
+            ShapeQuery::Or(cs) => combine_or(cs.iter().map(|c| self.eval_node(c, i, j, pos))),
             ShapeQuery::Not(c) => combine_not(self.eval_node(c, i, j, pos)),
             ShapeQuery::Concat(_) => {
                 // A nested CONCAT segments its assigned range optimally.
@@ -232,16 +260,11 @@ impl<'a> Evaluator<'a> {
     /// clamp), minus all the dispatch the leaf can't reach.
     #[inline]
     pub fn eval_slope_leaf(&self, leaf: SlopeLeaf, i: usize, j: usize) -> f64 {
-        // `0.0 +` replicates the general path's sum/count accumulation
-        // bit for bit: IEEE `0.0 + (-0.0)` is `+0.0`, so a raw `-0.0`
-        // pattern score must flip sign here exactly as it does there.
-        let score = (0.0 + self.apply_slope_leaf(leaf, self.viz.slope(i, j))) / 1.0;
-        let score = score::width_penalty(
-            score,
+        leaf.eval_at(
+            self.viz.slope(i, j).atan(),
             self.viz.xs()[j] - self.viz.xs()[i],
             self.params.min_width_frac,
-        );
-        clamp_score(score)
+        )
     }
 
     /// Scores `q` over `[i, j]` through the leaf fast path when `leaf`
@@ -274,23 +297,7 @@ impl<'a> Evaluator<'a> {
         let xs = self.viz.xs();
         let min_width = self.params.min_width_frac;
         for (k, v) in out.iter_mut().enumerate() {
-            // `0.0 +` matches the general path's accumulator (see
-            // `eval_slope_leaf`): signed zeros must come out identical.
-            let score = (0.0 + self.apply_slope_leaf(leaf, *v)) / 1.0;
-            let score = score::width_penalty(score, xs[e_lo + k] - xs[s], min_width);
-            *v = clamp_score(score);
-        }
-    }
-
-    /// The Table-5 score function a [`SlopeLeaf`] stands for.
-    #[inline]
-    fn apply_slope_leaf(&self, leaf: SlopeLeaf, slope: f64) -> f64 {
-        match leaf {
-            SlopeLeaf::Up => score_up(slope),
-            SlopeLeaf::Down => score_down(slope),
-            SlopeLeaf::Flat => score_flat(slope),
-            SlopeLeaf::Any => 1.0,
-            SlopeLeaf::Slope(deg) => score_theta(slope, deg),
+            *v = leaf.eval_at(v.atan(), xs[e_lo + k] - xs[s], min_width);
         }
     }
 

@@ -82,32 +82,67 @@ pub fn width_penalty(score: f64, width: f64, min_width_frac: f64) -> f64 {
     score * t - (1.0 - t)
 }
 
+/// `up` at a fitted angle `theta = tan⁻¹(slope)`: 2·θ/π. Table 5 lives in
+/// these four `*_at` maps; the slope-taking scorers below only take the
+/// `atan` first, so a caller that already holds the angle of a window
+/// (the SegmentTree scores every unit of a node over one fitted line)
+/// gets the same bits without taking it again.
+#[inline]
+pub(crate) fn up_at(theta: f64) -> f64 {
+    2.0 * theta / PI
+}
+
+/// `down` at a fitted angle: the negation of [`up_at`].
+#[inline]
+pub(crate) fn down_at(theta: f64) -> f64 {
+    -up_at(theta)
+}
+
+/// `flat` at a fitted angle: 1 − |4·θ/π|.
+#[inline]
+pub(crate) fn flat_at(theta: f64) -> f64 {
+    1.0 - (4.0 * theta / PI).abs()
+}
+
+/// The `θ = x` pattern's constants for a target angle in **degrees**:
+/// the target in radians, clamped to ±π/2, and the largest possible
+/// |θ − target| given θ ∈ (−π/2, π/2). Fixed per query unit, so callers
+/// scoring many windows derive them once.
+#[inline]
+pub(crate) fn theta_target(target_deg: f64) -> (f64, f64) {
+    let target = target_deg.to_radians().clamp(-FRAC_PI_2, FRAC_PI_2);
+    (target, FRAC_PI_2 + target.abs())
+}
+
+/// `θ = x` at a fitted angle, against [`theta_target`]'s constants.
+#[inline]
+pub(crate) fn theta_at(theta: f64, target: f64, worst: f64) -> f64 {
+    1.0 - 2.0 * (theta - target).abs() / worst
+}
+
 /// Score of the `up` pattern for a fitted slope: 2·tan⁻¹(slope)/π.
 /// Rises from −1 (steep fall) through 0 (flat) to +1 (steep rise).
 pub fn score_up(slope: f64) -> f64 {
-    2.0 * slope.atan() / PI
+    up_at(slope.atan())
 }
 
 /// Score of the `down` pattern: the negation of [`score_up`].
 pub fn score_down(slope: f64) -> f64 {
-    -score_up(slope)
+    down_at(slope.atan())
 }
 
 /// Score of the `flat` pattern: 1 − |4·tan⁻¹(slope)/π|. Equals 1 at slope 0,
 /// 0 at ±45°, −1 at ±90°.
 pub fn score_flat(slope: f64) -> f64 {
-    1.0 - (4.0 * slope.atan() / PI).abs()
+    flat_at(slope.atan())
 }
 
 /// Score of the `θ = x` pattern (target angle in **degrees**): maximal when
 /// the fitted angle equals the target, decaying to −1 at the farthest
 /// possible angle.
 pub fn score_theta(slope: f64, target_deg: f64) -> f64 {
-    let theta = slope.atan();
-    let target = target_deg.to_radians().clamp(-FRAC_PI_2, FRAC_PI_2);
-    // Largest possible |θ − target| given θ ∈ (−π/2, π/2).
-    let worst = FRAC_PI_2 + target.abs();
-    1.0 - 2.0 * (theta - target).abs() / worst
+    let (target, worst) = theta_target(target_deg);
+    theta_at(slope.atan(), target, worst)
 }
 
 /// Score of a *sharp* rise (`m = >>` with `up`): the [`score_up`] curve
@@ -132,19 +167,16 @@ pub fn combine_concat(scores: &[f64]) -> f64 {
 }
 
 /// AND (⊙): the minimum, "to avoid any pattern not having a good match".
-pub fn combine_and(scores: &[f64]) -> f64 {
-    scores
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min)
-        .min(1.0)
+/// Takes the child scores as they are produced, so the evaluator folds
+/// them per candidate window without buffering.
+pub fn combine_and(scores: impl IntoIterator<Item = f64>) -> f64 {
+    scores.into_iter().fold(f64::INFINITY, f64::min).min(1.0)
 }
 
 /// OR (⊕): the maximum — "picks the best matching pattern among many".
-pub fn combine_or(scores: &[f64]) -> f64 {
+pub fn combine_or(scores: impl IntoIterator<Item = f64>) -> f64 {
     scores
-        .iter()
-        .copied()
+        .into_iter()
         .fold(f64::NEG_INFINITY, f64::max)
         .max(-1.0)
 }
@@ -238,8 +270,8 @@ mod tests {
     #[test]
     fn and_is_min_or_is_max() {
         let s = [0.3, -0.2, 0.9];
-        assert_eq!(combine_and(&s), -0.2);
-        assert_eq!(combine_or(&s), 0.9);
+        assert_eq!(combine_and(s), -0.2);
+        assert_eq!(combine_or(s), 0.9);
         assert_eq!(combine_not(0.7), -0.7);
     }
 
@@ -252,8 +284,8 @@ mod tests {
         let hi = 0.8;
         for combined in [
             combine_concat(&inputs),
-            combine_and(&inputs),
-            combine_or(&inputs),
+            combine_and(inputs),
+            combine_or(inputs),
         ] {
             assert!(combined >= lo - EPS && combined <= hi + EPS);
         }
