@@ -130,19 +130,14 @@ esac
 export SHAPESEARCH_BENCH_IDLE_CONNS="$IDLE_CONNS"
 
 echo "==> engine perf report (pruning on/off x shards, writes BENCH_engine.json)"
-# The perf trajectory gate: runs the fixed seeded workload matrix,
-# asserts pruned results are byte-identical to unpruned, rewrites
-# BENCH_engine.json, and --check fails the build when the pruned default
-# is slower than SHAPESEARCH_BENCH_REGRESSION_FACTOR x the unpruned
-# baseline on any workload, the needle-in-a-haystack speedup falls
-# below SHAPESEARCH_BENCH_MIN_NEEDLE_SPEEDUP (default 2 — real margin:
-# ~4x), or the columnar kernel's throughput drops below the scalar
-# reference's (SHAPESEARCH_BENCH_MIN_KERNEL_RATIO, default 1.0). The
-# regression factor defaults to 1.25: the true common-case overhead is
-# a few percent (recorded in the JSON), but a shared CI runner's
-# wall-clock noise makes a tight gate flaky by construction, so the
-# gate only catches meaningful regressions.
-./target/release/perf_report --check
+# Runs the fixed seeded workload matrix and rewrites BENCH_engine.json.
+# What gates here is deterministic: the run aborts when pruned results
+# differ from unpruned, the columnar kernel's bits from the scalar
+# reference's, or a snapshot boot's answer from the eager boot's. The
+# times it records pass no verdict: in-process wall-clock ratios on a
+# shared runner are noise-limited, so timing verdicts are the benchmark
+# driver's (BENCHMARK.json).
+./target/release/perf_report
 test -s BENCH_engine.json || { echo "perf_report wrote no BENCH_engine.json"; exit 1; }
 grep -q '"kernel":' BENCH_engine.json || {
     echo "perf_report wrote no kernel block"; exit 1;
@@ -155,8 +150,7 @@ echo "==> kernel microbench smoke (columnar vs scalar, equivalence gated)"
 # The #[ignore]d throughput check in core::columnar: its bitwise
 # columnar-vs-scalar equivalence assertions are the gate; the printed
 # M windows/s figure is informational only (BENCH_engine.json's kernel
-# block carries the recorded ratio, gated above by perf_report --check
-# via SHAPESEARCH_BENCH_MIN_KERNEL_RATIO).
+# block carries the recorded ratio).
 cargo test -q -p shapesearch-core --release kernel_throughput -- --ignored --nocapture
 
 echo "==> idle keep-alive connection smoke ($IDLE_CONNS parked connections, 2 event threads)"

@@ -9,19 +9,19 @@
 //! so regressions have a recorded baseline to be compared against.
 //!
 //! ```sh
-//! cargo run -p shapesearch-bench --bin perf_report --release [-- --check]
+//! cargo run -p shapesearch-bench --bin perf_report --release
 //! ```
 //!
-//! With `--check` the run additionally gates: pruning-on must never be
-//! slower than `SHAPESEARCH_BENCH_REGRESSION_FACTOR` (default 1.25 — the real overhead is ~1 %, but shared-runner wall-clock noise makes a tighter gate flaky)
-//! times pruning-off on any workload, and the needle workload must show
-//! at least `SHAPESEARCH_BENCH_MIN_NEEDLE_SPEEDUP` (default 2.0) — the
-//! paper's headline §6.3 effect.
+//! The run fails only on a wrong answer — pruned ≠ unpruned results,
+//! columnar ≠ scalar bits, snapshot ≠ eager answers, a non-200 reply
+//! under the idle crowd. It passes no verdict on the times it records:
+//! in-process wall-clock ratios on a shared runner are noise-limited, so
+//! timing verdicts belong to the benchmark driver (`BENCHMARK.json`).
 
 use shapesearch_core::score::score_up;
 use shapesearch_core::{
-    group_collection, EngineOptions, PruningMode, PruningSnapshot, ShapeQuery, ShardedEngine,
-    SharedThresholds, StatsIndex,
+    group_collection, EngineOptions, NoopObserver, PruningMode, PruningSnapshot, ShapeQuery,
+    ShardedEngine, SharedThresholds, StatsIndex,
 };
 use shapesearch_datastore::Trendline;
 use shapesearch_parser::parse_regex;
@@ -30,7 +30,8 @@ use std::time::Instant;
 /// Deterministic dataset seed (shared with the figure benches).
 const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Collection size: above the engine's default auto-parallel threshold,
-/// so the measured path is the true default configuration.
+/// so the 1-shard rows run the default viz-level fan-out; the 4-shard
+/// rows visit their ~307-trendline shards in turn on one thread.
 const TRENDLINES: usize = 1228;
 /// Points per trendline.
 const POINTS: usize = 48;
@@ -119,14 +120,14 @@ fn measure(
         pruning_mode: mode,
         ..EngineOptions::default()
     };
-    let engine = ShardedEngine::from_trendlines(trendlines.to_vec(), shards).with_options(options);
+    let engine = ShardedEngine::from_trendlines(trendlines.to_vec(), shards);
     let mut best = u64::MAX;
     let mut last = None;
     for _ in 0..REPS {
         let shared = SharedThresholds::new(1);
         let started = Instant::now();
         let results = engine
-            .top_k_batch_shared(&[(query, K)], engine.options(), &shared)
+            .top_k_batch_observed(&[(query, K)], &options, &shared, &NoopObserver)
             .pop()
             .expect("one outcome")
             .expect("query runs");
@@ -206,8 +207,7 @@ fn run_workload(
 /// a pattern score, once through the columnar [`shapesearch_core::ColumnarArena`]
 /// batch kernel and once through the retained scalar [`StatsIndex`]
 /// reference. Both paths must agree bit for bit (asserted here, every
-/// run); the ratio is the tentpole's microscopic win, gated by `--check`
-/// independently of engine wall clock.
+/// run); the ratio is recorded, not judged.
 struct KernelReport {
     windows: u64,
     columnar_points_per_sec: f64,
@@ -323,7 +323,6 @@ fn run_cold_load(data: &[Trendline]) -> ColdLoadReport {
     }
     let spec = shapesearch_datastore::VisualSpec::new("z", "x", "y");
 
-    let options = EngineOptions::default();
     let render = |results: &[shapesearch_core::TopKResult]| {
         let rendered: Vec<String> = results
             .iter()
@@ -331,13 +330,7 @@ fn run_cold_load(data: &[Trendline]) -> ColdLoadReport {
             .collect();
         rendered.join(";")
     };
-    let first_answer = |engine: &ShardedEngine| {
-        engine
-            .top_k_batch_shared(&[(&query, K)], &options, &SharedThresholds::new(1))
-            .pop()
-            .expect("one outcome")
-            .expect("query runs")
-    };
+    let first_answer = |engine: &ShardedEngine| engine.top_k(&query, K).expect("query runs");
 
     let mut best_eager = u64::MAX;
     let mut best_cold = u64::MAX;
@@ -350,7 +343,7 @@ fn run_cold_load(data: &[Trendline]) -> ColdLoadReport {
             &shapesearch_datastore::ExtractOptions::default(),
         )
         .expect("extract runs");
-        let engine = ShardedEngine::from_trendlines(trendlines, 1).with_options(options.clone());
+        let engine = ShardedEngine::from_trendlines(trendlines, 1);
         engine.warm();
         let results = first_answer(&engine);
         best_eager = best_eager.min(started.elapsed().as_micros() as u64);
@@ -361,8 +354,7 @@ fn run_cold_load(data: &[Trendline]) -> ColdLoadReport {
         let part = snap.partition(0, snap.trendline_count());
         let shard = ShapeEngine::from_trendlines(part.trendlines);
         shard.seed_grouped(snap.bin_width(), part.grouped);
-        let engine =
-            ShardedEngine::from_shard_engines(vec![Arc::new(shard)]).with_options(options.clone());
+        let engine = ShardedEngine::from_shard_engines(vec![Arc::new(shard)]);
         let results = first_answer(&engine);
         best_cold = best_cold.min(started.elapsed().as_micros() as u64);
         let cold_results = render(&results);
@@ -392,9 +384,8 @@ fn run_cold_load(data: &[Trendline]) -> ColdLoadReport {
 /// peers) vs crowded (`SHAPESEARCH_BENCH_IDLE_CONNS` idle keep-alive
 /// connections parked on the same listener, default 1000). `penalty` is
 /// crowded/quiet; the evented core's claim is that parked connections
-/// cost readiness-table slots, not threads, so the gate
-/// (`SHAPESEARCH_BENCH_MAX_IDLE_CONN_PENALTY`, default 3.0) bounds how
-/// much a crowd may slow a live query.
+/// cost readiness-table slots, not threads. Every reply must be a 200;
+/// the crowded-vs-fresh byte diff is `conn_smoke`'s.
 struct ConnectionsReport {
     idle_peers: usize,
     quiet_micros: u64,
@@ -595,44 +586,7 @@ fn render_json(
     out
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Pulls `pruning_on_micros` for (workload, shards) out of a previous
-/// run's `BENCH_engine.json` (this binary's own output format).
-fn baseline_micros(text: &str, workload: &str, shards: usize) -> Option<u64> {
-    let name_key = format!("\"name\": \"{workload}\"");
-    let section = &text[text.find(&name_key)?..];
-    let needle = format!("\"shards\": {shards}, \"pruning_on_micros\": ");
-    let rest = &section[section.find(&needle)? + needle.len()..];
-    rest.split(|c: char| !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
-}
-
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    // A same-machine trajectory gate (opt in): point
-    // SHAPESEARCH_BENCH_BASELINE at a previous run's BENCH_engine.json
-    // and --check also compares absolute pruned-path times against it.
-    // Read BEFORE measuring/writing — the baseline may be the very file
-    // this run is about to overwrite. Off by default because absolute
-    // times only compare meaningfully on the same hardware.
-    let baseline = std::env::var("SHAPESEARCH_BENCH_BASELINE")
-        .ok()
-        .and_then(|path| match std::fs::read_to_string(&path) {
-            Ok(text) => Some((path, text)),
-            Err(e) => {
-                eprintln!("perf_report: baseline {path} unreadable ({e}); skipping that gate");
-                None
-            }
-        });
-
     let workloads = vec![
         run_workload("needle", "[p=up][p=down]", &needle_collection()),
         run_workload("common", "[p=up][p=down]", &common_collection()),
@@ -644,84 +598,4 @@ fn main() {
     let json = render_json(&workloads, &kernel, &cold, &conn);
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
     eprintln!("wrote BENCH_engine.json");
-
-    if check {
-        let regression_factor = env_f64("SHAPESEARCH_BENCH_REGRESSION_FACTOR", 1.25);
-        let min_needle_speedup = env_f64("SHAPESEARCH_BENCH_MIN_NEEDLE_SPEEDUP", 2.0);
-        // Kernel-throughput floor: the columnar batch kernel must stay at
-        // least this many times the scalar reference's throughput. A
-        // ratio (not an absolute windows/s floor) so the gate carries
-        // across machines; 1.0 = "never slower than the path it
-        // replaced", with the usual env override for stricter trackers.
-        let min_kernel_ratio = env_f64("SHAPESEARCH_BENCH_MIN_KERNEL_RATIO", 1.0);
-        // Cold-load floor: time-to-first-answer from a snapshot must be
-        // at least this many times the eager parse+EXTRACT+GROUP boot
-        // path. 1.0 = "never slower than the path it shortcuts"; the
-        // usual env override lets same-machine trackers pin the real
-        // (larger) win.
-        let min_cold_ratio = env_f64("SHAPESEARCH_BENCH_MIN_COLD_LOAD_RATIO", 1.0);
-        // Idle-connection ceiling: a parked keep-alive crowd may not
-        // slow a live query by more than this factor. Generous by
-        // default — the roundtrip is sub-millisecond, so wall-clock
-        // noise is proportionally large — with the usual env override
-        // for same-machine trackers.
-        let max_idle_penalty = env_f64("SHAPESEARCH_BENCH_MAX_IDLE_CONN_PENALTY", 3.0);
-        let mut failures = Vec::new();
-        if conn.penalty > max_idle_penalty {
-            failures.push(format!(
-                "connections: {} idle keep-alive peers slowed the batch query {:.2}x \
-                 (quiet {}µs vs crowded {}µs), above the {max_idle_penalty}x ceiling",
-                conn.idle_peers, conn.penalty, conn.quiet_micros, conn.crowded_micros
-            ));
-        }
-        if kernel.ratio < min_kernel_ratio {
-            failures.push(format!(
-                "kernel: columnar/scalar throughput ratio {:.2} below the {min_kernel_ratio}x floor \
-                 (columnar {:.0} vs scalar {:.0} windows/s)",
-                kernel.ratio, kernel.columnar_points_per_sec, kernel.scalar_points_per_sec
-            ));
-        }
-        if cold.ratio < min_cold_ratio {
-            failures.push(format!(
-                "cold_load: snapshot time-to-first-answer ratio {:.2} below the \
-                 {min_cold_ratio}x floor (eager {}µs vs snapshot {}µs)",
-                cold.ratio, cold.eager_micros, cold.cold_micros
-            ));
-        }
-        for w in &workloads {
-            for c in &w.configs {
-                if (c.on_micros as f64) > regression_factor * c.off_micros as f64 {
-                    failures.push(format!(
-                        "{} shards={}: pruned path {}µs exceeds {regression_factor}x \
-                         unpruned {}µs",
-                        w.name, c.shards, c.on_micros, c.off_micros
-                    ));
-                }
-                if w.name == "needle" && c.speedup < min_needle_speedup {
-                    failures.push(format!(
-                        "needle shards={}: speedup {:.2}x below the {min_needle_speedup}x gate",
-                        c.shards, c.speedup
-                    ));
-                }
-                if let Some((path, text)) = &baseline {
-                    if let Some(base) = baseline_micros(text, w.name, c.shards) {
-                        if (c.on_micros as f64) > regression_factor * base as f64 {
-                            failures.push(format!(
-                                "{} shards={}: pruned path {}µs exceeds {regression_factor}x \
-                                 the recorded baseline {base}µs ({path})",
-                                w.name, c.shards, c.on_micros
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("perf_report check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("perf_report check OK");
-    }
 }

@@ -86,11 +86,11 @@ impl Default for EngineOptions {
 /// `run_per_viz`'s parallel chunks, a [`shard::ShardedEngine`]'s shards,
 /// the server's compute-pool shard tasks, even remote shard servers (via
 /// the wire `threshold_hint`) — should share one of these so every
-/// executor's progress tightens the pruning bound everywhere else. The
-/// plain entry points create a private one per call; embedders that fan
-/// a computation out themselves build it once via [`Self::new`] and pass
-/// clones (clones share the same cells) to every executor, then read the
-/// effectiveness [`Self::snapshot`] and any per-query hint debt
+/// executor's progress tightens the pruning bound everywhere else.
+/// [`ShapeEngine::top_k`] creates a private one per call; embedders that
+/// fan a computation out themselves build it once via [`Self::new`] and
+/// pass clones (clones share the same cells) to every executor, then read
+/// the effectiveness [`Self::snapshot`] and any per-query hint debt
 /// ([`Self::hint_pruned`]) afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct SharedThresholds {
@@ -350,85 +350,60 @@ impl ShapeEngine {
         &mut self.options
     }
 
-    /// Executes a ShapeQuery, returning the top `k` visualizations by score.
+    /// Executes a ShapeQuery under the engine's own options, returning the
+    /// top `k` visualizations by score: a batch of one through
+    /// [`Self::top_k_batch_observed`] with private thresholds and no
+    /// observer — the only convenience spelling.
     ///
     /// # Errors
     /// Fails when the query references unregistered UDPs or is structurally
     /// empty.
     pub fn top_k(&self, query: &ShapeQuery, k: usize) -> Result<Vec<TopKResult>> {
-        self.top_k_with_options(query, k, &self.options)
+        self.top_k_batch_observed(
+            &[(query, k)],
+            &self.options,
+            &SharedThresholds::new(1),
+            &NOOP_OBSERVER,
+        )
+        .pop()
+        .expect("one outcome per batched query")
     }
 
-    /// Executes a ShapeQuery under the given options instead of the
-    /// engine's own — the seam that lets a shared, immutable engine (e.g.
-    /// one behind an `Arc` in a server catalog) serve requests that pick
-    /// their own algorithm or scoring parameters without cloning the
-    /// extracted trendlines.
-    ///
-    /// # Errors
-    /// Fails when the query references unregistered UDPs or is structurally
-    /// empty.
-    pub fn top_k_with_options(
-        &self,
-        query: &ShapeQuery,
-        k: usize,
-        options: &EngineOptions,
-    ) -> Result<Vec<TopKResult>> {
-        self.top_k_batch(&[(query, k)], options)
-            .pop()
-            .expect("one outcome per batched query")
-    }
-
-    /// Executes a whole batch of ShapeQueries over **one pass** of the
-    /// trendline collection (the paper's §5 pipelining argument, lifted
-    /// from sharing work *within* a query to sharing it *across* queries):
-    /// the GROUP stage — normalization, binning, and the prefix statistics
-    /// index — runs at most once per trendline for the entire batch, no
-    /// matter how many queries reference it, instead of once per query.
-    /// Only the per-query segmentation and scoring remain proportional to
-    /// the batch size.
+    /// The engine's one entry point: executes a whole batch of
+    /// ShapeQueries over **one pass** of the trendline collection (the
+    /// paper's §5 pipelining argument, lifted from sharing work *within* a
+    /// query to sharing it *across* queries): the GROUP stage —
+    /// normalization, binning, and the prefix statistics index — runs at
+    /// most once per trendline for the entire batch, no matter how many
+    /// queries reference it, instead of once per query. Only the per-query
+    /// segmentation and scoring remain proportional to the batch size.
     ///
     /// Outcomes are per query, in input order, and are bit-identical to
-    /// running [`Self::top_k_with_options`] on each `(query, k)` pair
-    /// individually — one malformed query fails only its own slot, never
-    /// the rest of the batch. GROUP is query-independent: located and fuzzy
-    /// queries alike score on the one cached collection, so `ranges` are
-    /// always positions on the full canvas.
-    pub fn top_k_batch(
-        &self,
-        items: &[(&ShapeQuery, usize)],
-        options: &EngineOptions,
-    ) -> Vec<Result<Vec<TopKResult>>> {
-        self.top_k_batch_shared(items, options, &SharedThresholds::new(items.len()))
-    }
-
-    /// [`Self::top_k_batch`] against caller-owned shared execution state:
-    /// the seam that lets an embedder fanning one computation across
-    /// several engines (the sharded engine's partitions, the server's
-    /// compute-pool shard tasks) give every executor the *same* per-query
-    /// [`ThresholdCell`]s, so each executor's proven top-k progress
-    /// prunes work in all the others. Results are byte-identical to the
-    /// private-state path — pruning only ever skips candidates that
-    /// provably cannot enter the top k.
+    /// running each `(query, k)` pair as a batch of its own — one malformed
+    /// query fails only its own slot, never the rest of the batch. GROUP is
+    /// query-independent: located and fuzzy queries alike score on the one
+    /// cached collection, so `ranges` are always positions on the full
+    /// canvas.
     ///
-    /// # Panics
-    /// When `shared` was not built for exactly `items.len()` queries.
-    pub fn top_k_batch_shared(
-        &self,
-        items: &[(&ShapeQuery, usize)],
-        options: &EngineOptions,
-        shared: &SharedThresholds,
-    ) -> Vec<Result<Vec<TopKResult>>> {
-        self.top_k_batch_observed(items, options, shared, &NOOP_OBSERVER)
-    }
-
-    /// [`Self::top_k_batch_shared`] with stage timing reported to
-    /// `observer`: the GROUP stage once per batch, SEGMENT+SCORE once
-    /// per query (candidate selection included, so no work between the
-    /// two reports is untimed), and §6.3 bound computations per
-    /// bound-checked candidate (see [`observe::EngineStage`]).
-    /// Observation never changes results — the observer only receives
-    /// durations.
+    /// `options` replace the engine's own for this call — the seam that
+    /// lets a shared, immutable engine (one behind an `Arc` in a server
+    /// catalog) serve requests that pick their own algorithm or scoring
+    /// parameters without cloning the extracted trendlines.
+    ///
+    /// `shared` is caller-owned execution state: an embedder fanning one
+    /// computation across several engines (a partition map's shards, the
+    /// server's compute-pool shard tasks) gives every executor the *same*
+    /// per-query [`ThresholdCell`]s, so each executor's proven top-k
+    /// progress prunes work in all the others. Results are byte-identical
+    /// to a private `SharedThresholds::new(items.len())` — pruning only
+    /// ever skips candidates that provably cannot enter the top k.
+    ///
+    /// `observer` receives stage timings: the GROUP stage once per batch,
+    /// SEGMENT+SCORE once per valid query (candidate selection included,
+    /// so no work between the two reports is untimed), and §6.3 bound
+    /// computations per bound-checked candidate (see
+    /// [`observe::EngineStage`]). Observation never changes results — the
+    /// observer only receives durations; pass [`NOOP_OBSERVER`] for none.
     ///
     /// # Panics
     /// When `shared` was not built for exactly `items.len()` queries.
@@ -602,7 +577,7 @@ impl ShapeEngine {
             }
         };
 
-        let mut topk = TopK::new(k);
+        let mut topk = TopK::new(k, vizzes.len());
         // §6.3 stage 1, exactness-preserving form: score a strided sample
         // first (exactly — the resulting threshold is proven, not
         // estimated), so the bulk of the collection faces a live
@@ -642,7 +617,7 @@ impl ShapeEngine {
                     .enumerate()
                     .map(|(ci, part)| {
                         scope.spawn(move || {
-                            let mut local = TopK::new(k);
+                            let mut local = TopK::new(k, part.len());
                             for (off, v) in part.iter().enumerate() {
                                 if in_sample(ci * chunk + off) {
                                     continue;
@@ -851,7 +826,8 @@ mod tests {
                             ..EngineOptions::default()
                         };
                         ShapeEngine::from_trendlines(tls.clone())
-                            .top_k_with_options(q, 5, &opts)
+                            .with_options(opts)
+                            .top_k(q, 5)
                             .unwrap()
                     })
                     .collect();
@@ -888,7 +864,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, q)| (q, i + 1))
                 .collect();
-            let batched = engine.top_k_batch(&items, engine.options());
+            let batched = engine.top_k_batch_observed(
+                &items,
+                engine.options(),
+                &SharedThresholds::new(items.len()),
+                &NOOP_OBSERVER,
+            );
             assert_eq!(batched.len(), queries.len());
             for ((q, k), got) in items.iter().zip(batched) {
                 let want = engine.top_k(q, *k).unwrap();
@@ -902,7 +883,12 @@ mod tests {
         let engine = ShapeEngine::from_trendlines(collection());
         let good = updown();
         let bad = ShapeQuery::pattern(Pattern::Udp("mystery".into()));
-        let outcomes = engine.top_k_batch(&[(&good, 2), (&bad, 2), (&good, 1)], engine.options());
+        let outcomes = engine.top_k_batch_observed(
+            &[(&good, 2), (&bad, 2), (&good, 1)],
+            engine.options(),
+            &SharedThresholds::new(3),
+            &NOOP_OBSERVER,
+        );
         assert!(outcomes[0].is_ok());
         assert!(matches!(outcomes[1], Err(CoreError::UnknownUdp(_))));
         let solo = engine.top_k(&good, 1).unwrap();
@@ -926,35 +912,20 @@ mod tests {
     fn default_pruning_is_byte_identical_and_actually_prunes() {
         let tls = haystack(120);
         let q = updown();
-        let off = EngineOptions {
-            pruning_mode: PruningMode::Off,
-            ..EngineOptions::default()
-        };
-        let engine = ShapeEngine::from_trendlines(tls);
-        let want = engine.top_k_with_options(&q, 3, &off).unwrap();
-
         for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
             let opts = EngineOptions {
                 segmenter: kind,
                 ..EngineOptions::default()
             };
-            let want = if kind == SegmenterKind::Dp {
-                engine
-                    .top_k_with_options(
-                        &q,
-                        3,
-                        &EngineOptions {
-                            segmenter: kind,
-                            ..off.clone()
-                        },
-                    )
-                    .unwrap()
-            } else {
-                want.clone()
+            let off = EngineOptions {
+                pruning_mode: PruningMode::Off,
+                ..opts.clone()
             };
+            let engine = ShapeEngine::from_trendlines(tls.clone()).with_options(off);
+            let want = engine.top_k(&q, 3).unwrap();
             let shared = SharedThresholds::new(1);
             let got = engine
-                .top_k_batch_shared(&[(&q, 3)], &opts, &shared)
+                .top_k_batch_observed(&[(&q, 3)], &opts, &shared, &NOOP_OBSERVER)
                 .pop()
                 .unwrap()
                 .unwrap();
@@ -988,7 +959,7 @@ mod tests {
         let shared = SharedThresholds::new(1);
         shared.seed_hint(0, 0.999); // above every real score: poison
         let got = engine
-            .top_k_batch_shared(&[(&q, k)], engine.options(), &shared)
+            .top_k_batch_observed(&[(&q, k)], engine.options(), &shared, &NOOP_OBSERVER)
             .pop()
             .unwrap()
             .unwrap();
@@ -1004,7 +975,7 @@ mod tests {
         let honest = SharedThresholds::new(1);
         honest.seed_hint(0, exact[k - 1].score - 1e-9);
         let got = engine
-            .top_k_batch_shared(&[(&q, k)], engine.options(), &honest)
+            .top_k_batch_observed(&[(&q, k)], engine.options(), &honest, &NOOP_OBSERVER)
             .pop()
             .unwrap()
             .unwrap();

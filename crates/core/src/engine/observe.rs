@@ -15,7 +15,7 @@
 pub enum EngineStage {
     /// The shared GROUP stage: normalization, binning, and the prefix
     /// statistics index over the trendline collection (at most once per
-    /// batch — see `ShapeEngine::top_k_batch`).
+    /// batch — see `ShapeEngine::top_k_batch_observed`).
     Group,
     /// One query's SEGMENT + SCORE pass over the candidate
     /// visualizations (per query, covers the whole `run_per_viz` walk

@@ -1,25 +1,27 @@
 //! Sharded execution: one trendline collection partitioned into N
-//! independent engine shards, queried with a fan-out / merge step.
+//! independent engine shards, recombined with a deterministic merge.
 //!
 //! The paper's §5 executor scores every candidate visualization
 //! independently before the top-k selection, which makes the collection
 //! embarrassingly partitionable: a [`ShardedEngine`] splits the
 //! trendlines at build time into size-balanced contiguous shards (each a
 //! plain [`ShapeEngine`] carrying its partition offset so reported
-//! `viz_index`es stay collection-global), runs each shard's
-//! GROUP→SEGMENT→SCORE pass independently, and merges the per-shard
-//! top-k partials under the engine's deterministic order (score
+//! `viz_index`es stay collection-global); each shard's
+//! GROUP→SEGMENT→SCORE pass is independent, and the per-shard top-k
+//! partials merge under the engine's deterministic order (score
 //! descending, then the lower global index — the same contract the
 //! unsharded heap uses), so results are **byte-identical to an unsharded
 //! run for every shard count**, including tie ordering and fitted
 //! `ranges`.
 //!
-//! Shards are held behind `Arc` so an embedder (e.g. the server's
-//! dataset catalog) can hand individual shard tasks to its own worker
-//! pool and merge with [`merge_topk`]; [`ShardedEngine::top_k_batch`]
-//! does the same fan-out in-process with scoped threads when parallelism
-//! is on (or the collection crosses
-//! [`EngineOptions::parallel_threshold`]).
+//! A [`ShardedEngine`] is a partition map, not a second engine: it holds
+//! no options and schedules nothing. Shards are held behind `Arc` so an
+//! embedder (the server's dataset catalog) hands individual shard tasks
+//! to its own worker pool and merges with [`merge_topk`] — that pool is
+//! the workspace's one shard-level fan-out. The query methods here visit
+//! the shards in partition order on the caller's thread; in-process
+//! parallelism lives one level down, in each shard's own scoring pass,
+//! and is steered by the caller's [`EngineOptions`] alone.
 
 use super::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 use crate::error::Result;
@@ -33,7 +35,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<Arc<ShapeEngine>>,
-    options: EngineOptions,
     trendline_count: usize,
     point_count: usize,
 }
@@ -99,7 +100,6 @@ impl ShardedEngine {
             shards: vec![Arc::new(
                 ShapeEngine::from_trendlines(part).with_base_index(start),
             )],
-            options: EngineOptions::default(),
             trendline_count,
             point_count,
         })
@@ -128,7 +128,6 @@ impl ShardedEngine {
         shards.reverse();
         Self {
             shards,
-            options: EngineOptions::default(),
             trendline_count,
             point_count,
         }
@@ -151,34 +150,9 @@ impl ShardedEngine {
             .sum();
         Self {
             shards,
-            options: EngineOptions::default(),
             trendline_count,
             point_count,
         }
-    }
-
-    /// Replaces the engine options, returning `self` for chaining.
-    #[must_use]
-    pub fn with_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Selects the segmentation algorithm, returning `self` for chaining.
-    #[must_use]
-    pub fn with_segmenter(mut self, kind: crate::SegmenterKind) -> Self {
-        self.options.segmenter = kind;
-        self
-    }
-
-    /// Current options.
-    pub fn options(&self) -> &EngineOptions {
-        &self.options
-    }
-
-    /// Mutable options access.
-    pub fn options_mut(&mut self) -> &mut EngineOptions {
-        &mut self.options
     }
 
     /// Number of shards the collection is partitioned into.
@@ -195,13 +169,14 @@ impl ShardedEngine {
         &self.shards
     }
 
-    /// Pre-builds every shard's columnar GROUP arena for the current
-    /// options' bin width, so the first query pays only SEGMENT+SCORE.
+    /// Pre-builds every shard's columnar GROUP arena for the default bin
+    /// width, so the first query pays only SEGMENT+SCORE.
     /// Registration-time warming: the arenas are `Arc`-cached inside
     /// each [`ShapeEngine`] and shared by all subsequent queries.
     pub fn warm(&self) {
+        let bin_width = EngineOptions::default().bin_width;
         for shard in &self.shards {
-            shard.warm(self.options.bin_width);
+            shard.warm(bin_width);
         }
     }
 
@@ -282,19 +257,21 @@ impl ShardedEngine {
         }
     }
 
-    /// Executes a ShapeQuery across all shards, returning the merged top
-    /// `k`. Identical to an unsharded [`ShapeEngine::top_k`] over the
-    /// same collection, for every shard count.
+    /// Executes a ShapeQuery across all shards under
+    /// [`EngineOptions::default`], returning the merged top `k`.
+    /// Identical to an unsharded [`ShapeEngine::top_k`] over the same
+    /// collection, for every shard count.
     ///
     /// # Errors
     /// Fails when the query references unregistered UDPs or is
     /// structurally empty.
     pub fn top_k(&self, query: &ShapeQuery, k: usize) -> Result<Vec<TopKResult>> {
-        self.top_k_with_options(query, k, &self.options)
+        self.top_k_with_options(query, k, &EngineOptions::default())
     }
 
-    /// [`Self::top_k`] under explicit options (the shared-engine seam —
-    /// see [`ShapeEngine::top_k_with_options`]).
+    /// [`Self::top_k`] under explicit options. Kept only because the
+    /// frozen benchmark package (`ssbench`) calls it by this name; new
+    /// code passes a batch of one to [`Self::top_k_batch_observed`].
     ///
     /// # Errors
     /// Fails when the query references unregistered UDPs or is
@@ -305,56 +282,27 @@ impl ShardedEngine {
         k: usize,
         options: &EngineOptions,
     ) -> Result<Vec<TopKResult>> {
-        self.top_k_batch(&[(query, k)], options)
-            .pop()
-            .expect("one outcome per batched query")
+        self.top_k_batch_observed(
+            &[(query, k)],
+            options,
+            &SharedThresholds::new(1),
+            &super::observe::NOOP_OBSERVER,
+        )
+        .pop()
+        .expect("one outcome per batched query")
     }
 
-    /// Executes a whole batch of ShapeQueries: every shard runs the full
-    /// batched pass ([`ShapeEngine::top_k_batch`], sharing its GROUP
-    /// stage across the batch) over its own partition, then each query's
-    /// per-shard partials are merged deterministically.
-    ///
-    /// Shards run on scoped threads when `options.parallel` is set or
-    /// the collection holds at least `options.parallel_threshold`
-    /// trendlines — the "parallel" knob now simply fans out shards —
-    /// and sequentially otherwise. Either way the outcome is
-    /// bit-identical to the unsharded engine, per query.
-    ///
-    /// The server's `execute_on_shards` is the pool-task twin of this
-    /// fan-out (long-lived threads need `'static` tasks over `Arc`s,
-    /// where this path borrows); the single-shard and inner-options
-    /// policy must stay in sync between the two.
-    pub fn top_k_batch(
-        &self,
-        items: &[(&ShapeQuery, usize)],
-        options: &EngineOptions,
-    ) -> Vec<Result<Vec<TopKResult>>> {
-        self.top_k_batch_shared(items, options, &SharedThresholds::new(items.len()))
-    }
-
-    /// [`Self::top_k_batch`] against caller-owned shared execution state
-    /// (see [`ShapeEngine::top_k_batch_shared`]): every shard consumes
-    /// and tightens the same per-query [`super::ThresholdCell`]s, so a
-    /// shard that has found k strong results prunes the other shards'
-    /// candidates — across threads here, and across processes when the
-    /// embedder also seeds the cells from remote `threshold_hint`s.
-    ///
-    /// # Panics
-    /// When `shared` was not built for exactly `items.len()` queries.
-    pub fn top_k_batch_shared(
-        &self,
-        items: &[(&ShapeQuery, usize)],
-        options: &EngineOptions,
-        shared: &SharedThresholds,
-    ) -> Vec<Result<Vec<TopKResult>>> {
-        self.top_k_batch_observed(items, options, shared, &super::observe::NOOP_OBSERVER)
-    }
-
-    /// [`Self::top_k_batch_shared`] with per-stage timings reported to
-    /// `observer` (see [`ShapeEngine::top_k_batch_observed`]). Every
-    /// shard feeds the same observer — samples aggregate across the
-    /// fan-out exactly like the pruning counters do.
+    /// Runs [`ShapeEngine::top_k_batch_observed`] on every shard in
+    /// partition order, on the caller's thread, with the caller's
+    /// `options`, `shared` state and `observer` passed through untouched,
+    /// then merges each query's per-shard partials deterministically —
+    /// bit-identical to the unsharded engine, per query. Every shard
+    /// consumes and tightens the same per-query [`super::ThresholdCell`]s
+    /// and feeds the same observer, so a later shard is pruned by what
+    /// the earlier ones proved and samples aggregate like the pruning
+    /// counters do. Public under this name only because the frozen
+    /// benchmark package (`ssbench`) calls it; the server fans shards out
+    /// on its own pool instead.
     ///
     /// # Panics
     /// When `shared` was not built for exactly `items.len()` queries.
@@ -365,43 +313,11 @@ impl ShardedEngine {
         shared: &SharedThresholds,
         observer: &dyn super::observe::StageObserver,
     ) -> Vec<Result<Vec<TopKResult>>> {
-        if self.shards.len() == 1 {
-            // Single shard: the plain engine path, viz-level parallelism
-            // and all.
-            return self.shards[0].top_k_batch_observed(items, options, shared, observer);
-        }
-        let fan_out = options.parallel || self.trendline_count >= options.parallel_threshold;
-        let partials: Vec<Vec<Result<Vec<TopKResult>>>> = if fan_out {
-            // One thread per shard; shard work is the unit of
-            // parallelism, so the engine's *inner* viz-level parallelism
-            // is switched off rather than oversubscribing cores.
-            let inner = EngineOptions {
-                parallel: false,
-                parallel_threshold: usize::MAX,
-                ..options.clone()
-            };
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        let inner = &inner;
-                        scope.spawn(move || {
-                            shard.top_k_batch_observed(items, inner, shared, observer)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter()
-                .map(|shard| shard.top_k_batch_observed(items, options, shared, observer))
-                .collect()
-        };
+        let partials = self
+            .shards
+            .iter()
+            .map(|shard| shard.top_k_batch_observed(items, options, shared, observer))
+            .collect();
         merge_shard_outcomes(partials, items.iter().map(|&(_, k)| k))
     }
 }
@@ -461,7 +377,7 @@ pub fn partition_bounds_by_points(
 /// Merges per-shard top-k partials for one query into the final top `k`,
 /// under the engine's deterministic order: score descending, ties to the
 /// lower global `viz_index`. Each partial must itself be sorted engine
-/// output (which per-shard [`ShapeEngine::top_k_batch`] guarantees);
+/// output (which [`ShapeEngine::top_k_batch_observed`] guarantees);
 /// the merge then equals the unsharded top-k exactly, because any
 /// collection-global top-k member is necessarily inside its own shard's
 /// top-k.
@@ -487,14 +403,12 @@ pub fn merge_topk_refs<'a>(
 }
 
 /// Recombines per-shard batch outcomes (one
-/// [`ShapeEngine::top_k_batch`] result per shard, over the same items)
-/// into per-query outcomes, merging each query's partials with
+/// [`ShapeEngine::top_k_batch_observed`] result per shard, over the same
+/// items) into per-query outcomes, merging each query's partials with
 /// [`merge_topk`] under its `k`. A query's validation error is
 /// shard-independent (every shard holds the same UDP registry and sees
 /// the same AST), so the first shard's error stands for all shards.
-/// Exposed so embedders that run shard tasks on their own worker pool
-/// (e.g. the server) recombine exactly like the in-process fan-out.
-pub fn merge_shard_outcomes(
+fn merge_shard_outcomes(
     partials: Vec<Vec<Result<Vec<TopKResult>>>>,
     ks: impl Iterator<Item = usize>,
 ) -> Vec<Result<Vec<TopKResult>>> {
@@ -521,7 +435,9 @@ pub fn merge_shard_outcomes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::observe::{EngineStage, StageObserver, NOOP_OBSERVER};
     use crate::{CoreError, Pattern, SegmenterKind, ShapeSegment};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A deterministic pseudo-random collection with mixed shapes and
     /// lengths (so point-balanced shards are *not* count-balanced) and
@@ -634,12 +550,13 @@ mod tests {
         ] {
             let reference = ShapeEngine::from_trendlines(tls.clone()).with_segmenter(kind);
             for shards in [1usize, 2, 7, 23] {
-                let sharded =
-                    ShardedEngine::from_trendlines(tls.clone(), shards).with_segmenter(kind);
+                let sharded = ShardedEngine::from_trendlines(tls.clone(), shards);
                 for q in &queries {
                     for k in [1usize, 5, 23] {
                         let want = reference.top_k(q, k).unwrap();
-                        let got = sharded.top_k(q, k).unwrap();
+                        let got = sharded
+                            .top_k_with_options(q, k, reference.options())
+                            .unwrap();
                         assert_eq!(got, want, "{kind:?} shards={shards} k={k} diverged on {q}");
                     }
                 }
@@ -677,11 +594,21 @@ mod tests {
         let good = updown();
         let bad = ShapeQuery::pattern(Pattern::Udp("mystery".into()));
         let items: Vec<(&ShapeQuery, usize)> = vec![(&good, 4), (&bad, 2), (&good, 19)];
-        let reference = ShapeEngine::from_trendlines(tls.clone());
-        let want = reference.top_k_batch(&items, reference.options());
+        let options = EngineOptions::default();
+        let want = ShapeEngine::from_trendlines(tls.clone()).top_k_batch_observed(
+            &items,
+            &options,
+            &SharedThresholds::new(items.len()),
+            &NOOP_OBSERVER,
+        );
         for shards in [2usize, 7, 19] {
             let sharded = ShardedEngine::from_trendlines(tls.clone(), shards);
-            let got = sharded.top_k_batch(&items, sharded.options());
+            let got = sharded.top_k_batch_observed(
+                &items,
+                &options,
+                &SharedThresholds::new(items.len()),
+                &NOOP_OBSERVER,
+            );
             assert_eq!(got.len(), want.len());
             assert_eq!(got[0].as_ref().unwrap(), want[0].as_ref().unwrap());
             assert!(matches!(got[1], Err(CoreError::UnknownUdp(_))));
@@ -694,21 +621,30 @@ mod tests {
         let tls = collection(23);
         let reference = ShapeEngine::from_trendlines(tls.clone());
         let want = reference.top_k(&updown(), 10).unwrap();
-        // Explicit parallel fan-out.
+        let sharded = ShardedEngine::from_trendlines(tls, 4);
+        // The caller's scheduling options reach every shard untouched:
+        // explicit viz-level fan-out inside each shard...
         let parallel = EngineOptions {
             parallel: true,
             ..EngineOptions::default()
         };
-        let sharded = ShardedEngine::from_trendlines(tls.clone(), 4).with_options(parallel);
-        assert_eq!(sharded.top_k(&updown(), 10).unwrap(), want);
-        // Auto-parallel: the collection crosses the configured threshold.
+        assert_eq!(
+            sharded
+                .top_k_with_options(&updown(), 10, &parallel)
+                .unwrap(),
+            want
+        );
+        // ...and auto-parallel: every shard crosses the configured
+        // threshold.
         let auto = EngineOptions {
             parallel: false,
-            parallel_threshold: 23,
+            parallel_threshold: 2,
             ..EngineOptions::default()
         };
-        let sharded = ShardedEngine::from_trendlines(tls, 4).with_options(auto);
-        assert_eq!(sharded.top_k(&updown(), 10).unwrap(), want);
+        assert_eq!(
+            sharded.top_k_with_options(&updown(), 10, &auto).unwrap(),
+            want
+        );
     }
 
     #[test]
@@ -791,10 +727,11 @@ mod tests {
         assert_eq!(order, vec![0, 1, 4, 6]);
     }
 
-    /// Fanning a large collection across 4 parallel shards answers
-    /// exactly like one sequential shard. (The wall-clock side of this
-    /// comparison lives in `ssbench`'s `engine.fanout_speedup`, where
-    /// noise is controlled — tier-1 carries no timing assertions.)
+    /// A large collection split into 4 shards, each scoring its
+    /// candidates in parallel, answers exactly like one sequential shard.
+    /// (The wall-clock side of fan-out lives in `ssbench`'s
+    /// `engine.fanout_speedup`, where noise is controlled — tier-1
+    /// carries no timing assertions.)
     #[test]
     fn multi_shard_parallel_matches_single_shard_on_a_large_collection() {
         let tls: Vec<Trendline> = (0..48)
@@ -814,14 +751,79 @@ mod tests {
             parallel: true,
             ..EngineOptions::default()
         };
-        let single = ShardedEngine::from_trendlines(tls.clone(), 1).with_options(EngineOptions {
+        let sequential = EngineOptions {
             parallel: false,
             ..opts.clone()
-        });
-        let sharded = ShardedEngine::from_trendlines(tls, 4).with_options(opts);
+        };
+        let single = ShardedEngine::from_trendlines(tls.clone(), 1);
+        let sharded = ShardedEngine::from_trendlines(tls, 4);
         let q = updown();
 
-        let want = single.top_k(&q, 8).unwrap();
-        assert_eq!(sharded.top_k(&q, 8).unwrap(), want);
+        let want = single.top_k_with_options(&q, 8, &sequential).unwrap();
+        assert_eq!(sharded.top_k_with_options(&q, 8, &opts).unwrap(), want);
+    }
+
+    /// `k` arrives unchecked from outside the program: a `k` far beyond
+    /// the collection (or `usize::MAX`, where `k + 1` overflows) returns
+    /// every admissible candidate in rank order instead of sizing an
+    /// allocation from it.
+    #[test]
+    fn huge_k_returns_every_admissible_candidate_in_rank_order() {
+        let tls = collection(23);
+        let q = updown();
+        let want = ShapeEngine::from_trendlines(tls.clone())
+            .top_k(&q, tls.len())
+            .unwrap();
+        assert!(!want.is_empty());
+        let parallel = EngineOptions {
+            parallel: true,
+            ..EngineOptions::default()
+        };
+        for k in [10usize.pow(15), usize::MAX] {
+            let sequential = ShapeEngine::from_trendlines(tls.clone());
+            assert_eq!(sequential.top_k(&q, k).unwrap(), want, "sequential k={k}");
+            let fanned = ShapeEngine::from_trendlines(tls.clone()).with_options(parallel.clone());
+            assert_eq!(fanned.top_k(&q, k).unwrap(), want, "parallel k={k}");
+            for shards in [1usize, 3] {
+                let sharded = ShardedEngine::from_trendlines(tls.clone(), shards);
+                assert_eq!(sharded.top_k(&q, k).unwrap(), want, "shards={shards} k={k}");
+            }
+        }
+    }
+
+    /// The observer and counter contract the server's
+    /// `shard_compute ≈ group + Σ segment_score` accounting rests on.
+    /// Counts only — no durations.
+    #[test]
+    fn observer_and_counters_account_for_every_shard_and_query() {
+        #[derive(Default)]
+        struct Count([AtomicU64; 3]);
+        impl StageObserver for Count {
+            fn stage(&self, stage: EngineStage, _micros: u64) {
+                self.0[stage as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let tls = collection(40);
+        let (peak, fall) = (updown(), ShapeQuery::down());
+        let bad = ShapeQuery::pattern(Pattern::Udp("mystery".into()));
+        let items: Vec<(&ShapeQuery, usize)> = vec![(&peak, 1), (&bad, 2), (&fall, 3)];
+        let valid = 2;
+        for shards in [1usize, 3] {
+            let sharded = ShardedEngine::from_trendlines(tls.clone(), shards);
+            let shared = SharedThresholds::new(items.len());
+            let seen = Count::default();
+            let outcomes =
+                sharded.top_k_batch_observed(&items, &EngineOptions::default(), &shared, &seen);
+            assert!(outcomes[0].is_ok() && outcomes[1].is_err() && outcomes[2].is_ok());
+            let samples = |stage: EngineStage| seen.0[stage as usize].load(Ordering::Relaxed);
+            let snap = shared.snapshot();
+            assert_eq!(samples(EngineStage::Group), shards as u64);
+            assert_eq!(samples(EngineStage::SegmentScore), (shards * valid) as u64);
+            assert_eq!(samples(EngineStage::PruneBound), snap.bounded);
+            assert!(snap.bounded > 0 && snap.bounded >= snap.pruned, "{snap:?}");
+            // Every trendline of every shard is offered to the driver of
+            // every valid query (nothing is pinned, GROUP rejects none).
+            assert_eq!(snap.scored + snap.pruned, (valid * tls.len()) as u64);
+        }
     }
 }

@@ -48,10 +48,14 @@ pub(crate) struct TopK {
 }
 
 impl TopK {
-    pub fn new(k: usize) -> Self {
+    /// A collector of the `k` best of at most `candidates` offers. `k`
+    /// arrives unchecked from outside the program (the server's `"k"`),
+    /// so the allocation is sized by what the heap can actually hold —
+    /// never by `k` alone.
+    pub fn new(k: usize, candidates: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(candidates).saturating_add(1)),
         }
     }
 
@@ -113,7 +117,7 @@ mod tests {
 
     #[test]
     fn keeps_k_best_in_order() {
-        let mut tk = TopK::new(3);
+        let mut tk = TopK::new(3, 5);
         for (i, s) in [0.1, 0.9, -0.5, 0.7, 0.3].into_iter().enumerate() {
             tk.push(i, res(s));
         }
@@ -125,7 +129,7 @@ mod tests {
 
     #[test]
     fn threshold_tracks_kth_best() {
-        let mut tk = TopK::new(2);
+        let mut tk = TopK::new(2, 3);
         assert_eq!(tk.threshold(), f64::NEG_INFINITY);
         tk.push(0, res(0.5));
         assert_eq!(tk.threshold(), f64::NEG_INFINITY);
@@ -137,7 +141,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_lower_index() {
-        let mut tk = TopK::new(2);
+        let mut tk = TopK::new(2, 3);
         tk.push(5, res(0.5));
         tk.push(1, res(0.5));
         tk.push(3, res(0.5));
@@ -148,7 +152,7 @@ mod tests {
 
     #[test]
     fn zero_k_collects_nothing() {
-        let mut tk = TopK::new(0);
+        let mut tk = TopK::new(0, 1);
         tk.push(0, res(1.0));
         assert!(tk.into_sorted().is_empty());
     }

@@ -64,9 +64,7 @@ pub use ast::{IteratorSpec, Location, Modifier, Pattern, PosRef, ShapeQuery, Sha
 pub use columnar::{ArenaBuilder, ColumnarArena};
 pub use engine::group::{group_collection, VizData};
 pub use engine::observe::{EngineStage, NoopObserver, StageObserver};
-pub use engine::shard::{
-    merge_shard_outcomes, merge_topk, merge_topk_refs, partition_bounds_by_points, ShardedEngine,
-};
+pub use engine::shard::{merge_topk, merge_topk_refs, partition_bounds_by_points, ShardedEngine};
 pub use engine::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 pub use error::{CoreError, Result};
 pub use eval::{slope_leaf, Evaluator, PosContext, SlopeLeaf, UdpFn, UdpRegistry};

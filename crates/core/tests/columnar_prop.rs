@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    slope_leaf, EngineOptions, Evaluator, PruningMode, ScoreParams, SegmenterKind, ShapeQuery,
-    ShardedEngine, SharedThresholds, StatsIndex, UdpRegistry, VizData,
+    slope_leaf, EngineOptions, Evaluator, NoopObserver, PruningMode, ScoreParams, SegmenterKind,
+    ShapeQuery, ShardedEngine, SharedThresholds, StatsIndex, UdpRegistry, VizData,
 };
 use shapesearch_datastore::Trendline;
 
@@ -192,12 +192,11 @@ proptest! {
                         pruning_mode: PruningMode::Off,
                         ..EngineOptions::default()
                     };
-                    let engine = ShardedEngine::from_trendlines(tls.clone(), 1)
-                        .with_options(options);
+                    let engine = ShardedEngine::from_trendlines(tls.clone(), 1);
                     let shared = SharedThresholds::new(1);
                     render(
                         &engine
-                            .top_k_batch_shared(&[(&query, k)], engine.options(), &shared)
+                            .top_k_batch_observed(&[(&query, k)], &options, &shared, &NoopObserver)
                             .pop()
                             .unwrap()
                             .unwrap(),
@@ -210,12 +209,16 @@ proptest! {
                             pruning_mode: mode,
                             ..EngineOptions::default()
                         };
-                        let engine = ShardedEngine::from_trendlines(tls.clone(), shards)
-                            .with_options(options);
+                        let engine = ShardedEngine::from_trendlines(tls.clone(), shards);
                         let shared = SharedThresholds::new(1);
                         let got = render(
                             &engine
-                                .top_k_batch_shared(&[(&query, k)], engine.options(), &shared)
+                                .top_k_batch_observed(
+                                    &[(&query, k)],
+                                    &options,
+                                    &shared,
+                                    &NoopObserver,
+                                )
                                 .pop()
                                 .unwrap()
                                 .unwrap(),

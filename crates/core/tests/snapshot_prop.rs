@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    snapshot, EngineOptions, PruningMode, ShapeEngine, ShapeQuery, ShardedEngine, SharedThresholds,
-    Snapshot,
+    snapshot, EngineOptions, NoopObserver, PruningMode, ShapeEngine, ShapeQuery, ShardedEngine,
+    SharedThresholds, Snapshot,
 };
 use shapesearch_datastore::Trendline;
 use std::path::PathBuf;
@@ -86,7 +86,7 @@ fn unique_path() -> PathBuf {
 /// partition the snapshot into `shards` deterministic bounds, build one
 /// `ShapeEngine` per partition seeded with the mapped GROUP run, and
 /// assemble them into a `ShardedEngine`.
-fn engine_from_snapshot(snap: &Snapshot, shards: usize, options: EngineOptions) -> ShardedEngine {
+fn engine_from_snapshot(snap: &Snapshot, shards: usize) -> ShardedEngine {
     let engines: Vec<Arc<ShapeEngine>> = snap
         .partition_bounds(shards)
         .into_iter()
@@ -97,14 +97,14 @@ fn engine_from_snapshot(snap: &Snapshot, shards: usize, options: EngineOptions) 
             Arc::new(engine)
         })
         .collect();
-    ShardedEngine::from_shard_engines(engines).with_options(options)
+    ShardedEngine::from_shard_engines(engines)
 }
 
-fn top_k(engine: &ShardedEngine, query: &ShapeQuery, k: usize) -> String {
+fn top_k(engine: &ShardedEngine, query: &ShapeQuery, k: usize, options: &EngineOptions) -> String {
     let shared = SharedThresholds::new(1);
     render(
         &engine
-            .top_k_batch_shared(&[(query, k)], engine.options(), &shared)
+            .top_k_batch_observed(&[(query, k)], options, &shared, &NoopObserver)
             .pop()
             .unwrap()
             .unwrap(),
@@ -135,9 +135,8 @@ proptest! {
                         pruning_mode: PruningMode::Off,
                         ..EngineOptions::default()
                     };
-                    let eager = ShardedEngine::from_trendlines(tls.clone(), 1)
-                        .with_options(options);
-                    top_k(&eager, &query, k)
+                    let eager = ShardedEngine::from_trendlines(tls.clone(), 1);
+                    top_k(&eager, &query, k, &options)
                 };
                 for shards in [1usize, 2, 4] {
                     for mode in [PruningMode::Off, PruningMode::Auto] {
@@ -148,17 +147,16 @@ proptest! {
                         };
                         // Eager sharded engine at the same settings must
                         // agree (the baseline contract)…
-                        let eager = ShardedEngine::from_trendlines(tls.clone(), shards)
-                            .with_options(options.clone());
-                        let got = top_k(&eager, &query, k);
+                        let eager = ShardedEngine::from_trendlines(tls.clone(), shards);
+                        let got = top_k(&eager, &query, k, &options);
                         prop_assert_eq!(
                             &got, &reference,
                             "eager shards={} pruning={:?} bin={} diverged on {}",
                             shards, mode, bin_width, query
                         );
                         // …and so must the snapshot-backed one.
-                        let cold = engine_from_snapshot(&snap, shards, options);
-                        let got = top_k(&cold, &query, k);
+                        let cold = engine_from_snapshot(&snap, shards);
+                        let got = top_k(&cold, &query, k, &options);
                         prop_assert_eq!(
                             &got, &reference,
                             "snapshot shards={} pruning={:?} bin={} diverged on {}",

@@ -1,6 +1,11 @@
 //! Hand-rolled JSON-lines reader: one flat JSON object per line, with
 //! string / number / bool / null values. This covers the paper's "raw file in
 //! CSV or JSON" ingestion path without pulling in a JSON dependency.
+//!
+//! The byte-level scanner underneath it — [`skip_ws`], [`parse_string`],
+//! [`take_literal`], [`number_span`] — is the workspace's only JSON
+//! tokenizer: the server crate's full-JSON parser is written over the same
+//! four functions.
 
 use crate::error::{DataError, Result};
 use crate::table::{Table, TableBuilder};
@@ -22,7 +27,10 @@ pub fn read_str(input: &str) -> Result<Table> {
         if line.is_empty() {
             continue;
         }
-        rows.push(parse_object(line, i + 1)?);
+        rows.push(parse_object(line).map_err(|message| DataError::Parse {
+            line: i + 1,
+            message,
+        })?);
     }
     let mut keys: Vec<String> = Vec::new();
     for row in &rows {
@@ -53,159 +61,167 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Table> {
     read_str(&text)
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
+/// A scanner failure is a human-readable message; callers add the line
+/// number or the HTTP status.
+type Scan<T> = std::result::Result<T, String>;
+
+fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Scan<()> {
+    if bytes.get(*pos) == Some(&b) {
+        *pos += 1;
+        Ok(())
+    } else {
+        Err(format!("expected `{}` at byte {pos}", b as char))
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str, line: usize) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-            line,
-        }
+/// One record: a flat object of scalar fields filling the whole line.
+fn parse_object(line: &str) -> Scan<BTreeMap<String, Value>> {
+    let bytes = line.as_bytes();
+    let pos = &mut 0;
+    let mut map = BTreeMap::new();
+    skip_ws(bytes, pos);
+    expect(bytes, pos, b'{')?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        return Ok(map);
     }
-
-    fn err(&self, message: impl Into<String>) -> DataError {
-        DataError::Parse {
-            line: self.line,
-            message: message.into(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}` at byte {}", b as char, self.pos)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("dangling escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let c = decode_unicode_escape(self.bytes, &mut self.pos)
-                                .map_err(|m| self.err(m))?;
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape \\{}", other as char)))
-                        }
-                    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = parse_string(bytes, pos)?;
+        skip_ws(bytes, pos);
+        expect(bytes, pos, b':')?;
+        let value = parse_value(bytes, pos)?;
+        map.insert(key, value);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                skip_ws(bytes, pos);
+                if *pos != bytes.len() {
+                    return Err("trailing content after object".into());
                 }
-                _ => {
-                    // Multi-byte UTF-8: copy the full code point.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    self.pos = start + width;
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                }
+                return Ok(map);
             }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.take_literal("true")?;
-                Ok(Value::Int(1))
-            }
-            Some(b'f') => {
-                self.take_literal("false")?;
-                Ok(Value::Int(0))
-            }
-            Some(b'n') => {
-                self.take_literal("null")?;
-                Ok(Value::Null)
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(self.err(format!(
-                "unsupported JSON value starting with `{}`",
-                b as char
-            ))),
-            None => Err(self.err("unexpected end of line")),
-        }
-    }
-
-    fn take_literal(&mut self, lit: &str) -> Result<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected literal `{lit}`")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err(format!("invalid float `{text}`")))
-        } else {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| self.err(format!("invalid integer `{text}`")))
+            _ => return Err("expected `,` or `}` in object".into()),
         }
     }
 }
 
-fn read_hex4(bytes: &[u8], pos: &mut usize) -> std::result::Result<u32, String> {
+/// One scalar field value. Booleans load as the integers 1 / 0, and a
+/// number is an [`Value::Int`] unless its text has a fraction or exponent.
+fn parse_value(bytes: &[u8], pos: &mut usize) -> Scan<Value> {
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b't') => take_literal(bytes, pos, "true").map(|()| Value::Int(1)),
+        Some(b'f') => take_literal(bytes, pos, "false").map(|()| Value::Int(0)),
+        Some(b'n') => take_literal(bytes, pos, "null").map(|()| Value::Null),
+        Some(b) if *b == b'-' || b.is_ascii_digit() => {
+            let text = number_span(bytes, pos);
+            let digits = text.strip_prefix('-').unwrap_or(text);
+            if digits.bytes().all(|b| b.is_ascii_digit()) {
+                text.parse::<i64>()
+                    .map(Value::Int)
+                    .map_err(|_| format!("invalid integer `{text}`"))
+            } else {
+                text.parse::<f64>()
+                    .map(Value::Float)
+                    .map_err(|_| format!("invalid float `{text}`"))
+            }
+        }
+        Some(b) => Err(format!(
+            "unsupported JSON value starting with `{}`",
+            *b as char
+        )),
+        None => Err("unexpected end of line".into()),
+    }
+}
+
+/// Advances `*pos` past any ASCII whitespace.
+pub fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
+        *pos += 1;
+    }
+}
+
+/// Consumes the literal `lit` (`true` / `false` / `null`) at `*pos`.
+///
+/// # Errors
+/// When the bytes at `*pos` do not spell `lit`.
+pub fn take_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> std::result::Result<(), String> {
+    if bytes[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Ok(())
+    } else {
+        Err(format!("expected `{lit}` at byte {pos}"))
+    }
+}
+
+/// Consumes a number's text at `*pos` — an optional `-`, then the longest
+/// run of digits and `.eE+-` — and returns it. Whether that text *is* a
+/// number is the caller's `parse::<f64>()` / `parse::<i64>()` to decide.
+pub fn number_span<'a>(bytes: &'a [u8], pos: &mut usize) -> &'a str {
+    let start = *pos;
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
+        *pos += 1;
+    }
+    std::str::from_utf8(&bytes[start..*pos]).expect("a number span is ASCII")
+}
+
+/// Decodes the JSON string whose opening quote is at `*pos`, leaving
+/// `*pos` just past its closing quote.
+///
+/// # Errors
+/// On a missing opening quote, an unterminated string, an unknown or
+/// malformed escape (unpaired surrogates included), or invalid UTF-8.
+pub fn parse_string(bytes: &[u8], pos: &mut usize) -> std::result::Result<String, String> {
+    expect(bytes, pos, b'"')?;
+    let mut out = String::new();
+    loop {
+        let Some(&b) = bytes.get(*pos) else {
+            return Err("unterminated string".into());
+        };
+        *pos += 1;
+        match b {
+            b'"' => return Ok(out),
+            b'\\' => {
+                let Some(&esc) = bytes.get(*pos) else {
+                    return Err("dangling escape".into());
+                };
+                *pos += 1;
+                match esc {
+                    b'"' => out.push('"'),
+                    b'\\' => out.push('\\'),
+                    b'/' => out.push('/'),
+                    b'n' => out.push('\n'),
+                    b't' => out.push('\t'),
+                    b'r' => out.push('\r'),
+                    b'b' => out.push('\u{8}'),
+                    b'f' => out.push('\u{c}'),
+                    b'u' => out.push(decode_unicode_escape(bytes, pos)?),
+                    other => return Err(format!("unknown escape \\{}", other as char)),
+                }
+            }
+            _ => {
+                // Multi-byte UTF-8: copy the full code point.
+                let start = *pos - 1;
+                *pos = start + utf8_width(b);
+                if *pos > bytes.len() {
+                    return Err("truncated utf-8 sequence".into());
+                }
+                let s = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| "invalid utf-8 in string".to_owned())?;
+                out.push_str(s);
+            }
+        }
+    }
+}
+
+fn read_hex4(bytes: &[u8], pos: &mut usize) -> Scan<u32> {
     if *pos + 4 > bytes.len() {
         return Err("truncated \\u escape".into());
     }
@@ -220,8 +236,7 @@ fn read_hex4(bytes: &[u8], pos: &mut usize) -> std::result::Result<u32, String> 
 /// `u`, consuming a following `\uDC00`–`\uDFFF` escape when the first
 /// code unit is a high surrogate (non-BMP characters arrive as UTF-16
 /// surrogate pairs). Unpaired surrogates are an error, not U+FFFD.
-/// Shared with the server crate's full-JSON parser.
-pub fn decode_unicode_escape(bytes: &[u8], pos: &mut usize) -> std::result::Result<char, String> {
+fn decode_unicode_escape(bytes: &[u8], pos: &mut usize) -> Scan<char> {
     let code = read_hex4(bytes, pos)?;
     match code {
         0xD800..=0xDBFF => {
@@ -241,48 +256,13 @@ pub fn decode_unicode_escape(bytes: &[u8], pos: &mut usize) -> std::result::Resu
     }
 }
 
-/// Width in bytes of a UTF-8 sequence from its leading byte. Shared
-/// with the server crate's full-JSON parser.
-pub fn utf8_width(first: u8) -> usize {
+/// Width in bytes of a UTF-8 sequence from its leading byte.
+fn utf8_width(first: u8) -> usize {
     match first {
         0x00..=0x7f => 1,
         0xc0..=0xdf => 2,
         0xe0..=0xef => 3,
         _ => 4,
-    }
-}
-
-fn parse_object(line: &str, line_no: usize) -> Result<BTreeMap<String, Value>> {
-    let mut c = Cursor::new(line, line_no);
-    c.skip_ws();
-    c.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    c.skip_ws();
-    if c.peek() == Some(b'}') {
-        return Ok(map);
-    }
-    loop {
-        c.skip_ws();
-        let key = c.parse_string()?;
-        c.skip_ws();
-        c.expect(b':')?;
-        let value = c.parse_value()?;
-        map.insert(key, value);
-        c.skip_ws();
-        match c.peek() {
-            Some(b',') => {
-                c.pos += 1;
-            }
-            Some(b'}') => {
-                c.pos += 1;
-                c.skip_ws();
-                if c.peek().is_some() {
-                    return Err(c.err("trailing content after object"));
-                }
-                return Ok(map);
-            }
-            _ => return Err(c.err("expected `,` or `}` in object")),
-        }
     }
 }
 

@@ -375,10 +375,11 @@ pub struct DatasetEntry {
     pub name: String,
     /// The visual parameters EXTRACT ran with.
     pub visual: VisualSpec,
-    /// The ready-to-query sharded engine over the extracted trendlines.
-    /// Handlers fan per-shard tasks (`engine.shards()`) across the
-    /// server's compute pool and merge with
-    /// [`shapesearch_core::merge_topk`].
+    /// The collection's partition map over the extracted trendlines:
+    /// `exec::execute_on_shards` runs one task per shard
+    /// (`engine.shards()`) on the server's compute pool and merges with
+    /// [`shapesearch_core::merge_topk_refs`]. It holds no options — every
+    /// query brings its own.
     pub engine: ShardedEngine,
     /// The engine's effective shard count (requested count capped by the
     /// collection size).

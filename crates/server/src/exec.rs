@@ -439,14 +439,12 @@ pub(crate) fn hint_undischarged(
 /// what makes a stale or poisoned hint unable to silently drop a true
 /// top-k result.
 ///
-/// This is the pool-task twin of the in-process fan-out in
-/// [`shapesearch_core::ShardedEngine::top_k_batch`] (which uses scoped
-/// threads over borrowed queries, where the server needs `'static`
-/// tasks over `Arc`s); the two must keep the same single-shard and
-/// inner-options policy. The distributed invariant rides on the shared
-/// merge: partials are partials, whether they came off this process's
-/// pool or over the wire, so results stay byte-identical to a
-/// single-process run for every placement.
+/// This is the workspace's only shard-level fan-out (core's
+/// `ShardedEngine` is a partition map and schedules nothing). The
+/// distributed invariant rides on the shared merge: partials are
+/// partials, whether they came off this process's pool or over the
+/// wire, so results stay byte-identical to a single-process run for
+/// every placement.
 pub(crate) fn execute_on_shards(
     state: &Arc<AppState>,
     entry: &Arc<DatasetEntry>,

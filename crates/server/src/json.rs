@@ -2,9 +2,13 @@
 //!
 //! The datastore crate has a JSON-*lines* reader for flat records; the
 //! server needs full nested JSON (arrays, objects, booleans) for request
-//! and response bodies, still without external dependencies. Objects
-//! preserve insertion order so responses serialize deterministically.
+//! and response bodies, still without external dependencies. Both are
+//! written over the datastore crate's one byte-level scanner (strings,
+//! literals, number spans); nesting, `MAX_DEPTH` and the [`Json`] tree
+//! live here. Objects preserve insertion order so responses serialize
+//! deterministically.
 
+use shapesearch_datastore::json::{number_span, parse_string, skip_ws, take_literal};
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -199,12 +203,6 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
 /// Nesting cap: recursion is one stack frame per level, and a worker
 /// thread must survive any body MAX_BODY admits (a stack overflow
 /// aborts the whole process — `catch_unwind` cannot contain it).
@@ -222,85 +220,15 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b't') => take_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => take_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
         Some(b'n') => take_literal(bytes, pos, "null").map(|()| Json::Null),
-        Some(b) if *b == b'-' || b.is_ascii_digit() => parse_number(bytes, pos),
+        Some(b) if *b == b'-' || b.is_ascii_digit() => {
+            let start = *pos;
+            number_span(bytes, pos)
+                .parse::<f64>()
+                .map(Json::Num)
+                .map_err(|_| format!("invalid number at byte {start}"))
+        }
         Some(b) => Err(format!("unexpected `{}` at byte {pos}", *b as char)),
         None => Err("unexpected end of input".into()),
-    }
-}
-
-fn take_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while let Some(b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-' => *pos += 1,
-            _ => break,
-        }
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|t| t.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".into());
-        };
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("dangling escape".into());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        // Shared surrogate-pair-aware decoder (also used
-                        // by the datastore's JSON-lines reader).
-                        let c = shapesearch_datastore::json::decode_unicode_escape(bytes, pos)?;
-                        out.push(c);
-                    }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
-                }
-            }
-            _ => {
-                let start = *pos - 1;
-                let width = shapesearch_datastore::json::utf8_width(b);
-                *pos = start + width;
-                if *pos > bytes.len() {
-                    return Err("truncated utf-8 sequence".into());
-                }
-                let s = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| "invalid utf-8 in string".to_owned())?;
-                out.push_str(s);
-            }
-        }
     }
 }
 

@@ -49,7 +49,7 @@
 //!   engine overrides). A batch is deduplicated through the singleflight
 //!   cache and its misses are executed over **one pass** of each
 //!   dataset's trendline collection
-//!   ([`shapesearch_core::ShapeEngine::top_k_batch`]); batches above the
+//!   ([`shapesearch_core::ShapeEngine::top_k_batch_observed`]); batches above the
 //!   configured `max_batch` get a structured `batch_too_large` 400.
 //! * Results are cached under the **normalized query AST**, so textual
 //!   variants of one query share an entry, and concurrent identical

@@ -17,8 +17,8 @@ use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
 use shapesearch_core::chain::expand_chains;
 use shapesearch_core::engine::pushdown::{covers_ranges, eager_discard};
 use shapesearch_core::{
-    EngineOptions, Evaluator, MatchResult, Pattern, Segmenter, SegmenterKind, ShapeQuery,
-    ShapeSegment, ShardedEngine, TopKResult, UdpRegistry, VizData,
+    EngineOptions, Evaluator, MatchResult, NoopObserver, Pattern, Segmenter, SegmenterKind,
+    ShapeQuery, ShapeSegment, ShardedEngine, SharedThresholds, TopKResult, UdpRegistry, VizData,
 };
 use shapesearch_datastore::Trendline;
 
@@ -149,7 +149,12 @@ proptest! {
                 for shards in [1, 3] {
                     let engine = ShardedEngine::from_trendlines(tls.clone(), shards);
                     let items: Vec<(&ShapeQuery, usize)> = queries.iter().map(|q| (q, k)).collect();
-                    let batch = engine.top_k_batch(&items, &opts);
+                    let batch = engine.top_k_batch_observed(
+                        &items,
+                        &opts,
+                        &SharedThresholds::new(items.len()),
+                        &NoopObserver,
+                    );
                     for (q, got) in queries.iter().zip(batch) {
                         let want = oracle(&tls, q, k, &opts);
                         prop_assert_eq!(

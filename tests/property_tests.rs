@@ -223,8 +223,7 @@ proptest! {
             let want = want.expect("strategy queries carry no UDPs");
             for shards in [1usize, 2, 7] {
                 let got = ShardedEngine::from_trendlines(tls.clone(), shards)
-                    .with_options(on.clone())
-                    .top_k(&q, k)
+                    .top_k_with_options(&q, k, &on)
                     .expect("strategy queries carry no UDPs");
                 // Byte-identical: scores, tie order, and fitted ranges.
                 prop_assert_eq!(

@@ -41,6 +41,18 @@ fn register_market(client: &Client) {
 /// Registers the market dataset, optionally pinning an engine shard
 /// count (None = the server's default).
 fn register_market_sharded(client: &Client, shards: Option<usize>) {
+    let extras = shards.map(|n| ("shards".to_owned(), n.into()));
+    let reply = register_market_with(client, extras.into_iter().collect());
+    assert_eq!(reply.get("trendlines").unwrap().as_usize(), Some(48));
+    if let Some(shards) = shards {
+        assert_eq!(reply.get("shards").unwrap().as_usize(), Some(shards));
+    }
+}
+
+/// Registers the market dataset with `extras` spliced into the
+/// registration object (`"shards"`, `"shard_of"`, `"shard_endpoints"`);
+/// returns the 201 summary.
+fn register_market_with(client: &Client, extras: Vec<(String, json::Json)>) -> json::Json {
     let table = market_table();
     let mut fields = vec![
         ("name".into(), "market".into()),
@@ -50,18 +62,11 @@ fn register_market_sharded(client: &Client, shards: Option<usize>) {
         ("x".into(), "day".into()),
         ("y".into(), "price".into()),
     ];
-    if let Some(shards) = shards {
-        fields.push(("shards".into(), shards.into()));
-    }
-    let body = json::Json::Obj(fields);
-    let reply = client
-        .post("/datasets", &body)
+    fields.extend(extras);
+    client
+        .post("/datasets", &json::Json::Obj(fields))
         .unwrap()
-        .expect_ok("register");
-    assert_eq!(reply.get("trendlines").unwrap().as_usize(), Some(48));
-    if let Some(shards) = shards {
-        assert_eq!(reply.get("shards").unwrap().as_usize(), Some(shards));
-    }
+        .expect_ok("register")
 }
 
 /// Decodes a `/query` response's `results` array into `TopKResult`s.
@@ -561,4 +566,78 @@ fn errors_surface_with_proper_statuses() {
     assert!(bad.body.get("error").is_some());
 
     service.shutdown();
+}
+
+/// `k` is taken from the request as it arrives, so a hostile one must
+/// cost nothing: `"k":1e15` — and `1e300`, which saturates to
+/// `usize::MAX` — answers 200 with every admissible candidate (the
+/// `k` = collection size answer) as a single query, inside a batch, and
+/// through a router's `/shard/query` hop, and every server keeps serving
+/// afterwards. (Sized from `k`, the top-k heap's allocation failure
+/// aborted the whole process.)
+#[test]
+fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
+    let boot = || {
+        let config = ServerConfig {
+            workers: 2,
+            shards: 2,
+            ..ServerConfig::default()
+        };
+        shapesearch::server::serve("127.0.0.1:0", config).unwrap()
+    };
+    let (local, shard, router) = (boot(), boot(), boot());
+    let local_client = Client::new(local.addr());
+    register_market(&local_client);
+    register_market_with(
+        &Client::new(shard.addr()),
+        vec![("shard_of".into(), "1/2".into())],
+    );
+    let router_client = Client::new(router.addr());
+    let placement = json::Json::Arr(vec![json::Json::Null, shard.addr().to_string().into()]);
+    register_market_with(&router_client, vec![("shard_endpoints".into(), placement)]);
+
+    let item = |k: f64| {
+        json::obj([
+            ("dataset", "market".into()),
+            ("query", "[p=up][p=down]".into()),
+            ("k", k.into()),
+        ])
+    };
+    let want = decode_results(
+        &local_client
+            .post("/query", &item(48.0))
+            .unwrap()
+            .expect_ok("k = collection size"),
+    );
+    assert!(want.len() > 40, "most of the market admits up-down");
+
+    for k in [1e15, 1e300] {
+        for (client, shape) in [(&local_client, "single"), (&router_client, "router")] {
+            let reply = client
+                .post("/query", &item(k))
+                .unwrap()
+                .expect_ok(&format!("{shape} k={k:e}"));
+            assert_eq!(decode_results(&reply), want, "{shape} k={k:e}");
+        }
+        let batch = json::Json::Arr(vec![item(k), item(3.0)]);
+        let reply = local_client
+            .post("/query", &batch)
+            .unwrap()
+            .expect_ok(&format!("batch k={k:e}"));
+        let responses = reply.get("responses").unwrap().as_array().unwrap();
+        assert_eq!(decode_results(&responses[0]), want, "batch k={k:e}");
+        assert_eq!(decode_results(&responses[1]), want[..3]);
+    }
+    // The router really crossed the wire with it.
+    let health = router_client.get("/healthz").unwrap().expect_ok("healthz");
+    let remote = health.get("remote_shards").unwrap();
+    assert!(remote.get("requests").unwrap().as_usize().unwrap() >= 2);
+    assert_eq!(remote.get("errors").unwrap().as_usize(), Some(0));
+    for service in [local, shard, router] {
+        Client::new(service.addr())
+            .get("/healthz")
+            .unwrap()
+            .expect_ok("healthz after a huge k");
+        service.shutdown();
+    }
 }
