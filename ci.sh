@@ -5,6 +5,10 @@
 # conventional.
 set -eu
 
+# The gate reads the tree, it never writes it: whatever `git status`
+# says now it must say again at the end (build products are ignored).
+TREE_BEFORE=$(git status --porcelain)
+
 # ---------------------------------------------------------------------
 # Process / tempfile hygiene: every server the smoke steps boot records
 # its PID in CI_PIDS and every scratch file lands in CI_TMP, and ONE
@@ -110,57 +114,6 @@ cargo clippy --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
-
-# The connection-scaling steps below park an idle keep-alive crowd
-# against an in-process server: ~2 fds per parked connection, all in one
-# process. Raise the soft fd ceiling where allowed and size the crowd to
-# whatever budget we actually got (1,000 when it fits).
-ulimit -n 4096 2>/dev/null || true
-FDS=$(ulimit -n)
-case "$FDS" in
-    unlimited) IDLE_CONNS=1000 ;;
-    *)
-        if [ "$FDS" -ge 2400 ]; then
-            IDLE_CONNS=1000
-        else
-            IDLE_CONNS=$(( (FDS - 300) / 2 ))
-        fi
-        ;;
-esac
-export SHAPESEARCH_BENCH_IDLE_CONNS="$IDLE_CONNS"
-
-echo "==> engine perf report (pruning on/off x shards, writes BENCH_engine.json)"
-# Runs the fixed seeded workload matrix and rewrites BENCH_engine.json.
-# What gates here is deterministic: the run aborts when pruned results
-# differ from unpruned, the columnar kernel's bits from the scalar
-# reference's, or a snapshot boot's answer from the eager boot's. The
-# times it records pass no verdict: in-process wall-clock ratios on a
-# shared runner are noise-limited, so timing verdicts are the benchmark
-# driver's (BENCHMARK.json).
-./target/release/perf_report
-test -s BENCH_engine.json || { echo "perf_report wrote no BENCH_engine.json"; exit 1; }
-grep -q '"kernel":' BENCH_engine.json || {
-    echo "perf_report wrote no kernel block"; exit 1;
-}
-grep -q '"connections":' BENCH_engine.json || {
-    echo "perf_report wrote no connections block"; exit 1;
-}
-
-echo "==> kernel microbench smoke (columnar vs scalar, equivalence gated)"
-# The #[ignore]d throughput check in core::columnar: its bitwise
-# columnar-vs-scalar equivalence assertions are the gate; the printed
-# M windows/s figure is informational only (BENCH_engine.json's kernel
-# block carries the recorded ratio).
-cargo test -q -p shapesearch-core --release kernel_throughput -- --ignored --nocapture
-
-echo "==> idle keep-alive connection smoke ($IDLE_CONNS parked connections, 2 event threads)"
-# The evented core's scaling claim, enforced end to end: a server with
-# --event-threads 2 holds the whole idle crowd, answers the standard
-# batch query through one of the HELD keep-alive connections
-# byte-identically to a fresh connection (after normalizing the
-# timing-dependent "micros" and "cached" fields), and reclaims every
-# connection slot once the crowd hangs up.
-./target/release/conn_smoke "$IDLE_CONNS"
 
 echo "==> sharded serve smoke (--shards 4, HTTP batch query)"
 # Guards the whole fan-out path end to end: CLI flag -> catalog default
@@ -487,11 +440,12 @@ echo "smoke: chaos OK (failover byte-identical, partial degrades, never cached)"
 echo "==> snapshot smoke (cold boot from columnar snapshot, byte diff vs CSV)"
 # The on-disk snapshot tier end to end: build a snapshot from the CSV
 # with the CLI, boot one server from the snapshot (lazy mmap shards
-# behind a 1-slot resident LRU) and one from the CSV (eager EXTRACT),
-# and their batch replies must be BYTE-IDENTICAL after stripping the
-# envelope's wall-clock micros. Then a deliberately corrupted copy of
-# the snapshot must be refused at registration with the structured
-# snapshot_invalid error — never a panic, never garbage results.
+# behind a resident LRU whose 1-byte budget keeps exactly one) and one
+# from the CSV (eager EXTRACT), and their batch replies must be
+# BYTE-IDENTICAL after stripping the envelope's wall-clock micros. Then
+# a deliberately corrupted copy of the snapshot must be refused at
+# registration with the structured snapshot_invalid error — never a
+# panic, never garbage results.
 SNAP_DIR=$(mktemp -d "/tmp/ci_snap_$$_XXXXXX")
 CI_TMP="$CI_TMP $SNAP_DIR"
 ./target/release/shapesearch snapshot \
@@ -499,7 +453,7 @@ CI_TMP="$CI_TMP $SNAP_DIR"
     --out "$SNAP_DIR/sales.snap"
 test -s "$SNAP_DIR/sales.snap" || { echo "snapshot smoke: no snapshot written"; exit 1; }
 
-set -- $(start_serve --workers 4 --shards 2 --resident-shards 1 \
+set -- $(start_serve --workers 4 --shards 2 --resident-bytes 1 \
     --data-root "$SNAP_DIR" --snapshot "$SNAP_DIR/sales.snap" --name sales)
 SNAP_PID=$1 SNAP_PORT=$2
 CI_PIDS="$CI_PIDS $SNAP_PID"
@@ -538,14 +492,14 @@ grep -q '"key":' "$SNAP_REPLY" || {
     echo "snapshot smoke: reply carried no results"; cat "$SNAP_REPLY"; exit 1;
 }
 # The lazy path really ran: both shards were loaded on first touch and
-# the 1-slot cap forced at least one eviction.
+# the 1-byte budget forced at least one eviction.
 SNAP_HEALTH=$(curl -sf "http://127.0.0.1:$SNAP_PORT/healthz")
-echo "$SNAP_HEALTH" | grep -Eq '"snapshots":\{"resident":[0-9]+,"capacity":1,[^}]*"loads":[1-9]' || {
+echo "$SNAP_HEALTH" | grep -Eq '"snapshots":\{"resident":1,[^}]*"capacity_bytes":1,[^}]*"loads":[1-9]' || {
     echo "snapshot smoke: healthz shows no lazy shard loads"
     echo "$SNAP_HEALTH"; exit 1;
 }
 echo "$SNAP_HEALTH" | grep -Eq '"evictions":[1-9]' || {
-    echo "snapshot smoke: 2 shards over a 1-slot cap evicted nothing"
+    echo "snapshot smoke: 2 shards over a 1-byte budget evicted nothing"
     echo "$SNAP_HEALTH"; exit 1;
 }
 
@@ -567,5 +521,13 @@ grep -q '"code":"snapshot_invalid"' "$TORN_REPLY" || {
     cat "$TORN_REPLY"; exit 1;
 }
 echo "smoke: snapshot OK (cold load == eager CSV byte for byte, torn file refused)"
+
+TREE_AFTER=$(git status --porcelain)
+[ "$TREE_BEFORE" = "$TREE_AFTER" ] || {
+    echo "ci: the run changed the working tree:"
+    echo "--- before:"; echo "$TREE_BEFORE"
+    echo "--- after:"; echo "$TREE_AFTER"
+    exit 1
+}
 
 echo "ci: all green"

@@ -1,10 +1,10 @@
 //! # shapesearch-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
+//! The harness that regenerates every table and figure of the
 //! ShapeSearch evaluation (paper §9 and §7.3). The experiment logic lives
-//! here so both the `figures` binary and the Criterion benches share it.
+//! here; the `figures` binary prints it.
 //!
-//! Experiment index (see `DESIGN.md` §3):
+//! Experiment index (paper §9):
 //!
 //! * [`fig10_runtimes`] — Figure 10: average runtime of DP / DTW / Greedy /
 //!   SegmentTree / SegmentTree+Pruning over the five datasets.
@@ -412,7 +412,8 @@ pub struct AblationRow {
     pub without_bridges_gap: f64,
 }
 
-/// Ablation of the SegmentTree *bridge* rule (DESIGN.md §4, decision 3):
+/// Ablation of the SegmentTree *bridge* rule (paper §6.2; the kernel is
+/// described in `docs/ARCHITECTURE.md`, "SegmentTree kernel"):
 /// bridges let a unit span a node midpoint; without them break points are
 /// restricted to dyadic positions. Reports the mean score gap to the DP
 /// optimum over the dataset's first fuzzy query, per visualization.

@@ -15,7 +15,7 @@
 //! generators preserve the drivers the §9 experiments measure (collection
 //! size, trendline length, and a mixture of matching/non-matching shapes —
 //! each fuzzy query was chosen so at least 20 visualizations have
-//! score > 0, which the mixtures guarantee; see `DESIGN.md`).
+//! score > 0, which the mixtures guarantee; paper §9).
 
 use crate::generators::{self, gauss, ChartPattern};
 use rand::rngs::StdRng;

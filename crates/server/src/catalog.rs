@@ -335,7 +335,7 @@ pub struct DatasetSpec {
 /// mapped snapshot, the deterministic partition bounds of every shard
 /// slot, and a handle on the catalog-wide resident-shard LRU the slots
 /// materialize through. Local shards load on first touch
-/// ([`DatasetEntry::local_shard`]) and evict under `--resident-shards`
+/// ([`DatasetEntry::local_shard`]) and evict under `--resident-bytes`
 /// pressure; remote slots are never materialized in this process.
 pub struct SnapshotShards {
     /// The open, validated snapshot (kept mapped for the entry's life).
@@ -480,7 +480,7 @@ pub struct Catalog {
     /// registration asks for `"shard_endpoints": "registry"`.
     registry: Registry,
     /// The resident-shard LRU snapshot-backed datasets load through;
-    /// shared so one `--resident-shards` budget caps the whole process.
+    /// shared so one `--resident-bytes` budget caps the whole process.
     resident: Arc<ResidentShards>,
 }
 
@@ -518,12 +518,6 @@ impl Catalog {
     /// The resident-shard LRU snapshot-backed datasets load through.
     pub fn resident(&self) -> &Arc<ResidentShards> {
         &self.resident
-    }
-
-    /// Caps how many snapshot shards may be resident at once (0 =
-    /// unlimited); the server's `--resident-shards` flag.
-    pub fn set_resident_capacity(&self, capacity: usize) {
-        self.resident.set_capacity(capacity);
     }
 
     /// Caps the byte budget of resident snapshot shards (0 = unlimited);

@@ -1,14 +1,19 @@
 //! Blocking HTTP/JSON clients for the server.
 //!
 //! [`Client`] is the simple one-connection-per-call client used by the
-//! integration tests and handy for scripting. [`PooledClient`] is the
-//! router-side RPC client for multi-machine sharding: it keeps a small
-//! pool of keep-alive connections per shard endpoint (remote shard
-//! fan-out happens on every cache miss, so a TCP handshake per RPC
-//! would dominate small queries), frames responses by `Content-Length`
-//! instead of connection close, and retries connect failures (a
-//! configurable number of times, [`ClientConfig::retries`]) before
-//! reporting an endpoint unreachable.
+//! integration tests, the shard servers' heartbeats, and handy for
+//! scripting. [`PooledClient`] is the router-side RPC client for
+//! multi-machine sharding: it keeps a small pool of keep-alive
+//! connections per shard endpoint (remote shard fan-out happens on every
+//! cache miss, so a TCP handshake per RPC would dominate small queries)
+//! and retries connect failures (a configurable number of times,
+//! [`ClientConfig::retries`]) before reporting an endpoint unreachable.
+//!
+//! Both speak through one bounded exchange (`exchange`): connect and
+//! I/O timeouts on every socket, capped line, header-count and body
+//! sizes, and `Content-Length` framing (the server always sends it) — a
+//! peer that accepts and never answers, or dies mid-reply, is an `Err`
+//! after a bounded wait, never a hang and never a parsed fragment.
 //!
 //! For replicated shards, [`PooledClient::post_replicas`] generalizes
 //! that single-endpoint retry into **try-next-replica failover** with
@@ -58,14 +63,31 @@ impl ClientResponse {
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: String,
+    connect_timeout: Duration,
+    io_timeout: Duration,
 }
 
 impl Client {
     /// A client for the server at `addr` (anything printable as
-    /// `host:port`).
+    /// `host:port`) with the default [`ClientConfig`] timeouts.
     pub fn new(addr: impl ToString) -> Self {
+        let defaults = ClientConfig::default();
+        Self::with_timeouts(addr, defaults.connect_timeout, defaults.io_timeout)
+    }
+
+    /// A client whose connects give up after `connect_timeout` and whose
+    /// socket reads and writes after `io_timeout` each — for callers
+    /// that must not wait on a dead peer for as long as a slow query may
+    /// take (heartbeats).
+    pub fn with_timeouts(
+        addr: impl ToString,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> Self {
         Self {
             addr: addr.to_string(),
+            connect_timeout,
+            io_timeout,
         }
     }
 
@@ -103,16 +125,17 @@ impl Client {
     /// non-JSON endpoints like the Prometheus `/metrics` exposition.
     ///
     /// # Errors
-    /// Propagates socket failures.
+    /// I/O failures and malformed responses.
     pub fn get_text(&self, path: &str) -> io::Result<(u16, String)> {
         self.send_raw("GET", path, None)
     }
 
     fn send(&self, method: &str, path: &str, body: Option<String>) -> io::Result<ClientResponse> {
-        let (status, body_text) = self.send_raw(method, path, body)?;
-        let body = json::parse(&body_text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad body: {e}")))?;
-        Ok(ClientResponse { status, body })
+        let (status, text) = self.send_raw(method, path, body)?;
+        Ok(ClientResponse {
+            status,
+            body: parse_body(&text)?,
+        })
     }
 
     fn send_raw(
@@ -121,45 +144,11 @@ impl Client {
         path: &str,
         body: Option<String>,
     ) -> io::Result<(u16, String)> {
-        let addr = self
-            .addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unresolvable address"))?;
-        let mut stream = TcpStream::connect(addr)?;
-        // The request goes out as one buffer; without Nagle it leaves now.
-        let _ = stream.set_nodelay(true);
+        let stream = dial(&self.addr, self.connect_timeout, self.io_timeout)?;
         let body = body.unwrap_or_default();
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-            self.addr,
-            body.len(),
-        );
-        stream.write_all(request.as_bytes())?;
-
-        let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line {status_line:?}"),
-                )
-            })?;
-        // Skip headers; Connection: close means body runs to EOF.
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 || line.trim_end().is_empty() {
-                break;
-            }
-        }
-        let mut body_text = String::new();
-        reader.read_to_string(&mut body_text)?;
-        Ok((status, body_text))
+        let (status, text, _) =
+            exchange(stream, method, &self.addr, path, &body, true, &mut false)?;
+        Ok((status, text))
     }
 }
 
@@ -244,6 +233,141 @@ fn read_bounded_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io
         ));
     }
     Ok(n)
+}
+
+fn parse_body(text: &str) -> io::Result<Json> {
+    json::parse(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad body: {e}")))
+}
+
+/// Opens a connection to `endpoint` (`host:port`) with the connect and
+/// per-call I/O timeouts applied.
+fn dial(endpoint: &str, connect_timeout: Duration, io_timeout: Duration) -> io::Result<TcpStream> {
+    let addr = endpoint.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("unresolvable endpoint {endpoint}"),
+        )
+    })?;
+    let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    // The request goes out as one buffer; without Nagle it leaves now.
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// One HTTP/1.1 request/response exchange on an open connection: the
+/// status, the body text, and the connection itself when it may carry
+/// another request (`close` was not asked for and the peer did not
+/// answer `connection: close`). The response is framed by
+/// `Content-Length` — mandatory, the server always sends it and without
+/// it a kept-alive connection cannot be reused — under the
+/// `MAX_RESPONSE_*` caps. `saw_response_byte` is raised the moment any
+/// response data arrives — the pooled caller's retry policy hinges on it
+/// (a reply in progress must never be re-requested).
+fn exchange(
+    stream: TcpStream,
+    method: &str,
+    host: &str,
+    path: &str,
+    body: &str,
+    close: bool,
+    saw_response_byte: &mut bool,
+) -> io::Result<(u16, String, Option<TcpStream>)> {
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nhost: {host}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{}\r\n{body}",
+        body.len(),
+        if close { "connection: close\r\n" } else { "" },
+    );
+    let mut reader = BufReader::new(stream);
+    reader.get_mut().write_all(request.as_bytes())?;
+
+    let mut status_line = String::new();
+    if read_bounded_line(&mut reader, &mut status_line)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before the status line",
+        ));
+    }
+    *saw_response_byte = true;
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad status line {status_line:?}"),
+            )
+        })?;
+
+    let mut content_length: Option<usize> = None;
+    let mut keep_alive = !close;
+    let mut header_count = 0usize;
+    loop {
+        let mut line = String::new();
+        if read_bounded_line(&mut reader, &mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "eof in headers",
+            ));
+        }
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        header_count += 1;
+        if header_count > MAX_RESPONSE_HEADERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "too many response headers",
+            ));
+        }
+        if let Some((k, v)) = line.split_once(':') {
+            let (k, v) = (k.trim(), v.trim());
+            if k.eq_ignore_ascii_case("content-length") {
+                content_length = Some(v.parse().map_err(|_| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("invalid content-length `{v}`"),
+                    )
+                })?);
+            } else if k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close") {
+                keep_alive = false;
+            }
+        }
+    }
+    let content_length = content_length.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "response without content-length cannot be framed",
+        )
+    })?;
+    if content_length > MAX_RESPONSE_BODY {
+        // The length is remote-supplied; a rogue value must become a
+        // structured error, not an allocation of its choosing.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response body of {content_length} bytes exceeds the client cap"),
+        ));
+    }
+    // Grow as bytes arrive rather than trusting the header for the
+    // initial allocation.
+    let mut body_bytes = Vec::with_capacity(content_length.min(64 * 1024));
+    let mut chunk = [0u8; 64 * 1024];
+    while body_bytes.len() < content_length {
+        let want = (content_length - body_bytes.len()).min(chunk.len());
+        match reader.read(&mut chunk[..want])? {
+            0 => {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof in body"));
+            }
+            n => body_bytes.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let text = String::from_utf8(body_bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not utf-8"))?;
+    Ok((status, text, keep_alive.then(|| reader.into_inner())))
 }
 
 /// Per-endpoint circuit-breaker state, keyed by `host:port` in the
@@ -526,17 +650,11 @@ impl PooledClient {
             .entry(endpoint.to_owned())
             .or_default()
             .connect_attempts += 1;
-        let addr = endpoint.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("unresolvable endpoint {endpoint}"),
-            )
-        })?;
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
-        let _ = stream.set_nodelay(true);
-        Ok(stream)
+        dial(
+            endpoint,
+            self.config.connect_timeout,
+            self.config.io_timeout,
+        )
     }
 
     /// Pops pooled connections until one passes the staleness check.
@@ -576,12 +694,8 @@ impl PooledClient {
         }
     }
 
-    /// One keep-alive request/response exchange. The response is framed
-    /// by `Content-Length` (mandatory here — without it the connection
-    /// cannot be reused), and the connection returns to the pool unless
-    /// either side asked to close. `saw_response_byte` is raised the
-    /// moment any response data arrives — the caller's retry policy
-    /// hinges on it (a reply in progress must never be re-requested).
+    /// One keep-alive [`exchange`]; the connection returns to the pool
+    /// unless either side asked to close (or the body is not JSON).
     fn roundtrip(
         &self,
         stream: TcpStream,
@@ -590,102 +704,18 @@ impl PooledClient {
         body: &str,
         saw_response_byte: &mut bool,
     ) -> io::Result<ClientResponse> {
-        let request = format!(
-            "POST {path} HTTP/1.1\r\nhost: {endpoint}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        let mut reader = BufReader::new(stream);
-        reader.get_mut().write_all(request.as_bytes())?;
-
-        let mut status_line = String::new();
-        if read_bounded_line(&mut reader, &mut status_line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before the status line",
-            ));
-        }
-        *saw_response_byte = true;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line {status_line:?}"),
-                )
-            })?;
-
-        let mut content_length: Option<usize> = None;
-        let mut keep_alive = true;
-        let mut header_count = 0usize;
-        loop {
-            let mut line = String::new();
-            if read_bounded_line(&mut reader, &mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof in headers",
-                ));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            header_count += 1;
-            if header_count > MAX_RESPONSE_HEADERS {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "too many response headers",
-                ));
-            }
-            if let Some((k, v)) = line.split_once(':') {
-                let (k, v) = (k.trim(), v.trim());
-                if k.eq_ignore_ascii_case("content-length") {
-                    content_length = Some(v.parse().map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("invalid content-length `{v}`"),
-                        )
-                    })?);
-                } else if k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                }
-            }
-        }
-        let content_length = content_length.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "response without content-length cannot be framed on a pooled connection",
-            )
-        })?;
-        if content_length > MAX_RESPONSE_BODY {
-            // The length is remote-supplied; a rogue value must become a
-            // structured error, not an allocation of its choosing.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("response body of {content_length} bytes exceeds the client cap"),
-            ));
-        }
-        // Grow as bytes arrive rather than trusting the header for the
-        // initial allocation.
-        let mut body_bytes = Vec::with_capacity(content_length.min(64 * 1024));
-        let mut chunk = [0u8; 64 * 1024];
-        while body_bytes.len() < content_length {
-            let want = (content_length - body_bytes.len()).min(chunk.len());
-            match reader.read(&mut chunk[..want])? {
-                0 => {
-                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof in body"));
-                }
-                n => body_bytes.extend_from_slice(&chunk[..n]),
-            }
-        }
-        let body_text = String::from_utf8(body_bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not utf-8"))?;
-        let body = json::parse(&body_text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad body: {e}")))?;
-
-        if keep_alive {
-            self.checkin(endpoint, reader.into_inner());
+        let (status, text, stream) = exchange(
+            stream,
+            "POST",
+            endpoint,
+            path,
+            body,
+            false,
+            saw_response_byte,
+        )?;
+        let body = parse_body(&text)?;
+        if let Some(stream) = stream {
+            self.checkin(endpoint, stream);
         }
         Ok(ClientResponse { status, body })
     }
@@ -696,9 +726,8 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// Consumes one HTTP request (headers + content-length body) and
-    /// writes one keep-alive JSON reply carrying `n`.
-    fn serve_one(stream: &mut TcpStream, n: usize) {
+    /// Consumes one HTTP request (headers + content-length body).
+    fn read_request(stream: &TcpStream) {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut content_length = 0usize;
         loop {
@@ -716,12 +745,59 @@ mod tests {
         }
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body).unwrap();
+    }
+
+    /// Consumes one request and writes one keep-alive JSON reply
+    /// carrying `n`.
+    fn serve_one(stream: &mut TcpStream, n: usize) {
+        read_request(stream);
         let reply_body = format!("{{\"n\":{n}}}");
         let reply = format!(
             "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{reply_body}",
             reply_body.len(),
         );
         stream.write_all(reply.as_bytes()).unwrap();
+    }
+
+    #[test]
+    fn client_errors_on_a_silent_peer_and_on_a_reply_cut_short() {
+        use crate::chaos::{ChaosMode, ChaosProxy};
+        const HEAD: &str = "HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\n";
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // Only the truncated request reaches the upstream.
+            let (mut s, _) = listener.accept().unwrap();
+            read_request(&s);
+            s.write_all(format!("{HEAD}1234567890").as_bytes()).unwrap();
+        });
+        let proxy = ChaosProxy::start(&upstream).unwrap();
+        let client = Client::with_timeouts(
+            proxy.endpoint(),
+            Duration::from_secs(2),
+            Duration::from_millis(300),
+        );
+        let ask = || client.post("/registry/heartbeat", &Json::Obj(Vec::new()));
+
+        // Accepts, swallows the request, never answers: the I/O timeout
+        // is the only way out, and it is an error.
+        proxy.set_mode(ChaosMode::BlackHole);
+        let err = ask().expect_err("a silent peer must time out, not hang");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
+
+        // Half the body arrives, then the peer dies. `12345` is valid
+        // JSON — a reader that trusts EOF over the declared length would
+        // hand it back as the answer.
+        proxy.set_mode(ChaosMode::Truncate(HEAD.len() + 5));
+        let err = ask().expect_err("a fragment must never parse into an answer");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        server.join().unwrap();
     }
 
     #[test]
@@ -770,24 +846,8 @@ mod tests {
         let endpoint = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            // Consume the request headers + body, then claim a body far
-            // beyond the client's cap.
-            let mut reader = BufReader::new(s.try_clone().unwrap());
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                if line.trim_end().is_empty() {
-                    break;
-                }
-                if let Some((k, v)) = line.trim_end().split_once(':') {
-                    if k.trim().eq_ignore_ascii_case("content-length") {
-                        content_length = v.trim().parse().unwrap();
-                    }
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
+            // Claim a body far beyond the client's cap.
+            read_request(&s);
             s.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999\r\n\r\n")
                 .unwrap();
         });

@@ -2008,7 +2008,8 @@ mod tests {
         let dir = temp_dir("snap-lru");
         let snap = demo_snapshot(&dir, "lru.snap");
         let state = Arc::new(AppState::new(16, 2, Some(dir.clone()), 2));
-        state.catalog.set_resident_capacity(1);
+        // A budget below any shard's size: exactly one stays resident.
+        state.catalog.set_resident_capacity_bytes(1);
         let body = format!(
             r#"{{"name":"s","id":"s1","snapshot":"{}","shards":2}}"#,
             snap.display()
@@ -2021,8 +2022,8 @@ mod tests {
         let cold = route(&state, &post("/query", q));
         assert_eq!(cold.status, 200, "{}", cold.body);
 
-        // Two shards, one resident slot: the fan-out loaded both and
-        // the cap evicted down to one.
+        // Two shards, room for one: the fan-out loaded both and the
+        // budget evicted down to one.
         let stats = state.catalog.resident().stats();
         assert_eq!(stats.loads, 2, "{stats:?}");
         assert_eq!(stats.resident, 1, "{stats:?}");
@@ -2044,7 +2045,11 @@ mod tests {
         // The healthz snapshot block reports the same counters.
         let health = route(&state, &get("/healthz"));
         assert!(health.body.contains("\"snapshots\":{"), "{}", health.body);
-        assert!(health.body.contains("\"capacity\":1"), "{}", health.body);
+        assert!(
+            health.body.contains("\"capacity_bytes\":1,"),
+            "{}",
+            health.body
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -162,17 +162,13 @@ pub struct ServerConfig {
     /// connect once — riding out a shard server restarting — before the
     /// endpoint counts as failed and failover tries the next replica.
     pub shard_retries: u32,
-    /// Maximum snapshot shards resident in memory at once
-    /// (`--resident-shards`). Snapshot-registered datasets materialize
-    /// shards lazily on first touch and evict least-recently-used ones
-    /// over this cap; `0` (the default) means unlimited.
-    pub resident_shards: usize,
     /// Byte budget for resident snapshot shards (`--resident-bytes`):
     /// the sum of every resident shard's columnar-arena byte size.
-    /// Eviction runs least-recently-used while over budget (alongside
-    /// the `resident_shards` count cap); `0` (the default) means
-    /// unlimited. At least one shard always stays resident, so a single
-    /// shard larger than the budget still serves.
+    /// Snapshot-registered datasets materialize shards lazily on first
+    /// touch and evict least-recently-used ones while over budget; `0`
+    /// (the default) means unlimited. At least one shard always stays
+    /// resident, so a single shard larger than the budget still serves
+    /// (and a budget of `1` means "exactly one resident").
     pub resident_bytes: u64,
     /// Readiness event-loop threads of the evented HTTP core
     /// (`--event-threads`). `0` (the default) means auto: the machine's
@@ -196,7 +192,6 @@ impl Default for ServerConfig {
             shard_connect_timeout_ms: client.connect_timeout.as_millis() as u64,
             shard_io_timeout_ms: client.io_timeout.as_millis() as u64,
             shard_retries: client.retries,
-            resident_shards: 0,
             resident_bytes: 0,
             event_threads: 0,
         }
@@ -243,7 +238,6 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
     );
     state.max_batch = config.max_batch.max(1);
     state.slow_query_micros = config.slow_query_micros;
-    state.catalog.set_resident_capacity(config.resident_shards);
     state
         .catalog
         .set_resident_capacity_bytes(config.resident_bytes);

@@ -15,7 +15,7 @@
 use crate::error::ServerError;
 use shapesearch_core::ShapeEngine;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -24,8 +24,6 @@ use std::time::Instant;
 pub struct ResidentStats {
     /// Shards currently resident (loaded and not evicted).
     pub resident: usize,
-    /// Configured capacity (0 = unlimited).
-    pub capacity: usize,
     /// Total columnar-arena bytes held by the resident shards.
     pub resident_bytes: u64,
     /// Configured byte budget (0 = unlimited).
@@ -53,6 +51,7 @@ enum Slot {
     },
 }
 
+#[derive(Default)]
 struct Inner {
     /// Monotone use counter; bigger = more recently used.
     clock: u64,
@@ -61,9 +60,8 @@ struct Inner {
 }
 
 /// The shared resident-shard LRU; one per catalog.
+#[derive(Default)]
 pub struct ResidentShards {
-    /// Max resident shards across all snapshot datasets (0 = unlimited).
-    capacity: AtomicUsize,
     /// Byte budget across all resident shards' columnar arenas
     /// (0 = unlimited). Eviction never goes below one resident shard,
     /// so a single shard bigger than the budget still serves.
@@ -75,34 +73,10 @@ pub struct ResidentShards {
     load_micros: AtomicU64,
 }
 
-impl Default for ResidentShards {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 impl ResidentShards {
-    /// An empty LRU holding at most `capacity` resident shards
-    /// (0 = unlimited).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: AtomicUsize::new(capacity),
-            capacity_bytes: AtomicU64::new(0),
-            inner: Mutex::new(Inner {
-                clock: 0,
-                slots: HashMap::new(),
-            }),
-            loaded: Condvar::new(),
-            loads: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            load_micros: AtomicU64::new(0),
-        }
-    }
-
-    /// Reconfigures the capacity (0 = unlimited). Takes effect on the
-    /// next load; already-resident shards are not proactively evicted.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
+    /// An empty LRU with no byte budget.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Reconfigures the byte budget (0 = unlimited). Takes effect on the
@@ -120,7 +94,6 @@ impl ResidentShards {
                 .values()
                 .filter(|s| matches!(s, Slot::Ready { .. }))
                 .count(),
-            capacity: self.capacity.load(Ordering::Relaxed),
             resident_bytes: inner
                 .slots
                 .values()
@@ -228,15 +201,14 @@ impl ResidentShards {
     }
 
     /// Evicts least-recently-touched **ready** shards until the resident
-    /// count fits the capacity AND the resident byte sum fits the byte
-    /// budget. `Loading` slots are never evicted (their loader holds no
-    /// LRU position yet, and evicting one would strand its waiters). The
-    /// byte budget never evicts below one resident shard: a single shard
-    /// bigger than the whole budget must still serve.
+    /// byte sum fits the byte budget. `Loading` slots are never evicted
+    /// (their loader holds no LRU position yet, and evicting one would
+    /// strand its waiters). Eviction never goes below one resident
+    /// shard: a single shard bigger than the whole budget must still
+    /// serve.
     fn evict_over_capacity(&self, inner: &mut Inner) {
-        let capacity = self.capacity.load(Ordering::Relaxed);
         let capacity_bytes = self.capacity_bytes.load(Ordering::Relaxed);
-        if capacity == 0 && capacity_bytes == 0 {
+        if capacity_bytes == 0 {
             return;
         }
         loop {
@@ -249,9 +221,7 @@ impl ResidentShards {
                 })
                 .collect::<Vec<_>>();
             let total_bytes: u64 = ready.iter().map(|(_, _, bytes)| bytes).sum();
-            let over_count = capacity != 0 && ready.len() > capacity;
-            let over_bytes = capacity_bytes != 0 && total_bytes > capacity_bytes && ready.len() > 1;
-            if !over_count && !over_bytes {
+            if total_bytes <= capacity_bytes || ready.len() <= 1 {
                 return;
             }
             let (_, coldest, _) = ready
@@ -271,12 +241,26 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
+    /// Warmed, like the snapshot load path produces: the byte budget
+    /// measures the grouped arena, which a cold engine lacks.
     fn demo_engine(slot: usize) -> Arc<ShapeEngine> {
         let t = Trendline::from_pairs(
             format!("s{slot}"),
             &[(0.0, 0.0), (1.0, slot as f64 + 1.0), (2.0, 0.0)],
         );
-        Arc::new(ShapeEngine::from_trendlines(vec![t]).with_base_index(slot))
+        let engine = ShapeEngine::from_trendlines(vec![t]).with_base_index(slot);
+        engine.warm(1);
+        Arc::new(engine)
+    }
+
+    /// An empty LRU whose byte budget holds exactly `shards` demo engines
+    /// (they are all the same size).
+    fn lru_holding(shards: u64) -> ResidentShards {
+        let per_shard = demo_engine(0).grouped_byte_size() as u64;
+        assert!(per_shard > 0, "demo engine must have a measurable arena");
+        let lru = ResidentShards::new();
+        lru.set_capacity_bytes(per_shard * shards);
+        lru
     }
 
     /// A loader that counts its invocations.
@@ -293,7 +277,7 @@ mod tests {
 
     #[test]
     fn loads_once_then_serves_resident() {
-        let lru = ResidentShards::new(0);
+        let lru = ResidentShards::new();
         let loads = Arc::new(AtomicUsize::new(0));
         let a = lru.get_or_load((1, 0), counting_loader(&loads, 0)).unwrap();
         let b = lru.get_or_load((1, 0), counting_loader(&loads, 0)).unwrap();
@@ -307,7 +291,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_touched_first() {
-        let lru = ResidentShards::new(2);
+        let lru = lru_holding(2);
         let loads = Arc::new(AtomicUsize::new(0));
         lru.get_or_load((1, 0), counting_loader(&loads, 0)).unwrap();
         lru.get_or_load((1, 1), counting_loader(&loads, 1)).unwrap();
@@ -329,7 +313,7 @@ mod tests {
     #[test]
     fn reload_after_eviction_answers_identically() {
         let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
-        let lru = ResidentShards::new(1);
+        let lru = lru_holding(1);
         let first = lru.get_or_load((7, 3), || Ok(demo_engine(3))).unwrap();
         let want = first.top_k(&q, 1).unwrap();
         // Push it out, then reload the same deterministic partition.
@@ -350,7 +334,7 @@ mod tests {
     #[test]
     fn concurrent_cold_touch_loads_exactly_once() {
         const THREADS: usize = 8;
-        let lru = Arc::new(ResidentShards::new(1));
+        let lru = Arc::new(lru_holding(1));
         let loads = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new(Barrier::new(THREADS));
         let engines: Vec<Arc<ShapeEngine>> = std::thread::scope(|scope| {
@@ -383,7 +367,7 @@ mod tests {
 
     #[test]
     fn failed_load_vacates_the_slot_for_retry() {
-        let lru = ResidentShards::new(0);
+        let lru = ResidentShards::new();
         let err = lru
             .get_or_load((1, 0), || Err(ServerError::internal("disk on fire")))
             .unwrap_err();
@@ -397,24 +381,14 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_coldest_but_never_the_last_resident() {
-        // Warmed engines, like the snapshot load path produces: the byte
-        // budget measures the grouped arena, which a cold engine lacks.
-        fn warmed_engine(slot: usize) -> Arc<ShapeEngine> {
-            let engine = demo_engine(slot);
-            engine.warm(1);
-            engine
-        }
-        let lru = ResidentShards::new(0);
-        lru.get_or_load((1, 0), || Ok(warmed_engine(0))).unwrap();
-        let per_shard = lru.stats().resident_bytes;
-        assert!(per_shard > 0, "demo engine must have a measurable arena");
         // Budget for exactly two shards: the third load evicts the coldest.
-        lru.set_capacity_bytes(per_shard * 2);
-        lru.get_or_load((1, 1), || Ok(warmed_engine(1))).unwrap();
+        let lru = lru_holding(2);
+        lru.get_or_load((1, 0), || Ok(demo_engine(0))).unwrap();
+        lru.get_or_load((1, 1), || Ok(demo_engine(1))).unwrap();
         assert_eq!(lru.stats().evictions, 0);
         // Touch 0 so 1 is the coldest…
-        lru.get_or_load((1, 0), || Ok(warmed_engine(0))).unwrap();
-        lru.get_or_load((1, 2), || Ok(warmed_engine(2))).unwrap();
+        lru.get_or_load((1, 0), || Ok(demo_engine(0))).unwrap();
+        lru.get_or_load((1, 2), || Ok(demo_engine(2))).unwrap();
         let stats = lru.stats();
         assert_eq!((stats.resident, stats.evictions), (2, 1));
         assert!(stats.resident_bytes <= stats.capacity_bytes);
@@ -427,7 +401,7 @@ mod tests {
         // A budget smaller than any single shard keeps exactly one
         // resident rather than thrashing to zero.
         lru.set_capacity_bytes(1);
-        lru.get_or_load((1, 3), || Ok(warmed_engine(3))).unwrap();
+        lru.get_or_load((1, 3), || Ok(demo_engine(3))).unwrap();
         let stats = lru.stats();
         assert_eq!(stats.resident, 1);
         assert!(stats.resident_bytes > stats.capacity_bytes);
@@ -435,7 +409,7 @@ mod tests {
 
     #[test]
     fn purge_generation_drops_only_that_generation() {
-        let lru = ResidentShards::new(0);
+        let lru = ResidentShards::new();
         lru.get_or_load((1, 0), || Ok(demo_engine(0))).unwrap();
         lru.get_or_load((2, 0), || Ok(demo_engine(0))).unwrap();
         assert_eq!(lru.stats().resident, 2);

@@ -377,7 +377,6 @@ impl StatsSnapshot {
                 "snapshots",
                 obj([
                     ("resident", self.snapshots.resident.into()),
-                    ("capacity", self.snapshots.capacity.into()),
                     ("resident_bytes", self.snapshots.resident_bytes.into()),
                     ("capacity_bytes", self.snapshots.capacity_bytes.into()),
                     ("loads", self.snapshots.loads.into()),
@@ -508,11 +507,6 @@ impl StatsSnapshot {
             "shapesearch_snapshot_resident_shards",
             "Snapshot shards currently materialized in memory.",
             self.snapshots.resident as u64,
-        );
-        expo.gauge(
-            "shapesearch_snapshot_resident_capacity",
-            "Resident-shard cap (--resident-shards; 0 = unlimited).",
-            self.snapshots.capacity as u64,
         );
         expo.counter(
             "shapesearch_snapshot_loads_total",
@@ -813,7 +807,6 @@ mod tests {
             },
             snapshots: ResidentStats {
                 resident: next() as usize,
-                capacity: next() as usize,
                 resident_bytes: next(),
                 capacity_bytes: next(),
                 loads: next(),
@@ -891,10 +884,6 @@ mod tests {
             (
                 "snapshots.resident",
                 Some("shapesearch_snapshot_resident_shards"),
-            ),
-            (
-                "snapshots.capacity",
-                Some("shapesearch_snapshot_resident_capacity"),
             ),
             (
                 "snapshots.resident_bytes",

@@ -3,9 +3,10 @@
 //! The build environment has no network access, so instead of `mio` or
 //! `polling` this workspace ships a minimal, std-only readiness API over
 //! raw `extern "C"` syscall declarations (the same thin-shim spirit as
-//! `crates/shims/memmap2`): **epoll** on Linux, a **kqueue** fallback
-//! behind `cfg` for the other unix targets, and a compile-time stub
-//! elsewhere that reports [`std::io::ErrorKind::Unsupported`].
+//! `crates/shims/memmap2`): **epoll** on Linux — the only target
+//! `shapesearch serve` runs on — and a stub everywhere else that
+//! compiles and reports [`std::io::ErrorKind::Unsupported`], so the
+//! library, the one-shot CLI and the `snapshot` subcommand stay portable.
 //!
 //! The surface is exactly what an evented HTTP core needs and nothing
 //! more:
@@ -202,174 +203,10 @@ mod sys {
 }
 
 // ---------------------------------------------------------------------------
-// Other unix: kqueue (best-effort fallback; the deployment target is Linux)
-// ---------------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::{Event, Interest, RawFd};
-    use std::io;
-    use std::time::Duration;
-
-    const EVFILT_READ: i16 = -1;
-    const EVFILT_WRITE: i16 = -2;
-    const EV_ADD: u16 = 0x0001;
-    const EV_DELETE: u16 = 0x0002;
-    const EV_EOF: u16 = 0x8000;
-    const EV_ERROR: u16 = 0x4000;
-
-    #[repr(C)]
-    struct KEvent {
-        ident: usize,
-        filter: i16,
-        flags: u16,
-        fflags: u32,
-        data: isize,
-        udata: *mut std::ffi::c_void,
-    }
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    extern "C" {
-        fn kqueue() -> i32;
-        fn kevent(
-            kq: i32,
-            changelist: *const KEvent,
-            nchanges: i32,
-            eventlist: *mut KEvent,
-            nevents: i32,
-            timeout: *const Timespec,
-        ) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    /// A kqueue instance. Registrations install one kevent per filter;
-    /// no-interest registrations simply install nothing (errors surface
-    /// on the caller's next read/write instead).
-    #[derive(Debug)]
-    pub struct Poller {
-        kq: i32,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            // Safety: plain syscall, no pointers.
-            let kq = unsafe { kqueue() };
-            if kq < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { kq })
-        }
-
-        fn change(&self, fd: RawFd, filter: i16, flags: u16, token: usize) -> io::Result<()> {
-            let ev = KEvent {
-                ident: fd as usize,
-                filter,
-                flags,
-                fflags: 0,
-                data: 0,
-                udata: token as *mut std::ffi::c_void,
-            };
-            // Safety: the changelist is valid for the call's duration.
-            let rc = unsafe { kevent(self.kq, &ev, 1, std::ptr::null_mut(), 0, std::ptr::null()) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        fn set(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            for (want, filter) in [
-                (interest.readable, EVFILT_READ),
-                (interest.writable, EVFILT_WRITE),
-            ] {
-                if want {
-                    self.change(fd, filter, EV_ADD, token)?;
-                } else {
-                    // Removing a filter that is not installed is fine.
-                    let _ = self.change(fd, filter, EV_DELETE, token);
-                }
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.set(fd, token, interest)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.set(fd, token, interest)
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            let _ = self.change(fd, EVFILT_READ, EV_DELETE, 0);
-            let _ = self.change(fd, EVFILT_WRITE, EV_DELETE, 0);
-            Ok(())
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            events.clear();
-            let mut raw: [KEvent; 256] = unsafe { std::mem::zeroed() };
-            let ts;
-            let ts_ptr = match timeout {
-                None => std::ptr::null(),
-                Some(t) => {
-                    ts = Timespec {
-                        tv_sec: t.as_secs() as i64,
-                        tv_nsec: i64::from(t.subsec_nanos()),
-                    };
-                    &ts as *const Timespec
-                }
-            };
-            // Safety: `raw` outlives the call and nevents matches its len.
-            let n = unsafe {
-                kevent(
-                    self.kq,
-                    std::ptr::null(),
-                    0,
-                    raw.as_mut_ptr(),
-                    raw.len() as i32,
-                    ts_ptr,
-                )
-            };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for ev in &raw[..n as usize] {
-                let fail = ev.flags & (EV_EOF | EV_ERROR) != 0;
-                events.push(Event {
-                    token: ev.udata as usize,
-                    readable: ev.filter == EVFILT_READ || fail,
-                    writable: ev.filter == EVFILT_WRITE || fail,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            // Safety: kq is owned by this struct and closed exactly once.
-            unsafe {
-                let _ = close(self.kq);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Everything else: compile, report Unsupported at runtime
 // ---------------------------------------------------------------------------
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
     use super::{Event, Interest, RawFd};
     use std::io;
@@ -382,7 +219,7 @@ mod sys {
         )
     }
 
-    /// Stub backend for non-unix targets.
+    /// Stub backend for non-Linux targets.
     #[derive(Debug)]
     pub struct Poller;
 
@@ -415,8 +252,7 @@ impl Poller {
     /// Creates a new poller instance.
     ///
     /// # Errors
-    /// Propagates `epoll_create1`/`kqueue` failures; always fails on
-    /// non-unix targets.
+    /// Propagates `epoll_create1` failures; always fails off Linux.
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
             inner: sys::Poller::new()?,
@@ -452,7 +288,7 @@ impl Poller {
     /// ready set. A signal interruption returns `Ok` with no events.
     ///
     /// # Errors
-    /// Propagates `epoll_wait`/`kevent` failures from the OS.
+    /// Propagates `epoll_wait` failures from the OS.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         self.inner.wait(events, timeout)
     }
@@ -462,7 +298,7 @@ impl Poller {
 // Waker: a nonblocking self-pipe
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod pipe {
     use super::RawFd;
     use std::io;
@@ -477,10 +313,7 @@ mod pipe {
 
     const F_GETFL: i32 = 3;
     const F_SETFL: i32 = 4;
-    #[cfg(target_os = "linux")]
     const O_NONBLOCK: i32 = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: i32 = 0x0004;
 
     pub fn create() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0i32; 2];
@@ -536,7 +369,7 @@ mod pipe {
     }
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod pipe {
     use super::RawFd;
     use std::io;
@@ -573,7 +406,7 @@ impl Waker {
     /// Creates the self-pipe (both ends nonblocking).
     ///
     /// # Errors
-    /// Propagates `pipe`/`fcntl` failures; always fails on non-unix.
+    /// Propagates `pipe`/`fcntl` failures; always fails off Linux.
     pub fn new() -> io::Result<Waker> {
         let (read_fd, write_fd) = pipe::create()?;
         Ok(Waker { read_fd, write_fd })
@@ -608,7 +441,7 @@ impl Drop for Waker {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -3,42 +3,108 @@
 //!
 //! ```text
 //! shapesearch --data sales.csv --z product --x week --y sales \
-//!             --query "[p=up][p=down]" [--k 5] [--algo tree|dp|greedy|dtw] \
+//!             --query "[p=up][p=down]" [--k 5] [--algo ALGO] \
 //!             [--filter "col<=value"] [--agg avg]
 //! shapesearch --data genes.csv -z gene -x time -y expr \
 //!             --nl "rising then falling sharply"
 //! shapesearch serve [--addr 127.0.0.1:7878] [--workers N] [--event-threads N] \
 //!             [--cache-cap N] [--max-batch N] [--shards N] \
-//!             [--resident-shards N] [--resident-bytes N] \
+//!             [--resident-bytes N] \
 //!             [--data FILE --z COL --x COL --y COL [--name NAME]] \
 //!             [--snapshot FILE [--name NAME]]
 //! shapesearch snapshot --data FILE --z COL --x COL --y COL --out FILE \
 //!             [--bin N] [--filter "col<=value"] [--agg avg]
 //! ```
 //!
-//! One-shot mode prints the ranked matches with scores and the fitted
-//! segment boundaries (the engine-side equivalent of the paper's result
-//! panel, Figure 2 Box 4). `serve` exposes the same pipeline over HTTP
-//! with a dataset catalog and a query-result cache; see the
-//! `shapesearch-server` crate docs for the protocol.
+//! `--help` prints every flag and the `--algo` values. One-shot mode
+//! prints the ranked matches with scores and the fitted segment
+//! boundaries (the engine-side equivalent of the paper's result panel,
+//! Figure 2 Box 4). `serve` exposes the same pipeline over HTTP with a
+//! dataset catalog and a query-result cache; see the `shapesearch-server`
+//! crate docs for the protocol.
 
 use shapesearch::prelude::*;
 use shapesearch_core::{PruningMode, SegmenterKind};
 use std::process::ExitCode;
 
+/// The table-source flags all three subcommands take: `--data`, the
+/// `--z/--x/--y` visual mapping, `--filter`s and `--agg`.
 #[derive(Debug, Default)]
-struct Cli {
+struct SourceArgs {
     data: Option<String>,
     z: Option<String>,
     x: Option<String>,
     y: Option<String>,
+    filters: Vec<String>,
+    agg: Option<String>,
+}
+
+impl SourceArgs {
+    /// Stores `flag`'s value (read with `take`) when `flag` is a source
+    /// flag; `false` leaves it to the subcommand's own flags.
+    fn accept(
+        &mut self,
+        flag: &str,
+        take: &mut impl FnMut(&str) -> Result<String, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--data" => self.data = Some(take("--data")?),
+            "--z" | "-z" => self.z = Some(take("--z")?),
+            "--x" | "-x" => self.x = Some(take("--x")?),
+            "--y" | "-y" => self.y = Some(take("--y")?),
+            "--filter" => self.filters.push(take("--filter")?),
+            "--agg" => self.agg = Some(take("--agg")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Whether any flag besides `--data` was given.
+    fn has_mapping(&self) -> bool {
+        self.z.is_some()
+            || self.x.is_some()
+            || self.y.is_some()
+            || !self.filters.is_empty()
+            || self.agg.is_some()
+    }
+
+    /// The visual mapping with its filters and aggregation; `incomplete`
+    /// is the subcommand's complaint when `--z`, `--x` or `--y` is missing.
+    fn visual(&self, incomplete: &str) -> Result<VisualSpec, String> {
+        let (Some(z), Some(x), Some(y)) = (&self.z, &self.x, &self.y) else {
+            return Err(incomplete.to_owned());
+        };
+        let mut visual = VisualSpec::new(z, x, y);
+        for f in &self.filters {
+            visual = visual.with_filter(parse_filter(f)?);
+        }
+        if let Some(agg) = &self.agg {
+            visual = visual.with_aggregation(
+                Aggregation::parse(agg).ok_or_else(|| format!("unknown aggregation `{agg}`"))?,
+            );
+        }
+        Ok(visual)
+    }
+}
+
+/// Loads `path` as JSON-lines or CSV, by extension.
+fn load_table(path: &str) -> Result<Table, String> {
+    if path.ends_with(".json") || path.ends_with(".jsonl") {
+        shapesearch::datastore::json::read_file(path)
+    } else {
+        shapesearch::datastore::csv::read_file(path)
+    }
+    .map_err(|e| format!("loading {path}: {e}"))
+}
+
+#[derive(Debug, Default)]
+struct Cli {
+    source: SourceArgs,
     query: Option<String>,
     nl: Option<String>,
     k: usize,
     algo: SegmenterKind,
     pruning: PruningMode,
-    filters: Vec<String>,
-    agg: Option<String>,
     builtins: bool,
 }
 
@@ -48,7 +114,7 @@ fn usage() -> &'static str {
      [--pruning auto|off|force] \
      [--filter 'col OP value']... [--agg avg|sum|min|max|count] [--builtins]\n\
      shapesearch serve [--addr HOST:PORT] [--workers N] [--event-threads N] [--cache-cap N] \
-     [--max-batch N] [--shards N] [--resident-shards N] [--resident-bytes N] \
+     [--max-batch N] [--shards N] [--resident-bytes N] \
      [--data-root DIR] [--slow-query-micros N] \
      [--shard-connect-timeout-ms N] [--shard-io-timeout-ms N] [--shard-retries N] \
      [--data FILE --z COL --x COL --y COL [--name NAME] [--filter ...] [--agg ...] \
@@ -59,22 +125,20 @@ fn usage() -> &'static str {
      [--bin N] [--filter 'col OP value']... [--agg avg|sum|min|max|count]"
 }
 
-fn parse_cli() -> Result<Cli, String> {
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         k: 5,
         ..Cli::default()
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let mut take = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
         match a.as_str() {
-            "--data" => cli.data = Some(take("--data")?),
-            "--z" | "-z" => cli.z = Some(take("--z")?),
-            "--x" | "-x" => cli.x = Some(take("--x")?),
-            "--y" | "-y" => cli.y = Some(take("--y")?),
+            flag if cli.source.accept(flag, &mut take)? => {}
             "--query" | "-q" => cli.query = Some(take("--query")?),
             "--nl" => cli.nl = Some(take("--nl")?),
             "--k" | "-k" => {
@@ -92,8 +156,6 @@ fn parse_cli() -> Result<Cli, String> {
                 cli.pruning = PruningMode::parse(&name)
                     .ok_or_else(|| format!("unknown pruning mode `{name}`"))?;
             }
-            "--filter" => cli.filters.push(take("--filter")?),
-            "--agg" => cli.agg = Some(take("--agg")?),
             "--builtins" => cli.builtins = true,
             "--help" | "-h" => return Err(usage().to_owned()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
@@ -131,18 +193,18 @@ fn parse_filter(text: &str) -> Result<Predicate, String> {
 /// Parses and runs `shapesearch serve ...`, blocking until killed.
 fn run_serve(args: &[String]) -> Result<(), String> {
     use shapesearch::server::catalog::ShardEndpoints;
-    use shapesearch::server::{DataSource, DatasetSpec, ServerConfig};
+    use shapesearch::server::{Client, DataSource, DatasetSpec, ServerConfig};
+    use std::net::ToSocketAddrs;
+
+    /// The heartbeat interval, and the longest one beat may wait on a
+    /// router's connect or reply (registry entries stay fresh for 30 s).
+    const BEAT: std::time::Duration = std::time::Duration::from_secs(2);
 
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut config = ServerConfig::default();
-    let mut data: Option<String> = None;
+    let mut source = SourceArgs::default();
     let mut snapshot: Option<String> = None;
     let mut name: Option<String> = None;
-    let mut z = None;
-    let mut x = None;
-    let mut y = None;
-    let mut filters: Vec<String> = Vec::new();
-    let mut agg: Option<String> = None;
     let mut shard_of: Option<(usize, usize)> = None;
     let mut from_registry = false;
     let mut shard_endpoints: Vec<Option<Vec<String>>> = Vec::new();
@@ -157,6 +219,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match a.as_str() {
+            flag if source.accept(flag, &mut take)? => {}
             "--addr" => addr = take("--addr")?,
             "--workers" => {
                 config.workers = take("--workers")?
@@ -184,19 +247,11 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--shards must be an integer".to_owned())?;
             }
-            "--resident-shards" => {
-                // Cap on snapshot shards held in memory at once; the
-                // least-recently-touched shard is evicted over the cap
-                // and reloads from its snapshot on the next touch.
-                // 0 (the default) = unlimited.
-                config.resident_shards = take("--resident-shards")?
-                    .parse()
-                    .map_err(|_| "--resident-shards must be an integer".to_owned())?;
-            }
             "--resident-bytes" => {
                 // Byte budget for resident snapshot shards (sum of their
                 // columnar-arena sizes); least-recently-touched shards
-                // evict while over it, but never below one resident.
+                // evict while over it and reload from the snapshot on
+                // the next touch, but never below one resident.
                 // 0 (the default) = unlimited.
                 config.resident_bytes = take("--resident-bytes")?
                     .parse()
@@ -267,10 +322,17 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|_| "--shard-retries must be an integer".to_owned())?;
             }
             "--announce" => {
-                // Repeatable: a router to send placement heartbeats to,
-                // so `"shard_endpoints": "registry"` registrations there
-                // can discover this shard server.
-                announce.push(take("--announce")?);
+                // Repeatable: a router (`HOST:PORT`, `http://` optional)
+                // to send placement heartbeats to, so
+                // `"shard_endpoints": "registry"` registrations there can
+                // discover this shard server. A value that does not
+                // resolve is refused here, not discovered beat by beat.
+                let given = take("--announce")?;
+                let router = given.strip_prefix("http://").unwrap_or(&given);
+                if let Err(e) = router.to_socket_addrs() {
+                    return Err(format!("--announce `{given}` does not resolve: {e}"));
+                }
+                announce.push(router.to_owned());
             }
             "--advertise" => {
                 // The endpoint heartbeats claim; defaults to the bound
@@ -278,14 +340,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 // through a different host, e.g. behind NAT).
                 advertise = Some(take("--advertise")?);
             }
-            "--data" => data = Some(take("--data")?),
             "--snapshot" => snapshot = Some(take("--snapshot")?),
             "--name" => name = Some(take("--name")?),
-            "--z" | "-z" => z = Some(take("--z")?),
-            "--x" | "-x" => x = Some(take("--x")?),
-            "--y" | "-y" => y = Some(take("--y")?),
-            "--filter" => filters.push(take("--filter")?),
-            "--agg" => agg = Some(take("--agg")?),
             other => return Err(format!("unknown serve argument `{other}`\n{}", usage())),
         }
     }
@@ -295,32 +351,19 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 
     // Optional preregistration so the service starts useful: an eager
     // --data extraction, or a --snapshot whose shards load lazily on
-    // first touch (and stay under the --resident-shards cap).
-    let prereg = match (data, snapshot) {
+    // first touch (and stay under the --resident-bytes budget).
+    let prereg = match (source.data.take(), snapshot) {
         (Some(_), Some(_)) => {
             return Err("--data and --snapshot are mutually exclusive: build the \
                         snapshot with `shapesearch snapshot`, then serve it"
                 .into())
         }
-        (Some(path), None) => {
-            let (z, x, y) = match (z, x, y) {
-                (Some(z), Some(x), Some(y)) => (z, x, y),
-                _ => return Err("--data needs --z, --x, and --y".to_owned()),
-            };
-            let mut visual = VisualSpec::new(z, x, y);
-            for f in &filters {
-                visual = visual.with_filter(parse_filter(f)?);
-            }
-            if let Some(agg) = &agg {
-                visual = visual.with_aggregation(
-                    Aggregation::parse(agg)
-                        .ok_or_else(|| format!("unknown aggregation `{agg}`"))?,
-                );
-            }
-            Some((DataSource::Path(path), visual))
-        }
+        (Some(path), None) => Some((
+            DataSource::Path(path),
+            source.visual("--data needs --z, --x, and --y")?,
+        )),
         (None, Some(path)) => {
-            if z.is_some() || x.is_some() || y.is_some() || !filters.is_empty() || agg.is_some() {
+            if source.has_mapping() {
                 return Err("--snapshot bakes the visual mapping in at build time; \
                             --z/--x/--y/--filter/--agg do not apply"
                     .into());
@@ -383,7 +426,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         // to each router every few seconds so their
         // `"shard_endpoints": "registry"` registrations can resolve it.
         // Failures are silently retried on the next beat — a router
-        // being down must never take a shard server with it.
+        // being down must never take a shard server with it, and one
+        // that accepts and never answers costs the others one beat
+        // interval per round, not their registry entries.
         if !announce.is_empty() {
             let Some((index, total)) = entry.shard_of else {
                 return Err("--announce requires --shard-of (only shard servers announce)".into());
@@ -400,12 +445,15 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                     entry.id
                 );
             }
+            let routers: Vec<Client> = announce
+                .iter()
+                .map(|router| Client::with_timeouts(router, BEAT, BEAT))
+                .collect();
             std::thread::spawn(move || loop {
-                for router in &announce {
-                    let _ =
-                        shapesearch::server::Client::new(router).post("/registry/heartbeat", &beat);
+                for router in &routers {
+                    let _ = router.post("/registry/heartbeat", &beat);
                 }
-                std::thread::sleep(std::time::Duration::from_secs(2));
+                std::thread::sleep(BEAT);
             });
         }
     } else if shard_of.is_some() || !shard_endpoints.is_empty() || from_registry {
@@ -430,14 +478,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 /// `serve --snapshot` (or a `"snapshot"` registration) can mmap and
 /// load shard-by-shard — byte-identical to re-extracting the source.
 fn run_snapshot(args: &[String]) -> Result<(), String> {
-    let mut data: Option<String> = None;
+    let mut source = SourceArgs::default();
     let mut out: Option<String> = None;
-    let mut z = None;
-    let mut x = None;
-    let mut y = None;
     let mut bin = 1usize;
-    let mut filters: Vec<String> = Vec::new();
-    let mut agg: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -447,11 +490,8 @@ fn run_snapshot(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match a.as_str() {
-            "--data" => data = Some(take("--data")?),
+            flag if source.accept(flag, &mut take)? => {}
             "--out" | "-o" => out = Some(take("--out")?),
-            "--z" | "-z" => z = Some(take("--z")?),
-            "--x" | "-x" => x = Some(take("--x")?),
-            "--y" | "-y" => y = Some(take("--y")?),
             "--bin" => {
                 bin = take("--bin")?
                     .parse()
@@ -460,34 +500,13 @@ fn run_snapshot(args: &[String]) -> Result<(), String> {
                     return Err("--bin must be at least 1".to_owned());
                 }
             }
-            "--filter" => filters.push(take("--filter")?),
-            "--agg" => agg = Some(take("--agg")?),
             other => return Err(format!("unknown snapshot argument `{other}`\n{}", usage())),
         }
     }
-    let data = data.ok_or("snapshot needs --data")?;
+    let data = source.data.as_deref().ok_or("snapshot needs --data")?;
     let out = out.ok_or("snapshot needs --out")?;
-    let (z, x, y) = match (z, x, y) {
-        (Some(z), Some(x), Some(y)) => (z, x, y),
-        _ => return Err("snapshot needs --z, --x, and --y".to_owned()),
-    };
-
-    let table = if data.ends_with(".json") || data.ends_with(".jsonl") {
-        shapesearch::datastore::json::read_file(&data)
-    } else {
-        shapesearch::datastore::csv::read_file(&data)
-    }
-    .map_err(|e| format!("loading {data}: {e}"))?;
-
-    let mut spec = VisualSpec::new(z, x, y);
-    for f in &filters {
-        spec = spec.with_filter(parse_filter(f)?);
-    }
-    if let Some(agg) = &agg {
-        spec = spec.with_aggregation(
-            Aggregation::parse(agg).ok_or_else(|| format!("unknown aggregation `{agg}`"))?,
-        );
-    }
+    let spec = source.visual("snapshot needs --z, --x, and --y")?;
+    let table = load_table(data)?;
 
     let trendlines = shapesearch::datastore::extract(
         &table,
@@ -513,31 +532,14 @@ fn run() -> Result<(), String> {
     if argv.first().map(String::as_str) == Some("snapshot") {
         return run_snapshot(&argv[1..]);
     }
-    let cli = parse_cli()?;
-    let data = cli.data.ok_or_else(|| usage().to_owned())?;
-    let (z, x, y) = match (&cli.z, &cli.x, &cli.y) {
-        (Some(z), Some(x), Some(y)) => (z.clone(), x.clone(), y.clone()),
-        _ => return Err(usage().to_owned()),
-    };
-
-    // Load the table (CSV or JSON-lines by extension).
-    let table = if data.ends_with(".json") || data.ends_with(".jsonl") {
-        shapesearch::datastore::json::read_file(&data)
-    } else {
-        shapesearch::datastore::csv::read_file(&data)
-    }
-    .map_err(|e| format!("loading {data}: {e}"))?;
-
-    // Build the visual spec.
-    let mut spec = VisualSpec::new(z, x, y);
-    for f in &cli.filters {
-        spec = spec.with_filter(parse_filter(f)?);
-    }
-    if let Some(agg) = &cli.agg {
-        spec = spec.with_aggregation(
-            Aggregation::parse(agg).ok_or_else(|| format!("unknown aggregation `{agg}`"))?,
-        );
-    }
+    let cli = parse_cli(&argv)?;
+    let data = cli
+        .source
+        .data
+        .as_deref()
+        .ok_or_else(|| usage().to_owned())?;
+    let spec = cli.source.visual(usage())?;
+    let table = load_table(data)?;
 
     // Parse the query.
     let query = match (&cli.query, &cli.nl) {

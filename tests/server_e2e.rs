@@ -381,6 +381,90 @@ fn batch_matches_sequential() {
     service.shutdown();
 }
 
+/// The evented core's scaling claim from a client's side: a keep-alive
+/// connection held open amid 200 parked idle peers (far more than the 2
+/// event + 2 dispatch threads) answers the batch exactly as a fresh
+/// connection does, and every slot is reclaimed once the peers hang up.
+#[test]
+fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
+    use shapesearch::server::PooledClient;
+    use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    let service = shapesearch::server::serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            event_threads: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = service.addr();
+    let fresh = Client::new(addr);
+    register_market(&fresh);
+    let conns = std::sync::Arc::clone(&service.state().conn_stats);
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    let batch = json::Json::Arr(vec![
+        batch_item("[p=up][p=down]", 4),
+        batch_item("[p=down][p=up]", 3),
+    ]);
+    let answers = |reply: json::Json| -> Vec<Vec<TopKResult>> {
+        let responses = reply.get("responses").unwrap().as_array().unwrap();
+        responses.iter().map(decode_results).collect()
+    };
+
+    // The cold batch opens the connection the pooled client then holds.
+    let held = PooledClient::new();
+    let endpoint = addr.to_string();
+    let ask_held = || held.post(&endpoint, "/query", &batch).unwrap();
+    let cold = answers(ask_held().expect_ok("cold batch"));
+    assert!(cold.iter().all(|results| !results.is_empty()));
+
+    // Park the crowd in waves the listen backlog can hold.
+    let mut crowd: Vec<TcpStream> = Vec::with_capacity(200);
+    while crowd.len() < 200 {
+        let accepted = conns.accepted_total.load(Ordering::Relaxed);
+        crowd.extend((0..50).map(|_| TcpStream::connect(addr).unwrap()));
+        wait_for("the wave's accepts", || {
+            conns.accepted_total.load(Ordering::Relaxed) == accepted + 50
+        });
+    }
+    wait_for("the crowd and the held connection to park", || {
+        conns.active.load(Ordering::Relaxed) == 201
+            && conns.idle_keepalive.load(Ordering::Relaxed) == 201
+    });
+
+    // Through the held connection (no new accept), then on a fresh one.
+    let accepted = conns.accepted_total.load(Ordering::Relaxed);
+    let through_held = answers(ask_held().expect_ok("held batch"));
+    assert_eq!(conns.accepted_total.load(Ordering::Relaxed), accepted);
+    let through_fresh = answers(
+        fresh
+            .post("/query", &batch)
+            .unwrap()
+            .expect_ok("fresh batch"),
+    );
+    assert_eq!(conns.accepted_total.load(Ordering::Relaxed), accepted + 1);
+    assert_eq!(through_held, through_fresh);
+    assert_eq!(through_held, cold);
+
+    drop(crowd);
+    drop(held);
+    wait_for("every slot to drain", || {
+        conns.active.load(Ordering::Relaxed) == 0
+    });
+    service.shutdown();
+}
+
 /// Sharded execution end to end: a server whose datasets default to 4
 /// engine shards (fanned per query across the compute pool) returns
 /// exactly the answers of the unsharded in-process engine, and the
