@@ -86,12 +86,14 @@ echo "==> cargo test --release (ssbench)"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo test --release --offline \
     --manifest-path crates/bench/src/bin/ssbench/Cargo.toml
 
-# A smoke-sized run of the two workloads that live in SEGMENT+SCORE:
-# every reply is checked against ssbench's in-process reference and
-# every request must be answered. Timing-free — the latencies it prints
-# are not read (four short passes each, ~10 s together).
-echo "==> ssbench smoke (fuzzy_miss, needle_miss: answers correct, 0 failed)"
-for w in fuzzy_miss needle_miss; do
+# A smoke-sized run of the two workloads that live in SEGMENT+SCORE and
+# of the one where a pruned needle query shares an engine pass (and one
+# SharedThresholds) with located queries: every reply is checked against
+# ssbench's in-process reference and every request must be answered.
+# Timing-free — the latencies it prints are not read (four short passes
+# each, ~13 s together).
+echo "==> ssbench smoke (fuzzy_miss, needle_miss, mixed_batch: answers correct, 0 failed)"
+for w in fuzzy_miss needle_miss mixed_batch; do
     out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
         "${CARGO_TARGET_DIR:-target}/release/ssbench" --workload "$w" --seconds 1 --trace 0)
     case "$out" in

@@ -1,18 +1,23 @@
 //! Two-stage collective pruning (paper §6.3), as an **incremental,
 //! exactness-preserving driver** every exact segmenter composes with.
 //!
-//! Stage 1 scores a small strided sample of the collection **exactly**
-//! (the paper scores a coarsened subset; scoring exactly costs the same
-//! asymptotics and makes the resulting threshold a *proven* lower bound
-//! on the final top-k score, which is what keeps pruning byte-identical).
-//! Stage 2 processes the rest: for each visualization an O(1) score upper
-//! bound is derived from the GROUP-time interval-slope extremes
-//! (Theorem 6.4 / Table 7 — the final score of a pattern is bounded by
-//! the extreme scores of that pattern across any level of the
-//! SegmentTree), and visualizations whose upper bound falls strictly
-//! below the current proven top-k threshold are skipped without
-//! segmentation. Survivors are scored exactly and tighten the threshold
-//! online.
+//! One **bound pass** per (query, executor) fills an upper bound for every
+//! candidate from the GROUP-time interval-slope extremes (Theorem 6.4 /
+//! Table 7 — the final score of a pattern is bounded by the extreme scores
+//! of that pattern across any level of the SegmentTree). The query is
+//! compiled once into a `BoundPlan` and the extremes' angles are cached
+//! on the [`VizData`], so the pass takes no `atan`, no `tan` and reads one
+//! clock pair for the whole collection. Stage 1 then scores the `k`
+//! candidates with the **highest bounds** exactly, best bound first (the
+//! paper scores a down-sampled subset; scoring exactly costs the same
+//! asymptotics and makes the resulting threshold a *proven* lower bound on
+//! the final top-k score, which is what keeps pruning byte-identical) —
+//! the bound is only as sharp as the threshold it meets, and the
+//! candidates most likely to set the final threshold are the ones the
+//! bound cannot rule out. Stage 2 sweeps the rest in index order:
+//! a candidate whose upper bound falls strictly below the current
+//! threshold is skipped without segmentation, survivors are scored exactly
+//! and tighten the threshold online.
 //!
 //! The threshold lives in a [`ThresholdCell`] — an atomic-`f64`
 //! (`AtomicU64` bit-cast) max register shared across every executor of
@@ -25,7 +30,8 @@
 //! recorded in a third max register so the hint's sender can verify the
 //! merged answer against it and retry hint-less if the hint turned out
 //! too aggressive — a stale or poisoned hint can therefore never
-//! silently drop a true top-k result.
+//! silently drop a true top-k result. Seeds face the cell like everyone
+//! else: a hint prunes them too, and is verified the same way.
 //!
 //! The pruning "helps avoid processing until the root node for the
 //! majority of visualizations ... particularly effective when the user is
@@ -36,39 +42,10 @@ use crate::algo::SegmenterKind;
 use crate::ast::{Pattern, ShapeQuery, ShapeSegment};
 use crate::engine::group::VizData;
 use crate::engine::observe::{EngineStage, StageObserver, NOOP_OBSERVER};
-use crate::score::{score_down, score_flat, score_theta, score_up, ScoreParams};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use crate::score::{down_at, flat_at, theta_at, theta_target, up_at, ScoreParams};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::PoisonError;
 use std::time::{Duration, Instant};
-
-/// Budget of consecutive *non-pruning* bound computations a query's
-/// executors will pay before concluding the workload is unprunable and
-/// entering skip mode (any successful prune refills the budget in full).
-/// Sized so a prunable workload never skips — on one the budget refills
-/// long before it drains — while an unprunable one caps its bound
-/// overhead at roughly this many bound passes plus the probes below.
-const BOUND_CREDITS: i64 = 64;
-
-/// In skip mode, one candidate in this many still pays a probe bound so
-/// a regime change — the threshold has risen, or a run of weak
-/// candidates arrived — is noticed and full-rate bounding resumes (a
-/// probe that prunes refills the credit budget).
-const PROBE_STRIDE: u64 = 64;
-
-/// Configuration of the two-stage pruning driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PruningConfig {
-    /// Stage-1 sample size: how many strided visualizations are scored
-    /// exactly up front to establish the initial proven threshold.
-    /// Sampling is skipped for collections that are not meaningfully
-    /// larger than the sample (the online tightening covers them).
-    pub sample_size: usize,
-}
-
-impl Default for PruningConfig {
-    fn default() -> Self {
-        Self { sample_size: 16 }
-    }
-}
 
 /// When the engine applies §6.3 bound pruning. Pruning never changes
 /// results — it only skips visualizations that provably cannot enter the
@@ -202,13 +179,6 @@ pub struct ThresholdCell {
     hint: AtomicU64,
     hint_pruned: AtomicU64,
     pool: std::sync::Mutex<ScorePool>,
-    /// Remaining non-pruning bound computations before skip mode (see
-    /// [`BOUND_CREDITS`]). Shared like the threshold itself: once any
-    /// executor of the query proves the workload unprunable, all of them
-    /// stop paying for bounds.
-    bound_credits: AtomicI64,
-    /// Skip-mode candidate counter driving the [`PROBE_STRIDE`] probes.
-    probe_ticket: AtomicU64,
 }
 
 impl Default for ThresholdCell {
@@ -225,34 +195,6 @@ impl ThresholdCell {
             hint: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             hint_pruned: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             pool: std::sync::Mutex::new(ScorePool::default()),
-            bound_credits: AtomicI64::new(BOUND_CREDITS),
-            probe_ticket: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether the §6.3 bound pass is currently worth paying for: `true`
-    /// while credit remains, else `true` only for the periodic skip-mode
-    /// probe. Skipping the bound pass never changes results — an
-    /// unbounded candidate is simply scored in full, exactly as if its
-    /// bound had not pruned — so this is purely an overhead/benefit
-    /// trade, which is why a cheap racy heuristic is sound here.
-    fn bound_pass_admitted(&self) -> bool {
-        if self.bound_credits.load(Ordering::Relaxed) > 0 {
-            return true;
-        }
-        self.probe_ticket
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(PROBE_STRIDE)
-    }
-
-    /// Feeds one bound outcome back into the adaptive gate: a prune
-    /// refills the credit budget (the pass is paying for itself), a miss
-    /// drains one credit toward skip mode.
-    fn note_bound_outcome(&self, pruned: bool) {
-        if pruned {
-            self.bound_credits.store(BOUND_CREDITS, Ordering::Relaxed);
-        } else {
-            self.bound_credits.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -273,7 +215,11 @@ impl ThresholdCell {
         if score <= load_f64(&self.proven) {
             return;
         }
-        let mut pool = self.pool.lock().expect("threshold score pool");
+        // The pool is a heap of `f64`s that is valid between any two
+        // operations, so an executor that panicked while holding it (a
+        // UDP is arbitrary code) must not take the query's other
+        // executors down with it.
+        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         if pool.heap.is_empty() {
             pool.k = k;
         }
@@ -340,8 +286,9 @@ pub struct PruningCounters {
     bounded: AtomicU64,
     pruned: AtomicU64,
     scored: AtomicU64,
-    /// Nanoseconds, not microseconds: one bound takes 10–100 ns, so a
-    /// per-bound truncation to µs would add up a column of zeros.
+    /// Nanoseconds, not microseconds: the bound pass over a small shard
+    /// takes less than one, so a per-pass truncation to µs would add up a
+    /// column of zeros.
     bound_nanos: AtomicU64,
 }
 
@@ -351,9 +298,9 @@ impl PruningCounters {
         Self::default()
     }
 
-    /// Counts one computed bound that took `elapsed`.
-    fn record_bound(&self, elapsed: Duration) {
-        self.bounded.fetch_add(1, Ordering::Relaxed);
+    /// Counts one bound pass over `candidates` that took `elapsed`.
+    fn record_bound_pass(&self, candidates: usize, elapsed: Duration) {
+        self.bounded.fetch_add(candidates as u64, Ordering::Relaxed);
         self.bound_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -372,7 +319,8 @@ impl PruningCounters {
 /// A plain copy of [`PruningCounters`], addable for aggregation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruningSnapshot {
-    /// Upper bounds computed (one per viz that faced a live threshold).
+    /// Upper bounds computed: one per candidate of every query the
+    /// pruning driver ran for.
     pub bounded: u64,
     /// Visualizations skipped because their bound fell below the
     /// threshold.
@@ -394,15 +342,13 @@ impl PruningSnapshot {
     }
 }
 
-/// The per-query pruning driver: bound-checks candidates against the
-/// shared threshold and publishes proven tightenings back into it. One
-/// driver is borrowed by every executor of a query; all state lives in
-/// the shared cell and counters, so the driver itself is `Copy`-cheap
-/// and thread-safe by construction.
-#[derive(Clone, Copy)]
+/// The per-query pruning driver: the bound pass, the choice of seeds,
+/// and the walk of candidates against the shared threshold. One driver is
+/// borrowed by every executor of a query within one engine; the mutable
+/// state lives in the shared cell and counters, so it is thread-safe by
+/// construction.
 pub struct PruningDriver<'a> {
-    query: &'a ShapeQuery,
-    params: &'a ScoreParams,
+    plan: BoundPlan,
     cell: &'a ThresholdCell,
     counters: &'a PruningCounters,
     k: usize,
@@ -412,8 +358,7 @@ pub struct PruningDriver<'a> {
 impl std::fmt::Debug for PruningDriver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PruningDriver")
-            .field("query", &self.query)
-            .field("params", &self.params)
+            .field("plan", &self.plan)
             .field("cell", &self.cell)
             .field("counters", &self.counters)
             .field("k", &self.k)
@@ -423,17 +368,16 @@ impl std::fmt::Debug for PruningDriver<'_> {
 
 impl<'a> PruningDriver<'a> {
     /// A driver for one query (retrieving `k` results) over the given
-    /// shared cell and counters.
+    /// shared cell and counters. Compiles the query's bound plan.
     pub fn new(
-        query: &'a ShapeQuery,
-        params: &'a ScoreParams,
+        query: &ShapeQuery,
+        params: &ScoreParams,
         cell: &'a ThresholdCell,
         counters: &'a PruningCounters,
         k: usize,
     ) -> Self {
         Self {
-            query,
-            params,
+            plan: BoundPlan::compile(query, params),
             cell,
             counters,
             k,
@@ -441,9 +385,9 @@ impl<'a> PruningDriver<'a> {
         }
     }
 
-    /// Routes this driver's §6.3 bound-computation timings to `observer`
-    /// (as [`EngineStage::PruneBound`] samples, one per bound-checked
-    /// candidate) in addition to the shared counters. Returns `self` for
+    /// Routes this driver's bound-pass timings to `observer` (one
+    /// [`EngineStage::PruneBound`] sample per [`Self::upper_bounds`]
+    /// call) in addition to the shared counters. Returns `self` for
     /// chaining.
     #[must_use]
     pub fn with_observer(mut self, observer: &'a dyn StageObserver) -> Self {
@@ -451,177 +395,263 @@ impl<'a> PruningDriver<'a> {
         self
     }
 
-    /// Bound-checks one candidate. Returns `true` when the candidate is
-    /// proven unable to enter the top k (the caller skips segmentation
-    /// entirely); `false` means it must be scored in full.
-    pub fn try_prune(&self, viz: &VizData) -> bool {
-        let threshold = self.cell.get();
-        // TopK::threshold (and hence every published value) stays at
-        // NEG_INFINITY until k results have been admitted somewhere;
-        // that explicitly means "no pruning possible yet" — skip the
-        // bound computation rather than comparing against −∞.
-        if threshold == f64::NEG_INFINITY {
-            return false;
-        }
-        // Adaptive stop: when a sliding window of bounds has pruned
-        // nothing (a common-pattern workload where every candidate beats
-        // the threshold's reach), stop paying for the bound pass — clock
-        // reads plus bound arithmetic per candidate would otherwise cost
-        // more than the segmentation they fail to skip. Periodic probes
-        // resume full-rate bounding the moment pruning bites again.
-        if !self.cell.bound_pass_admitted() {
-            return false;
-        }
+    /// The bound pass: the Theorem 6.4 upper bound of every candidate, by
+    /// position. One clock pair and one observer sample for the whole
+    /// collection — a candidate costs a few nanoseconds, which is why the
+    /// pass runs unconditionally (on a workload it cannot prune it is
+    /// noise next to a single segmentation).
+    pub fn upper_bounds(&self, vizzes: &[&VizData]) -> Vec<f64> {
         let started = Instant::now();
-        let (_, upper) = query_bounds(self.query, viz, self.params);
+        let bounds: Vec<f64> = self
+            .plan
+            .bounds(vizzes)
+            .into_iter()
+            .map(|(_, upper)| upper)
+            .collect();
         let elapsed = started.elapsed();
-        self.counters.record_bound(elapsed);
+        self.counters.record_bound_pass(bounds.len(), elapsed);
         self.observer
             .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
-        // Strictly below the threshold: even a tie could not displace
-        // the k-th result, so the candidate is gone for good.
-        let pruned = upper < threshold;
-        self.cell.note_bound_outcome(pruned);
-        if pruned {
-            self.counters.pruned.fetch_add(1, Ordering::Relaxed);
-            if upper >= self.cell.proven() {
-                // The proven component alone would not have pruned this:
-                // the prune rides on the hint, so record it for the
-                // hint sender's verification pass.
-                self.cell.note_hint_prune(upper);
+        bounds
+    }
+
+    /// §6.3 stage 1: the positions of the `min(k, candidates)` highest
+    /// upper bounds, best first (ties by position). These are the
+    /// candidates no threshold could rule out, so scoring them first
+    /// gives the sweep over everyone else the sharpest threshold k exact
+    /// scores can prove. A selection, not a sort: ordering the whole
+    /// collection by bound costs a located query (0.7 µs of work per
+    /// trendline) a tenth of its time and saves a needle query 5 % of
+    /// the little it still scores.
+    pub fn seeds(&self, bounds: &[f64]) -> Vec<usize> {
+        let best_first =
+            |a: &usize, b: &usize| bounds[*b].total_cmp(&bounds[*a]).then_with(|| a.cmp(b));
+        let mut order: Vec<usize> = (0..bounds.len()).collect();
+        if self.k < order.len() {
+            order.select_nth_unstable_by(self.k, best_first);
+            order.truncate(self.k);
+        }
+        order.sort_unstable_by(best_first);
+        order
+    }
+
+    /// Walks `positions` against the live threshold. A candidate whose
+    /// upper bound is **strictly** below it — even a tie could not
+    /// displace the k-th result — is skipped for good; every other is
+    /// handed to `score` and the exact score it returns is pooled toward
+    /// the proven global k-th best (see [`ThresholdCell::offer`]), so
+    /// every executor's results tighten every other executor's threshold
+    /// as they land. Seeds and sweep both go through here.
+    pub fn visit(
+        &self,
+        bounds: &[f64],
+        positions: impl Iterator<Item = usize>,
+        mut score: impl FnMut(usize) -> f64,
+    ) {
+        let (mut pruned, mut scored) = (0u64, 0u64);
+        for pos in positions {
+            let upper = bounds[pos];
+            // No threshold yet reads −∞, which nothing is below.
+            if upper < self.cell.get() {
+                if upper >= self.cell.proven() {
+                    // The proven component alone would not have pruned
+                    // this: the prune rides on the hint, so record it for
+                    // the hint sender's verification pass.
+                    self.cell.note_hint_prune(upper);
+                }
+                pruned += 1;
+            } else {
+                self.cell.offer(score(pos), self.k);
+                scored += 1;
             }
-            return true;
         }
-        false
-    }
-
-    /// Counts one fully scored candidate.
-    pub fn record_scored(&self) {
-        self.counters.scored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pools one exactly computed score toward the proven global k-th
-    /// best (see [`ThresholdCell::offer`]) — every executor's results
-    /// tighten every other executor's bound as they land.
-    pub fn observe(&self, score: f64) {
-        self.cell.offer(score, self.k);
-    }
-
-    /// Publishes a proven k-th-best score into the shared cell.
-    /// `NEG_INFINITY` (a top-k collector that has not filled yet — see
-    /// the pre-fill semantics on the engine's `TopK::threshold`) is
-    /// explicitly a no-op.
-    pub fn publish(&self, kth_best: f64) {
-        if kth_best == f64::NEG_INFINITY {
-            return;
-        }
-        self.cell.raise(kth_best);
+        // Once per walk: the counters are shared by every executor of a
+        // batch, and a contended add per candidate costs more than the
+        // comparison it counts.
+        self.counters.pruned.fetch_add(pruned, Ordering::Relaxed);
+        self.counters.scored.fetch_add(scored, Ordering::Relaxed);
     }
 }
 
-/// Score bounds for a query over one visualization, in O(query size):
-/// combines the per-segment Table 7 bounds — evaluated from the
-/// GROUP-time interval-slope extremes cached on the [`VizData`] — through
-/// the operator bounds of Property 5.1.
-///
-/// Returns `(lower, upper)`. Validity follows from the least-squares
-/// slope of any merged range being a convex combination of its interval
-/// slopes (the "law of the triangle" in the paper's Theorem 6.4 proof),
-/// so every pattern's fitted slope lies in `[slope_min, slope_max]` and
-/// the pattern scorers are monotone or unimodal in slope — the extreme
-/// scores over that interval are attained at the cached extremes.
-/// (Nested CONCATs are handled for free: the recursive mean below equals
-/// chain expansion's weighted-average semantics.)
+/// Score bounds `(lower, upper)` for a query over one visualization, in
+/// O(query size): the query's bound plan compiled and evaluated once (the
+/// pruning driver compiles once per query and evaluates per candidate).
 pub fn query_bounds(query: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
-    node_bounds(query, viz, params)
+    BoundPlan::compile(query, params).bounds(&[viz])[0]
 }
 
-fn node_bounds(q: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
-    match q {
-        ShapeQuery::Segment(s) => segment_bounds(s, viz, params),
-        ShapeQuery::Concat(cs) => {
-            let (mut lo, mut hi) = (0.0, 0.0);
-            for c in cs {
-                let (l, h) = node_bounds(c, viz, params);
-                lo += l;
-                hi += h;
+/// A query compiled for bounding — the bound plan: everything
+/// [`Self::bounds`] needs that does not depend on the visualization (which
+/// Table 7 row applies to each segment, the `θ = x` constants and the
+/// target's slope, whether a hard constraint voids the lower bound),
+/// derived once per (query, executor) instead of once per candidate.
+#[derive(Debug, Clone)]
+enum BoundPlan {
+    /// A segment the slope bounds say nothing about: `(−1, 1)`.
+    Trivial,
+    /// A slope-scored segment. `constrained`: a hard constraint (x/y
+    /// pins, ITERATOR width windows, the optional minimum-width term) can
+    /// only *lower* the segment's score — to −1 on violation — so the
+    /// upper bound stands but the Table 7 lower bound does not: it widens
+    /// to the trivial −1 so NOT nodes (which flip bounds) stay sound.
+    Slope {
+        row: SlopeRow,
+        constrained: bool,
+    },
+    Concat(Vec<BoundPlan>),
+    And(Vec<BoundPlan>),
+    Or(Vec<BoundPlan>),
+    Not(Box<BoundPlan>),
+}
+
+/// The Table 7 row of a slope pattern.
+#[derive(Debug, Clone, Copy)]
+enum SlopeRow {
+    Up,
+    Down,
+    Flat,
+    /// `θ = x`: [`theta_target`]'s constants plus the target as a slope.
+    Theta {
+        target: f64,
+        worst: f64,
+        slope: f64,
+    },
+}
+
+impl BoundPlan {
+    /// Compiles `q` under `params`.
+    fn compile(q: &ShapeQuery, params: &ScoreParams) -> Self {
+        let all = |cs: &[ShapeQuery]| cs.iter().map(|c| Self::compile(c, params)).collect();
+        match q {
+            ShapeQuery::Segment(s) => Self::segment(s, params),
+            ShapeQuery::Concat(cs) => Self::Concat(all(cs)),
+            ShapeQuery::And(cs) => Self::And(all(cs)),
+            ShapeQuery::Or(cs) => Self::Or(all(cs)),
+            ShapeQuery::Not(c) => Self::Not(Box::new(Self::compile(c, params))),
+        }
+    }
+
+    fn segment(s: &ShapeSegment, params: &ScoreParams) -> Self {
+        // Sharp/gradual/quantifier modifiers and sketches rescale or
+        // replace the slope scorers entirely — the plain Table 7 bounds
+        // don't apply.
+        if s.modifier.is_some() || s.sketch.is_some() {
+            return Self::Trivial;
+        }
+        let row = match &s.pattern {
+            Some(Pattern::Up) => SlopeRow::Up,
+            Some(Pattern::Down) => SlopeRow::Down,
+            Some(Pattern::Flat) => SlopeRow::Flat,
+            Some(Pattern::Slope(deg)) => {
+                let (target, worst) = theta_target(*deg);
+                SlopeRow::Theta {
+                    target,
+                    worst,
+                    slope: deg.to_radians().tan(),
+                }
             }
-            let k = cs.len().max(1) as f64;
-            (lo / k, hi / k)
+            // Wildcards, UDPs, position references, y-target lines,
+            // location-only segments: non-slope scorers.
+            _ => return Self::Trivial,
+        };
+        Self::Slope {
+            row,
+            constrained: !s.location.is_empty()
+                || s.iterator.is_some()
+                || params.min_width_frac > 0.0,
         }
-        ShapeQuery::And(cs) => fold_bounds(cs, viz, params, f64::min),
-        ShapeQuery::Or(cs) => fold_bounds(cs, viz, params, f64::max),
-        ShapeQuery::Not(c) => {
-            let (l, h) = node_bounds(c, viz, params);
-            (-h, -l)
+    }
+
+    /// Score bounds `(lower, upper)` for the compiled query over each of
+    /// `vizzes`, in O(query size) per visualization from the GROUP-time
+    /// interval-slope extremes and their angles cached on the
+    /// [`VizData`]: the per-segment Table 7 bounds combined through the
+    /// operator bounds of Property 5.1. Evaluated a plan node at a time
+    /// over the whole collection, so each Table 7 row is one tight loop.
+    ///
+    /// Validity follows from the least-squares slope of any merged range
+    /// being a convex combination of its interval slopes (the "law of the
+    /// triangle" in the paper's Theorem 6.4 proof), so every pattern's
+    /// fitted slope lies in `[slope_min, slope_max]` and the pattern
+    /// scorers are monotone or unimodal in slope — the extreme scores
+    /// over that interval are attained at the cached extremes. (Nested
+    /// CONCATs are handled for free: the recursive mean equals chain
+    /// expansion's weighted-average semantics.)
+    fn bounds(&self, vizzes: &[&VizData]) -> Vec<(f64, f64)> {
+        // Folds the children's columns into the first one.
+        let fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
+            let mut columns = cs.iter().map(|c| c.bounds(vizzes));
+            let mut acc = columns
+                .next()
+                .unwrap_or_else(|| vec![(-1.0, 1.0); vizzes.len()]);
+            for column in columns {
+                for ((lo, hi), (l, h)) in acc.iter_mut().zip(column) {
+                    (*lo, *hi) = (pick(*lo, l), pick(*hi, h));
+                }
+            }
+            acc
+        };
+        match self {
+            Self::Trivial => vec![(-1.0, 1.0); vizzes.len()],
+            Self::Slope { row, constrained } => vizzes
+                .iter()
+                .map(|viz| {
+                    let (lo, hi) = row.bounds(viz);
+                    (if *constrained { -1.0 } else { lo }, hi)
+                })
+                .collect(),
+            Self::Concat(cs) => {
+                let n = cs.len().max(1) as f64;
+                let mut mean = fold(cs, |a, b| a + b);
+                for (lo, hi) in &mut mean {
+                    (*lo, *hi) = (*lo / n, *hi / n);
+                }
+                mean
+            }
+            Self::And(cs) => fold(cs, f64::min),
+            Self::Or(cs) => fold(cs, f64::max),
+            Self::Not(c) => {
+                let mut column = c.bounds(vizzes);
+                for (lo, hi) in &mut column {
+                    (*lo, *hi) = (-*hi, -*lo);
+                }
+                column
+            }
         }
     }
 }
 
-fn fold_bounds(
-    cs: &[ShapeQuery],
-    viz: &VizData,
-    params: &ScoreParams,
-    pick: fn(f64, f64) -> f64,
-) -> (f64, f64) {
-    let mut lo: Option<f64> = None;
-    let mut hi: Option<f64> = None;
-    for c in cs {
-        let (l, h) = node_bounds(c, viz, params);
-        lo = Some(lo.map_or(l, |v| pick(v, l)));
-        hi = Some(hi.map_or(h, |v| pick(v, h)));
-    }
-    (lo.unwrap_or(-1.0), hi.unwrap_or(1.0))
-}
-
-/// Table 7 bounds for one segment, O(1) from the cached slope extremes.
-fn segment_bounds(s: &ShapeSegment, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
-    // Sharp/gradual/quantifier modifiers and sketches rescale or replace
-    // the slope scorers entirely — the plain Table-7 bounds don't apply.
-    if s.modifier.is_some() || s.sketch.is_some() {
-        return (-1.0, 1.0);
-    }
-    let (lo_s, hi_s) = (viz.slope_min, viz.slope_max);
-    let (lo, hi) = match &s.pattern {
-        // The slope scorers are monotone (up/down) or unimodal
-        // (flat/theta) in slope, so both extremes over
-        // [slope_min, slope_max] are attained at the cached endpoints —
-        // and since those endpoints *are* interval slopes, these equal
-        // the exact leaf-level min/max of Table 7.
-        Some(Pattern::Up) => (score_up(lo_s), score_up(hi_s)),
-        Some(Pattern::Down) => (score_down(hi_s), score_down(lo_s)),
-        Some(Pattern::Flat) => {
-            let min = score_flat(lo_s).min(score_flat(hi_s));
-            // Mixed-sign slopes can cancel into a perfectly flat merge.
-            let max = if lo_s < 0.0 && hi_s > 0.0 {
-                1.0
-            } else {
-                score_flat(lo_s).max(score_flat(hi_s))
-            };
-            (min, max)
+impl SlopeRow {
+    /// The slope scorers are monotone (up/down) or unimodal (flat/theta)
+    /// in slope, so both extremes over `[slope_min, slope_max]` are
+    /// attained at the cached endpoints — and since those endpoints *are*
+    /// interval slopes, these equal the exact leaf-level min/max of
+    /// Table 7.
+    #[inline]
+    fn bounds(self, viz: &VizData) -> (f64, f64) {
+        let (lo_t, hi_t) = (viz.theta_min, viz.theta_max);
+        // A unimodal scorer bottoms out at an endpoint and peaks at one
+        // too, unless the slopes straddle its mode: they can then merge
+        // onto it exactly.
+        let unimodal = |a: f64, b: f64, mode: f64| {
+            let straddles = viz.slope_min < mode && viz.slope_max > mode;
+            (a.min(b), if straddles { 1.0 } else { a.max(b) })
+        };
+        match self {
+            Self::Up => (up_at(lo_t), up_at(hi_t)),
+            Self::Down => (down_at(hi_t), down_at(lo_t)),
+            Self::Flat => unimodal(flat_at(lo_t), flat_at(hi_t), 0.0),
+            Self::Theta {
+                target,
+                worst,
+                slope,
+            } => unimodal(
+                theta_at(lo_t, target, worst),
+                theta_at(hi_t, target, worst),
+                slope,
+            ),
         }
-        Some(Pattern::Slope(deg)) => {
-            let target = deg.to_radians().tan();
-            let min = score_theta(lo_s, *deg).min(score_theta(hi_s, *deg));
-            // Slopes straddling the target can merge onto it exactly.
-            let max = if lo_s < target && hi_s > target {
-                1.0
-            } else {
-                score_theta(lo_s, *deg).max(score_theta(hi_s, *deg))
-            };
-            (min, max)
-        }
-        // Wildcards, UDPs, position references, y-target lines,
-        // location-only segments: non-slope scorers, trivial bounds.
-        _ => return (-1.0, 1.0),
-    };
-    // Hard constraints (x/y pins, ITERATOR width windows, plus the
-    // optional minimum-width term) can only *lower* a segment's score —
-    // to −1 on violation — so the upper bound stands but the Table-7
-    // lower bound does not: widen it to the trivial −1 so NOT nodes
-    // (which flip bounds) stay sound.
-    let constrained = !s.location.is_empty() || s.iterator.is_some() || params.min_width_frac > 0.0;
-    (if constrained { -1.0 } else { lo }, hi)
+    }
 }
 
 #[cfg(test)]
@@ -658,23 +688,53 @@ mod tests {
 
     #[test]
     fn bounds_contain_final_score() {
-        let params = ScoreParams::default();
         let udps = UdpRegistry::new();
-        for q in [
+        let slope = |deg: f64| ShapeQuery::pattern(Pattern::Slope(deg));
+        let pinned_up = ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 2.0, 9.0));
+        // Every arm the compiled plan has: the four Table 7 rows, each
+        // operator, operators nested in each other, a pinned segment and
+        // the minimum-width term (both void the lower bound only).
+        let queries = [
             ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
             ShapeQuery::up(),
             ShapeQuery::flat(),
             ShapeQuery::Or(vec![ShapeQuery::up(), ShapeQuery::flat()]),
             ShapeQuery::Not(Box::new(ShapeQuery::down())),
-        ] {
-            for v in make_collection() {
-                let ev = Evaluator::new(&v, &params, &udps);
-                let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
-                let (lo, hi) = query_bounds(&q, &v, &params);
-                assert!(
-                    exact <= hi + 1e-9 && exact >= lo - 1e-9,
-                    "score {exact} outside [{lo}, {hi}] for {q}"
-                );
+            slope(45.0),
+            slope(-30.0),
+            ShapeQuery::concat(vec![slope(60.0), slope(-60.0)]),
+            ShapeQuery::concat(vec![
+                ShapeQuery::And(vec![
+                    ShapeQuery::up(),
+                    ShapeQuery::Not(Box::new(ShapeQuery::Or(vec![
+                        ShapeQuery::flat(),
+                        slope(-20.0),
+                    ]))),
+                ]),
+                ShapeQuery::Or(vec![
+                    ShapeQuery::down(),
+                    ShapeQuery::And(vec![slope(-70.0), ShapeQuery::Not(Box::new(slope(10.0)))]),
+                ]),
+            ]),
+            ShapeQuery::concat(vec![pinned_up.clone(), ShapeQuery::down()]),
+            ShapeQuery::Not(Box::new(pinned_up)),
+        ];
+        let widthy = ScoreParams {
+            min_width_frac: 0.25,
+            ..ScoreParams::default()
+        };
+        for params in [ScoreParams::default(), widthy] {
+            for q in &queries {
+                for v in make_collection() {
+                    let ev = Evaluator::new(&v, &params, &udps);
+                    let exact = DpSegmenter.match_viz(&ev, &expand_chains(q)).score;
+                    let (lo, hi) = query_bounds(q, &v, &params);
+                    assert!(
+                        exact <= hi + 1e-9 && exact >= lo - 1e-9,
+                        "score {exact} outside [{lo}, {hi}] for {q} (min width {})",
+                        params.min_width_frac
+                    );
+                }
             }
         }
     }
@@ -804,17 +864,17 @@ mod tests {
     #[test]
     fn bound_time_accumulates_below_a_microsecond_per_bound() {
         let counters = PruningCounters::new();
-        // 2,500 bounds of 400 ns: each truncates to 0 µs on its own, the
-        // run took a millisecond.
+        // 2,500 passes of 400 ns over 3 candidates each (tiny shards):
+        // each truncates to 0 µs on its own, the run took a millisecond.
         for _ in 0..2_500 {
-            counters.record_bound(Duration::from_nanos(400));
+            counters.record_bound_pass(3, Duration::from_nanos(400));
         }
         let snap = counters.snapshot();
-        assert_eq!((snap.bounded, snap.bound_micros), (2_500, 1_000));
+        assert_eq!((snap.bounded, snap.bound_micros), (7_500, 1_000));
         // The sub-microsecond remainder is dropped once, at the read.
-        counters.record_bound(Duration::from_nanos(999));
+        counters.record_bound_pass(1, Duration::from_nanos(999));
         assert_eq!(counters.snapshot().bound_micros, 1_000);
-        counters.record_bound(Duration::from_nanos(1));
+        counters.record_bound_pass(1, Duration::from_nanos(1));
         assert_eq!(counters.snapshot().bound_micros, 1_001);
     }
 
@@ -829,22 +889,42 @@ mod tests {
             &(0..16).map(|t| (t as f64, -(t as f64))).collect::<Vec<_>>(),
             0,
         );
+        // Whether the walk handed the candidate to the scorer (the exact
+        // score it reports back is below every threshold used here).
+        let scored = |driver: &PruningDriver<'_>, bounds: &[f64]| {
+            let mut scored = false;
+            driver.visit(bounds, 0..1, |_| {
+                scored = true;
+                -1.0
+            });
+            scored
+        };
 
-        // No threshold yet: nothing prunes, no bound is even computed.
-        assert!(!driver.try_prune(&fall));
-        assert_eq!(counters.snapshot().bounded, 0);
+        // One pass, one bound per candidate.
+        let bounds = driver.upper_bounds(&[&fall]);
+        let (_, ub) = query_bounds(&q, &fall, &params);
+        assert_eq!(bounds, [ub]);
+        assert_eq!(counters.snapshot().bounded, 1);
 
-        // A published NEG_INFINITY (a top-k that hasn't filled) is a
-        // no-op, not a threshold.
-        driver.publish(f64::NEG_INFINITY);
-        assert!(!driver.try_prune(&fall));
+        // No threshold yet: nothing prunes.
+        assert!(scored(&driver, &bounds));
+        // A raised NEG_INFINITY (a top-k that hasn't filled) is a no-op,
+        // not a threshold.
+        cell.raise(f64::NEG_INFINITY);
+        assert!(scored(&driver, &bounds));
+
+        // A threshold equal to the bound does not prune — a tie could
+        // still displace the k-th result by index order.
+        cell.raise(ub);
+        assert!(scored(&driver, &bounds));
+        assert_eq!(counters.snapshot().pruned, 0);
 
         // A proven threshold above the fall's upper bound prunes it,
         // with no hint debt.
-        driver.publish(0.9);
-        assert!(driver.try_prune(&fall));
+        cell.raise(0.9);
+        assert!(!scored(&driver, &bounds));
         let snap = counters.snapshot();
-        assert_eq!((snap.bounded, snap.pruned), (1, 1));
+        assert_eq!((snap.bounded, snap.pruned, snap.scored), (1, 1, 3));
         assert_eq!(cell.hint_pruned(), None);
 
         // A hint-only threshold prunes too, but records the bound so the
@@ -852,66 +932,55 @@ mod tests {
         let cell2 = ThresholdCell::new();
         cell2.seed_hint(0.9);
         let driver2 = PruningDriver::new(&q, &params, &cell2, &counters, 2);
-        assert!(driver2.try_prune(&fall));
+        assert!(!scored(&driver2, &bounds));
         let debt = cell2.hint_pruned().expect("hint prune must be recorded");
-        let (_, ub) = query_bounds(&q, &fall, &params);
         assert_eq!(debt, ub);
     }
 
     #[test]
-    fn unprunable_workload_stops_paying_for_bounds_but_keeps_probing() {
-        // A threshold no candidate falls below: every bound is a miss,
-        // so after BOUND_CREDITS misses the driver must go to skip mode
-        // and only probe every PROBE_STRIDE-th candidate.
+    fn seeds_are_the_k_highest_bounds_best_first_ties_by_position() {
         let params = ScoreParams::default();
-        let q = ShapeQuery::up();
-        let cell = ThresholdCell::new();
-        let counters = PruningCounters::new();
-        let driver = PruningDriver::new(&q, &params, &cell, &counters, 1);
-        let rise = viz(
-            &(0..16).map(|t| (t as f64, t as f64)).collect::<Vec<_>>(),
-            0,
+        let (q, cell, counters) = (
+            ShapeQuery::up(),
+            ThresholdCell::new(),
+            PruningCounters::new(),
         );
-        // Below rise's upper bound (score_up(1) = 0.5): never prunes.
-        driver.publish(0.2);
-        let candidates = 10_000u64;
-        for _ in 0..candidates {
-            assert!(!driver.try_prune(&rise), "nothing may prune here");
-        }
-        let bounded = counters.snapshot().bounded;
-        let ceiling = BOUND_CREDITS as u64 + candidates / PROBE_STRIDE + 1;
-        assert!(
-            bounded <= ceiling,
-            "skip mode must cap bound work: {bounded} bounds for {candidates} candidates (cap {ceiling})"
-        );
-        assert!(
-            bounded >= BOUND_CREDITS as u64,
-            "the credit window must be paid before skipping: {bounded}"
-        );
+        let seeds = |k: usize, bounds: &[f64]| {
+            PruningDriver::new(&q, &params, &cell, &counters, k).seeds(bounds)
+        };
+        let bounds = [0.2, 0.9, -0.5, 0.9, 0.2, 1.0];
+        assert_eq!(seeds(1, &bounds), [5]);
+        assert_eq!(seeds(3, &bounds), [5, 1, 3]);
+        // The tie at the cut goes to the lower position.
+        assert_eq!(seeds(4, &bounds), [5, 1, 3, 0]);
+        // k at or past the collection: everyone, still best first.
+        assert_eq!(seeds(6, &bounds), [5, 1, 3, 0, 4, 2]);
+        assert_eq!(seeds(usize::MAX, &bounds), [5, 1, 3, 0, 4, 2]);
+        assert_eq!(seeds(0, &bounds), [0usize; 0]);
+        assert_eq!(seeds(3, &[]), [0usize; 0]);
+    }
 
-        // A probe that prunes refills the budget: full-rate bounding
-        // resumes for the next credit window.
-        // A monotone fall normalizes onto canvas slope −1, so its upper
-        // bound (score_up(−1) = −0.5) sits strictly below the threshold.
-        let fall = viz(
-            &(0..16).map(|t| (t as f64, -(t as f64))).collect::<Vec<_>>(),
-            1,
-        );
-        let mut probe_pruned = false;
-        for _ in 0..PROBE_STRIDE {
-            if driver.try_prune(&fall) {
-                probe_pruned = true;
-                break;
-            }
-        }
-        assert!(probe_pruned, "a skip-mode probe must still prune");
-        let before = counters.snapshot().bounded;
-        assert!(!driver.try_prune(&rise));
-        assert_eq!(
-            counters.snapshot().bounded,
-            before + 1,
-            "a pruning probe must restore full-rate bounding"
-        );
+    #[test]
+    fn offer_survives_a_poisoned_pool() {
+        let cell = ThresholdCell::new();
+        cell.offer(0.4, 3);
+        // One executor of the query dies holding the pool.
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = cell.pool.lock().unwrap();
+                    panic!("executor panicked mid-query");
+                })
+                .join()
+        });
+        assert!(died.is_err() && cell.pool.is_poisoned());
+        // The others keep proving the threshold from where it stood.
+        cell.offer(0.8, 3);
+        assert_eq!(cell.proven(), f64::NEG_INFINITY);
+        cell.offer(0.6, 3);
+        assert_eq!(cell.proven(), 0.4, "the 3rd best of {{0.8, 0.6, 0.4}}");
+        cell.offer(0.7, 3);
+        assert_eq!(cell.proven(), 0.6);
     }
 
     #[test]

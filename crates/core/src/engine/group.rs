@@ -40,7 +40,8 @@ use std::sync::Arc;
 
 /// A candidate visualization prepared for segmentation and scoring: an
 /// `Arc`-shared handle into a [`ColumnarArena`] slot plus the per-viz
-/// scalars scoring needs (raw extents, slope extremes, source index).
+/// scalars scoring needs (raw extents, slope extremes and their angles,
+/// source index).
 #[derive(Debug, Clone)]
 pub struct VizData {
     /// The `z` value identifying the visualization.
@@ -58,6 +59,14 @@ pub struct VizData {
     pub slope_min: f64,
     /// Largest interval slope; see [`Self::slope_min`].
     pub slope_max: f64,
+    /// `atan(slope_min)`, taken once here so the §6.3 bound pass — which
+    /// reads the Table 5 scorers at both extremes for every candidate of
+    /// every query — takes no `atan` at all. Derived from the arena's
+    /// slope extremes wherever a handle is built (eager GROUP and
+    /// snapshot load alike), so it is in no file format.
+    pub theta_min: f64,
+    /// `atan(slope_max)`; see [`Self::theta_min`].
+    pub theta_max: f64,
     /// Index of the source trendline in the engine's collection.
     pub source: usize,
     arena: Arc<ColumnarArena>,
@@ -160,6 +169,8 @@ impl VizData {
             raw_y: part.raw_y,
             slope_min,
             slope_max,
+            theta_min: slope_min.atan(),
+            theta_max: slope_max.atan(),
             source,
             arena: Arc::clone(arena),
             slot,
@@ -204,42 +215,6 @@ impl VizData {
     /// This visualization's slot in [`Self::arena`].
     pub fn slot(&self) -> usize {
         self.slot
-    }
-
-    /// A coarsened copy with at most `target_points` points (§6.3's "a
-    /// DP-based scoring on a subset of points distributed uniformly across
-    /// the visualization"; the engine's pruning driver now scores its
-    /// stage-1 sample exactly so the threshold stays a proven bound, but
-    /// coarsening remains available for approximate embedders). The copy
-    /// owns a fresh one-slot arena.
-    pub fn coarsened(&self, target_points: usize) -> VizData {
-        let target = target_points.max(2);
-        if self.n() <= target {
-            return self.clone();
-        }
-        let bin = self.n().div_ceil(target);
-        let mut xs = Vec::with_capacity(target);
-        let mut ys = Vec::with_capacity(target);
-        for chunk in self.xs().chunks(bin).zip(self.ys().chunks(bin)) {
-            let (cx, cy) = chunk;
-            xs.push(cx.iter().sum::<f64>() / cx.len() as f64);
-            ys.push(cy.iter().sum::<f64>() / cy.len() as f64);
-        }
-        let mut builder = ArenaBuilder::with_capacity(1, xs.len());
-        let slot = builder.push_viz(&xs, &ys);
-        let arena = Arc::new(builder.finish());
-        Self::from_slot(
-            self.key.clone(),
-            Normalized {
-                xs,
-                ys,
-                raw_x: self.raw_x,
-                raw_y: self.raw_y,
-            },
-            self.source,
-            &arena,
-            slot,
-        )
     }
 
     /// Maps a raw x value onto the canvas.
@@ -409,29 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn coarsened_reduces_points_and_preserves_shape() {
-        let pairs: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64)).collect();
-        let v = VizData::from_trendline(&trend(&pairs), 0, 1).unwrap();
-        let c = v.coarsened(10);
-        assert!(c.n() <= 10);
-        assert!(c.n() >= 2);
-        // A straight diagonal stays a straight diagonal.
-        assert!((c.slope(0, c.n() - 1) - 1.0).abs() < 1e-9);
-        // Raw extents preserved for literal mapping.
-        assert_eq!(c.raw_x, v.raw_x);
-        assert_eq!(c.raw_y, v.raw_y);
-    }
-
-    #[test]
-    fn coarsened_is_noop_when_small_enough() {
-        let t = trend(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        let v = VizData::from_trendline(&t, 0, 1).unwrap();
-        let c = v.coarsened(10);
-        assert_eq!(c.n(), 3);
-        assert_eq!(c.xs(), v.xs());
-    }
-
-    #[test]
     fn slope_extremes_cover_every_interval() {
         let t = trend(&[(0.0, 0.0), (1.0, 3.0), (2.0, 1.0), (3.0, 2.0)]);
         let v = VizData::from_trendline(&t, 0, 1).unwrap();
@@ -444,6 +396,7 @@ mod tests {
         }
         assert_eq!(v.slope_min, lo);
         assert_eq!(v.slope_max, hi);
+        assert_eq!((v.theta_min, v.theta_max), (lo.atan(), hi.atan()));
         assert!(v.slope_min < 0.0 && v.slope_max > 0.0);
         // A monotone line's extremes collapse onto one slope.
         let mono = trend(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);

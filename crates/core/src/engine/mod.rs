@@ -13,7 +13,7 @@ use crate::algo::baseline::{BaselineMethod, WholeSeriesBaseline};
 use crate::algo::dp::DpSegmenter;
 use crate::algo::greedy::GreedySegmenter;
 use crate::algo::pruning::{
-    PruningConfig, PruningCounters, PruningDriver, PruningMode, PruningSnapshot, ThresholdCell,
+    PruningCounters, PruningDriver, PruningMode, PruningSnapshot, ThresholdCell,
 };
 use crate::algo::segment_tree::SegmentTreeSegmenter;
 use crate::algo::{MatchResult, Segmenter, SegmenterKind};
@@ -60,8 +60,6 @@ pub struct EngineOptions {
     /// never changes results — it only skips candidates that provably
     /// cannot enter the top k.
     pub pruning_mode: PruningMode,
-    /// Two-stage pruning configuration (stage-1 sample size).
-    pub pruning: PruningConfig,
 }
 
 impl Default for EngineOptions {
@@ -74,7 +72,6 @@ impl Default for EngineOptions {
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             params: ScoreParams::default(),
             pruning_mode: PruningMode::default(),
-            pruning: PruningConfig::default(),
         }
     }
 }
@@ -400,8 +397,8 @@ impl ShapeEngine {
     ///
     /// `observer` receives stage timings: the GROUP stage once per batch,
     /// SEGMENT+SCORE once per valid query (candidate selection included,
-    /// so no work between the two reports is untimed), and §6.3 bound
-    /// computations per bound-checked candidate (see
+    /// so no work between the two reports is untimed), and the §6.3 bound
+    /// pass once per query the pruning driver runs for (see
     /// [`observe::EngineStage`]). Observation never changes results — the
     /// observer only receives durations; pass [`NOOP_OBSERVER`] for none.
     ///
@@ -513,6 +510,15 @@ impl ShapeEngine {
             .collect()
     }
 
+    /// SEGMENT + SCORE over one query's candidates. With a pruning driver
+    /// the walk is §6.3's two stages over one bound pass: the candidates
+    /// with the `k` highest upper bounds are scored first (the likely
+    /// winners, so the threshold is sharp before the bulk meets it), then
+    /// the rest are swept in index order, each one comparison against the
+    /// live threshold. The threshold only prunes *strictly* below itself
+    /// and only once some executor has k exact results, and [`TopK`]'s
+    /// order is total, so the surviving top k is byte-identical to a
+    /// prune-free pass in any visiting order.
     fn run_per_viz(
         &self,
         vizzes: &[&VizData],
@@ -522,6 +528,12 @@ impl ShapeEngine {
         options: &EngineOptions,
         prune: Option<&PruningDriver<'_>>,
     ) -> TopK {
+        let mut topk = TopK::new(k, vizzes.len());
+        if k == 0 {
+            // Asks for nothing: no candidate is worth a bound, let alone
+            // a segmentation.
+            return topk;
+        }
         let score_one = |viz: &VizData| -> MatchResult {
             let ev = Evaluator::new(viz, &options.params, &self.udps);
             if options.pushdown && pushdown::eager_discard(&ev, chains) {
@@ -543,18 +555,12 @@ impl ShapeEngine {
                 .match_viz(&ev, chains),
             }
         };
-        // One candidate through the driver: bound-check (skip if provably
-        // out), score, and publish the tightened proven k-th best. The
-        // threshold only prunes *strictly* below itself and only once some
-        // executor has k exact results, so the surviving top k is
-        // byte-identical to a prune-free pass.
-        let process = |viz: &VizData, topk: &mut TopK| {
-            if let Some(driver) = prune {
-                if driver.try_prune(viz) {
-                    return;
-                }
-                driver.record_scored();
-            }
+        // Scores one candidate exactly, admits it, and returns the score
+        // (which the driver pools: once k scores exist *anywhere* — across
+        // chunks, shards, even processes via the server's fan-out — the
+        // global k-th becomes the proven threshold).
+        let admit = |pos: usize, topk: &mut TopK| -> f64 {
+            let viz = vizzes[pos];
             let result = score_one(viz);
             let score = result.score;
             // "No match" placeholders — floor score with nothing fitted —
@@ -562,42 +568,38 @@ impl ShapeEngine {
             // candidate must never occupy a top-k slot, or an unsharded
             // cut could spend its k on placeholders that a per-shard cut
             // (which filters before the merge) would have skipped, making
-            // the merged answer differ from the unsharded one.
+            // the merged answer differ from the unsharded one. They still
+            // report their −1 floor — it can never raise the threshold
+            // above a real score, and no upper bound sits strictly below
+            // −1.
             if score > -1.0 || !result.ranges.is_empty() {
                 topk.push(viz.source, result);
             }
-            if let Some(driver) = prune {
-                // Pool the exact score: once k scores exist *anywhere*
-                // (across chunks, shards, even processes via the server's
-                // fan-out), the global k-th becomes the proven threshold.
-                // Filtered placeholders still offer their −1 floor — it
-                // can never raise the threshold above a real score, and
-                // no upper bound sits strictly below −1.
-                driver.observe(score);
-            }
+            score
         };
 
-        let mut topk = TopK::new(k, vizzes.len());
-        // §6.3 stage 1, exactness-preserving form: score a strided sample
-        // first (exactly — the resulting threshold is proven, not
-        // estimated), so the bulk of the collection faces a live
-        // threshold from the start. Skipped when the collection is not
-        // meaningfully larger than the sample.
-        let sample = match prune {
-            Some(_) if k > 0 && vizzes.len() > options.pruning.sample_size.max(k) => {
-                let take = options.pruning.sample_size.max(1);
-                Some((vizzes.len() / take, take))
+        // One bound pass for the whole collection, then stage 1: the
+        // candidates no threshold could rule out, best bound first. They
+        // face the cell like everyone else (a remote hint may prune them;
+        // the hint's sender verifies that).
+        let bounded = prune.map(|driver| (driver, driver.upper_bounds(vizzes)));
+        let mut seeded = vec![false; vizzes.len()];
+        if let Some((driver, bounds)) = &bounded {
+            let seeds = driver.seeds(bounds);
+            for &pos in &seeds {
+                seeded[pos] = true;
             }
-            _ => None,
-        };
-        if let Some((stride, take)) = sample {
-            for pos in (0..vizzes.len()).step_by(stride).take(take) {
-                process(vizzes[pos], &mut topk);
-            }
+            driver.visit(bounds, seeds.into_iter(), |pos| admit(pos, &mut topk));
         }
-        let in_sample = move |pos: usize| match sample {
-            Some((stride, take)) => pos.is_multiple_of(stride) && pos / stride < take,
-            None => false,
+        // Stage 2: everyone else, in index order.
+        let sweep = |range: std::ops::Range<usize>, topk: &mut TopK| {
+            let rest = range.filter(|&pos| !seeded[pos]);
+            match &bounded {
+                Some((driver, bounds)) => driver.visit(bounds, rest, |pos| admit(pos, topk)),
+                None => rest.for_each(|pos| {
+                    admit(pos, topk);
+                }),
+            }
         };
 
         let parallel = options.parallel || vizzes.len() >= options.parallel_threshold;
@@ -607,23 +609,19 @@ impl ShapeEngine {
                 .unwrap_or(4)
                 .min(vizzes.len());
             let chunk = vizzes.len().div_ceil(threads);
+            let sweep = &sweep;
             std::thread::scope(|scope| {
-                // Each chunk keeps a local top-k (pushing into it raises
-                // the shared threshold as results land, so chunks prune
-                // each other's work); merging the chunk top-ks is exact
+                // Each chunk keeps a local top-k (its scores raise the
+                // shared threshold as they land, so chunks prune each
+                // other's work); merging the chunk top-ks is exact
                 // because a global top-k member is in its chunk's top-k.
-                let handles: Vec<_> = vizzes
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(ci, part)| {
+                let handles: Vec<_> = (0..vizzes.len())
+                    .step_by(chunk)
+                    .map(|start| {
+                        let end = (start + chunk).min(vizzes.len());
                         scope.spawn(move || {
-                            let mut local = TopK::new(k, part.len());
-                            for (off, v) in part.iter().enumerate() {
-                                if in_sample(ci * chunk + off) {
-                                    continue;
-                                }
-                                process(v, &mut local);
-                            }
+                            let mut local = TopK::new(k, end - start);
+                            sweep(start..end, &mut local);
                             local.into_sorted()
                         })
                     })
@@ -635,12 +633,7 @@ impl ShapeEngine {
                 }
             });
         } else {
-            for (pos, v) in vizzes.iter().enumerate() {
-                if in_sample(pos) {
-                    continue;
-                }
-                process(v, &mut topk);
-            }
+            sweep(0..vizzes.len(), &mut topk);
         }
         topk
     }
@@ -939,6 +932,83 @@ mod tests {
                 snap.bounded >= snap.pruned && snap.scored >= 3,
                 "inconsistent counters: {snap:?}"
             );
+        }
+    }
+
+    #[test]
+    fn seeds_are_the_best_bounds_and_the_sweep_prunes_the_rest() {
+        // ssbench's `haystack` in small: a clean peak at every
+        // i % 100 == 37 among strictly falling, mildly curved distractors
+        // whose steepness is spread evenly over 0.5–1.5. In index order
+        // the third peak sits at position 237; only an order by bound
+        // meets three peaks in three scores.
+        let n = 128;
+        let tls: Vec<Trendline> = (0..400)
+            .map(|i| {
+                if i % 100 == 37 {
+                    return peaked(&format!("peak{i}"), n as f64 / 2.0, n);
+                }
+                let steep = 0.5 + (i as f64 * 0.618_033_988_749_894_9).fract();
+                let pairs: Vec<(f64, f64)> = (0..n)
+                    .map(|t| (t as f64, -steep * t as f64 - 0.002 * (t * t) as f64))
+                    .collect();
+                Trendline::from_pairs(format!("fall{i}"), &pairs)
+            })
+            .collect();
+        let q = ShapeQuery::concat(vec![
+            ShapeQuery::pattern(Pattern::Slope(45.0)),
+            ShapeQuery::pattern(Pattern::Slope(-45.0)),
+        ]);
+        for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
+            let opts = EngineOptions {
+                segmenter: kind,
+                ..EngineOptions::default()
+            };
+            let off = EngineOptions {
+                pruning_mode: PruningMode::Off,
+                ..opts.clone()
+            };
+            let engine = ShapeEngine::from_trendlines(tls.clone()).with_options(off);
+            let want = engine.top_k(&q, 3).unwrap();
+            let shared = SharedThresholds::new(1);
+            let got = engine
+                .top_k_batch_observed(&[(&q, 3)], &opts, &shared, &NOOP_OBSERVER)
+                .pop()
+                .unwrap()
+                .unwrap();
+            assert_eq!(got, want, "{kind:?}");
+            // The three seeds are peaks (the only bounds of 1), their
+            // third-best score is above every distractor's bound, and the
+            // one candidate the sweep cannot rule out is the fourth peak.
+            let snap = shared.snapshot();
+            assert_eq!(
+                (snap.bounded, snap.scored, snap.pruned),
+                (400, 4, 396),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_k_scores_nothing() {
+        let engine = ShapeEngine::from_trendlines(haystack(60));
+        let bad = ShapeQuery::pattern(Pattern::Udp("mystery".into()));
+        for mode in [PruningMode::Auto, PruningMode::Off] {
+            let opts = EngineOptions {
+                pruning_mode: mode,
+                ..EngineOptions::default()
+            };
+            let shared = SharedThresholds::new(2);
+            let outcomes = engine.top_k_batch_observed(
+                &[(&updown(), 0), (&bad, 0)],
+                &opts,
+                &shared,
+                &NOOP_OBSERVER,
+            );
+            assert_eq!(outcomes[0].as_ref().unwrap(), &[]);
+            assert!(matches!(outcomes[1], Err(CoreError::UnknownUdp(_))));
+            let snap = shared.snapshot();
+            assert_eq!((snap.bounded, snap.scored, snap.pruned), (0, 0, 0));
         }
     }
 

@@ -26,9 +26,11 @@ pub enum EngineStage {
     /// Σ `SegmentScore` — work outside every stage is a bug, not a
     /// blind spot.
     SegmentScore,
-    /// §6.3 bound computation inside the pruning driver (accumulated
-    /// over every bound-checked candidate; reported per candidate).
-    /// Taken inside `SegmentScore`: a share of it, not an addend.
+    /// The §6.3 bound pass inside the pruning driver: the upper bounds
+    /// of all of one query's candidates, reported per bound pass (one
+    /// sample per query the driver runs for, microseconds long on a
+    /// collection of any size). Taken inside `SegmentScore`: a share of
+    /// it, not an addend.
     PruneBound,
 }
 
@@ -48,7 +50,7 @@ impl EngineStage {
 /// Implementations must be cheap and lock-free on the hot path — the
 /// engine calls [`Self::stage`] from scoring threads (possibly many
 /// concurrently, hence the `Sync` bound) and from inside the pruning
-/// driver's per-candidate bound check.
+/// driver's bound pass.
 pub trait StageObserver: Sync {
     /// Reports that `stage` work took `micros` microseconds. One
     /// invocation per timed region, not a running total; implementations

@@ -819,11 +819,13 @@ mod tests {
             let snap = shared.snapshot();
             assert_eq!(samples(EngineStage::Group), shards as u64);
             assert_eq!(samples(EngineStage::SegmentScore), (shards * valid) as u64);
-            assert_eq!(samples(EngineStage::PruneBound), snap.bounded);
-            assert!(snap.bounded > 0 && snap.bounded >= snap.pruned, "{snap:?}");
-            // Every trendline of every shard is offered to the driver of
-            // every valid query (nothing is pinned, GROUP rejects none).
-            assert_eq!(snap.scored + snap.pruned, (valid * tls.len()) as u64);
+            // One bound pass per shard and valid query, over every
+            // trendline of the shard (nothing is pinned, GROUP rejects
+            // none); each bounded candidate is then pruned or scored.
+            assert_eq!(samples(EngineStage::PruneBound), (shards * valid) as u64);
+            assert_eq!(snap.bounded, (valid * tls.len()) as u64);
+            assert!(snap.pruned > 0, "{snap:?}");
+            assert_eq!(snap.scored + snap.pruned, snap.bounded);
         }
     }
 }

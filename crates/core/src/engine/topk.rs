@@ -70,32 +70,6 @@ impl TopK {
         }
     }
 
-    /// The current k-th best score — the proven pruning lower bound the
-    /// engine publishes into its shared
-    /// [`crate::algo::pruning::ThresholdCell`].
-    ///
-    /// **Pre-fill semantics:** returns `f64::NEG_INFINITY` until `k`
-    /// candidates have been admitted. That sentinel means "no pruning
-    /// possible yet" — fewer than k scores exist, so *nothing* can be
-    /// proven out of the top k. Consumers must treat it as the explicit
-    /// absence of a threshold (`PruningDriver` skips its bound check and
-    /// `publish` drops the value), never compare candidate bounds
-    /// against it.
-    // Not called on the engine's hot path anymore — thresholds are now
-    // proven through the ThresholdCell score pool — but kept (with its
-    // tests) for embedders that publish an already-collected k-th best
-    // via `PruningDriver::publish`.
-    #[allow(dead_code)]
-    pub fn threshold(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::NEG_INFINITY
-        } else {
-            self.heap
-                .peek()
-                .map_or(f64::NEG_INFINITY, |s| s.0.result.score)
-        }
-    }
-
     /// Drains into descending score order.
     pub fn into_sorted(self) -> Vec<Scored> {
         let mut v: Vec<Scored> = self.heap.into_iter().map(|r| r.0).collect();
@@ -125,18 +99,6 @@ mod tests {
         let scores: Vec<f64> = out.iter().map(|s| s.result.score).collect();
         assert_eq!(scores, vec![0.9, 0.7, 0.3]);
         assert_eq!(out[0].viz, 1);
-    }
-
-    #[test]
-    fn threshold_tracks_kth_best() {
-        let mut tk = TopK::new(2, 3);
-        assert_eq!(tk.threshold(), f64::NEG_INFINITY);
-        tk.push(0, res(0.5));
-        assert_eq!(tk.threshold(), f64::NEG_INFINITY);
-        tk.push(1, res(0.8));
-        assert_eq!(tk.threshold(), 0.5);
-        tk.push(2, res(0.9));
-        assert_eq!(tk.threshold(), 0.8);
     }
 
     #[test]

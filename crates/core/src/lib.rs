@@ -56,8 +56,7 @@ pub mod stats;
 pub mod udps;
 
 pub use algo::pruning::{
-    query_bounds, PruningConfig, PruningCounters, PruningDriver, PruningMode, PruningSnapshot,
-    ThresholdCell,
+    query_bounds, PruningCounters, PruningDriver, PruningMode, PruningSnapshot, ThresholdCell,
 };
 pub use algo::{MatchResult, Segmenter, SegmenterKind};
 pub use ast::{IteratorSpec, Location, Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};

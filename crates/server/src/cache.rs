@@ -264,8 +264,8 @@ impl CacheKey {
 /// results (`parallel_matches_sequential` in the engine tests).
 pub fn options_fingerprint(o: &EngineOptions) -> String {
     format!(
-        "seg={:?};bin={};push={};params={:?};prune={:?}",
-        o.segmenter, o.bin_width, o.pushdown, o.params, o.pruning
+        "seg={:?};bin={};push={};params={:?}",
+        o.segmenter, o.bin_width, o.pushdown, o.params
     )
 }
 

@@ -148,7 +148,7 @@ pub enum Stage {
     Group,
     /// Engine: one query's SEGMENT + SCORE pass.
     SegmentScore,
-    /// Engine: §6.3 bound computations inside the pruning driver.
+    /// Engine: one query's §6.3 bound pass inside the pruning driver.
     PruneBound,
 }
 

@@ -103,7 +103,7 @@
 //!
 //! The `/shard/query` options object serializes **every result-affecting
 //! engine knob** explicitly (segmenter, binning, pushdown, all scoring
-//! parameters, pruning configuration) and the receiving shard server
+//! parameters, pruning mode) and the receiving shard server
 //! treats every field as required — a router and a shard server that
 //! disagree about the option vocabulary fail loudly at the RPC boundary
 //! instead of silently computing under different options. Scheduling
@@ -586,13 +586,7 @@ pub fn options_to_json(o: &EngineOptions) -> Json {
                 ("min_width_frac", o.params.min_width_frac.into()),
             ]),
         ),
-        (
-            "pruning",
-            obj([
-                ("mode", o.pruning_mode.name().into()),
-                ("sample_size", o.pruning.sample_size.into()),
-            ]),
-        ),
+        ("pruning", obj([("mode", o.pruning_mode.name().into())])),
     ])
 }
 
@@ -643,7 +637,6 @@ pub fn options_from_json(body: &Json) -> Result<EngineOptions, ServerError> {
     let mode = required_str(pruning, "mode")?;
     options.pruning_mode = PruningMode::parse(mode)
         .ok_or_else(|| ServerError::bad_request(format!("unknown pruning mode `{mode}`")))?;
-    options.pruning.sample_size = required_usize(pruning, "sample_size")?;
     Ok(options)
 }
 
@@ -1057,7 +1050,6 @@ mod tests {
         };
         options.params.min_width_frac = 0.125;
         options.pruning_mode = PruningMode::Force;
-        options.pruning.sample_size = 24;
         let wire = json::parse(&options_to_json(&options).to_text()).unwrap();
         let back = options_from_json(&wire).unwrap();
         assert_eq!(back.segmenter, options.segmenter);
@@ -1065,7 +1057,6 @@ mod tests {
         assert_eq!(back.pushdown, options.pushdown);
         assert_eq!(back.params, options.params);
         assert_eq!(back.pruning_mode, options.pruning_mode);
-        assert_eq!(back.pruning, options.pruning);
         // Option-vocabulary skew fails loudly: a missing result-affecting
         // field is an error, never a silent default.
         let Json::Obj(mut fields) = wire.clone() else {

@@ -32,13 +32,40 @@ fn ys_strategy() -> impl Strategy<Value = Vec<f64>> {
 
 /// Strategy: a small random operator tree over leaf patterns.
 fn query_strategy() -> impl Strategy<Value = ShapeQuery> {
-    let leaf = prop_oneof![
+    operator_trees(prop_oneof![
         Just(ShapeQuery::up()),
         Just(ShapeQuery::down()),
         Just(ShapeQuery::flat()),
         Just(ShapeQuery::pattern(Pattern::Slope(30.0))),
         Just(ShapeQuery::pattern(Pattern::Any)),
-    ];
+    ])
+}
+
+/// Strategy: operator trees over every leaf the §6.3 bound plan has an
+/// arm for — the four Table 7 rows with the θ target on either side of
+/// flat, a wildcard (trivial bounds), and x-pinned segments (the upper
+/// bound stands, the lower bound widens to −1).
+fn bounded_query_strategy() -> impl Strategy<Value = ShapeQuery> {
+    let pinned =
+        |p: Pattern, xs: f64, xe: f64| ShapeQuery::Segment(ShapeSegment::pinned(p, xs, xe));
+    operator_trees(prop_oneof![
+        Just(ShapeQuery::up()),
+        Just(ShapeQuery::down()),
+        Just(ShapeQuery::flat()),
+        (-89.0f64..89.0).prop_map(|deg| ShapeQuery::pattern(Pattern::Slope(deg))),
+        Just(ShapeQuery::pattern(Pattern::Any)),
+        (0.0f64..3.0, 1.0f64..3.0).prop_map(move |(xs, w)| pinned(Pattern::Up, xs, xs + w)),
+        (0.0f64..3.0, 1.0f64..3.0, -89.0f64..89.0).prop_map(move |(xs, w, deg)| pinned(
+            Pattern::Slope(deg),
+            xs,
+            xs + w
+        )),
+    ])
+}
+
+fn operator_trees(
+    leaf: impl Strategy<Value = ShapeQuery> + 'static,
+) -> impl Strategy<Value = ShapeQuery> {
     leaf.prop_recursive(3, 12, 3, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 2..4).prop_map(ShapeQuery::concat),
@@ -112,9 +139,13 @@ proptest! {
     }
 
     #[test]
-    fn bounds_contain_exact_score(ys in ys_strategy(), q in query_strategy()) {
+    fn bounds_contain_exact_score(
+        ys in ys_strategy(),
+        q in bounded_query_strategy(),
+        min_width_frac in prop_oneof![Just(0.0), 0.05f64..0.4],
+    ) {
         let viz = viz_from_ys(&ys);
-        let params = ScoreParams::default();
+        let params = ScoreParams { min_width_frac, ..ScoreParams::default() };
         let udps = UdpRegistry::new();
         let ev = Evaluator::new(&viz, &params, &udps);
         let chains = expand_chains(&q);
@@ -187,10 +218,20 @@ proptest! {
     #[test]
     fn pruned_execution_is_byte_identical_for_exact_segmenters_and_shards(
         collection in proptest::collection::vec(ys_strategy(), 8..24),
+        // Copies of drawn trendlines put back at drawn places: exact score
+        // ties, which land on both sides of the seed/sweep boundary and of
+        // the k-th place and must come out in index order all the same.
+        copies in proptest::collection::vec((0usize..1000, 0usize..1000), 0..12),
         q in query_strategy(),
-        k in 1usize..8,
+        k_pick in 0usize..10,
+        parallel in 0u8..2,
     ) {
-        let tls: Vec<shapesearch_datastore::Trendline> = collection
+        let mut series: Vec<&Vec<f64>> = collection.iter().collect();
+        for &(from, to) in &copies {
+            let copy = series[from % series.len()];
+            series.insert(to % (series.len() + 1), copy);
+        }
+        let tls: Vec<shapesearch_datastore::Trendline> = series
             .iter()
             .enumerate()
             .map(|(i, ys)| {
@@ -199,6 +240,12 @@ proptest! {
                 shapesearch_datastore::Trendline::from_pairs(format!("t{i}"), &pairs)
             })
             .collect();
+        // Small k, and k around the collection size (every candidate a
+        // seed, with and without room to spare).
+        let k = match k_pick {
+            0..=6 => k_pick + 1,
+            edge => tls.len() + edge - 8,
+        };
         // (segmenter, the mode under which it prunes): every exact
         // segmenter under the Auto default, plus Greedy under Force.
         let matrix = [
@@ -215,6 +262,7 @@ proptest! {
             let on = EngineOptions {
                 segmenter: kind,
                 pruning_mode: mode,
+                parallel: parallel == 1,
                 ..EngineOptions::default()
             };
             let want = ShapeEngine::from_trendlines(tls.clone())
@@ -228,8 +276,8 @@ proptest! {
                 // Byte-identical: scores, tie order, and fitted ranges.
                 prop_assert_eq!(
                     &got, &want,
-                    "{:?}/{:?} shards={} k={} diverged on {}",
-                    kind, mode, shards, k, q
+                    "{:?}/{:?} shards={} k={} parallel={} diverged on {}",
+                    kind, mode, shards, k, parallel, q
                 );
             }
         }

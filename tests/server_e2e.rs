@@ -712,6 +712,11 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
         assert_eq!(decode_results(&responses[0]), want, "batch k={k:e}");
         assert_eq!(decode_results(&responses[1]), want[..3]);
     }
+    // The other end of the range asks for nothing and gets it.
+    for (client, shape) in [(&local_client, "single"), (&router_client, "router")] {
+        let reply = client.post("/query", &item(0.0)).unwrap().expect_ok(shape);
+        assert_eq!(decode_results(&reply), [], "{shape} k=0");
+    }
     // The router really crossed the wire with it.
     let health = router_client.get("/healthz").unwrap().expect_ok("healthz");
     let remote = health.get("remote_shards").unwrap();
