@@ -86,14 +86,18 @@ echo "==> cargo test --release (ssbench)"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo test --release --offline \
     --manifest-path crates/bench/src/bin/ssbench/Cargo.toml
 
-# A smoke-sized run of the two workloads that live in SEGMENT+SCORE and
-# of the one where a pruned needle query shares an engine pass (and one
-# SharedThresholds) with located queries: every reply is checked against
-# ssbench's in-process reference and every request must be answered.
-# Timing-free — the latencies it prints are not read (four short passes
-# each, ~13 s together).
-echo "==> ssbench smoke (fuzzy_miss, needle_miss, mixed_batch: answers correct, 0 failed)"
-for w in fuzzy_miss needle_miss mixed_batch; do
+# A smoke-sized run of the two workloads that live in SEGMENT+SCORE, of
+# the one where a pruned needle query shares an engine pass (and one
+# SharedThresholds) with located queries, and of the one whose set-up
+# crosses every registration shape in the production binary — two spawned
+# servers registering `shard_of` partitions from inline CSV, and a router
+# registering the same corpus with every slot remote, i.e. with no engine
+# built at all: every reply is checked against ssbench's one-shard
+# in-process reference and every request must be answered. Timing-free —
+# the latencies it prints are not read (four short passes each, ~20 s
+# together).
+echo "==> ssbench smoke (fuzzy_miss, needle_miss, mixed_batch, router_rpc: answers correct, 0 failed)"
+for w in fuzzy_miss needle_miss mixed_batch router_rpc; do
     out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
         "${CARGO_TARGET_DIR:-target}/release/ssbench" --workload "$w" --seconds 1 --trace 0)
     case "$out" in

@@ -179,12 +179,17 @@ pub struct ShapeEngine {
     /// Added to every local index on the way out so reported
     /// `viz_index`es are collection-global.
     base_index: usize,
-    /// Lazily built columnar GROUP state, keyed by bin width: one
-    /// [`crate::ColumnarArena`]-backed collection per width ever queried.
+    /// Lazily built columnar GROUP state, keyed by bin width.
     /// `Arc`-shared so repeated batches (and everything holding this
     /// engine behind an `Arc` — shards, the server catalog) reuse one
-    /// arena instead of re-running GROUP per call. A handful of widths at
-    /// most, so a linear scan beats a map.
+    /// [`crate::ColumnarArena`] instead of re-running GROUP per call.
+    /// At most two entries: the first width grouped (the one a
+    /// registration warms or a snapshot seeds) stays for the engine's
+    /// life, and one other beside it, dropped before the next is built.
+    /// A query's `bin_width` arrives unchecked from outside the program,
+    /// so the cache must not grow with the number of distinct widths a
+    /// client cares to send; whoever still holds a dropped collection's
+    /// `Arc` (an in-flight query) is unaffected.
     grouped_cache: Mutex<Vec<(usize, GroupedCollection)>>,
 }
 
@@ -226,6 +231,8 @@ impl ShapeEngine {
         if let Some((_, g)) = cache.iter().find(|(b, _)| *b == bin_width) {
             return Arc::clone(g);
         }
+        // Make room first, so the old and the new extra never coexist.
+        cache.truncate(1);
         let g = Arc::new(group::group_collection(&self.trendlines, bin_width));
         cache.push((bin_width, Arc::clone(&g)));
         g
@@ -287,6 +294,7 @@ impl ShapeEngine {
         if cache.iter().any(|(b, _)| *b == bin_width) {
             return;
         }
+        cache.truncate(1);
         cache.push((bin_width, Arc::new(grouped)));
     }
 
@@ -1056,6 +1064,58 @@ mod tests {
                 "honest-hint debt must clear the safety check"
             );
         }
+    }
+
+    /// `bin_width` arrives unchecked from outside: one engine asked for
+    /// twelve widths in turn holds the warmed arena and one other, never
+    /// twelve, and answers each like an engine that never saw the others.
+    #[test]
+    fn grouped_cache_keeps_the_warmed_width_and_one_other() {
+        let q = updown();
+        let answer = |engine: &ShapeEngine, bin_width: usize| {
+            let options = EngineOptions {
+                bin_width,
+                ..EngineOptions::default()
+            };
+            engine
+                .top_k_batch_observed(
+                    &[(&q, 5)],
+                    &options,
+                    &SharedThresholds::new(1),
+                    &observe::NOOP_OBSERVER,
+                )
+                .pop()
+                .expect("one outcome per query")
+                .expect("valid query")
+        };
+        let fresh: Vec<(ShapeEngine, Vec<TopKResult>)> = (1..=12)
+            .map(|bin_width| {
+                let engine = ShapeEngine::from_trendlines(haystack(40));
+                let want = answer(&engine, bin_width);
+                (engine, want)
+            })
+            .collect();
+        let largest_other = fresh[1..]
+            .iter()
+            .map(|(engine, _)| engine.grouped_byte_size())
+            .max()
+            .expect("eleven other widths");
+        assert!(largest_other > 0);
+
+        let engine = ShapeEngine::from_trendlines(haystack(40));
+        engine.warm(1);
+        let warmed = engine.grouped(1);
+        let warmed_bytes = engine.grouped_byte_size();
+        assert_eq!(warmed_bytes, fresh[0].0.grouped_byte_size());
+        for (bin_width, (_, want)) in (1..=12).zip(&fresh) {
+            assert_eq!(&answer(&engine, bin_width), want, "bin_width={bin_width}");
+            assert!(
+                engine.grouped_byte_size() <= warmed_bytes + largest_other,
+                "bin_width={bin_width}: {} bytes cached",
+                engine.grouped_byte_size()
+            );
+        }
+        assert!(Arc::ptr_eq(&warmed, &engine.grouped(1)));
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //!
 //! A [`ShardedEngine`] is a partition map, not a second engine: it holds
 //! no options and schedules nothing. Shards are held behind `Arc` so an
-//! embedder (the server's dataset catalog) hands individual shard tasks
-//! to its own worker pool and merges with [`merge_topk`] — that pool is
-//! the workspace's one shard-level fan-out. The query methods here visit
-//! the shards in partition order on the caller's thread; in-process
-//! parallelism lives one level down, in each shard's own scoring pass,
-//! and is steered by the caller's [`EngineOptions`] alone.
+//! embedder can hand individual shard tasks to its own worker pool and
+//! merge with [`merge_topk`]. The server does not hold one: its catalog
+//! cuts the slices it serves straight from [`partition_bounds_by_points`]
+//! (a shard server keeps one, a router none of the remote ones), and its
+//! compute pool is the workspace's one shard-level fan-out. The query
+//! methods here visit the shards in partition order on the caller's
+//! thread; in-process parallelism lives one level down, in each shard's
+//! own scoring pass, and is steered by the caller's [`EngineOptions`]
+//! alone.
 
 use super::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 use crate::error::Result;
@@ -48,61 +51,6 @@ impl ShardedEngine {
     pub fn new(table: &Table, spec: &VisualSpec, shard_count: usize) -> Result<Self> {
         let trendlines = extract(table, spec, &ExtractOptions::default())?;
         Ok(Self::from_trendlines(trendlines, shard_count))
-    }
-
-    /// Builds an engine over **one partition** of the collection: runs
-    /// EXTRACT, computes the same deterministic partition bounds a full
-    /// `shard_count`-way [`Self::new`] would, and keeps only shard
-    /// `index` (with its global `base_index` preserved). This is the
-    /// shard-server constructor for multi-machine sharding: a process
-    /// that loads the same source with the same visual spec and the same
-    /// `shard_count` owns byte-identically the partition a single-process
-    /// run would have given that shard, so its top-k partials merge with
-    /// the others under [`merge_topk`] exactly like local partials.
-    ///
-    /// # Errors
-    /// Propagates extraction errors, and rejects `index`es at or beyond
-    /// the *effective* shard count (the requested count is capped by the
-    /// collection size, exactly as in [`Self::new`]).
-    pub fn shard_of(
-        table: &Table,
-        spec: &VisualSpec,
-        shard_count: usize,
-        index: usize,
-    ) -> Result<Self> {
-        let trendlines = extract(table, spec, &ExtractOptions::default())?;
-        Self::from_trendlines_shard_of(trendlines, shard_count, index)
-    }
-
-    /// [`Self::shard_of`] over already-extracted trendlines.
-    ///
-    /// # Errors
-    /// Rejects `index`es at or beyond the effective shard count.
-    pub fn from_trendlines_shard_of(
-        trendlines: Vec<Trendline>,
-        shard_count: usize,
-        index: usize,
-    ) -> Result<Self> {
-        let bounds = partition_bounds(&trendlines, shard_count);
-        let Some(&(start, end)) = bounds.get(index) else {
-            return Err(crate::CoreError::Config(format!(
-                "shard index {index} out of range: the collection partitions \
-                 into {} shard(s)",
-                bounds.len()
-            )));
-        };
-        let mut rest = trendlines;
-        rest.truncate(end);
-        let part = rest.split_off(start);
-        let trendline_count = part.len();
-        let point_count = part.iter().map(|t| t.points.len()).sum();
-        Ok(Self {
-            shards: vec![Arc::new(
-                ShapeEngine::from_trendlines(part).with_base_index(start),
-            )],
-            trendline_count,
-            point_count,
-        })
     }
 
     /// Partitions `trendlines` into (at most) `shard_count` contiguous,
@@ -203,30 +151,6 @@ impl ShardedEngine {
     /// Iterates every trendline in global index order.
     pub fn trendlines(&self) -> impl Iterator<Item = &Trendline> {
         self.shards.iter().flat_map(|s| s.trendlines().iter())
-    }
-
-    /// Releases shard `index`'s trendline payload, replacing its engine
-    /// with an empty one that keeps the partition's `base_index`. For
-    /// embedders that place a shard's *execution* elsewhere (the
-    /// server's remote shard placement): the partition bounds stay
-    /// deterministic and the shard count unchanged, but the router no
-    /// longer holds collection data it will never query — an all-remote
-    /// placement costs near-zero resident memory. After eviction the
-    /// collection-level query methods on *this* engine no longer see the
-    /// partition; only callers that route per shard (consulting their
-    /// placement) may use it.
-    ///
-    /// # Panics
-    /// Like UDP registration, only valid before shard handles have been
-    /// shared, and `index` must be in range.
-    pub fn evict_shard(&mut self, index: usize) {
-        let base = self.shards[index].base_index();
-        assert!(
-            Arc::get_mut(&mut self.shards[index]).is_some(),
-            "evict shards before sharing shard handles"
-        );
-        self.shards[index] =
-            Arc::new(ShapeEngine::from_trendlines(Vec::new()).with_base_index(base));
     }
 
     /// Registers a user-defined pattern on every shard.
@@ -661,47 +585,43 @@ mod tests {
         assert!(sharded.top_k(&q, 4).is_ok());
     }
 
+    /// What a `shard_of: (index, total)` registration builds (the server
+    /// catalog's spelling): slice `index` of the `total`-way split, as an
+    /// engine of its own that keeps the slice's global offset.
+    fn shard_of(tls: &[Trendline], total: usize, index: usize) -> ShapeEngine {
+        let counts: Vec<usize> = tls.iter().map(|t| t.points.len()).collect();
+        let (start, end) = partition_bounds_by_points(&counts, total)[index];
+        ShapeEngine::from_trendlines(tls[start..end].to_vec()).with_base_index(start)
+    }
+
     #[test]
     fn shard_of_owns_exactly_the_full_partition_slice() {
         let tls = collection(23);
         for shards in [1usize, 2, 4, 7] {
             let full = ShardedEngine::from_trendlines(tls.clone(), shards);
             for index in 0..full.shard_count() {
-                let one =
-                    ShardedEngine::from_trendlines_shard_of(tls.clone(), shards, index).unwrap();
-                assert_eq!(one.shard_count(), 1);
+                let got = shard_of(&tls, shards, index);
                 let want = &full.shards()[index];
-                let got = &one.shards()[0];
                 assert_eq!(got.base_index(), want.base_index());
                 let want_keys: Vec<_> = want.trendlines().iter().map(|t| &t.key).collect();
                 let got_keys: Vec<_> = got.trendlines().iter().map(|t| &t.key).collect();
                 assert_eq!(got_keys, want_keys, "shards={shards} index={index}");
-                assert_eq!(one.trendline_count(), want.trendlines().len());
             }
-            // Out-of-range index is a structured error, not a panic.
-            assert!(matches!(
-                ShardedEngine::from_trendlines_shard_of(tls.clone(), shards, full.shard_count()),
-                Err(CoreError::Config(_))
-            ));
         }
     }
 
     #[test]
     fn shard_of_partials_merge_to_the_unsharded_answer() {
         // The distributed invariant, in-process: per-partition engines
-        // built independently via shard_of produce partials whose merge
-        // is byte-identical to the unsharded top-k.
+        // built independently, each from its own slice of the partition
+        // rule, produce partials whose merge is byte-identical to the
+        // unsharded top-k.
         let tls = collection(23);
         let reference = ShapeEngine::from_trendlines(tls.clone());
         let want = reference.top_k(&updown(), 10).unwrap();
         for shards in [2usize, 4, 7] {
             let partials: Vec<Vec<TopKResult>> = (0..shards)
-                .map(|i| {
-                    ShardedEngine::from_trendlines_shard_of(tls.clone(), shards, i)
-                        .unwrap()
-                        .top_k(&updown(), 10)
-                        .unwrap()
-                })
+                .map(|i| shard_of(&tls, shards, i).top_k(&updown(), 10).unwrap())
                 .collect();
             assert_eq!(merge_topk(partials, 10), want, "shards={shards}");
         }

@@ -1,7 +1,8 @@
 //! Columnar storage. Each column stores one type contiguously; strings are
-//! dictionary-encoded (a `Vec<u32>` of codes plus a shared dictionary), which
-//! makes the group-by on the `z` attribute in EXTRACT a cheap integer
-//! partition instead of repeated string hashing.
+//! dictionary-encoded (a `Vec<u32>` of codes plus a shared dictionary of
+//! distinct values), which makes the group-by on the `z` attribute in EXTRACT
+//! a cheap integer partition instead of repeated string hashing —
+//! [`crate::extract`] groups on the codes and clones one key per trendline.
 
 use crate::error::{DataError, Result};
 use crate::schema::DataType;
@@ -183,10 +184,12 @@ impl ColumnBuilder {
         for v in self.values {
             let s = match v {
                 Value::Null => String::new(),
+                Value::Str(s) => s,
                 other => other.to_string(),
             };
-            let code = *lookup.entry(s.clone()).or_insert_with(|| {
-                dict.push(s);
+            // One clone per distinct value, none per row.
+            let code = *lookup.entry(s).or_insert_with_key(|s| {
+                dict.push(s.clone());
                 (dict.len() - 1) as u32
             });
             codes.push(code);

@@ -3,15 +3,20 @@
 //! and aggregation (a) constraints, and sorts them on z and x attributes
 //! before streaming them to downstream operators."
 //!
+//! Rows are grouped by `z` in one sweep over integers — the dictionary codes
+//! a string column already carries, so no string is hashed or cloned per
+//! row — and each group is then sorted on `x` and its duplicate `x` values
+//! aggregated through buffers reused across groups.
+//!
 //! Push-down optimization (a) from §5.4 is exposed through
 //! [`ExtractOptions::require_x_ranges`]: visualizations without any value in
 //! a required x-range are pruned here, before GROUP/SEGMENT/SCORE ever see
 //! them.
 
+use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::schema::DataType;
 use crate::table::Table;
-use crate::value::Value;
 use crate::VisualSpec;
 use std::collections::HashMap;
 
@@ -107,52 +112,50 @@ pub fn extract(table: &Table, spec: &VisualSpec, opts: &ExtractOptions) -> Resul
         }
     }
 
-    // Group row indices by z value, keeping first-appearance order.
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
+    // Group row indices by z value, keeping first-appearance order. Rows
+    // partition on one integer per cell — the dictionary code a string
+    // column already carries, the bits of a number (every null one NaN),
+    // which are equal exactly when the printed keys are — and each
+    // trendline makes its key once.
+    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
+    let mut group_of: HashMap<u64, usize> = HashMap::new();
     for &row in &rows {
-        let key = match z_col.value(row) {
-            Value::Str(s) => s,
-            other => other.to_string(),
+        let code = match z_col {
+            Column::Str { codes, .. } => u64::from(codes[row]),
+            Column::Int(v) => v[row] as u64,
+            Column::Float(v) if v[row].is_nan() => f64::NAN.to_bits(),
+            Column::Float(v) => v[row].to_bits(),
         };
-        groups
-            .entry(key.clone())
-            .or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            })
-            .push(row);
+        let group = *group_of.entry(code).or_insert_with(|| {
+            groups.push((z_col.value(row).to_string(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[group].1.push(row);
     }
 
     let min_points = opts.min_points.max(2);
-    let mut result = Vec::with_capacity(order.len());
-    'next_group: for key in order {
-        let idxs = &groups[&key];
-        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(idxs.len());
-        for &row in idxs {
-            let (Some(x), Some(y)) = (x_col.numeric_at(row), y_col.numeric_at(row)) else {
-                continue; // skip null coordinates
-            };
-            pts.push((x, y));
-        }
+    let mut result = Vec::with_capacity(groups.len());
+    let mut pts: Vec<(f64, f64)> = Vec::new();
+    let mut ys: Vec<f64> = Vec::new();
+    'next_group: for (key, idxs) in groups {
+        pts.clear();
+        // Null coordinates are skipped.
+        pts.extend(
+            idxs.iter()
+                .filter_map(|&row| Some((x_col.numeric_at(row)?, y_col.numeric_at(row)?))),
+        );
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Aggregate duplicate x coordinates.
         let mut points: Vec<TrendPoint> = Vec::with_capacity(pts.len());
-        let mut i = 0;
-        while i < pts.len() {
-            let x = pts[i].0;
-            let mut j = i;
-            while j < pts.len() && pts[j].0 == x {
-                j += 1;
-            }
-            let ys: Vec<f64> = pts[i..j].iter().map(|p| p.1).collect();
+        for same_x in pts.chunk_by(|a, b| a.0 == b.0) {
+            ys.clear();
+            ys.extend(same_x.iter().map(|p| p.1));
             let y = spec
                 .aggregation
                 .apply(&ys)
                 .expect("non-empty group by construction");
-            points.push(TrendPoint { x, y });
-            i = j;
+            points.push(TrendPoint { x: same_x[0].0, y });
         }
 
         if points.len() < min_points {
@@ -174,6 +177,7 @@ mod tests {
     use super::*;
     use crate::filter::{CompareOp, Predicate};
     use crate::table::TableBuilder;
+    use crate::value::Value;
     use crate::Aggregation;
 
     fn sample() -> Table {
@@ -270,6 +274,58 @@ mod tests {
         .unwrap();
         assert_eq!(trends.len(), 1);
         assert_eq!(trends[0].key, "pair");
+    }
+
+    /// Grouping keeps first-appearance order and the keys `z` prints as,
+    /// whatever the column's type: dictionary codes for strings (an empty
+    /// cell is the key `""`), the printed value for numbers (a null is the
+    /// key `null`).
+    #[test]
+    fn z_groups_order_and_key_by_column_type() {
+        let line =
+            |key: &str, ys: [f64; 2]| Trendline::from_pairs(key, &[(1.0, ys[0]), (2.0, ys[1])]);
+        let cases: [(Vec<Value>, Vec<Trendline>); 3] = [
+            (
+                [2, 1, 2, 1, 3].map(Value::Int).to_vec(),
+                vec![line("2", [10.0, 30.0]), line("1", [20.0, 40.0])],
+            ),
+            (
+                vec![
+                    Value::Float(1.5),
+                    Value::Null,
+                    Value::Float(1.5),
+                    Value::Null,
+                    Value::Float(-0.5),
+                ],
+                vec![line("1.5", [10.0, 30.0]), line("null", [20.0, 40.0])],
+            ),
+            (
+                vec![
+                    Value::Str("b".into()),
+                    Value::Null,
+                    Value::Str("b".into()),
+                    Value::Str(String::new()),
+                    Value::Str("a".into()),
+                ],
+                vec![line("b", [10.0, 30.0]), line("", [20.0, 40.0])],
+            ),
+        ];
+        for (zs, want) in cases {
+            let mut b = TableBuilder::new(vec!["z".into(), "x".into(), "y".into()]);
+            // Rows alternate between the first two groups; the fifth row is
+            // a one-point group, dropped.
+            for (i, z) in zs.into_iter().enumerate() {
+                let (x, y) = ([1, 1, 2, 2, 1][i], 10.0 * (i + 1) as f64);
+                b.push_row(vec![z, Value::Int(x), Value::Float(y)]).unwrap();
+            }
+            let got = extract(
+                &b.finish(),
+                &VisualSpec::new("z", "x", "y"),
+                &ExtractOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -42,10 +42,10 @@ pub fn read_str(input: &str) -> Result<Table> {
     }
     keys.sort();
     let mut builder = TableBuilder::new(keys.clone());
-    for row in rows {
+    for mut row in rows {
         let values = keys
             .iter()
-            .map(|k| row.get(k).cloned().unwrap_or(Value::Null))
+            .map(|k| row.remove(k).unwrap_or(Value::Null))
             .collect();
         builder.push_row(values)?;
     }

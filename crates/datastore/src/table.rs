@@ -109,8 +109,10 @@ impl Table {
     }
 }
 
-/// Row-oriented builder used by the CSV/JSON readers and the data generators.
-#[derive(Debug)]
+/// Builder used by the CSV/JSON readers and the data generators: cells go
+/// in one at a time ([`Self::push`]) or a checked row at a time
+/// ([`Self::push_row`]).
+#[derive(Debug, Default)]
 pub struct TableBuilder {
     names: Vec<String>,
     builders: Vec<ColumnBuilder>,
@@ -121,6 +123,21 @@ impl TableBuilder {
     pub fn new(names: Vec<String>) -> Self {
         let builders = names.iter().map(|_| ColumnBuilder::new()).collect();
         Self { names, builders }
+    }
+
+    /// Number of columns.
+    pub fn num_columns(&self) -> usize {
+        self.builders.len()
+    }
+
+    /// Appends one cell to column `column`. Keeping the columns the same
+    /// length is the caller's job — a reader fills them left to right,
+    /// record by record.
+    ///
+    /// # Panics
+    /// When `column` is out of range.
+    pub fn push(&mut self, column: usize, value: Value) {
+        self.builders[column].push(value);
     }
 
     /// Appends a row. The number of values must match the number of columns.
@@ -135,8 +152,8 @@ impl TableBuilder {
                 self.builders.len()
             )));
         }
-        for (b, v) in self.builders.iter_mut().zip(values) {
-            b.push(v);
+        for (column, value) in values.into_iter().enumerate() {
+            self.push(column, value);
         }
         Ok(())
     }
@@ -147,6 +164,9 @@ impl TableBuilder {
     }
 
     /// Finishes all columns (inferring types) and assembles the table.
+    ///
+    /// # Panics
+    /// When [`Self::push`] left the columns with different lengths.
     pub fn finish(self) -> Table {
         let columns: Vec<Column> = self
             .builders
@@ -160,6 +180,7 @@ impl TableBuilder {
             .map(|(name, col)| Field::new(name, col.data_type()))
             .collect();
         let rows = columns.first().map_or(0, Column::len);
+        assert!(columns.iter().all(|c| c.len() == rows), "ragged columns");
         Table {
             schema: Schema::new(fields),
             columns,

@@ -97,6 +97,56 @@ proptest! {
     }
 }
 
+/// Every byte the CSV tokenizer acts on, plus cells that infer as each
+/// type — short strings over it reach every tokenizer state.
+const CSV_ALPHABET: &[u8] = b"ab17e.-,\"\n\r ";
+
+/// Records in `input`, counted without tokenizing fields — valid for text
+/// the reader accepts, where every `"` opens, closes or is half of an
+/// escaped pair, so quote parity says whether a newline ends a record.
+/// `None` when the last line holds nothing but quotes and `\r`: whether
+/// that is a record depends on what the quotes enclose.
+fn csv_records(input: &str) -> Option<usize> {
+    let (mut records, mut in_quotes, mut content) = (0, false, false);
+    let mut only_quotes = true;
+    for c in input.chars() {
+        match c {
+            '\n' if !in_quotes => {
+                records += usize::from(content);
+                (content, only_quotes) = (false, true);
+            }
+            '\n' | '\r' => only_quotes &= !in_quotes,
+            '"' => (in_quotes, content) = (!in_quotes, true),
+            _ => (content, only_quotes) = (true, false),
+        }
+    }
+    match (content, only_quotes) {
+        (false, _) => Some(records),
+        (true, false) => Some(records + 1),
+        (true, true) => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The CSV reader is a server-side parser of bytes from outside: it
+    /// never panics, and when it accepts, the cells it handed out one at a
+    /// time left every column as long as the data records are many.
+    #[test]
+    fn csv_reader_never_panics_and_fills_every_column(
+        picks in proptest::collection::vec(0..CSV_ALPHABET.len(), 0..28),
+    ) {
+        let input: String = picks.iter().map(|&i| CSV_ALPHABET[i] as char).collect();
+        if let Ok(t) = csv::read_str(&input) {
+            let rows = csv_records(&input).map_or(t.num_rows(), |records| records - 1);
+            for col in 0..t.num_columns() {
+                prop_assert_eq!(t.column_at(col).len(), rows, "column {} of {:?}", col, &input);
+            }
+        }
+    }
+}
+
 #[test]
 fn adversarial_quoting_round_trips() {
     let mut b = TableBuilder::new(vec!["weird".into()]);

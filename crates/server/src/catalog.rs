@@ -1,12 +1,19 @@
-//! The dataset catalog: register a CSV / JSON-lines source once, run
-//! EXTRACT eagerly, partition the trendlines into engine shards, and
-//! share the immutable [`ShardedEngine`] across every request thread via
+//! The dataset catalog: one [`Catalog::register`] for every
+//! [`DataSource`]. A CSV / JSON-lines source is parsed and EXTRACTed; a
+//! snapshot is opened and validated. Either way the collection gives
+//! per-trendline raw point counts, and from there registration is one
+//! path: counts → partition bounds (the one deterministic rule,
+//! [`partition_bounds_by_points`]) → placement → listing counts →
+//! engines for the **local** slots only. An eager source's local slots
+//! are cut from the trendlines, UDP-registered and warmed right here; a
+//! snapshot's are cut from the mapping on first touch, through the
+//! resident LRU; a remote slot holds nothing in this process. The
+//! immutable [`DatasetEntry`] is shared across every request thread via
 //! `Arc`.
 //!
-//! Registration is the expensive, rare operation (file parse + trendline
-//! extraction + shard partitioning); queries are the hot path and only
-//! ever take the read lock, so worker threads never serialize behind
-//! each other on lookup.
+//! Registration is the expensive, rare operation; queries are the hot
+//! path and only ever take the read lock, so worker threads never
+//! serialize behind each other on lookup.
 //!
 //! The catalog also carries each dataset's **partition map**: one
 //! [`ShardPlacement`] per shard, recording whether that shard executes
@@ -22,8 +29,10 @@
 
 use crate::error::ServerError;
 use crate::resident::ResidentShards;
-use shapesearch_core::{ShapeEngine, ShardedEngine, Snapshot, SnapshotError};
-use shapesearch_datastore::{csv, json, Table, VisualSpec};
+use shapesearch_core::{
+    partition_bounds_by_points, CoreError, EngineOptions, ShapeEngine, Snapshot, SnapshotError,
+};
+use shapesearch_datastore::{csv, extract, json, ExtractOptions, Trendline, VisualSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -331,35 +340,88 @@ pub struct DatasetSpec {
     pub shard_of: Option<(usize, usize)>,
 }
 
-/// The lazy backing of a snapshot-registered dataset: the validated
-/// mapped snapshot, the deterministic partition bounds of every shard
-/// slot, and a handle on the catalog-wide resident-shard LRU the slots
-/// materialize through. Local shards load on first touch
-/// ([`DatasetEntry::local_shard`]) and evict under `--resident-bytes`
-/// pressure; remote slots are never materialized in this process.
-pub struct SnapshotShards {
-    /// The open, validated snapshot (kept mapped for the entry's life).
-    pub snapshot: Arc<Snapshot>,
-    /// Partition bounds per shard slot, aligned with the placement map.
-    pub bounds: Vec<(usize, usize)>,
-    /// The owning entry's generation — half of every residency key, so
-    /// a replaced registration's shards can never be served again.
-    pub generation: u64,
-    /// Whether lazily loaded shards register the built-in UDPs.
-    pub builtins: bool,
-    /// The catalog-wide LRU shards load through.
-    pub resident: Arc<ResidentShards>,
+/// What a registration serves from, once its source is read: extracted
+/// trendlines, or a validated mapped snapshot holding the same thing
+/// pre-GROUPed on disk.
+enum Collection {
+    Trendlines(Vec<Trendline>),
+    Snapshot(Arc<Snapshot>),
 }
 
-impl std::fmt::Debug for SnapshotShards {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotShards")
-            .field("snapshot", &self.snapshot)
-            .field("bounds", &self.bounds)
-            .field("generation", &self.generation)
-            .field("builtins", &self.builtins)
-            .finish()
+impl Collection {
+    /// Reads `source`: parse + EXTRACT for rows, open + validate (mmap,
+    /// checksums, structural invariants) for a snapshot, which stores
+    /// extraction *output* — `visual` is then carried for listings only.
+    fn load(source: &DataSource, visual: &VisualSpec) -> Result<Self, ServerError> {
+        let table = match source {
+            DataSource::Path(path) if path.ends_with(".json") || path.ends_with(".jsonl") => {
+                json::read_file(path)
+            }
+            DataSource::Path(path) => csv::read_file(path),
+            DataSource::InlineCsv(text) => csv::read_str(text),
+            DataSource::InlineJsonl(text) => json::read_str(text),
+            DataSource::Snapshot(path) => {
+                return match Snapshot::open(path) {
+                    Ok(snapshot) => Ok(Self::Snapshot(Arc::new(snapshot))),
+                    Err(e @ SnapshotError::Io { .. }) => {
+                        Err(ServerError::bad_request(format!("loading dataset: {e}")))
+                    }
+                    Err(corrupt) => Err(ServerError::invalid_snapshot(corrupt.to_string())),
+                }
+            }
+        }
+        .map_err(|e| ServerError::bad_request(format!("loading dataset: {e}")))?;
+        extract(&table, visual, &ExtractOptions::default())
+            .map(Self::Trendlines)
+            .map_err(|e| extracting(e.into()))
     }
+
+    /// Per-trendline raw point counts — all the partitioning rule and
+    /// the listings need.
+    fn point_counts(&self) -> Vec<usize> {
+        match self {
+            Self::Trendlines(trendlines) => trendlines.iter().map(Trendline::len).collect(),
+            Self::Snapshot(snapshot) => snapshot.raw_point_counts(),
+        }
+    }
+}
+
+/// The 400 for a source that loaded but does not yield the collection
+/// the registration asks for — through [`CoreError`], whose `data error:`
+/// and `invalid configuration:` prefixes these messages have always had.
+fn extracting(e: CoreError) -> ServerError {
+    ServerError::bad_request(format!("extracting trendlines: {e}"))
+}
+
+/// One shard's engine over `trendlines`, the collection's slice starting
+/// at global index `base`.
+fn shard_engine(trendlines: Vec<Trendline>, base: usize, builtins: bool) -> ShapeEngine {
+    let mut engine = ShapeEngine::from_trendlines(trendlines).with_base_index(base);
+    if builtins {
+        engine.register_builtin_udps();
+    }
+    engine
+}
+
+/// Where each local slot's engine comes from.
+#[derive(Debug)]
+enum Shards {
+    /// Cut from the extracted trendlines at registration, with its
+    /// columnar GROUP arena already built so the first query pays only
+    /// SEGMENT+SCORE. `None` at a remote slot: its shard server owns the
+    /// (identical, deterministic) partition, and a router must not pay a
+    /// collection's memory to route.
+    Built(Vec<Option<Arc<ShapeEngine>>>),
+    /// Cut from the mapped snapshot on first touch and kept by the
+    /// catalog-wide resident LRU under `(generation, slot)`, so memory is
+    /// paid per touched shard, not per registration.
+    Mapped {
+        snapshot: Arc<Snapshot>,
+        /// Partition bounds per shard slot, aligned with the placement.
+        bounds: Vec<(usize, usize)>,
+        builtins: bool,
+        resident: Arc<ResidentShards>,
+    },
 }
 
 /// An immutable registered dataset, shared across request threads.
@@ -369,24 +431,23 @@ pub struct DatasetEntry {
     pub id: String,
     /// Monotone registration counter, unique across the catalog's
     /// lifetime. Cache keys include it, so results computed against a
-    /// replaced registration can never surface under the new one.
+    /// replaced registration can never surface under the new one — and
+    /// it is half of every residency key, so a replaced registration's
+    /// shards can never be served again.
     pub generation: u64,
     /// Human-readable name for listings.
     pub name: String,
     /// The visual parameters EXTRACT ran with.
     pub visual: VisualSpec,
-    /// The collection's partition map over the extracted trendlines:
-    /// `exec::execute_on_shards` runs one task per shard
-    /// (`engine.shards()`) on the server's compute pool and merges with
-    /// [`shapesearch_core::merge_topk_refs`]. It holds no options — every
-    /// query brings its own.
-    pub engine: ShardedEngine,
-    /// The engine's effective shard count (requested count capped by the
-    /// collection size).
+    /// The effective shard count (requested count capped by the
+    /// collection size; 1 in shard-of mode).
     pub shard_count: usize,
-    /// The partition map: where each shard executes, aligned with
-    /// [`ShardedEngine::shards`]. All-`Local` unless the registration
-    /// named `shard_endpoints`.
+    /// The partition map: where each shard executes.
+    /// `exec::execute_on_shards` runs one task per slot — on the
+    /// server's compute pool over [`Self::local_shard`], or over
+    /// `POST /shard/query` — and merges with
+    /// [`shapesearch_core::merge_topk_refs`]. All-`Local` unless the
+    /// registration named `shard_endpoints`.
     pub placement: Vec<ShardPlacement>,
     /// Deterministic fingerprint of the partition map (`local` or the
     /// endpoint, one token per shard, `;`-joined). Baked into cache keys
@@ -402,11 +463,7 @@ pub struct DatasetEntry {
     /// Total points across all trendlines (of the owned partition, in
     /// shard-of mode).
     pub point_count: usize,
-    /// `Some` when this entry serves from an on-disk snapshot: local
-    /// shards then materialize lazily through the resident LRU and
-    /// `engine` holds only empty placeholder shards carrying the slot
-    /// layout (count and base indices).
-    pub snapshot: Option<SnapshotShards>,
+    shards: Shards,
 }
 
 impl DatasetEntry {
@@ -419,42 +476,46 @@ impl DatasetEntry {
 
     /// True when this entry serves from an on-disk snapshot.
     pub fn from_snapshot(&self) -> bool {
-        self.snapshot.is_some()
+        matches!(self.shards, Shards::Mapped { .. })
     }
 
-    /// The engine for **local** shard slot `slot` — the resident Arc for
-    /// an eager entry, or a lazily materialized (and LRU-cached)
-    /// partition of the snapshot for a snapshot entry. Loading is
-    /// singleflight: queries racing a cold shard share one load.
-    /// Byte-identity holds either way — a snapshot partition seeds the
-    /// exact GROUP arena the eager path would build.
+    /// The engine for **local** shard slot `slot` — the one built at
+    /// registration for an eager entry, or a lazily materialized (and
+    /// LRU-cached) partition of the snapshot for a snapshot entry.
+    /// Loading is singleflight: queries racing a cold shard share one
+    /// load. Byte-identity holds either way — a snapshot partition seeds
+    /// the exact GROUP arena the eager path would build.
     ///
     /// # Errors
     /// Propagates a failed snapshot shard load (the slot is vacated for
     /// retry).
     ///
     /// # Panics
-    /// Panics when `slot` is out of range or names a remote slot of a
-    /// snapshot entry (remote partitions are never materialized here).
+    /// Panics when `slot` is out of range or names a remote slot (remote
+    /// partitions are never materialized here).
     pub fn local_shard(&self, slot: usize) -> Result<Arc<ShapeEngine>, ServerError> {
-        let Some(snap) = &self.snapshot else {
-            return Ok(Arc::clone(&self.engine.shards()[slot]));
-        };
         assert_eq!(
             self.placement[slot],
             ShardPlacement::Local,
-            "remote snapshot slots are served by their shard servers"
+            "remote slots are served by their shard servers"
         );
-        snap.resident.get_or_load((snap.generation, slot), || {
-            let (start, end) = snap.bounds[slot];
-            let part = snap.snapshot.partition(start, end);
-            let mut engine = ShapeEngine::from_trendlines(part.trendlines).with_base_index(start);
-            if snap.builtins {
-                engine.register_builtin_udps();
-            }
-            engine.seed_grouped(snap.snapshot.bin_width(), part.grouped);
-            Ok(Arc::new(engine))
-        })
+        match &self.shards {
+            Shards::Built(engines) => Ok(Arc::clone(
+                engines[slot].as_ref().expect("every local slot was built"),
+            )),
+            Shards::Mapped {
+                snapshot,
+                bounds,
+                builtins,
+                resident,
+            } => resident.get_or_load((self.generation, slot), || {
+                let (start, end) = bounds[slot];
+                let part = snapshot.partition(start, end);
+                let engine = shard_engine(part.trendlines, start, *builtins);
+                engine.seed_grouped(snapshot.bin_width(), part.grouped);
+                Ok(Arc::new(engine))
+            }),
+        }
     }
 }
 
@@ -546,84 +607,85 @@ impl Catalog {
         }
     }
 
-    fn load_table(source: &DataSource) -> Result<Table, ServerError> {
-        let table = match source {
-            DataSource::Path(path) => {
-                if path.ends_with(".json") || path.ends_with(".jsonl") {
-                    json::read_file(path)
-                } else {
-                    csv::read_file(path)
-                }
-            }
-            DataSource::InlineCsv(text) => csv::read_str(text),
-            DataSource::InlineJsonl(text) => json::read_str(text),
-            DataSource::Snapshot(_) => {
-                unreachable!("snapshot sources take the register_snapshot path")
-            }
-        };
-        table.map_err(|e| ServerError::bad_request(format!("loading dataset: {e}")))
-    }
-
-    /// Registers a dataset: loads the table, extracts trendlines eagerly,
-    /// partitions them into shards (or retains one partition in shard-of
-    /// mode), resolves the partition map, and publishes the engine.
-    /// Replaces any previous dataset with the same id (the caller is
-    /// responsible for invalidating cached results; [`crate::handlers`]
-    /// does).
+    /// Registers a dataset: reads the source into a collection,
+    /// partitions it (or retains one partition in shard-of mode),
+    /// resolves the partition map, and publishes an entry that holds
+    /// engines for its local slots only — built and warmed now from
+    /// extracted trendlines, materialized on first touch from a
+    /// snapshot. Replaces any previous dataset with the same id (the
+    /// caller is responsible for invalidating cached results;
+    /// [`crate::handlers`] does).
     ///
     /// # Errors
-    /// Fails on unreadable/malformed sources, unknown columns,
-    /// out-of-range shard-of indices, and placement/shard-count
+    /// Fails on unreadable/malformed sources (a torn or corrupted
+    /// snapshot with a structured `snapshot_invalid` error), unknown
+    /// columns, out-of-range shard-of indices, and placement/shard-count
     /// mismatches (including a collection too small for the number of
     /// named endpoints — a remote shard is never silently dropped).
+    /// Nothing is published on failure.
     pub fn register(&self, spec: DatasetSpec) -> Result<Arc<DatasetEntry>, ServerError> {
-        if let DataSource::Snapshot(path) = &spec.source {
-            let path = path.clone();
-            return self.register_snapshot(spec, &path);
-        }
-        let table = Self::load_table(&spec.source)?;
+        let collection = Collection::load(&spec.source, &spec.visual)?;
 
         // Resolve the placement request into an explicit per-shard
-        // replica-list map before anything else, so the registry path
-        // and the wire path flow through identical validation.
+        // replica-list map, so the registry path and the wire path flow
+        // through identical validation.
         let endpoints = self.resolve_endpoints(&spec)?;
-        let shards = self.resolve_shard_request(&spec, endpoints.as_deref())?;
+        let requested = self.resolve_shard_request(&spec, endpoints.as_deref())?;
 
-        let mut engine = match spec.shard_of {
-            Some((index, total)) => ShardedEngine::shard_of(&table, &spec.visual, total, index),
-            None => ShardedEngine::new(&table, &spec.visual, shards),
-        }
-        .map_err(|e| ServerError::bad_request(format!("extracting trendlines: {e}")))?;
-
-        // Resolve the partition map against the *effective* shard count.
-        let placement = Self::resolve_placement(
-            endpoints.as_deref(),
-            spec.shard_of.is_some(),
-            engine.shard_count(),
-        )?;
-
-        // A remotely-placed shard's engine is never queried in this
-        // process — its shard server owns the (identical, deterministic)
-        // partition — so drop the payload now: an all-remote router must
-        // not pay a whole collection's memory to route. The counts below
-        // were taken before eviction, so listings still describe the
-        // full collection.
-        let trendline_count = engine.trendline_count();
-        let point_count = engine.point_count();
-        for (i, p) in placement.iter().enumerate() {
-            if matches!(p, ShardPlacement::Remote(_)) {
-                engine.evict_shard(i);
+        // The slot layout: the full deterministic partition, or the one
+        // owned slice of the `total`-way split in shard-of mode.
+        let counts = collection.point_counts();
+        let bounds = match spec.shard_of {
+            Some((index, total)) => {
+                let all = partition_bounds_by_points(&counts, total);
+                let Some(&owned) = all.get(index) else {
+                    return Err(extracting(CoreError::Config(format!(
+                        "shard index {index} out of range: the collection partitions \
+                         into {} shard(s)",
+                        all.len()
+                    ))));
+                };
+                vec![owned]
             }
-        }
+            None => partition_bounds_by_points(&counts, requested),
+        };
+        let shard_count = bounds.len();
+        // Resolve the partition map against the *effective* shard count.
+        let placement =
+            Self::resolve_placement(endpoints.as_deref(), spec.shard_of.is_some(), shard_count)?;
 
-        if spec.builtins {
-            engine.register_builtin_udps();
-        }
-        // Registration is the expensive, rare operation — build the
-        // columnar GROUP arenas now so the first query on every shard
-        // pays only SEGMENT+SCORE. (Evicted remote shards warm an empty
-        // collection: a no-op.)
-        engine.warm();
+        // Listings describe everything the slots cover — the whole
+        // collection, remote slots included, or the owned partition.
+        let (first, last) = (bounds[0].0, bounds[shard_count - 1].1);
+        let shards = match collection {
+            Collection::Trendlines(mut rest) => {
+                // Split back-to-front so each boundary is a cheap
+                // `split_off`; what a remote slot covers is dropped here.
+                rest.truncate(last);
+                let mut engines: Vec<_> = bounds
+                    .iter()
+                    .zip(&placement)
+                    .rev()
+                    .map(|(&(start, _), placement)| {
+                        let part = rest.split_off(start);
+                        (*placement == ShardPlacement::Local).then(|| {
+                            let engine = shard_engine(part, start, spec.builtins);
+                            engine.warm(EngineOptions::default().bin_width);
+                            Arc::new(engine)
+                        })
+                    })
+                    .collect();
+                engines.reverse();
+                Shards::Built(engines)
+            }
+            Collection::Snapshot(snapshot) => Shards::Mapped {
+                snapshot,
+                bounds,
+                builtins: spec.builtins,
+                resident: Arc::clone(&self.resident),
+            },
+        };
+
         let id = match spec.id {
             Some(id) if !id.is_empty() => id,
             _ => format!("ds{}", self.next_id.fetch_add(1, Ordering::Relaxed)),
@@ -633,114 +695,25 @@ impl Catalog {
             generation: self.next_generation.fetch_add(1, Ordering::Relaxed),
             name: spec.name,
             visual: spec.visual,
-            shard_count: engine.shard_count(),
+            shard_count,
             placement_fp: placement_fingerprint(&placement),
             placement,
             shard_of: spec.shard_of,
-            trendline_count,
-            point_count,
-            engine,
-            snapshot: None,
+            trendline_count: last - first,
+            point_count: counts[first..last].iter().sum(),
+            shards,
         });
-        self.publish(id, entry)
-    }
-
-    /// Registers a dataset served from an on-disk snapshot
-    /// ([`shapesearch_core::snapshot`]): opens and validates the file
-    /// (mmap + checksums + structural invariants — a torn or corrupted
-    /// snapshot is refused here with a structured `snapshot_invalid`
-    /// error, before anything is published), computes the deterministic
-    /// partition bounds, and publishes an entry whose **local shards
-    /// materialize lazily** through the catalog's resident LRU on first
-    /// touch. The entry's `engine` holds only empty placeholder shards
-    /// carrying the slot layout; memory is paid per touched shard, not
-    /// per registration.
-    ///
-    /// The snapshot stores extraction *output*, so `visual` is carried
-    /// for listings but no EXTRACT runs; results are byte-identical to
-    /// registering the original source eagerly.
-    fn register_snapshot(
-        &self,
-        spec: DatasetSpec,
-        path: &str,
-    ) -> Result<Arc<DatasetEntry>, ServerError> {
-        let snapshot = Snapshot::open(path).map_err(|e| match e {
-            SnapshotError::Io { .. } => ServerError::bad_request(format!("loading dataset: {e}")),
-            corrupt => ServerError::invalid_snapshot(corrupt.to_string()),
-        })?;
-        let snapshot = Arc::new(snapshot);
-
-        let endpoints = self.resolve_endpoints(&spec)?;
-        let shards = self.resolve_shard_request(&spec, endpoints.as_deref())?;
-
-        // The slot layout: the full deterministic partition, or the one
-        // owned partition in shard-of mode (mirroring the eager path's
-        // out-of-range error).
-        let bounds = match spec.shard_of {
-            Some((index, total)) => {
-                let all = snapshot.partition_bounds(total);
-                let Some(&owned) = all.get(index) else {
-                    return Err(ServerError::bad_request(format!(
-                        "extracting trendlines: config error: shard index {index} \
-                         out of range: the collection partitions into {} shard(s)",
-                        all.len()
-                    )));
-                };
-                vec![owned]
-            }
-            None => snapshot.partition_bounds(shards),
-        };
-        let placement =
-            Self::resolve_placement(endpoints.as_deref(), spec.shard_of.is_some(), bounds.len())?;
-
-        // Counts for listings: the whole collection, or the owned
-        // partition in shard-of mode — same contract as the eager path.
-        let per_trendline = snapshot.raw_point_counts();
-        let (trendline_count, point_count) = match spec.shard_of {
-            Some(_) => {
-                let (start, end) = bounds[0];
-                (end - start, per_trendline[start..end].iter().sum())
-            }
-            None => (snapshot.trendline_count(), snapshot.raw_point_count()),
-        };
-
-        // Placeholder shard engines: empty payloads with the real base
-        // indices, so the fan-out sees the correct slot layout while
-        // every byte of data stays on disk until a slot is touched.
-        let placeholders = bounds
-            .iter()
-            .map(|&(start, _)| {
-                Arc::new(ShapeEngine::from_trendlines(Vec::new()).with_base_index(start))
-            })
-            .collect();
-        let engine = ShardedEngine::from_shard_engines(placeholders);
-
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
-        let id = match spec.id {
-            Some(id) if !id.is_empty() => id,
-            _ => format!("ds{}", self.next_id.fetch_add(1, Ordering::Relaxed)),
-        };
-        let entry = Arc::new(DatasetEntry {
-            id: id.clone(),
-            generation,
-            name: spec.name,
-            visual: spec.visual,
-            shard_count: bounds.len(),
-            placement_fp: placement_fingerprint(&placement),
-            placement,
-            shard_of: spec.shard_of,
-            trendline_count,
-            point_count,
-            engine,
-            snapshot: Some(SnapshotShards {
-                snapshot,
-                bounds,
-                generation,
-                builtins: spec.builtins,
-                resident: Arc::clone(&self.resident),
-            }),
-        });
-        self.publish(id, entry)
+        // A replaced registration's generation can never be served
+        // again: drop whatever the resident LRU still holds of it.
+        let replaced = self
+            .inner
+            .write()
+            .expect("catalog lock")
+            .insert(id, Arc::clone(&entry));
+        if let Some(old) = replaced {
+            self.resident.purge_generation(old.generation);
+        }
+        Ok(entry)
     }
 
     /// Resolves a registration's `shard_endpoints` request into an
@@ -859,27 +832,6 @@ impl Catalog {
         }
     }
 
-    /// Publishes an entry under `id`, purging any replaced snapshot
-    /// registration's resident shards (its generation can never be
-    /// served again).
-    fn publish(
-        &self,
-        id: String,
-        entry: Arc<DatasetEntry>,
-    ) -> Result<Arc<DatasetEntry>, ServerError> {
-        let replaced = self
-            .inner
-            .write()
-            .expect("catalog lock")
-            .insert(id, Arc::clone(&entry));
-        if let Some(old) = replaced {
-            if let Some(snap) = &old.snapshot {
-                self.resident.purge_generation(snap.generation);
-            }
-        }
-        Ok(entry)
-    }
-
     /// Fetches a dataset by id.
     pub fn get(&self, id: &str) -> Option<Arc<DatasetEntry>> {
         self.inner.read().expect("catalog lock").get(id).cloned()
@@ -912,6 +864,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shapesearch_core::{merge_topk, TopKResult};
 
     const CSV: &str = "\
 product,week,sales
@@ -924,6 +877,27 @@ gadget,2,4
 gadget,3,8
 gadget,4,12
 ";
+
+    /// The entry's answer the way `exec` computes it: every slot's
+    /// partial (all local here), merged.
+    fn top_k(entry: &DatasetEntry, query: &str, k: usize) -> Vec<TopKResult> {
+        let query = shapesearch_parser::parse_regex(query).unwrap();
+        let partials = (0..entry.shard_count)
+            .map(|slot| entry.local_shard(slot).unwrap().top_k(&query, k).unwrap())
+            .collect();
+        merge_topk(partials, k)
+    }
+
+    /// [`CSV`]'s trendlines as an on-disk snapshot.
+    fn snapshot_of(csv_text: &str, tag: &str) -> DataSource {
+        let table = csv::read_str(csv_text).unwrap();
+        let visual = VisualSpec::new("product", "week", "sales");
+        let trendlines = extract(&table, &visual, &ExtractOptions::default()).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("ss-catalog-{tag}-{}.snap", std::process::id()));
+        shapesearch_core::snapshot::write(&path, &trendlines, 1).unwrap();
+        DataSource::Snapshot(path.to_str().unwrap().to_owned())
+    }
 
     fn spec(id: Option<&str>) -> DatasetSpec {
         DatasetSpec {
@@ -962,8 +936,7 @@ gadget,4,12
     fn registered_engine_is_queryable_through_arc() {
         let catalog = Catalog::new();
         let entry = catalog.register(spec(Some("s"))).unwrap();
-        let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
-        let results = entry.engine.top_k(&q, 1).unwrap();
+        let results = top_k(&entry, "[p=up][p=down]", 1);
         assert_eq!(results[0].key, "widget");
     }
 
@@ -993,7 +966,9 @@ gadget,4,12
         s.shards = Some(8);
         let entry = catalog.register(s).unwrap();
         assert_eq!(entry.shard_count, 2);
-        assert_eq!(entry.engine.shard_count(), 2);
+        for slot in 0..2 {
+            assert_eq!(entry.local_shard(slot).unwrap().trendlines().len(), 1);
+        }
 
         // Catalog default applies when the spec doesn't pin one.
         let catalog = Catalog::with_default_shards(2);
@@ -1068,13 +1043,33 @@ gadget,4,12
         assert_eq!(entry.trendline_count, 2);
         assert_eq!(entry.point_count, 8);
         assert_eq!(entry.shard_count, 2);
-        // …but the remotely-placed shard holds no data in this process
+        // …but the remotely-placed slot holds no engine in this process
         // (its shard server owns the identical partition), while the
         // local shard keeps its payload and global base.
-        assert!(entry.engine.shards()[0].trendlines().is_empty());
-        assert_eq!(entry.engine.shards()[0].base_index(), 0);
-        assert_eq!(entry.engine.shards()[1].trendlines().len(), 1);
-        assert_eq!(entry.engine.shards()[1].base_index(), 1);
+        assert!(matches!(&entry.shards, Shards::Built(engines) if engines[0].is_none()));
+        let local = entry.local_shard(1).unwrap();
+        assert_eq!(local.trendlines().len(), 1);
+        assert_eq!(local.base_index(), 1);
+
+        // An all-remote router builds no engine at all, whichever kind
+        // of source it registered.
+        for (id, source) in [
+            ("csv", DataSource::InlineCsv(CSV.into())),
+            ("snap", snapshot_of(CSV, "all-remote")),
+        ] {
+            let mut s = spec(Some(id));
+            s.source = source;
+            s.shard_endpoints = Some(ShardEndpoints::Explicit(vec![
+                Some(vec!["10.0.0.1:7878".into()]),
+                Some(vec!["10.0.0.2:7878".into()]),
+            ]));
+            let entry = catalog.register(s).unwrap();
+            assert_eq!((entry.trendline_count, entry.point_count), (2, 8));
+            assert!(match &entry.shards {
+                Shards::Built(engines) => engines.iter().all(Option::is_none),
+                Shards::Mapped { .. } => catalog.resident().stats().loads == 0,
+            });
+        }
     }
 
     #[test]
@@ -1109,10 +1104,28 @@ gadget,4,12
         s.shard_of = Some((0, 2));
         s.shard_endpoints = Some(ShardEndpoints::Explicit(vec![None, None]));
         assert!(catalog.register(s).is_err());
-        // shard_of index out of range.
-        let mut s = spec(None);
-        s.shard_of = Some((2, 2));
-        assert!(catalog.register(s).is_err());
+        // shard_of index out of range (past the *effective* count: two
+        // trendlines partition into two shards at most): a structured
+        // error, and the same one whichever kind of source it came from.
+        for (index, total) in [(2, 2), (3, 8)] {
+            for source in [
+                DataSource::InlineCsv(CSV.into()),
+                snapshot_of(CSV, "out-of-range"),
+            ] {
+                let mut s = spec(None);
+                s.source = source;
+                s.shard_of = Some((index, total));
+                let err = catalog.register(s).unwrap_err();
+                assert_eq!(err.status, 400);
+                assert_eq!(
+                    err.message,
+                    format!(
+                        "extracting trendlines: invalid configuration: shard index {index} \
+                         out of range: the collection partitions into 2 shard(s)"
+                    )
+                );
+            }
+        }
         // shard_of with a disagreeing `shards` total.
         let mut s = spec(None);
         s.shard_of = Some((0, 4));
@@ -1136,8 +1149,8 @@ gadget,4,12
         assert_eq!(part.shard_of, Some((1, 2)));
         assert!(part.trendline_count < full.trendline_count);
         // The partition's results carry collection-global viz_indexes.
-        let q = shapesearch_parser::parse_regex("[p=up]").unwrap();
-        let results = part.engine.top_k(&q, 4).unwrap();
+        let results = top_k(&part, "[p=up]", 4);
+        assert!(!results.is_empty());
         assert!(results
             .iter()
             .all(|r| r.viz_index >= full.trendline_count - part.trendline_count));
@@ -1152,11 +1165,101 @@ gadget,4,12
         two.shards = Some(2);
         let one = catalog.register(one).unwrap();
         let two = catalog.register(two).unwrap();
-        let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
         assert_eq!(
-            one.engine.top_k(&q, 2).unwrap(),
-            two.engine.top_k(&q, 2).unwrap()
+            top_k(&one, "[p=up][p=down]", 2),
+            top_k(&two, "[p=up][p=down]", 2)
         );
+    }
+
+    /// One path: the same trendlines as inline CSV, inline JSON-lines, a
+    /// file path and a snapshot, under the same `shards` /
+    /// `shard_endpoints` / `shard_of`, register into the same entry —
+    /// every listed field, and every local shard's keys and base index.
+    #[test]
+    fn every_source_kind_registers_into_the_same_entry() {
+        // Five trendlines of 2–6 points: point-balanced bounds differ
+        // from count-balanced ones.
+        let mut csv_text = String::from("product,week,sales\n");
+        let mut jsonl = String::new();
+        for (t, len) in [6usize, 2, 3, 5, 2].into_iter().enumerate() {
+            for week in 0..len {
+                let sales = (week * (t + 1)) % 4;
+                csv_text += &format!("p{t},{week},{sales}\n");
+                jsonl += &format!("{{\"product\":\"p{t}\",\"week\":{week},\"sales\":{sales}}}\n");
+            }
+        }
+        let file = std::env::temp_dir().join(format!("ss-catalog-path-{}.csv", std::process::id()));
+        std::fs::write(&file, &csv_text).unwrap();
+        let sources = [
+            DataSource::InlineCsv(csv_text.clone()),
+            DataSource::InlineJsonl(jsonl),
+            DataSource::Path(file.to_str().unwrap().to_owned()),
+            snapshot_of(&csv_text, "same-entry"),
+        ];
+        type Shape = (
+            Option<usize>,
+            Option<ShardEndpoints>,
+            Option<(usize, usize)>,
+        );
+        let remote = |ep: &str| Some(vec![ep.to_owned()]);
+        let shapes: [Shape; 4] = [
+            (Some(3), None, None),
+            (Some(8), None, None),
+            (
+                None,
+                Some(ShardEndpoints::Explicit(vec![None, remote("a:1"), None])),
+                None,
+            ),
+            (None, None, Some((1, 3))),
+        ];
+        // What a registration decides, without the id and generation
+        // that tell registrations apart.
+        let describe = |entry: &DatasetEntry| {
+            let local: Vec<_> = (0..entry.shard_count)
+                .filter(|&slot| entry.placement[slot] == ShardPlacement::Local)
+                .map(|slot| {
+                    let shard = entry.local_shard(slot).unwrap();
+                    let keys: Vec<String> =
+                        shard.trendlines().iter().map(|t| t.key.clone()).collect();
+                    (slot, shard.base_index(), keys)
+                })
+                .collect();
+            (
+                entry.shard_count,
+                entry.placement.clone(),
+                entry.placement_fp.clone(),
+                entry.shard_of,
+                entry.trendline_count,
+                entry.point_count,
+                local,
+            )
+        };
+        let catalog = Catalog::new();
+        for (shards, shard_endpoints, shard_of) in shapes {
+            let described: Vec<_> = sources
+                .iter()
+                .map(|source| {
+                    let entry = catalog
+                        .register(DatasetSpec {
+                            source: source.clone(),
+                            shards,
+                            shard_endpoints: shard_endpoints.clone(),
+                            shard_of,
+                            ..spec(None)
+                        })
+                        .unwrap();
+                    assert_eq!(
+                        entry.from_snapshot(),
+                        matches!(source, DataSource::Snapshot(_))
+                    );
+                    describe(&entry)
+                })
+                .collect();
+            for other in &described[1..] {
+                assert_eq!(other, &described[0]);
+            }
+        }
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

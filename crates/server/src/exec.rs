@@ -439,12 +439,11 @@ pub(crate) fn hint_undischarged(
 /// what makes a stale or poisoned hint unable to silently drop a true
 /// top-k result.
 ///
-/// This is the workspace's only shard-level fan-out (core's
-/// `ShardedEngine` is a partition map and schedules nothing). The
-/// distributed invariant rides on the shared merge: partials are
-/// partials, whether they came off this process's pool or over the
-/// wire, so results stay byte-identical to a single-process run for
-/// every placement.
+/// This is the workspace's only shard-level fan-out (core's own
+/// partition map schedules nothing). The distributed invariant rides on
+/// the shared merge: partials are partials, whether they came off this
+/// process's pool or over the wire, so results stay byte-identical to a
+/// single-process run for every placement.
 pub(crate) fn execute_on_shards(
     state: &Arc<AppState>,
     entry: &Arc<DatasetEntry>,

@@ -20,17 +20,18 @@
 //!              Catalog (catalog)  QueryCache    protocol/json  ComputePool
 //!                    │            (cache: LRU +                (compute:
 //!                    ▼             singleflight)                shard tasks)
-//!          Arc<DatasetEntry> { ShardedEngine, VisualSpec, … }
-//!                    │
+//!          Arc<DatasetEntry> { placement, VisualSpec, … }
+//!                    │ local_shard(slot)
 //!                    ▼
-//!          shards: [Arc<ShapeEngine>; N]  ── fan out per query, merge
+//!          Arc<ShapeEngine> per LOCAL slot ── fan out per query, merge
 //!
 //!        GET /healthz, /metrics ─► one StatsSnapshot (stats), two renderers
 //! ```
 //!
-//! * Registration (`POST /datasets`) runs EXTRACT eagerly and partitions
-//!   the trendlines into size-balanced engine shards; queries never
-//!   touch raw tables.
+//! * Registration (`POST /datasets`) is one path for every source:
+//!   EXTRACT eagerly (or open a snapshot), partition by point count,
+//!   resolve the placement, and build engines for the local slots only;
+//!   queries never touch raw tables.
 //! * Every computation fans out as one compute-pool task per shard and
 //!   merges the per-shard top-k partials deterministically — results are
 //!   byte-identical for every shard count, one query can use every core,

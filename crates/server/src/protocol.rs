@@ -493,7 +493,7 @@ pub fn dataset_to_json(entry: &DatasetEntry) -> Json {
     if let Some((index, total)) = entry.shard_of {
         fields.push(("shard_of", format!("{index}/{total}").into()));
     }
-    if entry.snapshot.is_some() {
+    if entry.from_snapshot() {
         fields.push(("snapshot", true.into()));
     }
     obj(fields)

@@ -4,10 +4,20 @@
 //! working set exceeds RAM and pay memory only for the partitions
 //! queries actually hit.
 //!
+//! The `--resident-bytes` budget counts, per resident shard, the
+//! columnar arena of the bin width the snapshot seeds, measured once at
+//! publish. A query at another `bin_width` makes the shard's engine GROUP
+//! that width too, and the budget does not see it — but an engine keeps
+//! at most **one** such extra at a time (it drops the last before
+//! building the next), so what escapes the budget is bounded by one more
+//! arena per resident shard, no larger than the counted one when the
+//! snapshot was written at the finest width (1, the default).
+//!
 //! Loads are **singleflight**: concurrent queries racing a cold shard
 //! block on one loader instead of duplicating the (CPU- and
 //! memory-expensive) materialization — the same coalescing discipline
-//! the query cache applies to identical queries. Keys are
+//! the query cache applies to identical queries. A loader that fails or
+//! unwinds vacates its slot and wakes the waiters. Keys are
 //! `(generation, shard slot)`, so a re-registered dataset can never be
 //! served a predecessor's partitions; the catalog purges the stale
 //! generation's residents on replacement.
@@ -37,13 +47,14 @@ pub struct ResidentStats {
 }
 
 /// One shard slot's residency state.
+#[derive(Debug)]
 enum Slot {
     /// Some thread is materializing the shard; waiters block on the
     /// condvar until it publishes (or fails and vacates the slot).
     Loading,
     /// The shard is resident. `touched` is the LRU clock tick of its
     /// last use; `bytes` is its columnar-arena footprint, measured once
-    /// at publish time (resident engines are immutable).
+    /// at publish time (the seeded width's arena; see the module doc).
     Ready {
         engine: Arc<ShapeEngine>,
         touched: u64,
@@ -51,7 +62,7 @@ enum Slot {
     },
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Inner {
     /// Monotone use counter; bigger = more recently used.
     clock: u64,
@@ -60,7 +71,7 @@ struct Inner {
 }
 
 /// The shared resident-shard LRU; one per catalog.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ResidentShards {
     /// Byte budget across all resident shards' columnar arenas
     /// (0 = unlimited). Eviction never goes below one resident shard,
@@ -71,6 +82,28 @@ pub struct ResidentShards {
     loads: AtomicU64,
     evictions: AtomicU64,
     load_micros: AtomicU64,
+}
+
+/// Owns a slot's `Loading` entry while its loader runs outside the lock.
+/// A loader that returns an error — or unwinds — never publishes, and
+/// dropping the guard then vacates the slot and wakes the waiters, so one
+/// of them becomes the next loader instead of inheriting the failure or
+/// waiting for ever on a latch nobody will release.
+struct VacateOnDrop<'a> {
+    lru: &'a ResidentShards,
+    key: (u64, usize),
+    armed: bool,
+}
+
+impl Drop for VacateOnDrop<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            // Never panics: this may run while the loader's panic unwinds.
+            let mut inner = self.lru.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.slots.remove(&self.key);
+            self.lru.loaded.notify_all();
+        }
+    }
 }
 
 impl ResidentShards {
@@ -124,9 +157,10 @@ impl ResidentShards {
     /// The shard for `key`, touching it in the LRU — loading it via
     /// `load` first if it is not resident. Exactly one caller runs the
     /// loader per cold slot; the rest block until it publishes. A failed
-    /// load returns its error to the loader only and vacates the slot —
-    /// a blocked waiter wakes, finds the slot empty, and becomes the
-    /// next loader rather than inheriting a failure it can retry.
+    /// load returns its error (or its panic) to the loader only and
+    /// vacates the slot — a blocked waiter wakes, finds the slot empty,
+    /// and becomes the next loader rather than inheriting a failure it
+    /// can retry.
     ///
     /// # Errors
     /// Whatever `load` returns; the LRU adds nothing.
@@ -162,42 +196,37 @@ impl ResidentShards {
         drop(inner);
 
         // The expensive part runs outside the lock: other slots stay
-        // servable while this one materializes.
+        // servable while this one materializes. Until the publish below
+        // disarms it, the guard owns the `Loading` entry.
+        let mut vacate = VacateOnDrop {
+            lru: self,
+            key,
+            armed: true,
+        };
         let started = Instant::now();
-        let outcome = load();
+        let engine = load()?;
         let micros = started.elapsed().as_micros() as u64;
 
         let mut inner = self.inner.lock().expect("resident lock");
-        match outcome {
-            Ok(engine) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                self.load_micros.fetch_add(micros, Ordering::Relaxed);
-                inner.clock += 1;
-                let touched = inner.clock;
-                // Measured once here: resident engines are immutable, and
-                // snapshot loads pre-seed the grouped arena, so this is
-                // the shard's steady-state footprint.
-                let bytes = engine.grouped_byte_size() as u64;
-                inner.slots.insert(
-                    key,
-                    Slot::Ready {
-                        engine: Arc::clone(&engine),
-                        touched,
-                        bytes,
-                    },
-                );
-                self.evict_over_capacity(&mut inner);
-                self.loaded.notify_all();
-                Ok(engine)
-            }
-            Err(e) => {
-                // Vacate so a later (or waiting) caller can retry the
-                // load instead of inheriting this failure forever.
-                inner.slots.remove(&key);
-                self.loaded.notify_all();
-                Err(e)
-            }
-        }
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.load_micros.fetch_add(micros, Ordering::Relaxed);
+        inner.clock += 1;
+        let touched = inner.clock;
+        // Measured once here: snapshot loads pre-seed the grouped arena,
+        // so this is the shard's steady-state footprint.
+        let bytes = engine.grouped_byte_size() as u64;
+        inner.slots.insert(
+            key,
+            Slot::Ready {
+                engine: Arc::clone(&engine),
+                touched,
+                bytes,
+            },
+        );
+        vacate.armed = false;
+        self.evict_over_capacity(&mut inner);
+        self.loaded.notify_all();
+        Ok(engine)
     }
 
     /// Evicts least-recently-touched **ready** shards until the resident
@@ -377,6 +406,32 @@ mod tests {
         let loads = Arc::new(AtomicUsize::new(0));
         lru.get_or_load((1, 0), counting_loader(&loads, 0)).unwrap();
         assert_eq!(loads.load(Ordering::SeqCst), 1);
+    }
+
+    /// "Request N panics, request N+1 answers", for the latch a snapshot
+    /// shard loads under.
+    #[test]
+    fn panicking_loader_vacates_the_slot_for_the_next_caller() {
+        let lru = Arc::new(ResidentShards::new());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lru.get_or_load((1, 0), || panic!("loader blew up"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(lru.stats().loads, 0);
+        // A slot left `Loading` would park this second caller for ever;
+        // the bounded wait turns that into a failure instead of a hang.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = {
+            let lru = Arc::clone(&lru);
+            std::thread::spawn(move || tx.send(lru.get_or_load((1, 0), || Ok(demo_engine(0)))))
+        };
+        let loaded = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the panicked load left its slot `Loading`");
+        second.join().unwrap().unwrap();
+        assert_eq!(loaded.unwrap().base_index(), 0);
+        let stats = lru.stats();
+        assert_eq!((stats.resident, stats.loads), (1, 1));
     }
 
     #[test]
