@@ -262,7 +262,9 @@ grep -q '"trace_id":"' "$EXPLAIN_REPLY" || {
     echo "observability smoke: explain reply carried no trace"
     cat "$EXPLAIN_REPLY"; exit 1;
 }
-for needle in '"name":"request"' '"name":"shard_fanout"' '"name":"merge"'; do
+# (`"refined":` is the pruning block's second-tier counter: its name, not
+# its value — the sales data is too small to say what it should read.)
+for needle in '"name":"request"' '"name":"shard_fanout"' '"name":"merge"' '"refined":'; do
     grep -q "$needle" "$EXPLAIN_REPLY" || {
         echo "observability smoke: explain trace missing $needle"
         cat "$EXPLAIN_REPLY"; exit 1;
@@ -286,6 +288,7 @@ ROUTER_METRICS=$(curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics")
 [ -n "$ROUTER_METRICS" ] || { echo "observability smoke: empty /metrics"; exit 1; }
 for series in 'shapesearch_queries_total ' \
               'shapesearch_cache_lookups_total ' \
+              'shapesearch_pruning_refined_total ' \
               '# TYPE shapesearch_request_duration_micros histogram'; do
     echo "$ROUTER_METRICS" | grep -q "$series" || {
         echo "observability smoke: /metrics missing $series"

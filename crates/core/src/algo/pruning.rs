@@ -19,6 +19,25 @@
 //! threshold is skipped without segmentation, survivors are scored exactly
 //! and tighten the threshold online.
 //!
+//! The bound has **two tiers**. The first is the one above: a pattern's
+//! extreme scores over any slope between the trendline's interval
+//! extremes, which is all that can be said of a window nobody has placed.
+//! But a top-level CONCAT does place two: every exact segmenter tiles
+//! `[0, n − 1]` with the chain's units in order, so the first unit is
+//! scored on some window `[0, j]` and the last on some `[i, n − 1]` —
+//! `n − 1` candidate slopes each, not a continuum. The second tier takes an
+//! un-located first or last unit's upper bound over exactly those windows
+//! (the rest of the plan keeps its first-tier value and arithmetic), and
+//! because every Table 7 row is monotone or unimodal in slope it finds
+//! the best window in slope space, at one or two `atan`s an end. On
+//! trendlines whose interval slopes straddle every target — random walks —
+//! the first tier reads ≈ 1 for everyone and the second prunes four in
+//! ten. It costs most of a microsecond a candidate against the first's
+//! few nanoseconds, so it is lazy twice over: the plan decides once per
+//! query whether it has an anchored end at all, and [`PruningDriver::visit`]
+//! computes it only for a candidate the first tier failed to prune
+//! against a live threshold. What it feeds is the same rule.
+//!
 //! The threshold lives in a [`ThresholdCell`] — an atomic-`f64`
 //! (`AtomicU64` bit-cast) max register shared across every executor of
 //! one query: parallel viz chunks, the shards of a
@@ -286,6 +305,7 @@ pub struct PruningCounters {
     bounded: AtomicU64,
     pruned: AtomicU64,
     scored: AtomicU64,
+    refined: AtomicU64,
     /// Nanoseconds, not microseconds: the bound pass over a small shard
     /// takes less than one, so a per-pass truncation to µs would add up a
     /// column of zeros.
@@ -311,6 +331,7 @@ impl PruningCounters {
             bounded: self.bounded.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
             scored: self.scored.load(Ordering::Relaxed),
+            refined: self.refined.load(Ordering::Relaxed),
             bound_micros: self.bound_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
@@ -327,7 +348,12 @@ pub struct PruningSnapshot {
     pub pruned: u64,
     /// Visualizations scored in full under the pruning driver.
     pub scored: u64,
-    /// Total microseconds spent computing bounds.
+    /// Second-tier bounds computed: candidates the whole-trendline bound
+    /// could not prune against a live threshold, bounded again over their
+    /// end-anchored windows. Each is also one of `bounded` and goes on to
+    /// be one of `pruned` or `scored`.
+    pub refined: u64,
+    /// Total microseconds spent computing bounds, both tiers.
     pub bound_micros: u64,
 }
 
@@ -338,6 +364,7 @@ impl PruningSnapshot {
         self.bounded += other.bounded;
         self.pruned += other.pruned;
         self.scored += other.scored;
+        self.refined += other.refined;
         self.bound_micros += other.bound_micros;
     }
 }
@@ -349,6 +376,10 @@ impl PruningSnapshot {
 /// construction.
 pub struct PruningDriver<'a> {
     plan: BoundPlan,
+    /// The trendline ends the plan has an anchored leaf at — decided here,
+    /// once per query, so a query with none never looks at a candidate
+    /// twice.
+    anchors: Ends,
     cell: &'a ThresholdCell,
     counters: &'a PruningCounters,
     k: usize,
@@ -376,8 +407,10 @@ impl<'a> PruningDriver<'a> {
         counters: &'a PruningCounters,
         k: usize,
     ) -> Self {
+        let plan = BoundPlan::compile(query, params, Ends::BOTH);
         Self {
-            plan: BoundPlan::compile(query, params),
+            anchors: plan.anchors(),
+            plan,
             cell,
             counters,
             k,
@@ -385,9 +418,10 @@ impl<'a> PruningDriver<'a> {
         }
     }
 
-    /// Routes this driver's bound-pass timings to `observer` (one
+    /// Routes this driver's bound timings to `observer` (one
     /// [`EngineStage::PruneBound`] sample per [`Self::upper_bounds`]
-    /// call) in addition to the shared counters. Returns `self` for
+    /// call, and one per [`Self::visit`] walk that computed second-tier
+    /// bounds) in addition to the shared counters. Returns `self` for
     /// chaining.
     #[must_use]
     pub fn with_observer(mut self, observer: &'a dyn StageObserver) -> Self {
@@ -442,17 +476,34 @@ impl<'a> PruningDriver<'a> {
     /// the proven global k-th best (see [`ThresholdCell::offer`]), so
     /// every executor's results tighten every other executor's threshold
     /// as they land. Seeds and sweep both go through here.
+    ///
+    /// The bound is `bounds[pos]`, the whole-trendline one, unless that
+    /// fails to prune against a live threshold and the query has an
+    /// anchored end: then, and only then, the candidate's second-tier
+    /// bound is computed and takes its place under the same rule. The
+    /// tier's time is kept locally and published once per walk.
     pub fn visit(
         &self,
+        vizzes: &[&VizData],
         bounds: &[f64],
         positions: impl Iterator<Item = usize>,
         mut score: impl FnMut(usize) -> f64,
     ) {
-        let (mut pruned, mut scored) = (0u64, 0u64);
+        let (mut pruned, mut scored, mut refined) = (0u64, 0u64, 0u64);
+        let mut refining = Duration::ZERO;
+        let mut windows = EndWindows::default();
         for pos in positions {
-            let upper = bounds[pos];
+            let mut upper = bounds[pos];
             // No threshold yet reads −∞, which nothing is below.
-            if upper < self.cell.get() {
+            let threshold = self.cell.get();
+            if self.anchors.any() && threshold > f64::NEG_INFINITY && upper >= threshold {
+                let started = Instant::now();
+                windows.load(vizzes[pos], self.anchors);
+                upper = self.plan.anchored(vizzes[pos], &windows).1;
+                refining += started.elapsed();
+                refined += 1;
+            }
+            if upper < threshold {
                 if upper >= self.cell.proven() {
                     // The proven component alone would not have pruned
                     // this: the prune rides on the hint, so record it for
@@ -470,6 +521,14 @@ impl<'a> PruningDriver<'a> {
         // comparison it counts.
         self.counters.pruned.fetch_add(pruned, Ordering::Relaxed);
         self.counters.scored.fetch_add(scored, Ordering::Relaxed);
+        if refined > 0 {
+            self.counters.refined.fetch_add(refined, Ordering::Relaxed);
+            self.counters
+                .bound_nanos
+                .fetch_add(refining.as_nanos() as u64, Ordering::Relaxed);
+            self.observer
+                .stage(EngineStage::PruneBound, refining.as_micros() as u64);
+        }
     }
 }
 
@@ -477,13 +536,32 @@ impl<'a> PruningDriver<'a> {
 /// O(query size): the query's bound plan compiled and evaluated once (the
 /// pruning driver compiles once per query and evaluates per candidate).
 pub fn query_bounds(query: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
-    BoundPlan::compile(query, params).bounds(&[viz])[0]
+    BoundPlan::compile(query, params, Ends::BOTH).bounds(&[viz])[0]
+}
+
+/// The second-tier upper bound of a query over one visualization — what
+/// the pruning driver falls back on for a candidate [`query_bounds`]'
+/// upper bound cannot rule out — or `None` when the query has no end to
+/// anchor and the tier never runs for it.
+pub fn anchored_upper_bound(
+    query: &ShapeQuery,
+    viz: &VizData,
+    params: &ScoreParams,
+) -> Option<f64> {
+    let plan = BoundPlan::compile(query, params, Ends::BOTH);
+    let anchors = plan.anchors();
+    anchors.any().then(|| {
+        let mut windows = EndWindows::default();
+        windows.load(viz, anchors);
+        plan.anchored(viz, &windows).1
+    })
 }
 
 /// A query compiled for bounding — the bound plan: everything
 /// [`Self::bounds`] needs that does not depend on the visualization (which
 /// Table 7 row applies to each segment, the `θ = x` constants and the
-/// target's slope, whether a hard constraint voids the lower bound),
+/// target's slope, whether a hard constraint voids the lower bound, which
+/// end of the trendline a segment's window is known to touch),
 /// derived once per (query, executor) instead of once per candidate.
 #[derive(Debug, Clone)]
 enum BoundPlan {
@@ -494,9 +572,12 @@ enum BoundPlan {
     /// only *lower* the segment's score — to −1 on violation — so the
     /// upper bound stands but the Table 7 lower bound does not: it widens
     /// to the trivial −1 so NOT nodes (which flip bounds) stay sound.
+    /// `anchor`: the end its window is pinned to by the tiling, if any —
+    /// what the second tier bounds it over.
     Slope {
         row: SlopeRow,
         constrained: bool,
+        anchor: Option<End>,
     },
     Concat(Vec<BoundPlan>),
     And(Vec<BoundPlan>),
@@ -510,28 +591,115 @@ enum SlopeRow {
     Up,
     Down,
     Flat,
-    /// `θ = x`: [`theta_target`]'s constants plus the target as a slope.
+    /// `θ = x`: [`theta_target`]'s constants plus the slope the score
+    /// peaks at — the tangent of the *clamped* target, which is what the
+    /// scorer measures against: past ±90° the row is monotone and its mode
+    /// is `tan(±π/2)`, a finite `f64` beyond any slope it will meet.
     Theta {
         target: f64,
         worst: f64,
-        slope: f64,
+        mode: f64,
     },
 }
 
-impl BoundPlan {
-    /// Compiles `q` under `params`.
-    fn compile(q: &ShapeQuery, params: &ScoreParams) -> Self {
-        let all = |cs: &[ShapeQuery]| cs.iter().map(|c| Self::compile(c, params)).collect();
-        match q {
-            ShapeQuery::Segment(s) => Self::segment(s, params),
-            ShapeQuery::Concat(cs) => Self::Concat(all(cs)),
-            ShapeQuery::And(cs) => Self::And(all(cs)),
-            ShapeQuery::Or(cs) => Self::Or(all(cs)),
-            ShapeQuery::Not(c) => Self::Not(Box::new(Self::compile(c, params))),
+/// One end of a trendline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    First,
+    Last,
+}
+
+/// A set of trendline ends: those a query node's window is known to
+/// touch, or those a plan has an anchored leaf at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ends {
+    first: bool,
+    last: bool,
+}
+
+impl Ends {
+    const NONE: Self = Self {
+        first: false,
+        last: false,
+    };
+    /// A whole query's window is the whole trendline.
+    const BOTH: Self = Self {
+        first: true,
+        last: true,
+    };
+
+    fn any(self) -> bool {
+        self.first || self.last
+    }
+
+    fn union(self, other: Self) -> Self {
+        Self {
+            first: self.first || other.first,
+            last: self.last || other.last,
+        }
+    }
+}
+
+/// One candidate's end-anchored window slopes, `n − 1` a side: every
+/// window that starts at its first point and every window that ends at
+/// its last. Two buffers a walk reuses from candidate to candidate.
+#[derive(Debug, Default)]
+struct EndWindows {
+    first: Vec<f64>,
+    last: Vec<f64>,
+}
+
+impl EndWindows {
+    /// Reads `viz`'s runs for the ends in `ends` through the columnar
+    /// kernels.
+    fn load(&mut self, viz: &VizData, ends: Ends) {
+        let (arena, slot, last) = (viz.arena(), viz.slot(), viz.n() - 1);
+        if ends.first {
+            arena.window_slopes(slot, 0, 1, last, &mut self.first);
+        }
+        if ends.last {
+            arena.window_slopes_ending(slot, 0, last - 1, last, &mut self.last);
         }
     }
 
-    fn segment(s: &ShapeSegment, params: &ScoreParams) -> Self {
+    fn at(&self, end: End) -> &[f64] {
+        match end {
+            End::First => &self.first,
+            End::Last => &self.last,
+        }
+    }
+}
+
+impl BoundPlan {
+    /// Compiles `q` under `params`, its window known to touch `ends` of
+    /// the trendline. Every exact segmenter tiles `[0, n − 1]` with a
+    /// chain's units in order, so a CONCAT hands its first child the first
+    /// point and its last child the last; AND and OR score their children
+    /// on their own window; NOT keeps the whole-trendline bound (flipping
+    /// an anchored *upper* bound would need the anchored lower one).
+    fn compile(q: &ShapeQuery, params: &ScoreParams, ends: Ends) -> Self {
+        let all = |cs: &[ShapeQuery]| cs.iter().map(|c| Self::compile(c, params, ends)).collect();
+        match q {
+            ShapeQuery::Segment(s) => Self::segment(s, params, ends),
+            ShapeQuery::Concat(cs) => Self::Concat(
+                cs.iter()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        let ends = Ends {
+                            first: ends.first && i == 0,
+                            last: ends.last && i + 1 == cs.len(),
+                        };
+                        Self::compile(c, params, ends)
+                    })
+                    .collect(),
+            ),
+            ShapeQuery::And(cs) => Self::And(all(cs)),
+            ShapeQuery::Or(cs) => Self::Or(all(cs)),
+            ShapeQuery::Not(c) => Self::Not(Box::new(Self::compile(c, params, Ends::NONE))),
+        }
+    }
+
+    fn segment(s: &ShapeSegment, params: &ScoreParams, ends: Ends) -> Self {
         // Sharp/gradual/quantifier modifiers and sketches rescale or
         // replace the slope scorers entirely — the plain Table 7 bounds
         // don't apply.
@@ -547,18 +715,81 @@ impl BoundPlan {
                 SlopeRow::Theta {
                     target,
                     worst,
-                    slope: deg.to_radians().tan(),
+                    mode: target.tan(),
                 }
             }
             // Wildcards, UDPs, position references, y-target lines,
             // location-only segments: non-slope scorers.
             _ => return Self::Trivial,
         };
+        let located = !s.location.is_empty() || s.iterator.is_some();
+        // A located window goes where its pins put it, and a window
+        // touching both ends is the whole trendline, which the first tier
+        // has bounded already.
+        let anchor = match (located, ends.first, ends.last) {
+            (false, true, false) => Some(End::First),
+            (false, false, true) => Some(End::Last),
+            _ => None,
+        };
         Self::Slope {
             row,
-            constrained: !s.location.is_empty()
-                || s.iterator.is_some()
-                || params.min_width_frac > 0.0,
+            constrained: located || params.min_width_frac > 0.0,
+            anchor,
+        }
+    }
+
+    /// The ends some leaf of the plan is anchored at.
+    fn anchors(&self) -> Ends {
+        let any = |cs: &[BoundPlan]| cs.iter().fold(Ends::NONE, |acc, c| acc.union(c.anchors()));
+        match self {
+            Self::Trivial => Ends::NONE,
+            Self::Slope { anchor, .. } => Ends {
+                first: *anchor == Some(End::First),
+                last: *anchor == Some(End::Last),
+            },
+            Self::Concat(cs) | Self::And(cs) | Self::Or(cs) => any(cs),
+            Self::Not(c) => c.anchors(),
+        }
+    }
+
+    /// The second tier: [`Self::bounds`] for one visualization, with each
+    /// anchored leaf's upper bound taken over the `n − 1` windows its end
+    /// allows (`windows`, loaded for this visualization) instead of over
+    /// every slope between the interval extremes. Sound for the reason
+    /// `compile` gives; never looser than the first tier, since each of
+    /// those windows' slopes lies between the extremes too. The operator
+    /// arithmetic is [`Self::bounds`]' own, operand for operand, so a
+    /// plan without anchors gets the same bits from both.
+    fn anchored(&self, viz: &VizData, windows: &EndWindows) -> (f64, f64) {
+        let fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
+            let mut each = cs.iter().map(|c| c.anchored(viz, windows));
+            let first = each.next().unwrap_or((-1.0, 1.0));
+            each.fold(first, |(lo, hi), (l, h)| (pick(lo, l), pick(hi, h)))
+        };
+        match self {
+            Self::Trivial => (-1.0, 1.0),
+            Self::Slope {
+                row,
+                constrained,
+                anchor,
+            } => {
+                let (lo, hi) = row.bounds(viz);
+                (
+                    if *constrained { -1.0 } else { lo },
+                    anchor.map_or(hi, |end| row.best_over(windows.at(end))),
+                )
+            }
+            Self::Concat(cs) => {
+                let n = cs.len().max(1) as f64;
+                let (_, hi) = fold(cs, |a, b| a + b);
+                (-1.0, hi / n)
+            }
+            Self::And(cs) => fold(cs, f64::min),
+            Self::Or(cs) => fold(cs, f64::max),
+            Self::Not(c) => {
+                let (lo, hi) = c.anchored(viz, windows);
+                (-hi, -lo)
+            }
         }
     }
 
@@ -593,18 +824,24 @@ impl BoundPlan {
         };
         match self {
             Self::Trivial => vec![(-1.0, 1.0); vizzes.len()],
-            Self::Slope { row, constrained } => vizzes
+            Self::Slope {
+                row, constrained, ..
+            } => vizzes
                 .iter()
                 .map(|viz| {
                     let (lo, hi) = row.bounds(viz);
                     (if *constrained { -1.0 } else { lo }, hi)
                 })
                 .collect(),
+            // A chain's floor is −1 whatever its units' are: given a
+            // window with fewer intervals than it has units, or pins that
+            // leave no room, it is infeasible — and a segmenter free to
+            // place a negated chain squeezes it into just such a window.
             Self::Concat(cs) => {
                 let n = cs.len().max(1) as f64;
                 let mut mean = fold(cs, |a, b| a + b);
                 for (lo, hi) in &mut mean {
-                    (*lo, *hi) = (*lo / n, *hi / n);
+                    (*lo, *hi) = (-1.0, *hi / n);
                 }
                 mean
             }
@@ -644,18 +881,82 @@ impl SlopeRow {
             Self::Theta {
                 target,
                 worst,
-                slope,
+                mode,
             } => unimodal(
                 theta_at(lo_t, target, worst),
                 theta_at(hi_t, target, worst),
-                slope,
+                mode,
             ),
+        }
+    }
+
+    /// The row's best score over the windows whose fitted slopes are
+    /// `slopes` (never empty: a visualization has two points at least),
+    /// found in slope space — each row is monotone or unimodal in slope,
+    /// so its best window is the steepest, the shallowest, or one of the
+    /// two on either side of the mode — at one or two `atan`s, not one per
+    /// window. Rests on `atan` being monotone, as [`Self::bounds`] does
+    /// through the cached angles. A NaN slope makes the result NaN, which
+    /// no threshold is above.
+    fn best_over(self, slopes: &[f64]) -> f64 {
+        match self {
+            Self::Up => up_at(largest(slopes, |s| s).atan()),
+            Self::Down => down_at((-largest(slopes, |s| -s)).atan()),
+            Self::Flat => flat_at((-largest(slopes, |s| -s.abs())).atan()),
+            Self::Theta {
+                target,
+                worst,
+                mode,
+            } => {
+                const NOT_THIS_SIDE: f64 = f64::NEG_INFINITY;
+                let below = largest(slopes, |s| if s <= mode { s } else { NOT_THIS_SIDE });
+                let above = -largest(slopes, |s| if s >= mode { -s } else { NOT_THIS_SIDE });
+                if below.is_nan() {
+                    return f64::NAN;
+                }
+                // A side no slope lies on reads as an infinity; its angle
+                // is not a window's, so it must not be scored. (`max`
+                // drops the NaN it starts from at the first score.)
+                [below, above]
+                    .into_iter()
+                    .filter(|s| s.is_finite())
+                    .map(|s| theta_at(s.atan(), target, worst))
+                    .fold(f64::NAN, f64::max)
+            }
         }
     }
 }
 
+/// The largest `key(slope)` over `slopes`, NaN when any slope is. Four
+/// running maxima, not one: a single chain of `max` is as slow as its
+/// latency times the run's length, which on 127 windows is as long as
+/// reading them took.
+#[inline]
+fn largest(slopes: &[f64], key: impl Fn(f64) -> f64) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let mut nan = false;
+    let mut take = |lane: &mut f64, s: f64| {
+        nan |= s.is_nan();
+        let v = key(s);
+        *lane = if v > *lane { v } else { *lane };
+    };
+    let mut quads = slopes.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &s) in lanes.iter_mut().zip(quad) {
+            take(lane, s);
+        }
+    }
+    for &s in quads.remainder() {
+        take(&mut lanes[0], s);
+    }
+    if nan {
+        return f64::NAN;
+    }
+    lanes.into_iter().fold(f64::NEG_INFINITY, f64::max)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algo::dp::DpSegmenter;
     use crate::algo::Segmenter;
@@ -686,56 +987,233 @@ mod tests {
         out
     }
 
+    /// A seeded random walk of `n` points on an integer x grid.
+    pub(crate) fn walk(seed: u64, n: usize) -> Vec<(f64, f64)> {
+        let mut state = seed;
+        let mut y = 0.0;
+        (0..n)
+            .map(|t| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                y += ((state >> 33) as f64) / ((1u64 << 31) as f64) - 1.0;
+                (t as f64, y)
+            })
+            .collect()
+    }
+
     #[test]
     fn bounds_contain_final_score() {
+        use crate::algo::segment_tree::SegmentTreeSegmenter;
         let udps = UdpRegistry::new();
         let slope = |deg: f64| ShapeQuery::pattern(Pattern::Slope(deg));
+        let not = |q: ShapeQuery| ShapeQuery::Not(Box::new(q));
         let pinned_up = ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 2.0, 9.0));
-        // Every arm the compiled plan has: the four Table 7 rows, each
-        // operator, operators nested in each other, a pinned segment and
-        // the minimum-width term (both void the lower bound only).
+        let starts_at = |x: f64| {
+            let mut seg = ShapeSegment::pattern(Pattern::Down);
+            seg.location.x_start = Some(x);
+            ShapeQuery::Segment(seg)
+        };
+        let fuzzy3 = ShapeQuery::concat(vec![slope(45.0), slope(-30.0), slope(60.0)]);
+        // Every arm the compiled plan has: the four Table 7 rows (θ
+        // targets on, and past, the ±90° clamp included), each operator,
+        // operators nested in each other, a pinned segment and the
+        // minimum-width term (both void the lower bound only) — and, for
+        // the second tier, each operator and a nested CONCAT at either end
+        // of a chain, located units at the ends (not anchored), one-unit
+        // chains (no tier).
         let queries = [
             ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
             ShapeQuery::up(),
             ShapeQuery::flat(),
             ShapeQuery::Or(vec![ShapeQuery::up(), ShapeQuery::flat()]),
-            ShapeQuery::Not(Box::new(ShapeQuery::down())),
+            not(ShapeQuery::down()),
             slope(45.0),
             slope(-30.0),
+            slope(120.0),
+            slope(-135.0),
+            slope(90.0),
             ShapeQuery::concat(vec![slope(60.0), slope(-60.0)]),
+            ShapeQuery::concat(vec![slope(120.0), slope(90.0), slope(-135.0)]),
+            ShapeQuery::concat(vec![slope(-135.0), ShapeQuery::flat(), slope(120.0)]),
             ShapeQuery::concat(vec![
                 ShapeQuery::And(vec![
                     ShapeQuery::up(),
-                    ShapeQuery::Not(Box::new(ShapeQuery::Or(vec![
-                        ShapeQuery::flat(),
-                        slope(-20.0),
-                    ]))),
+                    not(ShapeQuery::Or(vec![ShapeQuery::flat(), slope(-20.0)])),
                 ]),
                 ShapeQuery::Or(vec![
                     ShapeQuery::down(),
-                    ShapeQuery::And(vec![slope(-70.0), ShapeQuery::Not(Box::new(slope(10.0)))]),
+                    ShapeQuery::And(vec![slope(-70.0), not(slope(10.0))]),
                 ]),
             ]),
             ShapeQuery::concat(vec![pinned_up.clone(), ShapeQuery::down()]),
-            ShapeQuery::Not(Box::new(pinned_up)),
+            not(pinned_up.clone()),
+            fuzzy3.clone(),
+            ShapeQuery::concat(vec![
+                ShapeQuery::flat(),
+                ShapeQuery::up(),
+                ShapeQuery::flat(),
+            ]),
+            ShapeQuery::concat(vec![
+                ShapeQuery::Or(vec![ShapeQuery::flat(), slope(70.0)]),
+                ShapeQuery::down(),
+                ShapeQuery::And(vec![ShapeQuery::up(), slope(20.0)]),
+            ]),
+            ShapeQuery::concat(vec![
+                not(slope(30.0)),
+                ShapeQuery::up(),
+                not(ShapeQuery::flat()),
+            ]),
+            // Nested CONCATs, kept nested (`concat` would flatten them).
+            ShapeQuery::Concat(vec![
+                ShapeQuery::Concat(vec![slope(50.0), ShapeQuery::down()]),
+                ShapeQuery::flat(),
+                ShapeQuery::Concat(vec![ShapeQuery::up(), slope(-40.0)]),
+            ]),
+            ShapeQuery::Concat(vec![
+                ShapeQuery::Or(vec![
+                    ShapeQuery::down(),
+                    ShapeQuery::Concat(vec![slope(35.0), slope(-35.0)]),
+                ]),
+                ShapeQuery::And(vec![
+                    ShapeQuery::Concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
+                    ShapeQuery::flat(),
+                ]),
+            ]),
+            ShapeQuery::And(vec![fuzzy3.clone(), ShapeQuery::up()]),
+            // The DP squeezes a negated chain into a window too short to
+            // hold it: infeasible, −1, negated to a perfect 1.
+            ShapeQuery::Concat(vec![
+                ShapeQuery::up(),
+                not(ShapeQuery::Concat(vec![
+                    ShapeQuery::down(),
+                    ShapeQuery::up(),
+                ])),
+            ]),
+            ShapeQuery::concat(vec![pinned_up.clone(), slope(-30.0), ShapeQuery::up()]),
+            ShapeQuery::concat(vec![ShapeQuery::up(), slope(-30.0), pinned_up]),
+            ShapeQuery::concat(vec![starts_at(1.0), ShapeQuery::up(), slope(15.0)]),
+            ShapeQuery::concat(vec![
+                ShapeQuery::up(),
+                ShapeQuery::Segment(ShapeSegment::pattern(Pattern::Down).with_width(3.0)),
+            ]),
         ];
         let widthy = ScoreParams {
             min_width_frac: 0.25,
             ..ScoreParams::default()
         };
+        // The peaks and falls, seeded walks long and short (two points is
+        // the fewest GROUP accepts), and the walks again three to a bin.
+        let mut collection = make_collection();
+        for (i, n) in [2usize, 3, 4, 16, 33, 64].into_iter().enumerate() {
+            let t = Trendline::from_pairs(format!("w{n}"), &walk(n as u64, n));
+            for bin in [1, 3] {
+                collection.extend(VizData::from_trendline(&t, 20 + i, bin));
+            }
+        }
+        let mut anchored = 0;
         for params in [ScoreParams::default(), widthy] {
             for q in &queries {
-                for v in make_collection() {
-                    let ev = Evaluator::new(&v, &params, &udps);
-                    let exact = DpSegmenter.match_viz(&ev, &expand_chains(q)).score;
-                    let (lo, hi) = query_bounds(q, &v, &params);
-                    assert!(
-                        exact <= hi + 1e-9 && exact >= lo - 1e-9,
-                        "score {exact} outside [{lo}, {hi}] for {q} (min width {})",
+                for v in &collection {
+                    let ev = Evaluator::new(v, &params, &udps);
+                    let chains = expand_chains(q);
+                    let exact = DpSegmenter.match_viz(&ev, &chains).score;
+                    let tree = SegmentTreeSegmenter::default()
+                        .match_viz(&ev, &chains)
+                        .score;
+                    let (lo, hi) = query_bounds(q, v, &params);
+                    let case = format!(
+                        "{q} on {} ({} points, min width {})",
+                        v.key,
+                        v.n(),
                         params.min_width_frac
                     );
+                    assert!(tree <= exact + 1e-9, "tree {tree} > dp {exact}: {case}");
+                    assert!(
+                        exact <= hi + 1e-9 && exact >= lo - 1e-9,
+                        "score {exact} outside [{lo}, {hi}]: {case}"
+                    );
+                    if let Some(tight) = anchored_upper_bound(q, v, &params) {
+                        anchored += 1;
+                        assert!(
+                            exact <= tight + 1e-9 && tight <= hi + 1e-9,
+                            "score {exact} ≤ anchored {tight} ≤ whole {hi} broken: {case}"
+                        );
+                    }
+                    // The second tier's operator arithmetic is the first's:
+                    // compiled with no end to anchor, both give the same
+                    // bits.
+                    let plain = BoundPlan::compile(q, &params, Ends::NONE);
+                    assert_eq!(plain.anchors(), Ends::NONE);
+                    let (a, b) = plain.anchored(v, &EndWindows::default());
+                    assert_eq!((a.to_bits(), b.to_bits()), (lo.to_bits(), hi.to_bits()));
                 }
             }
+        }
+        assert!(anchored > 0);
+    }
+
+    #[test]
+    fn only_free_units_at_the_ends_of_a_chain_are_anchored() {
+        let params = ScoreParams::default();
+        let anchors = |q: &ShapeQuery, params: &ScoreParams| {
+            let ends = BoundPlan::compile(q, params, Ends::BOTH).anchors();
+            (ends.first, ends.last)
+        };
+        let slope = |deg: f64| ShapeQuery::pattern(Pattern::Slope(deg));
+        let pinned = ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 2.0, 9.0));
+        let windowed = ShapeQuery::Segment(ShapeSegment::pattern(Pattern::Up).with_width(4.0));
+        let any = ShapeQuery::pattern(Pattern::Any);
+        let fuzzy3 = ShapeQuery::concat(vec![slope(45.0), slope(-30.0), slope(60.0)]);
+        assert_eq!(anchors(&fuzzy3, &params), (true, true));
+        // The minimum-width term only lowers a score: still anchored.
+        let widthy = ScoreParams {
+            min_width_frac: 0.25,
+            ..ScoreParams::default()
+        };
+        assert_eq!(anchors(&fuzzy3, &widthy), (true, true));
+        // One unit is the whole trendline; so is an operator over units.
+        assert_eq!(anchors(&ShapeQuery::up(), &params), (false, false));
+        let either = ShapeQuery::Or(vec![ShapeQuery::up(), ShapeQuery::flat()]);
+        assert_eq!(anchors(&either, &params), (false, false));
+        // Located, windowed and non-slope units go where they like.
+        let head = ShapeQuery::concat(vec![pinned.clone(), ShapeQuery::down()]);
+        assert_eq!(anchors(&head, &params), (false, true));
+        let tail = ShapeQuery::concat(vec![ShapeQuery::down(), windowed]);
+        assert_eq!(anchors(&tail, &params), (true, false));
+        let neither = ShapeQuery::concat(vec![pinned, ShapeQuery::down(), any]);
+        assert_eq!(anchors(&neither, &params), (false, false));
+        // NOT keeps the whole-trendline bound; AND and OR pass their
+        // window down, nested CONCATs their own first and last.
+        let negated = ShapeQuery::concat(vec![
+            ShapeQuery::Not(Box::new(ShapeQuery::up())),
+            ShapeQuery::And(vec![ShapeQuery::down(), ShapeQuery::flat()]),
+        ]);
+        assert_eq!(anchors(&negated, &params), (false, true));
+        let nested = ShapeQuery::And(vec![
+            ShapeQuery::Concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
+            ShapeQuery::flat(),
+        ]);
+        assert_eq!(anchors(&nested, &params), (true, true));
+    }
+
+    #[test]
+    fn theta_mode_follows_the_clamped_target() {
+        // Slopes straddling tan 120° = −1.73: the scorer clamps the target
+        // to 90° and rises with slope throughout, so the steepest interval
+        // is the bound, not 1.
+        let v = viz(&[(0.0, 0.0), (1.0, -3.0), (2.0, -2.0), (3.0, -4.0)], 0);
+        assert!(v.slope_min < -1.8 && v.slope_max > -1.7);
+        let params = ScoreParams::default();
+        for (deg, steepest) in [
+            (120.0, v.theta_max),
+            (90.0, v.theta_max),
+            (-135.0, v.theta_min),
+        ] {
+            let (target, worst) = theta_target(deg);
+            let (_, hi) = query_bounds(&ShapeQuery::pattern(Pattern::Slope(deg)), &v, &params);
+            assert_eq!(hi, theta_at(steepest, target, worst), "θ = {deg}");
+            assert!(hi < 1.0);
         }
     }
 
@@ -881,7 +1359,20 @@ mod tests {
     #[test]
     fn driver_prunes_only_below_threshold_and_records_hint_debt() {
         let params = ScoreParams::default();
-        let q = ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]);
+        // Whether a one-candidate walk handed the candidate to the scorer
+        // (the exact score it reports back is below every threshold used
+        // here).
+        let scored = |driver: &PruningDriver<'_>, viz: &VizData, bounds: &[f64]| {
+            let mut scored = false;
+            driver.visit(&[viz], bounds, 0..1, |_| {
+                scored = true;
+                -1.0
+            });
+            scored
+        };
+
+        // The whole-trendline bound alone: one unit, no end to anchor.
+        let q = ShapeQuery::up();
         let cell = ThresholdCell::new();
         let counters = PruningCounters::new();
         let driver = PruningDriver::new(&q, &params, &cell, &counters, 2);
@@ -889,16 +1380,6 @@ mod tests {
             &(0..16).map(|t| (t as f64, -(t as f64))).collect::<Vec<_>>(),
             0,
         );
-        // Whether the walk handed the candidate to the scorer (the exact
-        // score it reports back is below every threshold used here).
-        let scored = |driver: &PruningDriver<'_>, bounds: &[f64]| {
-            let mut scored = false;
-            driver.visit(bounds, 0..1, |_| {
-                scored = true;
-                -1.0
-            });
-            scored
-        };
 
         // One pass, one bound per candidate.
         let bounds = driver.upper_bounds(&[&fall]);
@@ -907,22 +1388,22 @@ mod tests {
         assert_eq!(counters.snapshot().bounded, 1);
 
         // No threshold yet: nothing prunes.
-        assert!(scored(&driver, &bounds));
+        assert!(scored(&driver, &fall, &bounds));
         // A raised NEG_INFINITY (a top-k that hasn't filled) is a no-op,
         // not a threshold.
         cell.raise(f64::NEG_INFINITY);
-        assert!(scored(&driver, &bounds));
+        assert!(scored(&driver, &fall, &bounds));
 
         // A threshold equal to the bound does not prune — a tie could
         // still displace the k-th result by index order.
         cell.raise(ub);
-        assert!(scored(&driver, &bounds));
+        assert!(scored(&driver, &fall, &bounds));
         assert_eq!(counters.snapshot().pruned, 0);
 
         // A proven threshold above the fall's upper bound prunes it,
         // with no hint debt.
         cell.raise(0.9);
-        assert!(!scored(&driver, &bounds));
+        assert!(!scored(&driver, &fall, &bounds));
         let snap = counters.snapshot();
         assert_eq!((snap.bounded, snap.pruned, snap.scored), (1, 1, 3));
         assert_eq!(cell.hint_pruned(), None);
@@ -932,9 +1413,69 @@ mod tests {
         let cell2 = ThresholdCell::new();
         cell2.seed_hint(0.9);
         let driver2 = PruningDriver::new(&q, &params, &cell2, &counters, 2);
-        assert!(!scored(&driver2, &bounds));
+        assert!(!scored(&driver2, &fall, &bounds));
         let debt = cell2.hint_pruned().expect("hint prune must be recorded");
         assert_eq!(debt, ub);
+        // With no end to anchor, nobody was bounded twice.
+        assert_eq!(counters.snapshot().refined, 0);
+        assert_eq!(anchored_upper_bound(&q, &fall, &params), None);
+
+        // The second tier, under the same rule. A line that rises and
+        // falls by turns: its interval slopes reach both ways, so the
+        // whole-trendline bound of up-then-down is high; no window from
+        // the first point rises as steeply, none falls as steeply into
+        // the last.
+        let q = ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]);
+        let zigzag = viz(
+            &(0..16)
+                .map(|t| (t as f64, (t % 2) as f64))
+                .collect::<Vec<_>>(),
+            0,
+        );
+        let (_, whole) = query_bounds(&q, &zigzag, &params);
+        let tight = anchored_upper_bound(&q, &zigzag, &params).expect("both ends are free");
+        assert!(tight < whole - 0.1, "anchored {tight}, whole {whole}");
+        let between = (tight + whole) / 2.0;
+        let counters = PruningCounters::new();
+        let visit = |cell: &ThresholdCell| {
+            let driver = PruningDriver::new(&q, &params, cell, &counters, 1);
+            scored(&driver, &zigzag, &[whole])
+        };
+        let refined = || counters.snapshot().refined;
+
+        // While the cell reads −∞ nothing is bounded twice.
+        assert!(visit(&ThresholdCell::new()));
+        assert_eq!(refined(), 0);
+
+        // Nor is a candidate the whole-trendline bound prunes on its own.
+        let cell = ThresholdCell::new();
+        cell.raise(whole + 0.01);
+        assert!(!visit(&cell));
+        assert_eq!(refined(), 0);
+
+        // A threshold equal to the second bound is a tie, not a prune.
+        let cell = ThresholdCell::new();
+        cell.raise(tight);
+        assert!(visit(&cell));
+        assert_eq!(refined(), 1);
+
+        // Between the two bounds only the second prunes; the threshold is
+        // proven, so without debt.
+        let cell = ThresholdCell::new();
+        cell.raise(between);
+        assert!(!visit(&cell));
+        assert_eq!((refined(), cell.hint_pruned()), (2, None));
+
+        // The same on a hint's word, the proven score below both bounds:
+        // the debt is the bound that pruned, not the one that failed to.
+        let cell = ThresholdCell::new();
+        cell.raise(tight - 0.1);
+        cell.seed_hint(between);
+        assert!(!visit(&cell));
+        assert_eq!((refined(), cell.hint_pruned()), (3, Some(tight)));
+
+        let snap = counters.snapshot();
+        assert_eq!((snap.pruned, snap.scored, snap.refined), (3, 2, 3));
     }
 
     #[test]

@@ -433,6 +433,57 @@ impl ColumnarArena {
             },
         ));
     }
+
+    /// Batched kernel, the mirror of [`Self::window_slopes`]: fitted
+    /// slopes of the window run `[s, e]` for every start `s` in
+    /// `s_lo..=s_hi` of viz `slot`, in start order, appended to `out`
+    /// (cleared first) — every window that ends where the trendline does,
+    /// when `e` is its last point.
+    ///
+    /// Here the end-side statistics are the loop-invariant scalars, the
+    /// four start-side loads vary per lane and the point count runs down;
+    /// the guards are the same two selects.
+    pub fn window_slopes_ending(
+        &self,
+        slot: usize,
+        s_lo: usize,
+        s_hi: usize,
+        e: usize,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        if s_hi < s_lo {
+            return;
+        }
+        debug_assert!(s_hi <= e && e < self.n(slot));
+        let p = self.prefix_start(slot);
+        let (hi_x, hi_y) = (self.sum_x[p + e + 1], self.sum_y[p + e + 1]);
+        let (hi_xy, hi_xx) = (self.sum_xy[p + e + 1], self.sum_xx[p + e + 1]);
+        let (lb, le) = (p + s_lo, p + s_hi + 1);
+        let sx = &self.sum_x[lb..le];
+        let sy = &self.sum_y[lb..le];
+        let sxy = &self.sum_xy[lb..le];
+        let sxx = &self.sum_xx[lb..le];
+        let n0 = (e + 1 - s_lo) as f64;
+        out.reserve(s_hi - s_lo + 1);
+        out.extend(sx.iter().zip(sy).zip(sxy.iter().zip(sxx)).enumerate().map(
+            |(idx, ((&lx, &ly), (&lxy, &lxx)))| {
+                let nf = n0 - idx as f64;
+                let dsx = hi_x - lx;
+                let dsy = hi_y - ly;
+                let dsxy = hi_xy - lxy;
+                let dsxx = hi_xx - lxx;
+                let denom = nf * dsxx - dsx * dsx;
+                let num = nf * dsxy - dsx * dsy;
+                let slope = num / denom;
+                if nf < 2.0 || denom.abs() < 1e-12 {
+                    0.0
+                } else {
+                    slope
+                }
+            },
+        ));
+    }
 }
 
 /// One viz's prefix-sum runs (`n + 1` entries each, leading zero
@@ -650,7 +701,35 @@ mod tests {
                     );
                 }
             }
+            // The mirror: every start against the last point.
+            a.window_slopes_ending(slot, 0, POINTS - 2, POINTS - 1, &mut out);
+            assert_eq!(out.len(), POINTS - 1);
+            for (s, &got) in out.iter().enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    idx.slope(s, POINTS - 1).to_bits(),
+                    "slot {slot} window [{s}, {}]",
+                    POINTS - 1
+                );
+            }
         }
+    }
+
+    #[test]
+    fn two_point_viz_has_one_window_from_either_end() {
+        let (xs, ys) = demo_series(5, 2);
+        let idx = StatsIndex::new(&xs, &ys);
+        let mut b = ArenaBuilder::new();
+        // Not the first slot: the runs start past another viz's columns.
+        b.push_viz(&[0.0, 0.5, 1.0], &[3.0, 1.0, 2.0]);
+        let slot = b.push_viz(&xs, &ys);
+        let a = b.finish();
+        let (mut prefix, mut suffix) = (Vec::new(), Vec::new());
+        a.window_slopes(slot, 0, 1, 1, &mut prefix);
+        a.window_slopes_ending(slot, 0, 0, 1, &mut suffix);
+        assert_eq!(prefix.len(), 1);
+        assert_eq!(prefix[0].to_bits(), idx.slope(0, 1).to_bits());
+        assert_eq!(suffix[0].to_bits(), prefix[0].to_bits());
     }
 
     #[test]
@@ -668,6 +747,8 @@ mod tests {
         a.window_slopes(slot, 0, 1, 2, &mut out);
         assert_eq!(out[0].to_bits(), idx.slope(0, 1).to_bits());
         assert_eq!(out[1].to_bits(), idx.slope(0, 2).to_bits());
+        assert_eq!(out, vec![0.0, 0.0]);
+        a.window_slopes_ending(slot, 0, 1, 2, &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
     }
 
@@ -716,6 +797,9 @@ mod tests {
         let a = b.finish();
         let mut out = vec![1.0];
         a.window_slopes(slot, 0, 1, 0, &mut out);
+        assert!(out.is_empty());
+        out.push(1.0);
+        a.window_slopes_ending(slot, 1, 0, 1, &mut out);
         assert!(out.is_empty());
     }
 }

@@ -597,13 +597,17 @@ impl ShapeEngine {
             for &pos in &seeds {
                 seeded[pos] = true;
             }
-            driver.visit(bounds, seeds.into_iter(), |pos| admit(pos, &mut topk));
+            driver.visit(vizzes, bounds, seeds.into_iter(), |pos| {
+                admit(pos, &mut topk)
+            });
         }
         // Stage 2: everyone else, in index order.
         let sweep = |range: std::ops::Range<usize>, topk: &mut TopK| {
             let rest = range.filter(|&pos| !seeded[pos]);
             match &bounded {
-                Some((driver, bounds)) => driver.visit(bounds, rest, |pos| admit(pos, topk)),
+                Some((driver, bounds)) => {
+                    driver.visit(vizzes, bounds, rest, |pos| admit(pos, topk));
+                }
                 None => rest.for_each(|pos| {
                     admit(pos, topk);
                 }),
@@ -662,6 +666,7 @@ impl ShapeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::pruning::tests::walk;
     use crate::ast::ShapeSegment;
     use std::sync::Arc;
 
@@ -993,6 +998,51 @@ mod tests {
                 (snap.bounded, snap.scored, snap.pruned),
                 (400, 4, 396),
                 "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn anchored_bounds_prune_walks_the_whole_trendline_bound_cannot() {
+        // ssbench's `fuzzy_miss` in small: random walks, whose interval
+        // slopes straddle every target angle, so every whole-trendline
+        // bound is ≈ 1 and prunes nothing; what prunes is how few of the
+        // windows from the first point, and into the last, fit their unit.
+        let tls: Vec<Trendline> = (0..400u64)
+            .map(|i| Trendline::from_pairs(format!("walk{i}"), &walk(i + 1, 64)))
+            .collect();
+        let q = ShapeQuery::concat(vec![
+            ShapeQuery::pattern(Pattern::Slope(45.0)),
+            ShapeQuery::pattern(Pattern::Slope(-30.0)),
+            ShapeQuery::pattern(Pattern::Slope(60.0)),
+        ]);
+        for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
+            let opts = EngineOptions {
+                segmenter: kind,
+                ..EngineOptions::default()
+            };
+            let off = EngineOptions {
+                pruning_mode: PruningMode::Off,
+                ..opts.clone()
+            };
+            let engine = ShapeEngine::from_trendlines(tls.clone()).with_options(off);
+            let want = engine.top_k(&q, 5).unwrap();
+            let shared = SharedThresholds::new(1);
+            let got = engine
+                .top_k_batch_observed(&[(&q, 5)], &opts, &shared, &NOOP_OBSERVER)
+                .pop()
+                .unwrap()
+                .unwrap();
+            assert_eq!(got, want, "{kind:?}");
+            let snap = shared.snapshot();
+            assert!(snap.pruned > 0, "{kind:?}: {snap:?}");
+            assert_eq!(snap.bounded, 400, "{kind:?}");
+            assert_eq!(snap.pruned + snap.scored, 400, "{kind:?}");
+            // Every prune was the second tier's: no candidate got there
+            // without the first tier failing on it.
+            assert!(
+                snap.pruned <= snap.refined && snap.refined <= 400 - 5,
+                "{kind:?}: {snap:?}"
             );
         }
     }

@@ -26,11 +26,13 @@ pub enum EngineStage {
     /// Σ `SegmentScore` — work outside every stage is a bug, not a
     /// blind spot.
     SegmentScore,
-    /// The §6.3 bound pass inside the pruning driver: the upper bounds
-    /// of all of one query's candidates, reported per bound pass (one
-    /// sample per query the driver runs for, microseconds long on a
-    /// collection of any size). Taken inside `SegmentScore`: a share of
-    /// it, not an addend.
+    /// §6.3 bound work inside the pruning driver. The bound pass — the
+    /// whole-trendline upper bounds of all of one query's candidates —
+    /// reports once per pass (one sample per query the driver runs for,
+    /// microseconds long on a collection of any size); the second tier
+    /// reports once per walk of candidates that computed any, the walk's
+    /// total (most of a microsecond per candidate it bounded again).
+    /// Taken inside `SegmentScore`: a share of it, not an addend.
     PruneBound,
 }
 

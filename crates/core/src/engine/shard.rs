@@ -742,7 +742,12 @@ mod tests {
             // One bound pass per shard and valid query, over every
             // trendline of the shard (nothing is pinned, GROUP rejects
             // none); each bounded candidate is then pruned or scored.
-            assert_eq!(samples(EngineStage::PruneBound), (shards * valid) as u64);
+            // Only `peak` has ends to anchor: each of its walks (a shard's
+            // seeds, then its sweep) that bounded anyone a second time
+            // reports that time once more, and no walk that did not does.
+            let tier_walks = samples(EngineStage::PruneBound) - (shards * valid) as u64;
+            assert!(tier_walks <= 2 * shards as u64, "{tier_walks}");
+            assert_eq!(tier_walks > 0, snap.refined > 0, "{snap:?}");
             assert_eq!(snap.bounded, (valid * tls.len()) as u64);
             assert!(snap.pruned > 0, "{snap:?}");
             assert_eq!(snap.scored + snap.pruned, snap.bounded);

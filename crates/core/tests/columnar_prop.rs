@@ -91,8 +91,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The arena's range stats, pairwise slopes, interval-slope kernel,
-    /// and anchored window kernel all equal the scalar [`StatsIndex`]
-    /// reference bit for bit on the normalized canvas.
+    /// and both anchored window kernels (fixed start, fixed end) all equal
+    /// the scalar [`StatsIndex`] reference bit for bit on the normalized
+    /// canvas.
     #[test]
     fn kernels_match_scalar_reference_bit_for_bit(pairs in series_strategy()) {
         let t = Trendline::from_pairs("t", &pairs);
@@ -129,6 +130,18 @@ proptest! {
                 prop_assert_eq!(
                     slope.to_bits(), idx.slope(s, e).to_bits(),
                     "window [{}, {}]", s, e
+                );
+            }
+        }
+
+        // The mirrored kernel: every start against every fixed end.
+        for e in 1..n {
+            v.arena().window_slopes_ending(v.slot(), 0, e - 1, e, &mut out);
+            prop_assert_eq!(out.len(), e);
+            for (s, &slope) in out.iter().enumerate() {
+                prop_assert_eq!(
+                    slope.to_bits(), idx.slope(s, e).to_bits(),
+                    "window [{}, {}] from its end", s, e
                 );
             }
         }

@@ -43,14 +43,15 @@
 //!              → {"dataset","outcomes":[{"results":[…],
 //!                 "pruned_bound": score|null} or
 //!                 {"error","status","code"?}, …],
-//!                 "pruning":{"bounded","pruned","scored","bound_micros"},
+//!                 "pruning":{"bounded","pruned","scored","refined",
+//!                            "bound_micros"},
 //!                 "micros", "spans"?: [span tree, traced RPCs only]}
 //! GET  /healthz   → {"status","version","git_rev","uptime_secs",
 //!                    "started_at","datasets","queries",
 //!                    "cache":{"lookups","hits","misses","coalesced",…},
 //!                    "shards":{"default","dataset_shards",
 //!                              "compute_workers","tasks","micros_total"},
-//!                    "pruning":{"bounded","pruned","scored",
+//!                    "pruning":{"bounded","pruned","scored","refined",
 //!                               "bound_micros"},
 //!                    "remote_shards":{"endpoints","requests","errors",
 //!                                     "micros_total","by_endpoint"}}
@@ -768,6 +769,7 @@ pub fn pruning_to_json(snapshot: PruningSnapshot) -> Json {
         ("bounded", snapshot.bounded.into()),
         ("pruned", snapshot.pruned.into()),
         ("scored", snapshot.scored.into()),
+        ("refined", snapshot.refined.into()),
         ("bound_micros", snapshot.bound_micros.into()),
     ])
 }
@@ -1125,11 +1127,14 @@ mod tests {
             bounded: 9,
             pruned: 7,
             scored: 2,
+            refined: 3,
             bound_micros: 11,
         };
         let reply =
             shard_outcomes_to_json("sales", &outcomes, &[Some(0.5), None], snapshot, 42, None);
-        assert!(reply.to_text().contains("\"pruning\":{\"bounded\":9"));
+        assert!(reply.to_text().contains(
+            "\"pruning\":{\"bounded\":9,\"pruned\":7,\"scored\":2,\"refined\":3,\"bound_micros\":11}"
+        ));
         assert!(
             !reply.to_text().contains("\"spans\""),
             "untraced replies omit spans"

@@ -498,8 +498,14 @@ impl StatsSnapshot {
             ],
         );
         expo.counter(
+            "shapesearch_pruning_refined_total",
+            "Candidates the whole-trendline bound could not prune, bounded \
+             again over their end-anchored windows.",
+            self.pruning.refined,
+        );
+        expo.counter(
             "shapesearch_pruning_bound_micros_total",
-            "Microseconds spent computing pruning upper bounds.",
+            "Microseconds spent computing pruning upper bounds, both tiers.",
             self.pruning.bound_micros,
         );
 
@@ -803,6 +809,7 @@ mod tests {
                 bounded: next(),
                 pruned: next(),
                 scored: next(),
+                refined: next(),
                 bound_micros: next(),
             },
             snapshots: ResidentStats {
@@ -877,6 +884,7 @@ mod tests {
                 "pruning.scored",
                 Some(r#"shapesearch_pruning_candidates_total{outcome="scored"}"#),
             ),
+            ("pruning.refined", Some("shapesearch_pruning_refined_total")),
             (
                 "pruning.bound_micros",
                 Some("shapesearch_pruning_bound_micros_total"),

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use shapesearch_core::algo::dp::DpSegmenter;
 use shapesearch_core::algo::greedy::GreedySegmenter;
-use shapesearch_core::algo::pruning::query_bounds;
+use shapesearch_core::algo::pruning::{anchored_upper_bound, query_bounds};
 use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
 use shapesearch_core::chain::expand_chains;
 use shapesearch_core::{EngineOptions, PruningMode, SegmenterKind, ShapeEngine, ShardedEngine};
@@ -21,8 +21,14 @@ use shapesearch_datastore::Trendline;
 use shapesearch_parser::parse_regex;
 
 fn viz_from_ys(ys: &[f64]) -> VizData {
+    binned_viz_from_ys(ys, 1).expect("≥2 points")
+}
+
+/// GROUP at `bin` raw points a canvas point; `None` when fewer than two
+/// canvas points come of it.
+fn binned_viz_from_ys(ys: &[f64], bin: usize) -> Option<VizData> {
     let pairs: Vec<(f64, f64)> = ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect();
-    VizData::from_trendline(&Trendline::from_pairs("prop", &pairs), 0, 1).expect("≥2 points")
+    VizData::from_trendline(&Trendline::from_pairs("prop", &pairs), 0, bin)
 }
 
 /// Strategy: a plausible trendline of 6–40 points.
@@ -32,43 +38,86 @@ fn ys_strategy() -> impl Strategy<Value = Vec<f64>> {
 
 /// Strategy: a small random operator tree over leaf patterns.
 fn query_strategy() -> impl Strategy<Value = ShapeQuery> {
-    operator_trees(prop_oneof![
-        Just(ShapeQuery::up()),
-        Just(ShapeQuery::down()),
-        Just(ShapeQuery::flat()),
-        Just(ShapeQuery::pattern(Pattern::Slope(30.0))),
-        Just(ShapeQuery::pattern(Pattern::Any)),
-    ])
+    operator_trees(
+        prop_oneof![
+            Just(ShapeQuery::up()),
+            Just(ShapeQuery::down()),
+            Just(ShapeQuery::flat()),
+            Just(ShapeQuery::pattern(Pattern::Slope(30.0))),
+            Just(ShapeQuery::pattern(Pattern::Any)),
+        ],
+        false,
+    )
+}
+
+/// Strategy: three fuzzy `θ = x` units in a row — on noisy trendlines the
+/// whole-trendline bound of such a chain is ≈ 1 and prunes nothing, so
+/// whatever is pruned, the end-anchored bound pruned.
+fn theta_chain_strategy() -> impl Strategy<Value = ShapeQuery> {
+    proptest::collection::vec(-85.0f64..85.0, 3).prop_map(|degs| {
+        ShapeQuery::concat(
+            degs.into_iter()
+                .map(|deg| ShapeQuery::pattern(Pattern::Slope(deg.round())))
+                .collect(),
+        )
+    })
 }
 
 /// Strategy: operator trees over every leaf the §6.3 bound plan has an
 /// arm for — the four Table 7 rows with the θ target on either side of
-/// flat, a wildcard (trivial bounds), and x-pinned segments (the upper
-/// bound stands, the lower bound widens to −1).
+/// flat and on and past the ±90° clamp, a wildcard (trivial bounds), and
+/// segments x-pinned at both ends or at their start only (the upper bound
+/// stands, the lower bound widens to −1, and at an end of a chain they
+/// are not anchored to it) — with CONCATs nested as well as flattened, so
+/// every operator turns up at either end of a chain.
 fn bounded_query_strategy() -> impl Strategy<Value = ShapeQuery> {
     let pinned =
         |p: Pattern, xs: f64, xe: f64| ShapeQuery::Segment(ShapeSegment::pinned(p, xs, xe));
-    operator_trees(prop_oneof![
-        Just(ShapeQuery::up()),
-        Just(ShapeQuery::down()),
-        Just(ShapeQuery::flat()),
-        (-89.0f64..89.0).prop_map(|deg| ShapeQuery::pattern(Pattern::Slope(deg))),
-        Just(ShapeQuery::pattern(Pattern::Any)),
-        (0.0f64..3.0, 1.0f64..3.0).prop_map(move |(xs, w)| pinned(Pattern::Up, xs, xs + w)),
-        (0.0f64..3.0, 1.0f64..3.0, -89.0f64..89.0).prop_map(move |(xs, w, deg)| pinned(
-            Pattern::Slope(deg),
-            xs,
-            xs + w
-        )),
-    ])
+    operator_trees(
+        prop_oneof![
+            Just(ShapeQuery::up()),
+            Just(ShapeQuery::down()),
+            Just(ShapeQuery::flat()),
+            (-89.0f64..89.0).prop_map(|deg| ShapeQuery::pattern(Pattern::Slope(deg))),
+            Just(ShapeQuery::pattern(Pattern::Slope(120.0))),
+            Just(ShapeQuery::pattern(Pattern::Slope(-135.0))),
+            Just(ShapeQuery::pattern(Pattern::Slope(90.0))),
+            Just(ShapeQuery::pattern(Pattern::Any)),
+            (0.0f64..3.0, 1.0f64..3.0).prop_map(move |(xs, w)| pinned(Pattern::Up, xs, xs + w)),
+            (0.0f64..3.0, 1.0f64..3.0, -89.0f64..89.0).prop_map(move |(xs, w, deg)| pinned(
+                Pattern::Slope(deg),
+                xs,
+                xs + w
+            )),
+            (0.0f64..3.0).prop_map(|xs| {
+                let mut seg = ShapeSegment::pattern(Pattern::Down);
+                seg.location.x_start = Some(xs);
+                ShapeQuery::Segment(seg)
+            }),
+        ],
+        true,
+    )
 }
 
+/// `nested`: also build CONCATs that stay nested in a CONCAT (`concat`
+/// flattens them, and so does the regex text a round trip goes through).
 fn operator_trees(
     leaf: impl Strategy<Value = ShapeQuery> + 'static,
+    nested: bool,
 ) -> impl Strategy<Value = ShapeQuery> {
-    leaf.prop_recursive(3, 12, 3, |inner| {
+    leaf.prop_recursive(3, 12, 3, move |inner| {
+        let parts = || proptest::collection::vec(inner.clone(), 2..4);
+        let concat = if nested {
+            prop_oneof![
+                parts().prop_map(ShapeQuery::concat),
+                parts().prop_map(ShapeQuery::Concat),
+            ]
+            .boxed()
+        } else {
+            parts().prop_map(ShapeQuery::concat).boxed()
+        };
         prop_oneof![
-            proptest::collection::vec(inner.clone(), 2..4).prop_map(ShapeQuery::concat),
+            concat,
             proptest::collection::vec(inner.clone(), 2..3).prop_map(ShapeQuery::Or),
             proptest::collection::vec(inner.clone(), 2..3).prop_map(ShapeQuery::And),
             inner.prop_map(|q| ShapeQuery::Not(Box::new(q))),
@@ -140,21 +189,37 @@ proptest! {
 
     #[test]
     fn bounds_contain_exact_score(
-        ys in ys_strategy(),
+        // Down to the two points GROUP needs, so chains run out of room.
+        ys in prop_oneof![
+            ys_strategy(),
+            proptest::collection::vec(-100.0f64..100.0, 2..5),
+        ],
+        bin in prop_oneof![Just(1usize), Just(3)],
         q in bounded_query_strategy(),
         min_width_frac in prop_oneof![Just(0.0), 0.05f64..0.4],
     ) {
-        let viz = viz_from_ys(&ys);
+        let Some(viz) = binned_viz_from_ys(&ys, bin) else {
+            return Ok(()); // fewer than two canvas points: GROUP rejects it
+        };
         let params = ScoreParams { min_width_frac, ..ScoreParams::default() };
         let udps = UdpRegistry::new();
         let ev = Evaluator::new(&viz, &params, &udps);
         let chains = expand_chains(&q);
         let exact = DpSegmenter.match_viz(&ev, &chains).score;
+        let tree = SegmentTreeSegmenter::default().match_viz(&ev, &chains).score;
+        prop_assert!(tree <= exact + 1e-9, "tree {tree} > dp {exact} for {q}");
         let (lo, hi) = query_bounds(&q, &viz, &params);
         // Infeasible queries (more units than intervals) return −1, which is
         // always within the trivial bound range.
         prop_assert!(exact >= lo - 1e-6 && exact <= hi + 1e-6,
             "score {exact} outside [{lo}, {hi}] for {q}");
+        // The second tier, where the query has an end to anchor, sits
+        // between the exact score and the first.
+        if let Some(tight) = anchored_upper_bound(&q, &viz, &params) {
+            prop_assert!(exact <= tight + 1e-6 && tight <= hi + 1e-6,
+                "score {exact} ≤ anchored {tight} ≤ whole {hi} broken for {q} on {} points",
+                viz.n());
+        }
     }
 
     #[test]
@@ -222,10 +287,29 @@ proptest! {
         // ties, which land on both sides of the seed/sweep boundary and of
         // the k-th place and must come out in index order all the same.
         copies in proptest::collection::vec((0usize..1000, 0usize..1000), 0..12),
-        q in query_strategy(),
+        // Noise as drawn, or summed into random walks — with three fuzzy
+        // θ units the case where only the end-anchored bound prunes.
+        walks in 0u8..2,
+        q in prop_oneof![query_strategy(), theta_chain_strategy()],
         k_pick in 0usize..10,
         parallel in 0u8..2,
     ) {
+        let collection: Vec<Vec<f64>> = if walks == 1 {
+            collection
+                .iter()
+                .map(|steps| {
+                    steps
+                        .iter()
+                        .scan(0.0, |y, step| {
+                            *y += step;
+                            Some(*y)
+                        })
+                        .collect()
+                })
+                .collect()
+        } else {
+            collection
+        };
         let mut series: Vec<&Vec<f64>> = collection.iter().collect();
         for &(from, to) in &copies {
             let copy = series[from % series.len()];

@@ -730,3 +730,75 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
         service.shutdown();
     }
 }
+
+/// ssbench's `fuzzy_miss` in small, served: a three-unit fuzzy chain over
+/// random walks on four shards. No whole-trendline bound prunes a walk;
+/// the end-anchored one does, and not a byte of the answer may show it.
+#[test]
+fn anchored_bounds_prune_served_walks_without_changing_a_byte() {
+    let config = ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    };
+    let service = shapesearch::server::serve("127.0.0.1:0", config).unwrap();
+    let client = Client::new(service.addr());
+
+    use rand::{rngs::StdRng, SeedableRng};
+    use shapesearch::datagen::generators::{random_walk, with_index_x};
+    let mut rng = StdRng::seed_from_u64(21);
+    let walks: Vec<(String, Vec<(f64, f64)>)> = (0..160)
+        .map(|i| {
+            let ys = random_walk(&mut rng, 48, 0.0, 1.0);
+            (format!("walk{i:03}"), with_index_x(&ys))
+        })
+        .collect();
+    let csv = csv::write_str(&table_from_series("walk", "step", "level", &walks));
+    // Registering again bumps the generation, so each query below is
+    // computed: the pruning mode is not part of the cache key.
+    let register = || {
+        let reply = client
+            .post(
+                "/datasets",
+                &json::obj([
+                    ("name", "walks".into()),
+                    ("id", "walks".into()),
+                    ("csv", csv.as_str().into()),
+                    ("z", "walk".into()),
+                    ("x", "step".into()),
+                    ("y", "level".into()),
+                    ("shards", 4usize.into()),
+                ]),
+            )
+            .unwrap()
+            .expect_ok("register");
+        assert_eq!(reply.get("shards").unwrap().as_usize(), Some(4));
+    };
+    let ask = |extra: &str| {
+        let body = format!(
+            r#"{{"dataset":"walks","query":"[p=45][p=-30][p=60]","k":5,"explain":true{extra}}}"#
+        );
+        let reply = client
+            .post("/query", &json::parse(&body).unwrap())
+            .unwrap()
+            .expect_ok("query");
+        assert_eq!(reply.get("cached").unwrap().as_bool(), Some(false));
+        let counter = |name: &str| {
+            let pruning = reply.get("trace").unwrap().get("pruning").unwrap();
+            pruning.get(name).unwrap().as_usize().unwrap()
+        };
+        let counters = ["bounded", "pruned", "scored", "refined"].map(counter);
+        (reply.get("results").unwrap().to_text(), counters)
+    };
+
+    register();
+    let (want, off) = ask(r#","pruning":"off""#);
+    assert_eq!(off, [0, 0, 0, 0]);
+    register();
+    let (got, [bounded, pruned, scored, refined]) = ask("");
+    assert_eq!(got, want);
+    assert!(pruned > 0, "pruned {pruned}, refined {refined}");
+    assert_eq!((bounded, pruned + scored), (160, 160));
+    assert!(pruned <= refined && refined <= bounded);
+
+    service.shutdown();
+}
