@@ -282,6 +282,14 @@ if [ "$rpc_count" -ne 2 ] || [ "$echo_count" -ne 2 ] || [ "$compute_count" -lt 4
     cat "$EXPLAIN_REPLY"; exit 1;
 fi
 
+# A present-but-mistyped optional key is refused, never defaulted.
+MISTYPED_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+    -X POST "http://127.0.0.1:$ROUTER_PORT/query" \
+    -d '{"dataset":"sales","query":"[p=up]","k":"7"}')
+[ "$MISTYPED_STATUS" = "400" ] || {
+    echo "observability smoke: \"k\":\"7\" should 400, got $MISTYPED_STATUS"; exit 1;
+}
+
 # The router's /metrics exposition parses: non-empty, the known series
 # are present, and the stage histograms actually saw samples.
 ROUTER_METRICS=$(curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics")
@@ -475,10 +483,15 @@ CI_PIDS="$CI_PIDS $CSV_PID"
 SNAP_REPLY="/tmp/ci_snap_reply_$$.json"
 CSV_REPLY="/tmp/ci_csv_reply_$$.json"
 CI_TMP="$CI_TMP $SNAP_REPLY $CSV_REPLY $SNAP_REPLY.raw $CSV_REPLY.raw"
+# The located item makes push-down (a) binary-search the mapped raw x
+# column; the bin_width item re-GROUPs from the mapped raw columns (the
+# snapshot seeds width 1 only).
 SNAP_BODY='[
   {"dataset":"sales","query":"[p=up][p=down]","k":4},
   {"dataset":"sales","query":"[p=down][p=up]","k":3},
-  {"dataset":"sales","query":"[p=up]","k":1}
+  {"dataset":"sales","query":"[p=up]","k":1},
+  {"dataset":"sales","query":"[x.s=4, x.e=12, p=up][p=down]","k":3},
+  {"dataset":"sales","query":"[p=up][p=down]","k":4,"bin_width":2}
 ]'
 for target in "snapshot 127.0.0.1:$SNAP_PORT $SNAP_REPLY" \
               "csv 127.0.0.1:$CSV_PORT $CSV_REPLY"; do

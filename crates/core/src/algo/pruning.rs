@@ -1123,8 +1123,8 @@ pub(crate) mod tests {
                         .score;
                     let (lo, hi) = query_bounds(q, v, &params);
                     let case = format!(
-                        "{q} on {} ({} points, min width {})",
-                        v.key,
+                        "{q} on #{} ({} points, min width {})",
+                        v.source,
                         v.n(),
                         params.min_width_frac
                     );

@@ -331,11 +331,6 @@ impl ShapeSegment {
     pub fn is_fuzzy(&self) -> bool {
         self.location.x_start.is_none() || self.location.x_end.is_none()
     }
-
-    /// True when the segment carries a quantifier modifier.
-    pub fn has_quantifier(&self) -> bool {
-        matches!(self.modifier, Some(Modifier::Quantifier { .. }))
-    }
 }
 
 impl fmt::Display for ShapeSegment {

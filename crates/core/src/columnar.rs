@@ -51,6 +51,7 @@
 //! `Arc`.
 
 use crate::stats::SummaryStats;
+use shapesearch_datastore::Trendline;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -153,6 +154,60 @@ impl fmt::Debug for Column {
             .field("kind", &kind)
             .field("len", &self.len())
             .finish()
+    }
+}
+
+/// The raw (x, y) points of a collection, stored once: trendline `i`'s
+/// points are `xs[starts[i]..starts[i + 1]]` and the same run of `ys`,
+/// ascending in x. An engine's GROUP (at any bin width), push-down (a)
+/// and the snapshot writer all read these two columns; they are heap
+/// vectors when flattened from EXTRACT's output and zero-copy views of
+/// the mapping when cut from a snapshot.
+#[derive(Debug)]
+pub(crate) struct PointTable {
+    xs: Column,
+    ys: Column,
+    starts: Vec<usize>,
+}
+
+impl PointTable {
+    /// Assembles a table from pre-built columns — the snapshot loader's
+    /// constructor; `starts` is monotone from 0 to the columns' length.
+    pub(crate) fn from_columns(xs: Column, ys: Column, starts: Vec<usize>) -> Self {
+        debug_assert_eq!(xs.len(), ys.len());
+        debug_assert_eq!(starts.last(), Some(&xs.len()));
+        Self { xs, ys, starts }
+    }
+
+    /// Flattens EXTRACT's output, one row per trendline.
+    pub(crate) fn from_trendlines(trendlines: &[Trendline]) -> Self {
+        let points = trendlines.iter().map(Trendline::len).sum();
+        let (mut xs, mut ys) = (Vec::with_capacity(points), Vec::with_capacity(points));
+        let mut starts = Vec::with_capacity(trendlines.len() + 1);
+        starts.push(0);
+        for t in trendlines {
+            xs.extend(t.points.iter().map(|p| p.x));
+            ys.extend(t.points.iter().map(|p| p.y));
+            starts.push(xs.len());
+        }
+        Self::from_columns(xs.into(), ys.into(), starts)
+    }
+
+    /// Number of trendlines.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Trendline `i`'s raw `(xs, ys)`.
+    pub(crate) fn row(&self, i: usize) -> (&[f64], &[f64]) {
+        let run = self.starts[i]..self.starts[i + 1];
+        (&self.xs[run.clone()], &self.ys[run])
+    }
+
+    /// The whole columns and the row offsets — the snapshot writer's
+    /// read access.
+    pub(crate) fn columns(&self) -> (&[f64], &[f64], &[usize]) {
+        (&self.xs, &self.ys, &self.starts)
     }
 }
 

@@ -10,11 +10,19 @@
 //! (Theorem 5.1).
 //!
 //! The prefix statistics live in a shared structure-of-arrays
-//! [`ColumnarArena`] (see [`crate::columnar`]): [`group_collection`]
-//! GROUPs a whole collection into one arena and every [`VizData`] is an
-//! `Arc`-shared handle (slot + offsets) into it, which is what lets the
-//! scoring kernels stream over contiguous columns instead of chasing
-//! per-viz `Vec`s.
+//! [`ColumnarArena`] (see [`crate::columnar`]): GROUP turns a whole
+//! collection into one arena and every [`VizData`] is an `Arc`-shared
+//! handle (slot + offsets) into it, which is what lets the scoring
+//! kernels stream over contiguous columns instead of chasing per-viz
+//! `Vec`s.
+//!
+//! GROUP reads the collection's two raw point columns and nothing else.
+//! An engine runs it on the columns it owns (heap vectors flattened from
+//! EXTRACT's output, or views of a mapped snapshot — same code, same
+//! bits); [`group_collection`] and [`VizData::from_trendline`] are front
+//! doors for callers holding `Trendline`s, which flatten and run the
+//! same function. A snapshot load skips GROUP and only rebuilds the
+//! handles over the mapped arena.
 //!
 //! GROUP is query-independent. §5.4's push-down (c) — "skip summarized
 //! statistics outside the referenced x ranges" — pays off only when GROUP
@@ -33,7 +41,7 @@
 //! z-normalization for slope-based scoring while keeping raw coordinate
 //! mappings available for y-location constraints.
 
-use crate::columnar::{ArenaBuilder, ColumnarArena};
+use crate::columnar::{ArenaBuilder, ColumnarArena, PointTable};
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
 use std::sync::Arc;
@@ -44,8 +52,6 @@ use std::sync::Arc;
 /// source index).
 #[derive(Debug, Clone)]
 pub struct VizData {
-    /// The `z` value identifying the visualization.
-    pub key: String,
     /// Raw x domain (min, max) for mapping query literals.
     pub raw_x: (f64, f64),
     /// Raw y domain (min, max).
@@ -67,106 +73,89 @@ pub struct VizData {
     pub theta_min: f64,
     /// `atan(slope_max)`; see [`Self::theta_min`].
     pub theta_max: f64,
-    /// Index of the source trendline in the engine's collection.
+    /// Index of the source trendline in the engine's collection (its
+    /// key is the engine's `key(source)`).
     pub source: usize,
     arena: Arc<ColumnarArena>,
     slot: usize,
 }
 
-/// The normalized canvas points of one trendline, pre-arena.
-struct Normalized {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    raw_x: (f64, f64),
-    raw_y: (f64, f64),
-}
-
 /// GROUPs a whole collection into **one shared arena**: every returned
 /// [`VizData`] handle (index = source index; `None` where GROUP rejects
-/// the trendline) points into the same `Arc`-shared columns. This is the
-/// engine's batch/cached GROUP path — per-viz construction stays
-/// available via [`VizData::from_trendline`], which builds a one-slot
-/// arena with identical bits.
+/// the trendline) points into the same `Arc`-shared columns. A front
+/// door for callers holding EXTRACT's output: it flattens the points and
+/// runs the column GROUP an engine runs on its own table.
 pub fn group_collection(trendlines: &[Trendline], bin: usize) -> Vec<Option<VizData>> {
-    let parts: Vec<Option<Normalized>> = trendlines.iter().map(|t| normalize(t, bin)).collect();
-    let points = parts.iter().flatten().map(|p| p.xs.len()).sum::<usize>();
-    let mut builder = ArenaBuilder::with_capacity(trendlines.len(), points);
-    let slots: Vec<Option<usize>> = parts
-        .iter()
-        .map(|p| p.as_ref().map(|p| builder.push_viz(&p.xs, &p.ys)))
+    group_points(&PointTable::from_trendlines(trendlines), bin)
+}
+
+/// GROUP over the raw point columns — the one implementation behind
+/// [`group_collection`], [`VizData::from_trendline`] and
+/// `ShapeEngine::grouped`.
+pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizData>> {
+    let bin = bin.max(1);
+    // A trendline yields ⌈n / bin⌉ canvas points; GROUP rejects it below two.
+    let canvas = |source: usize| points.row(source).0.len().div_ceil(bin);
+    let accepted = || (0..points.len()).map(canvas).filter(|&n| n >= 2);
+    let mut builder = ArenaBuilder::with_capacity(accepted().count(), accepted().sum());
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let parts: Vec<Option<(usize, Extents)>> = (0..points.len())
+        .map(|source| {
+            if canvas(source) < 2 {
+                return None;
+            }
+            let (raw_xs, raw_ys) = points.row(source);
+            let extents = normalize(raw_xs, raw_ys, bin, &mut xs, &mut ys);
+            Some((builder.push_viz(&xs, &ys), extents))
+        })
         .collect();
     let arena = Arc::new(builder.finish());
     parts
         .into_iter()
-        .zip(slots)
         .enumerate()
-        .map(|(source, (part, slot))| {
-            let (part, slot) = (part?, slot?);
-            Some(VizData::from_slot(
-                trendlines[source].key.clone(),
-                part,
-                source,
-                &arena,
-                slot,
-            ))
+        .map(|(source, part)| {
+            part.map(|(slot, extents)| VizData::from_slot(extents, source, &arena, slot))
         })
         .collect()
 }
 
-/// Rebuilds the GROUP handles for `trendlines` over a pre-built arena —
-/// the snapshot load path ([`crate::snapshot`]). Slot assignments come
-/// from the snapshot (`None` where GROUP rejected the trendline at
-/// build time) and the per-viz raw extents are recomputed with the
-/// exact `extent` fold [`normalize`] uses, so the returned handles are
-/// bit-identical to an eager [`group_collection`] over the same
-/// trendlines.
-pub(crate) fn vizzes_from_arena(
-    trendlines: &[Trendline],
-    slots: &[Option<usize>],
+/// The handle for `source`, whose GROUP run sits in `arena` at `slot` —
+/// the snapshot load path ([`crate::snapshot`]): the extents are the
+/// same folds over the same raw points as an eager GROUP's, so the
+/// handle is bit-identical to [`group_points`]'s.
+pub(crate) fn handle(
+    points: &PointTable,
+    source: usize,
     arena: &Arc<ColumnarArena>,
-) -> Vec<Option<VizData>> {
-    debug_assert_eq!(trendlines.len(), slots.len());
-    trendlines
-        .iter()
-        .zip(slots)
-        .enumerate()
-        .map(|(source, (t, slot))| {
-            let slot = (*slot)?;
-            let part = Normalized {
-                xs: Vec::new(),
-                ys: Vec::new(),
-                raw_x: extent(t.points.iter().map(|p| p.x)),
-                raw_y: extent(t.points.iter().map(|p| p.y)),
-            };
-            Some(VizData::from_slot(t.key.clone(), part, source, arena, slot))
-        })
-        .collect()
+    slot: usize,
+) -> VizData {
+    let (xs, ys) = points.row(source);
+    VizData::from_slot((extent(xs), extent(ys)), source, arena, slot)
 }
+
+/// Raw `(x, y)` domains of one trendline, each `(min, max)`.
+type Extents = ((f64, f64), (f64, f64));
 
 impl VizData {
     /// Builds the GROUP output for a trendline, binning every `bin` raw
     /// points into one canvas point (bin = 1 keeps all points). Returns
     /// `None` when fewer than two canvas points remain.
     pub fn from_trendline(t: &Trendline, source: usize, bin: usize) -> Option<Self> {
-        let part = normalize(t, bin)?;
-        let mut builder = ArenaBuilder::with_capacity(1, part.xs.len());
-        let slot = builder.push_viz(&part.xs, &part.ys);
-        let arena = Arc::new(builder.finish());
-        Some(Self::from_slot(t.key.clone(), part, source, &arena, slot))
+        let mut viz = group_collection(std::slice::from_ref(t), bin).pop()??;
+        viz.source = source;
+        Some(viz)
     }
 
     fn from_slot(
-        key: String,
-        part: Normalized,
+        (raw_x, raw_y): Extents,
         source: usize,
         arena: &Arc<ColumnarArena>,
         slot: usize,
     ) -> Self {
         let (slope_min, slope_max) = arena.slope_extent(slot);
         Self {
-            key,
-            raw_x: part.raw_x,
-            raw_y: part.raw_y,
+            raw_x,
+            raw_y,
             slope_min,
             slope_max,
             theta_min: slope_min.atan(),
@@ -256,26 +245,29 @@ impl VizData {
     }
 }
 
-/// Normalizes a trendline onto the unit canvas with binning; `None` when
-/// fewer than two canvas points remain.
-fn normalize(t: &Trendline, bin: usize) -> Option<Normalized> {
-    if t.points.len() < 2 {
-        return None;
-    }
-    let bin = bin.max(1);
-    let raw_x = extent(t.points.iter().map(|p| p.x));
-    let raw_y = extent(t.points.iter().map(|p| p.y));
+/// Normalizes one trendline's raw points onto the unit canvas, `bin` raw
+/// points to a canvas point, into `xs`/`ys` (cleared first — one scratch
+/// pair serves a whole collection), and returns the raw extents.
+fn normalize(
+    raw_xs: &[f64],
+    raw_ys: &[f64],
+    bin: usize,
+    xs: &mut Vec<f64>,
+    ys: &mut Vec<f64>,
+) -> Extents {
+    let raw_x = extent(raw_xs);
+    let raw_y = extent(raw_ys);
     let x_span = span(raw_x);
     let y_span = span(raw_y);
 
-    let mut xs = Vec::with_capacity(t.points.len() / bin + 1);
-    let mut ys = Vec::with_capacity(xs.capacity());
+    xs.clear();
+    ys.clear();
     let mut chunk_x = 0.0;
     let mut chunk_y = 0.0;
     let mut chunk_n = 0usize;
-    for p in &t.points {
-        chunk_x += (p.x - raw_x.0) / x_span;
-        chunk_y += (p.y - raw_y.0) / y_span;
+    for (&x, &y) in raw_xs.iter().zip(raw_ys) {
+        chunk_x += (x - raw_x.0) / x_span;
+        chunk_y += (y - raw_y.0) / y_span;
         chunk_n += 1;
         if chunk_n == bin {
             xs.push(chunk_x / bin as f64);
@@ -289,21 +281,13 @@ fn normalize(t: &Trendline, bin: usize) -> Option<Normalized> {
         xs.push(chunk_x / chunk_n as f64);
         ys.push(chunk_y / chunk_n as f64);
     }
-    if xs.len() < 2 {
-        return None;
-    }
-    Some(Normalized {
-        xs,
-        ys,
-        raw_x,
-        raw_y,
-    })
+    (raw_x, raw_y)
 }
 
-fn extent(values: impl Iterator<Item = f64>) -> (f64, f64) {
+fn extent(values: &[f64]) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for v in values {
+    for &v in values {
         lo = lo.min(v);
         hi = hi.max(v);
     }
@@ -427,8 +411,7 @@ mod tests {
                 continue;
             };
             let want = VizData::from_trendline(t, source, 1).unwrap();
-            assert_eq!(got.key, want.key);
-            assert_eq!(got.source, source);
+            assert_eq!(got.source, want.source);
             assert_eq!(got.xs(), want.xs());
             assert_eq!(got.ys(), want.ys());
             assert_eq!(got.slope_min.to_bits(), want.slope_min.to_bits());
@@ -444,5 +427,69 @@ mod tests {
         let b = grouped[2].as_ref().unwrap();
         assert!(std::ptr::eq(a.arena(), b.arena()));
         assert_ne!(a.slot(), b.slot());
+    }
+
+    /// The front door and the engine's own GROUP are one computation:
+    /// same arena columns, same extents, bit for bit.
+    #[test]
+    fn trendline_group_and_engine_column_group_are_bit_equal() {
+        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let walk = |seed: usize, n: usize| -> Vec<(f64, f64)> {
+            (0..n)
+                .map(|i| (i as f64 * 1.5, ((i * 7 + seed * 13) % 11) as f64 - 4.0))
+                .collect()
+        };
+        let tls = vec![
+            Trendline::from_pairs("a", &walk(1, 17)),
+            Trendline::from_pairs("one", &[(3.0, 1.0)]), // rejected by GROUP
+            Trendline::from_pairs("b", &walk(2, 9)),
+            Trendline::from_pairs("flat", &[(0.0, 2.0), (1.0, 2.0), (2.0, 2.0)]),
+            Trendline::from_pairs(
+                "nan",
+                &[(0.0, 1.0), (1.0, f64::NAN), (2.0, 0.0), (3.0, 5.0)],
+            ),
+        ];
+        let engine = crate::ShapeEngine::from_trendlines(tls.clone());
+        for bin in [1usize, 3, 1000] {
+            let front = group_collection(&tls, bin);
+            let columns = engine.grouped(bin);
+            assert_eq!(front.len(), columns.len());
+            assert!(front[1].is_none() && columns[1].is_none());
+            for (f, c) in front.iter().zip(columns.iter()) {
+                let (Some(f), Some(c)) = (f, c) else {
+                    assert!(
+                        f.is_none() && c.is_none(),
+                        "bin={bin}: accept/reject differs"
+                    );
+                    continue;
+                };
+                assert_eq!((f.source, f.slot()), (c.source, c.slot()));
+                for (f, c) in [(f.raw_x, c.raw_x), (f.raw_y, c.raw_y)] {
+                    assert_eq!(
+                        (f.0.to_bits(), f.1.to_bits()),
+                        (c.0.to_bits(), c.1.to_bits())
+                    );
+                }
+            }
+            let Some(f) = front.iter().flatten().next() else {
+                assert!(columns.iter().all(Option::is_none), "bin={bin}");
+                continue;
+            };
+            let c = columns.iter().flatten().next().unwrap();
+            let (f, c) = (f.arena().raw(), c.arena().raw());
+            assert_eq!(f.point_starts, c.point_starts);
+            for (f, c) in [
+                (f.xs, c.xs),
+                (f.ys, c.ys),
+                (f.sum_x, c.sum_x),
+                (f.sum_y, c.sum_y),
+                (f.sum_xy, c.sum_xy),
+                (f.sum_xx, c.sum_xx),
+                (f.slope_min, c.slope_min),
+                (f.slope_max, c.slope_max),
+            ] {
+                assert_eq!(bits(f), bits(c), "bin={bin}");
+            }
+        }
     }
 }

@@ -2,6 +2,13 @@
 //! EXTRACT → GROUP → SEGMENT → SCORE executor solving Problem 1 — "given a
 //! dataset D, a ShapeQuery Q, visual parameters R, and a scoring function SF,
 //! find top k visualizations that maximize SF(Q, Vᵢ)".
+//!
+//! An engine owns its collection in one form: the keys, and the raw
+//! points as two flat columns ([`crate::columnar`]'s `PointTable`) —
+//! heap vectors when flattened from EXTRACT's `Vec<Trendline>` (which is
+//! then dropped), views of the mapping when cut from a snapshot. Result
+//! keys, push-down (a), and GROUP at any bin width read those columns;
+//! the per-width arenas GROUP builds are the only other copy of anything.
 
 pub mod group;
 pub mod observe;
@@ -19,6 +26,7 @@ use crate::algo::segment_tree::SegmentTreeSegmenter;
 use crate::algo::{MatchResult, Segmenter, SegmenterKind};
 use crate::ast::Pattern;
 use crate::chain::{expand_chains, Chain};
+use crate::columnar::PointTable;
 use crate::error::{CoreError, Result};
 use crate::eval::{Evaluator, UdpFn, UdpRegistry};
 use crate::score::ScoreParams;
@@ -26,7 +34,7 @@ use crate::ShapeQuery;
 use group::VizData;
 use observe::{EngineStage, StageObserver, NOOP_OBSERVER};
 use shapesearch_datastore::{extract, ExtractOptions, Table, Trendline, VisualSpec};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use topk::TopK;
 
@@ -155,7 +163,7 @@ pub struct TopKResult {
     /// Final score in [−1, 1].
     pub score: f64,
     /// Global index of the matched trendline in the *collection*: for a
-    /// standalone engine this indexes [`ShapeEngine::trendlines`]; for a
+    /// standalone engine this is the row [`ShapeEngine::key`] takes; for a
     /// shard of a [`shard::ShardedEngine`] it is the shard's base offset
     /// plus the local index, so indices (and the tie order built on them)
     /// are stable no matter how the collection is partitioned.
@@ -168,13 +176,18 @@ pub struct TopKResult {
 
 /// The ShapeSearch execution engine over one visualization collection
 /// (or over one shard of a larger, partitioned collection — see
-/// [`shard::ShardedEngine`]).
+/// [`shard::ShardedEngine`]). Rows are reached through [`Self::len`],
+/// [`Self::key`] and [`Self::points`].
 #[derive(Debug)]
 pub struct ShapeEngine {
-    trendlines: Vec<Trendline>,
+    /// The `z` value of each trendline, in collection order.
+    keys: Vec<String>,
+    /// The raw points, stored once: GROUP at any bin width and
+    /// push-down (a) read these columns.
+    points: PointTable,
     options: EngineOptions,
     udps: UdpRegistry,
-    /// Global index of `trendlines[0]` in the enclosing collection: 0 for
+    /// Global index of row 0 in the enclosing collection: 0 for
     /// a standalone engine, the shard's partition offset otherwise.
     /// Added to every local index on the way out so reported
     /// `viz_index`es are collection-global.
@@ -208,14 +221,34 @@ impl ShapeEngine {
         Ok(Self::from_trendlines(trendlines))
     }
 
-    /// Builds an engine directly from trendlines (e.g. from a generator).
+    /// Builds an engine directly from trendlines (e.g. from a generator):
+    /// the points are flattened into the engine's two raw columns and
+    /// the trendlines dropped.
     pub fn from_trendlines(trendlines: Vec<Trendline>) -> Self {
+        let points = PointTable::from_trendlines(&trendlines);
+        let keys = trendlines.into_iter().map(|t| t.key).collect();
+        Self::from_columns(keys, points, None)
+    }
+
+    /// An engine over pre-built columns, its GROUP cache seeded with a
+    /// `(bin width, run)` that then stays for the engine's life like a
+    /// warmed one — what [`crate::snapshot::Snapshot::partition`] cuts
+    /// from a mapping. The caller guarantees the run is the GROUP of
+    /// `points` at that width; other widths GROUP from `points` as usual.
+    pub(crate) fn from_columns(
+        keys: Vec<String>,
+        points: PointTable,
+        seeded: Option<(usize, Vec<Option<VizData>>)>,
+    ) -> Self {
+        debug_assert_eq!(keys.len(), points.len());
+        let seeded = seeded.map(|(bin_width, run)| (bin_width, Arc::new(run)));
         Self {
-            trendlines,
+            keys,
+            points,
             options: EngineOptions::default(),
             udps: UdpRegistry::new(),
             base_index: 0,
-            grouped_cache: Mutex::new(Vec::new()),
+            grouped_cache: Mutex::new(seeded.into_iter().collect()),
         }
     }
 
@@ -223,19 +256,37 @@ impl ShapeEngine {
     /// cached: every trendline normalized/binned into one shared
     /// [`crate::ColumnarArena`], `None` where GROUP rejects (fewer than
     /// two points). Handles are bit-identical to per-trendline GROUP.
-    fn grouped(&self, bin_width: usize) -> GroupedCollection {
-        let mut cache = self
-            .grouped_cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some((_, g)) = cache.iter().find(|(b, _)| *b == bin_width) {
-            return Arc::clone(g);
+    ///
+    /// GROUP runs outside the cache lock, so a request at a width nobody
+    /// warmed never stalls the queries of the width everybody uses. Two
+    /// threads missing on one width both build; the first to insert wins
+    /// and the other's run is dropped.
+    pub(crate) fn grouped(&self, bin_width: usize) -> GroupedCollection {
+        let find = |cache: &mut Vec<(usize, GroupedCollection)>| {
+            let hit = cache.iter().find(|(b, _)| *b == bin_width);
+            let hit = hit.map(|(_, g)| Arc::clone(g));
+            if hit.is_none() {
+                // Make room first: the old extra goes before the new one
+                // is built, and again before it is inserted.
+                cache.truncate(1);
+            }
+            hit
+        };
+        if let Some(hit) = find(&mut self.cache()) {
+            return hit;
         }
-        // Make room first, so the old and the new extra never coexist.
-        cache.truncate(1);
-        let g = Arc::new(group::group_collection(&self.trendlines, bin_width));
-        cache.push((bin_width, Arc::clone(&g)));
-        g
+        let built = Arc::new(group::group_points(&self.points, bin_width));
+        let mut cache = self.cache();
+        find(&mut cache).unwrap_or_else(|| {
+            cache.push((bin_width, Arc::clone(&built)));
+            built
+        })
+    }
+
+    fn cache(&self) -> MutexGuard<'_, Vec<(usize, GroupedCollection)>> {
+        self.grouped_cache
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Eagerly builds (and caches) the columnar GROUP state for
@@ -253,11 +304,7 @@ impl ShapeEngine {
     /// This is the dominant memory cost of a resident snapshot shard —
     /// the server's `--resident-bytes` budget evicts on it.
     pub fn grouped_byte_size(&self) -> usize {
-        let cache = self
-            .grouped_cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        cache
+        self.cache()
             .iter()
             .map(|(_, grouped)| {
                 grouped
@@ -267,35 +314,6 @@ impl ShapeEngine {
                     .map_or(0, |viz| viz.arena().byte_size())
             })
             .sum()
-    }
-
-    /// Installs a pre-built GROUP run for `bin_width` into the engine's
-    /// cache — the snapshot load path: a [`crate::snapshot::Snapshot`]
-    /// partition hands back the mapped arena plus its `VizData` handles,
-    /// and seeding them here means the default-width query path never
-    /// re-runs GROUP. The caller guarantees `grouped` is the GROUP of
-    /// this engine's trendlines at `bin_width` (the snapshot writer and
-    /// loader keep that bit-identical); queries at *other* bin widths
-    /// still re-GROUP from the trendlines as usual. A width already in
-    /// the cache is left untouched.
-    ///
-    /// # Panics
-    /// Panics when `grouped` does not have one entry per trendline.
-    pub fn seed_grouped(&self, bin_width: usize, grouped: Vec<Option<VizData>>) {
-        assert_eq!(
-            grouped.len(),
-            self.trendlines.len(),
-            "seeded GROUP must cover every trendline"
-        );
-        let mut cache = self
-            .grouped_cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if cache.iter().any(|(b, _)| *b == bin_width) {
-            return;
-        }
-        cache.truncate(1);
-        cache.push((bin_width, Arc::new(grouped)));
     }
 
     /// Declares this engine a shard of a larger collection whose first
@@ -340,9 +358,25 @@ impl ShapeEngine {
         crate::udps::register_builtins(&mut self.udps);
     }
 
-    /// The extracted candidate trendlines.
-    pub fn trendlines(&self) -> &[Trendline] {
-        &self.trendlines
+    /// Number of trendlines in the collection (GROUP-rejected ones
+    /// included).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True for an engine over no trendlines.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The `z` value of trendline `i` (a local index, `0..len()`).
+    pub fn key(&self, i: usize) -> &str {
+        &self.keys[i]
+    }
+
+    /// The raw `(xs, ys)` of trendline `i`, ascending in x.
+    pub fn points(&self, i: usize) -> (&[f64], &[f64]) {
+        self.points.row(i)
     }
 
     /// Current options.
@@ -393,7 +427,7 @@ impl ShapeEngine {
     /// `options` replace the engine's own for this call — the seam that
     /// lets a shared, immutable engine (one behind an `Arc` in a server
     /// catalog) serve requests that pick their own algorithm or scoring
-    /// parameters without cloning the extracted trendlines.
+    /// parameters without copying the collection.
     ///
     /// `shared` is caller-owned execution state: an embedder fanning one
     /// computation across several engines (a partition map's shards, the
@@ -450,8 +484,10 @@ impl ShapeEngine {
 
         // Push-down (a): a query considers a trendline only when the
         // trendline covers the query's pinned x ranges.
-        let wants = |p: &Prep<'_>, t: &Trendline| {
-            !options.pushdown || p.pinned.is_empty() || pushdown::covers_ranges(t, &p.pinned)
+        let wants = |p: &Prep<'_>, i: usize| {
+            !options.pushdown
+                || p.pinned.is_empty()
+                || pushdown::covers_ranges(self.points.row(i).0, &p.pinned)
         };
 
         // Shared GROUP: the whole collection is normalized/binned into one
@@ -473,12 +509,10 @@ impl ShapeEngine {
             .map(|(qi, prep)| {
                 let p = prep?;
                 let score_started = Instant::now();
-                let vizzes: Vec<&VizData> = self
-                    .trendlines
+                let vizzes: Vec<&VizData> = grouped
                     .iter()
-                    .zip(grouped.iter())
-                    .filter(|(t, _)| wants(&p, t))
-                    .filter_map(|(_, v)| v.as_ref())
+                    .flatten()
+                    .filter(|v| wants(&p, v.source))
                     .collect();
 
                 let driver = options.pruning_mode.active_for(options.segmenter).then(|| {
@@ -508,7 +542,7 @@ impl ShapeEngine {
                     .into_sorted()
                     .into_iter()
                     .map(|s| TopKResult {
-                        key: self.trendlines[s.viz].key.clone(),
+                        key: self.keys[s.viz].clone(),
                         score: s.result.score,
                         viz_index: self.base_index + s.viz,
                         ranges: s.result.ranges,
@@ -1165,6 +1199,60 @@ mod tests {
                 engine.grouped_byte_size()
             );
         }
+        assert!(Arc::ptr_eq(&warmed, &engine.grouped(1)));
+    }
+
+    /// GROUP runs outside the cache lock: threads asking one shared
+    /// engine for four widths at once all get a fresh engine's answer,
+    /// and the cache ends as it must — the warmed run untouched, at most
+    /// one other beside it.
+    #[test]
+    fn concurrent_widths_share_one_engine_without_disturbing_the_warmed_run() {
+        let q = updown();
+        let answer = |engine: &ShapeEngine, bin_width: usize| {
+            let options = EngineOptions {
+                bin_width,
+                ..EngineOptions::default()
+            };
+            engine
+                .top_k_batch_observed(
+                    &[(&q, 5)],
+                    &options,
+                    &SharedThresholds::new(1),
+                    &NOOP_OBSERVER,
+                )
+                .pop()
+                .expect("one outcome per query")
+                .expect("valid query")
+        };
+        let widths = [1usize, 2, 3, 5];
+        let want: Vec<Vec<TopKResult>> = widths
+            .iter()
+            .map(|&w| answer(&ShapeEngine::from_trendlines(haystack(40)), w))
+            .collect();
+
+        let engine = Arc::new(ShapeEngine::from_trendlines(haystack(40)));
+        engine.warm(1);
+        let warmed = engine.grouped(1);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (engine, start, want, answer) = (&engine, &start, &want, &answer);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..widths.len() {
+                        let i = (t + round) % widths.len();
+                        assert_eq!(
+                            answer(engine, widths[i]),
+                            want[i],
+                            "bin_width={}",
+                            widths[i]
+                        );
+                    }
+                });
+            }
+        });
+        assert!(engine.cache().len() <= 2);
         assert!(Arc::ptr_eq(&warmed, &engine.grouped(1)));
     }
 

@@ -22,18 +22,17 @@ use crate::ast::Pattern;
 use crate::chain::Chain;
 use crate::eval::Evaluator;
 use crate::ShapeQuery;
-use shapesearch_datastore::Trendline;
 
-/// True when the trendline has at least one point in every required range
-/// (push-down (a): "prune visualizations that do not have any value in the
-/// specified x ranges").
+/// True when a trendline with raw x values `xs` has at least one point in
+/// every required range (push-down (a): "prune visualizations that do not
+/// have any value in the specified x ranges").
 ///
-/// `Trendline::points` is ascending in x, so the first point at or past
-/// `lo` decides each range: O(log n) per range.
-pub fn covers_ranges(t: &Trendline, ranges: &[(f64, f64)]) -> bool {
+/// `xs` is ascending, so the first value at or past `lo` decides each
+/// range: O(log n) per range.
+pub fn covers_ranges(xs: &[f64], ranges: &[(f64, f64)]) -> bool {
     ranges.iter().all(|&(lo, hi)| {
-        let first = t.points.partition_point(|p| p.x < lo);
-        t.points.get(first).is_some_and(|p| p.x <= hi)
+        let first = xs.partition_point(|&x| x < lo);
+        xs.get(first).is_some_and(|&x| x <= hi)
     })
 }
 
@@ -72,21 +71,24 @@ mod tests {
     use crate::engine::group::VizData;
     use crate::eval::UdpRegistry;
     use crate::score::ScoreParams;
+    use shapesearch_datastore::Trendline;
 
     #[test]
     fn covers_ranges_checks_every_range() {
-        let t = Trendline::from_pairs("t", &[(0.0, 1.0), (5.0, 2.0), (10.0, 3.0)]);
-        assert!(covers_ranges(&t, &[(0.0, 2.0), (9.0, 11.0)]));
-        assert!(!covers_ranges(&t, &[(6.0, 8.0)]));
-        assert!(covers_ranges(&t, &[]));
+        let xs = [0.0, 5.0, 10.0];
+        assert!(covers_ranges(&xs, &[(0.0, 2.0), (9.0, 11.0)]));
+        assert!(!covers_ranges(&xs, &[(6.0, 8.0)]));
+        assert!(covers_ranges(&xs, &[]));
         // A range past the last point, and one before the first.
-        assert!(!covers_ranges(&t, &[(0.0, 2.0), (10.5, 20.0)]));
-        assert!(!covers_ranges(&t, &[(-5.0, -1.0)]));
+        assert!(!covers_ranges(&xs, &[(0.0, 2.0), (10.5, 20.0)]));
+        assert!(!covers_ranges(&xs, &[(-5.0, -1.0)]));
         // Inclusive at both ends.
-        assert!(covers_ranges(&t, &[(10.0, 10.0)]));
-        let empty = Trendline::from_pairs("e", &[]);
-        assert!(!covers_ranges(&empty, &[(0.0, 1.0)]));
-        assert!(covers_ranges(&empty, &[]));
+        assert!(covers_ranges(&xs, &[(10.0, 10.0)]));
+        assert!(!covers_ranges(&[], &[(0.0, 1.0)]));
+        assert!(covers_ranges(&[], &[]));
+        // One point covers exactly the ranges that contain it.
+        assert!(covers_ranges(&[4.0], &[(4.0, 4.0), (3.0, 9.0)]));
+        assert!(!covers_ranges(&[4.0], &[(3.0, 9.0), (4.5, 9.0)]));
     }
 
     #[test]

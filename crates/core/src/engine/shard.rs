@@ -81,28 +81,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Assembles a sharded engine from pre-built shard engines — the
-    /// snapshot load path, where each shard was materialized from a
-    /// mapped snapshot partition (its `base_index` already set to the
-    /// partition start). The shards must be the deterministic
-    /// contiguous partitions of one collection, in partition order —
-    /// [`partition_bounds_by_points`] is the rule — so merges stay
-    /// byte-identical to every other sharding path. Counts are summed
-    /// from the shards.
-    pub fn from_shard_engines(shards: Vec<Arc<ShapeEngine>>) -> Self {
-        let trendline_count = shards.iter().map(|s| s.trendlines().len()).sum();
-        let point_count = shards
-            .iter()
-            .flat_map(|s| s.trendlines().iter())
-            .map(|t| t.points.len())
-            .sum();
-        Self {
-            shards,
-            trendline_count,
-            point_count,
-        }
-    }
-
     /// Number of shards the collection is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -136,21 +114,6 @@ impl ShardedEngine {
     /// Total raw points across all shards.
     pub fn point_count(&self) -> usize {
         self.point_count
-    }
-
-    /// The trendline at global index `i`, if any.
-    pub fn trendline(&self, i: usize) -> Option<&Trendline> {
-        let shard = self
-            .shards
-            .iter()
-            .take_while(|s| s.base_index() <= i)
-            .last()?;
-        shard.trendlines().get(i - shard.base_index())
-    }
-
-    /// Iterates every trendline in global index order.
-    pub fn trendlines(&self) -> impl Iterator<Item = &Trendline> {
-        self.shards.iter().flat_map(|s| s.trendlines().iter())
     }
 
     /// Registers a user-defined pattern on every shard.
@@ -414,16 +377,14 @@ mod tests {
             let mut expected_base = 0;
             for shard in engine.shards() {
                 assert_eq!(shard.base_index(), expected_base);
-                assert!(!shard.trendlines().is_empty());
-                expected_base += shard.trendlines().len();
+                assert!(!shard.is_empty());
+                // Global order preserved.
+                for i in 0..shard.len() {
+                    assert_eq!(shard.key(i), tls[expected_base + i].key);
+                }
+                expected_base += shard.len();
             }
             assert_eq!(expected_base, 23);
-            // Global order preserved, and global lookup agrees.
-            for (i, t) in engine.trendlines().enumerate() {
-                assert_eq!(t.key, tls[i].key);
-                assert_eq!(engine.trendline(i).unwrap().key, tls[i].key);
-            }
-            assert!(engine.trendline(23).is_none());
         }
     }
 
@@ -443,8 +404,8 @@ mod tests {
         }
         let engine = ShardedEngine::from_trendlines(tls, 2);
         assert_eq!(engine.shard_count(), 2);
-        assert_eq!(engine.shards()[0].trendlines().len(), 1);
-        assert_eq!(engine.shards()[1].trendlines().len(), 15);
+        assert_eq!(engine.shards()[0].len(), 1);
+        assert_eq!(engine.shards()[1].len(), 15);
     }
 
     #[test]
@@ -603,9 +564,10 @@ mod tests {
                 let got = shard_of(&tls, shards, index);
                 let want = &full.shards()[index];
                 assert_eq!(got.base_index(), want.base_index());
-                let want_keys: Vec<_> = want.trendlines().iter().map(|t| &t.key).collect();
-                let got_keys: Vec<_> = got.trendlines().iter().map(|t| &t.key).collect();
-                assert_eq!(got_keys, want_keys, "shards={shards} index={index}");
+                let keys = |e: &ShapeEngine| -> Vec<String> {
+                    (0..e.len()).map(|i| e.key(i).to_owned()).collect()
+                };
+                assert_eq!(keys(&got), keys(want), "shards={shards} index={index}");
             }
         }
     }

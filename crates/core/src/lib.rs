@@ -68,5 +68,5 @@ pub use engine::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 pub use error::{CoreError, Result};
 pub use eval::{slope_leaf, Evaluator, PosContext, SlopeLeaf, UdpFn, UdpRegistry};
 pub use score::ScoreParams;
-pub use snapshot::{Snapshot, SnapshotError, SnapshotPartition, SnapshotStats};
+pub use snapshot::{Snapshot, SnapshotError, SnapshotStats};
 pub use stats::{StatsIndex, SummaryStats};

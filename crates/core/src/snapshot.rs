@@ -1,15 +1,15 @@
 //! Versioned on-disk snapshots of post-GROUP state.
 //!
-//! A snapshot persists everything a [`crate::ShapeEngine`] needs to
-//! serve a collection — the raw trendlines (keys and points, for result
-//! keys, push-down, and re-GROUP at other bin widths) **and** the
-//! [`ColumnarArena`] of one GROUP run (the §5.3 prefix statistics and
-//! §6.3 slope extremes the scoring hot path reads) — as one flat
-//! little-endian file. Opening a snapshot maps it ([`memmap2::Mmap`]
-//! behind the workspace's std-only syscall shim) and hands the arena
-//! columns back as **zero-copy views into the mapping**, so a cold
-//! shard load is a page-in plus a trendline copy, never a re-EXTRACT or
-//! re-GROUP.
+//! A snapshot persists everything a [`crate::ShapeEngine`] holds — the
+//! keys, the two raw point columns (for push-down and GROUP at other bin
+//! widths) **and** the [`ColumnarArena`] of one GROUP run (the §5.3
+//! prefix statistics and §6.3 slope extremes the scoring hot path reads)
+//! — as one flat little-endian file. Opening a snapshot maps it
+//! ([`memmap2::Mmap`] behind the workspace's std-only syscall shim), and
+//! [`Snapshot::partition`] hands back an engine whose raw columns and
+//! arena columns are all **zero-copy views into the mapping**: a cold
+//! shard load is a page-in that allocates keys, offsets and handles and
+//! copies no point — never a re-EXTRACT or re-GROUP.
 //!
 //! ## File layout (version 1)
 //!
@@ -47,9 +47,9 @@
 //! payload checksum pass reads the whole file once, which doubles as
 //! page pre-faulting for the resident data.
 
-use crate::columnar::{ArenaBuilder, Column, ColumnarArena};
-use crate::engine::group::{self, VizData};
-use shapesearch_datastore::{TrendPoint, Trendline};
+use crate::columnar::{ArenaBuilder, Column, ColumnarArena, PointTable};
+use crate::engine::{group, ShapeEngine};
+use shapesearch_datastore::Trendline;
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -245,10 +245,9 @@ fn layout(key_bytes: usize, t: usize, v: usize, p: usize, r: usize) -> ([Span; C
 
 /// Writes a version-1 snapshot of `trendlines` GROUPed at `bin_width`.
 ///
-/// The arena serialized is exactly what
-/// [`group_collection`](crate::group_collection) builds — the same
-/// structure an eager engine caches — so a loaded snapshot's columns
-/// carry the same bits the eager path would compute.
+/// What is serialized is what an engine over `trendlines` holds: its
+/// raw point columns and the arena its GROUP builds, so a loaded
+/// snapshot's columns carry the same bits the eager path would compute.
 ///
 /// # Errors
 /// Propagates filesystem errors as [`SnapshotError::Io`].
@@ -258,7 +257,8 @@ pub fn write(
     bin_width: usize,
 ) -> Result<SnapshotStats, SnapshotError> {
     let path = path.as_ref();
-    let grouped = group::group_collection(trendlines, bin_width);
+    let points = PointTable::from_trendlines(trendlines);
+    let grouped = group::group_points(&points, bin_width);
     let empty;
     let raw = match grouped.iter().flatten().next() {
         Some(v) => v.arena().raw(),
@@ -271,7 +271,8 @@ pub fn write(
     let t = trendlines.len();
     let v = raw.point_starts.len() - 1;
     let p = raw.xs.len();
-    let r: usize = trendlines.iter().map(|t| t.points.len()).sum();
+    let (raw_xs, raw_ys, raw_starts) = points.columns();
+    let r = raw_xs.len();
     let key_bytes: usize = trendlines.iter().map(|t| t.key.len()).sum();
     let (spans, file_len) = layout(key_bytes, t, v, p, r);
 
@@ -298,22 +299,9 @@ pub fn write(
         put(&mut out, h, &acc.to_le_bytes(), path)?;
     }
     // Raw coordinates and starts.
-    for tl in trendlines {
-        for pt in &tl.points {
-            put(&mut out, h, &pt.x.to_le_bytes(), path)?;
-        }
-    }
-    for tl in trendlines {
-        for pt in &tl.points {
-            put(&mut out, h, &pt.y.to_le_bytes(), path)?;
-        }
-    }
-    let mut acc = 0u64;
-    put(&mut out, h, &0u64.to_le_bytes(), path)?;
-    for tl in trendlines {
-        acc += tl.points.len() as u64;
-        put(&mut out, h, &acc.to_le_bytes(), path)?;
-    }
+    put_f64s(&mut out, h, raw_xs, path)?;
+    put_f64s(&mut out, h, raw_ys, path)?;
+    put_u64s(&mut out, h, raw_starts.iter().map(|&s| s as u64), path)?;
     // Viz slots: slot+1, 0 where GROUP rejected.
     put_u64s(
         &mut out,
@@ -378,22 +366,9 @@ pub fn write(
     })
 }
 
-/// One shard's worth of snapshot data, materialized by
-/// [`Snapshot::partition`]: the raw trendlines (copied out of the
-/// mapping) plus the GROUP handles whose arena columns are zero-copy
-/// views into the mapping.
-pub struct SnapshotPartition {
-    /// The partition's trendlines, in collection order.
-    pub trendlines: Vec<Trendline>,
-    /// The partition's GROUP run at the snapshot's bin width — ready to
-    /// seed into [`crate::ShapeEngine::seed_grouped`]. `None` where
-    /// GROUP rejected the trendline at snapshot build time.
-    pub grouped: Vec<Option<VizData>>,
-}
-
-/// An opened, validated snapshot file. Cheap to clone partitions from;
-/// the mapping stays alive for as long as any arena column cut from it
-/// does (each holds an `Arc` on the map).
+/// An opened, validated snapshot file. Cheap to cut partitions from;
+/// the mapping stays alive for as long as any column cut from it does
+/// (each holds an `Arc` on the map).
 pub struct Snapshot {
     map: Arc<memmap2::Mmap>,
     path: PathBuf,
@@ -624,11 +599,6 @@ impl Snapshot {
         self.point_starts.len() - 1
     }
 
-    /// Total raw points across all trendlines.
-    pub fn raw_point_count(&self) -> usize {
-        *self.raw_starts.last().expect("validated at open")
-    }
-
     /// Per-trendline raw point counts — the input
     /// [`crate::partition_bounds_by_points`] needs to reproduce the
     /// eager path's deterministic shard bounds without materializing a
@@ -664,20 +634,13 @@ impl Snapshot {
         }
     }
 
-    /// Decoded `f64` values `[lo, hi)` of column `col` (for the raw
-    /// coordinate columns, which are copied into trendlines anyway).
-    fn f64_vals(&self, col: Col, lo: usize, hi: usize) -> impl Iterator<Item = f64> + '_ {
-        let span = self.spans[col as usize];
-        self.map[span.offset + lo * 8..span.offset + hi * 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-    }
-
-    /// Materializes trendlines `[start, end)` plus their GROUP run over
-    /// a zero-copy view of the mapped arena. The trendlines are copied
-    /// (they are mutated nowhere and queries clone keys out of them);
-    /// the arena columns are `Column::Mapped` slices, so the heavy
-    /// prefix-statistic state is shared with the page cache.
+    /// The engine over trendlines `[start, end)`, reporting
+    /// collection-global indices from `start`: raw points, arena columns
+    /// and the GROUP run at the snapshot's bin width are all zero-copy
+    /// views of the mapping (decoded copies on a big-endian target), so
+    /// a cut allocates the keys, two offset vectors and one handle per
+    /// trendline and copies no point. Another bin width GROUPs from the
+    /// mapped raw columns like any engine.
     ///
     /// `[start, end)` must be one of the deterministic partitions from
     /// [`Self::partition_bounds`] (or the whole collection): the
@@ -686,58 +649,36 @@ impl Snapshot {
     ///
     /// # Panics
     /// Panics when `start > end` or `end` exceeds the trendline count.
-    pub fn partition(&self, start: usize, end: usize) -> SnapshotPartition {
+    pub fn partition(&self, start: usize, end: usize) -> ShapeEngine {
         assert!(start <= end && end <= self.trendline_count());
         let kb = self.spans[Col::KeyBytes as usize];
-        let bytes: &[u8] = &self.map;
+        let keys = self.key_starts[start..=end]
+            .windows(2)
+            .map(|w| {
+                std::str::from_utf8(&self.map[kb.offset + w[0]..kb.offset + w[1]])
+                    .expect("validated at open")
+                    .to_owned()
+            })
+            .collect();
+        let (r_lo, r_hi) = (self.raw_starts[start], self.raw_starts[end]);
+        let rebased =
+            |starts: &[usize]| -> Vec<usize> { starts.iter().map(|&s| s - starts[0]).collect() };
+        let points = PointTable::from_columns(
+            self.f64_col(Col::RawXs, r_lo, r_hi),
+            self.f64_col(Col::RawYs, r_lo, r_hi),
+            rebased(&self.raw_starts[start..=end]),
+        );
 
-        let mut trendlines = Vec::with_capacity(end - start);
-        for t in start..end {
-            let key = std::str::from_utf8(
-                &bytes[kb.offset + self.key_starts[t]..kb.offset + self.key_starts[t + 1]],
-            )
-            .expect("validated at open");
-            let (lo, hi) = (self.raw_starts[t], self.raw_starts[t + 1]);
-            let points = self
-                .f64_vals(Col::RawXs, lo, hi)
-                .zip(self.f64_vals(Col::RawYs, lo, hi))
-                .map(|(x, y)| TrendPoint { x, y })
-                .collect();
-            trendlines.push(Trendline {
-                key: key.to_owned(),
-                points,
-            });
-        }
-
-        // The partition's slots form a contiguous run [sa, sb).
-        let mut local_slots = Vec::with_capacity(end - start);
-        let mut sa = None;
-        let mut sb = 0usize;
-        for t in start..end {
-            match self.viz_slots[t] {
-                Some(s) => {
-                    sa.get_or_insert(s);
-                    sb = s + 1;
-                    local_slots.push(Some(s));
-                }
-                None => local_slots.push(None),
-            }
-        }
-        let sa = sa.unwrap_or(0);
-        let sb = sb.max(sa);
-        for slot in local_slots.iter_mut().flatten() {
-            *slot -= sa;
-        }
-
+        // Slots run 0..V in source order, so the partition's are the
+        // contiguous run [sa, sb).
+        let slots = &self.viz_slots[start..end];
+        let sa = slots.iter().flatten().next().copied().unwrap_or(0);
+        let sb = sa + slots.iter().flatten().count();
         let p_lo = self.point_starts[sa];
         let p_hi = self.point_starts[sb];
         // Prefix columns carry one extra leading zero per viz, so the
         // sub-run shifts by the slot index on each side.
         let (q_lo, q_hi) = (p_lo + sa, p_hi + sb);
-        let local_starts: Vec<usize> = self.point_starts[sa..=sb]
-            .iter()
-            .map(|&s| s - p_lo)
-            .collect();
         let arena = Arc::new(ColumnarArena::from_columns(
             self.f64_col(Col::Xs, p_lo, p_hi),
             self.f64_col(Col::Ys, p_lo, p_hi),
@@ -745,15 +686,17 @@ impl Snapshot {
             self.f64_col(Col::SumY, q_lo, q_hi),
             self.f64_col(Col::SumXy, q_lo, q_hi),
             self.f64_col(Col::SumXx, q_lo, q_hi),
-            local_starts,
+            rebased(&self.point_starts[sa..=sb]),
             self.f64_col(Col::SlopeMin, sa, sb),
             self.f64_col(Col::SlopeMax, sa, sb),
         ));
-        let grouped = group::vizzes_from_arena(&trendlines, &local_slots, &arena);
-        SnapshotPartition {
-            trendlines,
-            grouped,
-        }
+        let grouped = slots
+            .iter()
+            .enumerate()
+            .map(|(source, slot)| Some(group::handle(&points, source, &arena, (*slot)? - sa)))
+            .collect();
+        ShapeEngine::from_columns(keys, points, Some((self.bin_width, grouped)))
+            .with_base_index(start)
     }
 }
 
@@ -779,6 +722,19 @@ mod tests {
             out.push(Trendline::from_pairs(format!("series-{t}"), &pairs));
         }
         out
+    }
+
+    /// The engine's rows are exactly `trendlines`: keys, and every raw
+    /// point bit for bit.
+    fn assert_rows_eq(engine: &ShapeEngine, trendlines: &[Trendline]) {
+        assert_eq!(engine.len(), trendlines.len());
+        for (i, t) in trendlines.iter().enumerate() {
+            assert_eq!(engine.key(i), t.key);
+            let (xs, ys) = engine.points(i);
+            let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(xs), bits(&t.xs()));
+            assert_eq!(bits(ys), bits(&t.ys()));
+        }
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -807,16 +763,16 @@ mod tests {
                 .collect::<Vec<_>>()
         );
 
-        let part = snap.partition(0, trendlines.len());
-        assert_eq!(part.trendlines, trendlines);
+        let engine = snap.partition(0, trendlines.len());
+        assert_rows_eq(&engine, &trendlines);
 
         let eager = group_collection(&trendlines, 4);
-        assert_eq!(part.grouped.len(), eager.len());
-        for (loaded, eager) in part.grouped.iter().zip(&eager) {
+        let loaded = engine.grouped(4);
+        assert_eq!(loaded.len(), eager.len());
+        for (loaded, eager) in loaded.iter().zip(&eager) {
             match (loaded, eager) {
                 (None, None) => {}
                 (Some(l), Some(e)) => {
-                    assert_eq!(l.key, e.key);
                     assert_eq!(l.source, e.source);
                     assert_eq!(l.raw_x.0.to_bits(), e.raw_x.0.to_bits());
                     assert_eq!(l.raw_x.1.to_bits(), e.raw_x.1.to_bits());
@@ -861,18 +817,65 @@ mod tests {
             assert_eq!(bounds, crate::partition_bounds_by_points(&counts, shards));
             let mut keys = Vec::new();
             for &(start, end) in &bounds {
-                let part = snap.partition(start, end);
-                assert_eq!(part.trendlines, trendlines[start..end]);
-                for viz in part.grouped.iter().flatten() {
-                    keys.push(viz.key.clone());
+                let engine = snap.partition(start, end);
+                assert_eq!(engine.base_index(), start);
+                assert_rows_eq(&engine, &trendlines[start..end]);
+                for viz in engine.grouped(3).iter().flatten() {
+                    keys.push(engine.key(viz.source).to_owned());
                 }
             }
             let eager: Vec<String> = group_collection(&trendlines, 3)
                 .into_iter()
                 .flatten()
-                .map(|v| v.key)
+                .map(|v| trendlines[v.source].key.clone())
                 .collect();
             assert_eq!(keys, eager);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The zero-copy property: a partition's raw points and every arena
+    /// column are views of the mapping, not heap copies of it.
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn partition_columns_lie_inside_the_mapping() {
+        let trendlines = demo_trendlines();
+        let path = temp_path("zerocopy.snap");
+        write(&path, &trendlines, 2).unwrap();
+        let snap = Snapshot::open(&path).unwrap();
+        let mapping = snap.map.as_ptr_range();
+        let mapped = |what: &str, vals: &[f64]| {
+            let run = vals.as_ptr_range();
+            let (lo, hi) = (run.start.cast::<u8>(), run.end.cast::<u8>());
+            assert!(
+                mapping.start <= lo && hi <= mapping.end,
+                "{what}: {run:?} is outside the mapping {mapping:?}"
+            );
+        };
+        for (start, end) in snap.partition_bounds(3) {
+            let engine = snap.partition(start, end);
+            for i in 0..engine.len() {
+                let (xs, ys) = engine.points(i);
+                assert_eq!(xs.len(), trendlines[start + i].len());
+                mapped("raw xs", xs);
+                mapped("raw ys", ys);
+            }
+            let grouped = engine.grouped(snap.bin_width());
+            let viz = grouped.iter().flatten().next().expect("an accepted viz");
+            let arena = viz.arena().raw();
+            assert!(!arena.xs.is_empty());
+            for (what, col) in [
+                ("xs", arena.xs),
+                ("ys", arena.ys),
+                ("sum_x", arena.sum_x),
+                ("sum_y", arena.sum_y),
+                ("sum_xy", arena.sum_xy),
+                ("sum_xx", arena.sum_xx),
+                ("slope_min", arena.slope_min),
+                ("slope_max", arena.slope_max),
+            ] {
+                mapped(what, col);
+            }
         }
         std::fs::remove_file(&path).ok();
     }
@@ -884,9 +887,9 @@ mod tests {
         let snap = Snapshot::open(&path).unwrap();
         assert_eq!(snap.trendline_count(), 0);
         assert_eq!(snap.viz_count(), 0);
-        let part = snap.partition(0, 0);
-        assert!(part.trendlines.is_empty());
-        assert!(part.grouped.is_empty());
+        let engine = snap.partition(0, 0);
+        assert!(engine.is_empty());
+        assert!(engine.grouped(7).is_empty());
         std::fs::remove_file(&path).ok();
     }
 

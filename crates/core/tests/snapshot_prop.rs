@@ -8,13 +8,12 @@
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    snapshot, EngineOptions, NoopObserver, PruningMode, ShapeEngine, ShapeQuery, ShardedEngine,
-    SharedThresholds, Snapshot,
+    merge_topk, snapshot, EngineOptions, NoopObserver, PruningMode, ShapeEngine, ShapeQuery,
+    ShardedEngine, SharedThresholds, Snapshot, TopKResult,
 };
 use shapesearch_datastore::Trendline;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Strategy: one series, covering the shapes that break naive readers —
 /// random walks, constants, minimal two-point series, sub-canvas series
@@ -55,7 +54,7 @@ fn queries() -> Vec<ShapeQuery> {
 }
 
 /// NaN-safe canonical rendering: scores compared by bit pattern.
-fn render(results: &[shapesearch_core::TopKResult]) -> String {
+fn render(results: &[TopKResult]) -> String {
     results
         .iter()
         .map(|r| {
@@ -82,22 +81,13 @@ fn unique_path() -> PathBuf {
     p
 }
 
-/// The snapshot-load path the server's resident-shard loader uses:
-/// partition the snapshot into `shards` deterministic bounds, build one
-/// `ShapeEngine` per partition seeded with the mapped GROUP run, and
-/// assemble them into a `ShardedEngine`.
-fn engine_from_snapshot(snap: &Snapshot, shards: usize) -> ShardedEngine {
-    let engines: Vec<Arc<ShapeEngine>> = snap
-        .partition_bounds(shards)
+/// The snapshot-load path the server's resident-shard loader uses: one
+/// engine per deterministic partition, cut straight from the mapping.
+fn engines_from_snapshot(snap: &Snapshot, shards: usize) -> Vec<ShapeEngine> {
+    snap.partition_bounds(shards)
         .into_iter()
-        .map(|(start, end)| {
-            let part = snap.partition(start, end);
-            let engine = ShapeEngine::from_trendlines(part.trendlines).with_base_index(start);
-            engine.seed_grouped(snap.bin_width(), part.grouped);
-            Arc::new(engine)
-        })
-        .collect();
-    ShardedEngine::from_shard_engines(engines)
+        .map(|(start, end)| snap.partition(start, end))
+        .collect()
 }
 
 fn top_k(engine: &ShardedEngine, query: &ShapeQuery, k: usize, options: &EngineOptions) -> String {
@@ -111,6 +101,28 @@ fn top_k(engine: &ShardedEngine, query: &ShapeQuery, k: usize, options: &EngineO
     )
 }
 
+/// [`top_k`] over shard engines held directly: every shard in partition
+/// order under one shared threshold, partials merged.
+fn top_k_cold(
+    shards: &[ShapeEngine],
+    query: &ShapeQuery,
+    k: usize,
+    options: &EngineOptions,
+) -> String {
+    let shared = SharedThresholds::new(1);
+    let partials = shards
+        .iter()
+        .map(|shard| {
+            shard
+                .top_k_batch_observed(&[(query, k)], options, &shared, &NoopObserver)
+                .pop()
+                .unwrap()
+                .unwrap()
+        })
+        .collect();
+    render(&merge_topk(partials, k))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -122,7 +134,7 @@ proptest! {
         let k = 3;
         let path = unique_path();
         // Seed bin width 1 (the arena persisted in the snapshot); bin
-        // width 2 forces a re-GROUP from the loaded trendlines.
+        // width 2 forces a re-GROUP from the mapped raw columns.
         snapshot::write(&path, &tls, 1).unwrap();
         let snap = Snapshot::open(&path).unwrap();
         prop_assert_eq!(snap.trendline_count(), tls.len());
@@ -155,8 +167,8 @@ proptest! {
                             shards, mode, bin_width, query
                         );
                         // …and so must the snapshot-backed one.
-                        let cold = engine_from_snapshot(&snap, shards);
-                        let got = top_k(&cold, &query, k, &options);
+                        let cold = engines_from_snapshot(&snap, shards);
+                        let got = top_k_cold(&cold, &query, k, &options);
                         prop_assert_eq!(
                             &got, &reference,
                             "snapshot shards={} pruning={:?} bin={} diverged on {}",

@@ -104,14 +104,6 @@ impl Column {
         }
     }
 
-    /// Dictionary code at `row` for string columns.
-    pub fn code_at(&self, row: usize) -> Option<u32> {
-        match self {
-            Column::Str { codes, .. } => Some(codes[row]),
-            _ => None,
-        }
-    }
-
     /// Materializes the subset of rows given by `indices`, preserving order
     /// and (for strings) the original dictionary.
     pub fn take(&self, indices: &[usize]) -> Column {
@@ -273,7 +265,6 @@ mod tests {
         };
         assert!(col.numeric("c").is_err());
         assert_eq!(col.numeric_at(0), None);
-        assert_eq!(col.code_at(0), Some(0));
     }
 
     #[test]

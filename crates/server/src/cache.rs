@@ -746,13 +746,21 @@ mod tests {
             let cache = Arc::clone(&cache);
             let stop_flag = Arc::clone(&stop);
             scope.spawn(move || {
-                for _ in 0..2000 {
+                // At least 2,000 snapshots — and, on a box with fewer
+                // cores than threads, as many more as it takes for the
+                // hammering threads to have been scheduled at all.
+                let mut snapshots = 0;
+                loop {
                     let s = cache.stats();
                     assert_eq!(
                         s.hits + s.misses + s.coalesced,
                         s.lookups,
                         "torn counter snapshot: {s:?}"
                     );
+                    snapshots += 1;
+                    if snapshots >= 2000 && s.hits > 0 && s.misses > 0 {
+                        break;
+                    }
                 }
                 stop_flag.store(1, Ordering::Relaxed);
             });

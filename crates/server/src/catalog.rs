@@ -5,7 +5,7 @@
 //! path: counts → partition bounds (the one deterministic rule,
 //! [`partition_bounds_by_points`]) → placement → listing counts →
 //! engines for the **local** slots only. An eager source's local slots
-//! are cut from the trendlines, UDP-registered and warmed right here; a
+//! are cut from the trendlines, warmed and UDP-registered right here; a
 //! snapshot's are cut from the mapping on first touch, through the
 //! resident LRU; a remote slot holds nothing in this process. The
 //! immutable [`DatasetEntry`] is shared across every request thread via
@@ -393,14 +393,13 @@ fn extracting(e: CoreError) -> ServerError {
     ServerError::bad_request(format!("extracting trendlines: {e}"))
 }
 
-/// One shard's engine over `trendlines`, the collection's slice starting
-/// at global index `base`.
-fn shard_engine(trendlines: Vec<Trendline>, base: usize, builtins: bool) -> ShapeEngine {
-    let mut engine = ShapeEngine::from_trendlines(trendlines).with_base_index(base);
+/// Finishes one shard's engine for serving: the built-in UDPs, when the
+/// registration asked for them, before the engine is shared.
+fn shard_engine(mut engine: ShapeEngine, builtins: bool) -> Arc<ShapeEngine> {
     if builtins {
         engine.register_builtin_udps();
     }
-    engine
+    Arc::new(engine)
 }
 
 /// Where each local slot's engine comes from.
@@ -510,10 +509,7 @@ impl DatasetEntry {
                 resident,
             } => resident.get_or_load((self.generation, slot), || {
                 let (start, end) = bounds[slot];
-                let part = snapshot.partition(start, end);
-                let engine = shard_engine(part.trendlines, start, *builtins);
-                engine.seed_grouped(snapshot.bin_width(), part.grouped);
-                Ok(Arc::new(engine))
+                Ok(shard_engine(snapshot.partition(start, end), *builtins))
             }),
         }
     }
@@ -669,9 +665,9 @@ impl Catalog {
                     .map(|(&(start, _), placement)| {
                         let part = rest.split_off(start);
                         (*placement == ShardPlacement::Local).then(|| {
-                            let engine = shard_engine(part, start, spec.builtins);
+                            let engine = ShapeEngine::from_trendlines(part).with_base_index(start);
                             engine.warm(EngineOptions::default().bin_width);
-                            Arc::new(engine)
+                            shard_engine(engine, spec.builtins)
                         })
                     })
                     .collect();
@@ -967,7 +963,7 @@ gadget,4,12
         let entry = catalog.register(s).unwrap();
         assert_eq!(entry.shard_count, 2);
         for slot in 0..2 {
-            assert_eq!(entry.local_shard(slot).unwrap().trendlines().len(), 1);
+            assert_eq!(entry.local_shard(slot).unwrap().len(), 1);
         }
 
         // Catalog default applies when the spec doesn't pin one.
@@ -1048,7 +1044,7 @@ gadget,4,12
         // local shard keeps its payload and global base.
         assert!(matches!(&entry.shards, Shards::Built(engines) if engines[0].is_none()));
         let local = entry.local_shard(1).unwrap();
-        assert_eq!(local.trendlines().len(), 1);
+        assert_eq!(local.len(), 1);
         assert_eq!(local.base_index(), 1);
 
         // An all-remote router builds no engine at all, whichever kind
@@ -1220,7 +1216,7 @@ gadget,4,12
                 .map(|slot| {
                     let shard = entry.local_shard(slot).unwrap();
                     let keys: Vec<String> =
-                        shard.trendlines().iter().map(|t| t.key.clone()).collect();
+                        (0..shard.len()).map(|i| shard.key(i).to_owned()).collect();
                     (slot, shard.base_index(), keys)
                 })
                 .collect();

@@ -200,8 +200,7 @@ fn list_datasets(state: &Arc<AppState>) -> Response {
 }
 
 fn register_dataset(state: &Arc<AppState>, request: &Request) -> Result<Response, ServerError> {
-    let body = body_json(request)?;
-    let mut spec = protocol::dataset_spec_from_json(&body)?;
+    let mut spec = protocol::dataset_spec_from_json(body_json(request)?)?;
     if let DataSource::Path(path) | DataSource::Snapshot(path) = &mut spec.source {
         let resolved = check_path_source(path, state.data_root.as_deref())?;
         *path = resolved.to_string_lossy().into_owned();
@@ -668,18 +667,45 @@ mod tests {
             let resp = route(&state, &post("/query", body));
             assert_eq!(resp.status, 400, "body `{body}` → {}", resp.body);
         }
+        // A present-but-mistyped optional key is refused by name, never
+        // replaced by its default.
+        let mistyped = [
+            (r#""k":"7""#, "field `k` must be a non-negative integer"),
+            (r#""k":-1"#, "field `k` must be a non-negative integer"),
+            (r#""k":2.5"#, "field `k` must be a non-negative integer"),
+            (r#""algo":5"#, "field `algo` must be a string"),
+            (r#""pruning":false"#, "field `pruning` must be a string"),
+            (
+                r#""bin_width":"x""#,
+                "field `bin_width` must be a non-negative integer",
+            ),
+            (r#""pushdown":"no""#, "field `pushdown` must be a boolean"),
+            (r#""parallel":0"#, "field `parallel` must be a boolean"),
+            (r#""explain":1"#, "field `explain` must be a boolean"),
+            (r#""partial":"true""#, "field `partial` must be a boolean"),
+        ];
+        for (pair, message) in mistyped {
+            let body = format!(r#"{{"dataset":"t1","query":"[p=up]",{pair}}}"#);
+            let resp = route(&state, &post("/query", &body));
+            assert_eq!(resp.status, 400, "body `{body}` → {}", resp.body);
+            assert!(resp.body.contains(message), "body `{body}` → {}", resp.body);
+        }
+        // `null` is "not given", like absence.
+        let body = r#"{"dataset":"t1","query":"[p=up]","k":null,"algo":null,"explain":null}"#;
+        assert_eq!(route(&state, &post("/query", body)).status, 200);
         let resp = route(
             &state,
             &post("/query", r#"{"dataset":"missing","query":"[p=up]"}"#),
         );
         assert_eq!(resp.status, 404);
-        // `queries` counts every query that reached planning — the three
-        // well-formed JSON bodies above — matching how batch items are
-        // counted; unparseable bodies never become queries. None of them
-        // touched the cache.
-        assert_eq!(state.stats.queries(), 3);
+        // `queries` counts every query that reached planning — every
+        // well-formed JSON body above: two of the first four, the
+        // mistyped ones, the answered one and the missing dataset —
+        // matching how batch items are counted; unparseable bodies never
+        // become queries. Only the answered one touched the cache.
+        assert_eq!(state.stats.queries(), 2 + mistyped.len() as u64 + 2);
         let stats = state.cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.coalesced), (0, 0, 0));
+        assert_eq!((stats.hits, stats.misses, stats.coalesced), (0, 1, 0));
     }
 
     #[test]
@@ -2041,6 +2067,20 @@ mod tests {
         let stats = state.catalog.resident().stats();
         assert_eq!(stats.loads, 4, "{stats:?}");
         assert_eq!(stats.resident, 1, "{stats:?}");
+
+        // A bin width the snapshot does not seed is GROUPed from the
+        // reloaded shards' mapped raw columns, and answers like the CSV
+        // registration of the same collection.
+        register(&state);
+        let at_width_2 = |dataset: &str| {
+            let q = format!(
+                r#"{{"dataset":"{dataset}","query":"[p=up][p=down]","k":2,"bin_width":2}}"#
+            );
+            let resp = route(&state, &post("/query", &q));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            results_of(&resp.body)
+        };
+        assert_eq!(at_width_2("s1"), at_width_2("t1"));
 
         // The healthz snapshot block reports the same counters.
         let health = route(&state, &get("/healthz"));

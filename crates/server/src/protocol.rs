@@ -134,27 +134,68 @@ fn required_str<'a>(body: &'a Json, key: &str) -> Result<&'a str, ServerError> {
         .ok_or_else(|| ServerError::bad_request(format!("missing string field `{key}`")))
 }
 
-/// Parses a `POST /datasets` body.
-pub fn dataset_spec_from_json(body: &Json) -> Result<DatasetSpec, ServerError> {
-    let name = required_str(body, "name")?.to_owned();
-    let id = body.get("id").and_then(Json::as_str).map(str::to_owned);
+/// An optional key: absent or `null` is `None`, present and readable by
+/// `read` is `Some`, anything else is a 400 naming `what` the field must
+/// be — a mistyped option is never silently replaced by its default, or a
+/// client would believe an option took effect that did not.
+fn optional<'a, T>(
+    body: &'a Json,
+    key: &str,
+    read: fn(&'a Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, ServerError> {
+    match body.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(value) => read(value).map(Some).ok_or_else(|| mistyped(key, what)),
+    }
+}
+
+fn mistyped(key: &str, what: &str) -> ServerError {
+    ServerError::bad_request(format!("field `{key}` must be {what}"))
+}
+
+const STRING: &str = "a string";
+const BOOLEAN: &str = "a boolean";
+const COUNT: &str = "a non-negative integer";
+
+/// [`optional`] for a string the caller will own: the text is moved out
+/// of `body` (an empty string stays behind), not copied.
+fn take_string(body: &mut Json, key: &str) -> Result<Option<String>, ServerError> {
+    let Json::Obj(fields) = body else {
+        return Ok(None);
+    };
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        None | Some((_, Json::Null)) => Ok(None),
+        Some((_, Json::Str(text))) => Ok(Some(std::mem::take(text))),
+        Some(_) => Err(mistyped(key, STRING)),
+    }
+}
+
+/// Parses a `POST /datasets` body. Takes it by value: an inline source is
+/// the whole request over again, and moving it into the spec keeps a
+/// registration from holding one more copy of it than it has to.
+pub fn dataset_spec_from_json(mut body: Json) -> Result<DatasetSpec, ServerError> {
+    let name = required_str(&body, "name")?.to_owned();
+    let id = optional(&body, "id", Json::as_str, STRING)?.map(str::to_owned);
 
     let source = match (
-        body.get("csv").and_then(Json::as_str),
-        body.get("jsonl").and_then(Json::as_str),
-        body.get("path").and_then(Json::as_str),
-        body.get("snapshot").and_then(Json::as_str),
+        take_string(&mut body, "csv")?,
+        take_string(&mut body, "jsonl")?,
+        take_string(&mut body, "path")?,
+        take_string(&mut body, "snapshot")?,
     ) {
-        (Some(text), None, None, None) => DataSource::InlineCsv(text.to_owned()),
-        (None, Some(text), None, None) => DataSource::InlineJsonl(text.to_owned()),
-        (None, None, Some(path), None) => DataSource::Path(path.to_owned()),
-        (None, None, None, Some(path)) => DataSource::Snapshot(path.to_owned()),
+        (Some(text), None, None, None) => DataSource::InlineCsv(text),
+        (None, Some(text), None, None) => DataSource::InlineJsonl(text),
+        (None, None, Some(path), None) => DataSource::Path(path),
+        (None, None, None, Some(path)) => DataSource::Snapshot(path),
         _ => {
             return Err(ServerError::bad_request(
                 "exactly one of `csv`, `jsonl`, `path`, or `snapshot` is required",
             ))
         }
     };
+
+    let body = &body;
 
     // A snapshot carries post-GROUP state: EXTRACT never runs against
     // it, so the visual mapping — and `filters`/`agg`, which act during
@@ -181,12 +222,12 @@ pub fn dataset_spec_from_json(body: &Json) -> Result<DatasetSpec, ServerError> {
             required_str(body, "y")?,
         )
     };
-    if let Some(filters) = body.get("filters").and_then(Json::as_array) {
+    if let Some(filters) = optional(body, "filters", Json::as_array, "an array")? {
         for f in filters {
             visual = visual.with_filter(predicate_from_json(f)?);
         }
     }
-    if let Some(agg) = body.get("agg").and_then(Json::as_str) {
+    if let Some(agg) = optional(body, "agg", Json::as_str, STRING)? {
         let agg = Aggregation::parse(agg)
             .ok_or_else(|| ServerError::bad_request(format!("unknown aggregation `{agg}`")))?;
         visual = visual.with_aggregation(agg);
@@ -267,8 +308,8 @@ pub fn dataset_spec_from_json(body: &Json) -> Result<DatasetSpec, ServerError> {
         name,
         source,
         visual,
-        builtins: body.get("builtins").and_then(Json::as_bool).unwrap_or(true),
-        shards: body.get("shards").and_then(Json::as_usize),
+        builtins: optional(body, "builtins", Json::as_bool, BOOLEAN)?.unwrap_or(true),
+        shards: optional(body, "shards", Json::as_usize, COUNT)?,
         shard_endpoints,
         shard_of,
     })
@@ -368,21 +409,21 @@ pub struct QueryRequest {
 /// Parses one query object of a `POST /query` body.
 pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError> {
     let dataset = required_str(body, "dataset")?.to_owned();
-    let query = body.get("query").and_then(Json::as_str).map(str::to_owned);
-    let nl = body.get("nl").and_then(Json::as_str).map(str::to_owned);
+    let query = optional(body, "query", Json::as_str, STRING)?.map(str::to_owned);
+    let nl = optional(body, "nl", Json::as_str, STRING)?.map(str::to_owned);
     if query.is_none() && nl.is_none() {
         return Err(ServerError::bad_request(
             "one of `query` or `nl` is required",
         ));
     }
-    let algo = match body.get("algo").and_then(Json::as_str) {
+    let algo = match optional(body, "algo", Json::as_str, STRING)? {
         Some(name) => Some(
             SegmenterKind::parse(name)
                 .ok_or_else(|| ServerError::bad_request(format!("unknown algo `{name}`")))?,
         ),
         None => None,
     };
-    let pruning = match body.get("pruning").and_then(Json::as_str) {
+    let pruning = match optional(body, "pruning", Json::as_str, STRING)? {
         Some(name) => Some(PruningMode::parse(name).ok_or_else(|| {
             ServerError::bad_request(format!(
                 "unknown pruning mode `{name}` (expected auto, off, or force)"
@@ -394,14 +435,14 @@ pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError>
         dataset,
         query,
         nl,
-        k: body.get("k").and_then(Json::as_usize).unwrap_or(5),
+        k: optional(body, "k", Json::as_usize, COUNT)?.unwrap_or(5),
         algo,
-        bin_width: body.get("bin_width").and_then(Json::as_usize),
-        pushdown: body.get("pushdown").and_then(Json::as_bool),
-        parallel: body.get("parallel").and_then(Json::as_bool),
+        bin_width: optional(body, "bin_width", Json::as_usize, COUNT)?,
+        pushdown: optional(body, "pushdown", Json::as_bool, BOOLEAN)?,
+        parallel: optional(body, "parallel", Json::as_bool, BOOLEAN)?,
         pruning,
-        explain: body.get("explain").and_then(Json::as_bool).unwrap_or(false),
-        partial: body.get("partial").and_then(Json::as_bool).unwrap_or(false),
+        explain: optional(body, "explain", Json::as_bool, BOOLEAN)?.unwrap_or(false),
+        partial: optional(body, "partial", Json::as_bool, BOOLEAN)?.unwrap_or(false),
     })
 }
 
@@ -738,22 +779,15 @@ pub fn shard_request_from_json(body: &Json) -> Result<ShardQueryRequest, ServerE
                 ServerError::bad_request("`threshold_hint` must be a number or null")
             })?),
         };
-        queries.push((query, item.get("k").and_then(Json::as_usize).unwrap_or(5)));
+        let k = optional(item, "k", Json::as_usize, COUNT)?.unwrap_or(5);
+        queries.push((query, k));
         hints.push(hint);
     }
     let options = options_from_json(
         body.get("options")
             .ok_or_else(|| ServerError::bad_request("missing `options` object"))?,
     )?;
-    let trace_id = match body.get("trace_id") {
-        None | Some(Json::Null) => None,
-        Some(value) => Some(
-            value
-                .as_str()
-                .ok_or_else(|| ServerError::bad_request("`trace_id` must be a string"))?
-                .to_owned(),
-        ),
-    };
+    let trace_id = optional(body, "trace_id", Json::as_str, STRING)?.map(str::to_owned);
     Ok(ShardQueryRequest {
         dataset,
         queries,
@@ -934,7 +968,7 @@ mod tests {
                 "filters":[{"column":"y","op":">","value":1}],"agg":"sum"}"#,
         )
         .unwrap();
-        let spec = dataset_spec_from_json(&body).unwrap();
+        let spec = dataset_spec_from_json(body).unwrap();
         assert_eq!(spec.id.as_deref(), Some("s1"));
         assert_eq!(spec.visual.filters.len(), 1);
         assert_eq!(spec.visual.aggregation, Aggregation::Sum);
@@ -945,7 +979,44 @@ mod tests {
     fn dataset_spec_rejects_ambiguous_source() {
         let body =
             json::parse(r#"{"name":"x","csv":"a","path":"b","z":"z","x":"x","y":"y"}"#).unwrap();
-        assert!(dataset_spec_from_json(&body).is_err());
+        assert!(dataset_spec_from_json(body).is_err());
+    }
+
+    /// A present-but-mistyped optional key is a 400 that names it, never
+    /// the default; `null` and absence both mean "not given".
+    #[test]
+    fn dataset_spec_rejects_mistyped_optional_keys() {
+        let with = |extra: &str| {
+            let text =
+                format!(r#"{{"name":"x","csv":"z,x,y\na,1,2\n","z":"z","x":"x","y":"y"{extra}}}"#);
+            dataset_spec_from_json(json::parse(&text).unwrap())
+        };
+        let spec = with(r#","shards":null,"builtins":null,"id":null"#).unwrap();
+        assert_eq!((spec.shards, spec.builtins, spec.id), (None, true, None));
+        let spec = with(r#","shards":4,"builtins":false"#).unwrap();
+        assert_eq!((spec.shards, spec.builtins), (Some(4), false));
+        for (extra, message) in [
+            (
+                r#","shards":"4""#,
+                "field `shards` must be a non-negative integer",
+            ),
+            (
+                r#","shards":-1"#,
+                "field `shards` must be a non-negative integer",
+            ),
+            (
+                r#","shards":2.5"#,
+                "field `shards` must be a non-negative integer",
+            ),
+            (r#","builtins":"no""#, "field `builtins` must be a boolean"),
+            (r#","id":7"#, "field `id` must be a string"),
+            (r#","agg":1"#, "field `agg` must be a string"),
+            (r#","filters":{}"#, "field `filters` must be an array"),
+            (r#","path":3"#, "field `path` must be a string"),
+        ] {
+            let err = with(extra).unwrap_err();
+            assert_eq!(err.to_string(), format!("400 {message}"), "{extra}");
+        }
     }
 
     #[test]
@@ -977,7 +1048,7 @@ mod tests {
                 "shard_endpoints":["127.0.0.1:9001",null,"local","127.0.0.1:9002"]}"#,
         )
         .unwrap();
-        let spec = dataset_spec_from_json(&body).unwrap();
+        let spec = dataset_spec_from_json(body).unwrap();
         assert_eq!(
             spec.shard_endpoints,
             Some(ShardEndpoints::Explicit(vec![
@@ -997,7 +1068,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            dataset_spec_from_json(&body).unwrap().shard_endpoints,
+            dataset_spec_from_json(body).unwrap().shard_endpoints,
             Some(ShardEndpoints::Explicit(vec![
                 Some(vec!["h1:1".into(), "h2:2".into()]),
                 None
@@ -1009,7 +1080,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            dataset_spec_from_json(&body).unwrap().shard_endpoints,
+            dataset_spec_from_json(body).unwrap().shard_endpoints,
             Some(ShardEndpoints::FromRegistry)
         );
 
@@ -1017,10 +1088,7 @@ mod tests {
             r#"{"name":"s","csv":"z,x,y\na,1,2\n","z":"z","x":"x","y":"y","shard_of":"1/4"}"#,
         )
         .unwrap();
-        assert_eq!(
-            dataset_spec_from_json(&body).unwrap().shard_of,
-            Some((1, 4))
-        );
+        assert_eq!(dataset_spec_from_json(body).unwrap().shard_of, Some((1, 4)));
 
         for bad in [
             r#""shard_endpoints":[]"#,
@@ -1038,7 +1106,7 @@ mod tests {
                 r#"{{"name":"s","csv":"a","z":"z","x":"x","y":"y",{bad}}}"#
             ))
             .unwrap();
-            assert!(dataset_spec_from_json(&body).is_err(), "accepted {bad}");
+            assert!(dataset_spec_from_json(body).is_err(), "accepted {bad}");
         }
     }
 

@@ -6,9 +6,17 @@
 //!
 //! The `--resident-bytes` budget counts, per resident shard, the
 //! columnar arena of the bin width the snapshot seeds, measured once at
-//! publish. A query at another `bin_width` makes the shard's engine GROUP
-//! that width too, and the budget does not see it — but an engine keeps
-//! at most **one** such extra at a time (it drops the last before
+//! publish. Those are **mapped** bytes — pages of the snapshot file the
+//! kernel owns and may reclaim on its own — and so are the shard's raw
+//! point columns, which the budget does not count (16 bytes a raw point,
+//! a quarter of the counted arena at width 1). What a resident shard
+//! holds on the heap, and what an eviction therefore frees at once, is
+//! small and uncounted: its key strings, two offset vectors and one
+//! handle per trendline; evicting also drops the shard's references to
+//! the mapping, so its pages stop being touched. A query at another
+//! `bin_width` makes the shard's engine GROUP that width from the mapped
+//! raw columns into a heap arena the budget does not see — but an engine
+//! keeps at most **one** such extra at a time (it drops the last before
 //! building the next), so what escapes the budget is bounded by one more
 //! arena per resident shard, no larger than the counted one when the
 //! snapshot was written at the finest width (1, the default).

@@ -79,7 +79,7 @@ fn oracle(tls: &[Trendline], q: &ShapeQuery, k: usize, opts: &EngineOptions) -> 
     let udps = UdpRegistry::new();
     let mut all: Vec<TopKResult> = Vec::new();
     for (i, t) in tls.iter().enumerate() {
-        if opts.pushdown && !covers_ranges(t, &pinned) {
+        if opts.pushdown && !covers_ranges(&t.xs(), &pinned) {
             continue;
         }
         let Some(viz) = VizData::from_trendline(t, i, opts.bin_width) else {

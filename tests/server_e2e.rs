@@ -8,7 +8,7 @@
 use shapesearch::prelude::*;
 use shapesearch::server::{json, Client, ServerConfig};
 use shapesearch_core::TopKResult;
-use shapesearch_datastore::{csv, table_from_series, Table};
+use shapesearch_datastore::{csv, extract, table_from_series, ExtractOptions, Table};
 
 /// A deterministic synthetic market: enough series × points that a cold
 /// tree-segmentation query takes real work, with varied shapes so top-k
@@ -546,8 +546,8 @@ fn located_ranges_are_canvas_positions_in_every_execution_shape() {
     let client = Client::new(service.addr());
 
     let spec = VisualSpec::new("ticker", "day", "price");
-    let engine = ShapeEngine::new(&market_table(), &spec).unwrap();
-    let full = shapesearch_core::VizData::from_trendline(&engine.trendlines()[0], 0, 1).unwrap();
+    let trendlines = extract(&market_table(), &spec, &ExtractOptions::default()).unwrap();
+    let full = shapesearch_core::VizData::from_trendline(&trendlines[0], 0, 1).unwrap();
     let cases = [
         (
             "[x.s=30, x.e=50, p=up][x.s=50, x.e=100, p=down]",
