@@ -314,7 +314,25 @@ for stage in parse_plan cache_lookup shard_compute remote_rpc merge serialize; d
         echo "$ROUTER_METRICS"; exit 1;
     }
 done
-echo "smoke: observability OK (stitched explain trace + parsing /metrics)"
+# Docs cannot drift from the stats table: every family this router
+# serves and every top-level /healthz key must be named (in backticks) in
+# docs/ARCHITECTURE.md.
+HEALTHZ_KEYS=$(curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz" |
+    sed -e 's/^{//' -e 's/}$//' -e ':strip' \
+        -e 's/{[^{}]*}//g' -e 's/\[[^][]*\]//g' -e 't strip' |
+    grep -o '"[a-z_]*":' | tr -d '":')
+METRIC_FAMILIES=$(echo "$ROUTER_METRICS" |
+    sed -n 's/^# TYPE \(shapesearch_[a-z0-9_]*\) .*/\1/p')
+[ -n "$HEALTHZ_KEYS" ] && [ -n "$METRIC_FAMILIES" ] || {
+    echo "observability smoke: could not list healthz keys / metric families"; exit 1;
+}
+for name in $HEALTHZ_KEYS $METRIC_FAMILIES; do
+    grep -qF "\`$name\`" docs/ARCHITECTURE.md || {
+        echo "observability smoke: \`$name\` is served but not in docs/ARCHITECTURE.md"
+        exit 1
+    }
+done
+echo "smoke: observability OK (stitched explain trace + parsing /metrics + documented names)"
 
 echo "==> chaos smoke (replica failover, then opt-in partial results)"
 # The replication tier end to end: shard 1 of 2 lives behind a

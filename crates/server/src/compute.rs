@@ -33,8 +33,53 @@ struct PoolInner {
 }
 
 impl PoolInner {
+    /// An empty, open queue shared by `threads` workers running
+    /// [`Self::work`].
+    fn spawn(threads: usize) -> (Arc<Self>, Vec<JoinHandle<()>>) {
+        let inner = Arc::new(PoolInner {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let worker = || {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || inner.work())
+        };
+        let handles = (0..threads).map(|_| worker()).collect();
+        (inner, handles)
+    }
+
     fn pop(&self) -> Option<Job> {
         self.queue.lock().expect("compute queue").jobs.pop_front()
+    }
+
+    /// The one worker loop: run queued jobs until the queue is empty
+    /// *and* shut down. Popping before honoring shutdown means shutdown
+    /// drains the queue instead of dropping it — queued dispatch jobs
+    /// carry in-flight requests whose connections wait on their
+    /// completions.
+    fn work(&self) {
+        loop {
+            let job = {
+                let mut queue = self.queue.lock().expect("pool queue");
+                loop {
+                    if let Some(job) = queue.jobs.pop_front() {
+                        break job;
+                    }
+                    if queue.shutdown {
+                        return;
+                    }
+                    queue = self.ready.wait(queue).expect("pool queue");
+                }
+            };
+            // A panicking job must not take the pool thread down. A
+            // compute task's batch guard has already released its latch,
+            // and the submitter surfaces the panic; router jobs catch
+            // their own (they must always deliver a completion).
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+        }
     }
 }
 
@@ -77,40 +122,8 @@ impl ComputePool {
     /// A pool of `threads` compute threads. Zero is valid: every task
     /// then runs on the submitting thread inside [`Self::run_all`].
     pub fn new(threads: usize) -> Self {
-        let inner = Arc::new(PoolInner {
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut queue = inner.queue.lock().expect("compute queue");
-                        loop {
-                            if let Some(job) = queue.jobs.pop_front() {
-                                break job;
-                            }
-                            if queue.shutdown {
-                                return;
-                            }
-                            queue = inner.ready.wait(queue).expect("compute queue");
-                        }
-                    };
-                    // A panicking task must not take the pool thread down;
-                    // the batch guard inside the job already released the
-                    // latch, and the submitter surfaces the panic.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                })
-            })
-            .collect();
-        Self {
-            inner,
-            threads: handles,
-        }
+        let (inner, threads) = PoolInner::spawn(threads);
+        Self { inner, threads }
     }
 
     /// Number of pool threads (not counting helping submitters).
@@ -227,43 +240,10 @@ impl DispatchPool {
     /// A pool of `threads` dispatch threads (at least one: unlike the
     /// compute pool there is no helping submitter to fall back on).
     pub fn new(threads: usize) -> Self {
-        let inner = Arc::new(PoolInner {
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let handles = (0..threads.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut queue = inner.queue.lock().expect("dispatch queue");
-                        loop {
-                            // Pop before honoring shutdown: queued jobs
-                            // carry in-flight requests whose connections
-                            // wait on their completions, so shutdown
-                            // drains the queue instead of dropping it.
-                            if let Some(job) = queue.jobs.pop_front() {
-                                break job;
-                            }
-                            if queue.shutdown {
-                                return;
-                            }
-                            queue = inner.ready.wait(queue).expect("dispatch queue");
-                        }
-                    };
-                    // Router jobs catch their own panics (they must
-                    // always deliver a completion); this is a backstop
-                    // for the pool thread itself.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                })
-            })
-            .collect();
+        let (inner, threads) = PoolInner::spawn(threads.max(1));
         Self {
             inner,
-            threads: Mutex::new(handles),
+            threads: Mutex::new(threads),
         }
     }
 

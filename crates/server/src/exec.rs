@@ -23,6 +23,7 @@ use crate::handlers::AppState;
 use crate::json::Json;
 use crate::obs::{self, Span};
 use crate::protocol;
+use crate::stats::Stats;
 use shapesearch_core::{
     merge_topk_refs, EngineOptions, EngineStage, PruningSnapshot, ShapeEngine, ShapeQuery,
     SharedThresholds, StageObserver, TopKResult,
@@ -98,13 +99,13 @@ const ENGINE_STAGES: [EngineStage; 3] = [
 /// span and histogram cannot disagree. Atomics because the engine may
 /// report from several scoring threads at once.
 struct StageTap<'m> {
-    metrics: &'m obs::Metrics,
+    stats: &'m Stats,
     micros: [AtomicU64; 3],
 }
 
 impl StageObserver for StageTap<'_> {
     fn stage(&self, stage: EngineStage, micros: u64) {
-        self.metrics.stage(obs::Stage::from_engine(stage), micros);
+        self.stats.stage(obs::Stage::from_engine(stage), micros);
         self.micros[stage as usize].fetch_add(micros, Ordering::Relaxed);
     }
 }
@@ -187,7 +188,7 @@ impl Slot {
         match self {
             Slot::Local(engine) => {
                 let tap = StageTap {
-                    metrics: &state.metrics,
+                    stats: &state.stats,
                     micros: Default::default(),
                 };
                 let items: Vec<(&ShapeQuery, usize)> =
@@ -200,7 +201,7 @@ impl Slot {
                     })
                     .collect();
                 let micros = started.elapsed().as_micros() as u64;
-                state.metrics.stage(obs::Stage::ShardCompute, micros);
+                state.stats.stage(obs::Stage::ShardCompute, micros);
                 ShardRun {
                     outcomes,
                     micros,
@@ -233,13 +234,8 @@ impl Slot {
                             }
                         });
                 let micros = started.elapsed().as_micros() as u64;
-                state.metrics.stage(obs::Stage::RemoteRpc, micros);
+                state.stats.stage(obs::Stage::RemoteRpc, micros);
                 state.stats.record_rpc(&outcome.attempts);
-                for attempt in &outcome.attempts {
-                    state
-                        .metrics
-                        .record_remote(&attempt.endpoint, attempt.micros);
-                }
                 let (outcomes, pruned_bounds, remote_spans) = match outcome.accepted {
                     Some((partials, _served_by)) => {
                         (partials.outcomes, partials.pruned_bounds, partials.spans)
@@ -559,7 +555,7 @@ pub(crate) fn execute_on_shards(
         outcomes = merge_shard_runs(&runs, &ks);
         merge_micros += remerge_started.elapsed().as_micros() as u64;
     }
-    state.metrics.stage(obs::Stage::Merge, merge_micros);
+    state.stats.stage(obs::Stage::Merge, merge_micros);
 
     // One critical section per fan-out. Only local slots count as shard
     // tasks; remote RPCs were booked per endpoint as they ran.
@@ -739,7 +735,7 @@ pub(crate) fn resolve_items(
         let plan_started = Instant::now();
         let planned = plan_query(state, item);
         let plan_micros = plan_started.elapsed().as_micros() as u64;
-        state.metrics.stage(obs::Stage::ParsePlan, plan_micros);
+        state.stats.stage(obs::Stage::ParsePlan, plan_micros);
         let planned = match planned {
             Ok(planned) => planned,
             Err(e) => {
@@ -750,7 +746,7 @@ pub(crate) fn resolve_items(
         let lookup_started = Instant::now();
         let lookup = state.cache.lookup(&planned.key);
         let lookup_micros = lookup_started.elapsed().as_micros() as u64;
-        state.metrics.stage(obs::Stage::CacheLookup, lookup_micros);
+        state.stats.stage(obs::Stage::CacheLookup, lookup_micros);
         let parked = || Err(ServerError::internal("query item left unresolved"));
         out.push(match lookup {
             Lookup::Hit(value) => Ok(Resolved {

@@ -40,8 +40,9 @@ pub struct AppState {
     pub compute: ComputePool,
     /// The connection-pooled RPC client remote shard tasks go out on.
     pub remote: PooledClient,
-    /// The process-lifetime counters the query pipeline writes: queries
-    /// received, local shard tasks, §6.3 pruning, per-endpoint RPCs.
+    /// The one registry the query pipeline writes: queries received,
+    /// request and per-stage latency histograms, local shard tasks, §6.3
+    /// pruning, per-endpoint RPCs.
     pub stats: Stats,
     /// Per-dataset engine defaults; requests may override per call.
     pub default_options: EngineOptions,
@@ -56,9 +57,6 @@ pub struct AppState {
     /// server-local files. In-process registration (CLI preload) is
     /// unrestricted.
     pub data_root: Option<PathBuf>,
-    /// The latency histogram registry `GET /metrics` exposes: request
-    /// and per-stage duration histograms plus per-endpoint RPC series.
-    pub metrics: obs::Metrics,
     /// Process start (monotonic), for `uptime_secs`.
     pub started: Instant,
     /// Process start as Unix epoch seconds, for `started_at`.
@@ -96,7 +94,6 @@ impl AppState {
             workers,
             max_batch: protocol::MAX_BATCH_SIZE,
             data_root,
-            metrics: obs::Metrics::new(),
             started: Instant::now(),
             started_at_epoch: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
@@ -279,7 +276,7 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
         req.trace_id.as_deref(),
     );
     let micros = started.elapsed().as_micros() as u64;
-    state.metrics.shard_requests.record(micros);
+    state.stats.shard_requests.record(micros);
     // A traced RPC replies with this server's own span tree under one
     // root, so the router stitches a cross-process trace whose remote
     // branches carry the remote servers' own timings.
@@ -437,9 +434,9 @@ fn single_envelope(
     let serialize_started = Instant::now();
     let mut response = query_response(item, Some(micros));
     let serialize_micros = serialize_started.elapsed().as_micros() as u64;
-    state.metrics.stage(obs::Stage::Serialize, serialize_micros);
+    state.stats.stage(obs::Stage::Serialize, serialize_micros);
     let total_micros = received.elapsed().as_micros() as u64;
-    state.metrics.requests.record(total_micros);
+    state.stats.requests.record(total_micros);
 
     if item.planned.explain {
         let mut root = Span::new("request", total_micros).with_detail(format!("trace {trace_id}"));
@@ -502,9 +499,9 @@ fn batch_envelope(
         ("responses", Json::Arr(responses)),
     ]));
     let serialize_micros = serialize_started.elapsed().as_micros() as u64;
-    state.metrics.stage(obs::Stage::Serialize, serialize_micros);
+    state.stats.stage(obs::Stage::Serialize, serialize_micros);
     let total_micros = received.elapsed().as_micros() as u64;
-    state.metrics.requests.record(total_micros);
+    state.stats.requests.record(total_micros);
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
         eprintln!(
             "slow-query trace_id={trace_id} batch={} micros={total_micros}",
@@ -1265,6 +1262,10 @@ mod tests {
         assert_eq!(route(&state, &post("/shard/query", &missing)).status, 404);
         assert_eq!(route(&state, &post("/shard/query", "{}")).status, 400);
         assert_eq!(route(&state, &get("/shard/query")).status, 405);
+        // An absent per-query `k` is malformed, never defaulted.
+        let no_k = rpc_body.to_text().replace("\"k\":1,", "");
+        assert_ne!(no_k, rpc_body.to_text());
+        assert_eq!(route(&state, &post("/shard/query", &no_k)).status, 400);
     }
 
     #[test]
@@ -1771,9 +1772,9 @@ mod tests {
         for (endpoint, row) in &StatsSnapshot::gather(&router).remote {
             let s = row.rpc.expect("both endpoints answered RPCs");
             assert!(
-                s.requests >= 2,
+                s.requests() >= 2,
                 "endpoint {endpoint} should have been re-queried (got {} requests)",
-                s.requests
+                s.requests()
             );
             assert_eq!(s.errors, 0, "retries are not transport errors");
         }
@@ -1794,6 +1795,102 @@ mod tests {
         for server in servers {
             server.shutdown();
         }
+    }
+
+    /// Rewrites every numeric `pruned_bound` in a reply as a string.
+    fn stringify_bounds(value: &mut Json) {
+        match value {
+            Json::Obj(fields) => {
+                for (key, field) in fields {
+                    match field {
+                        Json::Num(bound) if key == "pruned_bound" => {
+                            *field = Json::Str(bound.to_string());
+                        }
+                        field => stringify_bounds(field),
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter_mut().for_each(stringify_bounds),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn lying_pruned_bound_fails_the_replica_and_never_shortens_the_answer() {
+        // Two honest shard servers owning partitions 0/2 and 1/2, and in
+        // front of each a stub that answers from the same state but
+        // mistypes the hint debt it reports: `"pruned_bound":"0.93"`.
+        let csv = haystack_csv().replace('\n', "\\n");
+        let register = |state: &Arc<AppState>, placement: &str| {
+            let body = format!(
+                r#"{{"name":"t","id":"t1","csv":"{csv}","z":"z","x":"x","y":"y",{placement}}}"#
+            );
+            let reply = route(state, &post("/datasets", &body));
+            assert_eq!(reply.status, 201, "{}", reply.body);
+        };
+        let (mut honest, mut liars) = (Vec::new(), Vec::new());
+        for index in 0..2 {
+            let server = crate::serve("127.0.0.1:0", crate::ServerConfig::default()).unwrap();
+            register(server.state(), &format!(r#""shard_of":"{index}/2""#));
+            let state = Arc::clone(server.state());
+            let liar = crate::http::serve(
+                "127.0.0.1:0",
+                crate::http::HttpConfig::default(),
+                Arc::new(move |request| {
+                    let mut reply = route(&state, request);
+                    let mut body = json::parse(&reply.body).unwrap();
+                    stringify_bounds(&mut body);
+                    reply.body = body.to_text();
+                    reply
+                }),
+            )
+            .unwrap();
+            honest.push(server);
+            liars.push(liar);
+        }
+        let reference = state();
+        register(&reference, r#""shards":2"#);
+        let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
+        let run = |router: &Arc<AppState>, hint| {
+            let entry = router.catalog.get("t1").unwrap();
+            let (queries, options) = (vec![(q.clone(), 2)], &router.default_options);
+            execute_on_shards(router, &entry, queries, options, false, &[hint], None)
+        };
+        let want = run(&reference, None).outcomes.remove(0).unwrap();
+        assert_eq!(want.len(), 2);
+        // A poisoned hint makes every shard prune on its authority alone,
+        // so every first reply carries a bound the router must verify.
+        let poisoned = Some(0.999);
+
+        // With an honest replica behind each liar, failover answers
+        // exactly.
+        let (l0, l1) = (liars[0].addr(), liars[1].addr());
+        let router = state();
+        let replicas = format!(
+            r#""shard_endpoints":[["{l0}","{}"],["{l1}","{}"]]"#,
+            honest[0].addr(),
+            honest[1].addr()
+        );
+        register(&router, &replicas);
+        assert_eq!(run(&router, poisoned).outcomes.remove(0).unwrap(), want);
+        let errors = |router: &Arc<AppState>, endpoint: std::net::SocketAddr| {
+            StatsSnapshot::gather(router).remote[&endpoint.to_string()]
+                .rpc
+                .unwrap()
+                .errors
+        };
+        assert!(errors(&router, l0) >= 1 && errors(&router, l1) >= 1);
+
+        // With the liars alone, the shards are unavailable — never a
+        // silently shorter top k.
+        let router = state();
+        register(&router, &format!(r#""shard_endpoints":["{l0}","{l1}"]"#));
+        let err = run(&router, poisoned).outcomes.remove(0).unwrap_err();
+        assert_eq!(err.code, Some("shard_unavailable"), "{}", err.message);
+        assert!(err.message.contains("pruned_bound"), "{}", err.message);
+
+        liars.into_iter().for_each(|liar| liar.shutdown());
+        honest.into_iter().for_each(|server| server.shutdown());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!                    ▼
 //!          Arc<ShapeEngine> per LOCAL slot ── fan out per query, merge
 //!
-//!        GET /healthz, /metrics ─► one StatsSnapshot (stats), two renderers
+//!        GET /healthz, /metrics ─► one StatsSnapshot (stats): one table, two loops
 //! ```
 //!
 //! * Registration (`POST /datasets`) is one path for every source:
@@ -58,7 +58,8 @@
 //!   [`cache`]).
 //! * `GET /healthz` and `GET /metrics` render one [`StatsSnapshot`] —
 //!   cache hit/miss/coalesced counters, shard and pruning gauges,
-//!   per-endpoint RPC health — so the two always reconcile.
+//!   per-endpoint RPC health — as two loops over one table of its
+//!   scalars, so the two always reconcile.
 //!
 //! ## Quickstart
 //!
@@ -93,7 +94,6 @@
 
 pub mod cache;
 pub mod catalog;
-pub mod chaos;
 pub mod client;
 pub mod compute;
 pub mod error;
@@ -108,12 +108,11 @@ pub mod stats;
 
 pub use cache::{CacheKey, CacheStats, LruCache, QueryCache};
 pub use catalog::{Catalog, DataSource, DatasetEntry, DatasetSpec, ShardPlacement};
-pub use chaos::{ChaosMode, ChaosProxy};
 pub use client::{Client, ClientConfig, ClientResponse, PooledClient};
 pub use error::ServerError;
 pub use handlers::AppState;
 pub use http::{ConnStats, HttpConfig, Request, Response, ServerHandle};
-pub use obs::{Histogram, HistogramSnapshot, Metrics, Span, Stage};
+pub use obs::{Histogram, HistogramSnapshot, Span, Stage};
 pub use resident::{ResidentShards, ResidentStats};
 pub use stats::{Stats, StatsSnapshot};
 
@@ -261,3 +260,10 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
     )?;
     Ok(Service { handle, state })
 }
+
+/// The fault-injection proxy the failover tests drive: test support, not
+/// part of the served crate (the workspace's e2e suites pull the same
+/// file in with `#[path]`).
+#[cfg(test)]
+#[path = "../tests/support/chaos.rs"]
+mod chaos;

@@ -5,16 +5,11 @@
 //!
 //! * [`Histogram`] — fixed log₂-scale buckets over atomic counters; a
 //!   `record` is two relaxed `fetch_add`s, no locks, no allocation. The
-//!   same registry feeds both `GET /metrics` (cumulative
-//!   `_bucket{le=…}` series) and the healthz totals, so the two always
-//!   reconcile.
+//!   registry that owns them is [`crate::stats::Stats`].
 //! * [`Stage`] — the span/metric taxonomy of the request pipeline: one
 //!   label per stage a query's time can go to, from parse to serialize,
 //!   including the engine stages reported through
 //!   [`shapesearch_core::StageObserver`].
-//! * [`Metrics`] — the process-wide registry: request/shard-request
-//!   histograms, one histogram per stage, and one per remote shard
-//!   endpoint.
 //! * [`Span`] / [`new_trace_id`] — the per-request trace: a tree of
 //!   named, timed spans. Trace IDs ride the `/shard/query` wire so a
 //!   router stitches each remote server's own span tree under its RPC
@@ -22,9 +17,7 @@
 //! * [`Exposition`] — a tiny Prometheus text-format (`0.0.4`) writer.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Number of histogram buckets: upper bounds `2^0 ‥ 2^24` microseconds
@@ -59,27 +52,13 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
 /// point-in-time [`HistogramSnapshot`]. Buckets store per-bucket counts
 /// internally; the cumulative `le` form Prometheus wants is derived at
 /// exposition time.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-
     /// Records one latency sample.
     pub fn record(&self, micros: u64) {
         self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
@@ -105,6 +84,13 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one latency sample into a copy some lock already guards
+    /// (no atomics needed there; the sum wraps like the atomic one).
+    pub fn record(&mut self, micros: u64) {
+        self.buckets[bucket_index(micros)] += 1;
+        self.sum = self.sum.wrapping_add(micros);
+    }
+
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -121,66 +107,63 @@ impl HistogramSnapshot {
     }
 }
 
-/// The server-level stage taxonomy: every place a request's time can go.
-///
-/// The first block is router work around the engine; the last three are
-/// the engine's own stages, forwarded from
-/// [`shapesearch_core::EngineStage`] via the observer seam. Stage names
-/// are the `stage` label values of
-/// `shapesearch_stage_duration_micros` and the span names of `explain`
-/// traces — one vocabulary across both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+/// Declares [`Stage`] once: a line is a variant, its docs and its name;
+/// [`Stage::ALL`] and [`Stage::name`] follow from it, and a stage's
+/// histogram index is its discriminant.
+macro_rules! stages {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal,)+) => {
+        /// The server-level stage taxonomy: every place a request's time
+        /// can go.
+        ///
+        /// The first block is router work around the engine; the last
+        /// three are the engine's own stages, forwarded from
+        /// [`shapesearch_core::EngineStage`] via the observer seam. Stage
+        /// names are the `stage` label values of
+        /// `shapesearch_stage_duration_micros` and the span names of
+        /// `explain` traces — one vocabulary across both.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stage {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl Stage {
+            /// Every stage, in exposition (declaration) order.
+            pub const ALL: [Stage; [$($name),+].len()] = [$(Stage::$variant),+];
+
+            /// Stable lowercase identifier (metric label value and span
+            /// name).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Stage::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+stages! {
     /// Request body parse + query normalization + cache-key planning.
-    ParsePlan,
+    ParsePlan = "parse_plan",
     /// Singleflight cache lookup (hits, misses, and coalesced waits all
     /// record here — the outcome is on the trace span's detail).
-    CacheLookup,
+    CacheLookup = "cache_lookup",
     /// One local shard's compute-pool task end to end.
-    ShardCompute,
+    ShardCompute = "shard_compute",
     /// One remote shard RPC end to end (also recorded per endpoint).
-    RemoteRpc,
+    RemoteRpc = "remote_rpc",
     /// Deterministic merge of per-shard top-k partials.
-    Merge,
+    Merge = "merge",
     /// Response envelope assembly.
-    Serialize,
+    Serialize = "serialize",
     /// Engine: shared GROUP over the trendline collection.
-    Group,
+    Group = "group",
     /// Engine: one query's SEGMENT + SCORE pass.
-    SegmentScore,
+    SegmentScore = "segment_score",
     /// Engine: one query's §6.3 bound pass inside the pruning driver.
-    PruneBound,
+    PruneBound = "prune_bound",
 }
 
 impl Stage {
-    /// Every stage, in exposition order.
-    pub const ALL: [Stage; 9] = [
-        Stage::ParsePlan,
-        Stage::CacheLookup,
-        Stage::ShardCompute,
-        Stage::RemoteRpc,
-        Stage::Merge,
-        Stage::Serialize,
-        Stage::Group,
-        Stage::SegmentScore,
-        Stage::PruneBound,
-    ];
-
-    /// Stable lowercase identifier (metric label value and span name).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::ParsePlan => "parse_plan",
-            Stage::CacheLookup => "cache_lookup",
-            Stage::ShardCompute => "shard_compute",
-            Stage::RemoteRpc => "remote_rpc",
-            Stage::Merge => "merge",
-            Stage::Serialize => "serialize",
-            Stage::Group => "group",
-            Stage::SegmentScore => "segment_score",
-            Stage::PruneBound => "prune_bound",
-        }
-    }
-
     /// The server-level stage an engine-reported stage maps to.
     pub fn from_engine(stage: shapesearch_core::EngineStage) -> Stage {
         match stage {
@@ -188,70 +171,6 @@ impl Stage {
             shapesearch_core::EngineStage::SegmentScore => Stage::SegmentScore,
             shapesearch_core::EngineStage::PruneBound => Stage::PruneBound,
         }
-    }
-
-    fn index(self) -> usize {
-        Stage::ALL
-            .iter()
-            .position(|s| *s == self)
-            .expect("Stage::ALL covers every variant")
-    }
-}
-
-/// The process-wide metrics registry: everything `GET /metrics` exposes
-/// that is not already a healthz counter.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// End-to-end `POST /query` latency (one sample per request, batch
-    /// or single).
-    pub requests: Histogram,
-    /// End-to-end `POST /shard/query` service latency.
-    pub shard_requests: Histogram,
-    stages: [Histogram; Stage::ALL.len()],
-    remote: Mutex<BTreeMap<String, Histogram>>,
-}
-
-impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one `stage` latency sample.
-    pub fn stage(&self, stage: Stage, micros: u64) {
-        self.stages[stage.index()].record(micros);
-    }
-
-    /// Snapshot of one stage's histogram.
-    pub fn stage_snapshot(&self, stage: Stage) -> HistogramSnapshot {
-        self.stages[stage.index()].snapshot()
-    }
-
-    /// The per-endpoint histograms, recovering from poison like
-    /// [`crate::stats::Stats`] does: a histogram is a bag of monotone
-    /// counters, so a panic elsewhere never makes `/metrics` panic too.
-    fn remote(&self) -> MutexGuard<'_, BTreeMap<String, Histogram>> {
-        self.remote.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records one remote-RPC latency sample against its endpoint (in
-    /// addition to the endpoint-agnostic [`Stage::RemoteRpc`] series,
-    /// which the caller records separately).
-    pub fn record_remote(&self, endpoint: &str, micros: u64) {
-        let mut remote = self.remote();
-        remote
-            .entry(endpoint.to_owned())
-            .or_default()
-            .record(micros);
-    }
-
-    /// Per-endpoint RPC histogram snapshots, endpoint-sorted.
-    pub fn remote_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
-        let remote = self.remote();
-        remote
-            .iter()
-            .map(|(endpoint, h)| (endpoint.clone(), h.snapshot()))
-            .collect()
     }
 }
 
@@ -277,11 +196,6 @@ fn escape_label(value: &str) -> String {
 }
 
 impl Exposition {
-    /// An empty document.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn header(&mut self, name: &str, help: &str, kind: &str) {
         self.out.push_str("# HELP ");
         self.out.push_str(name);
@@ -314,31 +228,19 @@ impl Exposition {
         self.out.push('\n');
     }
 
-    /// A single-series counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        self.sample(name, &[], value);
-    }
-
-    /// A counter family with one series per label value.
-    pub fn counter_family(&mut self, name: &str, help: &str, label: &str, series: &[(&str, u64)]) {
-        self.header(name, help, "counter");
-        for (value, count) in series {
-            self.sample(name, &[(label, value)], *count);
-        }
-    }
-
-    /// A single-series gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "gauge");
-        self.sample(name, &[], value);
-    }
-
-    /// A gauge family with one series per label value.
-    pub fn gauge_family(&mut self, name: &str, help: &str, label: &str, series: &[(&str, u64)]) {
-        self.header(name, help, "gauge");
-        for (value, count) in series {
-            self.sample(name, &[(label, value)], *count);
+    /// One counter or gauge family (`kind` says which): the header, then
+    /// one line per series — unlabeled when the series carries no label
+    /// pair.
+    pub fn family<'a>(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &str,
+        series: impl IntoIterator<Item = (Option<(&'a str, &'a str)>, u64)>,
+    ) {
+        self.header(name, help, kind);
+        for (label, value) in series {
+            self.sample(name, label.as_slice(), value);
         }
     }
 
@@ -502,7 +404,10 @@ pub fn spans_to_json(spans: &[Span]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ReplicaAttempt;
+    use crate::handlers::AppState;
     use crate::json;
+    use crate::stats::StatsSnapshot;
 
     #[test]
     fn bucket_boundaries_are_inclusive_powers_of_two() {
@@ -528,7 +433,7 @@ mod tests {
     fn bucket_saturation_goes_to_inf() {
         assert_eq!(bucket_index((1 << 24) + 1), INF);
         assert_eq!(bucket_index(u64::MAX), INF);
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(u64::MAX);
         let snap = h.snapshot();
         assert_eq!(snap.buckets[INF], 1);
@@ -537,7 +442,7 @@ mod tests {
 
     #[test]
     fn histogram_records_and_sums() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for micros in [0, 1, 2, 3, 1000, 1_000_000] {
             h.record(micros);
         }
@@ -553,8 +458,8 @@ mod tests {
 
     #[test]
     fn snapshot_merge_is_elementwise() {
-        let a = Histogram::new();
-        let b = Histogram::new();
+        let a = Histogram::default();
+        let b = Histogram::default();
         a.record(1);
         a.record(100);
         b.record(100);
@@ -571,7 +476,7 @@ mod tests {
     #[test]
     fn stage_indexing_is_total_and_engine_stages_map() {
         for stage in Stage::ALL {
-            assert_eq!(Stage::ALL[stage.index()], stage);
+            assert_eq!(Stage::ALL[stage as usize], stage);
             assert!(!stage.name().is_empty());
         }
         assert_eq!(
@@ -590,29 +495,54 @@ mod tests {
 
     #[test]
     fn metrics_registry_tracks_stages_and_endpoints() {
-        let m = Metrics::new();
+        let attempt = |endpoint: &str, micros, error: Option<&str>| ReplicaAttempt {
+            endpoint: endpoint.to_owned(),
+            micros,
+            error: error.map(str::to_owned),
+        };
+        let state = AppState::new(4, 1, None, 1);
+        let m = &state.stats;
         m.stage(Stage::Group, 5);
         m.stage(Stage::Group, 7);
-        m.record_remote("127.0.0.1:7001", 40);
-        assert_eq!(m.stage_snapshot(Stage::Group).count(), 2);
-        assert_eq!(m.stage_snapshot(Stage::Group).sum, 12);
-        assert_eq!(m.stage_snapshot(Stage::Merge).count(), 0);
-        let remote = m.remote_snapshots();
-        assert_eq!(remote.len(), 1);
-        assert_eq!(remote[0].0, "127.0.0.1:7001");
-        assert_eq!(remote[0].1.count(), 1);
+        // One failover trail, one booking: a failed first replica and
+        // the peer that answered.
+        m.record_rpc(&[
+            attempt("127.0.0.1:7001", 40, Some("reset")),
+            attempt("127.0.0.1:7002", 9, None),
+        ]);
+        m.record_rpc(&[attempt("127.0.0.1:7001", 2, None)]);
+        let snapshot = StatsSnapshot::gather(&state);
+        assert_eq!(snapshot.stages[Stage::Group as usize].count(), 2);
+        assert_eq!(snapshot.stages[Stage::Group as usize].sum, 12);
+        assert_eq!(snapshot.stages[Stage::Merge as usize].count(), 0);
+        // Requests are the histogram's count and micros its sum.
+        let booked: Vec<_> = snapshot
+            .remote
+            .iter()
+            .map(|(endpoint, row)| {
+                let rpc = row.rpc.unwrap();
+                let numbers = (rpc.requests(), rpc.errors, rpc.micros_total());
+                (endpoint.as_str(), numbers)
+            })
+            .collect();
+        let want = [
+            ("127.0.0.1:7001", (2, 1, 42)),
+            ("127.0.0.1:7002", (1, 0, 9)),
+        ];
+        assert_eq!(booked, want);
     }
 
     #[test]
     fn exposition_renders_cumulative_buckets() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(1);
         h.record(3);
         h.record((1 << 24) + 1);
-        let mut expo = Exposition::new();
-        expo.counter("x_total", "an x.", 3);
-        expo.gauge("g", "a g.", 7);
-        expo.counter_family("y_total", "a y.", "kind", &[("a", 1), ("b", 2)]);
+        let mut expo = Exposition::default();
+        expo.family("x_total", "an x.", "counter", [(None, 3)]);
+        expo.family("g", "a g.", "gauge", [(None, 7)]);
+        let kinds = [(Some(("kind", "a")), 1), (Some(("kind", "b")), 2)];
+        expo.family("y_total", "a y.", "counter", kinds);
         expo.histogram_family(
             "lat_micros",
             "latency.",
@@ -634,8 +564,9 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let mut expo = Exposition::new();
-        expo.counter_family("e_total", "an e.", "endpoint", &[("a\"b\\c\nd", 1)]);
+        let mut expo = Exposition::default();
+        let hostile = [(Some(("endpoint", "a\"b\\c\nd")), 1)];
+        expo.family("e_total", "an e.", "counter", hostile);
         assert!(expo
             .finish()
             .contains("e_total{endpoint=\"a\\\"b\\\\c\\nd\"} 1\n"));

@@ -37,7 +37,7 @@
 //!                    "endpoint","age_secs","fresh"}],
 //!                    "ttl_secs": REGISTRY_TTL_SECS}
 //! POST /shard/query   {"dataset", "queries":[{"query","k",
-//!                      "threshold_hint": score|null}, …],
+//!                      "threshold_hint": score|null}, …],  (all required)
 //!                      "options": {…}, "trace_id"?: "hex"}
 //!                                          (router → shard server RPC)
 //!              → {"dataset","outcomes":[{"results":[…],
@@ -47,18 +47,39 @@
 //!                            "bound_micros"},
 //!                 "micros", "spans"?: [span tree, traced RPCs only]}
 //! GET  /healthz   → {"status","version","git_rev","uptime_secs",
-//!                    "started_at","datasets","queries",
-//!                    "cache":{"lookups","hits","misses","coalesced",…},
+//!                    "started_at","datasets","queries","workers",
+//!                    "max_batch",
+//!                    "cache":{"lookups","hits","misses","coalesced",
+//!                             "entries","capacity"},
 //!                    "shards":{"default","dataset_shards",
-//!                              "compute_workers","tasks","micros_total"},
+//!                              "compute_workers","tasks","micros_total",
+//!                              "shard_queries"},
 //!                    "pruning":{"bounded","pruned","scored","refined",
 //!                               "bound_micros"},
+//!                    "snapshots":{"resident","resident_bytes",
+//!                                 "capacity_bytes","loads","evictions",
+//!                                 "load_micros_total"},
+//!                    "connections":{"active","idle_keepalive",
+//!                                   "accepted_total","timeouts",
+//!                                   "event_loop_wakeups"},
 //!                    "remote_shards":{"endpoints","requests","errors",
-//!                                     "micros_total","by_endpoint"}}
+//!                                     "ejections","micros_total",
+//!                                     "by_endpoint":[{"endpoint",
+//!                                       "requests","errors",
+//!                                       "micros_total",
+//!                                       "connect_attempts",
+//!                                       "consecutive_failures",
+//!                                       "ejected","ejections"}]},
+//!                    "registry":{"slots","stale_slots",
+//!                                "by_slot":[{"dataset","shard","shards",
+//!                                  "replicas","fresh_replicas",
+//!                                  "freshest_age_secs",
+//!                                  "stalest_age_secs"}]}}
+//!                   (rendered from the scalar table in `crate::stats`)
 //! GET  /metrics   → Prometheus text exposition (0.0.4) of the same
-//!                   counters plus request/stage/endpoint latency
+//!                   table plus request/stage/endpoint latency
 //!                   histograms (see docs/ARCHITECTURE.md,
-//!                   "Observability")
+//!                   "Metrics naming")
 //! ```
 //!
 //! `explain` requests a per-request trace: the response gains a `trace`
@@ -78,7 +99,9 @@
 //! **required-but-nullable** (send `null` when nothing is proven yet) so
 //! the option-vocabulary strictness below still applies to it. A shard's
 //! `pruned_bound` is the largest §6.3 upper bound it pruned on the
-//! hint's authority alone (null when every prune was locally proven):
+//! hint's authority alone (null when every prune was locally proven;
+//! required-but-nullable too — a reply that omits or mistypes it is
+//! malformed, or the router would skip the check below):
 //! the router verifies its merged top k strictly clears every reported
 //! bound and recomputes hint-less otherwise, so a stale or poisoned hint
 //! can never silently drop a true top-k result.
@@ -745,9 +768,9 @@ pub fn shard_request_to_json(
     obj(fields)
 }
 
-/// Parses a `POST /shard/query` body. Every query entry must carry
-/// `threshold_hint` explicitly (`null` for "no hint") — the same
-/// fail-loudly rule the options object follows.
+/// Parses a `POST /shard/query` body. Every query entry must carry its
+/// `k` and its `threshold_hint` explicitly (`null` for "no hint") — the
+/// same fail-loudly rule the options object follows.
 ///
 /// # Errors
 /// Missing fields, unparseable query text, bad options.
@@ -779,7 +802,7 @@ pub fn shard_request_from_json(body: &Json) -> Result<ShardQueryRequest, ServerE
                 ServerError::bad_request("`threshold_hint` must be a number or null")
             })?),
         };
-        let k = optional(item, "k", Json::as_usize, COUNT)?.unwrap_or(5);
+        let k = required_usize(item, "k")?;
         queries.push((query, k));
         hints.push(hint);
     }
@@ -797,7 +820,8 @@ pub fn shard_request_from_json(body: &Json) -> Result<ShardQueryRequest, ServerE
     })
 }
 
-/// Serializes the `/healthz` / shard-reply pruning counters block.
+/// Serializes the pruning counters block of a shard reply or an
+/// `explain` trace (`/healthz` renders its own from the stats table).
 pub fn pruning_to_json(snapshot: PruningSnapshot) -> Json {
     obj([
         ("bounded", snapshot.bounded.into()),
@@ -872,7 +896,8 @@ pub struct ShardPartials {
 
 /// Parses a shard server's `POST /shard/query` response back into
 /// per-query outcomes. `expected` is the number of queries the router
-/// sent; a reply with any other outcome count is malformed.
+/// sent; a reply with any other outcome count is malformed, and so is an
+/// `Ok` outcome whose `pruned_bound` is anything but a number or `null`.
 ///
 /// # Errors
 /// A human-readable description of what was malformed (the caller wraps
@@ -893,7 +918,14 @@ pub fn shard_outcomes_from_json(body: &Json, expected: usize) -> Result<ShardPar
     for item in items {
         if let Some(results) = item.get("results") {
             outcomes.push(Ok(results_from_json(results)?));
-            pruned_bounds.push(item.get("pruned_bound").and_then(Json::as_f64));
+            // Required but nullable, like `threshold_hint`: read as "no
+            // hint debt", an absent or mistyped bound would switch the
+            // caller's verification pass off.
+            pruned_bounds.push(match item.get("pruned_bound") {
+                Some(Json::Null) => None,
+                Some(Json::Num(bound)) => Some(*bound),
+                _ => return Err("outcome's `pruned_bound` is not a number or null".into()),
+            });
             continue;
         }
         let err = error_from_json(item)
@@ -1180,6 +1212,10 @@ mod tests {
         // a malformed request, like any option-vocabulary skew.
         let stripped = wire.to_text().replace(",\"threshold_hint\":0.625", "");
         assert!(shard_request_from_json(&json::parse(&stripped).unwrap()).is_err());
+        // So is each query's `k`: absent, it is never defaulted.
+        let stripped = wire.to_text().replace("\"k\":3,", "");
+        assert_ne!(stripped, wire.to_text());
+        assert!(shard_request_from_json(&json::parse(&stripped).unwrap()).is_err());
 
         let results = vec![TopKResult {
             key: "widget".into(),
@@ -1231,6 +1267,13 @@ mod tests {
         assert!(err.message.contains("10.0.0.9:7878"));
         // Outcome-count mismatches are malformed replies.
         assert!(shard_outcomes_from_json(&json::parse(&reply.to_text()).unwrap(), 3).is_err());
+        // So is an `Ok` outcome whose `pruned_bound` is mistyped or
+        // absent: read as "no hint debt" it would pass unverified.
+        for lie in ["\"pruned_bound\":\"0.5\"", "\"pruned_bound_\":0.5"] {
+            let lied = reply.to_text().replace("\"pruned_bound\":0.5", lie);
+            assert_ne!(lied, reply.to_text());
+            assert!(shard_outcomes_from_json(&json::parse(&lied).unwrap(), 2).is_err());
+        }
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! The server's stats registry, its point-in-time snapshot, and the two
 //! renderers over that snapshot.
 //!
-//! * [`Stats`] — the one registry of process-lifetime counters the query
-//!   pipeline writes: the query counters (atomics, so the cache-hit path
-//!   takes no lock) and the fan-out gauges (local shard tasks, §6.3
-//!   pruning, per-endpoint RPCs) behind one poison-tolerant mutex.
+//! * [`Stats`] — the one registry the query pipeline writes: the query
+//!   counters and the request, shard-request and per-stage latency
+//!   histograms (atomics, so the cache-hit path takes no lock) and the
+//!   fan-out gauges (local shard tasks, §6.3 pruning, per-endpoint RPCs)
+//!   behind one poison-tolerant mutex.
 //! * [`StatsSnapshot`] — everything `/healthz` and `/metrics` report,
 //!   gathered once by [`StatsSnapshot::gather`] from the registry and the
 //!   other subsystems' own snapshots (cache, resident LRU, connections,
-//!   failover health, heartbeat registry, latency histograms).
+//!   failover health, heartbeat registry).
 //! * [`StatsSnapshot::to_healthz`] / [`StatsSnapshot::to_metrics`] — the
-//!   JSON and Prometheus renderings. Both read the same snapshot value,
-//!   so the two endpoints reconcile by construction; neither touches
-//!   live state.
+//!   JSON and Prometheus renderings: two loops over one table of the
+//!   snapshot's scalars (`StatsSnapshot::scalars`), where a row names a
+//!   number's `/healthz` place and its `/metrics` series once, plus the
+//!   row sets (per endpoint, per registry slot, per histogram). A new
+//!   counter is one field and one table row; a new stage is one line of
+//!   [`crate::obs::Stage`].
 
 use crate::cache::CacheStats;
 use crate::catalog::SlotStaleness;
 use crate::client::{EndpointHealthSnapshot, ReplicaAttempt};
 use crate::handlers::AppState;
 use crate::json::{obj, Json};
-use crate::obs::{self, HistogramSnapshot, Stage};
-use crate::protocol;
+use crate::obs::{Exposition, Histogram, HistogramSnapshot, Stage};
 use crate::resident::ResidentStats;
 use shapesearch_core::PruningSnapshot;
 use std::collections::BTreeMap;
@@ -42,7 +45,7 @@ fn build_git_rev() -> &'static str {
 /// both fields in a single critical section, so a snapshot can never be
 /// mutually inconsistent mid-update (e.g. tasks from one batch without
 /// its micros). Remote shard RPCs are tracked separately in
-/// [`RemoteShardStats`].
+/// [`RpcStats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// Local shard tasks executed (one per local shard per query group).
@@ -51,23 +54,34 @@ pub struct ShardStats {
     pub micros_total: u64,
 }
 
-/// Per-endpoint remote-shard RPC gauges. Every RPC records all three
-/// fields in one critical section of the registry's mutex, so the
-/// `remote_shards` block is a consistent snapshot like the other gauges.
+/// One remote endpoint's RPC bookings. An attempt moves both fields in
+/// one critical section of the registry's mutex, and the attempts sent
+/// and their total microseconds *are* the histogram's count and sum —
+/// one copy, so `/healthz` and `/metrics` cannot disagree about them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteShardStats {
-    /// RPC attempts sent to this endpoint — one per *replica attempt*,
-    /// so a failover that tries two replicas books one request on each
-    /// (a connect-retry pair within one attempt still counts once).
-    pub requests: u64,
+pub struct RpcStats {
     /// Attempts that failed (unreachable endpoint, non-200 reply, or a
     /// malformed body). A failed attempt makes failover move on to the
     /// shard's next replica; only when every replica fails does the
     /// caller see a `shard_unavailable` error naming each attempt.
     pub errors: u64,
-    /// Total round-trip microseconds spent on this endpoint's RPCs
-    /// (network plus the remote engine time).
-    pub micros_total: u64,
+    /// Round-trip latency (network plus the remote engine time) of every
+    /// *replica attempt* sent to this endpoint — a failover that tries
+    /// two replicas books one sample on each (a connect-retry pair
+    /// within one attempt still counts once).
+    pub latency: HistogramSnapshot,
+}
+
+impl RpcStats {
+    /// RPC attempts sent to this endpoint.
+    pub fn requests(&self) -> u64 {
+        self.latency.count()
+    }
+
+    /// Total round-trip microseconds spent on this endpoint's RPCs.
+    pub fn micros_total(&self) -> u64 {
+        self.latency.sum
+    }
 }
 
 /// The gauges a shard fan-out writes, guarded together.
@@ -80,15 +94,23 @@ struct Gauges {
     pruning: PruningSnapshot,
     /// Keyed and reported in endpoint order (a `BTreeMap` so both
     /// renderings are deterministic).
-    remote: BTreeMap<String, RemoteShardStats>,
+    remote: BTreeMap<String, RpcStats>,
 }
 
-/// The process-lifetime counters the query pipeline writes — the one
-/// place the server's stats mutex is taken.
+/// The process-lifetime numbers the query pipeline writes — the one
+/// registry, and the one place the server's stats mutex is taken.
 #[derive(Debug, Default)]
 pub struct Stats {
     queries: AtomicU64,
     shard_queries: AtomicU64,
+    /// End-to-end `POST /query` latency (one sample per request, batch
+    /// or single).
+    pub requests: Histogram,
+    /// End-to-end `POST /shard/query` service latency: one sample per
+    /// RPC completed, beside `shard_queries`, which counts the ones
+    /// received.
+    pub shard_requests: Histogram,
+    stages: [Histogram; Stage::ALL.len()],
     gauges: Mutex<Gauges>,
 }
 
@@ -111,16 +133,21 @@ impl Stats {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Counts one `POST /shard/query` RPC served (this process acting as
-    /// a shard server); kept apart from `queries` so a router's fan-in
+    /// Counts one `POST /shard/query` RPC received (this process acting
+    /// as a shard server); kept apart from `queries` so a router's fan-in
     /// doesn't inflate a shard server's user-facing query count.
     pub fn count_shard_query(&self) {
         self.shard_queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total `POST /shard/query` RPCs served.
+    /// Total `POST /shard/query` RPCs received.
     pub fn shard_queries(&self) -> u64 {
         self.shard_queries.load(Ordering::Relaxed)
+    }
+
+    /// Records one `stage` latency sample (lock-free).
+    pub fn stage(&self, stage: Stage, micros: u64) {
+        self.stages[stage as usize].record(micros);
     }
 
     /// Books one fan-out's local work: one task per entry of
@@ -136,29 +163,28 @@ impl Stats {
         gauges.pruning.add(pruning);
     }
 
-    /// Books one remote shard RPC's failover trail. All of an endpoint's
-    /// gauges move in one critical section so a snapshot can never show
-    /// a request without its error/micros; one acquisition covers the
-    /// whole trail.
+    /// Books one remote shard RPC's whole failover trail under one
+    /// acquisition: per attempted endpoint, a latency sample and — for a
+    /// failed attempt — an error, so a snapshot can never show a request
+    /// without its error or its micros.
     pub fn record_rpc(&self, attempts: &[ReplicaAttempt]) {
         let mut gauges = self.gauges();
         for attempt in attempts {
             let entry = gauges.remote.entry(attempt.endpoint.clone()).or_default();
-            entry.requests += 1;
             entry.errors += u64::from(attempt.error.is_some());
-            entry.micros_total += attempt.micros;
+            entry.latency.record(attempt.micros);
         }
     }
 }
 
-/// One remote endpoint's row: its RPC gauges and the failover client's
+/// One remote endpoint's row: its RPC bookings and the failover client's
 /// health for it. Either side can be missing — an endpoint can have been
 /// dialed (health) without ever completing an RPC (stats), and vice
 /// versa after a restart — so the snapshot holds the union.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EndpointStats {
-    /// RPC gauges, once any attempt on this endpoint has been booked.
-    pub rpc: Option<RemoteShardStats>,
+    /// RPC bookings, once any attempt on this endpoint has been booked.
+    pub rpc: Option<RpcStats>,
     /// Failover health (consecutive failures, ejection state and count),
     /// once the client has dialed this endpoint.
     pub health: Option<EndpointHealthSnapshot>,
@@ -196,7 +222,7 @@ pub struct StatsSnapshot {
     pub datasets: usize,
     /// Queries received on `POST /query` (each batch item counts once).
     pub queries: u64,
-    /// `POST /shard/query` RPCs served by this process.
+    /// `POST /shard/query` RPCs received by this process.
     pub shard_queries: u64,
     /// Dispatch (CPU tier) threads.
     pub workers: usize,
@@ -218,7 +244,7 @@ pub struct StatsSnapshot {
     pub snapshots: ResidentStats,
     /// Evented HTTP core connection counters.
     pub connections: ConnSnapshot,
-    /// Per remote endpoint, in endpoint order: RPC gauges ∪ failover
+    /// Per remote endpoint, in endpoint order: RPC bookings ∪ failover
     /// health.
     pub remote: BTreeMap<String, EndpointStats>,
     /// Registry staleness: every announced shard slot with the age of
@@ -231,27 +257,65 @@ pub struct StatsSnapshot {
     /// End-to-end `POST /shard/query` service latency.
     pub shard_requests: HistogramSnapshot,
     /// Per-stage latency, in [`Stage::ALL`] order.
-    pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// Remote shard RPC round-trip latency, endpoint-sorted.
-    pub remote_rpc: Vec<(String, HistogramSnapshot)>,
+    pub stages: [HistogramSnapshot; Stage::ALL.len()],
+}
+
+/// One row of the scalar table: where a number sits on `/healthz`
+/// (`block` is `""` at the top level), the series that carries it on
+/// `/metrics`, and the number. An empty `family` marks the configuration
+/// and rollups healthz alone reports; rows of one family sit together
+/// and share its header, told apart by their `label` pair.
+struct Scalar {
+    block: &'static str,
+    key: &'static str,
+    value: u64,
+    kind: &'static str,
+    family: &'static str,
+    help: &'static str,
+    label: Option<(&'static str, &'static str)>,
+}
+
+/// A healthz-only row, until [`Scalar::counter`] or [`Scalar::gauge`]
+/// gives it its `/metrics` series.
+fn at(block: &'static str, key: &'static str, value: u64) -> Scalar {
+    Scalar {
+        block,
+        key,
+        value,
+        kind: "",
+        family: "",
+        help: "",
+        label: None,
+    }
+}
+
+impl Scalar {
+    fn counter(mut self, family: &'static str, help: &'static str) -> Self {
+        (self.kind, self.family, self.help) = ("counter", family, help);
+        self
+    }
+
+    fn gauge(mut self, family: &'static str, help: &'static str) -> Self {
+        (self.kind, self.family, self.help) = ("gauge", family, help);
+        self
+    }
+
+    fn labelled(mut self, key: &'static str, value: &'static str) -> Self {
+        self.label = Some((key, value));
+        self
+    }
 }
 
 impl StatsSnapshot {
     /// Gathers the snapshot from `state` — the only function that reads
     /// live counters on behalf of `/healthz` and `/metrics`.
     pub fn gather(state: &AppState) -> Self {
-        let gauges = state.stats.gauges().clone();
-        let mut remote: BTreeMap<String, EndpointStats> = gauges
-            .remote
-            .into_iter()
-            .map(|(endpoint, rpc)| {
-                let row = EndpointStats {
-                    rpc: Some(rpc),
-                    health: None,
-                };
-                (endpoint, row)
-            })
-            .collect();
+        let stats = &state.stats;
+        let gauges = stats.gauges().clone();
+        let mut remote: BTreeMap<String, EndpointStats> = BTreeMap::new();
+        for (endpoint, rpc) in gauges.remote {
+            remote.entry(endpoint).or_default().rpc = Some(rpc);
+        }
         for health in state.remote.health_snapshot() {
             let row = remote.entry(health.endpoint.clone()).or_default();
             row.health = Some(health);
@@ -261,8 +325,8 @@ impl StatsSnapshot {
             uptime_secs: state.started.elapsed().as_secs(),
             started_at: state.started_at_epoch,
             datasets: state.catalog.len(),
-            queries: state.stats.queries(),
-            shard_queries: state.stats.shard_queries(),
+            queries: stats.queries(),
+            shard_queries: stats.shard_queries(),
             workers: state.workers,
             max_batch: state.max_batch,
             cache: state.cache.stats(),
@@ -281,37 +345,120 @@ impl StatsSnapshot {
             },
             remote,
             registry: state.catalog.registry().slot_staleness(),
-            requests: state.metrics.requests.snapshot(),
-            shard_requests: state.metrics.shard_requests.snapshot(),
-            stages: Stage::ALL
-                .iter()
-                .map(|&stage| (stage, state.metrics.stage_snapshot(stage)))
-                .collect(),
-            remote_rpc: state.metrics.remote_snapshots(),
+            requests: stats.requests.snapshot(),
+            shard_requests: stats.shard_requests.snapshot(),
+            stages: std::array::from_fn(|i| stats.stages[i].snapshot()),
         }
     }
 
-    /// The `GET /healthz` body.
-    pub fn to_healthz(&self) -> Json {
-        let rpc_total = |field: fn(&RemoteShardStats) -> u64| -> u64 {
-            self.remote
-                .values()
-                .filter_map(|row| row.rpc.as_ref().map(field))
-                .sum()
+    /// The one table of published scalars, in `/healthz` order: every
+    /// number either endpoint reports outside the row sets is a row here,
+    /// and nowhere else. Metric names follow one scheme:
+    /// `shapesearch_<noun>_<unit|total>`.
+    fn scalars(&self) -> Vec<Scalar> {
+        let event = |row: Scalar, event| {
+            let help = "Query-cache lookup outcomes (hit + miss + coalesced = lookups).";
+            row.counter("shapesearch_cache_events_total", help)
+                .labelled("event", event)
         };
-        let ejections: u64 = self
-            .remote
-            .values()
-            .filter_map(|row| row.health.as_ref().map(|h| h.ejections))
-            .sum();
-        let by_endpoint = self.remote.iter().map(|(endpoint, row)| {
+        let outcome = |row: Scalar, outcome| {
+            let help = "Pruning-driver candidate outcomes (bounded = bound-checked, \
+                        pruned = skipped, scored = segmented in full).";
+            row.counter("shapesearch_pruning_candidates_total", help)
+                .labelled("outcome", outcome)
+        };
+        let rpc_total = |field: fn(&RpcStats) -> u64| -> u64 {
+            let booked = self.remote.values().filter_map(|row| row.rpc.as_ref());
+            booked.map(field).sum()
+        };
+        let dialed = self.remote.values().filter_map(|row| row.health.as_ref());
+        let stale = self.registry.iter().filter(|s| s.fresh_replicas == 0);
+        let (cache, shards, pruning) = (&self.cache, &self.shards, &self.pruning);
+        let (snapshots, conns) = (&self.snapshots, &self.connections);
+        // One row, at most two lines: where the number sits on /healthz,
+        // then the series that carries it on /metrics.
+        #[rustfmt::skip]
+        let table = vec![
+            at("", "uptime_secs", self.uptime_secs)
+                .gauge("shapesearch_uptime_seconds", "Seconds since this server process started."),
+            at("", "started_at", self.started_at),
+            at("", "datasets", self.datasets as u64)
+                .gauge("shapesearch_datasets", "Registered datasets."),
+            at("", "queries", self.queries)
+                .counter("shapesearch_queries_total", "Queries received on POST /query (each batch item counts once)."),
+            at("", "workers", self.workers as u64),
+            at("", "max_batch", self.max_batch as u64),
+            at("cache", "lookups", cache.lookups)
+                .counter("shapesearch_cache_lookups_total", "Query-cache lookups."),
+            event(at("cache", "hits", cache.hits), "hit"),
+            event(at("cache", "misses", cache.misses), "miss"),
+            event(at("cache", "coalesced", cache.coalesced), "coalesced"),
+            at("cache", "entries", cache.entries as u64)
+                .gauge("shapesearch_cache_entries", "Live query-cache entries."),
+            at("cache", "capacity", cache.capacity as u64)
+                .gauge("shapesearch_cache_capacity", "Query-cache capacity in entries."),
+            at("shards", "default", self.default_shards as u64),
+            at("shards", "dataset_shards", self.dataset_shards as u64),
+            at("shards", "compute_workers", self.compute_workers as u64),
+            at("shards", "tasks", shards.tasks)
+                .counter("shapesearch_shard_tasks_total", "Local shard tasks executed."),
+            at("shards", "micros_total", shards.micros_total)
+                .counter("shapesearch_shard_micros_total", "Engine-side microseconds spent in local shard tasks."),
+            at("shards", "shard_queries", self.shard_queries)
+                .counter("shapesearch_shard_queries_total", "POST /shard/query RPCs served by this process."),
+            outcome(at("pruning", "bounded", pruning.bounded), "bounded"),
+            outcome(at("pruning", "pruned", pruning.pruned), "pruned"),
+            outcome(at("pruning", "scored", pruning.scored), "scored"),
+            at("pruning", "refined", pruning.refined)
+                .counter("shapesearch_pruning_refined_total", "Candidates the whole-trendline bound could not prune, bounded \
+                          again over their end-anchored windows."),
+            at("pruning", "bound_micros", pruning.bound_micros)
+                .counter("shapesearch_pruning_bound_micros_total", "Microseconds spent computing pruning upper bounds, both tiers."),
+            at("snapshots", "resident", snapshots.resident as u64)
+                .gauge("shapesearch_snapshot_resident_shards", "Snapshot shards currently materialized in memory."),
+            at("snapshots", "resident_bytes", snapshots.resident_bytes)
+                .gauge("shapesearch_snapshot_resident_bytes", "Columnar-arena bytes held by resident snapshot shards."),
+            at("snapshots", "capacity_bytes", snapshots.capacity_bytes)
+                .gauge("shapesearch_snapshot_resident_capacity_bytes", "Resident-shard byte budget (--resident-bytes; 0 = unlimited)."),
+            at("snapshots", "loads", snapshots.loads)
+                .counter("shapesearch_snapshot_loads_total", "Cold snapshot-shard loads (first touch or reload after eviction)."),
+            at("snapshots", "evictions", snapshots.evictions)
+                .counter("shapesearch_snapshot_evictions_total", "Snapshot shards evicted by the resident-shard LRU."),
+            at("snapshots", "load_micros_total", snapshots.load_micros_total)
+                .counter("shapesearch_snapshot_load_micros_total", "Microseconds spent materializing snapshot shards."),
+            at("connections", "active", conns.active)
+                .gauge("shapesearch_connections_active", "Open client connections (any phase, including keep-alive idle)."),
+            at("connections", "idle_keepalive", conns.idle_keepalive)
+                .gauge("shapesearch_connections_idle_keepalive", "Open client connections parked idle between keep-alive requests."),
+            at("connections", "accepted_total", conns.accepted_total)
+                .counter("shapesearch_connections_accepted_total", "Client connections accepted since startup."),
+            at("connections", "timeouts", conns.timeouts)
+                .counter("shapesearch_connections_timeouts_total", "Connections cut by the idle or slow-request deadline."),
+            at("connections", "event_loop_wakeups", conns.event_loop_wakeups)
+                .counter("shapesearch_connections_event_loop_wakeups_total", "Readiness event-loop wakeups that delivered at least one event."),
+            // Rollups of the per-endpoint and per-slot row sets.
+            at("remote_shards", "endpoints", self.remote.len() as u64),
+            at("remote_shards", "requests", rpc_total(RpcStats::requests)),
+            at("remote_shards", "errors", rpc_total(|rpc| rpc.errors)),
+            at("remote_shards", "ejections", dialed.map(|h| h.ejections).sum()),
+            at("remote_shards", "micros_total", rpc_total(RpcStats::micros_total)),
+            at("registry", "slots", self.registry.len() as u64),
+            at("registry", "stale_slots", stale.count() as u64),
+        ];
+        table
+    }
+
+    /// `remote_shards.by_endpoint`: one row per endpoint of the union,
+    /// a missing side reading as zeros.
+    fn endpoint_rows(&self) -> Json {
+        let rows = self.remote.iter().map(|(endpoint, row)| {
             let rpc = row.rpc.unwrap_or_default();
             let h = row.health.as_ref();
             obj([
                 ("endpoint", endpoint.as_str().into()),
-                ("requests", rpc.requests.into()),
+                ("requests", rpc.requests().into()),
                 ("errors", rpc.errors.into()),
-                ("micros_total", rpc.micros_total.into()),
+                ("micros_total", rpc.micros_total().into()),
                 (
                     "connect_attempts",
                     h.map_or(0, |h| h.connect_attempts).into(),
@@ -324,7 +471,12 @@ impl StatsSnapshot {
                 ("ejections", h.map_or(0, |h| h.ejections).into()),
             ])
         });
-        let by_slot = self.registry.iter().map(|s| {
+        Json::Arr(rows.collect())
+    }
+
+    /// `registry.by_slot`: one row per heartbeat-announced shard slot.
+    fn slot_rows(&self) -> Json {
+        let rows = self.registry.iter().map(|s| {
             obj([
                 ("dataset", s.dataset.as_str().into()),
                 ("shard", s.shard.into()),
@@ -335,327 +487,133 @@ impl StatsSnapshot {
                 ("stalest_age_secs", s.stalest_age_secs.into()),
             ])
         });
-        let stale_slots = self
-            .registry
-            .iter()
-            .filter(|s| s.fresh_replicas == 0)
-            .count();
-        obj([
+        Json::Arr(rows.collect())
+    }
+
+    /// The `GET /healthz` body: build info, then the scalar table block
+    /// by block, two of the blocks ending in their row set.
+    pub fn to_healthz(&self) -> Json {
+        let mut body = vec![
             ("status", "ok".into()),
             ("version", build_version().into()),
             ("git_rev", build_git_rev().into()),
-            ("uptime_secs", self.uptime_secs.into()),
-            ("started_at", self.started_at.into()),
-            ("datasets", self.datasets.into()),
-            ("queries", self.queries.into()),
-            ("workers", self.workers.into()),
-            ("max_batch", self.max_batch.into()),
-            (
-                "cache",
-                obj([
-                    ("lookups", self.cache.lookups.into()),
-                    ("hits", self.cache.hits.into()),
-                    ("misses", self.cache.misses.into()),
-                    ("coalesced", self.cache.coalesced.into()),
-                    ("entries", self.cache.entries.into()),
-                    ("capacity", self.cache.capacity.into()),
-                ]),
-            ),
-            (
-                "shards",
-                obj([
-                    ("default", self.default_shards.into()),
-                    ("dataset_shards", self.dataset_shards.into()),
-                    ("compute_workers", self.compute_workers.into()),
-                    ("tasks", self.shards.tasks.into()),
-                    ("micros_total", self.shards.micros_total.into()),
-                    ("shard_queries", self.shard_queries.into()),
-                ]),
-            ),
-            ("pruning", protocol::pruning_to_json(self.pruning)),
-            (
-                "snapshots",
-                obj([
-                    ("resident", self.snapshots.resident.into()),
-                    ("resident_bytes", self.snapshots.resident_bytes.into()),
-                    ("capacity_bytes", self.snapshots.capacity_bytes.into()),
-                    ("loads", self.snapshots.loads.into()),
-                    ("evictions", self.snapshots.evictions.into()),
-                    ("load_micros_total", self.snapshots.load_micros_total.into()),
-                ]),
-            ),
-            (
-                "connections",
-                obj([
-                    ("active", self.connections.active.into()),
-                    ("idle_keepalive", self.connections.idle_keepalive.into()),
-                    ("accepted_total", self.connections.accepted_total.into()),
-                    ("timeouts", self.connections.timeouts.into()),
-                    (
-                        "event_loop_wakeups",
-                        self.connections.event_loop_wakeups.into(),
-                    ),
-                ]),
-            ),
-            (
-                "remote_shards",
-                obj([
-                    ("endpoints", self.remote.len().into()),
-                    ("requests", rpc_total(|s| s.requests).into()),
-                    ("errors", rpc_total(|s| s.errors).into()),
-                    ("ejections", ejections.into()),
-                    ("micros_total", rpc_total(|s| s.micros_total).into()),
-                    ("by_endpoint", Json::Arr(by_endpoint.collect())),
-                ]),
-            ),
-            (
-                "registry",
-                obj([
-                    ("slots", self.registry.len().into()),
-                    ("stale_slots", stale_slots.into()),
-                    ("by_slot", Json::Arr(by_slot.collect())),
-                ]),
-            ),
-        ])
+        ];
+        for rows in self.scalars().chunk_by(|a, b| a.block == b.block) {
+            let mut fields: Vec<_> = rows.iter().map(|r| (r.key, r.value.into())).collect();
+            match rows[0].block {
+                "" => {
+                    body.append(&mut fields);
+                    continue;
+                }
+                "remote_shards" => fields.push(("by_endpoint", self.endpoint_rows())),
+                "registry" => fields.push(("by_slot", self.slot_rows())),
+                _ => {}
+            }
+            body.push((rows[0].block, obj(fields)));
+        }
+        obj(body)
+    }
+
+    /// One series per endpoint that has `column`'s side of the union, so
+    /// an endpoint never shows a fabricated 0.
+    fn per_endpoint<T>(
+        &self,
+        column: impl Fn(&EndpointStats) -> Option<T>,
+    ) -> Vec<(Option<(&str, &str)>, T)> {
+        let rows = self.remote.iter();
+        rows.filter_map(|(endpoint, row)| {
+            Some((Some(("endpoint", endpoint.as_str())), column(row)?))
+        })
+        .collect()
     }
 
     /// The `GET /metrics` body: Prometheus text exposition of the same
-    /// snapshot [`Self::to_healthz`] renders — the counter series here
-    /// reconcile with the healthz totals by construction, and the
-    /// histograms add the latency distributions healthz's monotonic
-    /// counters cannot carry. Metric names follow one scheme:
-    /// `shapesearch_<noun>_<unit|total>`, with
-    /// `stage`/`endpoint`/`event`/`outcome` labels for families.
+    /// snapshot [`Self::to_healthz`] renders — the scalar table's series
+    /// family by family, then the per-endpoint families, then the latency
+    /// distributions healthz's monotonic counters cannot carry, under
+    /// `stage`/`endpoint`/`event`/`outcome` labels. A family with no
+    /// series is left out.
     pub fn to_metrics(&self) -> String {
-        let mut expo = obs::Exposition::new();
-        expo.gauge(
-            "shapesearch_uptime_seconds",
-            "Seconds since this server process started.",
-            self.uptime_secs,
-        );
-        expo.gauge(
-            "shapesearch_datasets",
-            "Registered datasets.",
-            self.datasets as u64,
-        );
-        expo.counter(
-            "shapesearch_queries_total",
-            "Queries received on POST /query (each batch item counts once).",
-            self.queries,
-        );
-        expo.counter(
-            "shapesearch_shard_queries_total",
-            "POST /shard/query RPCs served by this process.",
-            self.shard_queries,
-        );
+        let mut expo = Exposition::default();
+        let table = self.scalars();
+        let exposed: Vec<&Scalar> = table.iter().filter(|row| !row.family.is_empty()).collect();
+        for family in exposed.chunk_by(|a, b| a.family == b.family) {
+            let head = family[0];
+            let series = family.iter().map(|row| (row.label, row.value));
+            expo.family(head.family, head.help, head.kind, series);
+        }
 
-        expo.counter(
-            "shapesearch_cache_lookups_total",
-            "Query-cache lookups.",
-            self.cache.lookups,
-        );
-        expo.counter_family(
-            "shapesearch_cache_events_total",
-            "Query-cache lookup outcomes (hit + miss + coalesced = lookups).",
-            "event",
-            &[
-                ("hit", self.cache.hits),
-                ("miss", self.cache.misses),
-                ("coalesced", self.cache.coalesced),
-            ],
-        );
-        expo.gauge(
-            "shapesearch_cache_entries",
-            "Live query-cache entries.",
-            self.cache.entries as u64,
-        );
-        expo.gauge(
-            "shapesearch_cache_capacity",
-            "Query-cache capacity in entries.",
-            self.cache.capacity as u64,
-        );
-
-        expo.counter(
-            "shapesearch_shard_tasks_total",
-            "Local shard tasks executed.",
-            self.shards.tasks,
-        );
-        expo.counter(
-            "shapesearch_shard_micros_total",
-            "Engine-side microseconds spent in local shard tasks.",
-            self.shards.micros_total,
-        );
-
-        expo.counter_family(
-            "shapesearch_pruning_candidates_total",
-            "Pruning-driver candidate outcomes (bounded = bound-checked, \
-             pruned = skipped, scored = segmented in full).",
-            "outcome",
-            &[
-                ("bounded", self.pruning.bounded),
-                ("pruned", self.pruning.pruned),
-                ("scored", self.pruning.scored),
-            ],
-        );
-        expo.counter(
-            "shapesearch_pruning_refined_total",
-            "Candidates the whole-trendline bound could not prune, bounded \
-             again over their end-anchored windows.",
-            self.pruning.refined,
-        );
-        expo.counter(
-            "shapesearch_pruning_bound_micros_total",
-            "Microseconds spent computing pruning upper bounds, both tiers.",
-            self.pruning.bound_micros,
-        );
-
-        expo.gauge(
-            "shapesearch_snapshot_resident_shards",
-            "Snapshot shards currently materialized in memory.",
-            self.snapshots.resident as u64,
-        );
-        expo.counter(
-            "shapesearch_snapshot_loads_total",
-            "Cold snapshot-shard loads (first touch or reload after eviction).",
-            self.snapshots.loads,
-        );
-        expo.counter(
-            "shapesearch_snapshot_evictions_total",
-            "Snapshot shards evicted by the resident-shard LRU.",
-            self.snapshots.evictions,
-        );
-        expo.counter(
-            "shapesearch_snapshot_load_micros_total",
-            "Microseconds spent materializing snapshot shards.",
-            self.snapshots.load_micros_total,
-        );
-        expo.gauge(
-            "shapesearch_snapshot_resident_bytes",
-            "Columnar-arena bytes held by resident snapshot shards.",
-            self.snapshots.resident_bytes,
-        );
-        expo.gauge(
-            "shapesearch_snapshot_resident_capacity_bytes",
-            "Resident-shard byte budget (--resident-bytes; 0 = unlimited).",
-            self.snapshots.capacity_bytes,
-        );
-
-        expo.gauge(
-            "shapesearch_connections_active",
-            "Open client connections (any phase, including keep-alive idle).",
-            self.connections.active,
-        );
-        expo.gauge(
-            "shapesearch_connections_idle_keepalive",
-            "Open client connections parked idle between keep-alive requests.",
-            self.connections.idle_keepalive,
-        );
-        expo.counter(
-            "shapesearch_connections_accepted_total",
-            "Client connections accepted since startup.",
-            self.connections.accepted_total,
-        );
-        expo.counter(
-            "shapesearch_connections_timeouts_total",
-            "Connections cut by the idle or slow-request deadline.",
-            self.connections.timeouts,
-        );
-        expo.counter(
-            "shapesearch_connections_event_loop_wakeups_total",
-            "Readiness event-loop wakeups that delivered at least one event.",
-            self.connections.event_loop_wakeups,
-        );
-
-        // Per-endpoint families cover exactly the rows that have that
-        // side of the union, so an endpoint never shows a fabricated 0.
-        let rpc: Vec<(&str, RemoteShardStats)> = self
-            .remote
-            .iter()
-            .filter_map(|(endpoint, row)| Some((endpoint.as_str(), row.rpc?)))
-            .collect();
-        type Field = fn(&RemoteShardStats) -> u64;
-        let rpc_families: [(&str, &str, Field); 3] = [
+        type Column = fn(&EndpointStats) -> Option<u64>;
+        let per_endpoint: [(&str, &str, &str, Column); 5] = [
             (
                 "shapesearch_remote_requests_total",
                 "Remote shard RPCs sent, by endpoint.",
-                |s| s.requests,
+                "counter",
+                |row| Some(row.rpc?.requests()),
             ),
             (
                 "shapesearch_remote_errors_total",
                 "Failed remote shard RPCs, by endpoint.",
-                |s| s.errors,
+                "counter",
+                |row| Some(row.rpc?.errors),
             ),
             (
                 "shapesearch_remote_micros_total",
                 "Round-trip microseconds of remote shard RPCs, by endpoint.",
-                |s| s.micros_total,
+                "counter",
+                |row| Some(row.rpc?.micros_total()),
             ),
-        ];
-        if !rpc.is_empty() {
-            for (name, help, field) in rpc_families {
-                let series: Vec<(&str, u64)> = rpc.iter().map(|(e, s)| (*e, field(s))).collect();
-                expo.counter_family(name, help, "endpoint", &series);
-            }
-        }
-        let health: Vec<(&str, &EndpointHealthSnapshot)> = self
-            .remote
-            .iter()
-            .filter_map(|(endpoint, row)| Some((endpoint.as_str(), row.health.as_ref()?)))
-            .collect();
-        if !health.is_empty() {
-            let ejections: Vec<(&str, u64)> =
-                health.iter().map(|(e, h)| (*e, h.ejections)).collect();
-            expo.counter_family(
+            (
                 "shapesearch_remote_ejections_total",
                 "Replica endpoints ejected by the failover circuit breaker \
                  (each transition into ejection counts once), by endpoint.",
-                "endpoint",
-                &ejections,
-            );
-            let ejected: Vec<(&str, u64)> = health
-                .iter()
-                .map(|(e, h)| (*e, u64::from(h.ejected)))
-                .collect();
-            expo.gauge_family(
+                "counter",
+                |row| Some(row.health.as_ref()?.ejections),
+            ),
+            (
                 "shapesearch_remote_ejected",
                 "Whether the failover circuit breaker currently holds this \
                  replica endpoint ejected (1) or admits it (0), by endpoint.",
-                "endpoint",
-                &ejected,
-            );
+                "gauge",
+                |row| Some(u64::from(row.health.as_ref()?.ejected)),
+            ),
+        ];
+        for (name, help, kind, column) in per_endpoint {
+            let series = self.per_endpoint(column);
+            if !series.is_empty() {
+                expo.family(name, help, kind, series);
+            }
         }
 
-        expo.histogram_family(
-            "shapesearch_request_duration_micros",
-            "End-to-end POST /query latency.",
-            &[(None, self.requests)],
-        );
-        expo.histogram_family(
-            "shapesearch_shard_request_duration_micros",
-            "End-to-end POST /shard/query service latency.",
-            &[(None, self.shard_requests)],
-        );
-        let stages: Vec<(Option<(&str, &str)>, HistogramSnapshot)> = self
-            .stages
-            .iter()
-            .map(|(stage, snap)| (Some(("stage", stage.name())), *snap))
-            .collect();
-        expo.histogram_family(
-            "shapesearch_stage_duration_micros",
-            "Per-stage latency across the request pipeline.",
-            &stages,
-        );
-        if !self.remote_rpc.is_empty() {
-            let series: Vec<(Option<(&str, &str)>, HistogramSnapshot)> = self
-                .remote_rpc
-                .iter()
-                .map(|(endpoint, snap)| (Some(("endpoint", endpoint.as_str())), *snap))
-                .collect();
-            expo.histogram_family(
+        let stages = Stage::ALL.iter().zip(self.stages);
+        let histograms = [
+            (
+                "shapesearch_request_duration_micros",
+                "End-to-end POST /query latency.",
+                vec![(None, self.requests)],
+            ),
+            (
+                "shapesearch_shard_request_duration_micros",
+                "End-to-end POST /shard/query service latency.",
+                vec![(None, self.shard_requests)],
+            ),
+            (
+                "shapesearch_stage_duration_micros",
+                "Per-stage latency across the request pipeline.",
+                stages
+                    .map(|(stage, snap)| (Some(("stage", stage.name())), snap))
+                    .collect(),
+            ),
+            (
                 "shapesearch_remote_rpc_duration_micros",
                 "Remote shard RPC round-trip latency, by endpoint.",
-                &series,
-            );
+                self.per_endpoint(|row| Some(row.rpc?.latency)),
+            ),
+        ];
+        for (name, help, series) in histograms {
+            if !series.is_empty() {
+                expo.histogram_family(name, help, &series);
+            }
         }
         expo.finish()
     }
@@ -704,85 +662,27 @@ mod tests {
         assert_eq!((shards.tasks, shards.micros_total), (2, 11));
     }
 
-    /// The first `n` primes: distinct, nonzero values, so a series
-    /// rendered from the wrong field cannot reconcile by accident.
+    /// The primes: distinct, nonzero values, so a series rendered from
+    /// the wrong field cannot reconcile by accident.
     fn primes() -> impl Iterator<Item = u64> {
         (2u64..).filter(|n| (2..*n).take_while(|d| d * d <= *n).all(|d| n % d != 0))
     }
 
-    /// Every sample line of an exposition, keyed by `name{labels}`.
-    fn series(text: &str) -> HashMap<&str, u64> {
-        text.lines()
-            .filter(|line| !line.starts_with('#'))
-            .map(|line| {
-                let (key, value) = line.rsplit_once(' ').unwrap();
-                (key, value.parse().unwrap())
-            })
-            .collect()
-    }
-
-    /// Every numeric leaf of a healthz body outside the per-row arrays,
-    /// as `block.key` paths.
-    fn scalars(healthz: &Json) -> Vec<(String, u64)> {
-        let Json::Obj(fields) = healthz else {
-            panic!("healthz is an object");
-        };
-        let mut out = Vec::new();
-        for (key, value) in fields {
-            match value {
-                Json::Num(n) => out.push((key.clone(), *n as u64)),
-                Json::Obj(block) => out.extend(block.iter().filter_map(|(k, v)| match v {
-                    Json::Num(n) => Some((format!("{key}.{k}"), *n as u64)),
-                    _ => None,
-                })),
-                _ => {}
-            }
+    fn hist(samples: &[u64]) -> HistogramSnapshot {
+        let mut snapshot = HistogramSnapshot::default();
+        for micros in samples {
+            snapshot.record(*micros);
         }
-        out
+        snapshot
     }
 
-    #[test]
-    fn healthz_and_metrics_reconcile_by_construction() {
+    /// A snapshot with a distinct prime in every scalar, three endpoints
+    /// (both sides of the union, RPCs only, dialed only), two registry
+    /// slots (one stale) and samples in every histogram.
+    fn primes_snapshot() -> StatsSnapshot {
         let mut p = primes();
         let mut next = || p.next().unwrap();
-        let rpc = |next: &mut dyn FnMut() -> u64| RemoteShardStats {
-            requests: next(),
-            errors: next(),
-            micros_total: next(),
-        };
-        let health = |endpoint: &str, next: &mut dyn FnMut() -> u64| EndpointHealthSnapshot {
-            endpoint: endpoint.to_owned(),
-            consecutive_failures: next() as u32,
-            ejected: true,
-            ejections: next(),
-            connect_attempts: next(),
-        };
-        // Three endpoints: one with both sides of the union, one that
-        // only ever booked RPCs, one that was only ever dialed.
-        let remote = BTreeMap::from([
-            (
-                "a:1".to_owned(),
-                EndpointStats {
-                    rpc: Some(rpc(&mut next)),
-                    health: Some(health("a:1", &mut next)),
-                },
-            ),
-            (
-                "b:2".to_owned(),
-                EndpointStats {
-                    rpc: Some(rpc(&mut next)),
-                    health: None,
-                },
-            ),
-            (
-                "c:3".to_owned(),
-                EndpointStats {
-                    rpc: None,
-                    health: Some(health("c:3", &mut next)),
-                },
-            ),
-        ]);
-        let snapshot = StatsSnapshot {
+        let mut snapshot = StatsSnapshot {
             uptime_secs: next(),
             started_at: next(),
             datasets: next() as usize,
@@ -827,197 +727,185 @@ mod tests {
                 timeouts: next(),
                 event_loop_wakeups: next(),
             },
-            remote,
+            requests: hist(&[0, 1, 100, 1 << 25]),
+            shard_requests: hist(&[7]),
+            stages: std::array::from_fn(|i| hist(&[i as u64 + 1, 1000 * (i as u64 + 1)])),
             ..StatsSnapshot::default()
         };
+        // The golden files were captured with 41 primes drawn before the
+        // row sets; 34 of them landed in the scalars above.
+        let mut next = p.skip(7);
+        let mut next = || next.next().unwrap();
+        let rpcs: [(&str, &[u64]); 2] = [("a:1", &[2, 3]), ("b:2", &[19, 23, 4096])];
+        for (endpoint, samples) in rpcs {
+            let row = snapshot.remote.entry(endpoint.to_owned()).or_default();
+            row.rpc = Some(RpcStats {
+                errors: next(),
+                latency: hist(samples),
+            });
+        }
+        for (endpoint, ejected) in [("a:1", true), ("c:3", false)] {
+            let row = snapshot.remote.entry(endpoint.to_owned()).or_default();
+            row.health = Some(EndpointHealthSnapshot {
+                endpoint: endpoint.to_owned(),
+                consecutive_failures: next() as u32,
+                ejected,
+                ejections: next(),
+                connect_attempts: next(),
+            });
+        }
+        for (dataset, fresh_replicas) in [("fresh", 2), ("stale \"one\"", 0)] {
+            snapshot.registry.push(SlotStaleness {
+                dataset: dataset.to_owned(),
+                shard: next() as usize,
+                shards: next() as usize,
+                replicas: next() as usize,
+                fresh_replicas,
+                freshest_age_secs: next(),
+                stalest_age_secs: next(),
+            });
+        }
+        snapshot
+    }
+
+    /// The bytes the parent commit (db9ab8d, the last one with two
+    /// hand-written renderers) produced for [`primes_snapshot`]'s state:
+    /// `/healthz` must match byte for byte, `/metrics` line for line in
+    /// any family order.
+    #[test]
+    fn renderings_match_the_hand_written_renderers_goldens() {
+        let snapshot = primes_snapshot();
+        assert_eq!(
+            snapshot.to_healthz().to_text(),
+            include_str!("../tests/golden/healthz.json")
+        );
+        let sorted = |text: &str| {
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            lines.sort();
+            lines
+        };
+        let (got, want) = (
+            sorted(&snapshot.to_metrics()),
+            sorted(include_str!("../tests/golden/metrics.txt")),
+        );
+        for (got, want) in got.iter().zip(&want) {
+            assert_eq!(got, want);
+        }
+        assert_eq!(got.len(), want.len());
+    }
+
+    /// Every sample line of an exposition, keyed by `name{labels}`.
+    fn series(text: &str) -> HashMap<&str, u64> {
+        text.lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (key, value) = line.rsplit_once(' ').unwrap();
+                (key, value.parse().unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_table_row_reaches_healthz_and_its_series() {
+        let snapshot = primes_snapshot();
         let healthz = snapshot.to_healthz();
         let metrics = snapshot.to_metrics();
         let series = series(&metrics);
 
-        // healthz scalar → the series carrying the same number. `None`
-        // marks configuration and rollups healthz alone reports; a
-        // scalar missing from this table fails the test, so a new
-        // healthz field has to say which one it is.
-        let table: HashMap<&str, Option<&str>> = HashMap::from([
-            ("uptime_secs", Some("shapesearch_uptime_seconds")),
-            ("started_at", None),
-            ("datasets", Some("shapesearch_datasets")),
-            ("queries", Some("shapesearch_queries_total")),
-            ("workers", None),
-            ("max_batch", None),
-            ("cache.lookups", Some("shapesearch_cache_lookups_total")),
-            (
-                "cache.hits",
-                Some(r#"shapesearch_cache_events_total{event="hit"}"#),
-            ),
-            (
-                "cache.misses",
-                Some(r#"shapesearch_cache_events_total{event="miss"}"#),
-            ),
-            (
-                "cache.coalesced",
-                Some(r#"shapesearch_cache_events_total{event="coalesced"}"#),
-            ),
-            ("cache.entries", Some("shapesearch_cache_entries")),
-            ("cache.capacity", Some("shapesearch_cache_capacity")),
-            ("shards.default", None),
-            ("shards.dataset_shards", None),
-            ("shards.compute_workers", None),
-            ("shards.tasks", Some("shapesearch_shard_tasks_total")),
-            (
-                "shards.micros_total",
-                Some("shapesearch_shard_micros_total"),
-            ),
-            (
-                "shards.shard_queries",
-                Some("shapesearch_shard_queries_total"),
-            ),
-            (
-                "pruning.bounded",
-                Some(r#"shapesearch_pruning_candidates_total{outcome="bounded"}"#),
-            ),
-            (
-                "pruning.pruned",
-                Some(r#"shapesearch_pruning_candidates_total{outcome="pruned"}"#),
-            ),
-            (
-                "pruning.scored",
-                Some(r#"shapesearch_pruning_candidates_total{outcome="scored"}"#),
-            ),
-            ("pruning.refined", Some("shapesearch_pruning_refined_total")),
-            (
-                "pruning.bound_micros",
-                Some("shapesearch_pruning_bound_micros_total"),
-            ),
-            (
-                "snapshots.resident",
-                Some("shapesearch_snapshot_resident_shards"),
-            ),
-            (
-                "snapshots.resident_bytes",
-                Some("shapesearch_snapshot_resident_bytes"),
-            ),
-            (
-                "snapshots.capacity_bytes",
-                Some("shapesearch_snapshot_resident_capacity_bytes"),
-            ),
-            ("snapshots.loads", Some("shapesearch_snapshot_loads_total")),
-            (
-                "snapshots.evictions",
-                Some("shapesearch_snapshot_evictions_total"),
-            ),
-            (
-                "snapshots.load_micros_total",
-                Some("shapesearch_snapshot_load_micros_total"),
-            ),
-            ("connections.active", Some("shapesearch_connections_active")),
-            (
-                "connections.idle_keepalive",
-                Some("shapesearch_connections_idle_keepalive"),
-            ),
-            (
-                "connections.accepted_total",
-                Some("shapesearch_connections_accepted_total"),
-            ),
-            (
-                "connections.timeouts",
-                Some("shapesearch_connections_timeouts_total"),
-            ),
-            (
-                "connections.event_loop_wakeups",
-                Some("shapesearch_connections_event_loop_wakeups_total"),
-            ),
-            ("remote_shards.endpoints", None),
-            (
-                "remote_shards.requests",
-                Some("shapesearch_remote_requests_total"),
-            ),
-            (
-                "remote_shards.errors",
-                Some("shapesearch_remote_errors_total"),
-            ),
-            (
-                "remote_shards.ejections",
-                Some("shapesearch_remote_ejections_total"),
-            ),
-            (
-                "remote_shards.micros_total",
-                Some("shapesearch_remote_micros_total"),
-            ),
-            ("registry.slots", None),
-            ("registry.stale_slots", None),
-        ]);
-        // A per-endpoint family's total: every series of it, summed.
-        let family_total = |family: &str| -> u64 {
-            let prefix = format!("{family}{{");
-            let members = series.iter().filter(|(key, _)| key.starts_with(&prefix));
-            members.map(|(_, value)| value).sum()
-        };
-        for (path, value) in scalars(&healthz) {
-            let mapped = table
-                .get(path.as_str())
-                .unwrap_or_else(|| panic!("healthz scalar `{path}` is not classified"));
-            let Some(name) = mapped else { continue };
-            let exposed = match path.starts_with("remote_shards.") {
-                true => family_total(name),
-                false => *series
-                    .get(name)
-                    .unwrap_or_else(|| panic!("no series `{name}`")),
+        // Each row's number is at its healthz place and on its series.
+        let table = snapshot.scalars();
+        for row in &table {
+            let block = match row.block {
+                "" => &healthz,
+                block => healthz.get(block).unwrap(),
             };
-            assert_eq!(exposed, value, "healthz `{path}` vs `{name}`");
+            let shown = block.get(row.key).unwrap().as_usize().unwrap() as u64;
+            assert_eq!(shown, row.value, "healthz {}.{}", row.block, row.key);
+            if row.family.is_empty() {
+                continue;
+            }
+            let key = match row.label {
+                Some((k, v)) => format!("{}{{{k}=\"{v}\"}}", row.family),
+                None => row.family.to_owned(),
+            };
+            assert_eq!(series.get(key.as_str()), Some(&row.value), "{key}");
         }
+        // And healthz holds no number outside the row sets that is not a
+        // table row: an unclassified scalar is impossible.
+        let Json::Obj(fields) = &healthz else {
+            panic!("healthz is an object");
+        };
+        let is_num = |v: &Json| matches!(v, Json::Num(_));
+        let scalars: usize = fields
+            .iter()
+            .map(|(_, value)| match value {
+                Json::Obj(block) => block.iter().filter(|(_, v)| is_num(v)).count(),
+                value => usize::from(is_num(value)),
+            })
+            .sum();
+        assert_eq!(scalars, table.len());
 
         // Per endpoint: each row's numbers show under that endpoint's
-        // label, and both renderings cover the same union of endpoints.
-        let rows = healthz
-            .get("remote_shards")
-            .unwrap()
-            .get("by_endpoint")
-            .unwrap();
-        let rows = rows.as_array().unwrap();
+        // label, the block's rollups are the families' totals, and both
+        // renderings cover the same union of endpoints.
+        let block = healthz.get("remote_shards").unwrap();
+        let rows = block.get("by_endpoint").unwrap().as_array().unwrap();
         let mut in_healthz = BTreeSet::new();
+        let mut totals: HashMap<&str, u64> = HashMap::new();
         for row in rows {
             let endpoint = row.get("endpoint").unwrap().as_str().unwrap();
             in_healthz.insert(endpoint.to_owned());
-            let labeled =
-                |family: &str| series.get(format!("{family}{{endpoint=\"{endpoint}\"}}").as_str());
             let stats = &snapshot.remote[endpoint];
-            for (field, family) in [
-                ("requests", "shapesearch_remote_requests_total"),
-                ("errors", "shapesearch_remote_errors_total"),
-                ("micros_total", "shapesearch_remote_micros_total"),
+            for (field, family, present) in [
+                (
+                    "requests",
+                    "shapesearch_remote_requests_total",
+                    stats.rpc.is_some(),
+                ),
+                (
+                    "errors",
+                    "shapesearch_remote_errors_total",
+                    stats.rpc.is_some(),
+                ),
+                (
+                    "micros_total",
+                    "shapesearch_remote_micros_total",
+                    stats.rpc.is_some(),
+                ),
+                (
+                    "ejections",
+                    "shapesearch_remote_ejections_total",
+                    stats.health.is_some(),
+                ),
+                (
+                    "ejected",
+                    "shapesearch_remote_ejected",
+                    stats.health.is_some(),
+                ),
             ] {
-                let shown = row.get(field).unwrap().as_usize().unwrap() as u64;
+                let shown = match row.get(field).unwrap() {
+                    Json::Bool(flag) => u64::from(*flag),
+                    number => number.as_usize().unwrap() as u64,
+                };
+                let labeled = series.get(format!("{family}{{endpoint=\"{endpoint}\"}}").as_str());
                 assert_eq!(
-                    labeled(family).copied(),
-                    stats.rpc.map(|_| shown),
+                    labeled.copied(),
+                    present.then_some(shown),
                     "{endpoint} {field}"
                 );
+                *totals.entry(field).or_default() += shown;
             }
-            let shown = row.get("ejections").unwrap().as_usize().unwrap() as u64;
-            assert_eq!(
-                labeled("shapesearch_remote_ejections_total").copied(),
-                stats.health.as_ref().map(|_| shown),
-                "{endpoint} ejections"
-            );
-            let shown = u64::from(row.get("ejected").unwrap().as_bool().unwrap());
-            assert_eq!(
-                labeled("shapesearch_remote_ejected").copied(),
-                stats.health.as_ref().map(|_| shown),
-                "{endpoint} ejected"
-            );
+        }
+        for field in ["requests", "errors", "micros_total", "ejections"] {
+            let rollup = block.get(field).unwrap().as_usize().unwrap() as u64;
+            assert_eq!(rollup, totals[field], "remote_shards.{field}");
         }
         let in_metrics: BTreeSet<String> = series
             .keys()
             .filter(|key| key.starts_with("shapesearch_remote_"))
             .filter_map(|key| {
-                Some(
-                    key.split_once("endpoint=\"")?
-                        .1
-                        .split_once('"')?
-                        .0
-                        .to_owned(),
-                )
+                let (_, rest) = key.split_once("endpoint=\"")?;
+                Some(rest.split_once('"')?.0.to_owned())
             })
             .collect();
         assert_eq!(in_metrics, in_healthz);

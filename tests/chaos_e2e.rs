@@ -21,11 +21,16 @@
 //!   healthy replica per shard, every case byte-identical to the
 //!   unsharded engine.
 
+use chaos::{ChaosMode, ChaosProxy};
 use proptest::test_runner::TestRng;
-use shapesearch::server::{json, protocol, ChaosMode, ChaosProxy, Client, ServerConfig, Service};
+use shapesearch::server::{json, protocol, Client, ServerConfig, Service};
 use shapesearch_core::EngineOptions;
 use shapesearch_datastore::{csv, table_from_series, Table};
 use std::time::{Duration, Instant};
+
+#[allow(dead_code)]
+#[path = "../crates/server/tests/support/chaos.rs"]
+mod chaos;
 
 /// A deterministic collection with mixed shapes and **exact duplicate
 /// trendlines** (every fourth series repeats one peak shape), so the

@@ -3,12 +3,16 @@
 //! subcommands, and the `--announce` heartbeat loop against a router
 //! that never answers.
 
+use chaos::{ChaosMode, ChaosProxy};
 use shapesearch::prelude::*;
-use shapesearch::server::chaos::{ChaosMode, ChaosProxy};
 use shapesearch::server::{Client, ServerConfig};
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+#[allow(dead_code)]
+#[path = "../crates/server/tests/support/chaos.rs"]
+mod chaos;
 
 const SALES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/sales.csv");
 const SALES_MAPPING: [&str; 6] = ["--z", "product", "--x", "week", "--y", "sales"];
