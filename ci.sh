@@ -109,6 +109,28 @@ for w in fuzzy_miss needle_miss mixed_batch router_rpc; do
     esac
 done
 
+# A work counter, not a clock: of the candidates `fuzzy_miss` bounds, the
+# share the three bound tiers prune before SEGMENT — in ssbench's in-process
+# one-shard replay (`pruning.pruned_share`) and in the served four-shard
+# system (`server.pruning.pruned_share`), from one traced run. It read 0
+# before the second tier, 0.403 with it, and reads 0.79–0.83 with the
+# third and the best-bound-first sweep (it moves in the third decimal with
+# thread timing); below 0.7 a tier has stopped being entered.
+echo "==> ssbench work counter (fuzzy_miss: pruned_share >= 0.7)"
+out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+    "${CARGO_TARGET_DIR:-target}/release/ssbench" --workload fuzzy_miss --seconds 1 --trace 1)
+shares=$(echo "$out" | tail -1 | grep -o 'pruning\.pruned_share":{"value":[0-9.e-]*' | sed 's/.*://')
+[ "$(echo "$shares" | wc -w)" -eq 2 ] || {
+    echo "ci: ssbench fuzzy_miss trace reported no pruned_share pair: $out" >&2
+    exit 1
+}
+for share in $shares; do
+    awk -v share="$share" 'BEGIN { exit !(share >= 0.7) }' || {
+        echo "ci: fuzzy_miss pruned_share $share is below 0.7 (of: $shares)" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -262,9 +284,10 @@ grep -q '"trace_id":"' "$EXPLAIN_REPLY" || {
     echo "observability smoke: explain reply carried no trace"
     cat "$EXPLAIN_REPLY"; exit 1;
 }
-# (`"refined":` is the pruning block's second-tier counter: its name, not
-# its value — the sales data is too small to say what it should read.)
-for needle in '"name":"request"' '"name":"shard_fanout"' '"name":"merge"' '"refined":'; do
+# (`"refined":` and `"joined":` are the pruning block's second- and
+# third-tier counters: their names, not their values — the sales data is
+# too small to say what they should read.)
+for needle in '"name":"request"' '"name":"shard_fanout"' '"name":"merge"' '"refined":' '"joined":'; do
     grep -q "$needle" "$EXPLAIN_REPLY" || {
         echo "observability smoke: explain trace missing $needle"
         cat "$EXPLAIN_REPLY"; exit 1;
@@ -297,6 +320,7 @@ ROUTER_METRICS=$(curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics")
 for series in 'shapesearch_queries_total ' \
               'shapesearch_cache_lookups_total ' \
               'shapesearch_pruning_refined_total ' \
+              'shapesearch_pruning_joined_total ' \
               '# TYPE shapesearch_request_duration_micros histogram'; do
     echo "$ROUTER_METRICS" | grep -q "$series" || {
         echo "observability smoke: /metrics missing $series"

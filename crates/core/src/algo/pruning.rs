@@ -14,29 +14,47 @@
 //! the final top-k score, which is what keeps pruning byte-identical) —
 //! the bound is only as sharp as the threshold it meets, and the
 //! candidates most likely to set the final threshold are the ones the
-//! bound cannot rule out. Stage 2 sweeps the rest in index order:
-//! a candidate whose upper bound falls strictly below the current
-//! threshold is skipped without segmentation, survivors are scored exactly
-//! and tighten the threshold online.
+//! bound cannot rule out. Stage 2 sweeps the rest (in index order, or
+//! best second-tier bound first when the query has one — below): a
+//! candidate whose upper bound falls strictly below the current threshold
+//! is skipped without segmentation, survivors are scored exactly and
+//! tighten the threshold online.
 //!
-//! The bound has **two tiers**. The first is the one above: a pattern's
-//! extreme scores over any slope between the trendline's interval
-//! extremes, which is all that can be said of a window nobody has placed.
-//! But a top-level CONCAT does place two: every exact segmenter tiles
-//! `[0, n − 1]` with the chain's units in order, so the first unit is
-//! scored on some window `[0, j]` and the last on some `[i, n − 1]` —
-//! `n − 1` candidate slopes each, not a continuum. The second tier takes an
-//! un-located first or last unit's upper bound over exactly those windows
-//! (the rest of the plan keeps its first-tier value and arithmetic), and
-//! because every Table 7 row is monotone or unimodal in slope it finds
-//! the best window in slope space, at one or two `atan`s an end. On
-//! trendlines whose interval slopes straddle every target — random walks —
-//! the first tier reads ≈ 1 for everyone and the second prunes four in
-//! ten. It costs most of a microsecond a candidate against the first's
-//! few nanoseconds, so it is lazy twice over: the plan decides once per
-//! query whether it has an anchored end at all, and [`PruningDriver::visit`]
-//! computes it only for a candidate the first tier failed to prune
-//! against a live threshold. What it feeds is the same rule.
+//! The bound has **three tiers**, each dearer and tighter than the one
+//! before, each taken only for a candidate the one before failed to prune.
+//! The first is the one above: a pattern's extreme scores over any slope
+//! between the trendline's interval extremes, which is all that can be
+//! said of a window nobody has placed. But a top-level CONCAT does place
+//! two: every exact segmenter tiles `[0, n − 1]` with the chain's units in
+//! order, so the first unit is scored on some window `[0, j]` and the last
+//! on some `[i, n − 1]` — `n − 1` candidate slopes each, not a continuum.
+//! The second tier takes an un-located first or last unit's upper bound
+//! over exactly those windows (the rest of the plan keeps its first-tier
+//! value and arithmetic), and because every Table 7 row is monotone or
+//! unimodal in slope it finds the best window in slope space, at one or
+//! two `atan`s an end. On trendlines whose interval slopes straddle every
+//! target — random walks — the first tier reads ≈ 1 for everyone and the
+//! second prunes four in ten. It costs most of a microsecond a candidate
+//! against the first's few nanoseconds, so it is lazy twice over: the plan
+//! decides once per query whether it has an anchored end at all, and the
+//! driver computes it only for a candidate the first tier failed to prune
+//! against a live threshold.
+//!
+//! The second tier still scores whatever lies between the two ends as a
+//! perfect 1. The **third** places it: when the whole query is a chain of
+//! two or three free slope units, the two end windows leave the middle
+//! unit exactly one window, `[j, i]`, and the chain's total over that
+//! placement is the very number the DP maximises. Enumerating every pair
+//! of ends would be the DP; what makes it a bound is the live threshold τ:
+//! a total can reach τ only if each end alone would with everything else
+//! perfect, and each pair of ends only if their sum would with a perfect
+//! middle, which on a walk leaves a handful of placements out of `n²/2` —
+//! see `JointChain`. It answers a different question from the first two
+//! (not "how high can this score" but "can it reach τ"), so it runs last,
+//! against the sharpest threshold the walk has, and stage 2 visits the
+//! second tier's survivors **best bound first** so that threshold is sharp
+//! early: [`PruningDriver::sweep`]. On walks it prunes another four in ten.
+//! What all three feed is the same rule.
 //!
 //! The threshold lives in a [`ThresholdCell`] — an atomic-`f64`
 //! (`AtomicU64` bit-cast) max register shared across every executor of
@@ -61,7 +79,7 @@ use crate::algo::SegmenterKind;
 use crate::ast::{Pattern, ShapeQuery, ShapeSegment};
 use crate::engine::group::VizData;
 use crate::engine::observe::{EngineStage, StageObserver, NOOP_OBSERVER};
-use crate::score::{down_at, flat_at, theta_at, theta_target, up_at, ScoreParams};
+use crate::score::{clamp_score, down_at, flat_at, theta_at, theta_target, up_at, ScoreParams};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
@@ -306,6 +324,7 @@ pub struct PruningCounters {
     pruned: AtomicU64,
     scored: AtomicU64,
     refined: AtomicU64,
+    joined: AtomicU64,
     /// Nanoseconds, not microseconds: the bound pass over a small shard
     /// takes less than one, so a per-pass truncation to µs would add up a
     /// column of zeros.
@@ -332,6 +351,7 @@ impl PruningCounters {
             pruned: self.pruned.load(Ordering::Relaxed),
             scored: self.scored.load(Ordering::Relaxed),
             refined: self.refined.load(Ordering::Relaxed),
+            joined: self.joined.load(Ordering::Relaxed),
             bound_micros: self.bound_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
@@ -353,7 +373,11 @@ pub struct PruningSnapshot {
     /// end-anchored windows. Each is also one of `bounded` and goes on to
     /// be one of `pruned` or `scored`.
     pub refined: u64,
-    /// Total microseconds spent computing bounds, both tiers.
+    /// Third-tier bounds computed: refined candidates the end-anchored
+    /// bound could not prune either, whose chain was then placed whole
+    /// against the live threshold. Each is also one of `refined`.
+    pub joined: u64,
+    /// Total microseconds spent computing bounds, all tiers.
     pub bound_micros: u64,
 }
 
@@ -365,6 +389,7 @@ impl PruningSnapshot {
         self.pruned += other.pruned;
         self.scored += other.scored;
         self.refined += other.refined;
+        self.joined += other.joined;
         self.bound_micros += other.bound_micros;
     }
 }
@@ -380,6 +405,9 @@ pub struct PruningDriver<'a> {
     /// once per query, so a query with none never looks at a candidate
     /// twice.
     anchors: Ends,
+    /// The third tier's chain, when the whole query is one; decided beside
+    /// `anchors`.
+    joint: Option<JointChain>,
     cell: &'a ThresholdCell,
     counters: &'a PruningCounters,
     k: usize,
@@ -397,6 +425,17 @@ impl std::fmt::Debug for PruningDriver<'_> {
     }
 }
 
+/// What one walk did, kept locally and published once: the counters are
+/// shared by every executor of a batch, and a contended add per candidate
+/// costs more than the comparison it counts.
+#[derive(Default)]
+struct Tally {
+    pruned: u64,
+    scored: u64,
+    refined: u64,
+    joined: u64,
+}
+
 impl<'a> PruningDriver<'a> {
     /// A driver for one query (retrieving `k` results) over the given
     /// shared cell and counters. Compiles the query's bound plan.
@@ -410,6 +449,7 @@ impl<'a> PruningDriver<'a> {
         let plan = BoundPlan::compile(query, params, Ends::BOTH);
         Self {
             anchors: plan.anchors(),
+            joint: plan.joint(),
             plan,
             cell,
             counters,
@@ -420,9 +460,9 @@ impl<'a> PruningDriver<'a> {
 
     /// Routes this driver's bound timings to `observer` (one
     /// [`EngineStage::PruneBound`] sample per [`Self::upper_bounds`]
-    /// call, and one per [`Self::visit`] walk that computed second-tier
-    /// bounds) in addition to the shared counters. Returns `self` for
-    /// chaining.
+    /// call, one per [`Self::sweep`]'s refine pass, and one per walk that
+    /// took second- or third-tier bounds a candidate at a time) in
+    /// addition to the shared counters. Returns `self` for chaining.
     #[must_use]
     pub fn with_observer(mut self, observer: &'a dyn StageObserver) -> Self {
         self.observer = observer;
@@ -469,19 +509,20 @@ impl<'a> PruningDriver<'a> {
         order
     }
 
-    /// Walks `positions` against the live threshold. A candidate whose
-    /// upper bound is **strictly** below it — even a tie could not
-    /// displace the k-th result — is skipped for good; every other is
-    /// handed to `score` and the exact score it returns is pooled toward
-    /// the proven global k-th best (see [`ThresholdCell::offer`]), so
-    /// every executor's results tighten every other executor's threshold
-    /// as they land. Seeds and sweep both go through here.
+    /// Walks `positions`, in the order given, against the live threshold.
+    /// A candidate whose upper bound is **strictly** below it — even a tie
+    /// could not displace the k-th result — is skipped for good; every
+    /// other is handed to `score` and the exact score it returns is pooled
+    /// toward the proven global k-th best (see [`ThresholdCell::offer`]),
+    /// so every executor's results tighten every other executor's
+    /// threshold as they land.
     ///
     /// The bound is `bounds[pos]`, the whole-trendline one, unless that
     /// fails to prune against a live threshold and the query has an
     /// anchored end: then, and only then, the candidate's second-tier
-    /// bound is computed and takes its place under the same rule. The
-    /// tier's time is kept locally and published once per walk.
+    /// bound is computed and takes its place under the same rule, and
+    /// where that fails too and the query is a `JointChain`, the third.
+    /// The tiers' time is kept locally and published once per walk.
     pub fn visit(
         &self,
         vizzes: &[&VizData],
@@ -489,8 +530,8 @@ impl<'a> PruningDriver<'a> {
         positions: impl Iterator<Item = usize>,
         mut score: impl FnMut(usize) -> f64,
     ) {
-        let (mut pruned, mut scored, mut refined) = (0u64, 0u64, 0u64);
-        let mut refining = Duration::ZERO;
+        let mut tally = Tally::default();
+        let mut bounding = Duration::ZERO;
         let mut windows = EndWindows::default();
         for pos in positions {
             let mut upper = bounds[pos];
@@ -498,36 +539,151 @@ impl<'a> PruningDriver<'a> {
             let threshold = self.cell.get();
             if self.anchors.any() && threshold > f64::NEG_INFINITY && upper >= threshold {
                 let started = Instant::now();
-                windows.load(vizzes[pos], self.anchors);
-                upper = self.plan.anchored(vizzes[pos], &windows).1;
-                refining += started.elapsed();
-                refined += 1;
+                upper = self.refine(vizzes[pos], &mut windows, &mut tally);
+                // (A NaN bound is at or above no threshold, and is
+                // nobody's to prune.)
+                if let Some(chain) = self.joint.as_ref().filter(|_| upper >= threshold) {
+                    upper = chain.bound(vizzes[pos], &mut windows, threshold, upper);
+                    tally.joined += 1;
+                }
+                bounding += started.elapsed();
+            }
+            self.settle(upper, threshold, &mut tally, || score(pos));
+        }
+        let bounding = (tally.refined > 0).then_some(bounding);
+        self.publish(&tally, bounding);
+    }
+
+    /// §6.3 stage 2, "progressively refined bounds": [`Self::visit`] with
+    /// the tiers taken a stage at a time, so that the dearest meets the
+    /// sharpest threshold. One pass applies the first tier to every
+    /// candidate under `visit`'s rule and takes the second for its
+    /// survivors only (one clock pair, one observer sample); those are
+    /// sorted by second-tier bound, best first (ties by position), and
+    /// walked: each against the live threshold with the bound it has, then
+    /// the third tier if the query has one — and at the first second-tier
+    /// bound below the threshold everyone left is pruned unseen, since
+    /// nobody after has a higher bound and the threshold only rises. The
+    /// candidates most likely to raise the threshold are scored first, so
+    /// both the early exit and the third tier's cut bite sooner than in
+    /// index order. The engine's top-k order is total, so the visiting
+    /// order cannot change a result.
+    ///
+    /// A query with no anchored end has no second tier to sort by, and
+    /// before any threshold exists there is nothing to take it against:
+    /// both are `visit`, instruction for instruction.
+    pub fn sweep(
+        &self,
+        vizzes: &[&VizData],
+        bounds: &[f64],
+        positions: impl Iterator<Item = usize>,
+        mut score: impl FnMut(usize) -> f64,
+    ) {
+        // The threshold only rises: live here, live for the whole sweep.
+        if !self.anchors.any() || self.cell.get() == f64::NEG_INFINITY {
+            return self.visit(vizzes, bounds, positions, score);
+        }
+        let mut tally = Tally::default();
+        let mut windows = EndWindows::default();
+        let mut survivors: Vec<(usize, f64)> = Vec::new();
+        let started = Instant::now();
+        for pos in positions {
+            let mut upper = bounds[pos];
+            let threshold = self.cell.get();
+            if upper >= threshold {
+                upper = self.refine(vizzes[pos], &mut windows, &mut tally);
             }
             if upper < threshold {
-                if upper >= self.cell.proven() {
-                    // The proven component alone would not have pruned
-                    // this: the prune rides on the hint, so record it for
-                    // the hint sender's verification pass.
-                    self.cell.note_hint_prune(upper);
-                }
-                pruned += 1;
+                self.note_prune(upper);
+                tally.pruned += 1;
             } else {
-                self.cell.offer(score(pos), self.k);
-                scored += 1;
+                survivors.push((pos, upper));
             }
         }
-        // Once per walk: the counters are shared by every executor of a
-        // batch, and a contended add per candidate costs more than the
-        // comparison it counts.
-        self.counters.pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.counters.scored.fetch_add(scored, Ordering::Relaxed);
-        if refined > 0 {
-            self.counters.refined.fetch_add(refined, Ordering::Relaxed);
-            self.counters
-                .bound_nanos
-                .fetch_add(refining.as_nanos() as u64, Ordering::Relaxed);
-            self.observer
-                .stage(EngineStage::PruneBound, refining.as_micros() as u64);
+        if tally.refined > 0 {
+            self.record_bounding(started.elapsed());
+        }
+
+        // A NaN bound is below no threshold and must stay ahead of the
+        // early exit: it sorts as the best bound there is, whatever its
+        // sign bit says.
+        let key = |upper: f64| if upper.is_nan() { f64::INFINITY } else { upper };
+        survivors
+            .sort_unstable_by(|a, b| key(b.1).total_cmp(&key(a.1)).then_with(|| a.0.cmp(&b.0)));
+        let mut joining = Duration::ZERO;
+        for (at, &(pos, refined)) in survivors.iter().enumerate() {
+            let threshold = self.cell.get();
+            if refined < threshold {
+                // The largest bound among those pruned here: the only
+                // one a hint's sender needs to hear of.
+                self.note_prune(refined);
+                tally.pruned += (survivors.len() - at) as u64;
+                break;
+            }
+            let mut upper = refined;
+            if let Some(chain) = self.joint.as_ref().filter(|_| upper >= threshold) {
+                let started = Instant::now();
+                windows.load(vizzes[pos], self.anchors);
+                upper = chain.bound(vizzes[pos], &mut windows, threshold, upper);
+                tally.joined += 1;
+                joining += started.elapsed();
+            }
+            self.settle(upper, threshold, &mut tally, || score(pos));
+        }
+        self.publish(&tally, (tally.joined > 0).then_some(joining));
+    }
+
+    /// The second-tier bound of one candidate, its end windows left loaded
+    /// in `windows`.
+    fn refine(&self, viz: &VizData, windows: &mut EndWindows, tally: &mut Tally) -> f64 {
+        windows.load(viz, self.anchors);
+        tally.refined += 1;
+        self.plan.anchored(viz, windows).1
+    }
+
+    /// The rule every tier feeds: strictly below the threshold is pruned,
+    /// anything else is scored and its score pooled.
+    fn settle(&self, upper: f64, threshold: f64, tally: &mut Tally, score: impl FnOnce() -> f64) {
+        if upper < threshold {
+            self.note_prune(upper);
+            tally.pruned += 1;
+        } else {
+            self.cell.offer(score(), self.k);
+            tally.scored += 1;
+        }
+    }
+
+    /// Books a prune under `upper`: when the proven component alone would
+    /// not have made it, the prune rides on the hint, so it is recorded
+    /// for the hint sender's verification pass.
+    fn note_prune(&self, upper: f64) {
+        if upper >= self.cell.proven() {
+            self.cell.note_hint_prune(upper);
+        }
+    }
+
+    fn record_bounding(&self, elapsed: Duration) {
+        self.counters
+            .bound_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.observer
+            .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
+    }
+
+    /// Publishes one walk's tally, and the time it spent on bounds taken a
+    /// candidate at a time when it took any.
+    fn publish(&self, tally: &Tally, bounding: Option<Duration>) {
+        let counters = self.counters;
+        for (counter, by) in [
+            (&counters.pruned, tally.pruned),
+            (&counters.scored, tally.scored),
+            (&counters.refined, tally.refined),
+            (&counters.joined, tally.joined),
+        ] {
+            counter.fetch_add(by, Ordering::Relaxed);
+        }
+        if let Some(elapsed) = bounding {
+            self.record_bounding(elapsed);
         }
     }
 }
@@ -557,6 +713,27 @@ pub fn anchored_upper_bound(
     })
 }
 
+/// The third-tier upper bound of a query over one visualization against
+/// `threshold` — what the pruning driver takes for a candidate
+/// [`anchored_upper_bound`] cannot rule out — or `None` when the query is
+/// not a chain the tier places whole. At or above `threshold` it is an
+/// upper bound on the exact score; below it, a proof that the exact score
+/// is below `threshold` too.
+pub fn joint_upper_bound(
+    query: &ShapeQuery,
+    viz: &VizData,
+    params: &ScoreParams,
+    threshold: f64,
+) -> Option<f64> {
+    let plan = BoundPlan::compile(query, params, Ends::BOTH);
+    plan.joint().map(|chain| {
+        let mut windows = EndWindows::default();
+        windows.load(viz, Ends::BOTH);
+        let refined = plan.anchored(viz, &windows).1;
+        chain.bound(viz, &mut windows, threshold, refined)
+    })
+}
+
 /// A query compiled for bounding — the bound plan: everything
 /// [`Self::bounds`] needs that does not depend on the visualization (which
 /// Table 7 row applies to each segment, the `θ = x` constants and the
@@ -572,11 +749,13 @@ enum BoundPlan {
     /// only *lower* the segment's score — to −1 on violation — so the
     /// upper bound stands but the Table 7 lower bound does not: it widens
     /// to the trivial −1 so NOT nodes (which flip bounds) stay sound.
-    /// `anchor`: the end its window is pinned to by the tiling, if any —
-    /// what the second tier bounds it over.
+    /// `located`: the query says where its window goes (x/y pins, an
+    /// ITERATOR width). `anchor`: the end its window is pinned to by the
+    /// tiling, if any — what the second tier bounds it over.
     Slope {
         row: SlopeRow,
         constrained: bool,
+        located: bool,
         anchor: Option<End>,
     },
     Concat(Vec<BoundPlan>),
@@ -642,11 +821,15 @@ impl Ends {
 
 /// One candidate's end-anchored window slopes, `n − 1` a side: every
 /// window that starts at its first point and every window that ends at
-/// its last. Two buffers a walk reuses from candidate to candidate.
+/// its last — and, for the third tier, the few of either the threshold
+/// leaves standing, as (inner end point, unit score). Four buffers a walk
+/// reuses from candidate to candidate.
 #[derive(Debug, Default)]
 struct EndWindows {
     first: Vec<f64>,
     last: Vec<f64>,
+    kept_first: Vec<(usize, f64)>,
+    kept_last: Vec<(usize, f64)>,
 }
 
 impl EndWindows {
@@ -734,6 +917,7 @@ impl BoundPlan {
         Self::Slope {
             row,
             constrained: located || params.min_width_frac > 0.0,
+            located,
             anchor,
         }
     }
@@ -750,6 +934,37 @@ impl BoundPlan {
             Self::Concat(cs) | Self::And(cs) | Self::Or(cs) => any(cs),
             Self::Not(c) => c.anchors(),
         }
+    }
+
+    /// The chain the third tier places whole, when the plan is one: a flat
+    /// CONCAT of two or three slope units, the first and last anchored to
+    /// their ends and the one between them free to take whatever window
+    /// they leave. Any other shape — a longer chain, an operator or a
+    /// nested CONCAT for a unit, a located or non-slope unit — has
+    /// placements this enumeration does not cover.
+    fn joint(&self) -> Option<JointChain> {
+        let Self::Concat(units) = self else {
+            return None;
+        };
+        let free_at = |unit: &Self, end: Option<End>| match unit {
+            Self::Slope {
+                row,
+                located: false,
+                anchor,
+                ..
+            } if *anchor == end => Some(*row),
+            _ => None,
+        };
+        let middle = match units.len() {
+            2 => None,
+            3 => Some(free_at(&units[1], None)?),
+            _ => return None,
+        };
+        Some(JointChain {
+            first: free_at(units.first()?, Some(End::First))?,
+            middle,
+            last: free_at(units.last()?, Some(End::Last))?,
+        })
     }
 
     /// The second tier: [`Self::bounds`] for one visualization, with each
@@ -772,6 +987,7 @@ impl BoundPlan {
                 row,
                 constrained,
                 anchor,
+                ..
             } => {
                 let (lo, hi) = row.bounds(viz);
                 (
@@ -875,19 +1091,50 @@ impl SlopeRow {
             (a.min(b), if straddles { 1.0 } else { a.max(b) })
         };
         match self {
-            Self::Up => (up_at(lo_t), up_at(hi_t)),
-            Self::Down => (down_at(hi_t), down_at(lo_t)),
-            Self::Flat => unimodal(flat_at(lo_t), flat_at(hi_t), 0.0),
-            Self::Theta {
-                target,
-                worst,
-                mode,
-            } => unimodal(
-                theta_at(lo_t, target, worst),
-                theta_at(hi_t, target, worst),
-                mode,
-            ),
+            Self::Up => (self.at(lo_t), self.at(hi_t)),
+            Self::Down => (self.at(hi_t), self.at(lo_t)),
+            Self::Flat => unimodal(self.at(lo_t), self.at(hi_t), 0.0),
+            Self::Theta { mode, .. } => unimodal(self.at(lo_t), self.at(hi_t), mode),
         }
+    }
+
+    /// The row's Table 5 score at a fitted angle.
+    #[inline]
+    fn at(self, theta: f64) -> f64 {
+        match self {
+            Self::Up => up_at(theta),
+            Self::Down => down_at(theta),
+            Self::Flat => flat_at(theta),
+            Self::Theta { target, worst, .. } => theta_at(theta, target, worst),
+        }
+    }
+
+    /// The closed slope interval `(lo, hi)` outside which the row scores
+    /// below `c` (empty, `lo > hi`, when nothing scores that high): each
+    /// row inverted through `tan` — a half-line for the monotone rows, an
+    /// interval round the mode for the unimodal ones — so a run of slopes
+    /// is cut by comparisons alone. Widened outward by [`BAND_MARGIN`]:
+    /// keeping a window too many is sound, dropping one is not.
+    fn band(self, c: f64) -> (f64, f64) {
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+        // The angles that score `c` or more, then outward by the margin.
+        let (lo, hi) = match self {
+            Self::Up => (c * FRAC_PI_2, f64::INFINITY),
+            Self::Down => (f64::NEG_INFINITY, -c * FRAC_PI_2),
+            Self::Flat => ((c - 1.0) * FRAC_PI_4, (1.0 - c) * FRAC_PI_4),
+            Self::Theta { target, worst, .. } => {
+                let reach = (1.0 - c) * worst / 2.0;
+                (target - reach, target + reach)
+            }
+        };
+        // Fitted angles lie within ±π/2: an edge beyond that range admits
+        // every slope on its side, or none.
+        let slope_at = |angle: f64| match angle {
+            a if a <= -FRAC_PI_2 => f64::NEG_INFINITY,
+            a if a >= FRAC_PI_2 => f64::INFINITY,
+            a => a.tan(),
+        };
+        (slope_at(lo - BAND_MARGIN), slope_at(hi + BAND_MARGIN))
     }
 
     /// The row's best score over the windows whose fitted slopes are
@@ -900,14 +1147,10 @@ impl SlopeRow {
     /// no threshold is above.
     fn best_over(self, slopes: &[f64]) -> f64 {
         match self {
-            Self::Up => up_at(largest(slopes, |s| s).atan()),
-            Self::Down => down_at((-largest(slopes, |s| -s)).atan()),
-            Self::Flat => flat_at((-largest(slopes, |s| -s.abs())).atan()),
-            Self::Theta {
-                target,
-                worst,
-                mode,
-            } => {
+            Self::Up => self.at(largest(slopes, |s| s).atan()),
+            Self::Down => self.at((-largest(slopes, |s| -s)).atan()),
+            Self::Flat => self.at((-largest(slopes, |s| -s.abs())).atan()),
+            Self::Theta { mode, .. } => {
                 const NOT_THIS_SIDE: f64 = f64::NEG_INFINITY;
                 let below = largest(slopes, |s| if s <= mode { s } else { NOT_THIS_SIDE });
                 let above = -largest(slopes, |s| if s >= mode { -s } else { NOT_THIS_SIDE });
@@ -920,7 +1163,7 @@ impl SlopeRow {
                 [below, above]
                     .into_iter()
                     .filter(|s| s.is_finite())
-                    .map(|s| theta_at(s.atan(), target, worst))
+                    .map(|s| self.at(s.atan()))
                     .fold(f64::NAN, f64::max)
             }
         }
@@ -953,6 +1196,184 @@ fn largest(slopes: &[f64], key: impl Fn(f64) -> f64) -> f64 {
         return f64::NAN;
     }
     lanes.into_iter().fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// How far, in radians of fitted angle, [`SlopeRow::band`] is widened past
+/// the angle that scores exactly its cut. It has to cover every way a
+/// window just outside the band could still be part of a total a segmenter
+/// reads as τ: the cut itself (`(τ − 1)/w + 1`, two roundings), its
+/// product with π/2 or π/4 and the `tan` (an ulp each), the segmenter's
+/// `atan` and Table 5 map (three more), and [`ROUNDING_ALLOWANCE`] on the
+/// total, which is 3 × 2⁻⁴³ of a unit score and so at most π/2 times that,
+/// 5.4 × 10⁻¹³ rad. A nanoradian is three orders of magnitude above their
+/// sum, and costs a window only when its score is within 1.3 × 10⁻⁹ of
+/// the cut — on a walk, none.
+const BAND_MARGIN: f64 = 1e-9;
+
+/// What [`JointChain`] adds to a placement's total so that it dominates
+/// the same placement's total in every segmenter's arithmetic: 512 ulps of
+/// 1.0 (2⁻⁴³ ≈ 1.1 × 10⁻¹³). The DP and the greedy add `weight · score`
+/// unit by unit in chain order, which is the order used here, bit for bit.
+/// The SegmentTree re-associates and cancels: each bridge is `left.score −
+/// left.last + right.score − right.first + merged`, four operations on
+/// values below 3 in magnitude, so at most one ulp of 1.0 each; an entry
+/// of two or more units has a break inside its node, a three-unit chain
+/// has two breaks, so at most two entries a level are combined on the way
+/// to the root's, and a tree has at most 32 levels (breaks are `u32`) —
+/// 2 · 4 · 32 = 256 ulps, plus the three roundings here. Twice that.
+const ROUNDING_ALLOWANCE: f64 = 512.0 * f64::EPSILON;
+
+/// The third tier gives up, before its first `atan`, when the two bands
+/// admit more end windows than this between them: half of what there is.
+/// With [`max_pairs`] it holds the tier's worst case to `n/2` end windows
+/// and `n − 1` middles: `3n/2` fitted angles, where a three-unit
+/// SegmentTree takes `≈ 8.5n` (at `n = 128`, one shared by each of 253
+/// nodes and ≈ 850 bridges, seven an inner node) — a sixth. Measured where
+/// it matters — k = 200 on 1,000 × 128-point walks, where the threshold is
+/// low and the tier prunes only one in seven of the candidates that reach
+/// it — it costs 2.6 µs a candidate, under a tenth of the tree the other
+/// six then cost. A candidate that overruns is one the threshold does not
+/// yet separate from the top k: worth the tree.
+const fn max_end_windows(n: usize) -> usize {
+    n / 2
+}
+
+/// ... and, before its first middle window, when more pairs of ends than
+/// this survive the pair cut. Swept on the same walks (34 three-unit
+/// queries a pass, one thread; trees scored a pass at k = 5 without the
+/// tier: 17,234): a cap of 64 leaves 6,822, `n − 1` = 127 leaves 5,954,
+/// 256 leaves 5,548, 512 leaves 5,399 and no cap 5,385, while the pass
+/// takes the same time from 64 up to within the noise of the machine
+/// (≈ 240 ms; 610 at the parent commit). So the cap buys almost nothing
+/// past `n − 1` and is there for the worst case above, not the average.
+const fn max_pairs(n: usize) -> usize {
+    n - 1
+}
+
+/// The third tier of the bound: a query that is one chain of two or three
+/// free slope units ([`BoundPlan::joint`]), placed whole.
+///
+/// Every segmenter tiles `[0, n − 1]` with the chain's units in order, so
+/// a placement is a pair of end windows `[0, j]`, `[i, n − 1]` — `i = j`
+/// for two units, `i > j` for three, with the middle unit on `[j, i]` —
+/// and its total is `w·f(j) + w·m(j, i) + w·g(i)`, `w = 1/units`. The best
+/// total over all placements is the DP's optimum, which bounds the
+/// SegmentTree's and the greedy's. All `n²/2` of them is the DP's work;
+/// the live threshold τ cuts it to a handful, soundly, because no unit
+/// scores above 1:
+///
+/// * a placement reaches τ only if its first window alone would with the
+///   other units perfect, `f(j) ≥ (τ − 1)/w + 1`, and its last likewise —
+///   [`SlopeRow::band`] turns that into a slope interval, so the two runs
+///   the second tier already read are cut by comparisons, and only the
+///   members pay an `atan` for their exact score;
+/// * a pair of members only if `w·f(j) + w·1 + w·g(i) ≥ τ`;
+/// * and each surviving pair with room between its windows has its middle
+///   scored on the window the ends leave it.
+///
+/// Totals are taken in the DP's own order with [`ROUNDING_ALLOWANCE`] on
+/// top, and the minimum-width term, which only lowers a score, is left
+/// out; so a total here is at or above what any segmenter computes for the
+/// same placement, and a placement cut here totals below τ for every
+/// segmenter.
+#[derive(Debug, Clone, Copy)]
+struct JointChain {
+    first: SlopeRow,
+    /// The unit between the ends, in a chain of three.
+    middle: Option<SlopeRow>,
+    last: SlopeRow,
+}
+
+impl JointChain {
+    /// The largest placement total, when that reaches `threshold`: an
+    /// upper bound on the exact score. Otherwise every placement,
+    /// enumerated or cut, totals below `threshold`, so the float just
+    /// below it is an upper bound too — and is the one returned, which is
+    /// what a prune on a hint's word then records: the hint's sender finds
+    /// its merged k-th above that exactly when it is at or above the hint.
+    ///
+    /// `refined`, the second-tier bound, comes back unchanged when the
+    /// tier has nothing to say: NaN data (which nothing may prune), a
+    /// chain with more units than the trendline has intervals (infeasible;
+    /// −1 needs no bound), or a threshold so low that the cuts leave more
+    /// than [`max_end_windows`] or [`max_pairs`] standing. `windows` holds
+    /// `viz`'s runs for both ends.
+    fn bound(&self, viz: &VizData, windows: &mut EndWindows, threshold: f64, refined: f64) -> f64 {
+        let n = viz.n();
+        let units = if self.middle.is_some() { 3 } else { 2 };
+        if refined.is_nan() || n <= units {
+            return refined;
+        }
+        let w = 1.0 / units as f64;
+        let w_middle = if self.middle.is_some() { w } else { 0.0 };
+        let total = |f: f64, m: f64, g: f64| w * f + w_middle * m + w * g + ROUNDING_ALLOWANCE;
+        let score = |row: SlopeRow, slope: f64| clamp_score(row.at(slope.atan()));
+
+        // The inner end points 1..=n − 2: `first[j − 1]` is `[0, j]`,
+        // `last[i]` is `[i, n − 1]`.
+        let alone = (threshold - 1.0) / w + 1.0;
+        let EndWindows {
+            first,
+            last,
+            kept_first,
+            kept_last,
+        } = windows;
+        let keep = |row: SlopeRow, slopes: &[f64], kept: &mut Vec<(usize, f64)>| {
+            let (lo, hi) = row.band(alone);
+            kept.clear();
+            kept.extend(
+                slopes
+                    .iter()
+                    .zip(1..)
+                    .filter(|(&slope, _)| lo <= slope && slope <= hi)
+                    .map(|(&slope, at)| (at, slope)),
+            );
+        };
+        keep(self.first, &first[..n - 2], kept_first);
+        keep(self.last, &last[1..], kept_last);
+        if kept_first.len() + kept_last.len() > max_end_windows(n) {
+            return refined;
+        }
+        kept_first
+            .iter_mut()
+            .for_each(|(_, f)| *f = score(self.first, *f));
+        kept_last
+            .iter_mut()
+            .for_each(|(_, g)| *g = score(self.last, *g));
+
+        let (kept_first, kept_last) = (&*kept_first, &*kept_last);
+        let abutting = self.middle.is_none();
+        let pairs = || {
+            kept_first.iter().flat_map(move |&(j, f)| {
+                kept_last
+                    .iter()
+                    .filter(move |&&(i, g)| {
+                        (if abutting { i == j } else { i > j }) && total(f, 1.0, g) >= threshold
+                    })
+                    .map(move |&(i, g)| (j, f, i, g))
+            })
+        };
+        if pairs().count() > max_pairs(n) {
+            return refined;
+        }
+        let runs = viz.arena().prefix_runs(viz.slot());
+        let mut best = f64::NEG_INFINITY;
+        for (j, f, i, g) in pairs() {
+            let m = match self.middle {
+                Some(row) => score(row, runs.range_stats(j, i).slope()),
+                None => 1.0,
+            };
+            if m.is_nan() {
+                return refined;
+            }
+            best = best.max(total(f, m, g));
+        }
+        if best >= threshold {
+            best
+        } else {
+            threshold.next_down()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1002,6 +1423,22 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// A seeded random walk of `n` points whose steps go either way
+    /// ([`walk`]'s only ever fall): the kind a chain of θ units fits well
+    /// enough for the top-k threshold to be worth cutting by.
+    pub(crate) fn wander(seed: u64, n: usize) -> Vec<(f64, f64)> {
+        let mut y = 0.0;
+        walk(seed, n + 1)
+            .windows(2)
+            .map(|step| 2.0 * (step[1].1 - step[0].1) + 1.0)
+            .enumerate()
+            .map(|(t, step)| {
+                y += step;
+                (t as f64, y)
+            })
+            .collect()
+    }
+
     #[test]
     fn bounds_contain_final_score() {
         use crate::algo::segment_tree::SegmentTreeSegmenter;
@@ -1021,9 +1458,15 @@ pub(crate) mod tests {
         // minimum-width term (both void the lower bound only) — and, for
         // the second tier, each operator and a nested CONCAT at either end
         // of a chain, located units at the ends (not anchored), one-unit
-        // chains (no tier).
+        // chains (no tier); for the third, chains of two and of three
+        // with each row at an end and in the middle.
         let queries = [
             ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
+            ShapeQuery::concat(vec![ShapeQuery::flat(), slope(120.0)]),
+            ShapeQuery::concat(vec![slope(-135.0), ShapeQuery::flat()]),
+            ShapeQuery::concat(vec![ShapeQuery::down(), slope(20.0)]),
+            ShapeQuery::concat(vec![ShapeQuery::down(), ShapeQuery::up(), slope(-50.0)]),
+            ShapeQuery::concat(vec![slope(10.0), ShapeQuery::down(), ShapeQuery::up()]),
             ShapeQuery::up(),
             ShapeQuery::flat(),
             ShapeQuery::Or(vec![ShapeQuery::up(), ShapeQuery::flat()]),
@@ -1103,15 +1546,18 @@ pub(crate) mod tests {
             ..ScoreParams::default()
         };
         // The peaks and falls, seeded walks long and short (two points is
-        // the fewest GROUP accepts), and the walks again three to a bin.
+        // the fewest GROUP accepts) that fall all the way and that wander,
+        // and the walks again three to a bin.
         let mut collection = make_collection();
         for (i, n) in [2usize, 3, 4, 16, 33, 64].into_iter().enumerate() {
-            let t = Trendline::from_pairs(format!("w{n}"), &walk(n as u64, n));
-            for bin in [1, 3] {
-                collection.extend(VizData::from_trendline(&t, 20 + i, bin));
+            for pairs in [walk(n as u64, n), wander(n as u64, n)] {
+                let t = Trendline::from_pairs(format!("w{n}"), &pairs);
+                for bin in [1, 3] {
+                    collection.extend(VizData::from_trendline(&t, 20 + i, bin));
+                }
             }
         }
-        let mut anchored = 0;
+        let (mut anchored, mut joined, mut cut) = (0, 0, 0);
         for params in [ScoreParams::default(), widthy] {
             for q in &queries {
                 for v in &collection {
@@ -1133,12 +1579,50 @@ pub(crate) mod tests {
                         exact <= hi + 1e-9 && exact >= lo - 1e-9,
                         "score {exact} outside [{lo}, {hi}]: {case}"
                     );
-                    if let Some(tight) = anchored_upper_bound(q, v, &params) {
+                    let tight = anchored_upper_bound(q, v, &params);
+                    if let Some(tight) = tight {
                         anchored += 1;
                         assert!(
                             exact <= tight + 1e-9 && tight <= hi + 1e-9,
                             "score {exact} ≤ anchored {tight} ≤ whole {hi} broken: {case}"
                         );
+                    }
+                    // The third tier against thresholds either side of
+                    // the exact score, and on it: at or above the
+                    // threshold it bounds the score — the DP's and the
+                    // tree's, which re-associates its way an ulp past the
+                    // DP now and then; no tolerance, the rounding
+                    // allowance is its own — and below it the score is
+                    // below too: which an ulp above the score is where it
+                    // has to say, and on the score where it must not.
+                    for threshold in [
+                        f64::NEG_INFINITY,
+                        exact - 0.3,
+                        exact,
+                        exact.next_up(),
+                        exact + 0.05,
+                    ] {
+                        let Some(joint) = joint_upper_bound(q, v, &params, threshold) else {
+                            continue;
+                        };
+                        if Some(joint.to_bits()) == tight.map(f64::to_bits) {
+                            continue; // nothing to say: the second tier's, held above
+                        }
+                        joined += 1;
+                        if joint < threshold {
+                            cut += 1;
+                            assert!(
+                                exact < threshold && tree < threshold,
+                                "joint {joint} < τ {threshold} ≤ score {exact} or tree {tree}: \
+                                 {case}"
+                            );
+                        } else {
+                            assert!(
+                                exact <= joint && tree <= joint,
+                                "score {exact} or tree {tree} > joint {joint} (τ {threshold}): \
+                                 {case}"
+                            );
+                        }
                     }
                     // The second tier's operator arithmetic is the first's:
                     // compiled with no end to anchor, both give the same
@@ -1150,7 +1634,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        assert!(anchored > 0);
+        assert!(anchored > 0 && joined > 0 && cut > 0);
     }
 
     #[test]
@@ -1198,6 +1682,64 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn only_a_whole_chain_of_two_or_three_free_slope_units_is_placed_whole() {
+        let joint = |q: &ShapeQuery, params: &ScoreParams| {
+            BoundPlan::compile(q, params, Ends::BOTH)
+                .joint()
+                .map(|chain| 2 + usize::from(chain.middle.is_some()))
+        };
+        let params = ScoreParams::default();
+        let slope = |deg: f64| ShapeQuery::pattern(Pattern::Slope(deg));
+        let (up, down, flat) = (ShapeQuery::up, ShapeQuery::down, ShapeQuery::flat);
+        let chain = |units: Vec<ShapeQuery>| ShapeQuery::concat(units);
+        assert_eq!(joint(&chain(vec![up(), down()]), &params), Some(2));
+        assert_eq!(
+            joint(&chain(vec![slope(45.0), flat(), slope(120.0)]), &params),
+            Some(3)
+        );
+        // The minimum-width term only lowers a score.
+        let widthy = ScoreParams {
+            min_width_frac: 0.25,
+            ..ScoreParams::default()
+        };
+        assert_eq!(joint(&chain(vec![up(), down(), up()]), &widthy), Some(3));
+        // One unit has nothing to place; four have two middles.
+        assert_eq!(joint(&up(), &params), None);
+        assert_eq!(
+            joint(&chain(vec![up(), down(), up(), down()]), &params),
+            None
+        );
+        // Every unit must be a slope leaf free to take the window it is
+        // left: not located or windowed (at an end or between them), not a
+        // wildcard, not an operator, not a chain of its own (whose units
+        // weigh a quarter, not a third).
+        let pinned = ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 2.0, 9.0));
+        let windowed = ShapeQuery::Segment(ShapeSegment::pattern(Pattern::Up).with_width(4.0));
+        let any = ShapeQuery::pattern(Pattern::Any);
+        let either = ShapeQuery::Or(vec![up(), flat()]);
+        let negated = ShapeQuery::Not(Box::new(down()));
+        let inner = ShapeQuery::Concat(vec![down(), up()]);
+        for odd in [pinned, windowed, any, either, negated, inner] {
+            for at in 0..3 {
+                let mut units = vec![up(), down(), up()];
+                units[at] = odd.clone();
+                assert_eq!(
+                    joint(&ShapeQuery::Concat(units), &params),
+                    None,
+                    "{odd} at {at}"
+                );
+            }
+            assert_eq!(
+                joint(&ShapeQuery::Concat(vec![odd.clone(), up()]), &params),
+                None
+            );
+        }
+        // Nor is a chain under an operator the whole query.
+        let under = ShapeQuery::And(vec![chain(vec![up(), down()]), flat()]);
+        assert_eq!(joint(&under, &params), None);
+    }
+
+    #[test]
     fn theta_mode_follows_the_clamped_target() {
         // Slopes straddling tan 120° = −1.73: the scorer clamps the target
         // to 90° and rises with slope throughout, so the steepest interval
@@ -1215,6 +1757,150 @@ pub(crate) mod tests {
             assert_eq!(hi, theta_at(steepest, target, worst), "θ = {deg}");
             assert!(hi < 1.0);
         }
+    }
+
+    #[test]
+    fn no_slope_outside_a_band_scores_its_cut() {
+        let theta = |deg: f64| {
+            let (target, worst) = theta_target(deg);
+            SlopeRow::Theta {
+                target,
+                worst,
+                mode: target.tan(),
+            }
+        };
+        let rows = [
+            SlopeRow::Up,
+            SlopeRow::Down,
+            SlopeRow::Flat,
+            theta(45.0),
+            theta(-30.0),
+            theta(0.0),
+            theta(89.5),
+            theta(90.0),
+            theta(120.0),
+            theta(-135.0),
+        ];
+        let score = |row: SlopeRow, slope: f64| clamp_score(row.at(slope.atan()));
+        // Steps away from an edge, from the last bit to a tenth of it.
+        let steps: Vec<f64> = (0..=32).map(|e| 0.1 * 0.5f64.powi(e * 50 / 32)).collect();
+        let (mut edges, mut empty) = (0, 0);
+        for row in rows {
+            for c in [
+                -1.5, -1.0, -0.999, -0.5, 0.0, 0.3, 0.85, 0.97, 0.999_999, 1.0, 1.000_001, 1.2,
+            ] {
+                let (lo, hi) = row.band(c);
+                assert!(!lo.is_nan() && !hi.is_nan(), "{row:?} at {c}");
+                if lo > hi {
+                    // Nothing scores `c`: not the mode, not the extremes.
+                    empty += 1;
+                    let mode = match row {
+                        SlopeRow::Theta { mode, .. } => mode,
+                        _ => 0.0,
+                    };
+                    for slope in [-1e12, -1.0, 0.0, 1.0, 1e12, mode] {
+                        assert!(score(row, slope) < c, "{row:?} at {c}: slope {slope}");
+                    }
+                    continue;
+                }
+                for (edge, outward) in [(lo, -1.0), (hi, 1.0)] {
+                    if edge.is_infinite() {
+                        continue;
+                    }
+                    edges += 1;
+                    let scale = edge.abs().max(1e-3);
+                    for step in &steps {
+                        let outside = edge + outward * step * scale;
+                        assert!(
+                            score(row, outside) < c,
+                            "{row:?} scores {} ≥ {c} at slope {outside}, outside [{lo}, {hi}]",
+                            score(row, outside)
+                        );
+                    }
+                    // And the margin is a margin, not a licence: a
+                    // millionth of a radian inside the edge (where the
+                    // band is that wide) scores the cut.
+                    let inside = (edge.atan() - outward * 1e-6).tan();
+                    if lo <= inside && inside <= hi {
+                        let at = score(row, inside);
+                        assert!(at >= c, "{row:?} scores {at} < {c} inside [{lo}, {hi}]");
+                    }
+                }
+                // `next_up`/`next_down` of an edge: the nearest slopes out.
+                for outside in [lo.next_down(), hi.next_up()] {
+                    if outside.is_finite() {
+                        assert!(score(row, outside) < c, "{row:?} at {c}: slope {outside}");
+                    }
+                }
+            }
+        }
+        assert!(
+            edges > 100 && empty > 10,
+            "{edges} edges, {empty} empty bands"
+        );
+    }
+
+    #[test]
+    fn a_threshold_too_low_to_cut_by_returns_the_second_tier_bound() {
+        // Two straight 16-interval rises of the whole y range, one from
+        // the first point and one into the last, a step down after the
+        // first and before the second: 16 windows from either end fit
+        // `up` equally well, the rest soon badly.
+        let (n, leg) = (128usize, 16usize);
+        let pairs: Vec<(f64, f64)> = (0..n)
+            .map(|t| {
+                let y = match t {
+                    t if t <= leg => t as f64 / leg as f64,
+                    t if t < n - 1 - leg => 0.5,
+                    t => (t - (n - 1 - leg)) as f64 / leg as f64,
+                };
+                (t as f64, y)
+            })
+            .collect();
+        let v = viz(&pairs, 0);
+        let q = ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down(), ShapeQuery::up()]);
+        let params = ScoreParams::default();
+        let plan = BoundPlan::compile(&q, &params, Ends::BOTH);
+        let chain = plan.joint().expect("three free slope units");
+        let mut windows = EndWindows::default();
+        windows.load(&v, Ends::BOTH);
+        let refined = plan.anchored(&v, &windows).1;
+        let ends_kept = |windows: &EndWindows, threshold: f64| {
+            let (lo, hi) = SlopeRow::Up.band((threshold - 1.0) * 3.0 + 1.0);
+            let within = |&&s: &&f64| lo <= s && s <= hi;
+            windows.first[..n - 2].iter().filter(within).count()
+                + windows.last[1..].iter().filter(within).count()
+        };
+        let same_bits = |threshold: f64, windows: &mut EndWindows| {
+            let joint = chain.bound(&v, windows, threshold, refined);
+            assert_eq!(joint.to_bits(), refined.to_bits(), "τ = {threshold}");
+        };
+
+        // Low enough that most windows from either end could belong to a
+        // total that reaches it: more than n/2 stand, and the tier stops.
+        assert!(ends_kept(&windows, 0.3) > max_end_windows(n));
+        same_bits(0.3, &mut windows);
+
+        // Just under what two straight legs and a perfect middle total:
+        // the bands keep little more than the legs, but any leg window
+        // pairs with any other — 16² placements, more than n − 1.
+        let on_a_leg = clamp_score(SlopeRow::Up.at(windows.first[0].atan()));
+        let threshold = (2.0 * on_a_leg + 1.0) / 3.0 - 0.004;
+        let steep = windows.first[0];
+        let legs = |run: &[f64]| {
+            run.iter()
+                .filter(|&&s| (s / steep - 1.0).abs() < 1e-9)
+                .count()
+        };
+        assert!(legs(&windows.first) >= leg && legs(&windows.last) >= leg);
+        assert!(leg * leg > max_pairs(n));
+        assert!(ends_kept(&windows, threshold) <= max_end_windows(n));
+        same_bits(threshold, &mut windows);
+
+        // Just over it no pair does, and the tier says so.
+        let threshold = (2.0 * on_a_leg + 1.0) / 3.0 + 0.004;
+        let joint = chain.bound(&v, &mut windows, threshold, refined);
+        assert_eq!(joint, threshold.next_down());
     }
 
     #[test]
@@ -1476,6 +2162,64 @@ pub(crate) mod tests {
 
         let snap = counters.snapshot();
         assert_eq!((snap.pruned, snap.scored, snap.refined), (3, 2, 3));
+
+        // The third tier, under the same rule. Three fuzzy units on a
+        // walk: the ends leave the middle a window it does not fit, so
+        // the exact score sits well under the second-tier bound.
+        let slope = |deg: f64| ShapeQuery::pattern(Pattern::Slope(deg));
+        let q = ShapeQuery::concat(vec![slope(45.0), slope(-30.0), slope(60.0)]);
+        let wander = viz(&wander(3, 64), 0);
+        let udps = UdpRegistry::new();
+        let ev = Evaluator::new(&wander, &params, &udps);
+        let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
+        let (_, whole) = query_bounds(&q, &wander, &params);
+        let tight = anchored_upper_bound(&q, &wander, &params).expect("both ends are free");
+        assert!(exact < tight - 0.01, "score {exact}, anchored {tight}");
+        let between = (exact + tight) / 2.0;
+        let counters = PruningCounters::new();
+        let visit = |cell: &ThresholdCell| {
+            let driver = PruningDriver::new(&q, &params, cell, &counters, 1);
+            scored(&driver, &wander, &[whole])
+        };
+        let joined = || counters.snapshot().joined;
+
+        // Not taken for a candidate the second tier prunes on its own.
+        let cell = ThresholdCell::new();
+        cell.raise(tight + 0.01);
+        assert!(!visit(&cell));
+        assert_eq!((counters.snapshot().refined, joined()), (1, 0));
+
+        // A threshold equal to the exact score is a tie, not a prune.
+        let cell = ThresholdCell::new();
+        cell.raise(exact);
+        assert!(visit(&cell));
+        assert_eq!(joined(), 1);
+
+        // Above it (by more than the rounding allowance) and below the
+        // second-tier bound only the third prunes; proven, so without
+        // debt.
+        for threshold in [exact + 1e-9, between] {
+            let cell = ThresholdCell::new();
+            cell.raise(threshold);
+            assert!(!visit(&cell));
+            assert_eq!(cell.hint_pruned(), None);
+        }
+        assert_eq!(joined(), 3);
+
+        // On a hint's word the debt is the float under the hint: all the
+        // tier proved is "below it", and a sender whose merged k-th is at
+        // or above the hint it sent clears exactly that.
+        let cell = ThresholdCell::new();
+        cell.raise(exact - 0.1);
+        cell.seed_hint(between);
+        assert!(!visit(&cell));
+        assert_eq!(cell.hint_pruned(), Some(between.next_down()));
+
+        let snap = counters.snapshot();
+        assert_eq!(
+            (snap.pruned, snap.scored, snap.refined, snap.joined),
+            (4, 1, 5, 4)
+        );
     }
 
     #[test]

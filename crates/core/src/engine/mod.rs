@@ -556,8 +556,10 @@ impl ShapeEngine {
     /// the walk is §6.3's two stages over one bound pass: the candidates
     /// with the `k` highest upper bounds are scored first (the likely
     /// winners, so the threshold is sharp before the bulk meets it), then
-    /// the rest are swept in index order, each one comparison against the
-    /// live threshold. The threshold only prunes *strictly* below itself
+    /// the rest are swept ([`PruningDriver::sweep`]: in index order, each
+    /// one comparison against the live threshold — or, for a query with a
+    /// second bound tier, refined in one pass and walked best bound
+    /// first). The threshold only prunes *strictly* below itself
     /// and only once some executor has k exact results, and [`TopK`]'s
     /// order is total, so the surviving top k is byte-identical to a
     /// prune-free pass in any visiting order.
@@ -635,12 +637,13 @@ impl ShapeEngine {
                 admit(pos, &mut topk)
             });
         }
-        // Stage 2: everyone else, in index order.
+        // Stage 2: everyone else — in index order, or best second-tier
+        // bound first when the query has one (the driver knows which).
         let sweep = |range: std::ops::Range<usize>, topk: &mut TopK| {
             let rest = range.filter(|&pos| !seeded[pos]);
             match &bounded {
                 Some((driver, bounds)) => {
-                    driver.visit(vizzes, bounds, rest, |pos| admit(pos, topk));
+                    driver.sweep(vizzes, bounds, rest, |pos| admit(pos, topk));
                 }
                 None => rest.for_each(|pos| {
                     admit(pos, topk);
@@ -700,7 +703,7 @@ impl ShapeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::pruning::tests::walk;
+    use crate::algo::pruning::tests::{walk, wander};
     use crate::ast::ShapeSegment;
     use std::sync::Arc;
 
@@ -1041,43 +1044,76 @@ mod tests {
         // ssbench's `fuzzy_miss` in small: random walks, whose interval
         // slopes straddle every target angle, so every whole-trendline
         // bound is ≈ 1 and prunes nothing; what prunes is how few of the
-        // windows from the first point, and into the last, fit their unit.
-        let tls: Vec<Trendline> = (0..400u64)
-            .map(|i| Trendline::from_pairs(format!("walk{i}"), &walk(i + 1, 64)))
-            .collect();
+        // windows from the first point, and into the last, fit their unit
+        // — and, once both are placed, how badly the middle fits what is
+        // left. Walks that only ever fall fit this chain so poorly (top
+        // five ≈ 0.35) that no threshold cuts a placement: the second tier
+        // and the sweep order do all the work there. Walks that wander
+        // reach 0.95, and the third tier has something to cut by.
+        let falling = |seed| walk(seed, 64);
+        let wandering = |seed| wander(seed, 64);
         let q = ShapeQuery::concat(vec![
             ShapeQuery::pattern(Pattern::Slope(45.0)),
             ShapeQuery::pattern(Pattern::Slope(-30.0)),
             ShapeQuery::pattern(Pattern::Slope(60.0)),
         ]);
-        for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
-            let opts = EngineOptions {
-                segmenter: kind,
-                ..EngineOptions::default()
-            };
-            let off = EngineOptions {
-                pruning_mode: PruningMode::Off,
-                ..opts.clone()
-            };
-            let engine = ShapeEngine::from_trendlines(tls.clone()).with_options(off);
-            let want = engine.top_k(&q, 5).unwrap();
-            let shared = SharedThresholds::new(1);
-            let got = engine
-                .top_k_batch_observed(&[(&q, 5)], &opts, &shared, &NOOP_OBSERVER)
-                .pop()
-                .unwrap()
-                .unwrap();
-            assert_eq!(got, want, "{kind:?}");
-            let snap = shared.snapshot();
-            assert!(snap.pruned > 0, "{kind:?}: {snap:?}");
-            assert_eq!(snap.bounded, 400, "{kind:?}");
-            assert_eq!(snap.pruned + snap.scored, 400, "{kind:?}");
-            // Every prune was the second tier's: no candidate got there
-            // without the first tier failing on it.
-            assert!(
-                snap.pruned <= snap.refined && snap.refined <= 400 - 5,
-                "{kind:?}: {snap:?}"
-            );
+        // Every segmenter pruning runs for, under the mode it runs under.
+        let matrix = [
+            (SegmenterKind::Dp, PruningMode::Auto),
+            (SegmenterKind::SegmentTree, PruningMode::Auto),
+            (SegmenterKind::Greedy, PruningMode::Force),
+        ];
+        for (kind, mode) in matrix {
+            for (wanders, steps) in [(false, &falling as &dyn Fn(u64) -> _), (true, &wandering)] {
+                let tls: Vec<Trendline> = (0..400u64)
+                    .map(|i| Trendline::from_pairs(format!("walk{i}"), &steps(i + 1)))
+                    .collect();
+                let opts = EngineOptions {
+                    segmenter: kind,
+                    pruning_mode: mode,
+                    ..EngineOptions::default()
+                };
+                let off = EngineOptions {
+                    pruning_mode: PruningMode::Off,
+                    ..opts.clone()
+                };
+                let engine = ShapeEngine::from_trendlines(tls).with_options(off);
+                let want = engine.top_k(&q, 5).unwrap();
+                let shared = SharedThresholds::new(1);
+                let got = engine
+                    .top_k_batch_observed(&[(&q, 5)], &opts, &shared, &NOOP_OBSERVER)
+                    .pop()
+                    .unwrap()
+                    .unwrap();
+                let case = format!("{kind:?}, wandering: {wanders}");
+                assert_eq!(got, want, "{case}");
+                let snap = shared.snapshot();
+                assert!(snap.pruned > 0, "{case}: {snap:?}");
+                assert_eq!(snap.bounded, 400, "{case}");
+                assert_eq!(snap.pruned + snap.scored, 400, "{case}");
+                // Every prune was the second tier's or the third's: no
+                // candidate got to either without the tier before failing
+                // on it.
+                assert!(
+                    snap.pruned <= snap.refined && snap.refined <= 400 - 5,
+                    "{case}: {snap:?}"
+                );
+                assert!(
+                    0 < snap.joined && snap.joined <= snap.refined,
+                    "{case}: {snap:?}"
+                );
+                if wanders {
+                    // Whoever the third tier bounded and did not prune was
+                    // scored.
+                    assert!(snap.joined > snap.scored, "{case}: {snap:?}");
+                } else if mode == PruningMode::Auto {
+                    // Walked best second-tier bound first, the sweep stops
+                    // at the first bound under a threshold that is by then
+                    // nearly final (in index order the exact segmenters
+                    // scored 74 and 85 here).
+                    assert!(snap.scored <= 50, "{case}: {snap:?}");
+                }
+            }
         }
     }
 
@@ -1148,6 +1184,50 @@ mod tests {
                 "honest-hint debt must clear the safety check"
             );
         }
+
+        // The same where the prunes are the third tier's, which proves
+        // "below the threshold" and no more: three fuzzy units on walks
+        // that wander. The debt it leaves is the float under the hint.
+        let tls: Vec<Trendline> = (0..200u64)
+            .map(|i| Trendline::from_pairs(format!("walk{i}"), &wander(i + 1, 64)))
+            .collect();
+        let q = ShapeQuery::concat(vec![
+            ShapeQuery::pattern(Pattern::Slope(45.0)),
+            ShapeQuery::pattern(Pattern::Slope(-30.0)),
+            ShapeQuery::pattern(Pattern::Slope(60.0)),
+        ]);
+        let k = 5;
+        let engine = ShapeEngine::from_trendlines(tls);
+        let exact = engine.top_k(&q, k).unwrap();
+        let run = |hint: f64| {
+            let shared = SharedThresholds::new(1);
+            shared.seed_hint(0, hint);
+            let got = engine
+                .top_k_batch_observed(&[(&q, k)], engine.options(), &shared, &NOOP_OBSERVER)
+                .pop()
+                .unwrap()
+                .unwrap();
+            (got, shared.hint_pruned(0), shared.snapshot())
+        };
+
+        // Poison a hair above the best score there is: under most
+        // second-tier bounds, so it is the third tier that prunes on it.
+        let poison = exact[0].score + 1e-6;
+        let (got, debt, snap) = run(poison);
+        assert_ne!(got, exact, "the poison must bite for this test to bite");
+        assert!(snap.joined > snap.scored, "{snap:?}");
+        assert_eq!(debt, Some(poison.next_down()));
+        let safe = got.len() == k && got[k - 1].score > poison.next_down();
+        assert!(!safe, "a deficient partial must fail the safety check");
+
+        // The sharpest honest hint, the true k-th score itself: nothing
+        // changes, and the k-th clears the debt by exactly that one float.
+        let kth = exact[k - 1].score;
+        let (got, debt, snap) = run(kth);
+        assert_eq!(got, exact, "an honest hint must not change results");
+        assert!(snap.joined > snap.scored, "{snap:?}");
+        assert_eq!(debt, Some(kth.next_down()));
+        assert!(got[k - 1].score > kth.next_down());
     }
 
     /// `bin_width` arrives unchecked from outside: one engine asked for

@@ -41,10 +41,24 @@ pub fn parse_regex(input: &str) -> Result<ShapeQuery> {
     Ok(q)
 }
 
+/// How deep groups, negations and nested patterns may nest. The parser
+/// recurses once per level and query text arrives from outside the
+/// program, so without a cap a few kilobytes of `(` overflow the stack of
+/// whichever thread is parsing — which aborts the process. The same cap as
+/// the server's JSON parser, and far beyond any query a person writes. A
+/// group or a negation is one level; a nested pattern is two, since it
+/// recurses through the segment parser as well as the operator chain and
+/// takes twice the stack (≈ 19 KB against ≈ 9.5 KB a level unoptimized,
+/// measured) — so the deepest query admitted stays near 1.2 MB of a 2 MiB
+/// thread stack however it is spelt, and a fifth of that optimized.
+const MAX_DEPTH: usize = 128;
+
 struct Cursor<'a> {
     input: &'a str,
     chars: Vec<char>,
     pos: usize,
+    /// How many groups, negations and nested patterns enclose `pos`.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -53,7 +67,24 @@ impl<'a> Cursor<'a> {
             input,
             chars: input.chars().collect(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Runs `parse` `levels` nesting levels down, refusing to go below
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        levels: usize,
+        parse: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += levels;
+        let parsed = parse(self);
+        self.depth -= levels;
+        parsed
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -163,10 +194,11 @@ impl<'a> Cursor<'a> {
     fn parse_unary(&mut self) -> Result<ShapeQuery> {
         self.skip_ws();
         if self.eat('!') {
-            return Ok(ShapeQuery::Not(Box::new(self.parse_unary()?)));
+            let negated = self.nested(1, Self::parse_unary)?;
+            return Ok(ShapeQuery::Not(Box::new(negated)));
         }
         if self.eat('(') {
-            let q = self.parse_query()?;
+            let q = self.nested(1, Self::parse_query)?;
             self.expect(')')?;
             return Ok(q);
         }
@@ -279,7 +311,7 @@ impl<'a> Cursor<'a> {
         }
         if self.peek() == Some('[') {
             // Nested query as pattern value.
-            let q = self.parse_nested_query()?;
+            let q = self.nested(2, Self::parse_nested_query)?;
             return Ok(Pattern::Nested(Box::new(q)));
         }
         let n = self.parse_number()?;
@@ -644,6 +676,49 @@ mod tests {
             let e = parse_regex(bad);
             assert!(e.is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        // Each spelling of "further down" with the levels it costs, alone
+        // and taking turns.
+        let group = |n: usize| format!("{}[p=up]{}", "(".repeat(n), ")".repeat(n));
+        let negation = |n: usize| format!("{}[p=up]", "!".repeat(n));
+        let bare = |n: usize| format!("{}up{}", "[p=".repeat(n + 1), "]".repeat(n + 1));
+        let wrapped = |n: usize| format!("{}[p=up]{}", "[p=[".repeat(n), "]]".repeat(n));
+        // A group, a negation and a nested pattern by turns: four levels a
+        // round.
+        let mixed = |n: usize| format!("{}[p=up]{}", "(![p=[".repeat(n), "]])".repeat(n));
+        let spellings: [(&dyn Fn(usize) -> String, usize); 5] = [
+            (&group, 1),
+            (&negation, 1),
+            (&bare, 2),
+            (&wrapped, 2),
+            (&mixed, 4),
+        ];
+        for (which, (spell, levels)) in spellings.into_iter().enumerate() {
+            let deepest = MAX_DEPTH / levels;
+            assert!(
+                parse_regex(&spell(1)).is_ok(),
+                "spelling {which}: {}",
+                spell(1)
+            );
+            assert!(parse_regex(&spell(deepest)).is_ok(), "spelling {which}");
+            // One more is an error with a position, and so is a depth
+            // that would overflow any stack if followed down.
+            for n in [deepest + 1, 100_000] {
+                let text = spell(n);
+                let e = parse_regex(&text).expect_err("too deep");
+                assert!(
+                    e.message.contains("nests deeper"),
+                    "spelling {which}: {}",
+                    e.message
+                );
+                assert!(0 < e.position && e.position < text.chars().count());
+            }
+        }
+        // Depth is how far down, not how many: siblings do not add up.
+        assert!(parse_regex(&"([p=up])".repeat(4 * MAX_DEPTH)).is_ok());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!                 "pruned_bound": score|null} or
 //!                 {"error","status","code"?}, …],
 //!                 "pruning":{"bounded","pruned","scored","refined",
-//!                            "bound_micros"},
+//!                            "joined","bound_micros"},
 //!                 "micros", "spans"?: [span tree, traced RPCs only]}
 //! GET  /healthz   → {"status","version","git_rev","uptime_secs",
 //!                    "started_at","datasets","queries","workers",
@@ -55,7 +55,7 @@
 //!                              "compute_workers","tasks","micros_total",
 //!                              "shard_queries"},
 //!                    "pruning":{"bounded","pruned","scored","refined",
-//!                               "bound_micros"},
+//!                               "joined","bound_micros"},
 //!                    "snapshots":{"resident","resident_bytes",
 //!                                 "capacity_bytes","loads","evictions",
 //!                                 "load_micros_total"},
@@ -828,6 +828,7 @@ pub fn pruning_to_json(snapshot: PruningSnapshot) -> Json {
         ("pruned", snapshot.pruned.into()),
         ("scored", snapshot.scored.into()),
         ("refined", snapshot.refined.into()),
+        ("joined", snapshot.joined.into()),
         ("bound_micros", snapshot.bound_micros.into()),
     ])
 }
@@ -1232,12 +1233,14 @@ mod tests {
             pruned: 7,
             scored: 2,
             refined: 3,
+            joined: 1,
             bound_micros: 11,
         };
         let reply =
             shard_outcomes_to_json("sales", &outcomes, &[Some(0.5), None], snapshot, 42, None);
         assert!(reply.to_text().contains(
-            "\"pruning\":{\"bounded\":9,\"pruned\":7,\"scored\":2,\"refined\":3,\"bound_micros\":11}"
+            "\"pruning\":{\"bounded\":9,\"pruned\":7,\"scored\":2,\"refined\":3,\"joined\":1,\
+             \"bound_micros\":11}"
         ));
         assert!(
             !reply.to_text().contains("\"spans\""),

@@ -412,8 +412,11 @@ impl StatsSnapshot {
             at("pruning", "refined", pruning.refined)
                 .counter("shapesearch_pruning_refined_total", "Candidates the whole-trendline bound could not prune, bounded \
                           again over their end-anchored windows."),
+            at("pruning", "joined", pruning.joined)
+                .counter("shapesearch_pruning_joined_total", "Refined candidates the end-anchored bound could not prune either, whose \
+                          chain was placed whole against the live threshold."),
             at("pruning", "bound_micros", pruning.bound_micros)
-                .counter("shapesearch_pruning_bound_micros_total", "Microseconds spent computing pruning upper bounds, both tiers."),
+                .counter("shapesearch_pruning_bound_micros_total", "Microseconds spent computing pruning upper bounds, all tiers."),
             at("snapshots", "resident", snapshots.resident as u64)
                 .gauge("shapesearch_snapshot_resident_shards", "Snapshot shards currently materialized in memory."),
             at("snapshots", "resident_bytes", snapshots.resident_bytes)
@@ -711,6 +714,9 @@ mod tests {
                 scored: next(),
                 refined: next(),
                 bound_micros: next(),
+                // Younger than the goldens: drawn after everything they
+                // held, below, so no older value moves.
+                joined: 0,
             },
             snapshots: ResidentStats {
                 resident: next() as usize,
@@ -732,9 +738,11 @@ mod tests {
             stages: std::array::from_fn(|i| hist(&[i as u64 + 1, 1000 * (i as u64 + 1)])),
             ..StatsSnapshot::default()
         };
+        snapshot.pruning.joined = next();
         // The golden files were captured with 41 primes drawn before the
-        // row sets; 34 of them landed in the scalars above.
-        let mut next = p.skip(7);
+        // row sets; 34 of them landed in the scalars above, the 35th in
+        // `pruning.joined` when that arrived.
+        let mut next = p.skip(6);
         let mut next = || next.next().unwrap();
         let rpcs: [(&str, &[u64]); 2] = [("a:1", &[2, 3]), ("b:2", &[19, 23, 4096])];
         for (endpoint, samples) in rpcs {
@@ -768,10 +776,11 @@ mod tests {
         snapshot
     }
 
-    /// The bytes the parent commit (db9ab8d, the last one with two
-    /// hand-written renderers) produced for [`primes_snapshot`]'s state:
-    /// `/healthz` must match byte for byte, `/metrics` line for line in
-    /// any family order.
+    /// The bytes db9ab8d (the last commit with two hand-written
+    /// renderers) produced for [`primes_snapshot`]'s state, plus the rows
+    /// added since (`pruning.joined`, with the HELP text that says "all
+    /// tiers"): `/healthz` must match byte for byte, `/metrics` line for
+    /// line in any family order.
     #[test]
     fn renderings_match_the_hand_written_renderers_goldens() {
         let snapshot = primes_snapshot();

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use shapesearch_core::algo::dp::DpSegmenter;
 use shapesearch_core::algo::greedy::GreedySegmenter;
-use shapesearch_core::algo::pruning::{anchored_upper_bound, query_bounds};
+use shapesearch_core::algo::pruning::{anchored_upper_bound, joint_upper_bound, query_bounds};
 use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
 use shapesearch_core::chain::expand_chains;
 use shapesearch_core::{EngineOptions, PruningMode, SegmenterKind, ShapeEngine, ShardedEngine};
@@ -97,6 +97,32 @@ fn bounded_query_strategy() -> impl Strategy<Value = ShapeQuery> {
         ],
         true,
     )
+}
+
+/// Strategy: a chain of two or three free slope units, each any of the
+/// four Table 7 rows (θ on and past the ±90° clamp included) — the
+/// queries the third bound tier places whole.
+fn free_chain_strategy() -> impl Strategy<Value = ShapeQuery> {
+    let unit = prop_oneof![
+        Just(ShapeQuery::up()),
+        Just(ShapeQuery::down()),
+        Just(ShapeQuery::flat()),
+        (-89.0f64..89.0).prop_map(|deg| ShapeQuery::pattern(Pattern::Slope(deg))),
+        Just(ShapeQuery::pattern(Pattern::Slope(120.0))),
+        Just(ShapeQuery::pattern(Pattern::Slope(-135.0))),
+    ];
+    proptest::collection::vec(unit, 2..4).prop_map(ShapeQuery::concat)
+}
+
+/// Noise summed into a random walk.
+fn summed(steps: &[f64]) -> Vec<f64> {
+    steps
+        .iter()
+        .scan(0.0, |y, step| {
+            *y += step;
+            Some(*y)
+        })
+        .collect()
 }
 
 /// `nested`: also build CONCATs that stay nested in a CONCAT (`concat`
@@ -189,15 +215,21 @@ proptest! {
 
     #[test]
     fn bounds_contain_exact_score(
-        // Down to the two points GROUP needs, so chains run out of room.
+        // Down to the two points GROUP needs, so chains run out of room,
+        // and up to 64.
         ys in prop_oneof![
             ys_strategy(),
             proptest::collection::vec(-100.0f64..100.0, 2..5),
+            proptest::collection::vec(-100.0f64..100.0, 40..65),
         ],
+        // Noise as drawn, or summed into a walk: what a chain of slope
+        // units fits well enough for a threshold near its score to cut.
+        walk in 0u8..2,
         bin in prop_oneof![Just(1usize), Just(3)],
-        q in bounded_query_strategy(),
+        q in prop_oneof![bounded_query_strategy(), free_chain_strategy()],
         min_width_frac in prop_oneof![Just(0.0), 0.05f64..0.4],
     ) {
+        let ys = if walk == 1 { summed(&ys) } else { ys };
         let Some(viz) = binned_viz_from_ys(&ys, bin) else {
             return Ok(()); // fewer than two canvas points: GROUP rejects it
         };
@@ -215,10 +247,31 @@ proptest! {
             "score {exact} outside [{lo}, {hi}] for {q}");
         // The second tier, where the query has an end to anchor, sits
         // between the exact score and the first.
-        if let Some(tight) = anchored_upper_bound(&q, &viz, &params) {
+        let tight = anchored_upper_bound(&q, &viz, &params);
+        if let Some(tight) = tight {
             prop_assert!(exact <= tight + 1e-6 && tight <= hi + 1e-6,
                 "score {exact} ≤ anchored {tight} ≤ whole {hi} broken for {q} on {} points",
                 viz.n());
+        }
+        // The third tier, where the query is a chain it places whole,
+        // against thresholds either side of the exact score and on it: at
+        // or above the threshold it bounds the DP's score and the tree's
+        // with no tolerance (the rounding allowance is its own), and it is
+        // below the threshold only when they are. (Where it has nothing to
+        // say it hands back the second tier's bits, held above.)
+        for threshold in [f64::NEG_INFINITY, exact - 0.3, exact, exact.next_up(), exact + 0.02] {
+            let joint = joint_upper_bound(&q, &viz, &params, threshold)
+                .filter(|joint| Some(joint.to_bits()) != tight.map(f64::to_bits));
+            let Some(joint) = joint else { continue };
+            if joint < threshold {
+                prop_assert!(exact < threshold && tree < threshold,
+                    "joint {joint} < τ {threshold}, score {exact}, tree {tree} for {q} on {} points",
+                    viz.n());
+            } else {
+                prop_assert!(exact <= joint && tree <= joint,
+                    "score {exact} or tree {tree} > joint {joint} (τ {threshold}) for {q} on {} points",
+                    viz.n());
+            }
         }
     }
 
@@ -287,33 +340,40 @@ proptest! {
         // ties, which land on both sides of the seed/sweep boundary and of
         // the k-th place and must come out in index order all the same.
         copies in proptest::collection::vec((0usize..1000, 0usize..1000), 0..12),
-        // Noise as drawn, or summed into random walks — with three fuzzy
-        // θ units the case where only the end-anchored bound prunes.
-        walks in 0u8..2,
+        // (walks, straight, twice, parallel), one draw each. `walks`:
+        // noise as drawn, or summed into random walks — with three fuzzy
+        // θ units the case where only the end-anchored bounds prune.
+        // `straight`: half the time, every third trendline (from a drawn
+        // offset) flattened into the straight line between its ends —
+        // each bound tier is then exactly the score, and whether a tie at
+        // the threshold survives is a matter of the last bit. `twice`: the
+        // whole collection over again behind itself, every score twice,
+        // usually in different shards and chunks.
+        shape in (0u8..2, 0usize..6, 0u8..2, 0u8..2),
         q in prop_oneof![query_strategy(), theta_chain_strategy()],
-        k_pick in 0usize..10,
-        parallel in 0u8..2,
+        k_pick in 0usize..13,
     ) {
-        let collection: Vec<Vec<f64>> = if walks == 1 {
-            collection
-                .iter()
-                .map(|steps| {
-                    steps
-                        .iter()
-                        .scan(0.0, |y, step| {
-                            *y += step;
-                            Some(*y)
-                        })
-                        .collect()
-                })
-                .collect()
+        let (walks, straight, twice, parallel) = shape;
+        let mut collection: Vec<Vec<f64>> = if walks == 1 {
+            collection.iter().map(|steps| summed(steps)).collect()
         } else {
             collection
         };
+        if straight < 3 {
+            for ys in collection.iter_mut().skip(straight).step_by(3) {
+                let (first, last, n) = (ys[0], ys[ys.len() - 1], ys.len() as f64 - 1.0);
+                for (t, y) in ys.iter_mut().enumerate() {
+                    *y = first + (last - first) * t as f64 / n;
+                }
+            }
+        }
         let mut series: Vec<&Vec<f64>> = collection.iter().collect();
         for &(from, to) in &copies {
             let copy = series[from % series.len()];
             series.insert(to % (series.len() + 1), copy);
+        }
+        if twice == 1 {
+            series.extend_from_within(..);
         }
         let tls: Vec<shapesearch_datastore::Trendline> = series
             .iter()
@@ -324,11 +384,15 @@ proptest! {
                 shapesearch_datastore::Trendline::from_pairs(format!("t{i}"), &pairs)
             })
             .collect();
-        // Small k, and k around the collection size (every candidate a
-        // seed, with and without room to spare).
+        // Small k, k around the collection size (every candidate a seed,
+        // with and without room to spare), and the k's the bound tiers
+        // were sized on.
         let k = match k_pick {
             0..=6 => k_pick + 1,
-            edge => tls.len() + edge - 8,
+            7..=9 => tls.len() + k_pick - 8,
+            10 => 1,
+            11 => 5,
+            _ => 50,
         };
         // (segmenter, the mode under which it prunes): every exact
         // segmenter under the Auto default, plus Greedy under Force.

@@ -731,6 +731,60 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
     }
 }
 
+/// Query text is parsed by recursive descent on a worker's stack, so how
+/// deep it nests must be the parser's decision: 3,000 levels of
+/// parentheses (a 6 KB body) or of `!` are a 400 from `/query` and from
+/// `/shard/query`, and the server answers the next request as if nothing
+/// had happened. (Followed all the way down, they overflowed the worker's
+/// stack and the process was gone.)
+#[test]
+fn deeply_nested_query_text_is_refused_and_the_server_keeps_serving() {
+    let service = shapesearch::server::serve("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = Client::new(service.addr());
+    register_market(&client);
+
+    let fine = "[p=up][p=down]";
+    let rpc = shapesearch::server::protocol::shard_request_to_json(
+        "market",
+        &[(shapesearch_parser::parse_regex(fine).unwrap(), 1)],
+        &[None],
+        &shapesearch_core::EngineOptions::default(),
+        None,
+    )
+    .to_text();
+    let levels = 3_000;
+    let hostile = [
+        format!("{}[p=up]{}", "(".repeat(levels), ")".repeat(levels)),
+        format!("{}[p=up]", "!".repeat(levels)),
+        format!("{}[p=up]{}", "[p=[".repeat(levels), "]]".repeat(levels)),
+    ];
+    for text in &hostile {
+        let single = json::obj([
+            ("dataset", "market".into()),
+            ("query", text.as_str().into()),
+            ("k", 1usize.into()),
+        ]);
+        let shard = json::parse(&rpc.replace(fine, text)).unwrap();
+        for (path, body) in [("/query", &single), ("/shard/query", &shard)] {
+            let refused = client.post(path, body).unwrap();
+            assert_eq!(refused.status, 400, "{path}: {}", refused.body.to_text());
+            let error = refused.body.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains("nests deeper"), "{path}: {error}");
+        }
+        client
+            .get("/healthz")
+            .unwrap()
+            .expect_ok("healthz after a hostile query");
+        let reply = client
+            .post("/query", &query_body(fine, 3))
+            .unwrap()
+            .expect_ok("an ordinary query after a hostile one");
+        assert_eq!(decode_results(&reply).len(), 3);
+    }
+
+    service.shutdown();
+}
+
 /// ssbench's `fuzzy_miss` in small, served: a three-unit fuzzy chain over
 /// random walks on four shards. No whole-trendline bound prunes a walk;
 /// the end-anchored one does, and not a byte of the answer may show it.
@@ -786,19 +840,23 @@ fn anchored_bounds_prune_served_walks_without_changing_a_byte() {
             let pruning = reply.get("trace").unwrap().get("pruning").unwrap();
             pruning.get(name).unwrap().as_usize().unwrap()
         };
-        let counters = ["bounded", "pruned", "scored", "refined"].map(counter);
+        let counters = ["bounded", "pruned", "scored", "refined", "joined"].map(counter);
         (reply.get("results").unwrap().to_text(), counters)
     };
 
     register();
     let (want, off) = ask(r#","pruning":"off""#);
-    assert_eq!(off, [0, 0, 0, 0]);
+    assert_eq!(off, [0, 0, 0, 0, 0]);
     register();
-    let (got, [bounded, pruned, scored, refined]) = ask("");
+    let (got, [bounded, pruned, scored, refined, joined]) = ask("");
     assert_eq!(got, want);
     assert!(pruned > 0, "pruned {pruned}, refined {refined}");
     assert_eq!((bounded, pruned + scored), (160, 160));
     assert!(pruned <= refined && refined <= bounded);
+    assert!(
+        0 < joined && joined <= refined,
+        "joined {joined}, refined {refined}"
+    );
 
     service.shutdown();
 }
