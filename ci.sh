@@ -566,6 +566,35 @@ echo "$SNAP_HEALTH" | grep -Eq '"evictions":[1-9]' || {
     echo "snapshot smoke: 2 shards over a 1-byte budget evicted nothing"
     echo "$SNAP_HEALTH"; exit 1;
 }
+# Re-registering the same snapshot under the same id retires the old
+# generation from both caches: the same batch recomputes over freshly
+# loaded shards, still byte-identical to the CSV server, and exactly one
+# shard stays resident.
+RESNAP_STATUS=$(curl -s -o "$SNAP_REPLY.raw" -w '%{http_code}' \
+    -X POST "http://127.0.0.1:$SNAP_PORT/datasets" \
+    -d "{\"name\":\"sales\",\"id\":\"sales\",\"snapshot\":\"$SNAP_DIR/sales.snap\",\"shards\":2}")
+[ "$RESNAP_STATUS" = "201" ] || {
+    echo "snapshot smoke: re-registration returned $RESNAP_STATUS"
+    cat "$SNAP_REPLY.raw"; exit 1;
+}
+status=$(curl -s -o "$SNAP_REPLY.raw" -w '%{http_code}' \
+    -X POST "http://127.0.0.1:$SNAP_PORT/query" -d "$SNAP_BODY")
+[ "$status" = "200" ] || {
+    echo "snapshot smoke: batch after re-registration returned $status"
+    cat "$SNAP_REPLY.raw"; exit 1;
+}
+sed 's/"micros":[0-9]*,//' "$SNAP_REPLY.raw" > "$SNAP_REPLY"
+cmp "$SNAP_REPLY" "$CSV_REPLY" || {
+    echo "snapshot smoke: reply after re-registration diverged from CSV"
+    echo "--- snapshot:"; cat "$SNAP_REPLY"
+    echo "--- csv:"; cat "$CSV_REPLY"
+    exit 1
+}
+SNAP_HEALTH=$(curl -sf "http://127.0.0.1:$SNAP_PORT/healthz")
+echo "$SNAP_HEALTH" | grep -q '"snapshots":{"resident":1,' || {
+    echo "snapshot smoke: re-registration left other than one shard resident"
+    echo "$SNAP_HEALTH"; exit 1;
+}
 
 # A torn snapshot (one payload byte flipped) is a structured 400 at
 # registration — the checksum refuses it before any data is served.
@@ -584,7 +613,7 @@ grep -q '"code":"snapshot_invalid"' "$TORN_REPLY" || {
     echo "snapshot smoke: refusal is not a structured snapshot_invalid"
     cat "$TORN_REPLY"; exit 1;
 }
-echo "smoke: snapshot OK (cold load == eager CSV byte for byte, torn file refused)"
+echo "smoke: snapshot OK (cold load == eager CSV byte for byte, also after re-registration; torn file refused)"
 
 TREE_AFTER=$(git status --porcelain)
 [ "$TREE_BEFORE" = "$TREE_AFTER" ] || {

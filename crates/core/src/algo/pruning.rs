@@ -638,7 +638,7 @@ impl<'a> PruningDriver<'a> {
     fn refine(&self, viz: &VizData, windows: &mut EndWindows, tally: &mut Tally) -> f64 {
         windows.load(viz, self.anchors);
         tally.refined += 1;
-        self.plan.anchored(viz, windows).1
+        self.plan.anchored_upper(viz, windows)
     }
 
     /// The rule every tier feeds: strictly below the threshold is pruned,
@@ -709,7 +709,7 @@ pub fn anchored_upper_bound(
     anchors.any().then(|| {
         let mut windows = EndWindows::default();
         windows.load(viz, anchors);
-        plan.anchored(viz, &windows).1
+        plan.anchored_upper(viz, &windows)
     })
 }
 
@@ -729,7 +729,7 @@ pub fn joint_upper_bound(
     plan.joint().map(|chain| {
         let mut windows = EndWindows::default();
         windows.load(viz, Ends::BOTH);
-        let refined = plan.anchored(viz, &windows).1;
+        let refined = plan.anchored_upper(viz, &windows);
         chain.bound(viz, &mut windows, threshold, refined)
     })
 }
@@ -1009,6 +1009,33 @@ impl BoundPlan {
         }
     }
 
+    /// The second tier's upper bound, as the driver prunes by it:
+    /// [`Self::anchored`]'s plus [`ROUNDING_ALLOWANCE`] for each leaf of the
+    /// plan. Each leaf's bound is the exact best of the scores a segmenter
+    /// can give that leaf (the same slopes through the same Table 5 map),
+    /// so only the totals differ, and only by rounding. A chain of `u`
+    /// units is a mean here, `Σ w·score` in chain order in the DP — under
+    /// 2u ulps of 1.0 each way from the real sum — and in the SegmentTree
+    /// re-associated as tier 3's constant derives: at most one entry a
+    /// level per break combined, 4 ulps a bridge, 32 levels, so 128 ulps a
+    /// break and `u − 1` breaks. `128(u − 1) + 4u` is under half of `512u`,
+    /// and a chain has no more units than the plan has leaves. AND, OR and
+    /// NOT pass errors through unchanged. Without it the tree's score of a
+    /// tie sits an ulp above the bound and is pruned under `upper < τ`.
+    fn anchored_upper(&self, viz: &VizData, windows: &EndWindows) -> f64 {
+        self.anchored(viz, windows).1 + self.leaves() as f64 * ROUNDING_ALLOWANCE
+    }
+
+    /// Leaf nodes in the plan: an upper limit on the units in any chain
+    /// the query expands to.
+    fn leaves(&self) -> usize {
+        match self {
+            Self::Trivial | Self::Slope { .. } => 1,
+            Self::Concat(cs) | Self::And(cs) | Self::Or(cs) => cs.iter().map(Self::leaves).sum(),
+            Self::Not(c) => c.leaves(),
+        }
+    }
+
     /// Score bounds `(lower, upper)` for the compiled query over each of
     /// `vizzes`, in O(query size) per visualization from the GROUP-time
     /// interval-slope extremes and their angles cached on the
@@ -1220,7 +1247,8 @@ const BAND_MARGIN: f64 = 1e-9;
 /// of two or more units has a break inside its node, a three-unit chain
 /// has two breaks, so at most two entries a level are combined on the way
 /// to the root's, and a tree has at most 32 levels (breaks are `u32`) —
-/// 2 · 4 · 32 = 256 ulps, plus the three roundings here. Twice that.
+/// 2 · 4 · 32 = 256 ulps, plus the three roundings here. Twice that. The
+/// second tier takes it once per leaf ([`BoundPlan::anchored_upper`]).
 const ROUNDING_ALLOWANCE: f64 = 512.0 * f64::EPSILON;
 
 /// The third tier gives up, before its first `atan`, when the two bands

@@ -1,76 +1,85 @@
-//! The query-result cache: a hand-rolled O(1) LRU over a slab-backed
-//! intrusive list, plus the server-facing [`QueryCache`] wrapper keyed on
-//! `(dataset id, registration generation, shard count, normalized query
-//! AST, k, engine-option fingerprint)` with hit/miss/coalesced counters
-//! that live under the cache's own lock, so [`QueryCache::stats`] is a
-//! consistent snapshot (`hits + misses + coalesced == lookups`, always).
+//! The server's one cache, used twice: query results by count
+//! ([`QueryCache`]) and snapshot shards by bytes
+//! ([`crate::resident::ResidentShards`]).
+//!
+//! A [`Cache`] is a weighted O(1) LRU over a slab-backed intrusive list, a
+//! singleflight latch per key being computed, the registration generations
+//! retired so far, and the counters — all behind **one** mutex, so
+//! [`Cache::lookup`] decides hit, lead or wait in one critical section and
+//! [`Cache::stats`] is a consistent snapshot (`hits + misses + coalesced ==
+//! lookups`, in every snapshot).
+//!
+//! * **Singleflight.** A miss elects its caller leader ([`Probe::Lead`]): it
+//!   computes, then [`Leader::complete`]s, which inserts the value and wakes
+//!   every racer that was handed a [`Waiter`] meanwhile — a stampede of N
+//!   identical cold queries, or N queries racing one cold shard, does the
+//!   work once. A leader dropped without completing (an error, an unwind)
+//!   publishes a failure: its waiters get `None` and look the key up again.
+//! * **Weights.** An entry weighs what the cache's weight function says of
+//!   its value, measured before the lock is taken. Capacity is in weight
+//!   units (0 = unbounded); an insert evicts from the cold end while the
+//!   total is over capacity, but never the last entry.
+//! * **Retirement.** Every key carries the registration generation its value
+//!   was computed under ([`Generational`]). [`Cache::retire`] drops a
+//!   replaced registration's entries and refuses later inserts for it, so a
+//!   flight still running when its dataset is re-registered wakes its
+//!   waiters but lands nothing — it can neither be served again nor evict a
+//!   live entry.
+//! * **Poison.** The map lock and every flight latch recover from poison.
+//!   Nothing foreign runs under either: weights are computed, and displaced
+//!   values dropped, outside the lock. So a panic elsewhere cannot leave
+//!   what they guard half-updated, and a leader unwinding through its drop
+//!   still releases its waiters.
 //!
 //! Repeated exploratory queries — the dominant pattern in shape-based
 //! exploration, where a user reissues near-identical ShapeQueries while
 //! tweaking k or switching datasets — skip segmentation entirely on a hit.
-//!
-//! Concurrent *identical* misses are collapsed by a per-key singleflight
-//! latch ([`QueryCache::lookup`]): the first caller becomes the **leader**
-//! and computes; every racer gets a [`FlightWaiter`] that blocks until the
-//! leader publishes, so a stampede of N identical cold queries does the
-//! engine work exactly once and performs N−1 *coalesced* waits instead of
-//! N−1 redundant computations.
 
 use shapesearch_core::{EngineOptions, TopKResult};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 const NIL: usize = usize::MAX;
 
 struct Slot<K, V> {
     key: K,
     value: V,
+    weight: usize,
     prev: usize,
     next: usize,
 }
 
-/// A fixed-capacity least-recently-used map. `get` refreshes recency;
-/// `insert` evicts the coldest entry once `capacity` is exceeded. All
-/// operations are O(1) expected time. Evicted and retained-away values
-/// are dropped immediately (slots hold `Option` so a freed slot never
-/// pins its old value until reuse).
-pub struct LruCache<K: Eq + Hash + Clone, V> {
+/// A weighted least-recently-used map. `get` refreshes recency; `insert`
+/// evicts the coldest entries while the total weight is over `capacity`
+/// (0 = unbounded), never the last one. All operations are O(1) expected
+/// time. Nothing displaced stays behind: evicted, replaced and retained-away
+/// entries are handed back to the caller, who chooses where they drop.
+struct LruCache<K, V> {
     map: HashMap<K, usize>,
     slots: Vec<Option<Slot<K, V>>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    weight: usize,
     capacity: usize,
+    evictions: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+    fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            map: HashMap::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
+            weight: 0,
             capacity,
+            evictions: 0,
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum number of entries before eviction kicks in.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn slot(&self, i: usize) -> &Slot<K, V> {
@@ -116,18 +125,19 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Releases slot `i`: unlinks it, drops its contents, recycles the
-    /// index, and returns the key.
-    fn release(&mut self, i: usize) -> K {
+    /// Releases slot `i`: unlinks it, recycles the index, and returns its
+    /// entry.
+    fn release(&mut self, i: usize) -> (K, V) {
         self.unlink(i);
         let slot = self.slots[i].take().expect("occupied slot");
         self.map.remove(&slot.key);
         self.free.push(i);
-        slot.key
+        self.weight -= slot.weight;
+        (slot.key, slot.value)
     }
 
     /// Fetches a value, marking it most recently used.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    fn get(&mut self, key: &K) -> Option<&V> {
         let i = *self.map.get(key)?;
         if i != self.head {
             self.unlink(i);
@@ -136,26 +146,18 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(&self.slot(i).value)
     }
 
-    /// Inserts (or replaces) a value, evicting the least-recently-used
-    /// entry if the cache is full. Returns the evicted key, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    /// Inserts (or replaces) `key` at `weight`, then evicts down to the
+    /// capacity. Returns what it displaced: the key's old entry if it had
+    /// one, then the evicted ones, coldest first.
+    fn insert(&mut self, key: K, value: V, weight: usize) -> Vec<(K, V)> {
+        let mut displaced = Vec::new();
         if let Some(&i) = self.map.get(&key) {
-            self.slot_mut(i).value = value;
-            if i != self.head {
-                self.unlink(i);
-                self.link_front(i);
-            }
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            evicted = Some(self.release(lru));
+            displaced.push(self.release(i));
         }
         let slot = Slot {
             key: key.clone(),
             value,
+            weight,
             prev: NIL,
             next: NIL,
         };
@@ -170,26 +172,43 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             }
         };
         self.map.insert(key, i);
+        self.weight += weight;
         self.link_front(i);
+        self.trim(&mut displaced);
+        displaced
+    }
+
+    /// Sets the capacity (0 = unbounded) and evicts down to it.
+    fn set_capacity(&mut self, capacity: usize) -> Vec<(K, V)> {
+        self.capacity = capacity;
+        let mut evicted = Vec::new();
+        self.trim(&mut evicted);
         evicted
     }
 
-    /// Drops every entry whose key fails the predicate (used when a
-    /// dataset is replaced and its cached results must go).
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+    /// Evicts from the cold end while over capacity, keeping the last entry.
+    fn trim(&mut self, evicted: &mut Vec<(K, V)>) {
+        while self.capacity != 0 && self.weight > self.capacity && self.map.len() > 1 {
+            let coldest = self.tail;
+            evicted.push(self.release(coldest));
+            self.evictions += 1;
+        }
+    }
+
+    /// Removes every entry whose key fails `keep`, and returns them.
+    fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<(K, V)> {
         let doomed: Vec<usize> = self
             .map
             .iter()
             .filter(|(k, _)| !keep(k))
             .map(|(_, &i)| i)
             .collect();
-        for i in doomed {
-            self.release(i);
-        }
+        doomed.into_iter().map(|i| self.release(i)).collect()
     }
 
-    /// Keys from most to least recently used (test/debug helper).
-    pub fn keys_by_recency(&self) -> Vec<K> {
+    /// Keys from most to least recently used.
+    #[cfg(test)]
+    fn keys_by_recency(&self) -> Vec<K> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut i = self.head;
         while i != NIL {
@@ -199,6 +218,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
         out
     }
+}
+
+/// A key [`Cache::retire`] can act on: stamped with the dataset
+/// registration generation its value was computed under.
+pub trait Generational: Eq + Hash + Clone {
+    /// The registration generation the key belongs to.
+    fn generation(&self) -> u64;
 }
 
 /// The cache key. The query component is the *canonical* rendering of the
@@ -259,6 +285,12 @@ impl CacheKey {
     }
 }
 
+impl Generational for CacheKey {
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+}
+
 /// A deterministic fingerprint of every result-affecting engine option.
 /// `parallel` is deliberately excluded: it changes scheduling, not
 /// results (`parallel_matches_sequential` in the engine tests).
@@ -269,13 +301,12 @@ pub fn options_fingerprint(o: &EngineOptions) -> String {
     )
 }
 
-/// Cache statistics surfaced through `GET /healthz`.
-///
-/// Snapshots are **consistent**: all counters live under the cache's one
-/// internal lock and every counted operation updates them inside its
-/// critical section, so `hits + misses + coalesced == lookups` holds in
-/// every snapshot — never only between updates, as it would with
-/// independently loaded atomics.
+/// A consistent snapshot of a [`Cache`]'s counters and occupancy: the
+/// query cache's is `GET /healthz`'s `cache` block, the resident cache's
+/// feeds its `snapshots` block. Every counted operation updates them inside
+/// the cache's one critical section, so `hits + misses + coalesced ==
+/// lookups` holds in every snapshot — never only between updates, as it
+/// would with independently loaded atomics.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Counted lookups (always exactly `hits + misses + coalesced`).
@@ -290,312 +321,315 @@ pub struct CacheStats {
     pub coalesced: u64,
     /// Live entries in the LRU.
     pub entries: usize,
-    /// LRU capacity in entries.
+    /// LRU capacity in weight units (0 = unbounded).
     pub capacity: usize,
+    /// Total weight of the live entries.
+    pub weight: usize,
+    /// Flights completed by their leader (inserted or, for a retired
+    /// generation, not).
+    pub completed: u64,
+    /// Entries evicted to fit the capacity.
+    pub evictions: u64,
 }
 
-/// What a singleflight leader eventually publishes: the shared results, or
-/// `None` when the leader's computation failed (waiters then recompute on
-/// their own — engine errors are deterministic, so they will see the same
-/// error the leader did).
-type FlightResult = Option<Arc<Vec<TopKResult>>>;
-
-enum FlightState {
-    Pending,
-    Done(FlightResult),
+/// Locks `mutex`, recovering it from poison: nothing foreign runs under
+/// the cache's locks (see the module doc).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The per-key latch one leader and any number of waiters rendezvous on.
-struct FlightSlot {
-    state: Mutex<FlightState>,
-    cv: Condvar,
+/// The latch one leader and any number of waiters rendezvous on: `None`
+/// while the leader runs, then what it published — `Some(value)`, or
+/// `None` for a failure.
+struct Flight<V> {
+    outcome: Mutex<Option<Option<V>>>,
+    landed: Condvar,
 }
 
-impl FlightSlot {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(FlightState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, value: FlightResult) {
-        *self.state.lock().expect("flight lock") = FlightState::Done(value);
-        self.cv.notify_all();
+impl<V> Flight<V> {
+    fn publish(&self, outcome: Option<V>) {
+        *lock(&self.outcome) = Some(outcome);
+        self.landed.notify_all();
     }
 }
 
-/// The waiter side of a coalesced lookup: blocks until the leader for the
-/// same key publishes its outcome.
-pub struct FlightWaiter {
-    slot: Arc<FlightSlot>,
+/// The waiter side of a coalesced lookup.
+pub struct Waiter<V> {
+    flight: Arc<Flight<V>>,
 }
 
-impl FlightWaiter {
-    /// Blocks until the leader publishes. Returns the shared results, or
-    /// `None` when the leader failed (or panicked) — the caller should
-    /// then compute for itself.
-    pub fn wait(self) -> FlightResult {
-        let mut state = self.slot.state.lock().expect("flight lock");
-        loop {
-            match &*state {
-                FlightState::Done(value) => return value.clone(),
-                FlightState::Pending => {
-                    state = self.slot.cv.wait(state).expect("flight lock");
-                }
-            }
-        }
+impl<V: Clone> Waiter<V> {
+    /// Blocks until the leader publishes. Returns its value, or `None` when
+    /// the leader failed (or panicked) — the caller should then look the
+    /// key up again.
+    pub fn wait(self) -> Option<V> {
+        let outcome = self
+            .flight
+            .landed
+            .wait_while(lock(&self.flight.outcome), |outcome| outcome.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        (*outcome).clone().flatten()
     }
 }
 
-/// The leader side of a singleflight: the holder is the one caller that
-/// must compute the value, then hand it over with [`FlightGuard::complete`]
-/// (which inserts into the LRU and wakes every waiter). Dropping the guard
-/// without completing — an error path or a panic unwinding through the
-/// handler — publishes a failure so waiters never deadlock.
-pub struct FlightGuard<'a> {
-    cache: &'a QueryCache,
-    key: CacheKey,
-    slot: Arc<FlightSlot>,
+/// The leader side of a singleflight: the one caller that must compute the
+/// key's value and hand it over with [`Leader::complete`]. Dropping it
+/// without completing — an error path, or a panic unwinding through the
+/// caller — publishes a failure, so waiters never block for ever.
+pub struct Leader<'a, K: Generational, V: Clone> {
+    cache: &'a Cache<K, V>,
+    key: K,
+    flight: Arc<Flight<V>>,
+    started: Instant,
     done: bool,
 }
 
-impl FlightGuard<'_> {
-    /// Publishes the computed results: inserts them into the LRU under the
-    /// flight's key and wakes all coalesced waiters with the shared `Arc`.
-    pub fn complete(mut self, value: Arc<Vec<TopKResult>>) {
-        self.cache.insert(self.key.clone(), Arc::clone(&value));
-        self.finish(Some(value));
-    }
-
-    fn finish(&mut self, value: FlightResult) {
+impl<K: Generational, V: Clone> Leader<'_, K, V> {
+    /// Publishes the computed value: inserts it under the flight's key —
+    /// unless the key's generation was retired meanwhile — and wakes every
+    /// waiter with it.
+    pub fn complete(mut self, value: V) {
+        let weight = (self.cache.weigh)(&value);
+        let micros = self.started.elapsed().as_micros() as u64;
+        let displaced = {
+            let mut map = self.cache.lock();
+            map.flights.remove(&self.key);
+            map.counts.completed += 1;
+            map.lead_micros += micros;
+            map.admit(self.key.clone(), value.clone(), weight)
+        };
         self.done = true;
-        self.cache
-            .inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(&self.key);
-        self.slot.publish(value);
+        self.flight.publish(Some(value));
+        // Off the lock, and after the waiters are on their way.
+        drop(displaced);
     }
 }
 
-impl Drop for FlightGuard<'_> {
+impl<K: Generational, V: Clone> Drop for Leader<'_, K, V> {
     fn drop(&mut self) {
         if !self.done {
-            self.finish(None);
+            self.cache.lock().flights.remove(&self.key);
+            self.flight.publish(None);
         }
     }
 }
 
-/// Outcome of a [`QueryCache::lookup`].
-pub enum Lookup<'a> {
+/// Outcome of a [`Cache::lookup`].
+pub enum Probe<'a, K: Generational, V: Clone> {
     /// The LRU had it.
-    Hit(Arc<Vec<TopKResult>>),
-    /// Another request is computing this exact key right now; call
-    /// [`FlightWaiter::wait`] to share its result.
-    Pending(FlightWaiter),
+    Hit(V),
+    /// Another caller is computing this exact key right now; call
+    /// [`Waiter::wait`] to share its value.
+    Pending(Waiter<V>),
     /// Nobody has it and nobody is computing it: the caller is elected
-    /// leader and must compute, then [`FlightGuard::complete`].
-    Lead(FlightGuard<'a>),
+    /// leader and must compute, then [`Leader::complete`].
+    Lead(Leader<'a, K, V>),
 }
 
-/// Which counter a counted cache operation lands in.
-#[derive(Clone, Copy)]
-enum Counted {
-    Hit,
-    Miss,
-    Coalesced,
+/// What [`Cache`]'s one mutex guards.
+struct Map<K, V> {
+    lru: LruCache<K, V>,
+    flights: HashMap<K, Arc<Flight<V>>>,
+    /// Generations [`Cache::retire`] was called with; inserts keyed on one
+    /// are refused. One `u64` per re-registration in the process's life.
+    retired: HashSet<u64>,
+    /// The counted events; the occupancy fields are read off the LRU at
+    /// snapshot time.
+    counts: CacheStats,
+    /// Microseconds from lookup to completion, summed over completed
+    /// flights — kept out of [`CacheStats`], whose snapshots compare equal
+    /// exactly when the same things happened.
+    lead_micros: u64,
 }
 
-/// The hit/miss/coalesced tallies. They live *inside* the cache's inner
-/// mutex and are only ever bumped within a counted operation's critical
-/// section, so a [`QueryCache::stats`] snapshot can never catch them
-/// mid-update (the satisfied invariant: `hits + misses + coalesced ==
-/// lookups`, in every snapshot).
-#[derive(Default)]
-struct Counters {
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    coalesced: u64,
-}
-
-impl Counters {
-    fn count(&mut self, outcome: Counted) {
-        self.lookups += 1;
-        match outcome {
-            Counted::Hit => self.hits += 1,
-            Counted::Miss => self.misses += 1,
-            Counted::Coalesced => self.coalesced += 1,
+impl<K: Generational, V> Map<K, V> {
+    /// Inserts unless the key's generation is retired, and returns what
+    /// that displaced (the refused entry itself, when it was).
+    fn admit(&mut self, key: K, value: V, weight: usize) -> Vec<(K, V)> {
+        if self.retired.contains(&key.generation()) {
+            return vec![(key, value)];
         }
+        self.lru.insert(key, value, weight)
     }
 }
 
-/// The LRU plus the per-dataset generation floors and the counters,
-/// guarded by one mutex so a floor bump and the purge it implies are
-/// atomic with respect to concurrent inserts, and counter reads are
-/// consistent snapshots.
-struct CacheMap {
-    lru: LruCache<CacheKey, Arc<Vec<TopKResult>>>,
-    /// Per dataset id: the lowest registration generation still allowed
-    /// to insert. Raised by [`QueryCache::invalidate_dataset`]; inserts
-    /// below the floor are stale re-registration leftovers and are
-    /// dropped instead of occupying (unreachable) LRU slots.
-    floors: HashMap<String, u64>,
-    counters: Counters,
+/// The server's one cache; see the module doc.
+pub struct Cache<K, V> {
+    map: Mutex<Map<K, V>>,
+    weigh: fn(&V) -> usize,
 }
 
-impl CacheMap {
-    fn admits(&self, key: &CacheKey) -> bool {
-        self.floors
-            .get(&key.dataset)
-            .is_none_or(|&floor| key.generation >= floor)
-    }
-}
-
-/// The shared, thread-safe query-result cache with per-key singleflight
-/// request coalescing.
-pub struct QueryCache {
-    inner: Mutex<CacheMap>,
-    inflight: Mutex<HashMap<CacheKey, Arc<FlightSlot>>>,
-}
-
-impl QueryCache {
-    /// Creates a cache holding at most `capacity` result sets.
-    pub fn new(capacity: usize) -> Self {
+impl<K: Generational, V: Clone> Cache<K, V> {
+    /// An empty cache holding up to `capacity` weight units (0 =
+    /// unbounded), each value weighing `weigh(value)`.
+    pub fn weighted(capacity: usize, weigh: fn(&V) -> usize) -> Self {
         Self {
-            inner: Mutex::new(CacheMap {
+            map: Mutex::new(Map {
                 lru: LruCache::new(capacity),
-                floors: HashMap::new(),
-                counters: Counters::default(),
+                flights: HashMap::new(),
+                retired: HashSet::new(),
+                counts: CacheStats::default(),
+                lead_micros: 0,
             }),
-            inflight: Mutex::new(HashMap::new()),
+            weigh,
         }
     }
 
-    /// Bumps one counter inside its own inner critical section (for the
-    /// lookup outcomes decided under the *inflight* lock, where the LRU
-    /// itself is not touched).
-    fn count(&self, outcome: Counted) {
-        self.inner
-            .lock()
-            .expect("cache lock")
-            .counters
-            .count(outcome);
+    fn lock(&self) -> MutexGuard<'_, Map<K, V>> {
+        lock(&self.map)
     }
 
-    /// Looks up a result, counting the hit or miss. Bypasses the
-    /// singleflight machinery — racing callers may all miss; prefer
-    /// [`Self::lookup`] on the query path.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<TopKResult>>> {
-        let mut cache = self.inner.lock().expect("cache lock");
-        match cache.lru.get(key) {
-            Some(v) => {
-                let v = Arc::clone(v);
-                cache.counters.count(Counted::Hit);
-                Some(v)
-            }
-            None => {
-                cache.counters.count(Counted::Miss);
-                None
-            }
+    /// The coalescing lookup, in one critical section: a hit returns the
+    /// value; a miss either elects this caller singleflight leader
+    /// ([`Probe::Lead`] — compute, then [`Leader::complete`]) or, when the
+    /// key is already being computed, returns a [`Probe::Pending`] waiter
+    /// that shares the leader's value. Exactly one of `hits`, `misses` or
+    /// `coalesced` is incremented per call, with `lookups`.
+    pub fn lookup(&self, key: &K) -> Probe<'_, K, V> {
+        let mut map = self.lock();
+        map.counts.lookups += 1;
+        if let Some(value) = map.lru.get(key).cloned() {
+            map.counts.hits += 1;
+            return Probe::Hit(value);
         }
-    }
-
-    /// The coalescing lookup: a hit returns immediately; a miss either
-    /// elects this caller singleflight leader ([`Lookup::Lead`] — compute,
-    /// then [`FlightGuard::complete`]) or, when an identical key is
-    /// already being computed, returns a [`Lookup::Pending`] waiter that
-    /// shares the leader's result. Exactly one of `hits`, `misses`, or
-    /// `coalesced` is incremented per call (atomically with `lookups`).
-    pub fn lookup(&self, key: &CacheKey) -> Lookup<'_> {
-        if let Some(v) = self.probe_counted(key) {
-            return Lookup::Hit(v);
+        if let Some(flight) = map.flights.get(key).cloned() {
+            map.counts.coalesced += 1;
+            return Probe::Pending(Waiter { flight });
         }
-        let mut inflight = self.inflight.lock().expect("inflight lock");
-        // Re-check under the inflight lock: a leader that completed
-        // between our probe and this lock has already inserted into the
-        // LRU and left the inflight map, and must be seen as a hit, not
-        // re-led.
-        if let Some(v) = self.probe_counted(key) {
-            return Lookup::Hit(v);
-        }
-        if let Some(slot) = inflight.get(key) {
-            self.count(Counted::Coalesced);
-            return Lookup::Pending(FlightWaiter {
-                slot: Arc::clone(slot),
-            });
-        }
-        self.count(Counted::Miss);
-        let slot = Arc::new(FlightSlot::new());
-        inflight.insert(key.clone(), Arc::clone(&slot));
-        Lookup::Lead(FlightGuard {
+        map.counts.misses += 1;
+        let flight = Arc::new(Flight {
+            outcome: Mutex::new(None),
+            landed: Condvar::new(),
+        });
+        map.flights.insert(key.clone(), Arc::clone(&flight));
+        drop(map);
+        Probe::Lead(Leader {
             cache: self,
             key: key.clone(),
-            slot,
+            flight,
+            started: Instant::now(),
             done: false,
         })
     }
 
-    /// An LRU probe that refreshes recency and, *within the same
-    /// critical section*, counts a hit — misses are not counted here
-    /// (the caller counts the lookup's eventual outcome instead).
-    fn probe_counted(&self, key: &CacheKey) -> Option<Arc<Vec<TopKResult>>> {
-        let mut cache = self.inner.lock().expect("cache lock");
-        let hit = cache.lru.get(key).cloned();
-        if hit.is_some() {
-            cache.counters.count(Counted::Hit);
-        }
-        hit
+    /// Inserts a value computed outside the singleflight (a leader hands
+    /// its value over with [`Leader::complete`]). Refused for a retired
+    /// generation: it could never be read, and would evict live entries.
+    pub fn insert(&self, key: K, value: V) {
+        let weight = (self.weigh)(&value);
+        let displaced = self.lock().admit(key, value, weight);
+        drop(displaced);
     }
 
-    /// Inserts a computed result directly (used by leaders via
-    /// [`FlightGuard::complete`] and by callers that computed outside the
-    /// singleflight). Inserts keyed below the dataset's generation floor
-    /// — a singleflight leader finishing after its dataset was replaced —
-    /// are dropped: they could never be read again, but would evict live
-    /// entries.
-    pub fn insert(&self, key: CacheKey, value: Arc<Vec<TopKResult>>) {
-        let mut cache = self.inner.lock().expect("cache lock");
-        if cache.admits(&key) {
-            cache.lru.insert(key, value);
-        }
+    /// Retires a replaced registration's generation: drops its entries now
+    /// and refuses its inserts from here on. Its flights still running are
+    /// left to finish and wake their waiters; what they computed is not
+    /// kept.
+    pub fn retire(&self, generation: u64) {
+        let retired = {
+            let mut map = self.lock();
+            map.retired.insert(generation);
+            map.lru.retain(|key| key.generation() != generation)
+        };
+        drop(retired);
     }
 
-    /// Forgets every entry belonging to `dataset` (any generation),
-    /// releasing their memory now rather than waiting for LRU churn, and
-    /// raises the dataset's generation floor to `live_generation` so
-    /// in-flight computations against replaced registrations are left to
-    /// finish but can no longer pollute the LRU when they land (their
-    /// keys embed the old generation, so they could also never be read).
-    pub fn invalidate_dataset(&self, dataset: &str, live_generation: u64) {
-        let mut cache = self.inner.lock().expect("cache lock");
-        let floor = cache.floors.entry(dataset.to_owned()).or_insert(0);
-        *floor = (*floor).max(live_generation);
-        cache.lru.retain(|k| k.dataset != dataset);
+    /// Sets the capacity in weight units (0 = unbounded), evicting down to
+    /// it now.
+    pub fn set_capacity(&self, capacity: usize) {
+        let evicted = self.lock().lru.set_capacity(capacity);
+        drop(evicted);
     }
 
-    /// A consistent snapshot of the counters for `GET /healthz`: one
-    /// lock acquisition reads every counter plus the entry count, so the
-    /// reported totals can never be mutually inconsistent mid-update
-    /// (`hits + misses + coalesced == lookups` holds in *every*
-    /// snapshot).
+    /// A consistent snapshot of the counters and occupancy: one lock
+    /// acquisition reads them all.
     pub fn stats(&self) -> CacheStats {
-        let cache = self.inner.lock().expect("cache lock");
+        let map = self.lock();
         CacheStats {
-            lookups: cache.counters.lookups,
-            hits: cache.counters.hits,
-            misses: cache.counters.misses,
-            coalesced: cache.counters.coalesced,
-            entries: cache.lru.len(),
-            capacity: cache.lru.capacity(),
+            entries: map.lru.map.len(),
+            capacity: map.lru.capacity,
+            weight: map.lru.weight,
+            evictions: map.lru.evictions,
+            ..map.counts.clone()
         }
     }
+
+    /// Microseconds from lookup to completion, summed over every completed
+    /// flight.
+    pub fn lead_micros(&self) -> u64 {
+        self.lock().lead_micros
+    }
+}
+
+impl<K: Generational, V: Clone> fmt::Debug for Cache<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Cache").field(&self.stats()).finish()
+    }
+}
+
+/// What the query cache holds: one query's shared, merged top-k.
+type Results = Arc<Vec<TopKResult>>;
+
+/// The query-result cache: [`Cache`] over [`CacheKey`]s, one weight unit
+/// per result set.
+pub type QueryCache = Cache<CacheKey, Results>;
+/// Outcome of a [`QueryCache`] lookup.
+pub type Lookup<'a> = Probe<'a, CacheKey, Results>;
+/// A query's singleflight leader.
+pub type FlightGuard<'a> = Leader<'a, CacheKey, Results>;
+/// A query's coalesced waiter.
+pub type FlightWaiter = Waiter<Results>;
+
+impl QueryCache {
+    /// Creates a cache holding at most `capacity` result sets (at least
+    /// one).
+    pub fn new(capacity: usize) -> Self {
+        Self::weighted(capacity.max(1), |_| 1)
+    }
+}
+
+#[cfg(test)]
+impl<K: Generational, V: Clone> Cache<K, V> {
+    /// Looks up without joining or starting a flight, counting the hit or
+    /// miss.
+    fn get(&self, key: &K) -> Option<V> {
+        let mut map = self.lock();
+        map.counts.lookups += 1;
+        let value = map.lru.get(key).cloned();
+        match value {
+            Some(_) => map.counts.hits += 1,
+            None => map.counts.misses += 1,
+        }
+        value
+    }
+
+    /// Poisons the map lock: a thread panics holding it.
+    pub(crate) fn poison(&self)
+    where
+        K: Send,
+        V: Send,
+    {
+        poison(&self.map);
+    }
+}
+
+/// Poisons `mutex` from a thread that panics while holding it.
+#[cfg(test)]
+fn poison<T: Send>(mutex: &Mutex<T>) {
+    std::thread::scope(|scope| {
+        let held = scope.spawn(|| {
+            let _held = mutex.lock();
+            panic!("poisoning a cache lock");
+        });
+        assert!(held.join().is_err());
+    });
+    assert!(mutex.is_poisoned());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use shapesearch_core::SegmenterKind;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Weak;
@@ -603,27 +637,29 @@ mod tests {
     #[test]
     fn lru_evicts_coldest_first() {
         let mut lru = LruCache::new(3);
-        assert_eq!(lru.insert("a", 1), None);
-        assert_eq!(lru.insert("b", 2), None);
-        assert_eq!(lru.insert("c", 3), None);
+        assert!(lru.insert("a", 1, 1).is_empty());
+        assert!(lru.insert("b", 2, 1).is_empty());
+        assert!(lru.insert("c", 3, 1).is_empty());
         // Touch "a" so "b" becomes the coldest.
         assert_eq!(lru.get(&"a"), Some(&1));
-        assert_eq!(lru.insert("d", 4), Some("b"));
+        assert_eq!(lru.insert("d", 4, 1), [("b", 2)]);
         assert_eq!(lru.get(&"b"), None);
         assert_eq!(lru.keys_by_recency(), vec!["d", "a", "c"]);
         // Two more inserts evict "c" then "a".
-        assert_eq!(lru.insert("e", 5), Some("c"));
-        assert_eq!(lru.insert("f", 6), Some("a"));
-        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.insert("e", 5, 1), [("c", 3)]);
+        assert_eq!(lru.insert("f", 6, 1), [("a", 1)]);
+        assert_eq!(lru.map.len(), 3);
         assert_eq!(lru.keys_by_recency(), vec!["f", "e", "d"]);
     }
 
     #[test]
     fn lru_replacing_does_not_evict() {
         let mut lru = LruCache::new(2);
-        lru.insert("a", 1);
-        lru.insert("b", 2);
-        assert_eq!(lru.insert("a", 10), None);
+        lru.insert("a", 1, 1);
+        lru.insert("b", 2, 1);
+        // Only the replaced value comes back.
+        assert_eq!(lru.insert("a", 10, 1), [("a", 1)]);
+        assert_eq!(lru.evictions, 0);
         assert_eq!(lru.get(&"a"), Some(&10));
         assert_eq!(lru.get(&"b"), Some(&2));
     }
@@ -631,8 +667,8 @@ mod tests {
     #[test]
     fn lru_single_slot() {
         let mut lru = LruCache::new(1);
-        lru.insert(1, "x");
-        assert_eq!(lru.insert(2, "y"), Some(1));
+        lru.insert(1, "x", 1);
+        assert_eq!(lru.insert(2, "y", 1), [(1, "x")]);
         assert_eq!(lru.get(&1), None);
         assert_eq!(lru.get(&2), Some(&"y"));
     }
@@ -641,17 +677,17 @@ mod tests {
     fn lru_retain_unlinks_cleanly() {
         let mut lru = LruCache::new(4);
         for i in 0..4 {
-            lru.insert(i, i * 10);
+            lru.insert(i, i * 10, 1);
         }
         lru.retain(|&k| k % 2 == 0);
-        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.map.len(), 2);
         assert_eq!(lru.get(&1), None);
         assert_eq!(lru.get(&2), Some(&20));
         // The list is still sound: inserts + eviction keep working.
-        lru.insert(8, 80);
-        lru.insert(9, 90);
-        lru.insert(10, 100);
-        assert_eq!(lru.len(), 4);
+        lru.insert(8, 80, 1);
+        lru.insert(9, 90, 1);
+        lru.insert(10, 100, 1);
+        assert_eq!(lru.map.len(), 4);
     }
 
     #[test]
@@ -659,11 +695,13 @@ mod tests {
         let mut lru: LruCache<&str, Arc<Vec<u8>>> = LruCache::new(2);
         let a = Arc::new(vec![1u8; 16]);
         let weak_a: Weak<Vec<u8>> = Arc::downgrade(&a);
-        lru.insert("a", a);
-        lru.insert("b", Arc::new(Vec::new()));
-        // Evicting "a" must release the only strong reference now, not
-        // when the slot is eventually reused.
-        assert_eq!(lru.insert("c", Arc::new(Vec::new())), Some("a"));
+        lru.insert("a", a, 1);
+        lru.insert("b", Arc::new(Vec::new()), 1);
+        // Evicting "a" hands back the only strong reference, so it is
+        // released when the caller drops it, not when the slot is reused.
+        let evicted = lru.insert("c", Arc::new(Vec::new()), 1);
+        assert_eq!(evicted.iter().map(|(k, _)| *k).collect::<Vec<_>>(), ["a"]);
+        drop(evicted);
         assert!(weak_a.upgrade().is_none(), "evicted value still alive");
 
         let b_weak = {
@@ -823,7 +861,7 @@ mod tests {
         assert!(stats.coalesced >= 1, "some thread must have coalesced");
         // The flight is over: the next lookup is a plain hit.
         assert!(matches!(cache.lookup(&key), Lookup::Hit(_)));
-        assert!(cache.inflight.lock().unwrap().is_empty());
+        assert!(cache.map.lock().unwrap().flights.is_empty());
     }
 
     #[test]
@@ -854,13 +892,14 @@ mod tests {
         assert!(cache.get(&key).is_some());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        // Invalidation drops every generation of the dataset.
+        // Retiring the replaced generations drops their entries.
         let key2 = CacheKey::new("sales", 2, 1, "local", &q, 3, &EngineOptions::default());
         cache.insert(key2.clone(), Arc::new(Vec::new()));
-        cache.invalidate_dataset("sales", 3);
+        cache.retire(1);
+        cache.retire(2);
         assert!(cache.get(&key).is_none());
         assert_eq!(cache.stats().entries, 0);
-        // The generation floor also blocks LATE inserts from replaced
+        // Retirement also blocks LATE inserts from replaced
         // registrations (a singleflight leader landing after the
         // invalidation): they would be unreachable LRU pollution.
         cache.insert(key2, Arc::new(Vec::new()));
@@ -868,9 +907,200 @@ mod tests {
         let live = CacheKey::new("sales", 3, 1, "local", &q, 3, &EngineOptions::default());
         cache.insert(live.clone(), Arc::new(Vec::new()));
         assert!(cache.get(&live).is_some(), "live generation still inserts");
-        // Other datasets are unaffected by the floor.
-        let other = CacheKey::new("genes", 1, 1, "local", &q, 3, &EngineOptions::default());
+        // Other datasets are unaffected by the retirement (generations are
+        // unique across the catalog, so theirs are never 1 or 2 here).
+        let other = CacheKey::new("genes", 4, 1, "local", &q, 3, &EngineOptions::default());
         cache.insert(other.clone(), Arc::new(Vec::new()));
         assert!(cache.get(&other).is_some());
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered() {
+        let cache = QueryCache::new(4);
+        let q = shapesearch_parser::parse_regex("[p=up]").unwrap();
+        let key = |k| CacheKey::new("sales", 1, 1, "local", &q, k, &EngineOptions::default());
+
+        // The map lock: lookup, complete and stats all still answer.
+        cache.poison();
+        let Lookup::Lead(guard) = cache.lookup(&key(1)) else {
+            panic!("a cold key leads");
+        };
+        guard.complete(Arc::new(Vec::new()));
+        assert!(matches!(cache.lookup(&key(1)), Lookup::Hit(_)));
+
+        // A flight's latch, poisoned under a leader that then panics
+        // mid-flight: unwinding through the guard still releases the
+        // waiter, with a failure, and the key leads again.
+        let Lookup::Lead(guard) = cache.lookup(&key(2)) else {
+            panic!("a cold key leads");
+        };
+        let Lookup::Pending(waiter) = cache.lookup(&key(2)) else {
+            panic!("an identical lookup coalesces");
+        };
+        poison(&guard.flight.outcome);
+        let unwound = std::thread::scope(|scope| {
+            scope
+                .spawn(move || {
+                    let _guard = guard;
+                    panic!("leader blew up mid-flight");
+                })
+                .join()
+        });
+        assert!(unwound.is_err());
+        assert!(waiter.wait().is_none());
+        assert!(matches!(cache.lookup(&key(2)), Lookup::Lead(_)));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.hits, s.misses, s.coalesced), (1, 1, 3, 1));
+        assert_eq!(s.hits + s.misses + s.coalesced, s.lookups);
+    }
+
+    /// One step of [`cache_matches_a_naive_lru`]: `(op, generation, slot,
+    /// w)`, `w` picking a flight or a value (which is its own weight under
+    /// the byte-like weight function) or a capacity.
+    type Op = (u8, u64, usize, usize);
+
+    /// The reference: residents most recent first, a plain `Vec`.
+    struct Model {
+        residents: Vec<((u64, usize), usize)>,
+        capacity: usize,
+        retired: Vec<u64>,
+    }
+
+    impl Model {
+        fn trim(&mut self, weigh: fn(&usize) -> usize) {
+            let total = |m: &Self| m.residents.iter().map(|(_, v)| weigh(v)).sum::<usize>();
+            while self.capacity != 0 && total(self) > self.capacity && self.residents.len() > 1 {
+                self.residents.pop();
+            }
+        }
+    }
+
+    /// Runs `ops` against the cache and the model in step and checks they
+    /// agree after every one.
+    fn run_model(ops: &[Op], capacity: usize, weigh: fn(&usize) -> usize) -> Result<(), String> {
+        let cache: Cache<(u64, usize), usize> = Cache::weighted(capacity, weigh);
+        let mut model = Model {
+            residents: Vec::new(),
+            capacity,
+            retired: Vec::new(),
+        };
+        // Open flights: (flight, key, leader); waiters: (flight, waiter);
+        // outcomes[flight] once its leader published.
+        let mut leaders = Vec::new();
+        let mut waiters: Vec<(usize, Waiter<usize>)> = Vec::new();
+        let mut outcomes: Vec<Option<Option<usize>>> = Vec::new();
+        for &(op, generation, slot, w) in ops {
+            let key = (generation, slot);
+            match op {
+                0 | 1 => match cache.lookup(&key) {
+                    Probe::Hit(value) => {
+                        let at = model.residents.iter().position(|(k, _)| *k == key);
+                        let Some(at) = at else {
+                            return Err(format!("hit on {key:?}, absent from the model"));
+                        };
+                        let entry = model.residents.remove(at);
+                        if entry.1 != value {
+                            return Err(format!("hit {value} for {key:?}, model {}", entry.1));
+                        }
+                        model.residents.insert(0, entry);
+                    }
+                    Probe::Pending(waiter) => {
+                        let Some(&(flight, ..)) = leaders.iter().find(|(_, k, _)| *k == key) else {
+                            return Err(format!("{key:?} coalesced onto no flight"));
+                        };
+                        waiters.push((flight, waiter));
+                    }
+                    Probe::Lead(leader) => {
+                        if model.residents.iter().any(|(k, _)| *k == key)
+                            || leaders.iter().any(|(_, k, _)| *k == key)
+                        {
+                            return Err(format!("{key:?} led while resident or in flight"));
+                        }
+                        leaders.push((outcomes.len(), key, leader));
+                        outcomes.push(None);
+                    }
+                },
+                2 | 3 if !leaders.is_empty() => {
+                    let (flight, key, leader) = leaders.remove(w % leaders.len());
+                    if op == 3 {
+                        drop(leader);
+                        outcomes[flight] = Some(None);
+                        continue;
+                    }
+                    leader.complete(w);
+                    outcomes[flight] = Some(Some(w));
+                    if !model.retired.contains(&key.0) {
+                        model.residents.insert(0, (key, w));
+                        model.trim(weigh);
+                    }
+                }
+                4 => {
+                    let landed = waiters.iter().position(|(f, _)| outcomes[*f].is_some());
+                    if let Some(at) = landed {
+                        let (flight, waiter) = waiters.remove(at);
+                        if waiter.wait() != outcomes[flight].unwrap() {
+                            return Err(format!("flight {flight} woke with another outcome"));
+                        }
+                    }
+                }
+                5 => {
+                    cache.retire(generation);
+                    model.retired.push(generation);
+                    model.residents.retain(|(k, _)| k.0 != generation);
+                }
+                6 => {
+                    cache.set_capacity(w - 1);
+                    model.capacity = w - 1;
+                    model.trim(weigh);
+                }
+                _ => {}
+            }
+
+            let recency = cache.lock().lru.keys_by_recency();
+            let want: Vec<_> = model.residents.iter().map(|(k, _)| *k).collect();
+            if recency != want {
+                return Err(format!("residents {recency:?}, model {want:?}"));
+            }
+            let s = cache.stats();
+            if s.capacity != 0 && s.weight > s.capacity && s.entries != 1 {
+                return Err(format!("over capacity with {} entries: {s:?}", s.entries));
+            }
+            if s.hits + s.misses + s.coalesced != s.lookups {
+                return Err(format!("torn counters: {s:?}"));
+            }
+            if recency.iter().any(|k| model.retired.contains(&k.0)) {
+                return Err(format!("a retired generation is resident: {recency:?}"));
+            }
+        }
+        // Whatever is still in flight fails; its waiters hear so.
+        drop(leaders);
+        for (flight, waiter) in waiters {
+            let want = outcomes[flight].flatten();
+            if waiter.wait() != want {
+                return Err(format!(
+                    "flight {flight} woke with another outcome at the end"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The generic cache against a naive LRU over random lookups,
+        /// completions, abandoned flights, waits, retirements and capacity
+        /// changes — under the query cache's weight function (one unit an
+        /// entry) and a byte-like one (weights 1–8), at capacity 0
+        /// (unbounded), 1, and sizes smaller than one entry.
+        #[test]
+        fn cache_matches_a_naive_lru(
+            ops in prop::collection::vec((0u8..7, 1u64..4, 0usize..4, 1usize..9), 1..80),
+            capacity in prop_oneof![Just(0usize), Just(1usize), 2usize..20],
+        ) {
+            for weigh in [(|_| 1) as fn(&usize) -> usize, |&w| w] {
+                run_model(&ops, capacity, weigh).map_err(TestCaseError::fail)?;
+            }
+        }
     }
 }

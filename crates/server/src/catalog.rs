@@ -7,7 +7,7 @@
 //! engines for the **local** slots only. An eager source's local slots
 //! are cut from the trendlines, warmed and UDP-registered right here; a
 //! snapshot's are cut from the mapping on first touch, through the
-//! resident LRU; a remote slot holds nothing in this process. The
+//! resident cache; a remote slot holds nothing in this process. The
 //! immutable [`DatasetEntry`] is shared across every request thread via
 //! `Arc`.
 //!
@@ -412,7 +412,7 @@ enum Shards {
     /// collection's memory to route.
     Built(Vec<Option<Arc<ShapeEngine>>>),
     /// Cut from the mapped snapshot on first touch and kept by the
-    /// catalog-wide resident LRU under `(generation, slot)`, so memory is
+    /// catalog-wide resident cache under `(generation, slot)`, so memory is
     /// paid per touched shard, not per registration.
     Mapped {
         snapshot: Arc<Snapshot>,
@@ -480,7 +480,7 @@ impl DatasetEntry {
 
     /// The engine for **local** shard slot `slot` — the one built at
     /// registration for an eager entry, or a lazily materialized (and
-    /// LRU-cached) partition of the snapshot for a snapshot entry.
+    /// cached) partition of the snapshot for a snapshot entry.
     /// Loading is singleflight: queries racing a cold shard share one
     /// load. Byte-identity holds either way — a snapshot partition seeds
     /// the exact GROUP arena the eager path would build.
@@ -536,7 +536,7 @@ pub struct Catalog {
     /// Topology announcements from shard servers; consulted when a
     /// registration asks for `"shard_endpoints": "registry"`.
     registry: Registry,
-    /// The resident-shard LRU snapshot-backed datasets load through;
+    /// The resident-shard cache snapshot-backed datasets load through;
     /// shared so one `--resident-bytes` budget caps the whole process.
     resident: Arc<ResidentShards>,
 }
@@ -572,7 +572,7 @@ impl Catalog {
         self.default_shards
     }
 
-    /// The resident-shard LRU snapshot-backed datasets load through.
+    /// The resident-shard cache snapshot-backed datasets load through.
     pub fn resident(&self) -> &Arc<ResidentShards> {
         &self.resident
     }
@@ -608,9 +608,10 @@ impl Catalog {
     /// resolves the partition map, and publishes an entry that holds
     /// engines for its local slots only — built and warmed now from
     /// extracted trendlines, materialized on first touch from a
-    /// snapshot. Replaces any previous dataset with the same id (the
-    /// caller is responsible for invalidating cached results;
-    /// [`crate::handlers`] does).
+    /// snapshot. Replaces any previous dataset with the same id and
+    /// retires its generation from the resident cache (retiring it from
+    /// the query cache is the caller's: [`crate::handlers`] registers
+    /// through `register_replacing`, which says which generation went).
     ///
     /// # Errors
     /// Fails on unreadable/malformed sources (a torn or corrupted
@@ -620,6 +621,14 @@ impl Catalog {
     /// named endpoints — a remote shard is never silently dropped).
     /// Nothing is published on failure.
     pub fn register(&self, spec: DatasetSpec) -> Result<Arc<DatasetEntry>, ServerError> {
+        self.register_replacing(spec).map(|(entry, _)| entry)
+    }
+
+    /// [`Self::register`], also returning the generation it replaced.
+    pub(crate) fn register_replacing(
+        &self,
+        spec: DatasetSpec,
+    ) -> Result<(Arc<DatasetEntry>, Option<u64>), ServerError> {
         let collection = Collection::load(&spec.source, &spec.visual)?;
 
         // Resolve the placement request into an explicit per-shard
@@ -700,16 +709,17 @@ impl Catalog {
             shards,
         });
         // A replaced registration's generation can never be served
-        // again: drop whatever the resident LRU still holds of it.
+        // again: retire it from the resident cache.
         let replaced = self
             .inner
             .write()
             .expect("catalog lock")
-            .insert(id, Arc::clone(&entry));
+            .insert(id, Arc::clone(&entry))
+            .map(|old| old.generation);
         if let Some(old) = replaced {
-            self.resident.purge_generation(old.generation);
+            self.resident.retire(old);
         }
-        Ok(entry)
+        Ok((entry, replaced))
     }
 
     /// Resolves a registration's `shard_endpoints` request into an

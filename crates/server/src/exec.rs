@@ -452,7 +452,7 @@ pub(crate) fn execute_on_shards(
     let ks: Vec<usize> = queries.iter().map(|&(_, k)| k).collect();
     // Resolve every slot up front. An eager entry hands back its
     // resident Arcs for free; a snapshot entry materializes cold shards
-    // through the catalog's resident LRU (singleflight — queries racing
+    // through the catalog's resident cache (singleflight — queries racing
     // one cold shard share a single load, and the load happens before
     // the fan-out so pool tasks never block on I/O). A failed load fails
     // the whole fan-out with its structured error: a partial answer must

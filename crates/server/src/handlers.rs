@@ -202,10 +202,12 @@ fn register_dataset(state: &Arc<AppState>, request: &Request) -> Result<Response
         let resolved = check_path_source(path, state.data_root.as_deref())?;
         *path = resolved.to_string_lossy().into_owned();
     }
-    let entry = state.catalog.register(spec)?;
+    let (entry, replaced) = state.catalog.register_replacing(spec)?;
     // Replacing a dataset id must not serve the old dataset's results,
     // and stale in-flight completions must not pollute the LRU.
-    state.cache.invalidate_dataset(&entry.id, entry.generation);
+    if let Some(old) = replaced {
+        state.cache.retire(old);
+    }
     Ok(Response::json(
         201,
         protocol::dataset_to_json(&entry).to_text(),
@@ -641,6 +643,27 @@ mod tests {
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(resp.body.contains("\"cached\":false"), "{}", resp.body);
         assert!(resp.body.contains("\"results\":[{"), "{}", resp.body);
+    }
+
+    /// Both caches' locks poisoned by a thread that panicked holding them:
+    /// queries still compute and hit, and `/healthz` still answers.
+    #[test]
+    fn poisoned_cache_locks_still_answer() {
+        let state = state();
+        register(&state);
+        state.cache.poison();
+        state.catalog.resident().poison();
+        let q = r#"{"dataset":"t1","query":"[p=up]","k":1}"#;
+        for cached in ["false", "true"] {
+            let resp = route(&state, &post("/query", q));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let flag = format!("\"cached\":{cached}");
+            assert!(resp.body.contains(&flag), "{}", resp.body);
+        }
+        let health = route(&state, &get("/healthz"));
+        assert_eq!(health.status, 200, "{}", health.body);
+        assert!(health.body.contains("\"hits\":1,"), "{}", health.body);
+        assert!(health.body.contains("\"snapshots\":{"), "{}", health.body);
     }
 
     #[test]

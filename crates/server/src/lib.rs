@@ -106,7 +106,7 @@ pub mod protocol;
 pub mod resident;
 pub mod stats;
 
-pub use cache::{CacheKey, CacheStats, LruCache, QueryCache};
+pub use cache::{CacheKey, CacheStats, QueryCache};
 pub use catalog::{Catalog, DataSource, DatasetEntry, DatasetSpec, ShardPlacement};
 pub use client::{Client, ClientConfig, ClientResponse, PooledClient};
 pub use error::ServerError;

@@ -1,13 +1,15 @@
-//! The resident-shard LRU for snapshot-backed datasets: shards load
+//! The resident-shard cache for snapshot-backed datasets: shards load
 //! lazily on first touch (mapped partition → engine) and evict under
 //! capacity pressure, so a server can register snapshots whose total
 //! working set exceeds RAM and pay memory only for the partitions
-//! queries actually hit.
+//! queries actually hit. It is the server's one [`Cache`], keyed on
+//! `(generation, shard slot)` and weighed in bytes; this module is the
+//! glue that turns a lookup into a load.
 //!
 //! The `--resident-bytes` budget counts, per resident shard, the
-//! columnar arena of the bin width the snapshot seeds, measured once at
-//! publish. Those are **mapped** bytes — pages of the snapshot file the
-//! kernel owns and may reclaim on its own — and so are the shard's raw
+//! columnar arena of the bin width the snapshot seeds, measured once as
+//! its load completes. Those are **mapped** bytes — pages of the snapshot
+//! file the kernel owns and may reclaim on its own — and so are the raw
 //! point columns, which the budget does not count (16 bytes a raw point,
 //! a quarter of the counted arena at width 1). What a resident shard
 //! holds on the heap, and what an eviction therefore frees at once, is
@@ -21,23 +23,19 @@
 //! arena per resident shard, no larger than the counted one when the
 //! snapshot was written at the finest width (1, the default).
 //!
-//! Loads are **singleflight**: concurrent queries racing a cold shard
-//! block on one loader instead of duplicating the (CPU- and
-//! memory-expensive) materialization — the same coalescing discipline
-//! the query cache applies to identical queries. A loader that fails or
-//! unwinds vacates its slot and wakes the waiters. Keys are
-//! `(generation, shard slot)`, so a re-registered dataset can never be
-//! served a predecessor's partitions; the catalog purges the stale
-//! generation's residents on replacement.
+//! Loads are the cache's singleflight: queries racing a cold shard share
+//! one loader, and a loader that fails or unwinds wakes the others, the
+//! next of whom loads. The catalog retires a replaced registration's
+//! generation, so its shards go at once, and a load of it still running
+//! hands its engine to its own callers but lands nothing — it can never
+//! be served again, nor evict a live generation's shard.
 
+use crate::cache::{Cache, Generational, Probe};
 use crate::error::ServerError;
 use shapesearch_core::ShapeEngine;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-/// A point-in-time snapshot of the LRU's `/healthz` gauges.
+/// A point-in-time snapshot of the cache's `/healthz` gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResidentStats {
     /// Shards currently resident (loaded and not evicted).
@@ -54,220 +52,98 @@ pub struct ResidentStats {
     pub load_micros_total: u64,
 }
 
-/// One shard slot's residency state.
+/// A residency key, `(generation, shard slot)`.
+impl Generational for (u64, usize) {
+    fn generation(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The shared resident-shard cache; one per catalog.
 #[derive(Debug)]
-enum Slot {
-    /// Some thread is materializing the shard; waiters block on the
-    /// condvar until it publishes (or fails and vacates the slot).
-    Loading,
-    /// The shard is resident. `touched` is the LRU clock tick of its
-    /// last use; `bytes` is its columnar-arena footprint, measured once
-    /// at publish time (the seeded width's arena; see the module doc).
-    Ready {
-        engine: Arc<ShapeEngine>,
-        touched: u64,
-        bytes: u64,
-    },
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// Monotone use counter; bigger = more recently used.
-    clock: u64,
-    /// `(generation, shard slot)` → residency state.
-    slots: HashMap<(u64, usize), Slot>,
-}
-
-/// The shared resident-shard LRU; one per catalog.
-#[derive(Debug, Default)]
 pub struct ResidentShards {
-    /// Byte budget across all resident shards' columnar arenas
-    /// (0 = unlimited). Eviction never goes below one resident shard,
-    /// so a single shard bigger than the budget still serves.
-    capacity_bytes: AtomicU64,
-    inner: Mutex<Inner>,
-    loaded: Condvar,
-    loads: AtomicU64,
-    evictions: AtomicU64,
-    load_micros: AtomicU64,
+    cache: Cache<(u64, usize), Arc<ShapeEngine>>,
 }
 
-/// Owns a slot's `Loading` entry while its loader runs outside the lock.
-/// A loader that returns an error — or unwinds — never publishes, and
-/// dropping the guard then vacates the slot and wakes the waiters, so one
-/// of them becomes the next loader instead of inheriting the failure or
-/// waiting for ever on a latch nobody will release.
-struct VacateOnDrop<'a> {
-    lru: &'a ResidentShards,
-    key: (u64, usize),
-    armed: bool,
-}
-
-impl Drop for VacateOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            // Never panics: this may run while the loader's panic unwinds.
-            let mut inner = self.lru.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.slots.remove(&self.key);
-            self.lru.loaded.notify_all();
+impl Default for ResidentShards {
+    fn default() -> Self {
+        Self {
+            // Snapshot loads pre-seed the grouped arena, so this is the
+            // shard's steady-state footprint.
+            cache: Cache::weighted(0, |engine| engine.grouped_byte_size()),
         }
     }
 }
 
 impl ResidentShards {
-    /// An empty LRU with no byte budget.
+    /// An empty cache with no byte budget.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Reconfigures the byte budget (0 = unlimited). Takes effect on the
-    /// next load; already-resident shards are not proactively evicted.
+    /// Reconfigures the byte budget (0 = unlimited), evicting down to it
+    /// now. Eviction never goes below one resident shard, so a single
+    /// shard bigger than the budget still serves.
     pub fn set_capacity_bytes(&self, capacity_bytes: u64) {
-        self.capacity_bytes.store(capacity_bytes, Ordering::Relaxed);
+        self.cache
+            .set_capacity(usize::try_from(capacity_bytes).unwrap_or(usize::MAX));
     }
 
     /// A consistent snapshot of the gauges.
     pub fn stats(&self) -> ResidentStats {
-        let inner = self.inner.lock().expect("resident lock");
+        let stats = self.cache.stats();
         ResidentStats {
-            resident: inner
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count(),
-            resident_bytes: inner
-                .slots
-                .values()
-                .map(|s| match s {
-                    Slot::Ready { bytes, .. } => *bytes,
-                    Slot::Loading => 0,
-                })
-                .sum(),
-            capacity_bytes: self.capacity_bytes.load(Ordering::Relaxed),
-            loads: self.loads.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            load_micros_total: self.load_micros.load(Ordering::Relaxed),
+            resident: stats.entries,
+            resident_bytes: stats.weight as u64,
+            capacity_bytes: stats.capacity as u64,
+            loads: stats.completed,
+            evictions: stats.evictions,
+            load_micros_total: self.cache.lead_micros(),
         }
     }
 
-    /// Drops every resident shard of `generation` — called when a
-    /// dataset re-registration replaces that generation, whose
-    /// partitions must never be served again. In-flight loads of the
-    /// stale generation are left to complete (their result is simply
-    /// never touched again and ages out of the LRU).
-    pub fn purge_generation(&self, generation: u64) {
-        let mut inner = self.inner.lock().expect("resident lock");
-        inner
-            .slots
-            .retain(|(gen, _), slot| *gen != generation || matches!(slot, Slot::Loading));
+    /// Retires `generation` — a dataset re-registration replaced it, and
+    /// its partitions must never be served again: its resident shards go
+    /// now, and loads of it still running land nothing.
+    pub fn retire(&self, generation: u64) {
+        self.cache.retire(generation);
     }
 
-    /// The shard for `key`, touching it in the LRU — loading it via
+    /// The shard for `key`, touching it in the cache — loading it via
     /// `load` first if it is not resident. Exactly one caller runs the
-    /// loader per cold slot; the rest block until it publishes. A failed
-    /// load returns its error (or its panic) to the loader only and
-    /// vacates the slot — a blocked waiter wakes, finds the slot empty,
-    /// and becomes the next loader rather than inheriting a failure it
-    /// can retry.
+    /// loader per cold slot; the rest wait for it. A failed load returns
+    /// its error (or its panic) to the loader only — a waiter wakes, looks
+    /// again, and becomes the next loader rather than inheriting a
+    /// failure it can retry.
     ///
     /// # Errors
-    /// Whatever `load` returns; the LRU adds nothing.
+    /// Whatever `load` returns; the cache adds nothing.
     pub fn get_or_load(
         &self,
         key: (u64, usize),
         load: impl FnOnce() -> Result<Arc<ShapeEngine>, ServerError>,
     ) -> Result<Arc<ShapeEngine>, ServerError> {
-        let mut inner = self.inner.lock().expect("resident lock");
         loop {
-            match inner.slots.get(&key) {
-                Some(Slot::Ready { .. }) => {
-                    inner.clock += 1;
-                    let clock = inner.clock;
-                    let Some(Slot::Ready {
-                        engine, touched, ..
-                    }) = inner.slots.get_mut(&key)
-                    else {
-                        unreachable!("checked above under the same lock hold");
-                    };
-                    *touched = clock;
-                    return Ok(Arc::clone(engine));
+            match self.cache.lookup(&key) {
+                Probe::Hit(engine) => return Ok(engine),
+                Probe::Lead(leader) => {
+                    let engine = load()?;
+                    leader.complete(Arc::clone(&engine));
+                    return Ok(engine);
                 }
-                Some(Slot::Loading) => {
-                    inner = self.loaded.wait(inner).expect("resident lock");
-                }
-                None => {
-                    inner.slots.insert(key, Slot::Loading);
-                    break;
+                Probe::Pending(waiter) => {
+                    if let Some(engine) = waiter.wait() {
+                        return Ok(engine);
+                    }
                 }
             }
         }
-        drop(inner);
-
-        // The expensive part runs outside the lock: other slots stay
-        // servable while this one materializes. Until the publish below
-        // disarms it, the guard owns the `Loading` entry.
-        let mut vacate = VacateOnDrop {
-            lru: self,
-            key,
-            armed: true,
-        };
-        let started = Instant::now();
-        let engine = load()?;
-        let micros = started.elapsed().as_micros() as u64;
-
-        let mut inner = self.inner.lock().expect("resident lock");
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        self.load_micros.fetch_add(micros, Ordering::Relaxed);
-        inner.clock += 1;
-        let touched = inner.clock;
-        // Measured once here: snapshot loads pre-seed the grouped arena,
-        // so this is the shard's steady-state footprint.
-        let bytes = engine.grouped_byte_size() as u64;
-        inner.slots.insert(
-            key,
-            Slot::Ready {
-                engine: Arc::clone(&engine),
-                touched,
-                bytes,
-            },
-        );
-        vacate.armed = false;
-        self.evict_over_capacity(&mut inner);
-        self.loaded.notify_all();
-        Ok(engine)
     }
 
-    /// Evicts least-recently-touched **ready** shards until the resident
-    /// byte sum fits the byte budget. `Loading` slots are never evicted
-    /// (their loader holds no LRU position yet, and evicting one would
-    /// strand its waiters). Eviction never goes below one resident
-    /// shard: a single shard bigger than the whole budget must still
-    /// serve.
-    fn evict_over_capacity(&self, inner: &mut Inner) {
-        let capacity_bytes = self.capacity_bytes.load(Ordering::Relaxed);
-        if capacity_bytes == 0 {
-            return;
-        }
-        loop {
-            let ready = inner
-                .slots
-                .iter()
-                .filter_map(|(key, slot)| match slot {
-                    Slot::Ready { touched, bytes, .. } => Some((*touched, *key, *bytes)),
-                    Slot::Loading => None,
-                })
-                .collect::<Vec<_>>();
-            let total_bytes: u64 = ready.iter().map(|(_, _, bytes)| bytes).sum();
-            if total_bytes <= capacity_bytes || ready.len() <= 1 {
-                return;
-            }
-            let (_, coldest, _) = ready
-                .into_iter()
-                .min()
-                .expect("non-empty: an over-budget set has at least one shard");
-            inner.slots.remove(&coldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Poisons the cache's lock: a thread panics holding it.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        self.cache.poison();
     }
 }
 
@@ -275,7 +151,7 @@ impl ResidentShards {
 mod tests {
     use super::*;
     use shapesearch_datastore::Trendline;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     /// Warmed, like the snapshot load path produces: the byte budget
@@ -426,7 +302,7 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(lru.stats().loads, 0);
-        // A slot left `Loading` would park this second caller for ever;
+        // A flight left pending would park this second caller for ever;
         // the bounded wait turns that into a failure instead of a hang.
         let (tx, rx) = std::sync::mpsc::channel();
         let second = {
@@ -435,7 +311,7 @@ mod tests {
         };
         let loaded = rx
             .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the panicked load left its slot `Loading`");
+            .expect("the panicked load left its flight pending");
         second.join().unwrap().unwrap();
         assert_eq!(loaded.unwrap().base_index(), 0);
         let stats = lru.stats();
@@ -476,7 +352,7 @@ mod tests {
         lru.get_or_load((1, 0), || Ok(demo_engine(0))).unwrap();
         lru.get_or_load((2, 0), || Ok(demo_engine(0))).unwrap();
         assert_eq!(lru.stats().resident, 2);
-        lru.purge_generation(1);
+        lru.retire(1);
         assert_eq!(lru.stats().resident, 1);
         // Generation 2 stays warm; generation 1 reloads cold.
         let loads = Arc::new(AtomicUsize::new(0));
@@ -484,5 +360,57 @@ mod tests {
         assert_eq!(loads.load(Ordering::SeqCst), 0);
         lru.get_or_load((1, 0), counting_loader(&loads, 0)).unwrap();
         assert_eq!(loads.load(Ordering::SeqCst), 1);
+    }
+
+    /// A load of generation 1 still running when it is retired finishes
+    /// after generation 2's shard has loaded: under a one-shard budget it
+    /// must land nothing, so the live shard is neither evicted nor loaded
+    /// again.
+    #[test]
+    fn stale_generation_load_never_evicts_a_live_shard() {
+        let lru = lru_holding(1);
+        let per_shard = demo_engine(0).grouped_byte_size() as u64;
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let live_loads = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            let stale = scope.spawn(|| {
+                lru.get_or_load((1, 0), move || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(demo_engine(0))
+                })
+            });
+            started.recv().unwrap();
+            lru.retire(1);
+            lru.get_or_load((2, 0), counting_loader(&live_loads, 0))
+                .unwrap();
+            release.send(()).unwrap();
+            // The straggler's own caller still gets its engine.
+            assert_eq!(stale.join().unwrap().unwrap().base_index(), 0);
+        });
+        lru.get_or_load((2, 0), counting_loader(&live_loads, 0))
+            .unwrap();
+        assert_eq!(live_loads.load(Ordering::SeqCst), 1, "{:?}", lru.stats());
+        let stats = lru.stats();
+        assert_eq!((stats.resident, stats.evictions), (1, 0), "{stats:?}");
+        assert_eq!(stats.resident_bytes, per_shard, "{stats:?}");
+
+        // A straggler that starts a generation-1 load after the retire
+        // gets its engine back, and nothing of it stays resident.
+        let stale_loads = Arc::new(AtomicUsize::new(0));
+        for _ in 0..2 {
+            let engine = lru
+                .get_or_load((1, 0), counting_loader(&stale_loads, 0))
+                .unwrap();
+            assert_eq!(engine.base_index(), 0);
+        }
+        assert_eq!(stale_loads.load(Ordering::SeqCst), 2);
+        lru.get_or_load((2, 0), counting_loader(&live_loads, 0))
+            .unwrap();
+        assert_eq!(live_loads.load(Ordering::SeqCst), 1);
+        let stats = lru.stats();
+        assert_eq!((stats.resident, stats.evictions), (1, 0), "{stats:?}");
+        assert_eq!(stats.resident_bytes, per_shard, "{stats:?}");
     }
 }

@@ -8,7 +8,7 @@
 //!   behind one poison-tolerant mutex.
 //! * [`StatsSnapshot`] — everything `/healthz` and `/metrics` report,
 //!   gathered once by [`StatsSnapshot::gather`] from the registry and the
-//!   other subsystems' own snapshots (cache, resident LRU, connections,
+//!   other subsystems' own snapshots (cache, resident cache, connections,
 //!   failover health, heartbeat registry).
 //! * [`StatsSnapshot::to_healthz`] / [`StatsSnapshot::to_metrics`] — the
 //!   JSON and Prometheus renderings: two loops over one table of the
@@ -240,7 +240,7 @@ pub struct StatsSnapshot {
     pub shards: ShardStats,
     /// §6.3 pruning counters of this process's own engine work.
     pub pruning: PruningSnapshot,
-    /// Resident snapshot-shard LRU gauges.
+    /// Resident snapshot-shard cache gauges.
     pub snapshots: ResidentStats,
     /// Evented HTTP core connection counters.
     pub connections: ConnSnapshot,
@@ -700,6 +700,7 @@ mod tests {
                 coalesced: next(),
                 entries: next() as usize,
                 capacity: next() as usize,
+                ..CacheStats::default()
             },
             default_shards: next() as usize,
             dataset_shards: next() as usize,

@@ -125,6 +125,42 @@ fn summed(steps: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// Case 952 of `bounds_contain_exact_score` at 30,000 cases: the DP scores
+/// exactly the second tier's bare bound and the SegmentTree one ulp above
+/// it, so `upper < τ` would prune the tree's candidate at a tie.
+#[test]
+fn anchored_bound_covers_the_tree_where_it_ties_the_dp() {
+    #[rustfmt::skip]
+    let ys = [
+        -74.62864075641251, -41.74758440270874, -75.6455859573977, -123.15039780113517,
+        -85.5328405167798, 4.09395915934067, 100.43857403289536, 47.826424215633864,
+        -25.445857109016274, -23.503890174620707, 40.093501125255486, 131.55662255394572,
+        145.82424502403373, 241.18947634390398, 279.90667179816074, 240.03367117530547,
+        229.5452076679153, 317.83030395227433, 270.40460619047303, 187.53109036600458,
+        236.678311423038, 181.4035397502877, 82.54688523696824, 182.544538440821,
+        191.64895945671833, 246.68116830406626, 232.57632229156968, 272.97243426998,
+        218.16593207910137, 143.9467733379795, 125.84985975872362, 87.5366731306064,
+        -0.026563355078195627, 21.89538636426026, 21.148766907164173, 12.948958337691593,
+        12.870757818745929, 31.802391688510554, 50.460854103111316, 114.2173745091752,
+        90.36048571642264, 182.2205110678866, 198.51678293190264,
+    ];
+    let viz = binned_viz_from_ys(&ys, 3).expect("15 canvas points");
+    let q = parse_regex("[p=up][p=-135]").unwrap();
+    let params = ScoreParams::default();
+    let udps = UdpRegistry::new();
+    let ev = Evaluator::new(&viz, &params, &udps);
+    let chains = expand_chains(&q);
+    let exact = DpSegmenter.match_viz(&ev, &chains).score;
+    let tree = SegmentTreeSegmenter::default()
+        .match_viz(&ev, &chains)
+        .score;
+    let tight = anchored_upper_bound(&q, &viz, &params).expect("both ends are free");
+    assert!(
+        exact <= tight && tree <= tight,
+        "dp {exact}, tree {tree}, anchored {tight}"
+    );
+}
+
 /// `nested`: also build CONCATs that stay nested in a CONCAT (`concat`
 /// flattens them, and so does the regex text a round trip goes through).
 fn operator_trees(
@@ -243,14 +279,17 @@ proptest! {
         let (lo, hi) = query_bounds(&q, &viz, &params);
         // Infeasible queries (more units than intervals) return −1, which is
         // always within the trivial bound range.
-        prop_assert!(exact >= lo - 1e-6 && exact <= hi + 1e-6,
-            "score {exact} outside [{lo}, {hi}] for {q}");
+        // Upper bounds hold with no tolerance, for the DP's score and the
+        // tree's: a prune is `upper < τ`, so an ulp over one is a tie lost.
+        prop_assert!(exact >= lo - 1e-6 && exact <= hi && tree <= hi,
+            "score {exact} or tree {tree} outside [{lo}, {hi}] for {q}");
         // The second tier, where the query has an end to anchor, sits
         // between the exact score and the first.
         let tight = anchored_upper_bound(&q, &viz, &params);
         if let Some(tight) = tight {
-            prop_assert!(exact <= tight + 1e-6 && tight <= hi + 1e-6,
-                "score {exact} ≤ anchored {tight} ≤ whole {hi} broken for {q} on {} points",
+            prop_assert!(exact <= tight && tree <= tight && tight <= hi + 1e-6,
+                "score {exact} or tree {tree} ≤ anchored {tight} ≤ whole {hi} broken for {q} \
+                 on {} points",
                 viz.n());
         }
         // The third tier, where the query is a chain it places whole,
