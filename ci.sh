@@ -67,6 +67,22 @@ start_serve() {
     return 1
 }
 
+# Each engine option's wire key is spelled once in the code of
+# protocol.rs and cache.rs — its row of the option table — so `/query`,
+# `/shard/query` and the cache key cannot drift apart. (`pruning` is left
+# out: the shard reply's counters block has the same name.)
+echo "==> engine option keys named once (protocol.rs + cache.rs, non-test code)"
+for key in algo bin_width pushdown parallel sharp_angle_deg gradual_angle_deg \
+    quantifier_threshold sketch_distance_scale y_tolerance min_width_frac; do
+    n=$(for f in crates/server/src/protocol.rs crates/server/src/cache.rs; do
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+    done | grep -vE '^\s*//' | grep -o "\"$key\"" | wc -l)
+    [ "$n" -eq 1 ] || {
+        echo "ci: option key \"$key\" is spelled $n times (want 1)" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -311,6 +327,14 @@ MISTYPED_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
     -d '{"dataset":"sales","query":"[p=up]","k":"7"}')
 [ "$MISTYPED_STATUS" = "400" ] || {
     echo "observability smoke: \"k\":\"7\" should 400, got $MISTYPED_STATUS"; exit 1;
+}
+# So is a number past f64, even under a key nothing reads: the parser
+# refuses it rather than carry an infinity `to_text` writes as null.
+OVERFLOW_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+    -X POST "http://127.0.0.1:$ROUTER_PORT/query" \
+    -d '{"dataset":"sales","query":"[p=up]","pad":1e999}')
+[ "$OVERFLOW_STATUS" = "400" ] || {
+    echo "observability smoke: \"pad\":1e999 should 400, got $OVERFLOW_STATUS"; exit 1;
 }
 
 # The router's /metrics exposition parses: non-empty, the known series

@@ -24,6 +24,20 @@ pub enum CompareOp {
 }
 
 impl CompareOp {
+    /// Parses an operator's symbol or short name: `=`/`==`/`eq`, `!=`/`ne`,
+    /// `<`/`lt`, `<=`/`le`, `>`/`gt`, `>=`/`ge`.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "=" | "==" | "eq" => Some(CompareOp::Eq),
+            "!=" | "ne" => Some(CompareOp::Ne),
+            "<" | "lt" => Some(CompareOp::Lt),
+            "<=" | "le" => Some(CompareOp::Le),
+            ">" | "gt" => Some(CompareOp::Gt),
+            ">=" | "ge" => Some(CompareOp::Ge),
+            _ => None,
+        }
+    }
+
     fn eval(self, ord: Ordering) -> bool {
         match self {
             CompareOp::Eq => ord == Ordering::Equal,
@@ -127,6 +141,25 @@ mod tests {
         assert!(Predicate::new("c", CompareOp::Le, 5i64).matches(&v));
         assert!(Predicate::new("c", CompareOp::Gt, 4i64).matches(&v));
         assert!(Predicate::new("c", CompareOp::Ge, 5i64).matches(&v));
+    }
+
+    #[test]
+    fn operators_parse_from_symbols_and_names_and_display_back() {
+        for op in [
+            CompareOp::Eq,
+            CompareOp::Ne,
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+        ] {
+            assert_eq!(CompareOp::parse(&op.to_string()), Some(op));
+        }
+        assert_eq!(CompareOp::parse("=="), Some(CompareOp::Eq));
+        assert_eq!(CompareOp::parse("ge"), Some(CompareOp::Ge));
+        for bad in ["", "=<", "===", "<>", "EQ"] {
+            assert_eq!(CompareOp::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]

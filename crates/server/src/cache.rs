@@ -35,9 +35,10 @@
 //! exploration, where a user reissues near-identical ShapeQueries while
 //! tweaking k or switching datasets — skip segmentation entirely on a hit.
 
+use crate::protocol::{self, Route};
 use shapesearch_core::{EngineOptions, TopKResult};
 use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -291,14 +292,17 @@ impl Generational for CacheKey {
     }
 }
 
-/// A deterministic fingerprint of every result-affecting engine option.
-/// `parallel` is deliberately excluded: it changes scheduling, not
-/// results (`parallel_matches_sequential` in the engine tests).
+/// A deterministic fingerprint of every result-affecting engine option:
+/// the cache-key rows of `protocol`'s option table. Scheduling
+/// (`parallel`, `parallel_threshold`) and the pruning mode are not among
+/// them: they never change results (`parallel_matches_sequential` in the
+/// engine tests).
 pub fn options_fingerprint(o: &EngineOptions) -> String {
-    format!(
-        "seg={:?};bin={};push={};params={:?}",
-        o.segmenter, o.bin_width, o.pushdown, o.params
-    )
+    let mut fingerprint = String::with_capacity(192);
+    for (key, slot) in protocol::options_on(&mut o.clone(), Route::Key) {
+        let _ = write!(fingerprint, "{key}={slot};");
+    }
+    fingerprint
 }
 
 /// A consistent snapshot of a [`Cache`]'s counters and occupancy: the

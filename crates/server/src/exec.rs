@@ -80,7 +80,7 @@ fn plan_query(state: &AppState, body: &Json) -> Result<PlannedQuery, ServerError
         k: req.k,
         options,
         key,
-        parallel_opt_out: req.parallel == Some(false),
+        parallel_opt_out: req.parallel_opt_out,
         explain: req.explain,
         partial: req.partial,
     })

@@ -1917,6 +1917,42 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_error_status_fails_the_replica_and_never_reaches_the_client() {
+        // A stub shard server whose one outcome is an error with a status
+        // no HTTP reply can carry: truncated to 16 bits it read 0 or 4464,
+        // and 200 answered the client "OK" with an error body.
+        for status in [65536, 70000, 200] {
+            let reply = format!(
+                r#"{{"dataset":"t1","outcomes":[{{"error":"x","status":{status}}}],"micros":0}}"#
+            );
+            let stub = crate::http::serve(
+                "127.0.0.1:0",
+                crate::http::HttpConfig::default(),
+                Arc::new(move |_: &Request| Response::json(200, reply.clone())),
+            )
+            .unwrap();
+            let router = state();
+            let body = format!(
+                r#"{{"name":"t","id":"t1","csv":"{CSV}","z":"z","x":"x","y":"y",
+                     "shard_endpoints":["{}"]}}"#,
+                stub.addr()
+            );
+            assert_eq!(route(&router, &post("/datasets", &body)).status, 201);
+            let resp = route(
+                &router,
+                &post("/query", r#"{"dataset":"t1","query":"[p=up]","k":1}"#),
+            );
+            assert_eq!(resp.status, 502, "status {status} → {}", resp.body);
+            assert!(
+                resp.body.contains("shard_unavailable") && resp.body.contains("`status`"),
+                "status {status} → {}",
+                resp.body
+            );
+            stub.shutdown();
+        }
+    }
+
+    #[test]
     fn shard_query_reports_hint_debt_for_unverifiable_hints() {
         // A shard server handed a poisoned hint over the wire replies
         // with a deficient partial, but MUST flag it: pruned_bound is

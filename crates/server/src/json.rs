@@ -37,6 +37,18 @@ impl Json {
         }
     }
 
+    /// Moves a string field's text out of an object, leaving `""` behind;
+    /// `None` for non-objects, missing keys and non-string values.
+    pub(crate) fn take_str(&mut self, key: &str) -> Option<String> {
+        match self {
+            Json::Obj(fields) => match fields.iter_mut().find(|(k, _)| k == key) {
+                Some((_, Json::Str(text))) => Some(std::mem::take(text)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -222,10 +234,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'n') => take_literal(bytes, pos, "null").map(|()| Json::Null),
         Some(b) if *b == b'-' || b.is_ascii_digit() => {
             let start = *pos;
-            number_span(bytes, pos)
-                .parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("invalid number at byte {start}"))
+            match number_span(bytes, pos).parse::<f64>() {
+                // JSON has no infinities: `1e999` would come back out of
+                // `to_text` as `null`, and rank first as a score meanwhile.
+                Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+                Ok(_) => Err(format!("number out of range at byte {start}")),
+                Err(_) => Err(format!("invalid number at byte {start}")),
+            }
         }
         Some(b) => Err(format!("unexpected `{}` at byte {pos}", *b as char)),
         None => Err("unexpected end of input".into()),
@@ -356,6 +371,17 @@ mod tests {
         // At the cap it still parses.
         let ok_depth = "[".repeat(64) + &"]".repeat(64);
         assert!(parse(&ok_depth).is_ok());
+    }
+
+    #[test]
+    fn overflowing_numbers_are_refused_not_infinite() {
+        for bad in ["1e999", "[1e999,-1e999]", r#"{"score":-1e400}"#] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("number out of range"), "{bad}: {err}");
+        }
+        // Underflow is a finite zero, and the largest finite double stays.
+        assert_eq!(parse("1e-999"), Ok(Json::Num(0.0)));
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Json::Num(f64::MAX)));
     }
 
     #[test]

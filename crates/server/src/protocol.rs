@@ -14,9 +14,8 @@
 //! GET  /datasets  → {"datasets":[{"id","name","z","x","y",
 //!                  "trendlines","points","shards","placement",
 //!                  "shard_of"?,"snapshot"?}]}
-//! POST /query     {"dataset", "query"|"nl", "k"?, "algo"?, "bin_width"?,
-//!                  "pushdown"?, "parallel"?, "pruning"?, "explain"?,
-//!                  "partial"?}
+//! POST /query     {"dataset", "query"|"nl", "k"?, "explain"?, "partial"?,
+//!                  and an optional override per `/query` option below}
 //!              or [ {…}, {…}, … ]       (a batch of up to the server's
 //!                                        max batch size, default
 //!                                        MAX_BATCH_SIZE)
@@ -38,7 +37,8 @@
 //!                    "ttl_secs": REGISTRY_TTL_SECS}
 //! POST /shard/query   {"dataset", "queries":[{"query","k",
 //!                      "threshold_hint": score|null}, …],  (all required)
-//!                      "options": {…}, "trace_id"?: "hex"}
+//!                      "options": {every `/shard/query` option below},
+//!                      "trace_id"?: "hex"}
 //!                                          (router → shard server RPC)
 //!              → {"dataset","outcomes":[{"results":[…],
 //!                 "pruned_bound": score|null} or
@@ -97,7 +97,7 @@
 //! far for that query — a pure accelerator the shard server seeds its
 //! own [`shapesearch_core::ThresholdCell`]s with. It is
 //! **required-but-nullable** (send `null` when nothing is proven yet) so
-//! the option-vocabulary strictness below still applies to it. A shard's
+//! the option-vocabulary strictness below applies to it too. A shard's
 //! `pruned_bound` is the largest §6.3 upper bound it pruned on the
 //! hint's authority alone (null when every prune was locally proven;
 //! required-but-nullable too — a reply that omits or mistypes it is
@@ -125,23 +125,45 @@
 //! answer. Without the flag, an unreachable shard is the same 502 it
 //! always was. `partial`, like `explain`, is not part of the cache key.
 //!
-//! The `/shard/query` options object serializes **every result-affecting
-//! engine knob** explicitly (segmenter, binning, pushdown, all scoring
-//! parameters, pruning mode) and the receiving shard server
-//! treats every field as required — a router and a shard server that
-//! disagree about the option vocabulary fail loudly at the RPC boundary
-//! instead of silently computing under different options. Scheduling
-//! knobs (`parallel`, `parallel_threshold`) are deliberately *not* on
-//! the wire: they never change results, and each process schedules its
-//! own cores.
+//! **Engine options are one table** (`wire_options`): one row per
+//! [`EngineOptions`] field that crosses the wire, with its key, its typed
+//! reader and writer, and where it travels. A key has one value shape
+//! wherever it travels (`"pruning":"auto"`).
+//!
+//! | option | `/query` | `/shard/query` | cache key |
+//! |---|---|---|---|
+//! | `algo`, `bin_width`, `pushdown` | override | pinned | yes |
+//! | `pruning` | override | pinned | no: it never changes results |
+//! | `parallel` | override | no | no: scheduling only |
+//! | the six [`shapesearch_core::ScoreParams`] | no | pinned | yes |
+//!
+//! [`QueryRequest::effective_options`], [`options_to_json`],
+//! [`options_from_json`] and [`crate::cache::options_fingerprint`] are loops
+//! over it, and it destructures `EngineOptions` and `ScoreParams` without
+//! `..`: a new field does not compile until it has a row. A shard server
+//! treats every pinned option as required, so a router and a shard server
+//! that disagree about the option vocabulary fail loudly at the RPC
+//! boundary instead of silently computing under different options.
+//! `parallel` and `parallel_threshold` never leave the process: they never
+//! change results, and each process schedules its own cores.
+//!
+//! **Every field goes through one reader** (`field`), with one message per
+//! fault: an absent key is ``missing field `k` ``, a present one of the
+//! wrong type ``field `k` must be <kind>``, and an optional key reads
+//! `null` as absent. The same words refuse a request (a 400) and a shard
+//! reply (that replica attempt fails over, or the query gets
+//! `shard_unavailable`). A reply's error outcome must carry a `status` in
+//! 400..=599 — the router relays it as the client's HTTP status — and no
+//! number on the wire is infinite: [`crate::json::parse`] refuses `1e999`.
 
 use crate::catalog::{DataSource, DatasetEntry, DatasetSpec, RegistryEntry, ShardEndpoints};
 use crate::error::ServerError;
 use crate::json::{obj, Json};
 use shapesearch_core::{
-    EngineOptions, PruningMode, PruningSnapshot, SegmenterKind, ShapeQuery, TopKResult,
+    EngineOptions, PruningMode, PruningSnapshot, ScoreParams, SegmenterKind, ShapeQuery, TopKResult,
 };
 use shapesearch_datastore::{Aggregation, CompareOp, Predicate, Value, VisualSpec};
+use std::fmt;
 
 /// Default upper bound on the number of queries one `POST /query` batch
 /// may carry (configurable per server via `ServerConfig::max_batch` /
@@ -151,46 +173,138 @@ use shapesearch_datastore::{Aggregation, CompareOp, Predicate, Value, VisualSpec
 /// worker thread on an unbounded amount of engine work.
 pub const MAX_BATCH_SIZE: usize = 64;
 
-fn required_str<'a>(body: &'a Json, key: &str) -> Result<&'a str, ServerError> {
-    body.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServerError::bad_request(format!("missing string field `{key}`")))
-}
+/// A malformed field, worded by [`field`]. `?` makes it a 400 on a
+/// request and the reason a shard reply is refused on a reply.
+struct Fault(String);
 
-/// An optional key: absent or `null` is `None`, present and readable by
-/// `read` is `Some`, anything else is a 400 naming `what` the field must
-/// be — a mistyped option is never silently replaced by its default, or a
-/// client would believe an option took effect that did not.
-fn optional<'a, T>(
-    body: &'a Json,
-    key: &str,
-    read: fn(&'a Json) -> Option<T>,
-    what: &str,
-) -> Result<Option<T>, ServerError> {
-    match body.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => read(value).map(Some).ok_or_else(|| mistyped(key, what)),
+impl From<Fault> for ServerError {
+    fn from(fault: Fault) -> Self {
+        ServerError::bad_request(fault.0)
     }
 }
 
-fn mistyped(key: &str, what: &str) -> ServerError {
-    ServerError::bad_request(format!("field `{key}` must be {what}"))
+impl From<Fault> for String {
+    fn from(fault: Fault) -> Self {
+        fault.0
+    }
 }
 
-const STRING: &str = "a string";
-const BOOLEAN: &str = "a boolean";
-const COUNT: &str = "a non-negative integer";
+/// What a field must be: `NAME` ends ``field `k` must be …``.
+trait Kind<'a>: Sized {
+    const NAME: &'static str;
 
-/// [`optional`] for a string the caller will own: the text is moved out
-/// of `body` (an empty string stays behind), not copied.
-fn take_string(body: &mut Json, key: &str) -> Result<Option<String>, ServerError> {
-    let Json::Obj(fields) = body else {
-        return Ok(None);
+    fn read(value: &'a Json) -> Option<Self>;
+
+    /// What an absent key reads as; `None` makes the key required.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+/// An optional field: absent and `null` both read as `None`. A mistyped
+/// one is refused, never replaced by its default, or a client would
+/// believe an option took effect that did not.
+impl<'a, T: Kind<'a>> Kind<'a> for Option<T> {
+    const NAME: &'static str = T::NAME;
+    fn read(value: &'a Json) -> Option<Self> {
+        match value {
+            Json::Null => Some(None),
+            value => T::read(value).map(Some),
+        }
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+/// A required number that may be `null` (`threshold_hint`,
+/// `pruned_bound`): a sender says "nothing" out loud.
+struct OrNull(Option<f64>);
+
+/// A shard reply's per-query error status, which a router relays as its
+/// client's HTTP status.
+struct ErrorStatus(u16);
+
+/// Declares the kinds, one row each: the type, its `NAME`, its reader.
+macro_rules! kinds {
+    ($($kind:ty => $name:literal, $read:expr;)+) => {$(
+        impl<'a> Kind<'a> for $kind {
+            const NAME: &'static str = $name;
+            fn read(value: &'a Json) -> Option<Self> {
+                $read(value)
+            }
+        }
+    )+};
+}
+
+kinds! {
+    &'a str => "a string", Json::as_str;
+    bool => "a boolean", Json::as_bool;
+    usize => "a non-negative integer", Json::as_usize;
+    f64 => "a number", Json::as_f64;
+    &'a [Json] => "an array", Json::as_array;
+    // An object, kept whole for the reads of its own fields.
+    &'a Json => "an object", |v: &'a Json| matches!(v, Json::Obj(_)).then_some(v);
+    OrNull => "a number or null", |v: &Json| match v {
+        Json::Null => Some(OrNull(None)),
+        v => v.as_f64().map(|n| OrNull(Some(n))),
     };
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        None | Some((_, Json::Null)) => Ok(None),
-        Some((_, Json::Str(text))) => Ok(Some(std::mem::take(text))),
-        Some(_) => Err(mistyped(key, STRING)),
+    ErrorStatus => "an HTTP error status (400 to 599)", |v: &Json| {
+        let status = u16::try_from(v.as_usize()?).ok()?;
+        (400..=599).contains(&status).then_some(ErrorStatus(status))
+    };
+    // A result's `ranges`.
+    Vec<(usize, usize)> => "an array of [start, end] index pairs", |v: &Json| {
+        let pairs = v.as_array()?.iter().map(|pair| match pair.as_array()? {
+            [start, end] => Some((start.as_usize()?, end.as_usize()?)),
+            _ => None,
+        });
+        pairs.collect()
+    };
+    // A filter's literal (an optional field: `null` is `Value::Null`).
+    Value => "a number, a string or a boolean", |v: &Json| match v {
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(Value::Int(*n as i64)),
+        Json::Num(n) => Some(Value::Float(*n)),
+        Json::Str(s) => Some(Value::infer(s)),
+        Json::Bool(b) => Some(Value::Int(i64::from(*b))),
+        _ => None,
+    };
+    // One entry per shard: this process, one endpoint, or its replicas.
+    ShardEndpoints => "\"registry\" or a non-empty array of null, \"local\", \
+        \"host:port\" or non-empty [\"host:port\", …] entries", |v: &Json| {
+        let replica = |r: &Json| {
+            let r = r.as_str().filter(|r| !r.is_empty() && !r.eq_ignore_ascii_case("local"));
+            r.map(str::to_owned)
+        };
+        let slot = |slot: &Json| match slot {
+            Json::Null => Some(None),
+            Json::Str(s) if s.eq_ignore_ascii_case("local") => Some(None),
+            Json::Arr(replicas) if !replicas.is_empty() => {
+                replicas.iter().map(replica).collect::<Option<_>>().map(Some)
+            }
+            single => replica(single).map(|r| Some(vec![r])),
+        };
+        match v {
+            Json::Str(s) if s.eq_ignore_ascii_case("registry") => Some(ShardEndpoints::FromRegistry),
+            Json::Arr(slots) if !slots.is_empty() => {
+                slots.iter().map(slot).collect::<Option<_>>().map(ShardEndpoints::Explicit)
+            }
+            _ => None,
+        }
+    };
+}
+
+/// The one field reader: `key` of `body`, read as a `T`. Absent, it is
+/// ``missing field `k` `` unless `T` is optional; present but not a `T`,
+/// ``field `k` must be <T::NAME>``. Inlined on purpose: as a call it cost
+/// a shard reply's decode about a third more (40-odd fields a reply).
+#[inline(always)]
+fn field<'a, T: Kind<'a>>(body: &'a Json, key: &str) -> Result<T, Fault> {
+    match body.get(key) {
+        None => T::absent().ok_or_else(|| Fault(format!("missing field `{key}`"))),
+        Some(value) => {
+            T::read(value).ok_or_else(|| Fault(format!("field `{key}` must be {}", T::NAME)))
+        }
     }
 }
 
@@ -198,25 +312,27 @@ fn take_string(body: &mut Json, key: &str) -> Result<Option<String>, ServerError
 /// the whole request over again, and moving it into the spec keeps a
 /// registration from holding one more copy of it than it has to.
 pub fn dataset_spec_from_json(mut body: Json) -> Result<DatasetSpec, ServerError> {
-    let name = required_str(&body, "name")?.to_owned();
-    let id = optional(&body, "id", Json::as_str, STRING)?.map(str::to_owned);
+    let name = field::<&str>(&body, "name")?.to_owned();
+    let id = field::<Option<&str>>(&body, "id")?.map(str::to_owned);
 
-    let source = match (
-        take_string(&mut body, "csv")?,
-        take_string(&mut body, "jsonl")?,
-        take_string(&mut body, "path")?,
-        take_string(&mut body, "snapshot")?,
-    ) {
-        (Some(text), None, None, None) => DataSource::InlineCsv(text),
-        (None, Some(text), None, None) => DataSource::InlineJsonl(text),
-        (None, None, Some(path), None) => DataSource::Path(path),
-        (None, None, None, Some(path)) => DataSource::Snapshot(path),
-        _ => {
-            return Err(ServerError::bad_request(
-                "exactly one of `csv`, `jsonl`, `path`, or `snapshot` is required",
-            ))
+    // Exactly one source key, read like any other field, then moved out.
+    let mut given = Vec::new();
+    for (key, source) in [
+        ("csv", DataSource::InlineCsv as fn(String) -> DataSource),
+        ("jsonl", DataSource::InlineJsonl),
+        ("path", DataSource::Path),
+        ("snapshot", DataSource::Snapshot),
+    ] {
+        if field::<Option<&str>>(&body, key)?.is_some() {
+            given.push((key, source));
         }
+    }
+    let [(key, source)] = given[..] else {
+        return Err(ServerError::bad_request(
+            "exactly one of `csv`, `jsonl`, `path`, or `snapshot` is required",
+        ));
     };
+    let source = source(body.take_str(key).unwrap_or_default());
 
     let body = &body;
 
@@ -240,100 +356,33 @@ pub fn dataset_spec_from_json(mut body: Json) -> Result<DatasetSpec, ServerError
         VisualSpec::new("z", "x", "y")
     } else {
         VisualSpec::new(
-            required_str(body, "z")?,
-            required_str(body, "x")?,
-            required_str(body, "y")?,
+            field::<&str>(body, "z")?,
+            field::<&str>(body, "x")?,
+            field::<&str>(body, "y")?,
         )
     };
-    if let Some(filters) = optional(body, "filters", Json::as_array, "an array")? {
-        for f in filters {
-            visual = visual.with_filter(predicate_from_json(f)?);
-        }
+    for f in field::<Option<&[Json]>>(body, "filters")?.unwrap_or_default() {
+        visual = visual.with_filter(predicate_from_json(f)?);
     }
-    if let Some(agg) = optional(body, "agg", Json::as_str, STRING)? {
+    if let Some(agg) = field::<Option<&str>>(body, "agg")? {
         let agg = Aggregation::parse(agg)
             .ok_or_else(|| ServerError::bad_request(format!("unknown aggregation `{agg}`")))?;
         visual = visual.with_aggregation(agg);
     }
 
-    let shard_endpoints = match body.get("shard_endpoints") {
-        None => None,
-        Some(Json::Str(s)) if s.eq_ignore_ascii_case("registry") => {
-            Some(ShardEndpoints::FromRegistry)
-        }
-        Some(Json::Arr(items)) => {
-            let mut endpoints = Vec::with_capacity(items.len());
-            for item in items {
-                endpoints.push(match item {
-                    Json::Null => None,
-                    Json::Str(s) if s.eq_ignore_ascii_case("local") => None,
-                    Json::Str(s) if !s.is_empty() => Some(vec![s.clone()]),
-                    Json::Arr(replicas) => {
-                        let mut list = Vec::with_capacity(replicas.len());
-                        for replica in replicas {
-                            match replica {
-                                Json::Str(s)
-                                    if !s.is_empty() && !s.eq_ignore_ascii_case("local") =>
-                                {
-                                    list.push(s.clone())
-                                }
-                                other => {
-                                    return Err(ServerError::bad_request(format!(
-                                        "replica entries must be \"host:port\" \
-                                         strings; got {other:?} (use null at \
-                                         the shard level for a local shard)"
-                                    )))
-                                }
-                            }
-                        }
-                        if list.is_empty() {
-                            return Err(ServerError::bad_request(
-                                "a replica list must name at least one endpoint",
-                            ));
-                        }
-                        Some(list)
-                    }
-                    other => {
-                        return Err(ServerError::bad_request(format!(
-                            "`shard_endpoints` entries must be \"host:port\", \
-                             a replica array, \"local\", or null; got {other:?}"
-                        )))
-                    }
-                });
-            }
-            if endpoints.is_empty() {
-                return Err(ServerError::bad_request(
-                    "`shard_endpoints` must name at least one shard",
-                ));
-            }
-            Some(ShardEndpoints::Explicit(endpoints))
-        }
-        Some(_) => {
-            return Err(ServerError::bad_request(
-                "`shard_endpoints` must be an array of \"host:port\"/replica-\
-                 array/null entries, or the string \"registry\"",
-            ))
-        }
-    };
-
-    let shard_of = match body.get("shard_of") {
-        None => None,
-        Some(Json::Str(text)) => Some(parse_shard_of(text).map_err(ServerError::bad_request)?),
-        Some(_) => {
-            return Err(ServerError::bad_request(
-                "`shard_of` must be a string of the form \"index/total\"",
-            ))
-        }
-    };
+    let shard_of = field::<Option<&str>>(body, "shard_of")?
+        .map(parse_shard_of)
+        .transpose()
+        .map_err(ServerError::bad_request)?;
 
     Ok(DatasetSpec {
         id,
         name,
         source,
         visual,
-        builtins: optional(body, "builtins", Json::as_bool, BOOLEAN)?.unwrap_or(true),
-        shards: optional(body, "shards", Json::as_usize, COUNT)?,
-        shard_endpoints,
+        builtins: field::<Option<bool>>(body, "builtins")?.unwrap_or(true),
+        shards: field(body, "shards")?,
+        shard_endpoints: field(body, "shard_endpoints")?,
         shard_of,
     })
 }
@@ -360,38 +409,169 @@ pub fn parse_shard_of(text: &str) -> Result<(usize, usize), String> {
 }
 
 fn predicate_from_json(f: &Json) -> Result<Predicate, ServerError> {
-    let column = required_str(f, "column")?;
-    let op = match required_str(f, "op")? {
-        "=" | "==" | "eq" => CompareOp::Eq,
-        "!=" | "ne" => CompareOp::Ne,
-        "<" | "lt" => CompareOp::Lt,
-        "<=" | "le" => CompareOp::Le,
-        ">" | "gt" => CompareOp::Gt,
-        ">=" | "ge" => CompareOp::Ge,
-        other => {
-            return Err(ServerError::bad_request(format!(
-                "unknown filter op `{other}`"
-            )))
-        }
-    };
-    let value = match f.get("value") {
-        Some(Json::Num(n)) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                Value::Int(*n as i64)
+    let column = field::<&str>(f, "column")?;
+    let op = field::<&str>(f, "op")?;
+    let op = CompareOp::parse(op)
+        .ok_or_else(|| ServerError::bad_request(format!("unknown filter op `{op}`")))?;
+    let value = field::<Option<Value>>(f, "value")?.unwrap_or(Value::Null);
+    Ok(Predicate::new(column, op, value))
+}
+
+/// Where an engine option travels.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Route {
+    /// An optional `POST /query` override.
+    Query,
+    /// Pinned, and required, on every `/shard/query` RPC.
+    Shard,
+    /// Part of the cache key ([`crate::cache::options_fingerprint`]).
+    Key,
+}
+
+/// An engine option's place in [`EngineOptions`]; the variant is its
+/// wire kind.
+pub(crate) enum Slot<'a> {
+    Algo(&'a mut SegmenterKind),
+    Width(&'a mut usize),
+    Flag(&'a mut bool),
+    Pruning(&'a mut PruningMode),
+    Number(&'a mut f64),
+}
+
+impl Slot<'_> {
+    /// Reads `key` of `body` into the option. Unless the key is
+    /// `required`, absent or `null` leaves the option as it is.
+    fn read(self, body: &Json, key: &str, required: bool) -> Result<(), Fault> {
+        fn given<'a, T: Kind<'a>>(
+            body: &'a Json,
+            key: &str,
+            required: bool,
+        ) -> Result<Option<T>, Fault> {
+            if required {
+                field(body, key).map(Some)
             } else {
-                Value::Float(*n)
+                field(body, key)
             }
         }
-        Some(Json::Str(s)) => Value::infer(s),
-        Some(Json::Bool(b)) => Value::Int(i64::from(*b)),
-        Some(Json::Null) | None => Value::Null,
-        Some(other) => {
-            return Err(ServerError::bad_request(format!(
-                "unsupported filter value {other:?}"
-            )))
+        fn set<T>(option: &mut T, given: Option<T>) {
+            if let Some(given) = given {
+                *option = given;
+            }
         }
-    };
-    Ok(Predicate::new(column, op, value))
+        match self {
+            Slot::Algo(algo) => {
+                if let Some(name) = given::<&str>(body, key, required)? {
+                    *algo = SegmenterKind::parse(name)
+                        .ok_or_else(|| Fault(format!("unknown algo `{name}`")))?;
+                }
+            }
+            Slot::Pruning(mode) => {
+                if let Some(name) = given::<&str>(body, key, required)? {
+                    *mode = PruningMode::parse(name).ok_or_else(|| {
+                        Fault(format!(
+                            "unknown pruning mode `{name}` (expected auto, off, or force)"
+                        ))
+                    })?;
+                }
+            }
+            Slot::Width(width) => set(
+                width,
+                given::<usize>(body, key, required)?.map(|n| n.max(1)),
+            ),
+            Slot::Flag(flag) => set(flag, given(body, key, required)?),
+            Slot::Number(number) => set(number, given(body, key, required)?),
+        }
+        Ok(())
+    }
+
+    fn write(self) -> Json {
+        match self {
+            Slot::Algo(algo) => algo.name().into(),
+            Slot::Width(width) => (*width).into(),
+            Slot::Flag(flag) => (*flag).into(),
+            Slot::Pruning(mode) => mode.name().into(),
+            Slot::Number(number) => (*number).into(),
+        }
+    }
+}
+
+/// The option's cache-key form: as written on the wire, but a number by
+/// its bits — exact for every `f64`, and no float formatting on every
+/// planned query.
+impl fmt::Display for Slot<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slot::Algo(algo) => f.write_str(algo.name()),
+            Slot::Width(width) => write!(f, "{width}"),
+            Slot::Flag(flag) => write!(f, "{flag}"),
+            Slot::Pruning(mode) => f.write_str(mode.name()),
+            Slot::Number(number) => write!(f, "{:x}", number.to_bits()),
+        }
+    }
+}
+
+/// The option table: one row per engine option that crosses the wire —
+/// its key, where it travels, and its slot — in wire order. It
+/// destructures `EngineOptions` and `ScoreParams` without `..`, so a new
+/// field does not compile until it has a row.
+fn wire_options(options: &mut EngineOptions) -> [(&'static str, &'static [Route], Slot<'_>); 11] {
+    use Route::{Key, Query, Shard};
+    const EVERYWHERE: &[Route] = &[Query, Shard, Key];
+    const PARAM: &[Route] = &[Shard, Key];
+    let EngineOptions {
+        segmenter,
+        bin_width,
+        pushdown,
+        parallel,
+        // A server setting no request names, and scheduling only.
+        parallel_threshold: _,
+        params,
+        pruning_mode,
+    } = options;
+    let ScoreParams {
+        sharp_angle_deg,
+        gradual_angle_deg,
+        quantifier_threshold,
+        sketch_distance_scale,
+        y_tolerance,
+        min_width_frac,
+    } = params;
+    #[rustfmt::skip]
+    let table = [
+        ("algo",                  EVERYWHERE,      Slot::Algo(segmenter)),
+        ("bin_width",             EVERYWHERE,      Slot::Width(bin_width)),
+        ("pushdown",              EVERYWHERE,      Slot::Flag(pushdown)),
+        // Pruning only skips provable losers: every mode shares an entry.
+        ("pruning",               &[Query, Shard], Slot::Pruning(pruning_mode)),
+        // Scheduling only: each process schedules its own cores.
+        ("parallel",              &[Query],        Slot::Flag(parallel)),
+        ("sharp_angle_deg",       PARAM,           Slot::Number(sharp_angle_deg)),
+        ("gradual_angle_deg",     PARAM,           Slot::Number(gradual_angle_deg)),
+        ("quantifier_threshold",  PARAM,           Slot::Number(quantifier_threshold)),
+        ("sketch_distance_scale", PARAM,           Slot::Number(sketch_distance_scale)),
+        ("y_tolerance",           PARAM,           Slot::Number(y_tolerance)),
+        ("min_width_frac",        PARAM,           Slot::Number(min_width_frac)),
+    ];
+    table
+}
+
+/// The rows of the option table that travel on `route`, in table order.
+/// A slot borrows its option mutably, so a writer passes a copy.
+pub(crate) fn options_on(
+    options: &mut EngineOptions,
+    route: Route,
+) -> impl Iterator<Item = (&'static str, Slot<'_>)> {
+    let rows = wire_options(options).into_iter();
+    rows.filter(move |(_, routes, _)| routes.contains(&route))
+        .map(|(key, _, slot)| (key, slot))
+}
+
+/// Reads every option that travels on `route` from `body` into `options`.
+fn read_options(body: &Json, options: &mut EngineOptions, route: Route) -> Result<(), Fault> {
+    for (key, slot) in options_on(options, route) {
+        slot.read(body, key, route == Route::Shard)?;
+    }
+    Ok(())
 }
 
 /// The parsed body of one `POST /query` query object (a batch is an
@@ -406,16 +586,13 @@ pub struct QueryRequest {
     pub nl: Option<String>,
     /// Number of results requested (default 5).
     pub k: usize,
-    /// Segmentation algorithm override.
-    pub algo: Option<SegmenterKind>,
-    /// GROUP binning-width override.
-    pub bin_width: Option<usize>,
-    /// Push-down optimization override.
-    pub pushdown: Option<bool>,
-    /// Engine viz-level parallelism override.
-    pub parallel: Option<bool>,
-    /// §6.3 bound-pruning mode override (`auto` / `off` / `force`).
-    pub pruning: Option<PruningMode>,
+    /// The engine options the body overrides, as sent: an object of the
+    /// `/query` options it gave, checked when it was read and applied by
+    /// [`Self::effective_options`].
+    pub overrides: Json,
+    /// The body sent `parallel: false`: an opt-out its batch group
+    /// honors, where leaving it out lets the group default to parallel.
+    pub parallel_opt_out: bool,
     /// When `true`, the response envelope carries the request's trace:
     /// the stitched span tree (including remote shards' own timings)
     /// and pruning stats. Purely additive — it never affects results or
@@ -431,41 +608,36 @@ pub struct QueryRequest {
 
 /// Parses one query object of a `POST /query` body.
 pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError> {
-    let dataset = required_str(body, "dataset")?.to_owned();
-    let query = optional(body, "query", Json::as_str, STRING)?.map(str::to_owned);
-    let nl = optional(body, "nl", Json::as_str, STRING)?.map(str::to_owned);
+    let dataset = field::<&str>(body, "dataset")?.to_owned();
+    let query = field::<Option<&str>>(body, "query")?.map(str::to_owned);
+    let nl = field::<Option<&str>>(body, "nl")?.map(str::to_owned);
     if query.is_none() && nl.is_none() {
         return Err(ServerError::bad_request(
             "one of `query` or `nl` is required",
         ));
     }
-    let algo = match optional(body, "algo", Json::as_str, STRING)? {
-        Some(name) => Some(
-            SegmenterKind::parse(name)
-                .ok_or_else(|| ServerError::bad_request(format!("unknown algo `{name}`")))?,
-        ),
-        None => None,
+    // Read over a default of `parallel: true`, so `false` can only be the
+    // body's own opt-out.
+    let mut given = EngineOptions {
+        parallel: true,
+        ..EngineOptions::default()
     };
-    let pruning = match optional(body, "pruning", Json::as_str, STRING)? {
-        Some(name) => Some(PruningMode::parse(name).ok_or_else(|| {
-            ServerError::bad_request(format!(
-                "unknown pruning mode `{name}` (expected auto, off, or force)"
-            ))
-        })?),
-        None => None,
-    };
+    let mut overrides = Vec::new();
+    for (key, slot) in options_on(&mut given, Route::Query) {
+        slot.read(body, key, false)?;
+        if let Some(value) = body.get(key).filter(|value| **value != Json::Null) {
+            overrides.push((key.to_owned(), value.clone()));
+        }
+    }
     Ok(QueryRequest {
         dataset,
         query,
         nl,
-        k: optional(body, "k", Json::as_usize, COUNT)?.unwrap_or(5),
-        algo,
-        bin_width: optional(body, "bin_width", Json::as_usize, COUNT)?,
-        pushdown: optional(body, "pushdown", Json::as_bool, BOOLEAN)?,
-        parallel: optional(body, "parallel", Json::as_bool, BOOLEAN)?,
-        pruning,
-        explain: optional(body, "explain", Json::as_bool, BOOLEAN)?.unwrap_or(false),
-        partial: optional(body, "partial", Json::as_bool, BOOLEAN)?.unwrap_or(false),
+        k: field::<Option<usize>>(body, "k")?.unwrap_or(5),
+        overrides: Json::Obj(overrides),
+        parallel_opt_out: !given.parallel,
+        explain: field::<Option<bool>>(body, "explain")?.unwrap_or(false),
+        partial: field::<Option<bool>>(body, "partial")?.unwrap_or(false),
     })
 }
 
@@ -475,10 +647,9 @@ pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError>
 /// # Errors
 /// Missing fields or a malformed `shard_of` designator.
 pub fn heartbeat_from_json(body: &Json) -> Result<(String, (usize, usize), String), ServerError> {
-    let dataset = required_str(body, "dataset")?.to_owned();
-    let shard_of =
-        parse_shard_of(required_str(body, "shard_of")?).map_err(ServerError::bad_request)?;
-    let endpoint = required_str(body, "endpoint")?.to_owned();
+    let dataset = field::<&str>(body, "dataset")?.to_owned();
+    let shard_of = parse_shard_of(field(body, "shard_of")?).map_err(ServerError::bad_request)?;
+    let endpoint = field::<&str>(body, "endpoint")?.to_owned();
     Ok((dataset, shard_of, endpoint))
 }
 
@@ -499,21 +670,8 @@ impl QueryRequest {
     /// whatever the request pins down.
     pub fn effective_options(&self, defaults: &EngineOptions) -> EngineOptions {
         let mut options = defaults.clone();
-        if let Some(algo) = self.algo {
-            options.segmenter = algo;
-        }
-        if let Some(bin_width) = self.bin_width {
-            options.bin_width = bin_width.max(1);
-        }
-        if let Some(pushdown) = self.pushdown {
-            options.pushdown = pushdown;
-        }
-        if let Some(parallel) = self.parallel {
-            options.parallel = parallel;
-        }
-        if let Some(pruning) = self.pruning {
-            options.pruning_mode = pruning;
-        }
+        // `query_request_from_json` read the same overrides cleanly.
+        let _ = read_options(&self.overrides, &mut options, Route::Query);
         options
     }
 }
@@ -612,59 +770,25 @@ pub fn error_item_to_json(err: &ServerError) -> Json {
     obj(fields)
 }
 
-/// Deserializes a batch-item / shard-outcome error object. The code is
-/// preserved when it is one this build knows (`shard_unavailable`), so a
-/// router can relay a downstream shard server's structured error intact.
-fn error_from_json(item: &Json) -> Option<ServerError> {
-    let message = item.get("error")?.as_str()?.to_owned();
-    let status = item.get("status")?.as_usize()? as u16;
-    let code = match item.get("code").and_then(Json::as_str) {
+/// Deserializes a shard-outcome error object. The code is preserved when
+/// it is one this build knows (`shard_unavailable`), so a router can relay
+/// a downstream shard server's structured error intact; the status must be
+/// an error status, because the router relays it too.
+fn error_from_json(item: &Json) -> Result<ServerError, Fault> {
+    let code = match field::<Option<&str>>(item, "code")? {
         Some("shard_unavailable") => Some("shard_unavailable"),
         _ => None,
     };
-    Some(ServerError {
-        status,
-        message,
+    Ok(ServerError {
+        status: field::<ErrorStatus>(item, "status")?.0,
+        message: field::<&str>(item, "error")?.to_owned(),
         code,
     })
 }
 
-/// Serializes every result-affecting engine option for the
-/// `/shard/query` RPC. Scheduling knobs are deliberately omitted (see
-/// the module docs).
+/// Serializes every `/shard/query` option of the table, in table order.
 pub fn options_to_json(o: &EngineOptions) -> Json {
-    obj([
-        ("algo", o.segmenter.name().into()),
-        ("bin_width", o.bin_width.into()),
-        ("pushdown", o.pushdown.into()),
-        (
-            "params",
-            obj([
-                ("sharp_angle_deg", o.params.sharp_angle_deg.into()),
-                ("gradual_angle_deg", o.params.gradual_angle_deg.into()),
-                ("quantifier_threshold", o.params.quantifier_threshold.into()),
-                (
-                    "sketch_distance_scale",
-                    o.params.sketch_distance_scale.into(),
-                ),
-                ("y_tolerance", o.params.y_tolerance.into()),
-                ("min_width_frac", o.params.min_width_frac.into()),
-            ]),
-        ),
-        ("pruning", obj([("mode", o.pruning_mode.name().into())])),
-    ])
-}
-
-fn required_f64(body: &Json, key: &str) -> Result<f64, ServerError> {
-    body.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ServerError::bad_request(format!("missing numeric field `{key}`")))
-}
-
-fn required_usize(body: &Json, key: &str) -> Result<usize, ServerError> {
-    body.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| ServerError::bad_request(format!("missing integer field `{key}`")))
+    obj(options_on(&mut o.clone(), Route::Shard).map(|(key, slot)| (key, slot.write())))
 }
 
 /// Deserializes a `/shard/query` options object. Every field is
@@ -673,35 +797,10 @@ fn required_usize(body: &Json, key: &str) -> Result<usize, ServerError> {
 /// would break distributed-vs-local byte identity.
 ///
 /// # Errors
-/// Missing or mistyped fields, unknown algorithm names.
+/// Missing or mistyped fields, unknown algorithm or pruning-mode names.
 pub fn options_from_json(body: &Json) -> Result<EngineOptions, ServerError> {
-    let algo = required_str(body, "algo")?;
-    let segmenter = SegmenterKind::parse(algo)
-        .ok_or_else(|| ServerError::bad_request(format!("unknown algo `{algo}`")))?;
-    let params = body
-        .get("params")
-        .ok_or_else(|| ServerError::bad_request("missing `params` object"))?;
-    let pruning = body
-        .get("pruning")
-        .ok_or_else(|| ServerError::bad_request("missing `pruning` object"))?;
-    let mut options = EngineOptions {
-        segmenter,
-        bin_width: required_usize(body, "bin_width")?.max(1),
-        pushdown: body
-            .get("pushdown")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ServerError::bad_request("missing boolean field `pushdown`"))?,
-        ..EngineOptions::default()
-    };
-    options.params.sharp_angle_deg = required_f64(params, "sharp_angle_deg")?;
-    options.params.gradual_angle_deg = required_f64(params, "gradual_angle_deg")?;
-    options.params.quantifier_threshold = required_f64(params, "quantifier_threshold")?;
-    options.params.sketch_distance_scale = required_f64(params, "sketch_distance_scale")?;
-    options.params.y_tolerance = required_f64(params, "y_tolerance")?;
-    options.params.min_width_frac = required_f64(params, "min_width_frac")?;
-    let mode = required_str(pruning, "mode")?;
-    options.pruning_mode = PruningMode::parse(mode)
-        .ok_or_else(|| ServerError::bad_request(format!("unknown pruning mode `{mode}`")))?;
+    let mut options = EngineOptions::default();
+    read_options(body, &mut options, Route::Shard)?;
     Ok(options)
 }
 
@@ -775,11 +874,8 @@ pub fn shard_request_to_json(
 /// # Errors
 /// Missing fields, unparseable query text, bad options.
 pub fn shard_request_from_json(body: &Json) -> Result<ShardQueryRequest, ServerError> {
-    let dataset = required_str(body, "dataset")?.to_owned();
-    let items = body
-        .get("queries")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ServerError::bad_request("missing `queries` array"))?;
+    let dataset = field::<&str>(body, "dataset")?.to_owned();
+    let items = field::<&[Json]>(body, "queries")?;
     if items.is_empty() {
         return Err(ServerError::bad_request(
             "`queries` must contain at least one entry",
@@ -788,29 +884,13 @@ pub fn shard_request_from_json(body: &Json) -> Result<ShardQueryRequest, ServerE
     let mut queries = Vec::with_capacity(items.len());
     let mut hints = Vec::with_capacity(items.len());
     for item in items {
-        let text = required_str(item, "query")?;
-        let query = shapesearch_parser::parse_regex(text)
+        let query = shapesearch_parser::parse_regex(field(item, "query")?)
             .map_err(|e| ServerError::bad_request(format!("query parse error: {e}")))?;
-        let hint = match item.get("threshold_hint") {
-            None => {
-                return Err(ServerError::bad_request(
-                    "missing `threshold_hint` (send null when nothing is proven)",
-                ))
-            }
-            Some(Json::Null) => None,
-            Some(value) => Some(value.as_f64().ok_or_else(|| {
-                ServerError::bad_request("`threshold_hint` must be a number or null")
-            })?),
-        };
-        let k = required_usize(item, "k")?;
-        queries.push((query, k));
-        hints.push(hint);
+        queries.push((query, field(item, "k")?));
+        hints.push(field::<OrNull>(item, "threshold_hint")?.0);
     }
-    let options = options_from_json(
-        body.get("options")
-            .ok_or_else(|| ServerError::bad_request("missing `options` object"))?,
-    )?;
-    let trace_id = optional(body, "trace_id", Json::as_str, STRING)?.map(str::to_owned);
+    let options = options_from_json(field(body, "options")?)?;
+    let trace_id = field::<Option<&str>>(body, "trace_id")?.map(str::to_owned);
     Ok(ShardQueryRequest {
         dataset,
         queries,
@@ -898,16 +978,14 @@ pub struct ShardPartials {
 /// Parses a shard server's `POST /shard/query` response back into
 /// per-query outcomes. `expected` is the number of queries the router
 /// sent; a reply with any other outcome count is malformed, and so is an
-/// `Ok` outcome whose `pruned_bound` is anything but a number or `null`.
+/// `Ok` outcome whose `pruned_bound` is anything but a number or `null`,
+/// or an error outcome whose `status` is not an error status.
 ///
 /// # Errors
 /// A human-readable description of what was malformed (the caller wraps
 /// it into a `shard_unavailable` naming the endpoint).
 pub fn shard_outcomes_from_json(body: &Json, expected: usize) -> Result<ShardPartials, String> {
-    let items = body
-        .get("outcomes")
-        .and_then(Json::as_array)
-        .ok_or("reply carried no `outcomes` array")?;
+    let items = field::<&[Json]>(body, "outcomes")?;
     if items.len() != expected {
         return Err(format!(
             "reply carried {} outcomes for {expected} queries",
@@ -917,22 +995,19 @@ pub fn shard_outcomes_from_json(body: &Json, expected: usize) -> Result<ShardPar
     let mut outcomes = Vec::with_capacity(items.len());
     let mut pruned_bounds = Vec::with_capacity(items.len());
     for item in items {
-        if let Some(results) = item.get("results") {
-            outcomes.push(Ok(results_from_json(results)?));
-            // Required but nullable, like `threshold_hint`: read as "no
-            // hint debt", an absent or mistyped bound would switch the
-            // caller's verification pass off.
-            pruned_bounds.push(match item.get("pruned_bound") {
-                Some(Json::Null) => None,
-                Some(Json::Num(bound)) => Some(*bound),
-                _ => return Err("outcome's `pruned_bound` is not a number or null".into()),
-            });
-            continue;
+        match field::<Option<&[Json]>>(item, "results")? {
+            Some(results) => {
+                outcomes.push(Ok(results_from_json(results)?));
+                // Required but nullable, like `threshold_hint`: read as "no
+                // hint debt", an absent or mistyped bound would switch the
+                // caller's verification pass off.
+                pruned_bounds.push(field::<OrNull>(item, "pruned_bound")?.0);
+            }
+            None => {
+                outcomes.push(Err(error_from_json(item)?));
+                pruned_bounds.push(None);
+            }
         }
-        let err = error_from_json(item)
-            .ok_or("outcome carried neither `results` nor a structured error")?;
-        outcomes.push(Err(err));
-        pruned_bounds.push(None);
     }
     let spans = body
         .get("spans")
@@ -945,45 +1020,21 @@ pub fn shard_outcomes_from_json(body: &Json, expected: usize) -> Result<ShardPar
     })
 }
 
-/// Deserializes a wire `results` array back into [`TopKResult`]s (the
-/// inverse of [`results_to_json`]; the merge step needs typed values).
+/// Deserializes the items of a wire `results` array back into
+/// [`TopKResult`]s (the inverse of [`results_to_json`]; the merge step
+/// needs typed values).
 ///
 /// # Errors
 /// A description of the malformed element.
-pub fn results_from_json(results: &Json) -> Result<Vec<TopKResult>, String> {
-    let items = results.as_array().ok_or("`results` is not an array")?;
-    items
+pub fn results_from_json(results: &[Json]) -> Result<Vec<TopKResult>, String> {
+    results
         .iter()
         .map(|r| {
-            let key = r
-                .get("key")
-                .and_then(Json::as_str)
-                .ok_or("result without `key`")?
-                .to_owned();
-            let score = r
-                .get("score")
-                .and_then(Json::as_f64)
-                .ok_or("result without `score`")?;
-            let viz_index = r
-                .get("viz_index")
-                .and_then(Json::as_usize)
-                .ok_or("result without `viz_index`")?;
-            let ranges = r
-                .get("ranges")
-                .and_then(Json::as_array)
-                .ok_or("result without `ranges`")?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array().filter(|p| p.len() == 2)?;
-                    Some((pair[0].as_usize()?, pair[1].as_usize()?))
-                })
-                .collect::<Option<Vec<_>>>()
-                .ok_or("malformed `ranges` pair")?;
             Ok(TopKResult {
-                key,
-                score,
-                viz_index,
-                ranges,
+                key: field::<&str>(r, "key")?.to_owned(),
+                score: field(r, "score")?,
+                viz_index: field(r, "viz_index")?,
+                ranges: field(r, "ranges")?,
             })
         })
         .collect()
@@ -1160,26 +1211,184 @@ mod tests {
         assert_eq!(back.pushdown, options.pushdown);
         assert_eq!(back.params, options.params);
         assert_eq!(back.pruning_mode, options.pruning_mode);
+        // One value shape per key, the `/query` one.
+        assert_eq!(wire.get("pruning"), Some(&Json::from("force")));
         // Option-vocabulary skew fails loudly: a missing result-affecting
-        // field is an error, never a silent default.
-        let Json::Obj(mut fields) = wire.clone() else {
+        // field is an error, never a silent default — every one of them.
+        let Json::Obj(fields) = wire.clone() else {
             panic!("options serialize as an object")
         };
-        fields.retain(|(k, _)| k != "params");
-        assert!(options_from_json(&Json::Obj(fields)).is_err());
-        let mut crippled = wire;
-        if let Some(Json::Obj(params)) = crippled.get("params").cloned() {
-            let mut params: Vec<_> = params;
-            params.retain(|(k, _)| k != "min_width_frac");
-            if let Json::Obj(fields) = &mut crippled {
-                for (k, v) in fields.iter_mut() {
-                    if k == "params" {
-                        *v = Json::Obj(params.clone());
-                    }
-                }
-            }
+        assert_eq!(fields.len(), 10, "all but `parallel`: {}", wire.to_text());
+        for (key, _) in &fields {
+            let mut crippled = fields.clone();
+            crippled.retain(|(k, _)| k != key);
+            let err = options_from_json(&Json::Obj(crippled)).unwrap_err();
+            assert_eq!(err.message, format!("missing field `{key}`"));
         }
-        assert!(options_from_json(&crippled).is_err());
+    }
+
+    /// Every row of the table reads what it writes, on both routes that
+    /// carry options in, and a row's value never leaks into another's.
+    #[test]
+    fn every_option_row_reads_back_what_it_writes() {
+        let mut options = EngineOptions {
+            segmenter: SegmenterKind::Greedy,
+            bin_width: 7,
+            pushdown: false,
+            parallel: true,
+            pruning_mode: PruningMode::Off,
+            ..EngineOptions::default()
+        };
+        let params = &mut options.params;
+        params.sharp_angle_deg = 61.5;
+        params.gradual_angle_deg = 22.25;
+        params.quantifier_threshold = -0.125;
+        params.sketch_distance_scale = 0.375;
+        params.y_tolerance = 0.0625;
+        params.min_width_frac = 1e-300;
+        let shard = options_from_json(&options_to_json(&options)).unwrap();
+        assert_eq!(
+            format!("{shard:?}"),
+            format!(
+                "{:?}",
+                EngineOptions {
+                    parallel: false,
+                    ..options.clone()
+                }
+            ),
+            "the shard wire pins everything but `parallel`"
+        );
+        let given = options_on(&mut options.clone(), Route::Query)
+            .map(|(key, slot)| (key, slot.write()))
+            .collect::<Vec<_>>();
+        let mut body = obj(given);
+        if let Json::Obj(fields) = &mut body {
+            fields.push(("dataset".into(), "d".into()));
+            fields.push(("query".into(), "[p=up]".into()));
+        }
+        let request = query_request_from_json(&body).unwrap();
+        let over = request.effective_options(&EngineOptions::default());
+        assert_eq!(over.segmenter, options.segmenter);
+        assert_eq!(over.bin_width, options.bin_width);
+        assert_eq!(over.pushdown, options.pushdown);
+        assert_eq!(over.parallel, options.parallel);
+        assert_eq!(over.pruning_mode, options.pruning_mode);
+        assert_eq!(
+            over.params,
+            EngineOptions::default().params,
+            "no `/query` params"
+        );
+        assert!(!request.parallel_opt_out);
+        let body = json::parse(r#"{"dataset":"d","query":"[p=up]","parallel":false}"#).unwrap();
+        assert!(query_request_from_json(&body).unwrap().parallel_opt_out);
+        // `bin_width` 0 means 1 wherever it arrives.
+        let body = json::parse(r#"{"dataset":"d","query":"[p=up]","bin_width":0}"#).unwrap();
+        let request = query_request_from_json(&body).unwrap();
+        assert_eq!(request.effective_options(&options).bin_width, 1);
+        let wire = options_to_json(&options).to_text();
+        let wire = wire.replace("\"bin_width\":7", "\"bin_width\":0");
+        assert_eq!(
+            options_from_json(&json::parse(&wire).unwrap())
+                .unwrap()
+                .bin_width,
+            1
+        );
+    }
+
+    /// One reader, one message per fault, on every route: absent is
+    /// "missing field", the wrong type "field … must be …".
+    #[test]
+    fn every_reader_words_its_faults_once() {
+        type Reader = fn(&Json) -> Result<(), ServerError>;
+        let query: Reader = |b| query_request_from_json(b).map(drop);
+        let beat: Reader = |b| heartbeat_from_json(b).map(drop);
+        let spec: Reader = |b| dataset_spec_from_json(b.clone()).map(drop);
+        let shard: Reader = |b| shard_request_from_json(b).map(drop);
+        let csv = r#""name":"n","csv":"a","z":"z","x":"x","y":"y""#;
+        let entry = r#""dataset":"d","queries":[{"query":"[p=up]","k":1"#;
+        for (read, body, message) in [
+            (
+                query,
+                r#"{"dataset":7,"query":"[p=up]"}"#,
+                "field `dataset` must be a string",
+            ),
+            (query, r#"{"query":"[p=up]"}"#, "missing field `dataset`"),
+            (
+                query,
+                r#"{"dataset":"d","query":"[p=up]","pruning":"warp"}"#,
+                "unknown pruning mode `warp` (expected auto, off, or force)",
+            ),
+            (
+                beat,
+                r#"{"dataset":"d","shard_of":"0/2"}"#,
+                "missing field `endpoint`",
+            ),
+            (
+                beat,
+                r#"{"dataset":"d","shard_of":2,"endpoint":"e:1"}"#,
+                "field `shard_of` must be a string",
+            ),
+            (
+                spec,
+                &format!(r#"{{{csv},"filters":[{{"column":"y","op":"~"}}]}}"#),
+                "unknown filter op `~`",
+            ),
+            (
+                spec,
+                &format!(r#"{{{csv},"filters":[{{"op":"=="}}]}}"#),
+                "missing field `column`",
+            ),
+            (
+                spec,
+                r#"{"name":"n","csv":"a","x":"x","y":"y"}"#,
+                "missing field `z`",
+            ),
+            (
+                shard,
+                r#"{"dataset":"d","queries":{}}"#,
+                "field `queries` must be an array",
+            ),
+            (
+                shard,
+                &format!("{{{entry}}}]}}"),
+                "missing field `threshold_hint`",
+            ),
+            (
+                shard,
+                &format!(r#"{{{entry},"threshold_hint":"0.5"}}]}}"#),
+                "field `threshold_hint` must be a number or null",
+            ),
+            (
+                shard,
+                &format!(r#"{{{entry},"threshold_hint":null}}],"options":[]}}"#),
+                "field `options` must be an object",
+            ),
+        ] {
+            let err = read(&json::parse(body).unwrap()).unwrap_err();
+            assert_eq!(err.to_string(), format!("400 {message}"), "{body}");
+        }
+        let reply = |outcome: &str| {
+            let body = format!(r#"{{"outcomes":[{outcome}]}}"#);
+            shard_outcomes_from_json(&json::parse(&body).unwrap(), 1).err()
+        };
+        for (outcome, message) in [
+            (
+                r#"{"results":[{"key":"a","score":1,"viz_index":0,"ranges":[[0]]}],"pruned_bound":null}"#,
+                "field `ranges` must be an array of [start, end] index pairs",
+            ),
+            (
+                r#"{"results":[{"score":1,"viz_index":0,"ranges":[]}],"pruned_bound":null}"#,
+                "missing field `key`",
+            ),
+            (r#"{"results":[]}"#, "missing field `pruned_bound`"),
+            (r#"{"status":400}"#, "missing field `error`"),
+            (
+                r#"{"error":"x","status":404,"code":5}"#,
+                "field `code` must be a string",
+            ),
+        ] {
+            assert_eq!(reply(outcome).as_deref(), Some(message), "{outcome}");
+        }
     }
 
     #[test]
@@ -1277,6 +1486,21 @@ mod tests {
             assert_ne!(lied, reply.to_text());
             assert!(shard_outcomes_from_json(&json::parse(&lied).unwrap(), 2).is_err());
         }
+        // An error outcome's status becomes the router's reply status, so
+        // anything but a 4xx/5xx code is a malformed reply — never a
+        // status truncated to 16 bits, never a 200 carrying an error.
+        let relay = |status: &str| {
+            let text = reply
+                .to_text()
+                .replace("\"status\":502", &format!("\"status\":{status}"));
+            shard_outcomes_from_json(&json::parse(&text).unwrap(), 2)
+        };
+        for status in ["65536", "70000", "200", "399", "600", "-1", "502.5"] {
+            let err = relay(status).err();
+            assert!(err.is_some_and(|e| e.contains("`status`")), "{status}");
+        }
+        let back = relay("404").unwrap();
+        assert_eq!(back.outcomes[1].as_ref().unwrap_err().status, 404);
     }
 
     #[test]
@@ -1304,7 +1528,7 @@ mod tests {
             },
         ];
         let text = results_to_json(&results).to_text();
-        let back = results_from_json(&json::parse(&text).unwrap()).unwrap();
+        let back = results_from_json(json::parse(&text).unwrap().as_array().unwrap()).unwrap();
         assert_eq!(back, results);
         assert_eq!(results_to_json(&back).to_text(), text);
     }
@@ -1384,11 +1608,8 @@ mod tests {
             query: None,
             nl: Some("rising then falling".into()),
             k: 5,
-            algo: None,
-            bin_width: None,
-            pushdown: None,
-            parallel: None,
-            pruning: None,
+            overrides: Json::Obj(Vec::new()),
+            parallel_opt_out: false,
             explain: false,
             partial: false,
         };

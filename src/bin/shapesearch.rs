@@ -164,30 +164,27 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Parses a `col OP value` filter expression.
+/// Parses a `col OP value` filter expression: `OP` is the first run of
+/// `<>=!` characters, in [`CompareOp::parse`]'s vocabulary.
 fn parse_filter(text: &str) -> Result<Predicate, String> {
-    for (op_text, op) in [
-        ("<=", CompareOp::Le),
-        (">=", CompareOp::Ge),
-        ("!=", CompareOp::Ne),
-        ("<", CompareOp::Lt),
-        (">", CompareOp::Gt),
-        ("=", CompareOp::Eq),
-    ] {
-        if let Some((col, val)) = text.split_once(op_text) {
-            let col = col.trim();
-            let val = val.trim();
-            if col.is_empty() || val.is_empty() {
-                return Err(format!("malformed filter `{text}`"));
-            }
-            return Ok(Predicate::new(
-                col,
-                op,
-                shapesearch::datastore::Value::infer(val),
-            ));
-        }
+    let is_op = |c: char| "<>=!".contains(c);
+    let start = text
+        .find(is_op)
+        .ok_or_else(|| format!("filter `{text}` has no comparison operator"))?;
+    let end = text[start..]
+        .find(|c| !is_op(c))
+        .map_or(text.len(), |n| start + n);
+    let op = CompareOp::parse(&text[start..end])
+        .ok_or_else(|| format!("unknown filter op `{}` in `{text}`", &text[start..end]))?;
+    let (col, val) = (text[..start].trim(), text[end..].trim());
+    if col.is_empty() || val.is_empty() {
+        return Err(format!("malformed filter `{text}`"));
     }
-    Err(format!("filter `{text}` has no comparison operator"))
+    Ok(Predicate::new(
+        col,
+        op,
+        shapesearch::datastore::Value::infer(val),
+    ))
 }
 
 /// Parses and runs `shapesearch serve ...`, blocking until killed.

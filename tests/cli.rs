@@ -99,6 +99,27 @@ fn one_shot_prints_the_engine_s_top_k_in_order() {
     assert_eq!(printed, want);
 }
 
+/// `==` is equality, as `"op":"=="` is over HTTP — not `=` against the
+/// string `=widget`, which matched nothing.
+#[test]
+fn double_equals_filters_like_equals() {
+    let run = |filter: &str| {
+        let args = [
+            &["--data", SALES],
+            &SALES_MAPPING[..],
+            &["--query", "[p=up]", "--filter", filter],
+        ]
+        .concat();
+        let (code, stdout, stderr) = shapesearch(&args);
+        assert_eq!(code, Some(0), "{filter}: {stderr}");
+        stdout
+    };
+    let single = run("product=widget");
+    assert!(single.contains("widget"), "{single}");
+    assert!(!single.contains("gadget"), "{single}");
+    assert_eq!(run("product==widget"), single);
+}
+
 #[test]
 fn bad_arguments_exit_2_in_every_subcommand() {
     for subcommand in [&[][..], &["serve"], &["snapshot"]] {
