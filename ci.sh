@@ -83,6 +83,23 @@ for key in algo bin_width pushdown parallel sharp_angle_deg gradual_angle_deg \
     }
 done
 
+# One HTTP/1.1 framing: the RPC client reads every reply through
+# http.rs's parser, so its own code has no line reader, no header
+# splitter and no caps of its own.
+echo "==> one framing (client.rs frames replies with http.rs's parser)"
+if awk '/^#\[cfg\(test\)\]/{exit} {print}' crates/server/src/client.rs | grep -vE '^\s*//' |
+    grep -nE "read_line|split_once\(':'\)|MAX_RESPONSE_"; then
+    echo "ci: client.rs frames replies itself; read them with http::Parse" >&2
+    exit 1
+fi
+
+# One event loop: the loop-count knob is gone in every spelling.
+echo "==> one event loop (no event-thread knob in the code or the docs)"
+if git grep -nE "event_threads|event-threads" -- crates src README.md docs; then
+    echo "ci: an event-thread knob is back" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -193,6 +210,20 @@ grep -q '"key":' "$SMOKE_REPLY" || {
 grep -q '"shards":4' "$SMOKE_REPLY" || {
     echo "smoke: batch reply did not report sharded execution"
     cat "$SMOKE_REPLY"; exit 1;
+}
+# Two Content-Length headers that disagree frame nothing: exactly one
+# reply, a 400, where a parser taking either length would answer twice
+# (its "body" is a second request). The server closes right after the
+# 400 with the rest of the line-by-line upload unread, so the kernel may
+# reset the connection once the reply is out; the reset is not checked,
+# the replies are.
+SMUGGLED=$(timeout 10 bash -c 'exec 3<>"/dev/tcp/127.0.0.1/$1"
+    printf "GET /registry HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 41\r\n\r\nGET /datasets HTTP/1.1\r\nConnection: close\r\n\r\n" >&3
+    cat <&3 2>/dev/null || true' _ "$SMOKE_PORT")
+replies=$(echo "$SMUGGLED" | grep -o 'HTTP/1\.1 [0-9][0-9][0-9] ' | wc -l)
+[ "$replies" -eq 1 ] && echo "$SMUGGLED" | grep -q '^HTTP/1.1 400 ' || {
+    echo "smoke: conflicting Content-Length must get one 400, got $replies replies:"
+    echo "$SMUGGLED"; exit 1;
 }
 echo "smoke: sharded serve OK"
 

@@ -98,6 +98,11 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
     let canvas = |source: usize| points.row(source).0.len().div_ceil(bin);
     let accepted = || (0..points.len()).map(canvas).filter(|&n| n >= 2);
     let mut builder = ArenaBuilder::with_capacity(accepted().count(), accepted().sum());
+    // It also rejects one whose raw x or y span is not finite — an infinite
+    // coordinate, or finite ones whose difference overflows (−1e308 and
+    // 1e308) — which would put NaN on the canvas and score NaN. That is
+    // rare enough to leave the builder's room for it unused.
+    let finite = |(lo, hi): (f64, f64)| (hi - lo).is_finite();
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     let parts: Vec<Option<(usize, Extents)>> = (0..points.len())
         .map(|source| {
@@ -106,7 +111,7 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
             }
             let (raw_xs, raw_ys) = points.row(source);
             let extents = normalize(raw_xs, raw_ys, bin, &mut xs, &mut ys);
-            Some((builder.push_viz(&xs, &ys), extents))
+            (finite(extents.0) && finite(extents.1)).then(|| (builder.push_viz(&xs, &ys), extents))
         })
         .collect();
     let arena = Arc::new(builder.finish());
@@ -139,7 +144,8 @@ type Extents = ((f64, f64), (f64, f64));
 impl VizData {
     /// Builds the GROUP output for a trendline, binning every `bin` raw
     /// points into one canvas point (bin = 1 keeps all points). Returns
-    /// `None` when fewer than two canvas points remain.
+    /// `None` when fewer than two canvas points remain or a raw span is
+    /// not finite.
     pub fn from_trendline(t: &Trendline, source: usize, bin: usize) -> Option<Self> {
         let mut viz = group_collection(std::slice::from_ref(t), bin).pop()??;
         viz.source = source;
@@ -344,6 +350,29 @@ mod tests {
         assert!(VizData::from_trendline(&t, 0, 1).is_none());
         let t = trend(&[(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]);
         assert!(VizData::from_trendline(&t, 0, 3).is_none());
+    }
+
+    /// A raw span that is not finite is rejected like a too-short
+    /// trendline: an infinite coordinate, or finite extremes whose
+    /// difference overflows, would put NaN on the canvas and a NaN score
+    /// into the top k (written as `null`, which a router refuses).
+    #[test]
+    fn non_finite_spans_are_rejected() {
+        let tls = vec![
+            trend(&[(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)]),
+            trend(&[(0.0, 1.0), (1.0, f64::INFINITY), (2.0, 2.0)]),
+            trend(&[(0.0, -1e308), (1.0, 1e308), (2.0, 0.0)]),
+            trend(&[(f64::NEG_INFINITY, 1.0), (1.0, 2.0), (2.0, 0.0)]),
+            trend(&[(-1e308, 1.0), (0.0, 2.0), (1e308, 0.0)]),
+        ];
+        let grouped = group_collection(&tls, 1);
+        let accepted: Vec<bool> = grouped.iter().map(Option::is_some).collect();
+        assert_eq!(accepted, [true, false, false, false, false]);
+        let engine = crate::ShapeEngine::from_trendlines(tls);
+        let query = crate::ShapeQuery::pattern(crate::Pattern::Up);
+        let results = engine.top_k(&query, 5).unwrap();
+        assert_eq!(results.len(), 1);
+        assert!(results[0].score.is_finite(), "{:?}", results[0]);
     }
 
     #[test]

@@ -207,7 +207,8 @@ pub struct ShapeEngine {
 }
 
 /// One `Arc`-shared GROUP run over the whole collection: `None` where
-/// GROUP rejected the trendline (fewer than two canvas points).
+/// GROUP rejected the trendline (fewer than two canvas points, or a raw
+/// span that is not finite).
 type GroupedCollection = Arc<Vec<Option<VizData>>>;
 
 impl ShapeEngine {

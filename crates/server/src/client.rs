@@ -10,10 +10,12 @@
 //! [`ClientConfig::retries`]) before reporting an endpoint unreachable.
 //!
 //! Both speak through one bounded exchange (`exchange`): connect and
-//! I/O timeouts on every socket, capped line, header-count and body
-//! sizes, and `Content-Length` framing (the server always sends it) — a
-//! peer that accepts and never answers, or dies mid-reply, is an `Err`
-//! after a bounded wait, never a hang and never a parsed fragment.
+//! I/O timeouts on every socket, and every reply framed by the server's
+//! own HTTP/1.1 parser in [`crate::http`] — one set of line, header and
+//! body caps and one `Content-Length` rule for both directions of the
+//! wire. A peer that accepts and never answers, or dies mid-reply, is an
+//! `Err` after a bounded wait, never a hang and never a parsed fragment;
+//! a reply it cannot frame is malformed, so failover moves on.
 //!
 //! For replicated shards, [`PooledClient::post_replicas`] generalizes
 //! that single-endpoint retry into **try-next-replica failover** with
@@ -27,9 +29,10 @@
 //! only once **every** replica has been attempted, so replica order is
 //! a latency preference, never a correctness decision.
 
+use crate::http::{Parse, StatusLine};
 use crate::json::{self, Json};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -194,16 +197,6 @@ impl Default for ClientConfig {
 /// Idle connections kept per endpoint. Small on purpose: every parked
 /// keep-alive connection pins one worker on the shard server side.
 const MAX_IDLE_PER_ENDPOINT: usize = 4;
-/// Largest response body the client will buffer (matches the server's
-/// own request cap). The `Content-Length` is remote-supplied: a
-/// misconfigured endpoint pointing at an arbitrary service must produce
-/// a structured error, not an allocation the size of whatever number it
-/// sent.
-const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
-/// Response status/header line length cap (same rationale).
-const MAX_RESPONSE_LINE: usize = 64 * 1024;
-/// Response header count cap.
-const MAX_RESPONSE_HEADERS: usize = 100;
 
 /// True for failures that mean the peer tore the connection down
 /// (rather than timing out while computing): EOF, reset, or a broken
@@ -218,21 +211,6 @@ fn is_disconnect(e: &io::Error) -> bool {
             | io::ErrorKind::BrokenPipe
             | io::ErrorKind::WriteZero
     )
-}
-
-/// Reads one `\n`-terminated response line of bounded length.
-fn read_bounded_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
-    let n = (&mut *reader)
-        .take(MAX_RESPONSE_LINE as u64)
-        .read_line(line)
-        .map_err(|e| io::Error::new(e.kind(), format!("reading response line: {e}")))?;
-    if n >= MAX_RESPONSE_LINE && !line.ends_with('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "response line too long",
-        ));
-    }
-    Ok(n)
 }
 
 fn parse_body(text: &str) -> io::Result<Json> {
@@ -259,15 +237,16 @@ fn dial(endpoint: &str, connect_timeout: Duration, io_timeout: Duration) -> io::
 
 /// One HTTP/1.1 request/response exchange on an open connection: the
 /// status, the body text, and the connection itself when it may carry
-/// another request (`close` was not asked for and the peer did not
-/// answer `connection: close`). The response is framed by
-/// `Content-Length` — mandatory, the server always sends it and without
-/// it a kept-alive connection cannot be reused — under the
-/// `MAX_RESPONSE_*` caps. `saw_response_byte` is raised the moment any
-/// response data arrives — the pooled caller's retry policy hinges on it
-/// (a reply in progress must never be re-requested).
+/// another request (`close` was not asked for, the reply keeps the
+/// connection alive, and nothing followed the reply). The reply is read
+/// through the server's own framing, `http::Parse`: the same line, header
+/// and body caps and the same `Content-Length` rule as a request, plus
+/// the response's own: a reply without a length, or cut short anywhere,
+/// is an error. `saw_response_byte` is raised the moment any response
+/// data arrives — the pooled caller's retry policy hinges on it (a reply
+/// in progress must never be re-requested).
 fn exchange(
-    stream: TcpStream,
+    mut stream: TcpStream,
     method: &str,
     host: &str,
     path: &str,
@@ -280,94 +259,34 @@ fn exchange(
         body.len(),
         if close { "connection: close\r\n" } else { "" },
     );
-    let mut reader = BufReader::new(stream);
-    reader.get_mut().write_all(request.as_bytes())?;
+    stream.write_all(request.as_bytes())?;
 
-    let mut status_line = String::new();
-    if read_bounded_line(&mut reader, &mut status_line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before the status line",
-        ));
-    }
-    *saw_response_byte = true;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad status line {status_line:?}"),
-            )
-        })?;
-
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = !close;
-    let mut header_count = 0usize;
-    loop {
-        let mut line = String::new();
-        if read_bounded_line(&mut reader, &mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof in headers",
-            ));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        header_count += 1;
-        if header_count > MAX_RESPONSE_HEADERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "too many response headers",
-            ));
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            let (k, v) = (k.trim(), v.trim());
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = Some(v.parse().map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("invalid content-length `{v}`"),
-                    )
-                })?);
-            } else if k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close") {
-                keep_alive = false;
-            }
-        }
-    }
-    let content_length = content_length.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "response without content-length cannot be framed",
-        )
-    })?;
-    if content_length > MAX_RESPONSE_BODY {
-        // The length is remote-supplied; a rogue value must become a
-        // structured error, not an allocation of its choosing.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("response body of {content_length} bytes exceeds the client cap"),
-        ));
-    }
-    // Grow as bytes arrive rather than trusting the header for the
-    // initial allocation.
-    let mut body_bytes = Vec::with_capacity(content_length.min(64 * 1024));
+    let mut parse = Parse::<StatusLine>::new();
+    let mut buf = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
-    while body_bytes.len() < content_length {
-        let want = (content_length - body_bytes.len()).min(chunk.len());
-        match reader.read(&mut chunk[..want])? {
-            0 => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof in body"));
-            }
-            n => body_bytes.extend_from_slice(&chunk[..n]),
+    let reply = loop {
+        let n = match stream.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let framed = if n == 0 {
+            parse.finish_eof(&mut buf)?
+        } else {
+            *saw_response_byte = true;
+            buf.extend_from_slice(&chunk[..n]);
+            parse.step(&mut buf)?
+        };
+        if let Some(reply) = framed {
+            break reply;
         }
-    }
-    let text = String::from_utf8(body_bytes)
+    };
+    // Bytes past the reply mean the two ends disagree about framing:
+    // answer this call, but never reuse the connection.
+    let reusable = !close && reply.keep_alive() && buf.is_empty();
+    let text = String::from_utf8(reply.body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not utf-8"))?;
-    Ok((status, text, keep_alive.then(|| reader.into_inner())))
+    Ok((reply.start.0, text, reusable.then_some(stream)))
 }
 
 /// Per-endpoint circuit-breaker state, keyed by `host:port` in the
@@ -724,6 +643,7 @@ impl PooledClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
     /// Consumes one HTTP request (headers + content-length body).
@@ -854,8 +774,52 @@ mod tests {
         let client = PooledClient::new();
         let outcome = client.post(&endpoint, "/shard/query", &Json::Obj(Vec::new()));
         let err = outcome.expect_err("a rogue content-length must be refused");
-        assert!(err.to_string().contains("exceeds the client cap"), "{err}");
+        assert!(
+            err.to_string().contains("exceeds the 67108864-byte cap"),
+            "{err}"
+        );
         server.join().unwrap();
+    }
+
+    /// Replies whose lengths are signed or disagree are malformed, the
+    /// same rule the server applies to requests: failover moves past them
+    /// to a replica that frames its reply properly.
+    #[test]
+    fn ambiguous_content_length_fails_the_replica_over() {
+        let stub = |head: &'static str, n: usize| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let endpoint = listener.local_addr().unwrap().to_string();
+            let server = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                read_request(&s);
+                let body = format!("{{\"n\":{n}}}");
+                s.write_all(format!("{head}\r\n{body}").as_bytes()).unwrap();
+            });
+            (endpoint, server)
+        };
+        for head in [
+            // A reader taking the last length accepts this `{"n":1}`.
+            "HTTP/1.1 200 OK\r\ncontent-length: 99\r\ncontent-length: 7\r\n",
+            // A reader taking `usize::from_str`'s `+` accepts this one.
+            "HTTP/1.1 200 OK\r\ncontent-length: +7\r\n",
+        ] {
+            let (bad, bad_server) = stub(head, 1);
+            let (good, good_server) = stub("HTTP/1.1 200 OK\r\ncontent-length: 7\r\n", 2);
+            let client = PooledClient::new();
+            let replicas = vec![bad, good.clone()];
+            let outcome =
+                client.post_replicas(&replicas, "/shard/query", &Json::Obj(Vec::new()), |r| {
+                    r.body
+                        .get("n")
+                        .and_then(Json::as_usize)
+                        .ok_or_else(|| "missing n".to_owned())
+                });
+            bad_server.join().unwrap();
+            assert_eq!(outcome.accepted, Some((2, good)), "{head:?}");
+            let error = outcome.attempts[0].error.as_deref().unwrap_or_default();
+            assert!(error.contains("content-length"), "{head:?}: {error}");
+            good_server.join().unwrap();
+        }
     }
 
     #[test]

@@ -1376,6 +1376,55 @@ mod tests {
         assert!(warm.body.contains("\"cached\":true"), "{}", warm.body);
     }
 
+    /// A trendline whose raw span is not finite never reaches a top k, so
+    /// a router over a shard server answers exactly what one process does.
+    /// Its NaN score would be served as `"score":null` by one process and
+    /// refused as a malformed reply, a 502, by a router.
+    #[test]
+    fn non_finite_cells_answer_the_same_routed_and_local() {
+        const INF_CSV: &str = "z,x,y\\na,1,1\\na,2,3\\na,3,1\\nb,1,3\\nb,2,inf\\nb,3,1\\n";
+        let dataset = |extra: &str| {
+            format!(r#"{{"name":"t","id":"t","csv":"{INF_CSV}","z":"z","x":"x","y":"y",{extra}}}"#)
+        };
+        let shard_server = crate::serve(
+            "127.0.0.1:0",
+            crate::ServerConfig {
+                workers: 2,
+                ..crate::ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let reply = route(
+            shard_server.state(),
+            &post("/datasets", &dataset(r#""shard_of":"0/1""#)),
+        );
+        assert_eq!(reply.status, 201, "{}", reply.body);
+        let router = state();
+        let endpoints = format!(r#""shard_endpoints":["{}"]"#, shard_server.addr());
+        let reply = route(&router, &post("/datasets", &dataset(&endpoints)));
+        assert_eq!(reply.status, 201, "{}", reply.body);
+        let local = state();
+        let reply = route(&local, &post("/datasets", &dataset(r#""shards":1"#)));
+        assert_eq!(reply.status, 201, "{}", reply.body);
+
+        let query = r#"{"dataset":"t","query":"[p=up][p=down]","k":5}"#;
+        let results = |state: &Arc<AppState>| {
+            let reply = route(state, &post("/query", query));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            json::parse(&reply.body)
+                .unwrap()
+                .get("results")
+                .unwrap()
+                .to_text()
+        };
+        let routed = results(&router);
+        let want = results(&local);
+        assert_eq!(routed, want);
+        assert!(want.contains("\"key\":\"a\""), "{want}");
+        assert!(!want.contains("null"), "{want}");
+        shard_server.shutdown();
+    }
+
     #[test]
     fn failover_to_a_live_replica_keeps_results_exact() {
         // A live shard server owning partition 1 of 2…

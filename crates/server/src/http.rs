@@ -1,18 +1,25 @@
-//! A std-only **evented** HTTP/1.1 server: a small fixed set of
-//! readiness event loops (epoll via the `polling` shim) drives
-//! nonblocking sockets, and each connection is an explicit state
-//! machine — read headers → read body → dispatch → write response →
-//! keep-alive idle. Completed requests are handed to a dispatch pool
-//! (the CPU tier, [`crate::compute::DispatchPool`]); responses travel
-//! back over a per-loop completion inbox plus a wakeup pipe.
+//! The server's HTTP/1.1 layer: one framing for both directions of the
+//! wire, and one readiness event loop that serves every connection.
 //!
-//! The concurrency model: idle keep-alive connections cost one epoll
-//! registration and a small buffer instead of a parked thread, so a
-//! handful of `--event-threads` can hold tens of thousands of open
-//! connections while the dispatch pool sizes to the CPU-bound query
-//! work. Framing semantics (bounded header/body sizes, the slow-loris
-//! deadline, Content-Length-only bodies, error strings) are identical
-//! to the blocking worker-pool implementation this replaced.
+//! **Framing.** `Parse` reads a message incrementally out of a byte
+//! buffer: a request on this server's sockets, a response in
+//! [`crate::client`] (shard replies). Both go through the same caps —
+//! 64 KiB lines, 100 headers, 64 MiB bodies — the same `Content-Length`
+//! rule and the same EOF rule, and differ only in their first line
+//! (`StartLine`). Bytes from a peer are hostile until it has framed
+//! them.
+//!
+//! **Serving.** One event loop (epoll via the `polling` shim) owns the
+//! listener, a slab of nonblocking connections and the completion inbox.
+//! Each connection is an explicit state machine — read head → read body →
+//! dispatch → write response → keep-alive idle. A complete request runs
+//! on the dispatch pool (the CPU tier, [`crate::compute::DispatchPool`]);
+//! its response comes back through the inbox plus a wakeup pipe. The loop
+//! never runs handler code, so idle keep-alive connections cost an epoll
+//! registration and a small buffer rather than a thread, and one loop
+//! holds tens of thousands of them while the dispatch pool sizes to the
+//! CPU-bound query work. Because the loop closes a finished connection
+//! before it accepts the next one, the connection gauges never race.
 //!
 //! The layer is application-agnostic: it parses requests, hands them to
 //! a router closure, and writes responses (with keep-alive support).
@@ -21,18 +28,18 @@ use polling::{Event, Interest, Poller, Waker};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::compute::DispatchPool;
 
-/// Request bodies larger than this are rejected (inline dataset uploads
-/// are the biggest legitimate payload).
+/// Bodies larger than this are refused, in either direction (inline
+/// dataset uploads are the biggest legitimate payload).
 const MAX_BODY: usize = 64 * 1024 * 1024;
 const MAX_HEADERS: usize = 100;
-/// Request-line / header-line length cap: a peer streaming bytes with no
-/// newline must not grow a connection's buffer without bound.
+/// Start-line / header-line length cap: a peer streaming bytes with no
+/// newline must not grow a buffer without bound.
 const MAX_LINE: usize = 64 * 1024;
 /// Event-loop tick: the `epoll_wait` timeout, which bounds how long the
 /// shutdown flag and connection deadlines can go unchecked.
@@ -56,9 +63,9 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 #[cfg(test)]
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Reserved poller token for the per-loop wakeup pipe.
+/// Reserved poller token for the wakeup pipe.
 const TOKEN_WAKER: usize = usize::MAX;
-/// Reserved poller token for the listening socket (loop 0 only).
+/// Reserved poller token for the listening socket.
 const TOKEN_LISTENER: usize = usize::MAX - 1;
 
 /// A parsed HTTP request.
@@ -77,16 +84,20 @@ pub struct Request {
 impl Request {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// The body as UTF-8 text.
     pub fn body_text(&self) -> Result<&str, std::str::Utf8Error> {
         std::str::from_utf8(&self.body)
     }
+}
+
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 /// An HTTP response to be written back.
@@ -135,7 +146,7 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Connection-level counters shared between the event loops and the
+/// Connection-level counters shared between the event loop and the
 /// observability surface (`/healthz` `connections` block and the
 /// `shapesearch_connections_*` metrics series).
 #[derive(Debug, Default)]
@@ -151,7 +162,7 @@ pub struct ConnStats {
     /// slow-loris request cutoff.
     pub timeouts: AtomicU64,
     /// Event-loop `wait` returns that delivered at least one readiness
-    /// event (a proxy for loop activity; idle loops tick without
+    /// event (a proxy for loop activity; an idle loop ticks without
     /// counting).
     pub event_loop_wakeups: AtomicU64,
 }
@@ -160,13 +171,9 @@ pub struct ConnStats {
 /// caught per-request so one bad request can't take the server down.
 pub type Router = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// Event-loop and dispatch sizing for [`serve`].
+/// Dispatch sizing and counters for [`serve`].
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
-    /// Readiness event-loop threads (`0` = auto: available parallelism).
-    /// Each loop owns a slab of connections; loop 0 also owns the
-    /// listener and deals accepted connections round-robin.
-    pub event_threads: usize,
     /// Dispatch (CPU tier) threads running the router (`0` = auto:
     /// available parallelism).
     pub dispatch_threads: usize,
@@ -177,7 +184,6 @@ pub struct HttpConfig {
 impl Default for HttpConfig {
     fn default() -> Self {
         Self {
-            event_threads: 0,
             dispatch_threads: 0,
             stats: Arc::new(ConnStats::default()),
         }
@@ -185,179 +191,267 @@ impl Default for HttpConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental request parser
+// The framing: one incremental parser for requests and responses
 // ---------------------------------------------------------------------------
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Parser state for one in-flight request on a connection. Bytes land in
-/// the connection's buffer; `step` consumes them incrementally, so
+/// A message's first line — the one place a request and a response
+/// differ in framing.
+pub(crate) trait StartLine: Sized {
+    /// Requests may end at a clean EOF between messages and have no body
+    /// without a `Content-Length`; a response has neither allowance.
+    const REQUEST: bool;
+
+    /// Parses the line into itself and whether its version is `HTTP/1.1`.
+    fn parse(line: &str) -> io::Result<(Self, bool)>;
+}
+
+/// `METHOD TARGET [VERSION]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RequestLine {
+    method: String,
+    path: String,
+}
+
+impl StartLine for RequestLine {
+    const REQUEST: bool = true;
+
+    fn parse(line: &str) -> io::Result<(Self, bool)> {
+        let mut parts = line.split_whitespace();
+        let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+            return Err(invalid(format!("malformed request line: {line:?}")));
+        };
+        let start = RequestLine {
+            method: method.to_owned(),
+            path: path.to_owned(),
+        };
+        Ok((start, parts.next() == Some("HTTP/1.1")))
+    }
+}
+
+/// `VERSION STATUS [REASON]`: the status code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StatusLine(pub(crate) u16);
+
+impl StartLine for StatusLine {
+    const REQUEST: bool = false;
+
+    fn parse(line: &str) -> io::Result<(Self, bool)> {
+        let mut parts = line.split_whitespace();
+        let version = parts.next();
+        let status = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| invalid(format!("bad status line {line:?}")))?;
+        Ok((StatusLine(status), version == Some("HTTP/1.1")))
+    }
+}
+
+/// One framed message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Message<S> {
+    pub(crate) start: S,
+    http11: bool,
+    pub(crate) headers: Vec<(String, String)>,
+    pub(crate) body: Vec<u8>,
+}
+
+impl<S> Message<S> {
+    /// Whether the connection may carry another message after this one.
+    /// HTTP/1.0 (and unknown versions) default to connection-close
+    /// framing; only HTTP/1.1 defaults to keep-alive.
+    pub(crate) fn keep_alive(&self) -> bool {
+        let connection = header(&self.headers, "connection");
+        if self.http11 {
+            !connection.is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        } else {
+            connection.is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
+        }
+    }
+}
+
+/// Parser state for one in-flight message on a connection. Bytes land in
+/// the caller's buffer; [`Parse::step`] consumes them incrementally, so
 /// byte-at-a-time delivery re-scans only the current line, never the
 /// whole buffer.
 #[derive(Debug)]
-enum Parse {
-    Headers(HeadParse),
+pub(crate) enum Parse<S> {
+    Head {
+        /// Offset into the buffer where the current (unfinished) line
+        /// starts.
+        cursor: usize,
+        /// The start line and its `http11` once it has parsed.
+        start: Option<(S, bool)>,
+        headers: Vec<(String, String)>,
+    },
     Body {
-        request: Request,
-        http11: bool,
+        message: Message<S>,
         content_length: usize,
     },
 }
 
-#[derive(Debug, Default)]
-struct HeadParse {
-    /// Offset into the connection buffer where the current (unfinished)
-    /// line starts.
-    cursor: usize,
-    /// `(method, path, http11)` once the request line has parsed.
-    start: Option<(String, String, bool)>,
-    headers: Vec<(String, String)>,
-}
-
-impl Parse {
-    fn new() -> Parse {
-        Parse::Headers(HeadParse::default())
+impl<S: StartLine> Parse<S> {
+    pub(crate) fn new() -> Self {
+        Parse::Head {
+            cursor: 0,
+            start: None,
+            headers: Vec::new(),
+        }
     }
 
     /// Consumes as much of `buf` as possible. `Ok(Some(..))` is a
-    /// complete request (its bytes have been drained from `buf`; any
-    /// remainder is pipelined input for the next request). `Ok(None)`
-    /// needs more bytes.
-    fn step(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<(Request, bool)>> {
+    /// complete message (its bytes have been drained from `buf`; any
+    /// remainder is pipelined input for the next one). `Ok(None)` needs
+    /// more bytes.
+    pub(crate) fn step(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<Message<S>>> {
         loop {
             match self {
-                Parse::Headers(hp) => {
-                    let Some(nl) = buf[hp.cursor..].iter().position(|&b| b == b'\n') else {
-                        if buf.len() - hp.cursor >= MAX_LINE {
+                Parse::Head {
+                    cursor,
+                    start,
+                    headers,
+                } => {
+                    let Some(nl) = buf[*cursor..].iter().position(|&b| b == b'\n') else {
+                        if buf.len() - *cursor >= MAX_LINE {
                             return Err(invalid("line too long"));
                         }
                         return Ok(None);
                     };
-                    let line_end = hp.cursor + nl + 1;
-                    if line_end - hp.cursor > MAX_LINE {
+                    let line_end = *cursor + nl + 1;
+                    if line_end - *cursor > MAX_LINE {
                         return Err(invalid("line too long"));
                     }
-                    let line = std::str::from_utf8(&buf[hp.cursor..line_end])
+                    let line = std::str::from_utf8(&buf[*cursor..line_end])
                         .map_err(|_| invalid("stream did not contain valid UTF-8"))?;
-                    if hp.start.is_none() {
-                        let mut parts = line.split_whitespace();
-                        let (method, path) = match (parts.next(), parts.next()) {
-                            (Some(m), Some(p)) => (m.to_owned(), p.to_owned()),
-                            _ => return Err(invalid(format!("malformed request line: {line:?}"))),
-                        };
-                        // HTTP/1.0 (and unknown versions) default to
-                        // connection-close framing; only HTTP/1.1
-                        // defaults to keep-alive.
-                        let http11 = parts.next() == Some("HTTP/1.1");
-                        hp.start = Some((method, path, http11));
-                        hp.cursor = line_end;
+                    *cursor = line_end;
+                    if start.is_none() {
+                        *start = Some(S::parse(line)?);
                         continue;
                     }
-                    let trimmed = line.trim_end();
-                    if !trimmed.is_empty() {
-                        if hp.headers.len() >= MAX_HEADERS {
+                    let line = line.trim_end();
+                    if !line.is_empty() {
+                        if headers.len() >= MAX_HEADERS {
                             return Err(invalid("too many headers"));
                         }
-                        if let Some((k, v)) = trimmed.split_once(':') {
-                            hp.headers.push((k.trim().to_owned(), v.trim().to_owned()));
-                        }
-                        hp.cursor = line_end;
+                        let (k, v) = line
+                            .split_once(':')
+                            .ok_or_else(|| invalid(format!("malformed header line: {line:?}")))?;
+                        headers.push((k.trim().to_owned(), v.trim().to_owned()));
                         continue;
                     }
-                    // Blank line: end of headers.
-                    let (method, path, http11) = hp.start.take().expect("request line parsed");
-                    let headers = std::mem::take(&mut hp.headers);
-                    // Chunked bodies are not implemented; treating them
-                    // as body-less would misparse the chunk stream as
-                    // pipelined requests, so refuse outright (the
-                    // connection closes after the error response).
-                    if headers
-                        .iter()
-                        .any(|(k, _)| k.eq_ignore_ascii_case("transfer-encoding"))
-                    {
-                        return Err(invalid(
-                            "transfer-encoding is not supported; send a content-length body",
-                        ));
-                    }
-                    // An unparseable Content-Length must be an error, not
-                    // 0: defaulting would leave the body in the buffer to
-                    // be misread as the next pipelined request.
-                    let content_length = match headers
-                        .iter()
-                        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-                    {
-                        Some((_, v)) => v
-                            .parse::<usize>()
-                            .map_err(|_| invalid(format!("invalid content-length `{v}`")))?,
-                        None => 0,
-                    };
-                    if content_length > MAX_BODY {
-                        return Err(invalid("body too large"));
-                    }
+                    // Blank line: end of the head.
+                    let (start, http11) = start.take().expect("start line parsed");
+                    let headers = std::mem::take(headers);
+                    let content_length = content_length::<S>(&headers)?;
                     buf.drain(..line_end);
                     // Grow the body as bytes actually arrive instead of
                     // committing Content-Length bytes up front (a header
                     // alone must not pin 64 MiB).
                     *self = Parse::Body {
-                        request: Request {
-                            method,
-                            path,
+                        message: Message {
+                            start,
+                            http11,
                             headers,
                             body: Vec::with_capacity(content_length.min(64 * 1024)),
                         },
-                        http11,
                         content_length,
                     };
                 }
                 Parse::Body {
-                    request,
-                    http11,
+                    message,
                     content_length,
                 } => {
-                    let need = *content_length - request.body.len();
-                    let take = need.min(buf.len());
-                    request.body.extend_from_slice(&buf[..take]);
+                    let take = (*content_length - message.body.len()).min(buf.len());
+                    message.body.extend_from_slice(&buf[..take]);
                     buf.drain(..take);
-                    if request.body.len() < *content_length {
+                    if message.body.len() < *content_length {
                         return Ok(None);
                     }
-                    let http11 = *http11;
-                    let Parse::Body { request, .. } = std::mem::replace(self, Parse::new()) else {
+                    let Parse::Body { message, .. } = std::mem::replace(self, Parse::new()) else {
                         unreachable!("matched Body above");
                     };
-                    return Ok(Some((request, http11)));
+                    return Ok(Some(message));
                 }
             }
         }
     }
 
-    /// Handles peer EOF: `Ok(None)` is a clean close between requests,
-    /// `Ok(Some(..))` is a request that completed exactly at EOF, `Err`
-    /// is a framing error to answer with a 400. An unterminated final
-    /// line is delivered to the parser the way the old blocking reader
-    /// delivered it: as a line without its newline.
-    fn finish_eof(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<(Request, bool)>> {
-        if let Parse::Headers(hp) = self {
-            if hp.start.is_none() && buf.len() == hp.cursor {
+    /// Handles peer EOF. For a request, `Ok(None)` is a clean close
+    /// between requests and `Ok(Some(..))` a request that completed
+    /// exactly at EOF: an unterminated final line counts as a line, the
+    /// way a blocking line reader delivers it. A response is complete only
+    /// once [`Self::step`] has returned it, so EOF before that is an error:
+    /// a reply cut short is never handed back as the answer. Every `Err`
+    /// is `UnexpectedEof` unless the bytes already held were malformed.
+    pub(crate) fn finish_eof(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<Message<S>>> {
+        if let (true, Parse::Head { cursor, start, .. }) = (S::REQUEST, &*self) {
+            if start.is_none() && buf.len() == *cursor {
                 return Ok(None);
             }
-            if buf.len() > hp.cursor {
+            if buf.len() > *cursor {
                 buf.push(b'\n');
                 if let Some(done) = self.step(buf)? {
                     return Ok(Some(done));
                 }
             }
         }
-        match self {
-            Parse::Headers(_) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof in headers",
-            )),
-            Parse::Body { .. } => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof in body")),
-        }
+        let at = match self {
+            Parse::Head { start: None, .. } if !S::REQUEST => "eof before the status line",
+            Parse::Head { .. } => "eof in headers",
+            Parse::Body { .. } => "eof in body",
+        };
+        Err(io::Error::new(io::ErrorKind::UnexpectedEof, at))
     }
+}
+
+/// The body length a head declares. Every `Content-Length` must be all
+/// digits and all of them must agree: a lenient rule lets two parsers
+/// disagree about where a message ends, and the bytes in between are read
+/// as the next message. An unparseable value is an error, never 0, for
+/// the same reason. A request without one has no body; a response
+/// without one cannot be framed (this server always sends it, and a
+/// kept-alive connection cannot be reused without it).
+fn content_length<S: StartLine>(headers: &[(String, String)]) -> io::Result<usize> {
+    // Chunked bodies are not implemented; treating them as body-less
+    // would misparse the chunk stream as pipelined messages, so refuse
+    // outright (a server closes the connection after its error reply).
+    if header(headers, "transfer-encoding").is_some() {
+        return Err(invalid(
+            "transfer-encoding is not supported; send a content-length body",
+        ));
+    }
+    let mut declared: Option<usize> = None;
+    for (_, v) in headers
+        .iter()
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+    {
+        let n = Some(v)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| invalid(format!("invalid content-length `{v}`")))?;
+        if let Some(first) = declared.filter(|&first| first != n) {
+            return Err(invalid(format!(
+                "conflicting content-length headers `{first}` and `{n}`"
+            )));
+        }
+        declared = Some(n);
+    }
+    let n = match declared {
+        Some(n) => n,
+        None if S::REQUEST => 0,
+        None => return Err(invalid("response without content-length cannot be framed")),
+    };
+    if n > MAX_BODY {
+        // The length is remote-supplied: a rogue value is a structured
+        // error, never an allocation of the peer's choosing.
+        return Err(invalid(format!(
+            "body of {n} bytes exceeds the {MAX_BODY}-byte cap"
+        )));
+    }
+    Ok(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +479,7 @@ struct Conn {
     phase: Phase,
     /// Bytes read but not yet consumed by the parser.
     buf: Vec<u8>,
-    parse: Parse,
+    parse: Parse<RequestLine>,
     write_buf: Vec<u8>,
     written: usize,
     close_after_write: bool,
@@ -407,32 +501,25 @@ struct Completion {
     keep_alive: bool,
 }
 
-/// The cross-thread face of one event loop: new connections and
-/// completed responses land here; the waker makes the loop notice.
-struct LoopShared {
-    waker: Waker,
-    inbox: Mutex<Inbox>,
-}
-
-#[derive(Default)]
+/// The event loop's cross-thread face: dispatch threads push completed
+/// responses here, and the waker makes the loop notice.
 struct Inbox {
-    conns: Vec<TcpStream>,
-    completions: Vec<Completion>,
+    waker: Waker,
+    completions: Mutex<Vec<Completion>>,
 }
 
-impl LoopShared {
-    fn push_conn(&self, stream: TcpStream) {
-        self.inbox.lock().expect("inbox lock").conns.push(stream);
+impl Inbox {
+    fn push(&self, completion: Completion) {
+        self.queue().push(completion);
         let _ = self.waker.wake();
     }
 
-    fn push_completion(&self, completion: Completion) {
-        self.inbox
+    /// The queue survives a panic elsewhere: it holds plain values, so a
+    /// poisoned lock is recovered rather than propagated.
+    fn queue(&self) -> std::sync::MutexGuard<'_, Vec<Completion>> {
+        self.completions
             .lock()
-            .expect("inbox lock")
-            .completions
-            .push(completion);
-        let _ = self.waker.wake();
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -466,13 +553,8 @@ fn serialize_response(response: &Response, keep_alive: bool) -> Vec<u8> {
 
 struct EventLoop {
     poller: Poller,
-    shared: Arc<LoopShared>,
-    /// All loops' shared faces (for round-robin connection dealing).
-    peers: Vec<Arc<LoopShared>>,
-    /// This loop's index in `peers`.
-    index: usize,
-    next_peer: usize,
-    /// Loop 0 owns the listener.
+    inbox: Arc<Inbox>,
+    /// Taken (and deregistered) when draining starts.
     listener: Option<TcpListener>,
     slots: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -503,28 +585,21 @@ impl EventLoop {
             for ev in events.iter().copied() {
                 match ev.token {
                     TOKEN_WAKER => {
-                        self.shared.waker.drain();
-                        self.drain_inbox();
+                        self.inbox.waker.drain();
+                        let completions = std::mem::take(&mut *self.inbox.queue());
+                        for completion in completions {
+                            self.apply_completion(completion);
+                        }
                     }
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_event(token, ev),
                 }
             }
             self.sweep_deadlines();
-            if self.draining && self.live_conns() == 0 {
+            if self.draining && self.slots.iter().all(Option::is_none) {
                 break;
             }
         }
-        // Connections dealt to this loop but never registered must still
-        // come off the active gauge.
-        let inbox = std::mem::take(&mut *self.shared.inbox.lock().expect("inbox lock"));
-        for _ in &inbox.conns {
-            self.stats.active.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn live_conns(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     fn begin_drain(&mut self) {
@@ -548,20 +623,6 @@ impl EventLoop {
         }
     }
 
-    fn drain_inbox(&mut self) {
-        let inbox = std::mem::take(&mut *self.shared.inbox.lock().expect("inbox lock"));
-        for stream in inbox.conns {
-            if self.draining {
-                self.stats.active.fetch_sub(1, Ordering::Relaxed);
-            } else {
-                self.register(stream);
-            }
-        }
-        for completion in inbox.completions {
-            self.apply_completion(completion);
-        }
-    }
-
     fn accept_ready(&mut self) {
         loop {
             let Some(listener) = &self.listener else {
@@ -571,13 +632,7 @@ impl EventLoop {
                 Ok((stream, _)) => {
                     self.stats.accepted_total.fetch_add(1, Ordering::Relaxed);
                     self.stats.active.fetch_add(1, Ordering::Relaxed);
-                    let target = self.next_peer;
-                    self.next_peer = (self.next_peer + 1) % self.peers.len();
-                    if target == self.index {
-                        self.register(stream);
-                    } else {
-                        self.peers[target].push_conn(stream);
-                    }
+                    self.register(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -701,8 +756,8 @@ impl EventLoop {
                         conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
                     }
                     match conn.parse.step(&mut conn.buf) {
-                        Ok(Some((request, http11))) => {
-                            self.dispatch(token, request, http11);
+                        Ok(Some(request)) => {
+                            self.dispatch(token, request);
                             return;
                         }
                         Ok(None) => {}
@@ -726,7 +781,7 @@ impl EventLoop {
         let conn = self.slots[token].as_mut().expect("checked");
         match conn.parse.finish_eof(&mut conn.buf) {
             Ok(None) => self.close(token),
-            Ok(Some((request, http11))) => self.dispatch(token, request, http11),
+            Ok(Some(request)) => self.dispatch(token, request),
             Err(e) => self.respond_framing_error(token, &e),
         }
     }
@@ -754,15 +809,13 @@ impl EventLoop {
         }
     }
 
-    fn dispatch(&mut self, token: usize, request: Request, http11: bool) {
-        let keep_alive = if http11 {
-            !request
-                .header("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-        } else {
-            request
-                .header("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
+    fn dispatch(&mut self, token: usize, message: Message<RequestLine>) {
+        let keep_alive = message.keep_alive();
+        let request = Request {
+            method: message.start.method,
+            path: message.start.path,
+            headers: message.headers,
+            body: message.body,
         };
         let conn = self.slots[token].as_mut().expect("checked");
         conn.phase = Phase::Dispatched;
@@ -770,14 +823,14 @@ impl EventLoop {
         let generation = conn.generation;
         self.set_interest(token, Interest::NONE);
         let router = Arc::clone(&self.router);
-        let shared = Arc::clone(&self.shared);
+        let inbox = Arc::clone(&self.inbox);
         self.dispatch.spawn(move || {
             let response =
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router(&request))) {
                     Ok(r) => r,
                     Err(_) => Response::json(500, "{\"error\":\"internal panic\"}".into()),
                 };
-            shared.push_completion(Completion {
+            inbox.push(Completion {
                 token,
                 generation,
                 response,
@@ -873,8 +926,8 @@ impl EventLoop {
             // Pipelined bytes arrived during the previous request.
             conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
             match conn.parse.step(&mut conn.buf) {
-                Ok(Some((request, http11))) => {
-                    self.dispatch(token, request, http11);
+                Ok(Some(request)) => {
+                    self.dispatch(token, request);
                     return;
                 }
                 Ok(None) => {
@@ -925,12 +978,12 @@ impl EventLoop {
 // Server handle + entry point
 // ---------------------------------------------------------------------------
 
-/// A running server: event-loop threads plus the dispatch pool.
+/// A running server: the event-loop thread plus the dispatch pool.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    loops: Vec<JoinHandle<()>>,
-    shareds: Vec<Arc<LoopShared>>,
+    event_loop: Option<JoinHandle<()>>,
+    inbox: Arc<Inbox>,
     dispatch: Arc<DispatchPool>,
     stats: Arc<ConnStats>,
 }
@@ -947,8 +1000,8 @@ impl ServerHandle {
     }
 
     /// Stops accepting, drains in-flight requests, and joins all
-    /// threads. Idle keep-alive connections are closed immediately;
-    /// event loops notice the flag within one tick (200 ms), so this
+    /// threads. Idle keep-alive connections are closed immediately; the
+    /// event loop notices the flag within one tick (200 ms), so this
     /// returns promptly even while clients hold sockets open.
     pub fn shutdown(mut self) {
         self.stop();
@@ -958,16 +1011,14 @@ impl ServerHandle {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        for shared in &self.shareds {
-            let _ = shared.waker.wake();
-        }
+        let _ = self.inbox.waker.wake();
         // Order matters: draining the dispatch pool first guarantees
-        // every in-flight request's completion reaches its loop, and a
+        // every in-flight request's completion reaches the inbox, and the
         // loop only exits once its dispatched connections have written
         // back (or been abandoned).
         self.dispatch.shutdown();
-        for handle in self.loops.drain(..) {
-            let _ = handle.join();
+        if let Some(event_loop) = self.event_loop.take() {
+            let _ = event_loop.join();
         }
     }
 }
@@ -978,10 +1029,9 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `addr` (e.g. `127.0.0.1:0`) and serves `router` on
-/// [`HttpConfig::event_threads`] readiness loops backed by a
-/// [`HttpConfig::dispatch_threads`]-sized CPU tier, until
-/// [`ServerHandle::shutdown`].
+/// Binds `addr` (e.g. `127.0.0.1:0`) and serves `router` from one
+/// readiness loop backed by a [`HttpConfig::dispatch_threads`]-sized CPU
+/// tier, until [`ServerHandle::shutdown`].
 ///
 /// # Errors
 /// Propagates bind and poller-setup failures.
@@ -989,64 +1039,41 @@ pub fn serve(addr: &str, config: HttpConfig, router: Router) -> io::Result<Serve
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-
-    let auto = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    };
-    let event_threads = match config.event_threads {
-        0 => auto(),
-        n => n,
-    };
     let dispatch_threads = match config.dispatch_threads {
-        0 => auto(),
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4),
         n => n,
     };
+
+    let inbox = Arc::new(Inbox {
+        waker: Waker::new()?,
+        completions: Mutex::new(Vec::new()),
+    });
+    let poller = Poller::new()?;
+    poller.add(inbox.waker.fd(), TOKEN_WAKER, Interest::READ)?;
+    poller.add(raw_fd(&listener), TOKEN_LISTENER, Interest::READ)?;
 
     let stop = Arc::new(AtomicBool::new(false));
     let dispatch = Arc::new(DispatchPool::new(dispatch_threads));
-    let mut shareds = Vec::with_capacity(event_threads);
-    let mut pollers = Vec::with_capacity(event_threads);
-    for _ in 0..event_threads {
-        let shared = Arc::new(LoopShared {
-            waker: Waker::new()?,
-            inbox: Mutex::new(Inbox::default()),
-        });
-        let poller = Poller::new()?;
-        poller.add(shared.waker.fd(), TOKEN_WAKER, Interest::READ)?;
-        shareds.push(shared);
-        pollers.push(poller);
-    }
-    pollers[0].add(raw_fd(&listener), TOKEN_LISTENER, Interest::READ)?;
-
-    let mut listener = Some(listener);
-    let mut loops = Vec::with_capacity(event_threads);
-    for (index, poller) in pollers.into_iter().enumerate() {
-        let event_loop = EventLoop {
-            poller,
-            shared: Arc::clone(&shareds[index]),
-            peers: shareds.clone(),
-            index,
-            next_peer: 0,
-            listener: if index == 0 { listener.take() } else { None },
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_generation: 0,
-            stats: Arc::clone(&config.stats),
-            router: Arc::clone(&router),
-            dispatch: Arc::clone(&dispatch),
-            stop: Arc::clone(&stop),
-            draining: false,
-        };
-        loops.push(std::thread::spawn(move || event_loop.run()));
-    }
-
+    let event_loop = EventLoop {
+        poller,
+        inbox: Arc::clone(&inbox),
+        listener: Some(listener),
+        slots: Vec::new(),
+        free: Vec::new(),
+        next_generation: 0,
+        stats: Arc::clone(&config.stats),
+        router,
+        dispatch: Arc::clone(&dispatch),
+        stop: Arc::clone(&stop),
+        draining: false,
+    };
     Ok(ServerHandle {
         addr: local,
         stop,
-        loops,
-        shareds,
+        event_loop: Some(std::thread::spawn(move || event_loop.run())),
+        inbox,
         dispatch,
         stats: config.stats,
     })
@@ -1057,11 +1084,10 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
 
-    fn serve_test(event_threads: usize, router: Router) -> ServerHandle {
+    fn serve_test(router: Router) -> ServerHandle {
         serve(
             "127.0.0.1:0",
             HttpConfig {
-                event_threads,
                 dispatch_threads: 2,
                 stats: Arc::new(ConnStats::default()),
             },
@@ -1128,7 +1154,7 @@ mod tests {
 
     #[test]
     fn serves_parses_and_shuts_down() {
-        let handle = serve_test(2, echo_router());
+        let handle = serve_test(echo_router());
         let addr = handle.addr();
         let reply = raw_roundtrip(
             addr,
@@ -1142,7 +1168,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_multiple_requests() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let s = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(s.try_clone().unwrap());
         let mut s = s;
@@ -1157,7 +1183,7 @@ mod tests {
 
     #[test]
     fn shutdown_unblocks_loops_parked_on_idle_keepalive() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         // One request without Connection: close, then leave the socket
         // open: the connection parks idle in the event loop.
         let mut s = TcpStream::connect(handle.addr()).unwrap();
@@ -1182,10 +1208,16 @@ mod tests {
 
     #[test]
     fn invalid_content_length_is_rejected_not_zeroed() {
-        let handle = serve_test(1, echo_router());
-        // Overflowing and non-numeric Content-Length must 400-and-close
-        // instead of misreading the body as a pipelined next request.
-        for cl in ["18446744073709551616", "abc"] {
+        let handle = serve_test(echo_router());
+        // Overflowing, non-numeric, signed and disagreeing repeated
+        // Content-Length must 400-and-close instead of misreading the
+        // body as a pipelined next request.
+        for cl in [
+            "18446744073709551616",
+            "abc",
+            "+2",
+            "0\r\nContent-Length: 41",
+        ] {
             let reply = raw_roundtrip(
                 handle.addr(),
                 &format!("POST /q HTTP/1.1\r\nContent-Length: {cl}\r\n\r\n{{}}"),
@@ -1201,7 +1233,7 @@ mod tests {
 
     #[test]
     fn http10_defaults_to_connection_close() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let t0 = Instant::now();
         let reply = raw_roundtrip(handle.addr(), "GET /old HTTP/1.0\r\n\r\n");
         // The server closes immediately (well inside the idle timeout)
@@ -1213,7 +1245,7 @@ mod tests {
 
     #[test]
     fn malformed_request_error_detail_reaches_the_client() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let reply = raw_roundtrip(
             handle.addr(),
             "POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
@@ -1227,7 +1259,7 @@ mod tests {
 
     #[test]
     fn slow_loris_partial_request_is_cut_off_and_slot_freed() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let stats = handle.stats();
         // A request line with no terminating blank line, then silence:
         // the connection must be cut at the hard deadline instead of
@@ -1260,7 +1292,7 @@ mod tests {
 
     #[test]
     fn oversized_header_line_is_rejected_not_buffered() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         s.write_all(b"GET /x HTTP/1.1\r\nx-junk: ").unwrap();
         // Stream far more than MAX_LINE with no newline; the server
@@ -1280,7 +1312,7 @@ mod tests {
 
     #[test]
     fn malformed_request_gets_400() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let reply = raw_roundtrip(handle.addr(), "NOT-HTTP\r\n\r\n");
         assert!(reply.contains("400"), "{reply}");
         handle.shutdown();
@@ -1294,7 +1326,7 @@ mod tests {
             }
             Response::json(200, "{}".into())
         });
-        let handle = serve_test(1, router);
+        let handle = serve_test(router);
         let reply = raw_roundtrip(
             handle.addr(),
             "GET /boom HTTP/1.1\r\nConnection: close\r\n\r\n",
@@ -1311,7 +1343,7 @@ mod tests {
 
     #[test]
     fn byte_at_a_time_delivery_is_assembled_into_one_request() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         let wire = b"POST /drip HTTP/1.1\r\nContent-Length: 3\r\nConnection: close\r\n\r\nabc";
         for &b in wire.iter() {
@@ -1328,7 +1360,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_answered_in_order_on_one_socket() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         // Three back-to-back requests in a single write.
         s.write_all(
@@ -1351,7 +1383,7 @@ mod tests {
         // A response far bigger than the socket buffer, so the write
         // path is guaranteed to span multiple readiness cycles.
         let router: Router = Arc::new(|_req: &Request| Response::json(200, "x".repeat(8 << 20)));
-        let handle = serve_test(1, router);
+        let handle = serve_test(router);
         let stats = handle.stats();
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         s.write_all(b"GET /big HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -1372,9 +1404,9 @@ mod tests {
 
     #[test]
     fn idle_keepalive_connections_scale_beyond_the_thread_count() {
-        let handle = serve_test(2, echo_router());
+        let handle = serve_test(echo_router());
         let stats = handle.stats();
-        // Far more parked connections than event (2) + dispatch (2)
+        // Far more parked connections than the event (1) + dispatch (2)
         // threads; under the old thread-per-connection model these would
         // starve the pool.
         // Connect in waves the listen backlog can hold, letting accepts
@@ -1423,7 +1455,7 @@ mod tests {
 
     #[test]
     fn idle_expiry_counts_as_timeout_and_closes() {
-        let handle = serve_test(1, echo_router());
+        let handle = serve_test(echo_router());
         let stats = handle.stats();
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         // Never send anything; the 1s test idle deadline must reap it.
@@ -1439,5 +1471,284 @@ mod tests {
             "idle expiry must count and reclaim"
         );
         handle.shutdown();
+    }
+
+    /// The one framing against generated and hostile bytes, in both
+    /// directions: requests as this server reads them, responses as the
+    /// shard-RPC client does.
+    mod framing {
+        use super::super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        type Outcome<S> = Result<Option<Message<S>>, (io::ErrorKind, String)>;
+
+        /// Feeds `bytes` to a fresh parser in pieces of `sizes` (cycled;
+        /// `[usize::MAX]` is all at once), then EOF: the first message, a
+        /// clean close, or the error.
+        fn frame<S: StartLine>(bytes: &[u8], sizes: &[usize]) -> Outcome<S> {
+            let mut parse = Parse::<S>::new();
+            let mut buf = Vec::new();
+            let mut rest = bytes;
+            let mut sizes = sizes.iter().cycle();
+            let failed = |e: io::Error| (e.kind(), e.to_string());
+            while !rest.is_empty() {
+                let n = (*sizes.next().expect("sizes")).clamp(1, rest.len());
+                buf.extend_from_slice(&rest[..n]);
+                rest = &rest[n..];
+                if let Some(message) = parse.step(&mut buf).map_err(failed)? {
+                    return Ok(Some(message));
+                }
+            }
+            parse.finish_eof(&mut buf).map_err(failed)
+        }
+
+        const WHOLE: &[usize] = &[usize::MAX];
+
+        /// Writes a message whose header values are trimmed on parse, with
+        /// `lengths` agreeing `Content-Length` headers after `fields`.
+        fn assemble<S>(
+            first: String,
+            (start, http11): (S, bool),
+            fields: Vec<(String, String, String)>,
+            body: Vec<u8>,
+            lengths: usize,
+        ) -> (Vec<u8>, Message<S>) {
+            let mut wire = format!("{first}\r\n");
+            let mut headers = Vec::new();
+            for (name, pad, value) in fields {
+                wire += &format!("{name}:{pad}{value}{pad}\r\n");
+                headers.push((name, value));
+            }
+            for _ in 0..lengths {
+                wire += &format!("Content-Length: {}\r\n", body.len());
+                headers.push(("Content-Length".into(), body.len().to_string()));
+            }
+            wire += "\r\n";
+            let mut bytes = wire.into_bytes();
+            bytes.extend_from_slice(&body);
+            let message = Message {
+                start,
+                http11,
+                headers,
+                body,
+            };
+            (bytes, message)
+        }
+
+        /// Header fields no framing rule reads, padded with spaces.
+        fn fields() -> impl Strategy<Value = Vec<(String, String, String)>> {
+            vec(("x-[A-Za-z0-9-]{0,10}", " {0,2}", "[!-~]{0,16}"), 0..6)
+        }
+
+        fn body() -> impl Strategy<Value = Vec<u8>> {
+            vec(0u8..=255, 0..48)
+        }
+
+        fn version(v11: u8) -> (&'static str, bool) {
+            if v11 == 1 {
+                ("HTTP/1.1", true)
+            } else {
+                ("HTTP/1.0", false)
+            }
+        }
+
+        /// A valid request; an empty body may go without a length.
+        fn request() -> impl Strategy<Value = (Vec<u8>, Message<RequestLine>)> {
+            let parts = (
+                "[A-Z]{1,7}",
+                "/[!-~]{0,12}",
+                0u8..2,
+                fields(),
+                body(),
+                0usize..3,
+            );
+            parts.prop_map(|(method, path, v11, fields, body, lengths)| {
+                let (version, http11) = version(v11);
+                let lengths = if body.is_empty() {
+                    lengths
+                } else {
+                    lengths.max(1)
+                };
+                let first = format!("{method} {path} {version}");
+                let start = RequestLine { method, path };
+                assemble(first, (start, http11), fields, body, lengths)
+            })
+        }
+
+        /// A valid response; its length is always declared.
+        fn response() -> impl Strategy<Value = (Vec<u8>, Message<StatusLine>)> {
+            let parts = (
+                100u16..600,
+                "[A-Za-z ]{0,12}",
+                0u8..2,
+                fields(),
+                body(),
+                1usize..3,
+            );
+            parts.prop_map(|(status, reason, v11, fields, body, lengths)| {
+                let (version, http11) = version(v11);
+                let first = format!("{version} {status} {reason}");
+                assemble(first, (StatusLine(status), http11), fields, body, lengths)
+            })
+        }
+
+        fn sizes() -> impl Strategy<Value = Vec<usize>> {
+            vec(1usize..40, 1..6)
+        }
+
+        /// Valid messages of either kind with one byte changed, and
+        /// arbitrary bytes.
+        fn hostile() -> impl Strategy<Value = Vec<u8>> {
+            let mutate = |(mut bytes, at, byte): (Vec<u8>, usize, u8)| {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                bytes
+            };
+            prop_oneof![
+                (request().prop_map(|(b, _)| b), 0usize..10_000, 0u8..=255).prop_map(mutate),
+                (response().prop_map(|(b, _)| b), 0usize..10_000, 0u8..=255).prop_map(mutate),
+                vec(0u8..=255, 0..96),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1000))]
+
+            #[test]
+            fn a_message_frames_the_same_whole_or_in_any_pieces(
+                (req, want_req) in request(),
+                (resp, want_resp) in response(),
+                sizes in sizes(),
+            ) {
+                for pieces in [WHOLE, &sizes[..]] {
+                    prop_assert_eq!(frame(&req, pieces), Ok(Some(want_req.clone())));
+                    prop_assert_eq!(frame(&resp, pieces), Ok(Some(want_resp.clone())));
+                }
+            }
+
+            #[test]
+            fn a_request_cut_anywhere_frames_the_same_in_any_pieces(
+                (bytes, want) in request(),
+                sizes in sizes(),
+            ) {
+                for cut in 0..=bytes.len() {
+                    let outcome = frame::<RequestLine>(&bytes[..cut], WHOLE);
+                    prop_assert_eq!(frame(&bytes[..cut], &sizes), outcome.clone());
+                    if cut == 0 {
+                        prop_assert_eq!(outcome, Ok(None));
+                    } else if cut == bytes.len() {
+                        prop_assert_eq!(outcome, Ok(Some(want.clone())));
+                    }
+                }
+            }
+
+            #[test]
+            fn a_response_cut_anywhere_is_an_eof_error(
+                (bytes, _want) in response(),
+                sizes in sizes(),
+            ) {
+                for cut in 0..bytes.len() {
+                    for pieces in [WHOLE, &sizes[..]] {
+                        let outcome = frame::<StatusLine>(&bytes[..cut], pieces);
+                        prop_assert!(
+                            matches!(&outcome, Err((io::ErrorKind::UnexpectedEof, _))),
+                            "cut at {}: {:?}", cut, outcome
+                        );
+                    }
+                }
+            }
+
+            #[test]
+            fn hostile_bytes_end_in_a_message_or_an_error_in_any_pieces(
+                bytes in hostile(),
+                sizes in sizes(),
+            ) {
+                let request = frame::<RequestLine>(&bytes, WHOLE);
+                prop_assert_eq!(frame(&bytes, &sizes), request.clone());
+                // A clean close is the empty stream and nothing else.
+                prop_assert_eq!(request == Ok(None), bytes.is_empty(), "{:?}", request);
+                let response = frame::<StatusLine>(&bytes, WHOLE);
+                prop_assert_eq!(frame(&bytes, &sizes), response.clone());
+                prop_assert!(!matches!(response, Ok(None)), "{:?}", response);
+            }
+        }
+
+        /// Frames `{first}\r\n{lines}\r\n{}` whole, as a request and as a
+        /// response.
+        fn both_ways(lines: &str) -> [Result<(), (io::ErrorKind, String)>; 2] {
+            let wire = |first: &str| format!("{first}\r\n{lines}\r\n{{}}").into_bytes();
+            let request = frame::<RequestLine>(&wire("POST /x HTTP/1.1"), WHOLE);
+            let response = frame::<StatusLine>(&wire("HTTP/1.1 200 OK"), WHOLE);
+            [request.map(drop), response.map(drop)]
+        }
+
+        #[test]
+        fn every_cap_and_the_content_length_rule_hold_in_both_directions() {
+            let at_cap = |len: usize| format!("x-l: {}\r\n", "a".repeat(len - 7));
+            let refused = [
+                (at_cap(MAX_LINE + 1), "line too long"),
+                ("x-h: 1\r\n".repeat(MAX_HEADERS + 1), "too many headers"),
+                (
+                    format!("content-length: {}\r\n", MAX_BODY + 1),
+                    "exceeds the 67108864-byte cap",
+                ),
+                (
+                    "content-length: +2\r\n".into(),
+                    "invalid content-length `+2`",
+                ),
+                (
+                    "content-length: -2\r\n".into(),
+                    "invalid content-length `-2`",
+                ),
+                (
+                    "content-length: 2 2\r\n".into(),
+                    "invalid content-length `2 2`",
+                ),
+                ("content-length:\r\n".into(), "invalid content-length ``"),
+                (
+                    "content-length: 18446744073709551616\r\n".into(),
+                    "invalid content-length",
+                ),
+                (
+                    "content-length: 0\r\ncontent-length: 41\r\n".into(),
+                    "conflicting content-length headers `0` and `41`",
+                ),
+                (
+                    "Content-Length: 2\r\ntransfer-encoding: chunked\r\n".into(),
+                    "transfer-encoding is not supported",
+                ),
+                ("content-length 2\r\n".into(), "malformed header line"),
+            ];
+            for (lines, needle) in &refused {
+                for outcome in both_ways(lines) {
+                    let (kind, message) = outcome.expect_err(needle);
+                    assert_eq!(kind, io::ErrorKind::InvalidData, "{message}");
+                    assert!(message.contains(needle), "{needle}: {message}");
+                }
+            }
+            // Just inside every cap, and agreeing repeated lengths, frame.
+            let length = "content-length: 2\r\n";
+            let allowed = [
+                format!("{}{length}", at_cap(MAX_LINE)),
+                format!("{}{length}", "x-h: 1\r\n".repeat(MAX_HEADERS - 1)),
+                format!("{length}Content-Length: 02\r\n"),
+            ];
+            for lines in &allowed {
+                assert_eq!(both_ways(lines), [Ok(()), Ok(())], "{lines:?}");
+            }
+            let mut buf = format!("HTTP/1.1 200 OK\r\ncontent-length: {MAX_BODY}\r\n\r\n").into();
+            assert!(matches!(
+                Parse::<StatusLine>::new().step(&mut buf),
+                Ok(None)
+            ));
+            // Without a length a request has no body; a response cannot
+            // be framed.
+            let [request, response] = both_ways("");
+            assert_eq!(request, Ok(()));
+            let (kind, message) = response.unwrap_err();
+            assert_eq!(kind, io::ErrorKind::InvalidData);
+            assert!(message.contains("without content-length"), "{message}");
+        }
     }
 }

@@ -3,15 +3,15 @@
 //! The concurrent ShapeSearch query service (the system of paper
 //! Figure 2, productionized): a long-running process that registers
 //! datasets once, keeps their extracted trendlines hot behind `Arc`, and
-//! serves ShapeQueries over a std-only HTTP/1.1 JSON protocol from
-//! readiness event loops and a fixed dispatch tier, with an LRU
+//! serves ShapeQueries over a std-only HTTP/1.1 JSON protocol from one
+//! readiness event loop and a fixed dispatch tier, with an LRU
 //! query-result cache in front of the segmentation engine.
 //!
 //! Architecture (one module per box; `docs/ARCHITECTURE.md` at the repo
 //! root walks the full request lifecycle):
 //!
 //! ```text
-//!        TcpListener ─► event loops (http) ─► dispatch ─► route (handlers)
+//!        TcpListener ─► event loop (http) ──► dispatch ─► route (handlers)
 //!                       (epoll readiness)     (CPU tier)         │
 //!                          POST /query, /shard/query ─► one pipeline (exec):
 //!                          plan → singleflight resolve → shard fan-out → merge
@@ -124,8 +124,8 @@ use std::sync::Arc;
 pub struct ServerConfig {
     /// Dispatch (CPU tier) threads running request handlers, and the
     /// compute pool's size (defaults to the machine's available
-    /// parallelism). Socket I/O is handled separately by
-    /// `event_threads` readiness loops.
+    /// parallelism). The thread model is one event loop for every
+    /// socket, `workers` dispatch threads and `workers` compute threads.
     pub workers: usize,
     /// Query-result cache capacity in entries.
     pub cache_capacity: usize,
@@ -170,11 +170,6 @@ pub struct ServerConfig {
     /// resident, so a single shard larger than the budget still serves
     /// (and a budget of `1` means "exactly one resident").
     pub resident_bytes: u64,
-    /// Readiness event-loop threads of the evented HTTP core
-    /// (`--event-threads`). `0` (the default) means auto: the machine's
-    /// available parallelism. Event loops only do socket I/O — `workers`
-    /// sizes the dispatch (CPU) tier that runs the handlers.
-    pub event_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -193,7 +188,6 @@ impl Default for ServerConfig {
             shard_io_timeout_ms: client.io_timeout.as_millis() as u64,
             shard_retries: client.retries,
             resident_bytes: 0,
-            event_threads: 0,
         }
     }
 }
@@ -252,7 +246,6 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
     let handle = http::serve(
         addr,
         http::HttpConfig {
-            event_threads: config.event_threads,
             dispatch_threads: config.workers,
             stats: Arc::clone(&state.conn_stats),
         },

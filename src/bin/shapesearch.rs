@@ -7,7 +7,7 @@
 //!             [--filter "col<=value"] [--agg avg]
 //! shapesearch --data genes.csv -z gene -x time -y expr \
 //!             --nl "rising then falling sharply"
-//! shapesearch serve [--addr 127.0.0.1:7878] [--workers N] [--event-threads N] \
+//! shapesearch serve [--addr 127.0.0.1:7878] [--workers N] \
 //!             [--cache-cap N] [--max-batch N] [--shards N] \
 //!             [--resident-bytes N] \
 //!             [--data FILE --z COL --x COL --y COL [--name NAME]] \
@@ -20,8 +20,9 @@
 //! prints the ranked matches with scores and the fitted segment
 //! boundaries (the engine-side equivalent of the paper's result panel,
 //! Figure 2 Box 4). `serve` exposes the same pipeline over HTTP with a
-//! dataset catalog and a query-result cache; see the `shapesearch-server`
-//! crate docs for the protocol.
+//! dataset catalog and a query-result cache, on one event loop for every
+//! socket, `--workers` dispatch threads and `--workers` compute threads;
+//! see the `shapesearch-server` crate docs for the protocol.
 
 use shapesearch::prelude::*;
 use shapesearch_core::{PruningMode, SegmenterKind};
@@ -113,7 +114,8 @@ fn usage() -> &'static str {
      (--query REGEX | --nl TEXT) [--k N] [--algo dp|tree|pruned|greedy|dtw|euclid] \
      [--pruning auto|off|force] \
      [--filter 'col OP value']... [--agg avg|sum|min|max|count] [--builtins]\n\
-     shapesearch serve [--addr HOST:PORT] [--workers N] [--event-threads N] [--cache-cap N] \
+     shapesearch serve [--addr HOST:PORT] [--workers N (dispatch and compute threads; \
+      one event loop serves every socket)] [--cache-cap N] \
      [--max-batch N] [--shards N] [--resident-bytes N] \
      [--data-root DIR] [--slow-query-micros N] \
      [--shard-connect-timeout-ms N] [--shard-io-timeout-ms N] [--shard-retries N] \
@@ -253,14 +255,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 config.resident_bytes = take("--resident-bytes")?
                     .parse()
                     .map_err(|_| "--resident-bytes must be an integer".to_owned())?;
-            }
-            "--event-threads" => {
-                // Readiness event-loop threads of the evented HTTP core;
-                // 0 (the default) = auto (available parallelism). These
-                // only do socket I/O — --workers sizes the CPU tier.
-                config.event_threads = take("--event-threads")?
-                    .parse()
-                    .map_err(|_| "--event-threads must be an integer".to_owned())?;
             }
             "--data-root" => config.data_root = Some(take("--data-root")?.into()),
             "--slow-query-micros" => {

@@ -598,7 +598,7 @@ fn replica_permutations_and_failure_subsets_merge_byte_identical_to_unsharded() 
 
 /// Chaos modes aimed straight at the **evented listener** (no failover
 /// tier in between): a client talking through a [`ChaosProxy`] to a
-/// 2-event-thread server gets byte-identical `results` under `Pass` and
+/// 2-worker server gets byte-identical `results` under `Pass` and
 /// `Delay`, a `Truncate`d response dies mid-write without wedging
 /// anything, and after every mode the connection slots are fully
 /// reclaimed — `/healthz` `connections.active` returns to exactly the
@@ -609,7 +609,6 @@ fn evented_listener_survives_delay_and_truncate_with_clean_slot_reclamation() {
 
     let service = boot_with(ServerConfig {
         workers: 2,
-        event_threads: 2,
         ..ServerConfig::default()
     });
     let direct = Client::new(service.addr());

@@ -127,6 +127,11 @@ fn bad_arguments_exit_2_in_every_subcommand() {
         assert_refused(&args, "usage: shapesearch");
         assert_refused(&args, "--no-such-flag");
     }
+    // One event loop serves every socket: its count is not a knob.
+    assert_refused(
+        &["serve", "--event-threads", "2"],
+        "unknown serve argument `--event-threads`",
+    );
     let preload = [
         &["serve", "--addr", "127.0.0.1:0", "--data", SALES],
         &SALES_MAPPING[..],

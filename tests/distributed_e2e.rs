@@ -683,12 +683,14 @@ fn explain_spans_cover_a_mixed_four_shard_topology_and_metrics_reconcile() {
 
     // The evented listener's connection gauges tell one story across
     // /healthz and /metrics. The test client opens one
-    // `connection: close` socket per request, so by the time any handler
-    // runs, every earlier connection is already torn down: `active` is
-    // exactly the connection carrying the request, `accepted_total`
-    // advances by exactly one between the healthz and metrics fetches
-    // (the metrics connection itself), and nothing ever idles in
-    // keep-alive or times out.
+    // `connection: close` socket per request, and the server's one event
+    // loop closes that socket right after writing its reply's last byte,
+    // on the same thread that must then accept the next connection: so by
+    // the time any handler runs, every earlier connection is torn down.
+    // `active` is exactly the connection carrying the request,
+    // `accepted_total` advances by exactly one between the healthz and
+    // metrics fetches (the metrics connection itself), and nothing ever
+    // idles in keep-alive or times out.
     let conns = health.get("connections").unwrap();
     let conn_field = |field: &str| conns.get(field).unwrap().as_usize().unwrap() as u64;
     assert_eq!(conn_field("active"), 1, "{}", health.to_text());

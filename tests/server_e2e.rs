@@ -382,8 +382,8 @@ fn batch_matches_sequential() {
 }
 
 /// The evented core's scaling claim from a client's side: a keep-alive
-/// connection held open amid 200 parked idle peers (far more than the 2
-/// event + 2 dispatch threads) answers the batch exactly as a fresh
+/// connection held open amid 200 parked idle peers (far more than the
+/// one event loop + 2 dispatch threads) answers the batch exactly as a fresh
 /// connection does, and every slot is reclaimed once the peers hang up.
 #[test]
 fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
@@ -396,7 +396,6 @@ fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
-            event_threads: 2,
             ..ServerConfig::default()
         },
     )
