@@ -110,13 +110,22 @@ impl Chain {
     }
 }
 
+/// The most alternatives [`expand_chains`] spells out; beyond it, the
+/// remaining ORs stay opaque units.
+const MAX_CHAINS: usize = 64;
+
+/// The most units an expanded chain may have. Segmentation time grows
+/// steeply with chain width, so a wider query is refused before GROUP
+/// rather than allowed to hold every compute thread; 16 is more than twice
+/// the widest query the paper evaluates (Fig. 13b).
+pub const MAX_CHAIN_UNITS: usize = 16;
+
 /// Expands a query into its weighted alternative chains.
 ///
 /// The number of alternatives is the product of OR fan-outs; queries are
 /// small in practice (the paper's largest has one OR), but a cap prevents
 /// pathological blow-up — beyond it, remaining ORs stay opaque units.
 pub fn expand_chains(query: &ShapeQuery) -> Vec<Chain> {
-    const MAX_CHAINS: usize = 64;
     let raw = expand(query, 1.0, MAX_CHAINS);
     raw.into_iter().map(|units| Chain { units }).collect()
 }

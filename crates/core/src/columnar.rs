@@ -302,9 +302,8 @@ impl ColumnarArena {
         self.point_starts.len().saturating_sub(1)
     }
 
-    /// Total bytes held (or mapped) by the arena's columns — the
-    /// resident-memory cost a server pays to keep this arena hot, used
-    /// by the resident-shard byte budget (`--resident-bytes`).
+    /// Total bytes held (or mapped) by the arena's columns — what keeping
+    /// this GROUP run cached costs.
     pub fn byte_size(&self) -> usize {
         let f64_cells = self.xs.len()
             + self.ys.len()

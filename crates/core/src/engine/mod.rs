@@ -25,7 +25,7 @@ use crate::algo::pruning::{
 use crate::algo::segment_tree::SegmentTreeSegmenter;
 use crate::algo::{MatchResult, Segmenter, SegmenterKind};
 use crate::ast::Pattern;
-use crate::chain::{expand_chains, Chain};
+use crate::chain::{expand_chains, Chain, MAX_CHAIN_UNITS};
 use crate::columnar::PointTable;
 use crate::error::{CoreError, Result};
 use crate::eval::{Evaluator, UdpFn, UdpRegistry};
@@ -302,8 +302,6 @@ impl ShapeEngine {
     /// resident: the sum of each cached bin width's arena byte size.
     /// Every [`VizData`] in one GROUP run shares a single arena, so one
     /// handle per width is enough to account for the whole collection.
-    /// This is the dominant memory cost of a resident snapshot shard —
-    /// the server's `--resident-bytes` budget evicts on it.
     pub fn grouped_byte_size(&self) -> usize {
         self.cache()
             .iter()
@@ -396,8 +394,8 @@ impl ShapeEngine {
     /// observer — the only convenience spelling.
     ///
     /// # Errors
-    /// Fails when the query references unregistered UDPs or is structurally
-    /// empty.
+    /// Fails when the query references unregistered UDPs, is structurally
+    /// empty, or chains more than [`MAX_CHAIN_UNITS`] segments.
     pub fn top_k(&self, query: &ShapeQuery, k: usize) -> Result<Vec<TopKResult>> {
         self.top_k_batch_observed(
             &[(query, k)],
@@ -473,6 +471,11 @@ impl ShapeEngine {
                 let chains = expand_chains(query);
                 if chains.is_empty() || chains.iter().any(Chain::is_empty) {
                     return Err(CoreError::InvalidQuery("query has no segments".into()));
+                }
+                if chains.iter().any(|chain| chain.len() > MAX_CHAIN_UNITS) {
+                    return Err(CoreError::InvalidQuery(format!(
+                        "query chains more than {MAX_CHAIN_UNITS} segments"
+                    )));
                 }
                 Ok(Prep {
                     query,
@@ -747,6 +750,36 @@ mod tests {
         assert!(keys.contains(&"peak_late"));
         assert!(results[0].score >= results[1].score);
         assert!(!results[0].ranges.is_empty());
+    }
+
+    #[test]
+    fn a_chain_wider_than_the_cap_is_refused_alone() {
+        let engine = ShapeEngine::from_trendlines(vec![peaked("p", 20.0, 48), falling("f", 48)]);
+        let chain = |units: usize| {
+            ShapeQuery::concat(
+                (0..units)
+                    .map(|i| {
+                        if i % 2 == 0 {
+                            ShapeQuery::up()
+                        } else {
+                            ShapeQuery::down()
+                        }
+                    })
+                    .collect(),
+            )
+        };
+        let (widest, wider) = (chain(MAX_CHAIN_UNITS), chain(MAX_CHAIN_UNITS + 1));
+        let outcomes = engine.top_k_batch_observed(
+            &[(&widest, 2), (&wider, 2)],
+            engine.options(),
+            &SharedThresholds::new(2),
+            &NOOP_OBSERVER,
+        );
+        assert_eq!(outcomes[0].as_ref().unwrap().len(), 2);
+        match &outcomes[1] {
+            Err(CoreError::InvalidQuery(msg)) => assert!(msg.contains("16 segments"), "{msg}"),
+            other => panic!("a 17-unit chain must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! — as one flat little-endian file. Opening a snapshot maps it
 //! ([`memmap2::Mmap`] behind the workspace's std-only syscall shim), and
 //! [`Snapshot::partition`] hands back an engine whose raw columns and
-//! arena columns are all **zero-copy views into the mapping**: a cold
-//! shard load is a page-in that allocates keys, offsets and handles and
-//! copies no point — never a re-EXTRACT or re-GROUP.
+//! arena columns are all **zero-copy views into the mapping**: a server
+//! registration opens, validates and cuts a snapshot once, allocating
+//! keys, offsets and handles and copying no point — never a re-EXTRACT
+//! or re-GROUP — and the kernel pages the mapping.
 //!
 //! ## File layout (version 1)
 //!
@@ -45,7 +46,7 @@
 //! caller can touch the data: a torn or corrupted snapshot is a
 //! structured [`SnapshotError`], never a panic or garbage results. The
 //! payload checksum pass reads the whole file once, which doubles as
-//! page pre-faulting for the resident data.
+//! page pre-faulting.
 
 use crate::columnar::{ArenaBuilder, Column, ColumnarArena, PointTable};
 use crate::engine::{group, ShapeEngine};

@@ -81,8 +81,8 @@ fn unique_path() -> PathBuf {
     p
 }
 
-/// The snapshot-load path the server's resident-shard loader uses: one
-/// engine per deterministic partition, cut straight from the mapping.
+/// The snapshot path a server registration takes: one engine per
+/// deterministic partition, cut straight from the mapping.
 fn engines_from_snapshot(snap: &Snapshot, shards: usize) -> Vec<ShapeEngine> {
     snap.partition_bounds(shards)
         .into_iter()

@@ -4,10 +4,11 @@
 //! per-trendline raw point counts, and from there registration is one
 //! path: counts → partition bounds (the one deterministic rule,
 //! [`partition_bounds_by_points`]) → placement → listing counts →
-//! engines for the **local** slots only. An eager source's local slots
-//! are cut from the trendlines, warmed and UDP-registered right here; a
-//! snapshot's are cut from the mapping on first touch, through the
-//! resident cache; a remote slot holds nothing in this process. The
+//! engines for the **local** slots only, every one built right here. An
+//! eager source's local slots are cut from the trendlines, warmed and
+//! UDP-registered; a snapshot is opened, validated, cut once — each
+//! local partition's columns are views of the mapping, whose pages the
+//! kernel owns; a remote slot holds nothing in this process. The
 //! immutable [`DatasetEntry`] is shared across every request thread via
 //! `Arc`.
 //!
@@ -28,12 +29,12 @@
 //! *and* changes the placement fingerprint baked into cache keys.
 
 use crate::error::ServerError;
-use crate::resident::ResidentShards;
 use shapesearch_core::{
     partition_bounds_by_points, CoreError, EngineOptions, ShapeEngine, Snapshot, SnapshotError,
 };
 use shapesearch_datastore::{csv, extract, json, ExtractOptions, Trendline, VisualSpec};
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -303,8 +304,8 @@ pub enum DataSource {
     /// Inline JSON-lines text shipped in the request body.
     InlineJsonl(String),
     /// A server-local on-disk snapshot (`shapesearch snapshot` output):
-    /// pre-extracted, pre-GROUPed columnar state served via mmap with
-    /// lazily resident shards instead of an eager EXTRACT.
+    /// pre-extracted, pre-GROUPed columnar state served from the mapping
+    /// instead of an eager EXTRACT.
     Snapshot(String),
 }
 
@@ -345,7 +346,7 @@ pub struct DatasetSpec {
 /// pre-GROUPed on disk.
 enum Collection {
     Trendlines(Vec<Trendline>),
-    Snapshot(Arc<Snapshot>),
+    Snapshot(Box<Snapshot>),
 }
 
 impl Collection {
@@ -362,7 +363,7 @@ impl Collection {
             DataSource::InlineJsonl(text) => json::read_str(text),
             DataSource::Snapshot(path) => {
                 return match Snapshot::open(path) {
-                    Ok(snapshot) => Ok(Self::Snapshot(Arc::new(snapshot))),
+                    Ok(snapshot) => Ok(Self::Snapshot(Box::new(snapshot))),
                     Err(e @ SnapshotError::Io { .. }) => {
                         Err(ServerError::bad_request(format!("loading dataset: {e}")))
                     }
@@ -402,27 +403,6 @@ fn shard_engine(mut engine: ShapeEngine, builtins: bool) -> Arc<ShapeEngine> {
     Arc::new(engine)
 }
 
-/// Where each local slot's engine comes from.
-#[derive(Debug)]
-enum Shards {
-    /// Cut from the extracted trendlines at registration, with its
-    /// columnar GROUP arena already built so the first query pays only
-    /// SEGMENT+SCORE. `None` at a remote slot: its shard server owns the
-    /// (identical, deterministic) partition, and a router must not pay a
-    /// collection's memory to route.
-    Built(Vec<Option<Arc<ShapeEngine>>>),
-    /// Cut from the mapped snapshot on first touch and kept by the
-    /// catalog-wide resident cache under `(generation, slot)`, so memory is
-    /// paid per touched shard, not per registration.
-    Mapped {
-        snapshot: Arc<Snapshot>,
-        /// Partition bounds per shard slot, aligned with the placement.
-        bounds: Vec<(usize, usize)>,
-        builtins: bool,
-        resident: Arc<ResidentShards>,
-    },
-}
-
 /// An immutable registered dataset, shared across request threads.
 #[derive(Debug)]
 pub struct DatasetEntry {
@@ -430,9 +410,7 @@ pub struct DatasetEntry {
     pub id: String,
     /// Monotone registration counter, unique across the catalog's
     /// lifetime. Cache keys include it, so results computed against a
-    /// replaced registration can never surface under the new one — and
-    /// it is half of every residency key, so a replaced registration's
-    /// shards can never be served again.
+    /// replaced registration can never surface under the new one.
     pub generation: u64,
     /// Human-readable name for listings.
     pub name: String,
@@ -462,7 +440,14 @@ pub struct DatasetEntry {
     /// Total points across all trendlines (of the owned partition, in
     /// shard-of mode).
     pub point_count: usize,
-    shards: Shards,
+    /// True when this entry serves from an on-disk snapshot.
+    pub(crate) snapshot: bool,
+    /// One engine per **local** slot, built at registration with its
+    /// columnar GROUP arena in place, so the first query pays only
+    /// SEGMENT+SCORE. `None` at a remote slot: its shard server owns the
+    /// (identical, deterministic) partition, and a router must not pay a
+    /// collection's memory to route.
+    shards: Vec<Option<Arc<ShapeEngine>>>,
 }
 
 impl DatasetEntry {
@@ -473,45 +458,27 @@ impl DatasetEntry {
             .any(|p| matches!(p, ShardPlacement::Remote(_)))
     }
 
-    /// True when this entry serves from an on-disk snapshot.
-    pub fn from_snapshot(&self) -> bool {
-        matches!(self.shards, Shards::Mapped { .. })
-    }
-
-    /// The engine for **local** shard slot `slot` — the one built at
-    /// registration for an eager entry, or a lazily materialized (and
-    /// cached) partition of the snapshot for a snapshot entry.
-    /// Loading is singleflight: queries racing a cold shard share one
-    /// load. Byte-identity holds either way — a snapshot partition seeds
-    /// the exact GROUP arena the eager path would build.
+    /// The engine for **local** shard slot `slot`, built at registration.
+    /// Byte-identity holds for every source — a snapshot partition seeds
+    /// the exact GROUP arena the eager path builds.
     ///
     /// # Errors
-    /// Propagates a failed snapshot shard load (the slot is vacated for
-    /// retry).
+    /// None: the `Result` stays for callers written against it.
     ///
     /// # Panics
     /// Panics when `slot` is out of range or names a remote slot (remote
-    /// partitions are never materialized here).
-    pub fn local_shard(&self, slot: usize) -> Result<Arc<ShapeEngine>, ServerError> {
+    /// partitions are never built here).
+    pub fn local_shard(&self, slot: usize) -> Result<Arc<ShapeEngine>, Infallible> {
         assert_eq!(
             self.placement[slot],
             ShardPlacement::Local,
             "remote slots are served by their shard servers"
         );
-        match &self.shards {
-            Shards::Built(engines) => Ok(Arc::clone(
-                engines[slot].as_ref().expect("every local slot was built"),
-            )),
-            Shards::Mapped {
-                snapshot,
-                bounds,
-                builtins,
-                resident,
-            } => resident.get_or_load((self.generation, slot), || {
-                let (start, end) = bounds[slot];
-                Ok(shard_engine(snapshot.partition(start, end), *builtins))
-            }),
-        }
+        Ok(Arc::clone(
+            self.shards[slot]
+                .as_ref()
+                .expect("every local slot was built"),
+        ))
     }
 }
 
@@ -536,9 +503,6 @@ pub struct Catalog {
     /// Topology announcements from shard servers; consulted when a
     /// registration asks for `"shard_endpoints": "registry"`.
     registry: Registry,
-    /// The resident-shard cache snapshot-backed datasets load through;
-    /// shared so one `--resident-bytes` budget caps the whole process.
-    resident: Arc<ResidentShards>,
 }
 
 impl Default for Catalog {
@@ -563,26 +527,12 @@ impl Catalog {
             next_generation: AtomicU64::new(1),
             default_shards,
             registry: Registry::default(),
-            resident: Arc::new(ResidentShards::default()),
         }
     }
 
     /// The configured default shard count (0 = auto).
     pub fn default_shards(&self) -> usize {
         self.default_shards
-    }
-
-    /// The resident-shard cache snapshot-backed datasets load through.
-    pub fn resident(&self) -> &Arc<ResidentShards> {
-        &self.resident
-    }
-
-    /// Caps the byte budget of resident snapshot shards (0 = unlimited);
-    /// the server's `--resident-bytes` flag. The budget counts each
-    /// resident shard's columnar-arena size and never evicts below one
-    /// shard.
-    pub fn set_resident_capacity_bytes(&self, capacity_bytes: u64) {
-        self.resident.set_capacity_bytes(capacity_bytes);
     }
 
     /// The heartbeat registry shard servers announce into.
@@ -606,12 +556,12 @@ impl Catalog {
     /// Registers a dataset: reads the source into a collection,
     /// partitions it (or retains one partition in shard-of mode),
     /// resolves the partition map, and publishes an entry that holds
-    /// engines for its local slots only — built and warmed now from
-    /// extracted trendlines, materialized on first touch from a
-    /// snapshot. Replaces any previous dataset with the same id and
-    /// retires its generation from the resident cache (retiring it from
-    /// the query cache is the caller's: [`crate::handlers`] registers
-    /// through `register_replacing`, which says which generation went).
+    /// engines for its local slots only, all built now — warmed from
+    /// extracted trendlines, or cut from the snapshot's mapping with the
+    /// arena it seeds. Replaces any previous dataset with the same id
+    /// (retiring the replaced generation from the query cache is the
+    /// caller's: [`crate::handlers`] registers through
+    /// `register_replacing`, which says which generation went).
     ///
     /// # Errors
     /// Fails on unreadable/malformed sources (a torn or corrupted
@@ -662,6 +612,7 @@ impl Catalog {
         // Listings describe everything the slots cover — the whole
         // collection, remote slots included, or the owned partition.
         let (first, last) = (bounds[0].0, bounds[shard_count - 1].1);
+        let snapshot = matches!(collection, Collection::Snapshot(_));
         let shards = match collection {
             Collection::Trendlines(mut rest) => {
                 // Split back-to-front so each boundary is a cheap
@@ -681,14 +632,17 @@ impl Catalog {
                     })
                     .collect();
                 engines.reverse();
-                Shards::Built(engines)
+                engines
             }
-            Collection::Snapshot(snapshot) => Shards::Mapped {
-                snapshot,
-                bounds,
-                builtins: spec.builtins,
-                resident: Arc::clone(&self.resident),
-            },
+            // The cut columns hold the mapping alive; the snapshot drops here.
+            Collection::Snapshot(snapshot) => bounds
+                .iter()
+                .zip(&placement)
+                .map(|(&(start, end), placement)| {
+                    (*placement == ShardPlacement::Local)
+                        .then(|| shard_engine(snapshot.partition(start, end), spec.builtins))
+                })
+                .collect(),
         };
 
         let id = match spec.id {
@@ -706,19 +660,15 @@ impl Catalog {
             shard_of: spec.shard_of,
             trendline_count: last - first,
             point_count: counts[first..last].iter().sum(),
+            snapshot,
             shards,
         });
-        // A replaced registration's generation can never be served
-        // again: retire it from the resident cache.
         let replaced = self
             .inner
             .write()
             .expect("catalog lock")
             .insert(id, Arc::clone(&entry))
             .map(|old| old.generation);
-        if let Some(old) = replaced {
-            self.resident.retire(old);
-        }
         Ok((entry, replaced))
     }
 
@@ -1052,7 +1002,7 @@ gadget,4,12
         // …but the remotely-placed slot holds no engine in this process
         // (its shard server owns the identical partition), while the
         // local shard keeps its payload and global base.
-        assert!(matches!(&entry.shards, Shards::Built(engines) if engines[0].is_none()));
+        assert!(entry.shards[0].is_none());
         let local = entry.local_shard(1).unwrap();
         assert_eq!(local.len(), 1);
         assert_eq!(local.base_index(), 1);
@@ -1071,10 +1021,7 @@ gadget,4,12
             ]));
             let entry = catalog.register(s).unwrap();
             assert_eq!((entry.trendline_count, entry.point_count), (2, 8));
-            assert!(match &entry.shards {
-                Shards::Built(engines) => engines.iter().all(Option::is_none),
-                Shards::Mapped { .. } => catalog.resident().stats().loads == 0,
-            });
+            assert!(entry.shards.iter().all(Option::is_none));
         }
     }
 
@@ -1254,10 +1201,7 @@ gadget,4,12
                             ..spec(None)
                         })
                         .unwrap();
-                    assert_eq!(
-                        entry.from_snapshot(),
-                        matches!(source, DataSource::Snapshot(_))
-                    );
+                    assert_eq!(entry.snapshot, matches!(source, DataSource::Snapshot(_)));
                     describe(&entry)
                 })
                 .collect();

@@ -450,32 +450,19 @@ pub(crate) fn execute_on_shards(
     trace: Option<&str>,
 ) -> ShardExec {
     let ks: Vec<usize> = queries.iter().map(|&(_, k)| k).collect();
-    // Resolve every slot up front. An eager entry hands back its
-    // resident Arcs for free; a snapshot entry materializes cold shards
-    // through the catalog's resident cache (singleflight — queries racing
-    // one cold shard share a single load, and the load happens before
-    // the fan-out so pool tasks never block on I/O). A failed load fails
-    // the whole fan-out with its structured error: a partial answer must
-    // never pass as the global top-k.
-    let mut slots: Vec<Slot> = Vec::with_capacity(entry.placement.len());
-    for (index, placement) in entry.placement.iter().enumerate() {
-        slots.push(match placement {
-            ShardPlacement::Local => match entry.local_shard(index) {
-                Ok(engine) => Slot::Local(engine),
-                Err(e) => {
-                    return ShardExec {
-                        outcomes: ks.iter().map(|_| Err(e.clone())).collect(),
-                        shard_micros: Vec::new(),
-                        hint_pruned: vec![None; ks.len()],
-                        pruning: PruningSnapshot::default(),
-                        spans: Vec::new(),
-                        degraded: ks.iter().map(|_| None).collect(),
-                    }
-                }
-            },
+    // Every local engine was built at registration.
+    let slots: Vec<Slot> = entry
+        .placement
+        .iter()
+        .enumerate()
+        .map(|(index, placement)| match placement {
+            ShardPlacement::Local => {
+                let Ok(engine) = entry.local_shard(index);
+                Slot::Local(engine)
+            }
             ShardPlacement::Remote(replicas) => Slot::Remote(replicas.clone()),
-        });
-    }
+        })
+        .collect();
     let shared = SharedThresholds::new(queries.len());
     for (i, hint) in hints.iter().enumerate().take(shared.len()) {
         if let Some(hint) = hint {

@@ -645,14 +645,13 @@ mod tests {
         assert!(resp.body.contains("\"results\":[{"), "{}", resp.body);
     }
 
-    /// Both caches' locks poisoned by a thread that panicked holding them:
+    /// The cache's lock poisoned by a thread that panicked holding it:
     /// queries still compute and hit, and `/healthz` still answers.
     #[test]
     fn poisoned_cache_locks_still_answer() {
         let state = state();
         register(&state);
         state.cache.poison();
-        state.catalog.resident().poison();
         let q = r#"{"dataset":"t1","query":"[p=up]","k":1}"#;
         for cached in ["false", "true"] {
             let resp = route(&state, &post("/query", q));
@@ -663,7 +662,6 @@ mod tests {
         let health = route(&state, &get("/healthz"));
         assert_eq!(health.status, 200, "{}", health.body);
         assert!(health.body.contains("\"hits\":1,"), "{}", health.body);
-        assert!(health.body.contains("\"snapshots\":{"), "{}", health.body);
     }
 
     #[test]
@@ -672,6 +670,23 @@ mod tests {
         assert_eq!(route(&state, &get("/nope")).status, 404);
         assert_eq!(route(&state, &get("/query")).status, 405);
         assert_eq!(route(&state, &post("/healthz", "")).status, 405);
+    }
+
+    #[test]
+    fn a_chain_wider_than_sixteen_units_is_400() {
+        let state = state();
+        register(&state);
+        let chain = |units: usize| "[p=up][p=down]".repeat(units / 2) + &"[p=up]".repeat(units % 2);
+        let query = |units| format!(r#"{{"dataset":"t1","query":"{}","k":1}}"#, chain(units));
+        let widest = route(&state, &post("/query", &query(16)));
+        assert_eq!(widest.status, 200, "{}", widest.body);
+        let wider = route(&state, &post("/query", &query(17)));
+        assert_eq!(wider.status, 400, "{}", wider.body);
+        assert!(
+            wider.body.contains("more than 16 segments"),
+            "{}",
+            wider.body
+        );
     }
 
     #[test]
@@ -2146,7 +2161,7 @@ mod tests {
                     &format!(r#"{{"dataset":"t1","query":"{q}","k":2}}"#),
                 ),
             );
-            let lazy = route(
+            let mapped = route(
                 &state,
                 &post(
                     "/query",
@@ -2154,8 +2169,12 @@ mod tests {
                 ),
             );
             assert_eq!(eager.status, 200, "{}", eager.body);
-            assert_eq!(lazy.status, 200, "{}", lazy.body);
-            assert_eq!(results_of(&eager.body), results_of(&lazy.body), "query {q}");
+            assert_eq!(mapped.status, 200, "{}", mapped.body);
+            assert_eq!(
+                results_of(&eager.body),
+                results_of(&mapped.body),
+                "query {q}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2214,6 +2233,49 @@ mod tests {
         std::fs::remove_dir_all(&elsewhere).ok();
     }
 
+    /// A 2-shard snapshot registration cuts both shards up front; a
+    /// re-registration under the same id cuts them afresh and retires the
+    /// old generation, so the re-query recomputes and answers identically.
+    #[test]
+    fn snapshot_re_registration_cuts_afresh_and_answers_identically() {
+        let dir = temp_dir("snap-recut");
+        let snap = demo_snapshot(&dir, "recut.snap");
+        let state = Arc::new(AppState::new(16, 2, Some(dir.clone()), 2));
+        let body = format!(
+            r#"{{"name":"s","id":"s1","snapshot":"{}","shards":2}}"#,
+            snap.display()
+        );
+        let resp = route(&state, &post("/datasets", &body));
+        assert_eq!(resp.status, 201, "{}", resp.body);
+        assert!(resp.body.contains("\"shards\":2"), "{}", resp.body);
+
+        let q = r#"{"dataset":"s1","query":"[p=up][p=down]","k":2}"#;
+        let cold = route(&state, &post("/query", q));
+        assert_eq!(cold.status, 200, "{}", cold.body);
+
+        let resp = route(&state, &post("/datasets", &body));
+        assert_eq!(resp.status, 201, "{}", resp.body);
+        let again = route(&state, &post("/query", q));
+        assert_eq!(again.status, 200, "{}", again.body);
+        assert!(again.body.contains("\"cached\":false"), "{}", again.body);
+        assert_eq!(results_of(&cold.body), results_of(&again.body));
+
+        // A bin width the snapshot does not seed is GROUPed from the mapped
+        // raw columns, and answers like the CSV registration of the same
+        // collection.
+        register(&state);
+        let at_width_2 = |dataset: &str| {
+            let q = format!(
+                r#"{{"dataset":"{dataset}","query":"[p=up][p=down]","k":2,"bin_width":2}}"#
+            );
+            let resp = route(&state, &post("/query", &q));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            results_of(&resp.body)
+        };
+        assert_eq!(at_width_2("s1"), at_width_2("t1"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn snapshot_registration_rejects_extraction_keys() {
         let dir = temp_dir("snap-keys");
@@ -2230,70 +2292,6 @@ mod tests {
                 .contains("does not apply to a `snapshot` registration"),
             "{}",
             resp.body
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resident_lru_evicts_and_reloads_identically_under_pressure() {
-        let dir = temp_dir("snap-lru");
-        let snap = demo_snapshot(&dir, "lru.snap");
-        let state = Arc::new(AppState::new(16, 2, Some(dir.clone()), 2));
-        // A budget below any shard's size: exactly one stays resident.
-        state.catalog.set_resident_capacity_bytes(1);
-        let body = format!(
-            r#"{{"name":"s","id":"s1","snapshot":"{}","shards":2}}"#,
-            snap.display()
-        );
-        let resp = route(&state, &post("/datasets", &body));
-        assert_eq!(resp.status, 201, "{}", resp.body);
-        assert!(resp.body.contains("\"shards\":2"), "{}", resp.body);
-
-        let q = r#"{"dataset":"s1","query":"[p=up][p=down]","k":2}"#;
-        let cold = route(&state, &post("/query", q));
-        assert_eq!(cold.status, 200, "{}", cold.body);
-
-        // Two shards, room for one: the fan-out loaded both and the
-        // budget evicted down to one.
-        let stats = state.catalog.resident().stats();
-        assert_eq!(stats.loads, 2, "{stats:?}");
-        assert_eq!(stats.resident, 1, "{stats:?}");
-        assert!(stats.evictions >= 1, "{stats:?}");
-
-        // Re-registering the same id purges that generation's residents
-        // and invalidates its cache entries; the re-query reloads every
-        // shard from disk and still answers byte-identically.
-        let resp = route(&state, &post("/datasets", &body));
-        assert_eq!(resp.status, 201, "{}", resp.body);
-        let warm = route(&state, &post("/query", q));
-        assert_eq!(warm.status, 200, "{}", warm.body);
-        assert!(warm.body.contains("\"cached\":false"), "{}", warm.body);
-        assert_eq!(results_of(&cold.body), results_of(&warm.body));
-        let stats = state.catalog.resident().stats();
-        assert_eq!(stats.loads, 4, "{stats:?}");
-        assert_eq!(stats.resident, 1, "{stats:?}");
-
-        // A bin width the snapshot does not seed is GROUPed from the
-        // reloaded shards' mapped raw columns, and answers like the CSV
-        // registration of the same collection.
-        register(&state);
-        let at_width_2 = |dataset: &str| {
-            let q = format!(
-                r#"{{"dataset":"{dataset}","query":"[p=up][p=down]","k":2,"bin_width":2}}"#
-            );
-            let resp = route(&state, &post("/query", &q));
-            assert_eq!(resp.status, 200, "{}", resp.body);
-            results_of(&resp.body)
-        };
-        assert_eq!(at_width_2("s1"), at_width_2("t1"));
-
-        // The healthz snapshot block reports the same counters.
-        let health = route(&state, &get("/healthz"));
-        assert!(health.body.contains("\"snapshots\":{"), "{}", health.body);
-        assert!(
-            health.body.contains("\"capacity_bytes\":1,"),
-            "{}",
-            health.body
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -29,9 +29,10 @@
 //! ```
 //!
 //! * Registration (`POST /datasets`) is one path for every source:
-//!   EXTRACT eagerly (or open a snapshot), partition by point count,
-//!   resolve the placement, and build engines for the local slots only;
-//!   queries never touch raw tables.
+//!   EXTRACT eagerly (or open a snapshot: opened, validated, cut once;
+//!   the kernel pages the mapping), partition by point count, resolve
+//!   the placement, and build engines for the local slots only; queries
+//!   never touch raw tables.
 //! * Every computation fans out as one compute-pool task per shard and
 //!   merges the per-shard top-k partials deterministically — results are
 //!   byte-identical for every shard count, one query can use every core,
@@ -103,7 +104,6 @@ pub mod http;
 pub mod json;
 pub mod obs;
 pub mod protocol;
-pub mod resident;
 pub mod stats;
 
 pub use cache::{CacheKey, CacheStats, QueryCache};
@@ -113,7 +113,6 @@ pub use error::ServerError;
 pub use handlers::AppState;
 pub use http::{ConnStats, HttpConfig, Request, Response, ServerHandle};
 pub use obs::{Histogram, HistogramSnapshot, Span, Stage};
-pub use resident::{ResidentShards, ResidentStats};
 pub use stats::{Stats, StatsSnapshot};
 
 use std::io;
@@ -162,14 +161,6 @@ pub struct ServerConfig {
     /// connect once — riding out a shard server restarting — before the
     /// endpoint counts as failed and failover tries the next replica.
     pub shard_retries: u32,
-    /// Byte budget for resident snapshot shards (`--resident-bytes`):
-    /// the sum of every resident shard's columnar-arena byte size.
-    /// Snapshot-registered datasets materialize shards lazily on first
-    /// touch and evict least-recently-used ones while over budget; `0`
-    /// (the default) means unlimited. At least one shard always stays
-    /// resident, so a single shard larger than the budget still serves
-    /// (and a budget of `1` means "exactly one resident").
-    pub resident_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -187,7 +178,6 @@ impl Default for ServerConfig {
             shard_connect_timeout_ms: client.connect_timeout.as_millis() as u64,
             shard_io_timeout_ms: client.io_timeout.as_millis() as u64,
             shard_retries: client.retries,
-            resident_bytes: 0,
         }
     }
 }
@@ -232,9 +222,6 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
     );
     state.max_batch = config.max_batch.max(1);
     state.slow_query_micros = config.slow_query_micros;
-    state
-        .catalog
-        .set_resident_capacity_bytes(config.resident_bytes);
     state.remote = PooledClient::with_config(client::ClientConfig {
         connect_timeout: std::time::Duration::from_millis(config.shard_connect_timeout_ms.max(1)),
         io_timeout: std::time::Duration::from_millis(config.shard_io_timeout_ms.max(1)),

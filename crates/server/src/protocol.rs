@@ -56,9 +56,6 @@
 //!                              "shard_queries"},
 //!                    "pruning":{"bounded","pruned","scored","refined",
 //!                               "joined","bound_micros"},
-//!                    "snapshots":{"resident","resident_bytes",
-//!                                 "capacity_bytes","loads","evictions",
-//!                                 "load_micros_total"},
 //!                    "connections":{"active","idle_keepalive",
 //!                                   "accepted_total","timeouts",
 //!                                   "event_loop_wakeups"},
@@ -716,7 +713,7 @@ pub fn dataset_to_json(entry: &DatasetEntry) -> Json {
     if let Some((index, total)) = entry.shard_of {
         fields.push(("shard_of", format!("{index}/{total}").into()));
     }
-    if entry.from_snapshot() {
+    if entry.snapshot {
         fields.push(("snapshot", true.into()));
     }
     obj(fields)

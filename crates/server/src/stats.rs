@@ -8,8 +8,8 @@
 //!   behind one poison-tolerant mutex.
 //! * [`StatsSnapshot`] — everything `/healthz` and `/metrics` report,
 //!   gathered once by [`StatsSnapshot::gather`] from the registry and the
-//!   other subsystems' own snapshots (cache, resident cache, connections,
-//!   failover health, heartbeat registry).
+//!   other subsystems' own snapshots (cache, connections, failover
+//!   health, heartbeat registry).
 //! * [`StatsSnapshot::to_healthz`] / [`StatsSnapshot::to_metrics`] — the
 //!   JSON and Prometheus renderings: two loops over one table of the
 //!   snapshot's scalars (`StatsSnapshot::scalars`), where a row names a
@@ -24,7 +24,6 @@ use crate::client::{EndpointHealthSnapshot, ReplicaAttempt};
 use crate::handlers::AppState;
 use crate::json::{obj, Json};
 use crate::obs::{Exposition, Histogram, HistogramSnapshot, Stage};
-use crate::resident::ResidentStats;
 use shapesearch_core::PruningSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -240,8 +239,6 @@ pub struct StatsSnapshot {
     pub shards: ShardStats,
     /// §6.3 pruning counters of this process's own engine work.
     pub pruning: PruningSnapshot,
-    /// Resident snapshot-shard cache gauges.
-    pub snapshots: ResidentStats,
     /// Evented HTTP core connection counters.
     pub connections: ConnSnapshot,
     /// Per remote endpoint, in endpoint order: RPC bookings ∪ failover
@@ -335,7 +332,6 @@ impl StatsSnapshot {
             compute_workers: state.compute.workers(),
             shards: gauges.shards,
             pruning: gauges.pruning,
-            snapshots: state.catalog.resident().stats(),
             connections: ConnSnapshot {
                 active: conn.active.load(Ordering::Relaxed),
                 idle_keepalive: conn.idle_keepalive.load(Ordering::Relaxed),
@@ -374,7 +370,7 @@ impl StatsSnapshot {
         let dialed = self.remote.values().filter_map(|row| row.health.as_ref());
         let stale = self.registry.iter().filter(|s| s.fresh_replicas == 0);
         let (cache, shards, pruning) = (&self.cache, &self.shards, &self.pruning);
-        let (snapshots, conns) = (&self.snapshots, &self.connections);
+        let conns = &self.connections;
         // One row, at most two lines: where the number sits on /healthz,
         // then the series that carries it on /metrics.
         #[rustfmt::skip]
@@ -417,18 +413,6 @@ impl StatsSnapshot {
                           chain was placed whole against the live threshold."),
             at("pruning", "bound_micros", pruning.bound_micros)
                 .counter("shapesearch_pruning_bound_micros_total", "Microseconds spent computing pruning upper bounds, all tiers."),
-            at("snapshots", "resident", snapshots.resident as u64)
-                .gauge("shapesearch_snapshot_resident_shards", "Snapshot shards currently materialized in memory."),
-            at("snapshots", "resident_bytes", snapshots.resident_bytes)
-                .gauge("shapesearch_snapshot_resident_bytes", "Columnar-arena bytes held by resident snapshot shards."),
-            at("snapshots", "capacity_bytes", snapshots.capacity_bytes)
-                .gauge("shapesearch_snapshot_resident_capacity_bytes", "Resident-shard byte budget (--resident-bytes; 0 = unlimited)."),
-            at("snapshots", "loads", snapshots.loads)
-                .counter("shapesearch_snapshot_loads_total", "Cold snapshot-shard loads (first touch or reload after eviction)."),
-            at("snapshots", "evictions", snapshots.evictions)
-                .counter("shapesearch_snapshot_evictions_total", "Snapshot shards evicted by the resident-shard LRU."),
-            at("snapshots", "load_micros_total", snapshots.load_micros_total)
-                .counter("shapesearch_snapshot_load_micros_total", "Microseconds spent materializing snapshot shards."),
             at("connections", "active", conns.active)
                 .gauge("shapesearch_connections_active", "Open client connections (any phase, including keep-alive idle)."),
             at("connections", "idle_keepalive", conns.idle_keepalive)
@@ -700,7 +684,6 @@ mod tests {
                 coalesced: next(),
                 entries: next() as usize,
                 capacity: next() as usize,
-                ..CacheStats::default()
             },
             default_shards: next() as usize,
             dataset_shards: next() as usize,
@@ -719,30 +702,26 @@ mod tests {
                 // held, below, so no older value moves.
                 joined: 0,
             },
-            snapshots: ResidentStats {
-                resident: next() as usize,
-                resident_bytes: next(),
-                capacity_bytes: next(),
-                loads: next(),
-                evictions: next(),
-                load_micros_total: next(),
-            },
-            connections: ConnSnapshot {
-                active: next(),
-                idle_keepalive: next(),
-                accepted_total: next(),
-                timeouts: next(),
-                event_loop_wakeups: next(),
-            },
             requests: hist(&[0, 1, 100, 1 << 25]),
             shard_requests: hist(&[7]),
             stages: std::array::from_fn(|i| hist(&[i as u64 + 1, 1000 * (i as u64 + 1)])),
             ..StatsSnapshot::default()
         };
+        // Six primes went to a block since removed; skipping them keeps
+        // every later golden value where it was.
+        let mut p = p.skip(6);
+        let mut next = || p.next().unwrap();
+        snapshot.connections = ConnSnapshot {
+            active: next(),
+            idle_keepalive: next(),
+            accepted_total: next(),
+            timeouts: next(),
+            event_loop_wakeups: next(),
+        };
         snapshot.pruning.joined = next();
         // The golden files were captured with 41 primes drawn before the
-        // row sets; 34 of them landed in the scalars above, the 35th in
-        // `pruning.joined` when that arrived.
+        // row sets; 34 of them were drawn for the scalars above (six since
+        // skipped), the 35th landed in `pruning.joined` when that arrived.
         let mut next = p.skip(6);
         let mut next = || next.next().unwrap();
         let rpcs: [(&str, &[u64]); 2] = [("a:1", &[2, 3]), ("b:2", &[19, 23, 4096])];

@@ -9,7 +9,6 @@
 //!             --nl "rising then falling sharply"
 //! shapesearch serve [--addr 127.0.0.1:7878] [--workers N] \
 //!             [--cache-cap N] [--max-batch N] [--shards N] \
-//!             [--resident-bytes N] \
 //!             [--data FILE --z COL --x COL --y COL [--name NAME]] \
 //!             [--snapshot FILE [--name NAME]]
 //! shapesearch snapshot --data FILE --z COL --x COL --y COL --out FILE \
@@ -22,7 +21,8 @@
 //! Figure 2 Box 4). `serve` exposes the same pipeline over HTTP with a
 //! dataset catalog and a query-result cache, on one event loop for every
 //! socket, `--workers` dispatch threads and `--workers` compute threads;
-//! see the `shapesearch-server` crate docs for the protocol.
+//! a `--snapshot` is opened, validated and cut once, and the kernel pages
+//! the mapping. See the `shapesearch-server` crate docs for the protocol.
 
 use shapesearch::prelude::*;
 use shapesearch_core::{PruningMode, SegmenterKind};
@@ -116,11 +116,12 @@ fn usage() -> &'static str {
      [--filter 'col OP value']... [--agg avg|sum|min|max|count] [--builtins]\n\
      shapesearch serve [--addr HOST:PORT] [--workers N (dispatch and compute threads; \
       one event loop serves every socket)] [--cache-cap N] \
-     [--max-batch N] [--shards N] [--resident-bytes N] \
+     [--max-batch N] [--shards N] \
      [--data-root DIR] [--slow-query-micros N] \
      [--shard-connect-timeout-ms N] [--shard-io-timeout-ms N] [--shard-retries N] \
      [--data FILE --z COL --x COL --y COL [--name NAME] [--filter ...] [--agg ...] \
-      | --snapshot FILE [--name NAME]] \
+      | --snapshot FILE (opened, validated, cut once; the kernel pages the mapping) \
+      [--name NAME]] \
       [--shard-of I/N [--announce ROUTER ...] [--advertise HOST:PORT] \
        | --shard-endpoint 'HOST:PORT[|HOST:PORT...]'|local|registry ...]\n\
      shapesearch snapshot --data FILE --z COL --x COL --y COL --out FILE \
@@ -246,16 +247,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--shards must be an integer".to_owned())?;
             }
-            "--resident-bytes" => {
-                // Byte budget for resident snapshot shards (sum of their
-                // columnar-arena sizes); least-recently-touched shards
-                // evict while over it and reload from the snapshot on
-                // the next touch, but never below one resident.
-                // 0 (the default) = unlimited.
-                config.resident_bytes = take("--resident-bytes")?
-                    .parse()
-                    .map_err(|_| "--resident-bytes must be an integer".to_owned())?;
-            }
             "--data-root" => config.data_root = Some(take("--data-root")?.into()),
             "--slow-query-micros" => {
                 // Queries slower than this emit a structured stderr line
@@ -341,8 +332,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         shapesearch::server::serve(&addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
 
     // Optional preregistration so the service starts useful: an eager
-    // --data extraction, or a --snapshot whose shards load lazily on
-    // first touch (and stay under the --resident-bytes budget).
+    // --data extraction, or a --snapshot, opened, validated and cut once.
     let prereg = match (source.data.take(), snapshot) {
         (Some(_), Some(_)) => {
             return Err("--data and --snapshot are mutually exclusive: build the \

@@ -132,6 +132,11 @@ fn bad_arguments_exit_2_in_every_subcommand() {
         &["serve", "--event-threads", "2"],
         "unknown serve argument `--event-threads`",
     );
+    // A snapshot's shards are cut once, at registration: no residency budget.
+    assert_refused(
+        &["serve", "--resident-bytes", "1"],
+        "unknown serve argument `--resident-bytes`",
+    );
     let preload = [
         &["serve", "--addr", "127.0.0.1:0", "--data", SALES],
         &SALES_MAPPING[..],
