@@ -72,7 +72,7 @@ start_serve() {
 # `/shard/query` and the cache key cannot drift apart. (`pruning` is left
 # out: the shard reply's counters block has the same name.)
 echo "==> engine option keys named once (protocol.rs + cache.rs, non-test code)"
-for key in algo bin_width pushdown parallel sharp_angle_deg gradual_angle_deg \
+for key in algo bin_width pushdown sharp_angle_deg gradual_angle_deg \
     quantifier_threshold sketch_distance_scale y_tolerance min_width_frac; do
     n=$(for f in crates/server/src/protocol.rs crates/server/src/cache.rs; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
@@ -108,6 +108,26 @@ echo "==> no residency budget (snapshot shards are cut at registration)"
 if git grep -nE 'resident_bytes|resident-bytes|ResidentShards|ResidentStats|set_capacity_bytes|Cache::weighted|lead_micros' \
     -- crates src README.md docs ':!crates/bench/src/bin/ssbench'; then
     echo "ci: a residency budget is back" >&2
+    exit 1
+fi
+
+# One threading model: shards on the compute pool are the only
+# parallelism. Core's non-test code spawns no thread, and the engine's
+# old trigger and the server's opt-out are gone in every spelling (the
+# frozen benchmark package still sets the two inert option fields).
+echo "==> one threading model (core spawns no thread; no parallel trigger or opt-out)"
+SPAWNS=$(for f in $(git ls-files 'crates/core/src/*.rs'); do
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -vE '^\s*//' |
+        grep -nE 'thread::(scope|spawn)' | sed "s#^#$f:#"
+done)
+if [ -n "$SPAWNS" ]; then
+    echo "$SPAWNS" >&2
+    echo "ci: core spawns threads; shards on the server's compute pool are the only parallelism" >&2
+    exit 1
+fi
+if git grep -nE 'DEFAULT_PARALLEL_THRESHOLD|parallel_opt_out' \
+    -- crates src README.md docs ':!crates/bench/src/bin/ssbench'; then
+    echo "ci: the engine's parallel trigger or the server's opt-out is back" >&2
     exit 1
 fi
 
@@ -386,6 +406,15 @@ WIDE_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
     -d "{\"dataset\":\"sales\",\"query\":\"$WIDE_QUERY\"}")
 [ "$WIDE_STATUS" = "400" ] || {
     echo "observability smoke: a 17-unit chain should 400, got $WIDE_STATUS"; exit 1;
+}
+# So is natural-language text one byte past its 4096-byte cap, before
+# the dispatch thread spends any time translating it.
+LONG_NL=$(printf '%4097s' 'rising then falling')
+LONG_NL_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+    -X POST "http://127.0.0.1:$ROUTER_PORT/query" \
+    -d "{\"dataset\":\"sales\",\"nl\":\"$LONG_NL\"}")
+[ "$LONG_NL_STATUS" = "400" ] || {
+    echo "observability smoke: a 4097-byte nl should 400, got $LONG_NL_STATUS"; exit 1;
 }
 
 # The router's /metrics exposition parses: non-empty, the known series

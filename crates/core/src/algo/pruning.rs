@@ -58,10 +58,9 @@
 //!
 //! The threshold lives in a [`ThresholdCell`] — an atomic-`f64`
 //! (`AtomicU64` bit-cast) max register shared across every executor of
-//! one query: parallel viz chunks, the shards of a
-//! [`crate::ShardedEngine`], and the server's compute-pool shard tasks
-//! all publish into and consume from the same cell, so any executor's
-//! progress prunes work everywhere else. The cell also carries an
+//! one query: the shards of a [`crate::ShardedEngine`] and the server's
+//! compute-pool shard tasks all publish into and consume from the same
+//! cell, so any executor's progress prunes work everywhere else. The cell also carries an
 //! unproven **hint** slot (a remote router's `threshold_hint`): pruning
 //! uses `max(proven, hint)`, but any prune justified only by the hint is
 //! recorded in a third max register so the hint's sender can verify the
@@ -194,7 +193,7 @@ struct ScorePool {
 }
 
 /// The live top-k threshold of one query, shared by every executor
-/// working on it (parallel chunks, engine shards, compute-pool tasks).
+/// working on it (engine shards, compute-pool tasks).
 ///
 /// Three inputs feed it:
 /// * [`Self::offer`] pools an exactly computed candidate score; once k
@@ -247,7 +246,7 @@ impl ThresholdCell {
         // threshold can never raise the pool's k-th above it (any pool
         // containing it has a k-th ≤ that score), so skip the mutex —
         // on low-prune workloads this is every candidate once the
-        // threshold stabilizes, which keeps parallel executors from
+        // threshold stabilizes, which keeps concurrent shard tasks from
         // serializing on the pool lock.
         if score <= load_f64(&self.proven) {
             return;

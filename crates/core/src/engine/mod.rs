@@ -38,12 +38,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use topk::TopK;
 
-/// Collection size (in trendlines) at or above which a single query runs
-/// with engine-level parallelism even when [`EngineOptions::parallel`] is
-/// off — past this point the per-thread fan-out cost is noise next to the
-/// segmentation work it spreads across cores.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1024;
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
@@ -53,20 +47,17 @@ pub struct EngineOptions {
     pub bin_width: usize,
     /// Enables the §5.4 push-down optimizations.
     pub pushdown: bool,
-    /// Scores candidate visualizations on multiple threads.
+    /// Ignored; kept for the frozen benchmark package. The engine scores
+    /// one query's candidates on the caller's thread — parallelism is
+    /// the caller's, one shard per task.
     pub parallel: bool,
-    /// Collections with at least this many trendlines are scored in
-    /// parallel even when [`Self::parallel`] is `false`
-    /// ([`DEFAULT_PARALLEL_THRESHOLD`] by default; `usize::MAX` disables
-    /// the auto-parallel policy entirely). Like `parallel`, this changes
-    /// scheduling only, never results.
+    /// Ignored; kept for the frozen benchmark package.
     pub parallel_threshold: usize,
     /// Scoring parameters.
     pub params: ScoreParams,
     /// When §6.3 bound pruning applies (default [`PruningMode::Auto`]:
-    /// every exact segmenter prunes). Like the scheduling knobs, pruning
-    /// never changes results — it only skips candidates that provably
-    /// cannot enter the top k.
+    /// every exact segmenter prunes). Pruning never changes results — it
+    /// only skips candidates that provably cannot enter the top k.
     pub pruning_mode: PruningMode,
 }
 
@@ -77,7 +68,7 @@ impl Default for EngineOptions {
             bin_width: 1,
             pushdown: true,
             parallel: false,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
+            parallel_threshold: usize::MAX,
             params: ScoreParams::default(),
             pruning_mode: PruningMode::default(),
         }
@@ -88,10 +79,10 @@ impl Default for EngineOptions {
 /// [`ThresholdCell`] per query plus one set of pruning counters.
 ///
 /// Everything that executes parts of the *same* logical computation —
-/// `run_per_viz`'s parallel chunks, a [`shard::ShardedEngine`]'s shards,
-/// the server's compute-pool shard tasks, even remote shard servers (via
-/// the wire `threshold_hint`) — should share one of these so every
-/// executor's progress tightens the pruning bound everywhere else.
+/// a [`shard::ShardedEngine`]'s shards, the server's compute-pool shard
+/// tasks, even remote shard servers (via the wire `threshold_hint`) —
+/// should share one of these so every executor's progress tightens the
+/// pruning bound everywhere else.
 /// [`ShapeEngine::top_k`] creates a private one per call; embedders that
 /// fan a computation out themselves build it once via [`Self::new`] and
 /// pass clones (clones share the same cells) to every executor, then read
@@ -556,11 +547,12 @@ impl ShapeEngine {
             .collect()
     }
 
-    /// SEGMENT + SCORE over one query's candidates. With a pruning driver
-    /// the walk is §6.3's two stages over one bound pass: the candidates
-    /// with the `k` highest upper bounds are scored first (the likely
-    /// winners, so the threshold is sharp before the bulk meets it), then
-    /// the rest are swept ([`PruningDriver::sweep`]: in index order, each
+    /// SEGMENT + SCORE over one query's candidates, on the caller's
+    /// thread (a server runs one shard per pool task). With a pruning
+    /// driver the walk is §6.3's two stages over one bound pass: the
+    /// candidates with the `k` highest upper bounds are scored first (the
+    /// likely winners, so the threshold is sharp before the bulk meets
+    /// it), then the rest are swept ([`PruningDriver::sweep`]: in index order, each
     /// one comparison against the live threshold — or, for a query with a
     /// second bound tier, refined in one pass and walked best bound
     /// first). The threshold only prunes *strictly* below itself
@@ -605,8 +597,8 @@ impl ShapeEngine {
         };
         // Scores one candidate exactly, admits it, and returns the score
         // (which the driver pools: once k scores exist *anywhere* — across
-        // chunks, shards, even processes via the server's fan-out — the
-        // global k-th becomes the proven threshold).
+        // shards, even processes via the server's fan-out — the global
+        // k-th becomes the proven threshold).
         let admit = |pos: usize, topk: &mut TopK| -> f64 {
             let viz = vizzes[pos];
             let result = score_one(viz);
@@ -643,50 +635,14 @@ impl ShapeEngine {
         }
         // Stage 2: everyone else — in index order, or best second-tier
         // bound first when the query has one (the driver knows which).
-        let sweep = |range: std::ops::Range<usize>, topk: &mut TopK| {
-            let rest = range.filter(|&pos| !seeded[pos]);
-            match &bounded {
-                Some((driver, bounds)) => {
-                    driver.sweep(vizzes, bounds, rest, |pos| admit(pos, topk));
-                }
-                None => rest.for_each(|pos| {
-                    admit(pos, topk);
-                }),
+        let rest = (0..vizzes.len()).filter(|&pos| !seeded[pos]);
+        match &bounded {
+            Some((driver, bounds)) => {
+                driver.sweep(vizzes, bounds, rest, |pos| admit(pos, &mut topk));
             }
-        };
-
-        let parallel = options.parallel || vizzes.len() >= options.parallel_threshold;
-        if parallel && vizzes.len() > 1 {
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(vizzes.len());
-            let chunk = vizzes.len().div_ceil(threads);
-            let sweep = &sweep;
-            std::thread::scope(|scope| {
-                // Each chunk keeps a local top-k (its scores raise the
-                // shared threshold as they land, so chunks prune each
-                // other's work); merging the chunk top-ks is exact
-                // because a global top-k member is in its chunk's top-k.
-                let handles: Vec<_> = (0..vizzes.len())
-                    .step_by(chunk)
-                    .map(|start| {
-                        let end = (start + chunk).min(vizzes.len());
-                        scope.spawn(move || {
-                            let mut local = TopK::new(k, end - start);
-                            sweep(start..end, &mut local);
-                            local.into_sorted()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for s in h.join().expect("scoring thread panicked") {
-                        topk.push(s.viz, s.result);
-                    }
-                }
-            });
-        } else {
-            sweep(0..vizzes.len(), &mut topk);
+            None => rest.for_each(|pos| {
+                admit(pos, &mut topk);
+            }),
         }
         topk
     }
@@ -809,19 +765,6 @@ mod tests {
                 results[0].key
             );
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let opts = EngineOptions {
-            parallel: true,
-            ..EngineOptions::default()
-        };
-        let par = ShapeEngine::from_trendlines(collection()).with_options(opts);
-        let seq = ShapeEngine::from_trendlines(collection());
-        let a = par.top_k(&updown(), 4).unwrap();
-        let b = seq.top_k(&updown(), 4).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

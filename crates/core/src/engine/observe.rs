@@ -18,8 +18,8 @@ pub enum EngineStage {
     /// batch — see `ShapeEngine::top_k_batch_observed`).
     Group,
     /// One query's SEGMENT + SCORE pass over the candidate
-    /// visualizations (per query, covers the whole `run_per_viz` walk
-    /// including any parallel fan-out). The clock starts before
+    /// visualizations (per query, covers the whole `run_per_viz` walk,
+    /// which runs on the calling thread). The clock starts before
     /// candidate selection (push-down (a)'s filter), so everything a
     /// batch does after its `Group` report lies inside some query's
     /// `SegmentScore` sample and an executor's wall time ≈ `Group` +
@@ -50,9 +50,10 @@ impl EngineStage {
 /// A sink for engine stage timings.
 ///
 /// Implementations must be cheap and lock-free on the hot path — the
-/// engine calls [`Self::stage`] from scoring threads (possibly many
-/// concurrently, hence the `Sync` bound) and from inside the pruning
-/// driver's bound pass.
+/// engine calls [`Self::stage`] on the thread that called it, from
+/// inside the pruning driver's bound pass too. One observer may serve
+/// several engine calls at once (an embedder's pool tasks of one fan-out,
+/// each scoring a shard), hence the `Sync` bound.
 pub trait StageObserver: Sync {
     /// Reports that `stage` work took `micros` microseconds. One
     /// invocation per timed region, not a running total; implementations

@@ -20,11 +20,10 @@
 //! merge with [`merge_topk`]. The server does not hold one: its catalog
 //! cuts the slices it serves straight from [`partition_bounds_by_points`]
 //! (a shard server keeps one, a router none of the remote ones), and its
-//! compute pool is the workspace's one shard-level fan-out. The query
-//! methods here visit the shards in partition order on the caller's
-//! thread; in-process parallelism lives one level down, in each shard's
-//! own scoring pass, and is steered by the caller's [`EngineOptions`]
-//! alone.
+//! compute pool is the workspace's one shard-level fan-out and its only
+//! parallelism. The query methods here visit the shards in partition
+//! order on the caller's thread, and each shard scores its candidates on
+//! that same thread: the engine spawns none.
 
 use super::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 use crate::error::Result;
@@ -502,37 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_auto_threshold_fan_out_match_sequential() {
-        let tls = collection(23);
-        let reference = ShapeEngine::from_trendlines(tls.clone());
-        let want = reference.top_k(&updown(), 10).unwrap();
-        let sharded = ShardedEngine::from_trendlines(tls, 4);
-        // The caller's scheduling options reach every shard untouched:
-        // explicit viz-level fan-out inside each shard...
-        let parallel = EngineOptions {
-            parallel: true,
-            ..EngineOptions::default()
-        };
-        assert_eq!(
-            sharded
-                .top_k_with_options(&updown(), 10, &parallel)
-                .unwrap(),
-            want
-        );
-        // ...and auto-parallel: every shard crosses the configured
-        // threshold.
-        let auto = EngineOptions {
-            parallel: false,
-            parallel_threshold: 2,
-            ..EngineOptions::default()
-        };
-        assert_eq!(
-            sharded.top_k_with_options(&updown(), 10, &auto).unwrap(),
-            want
-        );
-    }
-
-    #[test]
     fn udps_register_on_every_shard() {
         let mut sharded = ShardedEngine::from_trendlines(collection(12), 3);
         sharded.register_builtin_udps();
@@ -609,9 +577,8 @@ mod tests {
         assert_eq!(order, vec![0, 1, 4, 6]);
     }
 
-    /// A large collection split into 4 shards, each scoring its
-    /// candidates in parallel, answers exactly like one sequential shard.
-    /// (The wall-clock side of fan-out lives in `ssbench`'s
+    /// A large collection split into 4 shards answers exactly like one
+    /// shard. (The wall-clock side of fan-out lives in `ssbench`'s
     /// `engine.fanout_speedup`, where noise is controlled — tier-1
     /// carries no timing assertions.)
     #[test]
@@ -630,18 +597,13 @@ mod tests {
         let opts = EngineOptions {
             segmenter: SegmenterKind::Dp,
             bin_width: 4,
-            parallel: true,
             ..EngineOptions::default()
-        };
-        let sequential = EngineOptions {
-            parallel: false,
-            ..opts.clone()
         };
         let single = ShardedEngine::from_trendlines(tls.clone(), 1);
         let sharded = ShardedEngine::from_trendlines(tls, 4);
         let q = updown();
 
-        let want = single.top_k_with_options(&q, 8, &sequential).unwrap();
+        let want = single.top_k_with_options(&q, 8, &opts).unwrap();
         assert_eq!(sharded.top_k_with_options(&q, 8, &opts).unwrap(), want);
     }
 
@@ -657,15 +619,9 @@ mod tests {
             .top_k(&q, tls.len())
             .unwrap();
         assert!(!want.is_empty());
-        let parallel = EngineOptions {
-            parallel: true,
-            ..EngineOptions::default()
-        };
         for k in [10usize.pow(15), usize::MAX] {
-            let sequential = ShapeEngine::from_trendlines(tls.clone());
-            assert_eq!(sequential.top_k(&q, k).unwrap(), want, "sequential k={k}");
-            let fanned = ShapeEngine::from_trendlines(tls.clone()).with_options(parallel.clone());
-            assert_eq!(fanned.top_k(&q, k).unwrap(), want, "parallel k={k}");
+            let engine = ShapeEngine::from_trendlines(tls.clone());
+            assert_eq!(engine.top_k(&q, k).unwrap(), want, "k={k}");
             for shards in [1usize, 3] {
                 let sharded = ShardedEngine::from_trendlines(tls.clone(), shards);
                 assert_eq!(sharded.top_k(&q, k).unwrap(), want, "shards={shards} k={k}");

@@ -23,6 +23,6 @@ mod regex;
 pub mod sketch;
 
 pub use error::{ParseError, Result};
-pub use nl::{cross_validate_corpus, parse_natural_language, NlParser, ParsedNl};
+pub use nl::{cross_validate_corpus, parse_natural_language, NlParser, ParsedNl, MAX_NL_BYTES};
 pub use regex::parse_regex;
 pub use sketch::{sketch_to_pattern_query, sketch_to_precise_query, Canvas};

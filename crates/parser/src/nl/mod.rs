@@ -36,6 +36,14 @@ pub const DEFAULT_CORPUS_SIZE: usize = 250;
 /// Default training seed.
 pub const DEFAULT_SEED: u64 = 0x5ea6c4;
 
+/// The longest natural-language query text [`NlParser::parse`] accepts, in
+/// bytes. Translation is linear in the text at about 5 µs a character
+/// (release build), and query text arrives from outside the program:
+/// without a cap, one request body holds the thread translating it for
+/// as long as its size allows — seconds a megabyte. Like the regex
+/// parser's nesting cap, it is far beyond any sentence a person types.
+pub const MAX_NL_BYTES: usize = 4096;
+
 impl NlParser {
     /// Trains a parser on the synthetic corpus.
     pub fn train_default() -> Self {
@@ -76,8 +84,20 @@ impl NlParser {
     /// Parses a natural-language query into a ShapeQuery.
     ///
     /// # Errors
-    /// Fails when no shape content can be recognized.
+    /// Fails when the text is longer than [`MAX_NL_BYTES`] (before any of
+    /// it is read) or when no shape content can be recognized.
     pub fn parse(&self, text: &str) -> Result<ParsedNl> {
+        if text.len() > MAX_NL_BYTES {
+            let head: String = text.chars().take(32).collect();
+            return Err(ParseError::new(
+                0,
+                format!(
+                    "natural-language query is {} bytes, longer than {MAX_NL_BYTES}",
+                    text.len()
+                ),
+                format!("{head}…"),
+            ));
+        }
         let analyzed = analyze(text);
         let entities = self.tag(text);
         let Some(Translation { query, notes }) = translate::translate(&entities, &analyzed.tokens)
@@ -219,6 +239,25 @@ mod tests {
     fn unintelligible_query_errors() {
         assert!(parser().parse("purple monkey dishwasher").is_err());
         assert!(parser().parse("").is_err());
+    }
+
+    #[test]
+    fn text_longer_than_the_cap_is_refused_unread() {
+        // A real query padded with spaces (the tokenizer drops them) to
+        // exactly the cap, then one byte more.
+        let query = "show me genes that are rising, then going down";
+        let at_cap = format!("{query:<MAX_NL_BYTES$}");
+        assert_eq!(at_cap.len(), MAX_NL_BYTES);
+        let p = parser().parse(&at_cap).unwrap();
+        assert_eq!(p.query.to_string(), "[p=up][p=down]");
+        let over = format!("{at_cap} ");
+        let err = parser().parse(&over).unwrap_err();
+        assert!(
+            err.message.contains("4097 bytes, longer than 4096"),
+            "{}",
+            err.message
+        );
+        assert!(err.input.len() < 64, "the refusal must not echo the text");
     }
 
     #[test]

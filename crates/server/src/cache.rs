@@ -264,10 +264,9 @@ impl Generational for CacheKey {
 }
 
 /// A deterministic fingerprint of every result-affecting engine option:
-/// the cache-key rows of `protocol`'s option table. Scheduling
-/// (`parallel`, `parallel_threshold`) and the pruning mode are not among
-/// them: they never change results (`parallel_matches_sequential` in the
-/// engine tests).
+/// the cache-key rows of `protocol`'s option table. The pruning mode is
+/// not among them — it never changes results — and neither are the
+/// inert `parallel` and `parallel_threshold`, which nothing reads.
 pub fn options_fingerprint(o: &EngineOptions) -> String {
     let mut fingerprint = String::with_capacity(192);
     for (key, slot) in protocol::options_on(&mut o.clone(), Route::Key) {
@@ -671,7 +670,7 @@ mod tests {
             parallel_threshold: 7,
             ..EngineOptions::default()
         };
-        // Scheduling-only knobs share a fingerprint…
+        // The inert fields share a fingerprint…
         assert_eq!(options_fingerprint(&a), options_fingerprint(&b));
         // …but result-affecting scoring parameters do not.
         let mut c = EngineOptions::default();

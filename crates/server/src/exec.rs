@@ -41,9 +41,6 @@ pub(crate) struct PlannedQuery {
     pub k: usize,
     pub options: EngineOptions,
     pub key: CacheKey,
-    /// The request explicitly sent `"parallel": false` — its group
-    /// honors the opt-out instead of defaulting parallelism on.
-    pub parallel_opt_out: bool,
     /// The request asked for its trace (`"explain": true`) in the
     /// response envelope. Never part of the cache key: tracing observes
     /// the computation, it does not change it.
@@ -80,7 +77,6 @@ fn plan_query(state: &AppState, body: &Json) -> Result<PlannedQuery, ServerError
         k: req.k,
         options,
         key,
-        parallel_opt_out: req.parallel_opt_out,
         explain: req.explain,
         partial: req.partial,
     })
@@ -96,8 +92,9 @@ const ENGINE_STAGES: [EngineStage; 3] = [
 /// The per-task [`StageObserver`]: forwards every engine stage sample
 /// into the process-wide histograms and accumulates per-task totals (in
 /// [`ENGINE_STAGES`] order) for the task's span — the same samples, so
-/// span and histogram cannot disagree. Atomics because the engine may
-/// report from several scoring threads at once.
+/// span and histogram cannot disagree. Atomics because a
+/// [`StageObserver`] is `Sync`; one task's engine pass reports from one
+/// thread.
 struct StageTap<'m> {
     stats: &'m Stats,
     micros: [AtomicU64; 3],
@@ -406,20 +403,16 @@ pub(crate) fn hint_undischarged(
 /// partition map and merges each query's per-shard top-k partials
 /// deterministically. The per-slot work is built **once** ([`ShardWork`]
 /// and one resolved [`Slot`] per placement entry); the only remaining
-/// choice is *where* the slots run. By default they fan out as **one
-/// compute-pool task per slot** — the submitting HTTP worker helps drain
-/// the pool while it waits, so a single query can saturate every core
-/// and large batches interleave with other requests as short shard
-/// tasks; local engine passes and remote RPCs are leaf work alike
-/// (neither submits further tasks, so the help-while-waiting protocol
-/// cannot deadlock). `sequential` (a client's explicit
-/// `"parallel": false` CPU cap) runs every slot inline one after another
-/// instead, and so does a lone **local** slot — there is nothing to fan
-/// out, and with the options untouched it keeps the unsharded engine's
-/// exact execution profile (including its own viz-level parallelism
-/// policy). Every other shape switches the engine's inner parallelism
-/// off: shard tasks are the unit of parallelism there, and a capped
-/// client gets one thread no matter the collection size.
+/// choice is *where* the slots run. A lone **local** slot runs inline on
+/// the calling thread — there is nothing to fan out. Every other shape
+/// fans out as **one compute-pool task per slot** — the submitting HTTP
+/// worker helps drain the pool while it waits, so a single query can
+/// occupy as many cores as it has shards and large batches interleave
+/// with other requests as short shard tasks; local engine passes and
+/// remote RPCs are leaf work alike (neither submits further tasks, so the
+/// help-while-waiting protocol cannot deadlock). Shards are the unit of
+/// parallelism: the engine scores a slot's candidates on the thread that
+/// runs it, so every slot runs with the options as planned.
 ///
 /// **Threshold flow.** Every local shard task shares one
 /// [`SharedThresholds`] (one cell per query), seeded from the caller's
@@ -445,7 +438,6 @@ pub(crate) fn execute_on_shards(
     entry: &Arc<DatasetEntry>,
     queries: Vec<(ShapeQuery, usize)>,
     options: &EngineOptions,
-    sequential: bool,
     hints: &[Option<f64>],
     trace: Option<&str>,
 ) -> ShardExec {
@@ -469,23 +461,12 @@ pub(crate) fn execute_on_shards(
             shared.seed_hint(i, *hint);
         }
     }
-    let inline = sequential || matches!(slots[..], [Slot::Local(_)]);
     let work = Arc::new(ShardWork {
         state: Arc::clone(state),
         dataset: entry.id.clone(),
         queries,
-        // Also the options any verification retry re-sends. (Remote
-        // shard servers schedule their own cores; scheduling never
-        // changes results.)
-        options: if inline && !sequential {
-            options.clone()
-        } else {
-            EngineOptions {
-                parallel: false,
-                parallel_threshold: usize::MAX,
-                ..options.clone()
-            }
-        },
+        // Also the options any verification retry re-sends.
+        options: options.clone(),
         trace: trace.map(str::to_owned),
     });
 
@@ -494,9 +475,7 @@ pub(crate) fn execute_on_shards(
     // gives remote RPCs the freshest possible threshold hints; `order`
     // maps the submission order back onto placement slots.
     let mut order: Vec<usize> = (0..slots.len()).collect();
-    if !inline {
-        order.sort_by_key(|&index| matches!(slots[index], Slot::Remote(_)));
-    }
+    order.sort_by_key(|&index| matches!(slots[index], Slot::Remote(_)));
     let tasks: Vec<Box<dyn FnOnce() -> ShardRun + Send>> = order
         .iter()
         .map(|&index| {
@@ -504,7 +483,7 @@ pub(crate) fn execute_on_shards(
             Box::new(move || slot.run(&work, &shared)) as _
         })
         .collect();
-    let ran: Vec<ShardRun> = if inline {
+    let ran: Vec<ShardRun> = if matches!(slots[..], [Slot::Local(_)]) {
         tasks.into_iter().map(|task| task()).collect()
     } else {
         state.compute.run_all(tasks)
@@ -784,23 +763,6 @@ pub(crate) fn resolve_items(
             .iter()
             .map(|lead| (lead.planned.query_ast.clone(), lead.planned.k))
             .collect();
-        // Execution policy: a group's work is parallel by default —
-        // multi-shard datasets fan their shard tasks across the compute
-        // pool, and a single-shard group carrying several queries gets
-        // the engine's viz-level parallelism on top of the shared GROUP
-        // pass (a lone query keeps the options it planned with). Scores
-        // are scheduling-invariant (`parallel` is excluded from the
-        // cache fingerprint for the same reason), so results stay
-        // byte-identical to sequential runs. An explicit
-        // `"parallel": false` on any group member is an opt-out (a
-        // client capping its CPU footprint) and wins over the default.
-        let opted_out = group.iter().any(|lead| lead.planned.parallel_opt_out);
-        let mut options = group[0].planned.options.clone();
-        if opted_out {
-            options.parallel = false;
-        } else if specs.len() > 1 {
-            options.parallel = true;
-        }
         // One member asking for `explain` traces the whole group's
         // fan-out — the computation is shared, so its spans are too. The
         // trace ID rides the shard wire only then: remote span
@@ -811,8 +773,7 @@ pub(crate) fn resolve_items(
             state,
             &group[0].planned.entry,
             specs,
-            &options,
-            opted_out,
+            &group[0].planned.options,
             &[],
             traced.then_some(trace_id),
         );

@@ -273,7 +273,6 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
         &entry,
         req.queries,
         &req.options,
-        false,
         &req.hints,
         req.trace_id.as_deref(),
     );
@@ -715,7 +714,6 @@ mod tests {
                 "field `bin_width` must be a non-negative integer",
             ),
             (r#""pushdown":"no""#, "field `pushdown` must be a boolean"),
-            (r#""parallel":0"#, "field `parallel` must be a boolean"),
             (r#""explain":1"#, "field `explain` must be a boolean"),
             (r#""partial":"true""#, "field `partial` must be a boolean"),
         ];
@@ -856,7 +854,6 @@ mod tests {
             &entry,
             vec![(q, 2)],
             &state.default_options,
-            false,
             &[],
             None,
         );
@@ -1146,6 +1143,128 @@ mod tests {
         let resp = route(&state, &post("/query", q));
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(resp.body.contains("\"results\""), "{}", resp.body);
+    }
+
+    /// `nl` text is capped before translation starts: one byte past
+    /// [`shapesearch_parser::MAX_NL_BYTES`] is a 400 naming the cap.
+    #[test]
+    fn nl_text_longer_than_the_cap_is_400() {
+        let state = state();
+        register(&state);
+        let nl = |len: usize| format!("{:<len$}", "rising then falling");
+        let body = |nl: String| format!(r#"{{"dataset":"t1","nl":"{nl}","k":1}}"#);
+        let at_cap = route(&state, &post("/query", &body(nl(4096))));
+        assert_eq!(at_cap.status, 200, "{}", at_cap.body);
+        let over = route(&state, &post("/query", &body(nl(4097))));
+        assert_eq!(over.status, 400, "{}", over.body);
+        assert!(over.body.contains("longer than 4096"), "{}", over.body);
+    }
+
+    /// Shards are the only parallelism, and a batch is no exception: one
+    /// collection registered as one shard and as four answers the same
+    /// 8-query batch byte for byte, each item exactly as its query does
+    /// alone, and a `"parallel"` key is ignored whatever its value — same
+    /// bytes, same cache entry.
+    #[test]
+    fn one_shard_and_four_answer_a_batch_alike_and_parallel_is_ignored() {
+        // 40 random walks of 32 points (a fixed LCG), a few repeated so
+        // ties straddle shard boundaries.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut step = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (seed >> 33) as f64 / (1u64 << 31) as f64 - 1.0
+        };
+        let mut csv = String::from("z,x,y");
+        let walks: Vec<Vec<f64>> = (0..40)
+            .map(|_| {
+                let mut y = 0.0;
+                (0..32)
+                    .map(|_| {
+                        y += step();
+                        y
+                    })
+                    .collect()
+            })
+            .collect();
+        for (i, walk) in walks.iter().enumerate() {
+            let walk = if i % 9 == 4 { &walks[i - 4] } else { walk };
+            for (t, y) in walk.iter().enumerate() {
+                csv.push_str(&format!("\\nw{i},{t},{y}"));
+            }
+        }
+        let fresh = || {
+            let state = state();
+            for (id, shards) in [("one", 1), ("four", 4)] {
+                let body = format!(
+                    r#"{{"name":"w","id":"{id}","csv":"{csv}","z":"z","x":"x","y":"y","shards":{shards}}}"#
+                );
+                let resp = route(&state, &post("/datasets", &body));
+                assert_eq!(resp.status, 201, "{}", resp.body);
+            }
+            state
+        };
+        let queries = [
+            "[p=up][p=down]",
+            "[p=down][p=up]",
+            "[p=45][p=-30][p=60]",
+            "[p=up]",
+            "[p=flat][p=down]",
+            "[x.s=4,x.e=20,p=up][p=down]",
+            "([p=up]|[p=flat])[p=down]",
+            "[p=up][p=down][p=up][p=down]",
+        ];
+        let item = |dataset: &str, i: usize, extra: &str| {
+            format!(
+                r#"{{"dataset":"{dataset}","query":"{}","k":{}{extra}}}"#,
+                queries[i],
+                i + 1
+            )
+        };
+        let batch = |state: &Arc<AppState>, dataset: &str, extra: &str| -> Vec<String> {
+            let items: Vec<String> = (0..queries.len())
+                .map(|i| item(dataset, i, extra))
+                .collect();
+            let resp = route(state, &post("/query", &format!("[{}]", items.join(","))));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let reply = json::parse(&resp.body).unwrap();
+            let responses = reply.get("responses").unwrap().as_array().unwrap();
+            responses
+                .iter()
+                .map(|r| r.get("results").expect("every item answers").to_text())
+                .collect()
+        };
+
+        let state = fresh();
+        let want = batch(&state, "one", "");
+        assert_eq!(batch(&state, "four", ""), want, "4 shards vs 1");
+        let alone = fresh();
+        for dataset in ["one", "four"] {
+            for (i, want) in want.iter().enumerate() {
+                let resp = route(&alone, &post("/query", &item(dataset, i, "")));
+                assert_eq!(resp.status, 200, "{}", resp.body);
+                let results = json::parse(&resp.body).unwrap();
+                let results = results.get("results").unwrap().to_text();
+                assert_eq!(&results, want, "{dataset}: `{}` alone", queries[i]);
+            }
+        }
+        for parallel in [
+            r#","parallel":true"#,
+            r#","parallel":false"#,
+            r#","parallel":0"#,
+        ] {
+            assert_eq!(batch(&fresh(), "one", parallel), want, "{parallel}");
+            for dataset in ["one", "four"] {
+                for i in 0..queries.len() {
+                    let resp = route(&state, &post("/query", &item(dataset, i, parallel)));
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                    assert!(
+                        resp.body.contains(r#""cached":true"#),
+                        "{dataset} {parallel}: {}",
+                        resp.body
+                    );
+                }
+            }
+        }
     }
 
     fn register_sharded(state: &Arc<AppState>, id: &str, shards: usize) {
@@ -1844,7 +1963,6 @@ mod tests {
             &entry,
             vec![(q, 2)],
             &router.default_options,
-            false,
             &[Some(0.999)],
             None,
         );
@@ -1941,7 +2059,7 @@ mod tests {
         let run = |router: &Arc<AppState>, hint| {
             let entry = router.catalog.get("t1").unwrap();
             let (queries, options) = (vec![(q.clone(), 2)], &router.default_options);
-            execute_on_shards(router, &entry, queries, options, false, &[hint], None)
+            execute_on_shards(router, &entry, queries, options, &[hint], None)
         };
         let want = run(&reference, None).outcomes.remove(0).unwrap();
         assert_eq!(want.len(), 2);

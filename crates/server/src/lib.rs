@@ -33,10 +33,12 @@
 //!   the kernel pages the mapping), partition by point count, resolve
 //!   the placement, and build engines for the local slots only; queries
 //!   never touch raw tables.
-//! * Every computation fans out as one compute-pool task per shard and
-//!   merges the per-shard top-k partials deterministically — results are
-//!   byte-identical for every shard count, one query can use every core,
-//!   and large batches interleave fairly with other requests.
+//! * Every computation fans out as one compute-pool task per shard (a
+//!   lone local shard runs on the dispatch thread) and merges the
+//!   per-shard top-k partials deterministically — results are
+//!   byte-identical for every shard count, one query uses as many cores
+//!   as it has shards, and large batches interleave fairly with other
+//!   requests. Nothing else spawns a thread per request.
 //! * Shards can live in **other server processes**: a registration's
 //!   partition map ([`catalog::ShardPlacement`], set via
 //!   `"shard_endpoints"` / `--shard-endpoint`) routes remote shards over
@@ -133,11 +135,12 @@ pub struct ServerConfig {
     /// a structured `batch_too_large` 400.
     pub max_batch: usize,
     /// Engine shards per registered dataset, unless a registration pins
-    /// its own count. `0` (the default) means auto: the machine's
-    /// available parallelism. Always capped by each dataset's collection
-    /// size. Sharded execution returns results identical to `1` for
-    /// every value — this knob trades registration-time partitioning for
-    /// query-time fan-out across the compute pool.
+    /// its own count — the one parallelism setting: a query runs one
+    /// compute-pool task per shard, each scoring its partition on one
+    /// thread, so `1` means one core per query. `0` (the default) means
+    /// auto: the machine's available parallelism. Always capped by each
+    /// dataset's collection size. Sharded execution returns results
+    /// identical to `1` for every value.
     pub shards: usize,
     /// Directory that `POST /datasets` `path` sources must live under;
     /// `None` (the default) disables path registration over HTTP so

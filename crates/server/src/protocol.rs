@@ -131,7 +131,6 @@
 //! |---|---|---|---|
 //! | `algo`, `bin_width`, `pushdown` | override | pinned | yes |
 //! | `pruning` | override | pinned | no: it never changes results |
-//! | `parallel` | override | no | no: scheduling only |
 //! | the six [`shapesearch_core::ScoreParams`] | no | pinned | yes |
 //!
 //! [`QueryRequest::effective_options`], [`options_to_json`],
@@ -141,8 +140,8 @@
 //! treats every pinned option as required, so a router and a shard server
 //! that disagree about the option vocabulary fail loudly at the RPC
 //! boundary instead of silently computing under different options.
-//! `parallel` and `parallel_threshold` never leave the process: they never
-//! change results, and each process schedules its own cores.
+//! `parallel` and `parallel_threshold` have no row: nothing reads them,
+//! and a `"parallel"` key in a body is ignored like any other unknown key.
 //!
 //! **Every field goes through one reader** (`field`), with one message per
 //! fault: an absent key is ``missing field `k` ``, a present one of the
@@ -511,7 +510,7 @@ impl fmt::Display for Slot<'_> {
 /// its key, where it travels, and its slot — in wire order. It
 /// destructures `EngineOptions` and `ScoreParams` without `..`, so a new
 /// field does not compile until it has a row.
-fn wire_options(options: &mut EngineOptions) -> [(&'static str, &'static [Route], Slot<'_>); 11] {
+fn wire_options(options: &mut EngineOptions) -> [(&'static str, &'static [Route], Slot<'_>); 10] {
     use Route::{Key, Query, Shard};
     const EVERYWHERE: &[Route] = &[Query, Shard, Key];
     const PARAM: &[Route] = &[Shard, Key];
@@ -519,8 +518,8 @@ fn wire_options(options: &mut EngineOptions) -> [(&'static str, &'static [Route]
         segmenter,
         bin_width,
         pushdown,
-        parallel,
-        // A server setting no request names, and scheduling only.
+        // Ignored by the engine; kept for the frozen benchmark package.
+        parallel: _,
         parallel_threshold: _,
         params,
         pruning_mode,
@@ -540,8 +539,6 @@ fn wire_options(options: &mut EngineOptions) -> [(&'static str, &'static [Route]
         ("pushdown",              EVERYWHERE,      Slot::Flag(pushdown)),
         // Pruning only skips provable losers: every mode shares an entry.
         ("pruning",               &[Query, Shard], Slot::Pruning(pruning_mode)),
-        // Scheduling only: each process schedules its own cores.
-        ("parallel",              &[Query],        Slot::Flag(parallel)),
         ("sharp_angle_deg",       PARAM,           Slot::Number(sharp_angle_deg)),
         ("gradual_angle_deg",     PARAM,           Slot::Number(gradual_angle_deg)),
         ("quantifier_threshold",  PARAM,           Slot::Number(quantifier_threshold)),
@@ -587,9 +584,6 @@ pub struct QueryRequest {
     /// `/query` options it gave, checked when it was read and applied by
     /// [`Self::effective_options`].
     pub overrides: Json,
-    /// The body sent `parallel: false`: an opt-out its batch group
-    /// honors, where leaving it out lets the group default to parallel.
-    pub parallel_opt_out: bool,
     /// When `true`, the response envelope carries the request's trace:
     /// the stitched span tree (including remote shards' own timings)
     /// and pruning stats. Purely additive — it never affects results or
@@ -613,12 +607,7 @@ pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError>
             "one of `query` or `nl` is required",
         ));
     }
-    // Read over a default of `parallel: true`, so `false` can only be the
-    // body's own opt-out.
-    let mut given = EngineOptions {
-        parallel: true,
-        ..EngineOptions::default()
-    };
+    let mut given = EngineOptions::default();
     let mut overrides = Vec::new();
     for (key, slot) in options_on(&mut given, Route::Query) {
         slot.read(body, key, false)?;
@@ -632,7 +621,6 @@ pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError>
         nl,
         k: field::<Option<usize>>(body, "k")?.unwrap_or(5),
         overrides: Json::Obj(overrides),
-        parallel_opt_out: !given.parallel,
         explain: field::<Option<bool>>(body, "explain")?.unwrap_or(false),
         partial: field::<Option<bool>>(body, "partial")?.unwrap_or(false),
     })
@@ -1215,7 +1203,7 @@ mod tests {
         let Json::Obj(fields) = wire.clone() else {
             panic!("options serialize as an object")
         };
-        assert_eq!(fields.len(), 10, "all but `parallel`: {}", wire.to_text());
+        assert_eq!(fields.len(), 10, "every row: {}", wire.to_text());
         for (key, _) in &fields {
             let mut crippled = fields.clone();
             crippled.retain(|(k, _)| k != key);
@@ -1232,7 +1220,6 @@ mod tests {
             segmenter: SegmenterKind::Greedy,
             bin_width: 7,
             pushdown: false,
-            parallel: true,
             pruning_mode: PruningMode::Off,
             ..EngineOptions::default()
         };
@@ -1246,14 +1233,8 @@ mod tests {
         let shard = options_from_json(&options_to_json(&options)).unwrap();
         assert_eq!(
             format!("{shard:?}"),
-            format!(
-                "{:?}",
-                EngineOptions {
-                    parallel: false,
-                    ..options.clone()
-                }
-            ),
-            "the shard wire pins everything but `parallel`"
+            format!("{options:?}"),
+            "the shard wire pins every option"
         );
         let given = options_on(&mut options.clone(), Route::Query)
             .map(|(key, slot)| (key, slot.write()))
@@ -1268,16 +1249,12 @@ mod tests {
         assert_eq!(over.segmenter, options.segmenter);
         assert_eq!(over.bin_width, options.bin_width);
         assert_eq!(over.pushdown, options.pushdown);
-        assert_eq!(over.parallel, options.parallel);
         assert_eq!(over.pruning_mode, options.pruning_mode);
         assert_eq!(
             over.params,
             EngineOptions::default().params,
             "no `/query` params"
         );
-        assert!(!request.parallel_opt_out);
-        let body = json::parse(r#"{"dataset":"d","query":"[p=up]","parallel":false}"#).unwrap();
-        assert!(query_request_from_json(&body).unwrap().parallel_opt_out);
         // `bin_width` 0 means 1 wherever it arrives.
         let body = json::parse(r#"{"dataset":"d","query":"[p=up]","bin_width":0}"#).unwrap();
         let request = query_request_from_json(&body).unwrap();
@@ -1606,7 +1583,6 @@ mod tests {
             nl: Some("rising then falling".into()),
             k: 5,
             overrides: Json::Obj(Vec::new()),
-            parallel_opt_out: false,
             explain: false,
             partial: false,
         };

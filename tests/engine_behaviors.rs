@@ -1,9 +1,9 @@
-//! Engine-level behaviours: option interplay (parallel, pruning, push-down,
+//! Engine-level behaviours: option interplay (pruning, push-down,
 //! binning), OR fan-out fallbacks, built-in UDPs through the engine, and
 //! determinism guarantees.
 
 use shapesearch::prelude::*;
-use shapesearch_core::{EngineOptions, Pattern, SegmenterKind, ShapeQuery};
+use shapesearch_core::{Pattern, ShapeQuery};
 use shapesearch_datastore::Trendline;
 
 fn mixed_collection(n: usize) -> Vec<Trendline> {
@@ -31,33 +31,6 @@ fn repeated_runs_are_identical() {
     let a = engine.top_k(&q, 8).unwrap();
     let b = engine.top_k(&q, 8).unwrap();
     assert_eq!(a, b);
-}
-
-#[test]
-fn parallel_equals_sequential_on_every_segmenter() {
-    let q = parse_regex("[p=up][p=down]").unwrap();
-    for kind in [
-        SegmenterKind::Dp,
-        SegmenterKind::SegmentTree,
-        SegmenterKind::Greedy,
-        SegmenterKind::Dtw,
-    ] {
-        let seq = ShapeEngine::from_trendlines(mixed_collection(24)).with_options(EngineOptions {
-            segmenter: kind,
-            parallel: false,
-            ..EngineOptions::default()
-        });
-        let par = ShapeEngine::from_trendlines(mixed_collection(24)).with_options(EngineOptions {
-            segmenter: kind,
-            parallel: true,
-            ..EngineOptions::default()
-        });
-        assert_eq!(
-            seq.top_k(&q, 6).unwrap(),
-            par.top_k(&q, 6).unwrap(),
-            "{kind:?}"
-        );
-    }
 }
 
 #[test]

@@ -379,7 +379,7 @@ proptest! {
         // ties, which land on both sides of the seed/sweep boundary and of
         // the k-th place and must come out in index order all the same.
         copies in proptest::collection::vec((0usize..1000, 0usize..1000), 0..12),
-        // (walks, straight, twice, parallel), one draw each. `walks`:
+        // (walks, straight, twice), one draw each. `walks`:
         // noise as drawn, or summed into random walks — with three fuzzy
         // θ units the case where only the end-anchored bounds prune.
         // `straight`: half the time, every third trendline (from a drawn
@@ -387,12 +387,12 @@ proptest! {
         // each bound tier is then exactly the score, and whether a tie at
         // the threshold survives is a matter of the last bit. `twice`: the
         // whole collection over again behind itself, every score twice,
-        // usually in different shards and chunks.
-        shape in (0u8..2, 0usize..6, 0u8..2, 0u8..2),
+        // usually in different shards.
+        shape in (0u8..2, 0usize..6, 0u8..2),
         q in prop_oneof![query_strategy(), theta_chain_strategy()],
         k_pick in 0usize..13,
     ) {
-        let (walks, straight, twice, parallel) = shape;
+        let (walks, straight, twice) = shape;
         let mut collection: Vec<Vec<f64>> = if walks == 1 {
             collection.iter().map(|steps| summed(steps)).collect()
         } else {
@@ -449,7 +449,6 @@ proptest! {
             let on = EngineOptions {
                 segmenter: kind,
                 pruning_mode: mode,
-                parallel: parallel == 1,
                 ..EngineOptions::default()
             };
             let want = ShapeEngine::from_trendlines(tls.clone())
@@ -463,8 +462,8 @@ proptest! {
                 // Byte-identical: scores, tie order, and fitted ranges.
                 prop_assert_eq!(
                     &got, &want,
-                    "{:?}/{:?} shards={} k={} parallel={} diverged on {}",
-                    kind, mode, shards, k, parallel, q
+                    "{:?}/{:?} shards={} k={} diverged on {}",
+                    kind, mode, shards, k, q
                 );
             }
         }
