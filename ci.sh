@@ -83,6 +83,22 @@ for key in algo bin_width pushdown sharp_angle_deg gradual_angle_deg \
     }
 done
 
+# `Json::Raw` is trusted, pre-rendered text written into a reply
+# verbatim. Only protocol.rs's writers build it and only json.rs's one
+# match arm writes it, so text that arrived from outside can never be
+# spliced into a reply.
+echo "==> Json::Raw built only in protocol.rs (non-test server code)"
+RAWS=$(for f in $(git ls-files 'crates/server/src/*.rs'); do
+    [ "$f" = crates/server/src/protocol.rs ] && continue
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nF 'Json::Raw(' |
+        grep -vE '^[0-9]+:\s*//' | sed "s#^#$f:#"
+done | grep -vE '^crates/server/src/json\.rs:[0-9]+:\s*Json::Raw\(text\) => out\.push_str\(text\),$' || true)
+if [ -n "$RAWS" ]; then
+    echo "$RAWS" >&2
+    echo "ci: Json::Raw outside protocol.rs; write reply text with protocol's writers" >&2
+    exit 1
+fi
+
 # One HTTP/1.1 framing: the RPC client reads every reply through
 # http.rs's parser, so its own code has no line reader, no header
 # splitter and no caps of its own.

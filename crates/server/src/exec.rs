@@ -21,7 +21,7 @@ use crate::catalog::{DatasetEntry, ShardPlacement};
 use crate::error::ServerError;
 use crate::handlers::AppState;
 use crate::json::Json;
-use crate::obs::{self, Span};
+use crate::obs::{self, Span, TraceId};
 use crate::protocol;
 use crate::stats::Stats;
 use shapesearch_core::{
@@ -690,7 +690,7 @@ struct Pending<F> {
 pub(crate) fn resolve_items(
     state: &Arc<AppState>,
     items: &[Json],
-    trace_id: &str,
+    trace_id: &TraceId,
 ) -> Vec<Result<Resolved, ServerError>> {
     // A hit resolves in place; only items that must compute or wait are
     // parked here (empty, and so allocation-free, on an all-hit request).
@@ -775,7 +775,7 @@ pub(crate) fn resolve_items(
             specs,
             &group[0].planned.options,
             &[],
-            traced.then_some(trace_id),
+            traced.then(|| trace_id.get()),
         );
         let led = Arc::new(LedExec {
             shard_micros: exec.shard_micros,

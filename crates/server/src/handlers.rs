@@ -21,7 +21,7 @@ use crate::error::ServerError;
 use crate::exec::{execute_on_shards, resolve_items, Resolved, Source};
 use crate::http::{Request, Response};
 use crate::json::{self, obj, Json};
-use crate::obs::{self, Span};
+use crate::obs::{self, Span, TraceId};
 use crate::protocol;
 use crate::stats::{Stats, StatsSnapshot};
 use shapesearch_core::{EngineOptions, PruningSnapshot};
@@ -313,7 +313,7 @@ fn query(state: &Arc<AppState>, request: &Request) -> Result<Response, ServerErr
     // Counted on receipt, so `queries` means "queries that reached
     // planning", whether or not they planned cleanly.
     state.stats.count_queries(items.len());
-    let trace_id = obs::new_trace_id();
+    let trace_id = TraceId::default();
     let started = Instant::now();
     let mut resolved = resolve_items(state, items, &trace_id);
     let micros = started.elapsed().as_micros() as u64;
@@ -360,7 +360,8 @@ fn query_response(item: &Resolved, single_micros: Option<u64>) -> Json {
     let planned = &item.planned;
     let mut fields = vec![
         ("dataset", Json::Str(planned.entry.id.clone())),
-        ("query", Json::Str(planned.query_ast.to_string())),
+        // The AST's canonical text, rendered once, for the cache key.
+        ("query", Json::Str(planned.key.query_canon.clone())),
         ("k", planned.k.into()),
         ("algo", planned.options.segmenter.name().into()),
         ("shards", planned.entry.shard_count.into()),
@@ -424,22 +425,23 @@ fn push_trace(response: &mut Json, trace_id: &str, spans: &[Span], pruning: Prun
 /// `micros` (resolve time, planning excluded) and — when explained — one
 /// stitched tree: parse → cache → the fan-out (per-shard spans, remote
 /// servers' own timings included) → serialize (envelope assembly).
+/// `Serialize` runs from the first field to the finished text, as in
+/// the batch envelope; the trace is the body's last field, so its
+/// `request` and `serialize` spans end where the trace begins.
 fn single_envelope(
     state: &AppState,
     received: Instant,
     micros: u64,
-    trace_id: &str,
+    trace_id: &TraceId,
     item: &Resolved,
 ) -> Response {
     let micros = micros.saturating_sub(item.plan_micros);
     let serialize_started = Instant::now();
     let mut response = query_response(item, Some(micros));
-    let serialize_micros = serialize_started.elapsed().as_micros() as u64;
-    state.stats.stage(obs::Stage::Serialize, serialize_micros);
-    let total_micros = received.elapsed().as_micros() as u64;
-    state.stats.requests.record(total_micros);
-
     if item.planned.explain {
+        let total_micros = received.elapsed().as_micros() as u64;
+        let serialize_micros = serialize_started.elapsed().as_micros() as u64;
+        let trace_id = trace_id.get();
         let mut root = Span::new("request", total_micros).with_detail(format!("trace {trace_id}"));
         root.push(Span::new(obs::Stage::ParsePlan.name(), item.plan_micros));
         root.push(item.lookup_span());
@@ -452,15 +454,21 @@ fn single_envelope(
         let pruning = item.led().map(|led| led.pruning).unwrap_or_default();
         push_trace(&mut response, trace_id, &[root], pruning);
     }
+    let body = response.to_text();
+    let serialize_micros = serialize_started.elapsed().as_micros() as u64;
+    state.stats.stage(obs::Stage::Serialize, serialize_micros);
+    let total_micros = received.elapsed().as_micros() as u64;
+    state.stats.requests.record(total_micros);
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
         eprintln!(
-            "slow-query trace_id={trace_id} dataset={} query={} micros={total_micros} cached={}",
+            "slow-query trace_id={} dataset={} query={} micros={total_micros} cached={}",
+            trace_id.get(),
             item.planned.entry.id,
-            item.planned.query_ast,
+            item.planned.key.query_canon,
             item.led().is_none()
         );
     }
-    ok(response)
+    Response::json(200, body)
 }
 
 /// The batch envelope: `{"batch","micros","responses"}` with one slot
@@ -472,7 +480,7 @@ fn batch_envelope(
     state: &AppState,
     received: Instant,
     micros: u64,
-    trace_id: &str,
+    trace_id: &TraceId,
     items: &[Result<Resolved, ServerError>],
 ) -> Response {
     let serialize_started = Instant::now();
@@ -487,7 +495,7 @@ fn batch_envelope(
                         Some(led) => (led.spans.as_slice(), led.pruning),
                         None => (lookup.as_slice(), PruningSnapshot::default()),
                     };
-                    push_trace(&mut response, trace_id, spans, pruning);
+                    push_trace(&mut response, trace_id.get(), spans, pruning);
                 }
                 response
             }
@@ -505,7 +513,8 @@ fn batch_envelope(
     state.stats.requests.record(total_micros);
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
         eprintln!(
-            "slow-query trace_id={trace_id} batch={} micros={total_micros}",
+            "slow-query trace_id={} batch={} micros={total_micros}",
+            trace_id.get(),
             items.len()
         );
     }
@@ -798,6 +807,29 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.coalesced, 1);
         assert_eq!(state.stats.queries(), 6);
+    }
+
+    /// Each envelope books its whole rendering, up to the finished text,
+    /// as one `Serialize` sample per request.
+    #[test]
+    fn each_envelope_records_one_serialize_sample() {
+        let state = state();
+        register(&state);
+        let serialized = || {
+            let snapshot = StatsSnapshot::gather(&state);
+            snapshot.stages[obs::Stage::Serialize as usize].count()
+        };
+        let single = r#"{"dataset":"t1","query":"[p=up]","k":1}"#;
+        let batch = r#"[{"dataset":"t1","query":"[p=up]","k":1},
+                        {"dataset":"t1","query":"[p=down]","k":1,"explain":true}]"#;
+        let explained = r#"{"dataset":"t1","query":"[p=up]","k":1,"explain":true}"#;
+        let mut want = 0;
+        for body in [single, batch, single, explained] {
+            let reply = route(&state, &post("/query", body));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            want += 1;
+            assert_eq!(serialized(), want, "{body}");
+        }
     }
 
     /// One row of [`single_form_is_a_batch_of_items`]: how to build the

@@ -7,6 +7,11 @@
 //! literals, number spans); nesting, `MAX_DEPTH` and the [`Json`] tree
 //! live here. Objects preserve insertion order so responses serialize
 //! deterministically.
+//!
+//! Output goes through one number routine (`write_num`) and one string
+//! escaper (`write_escaped`), whether it is written from a tree or by
+//! one of `protocol`'s direct writers, whose text a tree carries as
+//! [`Json::Raw`].
 
 use shapesearch_datastore::json::{number_span, parse_string, skip_ws, take_literal};
 use std::fmt::Write as _;
@@ -26,6 +31,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved for deterministic output.
     Obj(Vec<(String, Json)>),
+    /// Trusted, already-rendered JSON text, written verbatim. Only
+    /// `protocol`'s writers build it and [`parse`] never yields it, so
+    /// text that arrived from outside is never spliced into a reply.
+    Raw(String),
 }
 
 impl Json {
@@ -101,19 +110,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Integers print without a trailing ".0".
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    // JSON has no NaN/Infinity; scores are clamped anyway.
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -137,6 +134,7 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Raw(text) => out.push_str(text),
         }
     }
 }
@@ -182,7 +180,23 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes a number as JSON: integers without a trailing ".0", anything
+/// not finite as `null`.
+pub(crate) fn write_num(n: f64, out: &mut String) {
+    if n.is_finite() {
+        if n.fract() == 0.0 && n.abs() < 1e15 {
+            let _ = write!(out, "{}", n as i64);
+        } else {
+            let _ = write!(out, "{n}");
+        }
+    } else {
+        // JSON has no NaN/Infinity; scores are clamped anyway.
+        out.push_str("null");
+    }
+}
+
+/// Writes a string as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -10,13 +10,15 @@
 //!   label per stage a query's time can go to, from parse to serialize,
 //!   including the engine stages reported through
 //!   [`shapesearch_core::StageObserver`].
-//! * [`Span`] / [`new_trace_id`] — the per-request trace: a tree of
-//!   named, timed spans. Trace IDs ride the `/shard/query` wire so a
-//!   router stitches each remote server's own span tree under its RPC
-//!   span (`"explain": true` on `POST /query` returns the whole tree).
+//! * [`Span`] / [`new_trace_id`] / `TraceId` — the per-request trace:
+//!   a tree of named, timed spans, under an ID minted on first read.
+//!   Trace IDs ride the `/shard/query` wire so a router stitches each
+//!   remote server's own span tree under its RPC span (`"explain": true`
+//!   on `POST /query` returns the whole tree).
 //! * [`Exposition`] — a tiny Prometheus text-format (`0.0.4`) writer.
 
 use crate::json::Json;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -304,6 +306,19 @@ pub fn new_trace_id() -> String {
     format!("{id:016x}")
 }
 
+/// One request's trace ID, minted by [`new_trace_id`] on its first read
+/// and the same on every read after. Most requests never read theirs:
+/// only an explained item, a traced fan-out and the slow-query log do.
+#[derive(Default)]
+pub(crate) struct TraceId(OnceCell<String>);
+
+impl TraceId {
+    /// The ID, minted now if nothing has read it yet.
+    pub fn get(&self) -> &str {
+        self.0.get_or_init(new_trace_id)
+    }
+}
+
 /// One node of a request trace: a named, timed region with child spans.
 ///
 /// Spans cross process boundaries as JSON (the `spans` array of a
@@ -581,6 +596,15 @@ mod tests {
             assert_eq!(id.len(), 16);
             assert!(id.chars().all(|c| c.is_ascii_hexdigit()));
         }
+    }
+
+    #[test]
+    fn a_request_mints_its_trace_id_once() {
+        let id = TraceId::default();
+        assert!(id.0.get().is_none(), "nothing is minted before a read");
+        let first = id.get().to_owned();
+        assert_eq!(id.get(), first, "every reader sees the same ID");
+        assert_ne!(TraceId::default().get(), first);
     }
 
     #[test]

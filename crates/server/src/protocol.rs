@@ -151,10 +151,18 @@
 //! `shard_unavailable`). A reply's error outcome must carry a `status` in
 //! 400..=599 — the router relays it as the client's HTTP status — and no
 //! number on the wire is infinite: [`crate::json::parse`] refuses `1e999`.
+//!
+//! **Every `results` array is written by one writer**, `write_results`,
+//! straight to text: single and batch `/query` replies (cache hits
+//! included) and every `/shard/query` outcome. [`results_to_json`] carries
+//! that text into an envelope tree as [`Json::Raw`], which only this
+//! module builds and [`crate::json::parse`] never yields. A property test
+//! pins the writer to the tree-per-row renderer it replaced, kept in
+//! `referee.rs` for tests only, byte for byte.
 
 use crate::catalog::{DataSource, DatasetEntry, DatasetSpec, RegistryEntry, ShardEndpoints};
 use crate::error::ServerError;
-use crate::json::{obj, Json};
+use crate::json::{self, obj, Json};
 use shapesearch_core::{
     EngineOptions, PruningMode, PruningSnapshot, ScoreParams, SegmenterKind, ShapeQuery, TopKResult,
 };
@@ -707,29 +715,44 @@ pub fn dataset_to_json(entry: &DatasetEntry) -> Json {
     obj(fields)
 }
 
-/// Serializes a top-k answer as the wire `results` array.
+/// Writes a top-k answer as the wire `results` array straight into
+/// `out`: per row `key`, `score`, `viz_index` and `ranges`, through the
+/// JSON module's one number routine and one escaper, and no tree.
+pub(crate) fn write_results(results: &[TopKResult], out: &mut String) {
+    out.push('[');
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"key\":");
+        json::write_escaped(&r.key, out);
+        out.push_str(",\"score\":");
+        json::write_num(r.score, out);
+        out.push_str(",\"viz_index\":");
+        json::write_num(r.viz_index as f64, out);
+        out.push_str(",\"ranges\":[");
+        for (j, &(start, end)) in r.ranges.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            json::write_num(start as f64, out);
+            out.push(',');
+            json::write_num(end as f64, out);
+            out.push(']');
+        }
+        out.push_str("]}");
+    }
+    out.push(']');
+}
+
+/// A top-k answer as the wire `results` array: `write_results`' text,
+/// carried verbatim inside whichever envelope tree it goes into.
 pub fn results_to_json(results: &[TopKResult]) -> Json {
-    Json::Arr(
-        results
-            .iter()
-            .map(|r| {
-                obj([
-                    ("key", r.key.as_str().into()),
-                    ("score", r.score.into()),
-                    ("viz_index", r.viz_index.into()),
-                    (
-                        "ranges",
-                        Json::Arr(
-                            r.ranges
-                                .iter()
-                                .map(|&(s, e)| Json::Arr(vec![s.into(), e.into()]))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+    // About one row's worth of bytes per result: one allocation, usually.
+    let mut text = String::with_capacity(2 + 96 * results.len());
+    write_results(results, &mut text);
+    Json::Raw(text)
 }
 
 /// Serializes an error as the wire `{"error": …}` object, with its
@@ -1026,9 +1049,11 @@ pub fn results_from_json(results: &[Json]) -> Result<Vec<TopKResult>, String> {
 }
 
 #[cfg(test)]
+mod referee;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn dataset_spec_parses_inline_csv() {
@@ -1505,6 +1530,91 @@ mod tests {
         let back = results_from_json(json::parse(&text).unwrap().as_array().unwrap()).unwrap();
         assert_eq!(back, results);
         assert_eq!(results_to_json(&back).to_text(), text);
+    }
+
+    mod writer {
+        use super::super::referee;
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Characters a key is drawn from: plain, the two JSON escapes,
+        /// control characters with and without a short escape, and
+        /// non-ASCII up to the astral planes.
+        const KEY_CHARS: &str =
+            "az09_ \"\\/\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}é中\u{2028}\u{1F4C8}";
+
+        fn key() -> impl Strategy<Value = String> {
+            let chars: Vec<char> = KEY_CHARS.chars().collect();
+            vec(0..chars.len(), 0..12)
+                .prop_map(move |picks| picks.into_iter().map(|i| chars[i]).collect())
+        }
+
+        fn score() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(-0.0),
+                Just(0.0),
+                Just(1.0),
+                Just(-1.0),
+                Just(0.1 + 0.2),
+                Just(f64::MIN_POSITIVE / 2.0),
+                (1u64..1 << 52).prop_map(f64::from_bits),
+                (1u64..1 << 52).prop_map(|bits| -f64::from_bits(bits)),
+                -1.0f64..1.0,
+                (-400i32..400).prop_map(|e| 10f64.powi(e)),
+                (0u64..u64::MAX).prop_map(f64::from_bits),
+            ]
+        }
+
+        fn index() -> impl Strategy<Value = usize> {
+            prop_oneof![
+                Just(0usize),
+                0usize..1_000,
+                Just(1usize << 53),
+                Just((1usize << 53) + 1),
+                Just(999_999_999_999_999),
+                Just(usize::MAX),
+                0usize..usize::MAX,
+            ]
+        }
+
+        fn row() -> impl Strategy<Value = TopKResult> {
+            let ranges = prop_oneof![
+                vec((index(), index()), 0..3),
+                vec((index(), index()), 0..40)
+            ];
+            (key(), score(), index(), ranges).prop_map(|(key, score, viz_index, ranges)| {
+                TopKResult {
+                    key,
+                    score,
+                    viz_index,
+                    ranges,
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn write_results_matches_referee(results in vec(row(), 0..6)) {
+                let mut text = String::new();
+                write_results(&results, &mut text);
+                prop_assert_eq!(&text, &referee::results_to_json(&results).to_text());
+                prop_assert_eq!(results_to_json(&results).to_text(), text);
+            }
+        }
+
+        #[test]
+        fn the_empty_answer_is_an_empty_array() {
+            let mut text = String::new();
+            write_results(&[], &mut text);
+            assert_eq!(text, "[]");
+            assert_eq!(referee::results_to_json(&[]).to_text(), text);
+        }
     }
 
     #[test]

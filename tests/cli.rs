@@ -1,10 +1,11 @@
 //! The `shapesearch` binary, driven as a subprocess: one-shot answers
 //! against the in-process engine, argument refusals in all three
-//! subcommands, and the `--announce` heartbeat loop against a router
-//! that never answers.
+//! subcommands, the `--announce` heartbeat loop against a router that
+//! never answers, and the trace ID the slow-query log names.
 
 use chaos::{ChaosMode, ChaosProxy};
 use shapesearch::prelude::*;
+use shapesearch::server::json::{self, Json};
 use shapesearch::server::{Client, ServerConfig};
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
@@ -211,4 +212,67 @@ fn heartbeats_outlive_a_black_holed_router() {
     });
     assert!(black_hole.connections() >= 1, "the black hole was dialed");
     router.shutdown();
+}
+
+/// One request, one trace ID: the slow-query log names the ID an
+/// explained reply carries, and an untraced request's log line still
+/// gets one of its own.
+#[test]
+fn the_slow_query_log_names_the_requests_trace_id() {
+    use std::io::{BufRead, BufReader};
+    let mut server = Spawned(
+        Command::new(env!("CARGO_BIN_EXE_shapesearch"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--data", SALES])
+            .args(SALES_MAPPING)
+            .args(["--name", "sales", "--slow-query-micros", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn shapesearch serve"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+    let mut stderr = BufReader::new(server.0.stderr.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(stdout.read_line(&mut line).unwrap() > 0, "exited unbound");
+        if let Some(addr) = line
+            .trim()
+            .strip_prefix("shapesearch server listening on http://")
+        {
+            break addr.to_owned();
+        }
+    };
+    let slow_line = |stderr: &mut BufReader<_>| loop {
+        let mut line = String::new();
+        assert!(
+            stderr.read_line(&mut line).unwrap() > 0,
+            "no slow-query line"
+        );
+        if let Some(rest) = line.strip_prefix("slow-query trace_id=") {
+            break rest.split(' ').next().unwrap().to_owned();
+        }
+    };
+    let client = Client::new(&addr);
+    let query = |explain: bool| {
+        let body = format!(r#"{{"dataset":"sales","query":"[p=up]","explain":{explain}}}"#);
+        let reply = client.post("/query", &json::parse(&body).unwrap()).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body.to_text());
+        reply.body
+    };
+
+    let explained = query(true);
+    let trace = explained
+        .get("trace")
+        .expect("an explained reply has a trace");
+    let id = trace.get("trace_id").and_then(Json::as_str).unwrap();
+    assert_eq!(slow_line(&mut stderr), id);
+
+    assert!(query(false).get("trace").is_none());
+    let untraced = slow_line(&mut stderr);
+    assert_eq!(untraced.len(), 16, "{untraced}");
+    assert!(
+        untraced.chars().all(|c| c.is_ascii_hexdigit()),
+        "{untraced}"
+    );
+    assert_ne!(untraced, id);
 }

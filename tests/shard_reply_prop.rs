@@ -96,8 +96,10 @@ proptest! {
     ) {
         let (partials, bounds): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
         let pruning = PruningSnapshot::default();
-        let mut reply =
-            protocol::shard_outcomes_to_json("d", &partials, &bounds, pruning, 42, None);
+        // Parsed back from its bytes, so the damage can reach inside the
+        // `results` arrays, which the server writes as text.
+        let reply = protocol::shard_outcomes_to_json("d", &partials, &bounds, pruning, 42, None);
+        let mut reply = json::parse(&reply.to_text()).unwrap();
         for (node, pick) in &damage {
             let mut at = node % count(&reply);
             mutate(&mut reply, &mut at, *pick);
