@@ -214,6 +214,21 @@ done
 echo "==> cargo test -q"
 cargo test -q
 
+# The paper's accuracy as a gate: Fig. 12 at scale 0.1 (SegmentTree,
+# Greedy and DTW top-k agreement with DP on the generated Table-11
+# corpora, ≈ 7 s) is deterministic, so its 27 lines are committed and any
+# change that moves a score enough to reorder a top-k shows up here. A
+# change that means to move them regenerates the golden with the same
+# command and says in review which accuracy it buys.
+echo "==> accuracy golden (figures fig12 --scale 0.1 == crates/bench/golden/fig12_scale0.1.txt)"
+FIG12_OUT=$(mktemp "/tmp/ci_fig12_$$_XXXXXX.txt")
+CI_TMP="$CI_TMP $FIG12_OUT"
+cargo run --release -q -p shapesearch-bench --bin figures -- fig12 --scale 0.1 >"$FIG12_OUT"
+diff -u crates/bench/golden/fig12_scale0.1.txt "$FIG12_OUT" || {
+    echo "ci: figures fig12 --scale 0.1 no longer prints the golden table" >&2
+    exit 1
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -31,9 +31,13 @@
 //! it: a window is scored at most once per unit. An entry carries what
 //! its two boundary units contribute (see `Table`), so a bridge scores
 //! the merged window only and takes the two halves it replaces from the
-//! children's entries; a node's direct entries share one fitted angle;
+//! children's entries; a node's direct entries share one fitted angle,
+//! which a tree over the whole viz reads from GROUP's per-node angle
+//! column ([`ColumnarArena::node_angles`]) instead of taking an `atan`;
 //! and the tables are flat columns a scoring thread keeps between
 //! trendlines, so a node allocates nothing.
+//!
+//! [`ColumnarArena::node_angles`]: crate::ColumnarArena::node_angles
 
 use super::{best_over_chains, MatchResult, Segmenter};
 use crate::chain::{Chain, Unit};
@@ -257,17 +261,20 @@ fn tree_range(
     tables.iter_mut().for_each(|t| t.fit(k));
     let (root, below) = tables.split_first_mut().expect("at least the root table");
     scratch.merged.resize(k, Cell::new(0.0));
+    let (arena, slot) = (ev.viz.arena(), ev.viz.slot());
     let kernel = Kernel {
         ev,
         units,
         leaves: &scratch.leaves,
-        runs: ev.viz.arena().prefix_runs(ev.viz.slot()),
+        runs: arena.prefix_runs(slot),
         xs: ev.viz.xs(),
+        // GROUP laid out the angles of exactly this tree's nodes.
+        node_angles: (lo == 0 && hi + 1 == ev.viz.n()).then(|| arena.node_angles(slot)),
         min_width_frac: ev.params.min_width_frac,
         bridges,
         merged: &scratch.merged,
     };
-    kernel.solve_node(root, below, lo, hi);
+    kernel.solve_node(root, below, 0, lo, hi);
 
     let whole = kernel.cell(0, k);
     let score = root.present[whole].then(|| {
@@ -292,6 +299,9 @@ struct Kernel<'a> {
     leaves: &'a [Option<SlopeLeaf>],
     runs: PrefixRuns<'a>,
     xs: &'a [f64],
+    /// The viz's preorder node angles when the tree covers the whole viz;
+    /// `None` for a run between anchors, whose nodes are other ranges.
+    node_angles: Option<&'a [f64]>,
     min_width_frac: f64,
     bridges: bool,
     /// Per unit `b`, the merged-window score of the bridge on `b` for the
@@ -333,10 +343,10 @@ impl Kernel<'_> {
         unit.weight * score
     }
 
-    /// Bottom-up construction of the table of the node over `[lo, hi]`
-    /// into `out`; `below` holds the tables of the levels under it, two
-    /// per level.
-    fn solve_node(&self, out: &mut Table, below: &mut [Table], lo: usize, hi: usize) {
+    /// Bottom-up construction of the table of the node over `[lo, hi]`,
+    /// the tree's `node`-th in preorder, into `out`; `below` holds the
+    /// tables of the levels under it, two per level.
+    fn solve_node(&self, out: &mut Table, below: &mut [Table], node: usize, lo: usize, hi: usize) {
         let k = self.units.len();
         let stride = k - 1;
         let intervals = hi - lo;
@@ -347,7 +357,10 @@ impl Kernel<'_> {
         let mut node_angle = None;
         for t in 0..k {
             let score = self.unit_score(t, lo, hi, || {
-                *node_angle.get_or_insert_with(|| self.angle(lo, hi))
+                *node_angle.get_or_insert_with(|| match self.node_angles {
+                    Some(angles) => angles[node],
+                    None => self.angle(lo, hi),
+                })
             });
             let cell = self.cell(t, t + 1);
             out.present[cell] = true;
@@ -364,8 +377,8 @@ impl Kernel<'_> {
         let [left, right] = children else {
             unreachable!("split_at_mut(2) yields two tables")
         };
-        self.solve_node(left, deeper, lo, mid);
-        self.solve_node(right, deeper, mid, hi);
+        self.solve_node(left, deeper, node + 1, lo, mid);
+        self.solve_node(right, deeper, node + 2 * (mid - lo), mid, hi);
         let (left, right) = (&*left, &*right);
 
         for len in 2..=k.min(intervals) {

@@ -35,6 +35,8 @@
 //! sum_x … sum_xx        len P + V  prefix sums, one leading 0 per viz
 //! point_starts          len V + 1  per-viz point offsets
 //! slope_min, slope_max  len V     GROUP-time interval-slope extremes
+//! node_angles           len Σ(2n − 3)  per-viz SegmentTree direct angles
+//! angle_starts          len V + 1  per-viz offsets into node_angles
 //! ```
 //!
 //! The prefix columns carry one extra leading zero per viz (the empty
@@ -43,12 +45,26 @@
 //! `[i, j]` are then a per-column `prefix[j + 1] − prefix[i]` — O(1),
 //! with the four subtractions sitting in four independent streams.
 //!
-//! This layout is also the on-disk snapshot format
-//! ([`crate::snapshot`]): the flat `f64` columns plus the offset column
-//! serialize byte for byte, and an opened snapshot's columns map
-//! straight back into an arena with no pointer fix-up — each column is
-//! then a `Column::Mapped` zero-copy view kept alive by the mapping's
-//! `Arc`.
+//! `node_angles` holds, per viz, the fitted angle `atan(slope(lo, hi))`
+//! of every node of the implicit SegmentTree over `[0, n − 1]`
+//! ([`crate::algo::segment_tree`]), in preorder: the node over
+//! `[lo, hi]` at index `i` has, when `hi − lo > 1` and `mid = lo +
+//! (hi − lo) / 2`, its left child `[lo, mid]` at `i + 1` and its right
+//! child `[mid, hi]` at `i + 2·(mid − lo)`. A tree over `n ≥ 2` points
+//! has `2n − 3` nodes; a viz with fewer points has an empty run. Those
+//! angles depend on the trendline only, so the kernel reads them instead
+//! of taking an `atan` per node per query.
+//!
+//! This layout, less the two angle columns, is also the on-disk
+//! snapshot format ([`crate::snapshot`]): the flat `f64` columns plus
+//! the offset column serialize byte for byte, and an opened snapshot's
+//! columns map straight back into an arena with no pointer fix-up —
+//! each column is then a `Column::Mapped` zero-copy view kept alive by
+//! the mapping's `Arc`. The angle columns are in no file format: they
+//! are derived from the prefix columns wherever an arena is built —
+//! [`ArenaBuilder`] on the eager path, `ColumnarArena::from_columns`
+//! when a snapshot opens — with the same operations, so both hold the
+//! same bits.
 
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
@@ -239,6 +255,8 @@ pub struct ColumnarArena {
     point_starts: Vec<usize>,
     slope_min: Column,
     slope_max: Column,
+    node_angles: Vec<f64>,
+    angle_starts: Vec<usize>,
 }
 
 impl fmt::Debug for ColumnarArena {
@@ -255,7 +273,8 @@ impl ColumnarArena {
     /// loader's constructor. The caller (only [`crate::snapshot`])
     /// guarantees the columns satisfy the layout invariants above:
     /// monotone `point_starts`, prefix columns of length
-    /// `points + vizzes`, slope columns of length `vizzes`.
+    /// `points + vizzes`, slope columns of length `vizzes`. The angle
+    /// columns are derived here from the prefix columns.
     #[allow(clippy::too_many_arguments)] // nine columns are the format, not an API smell
     pub(crate) fn from_columns(
         xs: Column,
@@ -268,7 +287,7 @@ impl ColumnarArena {
         slope_min: Column,
         slope_max: Column,
     ) -> Self {
-        Self {
+        let mut arena = Self {
             xs,
             ys,
             sum_x,
@@ -278,7 +297,17 @@ impl ColumnarArena {
             point_starts,
             slope_min,
             slope_max,
+            node_angles: Vec::new(),
+            angle_starts: vec![0],
+        };
+        let vizzes = arena.viz_count();
+        arena
+            .node_angles
+            .reserve((2 * arena.xs.len()).saturating_sub(3 * vizzes));
+        for slot in 0..vizzes {
+            arena.push_node_angles(slot);
         }
+        arena
     }
 
     /// Borrowed views of every column — the snapshot writer's read
@@ -312,9 +341,10 @@ impl ColumnarArena {
             + self.sum_xy.len()
             + self.sum_xx.len()
             + self.slope_min.len()
-            + self.slope_max.len();
+            + self.slope_max.len()
+            + self.node_angles.len();
         f64_cells * std::mem::size_of::<f64>()
-            + self.point_starts.len() * std::mem::size_of::<usize>()
+            + (self.point_starts.len() + self.angle_starts.len()) * std::mem::size_of::<usize>()
     }
 
     /// Total canvas points across all visualizations.
@@ -341,6 +371,27 @@ impl ColumnarArena {
     /// (the §6.3 bound inputs).
     pub fn slope_extent(&self, slot: usize) -> (f64, f64) {
         (self.slope_min[slot], self.slope_max[slot])
+    }
+
+    /// Viz `slot`'s SegmentTree direct angles in preorder (see the module
+    /// docs): `2n − 3` of them, none when `n < 2`.
+    pub fn node_angles(&self, slot: usize) -> &[f64] {
+        &self.node_angles[self.angle_starts[slot]..self.angle_starts[slot + 1]]
+    }
+
+    /// Appends viz `slot`'s run of [`Self::node_angles`], derived from its
+    /// prefix columns, and closes it with its end offset. Slots are
+    /// appended in order.
+    fn push_node_angles(&mut self, slot: usize) {
+        debug_assert_eq!(self.angle_starts.len(), slot + 1);
+        let mut angles = std::mem::take(&mut self.node_angles);
+        let n = self.n(slot);
+        if n >= 2 {
+            self.prefix_runs(slot)
+                .push_node_angles(0, n - 1, &mut angles);
+        }
+        self.angle_starts.push(angles.len());
+        self.node_angles = angles;
     }
 
     /// Start of viz `slot`'s prefix run: each earlier viz contributes
@@ -567,6 +618,18 @@ impl PrefixRuns<'_> {
             n: (hi - i) as u32,
         }
     }
+
+    /// Appends the fitted angle of the tree node over `[lo, hi]`, then
+    /// those of its left and right subtrees — the preorder
+    /// [`ColumnarArena::node_angles`] holds.
+    fn push_node_angles(&self, lo: usize, hi: usize, out: &mut Vec<f64>) {
+        out.push(self.range_stats(lo, hi).slope().atan());
+        if hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            self.push_node_angles(lo, mid, out);
+            self.push_node_angles(mid, hi, out);
+        }
+    }
 }
 
 /// Incremental [`ColumnarArena`] construction: one `push_viz` per
@@ -581,6 +644,7 @@ impl ArenaBuilder {
     pub fn new() -> Self {
         let mut arena = ColumnarArena::default();
         arena.point_starts.push(0);
+        arena.angle_starts.push(0);
         Self { arena }
     }
 
@@ -597,6 +661,9 @@ impl ArenaBuilder {
         a.point_starts.reserve(vizzes);
         a.slope_min.vec_mut().reserve(vizzes);
         a.slope_max.vec_mut().reserve(vizzes);
+        a.node_angles
+            .reserve((2 * points).saturating_sub(3 * vizzes));
+        a.angle_starts.reserve(vizzes);
         b
     }
 
@@ -653,6 +720,7 @@ impl ArenaBuilder {
         }
         a.slope_min.vec_mut().push(lo);
         a.slope_max.vec_mut().push(hi);
+        a.push_node_angles(slot);
         slot
     }
 
@@ -839,6 +907,78 @@ mod tests {
             hi = hi.max(s);
         }
         assert_eq!(a.slope_extent(slot), (lo, hi));
+    }
+
+    /// Checks viz `slot`'s node-angle run against the recursion over
+    /// `[lo, hi]`, walking it with the kernel's child-index rule; returns
+    /// how many nodes it visited.
+    fn check_node_angles(
+        a: &ColumnarArena,
+        slot: usize,
+        node: usize,
+        lo: usize,
+        hi: usize,
+    ) -> usize {
+        let want = a.range_stats(slot, lo, hi).slope().atan();
+        assert_eq!(
+            a.node_angles(slot)[node].to_bits(),
+            want.to_bits(),
+            "slot {slot} node {node} [{lo}, {hi}]"
+        );
+        if hi - lo == 1 {
+            return 1;
+        }
+        let mid = lo + (hi - lo) / 2;
+        1 + check_node_angles(a, slot, node + 1, lo, mid)
+            + check_node_angles(a, slot, node + 2 * (mid - lo), mid, hi)
+    }
+
+    #[test]
+    fn node_angles_match_the_recursion_bit_for_bit() {
+        let mut b = ArenaBuilder::new();
+        // Slots the builder accepts below two points get empty runs.
+        let short = [b.push_viz(&[], &[]), b.push_viz(&[0.5], &[2.0])];
+        let mut slots = Vec::new();
+        for n in 2..=200usize {
+            let (xs, ys) = demo_series(n as u64, n);
+            slots.push((b.push_viz(&xs, &ys), n));
+            let mut with_nan = ys.clone();
+            with_nan[n / 2] = f64::NAN;
+            slots.push((b.push_viz(&xs, &with_nan), n));
+            slots.push((b.push_viz(&xs, &vec![0.25; n]), n));
+        }
+        let a = b.finish();
+        for slot in short {
+            assert!(a.node_angles(slot).is_empty(), "slot {slot}");
+        }
+        for (slot, n) in slots {
+            assert_eq!(a.node_angles(slot).len(), 2 * n - 3, "slot {slot}");
+            assert_eq!(check_node_angles(&a, slot, 0, 0, n - 1), 2 * n - 3);
+        }
+    }
+
+    #[test]
+    fn byte_size_counts_every_column() {
+        let mut b = ArenaBuilder::new();
+        for (seed, n) in [(3u64, 2usize), (4, 17), (5, 128)] {
+            let (xs, ys) = demo_series(seed, n);
+            b.push_viz(&xs, &ys);
+        }
+        b.push_viz(&[1.0], &[1.0]);
+        let a = b.finish();
+        let f64s = a.xs.len()
+            + a.ys.len()
+            + a.sum_x.len()
+            + a.sum_y.len()
+            + a.sum_xy.len()
+            + a.sum_xx.len()
+            + a.slope_min.len()
+            + a.slope_max.len()
+            + a.node_angles.len();
+        let offsets = a.point_starts.len() + a.angle_starts.len();
+        assert_eq!(a.byte_size(), 8 * f64s + 8 * offsets);
+        // 2 + 17 + 128 + 1 points, 4 vizzes; 1 + 31 + 253 + 0 nodes.
+        assert_eq!(a.byte_size(), 8 * (2 * 148 + 4 * 152 + 2 * 4 + 285 + 2 * 5));
     }
 
     #[test]

@@ -793,6 +793,8 @@ mod tests {
                         (lr.sum_xx, er.sum_xx),
                         (lr.slope_min, er.slope_min),
                         (lr.slope_max, er.slope_max),
+                        // Derived on open, in no file format.
+                        (la.node_angles(l.slot()), ea.node_angles(e.slot())),
                     ] {
                         assert_eq!(l_col.len(), e_col.len());
                         for (a, b) in l_col.iter().zip(e_col) {

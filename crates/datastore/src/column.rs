@@ -3,11 +3,22 @@
 //! distinct values), which makes the group-by on the `z` attribute in EXTRACT
 //! a cheap integer partition instead of repeated string hashing —
 //! [`crate::extract`] groups on the codes and clones one key per trendline.
+//!
+//! Columns are built typed, too: a [`ColumnBuilder`] keeps the narrowest
+//! column that fits the cells pushed so far (`i64`s, then `f64`s, then
+//! dictionary codes) and promotes one way only, so a CSV parses into
+//! 8 bytes a numeric cell and a 4-byte code a string cell, with one heap
+//! copy per distinct string. The builder is pinned, bit for bit, to a
+//! referee that holds every cell as a [`Value`] and infers the type over
+//! the whole column at the end.
 
 use crate::error::{DataError, Result};
 use crate::schema::DataType;
 use crate::value::Value;
 use std::collections::HashMap;
+
+#[cfg(test)]
+mod referee;
 
 /// A typed column of values. Nulls are represented in-band: `f64::NAN` for
 /// floats; integers and strings are non-nullable (parsers promote nullable
@@ -118,11 +129,83 @@ impl Column {
     }
 }
 
-/// Incremental builder for a single column; infers the narrowest type that
-/// fits all pushed values (Int ⊂ Float; anything non-numeric forces Str).
-#[derive(Debug, Default)]
+/// Incremental builder for a single column: it holds the narrowest typed
+/// column that fits every value pushed so far and promotes one way only,
+/// Int → Float → dictionary Str, so a cell costs 8 bytes (a 4-byte code
+/// once it is a string column) while a file parses, never a [`Value`].
+/// The result is the type a whole-column inference picks: Int when every
+/// value is an integer, Float when every value is numeric or null (nulls
+/// become NaN; no values at all is an empty Float column), Str otherwise,
+/// where each value reads as its `Display` text and a null as `""`.
+#[derive(Debug)]
 pub struct ColumnBuilder {
-    values: Vec<Value>,
+    cells: Cells,
+}
+
+/// A [`ColumnBuilder`]'s column so far, in its narrowest type.
+#[derive(Debug)]
+enum Cells {
+    /// Every value an integer — also the state before the first push.
+    Int(Vec<i64>),
+    Float(FloatCells),
+    Str(StrCells),
+}
+
+/// A float column under construction.
+#[derive(Debug, Default)]
+struct FloatCells {
+    values: Vec<f64>,
+    /// In row order, the rows whose string text is not their float's
+    /// `Display`: nulls (`None`, text `""`) and integers beyond ±2⁵³
+    /// (`Some`), whose float is rounded. An integer within ±2⁵³ converts
+    /// exactly, and an exact integer's shortest round-trip `Display` is
+    /// its own digits, so it needs no note.
+    notes: Vec<(usize, Option<i64>)>,
+}
+
+impl FloatCells {
+    fn push_int(&mut self, i: i64) {
+        if i.unsigned_abs() > 1 << 53 {
+            self.notes.push((self.values.len(), Some(i)));
+        }
+        self.values.push(i as f64);
+    }
+
+    fn push_null(&mut self) {
+        self.notes.push((self.values.len(), None));
+        self.values.push(f64::NAN);
+    }
+}
+
+/// A dictionary-encoded string column under construction. The lookup
+/// owns the one copy of each distinct value; the code-ordered dictionary
+/// is cut from it when the column finishes.
+#[derive(Debug, Default)]
+struct StrCells {
+    codes: Vec<u32>,
+    lookup: HashMap<String, u32>,
+}
+
+impl StrCells {
+    fn push(&mut self, text: String) {
+        let next = self.lookup.len() as u32;
+        self.codes.push(*self.lookup.entry(text).or_insert(next));
+    }
+
+    fn push_str(&mut self, text: &str) {
+        match self.lookup.get(text) {
+            Some(&code) => self.codes.push(code),
+            None => self.push(text.to_owned()),
+        }
+    }
+}
+
+impl Default for ColumnBuilder {
+    fn default() -> Self {
+        Self {
+            cells: Cells::Int(Vec::new()),
+        }
+    }
 }
 
 impl ColumnBuilder {
@@ -131,68 +214,105 @@ impl ColumnBuilder {
         Self::default()
     }
 
-    /// Appends one value.
+    /// Appends one value, promoting the column first if the value does
+    /// not fit its type.
     pub fn push(&mut self, v: Value) {
-        self.values.push(v);
+        match v {
+            Value::Int(i) => match &mut self.cells {
+                Cells::Int(ints) => ints.push(i),
+                Cells::Float(floats) => floats.push_int(i),
+                Cells::Str(strs) => strs.push(i.to_string()),
+            },
+            Value::Float(x) => match self.floats_or_strs() {
+                Ok(floats) => floats.values.push(x),
+                Err(strs) => strs.push(x.to_string()),
+            },
+            Value::Null => match self.floats_or_strs() {
+                Ok(floats) => floats.push_null(),
+                Err(strs) => strs.push_str(""),
+            },
+            Value::Str(s) => self.strs().push(s),
+        }
+    }
+
+    /// The column as floats, promoting an integer one; a string column
+    /// stays one.
+    fn floats_or_strs(&mut self) -> std::result::Result<&mut FloatCells, &mut StrCells> {
+        if let Cells::Int(ints) = &self.cells {
+            let mut floats = FloatCells::default();
+            floats.values.reserve(ints.len());
+            ints.iter().for_each(|&i| floats.push_int(i));
+            self.cells = Cells::Float(floats);
+        }
+        match &mut self.cells {
+            Cells::Float(floats) => Ok(floats),
+            Cells::Str(strs) => Err(strs),
+            Cells::Int(_) => unreachable!("promoted above"),
+        }
+    }
+
+    /// The column as strings, promoting a numeric one: each earlier cell
+    /// becomes its text.
+    fn strs(&mut self) -> &mut StrCells {
+        if !matches!(self.cells, Cells::Str(_)) {
+            let mut strs = StrCells::default();
+            match &self.cells {
+                Cells::Int(ints) => ints.iter().for_each(|i| strs.push(i.to_string())),
+                Cells::Float(FloatCells { values, notes }) => {
+                    let mut notes = notes.iter().peekable();
+                    for (row, x) in values.iter().enumerate() {
+                        match notes.next_if(|&&(at, _)| at == row) {
+                            Some((_, None)) => strs.push_str(""),
+                            Some((_, Some(i))) => strs.push(i.to_string()),
+                            None => strs.push(x.to_string()),
+                        }
+                    }
+                }
+                Cells::Str(_) => unreachable!("matched above"),
+            }
+            self.cells = Cells::Str(strs);
+        }
+        match &mut self.cells {
+            Cells::Str(strs) => strs,
+            _ => unreachable!("promoted above"),
+        }
     }
 
     /// Number of values pushed so far.
     pub fn len(&self) -> usize {
-        self.values.len()
+        match &self.cells {
+            Cells::Int(ints) => ints.len(),
+            Cells::Float(floats) => floats.values.len(),
+            Cells::Str(strs) => strs.codes.len(),
+        }
     }
 
     /// True if no values have been pushed.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
-    /// Finishes the column, choosing Int if every value is an integer, Float
-    /// if every value is numeric or null, and Str otherwise (nulls become "").
+    /// Finishes the column in the type the pushes left it in.
     pub fn finish(self) -> Column {
-        let all_int = self.values.iter().all(|v| matches!(v, Value::Int(_)));
-        if all_int && !self.values.is_empty() {
-            return Column::Int(
-                self.values
-                    .into_iter()
-                    .map(|v| v.as_i64().expect("checked all-int"))
-                    .collect(),
-            );
+        match self.cells {
+            Cells::Int(ints) if ints.is_empty() => Column::Float(Vec::new()),
+            Cells::Int(ints) => Column::Int(ints),
+            Cells::Float(floats) => Column::Float(floats.values),
+            Cells::Str(StrCells { codes, lookup }) => {
+                let mut dict = vec![String::new(); lookup.len()];
+                for (text, code) in lookup {
+                    dict[code as usize] = text;
+                }
+                Column::Str { codes, dict }
+            }
         }
-        let all_numeric = self
-            .values
-            .iter()
-            .all(|v| matches!(v, Value::Int(_) | Value::Float(_) | Value::Null));
-        if all_numeric {
-            return Column::Float(
-                self.values
-                    .into_iter()
-                    .map(|v| v.as_f64().unwrap_or(f64::NAN))
-                    .collect(),
-            );
-        }
-        let mut dict: Vec<String> = Vec::new();
-        let mut lookup: HashMap<String, u32> = HashMap::new();
-        let mut codes = Vec::with_capacity(self.values.len());
-        for v in self.values {
-            let s = match v {
-                Value::Null => String::new(),
-                Value::Str(s) => s,
-                other => other.to_string(),
-            };
-            // One clone per distinct value, none per row.
-            let code = *lookup.entry(s).or_insert_with_key(|s| {
-                dict.push(s.clone());
-                (dict.len() - 1) as u32
-            });
-            codes.push(code);
-        }
-        Column::Str { codes, dict }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builder_infers_int() {
@@ -273,6 +393,148 @@ mod tests {
         assert_eq!(col.value(0), Value::Null);
         assert_eq!(col.value(1), Value::Float(1.0));
         assert_eq!(col.numeric_at(0), None);
+    }
+
+    /// The two columns are the same bit for bit: type, length, codes and
+    /// dictionary, and each float's bits (the derived `==` would call a
+    /// NaN cell unequal to itself).
+    fn same_column(got: &Column, want: &Column) -> std::result::Result<(), TestCaseError> {
+        prop_assert_eq!(got.data_type(), want.data_type());
+        prop_assert_eq!(got.len(), want.len());
+        match (got, want) {
+            (Column::Float(g), Column::Float(w)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(g), bits(w));
+            }
+            (Column::Int(g), Column::Int(w)) => prop_assert_eq!(g, w),
+            (
+                Column::Str {
+                    codes: gc,
+                    dict: gd,
+                },
+                Column::Str {
+                    codes: wc,
+                    dict: wd,
+                },
+            ) => {
+                prop_assert_eq!(gc, wc);
+                prop_assert_eq!(gd, wd);
+            }
+            _ => unreachable!("types compared above"),
+        }
+        Ok(())
+    }
+
+    /// Pushes `values` into the builder and into the referee and compares
+    /// what they finish, and the builder's running length on the way.
+    fn builder_matches_referee(values: &[Value]) -> std::result::Result<(), TestCaseError> {
+        let (mut got, mut want) = (ColumnBuilder::new(), referee::ColumnBuilder::default());
+        for (i, v) in values.iter().enumerate() {
+            got.push(v.clone());
+            want.push(v.clone());
+            prop_assert_eq!(got.len(), i + 1);
+        }
+        same_column(&got.finish(), &want.finish())
+    }
+
+    /// Cell texts a CSV reader hands to [`Value::infer`]: integer and
+    /// float edges, nulls, padding and repeated keys.
+    const TOKENS: &[&str] = &[
+        "-9223372036854775808",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775809",
+        "9007199254740993",
+        "-9007199254740993",
+        "9007199254740992",
+        "18014398509481985",
+        "NaN",
+        "nan",
+        "inf",
+        "-inf",
+        "1e999",
+        "-1e999",
+        "-0",
+        "-0.0",
+        "0",
+        "0.1",
+        "1e22",
+        "1.5e300",
+        "5e-324",
+        "",
+        "   ",
+        "null",
+        "NULL",
+        " Null ",
+        "  42 ",
+        " 3.25\t",
+        "  padded text ",
+        "k0",
+        "k1",
+        "k1",
+        "true",
+        "1,5",
+        "0x10",
+        "é",
+    ];
+
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0..TOKENS.len()).prop_map(|i| Value::infer(TOKENS[i])),
+            (i64::MIN..=i64::MAX).prop_map(Value::Int),
+            (-5i64..5).prop_map(Value::Int),
+            // Around ±2⁵³, where an integer's float starts to round.
+            ((1i64 << 53) - 3..(1i64 << 53) + 4, 0u8..2)
+                .prop_map(|(i, neg)| Value::Int(if neg == 1 { -i } else { i })),
+            (0u64..=u64::MAX).prop_map(|bits| Value::Float(f64::from_bits(bits))),
+            (-1e3f64..1e3).prop_map(Value::Float),
+            (0usize..4).prop_map(|i| Value::Float([-0.0, f64::NAN, f64::INFINITY, 3.0][i])),
+            Just(Value::Null),
+            (0usize..3).prop_map(|i| Value::Str(["k0", "k1", ""][i].to_owned())),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any push sequence finishes as the referee's column.
+        #[test]
+        fn typed_builder_matches_referee(
+            values in proptest::collection::vec(value_strategy(), 0..=24),
+        ) {
+            builder_matches_referee(&values)?;
+        }
+    }
+
+    /// Every promotion order: each sequence of up to five pushes drawn
+    /// from one value of each kind.
+    #[test]
+    fn every_promotion_order_matches_referee() {
+        let kinds = [
+            Value::Int(i64::MAX),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::Str("k".into()),
+        ];
+        let mut checked = 0;
+        let mut frontier: Vec<Vec<Value>> = vec![Vec::new()];
+        for _ in 0..=5 {
+            for values in &frontier {
+                if let Err(e) = builder_matches_referee(values) {
+                    panic!("{values:?}: {e:?}");
+                }
+            }
+            checked += frontier.len();
+            frontier = frontier
+                .iter()
+                .flat_map(|s| {
+                    kinds
+                        .iter()
+                        .map(|k| [&s[..], std::slice::from_ref(k)].concat())
+                })
+                .collect();
+        }
+        assert_eq!(checked, 1 + 4 + 16 + 64 + 256 + 1024);
     }
 
     #[test]

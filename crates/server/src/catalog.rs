@@ -458,6 +458,18 @@ impl DatasetEntry {
             .any(|p| matches!(p, ShardPlacement::Remote(_)))
     }
 
+    /// Bytes of columnar GROUP state the local shards keep resident (or
+    /// mapped, for a snapshot): the sum of their
+    /// [`ShapeEngine::grouped_byte_size`]. Remote shards count on their
+    /// own servers.
+    pub fn grouped_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .flatten()
+            .map(|engine| engine.grouped_byte_size())
+            .sum()
+    }
+
     /// The engine for **local** shard slot `slot`, built at registration.
     /// Byte-identity holds for every source — a snapshot partition seeds
     /// the exact GROUP arena the eager path builds.

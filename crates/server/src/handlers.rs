@@ -1310,6 +1310,31 @@ mod tests {
     }
 
     #[test]
+    fn dataset_listing_reports_resident_group_bytes() {
+        let state = state();
+        for shards in [1usize, 2] {
+            let id = format!("g{shards}");
+            register_sharded(&state, &id, shards);
+            let entry = state.catalog.get(&id).unwrap();
+            let want: usize = (0..shards)
+                .map(|slot| entry.local_shard(slot).unwrap().grouped_byte_size())
+                .sum();
+            if shards == 1 {
+                // Two 3-point trendlines: 54 f64 cells, three node
+                // angles a viz among them, and 6 offsets.
+                assert_eq!(want, 8 * (54 + 6));
+            }
+            let listing = json::parse(&route(&state, &get("/datasets")).body).unwrap();
+            let datasets = listing.get("datasets").unwrap().as_array().unwrap();
+            let row = datasets
+                .iter()
+                .find(|d| d.get("id").and_then(Json::as_str) == Some(id.as_str()))
+                .unwrap();
+            assert_eq!(row.get("grouped_bytes").unwrap().as_usize(), Some(want));
+        }
+    }
+
+    #[test]
     fn sharded_execution_reports_and_matches_single_shard() {
         let state = state();
         register_sharded(&state, "one", 1);
