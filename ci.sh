@@ -189,27 +189,48 @@ for w in fuzzy_miss needle_miss mixed_batch router_rpc; do
     esac
 done
 
-# A work counter, not a clock: of the candidates `fuzzy_miss` bounds, the
-# share the three bound tiers prune before SEGMENT — in ssbench's in-process
-# one-shard replay (`pruning.pruned_share`) and in the served four-shard
-# system (`server.pruning.pruned_share`), from one traced run. It read 0
-# before the second tier, 0.403 with it, and reads 0.79–0.83 with the
-# third and the best-bound-first sweep (it moves in the third decimal with
-# thread timing); below 0.7 a tier has stopped being entered.
-echo "==> ssbench work counter (fuzzy_miss: pruned_share >= 0.7)"
-out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
-    "${CARGO_TARGET_DIR:-target}/release/ssbench" --workload fuzzy_miss --seconds 1 --trace 1)
-shares=$(echo "$out" | tail -1 | grep -o 'pruning\.pruned_share":{"value":[0-9.e-]*' | sed 's/.*://')
-[ "$(echo "$shares" | wc -w)" -eq 2 ] || {
-    echo "ci: ssbench fuzzy_miss trace reported no pruned_share pair: $out" >&2
-    exit 1
-}
-for share in $shares; do
-    awk -v share="$share" 'BEGIN { exit !(share >= 0.7) }' || {
-        echo "ci: fuzzy_miss pruned_share $share is below 0.7 (of: $shares)" >&2
+# Work counters, not clocks: of the candidates a workload bounds, the share
+# the bound tiers prune before SEGMENT — in ssbench's in-process one-shard
+# replay (`pruning.pruned_share`) and in the served four-shard system
+# (`server.pruning.pruned_share`), from one traced run that must also
+# answer correctly and fail nothing.
+pruned_share_at_least() {
+    local workload=$1 floor=$2 out shares share
+    out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+        "${CARGO_TARGET_DIR:-target}/release/ssbench" --workload "$workload" --seconds 1 --trace 1)
+    case "$out" in
+        *'"correct":true,'*'"failed":0,'*) ;;
+        *)
+            echo "ci: ssbench $workload trace failed: $out" >&2
+            exit 1
+            ;;
+    esac
+    shares=$(echo "$out" | tail -1 | grep -o 'pruning\.pruned_share":{"value":[0-9.e-]*' | sed 's/.*://')
+    [ "$(echo "$shares" | wc -w)" -eq 2 ] || {
+        echo "ci: ssbench $workload trace reported no pruned_share pair: $out" >&2
         exit 1
     }
-done
+    for share in $shares; do
+        awk -v share="$share" -v floor="$floor" 'BEGIN { exit !(share >= floor) }' || {
+            echo "ci: $workload pruned_share $share is below $floor (of: $shares)" >&2
+            exit 1
+        }
+    done
+}
+
+# `fuzzy_miss` read 0 before the second tier, 0.403 with it, and reads
+# 0.79–0.83 with the third and the best-bound-first sweep (it moves in the
+# third decimal with thread timing); below 0.7 a tier has stopped being
+# entered.
+echo "==> ssbench work counter (fuzzy_miss: pruned_share >= 0.7)"
+pruned_share_at_least fuzzy_miss 0.7
+
+# `located_miss` pins both units at both ends, so the first tier bounds
+# each by its own window and the bounds are the scores give or take
+# rounding: everyone but the top k and its ties is pruned. It read 0.0001
+# before that and reads ≈ 0.99; below 0.95 the windows are not being read.
+echo "==> ssbench work counter (located_miss: pruned_share >= 0.95)"
+pruned_share_at_least located_miss 0.95
 
 echo "==> cargo test -q"
 cargo test -q

@@ -6,8 +6,9 @@
 //! Table 7 — the final score of a pattern is bounded by the extreme scores
 //! of that pattern across any level of the SegmentTree). The query is
 //! compiled once into a `BoundPlan` and the extremes' angles are cached
-//! on the [`VizData`], so the pass takes no `atan`, no `tan` and reads one
-//! clock pair for the whole collection. Stage 1 then scores the `k`
+//! on the [`VizData`], so the pass takes no `tan`, an `atan` only for a
+//! segment pinned at both ends (below), and reads one clock pair for the
+//! whole collection. Stage 1 then scores the `k`
 //! candidates with the **highest bounds** exactly, best bound first (the
 //! paper scores a down-sampled subset; scoring exactly costs the same
 //! asymptotics and makes the resulting threshold a *proven* lower bound on
@@ -24,10 +25,16 @@
 //! before, each taken only for a candidate the one before failed to prune.
 //! The first is the one above: a pattern's extreme scores over any slope
 //! between the trendline's interval extremes, which is all that can be
-//! said of a window nobody has placed. But a top-level CONCAT does place
-//! two: every exact segmenter tiles `[0, n − 1]` with the chain's units in
-//! order, so the first unit is scored on some window `[0, j]` and the last
-//! on some `[i, n − 1]` — `n − 1` candidate slopes each, not a continuum.
+//! said of a window nobody has placed. A segment pinned by both `x.s` and
+//! `x.e` has been placed, by the query (§5.4): every exact segmenter puts
+//! it on the one window its pins name or scores it −1, so the first tier
+//! bounds it by its score on that window — and a located query's bounds
+//! are then its scores give or take rounding, the `k` seeds its top k,
+//! and the sweep prunes everyone else but ties. A top-level CONCAT places
+//! windows too: every exact segmenter tiles `[0, n − 1]` with the chain's
+//! units in order, so the first unit is scored on some window `[0, j]`
+//! and the last on some `[i, n − 1]` — `n − 1` candidate slopes each, not
+//! a continuum.
 //! The second tier takes an un-located first or last unit's upper bound
 //! over exactly those windows (the rest of the plan keeps its first-tier
 //! value and arithmetic), and because every Table 7 row is monotone or
@@ -54,7 +61,10 @@
 //! against the sharpest threshold the walk has, and stage 2 visits the
 //! second tier's survivors **best bound first** so that threshold is sharp
 //! early: [`PruningDriver::sweep`]. On walks it prunes another four in ten.
-//! What all three feed is the same rule.
+//! What all three feed is the same rule, and each takes the same rounding
+//! allowance before it does (`BoundPlan::allowance`): a bound that is a
+//! score exactly sits an ulp under a segmenter's re-associated total
+//! without it.
 //!
 //! The threshold lives in a [`ThresholdCell`] — an atomic-`f64`
 //! (`AtomicU64` bit-cast) max register shared across every executor of
@@ -469,17 +479,22 @@ impl<'a> PruningDriver<'a> {
     }
 
     /// The bound pass: the Theorem 6.4 upper bound of every candidate, by
-    /// position. One clock pair and one observer sample for the whole
-    /// collection — a candidate costs a few nanoseconds, which is why the
-    /// pass runs unconditionally (on a workload it cannot prune it is
-    /// noise next to a single segmentation).
+    /// position, with the plan's rounding allowance on top (as every tier
+    /// takes it: a bound that is the exact score — a pinned unit's, or a
+    /// perfect fit's — sits an ulp under a segmenter's re-associated total
+    /// without it). One clock pair and one observer sample for the whole
+    /// collection — a candidate costs a few nanoseconds, ≈ 0.1 µs more for
+    /// each pinned unit whose window it looks up, which is why the pass
+    /// runs unconditionally (on a workload it cannot prune it is noise next
+    /// to a single segmentation).
     pub fn upper_bounds(&self, vizzes: &[&VizData]) -> Vec<f64> {
         let started = Instant::now();
+        let allowance = self.plan.allowance();
         let bounds: Vec<f64> = self
             .plan
             .bounds(vizzes)
             .into_iter()
-            .map(|(_, upper)| upper)
+            .map(|(_, upper)| upper + allowance)
             .collect();
         let elapsed = started.elapsed();
         self.counters.record_bound_pass(bounds.len(), elapsed);
@@ -492,10 +507,11 @@ impl<'a> PruningDriver<'a> {
     /// upper bounds, best first (ties by position). These are the
     /// candidates no threshold could rule out, so scoring them first
     /// gives the sweep over everyone else the sharpest threshold k exact
-    /// scores can prove. A selection, not a sort: ordering the whole
-    /// collection by bound costs a located query (0.7 µs of work per
-    /// trendline) a tenth of its time and saves a needle query 5 % of
-    /// the little it still scores.
+    /// scores can prove. A selection, not a sort: a located query scores
+    /// about k trendlines and spends most of its time on the bound pass
+    /// itself (≈ 0.2 µs a trendline, its pinned windows looked up), so
+    /// ordering its whole collection would be a large share of what it
+    /// does, and saves a needle query 5 % of the little it still scores.
     pub fn seeds(&self, bounds: &[f64]) -> Vec<usize> {
         let best_first =
             |a: &usize, b: &usize| bounds[*b].total_cmp(&bounds[*a]).then_with(|| a.cmp(b));
@@ -690,6 +706,8 @@ impl<'a> PruningDriver<'a> {
 /// Score bounds `(lower, upper)` for a query over one visualization, in
 /// O(query size): the query's bound plan compiled and evaluated once (the
 /// pruning driver compiles once per query and evaluates per candidate).
+/// These are the plan's bare values; the driver prunes by the upper one
+/// plus a rounding allowance ([`PruningDriver::upper_bounds`]).
 pub fn query_bounds(query: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
     BoundPlan::compile(query, params, Ends::BOTH).bounds(&[viz])[0]
 }
@@ -750,12 +768,15 @@ enum BoundPlan {
     /// to the trivial −1 so NOT nodes (which flip bounds) stay sound.
     /// `located`: the query says where its window goes (x/y pins, an
     /// ITERATOR width). `anchor`: the end its window is pinned to by the
-    /// tiling, if any — what the second tier bounds it over.
+    /// tiling, if any — what the second tier bounds it over. `pins`: the
+    /// raw `x.s`/`x.e` of a segment that carries both and no ITERATOR,
+    /// which leave it one window to be placed on ([`SlopeRow::pinned`]).
     Slope {
         row: SlopeRow,
         constrained: bool,
         located: bool,
         anchor: Option<End>,
+        pins: Option<(f64, f64)>,
     },
     Concat(Vec<BoundPlan>),
     And(Vec<BoundPlan>),
@@ -913,11 +934,16 @@ impl BoundPlan {
             (false, false, true) => Some(End::Last),
             _ => None,
         };
+        let pins = match (s.location.x_start, s.location.x_end, s.iterator) {
+            (Some(start), Some(end), None) => Some((start, end)),
+            _ => None,
+        };
         Self::Slope {
             row,
             constrained: located || params.min_width_frac > 0.0,
             located,
             anchor,
+            pins,
         }
     }
 
@@ -986,13 +1012,11 @@ impl BoundPlan {
                 row,
                 constrained,
                 anchor,
+                pins,
                 ..
             } => {
-                let (lo, hi) = row.bounds(viz);
-                (
-                    if *constrained { -1.0 } else { lo },
-                    anchor.map_or(hi, |end| row.best_over(windows.at(end))),
-                )
+                let (lo, hi) = row.leaf_bounds(viz, *constrained, *pins);
+                (lo, anchor.map_or(hi, |end| row.best_over(windows.at(end))))
             }
             Self::Concat(cs) => {
                 let n = cs.len().max(1) as f64;
@@ -1022,7 +1046,14 @@ impl BoundPlan {
     /// NOT pass errors through unchanged. Without it the tree's score of a
     /// tie sits an ulp above the bound and is pruned under `upper < τ`.
     fn anchored_upper(&self, viz: &VizData, windows: &EndWindows) -> f64 {
-        self.anchored(viz, windows).1 + self.leaves() as f64 * ROUNDING_ALLOWANCE
+        self.anchored(viz, windows).1 + self.allowance()
+    }
+
+    /// [`ROUNDING_ALLOWANCE`] for each leaf of the plan: what every tier's
+    /// upper bound takes before the driver prunes by it (see
+    /// [`Self::anchored_upper`] for why that covers every segmenter).
+    fn allowance(&self) -> f64 {
+        self.leaves() as f64 * ROUNDING_ALLOWANCE
     }
 
     /// Leaf nodes in the plan: an upper limit on the units in any chain
@@ -1067,13 +1098,13 @@ impl BoundPlan {
         match self {
             Self::Trivial => vec![(-1.0, 1.0); vizzes.len()],
             Self::Slope {
-                row, constrained, ..
+                row,
+                constrained,
+                pins,
+                ..
             } => vizzes
                 .iter()
-                .map(|viz| {
-                    let (lo, hi) = row.bounds(viz);
-                    (if *constrained { -1.0 } else { lo }, hi)
-                })
+                .map(|viz| row.leaf_bounds(viz, *constrained, *pins))
                 .collect(),
             // A chain's floor is −1 whatever its units' are: given a
             // window with fewer intervals than it has units, or pins that
@@ -1122,6 +1153,34 @@ impl SlopeRow {
             Self::Flat => unimodal(self.at(lo_t), self.at(hi_t), 0.0),
             Self::Theta { mode, .. } => unimodal(self.at(lo_t), self.at(hi_t), mode),
         }
+    }
+
+    /// A slope leaf's first-tier bounds: [`Self::bounds`], with the lower
+    /// one voided to −1 when a hard constraint can force a segment there
+    /// (`constrained`), and the upper one the score on its own window when
+    /// x pins give it one ([`Self::pinned`]).
+    #[inline]
+    fn leaf_bounds(self, viz: &VizData, constrained: bool, pins: Option<(f64, f64)>) -> (f64, f64) {
+        let (lo, hi) = self.bounds(viz);
+        (
+            if constrained { -1.0 } else { lo },
+            pins.and_then(|pins| self.pinned(viz, pins)).unwrap_or(hi),
+        )
+    }
+
+    /// The row's score on the one window raw pins `(x.s, x.e)` leave a
+    /// segment in `viz` (§5.4), when they leave it an interval or more:
+    /// `None` otherwise. Every exact segmenter either places the segment
+    /// on exactly that window (the SegmentTree anchors it there, the DP
+    /// and the greedy's DP fallback constrain its ends to it) or scores it
+    /// −1 through the location check, and on that window it scores this
+    /// very number — the same slope bits from the prefix columns, the same
+    /// `atan`, the same Table 5 map — before y-endpoint checks and the
+    /// width penalty, which only lower it. The clamp is the scorer's.
+    #[inline]
+    fn pinned(self, viz: &VizData, (start, end): (f64, f64)) -> Option<f64> {
+        let (i, j) = (viz.x_to_index(start), viz.x_to_index(end));
+        (j > i).then(|| clamp_score(self.at(viz.slope(i, j).atan())))
     }
 
     /// The row's Table 5 score at a fitted angle.
@@ -1410,6 +1469,7 @@ pub(crate) mod tests {
     use crate::algo::Segmenter;
     use crate::chain::expand_chains;
     use crate::eval::{Evaluator, UdpRegistry};
+    use crate::score;
     use shapesearch_datastore::Trendline;
 
     fn viz(pairs: &[(f64, f64)], idx: usize) -> VizData {
@@ -1478,6 +1538,14 @@ pub(crate) mod tests {
             seg.location.x_start = Some(x);
             ShapeQuery::Segment(seg)
         };
+        let pinned = |p: Pattern, start: f64, end: f64| {
+            ShapeQuery::Segment(ShapeSegment::pinned(p, start, end))
+        };
+        let with_ys = {
+            let mut seg = ShapeSegment::pinned(Pattern::Slope(30.0), 1.0, 7.0);
+            (seg.location.y_start, seg.location.y_end) = (Some(0.0), Some(4.0));
+            ShapeQuery::Segment(seg)
+        };
         let fuzzy3 = ShapeQuery::concat(vec![slope(45.0), slope(-30.0), slope(60.0)]);
         // Every arm the compiled plan has: the four Table 7 rows (θ
         // targets on, and past, the ±90° clamp included), each operator,
@@ -1486,7 +1554,11 @@ pub(crate) mod tests {
         // the second tier, each operator and a nested CONCAT at either end
         // of a chain, located units at the ends (not anchored), one-unit
         // chains (no tier); for the third, chains of two and of three
-        // with each row at an end and in the middle.
+        // with each row at an end and in the middle. Segments pinned at
+        // both ends are bounded by their own window: alone and chained,
+        // with y endpoints too, with pins that meet at one canvas point
+        // (no window: the extremes), inside a fuzzy chain, and under NOT,
+        // OR and AND.
         let queries = [
             ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
             ShapeQuery::concat(vec![ShapeQuery::flat(), slope(120.0)]),
@@ -1567,6 +1639,34 @@ pub(crate) mod tests {
                 ShapeQuery::up(),
                 ShapeQuery::Segment(ShapeSegment::pattern(Pattern::Down).with_width(3.0)),
             ]),
+            ShapeQuery::concat(vec![ShapeQuery::flat(); 5]),
+            pinned(Pattern::Up, 2.0, 9.0),
+            pinned(Pattern::Slope(-120.0), 0.0, 15.0),
+            ShapeQuery::concat(vec![
+                pinned(Pattern::Down, 1.0, 6.0),
+                pinned(Pattern::Up, 6.0, 12.0),
+            ]),
+            ShapeQuery::concat(vec![
+                pinned(Pattern::Flat, 0.0, 3.0),
+                pinned(Pattern::Slope(40.0), 3.0, 8.0),
+                pinned(Pattern::Down, 8.0, 14.0),
+            ]),
+            with_ys.clone(),
+            ShapeQuery::concat(vec![with_ys.clone(), ShapeQuery::down()]),
+            pinned(Pattern::Up, 4.2, 4.4),
+            ShapeQuery::concat(vec![pinned(Pattern::Down, 4.2, 4.4), ShapeQuery::up()]),
+            ShapeQuery::concat(vec![
+                ShapeQuery::up(),
+                pinned(Pattern::Down, 5.0, 10.0),
+                ShapeQuery::flat(),
+            ]),
+            not(pinned(Pattern::Slope(-30.0), 3.0, 12.0)),
+            ShapeQuery::concat(vec![not(pinned(Pattern::Up, 0.0, 5.0)), ShapeQuery::down()]),
+            ShapeQuery::Or(vec![pinned(Pattern::Up, 2.0, 9.0), ShapeQuery::flat()]),
+            ShapeQuery::concat(vec![
+                ShapeQuery::Or(vec![pinned(Pattern::Flat, 0.0, 4.0), slope(20.0)]),
+                ShapeQuery::And(vec![pinned(Pattern::Up, 4.0, 11.0), ShapeQuery::up()]),
+            ]),
         ];
         let widthy = ScoreParams {
             min_width_frac: 0.25,
@@ -1574,19 +1674,29 @@ pub(crate) mod tests {
         };
         // The peaks and falls, seeded walks long and short (two points is
         // the fewest GROUP accepts) that fall all the way and that wander,
-        // and the walks again three to a bin.
+        // constant and linear series (where scores tie their bounds), and
+        // all of them again three to a bin.
         let mut collection = make_collection();
-        for (i, n) in [2usize, 3, 4, 16, 33, 64].into_iter().enumerate() {
-            for pairs in [walk(n as u64, n), wander(n as u64, n)] {
-                let t = Trendline::from_pairs(format!("w{n}"), &pairs);
-                for bin in [1, 3] {
-                    collection.extend(VizData::from_trendline(&t, 20 + i, bin));
-                }
+        let series = [2usize, 3, 4, 16, 33, 64]
+            .into_iter()
+            .flat_map(|n| [walk(n as u64, n), wander(n as u64, n)])
+            .chain([10usize, 16].into_iter().flat_map(|n| {
+                let line = |rise: f64| -> Vec<(f64, f64)> {
+                    (0..n).map(|t| (t as f64, rise * t as f64 - 3.0)).collect()
+                };
+                [line(0.0), line(1.0), line(-0.25)]
+            }));
+        for (i, pairs) in series.enumerate() {
+            let t = Trendline::from_pairs(format!("s{i}"), &pairs);
+            for bin in [1, 3] {
+                collection.extend(VizData::from_trendline(&t, 20 + i, bin));
             }
         }
-        let (mut anchored, mut joined, mut cut) = (0, 0, 0);
+        let (mut anchored, mut joined, mut cut, mut on_window) = (0, 0, 0, 0);
         for params in [ScoreParams::default(), widthy] {
             for q in &queries {
+                let (cell, counters) = (ThresholdCell::new(), PruningCounters::new());
+                let driver = PruningDriver::new(q, &params, &cell, &counters, 1);
                 for v in &collection {
                     let ev = Evaluator::new(v, &params, &udps);
                     let chains = expand_chains(q);
@@ -1602,16 +1712,26 @@ pub(crate) mod tests {
                         params.min_width_frac
                     );
                     assert!(tree <= exact + 1e-9, "tree {tree} > dp {exact}: {case}");
+                    assert!(exact >= lo - 1e-9, "score {exact} under {lo}: {case}");
+                    // What the driver prunes by bounds both scores with no
+                    // tolerance: a prune is `upper < τ`, so an ulp under
+                    // either is a tie lost.
+                    let upper = driver.upper_bounds(&[v])[0];
                     assert!(
-                        exact <= hi + 1e-9 && exact >= lo - 1e-9,
-                        "score {exact} outside [{lo}, {hi}]: {case}"
+                        exact <= upper && tree <= upper,
+                        "score {exact} or tree {tree} > bound {upper} (bare {hi}): {case}"
                     );
+                    if exact > -1.0 && exact == hi {
+                        on_window +=
+                            usize::from(q.segments().iter().any(|s| s.location.x_end.is_some()));
+                    }
                     let tight = anchored_upper_bound(q, v, &params);
                     if let Some(tight) = tight {
                         anchored += 1;
                         assert!(
-                            exact <= tight + 1e-9 && tight <= hi + 1e-9,
-                            "score {exact} ≤ anchored {tight} ≤ whole {hi} broken: {case}"
+                            exact <= tight && tree <= tight && tight <= upper,
+                            "score {exact} or tree {tree} ≤ anchored {tight} ≤ whole {upper} \
+                             broken: {case}"
                         );
                     }
                     // The third tier against thresholds either side of
@@ -1661,7 +1781,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        assert!(anchored > 0 && joined > 0 && cut > 0);
+        assert!(anchored > 0 && joined > 0 && cut > 0 && on_window > 0);
     }
 
     #[test]
@@ -1764,6 +1884,56 @@ pub(crate) mod tests {
         // Nor is a chain under an operator the whole query.
         let under = ShapeQuery::And(vec![chain(vec![up(), down()]), flat()]);
         assert_eq!(joint(&under, &params), None);
+    }
+
+    #[test]
+    fn a_segment_pinned_at_both_ends_is_bounded_on_its_own_window() {
+        let params = ScoreParams::default();
+        let udps = UdpRegistry::new();
+        let pinned = |p: Pattern, start: f64, end: f64| ShapeSegment::pinned(p, start, end);
+        let q = ShapeQuery::concat(vec![
+            ShapeQuery::Segment(pinned(Pattern::Up, 10.0, 30.0)),
+            ShapeQuery::Segment(pinned(Pattern::Slope(-30.0), 30.0, 50.0)),
+        ]);
+        let fuzzy = ShapeQuery::concat(vec![
+            ShapeQuery::up(),
+            ShapeQuery::pattern(Pattern::Slope(-30.0)),
+        ]);
+        for seed in 1..=20 {
+            let v = viz(&wander(seed, 64), 0);
+            // The walk's interval slopes reach past every target: the
+            // extremes bound the chain at ≈ 1, its windows at its score.
+            assert!(query_bounds(&fuzzy, &v, &params).1 > 0.9, "walk {seed}");
+            let ev = Evaluator::new(&v, &params, &udps);
+            let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
+            let (_, hi) = query_bounds(&q, &v, &params);
+            let on_windows = (score::score_up(v.slope(10, 30))
+                + score::score_theta(v.slope(30, 50), -30.0))
+                / 2.0;
+            assert_eq!(hi, on_windows, "walk {seed}");
+            assert!(
+                (hi - exact).abs() <= 2.0 * f64::EPSILON,
+                "walk {seed}: {hi} vs {exact}"
+            );
+        }
+
+        // Pins that leave no interval between them, and pins under an
+        // ITERATOR, place nothing the bound can name: the extremes stand.
+        let v = viz(&wander(7, 64), 0);
+        let (_, extremes) = query_bounds(&ShapeQuery::up(), &v, &params);
+        for seg in [
+            pinned(Pattern::Up, 20.2, 20.4),
+            pinned(Pattern::Up, 40.0, 20.0),
+            pinned(Pattern::Up, 10.0, 30.0).with_width(5.0),
+        ] {
+            let q = ShapeQuery::Segment(seg);
+            assert_eq!(query_bounds(&q, &v, &params), (-1.0, extremes), "{q}");
+        }
+        // One pin alone leaves the segment a run of windows.
+        let mut seg = ShapeSegment::pattern(Pattern::Up);
+        seg.location.x_start = Some(10.0);
+        let q = ShapeQuery::Segment(seg);
+        assert_eq!(query_bounds(&q, &v, &params), (-1.0, extremes));
     }
 
     #[test]
@@ -2094,9 +2264,11 @@ pub(crate) mod tests {
             0,
         );
 
-        // One pass, one bound per candidate.
+        // One pass, one bound per candidate: the plan's, and the one
+        // leaf's rounding allowance.
         let bounds = driver.upper_bounds(&[&fall]);
-        let (_, ub) = query_bounds(&q, &fall, &params);
+        let (_, bare) = query_bounds(&q, &fall, &params);
+        let ub = bare + ROUNDING_ALLOWANCE;
         assert_eq!(bounds, [ub]);
         assert_eq!(counters.snapshot().bounded, 1);
 

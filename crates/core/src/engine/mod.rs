@@ -1094,6 +1094,132 @@ mod tests {
         }
     }
 
+    /// Shard engines fed one `SharedThresholds`, run in `order` (a server's
+    /// pool may finish them in any), their partials merged.
+    fn sharded_top_k(
+        shards: &[Arc<ShapeEngine>],
+        order: &[usize],
+        q: &ShapeQuery,
+        k: usize,
+        opts: &EngineOptions,
+    ) -> Vec<TopKResult> {
+        let shared = SharedThresholds::new(1);
+        let partials = order
+            .iter()
+            .map(|&at| {
+                shards[at]
+                    .top_k_batch_observed(&[(q, k)], opts, &shared, &NOOP_OBSERVER)
+                    .pop()
+                    .unwrap()
+                    .unwrap()
+            })
+            .collect();
+        shard::merge_topk(partials, k)
+    }
+
+    #[test]
+    fn a_tie_on_the_first_tier_bound_survives_a_later_shard() {
+        // Five flat units on constant series: the first-tier bound is
+        // 1.0 and the SegmentTree's re-associated total 1.0000000000000002.
+        // When the high shard proves that total first, the low shard's
+        // bound must not sit under it, or its equal scores — which win the
+        // tie by index — are pruned and the merged answer is [2, 3].
+        let constant: Vec<(f64, f64)> = (0..10).map(|t| (t as f64, 5.0)).collect();
+        let tls: Vec<Trendline> = (0..4)
+            .map(|i| Trendline::from_pairs(format!("c{i}"), &constant))
+            .collect();
+        let q = ShapeQuery::concat(vec![ShapeQuery::flat(); 5]);
+        let opts = EngineOptions {
+            segmenter: SegmenterKind::SegmentTree,
+            ..EngineOptions::default()
+        };
+        let want = ShapeEngine::from_trendlines(tls.clone())
+            .with_options(opts.clone())
+            .top_k(&q, 2)
+            .unwrap();
+        let indexes =
+            |results: &[TopKResult]| results.iter().map(|r| r.viz_index).collect::<Vec<_>>();
+        assert_eq!(indexes(&want), [0, 1]);
+        let shards = [
+            Arc::new(ShapeEngine::from_trendlines(tls[..2].to_vec())),
+            Arc::new(ShapeEngine::from_trendlines(tls[2..].to_vec()).with_base_index(2)),
+        ];
+        for order in [[0, 1], [1, 0]] {
+            let got = sharded_top_k(&shards, &order, &q, 2, &opts);
+            assert_eq!(got, want, "shards run in order {order:?}");
+        }
+    }
+
+    #[test]
+    fn located_queries_score_about_k_and_answer_alike_in_every_shape() {
+        // ssbench's `located_miss` in small: two units pinned end to end
+        // on random walks. Each unit has one window to go on, so the bound
+        // is the score give or take rounding: the seeds are the top k, and
+        // the sweep after them prunes everyone but ties at the k-th.
+        let tls: Vec<Trendline> = (0..300u64)
+            .map(|i| Trendline::from_pairs(format!("walk{i}"), &wander(i + 1, 64)))
+            .collect();
+        let q = ShapeQuery::concat(vec![
+            pinned(Pattern::Down, 6.0, 30.0),
+            pinned(Pattern::Up, 30.0, 55.0),
+        ]);
+        let k = 4;
+        let matrix = [
+            (SegmenterKind::Dp, PruningMode::Auto),
+            (SegmenterKind::SegmentTree, PruningMode::Auto),
+            (SegmenterKind::Greedy, PruningMode::Force),
+        ];
+        for (kind, mode) in matrix {
+            let opts = EngineOptions {
+                segmenter: kind,
+                pruning_mode: mode,
+                ..EngineOptions::default()
+            };
+            let off = EngineOptions {
+                pruning_mode: PruningMode::Off,
+                ..opts.clone()
+            };
+            let whole = ShapeEngine::from_trendlines(tls.clone());
+            let run = |opts: &EngineOptions, k: usize| {
+                let shared = SharedThresholds::new(1);
+                let got = whole
+                    .top_k_batch_observed(&[(&q, k)], opts, &shared, &NOOP_OBSERVER)
+                    .pop()
+                    .unwrap()
+                    .unwrap();
+                (got, shared.snapshot())
+            };
+            let (want, _) = run(&off, k);
+            let (everyone, _) = run(&off, tls.len());
+            let kth = want[k - 1].score;
+            let ties = everyone[k..].iter().filter(|r| r.score == kth).count();
+
+            let (got, snap) = run(&opts, k);
+            assert_eq!(got, want, "{kind:?}, one shard");
+            assert_eq!(snap.bounded, 300, "{kind:?}");
+            assert!(
+                snap.scored as usize <= k + ties,
+                "{kind:?}: {snap:?}, {ties} ties"
+            );
+
+            for shards in [1, 3, 4] {
+                let sharded = shard::ShardedEngine::from_trendlines(tls.clone(), shards);
+                let forward: Vec<usize> = (0..sharded.shard_count()).collect();
+                let backward: Vec<usize> = forward.iter().rev().copied().collect();
+                for opts in [&opts, &off] {
+                    for order in [&forward, &backward] {
+                        let got = sharded_top_k(sharded.shards(), order, &q, k, opts);
+                        assert_eq!(
+                            got, want,
+                            "{kind:?}, {:?}, {shards} shards run in order {order:?}",
+                            opts.pruning_mode
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_k_scores_nothing() {
         let engine = ShapeEngine::from_trendlines(haystack(60));

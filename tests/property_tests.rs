@@ -17,6 +17,7 @@ use shapesearch_core::{
     Evaluator, Modifier, Pattern, ScoreParams, Segmenter, ShapeQuery, ShapeSegment, StatsIndex,
     SummaryStats, UdpRegistry, VizData,
 };
+use shapesearch_core::{PruningCounters, PruningDriver, ThresholdCell};
 use shapesearch_datastore::Trendline;
 use shapesearch_parser::parse_regex;
 
@@ -112,6 +113,13 @@ fn free_chain_strategy() -> impl Strategy<Value = ShapeQuery> {
         Just(ShapeQuery::pattern(Pattern::Slope(-135.0))),
     ];
     proptest::collection::vec(unit, 2..4).prop_map(ShapeQuery::concat)
+}
+
+/// The first-tier upper bound the pruning driver prunes `viz` by: the
+/// plan's, with its rounding allowance.
+fn pruned_with(q: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> f64 {
+    let (cell, counters) = (ThresholdCell::new(), PruningCounters::new());
+    PruningDriver::new(q, params, &cell, &counters, 1).upper_bounds(&[viz])[0]
 }
 
 /// Noise summed into a random walk.
@@ -276,11 +284,14 @@ proptest! {
         let exact = DpSegmenter.match_viz(&ev, &chains).score;
         let tree = SegmentTreeSegmenter::default().match_viz(&ev, &chains).score;
         prop_assert!(tree <= exact + 1e-9, "tree {tree} > dp {exact} for {q}");
-        let (lo, hi) = query_bounds(&q, &viz, &params);
+        let (lo, _) = query_bounds(&q, &viz, &params);
+        let hi = pruned_with(&q, &viz, &params);
         // Infeasible queries (more units than intervals) return −1, which is
         // always within the trivial bound range.
-        // Upper bounds hold with no tolerance, for the DP's score and the
-        // tree's: a prune is `upper < τ`, so an ulp over one is a tie lost.
+        // The upper bound the driver prunes by holds with no tolerance, for
+        // the DP's score and the tree's: a prune is `upper < τ`, so an ulp
+        // over one is a tie lost. (The plan's bare value can sit that ulp
+        // under a score it equals, as a pinned segment's does.)
         prop_assert!(exact >= lo - 1e-6 && exact <= hi && tree <= hi,
             "score {exact} or tree {tree} outside [{lo}, {hi}] for {q}");
         // The second tier, where the query has an end to anchor, sits
