@@ -109,29 +109,30 @@ if awk '/^#\[cfg\(test\)\]/{exit} {print}' crates/server/src/client.rs | grep -v
     exit 1
 fi
 
-# One event loop: the loop-count knob is gone in every spelling.
-echo "==> one event loop (no event-thread knob in the code or the docs)"
-if git grep -nE "event_threads|event-threads" -- crates src README.md docs; then
-    echo "ci: an event-thread knob is back" >&2
-    exit 1
-fi
-
-# Snapshot shards are cut once, at registration: the residency budget
-# and the weighted-cache machinery only it used are gone in every
-# spelling. (The benchmark package's README is frozen with the benchmark
-# and still lists the flag among what it does not cover.)
-echo "==> no residency budget (snapshot shards are cut at registration)"
-if git grep -nE 'resident_bytes|resident-bytes|ResidentShards|ResidentStats|set_capacity_bytes|Cache::weighted|lead_micros' \
-    -- crates src README.md docs ':!crates/bench/src/bin/ssbench'; then
-    echo "ci: a residency budget is back" >&2
-    exit 1
-fi
+# Retired names stay gone in every spelling, one row each: pattern;
+# pathspecs; message. One event loop: the loop-count knob. Snapshot
+# shards are cut once, at registration: the residency budget and the
+# weighted-cache machinery only it used (the benchmark package's README
+# is frozen with the benchmark and still lists the flag among what it
+# does not cover). One threading model: the engine's old parallel
+# trigger and the server's opt-out (the frozen benchmark package still
+# sets the two inert option fields).
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out)"
+while IFS=';' read -r pattern paths message; do
+    # shellcheck disable=SC2086 # the pathspecs are separate words
+    if git grep -nE "$pattern" -- $paths; then
+        echo "ci: $message" >&2
+        exit 1
+    fi
+done <<'ROWS'
+event_threads|event-threads;crates src README.md docs;an event-thread knob is back
+resident_bytes|resident-bytes|ResidentShards|ResidentStats|set_capacity_bytes|Cache::weighted|lead_micros;crates src README.md docs :!crates/bench/src/bin/ssbench;a residency budget is back
+DEFAULT_PARALLEL_THRESHOLD|parallel_opt_out;crates src README.md docs :!crates/bench/src/bin/ssbench;the engine's parallel trigger or the server's opt-out is back
+ROWS
 
 # One threading model: shards on the compute pool are the only
-# parallelism. Core's non-test code spawns no thread, and the engine's
-# old trigger and the server's opt-out are gone in every spelling (the
-# frozen benchmark package still sets the two inert option fields).
-echo "==> one threading model (core spawns no thread; no parallel trigger or opt-out)"
+# parallelism, so core's non-test code spawns no thread.
+echo "==> one threading model (core spawns no thread)"
 SPAWNS=$(for f in $(git ls-files 'crates/core/src/*.rs'); do
     awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -vE '^\s*//' |
         grep -nE 'thread::(scope|spawn)' | sed "s#^#$f:#"
@@ -139,11 +140,6 @@ done)
 if [ -n "$SPAWNS" ]; then
     echo "$SPAWNS" >&2
     echo "ci: core spawns threads; shards on the server's compute pool are the only parallelism" >&2
-    exit 1
-fi
-if git grep -nE 'DEFAULT_PARALLEL_THRESHOLD|parallel_opt_out' \
-    -- crates src README.md docs ':!crates/bench/src/bin/ssbench'; then
-    echo "ci: the engine's parallel trigger or the server's opt-out is back" >&2
     exit 1
 fi
 

@@ -30,7 +30,10 @@
 //! it on the one window its pins name or scores it −1, so the first tier
 //! bounds it by its score on that window — and a located query's bounds
 //! are then its scores give or take rounding, the `k` seeds its top k,
-//! and the sweep prunes everyone else but ties. A top-level CONCAT places
+//! and the sweep prunes everyone else but ties. Which window the pins
+//! name depends on the trendline's raw x row alone, so it is resolved
+//! once for each x grid ([`VizData::grid`]) and a candidate pays only
+//! that window's slope and `atan`. A top-level CONCAT places
 //! windows too: every exact segmenter tiles `[0, n − 1]` with the chain's
 //! units in order, so the first unit is scored on some window `[0, j]`
 //! and the last on some `[i, n − 1]` — `n − 1` candidate slopes each, not
@@ -86,7 +89,7 @@
 
 use crate::algo::SegmenterKind;
 use crate::ast::{Pattern, ShapeQuery, ShapeSegment};
-use crate::engine::group::VizData;
+use crate::engine::group::{GridMemo, VizData};
 use crate::engine::observe::{EngineStage, StageObserver, NOOP_OBSERVER};
 use crate::score::{clamp_score, down_at, flat_at, theta_at, theta_target, up_at, ScoreParams};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -483,16 +486,18 @@ impl<'a> PruningDriver<'a> {
     /// takes it: a bound that is the exact score — a pinned unit's, or a
     /// perfect fit's — sits an ulp under a segmenter's re-associated total
     /// without it). One clock pair and one observer sample for the whole
-    /// collection — a candidate costs a few nanoseconds, ≈ 0.1 µs more for
-    /// each pinned unit whose window it looks up, which is why the pass
-    /// runs unconditionally (on a workload it cannot prune it is noise next
-    /// to a single segmentation).
+    /// collection — a candidate costs a few nanoseconds, plus a window's
+    /// slope and `atan` for each unit pinned at both ends (whose window is
+    /// resolved once an x grid): ≈ 0.12 µs a candidate for a located
+    /// query of two such units on 128-point walks, one core. That is why
+    /// the pass runs unconditionally (on a workload it cannot prune it is
+    /// noise next to a single segmentation).
     pub fn upper_bounds(&self, vizzes: &[&VizData]) -> Vec<f64> {
         let started = Instant::now();
         let allowance = self.plan.allowance();
         let bounds: Vec<f64> = self
             .plan
-            .bounds(vizzes)
+            .bounds(vizzes, &mut PinWindows::default())
             .into_iter()
             .map(|(_, upper)| upper + allowance)
             .collect();
@@ -508,10 +513,11 @@ impl<'a> PruningDriver<'a> {
     /// candidates no threshold could rule out, so scoring them first
     /// gives the sweep over everyone else the sharpest threshold k exact
     /// scores can prove. A selection, not a sort: a located query scores
-    /// about k trendlines and spends most of its time on the bound pass
-    /// itself (≈ 0.2 µs a trendline, its pinned windows looked up), so
-    /// ordering its whole collection would be a large share of what it
-    /// does, and saves a needle query 5 % of the little it still scores.
+    /// about k trendlines and spends a large share of its time on the
+    /// bound pass itself (≈ 0.12 µs a trendline: two pinned windows'
+    /// slopes and `atan`s), so ordering its whole collection would be a
+    /// large share of what it does, and saves a needle query 5 % of the
+    /// little it still scores.
     pub fn seeds(&self, bounds: &[f64]) -> Vec<usize> {
         let best_first =
             |a: &usize, b: &usize| bounds[*b].total_cmp(&bounds[*a]).then_with(|| a.cmp(b));
@@ -709,7 +715,7 @@ impl<'a> PruningDriver<'a> {
 /// These are the plan's bare values; the driver prunes by the upper one
 /// plus a rounding allowance ([`PruningDriver::upper_bounds`]).
 pub fn query_bounds(query: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
-    BoundPlan::compile(query, params, Ends::BOTH).bounds(&[viz])[0]
+    BoundPlan::compile(query, params, Ends::BOTH).bounds(&[viz], &mut PinWindows::default())[0]
 }
 
 /// The second-tier upper bound of a query over one visualization — what
@@ -726,7 +732,7 @@ pub fn anchored_upper_bound(
     anchors.any().then(|| {
         let mut windows = EndWindows::default();
         windows.load(viz, anchors);
-        plan.anchored_upper(viz, &windows)
+        plan.anchored_upper(viz, &mut windows)
     })
 }
 
@@ -746,7 +752,7 @@ pub fn joint_upper_bound(
     plan.joint().map(|chain| {
         let mut windows = EndWindows::default();
         windows.load(viz, Ends::BOTH);
-        let refined = plan.anchored_upper(viz, &windows);
+        let refined = plan.anchored_upper(viz, &mut windows);
         chain.bound(viz, &mut windows, threshold, refined)
     })
 }
@@ -843,13 +849,32 @@ impl Ends {
 /// window that starts at its first point and every window that ends at
 /// its last — and, for the third tier, the few of either the threshold
 /// leaves standing, as (inner end point, unit score). Four buffers a walk
-/// reuses from candidate to candidate.
+/// reuses from candidate to candidate, beside the windows its x-pinned
+/// leaves name, resolved once a grid.
 #[derive(Debug, Default)]
 struct EndWindows {
     first: Vec<f64>,
     last: Vec<f64>,
     kept_first: Vec<(usize, f64)>,
     kept_last: Vec<(usize, f64)>,
+    pinned: PinWindows,
+}
+
+/// The canvas window `(x_to_index(x.s), x_to_index(x.e))` each pair of
+/// raw pins names, resolved once for each run of candidates on one x
+/// grid ([`VizData::grid`]): equal raw x rows map a raw x to the same
+/// canvas point, so only the window's slope differs from candidate to
+/// candidate. Keyed by the pins' bits.
+#[derive(Debug, Default)]
+struct PinWindows(GridMemo<(u64, u64), (usize, usize)>);
+
+impl PinWindows {
+    #[inline]
+    fn window(&mut self, viz: &VizData, (start, end): (f64, f64)) -> (usize, usize) {
+        self.0.get(viz, (start.to_bits(), end.to_bits()), || {
+            (viz.x_to_index(start), viz.x_to_index(end))
+        })
+    }
 }
 
 impl EndWindows {
@@ -1000,8 +1025,8 @@ impl BoundPlan {
     /// those windows' slopes lies between the extremes too. The operator
     /// arithmetic is [`Self::bounds`]' own, operand for operand, so a
     /// plan without anchors gets the same bits from both.
-    fn anchored(&self, viz: &VizData, windows: &EndWindows) -> (f64, f64) {
-        let fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
+    fn anchored(&self, viz: &VizData, windows: &mut EndWindows) -> (f64, f64) {
+        let mut fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
             let mut each = cs.iter().map(|c| c.anchored(viz, windows));
             let first = each.next().unwrap_or((-1.0, 1.0));
             each.fold(first, |(lo, hi), (l, h)| (pick(lo, l), pick(hi, h)))
@@ -1015,7 +1040,8 @@ impl BoundPlan {
                 pins,
                 ..
             } => {
-                let (lo, hi) = row.leaf_bounds(viz, *constrained, *pins);
+                let window = pins.map(|pins| windows.pinned.window(viz, pins));
+                let (lo, hi) = row.leaf_bounds(viz, *constrained, window);
                 (lo, anchor.map_or(hi, |end| row.best_over(windows.at(end))))
             }
             Self::Concat(cs) => {
@@ -1045,7 +1071,7 @@ impl BoundPlan {
     /// and a chain has no more units than the plan has leaves. AND, OR and
     /// NOT pass errors through unchanged. Without it the tree's score of a
     /// tie sits an ulp above the bound and is pruned under `upper < τ`.
-    fn anchored_upper(&self, viz: &VizData, windows: &EndWindows) -> f64 {
+    fn anchored_upper(&self, viz: &VizData, windows: &mut EndWindows) -> f64 {
         self.anchored(viz, windows).1 + self.allowance()
     }
 
@@ -1081,10 +1107,10 @@ impl BoundPlan {
     /// over that interval are attained at the cached extremes. (Nested
     /// CONCATs are handled for free: the recursive mean equals chain
     /// expansion's weighted-average semantics.)
-    fn bounds(&self, vizzes: &[&VizData]) -> Vec<(f64, f64)> {
+    fn bounds(&self, vizzes: &[&VizData], pinned: &mut PinWindows) -> Vec<(f64, f64)> {
         // Folds the children's columns into the first one.
-        let fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
-            let mut columns = cs.iter().map(|c| c.bounds(vizzes));
+        let mut fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
+            let mut columns = cs.iter().map(|c| c.bounds(vizzes, pinned));
             let mut acc = columns
                 .next()
                 .unwrap_or_else(|| vec![(-1.0, 1.0); vizzes.len()]);
@@ -1104,7 +1130,10 @@ impl BoundPlan {
                 ..
             } => vizzes
                 .iter()
-                .map(|viz| row.leaf_bounds(viz, *constrained, *pins))
+                .map(|viz| {
+                    let window = pins.map(|pins| pinned.window(viz, pins));
+                    row.leaf_bounds(viz, *constrained, window)
+                })
                 .collect(),
             // A chain's floor is −1 whatever its units' are: given a
             // window with fewer intervals than it has units, or pins that
@@ -1121,7 +1150,7 @@ impl BoundPlan {
             Self::And(cs) => fold(cs, f64::min),
             Self::Or(cs) => fold(cs, f64::max),
             Self::Not(c) => {
-                let mut column = c.bounds(vizzes);
+                let mut column = c.bounds(vizzes, pinned);
                 for (lo, hi) in &mut column {
                     (*lo, *hi) = (-*hi, -*lo);
                 }
@@ -1158,28 +1187,36 @@ impl SlopeRow {
     /// A slope leaf's first-tier bounds: [`Self::bounds`], with the lower
     /// one voided to −1 when a hard constraint can force a segment there
     /// (`constrained`), and the upper one the score on its own window when
-    /// x pins give it one ([`Self::pinned`]).
+    /// x pins name one (`window`, see [`Self::pinned`]). A pinned leaf is
+    /// constrained, so when its window holds an interval the extremes
+    /// are never read.
     #[inline]
-    fn leaf_bounds(self, viz: &VizData, constrained: bool, pins: Option<(f64, f64)>) -> (f64, f64) {
+    fn leaf_bounds(
+        self,
+        viz: &VizData,
+        constrained: bool,
+        window: Option<(usize, usize)>,
+    ) -> (f64, f64) {
+        let pinned = window.and_then(|window| self.pinned(viz, window));
+        if let (true, Some(hi)) = (constrained, pinned) {
+            return (-1.0, hi);
+        }
         let (lo, hi) = self.bounds(viz);
-        (
-            if constrained { -1.0 } else { lo },
-            pins.and_then(|pins| self.pinned(viz, pins)).unwrap_or(hi),
-        )
+        (if constrained { -1.0 } else { lo }, pinned.unwrap_or(hi))
     }
 
-    /// The row's score on the one window raw pins `(x.s, x.e)` leave a
-    /// segment in `viz` (§5.4), when they leave it an interval or more:
-    /// `None` otherwise. Every exact segmenter either places the segment
-    /// on exactly that window (the SegmentTree anchors it there, the DP
-    /// and the greedy's DP fallback constrain its ends to it) or scores it
-    /// −1 through the location check, and on that window it scores this
-    /// very number — the same slope bits from the prefix columns, the same
-    /// `atan`, the same Table 5 map — before y-endpoint checks and the
-    /// width penalty, which only lower it. The clamp is the scorer's.
+    /// The row's score on the window `(i, j)` raw pins `(x.s, x.e)` name
+    /// in `viz` (§5.4: `i = x_to_index(x.s)`, `j = x_to_index(x.e)`), when
+    /// it holds an interval or more: `None` otherwise. Every exact
+    /// segmenter either places the segment on exactly that window (the
+    /// SegmentTree anchors it there, the DP and the greedy's DP fallback
+    /// constrain its ends to it) or scores it −1 through the location
+    /// check, and on that window it scores this very number — the same
+    /// slope bits from the prefix columns, the same `atan`, the same
+    /// Table 5 map — before y-endpoint checks and the width penalty, which
+    /// only lower it. The clamp is the scorer's.
     #[inline]
-    fn pinned(self, viz: &VizData, (start, end): (f64, f64)) -> Option<f64> {
-        let (i, j) = (viz.x_to_index(start), viz.x_to_index(end));
+    fn pinned(self, viz: &VizData, (i, j): (usize, usize)) -> Option<f64> {
         (j > i).then(|| clamp_score(self.at(viz.slope(i, j).atan())))
     }
 
@@ -1403,6 +1440,7 @@ impl JointChain {
             last,
             kept_first,
             kept_last,
+            ..
         } = windows;
         let keep = |row: SlopeRow, slopes: &[f64], kept: &mut Vec<(usize, f64)>| {
             let (lo, hi) = row.band(alone);
@@ -1546,6 +1584,8 @@ pub(crate) mod tests {
             (seg.location.y_start, seg.location.y_end) = (Some(0.0), Some(4.0));
             ShapeQuery::Segment(seg)
         };
+        let pinned_wide =
+            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 2.0, 9.0).with_width(3.0));
         let fuzzy3 = ShapeQuery::concat(vec![slope(45.0), slope(-30.0), slope(60.0)]);
         // Every arm the compiled plan has: the four Table 7 rows (θ
         // targets on, and past, the ±90° clamp included), each operator,
@@ -1558,7 +1598,9 @@ pub(crate) mod tests {
         // both ends are bounded by their own window: alone and chained,
         // with y endpoints too, with pins that meet at one canvas point
         // (no window: the extremes), inside a fuzzy chain, and under NOT,
-        // OR and AND.
+        // OR and AND. A segment with both pins *and* an ITERATOR width is
+        // not one of them (the extremes), and the tree places it the way
+        // the DP does: alone and before a fuzzy unit.
         let queries = [
             ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
             ShapeQuery::concat(vec![ShapeQuery::flat(), slope(120.0)]),
@@ -1667,6 +1709,8 @@ pub(crate) mod tests {
                 ShapeQuery::Or(vec![pinned(Pattern::Flat, 0.0, 4.0), slope(20.0)]),
                 ShapeQuery::And(vec![pinned(Pattern::Up, 4.0, 11.0), ShapeQuery::up()]),
             ]),
+            pinned_wide.clone(),
+            ShapeQuery::concat(vec![pinned_wide, ShapeQuery::down()]),
         ];
         let widthy = ScoreParams {
             min_width_frac: 0.25,
@@ -1776,7 +1820,7 @@ pub(crate) mod tests {
                     // bits.
                     let plain = BoundPlan::compile(q, &params, Ends::NONE);
                     assert_eq!(plain.anchors(), Ends::NONE);
-                    let (a, b) = plain.anchored(v, &EndWindows::default());
+                    let (a, b) = plain.anchored(v, &mut EndWindows::default());
                     assert_eq!((a.to_bits(), b.to_bits()), (lo.to_bits(), hi.to_bits()));
                 }
             }
@@ -2061,7 +2105,7 @@ pub(crate) mod tests {
         let chain = plan.joint().expect("three free slope units");
         let mut windows = EndWindows::default();
         windows.load(&v, Ends::BOTH);
-        let refined = plan.anchored(&v, &windows).1;
+        let refined = plan.anchored(&v, &mut windows).1;
         let ends_kept = |windows: &EndWindows, threshold: f64| {
             let (lo, hi) = SlopeRow::Up.band((threshold - 1.0) * 3.0 + 1.0);
             let within = |&&s: &&f64| lo <= s && s <= hi;

@@ -114,7 +114,7 @@ fn finish(
 /// their own SegmentTree. Partially pinned or width units fall back to the
 /// exact DP, which handles every constraint.
 fn solve_hybrid(ev: &Evaluator<'_>, chain: &Chain, bridges: bool) -> MatchResult {
-    let fully_pinned = |u: &Unit| u.pin_start.is_some() && u.pin_end.is_some();
+    let fully_pinned = |u: &Unit| u.pin_start.is_some() && u.pin_end.is_some() && u.width.is_none();
     if !chain.units.iter().all(|u| u.is_fuzzy() || fully_pinned(u)) {
         return super::dp::solve_chain(ev, chain, 0, ev.viz.n() - 1);
     }

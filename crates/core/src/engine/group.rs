@@ -24,6 +24,13 @@
 //! same function. A snapshot load skips GROUP and only rebuilds the
 //! handles over the mapped arena.
 //!
+//! GROUP also numbers the collection's distinct raw x rows (`Grids`):
+//! every handle carries the id of its row's x grid, so a query resolves
+//! what its LOCATION pins name — push-down (a)'s coverage, a pinned
+//! unit's canvas window — once per grid (`GridMemo`) rather than once
+//! per trendline. A snapshot load numbers its rows again with the same
+//! function, so no file format holds the ids.
+//!
 //! GROUP is query-independent. §5.4's push-down (c) — "skip summarized
 //! statistics outside the referenced x ranges" — pays off only when GROUP
 //! runs per query; here the engine GROUPs a collection once per bin width
@@ -44,12 +51,14 @@
 use crate::columnar::{ArenaBuilder, ColumnarArena, PointTable};
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A candidate visualization prepared for segmentation and scoring: an
 /// `Arc`-shared handle into a [`ColumnarArena`] slot plus the per-viz
 /// scalars scoring needs (raw extents, slope extremes and their angles,
-/// source index).
+/// x grid, source index).
 #[derive(Debug, Clone)]
 pub struct VizData {
     /// Raw x domain (min, max) for mapping query literals.
@@ -67,12 +76,21 @@ pub struct VizData {
     pub slope_max: f64,
     /// `atan(slope_min)`, taken once here so the §6.3 bound pass — which
     /// reads the Table 5 scorers at both extremes for every candidate of
-    /// every query — takes no `atan` at all. Derived from the arena's
-    /// slope extremes wherever a handle is built (eager GROUP and
-    /// snapshot load alike), so it is in no file format.
+    /// every query, save for a segment pinned at both ends (bounded on its
+    /// own window instead) — takes no `atan` for them. Derived from the
+    /// arena's slope extremes wherever a handle is built (eager GROUP
+    /// and snapshot load alike), so it is in no file format.
     pub theta_min: f64,
     /// `atan(slope_max)`; see [`Self::theta_min`].
     pub theta_max: f64,
+    /// Id of this trendline's x grid within its GROUP run: two handles
+    /// share it exactly when their raw x rows are bitwise equal, and
+    /// then so are their raw extents, canvas xs, [`Self::x_to_index`]
+    /// and push-down (a)'s coverage — which is what lets a query
+    /// resolve its pins once a grid (`GridMemo`). Dense from 0 in
+    /// source order; derived by `Grids` wherever a handle is built, so
+    /// it is in no file format.
+    pub grid: u32,
     /// Index of the source trendline in the engine's collection (its
     /// key is the engine's `key(source)`).
     pub source: usize,
@@ -115,27 +133,124 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
         })
         .collect();
     let arena = Arc::new(builder.finish());
+    let mut grids = Grids::new(points);
     parts
         .into_iter()
         .enumerate()
         .map(|(source, part)| {
-            part.map(|(slot, extents)| VizData::from_slot(extents, source, &arena, slot))
+            part.map(|(slot, extents)| {
+                VizData::from_slot(extents, grids.id(source), source, &arena, slot)
+            })
         })
         .collect()
 }
 
 /// The handle for `source`, whose GROUP run sits in `arena` at `slot` —
 /// the snapshot load path ([`crate::snapshot`]): the extents are the
-/// same folds over the same raw points as an eager GROUP's, so the
-/// handle is bit-identical to [`group_points`]'s.
+/// same folds over the same raw points as an eager GROUP's, and `grids`
+/// numbers the accepted rows in the same source order, so the handle is
+/// bit-identical to [`group_points`]'s.
 pub(crate) fn handle(
     points: &PointTable,
     source: usize,
     arena: &Arc<ColumnarArena>,
     slot: usize,
+    grids: &mut Grids<'_>,
 ) -> VizData {
     let (xs, ys) = points.row(source);
-    VizData::from_slot((extent(xs), extent(ys)), source, arena, slot)
+    let grid = grids.id(source);
+    VizData::from_slot((extent(xs), extent(ys)), grid, source, arena, slot)
+}
+
+/// Numbers the distinct raw x rows of a point table densely from 0, in
+/// the order rows are asked about: the one derivation of
+/// [`VizData::grid`], behind both eager GROUP and the snapshot load.
+/// One hashed pass over each row asked about, plus a bitwise comparison
+/// with the first row of its id.
+pub(crate) struct Grids<'p> {
+    points: &'p PointTable,
+    ids: HashMap<XRow<'p>, u32>,
+}
+
+impl<'p> Grids<'p> {
+    pub(crate) fn new(points: &'p PointTable) -> Self {
+        Self {
+            points,
+            ids: HashMap::new(),
+        }
+    }
+
+    /// The grid id of `source`'s raw x row: the id of the first row
+    /// asked about that is bitwise equal to it, or the next free one.
+    pub(crate) fn id(&mut self, source: usize) -> u32 {
+        let next = self.ids.len() as u32;
+        *self
+            .ids
+            .entry(XRow(self.points.row(source).0))
+            .or_insert(next)
+    }
+}
+
+/// A raw x row, hashed and compared by its bits (`-0.0` is not `0.0`,
+/// a NaN equals itself) — the equality under which two rows map every
+/// raw x to the same canvas point.
+struct XRow<'p>(&'p [f64]);
+
+impl Hash for XRow<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.len());
+        for x in self.0 {
+            state.write_u64(x.to_bits());
+        }
+    }
+}
+
+impl PartialEq for XRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+}
+
+impl Eq for XRow<'_> {}
+
+/// A value a query derives from a candidate's x grid alone — push-down
+/// (a)'s verdict on its pinned ranges, a pinned unit's canvas window —
+/// kept, per key, for the last grid it was asked about: a walk over
+/// candidates that share a grid computes each once, and one over
+/// candidates that don't computes it per candidate, as it would
+/// without the memo.
+#[derive(Debug)]
+pub(crate) struct GridMemo<K, V> {
+    grid: Option<u32>,
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for GridMemo<K, V> {
+    fn default() -> Self {
+        Self {
+            grid: None,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: PartialEq, V: Copy> GridMemo<K, V> {
+    /// `compute()` for `key` on `viz`'s grid: remembered if this grid
+    /// was the last one asked about, computed (and remembered) if not.
+    #[inline]
+    pub(crate) fn get(&mut self, viz: &VizData, key: K, compute: impl FnOnce() -> V) -> V {
+        if self.grid != Some(viz.grid) {
+            self.grid = Some(viz.grid);
+            self.entries.clear();
+        }
+        if let Some(&(_, value)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return value;
+        }
+        let value = compute();
+        self.entries.push((key, value));
+        value
+    }
 }
 
 /// Raw `(x, y)` domains of one trendline, each `(min, max)`.
@@ -154,6 +269,7 @@ impl VizData {
 
     fn from_slot(
         (raw_x, raw_y): Extents,
+        grid: u32,
         source: usize,
         arena: &Arc<ColumnarArena>,
         slot: usize,
@@ -166,6 +282,7 @@ impl VizData {
             slope_max,
             theta_min: slope_min.atan(),
             theta_max: slope_max.atan(),
+            grid,
             source,
             arena: Arc::clone(arena),
             slot,

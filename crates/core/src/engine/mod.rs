@@ -31,7 +31,7 @@ use crate::error::{CoreError, Result};
 use crate::eval::{Evaluator, UdpFn, UdpRegistry};
 use crate::score::ScoreParams;
 use crate::ShapeQuery;
-use group::VizData;
+use group::{GridMemo, VizData};
 use observe::{EngineStage, StageObserver, NOOP_OBSERVER};
 use shapesearch_datastore::{extract, ExtractOptions, Table, Trendline, VisualSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -478,11 +478,15 @@ impl ShapeEngine {
             .collect();
 
         // Push-down (a): a query considers a trendline only when the
-        // trendline covers the query's pinned x ranges.
-        let wants = |p: &Prep<'_>, i: usize| {
+        // trendline covers the query's pinned x ranges — a verdict on its
+        // raw x row alone, so taken once a grid. A query with no pins (or
+        // no push-down) never looks at a grid.
+        let wants = |p: &Prep<'_>, covered: &mut GridMemo<(), bool>, v: &VizData| {
             !options.pushdown
                 || p.pinned.is_empty()
-                || pushdown::covers_ranges(self.points.row(i).0, &p.pinned)
+                || covered.get(v, (), || {
+                    pushdown::covers_ranges(self.points.row(v.source).0, &p.pinned)
+                })
         };
 
         // Shared GROUP: the whole collection is normalized/binned into one
@@ -504,10 +508,11 @@ impl ShapeEngine {
             .map(|(qi, prep)| {
                 let p = prep?;
                 let score_started = Instant::now();
+                let mut covered = GridMemo::default();
                 let vizzes: Vec<&VizData> = grouped
                     .iter()
                     .flatten()
-                    .filter(|v| wants(&p, v.source))
+                    .filter(|v| wants(&p, &mut covered, v))
                     .collect();
 
                 let driver = options.pruning_mode.active_for(options.segmenter).then(|| {
@@ -659,6 +664,9 @@ impl ShapeEngine {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod grid_tests;
 
 #[cfg(test)]
 mod tests {

@@ -28,7 +28,9 @@ use crate::ShapeQuery;
 /// have any value in the specified x ranges").
 ///
 /// `xs` is ascending, so the first value at or past `lo` decides each
-/// range: O(log n) per range.
+/// range: O(log n) per range. The verdict depends on `xs` alone, so the
+/// engine takes it once for each x grid of a collection
+/// ([`crate::VizData::grid`]), not once per trendline.
 pub fn covers_ranges(xs: &[f64], ranges: &[(f64, f64)]) -> bool {
     ranges.iter().all(|&(lo, hi)| {
         let first = xs.partition_point(|&x| x < lo);

@@ -691,10 +691,19 @@ impl Snapshot {
             self.f64_col(Col::SlopeMin, sa, sb),
             self.f64_col(Col::SlopeMax, sa, sb),
         ));
+        let mut grids = group::Grids::new(&points);
         let grouped = slots
             .iter()
             .enumerate()
-            .map(|(source, slot)| Some(group::handle(&points, source, &arena, (*slot)? - sa)))
+            .map(|(source, slot)| {
+                Some(group::handle(
+                    &points,
+                    source,
+                    &arena,
+                    (*slot)? - sa,
+                    &mut grids,
+                ))
+            })
             .collect();
         ShapeEngine::from_columns(keys, points, Some((self.bin_width, grouped)))
             .with_base_index(start)

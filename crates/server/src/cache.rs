@@ -298,9 +298,12 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// Locks `mutex`, recovering it from poison: nothing foreign runs under
-/// the cache's locks (see the module doc).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `mutex`, recovering it from poison: the server's one lock
+/// policy for a mutex that guards plain data no panic can leave
+/// half-updated — the cache's map and latches (nothing foreign runs under
+/// them, see the module doc) and the compute pool's queue, batch latches
+/// and result slots.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -14,9 +14,15 @@
 //! (even zero threads — everything runs on the caller), adds the blocked
 //! submitter's core back into the compute budget, and can never deadlock
 //! because shard tasks are leaf work that submits nothing.
+//!
+//! Every lock here guards plain data — the job queue and its shutdown
+//! flag, a batch's outstanding count, a task's result slot — and no job
+//! runs under one, so every lock recovers from poison through
+//! `cache::lock`: a thread that panicked holding one cannot wedge the pool.
 
+use crate::cache::lock;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send>;
@@ -52,7 +58,7 @@ impl PoolInner {
     }
 
     fn pop(&self) -> Option<Job> {
-        self.queue.lock().expect("compute queue").jobs.pop_front()
+        lock(&self.queue).jobs.pop_front()
     }
 
     /// The one worker loop: run queued jobs until the queue is empty
@@ -63,7 +69,7 @@ impl PoolInner {
     fn work(&self) {
         loop {
             let job = {
-                let mut queue = self.queue.lock().expect("pool queue");
+                let mut queue = lock(&self.queue);
                 loop {
                     if let Some(job) = queue.jobs.pop_front() {
                         break job;
@@ -71,7 +77,10 @@ impl PoolInner {
                     if queue.shutdown {
                         return;
                     }
-                    queue = self.ready.wait(queue).expect("pool queue");
+                    queue = self
+                        .ready
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             // A panicking job must not take the pool thread down. A
@@ -94,7 +103,7 @@ impl BatchState {
     /// Marks one task finished (runs even if the task panicked, so a
     /// waiter can never hang on a poisoned batch).
     fn finish_one(&self) {
-        let mut remaining = self.remaining.lock().expect("batch latch");
+        let mut remaining = lock(&self.remaining);
         *remaining -= 1;
         if *remaining == 0 {
             self.done.notify_all();
@@ -152,7 +161,7 @@ impl ComputePool {
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
 
         {
-            let mut queue = self.inner.queue.lock().expect("compute queue");
+            let mut queue = lock(&self.inner.queue);
             for (i, task) in tasks.into_iter().enumerate() {
                 let batch = Arc::clone(&batch);
                 let slots = Arc::clone(&slots);
@@ -160,7 +169,7 @@ impl ComputePool {
                     // The guard releases the latch even if `task` panics.
                     let _guard = FinishGuard(&batch);
                     let value = task();
-                    *slots[i].lock().expect("result slot") = Some(value);
+                    *lock(&slots[i]) = Some(value);
                 }));
             }
         }
@@ -173,14 +182,14 @@ impl ComputePool {
         // is done the submitter must return its response immediately,
         // not keep chewing through other requests' backlog.
         loop {
-            if *batch.remaining.lock().expect("batch latch") == 0 {
+            if *lock(&batch.remaining) == 0 {
                 break;
             }
             if let Some(job) = self.inner.pop() {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                 continue;
             }
-            let remaining = batch.remaining.lock().expect("batch latch");
+            let remaining = lock(&batch.remaining);
             if *remaining == 0 {
                 break;
             }
@@ -189,7 +198,7 @@ impl ComputePool {
             let (guard, _) = batch
                 .done
                 .wait_timeout(remaining, std::time::Duration::from_millis(20))
-                .expect("batch latch");
+                .unwrap_or_else(PoisonError::into_inner);
             if *guard == 0 {
                 break;
             }
@@ -201,19 +210,14 @@ impl ComputePool {
         // so the Arc is not necessarily unique here.
         slots
             .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("result slot")
-                    .take()
-                    .expect("a shard task panicked")
-            })
+            .map(|slot| lock(slot).take().expect("a shard task panicked"))
             .collect()
     }
 }
 
 impl Drop for ComputePool {
     fn drop(&mut self) {
-        self.inner.queue.lock().expect("compute queue").shutdown = true;
+        lock(&self.inner.queue).shutdown = true;
         self.inner.ready.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -249,7 +253,7 @@ impl DispatchPool {
 
     /// Number of dispatch threads.
     pub fn workers(&self) -> usize {
-        self.threads.lock().expect("dispatch threads").len()
+        lock(&self.threads).len()
     }
 
     /// Enqueues `job` for the next free dispatch thread. If the pool has
@@ -258,7 +262,7 @@ impl DispatchPool {
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         let job: Job = Box::new(job);
         let job = {
-            let mut queue = self.inner.queue.lock().expect("dispatch queue");
+            let mut queue = lock(&self.inner.queue);
             if queue.shutdown {
                 Some(job)
             } else {
@@ -278,9 +282,9 @@ impl DispatchPool {
     /// the threads. Idempotent; callable through a shared reference (the
     /// event loops and the server handle share the pool via `Arc`).
     pub fn shutdown(&self) {
-        self.inner.queue.lock().expect("dispatch queue").shutdown = true;
+        lock(&self.inner.queue).shutdown = true;
         self.inner.ready.notify_all();
-        let handles = std::mem::take(&mut *self.threads.lock().expect("dispatch threads"));
+        let handles = std::mem::take(&mut *lock(&self.threads));
         for handle in handles {
             let _ = handle.join();
         }
@@ -378,5 +382,21 @@ mod tests {
             Box::new(|| 7usize) as Box<dyn FnOnce() -> usize + Send>
         ]);
         assert_eq!(results, vec![7]);
+    }
+
+    #[test]
+    fn a_poisoned_queue_still_runs_the_next_batch() {
+        let pool = ComputePool::new(2);
+        let inner = Arc::clone(&pool.inner);
+        let holder = std::thread::spawn(move || {
+            let _queue = inner.queue.lock();
+            panic!("poisons the queue");
+        });
+        assert!(holder.join().is_err());
+        assert!(pool.inner.queue.is_poisoned());
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
+            .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
+            .collect();
+        assert_eq!(pool.run_all(tasks), (1..=8).collect::<Vec<_>>());
     }
 }
