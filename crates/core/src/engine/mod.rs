@@ -1102,6 +1102,63 @@ mod tests {
         }
     }
 
+    #[test]
+    fn golden_work_counters_on_walks() {
+        // The exact work the driver does for one in-process shard over a
+        // seeded walk corpus, each query reaching a different tier: a
+        // two-unit needle (the second tier), a three-unit free chain (the
+        // third) and a located query pinned at both ends of both units
+        // (the pinned first tier). A change to the driver that keeps these
+        // counts makes the same bound, prune and score decisions.
+        let tls: Vec<Trendline> = (0..300u64)
+            .map(|i| Trendline::from_pairs(format!("walk{i}"), &walk(i + 1, 64)))
+            .collect();
+        let engine = ShapeEngine::from_trendlines(tls);
+        let needle = ShapeQuery::concat(vec![
+            ShapeQuery::pattern(Pattern::Slope(45.0)),
+            ShapeQuery::pattern(Pattern::Slope(-45.0)),
+        ]);
+        let chain = ShapeQuery::concat(vec![
+            ShapeQuery::pattern(Pattern::Slope(45.0)),
+            ShapeQuery::pattern(Pattern::Slope(-30.0)),
+            ShapeQuery::pattern(Pattern::Slope(60.0)),
+        ]);
+        let located = ShapeQuery::concat(vec![
+            pinned(Pattern::Slope(-30.0), 6.0, 30.0),
+            pinned(Pattern::Flat, 30.0, 55.0),
+        ]);
+        // (bounded, pruned, scored, refined, joined) per query and segmenter.
+        let golden = [
+            (&needle, SegmenterKind::Dp, (300, 290, 10, 295, 5)),
+            (&needle, SegmenterKind::SegmentTree, (300, 290, 10, 295, 5)),
+            (&chain, SegmenterKind::Dp, (300, 274, 26, 295, 21)),
+            (&chain, SegmenterKind::SegmentTree, (300, 268, 32, 295, 27)),
+            (&located, SegmenterKind::Dp, (300, 295, 5, 0, 0)),
+            (&located, SegmenterKind::SegmentTree, (300, 295, 5, 0, 0)),
+        ];
+        for (q, kind, want) in golden {
+            let opts = EngineOptions {
+                segmenter: kind,
+                ..EngineOptions::default()
+            };
+            let shared = SharedThresholds::new(1);
+            engine
+                .top_k_batch_observed(&[(q, 5)], &opts, &shared, &NOOP_OBSERVER)
+                .pop()
+                .unwrap()
+                .unwrap();
+            let snap = shared.snapshot();
+            let got = (
+                snap.bounded,
+                snap.pruned,
+                snap.scored,
+                snap.refined,
+                snap.joined,
+            );
+            assert_eq!(got, want, "{q} under {kind:?}");
+        }
+    }
+
     /// Shard engines fed one `SharedThresholds`, run in `order` (a server's
     /// pool may finish them in any), their partials merged.
     fn sharded_top_k(
