@@ -116,8 +116,10 @@ fi
 # is frozen with the benchmark and still lists the flag among what it
 # does not cover). One threading model: the engine's old parallel
 # trigger and the server's opt-out (the frozen benchmark package still
-# sets the two inert option fields).
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out)"
+# sets the two inert option fields). One pruning mode besides off: the
+# greedy-only one (its name still parses, as `auto`). One CRF trainer:
+# the selector whose only other choice nothing picked.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -128,6 +130,8 @@ done <<'ROWS'
 event_threads|event-threads;crates src README.md docs;an event-thread knob is back
 resident_bytes|resident-bytes|ResidentShards|ResidentStats|set_capacity_bytes|Cache::weighted|lead_micros;crates src README.md docs :!crates/bench/src/bin/ssbench;a residency budget is back
 DEFAULT_PARALLEL_THRESHOLD|parallel_opt_out;crates src README.md docs :!crates/bench/src/bin/ssbench;the engine's parallel trigger or the server's opt-out is back
+PruningMode::Force;crates src README.md docs;a third pruning mode is back
+TrainMethod|train_perceptron;crates src README.md docs;a second CRF trainer is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -294,10 +298,13 @@ grep -q '"shards":4' "$SMOKE_REPLY" || {
 # reply, a 400, where a parser taking either length would answer twice
 # (its "body" is a second request). The server closes right after the
 # 400 with the rest of the line-by-line upload unread, so the kernel may
-# reset the connection once the reply is out; the reset is not checked,
-# the replies are.
-SMUGGLED=$(timeout 10 bash -c 'exec 3<>"/dev/tcp/127.0.0.1/$1"
-    printf "GET /registry HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 41\r\n\r\nGET /datasets HTTP/1.1\r\nConnection: close\r\n\r\n" >&3
+# reset the connection once the reply is out, and the 400 and the close
+# may even arrive before the write finishes: the writer ignores SIGPIPE
+# and tolerates the failed write, then reads what came back. The reset
+# is not checked, the replies are.
+SMUGGLED=$(timeout 10 bash -c 'trap "" PIPE
+    exec 3<>"/dev/tcp/127.0.0.1/$1"
+    printf "GET /registry HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 41\r\n\r\nGET /datasets HTTP/1.1\r\nConnection: close\r\n\r\n" >&3 2>/dev/null || true
     cat <&3 2>/dev/null || true' _ "$SMOKE_PORT")
 replies=$(echo "$SMUGGLED" | grep -o 'HTTP/1\.1 [0-9][0-9][0-9] ' | wc -l)
 [ "$replies" -eq 1 ] && echo "$SMUGGLED" | grep -q '^HTTP/1.1 400 ' || {

@@ -38,11 +38,12 @@ pub type Algo = (SegmenterKind, PruningMode);
 
 /// The algorithms compared in Figure 10/12/13, in the paper's order.
 /// "Segment Tree" vs "Segment Tree with Pruning" is one segmenter under
-/// two pruning modes; every other row runs under the engine's default.
+/// two pruning modes; Greedy runs unpruned, the paper's baseline; every
+/// other row runs under the engine's default.
 pub const FIG10_ALGOS: [(Algo, &str); 5] = [
     ((SegmenterKind::Dp, PruningMode::Auto), "DP"),
     ((SegmenterKind::Dtw, PruningMode::Auto), "DTW"),
-    ((SegmenterKind::Greedy, PruningMode::Auto), "Greedy"),
+    ((SegmenterKind::Greedy, PruningMode::Off), "Greedy"),
     (
         (SegmenterKind::SegmentTree, PruningMode::Off),
         "Segment Tree",

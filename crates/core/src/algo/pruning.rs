@@ -1,5 +1,10 @@
 //! Two-stage collective pruning (paper §6.3), as an **incremental,
-//! exactness-preserving driver** every exact segmenter composes with.
+//! exactness-preserving driver** every segmenter the bounds dominate (the
+//! DP, the SegmentTree, and the greedy, which never scores above the DP)
+//! composes with. The driver owns the whole walk: an executor hands
+//! [`PruningDriver::run`] its candidates and a scorer, and `run` decides
+//! what is bounded, in which order, what is pruned and what is scored.
+//! [`bound_tiers`] is the one way in from outside to the bounds alone.
 //!
 //! One **bound pass** per (query, executor) fills an upper bound for every
 //! candidate from the GROUP-time interval-slope extremes (Theorem 6.4 /
@@ -63,7 +68,7 @@
 //! (not "how high can this score" but "can it reach τ"), so it runs last,
 //! against the sharpest threshold the walk has, and stage 2 visits the
 //! second tier's survivors **best bound first** so that threshold is sharp
-//! early: [`PruningDriver::sweep`]. On walks it prunes another four in ten.
+//! early. On walks it prunes another four in ten.
 //! What all three feed is the same rule, and each takes the same rounding
 //! allowance before it does (`BoundPlan::allowance`): a bound that is a
 //! score exactly sits an ulp under a segmenter's re-associated total
@@ -88,10 +93,11 @@
 //! patterns".
 
 use crate::algo::SegmenterKind;
-use crate::ast::{Pattern, ShapeQuery, ShapeSegment};
+use crate::ast::{ShapeQuery, ShapeSegment};
 use crate::engine::group::{GridMemo, VizData};
-use crate::engine::observe::{EngineStage, StageObserver, NOOP_OBSERVER};
-use crate::score::{clamp_score, down_at, flat_at, theta_at, theta_target, up_at, ScoreParams};
+use crate::engine::observe::{EngineStage, StageObserver};
+use crate::eval::{pattern_row, SlopeLeaf};
+use crate::score::{clamp_score, ScoreParams};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
@@ -102,26 +108,25 @@ use std::time::{Duration, Instant};
 /// skipped segmentation work, exactly like the scheduling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningMode {
-    /// Prune for the exact segmenters (DP and SegmentTree), whose scores the Theorem 6.4 bounds provably dominate. The
+    /// Prune for every segmenter the Theorem 6.4 bounds dominate: the DP
+    /// and the SegmentTree, and the greedy, which tiles `[0, n − 1]` or
+    /// falls back to the DP and so never scores above the DP optimum. The
+    /// whole-series baselines (DTW/Euclidean) score on a different scale
+    /// the slope bounds say nothing about and are never pruned. The
     /// default.
     #[default]
     Auto,
     /// Never prune: every candidate is segmented in full.
     Off,
-    /// Also prune for the greedy segmenter: its score never exceeds the
-    /// DP optimum, so the same upper bounds remain sound. The
-    /// whole-series baselines (DTW/Euclidean) score on a different scale
-    /// the slope bounds say nothing about and are never pruned.
-    Force,
 }
 
 impl PruningMode {
-    /// Parses the short CLI / wire name of a mode.
+    /// Parses the short CLI / wire name of a mode. `force`, once a mode
+    /// that also pruned the greedy, is a spelling of `auto`.
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
-            "auto" => Some(Self::Auto),
+            "auto" | "force" => Some(Self::Auto),
             "off" => Some(Self::Off),
-            "force" => Some(Self::Force),
             _ => None,
         }
     }
@@ -131,18 +136,13 @@ impl PruningMode {
         match self {
             Self::Auto => "auto",
             Self::Off => "off",
-            Self::Force => "force",
         }
     }
 
     /// Whether bound pruning applies to `kind` under this mode (see the
     /// variant docs for the soundness argument per segmenter).
     pub fn active_for(self, kind: SegmenterKind) -> bool {
-        match self {
-            Self::Off => false,
-            Self::Auto => matches!(kind, SegmenterKind::Dp | SegmenterKind::SegmentTree),
-            Self::Force => !matches!(kind, SegmenterKind::Dtw | SegmenterKind::Euclidean),
-        }
+        self == Self::Auto && !matches!(kind, SegmenterKind::Dtw | SegmenterKind::Euclidean)
     }
 }
 
@@ -450,13 +450,18 @@ struct Tally {
 
 impl<'a> PruningDriver<'a> {
     /// A driver for one query (retrieving `k` results) over the given
-    /// shared cell and counters. Compiles the query's bound plan.
+    /// shared cell and counters, its bound timings routed to `observer`
+    /// as well: one [`EngineStage::PruneBound`] sample per bound pass, one
+    /// per stage-2 refine pass, and one per walk that took second- or
+    /// third-tier bounds a candidate at a time. Compiles the query's bound
+    /// plan.
     pub fn new(
         query: &ShapeQuery,
         params: &ScoreParams,
         cell: &'a ThresholdCell,
         counters: &'a PruningCounters,
         k: usize,
+        observer: &'a dyn StageObserver,
     ) -> Self {
         let plan = BoundPlan::compile(query, params, Ends::BOTH);
         Self {
@@ -466,19 +471,31 @@ impl<'a> PruningDriver<'a> {
             cell,
             counters,
             k,
-            observer: &NOOP_OBSERVER,
+            observer,
         }
     }
 
-    /// Routes this driver's bound timings to `observer` (one
-    /// [`EngineStage::PruneBound`] sample per [`Self::upper_bounds`]
-    /// call, one per [`Self::sweep`]'s refine pass, and one per walk that
-    /// took second- or third-tier bounds a candidate at a time) in
-    /// addition to the shared counters. Returns `self` for chaining.
-    #[must_use]
-    pub fn with_observer(mut self, observer: &'a dyn StageObserver) -> Self {
-        self.observer = observer;
-        self
+    /// §6.3 over `vizzes`, each candidate handed to `score` (by position)
+    /// at most once, its exact score pooled into the shared threshold:
+    /// one bound pass, then stage 1 — the `k` highest bounds, best first,
+    /// so the threshold is sharp before the bulk meets it — then stage 2,
+    /// everyone else, in index order or, for a query with a second tier,
+    /// refined in one pass and walked best bound first. Seeds face the
+    /// cell like everyone else: a remote hint may prune them, and its
+    /// sender verifies that. The threshold prunes only *strictly* below
+    /// itself and only once some executor holds k exact scores, so with a
+    /// total top-k order the survivors' top k is a prune-free pass's in
+    /// any visiting order.
+    pub fn run(&self, vizzes: &[&VizData], mut score: impl FnMut(usize) -> f64) {
+        let bounds = self.upper_bounds(vizzes);
+        let seeds = self.seeds(&bounds);
+        let mut seeded = vec![false; vizzes.len()];
+        for &pos in &seeds {
+            seeded[pos] = true;
+        }
+        self.visit(vizzes, &bounds, seeds.into_iter(), &mut score);
+        let rest = (0..vizzes.len()).filter(|&pos| !seeded[pos]);
+        self.sweep(vizzes, &bounds, rest, score);
     }
 
     /// The bound pass: the Theorem 6.4 upper bound of every candidate, by
@@ -492,7 +509,7 @@ impl<'a> PruningDriver<'a> {
     /// query of two such units on 128-point walks, one core. That is why
     /// the pass runs unconditionally (on a workload it cannot prune it is
     /// noise next to a single segmentation).
-    pub fn upper_bounds(&self, vizzes: &[&VizData]) -> Vec<f64> {
+    fn upper_bounds(&self, vizzes: &[&VizData]) -> Vec<f64> {
         let started = Instant::now();
         let allowance = self.plan.allowance();
         let bounds: Vec<f64> = self
@@ -518,7 +535,7 @@ impl<'a> PruningDriver<'a> {
     /// slopes and `atan`s), so ordering its whole collection would be a
     /// large share of what it does, and saves a needle query 5 % of the
     /// little it still scores.
-    pub fn seeds(&self, bounds: &[f64]) -> Vec<usize> {
+    fn seeds(&self, bounds: &[f64]) -> Vec<usize> {
         let best_first =
             |a: &usize, b: &usize| bounds[*b].total_cmp(&bounds[*a]).then_with(|| a.cmp(b));
         let mut order: Vec<usize> = (0..bounds.len()).collect();
@@ -544,7 +561,7 @@ impl<'a> PruningDriver<'a> {
     /// bound is computed and takes its place under the same rule, and
     /// where that fails too and the query is a `JointChain`, the third.
     /// The tiers' time is kept locally and published once per walk.
-    pub fn visit(
+    fn visit(
         &self,
         vizzes: &[&VizData],
         bounds: &[f64],
@@ -593,7 +610,7 @@ impl<'a> PruningDriver<'a> {
     /// A query with no anchored end has no second tier to sort by, and
     /// before any threshold exists there is nothing to take it against:
     /// both are `visit`, instruction for instruction.
-    pub fn sweep(
+    fn sweep(
         &self,
         vizzes: &[&VizData],
         bounds: &[f64],
@@ -709,52 +726,52 @@ impl<'a> PruningDriver<'a> {
     }
 }
 
-/// Score bounds `(lower, upper)` for a query over one visualization, in
-/// O(query size): the query's bound plan compiled and evaluated once (the
-/// pruning driver compiles once per query and evaluates per candidate).
-/// These are the plan's bare values; the driver prunes by the upper one
-/// plus a rounding allowance ([`PruningDriver::upper_bounds`]).
-pub fn query_bounds(query: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> (f64, f64) {
-    BoundPlan::compile(query, params, Ends::BOTH).bounds(&[viz], &mut PinWindows::default())[0]
+/// What each tier of the bound says of one query over one visualization
+/// ([`bound_tiers`]): the pruning driver's values, computed the driver's
+/// way, for whoever needs to hold them against exact scores.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundTiers {
+    /// The first tier's bare `(lower, upper)`: the plan's values from the
+    /// interval-slope extremes (or a pinned unit's own window), before
+    /// the rounding allowance. The bare upper bound can sit an ulp under
+    /// a score it equals.
+    pub plan: (f64, f64),
+    /// The first-tier upper bound the driver prunes by: `plan.1` plus the
+    /// plan's rounding allowance.
+    pub first: f64,
+    /// The second tier, over the end-anchored windows, allowance
+    /// included — `None` when the query has no end to anchor and the tier
+    /// never runs for it.
+    pub anchored: Option<f64>,
+    /// The third tier against the given threshold — `None` when the query
+    /// is not a chain the tier places whole. At or above the threshold it
+    /// is an upper bound on the exact score; below it, a proof that the
+    /// exact score is below the threshold too.
+    pub joint: Option<f64>,
 }
 
-/// The second-tier upper bound of a query over one visualization — what
-/// the pruning driver falls back on for a candidate [`query_bounds`]'
-/// upper bound cannot rule out — or `None` when the query has no end to
-/// anchor and the tier never runs for it.
-pub fn anchored_upper_bound(
-    query: &ShapeQuery,
-    viz: &VizData,
-    params: &ScoreParams,
-) -> Option<f64> {
-    let plan = BoundPlan::compile(query, params, Ends::BOTH);
-    let anchors = plan.anchors();
-    anchors.any().then(|| {
-        let mut windows = EndWindows::default();
-        windows.load(viz, anchors);
-        plan.anchored_upper(viz, &mut windows)
-    })
-}
-
-/// The third-tier upper bound of a query over one visualization against
-/// `threshold` — what the pruning driver takes for a candidate
-/// [`anchored_upper_bound`] cannot rule out — or `None` when the query is
-/// not a chain the tier places whole. At or above `threshold` it is an
-/// upper bound on the exact score; below it, a proof that the exact score
-/// is below `threshold` too.
-pub fn joint_upper_bound(
+/// Every tier of `query`'s bound over `viz`, the third against
+/// `threshold`: the plan compiled and evaluated once, as the driver
+/// compiles it once per query and evaluates it per candidate.
+pub fn bound_tiers(
     query: &ShapeQuery,
     viz: &VizData,
     params: &ScoreParams,
     threshold: f64,
-) -> Option<f64> {
+) -> BoundTiers {
     let plan = BoundPlan::compile(query, params, Ends::BOTH);
-    plan.joint().map(|chain| {
-        let mut windows = EndWindows::default();
-        windows.load(viz, Ends::BOTH);
-        let refined = plan.anchored_upper(viz, &mut windows);
-        chain.bound(viz, &mut windows, threshold, refined)
-    })
+    let bare = plan.bounds(&[viz], &mut PinWindows::default())[0];
+    let mut windows = EndWindows::default();
+    windows.load(viz, Ends::BOTH);
+    let refined = plan.anchored_upper(viz, &mut windows);
+    BoundTiers {
+        plan: bare,
+        first: bare.1 + plan.allowance(),
+        anchored: plan.anchors().any().then_some(refined),
+        joint: plan
+            .joint()
+            .map(|chain| chain.bound(viz, &mut windows, threshold, refined)),
+    }
 }
 
 /// A query compiled for bounding — the bound plan: everything
@@ -776,9 +793,15 @@ enum BoundPlan {
     /// ITERATOR width). `anchor`: the end its window is pinned to by the
     /// tiling, if any — what the second tier bounds it over. `pins`: the
     /// raw `x.s`/`x.e` of a segment that carries both and no ITERATOR,
-    /// which leave it one window to be placed on ([`SlopeRow::pinned`]).
+    /// which leave it one window to be placed on ([`SlopeLeaf::pinned`]).
+    /// `mode`: the slope a unimodal row peaks at — 0 for flat, and for
+    /// `θ = x` the tangent of the *clamped* target, which is what the
+    /// scorer measures against: past ±90° the row is monotone and its mode
+    /// is `tan(±π/2)`, a finite `f64` beyond any slope it will meet.
+    /// Derived here, once a query; the monotone rows never read it.
     Slope {
-        row: SlopeRow,
+        row: SlopeLeaf,
+        mode: f64,
         constrained: bool,
         located: bool,
         anchor: Option<End>,
@@ -788,23 +811,6 @@ enum BoundPlan {
     And(Vec<BoundPlan>),
     Or(Vec<BoundPlan>),
     Not(Box<BoundPlan>),
-}
-
-/// The Table 7 row of a slope pattern.
-#[derive(Debug, Clone, Copy)]
-enum SlopeRow {
-    Up,
-    Down,
-    Flat,
-    /// `θ = x`: [`theta_target`]'s constants plus the slope the score
-    /// peaks at — the tangent of the *clamped* target, which is what the
-    /// scorer measures against: past ±90° the row is monotone and its mode
-    /// is `tan(±π/2)`, a finite `f64` beyond any slope it will meet.
-    Theta {
-        target: f64,
-        worst: f64,
-        mode: f64,
-    },
 }
 
 /// One end of a trendline.
@@ -934,21 +940,16 @@ impl BoundPlan {
         if s.modifier.is_some() || s.sketch.is_some() {
             return Self::Trivial;
         }
-        let row = match &s.pattern {
-            Some(Pattern::Up) => SlopeRow::Up,
-            Some(Pattern::Down) => SlopeRow::Down,
-            Some(Pattern::Flat) => SlopeRow::Flat,
-            Some(Pattern::Slope(deg)) => {
-                let (target, worst) = theta_target(*deg);
-                SlopeRow::Theta {
-                    target,
-                    worst,
-                    mode: target.tan(),
-                }
-            }
-            // Wildcards, UDPs, position references, y-target lines,
-            // location-only segments: non-slope scorers.
-            _ => return Self::Trivial,
+        // Wildcards (whose constant 1 the trivial bound holds), UDPs,
+        // position references, y-target lines, location-only segments:
+        // nothing for the slope rows to say.
+        let row = match s.pattern.as_ref().and_then(pattern_row) {
+            Some(SlopeLeaf::Any) | None => return Self::Trivial,
+            Some(row) => row,
+        };
+        let mode = match row {
+            SlopeLeaf::Theta { target, .. } => target.tan(),
+            _ => 0.0,
         };
         let located = !s.location.is_empty() || s.iterator.is_some();
         // A located window goes where its pins put it, and a window
@@ -965,6 +966,7 @@ impl BoundPlan {
         };
         Self::Slope {
             row,
+            mode,
             constrained: located || params.min_width_frac > 0.0,
             located,
             anchor,
@@ -1035,14 +1037,18 @@ impl BoundPlan {
             Self::Trivial => (-1.0, 1.0),
             Self::Slope {
                 row,
+                mode,
                 constrained,
                 anchor,
                 pins,
                 ..
             } => {
                 let window = pins.map(|pins| windows.pinned.window(viz, pins));
-                let (lo, hi) = row.leaf_bounds(viz, *constrained, window);
-                (lo, anchor.map_or(hi, |end| row.best_over(windows.at(end))))
+                let (lo, hi) = row.leaf_bounds(viz, *mode, *constrained, window);
+                (
+                    lo,
+                    anchor.map_or(hi, |end| row.best_over(windows.at(end), *mode)),
+                )
             }
             Self::Concat(cs) => {
                 let n = cs.len().max(1) as f64;
@@ -1125,6 +1131,7 @@ impl BoundPlan {
             Self::Trivial => vec![(-1.0, 1.0); vizzes.len()],
             Self::Slope {
                 row,
+                mode,
                 constrained,
                 pins,
                 ..
@@ -1132,7 +1139,7 @@ impl BoundPlan {
                 .iter()
                 .map(|viz| {
                     let window = pins.map(|pins| pinned.window(viz, pins));
-                    row.leaf_bounds(viz, *constrained, window)
+                    row.leaf_bounds(viz, *mode, *constrained, window)
                 })
                 .collect(),
             // A chain's floor is −1 whatever its units' are: given a
@@ -1160,27 +1167,30 @@ impl BoundPlan {
     }
 }
 
-impl SlopeRow {
+/// Table 7 read off the Table 5 rows: what the bound tiers need of a slope
+/// row besides its score at an angle ([`SlopeLeaf::at`]). `mode` is the
+/// plan leaf's (see [`BoundPlan::Slope`]).
+impl SlopeLeaf {
     /// The slope scorers are monotone (up/down) or unimodal (flat/theta)
     /// in slope, so both extremes over `[slope_min, slope_max]` are
     /// attained at the cached endpoints — and since those endpoints *are*
     /// interval slopes, these equal the exact leaf-level min/max of
     /// Table 7.
     #[inline]
-    fn bounds(self, viz: &VizData) -> (f64, f64) {
+    fn bounds(self, viz: &VizData, mode: f64) -> (f64, f64) {
         let (lo_t, hi_t) = (viz.theta_min, viz.theta_max);
-        // A unimodal scorer bottoms out at an endpoint and peaks at one
-        // too, unless the slopes straddle its mode: they can then merge
-        // onto it exactly.
-        let unimodal = |a: f64, b: f64, mode: f64| {
-            let straddles = viz.slope_min < mode && viz.slope_max > mode;
-            (a.min(b), if straddles { 1.0 } else { a.max(b) })
-        };
         match self {
             Self::Up => (self.at(lo_t), self.at(hi_t)),
             Self::Down => (self.at(hi_t), self.at(lo_t)),
-            Self::Flat => unimodal(self.at(lo_t), self.at(hi_t), 0.0),
-            Self::Theta { mode, .. } => unimodal(self.at(lo_t), self.at(hi_t), mode),
+            // A unimodal scorer bottoms out at an endpoint and peaks at
+            // one too, unless the slopes straddle its mode: they can then
+            // merge onto it exactly.
+            Self::Flat | Self::Theta { .. } => {
+                let (a, b) = (self.at(lo_t), self.at(hi_t));
+                let straddles = viz.slope_min < mode && viz.slope_max > mode;
+                (a.min(b), if straddles { 1.0 } else { a.max(b) })
+            }
+            Self::Any => (1.0, 1.0),
         }
     }
 
@@ -1194,6 +1204,7 @@ impl SlopeRow {
     fn leaf_bounds(
         self,
         viz: &VizData,
+        mode: f64,
         constrained: bool,
         window: Option<(usize, usize)>,
     ) -> (f64, f64) {
@@ -1201,7 +1212,7 @@ impl SlopeRow {
         if let (true, Some(hi)) = (constrained, pinned) {
             return (-1.0, hi);
         }
-        let (lo, hi) = self.bounds(viz);
+        let (lo, hi) = self.bounds(viz, mode);
         (if constrained { -1.0 } else { lo }, pinned.unwrap_or(hi))
     }
 
@@ -1220,17 +1231,6 @@ impl SlopeRow {
         (j > i).then(|| clamp_score(self.at(viz.slope(i, j).atan())))
     }
 
-    /// The row's Table 5 score at a fitted angle.
-    #[inline]
-    fn at(self, theta: f64) -> f64 {
-        match self {
-            Self::Up => up_at(theta),
-            Self::Down => down_at(theta),
-            Self::Flat => flat_at(theta),
-            Self::Theta { target, worst, .. } => theta_at(theta, target, worst),
-        }
-    }
-
     /// The closed slope interval `(lo, hi)` outside which the row scores
     /// below `c` (empty, `lo > hi`, when nothing scores that high): each
     /// row inverted through `tan` — a half-line for the monotone rows, an
@@ -1244,10 +1244,11 @@ impl SlopeRow {
             Self::Up => (c * FRAC_PI_2, f64::INFINITY),
             Self::Down => (f64::NEG_INFINITY, -c * FRAC_PI_2),
             Self::Flat => ((c - 1.0) * FRAC_PI_4, (1.0 - c) * FRAC_PI_4),
-            Self::Theta { target, worst, .. } => {
+            Self::Theta { target, worst } => {
                 let reach = (1.0 - c) * worst / 2.0;
                 (target - reach, target + reach)
             }
+            Self::Any => (f64::NEG_INFINITY, f64::INFINITY),
         };
         // Fitted angles lie within ±π/2: an edge beyond that range admits
         // every slope on its side, or none.
@@ -1267,12 +1268,13 @@ impl SlopeRow {
     /// window. Rests on `atan` being monotone, as [`Self::bounds`] does
     /// through the cached angles. A NaN slope makes the result NaN, which
     /// no threshold is above.
-    fn best_over(self, slopes: &[f64]) -> f64 {
+    fn best_over(self, slopes: &[f64], mode: f64) -> f64 {
         match self {
             Self::Up => self.at(largest(slopes, |s| s).atan()),
             Self::Down => self.at((-largest(slopes, |s| -s)).atan()),
             Self::Flat => self.at((-largest(slopes, |s| -s.abs())).atan()),
-            Self::Theta { mode, .. } => {
+            Self::Any => 1.0,
+            Self::Theta { .. } => {
                 const NOT_THIS_SIDE: f64 = f64::NEG_INFINITY;
                 let below = largest(slopes, |s| if s <= mode { s } else { NOT_THIS_SIDE });
                 let above = -largest(slopes, |s| if s >= mode { -s } else { NOT_THIS_SIDE });
@@ -1320,7 +1322,7 @@ fn largest(slopes: &[f64], key: impl Fn(f64) -> f64) -> f64 {
     lanes.into_iter().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// How far, in radians of fitted angle, [`SlopeRow::band`] is widened past
+/// How far, in radians of fitted angle, [`SlopeLeaf::band`] is widened past
 /// the angle that scores exactly its cut. It has to cover every way a
 /// window just outside the band could still be part of a total a segmenter
 /// reads as τ: the cut itself (`(τ − 1)/w + 1`, two roundings), its
@@ -1387,7 +1389,7 @@ const fn max_pairs(n: usize) -> usize {
 ///
 /// * a placement reaches τ only if its first window alone would with the
 ///   other units perfect, `f(j) ≥ (τ − 1)/w + 1`, and its last likewise —
-///   [`SlopeRow::band`] turns that into a slope interval, so the two runs
+///   [`SlopeLeaf::band`] turns that into a slope interval, so the two runs
 ///   the second tier already read are cut by comparisons, and only the
 ///   members pay an `atan` for their exact score;
 /// * a pair of members only if `w·f(j) + w·1 + w·g(i) ≥ τ`;
@@ -1401,10 +1403,10 @@ const fn max_pairs(n: usize) -> usize {
 /// segmenter.
 #[derive(Debug, Clone, Copy)]
 struct JointChain {
-    first: SlopeRow,
+    first: SlopeLeaf,
     /// The unit between the ends, in a chain of three.
-    middle: Option<SlopeRow>,
-    last: SlopeRow,
+    middle: Option<SlopeLeaf>,
+    last: SlopeLeaf,
 }
 
 impl JointChain {
@@ -1430,7 +1432,7 @@ impl JointChain {
         let w = 1.0 / units as f64;
         let w_middle = if self.middle.is_some() { w } else { 0.0 };
         let total = |f: f64, m: f64, g: f64| w * f + w_middle * m + w * g + ROUNDING_ALLOWANCE;
-        let score = |row: SlopeRow, slope: f64| clamp_score(row.at(slope.atan()));
+        let score = |row: SlopeLeaf, slope: f64| clamp_score(row.at(slope.atan()));
 
         // The inner end points 1..=n − 2: `first[j − 1]` is `[0, j]`,
         // `last[i]` is `[i, n − 1]`.
@@ -1442,7 +1444,7 @@ impl JointChain {
             kept_last,
             ..
         } = windows;
-        let keep = |row: SlopeRow, slopes: &[f64], kept: &mut Vec<(usize, f64)>| {
+        let keep = |row: SlopeLeaf, slopes: &[f64], kept: &mut Vec<(usize, f64)>| {
             let (lo, hi) = row.band(alone);
             kept.clear();
             kept.extend(
@@ -1505,10 +1507,17 @@ pub(crate) mod tests {
     use super::*;
     use crate::algo::dp::DpSegmenter;
     use crate::algo::Segmenter;
+    use crate::ast::Pattern;
     use crate::chain::expand_chains;
+    use crate::engine::observe::NOOP_OBSERVER;
     use crate::eval::{Evaluator, UdpRegistry};
-    use crate::score;
+    use crate::score::{self, theta_at, theta_target};
     use shapesearch_datastore::Trendline;
+
+    /// The first tier's bare `(lower, upper)`.
+    fn plan(q: &ShapeQuery, v: &VizData, params: &ScoreParams) -> (f64, f64) {
+        bound_tiers(q, v, params, f64::NEG_INFINITY).plan
+    }
 
     fn viz(pairs: &[(f64, f64)], idx: usize) -> VizData {
         VizData::from_trendline(&Trendline::from_pairs(format!("v{idx}"), pairs), idx, 1).unwrap()
@@ -1739,8 +1748,6 @@ pub(crate) mod tests {
         let (mut anchored, mut joined, mut cut, mut on_window) = (0, 0, 0, 0);
         for params in [ScoreParams::default(), widthy] {
             for q in &queries {
-                let (cell, counters) = (ThresholdCell::new(), PruningCounters::new());
-                let driver = PruningDriver::new(q, &params, &cell, &counters, 1);
                 for v in &collection {
                     let ev = Evaluator::new(v, &params, &udps);
                     let chains = expand_chains(q);
@@ -1748,7 +1755,8 @@ pub(crate) mod tests {
                     let tree = SegmentTreeSegmenter::default()
                         .match_viz(&ev, &chains)
                         .score;
-                    let (lo, hi) = query_bounds(q, v, &params);
+                    let tiers = bound_tiers(q, v, &params, f64::NEG_INFINITY);
+                    let (lo, hi) = tiers.plan;
                     let case = format!(
                         "{q} on #{} ({} points, min width {})",
                         v.source,
@@ -1760,7 +1768,7 @@ pub(crate) mod tests {
                     // What the driver prunes by bounds both scores with no
                     // tolerance: a prune is `upper < τ`, so an ulp under
                     // either is a tie lost.
-                    let upper = driver.upper_bounds(&[v])[0];
+                    let upper = tiers.first;
                     assert!(
                         exact <= upper && tree <= upper,
                         "score {exact} or tree {tree} > bound {upper} (bare {hi}): {case}"
@@ -1769,7 +1777,7 @@ pub(crate) mod tests {
                         on_window +=
                             usize::from(q.segments().iter().any(|s| s.location.x_end.is_some()));
                     }
-                    let tight = anchored_upper_bound(q, v, &params);
+                    let tight = tiers.anchored;
                     if let Some(tight) = tight {
                         anchored += 1;
                         assert!(
@@ -1793,7 +1801,7 @@ pub(crate) mod tests {
                         exact.next_up(),
                         exact + 0.05,
                     ] {
-                        let Some(joint) = joint_upper_bound(q, v, &params, threshold) else {
+                        let Some(joint) = bound_tiers(q, v, &params, threshold).joint else {
                             continue;
                         };
                         if Some(joint.to_bits()) == tight.map(f64::to_bits) {
@@ -1947,10 +1955,10 @@ pub(crate) mod tests {
             let v = viz(&wander(seed, 64), 0);
             // The walk's interval slopes reach past every target: the
             // extremes bound the chain at ≈ 1, its windows at its score.
-            assert!(query_bounds(&fuzzy, &v, &params).1 > 0.9, "walk {seed}");
+            assert!(plan(&fuzzy, &v, &params).1 > 0.9, "walk {seed}");
             let ev = Evaluator::new(&v, &params, &udps);
             let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
-            let (_, hi) = query_bounds(&q, &v, &params);
+            let (_, hi) = plan(&q, &v, &params);
             let on_windows = (score::score_up(v.slope(10, 30))
                 + score::score_theta(v.slope(30, 50), -30.0))
                 / 2.0;
@@ -1964,20 +1972,20 @@ pub(crate) mod tests {
         // Pins that leave no interval between them, and pins under an
         // ITERATOR, place nothing the bound can name: the extremes stand.
         let v = viz(&wander(7, 64), 0);
-        let (_, extremes) = query_bounds(&ShapeQuery::up(), &v, &params);
+        let (_, extremes) = plan(&ShapeQuery::up(), &v, &params);
         for seg in [
             pinned(Pattern::Up, 20.2, 20.4),
             pinned(Pattern::Up, 40.0, 20.0),
             pinned(Pattern::Up, 10.0, 30.0).with_width(5.0),
         ] {
             let q = ShapeQuery::Segment(seg);
-            assert_eq!(query_bounds(&q, &v, &params), (-1.0, extremes), "{q}");
+            assert_eq!(plan(&q, &v, &params), (-1.0, extremes), "{q}");
         }
         // One pin alone leaves the segment a run of windows.
         let mut seg = ShapeSegment::pattern(Pattern::Up);
         seg.location.x_start = Some(10.0);
         let q = ShapeQuery::Segment(seg);
-        assert_eq!(query_bounds(&q, &v, &params), (-1.0, extremes));
+        assert_eq!(plan(&q, &v, &params), (-1.0, extremes));
     }
 
     #[test]
@@ -1994,7 +2002,7 @@ pub(crate) mod tests {
             (-135.0, v.theta_min),
         ] {
             let (target, worst) = theta_target(deg);
-            let (_, hi) = query_bounds(&ShapeQuery::pattern(Pattern::Slope(deg)), &v, &params);
+            let (_, hi) = plan(&ShapeQuery::pattern(Pattern::Slope(deg)), &v, &params);
             assert_eq!(hi, theta_at(steepest, target, worst), "θ = {deg}");
             assert!(hi < 1.0);
         }
@@ -2004,16 +2012,12 @@ pub(crate) mod tests {
     fn no_slope_outside_a_band_scores_its_cut() {
         let theta = |deg: f64| {
             let (target, worst) = theta_target(deg);
-            SlopeRow::Theta {
-                target,
-                worst,
-                mode: target.tan(),
-            }
+            SlopeLeaf::Theta { target, worst }
         };
         let rows = [
-            SlopeRow::Up,
-            SlopeRow::Down,
-            SlopeRow::Flat,
+            SlopeLeaf::Up,
+            SlopeLeaf::Down,
+            SlopeLeaf::Flat,
             theta(45.0),
             theta(-30.0),
             theta(0.0),
@@ -2022,7 +2026,7 @@ pub(crate) mod tests {
             theta(120.0),
             theta(-135.0),
         ];
-        let score = |row: SlopeRow, slope: f64| clamp_score(row.at(slope.atan()));
+        let score = |row: SlopeLeaf, slope: f64| clamp_score(row.at(slope.atan()));
         // Steps away from an edge, from the last bit to a tenth of it.
         let steps: Vec<f64> = (0..=32).map(|e| 0.1 * 0.5f64.powi(e * 50 / 32)).collect();
         let (mut edges, mut empty) = (0, 0);
@@ -2036,7 +2040,7 @@ pub(crate) mod tests {
                     // Nothing scores `c`: not the mode, not the extremes.
                     empty += 1;
                     let mode = match row {
-                        SlopeRow::Theta { mode, .. } => mode,
+                        SlopeLeaf::Theta { target, .. } => target.tan(),
                         _ => 0.0,
                     };
                     for slope in [-1e12, -1.0, 0.0, 1.0, 1e12, mode] {
@@ -2107,7 +2111,7 @@ pub(crate) mod tests {
         windows.load(&v, Ends::BOTH);
         let refined = plan.anchored(&v, &mut windows).1;
         let ends_kept = |windows: &EndWindows, threshold: f64| {
-            let (lo, hi) = SlopeRow::Up.band((threshold - 1.0) * 3.0 + 1.0);
+            let (lo, hi) = SlopeLeaf::Up.band((threshold - 1.0) * 3.0 + 1.0);
             let within = |&&s: &&f64| lo <= s && s <= hi;
             windows.first[..n - 2].iter().filter(within).count()
                 + windows.last[1..].iter().filter(within).count()
@@ -2125,7 +2129,7 @@ pub(crate) mod tests {
         // Just under what two straight legs and a perfect middle total:
         // the bands keep little more than the legs, but any leg window
         // pairs with any other — 16² placements, more than n − 1.
-        let on_a_leg = clamp_score(SlopeRow::Up.at(windows.first[0].atan()));
+        let on_a_leg = clamp_score(SlopeLeaf::Up.at(windows.first[0].atan()));
         let threshold = (2.0 * on_a_leg + 1.0) / 3.0 - 0.004;
         let steep = windows.first[0];
         let legs = |run: &[f64]| {
@@ -2157,7 +2161,7 @@ pub(crate) mod tests {
         let ev = Evaluator::new(&v, &params, &udps);
         let q = ShapeQuery::up();
         let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
-        let (lo, hi) = query_bounds(&q, &v, &params);
+        let (lo, hi) = plan(&q, &v, &params);
         assert!((hi - exact).abs() < 1e-9);
         assert!((lo - exact).abs() < 1e-9);
     }
@@ -2170,7 +2174,7 @@ pub(crate) mod tests {
             0,
         );
         let params = ScoreParams::default();
-        let (_, hi) = query_bounds(&ShapeQuery::flat(), &v, &params);
+        let (_, hi) = plan(&ShapeQuery::flat(), &v, &params);
         assert_eq!(hi, 1.0);
     }
 
@@ -2186,18 +2190,18 @@ pub(crate) mod tests {
         );
         let params = ScoreParams::default();
         let pinned = ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 0.0, 8.0));
-        let (lo, hi) = query_bounds(&pinned, &v, &params);
+        let (lo, hi) = plan(&pinned, &v, &params);
         assert_eq!(lo, -1.0);
         assert!(hi <= 1.0 && hi > 0.0);
         let not_pinned = ShapeQuery::Not(Box::new(pinned));
-        let (_, hi) = query_bounds(&not_pinned, &v, &params);
+        let (_, hi) = plan(&not_pinned, &v, &params);
         assert_eq!(hi, 1.0, "NOT of a −1-capable child must allow +1");
 
         let widthy = ScoreParams {
             min_width_frac: 0.25,
             ..ScoreParams::default()
         };
-        let (lo, _) = query_bounds(&ShapeQuery::up(), &v, &widthy);
+        let (lo, _) = plan(&ShapeQuery::up(), &v, &widthy);
         assert_eq!(lo, -1.0);
     }
 
@@ -2211,9 +2215,9 @@ pub(crate) mod tests {
         let mut seg = ShapeSegment::pattern(Pattern::Up);
         seg.iterator = Some(crate::ast::IteratorSpec { width: 4.0 });
         let q = ShapeQuery::Segment(seg);
-        let (lo, hi) = query_bounds(&q, &v, &params);
+        let (lo, hi) = plan(&q, &v, &params);
         assert_eq!(lo, -1.0, "a width window can force an infeasible −1");
-        let (_, plain_hi) = query_bounds(&ShapeQuery::up(), &v, &params);
+        let (_, plain_hi) = plan(&ShapeQuery::up(), &v, &params);
         assert_eq!(hi, plain_hi, "the Table-7 upper bound stands");
     }
 
@@ -2302,7 +2306,7 @@ pub(crate) mod tests {
         let q = ShapeQuery::up();
         let cell = ThresholdCell::new();
         let counters = PruningCounters::new();
-        let driver = PruningDriver::new(&q, &params, &cell, &counters, 2);
+        let driver = PruningDriver::new(&q, &params, &cell, &counters, 2, &NOOP_OBSERVER);
         let fall = viz(
             &(0..16).map(|t| (t as f64, -(t as f64))).collect::<Vec<_>>(),
             0,
@@ -2311,7 +2315,7 @@ pub(crate) mod tests {
         // One pass, one bound per candidate: the plan's, and the one
         // leaf's rounding allowance.
         let bounds = driver.upper_bounds(&[&fall]);
-        let (_, bare) = query_bounds(&q, &fall, &params);
+        let (_, bare) = plan(&q, &fall, &params);
         let ub = bare + ROUNDING_ALLOWANCE;
         assert_eq!(bounds, [ub]);
         assert_eq!(counters.snapshot().bounded, 1);
@@ -2341,13 +2345,13 @@ pub(crate) mod tests {
         // hint's sender can verify.
         let cell2 = ThresholdCell::new();
         cell2.seed_hint(0.9);
-        let driver2 = PruningDriver::new(&q, &params, &cell2, &counters, 2);
+        let driver2 = PruningDriver::new(&q, &params, &cell2, &counters, 2, &NOOP_OBSERVER);
         assert!(!scored(&driver2, &fall, &bounds));
         let debt = cell2.hint_pruned().expect("hint prune must be recorded");
         assert_eq!(debt, ub);
         // With no end to anchor, nobody was bounded twice.
         assert_eq!(counters.snapshot().refined, 0);
-        assert_eq!(anchored_upper_bound(&q, &fall, &params), None);
+        assert_eq!(bound_tiers(&q, &fall, &params, 0.9).anchored, None);
 
         // The second tier, under the same rule. A line that rises and
         // falls by turns: its interval slopes reach both ways, so the
@@ -2361,13 +2365,15 @@ pub(crate) mod tests {
                 .collect::<Vec<_>>(),
             0,
         );
-        let (_, whole) = query_bounds(&q, &zigzag, &params);
-        let tight = anchored_upper_bound(&q, &zigzag, &params).expect("both ends are free");
+        let (_, whole) = plan(&q, &zigzag, &params);
+        let tight = bound_tiers(&q, &zigzag, &params, f64::NEG_INFINITY)
+            .anchored
+            .expect("both ends are free");
         assert!(tight < whole - 0.1, "anchored {tight}, whole {whole}");
         let between = (tight + whole) / 2.0;
         let counters = PruningCounters::new();
         let visit = |cell: &ThresholdCell| {
-            let driver = PruningDriver::new(&q, &params, cell, &counters, 1);
+            let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
             scored(&driver, &zigzag, &[whole])
         };
         let refined = || counters.snapshot().refined;
@@ -2415,13 +2421,15 @@ pub(crate) mod tests {
         let udps = UdpRegistry::new();
         let ev = Evaluator::new(&wander, &params, &udps);
         let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
-        let (_, whole) = query_bounds(&q, &wander, &params);
-        let tight = anchored_upper_bound(&q, &wander, &params).expect("both ends are free");
+        let (_, whole) = plan(&q, &wander, &params);
+        let tight = bound_tiers(&q, &wander, &params, f64::NEG_INFINITY)
+            .anchored
+            .expect("both ends are free");
         assert!(exact < tight - 0.01, "score {exact}, anchored {tight}");
         let between = (exact + tight) / 2.0;
         let counters = PruningCounters::new();
         let visit = |cell: &ThresholdCell| {
-            let driver = PruningDriver::new(&q, &params, cell, &counters, 1);
+            let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
             scored(&driver, &wander, &[whole])
         };
         let joined = || counters.snapshot().joined;
@@ -2474,7 +2482,7 @@ pub(crate) mod tests {
             PruningCounters::new(),
         );
         let seeds = |k: usize, bounds: &[f64]| {
-            PruningDriver::new(&q, &params, &cell, &counters, k).seeds(bounds)
+            PruningDriver::new(&q, &params, &cell, &counters, k, &NOOP_OBSERVER).seeds(bounds)
         };
         let bounds = [0.2, 0.9, -0.5, 0.9, 0.2, 1.0];
         assert_eq!(seeds(1, &bounds), [5]);
@@ -2513,19 +2521,23 @@ pub(crate) mod tests {
 
     #[test]
     fn mode_gates_match_segmenter_exactness() {
-        for kind in [SegmenterKind::Dp, SegmenterKind::SegmentTree] {
+        for kind in [
+            SegmenterKind::Dp,
+            SegmenterKind::SegmentTree,
+            SegmenterKind::Greedy,
+        ] {
             assert!(PruningMode::Auto.active_for(kind));
-            assert!(PruningMode::Force.active_for(kind));
             assert!(!PruningMode::Off.active_for(kind));
         }
-        assert!(!PruningMode::Auto.active_for(SegmenterKind::Greedy));
-        assert!(PruningMode::Force.active_for(SegmenterKind::Greedy));
         for kind in [SegmenterKind::Dtw, SegmenterKind::Euclidean] {
-            assert!(!PruningMode::Force.active_for(kind));
+            assert!(!PruningMode::Auto.active_for(kind));
         }
-        for mode in [PruningMode::Auto, PruningMode::Off, PruningMode::Force] {
+        for mode in [PruningMode::Auto, PruningMode::Off] {
             assert_eq!(PruningMode::parse(mode.name()), Some(mode));
         }
+        // The retired mode's name still parses, as what it now means.
+        assert_eq!(PruningMode::parse("force"), Some(PruningMode::Auto));
+        assert_eq!(PruningMode::parse("FORCE"), Some(PruningMode::Auto));
         assert_eq!(PruningMode::parse("sometimes"), None);
     }
 }

@@ -56,8 +56,9 @@ pub struct EngineOptions {
     /// Scoring parameters.
     pub params: ScoreParams,
     /// When §6.3 bound pruning applies (default [`PruningMode::Auto`]:
-    /// every exact segmenter prunes). Pruning never changes results — it
-    /// only skips candidates that provably cannot enter the top k.
+    /// every segmenter but the whole-series baselines prunes). Pruning
+    /// never changes results — it only skips candidates that provably
+    /// cannot enter the top k.
     pub pruning_mode: PruningMode,
 }
 
@@ -522,8 +523,8 @@ impl ShapeEngine {
                         shared.cell(qi),
                         shared.counters(),
                         p.k,
+                        observer,
                     )
-                    .with_observer(observer)
                 });
                 let results = self.run_per_viz(
                     &vizzes,
@@ -553,17 +554,10 @@ impl ShapeEngine {
     }
 
     /// SEGMENT + SCORE over one query's candidates, on the caller's
-    /// thread (a server runs one shard per pool task). With a pruning
-    /// driver the walk is §6.3's two stages over one bound pass: the
-    /// candidates with the `k` highest upper bounds are scored first (the
-    /// likely winners, so the threshold is sharp before the bulk meets
-    /// it), then the rest are swept ([`PruningDriver::sweep`]: in index order, each
-    /// one comparison against the live threshold — or, for a query with a
-    /// second bound tier, refined in one pass and walked best bound
-    /// first). The threshold only prunes *strictly* below itself
-    /// and only once some executor has k exact results, and [`TopK`]'s
-    /// order is total, so the surviving top k is byte-identical to a
-    /// prune-free pass in any visiting order.
+    /// thread (a server runs one shard per pool task): every candidate in
+    /// index order, or, with a pruning driver, those §6.3 cannot rule out,
+    /// in the order it picks ([`PruningDriver::run`]). [`TopK`]'s order is
+    /// total, so the surviving top k is byte-identical either way.
     fn run_per_viz(
         &self,
         vizzes: &[&VizData],
@@ -604,7 +598,7 @@ impl ShapeEngine {
         // (which the driver pools: once k scores exist *anywhere* — across
         // shards, even processes via the server's fan-out — the global
         // k-th becomes the proven threshold).
-        let admit = |pos: usize, topk: &mut TopK| -> f64 {
+        let mut admit = |pos: usize| -> f64 {
             let viz = vizzes[pos];
             let result = score_one(viz);
             let score = result.score;
@@ -622,31 +616,10 @@ impl ShapeEngine {
             }
             score
         };
-
-        // One bound pass for the whole collection, then stage 1: the
-        // candidates no threshold could rule out, best bound first. They
-        // face the cell like everyone else (a remote hint may prune them;
-        // the hint's sender verifies that).
-        let bounded = prune.map(|driver| (driver, driver.upper_bounds(vizzes)));
-        let mut seeded = vec![false; vizzes.len()];
-        if let Some((driver, bounds)) = &bounded {
-            let seeds = driver.seeds(bounds);
-            for &pos in &seeds {
-                seeded[pos] = true;
-            }
-            driver.visit(vizzes, bounds, seeds.into_iter(), |pos| {
-                admit(pos, &mut topk)
-            });
-        }
-        // Stage 2: everyone else — in index order, or best second-tier
-        // bound first when the query has one (the driver knows which).
-        let rest = (0..vizzes.len()).filter(|&pos| !seeded[pos]);
-        match &bounded {
-            Some((driver, bounds)) => {
-                driver.sweep(vizzes, bounds, rest, |pos| admit(pos, &mut topk));
-            }
-            None => rest.for_each(|pos| {
-                admit(pos, &mut topk);
+        match prune {
+            Some(driver) => driver.run(vizzes, admit),
+            None => (0..vizzes.len()).for_each(|pos| {
+                admit(pos);
             }),
         }
         topk
@@ -1042,20 +1015,19 @@ mod tests {
             ShapeQuery::pattern(Pattern::Slope(-30.0)),
             ShapeQuery::pattern(Pattern::Slope(60.0)),
         ]);
-        // Every segmenter pruning runs for, under the mode it runs under.
-        let matrix = [
-            (SegmenterKind::Dp, PruningMode::Auto),
-            (SegmenterKind::SegmentTree, PruningMode::Auto),
-            (SegmenterKind::Greedy, PruningMode::Force),
+        // Every segmenter pruning runs for.
+        let kinds = [
+            SegmenterKind::Dp,
+            SegmenterKind::SegmentTree,
+            SegmenterKind::Greedy,
         ];
-        for (kind, mode) in matrix {
+        for kind in kinds {
             for (wanders, steps) in [(false, &falling as &dyn Fn(u64) -> _), (true, &wandering)] {
                 let tls: Vec<Trendline> = (0..400u64)
                     .map(|i| Trendline::from_pairs(format!("walk{i}"), &steps(i + 1)))
                     .collect();
                 let opts = EngineOptions {
                     segmenter: kind,
-                    pruning_mode: mode,
                     ..EngineOptions::default()
                 };
                 let off = EngineOptions {
@@ -1091,7 +1063,7 @@ mod tests {
                     // Whoever the third tier bounded and did not prune was
                     // scored.
                     assert!(snap.joined > snap.scored, "{case}: {snap:?}");
-                } else if mode == PruningMode::Auto {
+                } else if kind != SegmenterKind::Greedy {
                     // Walked best second-tier bound first, the sweep stops
                     // at the first bound under a threshold that is by then
                     // nearly final (in index order the exact segmenters
@@ -1229,15 +1201,14 @@ mod tests {
             pinned(Pattern::Up, 30.0, 55.0),
         ]);
         let k = 4;
-        let matrix = [
-            (SegmenterKind::Dp, PruningMode::Auto),
-            (SegmenterKind::SegmentTree, PruningMode::Auto),
-            (SegmenterKind::Greedy, PruningMode::Force),
+        let kinds = [
+            SegmenterKind::Dp,
+            SegmenterKind::SegmentTree,
+            SegmenterKind::Greedy,
         ];
-        for (kind, mode) in matrix {
+        for kind in kinds {
             let opts = EngineOptions {
                 segmenter: kind,
-                pruning_mode: mode,
                 ..EngineOptions::default()
             };
             let off = EngineOptions {

@@ -109,24 +109,31 @@ pub enum SlopeLeaf {
 }
 
 impl SlopeLeaf {
-    /// The leaf's whole evaluation of one window, from the window's
-    /// fitted angle (`slope.atan()`) and canvas width. Every slope-leaf
-    /// path — per window, per run, and the SegmentTree's shared angle per
-    /// node — ends here, so they cannot drift from each other or from
-    /// [`Evaluator::eval_segment`], which this reproduces bit for bit:
-    /// the Table-5 maps are the ones the slope-taking scorers in
-    /// [`crate::score`] apply after their `atan`.
-    /// [`score::width_penalty`] ignores `width` when `min_width_frac <= 0`,
-    /// so a caller with the term off need not load it.
+    /// The row's Table-5 score at a fitted angle, before any clamp: what
+    /// the slope-taking scorers in [`crate::score`] apply after their
+    /// `atan`, and what the §6.3 bounds are written in.
     #[inline]
-    pub(crate) fn eval_at(self, theta: f64, width: f64, min_width_frac: f64) -> f64 {
-        let raw = match self {
+    pub(crate) fn at(self, theta: f64) -> f64 {
+        match self {
             SlopeLeaf::Up => score::up_at(theta),
             SlopeLeaf::Down => score::down_at(theta),
             SlopeLeaf::Flat => score::flat_at(theta),
             SlopeLeaf::Any => 1.0,
             SlopeLeaf::Theta { target, worst } => score::theta_at(theta, target, worst),
-        };
+        }
+    }
+
+    /// The leaf's whole evaluation of one window, from the window's
+    /// fitted angle (`slope.atan()`) and canvas width. Every slope-leaf
+    /// path — per window, per run, and the SegmentTree's shared angle per
+    /// node — ends here, so they cannot drift from each other or from
+    /// [`Evaluator::eval_segment`], which this reproduces bit for bit
+    /// through [`Self::at`].
+    /// [`score::width_penalty`] ignores `width` when `min_width_frac <= 0`,
+    /// so a caller with the term off need not load it.
+    #[inline]
+    pub(crate) fn eval_at(self, theta: f64, width: f64, min_width_frac: f64) -> f64 {
+        let raw = self.at(theta);
         // `0.0 +` replicates the general path's sum/count accumulation:
         // IEEE `0.0 + (-0.0)` is `+0.0`, so a raw `-0.0` pattern score
         // must flip sign here exactly as it does there.
@@ -146,16 +153,24 @@ pub fn slope_leaf(q: &ShapeQuery) -> Option<SlopeLeaf> {
     if !s.location.is_empty() || s.sketch.is_some() || s.modifier.is_some() {
         return None;
     }
-    match s.pattern {
-        Some(Pattern::Up) => Some(SlopeLeaf::Up),
-        Some(Pattern::Down) => Some(SlopeLeaf::Down),
-        Some(Pattern::Flat) => Some(SlopeLeaf::Flat),
-        Some(Pattern::Any) => Some(SlopeLeaf::Any),
-        Some(Pattern::Slope(deg)) => {
-            let (target, worst) = score::theta_target(deg);
+    s.pattern.as_ref().and_then(pattern_row)
+}
+
+/// The Table-5 row a pattern scores by, when it is a slope pattern: the
+/// one classification the leaf fast path ([`slope_leaf`]) and the §6.3
+/// bound plan share. `None` for UDPs, position references and nested
+/// queries.
+pub(crate) fn pattern_row(p: &Pattern) -> Option<SlopeLeaf> {
+    match p {
+        Pattern::Up => Some(SlopeLeaf::Up),
+        Pattern::Down => Some(SlopeLeaf::Down),
+        Pattern::Flat => Some(SlopeLeaf::Flat),
+        Pattern::Any => Some(SlopeLeaf::Any),
+        Pattern::Slope(deg) => {
+            let (target, worst) = score::theta_target(*deg);
             Some(SlopeLeaf::Theta { target, worst })
         }
-        _ => None,
+        Pattern::Udp(_) | Pattern::Position(_) | Pattern::Nested(_) => None,
     }
 }
 

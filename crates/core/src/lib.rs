@@ -56,7 +56,8 @@ pub mod stats;
 pub mod udps;
 
 pub use algo::pruning::{
-    query_bounds, PruningCounters, PruningDriver, PruningMode, PruningSnapshot, ThresholdCell,
+    bound_tiers, BoundTiers, PruningCounters, PruningDriver, PruningMode, PruningSnapshot,
+    ThresholdCell,
 };
 pub use algo::{MatchResult, Segmenter, SegmenterKind};
 pub use ast::{IteratorSpec, Location, Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};

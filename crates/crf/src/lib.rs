@@ -16,8 +16,7 @@
 //!   potentials,
 //! * exact inference via **forward–backward** in log space,
 //! * maximum-likelihood training with **L2-regularised SGD** (the paper's
-//!   L1/L2 settings are mirrored by [`TrainConfig`]), and an
-//!   **averaged-perceptron** alternative,
+//!   L1/L2 settings are mirrored by [`TrainConfig`]),
 //! * **Viterbi** decoding,
 //! * evaluation helpers (token accuracy, per-label precision/recall/F1,
 //!   k-fold cross-validation) used to reproduce the paper's reported
@@ -34,7 +33,7 @@ mod vocab;
 
 pub use eval::{cross_validate, evaluate, EvalReport, LabelMetrics};
 pub use model::CrfModel;
-pub use train::{train, TrainConfig, TrainMethod};
+pub use train::{train, TrainConfig};
 pub use vocab::Vocab;
 
 /// A single training/decoding sequence: per-token sparse feature lists and

@@ -1,5 +1,5 @@
 //! CRF training: maximum likelihood with L2-regularised SGD (gradients via
-//! forward–backward), or the simpler averaged structured perceptron.
+//! forward–backward).
 //!
 //! The paper trained with CRF-Suite using "L1 penalty: 1.0, L2 penalty:
 //! 0.001, max iterations: 50". [`TrainConfig::default`] mirrors the L2 and
@@ -13,18 +13,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Optimisation method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainMethod {
-    /// L2-regularised stochastic gradient descent on the negative
-    /// log-likelihood (exact gradients via forward–backward).
-    #[default]
-    Sgd,
-    /// Averaged structured perceptron (Viterbi-based updates).
-    Perceptron,
-}
-
-/// Training hyper-parameters.
+/// Training hyper-parameters of L2-regularised stochastic gradient descent
+/// on the negative log-likelihood (exact gradients via forward–backward).
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Number of passes over the data (paper: 50).
@@ -38,8 +28,6 @@ pub struct TrainConfig {
     pub l1: f64,
     /// RNG seed for shuffling (training is fully deterministic given this).
     pub seed: u64,
-    /// Optimiser.
-    pub method: TrainMethod,
 }
 
 impl Default for TrainConfig {
@@ -50,7 +38,6 @@ impl Default for TrainConfig {
             l2: 0.001,
             l1: 0.0,
             seed: 0x5ea9c4,
-            method: TrainMethod::Sgd,
         }
     }
 }
@@ -103,15 +90,11 @@ pub fn train(data: &[Sequence], config: TrainConfig) -> CrfModel {
         })
         .collect();
 
-    match config.method {
-        TrainMethod::Sgd => train_sgd(&mut model, &interned, config),
-        TrainMethod::Perceptron => train_perceptron(&mut model, &interned, config),
-    }
+    train_sgd(&mut model, &interned, config);
     model
 }
 
 fn train_sgd(model: &mut CrfModel, data: &[(Vec<Vec<u32>>, Vec<usize>)], config: TrainConfig) {
-    let nl = model.num_labels();
     let mut order: Vec<usize> = (0..data.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -141,7 +124,6 @@ fn train_sgd(model: &mut CrfModel, data: &[(Vec<Vec<u32>>, Vec<usize>)], config:
                 };
             }
         }
-        let _ = nl; // nl used below in sgd_step; silence unused in release
     }
 }
 
@@ -216,130 +198,6 @@ fn sgd_step(model: &mut CrfModel, feats: &[Vec<u32>], labs: &[usize], lr: f64, l
     }
 }
 
-fn train_perceptron(
-    model: &mut CrfModel,
-    data: &[(Vec<Vec<u32>>, Vec<usize>)],
-    config: TrainConfig,
-) {
-    let nl = model.num_labels();
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    // Averaged weights accumulate (weight * remaining updates) implicitly via
-    // the "lazy" trick: keep a running sum of weights at each update.
-    let mut sum_unary = vec![0.0; model.unary.len()];
-    let mut sum_trans = vec![0.0; model.transition.len()];
-    let mut sum_start = vec![0.0; model.start.len()];
-    let mut sum_end = vec![0.0; model.end.len()];
-    let mut updates = 0usize;
-
-    for _ in 0..config.max_iterations {
-        order.shuffle(&mut rng);
-        for &idx in &order {
-            let (feats, labs) = &data[idx];
-            let predicted = viterbi_ids(model, feats);
-            if &predicted != labs {
-                // Promote gold path, demote predicted path.
-                apply_path(model, feats, labs, 1.0);
-                apply_path(model, feats, &predicted, -1.0);
-            }
-            // Accumulate for averaging.
-            for (s, w) in sum_unary.iter_mut().zip(&model.unary) {
-                *s += w;
-            }
-            for (s, w) in sum_trans.iter_mut().zip(&model.transition) {
-                *s += w;
-            }
-            for (s, w) in sum_start.iter_mut().zip(&model.start) {
-                *s += w;
-            }
-            for (s, w) in sum_end.iter_mut().zip(&model.end) {
-                *s += w;
-            }
-            updates += 1;
-        }
-    }
-    if updates > 0 {
-        let inv = 1.0 / updates as f64;
-        for (w, s) in model.unary.iter_mut().zip(&sum_unary) {
-            *w = s * inv;
-        }
-        for (w, s) in model.transition.iter_mut().zip(&sum_trans) {
-            *w = s * inv;
-        }
-        for (w, s) in model.start.iter_mut().zip(&sum_start) {
-            *w = s * inv;
-        }
-        for (w, s) in model.end.iter_mut().zip(&sum_end) {
-            *w = s * inv;
-        }
-    }
-    let _ = nl;
-}
-
-/// Adds `sign` times the feature vector of a labeled path into the weights.
-fn apply_path(model: &mut CrfModel, feats: &[Vec<u32>], labs: &[usize], sign: f64) {
-    let nl = model.num_labels();
-    let n = feats.len();
-    for t in 0..n {
-        for &f in &feats[t] {
-            model.unary[f as usize * nl + labs[t]] += sign;
-        }
-    }
-    for t in 0..n.saturating_sub(1) {
-        model.transition[labs[t] * nl + labs[t + 1]] += sign;
-    }
-    model.start[labs[0]] += sign;
-    model.end[labs[n - 1]] += sign;
-}
-
-/// Viterbi over interned feature ids, returning label ids.
-#[allow(clippy::needless_range_loop)] // indices span several DP tables
-fn viterbi_ids(model: &CrfModel, feats: &[Vec<u32>]) -> Vec<usize> {
-    let n = feats.len();
-    let nl = model.num_labels();
-    if n == 0 {
-        return Vec::new();
-    }
-    let unary: Vec<Vec<f64>> = feats
-        .iter()
-        .map(|ids| (0..nl).map(|l| model.unary_score(ids, l)).collect())
-        .collect();
-    let mut delta = vec![vec![f64::NEG_INFINITY; nl]; n];
-    let mut back = vec![vec![0usize; nl]; n];
-    for y in 0..nl {
-        delta[0][y] = model.start[y] + unary[0][y];
-    }
-    for t in 1..n {
-        for y in 0..nl {
-            let mut best = f64::NEG_INFINITY;
-            let mut arg = 0;
-            for prev in 0..nl {
-                let s = delta[t - 1][prev] + model.transition[prev * nl + y];
-                if s > best {
-                    best = s;
-                    arg = prev;
-                }
-            }
-            delta[t][y] = best + unary[t][y];
-            back[t][y] = arg;
-        }
-    }
-    let (mut last, mut best) = (0usize, f64::NEG_INFINITY);
-    for y in 0..nl {
-        let s = delta[n - 1][y] + model.end[y];
-        if s > best {
-            best = s;
-            last = y;
-        }
-    }
-    let mut path = vec![0usize; n];
-    path[n - 1] = last;
-    for t in (1..n).rev() {
-        path[t - 1] = back[t][path[t]];
-    }
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,22 +238,6 @@ mod tests {
             vec!["w=b".into(), "w-1=b".into()],
         ]);
         assert_eq!(model.decode(&seq), vec!["A", "AB", "B"]);
-    }
-
-    #[test]
-    fn perceptron_learns_contextual_labels() {
-        let cfg = TrainConfig {
-            method: TrainMethod::Perceptron,
-            max_iterations: 20,
-            ..TrainConfig::default()
-        };
-        let model = train(&toy_corpus(), cfg);
-        let seq = Sequence::unlabeled(vec![
-            vec!["w=b".into()],
-            vec!["w=a".into(), "w-1=b".into()],
-            vec!["w=b".into(), "w-1=a".into()],
-        ]);
-        assert_eq!(model.decode(&seq), vec!["B", "A", "AB"]);
     }
 
     #[test]

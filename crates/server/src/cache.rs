@@ -35,7 +35,9 @@ use shapesearch_core::{EngineOptions, TopKResult};
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 const NIL: usize = usize::MAX;
 
@@ -301,10 +303,22 @@ pub struct CacheStats {
 /// Locks `mutex`, recovering it from poison: the server's one lock
 /// policy for a mutex that guards plain data no panic can leave
 /// half-updated — the cache's map and latches (nothing foreign runs under
-/// them, see the module doc) and the compute pool's queue, batch latches
-/// and result slots.
+/// them, see the module doc), the compute pool's queue, batch latches
+/// and result slots, the catalog's registry table, and the shard client's
+/// endpoint health and idle connections.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`]'s policy for a reader of an `RwLock` over plain data: the
+/// catalog's dataset map.
+pub(crate) fn read<T>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rwlock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`]'s policy for a writer of an `RwLock` over plain data.
+pub(crate) fn write<T>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rwlock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The latch one leader and any number of waiters rendezvous on: `None`

@@ -28,6 +28,7 @@
 //! repointing a shard means re-registering, which bumps the generation
 //! *and* changes the placement fingerprint baked into cache keys.
 
+use crate::cache::{lock, read, write};
 use crate::error::ServerError;
 use shapesearch_core::{
     partition_bounds_by_points, CoreError, EngineOptions, ShapeEngine, Snapshot, SnapshotError,
@@ -163,9 +164,7 @@ impl Registry {
         if endpoint.is_empty() {
             return Err(ServerError::bad_request("heartbeat without an endpoint"));
         }
-        self.inner
-            .lock()
-            .expect("registry lock")
+        lock(&self.inner)
             .entry((dataset.to_owned(), shard, shards))
             .or_default()
             .insert(endpoint.to_owned(), Instant::now());
@@ -177,7 +176,7 @@ impl Registry {
     pub fn snapshot(&self) -> Vec<RegistryEntry> {
         let ttl = Duration::from_secs(REGISTRY_TTL_SECS);
         let now = Instant::now();
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = lock(&self.inner);
         inner
             .iter()
             .flat_map(|((dataset, shard, shards), endpoints)| {
@@ -203,7 +202,7 @@ impl Registry {
     pub fn slot_staleness(&self) -> Vec<SlotStaleness> {
         let ttl = Duration::from_secs(REGISTRY_TTL_SECS);
         let now = Instant::now();
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = lock(&self.inner);
         inner
             .iter()
             .map(|((dataset, shard, shards), endpoints)| {
@@ -239,7 +238,7 @@ impl Registry {
     pub fn resolve(&self, dataset: &str) -> Result<Vec<Vec<String>>, String> {
         let ttl = Duration::from_secs(REGISTRY_TTL_SECS);
         let now = Instant::now();
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = lock(&self.inner);
         let mut totals: Vec<usize> = Vec::new();
         let mut by_shard: BTreeMap<usize, Vec<String>> = BTreeMap::new();
         for ((ds, shard, shards), endpoints) in inner.iter() {
@@ -675,10 +674,7 @@ impl Catalog {
             snapshot,
             shards,
         });
-        let replaced = self
-            .inner
-            .write()
-            .expect("catalog lock")
+        let replaced = write(&self.inner)
             .insert(id, Arc::clone(&entry))
             .map(|old| old.generation);
         Ok((entry, replaced))
@@ -802,25 +798,19 @@ impl Catalog {
 
     /// Fetches a dataset by id.
     pub fn get(&self, id: &str) -> Option<Arc<DatasetEntry>> {
-        self.inner.read().expect("catalog lock").get(id).cloned()
+        read(&self.inner).get(id).cloned()
     }
 
     /// All datasets, sorted by id for deterministic listings.
     pub fn list(&self) -> Vec<Arc<DatasetEntry>> {
-        let mut entries: Vec<_> = self
-            .inner
-            .read()
-            .expect("catalog lock")
-            .values()
-            .cloned()
-            .collect();
+        let mut entries: Vec<_> = read(&self.inner).values().cloned().collect();
         entries.sort_by(|a, b| a.id.cmp(&b.id));
         entries
     }
 
     /// Number of registered datasets.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("catalog lock").len()
+        read(&self.inner).len()
     }
 
     /// True when no dataset is registered.
@@ -1303,5 +1293,51 @@ gadget,4,12
         s.shard_endpoints = Some(ShardEndpoints::FromRegistry);
         let err = catalog.register(s).unwrap_err();
         assert!(err.message.contains("dataset id"), "{}", err.message);
+    }
+
+    /// Runs `hold` on a thread of its own and asserts that it panicked:
+    /// `hold` takes a lock and panics holding it, leaving it poisoned.
+    fn poison(hold: impl FnOnce() + Send) {
+        let died = std::thread::scope(|scope| scope.spawn(hold).join());
+        assert!(died.is_err());
+    }
+
+    #[test]
+    fn a_poisoned_dataset_map_still_registers_lists_and_answers() {
+        let catalog = Catalog::new();
+        catalog.register(spec(Some("before"))).unwrap();
+        poison(|| {
+            let _held = catalog.inner.write().unwrap();
+            panic!("a registration died holding the dataset map");
+        });
+        assert!(catalog.inner.is_poisoned());
+        let entry = catalog.register(spec(Some("sales"))).unwrap();
+        assert_eq!(top_k(&entry, "[p=up][p=down]", 1)[0].key, "widget");
+        let listed: Vec<_> = catalog.list().iter().map(|e| e.id.clone()).collect();
+        assert_eq!(
+            (listed, catalog.len()),
+            (vec!["before".into(), "sales".into()], 2)
+        );
+        let got = catalog.get("before").unwrap();
+        assert_eq!(top_k(&got, "[p=up][p=down]", 1)[0].key, "widget");
+    }
+
+    #[test]
+    fn a_poisoned_registry_table_still_hears_and_places() {
+        let catalog = Catalog::new();
+        poison(|| {
+            let _held = catalog.registry.inner.lock().unwrap();
+            panic!("a heartbeat died holding the registry table");
+        });
+        assert!(catalog.registry.inner.is_poisoned());
+        let registry = catalog.registry();
+        registry.heartbeat("sales", 0, 2, "10.0.0.1:7001").unwrap();
+        registry.heartbeat("sales", 1, 2, "10.0.0.2:7001").unwrap();
+        assert_eq!(registry.snapshot().len(), 2);
+        assert_eq!(registry.slot_staleness().len(), 2);
+        let mut s = spec(Some("sales"));
+        s.shard_endpoints = Some(ShardEndpoints::FromRegistry);
+        let entry = catalog.register(s).unwrap();
+        assert_eq!(entry.placement_fp, "10.0.0.1:7001;10.0.0.2:7001");
     }
 }

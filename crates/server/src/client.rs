@@ -29,6 +29,7 @@
 //! only once **every** replica has been attempted, so replica order is
 //! a latency preference, never a correctness decision.
 
+use crate::cache::lock;
 use crate::http::{Parse, StatusLine};
 use crate::json::{self, Json};
 use std::collections::{BTreeMap, HashMap};
@@ -505,7 +506,7 @@ impl PooledClient {
     /// in declared order. Every replica appears exactly once.
     fn plan(&self, replicas: &[String]) -> Vec<String> {
         let now = Instant::now();
-        let health = self.health.lock().expect("client health lock");
+        let health = lock(&self.health);
         let mut preferred = Vec::with_capacity(replicas.len());
         let mut sidelined = Vec::new();
         for endpoint in replicas {
@@ -524,14 +525,14 @@ impl PooledClient {
     }
 
     fn record_success(&self, endpoint: &str) {
-        let mut health = self.health.lock().expect("client health lock");
+        let mut health = lock(&self.health);
         let h = health.entry(endpoint.to_owned()).or_default();
         h.consecutive_failures = 0;
         h.ejected_until = None;
     }
 
     fn record_failure(&self, endpoint: &str) {
-        let mut health = self.health.lock().expect("client health lock");
+        let mut health = lock(&self.health);
         let h = health.entry(endpoint.to_owned()).or_default();
         h.consecutive_failures += 1;
         if h.consecutive_failures >= self.config.eject_after {
@@ -549,7 +550,7 @@ impl PooledClient {
     /// deterministic (lexicographic) endpoint order.
     pub fn health_snapshot(&self) -> Vec<EndpointHealthSnapshot> {
         let now = Instant::now();
-        let health = self.health.lock().expect("client health lock");
+        let health = lock(&self.health);
         health
             .iter()
             .map(|(endpoint, h)| EndpointHealthSnapshot {
@@ -563,9 +564,7 @@ impl PooledClient {
     }
 
     fn connect(&self, endpoint: &str) -> io::Result<TcpStream> {
-        self.health
-            .lock()
-            .expect("client health lock")
+        lock(&self.health)
             .entry(endpoint.to_owned())
             .or_default()
             .connect_attempts += 1;
@@ -579,12 +578,7 @@ impl PooledClient {
     /// Pops pooled connections until one passes the staleness check.
     fn checkout(&self, endpoint: &str) -> Option<TcpStream> {
         loop {
-            let stream = self
-                .idle
-                .lock()
-                .expect("client pool lock")
-                .get_mut(endpoint)?
-                .pop()?;
+            let stream = lock(&self.idle).get_mut(endpoint)?.pop()?;
             if !Self::is_stale(&stream) {
                 return Some(stream);
             }
@@ -606,7 +600,7 @@ impl PooledClient {
     }
 
     fn checkin(&self, endpoint: &str, stream: TcpStream) {
-        let mut idle = self.idle.lock().expect("client pool lock");
+        let mut idle = lock(&self.idle);
         let pool = idle.entry(endpoint.to_owned()).or_default();
         if pool.len() < MAX_IDLE_PER_ENDPOINT {
             pool.push(stream);
@@ -946,6 +940,59 @@ mod tests {
         assert_eq!(trail, vec![dead.as_str(), live.as_str()]);
         assert!(outcome.attempts[0].error.is_some(), "dead attempt is named");
         assert!(outcome.attempts[1].error.is_none());
+    }
+
+    #[test]
+    fn post_replicas_survives_each_poisoned_lock() {
+        for which in ["health", "idle pool"] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let live = listener.local_addr().unwrap().to_string();
+            let server = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                serve_one(&mut s, 7);
+            });
+            let client = PooledClient::new();
+            let died = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let _health = (which == "health").then(|| client.health.lock().unwrap());
+                        let _idle = (which == "idle pool").then(|| client.idle.lock().unwrap());
+                        panic!("a caller died holding the {which} lock");
+                    })
+                    .join()
+            });
+            assert!(died.is_err(), "{which}");
+            assert!(
+                client.health.is_poisoned() || client.idle.is_poisoned(),
+                "{which}"
+            );
+            let outcome = client.post_replicas(
+                std::slice::from_ref(&live),
+                "/shard/query",
+                &Json::Obj(Vec::new()),
+                |r| {
+                    r.body
+                        .get("n")
+                        .and_then(Json::as_usize)
+                        .ok_or_else(|| "missing n".to_owned())
+                },
+            );
+            server.join().unwrap();
+            let (value, served_by) = outcome.accepted.expect(which);
+            assert_eq!((value, served_by), (7, live.clone()), "{which}");
+            let health = client.health_snapshot();
+            assert_eq!(
+                (health.len(), health[0].connect_attempts),
+                (1, 1),
+                "{which}"
+            );
+            // The keep-alive connection went back to the pool.
+            assert_eq!(
+                lock(&client.idle).get(&live).map(Vec::len),
+                Some(1),
+                "{which}"
+            );
+        }
     }
 
     #[test]

@@ -1214,7 +1214,7 @@ mod tests {
             ..EngineOptions::default()
         };
         options.params.min_width_frac = 0.125;
-        options.pruning_mode = PruningMode::Force;
+        options.pruning_mode = PruningMode::Off;
         let wire = json::parse(&options_to_json(&options).to_text()).unwrap();
         let back = options_from_json(&wire).unwrap();
         assert_eq!(back.segmenter, options.segmenter);
@@ -1223,7 +1223,7 @@ mod tests {
         assert_eq!(back.params, options.params);
         assert_eq!(back.pruning_mode, options.pruning_mode);
         // One value shape per key, the `/query` one.
-        assert_eq!(wire.get("pruning"), Some(&Json::from("force")));
+        assert_eq!(wire.get("pruning"), Some(&Json::from("off")));
         // Option-vocabulary skew fails loudly: a missing result-affecting
         // field is an error, never a silent default — every one of them.
         let Json::Obj(fields) = wire.clone() else {

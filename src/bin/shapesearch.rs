@@ -112,7 +112,7 @@ struct Cli {
 fn usage() -> &'static str {
     "usage: shapesearch --data FILE --z COL --x COL --y COL \
      (--query REGEX | --nl TEXT) [--k N] [--algo dp|tree|pruned|greedy|dtw|euclid] \
-     [--pruning auto|off|force] \
+     [--pruning auto|off] \
      [--filter 'col OP value']... [--agg avg|sum|min|max|count] [--builtins]\n\
      shapesearch serve [--addr HOST:PORT] [--workers N (dispatch and compute threads; \
       one event loop serves every socket)] [--cache-cap N] \

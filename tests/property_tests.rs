@@ -9,15 +9,14 @@
 use proptest::prelude::*;
 use shapesearch_core::algo::dp::DpSegmenter;
 use shapesearch_core::algo::greedy::GreedySegmenter;
-use shapesearch_core::algo::pruning::{anchored_upper_bound, joint_upper_bound, query_bounds};
 use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
 use shapesearch_core::chain::expand_chains;
-use shapesearch_core::{EngineOptions, PruningMode, SegmenterKind, ShapeEngine, ShardedEngine};
+use shapesearch_core::ShardedEngine;
+use shapesearch_core::{bound_tiers, EngineOptions, PruningMode, SegmenterKind, ShapeEngine};
 use shapesearch_core::{
     Evaluator, Modifier, Pattern, ScoreParams, Segmenter, ShapeQuery, ShapeSegment, StatsIndex,
     SummaryStats, UdpRegistry, VizData,
 };
-use shapesearch_core::{PruningCounters, PruningDriver, ThresholdCell};
 use shapesearch_datastore::Trendline;
 use shapesearch_parser::parse_regex;
 
@@ -115,13 +114,6 @@ fn free_chain_strategy() -> impl Strategy<Value = ShapeQuery> {
     proptest::collection::vec(unit, 2..4).prop_map(ShapeQuery::concat)
 }
 
-/// The first-tier upper bound the pruning driver prunes `viz` by: the
-/// plan's, with its rounding allowance.
-fn pruned_with(q: &ShapeQuery, viz: &VizData, params: &ScoreParams) -> f64 {
-    let (cell, counters) = (ThresholdCell::new(), PruningCounters::new());
-    PruningDriver::new(q, params, &cell, &counters, 1).upper_bounds(&[viz])[0]
-}
-
 /// Noise summed into a random walk.
 fn summed(steps: &[f64]) -> Vec<f64> {
     steps
@@ -162,7 +154,9 @@ fn anchored_bound_covers_the_tree_where_it_ties_the_dp() {
     let tree = SegmentTreeSegmenter::default()
         .match_viz(&ev, &chains)
         .score;
-    let tight = anchored_upper_bound(&q, &viz, &params).expect("both ends are free");
+    let tight = bound_tiers(&q, &viz, &params, f64::NEG_INFINITY)
+        .anchored
+        .expect("both ends are free");
     assert!(
         exact <= tight && tree <= tight,
         "dp {exact}, tree {tree}, anchored {tight}"
@@ -284,8 +278,8 @@ proptest! {
         let exact = DpSegmenter.match_viz(&ev, &chains).score;
         let tree = SegmentTreeSegmenter::default().match_viz(&ev, &chains).score;
         prop_assert!(tree <= exact + 1e-9, "tree {tree} > dp {exact} for {q}");
-        let (lo, _) = query_bounds(&q, &viz, &params);
-        let hi = pruned_with(&q, &viz, &params);
+        let bounds = bound_tiers(&q, &viz, &params, f64::NEG_INFINITY);
+        let (lo, hi) = (bounds.plan.0, bounds.first);
         // Infeasible queries (more units than intervals) return −1, which is
         // always within the trivial bound range.
         // The upper bound the driver prunes by holds with no tolerance, for
@@ -296,7 +290,7 @@ proptest! {
             "score {exact} or tree {tree} outside [{lo}, {hi}] for {q}");
         // The second tier, where the query has an end to anchor, sits
         // between the exact score and the first.
-        let tight = anchored_upper_bound(&q, &viz, &params);
+        let tight = bounds.anchored;
         if let Some(tight) = tight {
             prop_assert!(exact <= tight && tree <= tight && tight <= hi + 1e-6,
                 "score {exact} or tree {tree} ≤ anchored {tight} ≤ whole {hi} broken for {q} \
@@ -310,7 +304,8 @@ proptest! {
         // below the threshold only when they are. (Where it has nothing to
         // say it hands back the second tier's bits, held above.)
         for threshold in [f64::NEG_INFINITY, exact - 0.3, exact, exact.next_up(), exact + 0.02] {
-            let joint = joint_upper_bound(&q, &viz, &params, threshold)
+            let joint = bound_tiers(&q, &viz, &params, threshold)
+                .joint
                 .filter(|joint| Some(joint.to_bits()) != tight.map(f64::to_bits));
             let Some(joint) = joint else { continue };
             if joint < threshold {
@@ -444,14 +439,9 @@ proptest! {
             11 => 5,
             _ => 50,
         };
-        // (segmenter, the mode under which it prunes): every exact
-        // segmenter under the Auto default, plus Greedy under Force.
-        let matrix = [
-            (SegmenterKind::Dp, PruningMode::Auto),
-            (SegmenterKind::SegmentTree, PruningMode::Auto),
-            (SegmenterKind::Greedy, PruningMode::Force),
-        ];
-        for (kind, mode) in matrix {
+        // Every segmenter the Auto default prunes for.
+        let kinds = [SegmenterKind::Dp, SegmenterKind::SegmentTree, SegmenterKind::Greedy];
+        for kind in kinds {
             let off = EngineOptions {
                 segmenter: kind,
                 pruning_mode: PruningMode::Off,
@@ -459,7 +449,6 @@ proptest! {
             };
             let on = EngineOptions {
                 segmenter: kind,
-                pruning_mode: mode,
                 ..EngineOptions::default()
             };
             let want = ShapeEngine::from_trendlines(tls.clone())
@@ -473,8 +462,8 @@ proptest! {
                 // Byte-identical: scores, tie order, and fitted ranges.
                 prop_assert_eq!(
                     &got, &want,
-                    "{:?}/{:?} shards={} k={} diverged on {}",
-                    kind, mode, shards, k, q
+                    "{:?} shards={} k={} diverged on {}",
+                    kind, shards, k, q
                 );
             }
         }
