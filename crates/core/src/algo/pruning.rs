@@ -121,8 +121,9 @@ pub enum PruningMode {
 }
 
 impl PruningMode {
-    /// Parses the short CLI / wire name of a mode. `force`, once a mode
-    /// that also pruned the greedy, is a spelling of `auto`.
+    /// Parses the short CLI / wire name of a mode. `force` is read as
+    /// `auto`, so callers written for the retired greedy-only mode keep
+    /// working.
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "auto" | "force" => Some(Self::Auto),
