@@ -118,8 +118,11 @@ fi
 # trigger and the server's opt-out (the frozen benchmark package still
 # sets the two inert option fields). One pruning mode besides off: the
 # greedy-only one (its name still parses, as `auto`). One CRF trainer:
-# the selector whose only other choice nothing picked.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector)"
+# the selector whose only other choice nothing picked. One kind of
+# threshold, the proven one: the unproven shard-wire hint and its
+# verification pass (the frozen benchmark package still passes the inert
+# argument; the wire keys themselves are pinned by a handlers test).
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -132,6 +135,7 @@ resident_bytes|resident-bytes|ResidentShards|ResidentStats|set_capacity_bytes|Ca
 DEFAULT_PARALLEL_THRESHOLD|parallel_opt_out;crates src README.md docs :!crates/bench/src/bin/ssbench;the engine's parallel trigger or the server's opt-out is back
 PruningMode::Force;crates src README.md docs;a third pruning mode is back
 TrainMethod|train_perceptron;crates src README.md docs;a second CRF trainer is back
+seed_hint|hint_pruned|note_hint_prune|hint_undischarged|live_hints;crates src README.md docs :!crates/bench/src/bin/ssbench;an unproven threshold hint is back
 ROWS
 
 # One threading model: shards on the compute pool are the only

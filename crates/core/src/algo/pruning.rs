@@ -78,14 +78,11 @@
 //! (`AtomicU64` bit-cast) max register shared across every executor of
 //! one query: the shards of a [`crate::ShardedEngine`] and the server's
 //! compute-pool shard tasks all publish into and consume from the same
-//! cell, so any executor's progress prunes work everywhere else. The cell also carries an
-//! unproven **hint** slot (a remote router's `threshold_hint`): pruning
-//! uses `max(proven, hint)`, but any prune justified only by the hint is
-//! recorded in a third max register so the hint's sender can verify the
-//! merged answer against it and retry hint-less if the hint turned out
-//! too aggressive — a stale or poisoned hint can therefore never
-//! silently drop a true top-k result. Seeds face the cell like everyone
-//! else: a hint prunes them too, and is verified the same way.
+//! cell, so any executor's progress prunes work everywhere else. Every
+//! value the cell holds is proven — the k-th best of exactly computed
+//! scores — so no prune ever needs checking after the fact. A remote
+//! shard server keeps cells of its own and answers the exact top k of its
+//! partition.
 //!
 //! The pruning "helps avoid processing until the root node for the
 //! majority of visualizations ... particularly effective when the user is
@@ -209,25 +206,16 @@ struct ScorePool {
 /// The live top-k threshold of one query, shared by every executor
 /// working on it (engine shards, compute-pool tasks).
 ///
-/// Three inputs feed it:
+/// Two inputs feed it, both proven:
 /// * [`Self::offer`] pools an exactly computed candidate score; once k
-///   scores have been pooled, the pool's k-th best becomes the
-///   **proven** threshold (k candidates with at least that score exist,
-///   so anything provably below it is out). Prunes justified by the
-///   proven value alone are unconditionally sound.
+///   scores have been pooled, the pool's k-th best becomes the threshold
+///   (k candidates with at least that score exist, so anything provably
+///   below it is out).
 /// * [`Self::raise`] directly publishes an externally proven lower
 ///   bound (e.g. the k-th of an already-merged partial).
-/// * [`Self::seed_hint`] plants an **unproven** hint (a remote caller's
-///   `threshold_hint`). Pruning consumes `max(proven, hint)`, but every
-///   prune the proven value alone would not have justified is recorded
-///   via [`Self::note_hint_prune`]; [`Self::hint_pruned`] exposes the
-///   largest such upper bound so the hint's sender can verify its merged
-///   answer clears it (and recompute hint-less when it does not).
 #[derive(Debug)]
 pub struct ThresholdCell {
     proven: AtomicU64,
-    hint: AtomicU64,
-    hint_pruned: AtomicU64,
     pool: std::sync::Mutex<ScorePool>,
 }
 
@@ -238,12 +226,10 @@ impl Default for ThresholdCell {
 }
 
 impl ThresholdCell {
-    /// An empty cell: no threshold, no hint, nothing hint-pruned.
+    /// An empty cell: no threshold.
     pub fn new() -> Self {
         Self {
             proven: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            hint: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            hint_pruned: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             pool: std::sync::Mutex::new(ScorePool::default()),
         }
     }
@@ -291,41 +277,14 @@ impl ThresholdCell {
         }
     }
 
-    /// The effective pruning threshold: `max(proven, hint)`, or
-    /// `NEG_INFINITY` when neither has been set.
+    /// The pruning threshold, or `NEG_INFINITY` while nothing is proven.
     pub fn get(&self) -> f64 {
-        load_f64(&self.proven).max(load_f64(&self.hint))
-    }
-
-    /// The proven component alone (what gets forwarded as a remote
-    /// `threshold_hint` seed alongside any received hint).
-    pub fn proven(&self) -> f64 {
         load_f64(&self.proven)
     }
 
     /// Publishes a proven k-th-best score; only ever raises.
     pub fn raise(&self, value: f64) {
         raise_max(&self.proven, value);
-    }
-
-    /// Plants an unproven hint; only ever raises.
-    pub fn seed_hint(&self, value: f64) {
-        raise_max(&self.hint, value);
-    }
-
-    /// Records the upper bound of a prune that only the hint justified.
-    pub fn note_hint_prune(&self, upper_bound: f64) {
-        raise_max(&self.hint_pruned, upper_bound);
-    }
-
-    /// The largest upper bound among hint-justified prunes, if any. A
-    /// verifier holding the final merged top k is safe iff it has `k`
-    /// results and the k-th score is **strictly** above this value
-    /// (strictness covers ties: an equal-scoring pruned candidate could
-    /// still have displaced the k-th by index order).
-    pub fn hint_pruned(&self) -> Option<f64> {
-        let value = load_f64(&self.hint_pruned);
-        (value > f64::NEG_INFINITY).then_some(value)
     }
 }
 
@@ -481,12 +440,10 @@ impl<'a> PruningDriver<'a> {
     /// one bound pass, then stage 1 — the `k` highest bounds, best first,
     /// so the threshold is sharp before the bulk meets it — then stage 2,
     /// everyone else, in index order or, for a query with a second tier,
-    /// refined in one pass and walked best bound first. Seeds face the
-    /// cell like everyone else: a remote hint may prune them, and its
-    /// sender verifies that. The threshold prunes only *strictly* below
-    /// itself and only once some executor holds k exact scores, so with a
-    /// total top-k order the survivors' top k is a prune-free pass's in
-    /// any visiting order.
+    /// refined in one pass and walked best bound first. The threshold
+    /// prunes only *strictly* below itself and only once some executor
+    /// holds k exact scores, so with a total top-k order the survivors'
+    /// top k is a prune-free pass's in any visiting order.
     pub fn run(&self, vizzes: &[&VizData], mut score: impl FnMut(usize) -> f64) {
         let bounds = self.upper_bounds(vizzes);
         let seeds = self.seeds(&bounds);
@@ -633,7 +590,6 @@ impl<'a> PruningDriver<'a> {
                 upper = self.refine(vizzes[pos], &mut windows, &mut tally);
             }
             if upper < threshold {
-                self.note_prune(upper);
                 tally.pruned += 1;
             } else {
                 survivors.push((pos, upper));
@@ -653,9 +609,6 @@ impl<'a> PruningDriver<'a> {
         for (at, &(pos, refined)) in survivors.iter().enumerate() {
             let threshold = self.cell.get();
             if refined < threshold {
-                // The largest bound among those pruned here: the only
-                // one a hint's sender needs to hear of.
-                self.note_prune(refined);
                 tally.pruned += (survivors.len() - at) as u64;
                 break;
             }
@@ -684,20 +637,10 @@ impl<'a> PruningDriver<'a> {
     /// anything else is scored and its score pooled.
     fn settle(&self, upper: f64, threshold: f64, tally: &mut Tally, score: impl FnOnce() -> f64) {
         if upper < threshold {
-            self.note_prune(upper);
             tally.pruned += 1;
         } else {
             self.cell.offer(score(), self.k);
             tally.scored += 1;
-        }
-    }
-
-    /// Books a prune under `upper`: when the proven component alone would
-    /// not have made it, the prune rides on the hint, so it is recorded
-    /// for the hint sender's verification pass.
-    fn note_prune(&self, upper: f64) {
-        if upper >= self.cell.proven() {
-            self.cell.note_hint_prune(upper);
         }
     }
 
@@ -1414,9 +1357,9 @@ impl JointChain {
     /// The largest placement total, when that reaches `threshold`: an
     /// upper bound on the exact score. Otherwise every placement,
     /// enumerated or cut, totals below `threshold`, so the float just
-    /// below it is an upper bound too — and is the one returned, which is
-    /// what a prune on a hint's word then records: the hint's sender finds
-    /// its merged k-th above that exactly when it is at or above the hint.
+    /// below it is an upper bound too — and is the one returned: the
+    /// tightest bound the cuts prove, so every tier hands the prune rule a
+    /// real bound and not a sentinel.
     ///
     /// `refined`, the second-tier bound, comes back unchanged when the
     /// tier has nothing to say: NaN data (which nothing may prune), a
@@ -2226,24 +2169,12 @@ pub(crate) mod tests {
     fn threshold_cell_is_a_monotone_max_register() {
         let cell = ThresholdCell::new();
         assert_eq!(cell.get(), f64::NEG_INFINITY);
-        assert_eq!(cell.proven(), f64::NEG_INFINITY);
-        assert_eq!(cell.hint_pruned(), None);
 
         cell.raise(0.25);
         cell.raise(0.1); // lower: ignored
         cell.raise(f64::NEG_INFINITY); // empty: ignored
         cell.raise(f64::NAN); // NaN: ignored
-        assert_eq!(cell.proven(), 0.25);
         assert_eq!(cell.get(), 0.25);
-
-        // A hint raises the effective threshold but not the proven one.
-        cell.seed_hint(0.75);
-        assert_eq!(cell.get(), 0.75);
-        assert_eq!(cell.proven(), 0.25);
-
-        cell.note_hint_prune(0.5);
-        cell.note_hint_prune(0.4);
-        assert_eq!(cell.hint_pruned(), Some(0.5));
     }
 
     #[test]
@@ -2252,21 +2183,21 @@ pub(crate) mod tests {
         cell.offer(0.9, 3);
         cell.offer(0.1, 3);
         assert_eq!(
-            cell.proven(),
+            cell.get(),
             f64::NEG_INFINITY,
             "two scores cannot prove a top-3 bound"
         );
         cell.offer(0.5, 3);
-        assert_eq!(cell.proven(), 0.1, "the 3rd best of {{0.9, 0.5, 0.1}}");
+        assert_eq!(cell.get(), 0.1, "the 3rd best of {{0.9, 0.5, 0.1}}");
         cell.offer(0.7, 3);
-        assert_eq!(cell.proven(), 0.5, "0.7 displaces 0.1");
+        assert_eq!(cell.get(), 0.5, "0.7 displaces 0.1");
         cell.offer(f64::NAN, 3); // ignored
         cell.offer(0.2, 3); // below the floor: ignored
-        assert_eq!(cell.proven(), 0.5);
+        assert_eq!(cell.get(), 0.5);
         // k = 0 never proves anything.
         let zero = ThresholdCell::new();
         zero.offer(1.0, 0);
-        assert_eq!(zero.proven(), f64::NEG_INFINITY);
+        assert_eq!(zero.get(), f64::NEG_INFINITY);
         // Default is the empty cell, not zeroed bits.
         assert_eq!(ThresholdCell::default().get(), f64::NEG_INFINITY);
     }
@@ -2289,7 +2220,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn driver_prunes_only_below_threshold_and_records_hint_debt() {
+    fn driver_prunes_only_below_threshold() {
         let params = ScoreParams::default();
         // Whether a one-candidate walk handed the candidate to the scorer
         // (the exact score it reports back is below every threshold used
@@ -2334,22 +2265,11 @@ pub(crate) mod tests {
         assert!(scored(&driver, &fall, &bounds));
         assert_eq!(counters.snapshot().pruned, 0);
 
-        // A proven threshold above the fall's upper bound prunes it,
-        // with no hint debt.
+        // A threshold above the fall's upper bound prunes it.
         cell.raise(0.9);
         assert!(!scored(&driver, &fall, &bounds));
         let snap = counters.snapshot();
         assert_eq!((snap.bounded, snap.pruned, snap.scored), (1, 1, 3));
-        assert_eq!(cell.hint_pruned(), None);
-
-        // A hint-only threshold prunes too, but records the bound so the
-        // hint's sender can verify.
-        let cell2 = ThresholdCell::new();
-        cell2.seed_hint(0.9);
-        let driver2 = PruningDriver::new(&q, &params, &cell2, &counters, 2, &NOOP_OBSERVER);
-        assert!(!scored(&driver2, &fall, &bounds));
-        let debt = cell2.hint_pruned().expect("hint prune must be recorded");
-        assert_eq!(debt, ub);
         // With no end to anchor, nobody was bounded twice.
         assert_eq!(counters.snapshot().refined, 0);
         assert_eq!(bound_tiers(&q, &fall, &params, 0.9).anchored, None);
@@ -2395,23 +2315,14 @@ pub(crate) mod tests {
         assert!(visit(&cell));
         assert_eq!(refined(), 1);
 
-        // Between the two bounds only the second prunes; the threshold is
-        // proven, so without debt.
+        // Between the two bounds only the second prunes.
         let cell = ThresholdCell::new();
         cell.raise(between);
         assert!(!visit(&cell));
-        assert_eq!((refined(), cell.hint_pruned()), (2, None));
-
-        // The same on a hint's word, the proven score below both bounds:
-        // the debt is the bound that pruned, not the one that failed to.
-        let cell = ThresholdCell::new();
-        cell.raise(tight - 0.1);
-        cell.seed_hint(between);
-        assert!(!visit(&cell));
-        assert_eq!((refined(), cell.hint_pruned()), (3, Some(tight)));
+        assert_eq!(refined(), 2);
 
         let snap = counters.snapshot();
-        assert_eq!((snap.pruned, snap.scored, snap.refined), (3, 2, 3));
+        assert_eq!((snap.pruned, snap.scored, snap.refined), (2, 2, 2));
 
         // The third tier, under the same rule. Three fuzzy units on a
         // walk: the ends leave the middle a window it does not fit, so
@@ -2448,29 +2359,18 @@ pub(crate) mod tests {
         assert_eq!(joined(), 1);
 
         // Above it (by more than the rounding allowance) and below the
-        // second-tier bound only the third prunes; proven, so without
-        // debt.
+        // second-tier bound only the third prunes.
         for threshold in [exact + 1e-9, between] {
             let cell = ThresholdCell::new();
             cell.raise(threshold);
             assert!(!visit(&cell));
-            assert_eq!(cell.hint_pruned(), None);
         }
         assert_eq!(joined(), 3);
-
-        // On a hint's word the debt is the float under the hint: all the
-        // tier proved is "below it", and a sender whose merged k-th is at
-        // or above the hint it sent clears exactly that.
-        let cell = ThresholdCell::new();
-        cell.raise(exact - 0.1);
-        cell.seed_hint(between);
-        assert!(!visit(&cell));
-        assert_eq!(cell.hint_pruned(), Some(between.next_down()));
 
         let snap = counters.snapshot();
         assert_eq!(
             (snap.pruned, snap.scored, snap.refined, snap.joined),
-            (4, 1, 5, 4)
+            (3, 1, 4, 3)
         );
     }
 
@@ -2513,11 +2413,11 @@ pub(crate) mod tests {
         assert!(died.is_err() && cell.pool.is_poisoned());
         // The others keep proving the threshold from where it stood.
         cell.offer(0.8, 3);
-        assert_eq!(cell.proven(), f64::NEG_INFINITY);
+        assert_eq!(cell.get(), f64::NEG_INFINITY);
         cell.offer(0.6, 3);
-        assert_eq!(cell.proven(), 0.4, "the 3rd best of {{0.8, 0.6, 0.4}}");
+        assert_eq!(cell.get(), 0.4, "the 3rd best of {{0.8, 0.6, 0.4}}");
         cell.offer(0.7, 3);
-        assert_eq!(cell.proven(), 0.6);
+        assert_eq!(cell.get(), 0.6);
     }
 
     #[test]

@@ -80,15 +80,14 @@ impl Default for EngineOptions {
 /// [`ThresholdCell`] per query plus one set of pruning counters.
 ///
 /// Everything that executes parts of the *same* logical computation —
-/// a [`shard::ShardedEngine`]'s shards, the server's compute-pool shard
-/// tasks, even remote shard servers (via the wire `threshold_hint`) —
-/// should share one of these so every executor's progress tightens the
-/// pruning bound everywhere else.
+/// a [`shard::ShardedEngine`]'s shards, the server's local compute-pool
+/// shard tasks — should share one of these so every executor's progress
+/// tightens the pruning bound everywhere else. A remote shard server
+/// builds its own, so its partial is exact for its partition.
 /// [`ShapeEngine::top_k`] creates a private one per call; embedders that
 /// fan a computation out themselves build it once via [`Self::new`] and
 /// pass clones (clones share the same cells) to every executor, then read
-/// the effectiveness [`Self::snapshot`] and any per-query hint debt
-/// ([`Self::hint_pruned`]) afterwards.
+/// the effectiveness [`Self::snapshot`] afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct SharedThresholds {
     cells: Vec<Arc<ThresholdCell>>,
@@ -132,18 +131,6 @@ impl SharedThresholds {
     /// A point-in-time copy of the pruning effectiveness counters.
     pub fn snapshot(&self) -> PruningSnapshot {
         self.counters.snapshot()
-    }
-
-    /// Plants an unproven `threshold_hint` for query `query` (see
-    /// [`ThresholdCell::seed_hint`]).
-    pub fn seed_hint(&self, query: usize, value: f64) {
-        self.cells[query].seed_hint(value);
-    }
-
-    /// The largest upper bound pruned on hint authority alone for query
-    /// `query`, if any (see [`ThresholdCell::hint_pruned`]).
-    pub fn hint_pruned(&self, query: usize) -> Option<f64> {
-        self.cells[query].hint_pruned()
     }
 }
 
@@ -1277,96 +1264,6 @@ mod tests {
             let snap = shared.snapshot();
             assert_eq!((snap.bounded, snap.scored, snap.pruned), (0, 0, 0));
         }
-    }
-
-    #[test]
-    fn poisoned_hint_is_always_detectable() {
-        // The satellite contract: a too-high threshold_hint may drop
-        // results from a partial, but the cell's hint-pruned debt must
-        // then fail the sender's safety check (k results with the k-th
-        // strictly above the debt), so a verifying caller always notices
-        // and retries hint-less — a poisoned hint can never *silently*
-        // drop a true top-k result.
-        let tls = haystack(60);
-        let q = updown();
-        let k = 3;
-        let engine = ShapeEngine::from_trendlines(tls);
-        let exact = engine.top_k(&q, k).unwrap();
-
-        let shared = SharedThresholds::new(1);
-        shared.seed_hint(0, 0.999); // above every real score: poison
-        let got = engine
-            .top_k_batch_observed(&[(&q, k)], engine.options(), &shared, &NOOP_OBSERVER)
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_ne!(got, exact, "the poison must bite for this test to bite");
-        let debt = shared
-            .hint_pruned(0)
-            .expect("hint-justified prunes must be recorded");
-        let safe = got.len() == k && got[k - 1].score > debt;
-        assert!(!safe, "a deficient partial must fail the safety check");
-
-        // An honest hint (at/below the true k-th best) never trips the
-        // check even when it prunes.
-        let honest = SharedThresholds::new(1);
-        honest.seed_hint(0, exact[k - 1].score - 1e-9);
-        let got = engine
-            .top_k_batch_observed(&[(&q, k)], engine.options(), &honest, &NOOP_OBSERVER)
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, exact, "an honest hint must not change results");
-        if let Some(debt) = honest.hint_pruned(0) {
-            assert!(
-                got[k - 1].score > debt,
-                "honest-hint debt must clear the safety check"
-            );
-        }
-
-        // The same where the prunes are the third tier's, which proves
-        // "below the threshold" and no more: three fuzzy units on walks
-        // that wander. The debt it leaves is the float under the hint.
-        let tls: Vec<Trendline> = (0..200u64)
-            .map(|i| Trendline::from_pairs(format!("walk{i}"), &wander(i + 1, 64)))
-            .collect();
-        let q = ShapeQuery::concat(vec![
-            ShapeQuery::pattern(Pattern::Slope(45.0)),
-            ShapeQuery::pattern(Pattern::Slope(-30.0)),
-            ShapeQuery::pattern(Pattern::Slope(60.0)),
-        ]);
-        let k = 5;
-        let engine = ShapeEngine::from_trendlines(tls);
-        let exact = engine.top_k(&q, k).unwrap();
-        let run = |hint: f64| {
-            let shared = SharedThresholds::new(1);
-            shared.seed_hint(0, hint);
-            let got = engine
-                .top_k_batch_observed(&[(&q, k)], engine.options(), &shared, &NOOP_OBSERVER)
-                .pop()
-                .unwrap()
-                .unwrap();
-            (got, shared.hint_pruned(0), shared.snapshot())
-        };
-
-        // Poison a hair above the best score there is: under most
-        // second-tier bounds, so it is the third tier that prunes on it.
-        let poison = exact[0].score + 1e-6;
-        let (got, debt, snap) = run(poison);
-        assert_ne!(got, exact, "the poison must bite for this test to bite");
-        assert!(snap.joined > snap.scored, "{snap:?}");
-        assert_eq!(debt, Some(poison.next_down()));
-        let safe = got.len() == k && got[k - 1].score > poison.next_down();
-        assert!(!safe, "a deficient partial must fail the safety check");
-
-        // The sharpest honest hint, the true k-th score itself: nothing
-        // changes, and the k-th clears the debt by exactly that one float.
-        let kth = exact[k - 1].score;
-        let (got, debt, snap) = run(kth);
-        assert_eq!(got, exact, "an honest hint must not change results");
-        assert!(snap.joined > snap.scored, "{snap:?}");
-        assert_eq!(debt, Some(kth.next_down()));
-        assert!(got[k - 1].score > kth.next_down());
     }
 
     /// `bin_width` arrives unchecked from outside: one engine asked for

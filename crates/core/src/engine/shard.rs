@@ -276,8 +276,8 @@ pub fn merge_topk(partials: Vec<Vec<TopKResult>>, k: usize) -> Vec<TopKResult> {
 
 /// [`merge_topk`] over borrowed partials: the same ordering contract,
 /// cloning only the k winners — for embedders that must keep the
-/// per-shard partials around after the merge (e.g. the server's
-/// hint-verification pass, which may need to re-merge after a retry).
+/// per-shard partials around after the merge (e.g. the server's fan-out,
+/// whose degraded fallback merges the answering shards again).
 pub fn merge_topk_refs<'a>(
     partials: impl IntoIterator<Item = &'a [TopKResult]>,
     k: usize,

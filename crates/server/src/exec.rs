@@ -108,15 +108,12 @@ impl StageObserver for StageTap<'_> {
 }
 
 /// One shard's contribution to a query group: per-query outcomes (the
-/// shard's top-k partial or a structured error), the shard's
+/// shard's exact top-k partial or a structured error) and the shard's
 /// microseconds (engine-side for local shards, RPC round-trip for remote
-/// ones), and — for remote shards — the per-query `pruned_bound`s the
-/// reply declared (what the shard pruned on our hint's authority alone;
-/// the verification pass must discharge every one of them).
+/// ones).
 struct ShardRun {
     outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
     micros: u64,
-    pruned_bounds: Vec<Option<f64>>,
     /// Engine-stage totals of a local task in [`ENGINE_STAGES`] order
     /// (zero for remote shards — their engine time shows in their own
     /// spans below).
@@ -153,21 +150,19 @@ impl Slot {
     /// threshold cells.
     ///
     /// **Local:** the batched engine pass over one partition (so this
-    /// shard's proven progress prunes the other shards' work and vice
-    /// versa), with its engine-side time. Engine errors map to 400s here
-    /// so local and remote partials carry one error type into the merge.
-    /// Hint-justified prunes are tracked inside the shared cells, not
-    /// per shard, so `pruned_bounds` is all-`None`.
+    /// shard's proven progress prunes the other local shards' work and
+    /// vice versa), with its engine-side time. Engine errors map to 400s
+    /// here so local and remote partials carry one error type into the
+    /// merge.
     ///
     /// **Remote:** ships the query group to the shard's replica list
     /// over the pooled RPC client's health-checked failover
     /// ([`crate::PooledClient::post_replicas`]) and decodes the per-query
-    /// partials from the first replica that answers well. The
-    /// `threshold_hint`s are read from the cells at execution time, so
-    /// whatever the local shards have proven by then rides along; an
-    /// empty `shared` makes the RPC hint-less. Per-replica failures
-    /// (connect — after the client's configured retries —, I/O, a
-    /// non-200 envelope, or a malformed body) make failover move to the
+    /// partials from the first replica that answers well. The shard
+    /// server prunes on its own proven thresholds only, so its partial is
+    /// exact for its partition and `shared` is not read. Per-replica
+    /// failures (connect — after the client's configured retries —, I/O,
+    /// a non-200 envelope, or a malformed body) make failover move to the
     /// next replica; this is safe for any failure class because
     /// `/shard/query` is a pure idempotent read — at worst a slow
     /// replica computes an answer nobody consumes. Only when **every**
@@ -202,7 +197,6 @@ impl Slot {
                 ShardRun {
                     outcomes,
                     micros,
-                    pruned_bounds: vec![None; queries.len()],
                     stages: tap.micros.map(AtomicU64::into_inner),
                     remote_spans: Vec::new(),
                 }
@@ -211,7 +205,7 @@ impl Slot {
                 let body = protocol::shard_request_to_json(
                     &work.dataset,
                     queries,
-                    &live_hints(shared),
+                    &[],
                     &work.options,
                     work.trace.as_deref(),
                 );
@@ -233,10 +227,8 @@ impl Slot {
                 let micros = started.elapsed().as_micros() as u64;
                 state.stats.stage(obs::Stage::RemoteRpc, micros);
                 state.stats.record_rpc(&outcome.attempts);
-                let (outcomes, pruned_bounds, remote_spans) = match outcome.accepted {
-                    Some((partials, _served_by)) => {
-                        (partials.outcomes, partials.pruned_bounds, partials.spans)
-                    }
+                let (outcomes, remote_spans) = match outcome.accepted {
+                    Some((partials, _served_by)) => (partials.outcomes, partials.spans),
                     None => {
                         let err =
                             ServerError::replicas_unavailable(outcome.attempts.iter().map(|a| {
@@ -245,17 +237,12 @@ impl Slot {
                                     a.error.as_deref().unwrap_or("unknown failure"),
                                 )
                             }));
-                        (
-                            vec![Err(err); queries.len()],
-                            vec![None; queries.len()],
-                            Vec::new(),
-                        )
+                        (vec![Err(err); queries.len()], Vec::new())
                     }
                 };
                 ShardRun {
                     outcomes,
                     micros,
-                    pruned_bounds,
                     stages: [0; 3],
                     remote_spans,
                 }
@@ -288,27 +275,13 @@ impl Slot {
     }
 }
 
-/// The per-query `threshold_hint`s to forward to a remote shard: each
-/// cell's current effective threshold (proven progress plus any hint
-/// this process itself received — sound to forward because every tier
-/// verifies the bounds its downstream reports), or `None` while a cell
-/// is still empty.
-fn live_hints(shared: &SharedThresholds) -> Vec<Option<f64>> {
-    (0..shared.len())
-        .map(|i| {
-            let threshold = shared.cell(i).get();
-            (threshold > f64::NEG_INFINITY).then_some(threshold)
-        })
-        .collect()
-}
-
 /// Merges per-shard runs into per-query outcomes under the engine's one
 /// ordering contract ([`merge_topk_refs`]: score descending, ties to
 /// the lower global `viz_index`). The first failing shard's error (in
 /// partition order) stands for the query — a partial top-k missing a
 /// shard's candidates must never be passed off as the global answer.
 /// Borrows the runs (cloning only each query's k winners) because the
-/// hint-verification pass may re-merge after retrying a shard.
+/// degraded fallback reads them again.
 fn merge_shard_runs(runs: &[ShardRun], ks: &[usize]) -> Vec<Result<Vec<TopKResult>, ServerError>> {
     ks.iter()
         .enumerate()
@@ -332,15 +305,11 @@ fn merge_shard_runs(runs: &[ShardRun], ks: &[usize]) -> Vec<Result<Vec<TopKResul
 }
 
 /// Everything one shard fan-out produced: the merged per-query outcomes,
-/// the per-shard timings (placement order), the per-query hint debt this
-/// computation still owes *its own* caller (largest upper bound pruned on
-/// the authority of a caller-supplied hint — forwarded up the
-/// `/shard/query` reply so the caller can verify), and the computation's
-/// pruning counter snapshot.
+/// the per-shard timings (placement order) and the computation's pruning
+/// counter snapshot.
 pub(crate) struct ShardExec {
     pub outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
     pub shard_micros: Vec<u64>,
-    pub hint_pruned: Vec<Option<f64>>,
     pub pruning: PruningSnapshot,
     /// The fan-out's span forest, one span per shard slot (stitching in
     /// remote servers' own spans) plus the merge span. Empty unless the
@@ -350,10 +319,8 @@ pub(crate) struct ShardExec {
     /// that did respond, present only when the query failed **and** the
     /// failure is maskable — every failing shard failed with
     /// `shard_unavailable` (all replicas dead; an engine error is never
-    /// maskable) and the computation was seeded with no caller hints (a
-    /// `/shard/query` callee must report its failure upward, not degrade
-    /// on the router's behalf). Consumed only by queries that opted in
-    /// with `"partial": true`; everyone else keeps the error.
+    /// maskable). Consumed only by queries that opted in with
+    /// `"partial": true`; everyone else keeps the error.
     pub degraded: Vec<Option<DegradedQuery>>,
 }
 
@@ -373,32 +340,6 @@ pub(crate) struct DegradedInfo {
     pub errors: Vec<(usize, String)>,
 }
 
-/// True when a shard's reported hint-pruned bound is **not** discharged
-/// by the merged answer: with fewer than `k` merged results, or a k-th
-/// score not strictly above the bound, a candidate that shard pruned on
-/// our hint's authority could still belong to the true top k (strictness
-/// covers score ties, which break by index). The merged k-th is proven —
-/// it comes from exactly scored candidates — and the global k-th can
-/// only be higher, so a discharged bound is sound no matter what the
-/// hint was.
-pub(crate) fn hint_undischarged(
-    outcome: &Result<Vec<TopKResult>, ServerError>,
-    k: usize,
-    pruned_bound: Option<f64>,
-) -> bool {
-    // k = 0 asks for nothing, so nothing prunable can be dropped.
-    if k == 0 {
-        return false;
-    }
-    match (outcome, pruned_bound) {
-        (Ok(results), Some(bound)) => {
-            results.len() < k
-                || results[k - 1].score.total_cmp(&bound) != std::cmp::Ordering::Greater
-        }
-        _ => false,
-    }
-}
-
 /// Executes one `(dataset, options)` query group over the dataset's
 /// partition map and merges each query's per-shard top-k partials
 /// deterministically. The per-slot work is built **once** ([`ShardWork`]
@@ -414,19 +355,11 @@ pub(crate) fn hint_undischarged(
 /// parallelism: the engine scores a slot's candidates on the thread that
 /// runs it, so every slot runs with the options as planned.
 ///
-/// **Threshold flow.** Every local shard task shares one
-/// [`SharedThresholds`] (one cell per query), seeded from the caller's
-/// `hints` (a `/shard/query` RPC's `threshold_hint`s; empty for
-/// user-facing queries). Remote RPC tasks are enqueued *after* the local
-/// tasks and read the cells at execution time, so whatever the local
-/// shards have proven by then rides along as the remote
-/// `threshold_hint` — hints are pure accelerators and arrive as fresh as
-/// scheduling allows. After the merge, every remote-reported
-/// `pruned_bound` must be discharged by the merged answer
-/// ([`hint_undischarged`]); shards that fail verification are re-queried
-/// **hint-less** (their exact partial) and the merge repeats — which is
-/// what makes a stale or poisoned hint unable to silently drop a true
-/// top-k result.
+/// **Threshold flow.** Every local shard task shares one fresh
+/// [`SharedThresholds`] (one cell per query), so one local shard's proven
+/// k-th prunes the others. A remote shard server prunes on its own
+/// proven thresholds only and returns the exact top-k partial of its
+/// partition, so the merge needs no verification pass.
 ///
 /// This is the workspace's only shard-level fan-out (core's own
 /// partition map schedules nothing). The distributed invariant rides on
@@ -438,7 +371,6 @@ pub(crate) fn execute_on_shards(
     entry: &Arc<DatasetEntry>,
     queries: Vec<(ShapeQuery, usize)>,
     options: &EngineOptions,
-    hints: &[Option<f64>],
     trace: Option<&str>,
 ) -> ShardExec {
     let ks: Vec<usize> = queries.iter().map(|&(_, k)| k).collect();
@@ -456,71 +388,31 @@ pub(crate) fn execute_on_shards(
         })
         .collect();
     let shared = SharedThresholds::new(queries.len());
-    for (i, hint) in hints.iter().enumerate().take(shared.len()) {
-        if let Some(hint) = hint {
-            shared.seed_hint(i, *hint);
-        }
-    }
     let work = Arc::new(ShardWork {
         state: Arc::clone(state),
         dataset: entry.id.clone(),
         queries,
-        // Also the options any verification retry re-sends.
         options: options.clone(),
         trace: trace.map(str::to_owned),
     });
 
-    // One task per slot, built the same way wherever it will run. On the
-    // pool, local tasks are enqueued first so the queue's FIFO order
-    // gives remote RPCs the freshest possible threshold hints; `order`
-    // maps the submission order back onto placement slots.
-    let mut order: Vec<usize> = (0..slots.len()).collect();
-    order.sort_by_key(|&index| matches!(slots[index], Slot::Remote(_)));
-    let tasks: Vec<Box<dyn FnOnce() -> ShardRun + Send>> = order
+    // One task per slot, built the same way wherever it will run.
+    let tasks: Vec<Box<dyn FnOnce() -> ShardRun + Send>> = slots
         .iter()
-        .map(|&index| {
-            let (slot, work, shared) = (slots[index].clone(), Arc::clone(&work), shared.clone());
+        .map(|slot| {
+            let (slot, work, shared) = (slot.clone(), Arc::clone(&work), shared.clone());
             Box::new(move || slot.run(&work, &shared)) as _
         })
         .collect();
-    let ran: Vec<ShardRun> = if matches!(slots[..], [Slot::Local(_)]) {
+    let runs: Vec<ShardRun> = if matches!(slots[..], [Slot::Local(_)]) {
         tasks.into_iter().map(|task| task()).collect()
     } else {
         state.compute.run_all(tasks)
     };
-    let mut runs: Vec<(usize, ShardRun)> = order.into_iter().zip(ran).collect();
-    runs.sort_by_key(|&(index, _)| index);
-    let mut runs: Vec<ShardRun> = runs.into_iter().map(|(_, run)| run).collect();
 
     let merge_started = Instant::now();
-    let mut outcomes = merge_shard_runs(&runs, &ks);
-    let mut merge_micros = merge_started.elapsed().as_micros() as u64;
-
-    // Verification: every remote-reported hint-pruned bound must be
-    // strictly cleared by the merged answer; shards owing an
-    // undischarged bound are re-queried hint-less — against fresh, empty
-    // threshold cells — so their reply is the exact partial, with
-    // nothing left to verify.
-    let retry: Vec<usize> = (0..slots.len())
-        .filter(|&index| {
-            matches!(slots[index], Slot::Remote(_))
-                && runs[index]
-                    .pruned_bounds
-                    .iter()
-                    .zip(&outcomes)
-                    .zip(&ks)
-                    .any(|((&bound, outcome), &k)| hint_undischarged(outcome, k, bound))
-        })
-        .collect();
-    if !retry.is_empty() {
-        let hintless = SharedThresholds::new(ks.len());
-        for index in retry {
-            runs[index] = slots[index].run(&work, &hintless);
-        }
-        let remerge_started = Instant::now();
-        outcomes = merge_shard_runs(&runs, &ks);
-        merge_micros += remerge_started.elapsed().as_micros() as u64;
-    }
+    let outcomes = merge_shard_runs(&runs, &ks);
+    let merge_micros = merge_started.elapsed().as_micros() as u64;
     state.stats.stage(obs::Stage::Merge, merge_micros);
 
     // One critical section per fan-out. Only local slots count as shard
@@ -551,14 +443,11 @@ pub(crate) fn execute_on_shards(
     // Degraded fallbacks, computed only for queries that failed: the
     // merge of whatever shards *did* answer, offered upward so a
     // `"partial": true` caller can trade completeness for availability.
-    // A fan-out seeded with caller hints is a `/shard/query` callee —
-    // its caller owns the degradation decision, so nothing is offered.
-    let no_caller_hints = hints.iter().all(Option::is_none);
     let degraded: Vec<Option<DegradedQuery>> = outcomes
         .iter()
         .enumerate()
         .map(|(qi, outcome)| {
-            if outcome.is_ok() || !no_caller_hints {
+            if outcome.is_ok() {
                 return None;
             }
             let mut partials: Vec<&[TopKResult]> = Vec::new();
@@ -586,7 +475,6 @@ pub(crate) fn execute_on_shards(
     ShardExec {
         outcomes,
         shard_micros: runs.iter().map(|run| run.micros).collect(),
-        hint_pruned: (0..ks.len()).map(|i| shared.hint_pruned(i)).collect(),
         pruning,
         spans,
         degraded,
@@ -774,7 +662,6 @@ pub(crate) fn resolve_items(
             &group[0].planned.entry,
             specs,
             &group[0].planned.options,
-            &[],
             traced.then(|| trace_id.get()),
         );
         let led = Arc::new(LedExec {

@@ -251,14 +251,11 @@ fn registry_list(state: &Arc<AppState>) -> Response {
 /// the RPC's query group over the addressed dataset's own partition map
 /// (typically the single partition a `--shard-of` registration owns, but
 /// composable: a mid-tier router's shards — local or remote — answer the
-/// same way) and replies with per-query partials. The request's
-/// `threshold_hint`s seed this computation's shared threshold cells;
-/// whatever was pruned on their authority alone is reported back per
-/// query as `pruned_bound` for the caller's verification pass, along
-/// with this RPC's pruning counters. Deliberately bypasses the result
-/// cache: the router caches the *merged* answer under a key that already
-/// fingerprints this shard's placement, and double-caching partials
-/// would double the memory for zero extra hits.
+/// same way) and replies with per-query exact partials and this RPC's
+/// pruning counters. Deliberately bypasses the result cache: the router
+/// caches the *merged* answer under a key that already fingerprints this
+/// shard's placement, and double-caching partials would double the
+/// memory for zero extra hits.
 fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, ServerError> {
     let body = body_json(request)?;
     let req = protocol::shard_request_from_json(&body)?;
@@ -273,7 +270,6 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
         &entry,
         req.queries,
         &req.options,
-        &req.hints,
         req.trace_id.as_deref(),
     );
     let micros = started.elapsed().as_micros() as u64;
@@ -289,7 +285,7 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
     Ok(ok(protocol::shard_outcomes_to_json(
         &entry.id,
         &exec.outcomes,
-        &exec.hint_pruned,
+        &[],
         exec.pruning,
         micros,
         spans.as_deref(),
@@ -525,7 +521,6 @@ fn batch_envelope(
 mod tests {
     use super::*;
     use crate::cache::CacheKey;
-    use crate::exec::hint_undischarged;
 
     const CSV: &str = "z,x,y\\na,1,1\\na,2,3\\na,3,1\\nb,1,3\\nb,2,2\\nb,3,1\\n";
 
@@ -881,14 +876,7 @@ mod tests {
         let crate::cache::Lookup::Lead(guard) = state.cache.lookup(&key) else {
             panic!("a fresh state must elect the first lookup leader");
         };
-        let exec = execute_on_shards(
-            state,
-            &entry,
-            vec![(q, 2)],
-            &state.default_options,
-            &[],
-            None,
-        );
+        let exec = execute_on_shards(state, &entry, vec![(q, 2)], &state.default_options, None);
         let value = Arc::new(exec.outcomes.into_iter().next().unwrap().unwrap());
         std::thread::scope(|scope| {
             let request = scope.spawn(|| route(state, &post("/query", body)));
@@ -1436,8 +1424,6 @@ mod tests {
         assert!(reply.body.contains("\"pruning\":{"), "{}", reply.body);
         let parsed = json::parse(&reply.body).unwrap();
         let partials = protocol::shard_outcomes_from_json(&parsed, 1).unwrap();
-        // No hint was sent, so no hint debt can exist.
-        assert_eq!(partials.pruned_bounds, vec![None]);
         let partial = partials.outcomes[0].as_ref().unwrap();
         // This entry holds the WHOLE collection, so its "partial" is
         // already the global answer — byte-identical to /query's.
@@ -1477,7 +1463,7 @@ mod tests {
         assert_eq!(route(&state, &post("/shard/query", "{}")).status, 400);
         assert_eq!(route(&state, &get("/shard/query")).status, 405);
         // An absent per-query `k` is malformed, never defaulted.
-        let no_k = rpc_body.to_text().replace("\"k\":1,", "");
+        let no_k = rpc_body.to_text().replace(",\"k\":1", "");
         assert_ne!(no_k, rpc_body.to_text());
         assert_eq!(route(&state, &post("/shard/query", &no_k)).status, 400);
     }
@@ -1943,7 +1929,7 @@ mod tests {
     }
 
     /// A CSV with clear peaks buried among falls, big enough that a
-    /// poisoned pruning hint actually bites.
+    /// threshold above every real score would prune everything.
     fn haystack_csv() -> String {
         let mut csv = String::from("z,x,y");
         for series in 0..12 {
@@ -1963,116 +1949,20 @@ mod tests {
         csv
     }
 
-    #[test]
-    fn poisoned_threshold_hint_is_retried_and_never_drops_results() {
-        // Two live shard servers owning partitions 0/2 and 1/2…
-        let csv = haystack_csv().replace('\n', "\\n");
-        let mut servers = Vec::new();
-        for index in 0..2 {
-            let server = crate::serve(
-                "127.0.0.1:0",
-                crate::ServerConfig {
-                    workers: 2,
-                    ..crate::ServerConfig::default()
-                },
-            )
-            .unwrap();
-            let body = format!(
-                r#"{{"name":"t","id":"t1","csv":"{csv}","z":"z","x":"x","y":"y","shard_of":"{index}/2"}}"#
-            );
-            let reply = route(server.state(), &post("/datasets", &body));
-            assert_eq!(reply.status, 201, "{}", reply.body);
-            servers.push(server);
-        }
-        // …an all-remote router over them, and an all-local reference.
-        let router = state();
-        let body = format!(
-            r#"{{"name":"t","id":"t1","csv":"{csv}","z":"z","x":"x","y":"y",
-                 "shard_endpoints":["{}","{}"]}}"#,
-            servers[0].addr(),
-            servers[1].addr()
-        );
-        assert_eq!(route(&router, &post("/datasets", &body)).status, 201);
-        let body = format!(
-            r#"{{"name":"t","id":"ref","csv":"{csv}","z":"z","x":"x","y":"y","shards":2}}"#
-        );
-        assert_eq!(route(&router, &post("/datasets", &body)).status, 201);
-        let want = route(
-            &router,
-            &post(
-                "/query",
-                r#"{"dataset":"ref","query":"[p=up][p=down]","k":2}"#,
-            ),
-        );
-        assert_eq!(want.status, 200, "{}", want.body);
-        let want = json::parse(&want.body).unwrap();
-        let want = want.get("results").unwrap().to_text();
-
-        // Drive the fan-out directly with a POISONED hint — far above any
-        // real score, as a stale or buggy upstream could send. The
-        // forwarded hint makes both shard servers prune everything; the
-        // verification pass must catch the undischarged pruned_bounds and
-        // re-query hint-less, so the final outcomes are still exact.
-        let entry = router.catalog.get("t1").unwrap();
-        let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
-        let exec = execute_on_shards(
-            &router,
-            &entry,
-            vec![(q, 2)],
-            &router.default_options,
-            &[Some(0.999)],
-            None,
-        );
-        let got = exec.outcomes[0].as_ref().unwrap();
-        assert_eq!(
-            protocol::results_to_json(got).to_text(),
-            want,
-            "a poisoned threshold_hint must never drop a true top-k result"
-        );
-        // The retry really happened: each endpoint answered the original
-        // (hinted) RPC plus the hint-less retry.
-        for (endpoint, row) in &StatsSnapshot::gather(&router).remote {
-            let s = row.rpc.expect("both endpoints answered RPCs");
-            assert!(
-                s.requests() >= 2,
-                "endpoint {endpoint} should have been re-queried (got {} requests)",
-                s.requests()
-            );
-            assert_eq!(s.errors, 0, "retries are not transport errors");
-        }
-
-        // Sanity: the honest path (no hints) does exactly one RPC per
-        // endpoint and produces the same answer.
-        let got = route(
-            &router,
-            &post(
-                "/query",
-                r#"{"dataset":"t1","query":"[p=up][p=down]","k":2}"#,
-            ),
-        );
-        assert_eq!(got.status, 200, "{}", got.body);
-        let got = json::parse(&got.body).unwrap();
-        assert_eq!(got.get("results").unwrap().to_text(), want);
-
-        for server in servers {
-            server.shutdown();
-        }
-    }
-
-    /// Rewrites every numeric `pruned_bound` in a reply as a string.
-    fn stringify_bounds(value: &mut Json) {
+    /// Rewrites every numeric result `score` in a reply as a string.
+    fn stringify_scores(value: &mut Json) {
         match value {
             Json::Obj(fields) => {
                 for (key, field) in fields {
                     match field {
-                        Json::Num(bound) if key == "pruned_bound" => {
-                            *field = Json::Str(bound.to_string());
+                        Json::Num(score) if key == "score" => {
+                            *field = Json::Str(score.to_string());
                         }
-                        field => stringify_bounds(field),
+                        field => stringify_scores(field),
                     }
                 }
             }
-            Json::Arr(items) => items.iter_mut().for_each(stringify_bounds),
+            Json::Arr(items) => items.iter_mut().for_each(stringify_scores),
             _ => {}
         }
     }
@@ -2081,7 +1971,7 @@ mod tests {
     fn lying_pruned_bound_fails_the_replica_and_never_shortens_the_answer() {
         // Two honest shard servers owning partitions 0/2 and 1/2, and in
         // front of each a stub that answers from the same state but
-        // mistypes the hint debt it reports: `"pruned_bound":"0.93"`.
+        // mistypes every result score it reports: `"score":"0.93"`.
         let csv = haystack_csv().replace('\n', "\\n");
         let register = |state: &Arc<AppState>, placement: &str| {
             let body = format!(
@@ -2101,7 +1991,7 @@ mod tests {
                 Arc::new(move |request| {
                     let mut reply = route(&state, request);
                     let mut body = json::parse(&reply.body).unwrap();
-                    stringify_bounds(&mut body);
+                    stringify_scores(&mut body);
                     reply.body = body.to_text();
                     reply
                 }),
@@ -2113,16 +2003,13 @@ mod tests {
         let reference = state();
         register(&reference, r#""shards":2"#);
         let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
-        let run = |router: &Arc<AppState>, hint| {
+        let run = |router: &Arc<AppState>| {
             let entry = router.catalog.get("t1").unwrap();
             let (queries, options) = (vec![(q.clone(), 2)], &router.default_options);
-            execute_on_shards(router, &entry, queries, options, &[hint], None)
+            execute_on_shards(router, &entry, queries, options, None)
         };
-        let want = run(&reference, None).outcomes.remove(0).unwrap();
+        let want = run(&reference).outcomes.remove(0).unwrap();
         assert_eq!(want.len(), 2);
-        // A poisoned hint makes every shard prune on its authority alone,
-        // so every first reply carries a bound the router must verify.
-        let poisoned = Some(0.999);
 
         // With an honest replica behind each liar, failover answers
         // exactly.
@@ -2134,7 +2021,7 @@ mod tests {
             honest[1].addr()
         );
         register(&router, &replicas);
-        assert_eq!(run(&router, poisoned).outcomes.remove(0).unwrap(), want);
+        assert_eq!(run(&router).outcomes.remove(0).unwrap(), want);
         let errors = |router: &Arc<AppState>, endpoint: std::net::SocketAddr| {
             StatsSnapshot::gather(router).remote[&endpoint.to_string()]
                 .rpc
@@ -2147,9 +2034,9 @@ mod tests {
         // silently shorter top k.
         let router = state();
         register(&router, &format!(r#""shard_endpoints":["{l0}","{l1}"]"#));
-        let err = run(&router, poisoned).outcomes.remove(0).unwrap_err();
+        let err = run(&router).outcomes.remove(0).unwrap_err();
         assert_eq!(err.code, Some("shard_unavailable"), "{}", err.message);
-        assert!(err.message.contains("pruned_bound"), "{}", err.message);
+        assert!(err.message.contains("`score`"), "{}", err.message);
 
         liars.into_iter().for_each(|liar| liar.shutdown());
         honest.into_iter().for_each(|server| server.shutdown());
@@ -2192,74 +2079,35 @@ mod tests {
     }
 
     #[test]
-    fn shard_query_reports_hint_debt_for_unverifiable_hints() {
-        // A shard server handed a poisoned hint over the wire replies
-        // with a deficient partial, but MUST flag it: pruned_bound is
-        // reported, and the partial's own k-th (if any) cannot clear it —
-        // the caller's hint_undischarged() check always fires.
+    fn shard_query_ignores_a_threshold_hint() {
+        // The retired `threshold_hint` key is read like any unknown key:
+        // absent, null or far above every real score, the shard server
+        // answers the exact partial with the same work.
         let state = state();
         let csv = haystack_csv().replace('\n', "\\n");
         let body = format!(r#"{{"name":"t","id":"t1","csv":"{csv}","z":"z","x":"x","y":"y"}}"#);
         assert_eq!(route(&state, &post("/datasets", &body)).status, 201);
 
         let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
-        let k = 2;
-        let rpc = protocol::shard_request_to_json(
-            "t1",
-            &[(q.clone(), k)],
-            &[Some(0.999)],
-            &state.default_options,
-            None,
-        );
-        let reply = route(&state, &post("/shard/query", &rpc.to_text()));
-        assert_eq!(reply.status, 200, "{}", reply.body);
-        let partials =
-            protocol::shard_outcomes_from_json(&json::parse(&reply.body).unwrap(), 1).unwrap();
-        let outcome = &partials.outcomes[0];
-        let bound = partials.pruned_bounds[0];
-        assert!(
-            bound.is_some(),
-            "hint-justified prunes must be reported: {}",
-            reply.body
-        );
-        assert!(
-            hint_undischarged(outcome, k, bound),
-            "a deficient partial must fail the discharge check"
-        );
-
-        // The same RPC with a null hint is the exact partial, debt-free.
-        let rpc = protocol::shard_request_to_json(
-            "t1",
-            &[(q.clone(), k)],
-            &[None],
-            &state.default_options,
-            None,
-        );
-        let reply = route(&state, &post("/shard/query", &rpc.to_text()));
-        let partials =
-            protocol::shard_outcomes_from_json(&json::parse(&reply.body).unwrap(), 1).unwrap();
-        assert_eq!(partials.pruned_bounds[0], None);
-        assert_eq!(partials.outcomes[0].as_ref().unwrap().len(), k);
-
-        // k = 0 with a hint must neither panic the verification pass nor
-        // report anything undischarged (a top-0 has nothing to drop).
-        let rpc = protocol::shard_request_to_json(
-            "t1",
-            &[(q, 0)],
-            &[Some(0.999)],
-            &state.default_options,
-            None,
-        );
-        let reply = route(&state, &post("/shard/query", &rpc.to_text()));
-        assert_eq!(reply.status, 200, "{}", reply.body);
-        let partials =
-            protocol::shard_outcomes_from_json(&json::parse(&reply.body).unwrap(), 1).unwrap();
-        assert!(partials.outcomes[0].as_ref().unwrap().is_empty());
-        assert!(!hint_undischarged(
-            &partials.outcomes[0],
-            0,
-            partials.pruned_bounds[0]
-        ));
+        let rpc =
+            protocol::shard_request_to_json("t1", &[(q, 2)], &[], &state.default_options, None)
+                .to_text();
+        let answer = |hint: &str| {
+            let body = rpc.replace("\"k\":2", &format!("\"k\":2{hint}"));
+            let reply = route(&state, &post("/shard/query", &body));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            let reply = json::parse(&reply.body).unwrap();
+            let pruning = reply.get("pruning").unwrap();
+            let counters = ["bounded", "pruned", "scored", "refined", "joined"]
+                .map(|key| pruning.get(key).unwrap().as_usize().unwrap());
+            (reply.get("outcomes").unwrap().to_text(), counters)
+        };
+        let (outcomes, counters) = answer("");
+        assert!(outcomes.contains("\"viz_index\""), "{outcomes}");
+        assert!(counters[1] > 0, "the proven threshold prunes: {counters:?}");
+        for hint in [r#","threshold_hint":null"#, r#","threshold_hint":0.999"#] {
+            assert_eq!(answer(hint), (outcomes.clone(), counters), "{hint}");
+        }
     }
 
     #[test]

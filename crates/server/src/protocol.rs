@@ -35,13 +35,11 @@
 //! GET  /registry  → {"entries":[{"dataset","shard","shards",
 //!                    "endpoint","age_secs","fresh"}],
 //!                    "ttl_secs": REGISTRY_TTL_SECS}
-//! POST /shard/query   {"dataset", "queries":[{"query","k",
-//!                      "threshold_hint": score|null}, …],  (all required)
+//! POST /shard/query   {"dataset", "queries":[{"query","k"}, …],  (all required)
 //!                      "options": {every `/shard/query` option below},
 //!                      "trace_id"?: "hex"}
 //!                                          (router → shard server RPC)
-//!              → {"dataset","outcomes":[{"results":[…],
-//!                 "pruned_bound": score|null} or
+//!              → {"dataset","outcomes":[{"results":[…]} or
 //!                 {"error","status","code"?}, …],
 //!                 "pruning":{"bounded","pruned","scored","refined",
 //!                            "joined","bound_micros"},
@@ -90,18 +88,12 @@
 //! results or cache keys, and untraced RPC replies omit `spans`
 //! entirely.
 //!
-//! `threshold_hint` is the §6.3 top-k threshold the router has proven so
-//! far for that query — a pure accelerator the shard server seeds its
-//! own [`shapesearch_core::ThresholdCell`]s with. It is
-//! **required-but-nullable** (send `null` when nothing is proven yet) so
-//! the option-vocabulary strictness below applies to it too. A shard's
-//! `pruned_bound` is the largest §6.3 upper bound it pruned on the
-//! hint's authority alone (null when every prune was locally proven;
-//! required-but-nullable too — a reply that omits or mistypes it is
-//! malformed, or the router would skip the check below):
-//! the router verifies its merged top k strictly clears every reported
-//! bound and recomputes hint-less otherwise, so a stale or poisoned hint
-//! can never silently drop a true top-k result.
+//! A shard server prunes on the §6.3 thresholds it proves itself and
+//! nothing else, so every `results` array of a `/shard/query` reply is
+//! the exact top-k partial of its partition and the router merges
+//! partials without checking them. A body that still carries the
+//! retired `threshold_hint` key is read like one with any other unknown
+//! key.
 //!
 //! Oversized batches are refused with a *structured* 400 so clients can
 //! split and retry programmatically:
@@ -221,10 +213,6 @@ impl<'a, T: Kind<'a>> Kind<'a> for Option<T> {
     }
 }
 
-/// A required number that may be `null` (`threshold_hint`,
-/// `pruned_bound`): a sender says "nothing" out loud.
-struct OrNull(Option<f64>);
-
 /// A shard reply's per-query error status, which a router relays as its
 /// client's HTTP status.
 struct ErrorStatus(u16);
@@ -249,10 +237,6 @@ kinds! {
     &'a [Json] => "an array", Json::as_array;
     // An object, kept whole for the reads of its own fields.
     &'a Json => "an object", |v: &'a Json| matches!(v, Json::Obj(_)).then_some(v);
-    OrNull => "a number or null", |v: &Json| match v {
-        Json::Null => Some(OrNull(None)),
-        v => v.as_f64().map(|n| OrNull(Some(n))),
-    };
     ErrorStatus => "an HTTP error status (400 to 599)", |v: &Json| {
         let status = u16::try_from(v.as_usize()?).ok()?;
         (400..=599).contains(&status).then_some(ErrorStatus(status))
@@ -821,9 +805,6 @@ pub struct ShardQueryRequest {
     /// The query group: canonical query text parsed back to ASTs, with
     /// each query's `k`.
     pub queries: Vec<(ShapeQuery, usize)>,
-    /// Per-query `threshold_hint`s, aligned with `queries` (`None` =
-    /// wire `null` = no hint).
-    pub hints: Vec<Option<f64>>,
     /// The fully pinned, result-affecting engine options.
     pub options: EngineOptions,
     /// The router's trace ID, when the fan-out is being traced: the
@@ -833,14 +814,14 @@ pub struct ShardQueryRequest {
 }
 
 /// Builds the `POST /shard/query` request body the router sends for one
-/// query group. `hints` must align with `queries`; a missing slot
-/// serializes as the explicit `null`. A `trace` ID (present only when
-/// the originating request is traced) asks the shard server to time its
-/// stages and return its span tree in the reply.
+/// query group. A `trace` ID (present only when the originating request
+/// is traced) asks the shard server to time its stages and return its
+/// span tree in the reply. `_hints` is ignored: the frozen benchmark
+/// package still passes it (always all-`None`).
 pub fn shard_request_to_json(
     dataset: &str,
     queries: &[(ShapeQuery, usize)],
-    hints: &[Option<f64>],
+    _hints: &[Option<f64>],
     options: &EngineOptions,
     trace: Option<&str>,
 ) -> Json {
@@ -851,20 +832,7 @@ pub fn shard_request_to_json(
             Json::Arr(
                 queries
                     .iter()
-                    .enumerate()
-                    .map(|(i, (q, k))| {
-                        obj([
-                            ("query", q.to_string().into()),
-                            ("k", (*k).into()),
-                            (
-                                "threshold_hint",
-                                match hints.get(i).copied().flatten() {
-                                    Some(hint) => hint.into(),
-                                    None => Json::Null,
-                                },
-                            ),
-                        ])
-                    })
+                    .map(|(q, k)| obj([("query", q.to_string().into()), ("k", (*k).into())]))
                     .collect(),
             ),
         ),
@@ -877,8 +845,7 @@ pub fn shard_request_to_json(
 }
 
 /// Parses a `POST /shard/query` body. Every query entry must carry its
-/// `k` and its `threshold_hint` explicitly (`null` for "no hint") — the
-/// same fail-loudly rule the options object follows.
+/// `k` explicitly — the same fail-loudly rule the options object follows.
 ///
 /// # Errors
 /// Missing fields, unparseable query text, bad options.
@@ -891,19 +858,16 @@ pub fn shard_request_from_json(body: &Json) -> Result<ShardQueryRequest, ServerE
         ));
     }
     let mut queries = Vec::with_capacity(items.len());
-    let mut hints = Vec::with_capacity(items.len());
     for item in items {
         let query = shapesearch_parser::parse_regex(field(item, "query")?)
             .map_err(|e| ServerError::bad_request(format!("query parse error: {e}")))?;
         queries.push((query, field(item, "k")?));
-        hints.push(field::<OrNull>(item, "threshold_hint")?.0);
     }
     let options = options_from_json(field(body, "options")?)?;
     let trace_id = field::<Option<&str>>(body, "trace_id")?.map(str::to_owned);
     Ok(ShardQueryRequest {
         dataset,
         queries,
-        hints,
         options,
         trace_id,
     })
@@ -923,17 +887,15 @@ pub fn pruning_to_json(snapshot: PruningSnapshot) -> Json {
 }
 
 /// Serializes a shard server's per-query outcomes as the
-/// `POST /shard/query` response body. `pruned_bounds` aligns with
-/// `outcomes`: the largest upper bound each query pruned on hint
-/// authority alone (`None` → wire `null`), which the router's
-/// verification pass checks the merged answer against. `pruning` is the
-/// RPC's engine-side counter snapshot. `spans` (present only when the
-/// request carried a `trace_id`) is the shard server's own span tree,
-/// which the router stitches under its RPC span.
+/// `POST /shard/query` response body. `pruning` is the RPC's engine-side
+/// counter snapshot. `spans` (present only when the request carried a
+/// `trace_id`) is the shard server's own span tree, which the router
+/// stitches under its RPC span. `_bounds` is ignored: the frozen
+/// benchmark package still passes it (always all-`None`).
 pub fn shard_outcomes_to_json(
     dataset: &str,
     outcomes: &[Result<Vec<TopKResult>, ServerError>],
-    pruned_bounds: &[Option<f64>],
+    _bounds: &[Option<f64>],
     pruning: PruningSnapshot,
     micros: u64,
     spans: Option<&[crate::obs::Span]>,
@@ -945,18 +907,8 @@ pub fn shard_outcomes_to_json(
             Json::Arr(
                 outcomes
                     .iter()
-                    .enumerate()
-                    .map(|(i, outcome)| match outcome {
-                        Ok(results) => obj([
-                            ("results", results_to_json(results)),
-                            (
-                                "pruned_bound",
-                                match pruned_bounds.get(i).copied().flatten() {
-                                    Some(bound) => bound.into(),
-                                    None => Json::Null,
-                                },
-                            ),
-                        ]),
+                    .map(|outcome| match outcome {
+                        Ok(results) => obj([("results", results_to_json(results))]),
                         Err(e) => error_item_to_json(e),
                     })
                     .collect(),
@@ -971,14 +923,11 @@ pub fn shard_outcomes_to_json(
     obj(fields)
 }
 
-/// A shard server's parsed `POST /shard/query` reply: per-query partial
-/// outcomes plus the per-query hint-pruned bounds the router must verify
-/// its merged answer against.
+/// A shard server's parsed `POST /shard/query` reply: per-query exact
+/// partial outcomes and the server's span tree.
 pub struct ShardPartials {
     /// Per-query partial top-k results (or structured per-query errors).
     pub outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
-    /// Per-query largest hint-justified pruned upper bound, when any.
-    pub pruned_bounds: Vec<Option<f64>>,
     /// The shard server's own span tree (empty unless the router sent a
     /// `trace_id` and the reply carried well-formed spans).
     pub spans: Vec<crate::obs::Span>,
@@ -987,8 +936,7 @@ pub struct ShardPartials {
 /// Parses a shard server's `POST /shard/query` response back into
 /// per-query outcomes. `expected` is the number of queries the router
 /// sent; a reply with any other outcome count is malformed, and so is an
-/// `Ok` outcome whose `pruned_bound` is anything but a number or `null`,
-/// or an error outcome whose `status` is not an error status.
+/// error outcome whose `status` is not an error status.
 ///
 /// # Errors
 /// A human-readable description of what was malformed (the caller wraps
@@ -1002,31 +950,17 @@ pub fn shard_outcomes_from_json(body: &Json, expected: usize) -> Result<ShardPar
         ));
     }
     let mut outcomes = Vec::with_capacity(items.len());
-    let mut pruned_bounds = Vec::with_capacity(items.len());
     for item in items {
-        match field::<Option<&[Json]>>(item, "results")? {
-            Some(results) => {
-                outcomes.push(Ok(results_from_json(results)?));
-                // Required but nullable, like `threshold_hint`: read as "no
-                // hint debt", an absent or mistyped bound would switch the
-                // caller's verification pass off.
-                pruned_bounds.push(field::<OrNull>(item, "pruned_bound")?.0);
-            }
-            None => {
-                outcomes.push(Err(error_from_json(item)?));
-                pruned_bounds.push(None);
-            }
-        }
+        outcomes.push(match field::<Option<&[Json]>>(item, "results")? {
+            Some(results) => Ok(results_from_json(results)?),
+            None => Err(error_from_json(item)?),
+        });
     }
     let spans = body
         .get("spans")
         .and_then(crate::obs::spans_from_json)
         .unwrap_or_default();
-    Ok(ShardPartials {
-        outcomes,
-        pruned_bounds,
-        spans,
-    })
+    Ok(ShardPartials { outcomes, spans })
 }
 
 /// Deserializes the items of a wire `results` array back into
@@ -1350,17 +1284,12 @@ mod tests {
             ),
             (
                 shard,
-                &format!("{{{entry}}}]}}"),
-                "missing field `threshold_hint`",
-            ),
-            (
-                shard,
                 &format!(r#"{{{entry},"threshold_hint":"0.5"}}]}}"#),
-                "field `threshold_hint` must be a number or null",
+                "missing field `options`",
             ),
             (
                 shard,
-                &format!(r#"{{{entry},"threshold_hint":null}}],"options":[]}}"#),
+                &format!(r#"{{{entry}}}],"options":[]}}"#),
                 "field `options` must be an object",
             ),
         ] {
@@ -1373,14 +1302,13 @@ mod tests {
         };
         for (outcome, message) in [
             (
-                r#"{"results":[{"key":"a","score":1,"viz_index":0,"ranges":[[0]]}],"pruned_bound":null}"#,
+                r#"{"results":[{"key":"a","score":1,"viz_index":0,"ranges":[[0]]}]}"#,
                 "field `ranges` must be an array of [start, end] index pairs",
             ),
             (
-                r#"{"results":[{"score":1,"viz_index":0,"ranges":[]}],"pruned_bound":null}"#,
+                r#"{"results":[{"score":1,"viz_index":0,"ranges":[]}]}"#,
                 "missing field `key`",
             ),
-            (r#"{"results":[]}"#, "missing field `pruned_bound`"),
             (r#"{"status":400}"#, "missing field `error`"),
             (
                 r#"{"error":"x","status":404,"code":5}"#,
@@ -1395,35 +1323,28 @@ mod tests {
     fn shard_request_and_outcomes_round_trip() {
         let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
         let queries = vec![(q.clone(), 3), (q, 7)];
-        let hints = vec![Some(0.625), None];
-        let wire =
-            shard_request_to_json("sales", &queries, &hints, &EngineOptions::default(), None);
+        let wire = shard_request_to_json("sales", &queries, &[], &EngineOptions::default(), None);
         let req = shard_request_from_json(&json::parse(&wire.to_text()).unwrap()).unwrap();
         assert_eq!(req.dataset, "sales");
         assert_eq!(req.queries.len(), 2);
         assert_eq!(req.queries[0].1, 3);
         assert_eq!(req.queries[1].1, 7);
         assert_eq!(req.queries[0].0, queries[0].0);
-        assert_eq!(req.hints, hints, "hints round-trip, null included");
         assert_eq!(req.trace_id, None, "untraced requests omit trace_id");
 
         // A traced fan-out carries its ID to the shard server.
         let traced = shard_request_to_json(
             "sales",
             &queries,
-            &hints,
+            &[],
             &EngineOptions::default(),
             Some("deadbeef01234567"),
         );
         let req = shard_request_from_json(&json::parse(&traced.to_text()).unwrap()).unwrap();
         assert_eq!(req.trace_id.as_deref(), Some("deadbeef01234567"));
 
-        // `threshold_hint` is required-but-nullable: dropping the key is
-        // a malformed request, like any option-vocabulary skew.
-        let stripped = wire.to_text().replace(",\"threshold_hint\":0.625", "");
-        assert!(shard_request_from_json(&json::parse(&stripped).unwrap()).is_err());
-        // So is each query's `k`: absent, it is never defaulted.
-        let stripped = wire.to_text().replace("\"k\":3,", "");
+        // Each query's `k` is required: absent, it is never defaulted.
+        let stripped = wire.to_text().replace(",\"k\":3", "");
         assert_ne!(stripped, wire.to_text());
         assert!(shard_request_from_json(&json::parse(&stripped).unwrap()).is_err());
 
@@ -1445,8 +1366,7 @@ mod tests {
             joined: 1,
             bound_micros: 11,
         };
-        let reply =
-            shard_outcomes_to_json("sales", &outcomes, &[Some(0.5), None], snapshot, 42, None);
+        let reply = shard_outcomes_to_json("sales", &outcomes, &[], snapshot, 42, None);
         assert!(reply.to_text().contains(
             "\"pruning\":{\"bounded\":9,\"pruned\":7,\"scored\":2,\"refined\":3,\"joined\":1,\
              \"bound_micros\":11}"
@@ -1457,20 +1377,13 @@ mod tests {
         );
         let back = shard_outcomes_from_json(&json::parse(&reply.to_text()).unwrap(), 2).unwrap();
         assert_eq!(back.outcomes[0].as_ref().unwrap(), &results);
-        assert_eq!(back.pruned_bounds, vec![Some(0.5), None]);
         assert!(back.spans.is_empty());
 
         // A traced reply round-trips its span tree for router stitching.
         let shard_spans =
             vec![crate::obs::Span::new("shard_request", 42).with_detail("trace deadbeef01234567")];
-        let traced = shard_outcomes_to_json(
-            "sales",
-            &outcomes,
-            &[Some(0.5), None],
-            snapshot,
-            42,
-            Some(&shard_spans),
-        );
+        let traced =
+            shard_outcomes_to_json("sales", &outcomes, &[], snapshot, 42, Some(&shard_spans));
         let back = shard_outcomes_from_json(&json::parse(&traced.to_text()).unwrap(), 2).unwrap();
         assert_eq!(back.spans, shard_spans);
         let err = back.outcomes[1].as_ref().unwrap_err();
@@ -1479,13 +1392,6 @@ mod tests {
         assert!(err.message.contains("10.0.0.9:7878"));
         // Outcome-count mismatches are malformed replies.
         assert!(shard_outcomes_from_json(&json::parse(&reply.to_text()).unwrap(), 3).is_err());
-        // So is an `Ok` outcome whose `pruned_bound` is mistyped or
-        // absent: read as "no hint debt" it would pass unverified.
-        for lie in ["\"pruned_bound\":\"0.5\"", "\"pruned_bound_\":0.5"] {
-            let lied = reply.to_text().replace("\"pruned_bound\":0.5", lie);
-            assert_ne!(lied, reply.to_text());
-            assert!(shard_outcomes_from_json(&json::parse(&lied).unwrap(), 2).is_err());
-        }
         // An error outcome's status becomes the router's reply status, so
         // anything but a 4xx/5xx code is a malformed reply — never a
         // status truncated to 16 bits, never a 200 carrying an error.

@@ -12,10 +12,9 @@
 //!   results diffed byte-for-byte against the single-process reference,
 //!   with the per-replica request/error/ejection counters reconciled
 //!   between `/healthz` and `/metrics` at the end;
-//! * the PR-5 stale-hint re-query path under failure: a poisoned
-//!   `threshold_hint` arriving over live sockets while every shard's
-//!   primary replica is dead still yields exact results via the
-//!   fallback replica;
+//! * a `/shard/query` body carrying a retired, poisoned `threshold_hint`
+//!   over live sockets while every shard's primary replica is dead still
+//!   yields exact results via the fallback replica, in one RPC a shard;
 //! * a property sweep (proptest shim) over shard counts {1, 2, 4} ×
 //!   replica-assignment permutations × failure subsets leaving ≥1
 //!   healthy replica per shard, every case byte-identical to the
@@ -318,9 +317,7 @@ fn every_failure_mode_with_a_live_replica_is_byte_identical_to_single_process() 
 }
 
 /// A CSV with clear peaks buried among falls, big enough that a
-/// poisoned pruning hint actually bites (everything gets pruned on the
-/// hint's authority, so the un-discharged bound forces the hint-less
-/// re-query).
+/// threshold above every real score would prune everything.
 fn haystack_csv() -> String {
     let mut out = String::from("z,x,y");
     for series in 0..12 {
@@ -340,12 +337,11 @@ fn haystack_csv() -> String {
     out
 }
 
-/// Satellite: the PR-5 stale-hint re-query path under failure, over
-/// live sockets. A `/shard/query` RPC carrying a poisoned
-/// `threshold_hint` hits a router whose every shard lists a dead
-/// primary replica first: both the hinted pass and the verification's
-/// hint-less re-query must fail over to the fallback replicas, and the
-/// final partials must still be exact.
+/// A `/shard/query` RPC carrying a poisoned `threshold_hint` (a key the
+/// wire no longer has, read like any unknown key) hits a router whose
+/// every shard lists a dead primary replica first: the one pass fails
+/// over to the fallback replicas, each answering once, and the final
+/// partials are exact.
 #[test]
 fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
     let haystack = haystack_csv();
@@ -404,13 +400,12 @@ fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
     // The poisoned RPC: a hint far above any real score, as a stale or
     // buggy upstream router could send.
     let query = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
-    let rpc = protocol::shard_request_to_json(
-        "t1",
-        &[(query, 2)],
-        &[Some(0.999)],
-        &EngineOptions::default(),
-        None,
-    );
+    let rpc =
+        protocol::shard_request_to_json("t1", &[(query, 2)], &[], &EngineOptions::default(), None)
+            .to_text()
+            .replace("\"k\":2", "\"k\":2,\"threshold_hint\":0.999");
+    assert!(rpc.contains("\"threshold_hint\":0.999"), "{rpc}");
+    let rpc = json::parse(&rpc).unwrap();
     let reply = router
         .post("/shard/query", &rpc)
         .unwrap()
@@ -426,8 +421,7 @@ fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
     );
 
     // The failover trail: every dead primary was attempted and failed;
-    // every fallback answered both the hinted pass and the hint-less
-    // verification re-query without a single error.
+    // every fallback answered exactly one RPC without an error.
     let health = router.get("/healthz").unwrap().expect_ok("healthz");
     let rows = health
         .get("remote_shards")
@@ -445,9 +439,10 @@ fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
             assert_eq!(requests, errors, "dead {endpoint}: {}", health.to_text());
         } else {
             assert_eq!(errors, 0, "fallback {endpoint}: {}", health.to_text());
-            assert!(
-                requests >= 2,
-                "fallback {endpoint} should have served the hinted pass AND the re-query: {}",
+            assert_eq!(
+                requests,
+                1,
+                "fallback {endpoint} should have served one RPC: {}",
                 health.to_text()
             );
         }

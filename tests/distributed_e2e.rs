@@ -201,6 +201,27 @@ fn every_placement_and_shard_count_is_byte_identical_to_single_process() {
                 let responses = batch.get("responses").unwrap().as_array().unwrap();
                 assert_eq!(&responses[0].get("results").unwrap().to_text(), want);
             }
+            // One batch of every query is one group: its local slots share
+            // threshold cells across the queries, its remote slots answer
+            // one RPC each, and every answer is still the reference's.
+            register(
+                &router,
+                vec![("shard_endpoints".into(), endpoints_json(&placement))],
+            );
+            let batch = router
+                .query_batch(queries.iter().map(|(q, k)| query_body(q, *k)).collect())
+                .unwrap()
+                .expect_ok(&format!("{label} shards={shards} batch"));
+            let responses = batch.get("responses").unwrap().as_array().unwrap();
+            assert_eq!(responses.len(), reference.len());
+            for (response, want) in responses.iter().zip(&reference) {
+                assert_eq!(response.get("cached").unwrap().as_bool(), Some(false));
+                assert_eq!(
+                    &response.get("results").unwrap().to_text(),
+                    want,
+                    "{label} shards={shards} batch diverged"
+                );
+            }
 
             // The router's healthz names every remote endpoint in play.
             if remote_count > 0 {

@@ -6,9 +6,9 @@
 //!
 //! Whatever arrives, `shard_outcomes_from_json` must not panic, and must
 //! either refuse the reply (the replica attempt fails and failover moves
-//! on) or return exactly the outcomes asked for, every `Ok` one carrying
-//! the `pruned_bound` that was on the wire — a reply can cost an RPC,
-//! never the verification pass.
+//! on) or return exactly the outcomes asked for, each one the kind that
+//! was on the wire and every `Ok` one as long as its wire `results` — a
+//! reply can cost an RPC, never a silently different partial.
 
 use proptest::prelude::*;
 use shapesearch::server::json::{self, Json};
@@ -17,11 +17,11 @@ use shapesearch_core::{PruningSnapshot, TopKResult};
 
 type Outcome = Result<Vec<TopKResult>, ServerError>;
 
-/// One outcome and its hint-pruned bound: `results` in `0..3` is an `Ok`
-/// partial of that many results, `3` a structured per-query error.
-fn outcome(results: usize, bound: Option<f64>) -> (Outcome, Option<f64>) {
+/// One outcome: `results` in `0..3` is an `Ok` partial of that many
+/// results, `3` a structured per-query error.
+fn outcome(results: usize) -> Outcome {
     if results == 3 {
-        return (Err(ServerError::bad_request("query failed: boom")), None);
+        return Err(ServerError::bad_request("query failed: boom"));
     }
     let results = (0..results).map(|i| TopKResult {
         key: format!("k{i}"),
@@ -29,13 +29,12 @@ fn outcome(results: usize, bound: Option<f64>) -> (Outcome, Option<f64>) {
         viz_index: 7 * i,
         ranges: vec![(0, i + 1), (i + 1, 9)],
     });
-    (Ok(results.collect()), bound)
+    Ok(results.collect())
 }
 
-fn outcomes_strategy() -> impl Strategy<Value = Vec<(Outcome, Option<f64>)>> {
-    let bound = prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)];
-    proptest::collection::vec((0usize..4, bound), 1..5)
-        .prop_map(|shape| shape.into_iter().map(|(n, b)| outcome(n, b)).collect())
+fn outcomes_strategy() -> impl Strategy<Value = Vec<Outcome>> {
+    proptest::collection::vec(0usize..4, 1..5)
+        .prop_map(|shape| shape.into_iter().map(outcome).collect())
 }
 
 /// Nodes of the tree, in pre-order.
@@ -90,15 +89,14 @@ proptest! {
 
     #[test]
     fn a_mutated_reply_is_refused_or_decodes_with_its_wire_bounds(
-        outcomes in outcomes_strategy(),
+        partials in outcomes_strategy(),
         damage in proptest::collection::vec((0usize..10_000, 0usize..10_000), 0..4),
         skew in 0usize..8,
     ) {
-        let (partials, bounds): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
         let pruning = PruningSnapshot::default();
         // Parsed back from its bytes, so the damage can reach inside the
         // `results` arrays, which the server writes as text.
-        let reply = protocol::shard_outcomes_to_json("d", &partials, &bounds, pruning, 42, None);
+        let reply = protocol::shard_outcomes_to_json("d", &partials, &[], pruning, 42, None);
         let mut reply = json::parse(&reply.to_text()).unwrap();
         for (node, pick) in &damage {
             let mut at = node % count(&reply);
@@ -124,26 +122,19 @@ proptest! {
         };
         prop_assert!(intact || !damage.is_empty(), "{expected} outcomes decoded from {}", partials.len());
         prop_assert_eq!(decoded.outcomes.len(), expected);
-        prop_assert_eq!(decoded.pruned_bounds.len(), expected);
         let Some(Json::Arr(items)) = wire.get("outcomes") else {
             return Err(TestCaseError::fail("decoded a reply without an `outcomes` array"));
         };
-        let decoded = decoded.outcomes.iter().zip(&decoded.pruned_bounds);
-        for ((outcome, bound), item) in decoded.zip(items) {
-            let on_wire = match item {
-                Json::Obj(fields) => fields.iter().find(|(key, _)| key == "pruned_bound"),
-                _ => None,
-            };
-            match (outcome, on_wire) {
-                (Ok(_), Some((_, Json::Null))) => prop_assert_eq!(*bound, None),
-                (Ok(_), Some((_, Json::Num(sent)))) => prop_assert_eq!(*bound, Some(*sent)),
-                (Ok(_), other) => {
+        for (outcome, item) in decoded.outcomes.iter().zip(items) {
+            match (outcome, item.get("results")) {
+                (Ok(results), Some(Json::Arr(sent))) => prop_assert_eq!(results.len(), sent.len()),
+                (Err(_), None | Some(Json::Null)) => {}
+                (outcome, on_wire) => {
                     return Err(TestCaseError::fail(format!(
-                        "an Ok outcome decoded from `pruned_bound` {other:?}: {}",
+                        "{outcome:?} decoded from `results` {on_wire:?}: {}",
                         item.to_text()
                     )));
                 }
-                (Err(_), _) => prop_assert_eq!(*bound, None),
             }
         }
     }
