@@ -1072,7 +1072,7 @@ mod tests {
         let tls: Vec<Trendline> = (0..300u64)
             .map(|i| Trendline::from_pairs(format!("walk{i}"), &walk(i + 1, 64)))
             .collect();
-        let engine = ShapeEngine::from_trendlines(tls);
+        let engine = ShapeEngine::from_trendlines(tls.clone());
         let needle = ShapeQuery::concat(vec![
             ShapeQuery::pattern(Pattern::Slope(45.0)),
             ShapeQuery::pattern(Pattern::Slope(-45.0)),
@@ -1115,6 +1115,43 @@ mod tests {
                 snap.joined,
             );
             assert_eq!(got, want, "{q} under {kind:?}");
+        }
+
+        // The same walks in 2 and 4 shards run one after another on one
+        // `SharedThresholds`: every shard after the first meets, seeds
+        // included, a threshold the shards before it proved.
+        let (dp, tree) = (SegmenterKind::Dp, SegmenterKind::SegmentTree);
+        let sharded = [
+            (2, &needle, dp, (300, 287, 13, 278, 8)),
+            (2, &needle, tree, (300, 287, 13, 278, 8)),
+            (2, &chain, dp, (300, 260, 40, 295, 35)),
+            (2, &chain, tree, (300, 257, 43, 295, 38)),
+            (4, &needle, dp, (300, 284, 16, 273, 11)),
+            (4, &needle, tree, (300, 284, 16, 273, 11)),
+            (4, &chain, dp, (300, 248, 52, 295, 47)),
+            (4, &chain, tree, (300, 243, 57, 295, 52)),
+        ];
+        for (shards, q, kind, want) in sharded {
+            let engine = shard::ShardedEngine::from_trendlines(tls.clone(), shards);
+            let opts = EngineOptions {
+                segmenter: kind,
+                ..EngineOptions::default()
+            };
+            let shared = SharedThresholds::new(1);
+            engine
+                .top_k_batch_observed(&[(q, 5)], &opts, &shared, &NOOP_OBSERVER)
+                .pop()
+                .unwrap()
+                .unwrap();
+            let snap = shared.snapshot();
+            let got = (
+                snap.bounded,
+                snap.pruned,
+                snap.scored,
+                snap.refined,
+                snap.joined,
+            );
+            assert_eq!(got, want, "{q} under {kind:?} in {shards} shards");
         }
     }
 
