@@ -122,7 +122,7 @@ fi
 # threshold, the proven one: the unproven shard-wire hint and its
 # verification pass (the frozen benchmark package still passes the inert
 # argument; the wire keys themselves are pinned by a handlers test).
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints)"
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -136,6 +136,7 @@ DEFAULT_PARALLEL_THRESHOLD|parallel_opt_out;crates src README.md docs :!crates/b
 PruningMode::Force;crates src README.md docs;a third pruning mode is back
 TrainMethod|train_perceptron;crates src README.md docs;a second CRF trainer is back
 seed_hint|hint_pruned|note_hint_prune|hint_undischarged|live_hints;crates src README.md docs :!crates/bench/src/bin/ssbench;an unproven threshold hint is back
+anchored_upper|record_bounding|ThresholdCell::raise|cell\.raise\(;crates src README.md docs :!crates/bench/src/bin/ssbench;a second bound evaluator, a second bound-time sink or an unproven threshold write is back
 ROWS
 
 # One threading model: shards on the compute pool are the only

@@ -20,11 +20,12 @@
 //! the final top-k score, which is what keeps pruning byte-identical) —
 //! the bound is only as sharp as the threshold it meets, and the
 //! candidates most likely to set the final threshold are the ones the
-//! bound cannot rule out. Stage 2 sweeps the rest (in index order, or
-//! best second-tier bound first when the query has one — below): a
-//! candidate whose upper bound falls strictly below the current threshold
-//! is skipped without segmentation, survivors are scored exactly and
-//! tighten the threshold online.
+//! bound cannot rule out. Stage 2 walks the rest: a candidate whose upper
+//! bound falls strictly below the current threshold is skipped without
+//! segmentation, survivors are scored exactly and tighten the threshold
+//! online. Both stages are one walk, `PruningDriver::walk`: in the order
+//! given, or — once a threshold is live and the query has a second tier
+//! (below) — best second-tier bound first.
 //!
 //! The bound has **three tiers**, each dearer and tighter than the one
 //! before, each taken only for a candidate the one before failed to prune.
@@ -35,11 +36,11 @@
 //! it on the one window its pins name or scores it −1, so the first tier
 //! bounds it by its score on that window — and a located query's bounds
 //! are then its scores give or take rounding, the `k` seeds its top k,
-//! and the sweep prunes everyone else but ties. Which window the pins
-//! name depends on the trendline's raw x row alone, so it is resolved
-//! once for each x grid ([`VizData::grid`]) and a candidate pays only
-//! that window's slope and `atan`. A top-level CONCAT places
-//! windows too: every exact segmenter tiles `[0, n − 1]` with the chain's
+//! and the walk after them prunes everyone else but ties. Which window
+//! the pins name depends on the trendline's raw x row alone, so it is
+//! resolved once for each x grid ([`VizData::grid`]) and a candidate pays
+//! only that window's slope and `atan`. A top-level CONCAT places windows
+//! too: every exact segmenter tiles `[0, n − 1]` with the chain's
 //! units in order, so the first unit is scored on some window `[0, j]`
 //! and the last on some `[i, n − 1]` — `n − 1` candidate slopes each, not
 //! a continuum.
@@ -51,9 +52,10 @@
 //! target — random walks — the first tier reads ≈ 1 for everyone and the
 //! second prunes four in ten. It costs most of a microsecond a candidate
 //! against the first's few nanoseconds, so it is lazy twice over: the plan
-//! decides once per query whether it has an anchored end at all, and the
-//! driver computes it only for a candidate the first tier failed to prune
-//! against a live threshold.
+//! decides once per query whether it has an anchored end at all, and a
+//! walk computes it only for the candidates the first tier failed to
+//! prune against a live threshold — in one column, by the first tier's
+//! own evaluator (`BoundPlan::bounds`), a plan node at a time.
 //!
 //! The second tier still scores whatever lies between the two ends as a
 //! perfect 1. The **third** places it: when the whole query is a chain of
@@ -66,7 +68,7 @@
 //! middle, which on a walk leaves a handful of placements out of `n²/2` —
 //! see `JointChain`. It answers a different question from the first two
 //! (not "how high can this score" but "can it reach τ"), so it runs last,
-//! against the sharpest threshold the walk has, and stage 2 visits the
+//! against the sharpest threshold the walk has, and the walk visits the
 //! second tier's survivors **best bound first** so that threshold is sharp
 //! early. On walks it prunes another four in ten.
 //! What all three feed is the same rule, and each takes the same rounding
@@ -206,13 +208,10 @@ struct ScorePool {
 /// The live top-k threshold of one query, shared by every executor
 /// working on it (engine shards, compute-pool tasks).
 ///
-/// Two inputs feed it, both proven:
-/// * [`Self::offer`] pools an exactly computed candidate score; once k
-///   scores have been pooled, the pool's k-th best becomes the threshold
-///   (k candidates with at least that score exist, so anything provably
-///   below it is out).
-/// * [`Self::raise`] directly publishes an externally proven lower
-///   bound (e.g. the k-th of an already-merged partial).
+/// One input feeds it, and it is proven: [`Self::offer`] pools an exactly
+/// computed candidate score; once k scores have been pooled, the pool's
+/// k-th best becomes the threshold (k candidates with at least that score
+/// exist, so anything provably below it is out).
 #[derive(Debug)]
 pub struct ThresholdCell {
     proven: AtomicU64,
@@ -280,11 +279,6 @@ impl ThresholdCell {
     /// The pruning threshold, or `NEG_INFINITY` while nothing is proven.
     pub fn get(&self) -> f64 {
         load_f64(&self.proven)
-    }
-
-    /// Publishes a proven k-th-best score; only ever raises.
-    pub fn raise(&self, value: f64) {
-        raise_max(&self.proven, value);
     }
 }
 
@@ -411,10 +405,9 @@ struct Tally {
 impl<'a> PruningDriver<'a> {
     /// A driver for one query (retrieving `k` results) over the given
     /// shared cell and counters, its bound timings routed to `observer`
-    /// as well: one [`EngineStage::PruneBound`] sample per bound pass, one
-    /// per stage-2 refine pass, and one per walk that took second- or
-    /// third-tier bounds a candidate at a time. Compiles the query's bound
-    /// plan.
+    /// as well: one [`EngineStage::PruneBound`] sample per bound pass, and
+    /// one per walk that took second-tier bounds (its third-tier time
+    /// included). Compiles the query's bound plan.
     pub fn new(
         query: &ShapeQuery,
         params: &ScoreParams,
@@ -437,10 +430,9 @@ impl<'a> PruningDriver<'a> {
 
     /// §6.3 over `vizzes`, each candidate handed to `score` (by position)
     /// at most once, its exact score pooled into the shared threshold:
-    /// one bound pass, then stage 1 — the `k` highest bounds, best first,
-    /// so the threshold is sharp before the bulk meets it — then stage 2,
-    /// everyone else, in index order or, for a query with a second tier,
-    /// refined in one pass and walked best bound first. The threshold
+    /// one bound pass, then a [`walk`](Self::walk) of stage 1 — the `k`
+    /// highest bounds, best first, so the threshold is sharp before the
+    /// bulk meets it — and one of stage 2, everyone else. The threshold
     /// prunes only *strictly* below itself and only once some executor
     /// holds k exact scores, so with a total top-k order the survivors'
     /// top k is a prune-free pass's in any visiting order.
@@ -451,9 +443,9 @@ impl<'a> PruningDriver<'a> {
         for &pos in &seeds {
             seeded[pos] = true;
         }
-        self.visit(vizzes, &bounds, seeds.into_iter(), &mut score);
+        self.walk(vizzes, &bounds, seeds.into_iter(), &mut score);
         let rest = (0..vizzes.len()).filter(|&pos| !seeded[pos]);
-        self.sweep(vizzes, &bounds, rest, score);
+        self.walk(vizzes, &bounds, rest, score);
     }
 
     /// The bound pass: the Theorem 6.4 upper bound of every candidate, by
@@ -472,7 +464,7 @@ impl<'a> PruningDriver<'a> {
         let allowance = self.plan.allowance();
         let bounds: Vec<f64> = self
             .plan
-            .bounds(vizzes, &mut PinWindows::default())
+            .bounds(vizzes, &mut EndWindows::default(), false)
             .into_iter()
             .map(|(_, upper)| upper + allowance)
             .collect();
@@ -486,7 +478,7 @@ impl<'a> PruningDriver<'a> {
     /// §6.3 stage 1: the positions of the `min(k, candidates)` highest
     /// upper bounds, best first (ties by position). These are the
     /// candidates no threshold could rule out, so scoring them first
-    /// gives the sweep over everyone else the sharpest threshold k exact
+    /// gives the walk over everyone else the sharpest threshold k exact
     /// scores can prove. A selection, not a sort: a located query scores
     /// about k trendlines and spends a large share of its time on the
     /// bound pass itself (≈ 0.12 µs a trendline: two pinned windows'
@@ -505,99 +497,74 @@ impl<'a> PruningDriver<'a> {
         order
     }
 
-    /// Walks `positions`, in the order given, against the live threshold.
-    /// A candidate whose upper bound is **strictly** below it — even a tie
-    /// could not displace the k-th result — is skipped for good; every
-    /// other is handed to `score` and the exact score it returns is pooled
-    /// toward the proven global k-th best (see [`ThresholdCell::offer`]),
-    /// so every executor's results tighten every other executor's
-    /// threshold as they land.
+    /// Walks `positions` against the live threshold. A candidate whose
+    /// upper bound is **strictly** below it — even a tie could not
+    /// displace the k-th result — is skipped for good; every other is
+    /// handed to `score` and the exact score it returns is pooled toward
+    /// the proven global k-th best (see [`ThresholdCell::offer`]), so
+    /// every executor's results tighten every other executor's threshold
+    /// as they land.
     ///
-    /// The bound is `bounds[pos]`, the whole-trendline one, unless that
-    /// fails to prune against a live threshold and the query has an
-    /// anchored end: then, and only then, the candidate's second-tier
-    /// bound is computed and takes its place under the same rule, and
-    /// where that fails too and the query is a `JointChain`, the third.
-    /// The tiers' time is kept locally and published once per walk.
-    fn visit(
-        &self,
-        vizzes: &[&VizData],
-        bounds: &[f64],
-        positions: impl Iterator<Item = usize>,
-        mut score: impl FnMut(usize) -> f64,
-    ) {
-        let mut tally = Tally::default();
-        let mut bounding = Duration::ZERO;
-        let mut windows = EndWindows::default();
-        for pos in positions {
-            let mut upper = bounds[pos];
-            // No threshold yet reads −∞, which nothing is below.
-            let threshold = self.cell.get();
-            if self.anchors.any() && threshold > f64::NEG_INFINITY && upper >= threshold {
-                let started = Instant::now();
-                upper = self.refine(vizzes[pos], &mut windows, &mut tally);
-                // (A NaN bound is at or above no threshold, and is
-                // nobody's to prune.)
-                if let Some(chain) = self.joint.as_ref().filter(|_| upper >= threshold) {
-                    upper = chain.bound(vizzes[pos], &mut windows, threshold, upper);
-                    tally.joined += 1;
-                }
-                bounding += started.elapsed();
-            }
-            self.settle(upper, threshold, &mut tally, || score(pos));
-        }
-        let bounding = (tally.refined > 0).then_some(bounding);
-        self.publish(&tally, bounding);
-    }
-
-    /// §6.3 stage 2, "progressively refined bounds": [`Self::visit`] with
-    /// the tiers taken a stage at a time, so that the dearest meets the
-    /// sharpest threshold. One pass applies the first tier to every
-    /// candidate under `visit`'s rule and takes the second for its
-    /// survivors only (one clock pair, one observer sample); those are
-    /// sorted by second-tier bound, best first (ties by position), and
-    /// walked: each against the live threshold with the bound it has, then
-    /// the third tier if the query has one — and at the first second-tier
-    /// bound below the threshold everyone left is pruned unseen, since
-    /// nobody after has a higher bound and the threshold only rises. The
+    /// A query with no anchored end has no second tier, and before any
+    /// threshold exists there is nothing to take it against: then the
+    /// bound is `bounds[pos]`, the whole-trendline one, and the walk is
+    /// in the order given. Otherwise it is §6.3 stage 2's "progressively
+    /// refined bounds", the tiers taken a stage at a time so that the
+    /// dearest meets the sharpest threshold. One pass holds every
+    /// candidate's first-tier bound against the threshold and takes the
+    /// second tier for its survivors, in one column; those are sorted by
+    /// second-tier bound, best first (ties by position), and walked: each
+    /// against the live threshold with the bound it has, then the third
+    /// tier if the query has one — and at the first second-tier bound
+    /// below the threshold everyone left is pruned unseen, since nobody
+    /// after has a higher bound and the threshold only rises. The
     /// candidates most likely to raise the threshold are scored first, so
     /// both the early exit and the third tier's cut bite sooner than in
     /// index order. The engine's top-k order is total, so the visiting
     /// order cannot change a result.
-    ///
-    /// A query with no anchored end has no second tier to sort by, and
-    /// before any threshold exists there is nothing to take it against:
-    /// both are `visit`, instruction for instruction.
-    fn sweep(
+    fn walk(
         &self,
         vizzes: &[&VizData],
         bounds: &[f64],
         positions: impl Iterator<Item = usize>,
         mut score: impl FnMut(usize) -> f64,
     ) {
-        // The threshold only rises: live here, live for the whole sweep.
-        if !self.anchors.any() || self.cell.get() == f64::NEG_INFINITY {
-            return self.visit(vizzes, bounds, positions, score);
-        }
         let mut tally = Tally::default();
-        let mut windows = EndWindows::default();
-        let mut survivors: Vec<(usize, f64)> = Vec::new();
-        let started = Instant::now();
-        for pos in positions {
-            let mut upper = bounds[pos];
-            let threshold = self.cell.get();
-            if upper >= threshold {
-                upper = self.refine(vizzes[pos], &mut windows, &mut tally);
+        // The threshold only rises: live here, live for the whole walk.
+        // No threshold yet reads −∞, which nothing is below.
+        let threshold = self.cell.get();
+        if !self.anchors.any() || threshold == f64::NEG_INFINITY {
+            for pos in positions {
+                self.settle(bounds[pos], self.cell.get(), &mut tally, || score(pos));
             }
+            return self.publish(&tally, None);
+        }
+        let started = Instant::now();
+        // A NaN bound is at or above no threshold, and is nobody's to
+        // prune: it survives without a second tier.
+        let mut survivors: Vec<(usize, f64)> = Vec::new();
+        let mut refining: Vec<usize> = Vec::new();
+        for pos in positions {
+            match bounds[pos] {
+                upper if upper < threshold => tally.pruned += 1,
+                upper if upper.is_nan() => survivors.push((pos, upper)),
+                _ => refining.push(pos),
+            }
+        }
+        let mut windows = EndWindows::default();
+        let column: Vec<&VizData> = refining.iter().map(|&pos| vizzes[pos]).collect();
+        let refined = self.plan.bounds(&column, &mut windows, true);
+        let allowance = self.plan.allowance();
+        for (pos, (_, upper)) in refining.into_iter().zip(refined) {
+            let upper = upper + allowance;
             if upper < threshold {
                 tally.pruned += 1;
             } else {
                 survivors.push((pos, upper));
             }
         }
-        if tally.refined > 0 {
-            self.record_bounding(started.elapsed());
-        }
+        tally.refined = column.len() as u64;
+        let mut bounding = started.elapsed();
 
         // A NaN bound is below no threshold and must stay ahead of the
         // early exit: it sorts as the best bound there is, whatever its
@@ -605,7 +572,6 @@ impl<'a> PruningDriver<'a> {
         let key = |upper: f64| if upper.is_nan() { f64::INFINITY } else { upper };
         survivors
             .sort_unstable_by(|a, b| key(b.1).total_cmp(&key(a.1)).then_with(|| a.0.cmp(&b.0)));
-        let mut joining = Duration::ZERO;
         for (at, &(pos, refined)) in survivors.iter().enumerate() {
             let threshold = self.cell.get();
             if refined < threshold {
@@ -618,19 +584,11 @@ impl<'a> PruningDriver<'a> {
                 windows.load(vizzes[pos], self.anchors);
                 upper = chain.bound(vizzes[pos], &mut windows, threshold, upper);
                 tally.joined += 1;
-                joining += started.elapsed();
+                bounding += started.elapsed();
             }
             self.settle(upper, threshold, &mut tally, || score(pos));
         }
-        self.publish(&tally, (tally.joined > 0).then_some(joining));
-    }
-
-    /// The second-tier bound of one candidate, its end windows left loaded
-    /// in `windows`.
-    fn refine(&self, viz: &VizData, windows: &mut EndWindows, tally: &mut Tally) -> f64 {
-        windows.load(viz, self.anchors);
-        tally.refined += 1;
-        self.plan.anchored_upper(viz, windows)
+        self.publish(&tally, (tally.refined > 0).then_some(bounding));
     }
 
     /// The rule every tier feeds: strictly below the threshold is pruned,
@@ -644,16 +602,8 @@ impl<'a> PruningDriver<'a> {
         }
     }
 
-    fn record_bounding(&self, elapsed: Duration) {
-        self.counters
-            .bound_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.observer
-            .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
-    }
-
-    /// Publishes one walk's tally, and the time it spent on bounds taken a
-    /// candidate at a time when it took any.
+    /// Publishes one walk's tally, and the time it spent on the second and
+    /// third tiers when it took any: one observer sample a walk.
     fn publish(&self, tally: &Tally, bounding: Option<Duration>) {
         let counters = self.counters;
         for (counter, by) in [
@@ -665,7 +615,11 @@ impl<'a> PruningDriver<'a> {
             counter.fetch_add(by, Ordering::Relaxed);
         }
         if let Some(elapsed) = bounding {
-            self.record_bounding(elapsed);
+            counters
+                .bound_nanos
+                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+            self.observer
+                .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
         }
     }
 }
@@ -704,10 +658,11 @@ pub fn bound_tiers(
     threshold: f64,
 ) -> BoundTiers {
     let plan = BoundPlan::compile(query, params, Ends::BOTH);
-    let bare = plan.bounds(&[viz], &mut PinWindows::default())[0];
     let mut windows = EndWindows::default();
+    let [bare, (_, anchored)] =
+        [false, true].map(|anchored| plan.bounds(&[viz], &mut windows, anchored)[0]);
+    let refined = anchored + plan.allowance();
     windows.load(viz, Ends::BOTH);
-    let refined = plan.anchored_upper(viz, &mut windows);
     BoundTiers {
         plan: bare,
         first: bare.1 + plan.allowance(),
@@ -782,6 +737,14 @@ impl Ends {
         first: true,
         last: true,
     };
+
+    /// Just `end`, or no end.
+    fn of(end: Option<End>) -> Self {
+        Self {
+            first: end == Some(End::First),
+            last: end == Some(End::Last),
+        }
+    }
 
     fn any(self) -> bool {
         self.first || self.last
@@ -923,10 +886,7 @@ impl BoundPlan {
         let any = |cs: &[BoundPlan]| cs.iter().fold(Ends::NONE, |acc, c| acc.union(c.anchors()));
         match self {
             Self::Trivial => Ends::NONE,
-            Self::Slope { anchor, .. } => Ends {
-                first: *anchor == Some(End::First),
-                last: *anchor == Some(End::Last),
-            },
+            Self::Slope { anchor, .. } => Ends::of(*anchor),
             Self::Concat(cs) | Self::And(cs) | Self::Or(cs) => any(cs),
             Self::Not(c) => c.anchors(),
         }
@@ -963,71 +923,19 @@ impl BoundPlan {
         })
     }
 
-    /// The second tier: [`Self::bounds`] for one visualization, with each
-    /// anchored leaf's upper bound taken over the `n − 1` windows its end
-    /// allows (`windows`, loaded for this visualization) instead of over
-    /// every slope between the interval extremes. Sound for the reason
-    /// `compile` gives; never looser than the first tier, since each of
-    /// those windows' slopes lies between the extremes too. The operator
-    /// arithmetic is [`Self::bounds`]' own, operand for operand, so a
-    /// plan without anchors gets the same bits from both.
-    fn anchored(&self, viz: &VizData, windows: &mut EndWindows) -> (f64, f64) {
-        let mut fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
-            let mut each = cs.iter().map(|c| c.anchored(viz, windows));
-            let first = each.next().unwrap_or((-1.0, 1.0));
-            each.fold(first, |(lo, hi), (l, h)| (pick(lo, l), pick(hi, h)))
-        };
-        match self {
-            Self::Trivial => (-1.0, 1.0),
-            Self::Slope {
-                row,
-                mode,
-                constrained,
-                anchor,
-                pins,
-                ..
-            } => {
-                let window = pins.map(|pins| windows.pinned.window(viz, pins));
-                let (lo, hi) = row.leaf_bounds(viz, *mode, *constrained, window);
-                (
-                    lo,
-                    anchor.map_or(hi, |end| row.best_over(windows.at(end), *mode)),
-                )
-            }
-            Self::Concat(cs) => {
-                let n = cs.len().max(1) as f64;
-                let (_, hi) = fold(cs, |a, b| a + b);
-                (-1.0, hi / n)
-            }
-            Self::And(cs) => fold(cs, f64::min),
-            Self::Or(cs) => fold(cs, f64::max),
-            Self::Not(c) => {
-                let (lo, hi) = c.anchored(viz, windows);
-                (-hi, -lo)
-            }
-        }
-    }
-
-    /// The second tier's upper bound, as the driver prunes by it:
-    /// [`Self::anchored`]'s plus [`ROUNDING_ALLOWANCE`] for each leaf of the
-    /// plan. Each leaf's bound is the exact best of the scores a segmenter
-    /// can give that leaf (the same slopes through the same Table 5 map),
-    /// so only the totals differ, and only by rounding. A chain of `u`
-    /// units is a mean here, `Σ w·score` in chain order in the DP — under
-    /// 2u ulps of 1.0 each way from the real sum — and in the SegmentTree
-    /// re-associated as tier 3's constant derives: at most one entry a
-    /// level per break combined, 4 ulps a bridge, 32 levels, so 128 ulps a
-    /// break and `u − 1` breaks. `128(u − 1) + 4u` is under half of `512u`,
-    /// and a chain has no more units than the plan has leaves. AND, OR and
-    /// NOT pass errors through unchanged. Without it the tree's score of a
-    /// tie sits an ulp above the bound and is pruned under `upper < τ`.
-    fn anchored_upper(&self, viz: &VizData, windows: &mut EndWindows) -> f64 {
-        self.anchored(viz, windows).1 + self.allowance()
-    }
-
     /// [`ROUNDING_ALLOWANCE`] for each leaf of the plan: what every tier's
-    /// upper bound takes before the driver prunes by it (see
-    /// [`Self::anchored_upper`] for why that covers every segmenter).
+    /// upper bound takes before the driver prunes by it. Each leaf's bound
+    /// is the exact best of the scores a segmenter can give that leaf (the
+    /// same slopes through the same Table 5 map), so only the totals
+    /// differ, and only by rounding. A chain of `u` units is a mean here,
+    /// `Σ w·score` in chain order in the DP — under 2u ulps of 1.0 each way
+    /// from the real sum — and in the SegmentTree re-associated as tier 3's
+    /// constant derives: at most one entry a level per break combined, 4
+    /// ulps a bridge, 32 levels, so 128 ulps a break and `u − 1` breaks.
+    /// `128(u − 1) + 4u` is under half of `512u`, and a chain has no more
+    /// units than the plan has leaves. AND, OR and NOT pass errors through
+    /// unchanged. Without it the tree's score of a tie sits an ulp above
+    /// the bound and is pruned under `upper < τ`.
     fn allowance(&self) -> f64 {
         self.leaves() as f64 * ROUNDING_ALLOWANCE
     }
@@ -1048,6 +956,17 @@ impl BoundPlan {
     /// [`VizData`]: the per-segment Table 7 bounds combined through the
     /// operator bounds of Property 5.1. Evaluated a plan node at a time
     /// over the whole collection, so each Table 7 row is one tight loop.
+    /// `windows` memoises pinned windows a grid at a time
+    /// ([`PinWindows`]).
+    ///
+    /// With `anchored`, this is the second tier: each anchored leaf's
+    /// upper bound is taken over the `n − 1` windows its end allows, read
+    /// into `windows` a candidate at a time, instead of over every slope
+    /// between the interval extremes. Sound for the reason `compile`
+    /// gives; never looser than the first tier, since each of those
+    /// windows' slopes lies between the extremes too. Every other node
+    /// keeps the first tier's value and arithmetic, so a plan without
+    /// anchors gets the same bits either way.
     ///
     /// Validity follows from the least-squares slope of any merged range
     /// being a convex combination of its interval slopes (the "law of the
@@ -1057,10 +976,15 @@ impl BoundPlan {
     /// over that interval are attained at the cached extremes. (Nested
     /// CONCATs are handled for free: the recursive mean equals chain
     /// expansion's weighted-average semantics.)
-    fn bounds(&self, vizzes: &[&VizData], pinned: &mut PinWindows) -> Vec<(f64, f64)> {
+    fn bounds(
+        &self,
+        vizzes: &[&VizData],
+        windows: &mut EndWindows,
+        anchored: bool,
+    ) -> Vec<(f64, f64)> {
         // Folds the children's columns into the first one.
         let mut fold = |cs: &[BoundPlan], pick: fn(f64, f64) -> f64| {
-            let mut columns = cs.iter().map(|c| c.bounds(vizzes, pinned));
+            let mut columns = cs.iter().map(|c| c.bounds(vizzes, windows, anchored));
             let mut acc = columns
                 .next()
                 .unwrap_or_else(|| vec![(-1.0, 1.0); vizzes.len()]);
@@ -1077,15 +1001,24 @@ impl BoundPlan {
                 row,
                 mode,
                 constrained,
+                anchor,
                 pins,
                 ..
-            } => vizzes
-                .iter()
-                .map(|viz| {
-                    let window = pins.map(|pins| pinned.window(viz, pins));
-                    row.leaf_bounds(viz, *mode, *constrained, window)
-                })
-                .collect(),
+            } => {
+                let anchor = anchor.filter(|_| anchored);
+                vizzes
+                    .iter()
+                    .map(|viz| {
+                        let window = pins.map(|pins| windows.pinned.window(viz, pins));
+                        let (lo, hi) = row.leaf_bounds(viz, *mode, *constrained, window);
+                        let Some(end) = anchor else {
+                            return (lo, hi);
+                        };
+                        windows.load(viz, Ends::of(Some(end)));
+                        (lo, row.best_over(windows.at(end), *mode))
+                    })
+                    .collect()
+            }
             // A chain's floor is −1 whatever its units' are: given a
             // window with fewer intervals than it has units, or pins that
             // leave no room, it is infeasible — and a segmenter free to
@@ -1101,7 +1034,7 @@ impl BoundPlan {
             Self::And(cs) => fold(cs, f64::min),
             Self::Or(cs) => fold(cs, f64::max),
             Self::Not(c) => {
-                let mut column = c.bounds(vizzes, pinned);
+                let mut column = c.bounds(vizzes, windows, anchored);
                 for (lo, hi) in &mut column {
                     (*lo, *hi) = (-*hi, -*lo);
                 }
@@ -1289,7 +1222,7 @@ const BAND_MARGIN: f64 = 1e-9;
 /// has two breaks, so at most two entries a level are combined on the way
 /// to the root's, and a tree has at most 32 levels (breaks are `u32`) —
 /// 2 · 4 · 32 = 256 ulps, plus the three roundings here. Twice that. The
-/// second tier takes it once per leaf ([`BoundPlan::anchored_upper`]).
+/// second tier takes it once per leaf ([`BoundPlan::allowance`]).
 const ROUNDING_ALLOWANCE: f64 = 512.0 * f64::EPSILON;
 
 /// The third tier gives up, before its first `atan`, when the two bands
@@ -1767,12 +1700,11 @@ pub(crate) mod tests {
                             );
                         }
                     }
-                    // The second tier's operator arithmetic is the first's:
-                    // compiled with no end to anchor, both give the same
-                    // bits.
+                    // With no end to anchor, the second tier is the first,
+                    // bit for bit.
                     let plain = BoundPlan::compile(q, &params, Ends::NONE);
                     assert_eq!(plain.anchors(), Ends::NONE);
-                    let (a, b) = plain.anchored(v, &mut EndWindows::default());
+                    let (a, b) = plain.bounds(&[v], &mut EndWindows::default(), true)[0];
                     assert_eq!((a.to_bits(), b.to_bits()), (lo.to_bits(), hi.to_bits()));
                 }
             }
@@ -2053,7 +1985,7 @@ pub(crate) mod tests {
         let chain = plan.joint().expect("three free slope units");
         let mut windows = EndWindows::default();
         windows.load(&v, Ends::BOTH);
-        let refined = plan.anchored(&v, &mut windows).1;
+        let refined = plan.bounds(&[&v], &mut windows, true)[0].1;
         let ends_kept = |windows: &EndWindows, threshold: f64| {
             let (lo, hi) = SlopeLeaf::Up.band((threshold - 1.0) * 3.0 + 1.0);
             let within = |&&s: &&f64| lo <= s && s <= hi;
@@ -2166,18 +2098,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn threshold_cell_is_a_monotone_max_register() {
-        let cell = ThresholdCell::new();
-        assert_eq!(cell.get(), f64::NEG_INFINITY);
-
-        cell.raise(0.25);
-        cell.raise(0.1); // lower: ignored
-        cell.raise(f64::NEG_INFINITY); // empty: ignored
-        cell.raise(f64::NAN); // NaN: ignored
-        assert_eq!(cell.get(), 0.25);
-    }
-
-    #[test]
     fn offered_scores_prove_the_global_kth_once_k_exist() {
         let cell = ThresholdCell::new();
         cell.offer(0.9, 3);
@@ -2194,6 +2114,13 @@ pub(crate) mod tests {
         cell.offer(f64::NAN, 3); // ignored
         cell.offer(0.2, 3); // below the floor: ignored
         assert_eq!(cell.get(), 0.5);
+        // At k = 1 each score proves itself: a monotone max register.
+        let one = ThresholdCell::new();
+        one.offer(0.25, 1);
+        one.offer(0.1, 1); // lower: ignored
+        one.offer(f64::NEG_INFINITY, 1); // empty: ignored
+        one.offer(f64::NAN, 1); // NaN: ignored
+        assert_eq!(one.get(), 0.25);
         // k = 0 never proves anything.
         let zero = ThresholdCell::new();
         zero.offer(1.0, 0);
@@ -2222,12 +2149,19 @@ pub(crate) mod tests {
     #[test]
     fn driver_prunes_only_below_threshold() {
         let params = ScoreParams::default();
+        // A fresh cell holding `threshold` (none for −∞: a top-k that has
+        // not filled).
+        let cell = |threshold: f64| {
+            let cell = ThresholdCell::new();
+            cell.offer(threshold, 1);
+            cell
+        };
         // Whether a one-candidate walk handed the candidate to the scorer
         // (the exact score it reports back is below every threshold used
         // here).
         let scored = |driver: &PruningDriver<'_>, viz: &VizData, bounds: &[f64]| {
             let mut scored = false;
-            driver.visit(&[viz], bounds, 0..1, |_| {
+            driver.walk(&[viz], bounds, 0..1, |_| {
                 scored = true;
                 -1.0
             });
@@ -2236,16 +2170,20 @@ pub(crate) mod tests {
 
         // The whole-trendline bound alone: one unit, no end to anchor.
         let q = ShapeQuery::up();
-        let cell = ThresholdCell::new();
         let counters = PruningCounters::new();
-        let driver = PruningDriver::new(&q, &params, &cell, &counters, 2, &NOOP_OBSERVER);
         let fall = viz(
             &(0..16).map(|t| (t as f64, -(t as f64))).collect::<Vec<_>>(),
             0,
         );
+        let scores_under = |cell: &ThresholdCell, bounds: &[f64]| {
+            let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
+            scored(&driver, &fall, bounds)
+        };
 
         // One pass, one bound per candidate: the plan's, and the one
         // leaf's rounding allowance.
+        let no_threshold = ThresholdCell::new();
+        let driver = PruningDriver::new(&q, &params, &no_threshold, &counters, 1, &NOOP_OBSERVER);
         let bounds = driver.upper_bounds(&[&fall]);
         let (_, bare) = plan(&q, &fall, &params);
         let ub = bare + ROUNDING_ALLOWANCE;
@@ -2253,21 +2191,17 @@ pub(crate) mod tests {
         assert_eq!(counters.snapshot().bounded, 1);
 
         // No threshold yet: nothing prunes.
-        assert!(scored(&driver, &fall, &bounds));
-        // A raised NEG_INFINITY (a top-k that hasn't filled) is a no-op,
-        // not a threshold.
-        cell.raise(f64::NEG_INFINITY);
-        assert!(scored(&driver, &fall, &bounds));
+        assert!(scores_under(&ThresholdCell::new(), &bounds));
+        // An offered NEG_INFINITY is a no-op, not a threshold.
+        assert!(scores_under(&cell(f64::NEG_INFINITY), &bounds));
 
         // A threshold equal to the bound does not prune — a tie could
         // still displace the k-th result by index order.
-        cell.raise(ub);
-        assert!(scored(&driver, &fall, &bounds));
+        assert!(scores_under(&cell(ub), &bounds));
         assert_eq!(counters.snapshot().pruned, 0);
 
         // A threshold above the fall's upper bound prunes it.
-        cell.raise(0.9);
-        assert!(!scored(&driver, &fall, &bounds));
+        assert!(!scores_under(&cell(0.9), &bounds));
         let snap = counters.snapshot();
         assert_eq!((snap.bounded, snap.pruned, snap.scored), (1, 1, 3));
         // With no end to anchor, nobody was bounded twice.
@@ -2293,32 +2227,26 @@ pub(crate) mod tests {
         assert!(tight < whole - 0.1, "anchored {tight}, whole {whole}");
         let between = (tight + whole) / 2.0;
         let counters = PruningCounters::new();
-        let visit = |cell: &ThresholdCell| {
+        let scores_under = |cell: &ThresholdCell| {
             let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
             scored(&driver, &zigzag, &[whole])
         };
         let refined = || counters.snapshot().refined;
 
         // While the cell reads −∞ nothing is bounded twice.
-        assert!(visit(&ThresholdCell::new()));
+        assert!(scores_under(&ThresholdCell::new()));
         assert_eq!(refined(), 0);
 
         // Nor is a candidate the whole-trendline bound prunes on its own.
-        let cell = ThresholdCell::new();
-        cell.raise(whole + 0.01);
-        assert!(!visit(&cell));
+        assert!(!scores_under(&cell(whole + 0.01)));
         assert_eq!(refined(), 0);
 
         // A threshold equal to the second bound is a tie, not a prune.
-        let cell = ThresholdCell::new();
-        cell.raise(tight);
-        assert!(visit(&cell));
+        assert!(scores_under(&cell(tight)));
         assert_eq!(refined(), 1);
 
         // Between the two bounds only the second prunes.
-        let cell = ThresholdCell::new();
-        cell.raise(between);
-        assert!(!visit(&cell));
+        assert!(!scores_under(&cell(between)));
         assert_eq!(refined(), 2);
 
         let snap = counters.snapshot();
@@ -2340,30 +2268,24 @@ pub(crate) mod tests {
         assert!(exact < tight - 0.01, "score {exact}, anchored {tight}");
         let between = (exact + tight) / 2.0;
         let counters = PruningCounters::new();
-        let visit = |cell: &ThresholdCell| {
+        let scores_under = |cell: &ThresholdCell| {
             let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
             scored(&driver, &wander, &[whole])
         };
         let joined = || counters.snapshot().joined;
 
         // Not taken for a candidate the second tier prunes on its own.
-        let cell = ThresholdCell::new();
-        cell.raise(tight + 0.01);
-        assert!(!visit(&cell));
+        assert!(!scores_under(&cell(tight + 0.01)));
         assert_eq!((counters.snapshot().refined, joined()), (1, 0));
 
         // A threshold equal to the exact score is a tie, not a prune.
-        let cell = ThresholdCell::new();
-        cell.raise(exact);
-        assert!(visit(&cell));
+        assert!(scores_under(&cell(exact)));
         assert_eq!(joined(), 1);
 
         // Above it (by more than the rounding allowance) and below the
         // second-tier bound only the third prunes.
         for threshold in [exact + 1e-9, between] {
-            let cell = ThresholdCell::new();
-            cell.raise(threshold);
-            assert!(!visit(&cell));
+            assert!(!scores_under(&cell(threshold)));
         }
         assert_eq!(joined(), 3);
 

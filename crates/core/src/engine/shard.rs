@@ -661,12 +661,11 @@ mod tests {
             // trendline of the shard (nothing is pinned, GROUP rejects
             // none); each bounded candidate is then pruned or scored.
             // Only `peak` has ends to anchor. Per shard it reports bound
-            // time at most three times more: its seeds' walk if that took
-            // a second-tier bound, its sweep's refine pass if a threshold
-            // was live by then, and the walk after it if that took a
-            // third-tier one. Nobody reports who bounded no one again.
+            // time at most twice more, once a walk (its seeds', then
+            // everyone else's) that took a second-tier bound. Nobody
+            // reports who bounded no one again.
             let tier_samples = samples(EngineStage::PruneBound) - (shards * valid) as u64;
-            assert!(tier_samples <= 3 * shards as u64, "{tier_samples}");
+            assert!(tier_samples <= 2 * shards as u64, "{tier_samples}");
             assert_eq!(tier_samples > 0, snap.refined > 0, "{snap:?}");
             assert!(
                 snap.joined <= snap.refined && snap.refined <= snap.bounded,

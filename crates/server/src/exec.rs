@@ -107,12 +107,16 @@ impl StageObserver for StageTap<'_> {
     }
 }
 
+/// One query's answer from one shard or from the merge: its top k, or a
+/// structured error.
+type QueryOutcome = Result<Vec<TopKResult>, ServerError>;
+
 /// One shard's contribution to a query group: per-query outcomes (the
 /// shard's exact top-k partial or a structured error) and the shard's
 /// microseconds (engine-side for local shards, RPC round-trip for remote
 /// ones).
 struct ShardRun {
-    outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
+    outcomes: Vec<QueryOutcome>,
     micros: u64,
     /// Engine-stage totals of a local task in [`ENGINE_STAGES`] order
     /// (zero for remote shards — their engine time shows in their own
@@ -275,30 +279,49 @@ impl Slot {
     }
 }
 
-/// Merges per-shard runs into per-query outcomes under the engine's one
-/// ordering contract ([`merge_topk_refs`]: score descending, ties to
-/// the lower global `viz_index`). The first failing shard's error (in
-/// partition order) stands for the query — a partial top-k missing a
-/// shard's candidates must never be passed off as the global answer.
-/// Borrows the runs (cloning only each query's k winners) because the
-/// degraded fallback reads them again.
-fn merge_shard_runs(runs: &[ShardRun], ks: &[usize]) -> Vec<Result<Vec<TopKResult>, ServerError>> {
+/// Merges per-shard runs into each query's outcome under the engine's one
+/// ordering contract ([`merge_topk_refs`]: score descending, ties to the
+/// lower global `viz_index`), in one pass over the runs a query. The first
+/// failing shard's error (in partition order) stands for the query — a
+/// partial top-k missing a shard's candidates must never be passed off as
+/// the global answer. Beside a failed outcome goes its degraded fallback:
+/// the merge of whatever shards *did* answer, offered upward so a
+/// `"partial": true` caller can trade completeness for availability —
+/// only when every failing shard failed with `shard_unavailable`. A real
+/// engine error on any shard poisons the whole query: masking it as
+/// "degraded" would hide a bug.
+fn merge_shard_runs(runs: &[ShardRun], ks: &[usize]) -> Vec<(QueryOutcome, Option<DegradedQuery>)> {
     ks.iter()
         .enumerate()
         .map(|(qi, &k)| {
             let mut partials: Vec<&[TopKResult]> = Vec::with_capacity(runs.len());
             let mut first_err = None;
-            for run in runs {
+            let mut maskable = true;
+            let (mut missing, mut errors) = (Vec::new(), Vec::new());
+            for (slot, run) in runs.iter().enumerate() {
                 match &run.outcomes[qi] {
                     Ok(results) => partials.push(results),
                     Err(e) => {
-                        first_err.get_or_insert_with(|| e.clone());
+                        first_err.get_or_insert(e);
+                        if e.code == Some("shard_unavailable") {
+                            missing.push(slot);
+                            errors.push((slot, e.message.clone()));
+                        } else {
+                            maskable = false;
+                        }
                     }
                 }
             }
+            let results = merge_topk_refs(partials, k);
             match first_err {
-                Some(e) => Err(e),
-                None => Ok(merge_topk_refs(partials, k)),
+                None => (Ok(results), None),
+                Some(e) => (
+                    Err(e.clone()),
+                    maskable.then_some(DegradedQuery {
+                        results,
+                        info: DegradedInfo { missing, errors },
+                    }),
+                ),
             }
         })
         .collect()
@@ -308,7 +331,7 @@ fn merge_shard_runs(runs: &[ShardRun], ks: &[usize]) -> Vec<Result<Vec<TopKResul
 /// the per-shard timings (placement order) and the computation's pruning
 /// counter snapshot.
 pub(crate) struct ShardExec {
-    pub outcomes: Vec<Result<Vec<TopKResult>, ServerError>>,
+    pub outcomes: Vec<QueryOutcome>,
     pub shard_micros: Vec<u64>,
     pub pruning: PruningSnapshot,
     /// The fan-out's span forest, one span per shard slot (stitching in
@@ -411,7 +434,7 @@ pub(crate) fn execute_on_shards(
     };
 
     let merge_started = Instant::now();
-    let outcomes = merge_shard_runs(&runs, &ks);
+    let (outcomes, degraded) = merge_shard_runs(&runs, &ks).into_iter().unzip();
     let merge_micros = merge_started.elapsed().as_micros() as u64;
     state.stats.stage(obs::Stage::Merge, merge_micros);
 
@@ -439,38 +462,6 @@ pub(crate) fn execute_on_shards(
     } else {
         Vec::new()
     };
-
-    // Degraded fallbacks, computed only for queries that failed: the
-    // merge of whatever shards *did* answer, offered upward so a
-    // `"partial": true` caller can trade completeness for availability.
-    let degraded: Vec<Option<DegradedQuery>> = outcomes
-        .iter()
-        .enumerate()
-        .map(|(qi, outcome)| {
-            if outcome.is_ok() {
-                return None;
-            }
-            let mut partials: Vec<&[TopKResult]> = Vec::new();
-            let mut missing = Vec::new();
-            let mut errors = Vec::new();
-            for (slot, run) in runs.iter().enumerate() {
-                match &run.outcomes[qi] {
-                    Ok(results) => partials.push(results),
-                    Err(e) if e.code == Some("shard_unavailable") => {
-                        missing.push(slot);
-                        errors.push((slot, e.message.clone()));
-                    }
-                    // A real engine error on any shard poisons the whole
-                    // query — masking it as "degraded" would hide a bug.
-                    Err(_) => return None,
-                }
-            }
-            Some(DegradedQuery {
-                results: merge_topk_refs(partials, ks[qi]),
-                info: DegradedInfo { missing, errors },
-            })
-        })
-        .collect();
 
     ShardExec {
         outcomes,
