@@ -430,12 +430,12 @@ impl<'a> PruningDriver<'a> {
 
     /// §6.3 over `vizzes`, each candidate handed to `score` (by position)
     /// at most once, its exact score pooled into the shared threshold:
-    /// one bound pass, then a [`walk`](Self::walk) of stage 1 — the `k`
-    /// highest bounds, best first, so the threshold is sharp before the
-    /// bulk meets it — and one of stage 2, everyone else. The threshold
-    /// prunes only *strictly* below itself and only once some executor
-    /// holds k exact scores, so with a total top-k order the survivors'
-    /// top k is a prune-free pass's in any visiting order.
+    /// one bound pass, then a walk of stage 1 — the `k` highest bounds,
+    /// best first, so the threshold is sharp before the bulk meets it —
+    /// and one of stage 2, everyone else. The threshold prunes only
+    /// *strictly* below itself and only once some executor holds k exact
+    /// scores, so with a total top-k order the survivors' top k is a
+    /// prune-free pass's in any visiting order.
     pub fn run(&self, vizzes: &[&VizData], mut score: impl FnMut(usize) -> f64) {
         let bounds = self.upper_bounds(vizzes);
         let seeds = self.seeds(&bounds);
