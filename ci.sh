@@ -719,6 +719,18 @@ cmp "$SNAP_REPLY" "$CSV_REPLY" || {
 grep -q '"key":' "$SNAP_REPLY" || {
     echo "snapshot smoke: reply carried no results"; cat "$SNAP_REPLY"; exit 1;
 }
+# GROUP stores each canvas-x row once, and so does the snapshot, whose
+# partitions share one run table: both servers must hold the same
+# resident GROUP bytes for `sales` (one x grid), at both bin widths the
+# batch warmed. A loader that expanded x per viz again, or a builder
+# that stopped sharing x runs, makes them differ. Each server lists
+# `sales` alone, so its one grouped_bytes field is that dataset's.
+SNAP_GROUPED=$(curl -s "http://127.0.0.1:$SNAP_PORT/datasets" | grep -o '"grouped_bytes":[0-9]*')
+CSV_GROUPED=$(curl -s "http://127.0.0.1:$CSV_PORT/datasets" | grep -o '"grouped_bytes":[0-9]*')
+[ -n "$SNAP_GROUPED" ] && [ "$SNAP_GROUPED" = "$CSV_GROUPED" ] || {
+    echo "snapshot smoke: snapshot $SNAP_GROUPED but csv $CSV_GROUPED"
+    exit 1
+}
 # Re-registering the same snapshot under the same id cuts it afresh and
 # retires the old generation from the query cache: the same batch
 # recomputes ("cached":false, as in the cold CSV reply), still
@@ -761,7 +773,7 @@ grep -q '"code":"snapshot_invalid"' "$TORN_REPLY" || {
     echo "snapshot smoke: refusal is not a structured snapshot_invalid"
     cat "$TORN_REPLY"; exit 1;
 }
-echo "smoke: snapshot OK (cold load == eager CSV byte for byte, also after re-registration; torn file refused)"
+echo "smoke: snapshot OK (cold load == eager CSV byte for byte and in grouped_bytes, also after re-registration; torn file refused)"
 
 TREE_AFTER=$(git status --porcelain)
 [ "$TREE_BEFORE" = "$TREE_AFTER" ] || {

@@ -48,11 +48,10 @@
 //! z-normalization for slope-based scoring while keeping raw coordinate
 //! mappings available for y-location constraints.
 
-use crate::columnar::{ArenaBuilder, ColumnarArena, PointTable};
+use crate::columnar::{ArenaBuilder, BitRow, ColumnarArena, PointTable};
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A candidate visualization prepared for segmentation and scoring: an
@@ -169,7 +168,7 @@ pub(crate) fn handle(
 /// with the first row of its id.
 pub(crate) struct Grids<'p> {
     points: &'p PointTable,
-    ids: HashMap<XRow<'p>, u32>,
+    ids: HashMap<BitRow<'p>, u32>,
 }
 
 impl<'p> Grids<'p> {
@@ -186,33 +185,10 @@ impl<'p> Grids<'p> {
         let next = self.ids.len() as u32;
         *self
             .ids
-            .entry(XRow(self.points.row(source).0))
+            .entry(BitRow(self.points.row(source).0))
             .or_insert(next)
     }
 }
-
-/// A raw x row, hashed and compared by its bits (`-0.0` is not `0.0`,
-/// a NaN equals itself) — the equality under which two rows map every
-/// raw x to the same canvas point.
-struct XRow<'p>(&'p [f64]);
-
-impl Hash for XRow<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.0.len());
-        for x in self.0 {
-            state.write_u64(x.to_bits());
-        }
-    }
-}
-
-impl PartialEq for XRow<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.0, other.0);
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-}
-
-impl Eq for XRow<'_> {}
 
 /// A value a query derives from a candidate's x grid alone — push-down
 /// (a)'s verdict on its pinned ranges, a pinned unit's canvas window —
@@ -624,6 +600,7 @@ mod tests {
             let c = columns.iter().flatten().next().unwrap();
             let (f, c) = (f.arena().raw(), c.arena().raw());
             assert_eq!(f.point_starts, c.point_starts);
+            assert_eq!((f.runs, f.run_starts), (c.runs, c.run_starts));
             for (f, c) in [
                 (f.xs, c.xs),
                 (f.ys, c.ys),

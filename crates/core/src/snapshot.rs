@@ -12,41 +12,54 @@
 //! keys, offsets and handles and copying no point — never a re-EXTRACT
 //! or re-GROUP — and the kernel pages the mapping.
 //!
-//! ## File layout (version 1)
+//! ## File layout (version 2)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic "SHAPSNAP"
-//!      8     4  format version (u32, = 1)
+//!      8     4  format version (u32, = 2)
 //!     12     4  flags (u32, = 0)
 //!     16     8  bin width the arena was GROUPed at
 //!     24     8  trendline count T
 //!     32     8  viz count V (GROUP-accepted trendlines)
 //!     40     8  canvas point count P
 //!     48     8  raw point count R
-//!     56     8  total file length (truncation check)
-//!     64     8  FNV-1a checksum of every byte after the header
-//!     72   240  column table: 15 × (offset u64, byte length u64)
-//!    312     8  FNV-1a checksum of header bytes [0, 312)
-//!    320     …  columns, each 8-byte aligned, in table order
+//!     56     8  x-run count U (distinct canvas-x rows)
+//!     64     8  x-run point count X
+//!     72     8  total file length (truncation check)
+//!     80     8  FNV-1a checksum of every byte after the header
+//!     88   272  column table: 17 × (offset u64, byte length u64)
+//!    360     8  FNV-1a checksum of header bytes [0, 360)
+//!    368     …  columns, each 8-byte aligned, in table order
 //! ```
 //!
 //! Columns, in order: key bytes (concatenated UTF-8 keys), key starts
 //! `u64[T+1]`, raw xs `f64[R]`, raw ys `f64[R]`, raw starts `u64[T+1]`,
 //! viz slots `u64[T]` (slot+1, 0 where GROUP rejected), point starts
-//! `u64[V+1]`, then the arena's six `f64` columns (xs, ys, and the four
-//! prefix-sum columns of length `P+V`), then slope min/max `f64[V]`.
-//! All integers and floats are little-endian; `f64` bit patterns round-
-//! trip exactly (NaN payloads included), which is what keeps
-//! snapshot-backed serving byte-identical to the eager path.
+//! `u64[V+1]`, viz runs `u64[V]` (each viz's x run), run starts
+//! `u64[U+1]`, then the arena's x-run columns (xs `f64[X]`, and the
+//! `sum_x`/`sum_xx` prefix sums `f64[X+U]`), its per-viz columns (ys
+//! `f64[P]`, and the `sum_y`/`sum_xy` prefix sums `f64[P+V]`), then
+//! slope min/max `f64[V]`. All integers and floats are little-endian;
+//! `f64` bit patterns round-trip exactly (NaN payloads included), which
+//! is what keeps snapshot-backed serving byte-identical to the eager
+//! path.
+//!
+//! Version 1 stored xs, `sum_x` and `sum_xx` once per viz (`f64[P]` and
+//! `f64[P+V]`) and had no run columns. On trendlines that share one x
+//! grid, the arena columns take ≈ 3 `f64` a canvas point where version
+//! 1 took 6, so with the raw points a bin-width-1 file is ≈ 5 `f64` a
+//! point instead of ≈ 8. This build reads version 2 only: a version-1
+//! file is a [`SnapshotError::Version`], and `shapesearch snapshot`
+//! rebuilds it from the source data.
 //!
 //! [`Snapshot::open`] verifies the magic, version, both checksums, the
 //! recorded file length, and every structural invariant (monotone
-//! offset columns, sequential slots, ≥ 2 points per viz) before any
-//! caller can touch the data: a torn or corrupted snapshot is a
-//! structured [`SnapshotError`], never a panic or garbage results. The
-//! payload checksum pass reads the whole file once, which doubles as
-//! page pre-faulting.
+//! offset columns, sequential slots, ≥ 2 points per viz, every viz run
+//! in range and as long as its viz) before any caller can touch the
+//! data: a torn or corrupted snapshot is a structured [`SnapshotError`],
+//! never a panic or garbage results. The payload checksum pass reads
+//! the whole file once, which doubles as page pre-faulting.
 
 use crate::columnar::{ArenaBuilder, Column, ColumnarArena, PointTable};
 use crate::engine::{group, ShapeEngine};
@@ -58,12 +71,14 @@ use std::sync::Arc;
 
 /// Magic bytes identifying a ShapeSearch snapshot file.
 pub const MAGIC: [u8; 8] = *b"SHAPSNAP";
-/// The current (and only) snapshot format version.
-pub const FORMAT_VERSION: u32 = 1;
-/// Byte length of the fixed v1 header.
-const HEADER_LEN: usize = 320;
-/// Number of columns in the v1 column table.
-const COLUMNS: usize = 15;
+/// The snapshot format version this build writes and reads.
+pub const FORMAT_VERSION: u32 = 2;
+/// Byte offset of the column table in the header.
+const TABLE_AT: usize = 88;
+/// Number of columns in the column table.
+const COLUMNS: usize = 17;
+/// Byte length of the fixed header: the table, then its checksum.
+const HEADER_LEN: usize = TABLE_AT + COLUMNS * 16 + 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -75,7 +90,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Column indices into the v1 column table, in serialization order.
+/// Column indices into the column table, in serialization order.
 #[derive(Clone, Copy)]
 enum Col {
     KeyBytes = 0,
@@ -85,12 +100,14 @@ enum Col {
     RawStarts,
     VizSlots,
     PointStarts,
+    VizRuns,
+    RunStarts,
     Xs,
-    Ys,
     SumX,
+    SumXx,
+    Ys,
     SumY,
     SumXy,
-    SumXx,
     SlopeMin,
     SlopeMax,
 }
@@ -213,11 +230,24 @@ fn put_u64s(
     Ok(())
 }
 
-/// Computes the deterministic v1 column table for the given counts.
+/// A snapshot's counts: trendlines T, vizzes V, canvas points P, raw
+/// points R, x runs U and x-run points X (see the layout table).
+#[derive(Clone, Copy)]
+struct Counts {
+    t: usize,
+    v: usize,
+    p: usize,
+    r: usize,
+    u: usize,
+    x: usize,
+}
+
+/// Computes the deterministic column table for the given counts.
 /// `key_bytes` is the only column whose length is not a multiple of 8;
 /// every column is padded to an 8-byte boundary so mapped `f64`/`u64`
 /// views stay aligned.
-fn layout(key_bytes: usize, t: usize, v: usize, p: usize, r: usize) -> ([Span; COLUMNS], usize) {
+fn layout(key_bytes: usize, c: Counts) -> ([Span; COLUMNS], usize) {
+    let Counts { t, v, p, r, u, x } = c;
     let lens: [usize; COLUMNS] = [
         key_bytes,
         (t + 1) * 8,
@@ -226,10 +256,12 @@ fn layout(key_bytes: usize, t: usize, v: usize, p: usize, r: usize) -> ([Span; C
         (t + 1) * 8,
         t * 8,
         (v + 1) * 8,
+        v * 8,
+        (u + 1) * 8,
+        x * 8,
+        (x + u) * 8,
+        (x + u) * 8,
         p * 8,
-        p * 8,
-        (p + v) * 8,
-        (p + v) * 8,
         (p + v) * 8,
         (p + v) * 8,
         v * 8,
@@ -244,7 +276,7 @@ fn layout(key_bytes: usize, t: usize, v: usize, p: usize, r: usize) -> ([Span; C
     (spans, offset)
 }
 
-/// Writes a version-1 snapshot of `trendlines` GROUPed at `bin_width`.
+/// Writes a version-2 snapshot of `trendlines` GROUPed at `bin_width`.
 ///
 /// What is serialized is what an engine over `trendlines` holds: its
 /// raw point columns and the arena its GROUP builds, so a loaded
@@ -269,13 +301,17 @@ pub fn write(
         }
     };
 
-    let t = trendlines.len();
-    let v = raw.point_starts.len() - 1;
-    let p = raw.xs.len();
     let (raw_xs, raw_ys, raw_starts) = points.columns();
-    let r = raw_xs.len();
+    let counts = Counts {
+        t: trendlines.len(),
+        v: raw.point_starts.len() - 1,
+        p: raw.ys.len(),
+        r: raw_xs.len(),
+        u: raw.run_starts.len() - 1,
+        x: raw.xs.len(),
+    };
     let key_bytes: usize = trendlines.iter().map(|t| t.key.len()).sum();
-    let (spans, file_len) = layout(key_bytes, t, v, p, r);
+    let (spans, file_len) = layout(key_bytes, counts);
 
     let file = File::create(path).map_err(|e| io_err(path, e))?;
     let mut out = BufWriter::new(file);
@@ -313,37 +349,32 @@ pub fn write(
         path,
     )?;
     // The arena columns.
-    put_u64s(
-        &mut out,
-        h,
-        raw.point_starts.iter().map(|&s| s as u64),
-        path,
-    )?;
-    put_f64s(&mut out, h, raw.xs, path)?;
-    put_f64s(&mut out, h, raw.ys, path)?;
-    put_f64s(&mut out, h, raw.sum_x, path)?;
-    put_f64s(&mut out, h, raw.sum_y, path)?;
-    put_f64s(&mut out, h, raw.sum_xy, path)?;
-    put_f64s(&mut out, h, raw.sum_xx, path)?;
-    put_f64s(&mut out, h, raw.slope_min, path)?;
-    put_f64s(&mut out, h, raw.slope_max, path)?;
+    for offsets in [raw.point_starts, raw.runs, raw.run_starts] {
+        put_u64s(&mut out, h, offsets.iter().map(|&s| s as u64), path)?;
+    }
+    for col in [
+        raw.xs,
+        raw.sum_x,
+        raw.sum_xx,
+        raw.ys,
+        raw.sum_y,
+        raw.sum_xy,
+        raw.slope_min,
+        raw.slope_max,
+    ] {
+        put_f64s(&mut out, h, col, path)?;
+    }
 
     // Assemble and install the real header.
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&0u32.to_le_bytes()); // flags
-    for field in [
-        bin_width as u64,
-        t as u64,
-        v as u64,
-        p as u64,
-        r as u64,
-        file_len as u64,
-        hash,
-    ] {
-        header.extend_from_slice(&field.to_le_bytes());
+    let Counts { t, v, p, r, u, x } = counts;
+    for field in [bin_width, t, v, p, r, u, x, file_len] {
+        header.extend_from_slice(&(field as u64).to_le_bytes());
     }
+    header.extend_from_slice(&hash.to_le_bytes());
     for span in &spans {
         header.extend_from_slice(&(span.offset as u64).to_le_bytes());
         header.extend_from_slice(&(span.bytes as u64).to_le_bytes());
@@ -380,6 +411,9 @@ pub struct Snapshot {
     /// Per trendline: `Some(slot)` where GROUP accepted it.
     viz_slots: Vec<Option<usize>>,
     point_starts: Vec<usize>,
+    /// Per viz: the index of its x run.
+    viz_runs: Vec<usize>,
+    run_starts: Vec<usize>,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -461,7 +495,9 @@ impl Snapshot {
         let v = le_usize(bytes, 32, path, "viz count")?;
         let p = le_usize(bytes, 40, path, "canvas point count")?;
         let r = le_usize(bytes, 48, path, "raw point count")?;
-        let file_len = le_usize(bytes, 56, path, "file length")?;
+        let u = le_usize(bytes, 56, path, "x-run count")?;
+        let x = le_usize(bytes, 64, path, "x-run point count")?;
+        let file_len = le_usize(bytes, 72, path, "file length")?;
         if file_len != bytes.len() {
             return Err(corrupt(
                 path,
@@ -472,10 +508,10 @@ impl Snapshot {
             ));
         }
 
-        // The column table must match the deterministic v1 layout for
+        // The column table must match the deterministic layout for
         // these counts; key byte length comes from the table itself.
-        let key_bytes = le_usize(bytes, 72 + 8, path, "key column length")?;
-        let (spans, expected_len) = layout(key_bytes, t, v, p, r);
+        let key_bytes = le_usize(bytes, TABLE_AT + 8, path, "key column length")?;
+        let (spans, expected_len) = layout(key_bytes, Counts { t, v, p, r, u, x });
         if expected_len != file_len {
             return Err(corrupt(
                 path,
@@ -483,13 +519,13 @@ impl Snapshot {
             ));
         }
         for (i, span) in spans.iter().enumerate() {
-            let offset = le_usize(bytes, 72 + i * 16, path, "column offset")?;
-            let len = le_usize(bytes, 72 + i * 16 + 8, path, "column length")?;
+            let offset = le_usize(bytes, TABLE_AT + i * 16, path, "column offset")?;
+            let len = le_usize(bytes, TABLE_AT + i * 16 + 8, path, "column length")?;
             if offset != span.offset || len != span.bytes {
                 return Err(corrupt(
                     path,
                     format!(
-                        "column {i} at {offset}+{len} disagrees with the v1 layout \
+                        "column {i} at {offset}+{len} disagrees with the layout \
                          ({}+{})",
                         span.offset, span.bytes
                     ),
@@ -501,7 +537,7 @@ impl Snapshot {
         // the header (which also pre-faults the mapping's pages).
         let mut payload_hash = FNV_OFFSET;
         fnv1a(&mut payload_hash, &bytes[HEADER_LEN..]);
-        if payload_hash != le_u64(bytes, 64) {
+        if payload_hash != le_u64(bytes, 80) {
             return Err(corrupt(path, "payload checksum mismatch"));
         }
 
@@ -535,6 +571,25 @@ impl Snapshot {
         let point_starts = starts(spans[Col::PointStarts as usize], p, "point starts")?;
         if point_starts.windows(2).any(|w| w[1] - w[0] < 2) {
             return Err(corrupt(path, "a viz has fewer than 2 canvas points"));
+        }
+        // Every viz reads its x side from the run it names, so the run
+        // must exist and be exactly as long as the viz.
+        let run_starts = starts(spans[Col::RunStarts as usize], x, "run starts")?;
+        let mut viz_runs = Vec::with_capacity(v);
+        for (slot, &run) in read_u64s(spans[Col::VizRuns as usize]).iter().enumerate() {
+            let run = usize::try_from(run)
+                .ok()
+                .filter(|&run| run < u)
+                .ok_or_else(|| corrupt(path, format!("viz {slot} names x run {run} of {u}")))?;
+            let run_len = run_starts[run + 1] - run_starts[run];
+            let viz_len = point_starts[slot + 1] - point_starts[slot];
+            if run_len != viz_len {
+                return Err(corrupt(
+                    path,
+                    format!("viz {slot} has {viz_len} points but its x run {run} has {run_len}"),
+                ));
+            }
+            viz_runs.push(run);
         }
 
         // Slots must be exactly 0..V in source order (that is how the
@@ -582,6 +637,8 @@ impl Snapshot {
             raw_starts,
             viz_slots,
             point_starts,
+            viz_runs,
+            run_starts,
         })
     }
 
@@ -639,9 +696,10 @@ impl Snapshot {
     /// collection-global indices from `start`: raw points, arena columns
     /// and the GROUP run at the snapshot's bin width are all zero-copy
     /// views of the mapping (decoded copies on a big-endian target), so
-    /// a cut allocates the keys, two offset vectors and one handle per
-    /// trendline and copies no point. Another bin width GROUPs from the
-    /// mapped raw columns like any engine.
+    /// a cut allocates the keys, four offset vectors and one handle per
+    /// trendline and copies no point. Every partition shares the whole
+    /// x-run table, so its vizzes keep their run indices. Another bin
+    /// width GROUPs from the mapped raw columns like any engine.
     ///
     /// `[start, end)` must be one of the deterministic partitions from
     /// [`Self::partition_bounds`] (or the whole collection): the
@@ -677,17 +735,21 @@ impl Snapshot {
         let sb = sa + slots.iter().flatten().count();
         let p_lo = self.point_starts[sa];
         let p_hi = self.point_starts[sb];
-        // Prefix columns carry one extra leading zero per viz, so the
-        // sub-run shifts by the slot index on each side.
+        // The y prefix columns carry one extra leading zero per viz, so
+        // the sub-run shifts by the slot index on each side.
         let (q_lo, q_hi) = (p_lo + sa, p_hi + sb);
+        let runs = self.run_starts.len() - 1;
+        let x = self.run_starts[runs];
         let arena = Arc::new(ColumnarArena::from_columns(
-            self.f64_col(Col::Xs, p_lo, p_hi),
+            rebased(&self.point_starts[sa..=sb]),
+            self.viz_runs[sa..sb].to_vec(),
+            self.run_starts.clone(),
+            self.f64_col(Col::Xs, 0, x),
+            self.f64_col(Col::SumX, 0, x + runs),
+            self.f64_col(Col::SumXx, 0, x + runs),
             self.f64_col(Col::Ys, p_lo, p_hi),
-            self.f64_col(Col::SumX, q_lo, q_hi),
             self.f64_col(Col::SumY, q_lo, q_hi),
             self.f64_col(Col::SumXy, q_lo, q_hi),
-            self.f64_col(Col::SumXx, q_lo, q_hi),
-            rebased(&self.point_starts[sa..=sb]),
             self.f64_col(Col::SlopeMin, sa, sb),
             self.f64_col(Col::SlopeMax, sa, sb),
         ));
@@ -714,19 +776,23 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::engine::group::group_collection;
+    use crate::VizData;
 
+    /// Nine series on two x rows, alternating, so every partition
+    /// boundary falls inside both rows' trendlines: even ones on evenly
+    /// spaced x, odd ones on squares. Two are rejected by GROUP.
     fn demo_trendlines() -> Vec<Trendline> {
         let mut out = Vec::new();
-        for t in 0..7usize {
+        for t in 0..9usize {
             let n = match t {
                 2 => 1, // too short: GROUP rejects it
                 5 => 0, // empty: GROUP rejects it
-                _ => 8 + t * 3,
+                _ => 12,
             };
             let pairs: Vec<(f64, f64)> = (0..n)
                 .map(|i| {
-                    let x = i as f64;
-                    (x, (x * 0.7 + t as f64).sin() * (t + 1) as f64)
+                    let x = if t % 2 == 0 { i } else { i * i } as f64;
+                    (x, (i as f64 * 0.7 + t as f64).sin() * (t + 1) as f64)
                 })
                 .collect();
             out.push(Trendline::from_pairs(format!("series-{t}"), &pairs));
@@ -759,12 +825,15 @@ mod tests {
         let path = temp_path("roundtrip.snap");
         let stats = write(&path, &trendlines, 4).unwrap();
         assert_eq!(stats.trendlines, trendlines.len());
-        assert_eq!(stats.vizzes, 5);
+        assert_eq!(stats.vizzes, 7);
 
         let snap = Snapshot::open(&path).unwrap();
         assert_eq!(snap.bin_width(), 4);
         assert_eq!(snap.trendline_count(), trendlines.len());
-        assert_eq!(snap.viz_count(), 5);
+        assert_eq!(snap.viz_count(), 7);
+        // One x run per row: both rows' canvas xs are stored once.
+        assert_eq!(snap.run_starts, [0, 3, 6]);
+        assert_eq!(snap.viz_runs, [0, 1, 1, 0, 0, 1, 0]);
         assert_eq!(
             snap.raw_point_counts(),
             trendlines
@@ -793,13 +862,14 @@ mod tests {
                     let (la, ea) = (l.arena(), e.arena());
                     let (lr, er) = (la.raw(), ea.raw());
                     assert_eq!(lr.point_starts, er.point_starts);
+                    assert_eq!((lr.runs, lr.run_starts), (er.runs, er.run_starts));
                     for (l_col, e_col) in [
                         (lr.xs, er.xs),
-                        (lr.ys, er.ys),
                         (lr.sum_x, er.sum_x),
+                        (lr.sum_xx, er.sum_xx),
+                        (lr.ys, er.ys),
                         (lr.sum_y, er.sum_y),
                         (lr.sum_xy, er.sum_xy),
-                        (lr.sum_xx, er.sum_xx),
                         (lr.slope_min, er.slope_min),
                         (lr.slope_max, er.slope_max),
                         // Derived on open, in no file format.
@@ -827,6 +897,7 @@ mod tests {
             let bounds = snap.partition_bounds(shards);
             let counts: Vec<usize> = trendlines.iter().map(|t| t.points.len()).collect();
             assert_eq!(bounds, crate::partition_bounds_by_points(&counts, shards));
+            let eager_vizzes = group_collection(&trendlines, 3);
             let mut keys = Vec::new();
             for &(start, end) in &bounds {
                 let engine = snap.partition(start, end);
@@ -834,6 +905,17 @@ mod tests {
                 assert_rows_eq(&engine, &trendlines[start..end]);
                 for viz in engine.grouped(3).iter().flatten() {
                     keys.push(engine.key(viz.source).to_owned());
+                    // The viz reads its x side from the shared run table.
+                    let eager = eager_vizzes[start + viz.source].as_ref().unwrap();
+                    let bits = |v: &VizData| {
+                        let (n, xs) = (v.n(), v.xs());
+                        let slopes = (1..n).map(|j| v.slope(0, j).to_bits());
+                        xs.iter()
+                            .map(|x| x.to_bits())
+                            .chain(slopes)
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(viz), bits(eager), "shards={shards} viz {}", viz.source);
                 }
             }
             let eager: Vec<String> = group_collection(&trendlines, 3)
@@ -864,6 +946,7 @@ mod tests {
                 "{what}: {run:?} is outside the mapping {mapping:?}"
             );
         };
+        let mut shared_runs = None;
         for (start, end) in snap.partition_bounds(3) {
             let engine = snap.partition(start, end);
             for i in 0..engine.len() {
@@ -877,17 +960,24 @@ mod tests {
             let arena = viz.arena().raw();
             assert!(!arena.xs.is_empty());
             for (what, col) in [
-                ("xs", arena.xs),
+                ("run xs", arena.xs),
+                ("run sum_x", arena.sum_x),
+                ("run sum_xx", arena.sum_xx),
                 ("ys", arena.ys),
-                ("sum_x", arena.sum_x),
                 ("sum_y", arena.sum_y),
                 ("sum_xy", arena.sum_xy),
-                ("sum_xx", arena.sum_xx),
                 ("slope_min", arena.slope_min),
                 ("slope_max", arena.slope_max),
             ] {
                 mapped(what, col);
             }
+            // Every partition maps the one run table, not a copy of it.
+            let runs = (
+                arena.xs.as_ptr(),
+                arena.sum_x.as_ptr(),
+                arena.sum_xx.as_ptr(),
+            );
+            assert_eq!(*shared_runs.get_or_insert(runs), runs);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -950,20 +1040,24 @@ mod tests {
         expect_corrupt(&path, bytes);
     }
 
+    /// A version-1 file (per-viz x columns) and an unknown version are
+    /// both refused by their version alone.
     #[test]
     fn unknown_version_is_rejected() {
-        let (path, mut bytes) = write_demo("ver.snap");
-        bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
-        // Re-seal the header checksum so the version check is what fires.
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, &bytes[..HEADER_LEN - 8]);
-        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
-        match Snapshot::open(&path) {
-            Err(SnapshotError::Version { found: 9, .. }) => {}
-            other => panic!("expected Version, got {other:?}"),
+        for version in [1u32, 9] {
+            let (path, mut bytes) = write_demo("ver.snap");
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            // Re-seal the header checksum so the version check is what fires.
+            let mut h = FNV_OFFSET;
+            fnv1a(&mut h, &bytes[..HEADER_LEN - 8]);
+            bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            match Snapshot::open(&path) {
+                Err(SnapshotError::Version { found, .. }) if found == version => {}
+                other => panic!("expected Version {version}, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

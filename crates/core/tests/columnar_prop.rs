@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    slope_leaf, EngineOptions, Evaluator, NoopObserver, PruningMode, ScoreParams, SegmenterKind,
-    ShapeQuery, ShardedEngine, SharedThresholds, StatsIndex, UdpRegistry, VizData,
+    group_collection, slope_leaf, EngineOptions, Evaluator, NoopObserver, PruningMode, ScoreParams,
+    SegmenterKind, ShapeQuery, ShardedEngine, SharedThresholds, StatsIndex, UdpRegistry, VizData,
 };
 use shapesearch_datastore::Trendline;
 
@@ -41,6 +41,33 @@ fn collection_strategy() -> impl Strategy<Value = Vec<Trendline>> {
             .enumerate()
             .map(|(i, pairs)| Trendline::from_pairs(format!("t{i}"), &pairs))
             .collect()
+    })
+}
+
+/// Strategy: 2–9 series of one length, each on one of two x rows —
+/// evenly spaced or squares — so the GROUP arena holds two shared x
+/// runs, plus a NaN dropped into some series' y.
+fn two_row_collection_strategy() -> impl Strategy<Value = Vec<Trendline>> {
+    (2usize..20).prop_flat_map(|n| {
+        let series = (
+            0u8..2,
+            proptest::collection::vec(-1e3f64..1e3, n),
+            0usize..2 * n,
+        );
+        proptest::collection::vec(series, 2..10).prop_map(|all| {
+            all.into_iter()
+                .enumerate()
+                .map(|(i, (row, mut ys, nan_at))| {
+                    if let Some(y) = ys.get_mut(nan_at) {
+                        *y = f64::NAN;
+                    }
+                    let x = |t: usize| if row == 1 { t * t } else { t } as f64;
+                    let pairs: Vec<(f64, f64)> =
+                        ys.iter().enumerate().map(|(t, &y)| (x(t), y)).collect();
+                    Trendline::from_pairs(format!("t{i}"), &pairs)
+                })
+                .collect()
+        })
     })
 }
 
@@ -242,6 +269,52 @@ proptest! {
                             kind, shards, mode, query
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Over a collection whose vizzes share two x runs, every kernel of
+    /// every viz equals the scalar [`StatsIndex`] reference over that
+    /// viz's own xs and ys bit for bit, and vizzes on one row read one
+    /// run.
+    #[test]
+    fn kernels_over_shared_x_runs_match_scalar_reference(tls in two_row_collection_strategy()) {
+        let grouped = group_collection(&tls, 1);
+        let vizzes: Vec<&VizData> = grouped.iter().flatten().collect();
+        prop_assert_eq!(vizzes.len(), tls.len());
+        let mut out = Vec::new();
+        for v in &vizzes {
+            let twin = vizzes.iter().find(|w| w.xs() == v.xs()).unwrap();
+            prop_assert_eq!(twin.xs().as_ptr(), v.xs().as_ptr(), "row not shared");
+            let idx = StatsIndex::new(v.xs(), v.ys());
+            let n = v.n();
+            for i in 0..n {
+                for j in i..n {
+                    prop_assert_eq!(v.slope(i, j).to_bits(), idx.slope(i, j).to_bits());
+                    let (got, want) = (v.range_stats(i, j), idx.range(i, j));
+                    prop_assert_eq!(
+                        [got.sx, got.sy, got.sxy, got.sxx].map(f64::to_bits),
+                        [want.sx, want.sy, want.sxy, want.sxx].map(f64::to_bits),
+                        "range [{}, {}]", i, j
+                    );
+                }
+            }
+            v.arena().interval_slopes(v.slot(), &mut out);
+            prop_assert_eq!(out.len(), n - 1);
+            for (t0, &s) in out.iter().enumerate() {
+                prop_assert_eq!(s.to_bits(), idx.slope(t0, t0 + 1).to_bits());
+            }
+            for s in 0..n - 1 {
+                v.arena().window_slopes(v.slot(), s, s + 1, n - 1, &mut out);
+                for (off, &slope) in out.iter().enumerate() {
+                    prop_assert_eq!(slope.to_bits(), idx.slope(s, s + 1 + off).to_bits());
+                }
+            }
+            for e in 1..n {
+                v.arena().window_slopes_ending(v.slot(), 0, e - 1, e, &mut out);
+                for (s, &slope) in out.iter().enumerate() {
+                    prop_assert_eq!(slope.to_bits(), idx.slope(s, e).to_bits());
                 }
             }
         }

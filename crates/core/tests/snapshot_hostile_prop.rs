@@ -4,10 +4,12 @@
 //!
 //! * a one-byte flip anywhere, or a truncation at any length, is refused
 //!   as `Corrupt` (a flip inside the version field as `Version`);
-//! * a lie in an offset column — `KeyStarts`, `RawStarts`, `VizSlots` or
-//!   `PointStarts` — with both checksums re-sealed is either `Corrupt`,
-//!   or every partition at shard counts 1–4 cuts and the merged top-k is
-//!   identical across those counts.
+//! * a lie in an offset column — `KeyStarts`, `RawStarts`, `VizSlots`,
+//!   `PointStarts`, `VizRuns` or `RunStarts` — with both checksums
+//!   re-sealed is either `Corrupt`, or every partition at shard counts
+//!   1–4 cuts and the merged top-k is identical across those counts;
+//! * a run index out of range, a run index naming a run of another
+//!   length, and run starts that are not monotone are each `Corrupt`.
 
 use proptest::prelude::*;
 use shapesearch_core::{
@@ -18,19 +20,24 @@ use shapesearch_datastore::Trendline;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Header offsets of the v1 format (see `snapshot.rs`'s layout table).
-const PAYLOAD_HASH_AT: usize = 64;
-const COLUMN_TABLE_AT: usize = 72;
-const HEADER_HASH_AT: usize = 312;
-const HEADER_LEN: usize = 320;
+/// Header offsets of the v2 format (see `snapshot.rs`'s layout table).
+const PAYLOAD_HASH_AT: usize = 80;
+const COLUMN_TABLE_AT: usize = 88;
+const HEADER_HASH_AT: usize = 360;
+const HEADER_LEN: usize = 368;
 const VERSION: std::ops::Range<usize> = 8..12;
+/// Column-table indices of the two x-run offset columns.
+const VIZ_RUNS: usize = 7;
+const RUN_STARTS: usize = 8;
 
 /// The offset columns a lie is planted in, by column-table index.
-const LIAR_COLUMNS: [(usize, &str); 4] = [
+const LIAR_COLUMNS: [(usize, &str); 6] = [
     (1, "KeyStarts"),
     (4, "RawStarts"),
     (5, "VizSlots"),
     (6, "PointStarts"),
+    (VIZ_RUNS, "VizRuns"),
+    (RUN_STARTS, "RunStarts"),
 ];
 
 /// Strategy: up to 8 series of 0–20 points, so some are rejected by
@@ -87,6 +94,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 fn le_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// The `(byte offset, byte length)` of column `index`.
+fn column_span(bytes: &[u8], index: usize) -> (usize, usize) {
+    let at = COLUMN_TABLE_AT + index * 16;
+    (le_u64(bytes, at) as usize, le_u64(bytes, at + 8) as usize)
 }
 
 /// Re-seals both checksums, payload first (the header covers it).
@@ -188,9 +201,12 @@ proptest! {
     ) {
         let mut bytes = snapshot_bytes(&tls);
         let (index, name) = LIAR_COLUMNS[column];
-        let offset = le_u64(&bytes, COLUMN_TABLE_AT + index * 16) as usize;
-        let len = le_u64(&bytes, COLUMN_TABLE_AT + index * 16 + 8) as usize;
-        // Every liar column has at least one element: T ≥ 1.
+        let (offset, len) = column_span(&bytes, index);
+        // Every liar column but `VizRuns` has at least one element
+        // (T ≥ 1); that one is empty when GROUP rejects every series.
+        if len == 0 {
+            return Ok(());
+        }
         let at = offset + (element % (len / 8)) * 8;
         let told = lie_about(le_u64(&bytes, at), lie);
         bytes[at..at + 8].copy_from_slice(&told.to_le_bytes());
@@ -216,6 +232,44 @@ proptest! {
                     name, at, shards, query
                 );
             }
+        }
+    }
+}
+
+/// The three lies the x-run columns can tell, each planted alone in a
+/// valid snapshot of series on two x rows of different lengths and
+/// re-sealed: a viz naming a run past the table, a viz naming the other
+/// row's run, and run starts that step backwards.
+#[test]
+fn run_column_lies_are_corrupt() {
+    let series = |n: usize| -> Trendline {
+        let pairs: Vec<(f64, f64)> = (0..n).map(|x| (x as f64, (x * x % 7) as f64)).collect();
+        Trendline::from_pairs(format!("n{n}"), &pairs)
+    };
+    let bytes = snapshot_bytes(&[series(5), series(9), series(5)]);
+    let (runs_at, _) = column_span(&bytes, VIZ_RUNS);
+    let (starts_at, _) = column_span(&bytes, RUN_STARTS);
+    assert_eq!(
+        [0, 1, 2].map(|i| le_u64(&bytes, runs_at + 8 * i)),
+        [0, 1, 0]
+    );
+    assert_eq!(
+        [0, 1, 2].map(|i| le_u64(&bytes, starts_at + 8 * i)),
+        [0, 5, 14]
+    );
+    for (at, told, says) in [
+        (runs_at, 2u64, "viz 0 names x run 2 of 2"),
+        (runs_at, 1, "viz 0 has 5 points but its x run 1 has 9"),
+        (starts_at + 8, 15, "run starts is not monotone"),
+    ] {
+        let mut bytes = bytes.clone();
+        bytes[at..at + 8].copy_from_slice(&told.to_le_bytes());
+        reseal(&mut bytes);
+        match open(&bytes) {
+            Err(SnapshotError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(says), "{detail}")
+            }
+            other => panic!("{says}: opened as {:?}", other.map(|_| ())),
         }
     }
 }

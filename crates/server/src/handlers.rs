@@ -1308,9 +1308,12 @@ mod tests {
                 .map(|slot| entry.local_shard(slot).unwrap().grouped_byte_size())
                 .sum();
             if shards == 1 {
-                // Two 3-point trendlines: 54 f64 cells, three node
-                // angles a viz among them, and 6 offsets.
-                assert_eq!(want, 8 * (54 + 6));
+                // Two 3-point trendlines on one x row. f64 cells: the
+                // run's xs 3, sum_x and sum_xx 3 + 1 each; ys 6, sum_y
+                // and sum_xy 6 + 2 each; 2 slope extremes and 3 node
+                // angles a viz: 11 + 22 + 10 = 43. Offsets: run_starts
+                // 2, runs 2, point_starts 3, angle_starts 3: 10.
+                assert_eq!(want, 8 * (43 + 10));
             }
             let listing = json::parse(&route(&state, &get("/datasets")).body).unwrap();
             let datasets = listing.get("datasets").unwrap().as_array().unwrap();
@@ -2134,7 +2137,7 @@ mod tests {
         );
     }
 
-    /// Writes a v1 snapshot whose trendlines mirror [`CSV`] exactly, so
+    /// Writes a snapshot whose trendlines mirror [`CSV`] exactly, so
     /// a snapshot registration and a CSV registration answer from the
     /// same logical collection.
     fn demo_snapshot(dir: &std::path::Path, name: &str) -> std::path::PathBuf {
