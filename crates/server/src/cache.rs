@@ -915,6 +915,19 @@ mod tests {
         retired: Vec<u64>,
     }
 
+    impl Model {
+        /// What an admitted value does: unless its generation is retired,
+        /// it replaces any resident copy of its key, in front, and the cold
+        /// end is cut to the capacity.
+        fn admit(&mut self, key: (u64, usize), value: usize) {
+            if !self.retired.contains(&key.0) {
+                self.residents.retain(|(k, _)| *k != key);
+                self.residents.insert(0, (key, value));
+                self.residents.truncate(self.capacity);
+            }
+        }
+    }
+
     /// Runs `ops` against the cache and the model in step and checks they
     /// agree after every one.
     fn run_model(ops: &[Op], capacity: usize) -> Result<(), String> {
@@ -969,10 +982,8 @@ mod tests {
                     }
                     leader.complete(w);
                     outcomes[flight] = Some(Some(w));
-                    if !model.retired.contains(&key.0) {
-                        model.residents.insert(0, (key, w));
-                        model.residents.truncate(model.capacity);
-                    }
+                    // An insert may have landed the key while it flew.
+                    model.admit(key, w);
                 }
                 4 => {
                     let landed = waiters.iter().position(|(f, _)| outcomes[*f].is_some());
@@ -987,6 +998,10 @@ mod tests {
                     cache.retire(generation);
                     model.retired.push(generation);
                     model.residents.retain(|(k, _)| k.0 != generation);
+                }
+                6 => {
+                    cache.insert(key, w);
+                    model.admit(key, w);
                 }
                 _ => {}
             }
@@ -1024,11 +1039,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The generic cache against a naive LRU over random lookups,
-        /// completions, abandoned flights, waits and retirements, at
-        /// capacities from one entry to more than the 12 keys drawn.
+        /// completions, abandoned flights, waits, retirements and inserts
+        /// outside any flight, at capacities from one entry to more than
+        /// the 12 keys drawn.
         #[test]
         fn cache_matches_a_naive_lru(
-            ops in prop::collection::vec((0u8..6, 1u64..4, 0usize..4, 1usize..9), 1..80),
+            ops in prop::collection::vec((0u8..7, 1u64..4, 0usize..4, 1usize..9), 1..80),
             capacity in 1usize..14,
         ) {
             run_model(&ops, capacity).map_err(TestCaseError::fail)?;
