@@ -1,6 +1,6 @@
 //! The server's one cache, used once: query results ([`QueryCache`]).
 //!
-//! A [`Cache`] is an O(1) LRU over a slab-backed intrusive list, a
+//! A [`Cache`] is an LRU (a map plus an index of last-use ticks), a
 //! singleflight latch per key being computed, the registration generations
 //! retired so far, and the counters — all behind **one** mutex, so
 //! [`Cache::lookup`] decides hit, lead or wait in one critical section and
@@ -32,32 +32,24 @@
 
 use crate::protocol::{self, Route};
 use shapesearch_core::{EngineOptions, TopKResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::hash::Hash;
 use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
-const NIL: usize = usize::MAX;
-
-struct Slot<K, V> {
-    key: K,
-    value: V,
-    prev: usize,
-    next: usize,
-}
-
-/// A least-recently-used map. `get` refreshes recency; `insert` evicts the
-/// coldest entry while there are more than `capacity` (at least one). All
-/// operations are O(1) expected time. Nothing displaced stays behind: evicted, replaced and retained-away
-/// entries are handed back to the caller, who chooses where they drop.
+/// A least-recently-used map: each entry keeps the tick of its last use,
+/// and `ticks` indexes the live ticks, coldest first. `get` moves one tick;
+/// `insert` evicts the coldest entry while there are more than `capacity`
+/// (at least one). Each is O(log capacity). Nothing displaced stays
+/// behind: evicted, replaced and retained-away entries are handed back to
+/// the caller, who chooses where they drop.
 struct LruCache<K, V> {
-    map: HashMap<K, usize>,
-    slots: Vec<Option<Slot<K, V>>>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    map: HashMap<K, (V, u64)>,
+    ticks: BTreeMap<u64, K>,
+    /// The last tick handed out.
+    tick: u64,
     capacity: usize,
 }
 
@@ -65,132 +57,57 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            ticks: BTreeMap::new(),
+            tick: 0,
             capacity: capacity.max(1),
         }
     }
 
-    fn slot(&self, i: usize) -> &Slot<K, V> {
-        self.slots[i].as_ref().expect("occupied slot")
-    }
-
-    fn slot_mut(&mut self, i: usize) -> &mut Slot<K, V> {
-        self.slots[i].as_mut().expect("occupied slot")
-    }
-
-    /// Unlinks slot `i` from the recency list.
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = {
-            let s = self.slot(i);
-            (s.prev, s.next)
-        };
-        if prev != NIL {
-            self.slot_mut(prev).next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slot_mut(next).prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    /// Links slot `i` at the head (most recently used).
-    fn link_front(&mut self, i: usize) {
-        let head = self.head;
-        {
-            let s = self.slot_mut(i);
-            s.prev = NIL;
-            s.next = head;
-        }
-        if head != NIL {
-            self.slot_mut(head).prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Releases slot `i`: unlinks it, recycles the index, and returns its
-    /// entry.
-    fn release(&mut self, i: usize) -> (K, V) {
-        self.unlink(i);
-        let slot = self.slots[i].take().expect("occupied slot");
-        self.map.remove(&slot.key);
-        self.free.push(i);
-        (slot.key, slot.value)
-    }
-
     /// Fetches a value, marking it most recently used.
     fn get(&mut self, key: &K) -> Option<&V> {
-        let i = *self.map.get(key)?;
-        if i != self.head {
-            self.unlink(i);
-            self.link_front(i);
-        }
-        Some(&self.slot(i).value)
+        let (value, last) = self.map.get_mut(key)?;
+        let owned = self.ticks.remove(last).expect("live tick");
+        self.tick += 1;
+        *last = self.tick;
+        self.ticks.insert(self.tick, owned);
+        Some(value)
     }
 
     /// Inserts (or replaces) `key`, then evicts down to the capacity.
     /// Returns what it displaced: the key's old entry if it had one, then
-    /// the evicted one.
+    /// the evicted ones, coldest first.
     fn insert(&mut self, key: K, value: V) -> Vec<(K, V)> {
+        self.tick += 1;
         let mut displaced = Vec::new();
-        if let Some(&i) = self.map.get(&key) {
-            displaced.push(self.release(i));
+        if let Some((old, last)) = self.map.insert(key.clone(), (value, self.tick)) {
+            displaced.push((self.ticks.remove(&last).expect("live tick"), old));
         }
-        let slot = Slot {
-            key: key.clone(),
-            value,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, i);
-        self.link_front(i);
+        self.ticks.insert(self.tick, key);
         while self.map.len() > self.capacity {
-            let coldest = self.tail;
-            displaced.push(self.release(coldest));
+            let (_, coldest) = self.ticks.pop_first().expect("a tick per entry");
+            let (value, _) = self.map.remove(&coldest).expect("an entry per tick");
+            displaced.push((coldest, value));
         }
         displaced
     }
 
     /// Removes every entry whose key fails `keep`, and returns them.
     fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<(K, V)> {
-        let doomed: Vec<usize> = self
-            .map
-            .iter()
-            .filter(|(k, _)| !keep(k))
-            .map(|(_, &i)| i)
-            .collect();
-        doomed.into_iter().map(|i| self.release(i)).collect()
+        let doomed: Vec<K> = self.map.keys().filter(|k| !keep(k)).cloned().collect();
+        doomed
+            .into_iter()
+            .map(|key| {
+                let (value, last) = self.map.remove(&key).expect("a doomed key");
+                self.ticks.remove(&last);
+                (key, value)
+            })
+            .collect()
     }
 
     /// Keys from most to least recently used.
     #[cfg(test)]
     fn keys_by_recency(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut i = self.head;
-        while i != NIL {
-            let s = self.slot(i);
-            out.push(s.key.clone());
-            i = s.next;
-        }
-        out
+        self.ticks.values().rev().cloned().collect()
     }
 }
 
