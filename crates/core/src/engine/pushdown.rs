@@ -2,9 +2,10 @@
 //! prune visualizations (or parts of them) early in the pipeline.
 //!
 //! * **(a) LOCATION → EXTRACT**: visualizations without any value in the
-//!   query's pinned x ranges are pruned before GROUP — see
-//!   [`covers_ranges`] and `ExtractOptions::require_x_ranges` in the
-//!   datastore crate.
+//!   query's pinned x ranges are pruned before SEGMENT — see
+//!   [`covers_ranges`]. The paper prunes them in EXTRACT; here EXTRACT
+//!   runs once per registration, before any query, so the filter runs
+//!   per query on the raw x rows EXTRACT produced.
 //! * **(b) Eager discard in SEGMENT**: segments with both endpoints pinned
 //!   and an up/down pattern are scored first; a negative score discards the
 //!   visualization before any fuzzy segmentation is attempted — see

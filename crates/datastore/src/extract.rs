@@ -8,10 +8,9 @@
 //! row — and each group is then sorted on `x` and its duplicate `x` values
 //! aggregated through buffers reused across groups.
 //!
-//! Push-down optimization (a) from §5.4 is exposed through
-//! [`ExtractOptions::require_x_ranges`]: visualizations without any value in
-//! a required x-range are pruned here, before GROUP/SEGMENT/SCORE ever see
-//! them.
+//! Push-down optimization (a) from §5.4 — pruning visualizations without a
+//! value in a query's pinned x ranges — runs in the engine, per query, not
+//! here: EXTRACT runs once per registration, before any query is known.
 
 use crate::column::Column;
 use crate::error::{DataError, Result};
@@ -69,26 +68,14 @@ impl Trendline {
     }
 }
 
-/// Knobs for EXTRACT, including push-down constraints.
+/// Options for EXTRACT. It has none; the type stays only because the
+/// benchmark package names it.
 #[derive(Debug, Clone, Default)]
-pub struct ExtractOptions {
-    /// Push-down (a): prune visualizations that have no point inside *each*
-    /// of these inclusive x ranges.
-    pub require_x_ranges: Vec<(f64, f64)>,
-    /// Drop trendlines with fewer points than this (default 2: a single point
-    /// cannot form a line segment).
-    pub min_points: usize,
-}
+pub struct ExtractOptions {}
 
-impl ExtractOptions {
-    /// Options with a required-x-range push-down constraint.
-    pub fn with_ranges(ranges: Vec<(f64, f64)>) -> Self {
-        Self {
-            require_x_ranges: ranges,
-            min_points: 2,
-        }
-    }
-}
+/// Fewest points a trendline keeps: a single point cannot form a line
+/// segment.
+const MIN_POINTS: usize = 2;
 
 /// Runs EXTRACT: filter → project (z, x, y) → group by z → sort by x →
 /// aggregate duplicate x. Returns trendlines ordered by first appearance of
@@ -96,7 +83,7 @@ impl ExtractOptions {
 ///
 /// # Errors
 /// Fails when referenced columns are missing or `x`/`y` are non-numeric.
-pub fn extract(table: &Table, spec: &VisualSpec, opts: &ExtractOptions) -> Result<Vec<Trendline>> {
+pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<Vec<Trendline>> {
     let rows = table.filter_indices(&spec.filters)?;
     let z_col = table.column(&spec.z)?;
     let x_col = table.column(&spec.x)?;
@@ -133,11 +120,10 @@ pub fn extract(table: &Table, spec: &VisualSpec, opts: &ExtractOptions) -> Resul
         groups[group].1.push(row);
     }
 
-    let min_points = opts.min_points.max(2);
     let mut result = Vec::with_capacity(groups.len());
     let mut pts: Vec<(f64, f64)> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
-    'next_group: for (key, idxs) in groups {
+    for (key, idxs) in groups {
         pts.clear();
         // Null coordinates are skipped.
         pts.extend(
@@ -158,16 +144,9 @@ pub fn extract(table: &Table, spec: &VisualSpec, opts: &ExtractOptions) -> Resul
             points.push(TrendPoint { x: same_x[0].0, y });
         }
 
-        if points.len() < min_points {
-            continue;
+        if points.len() >= MIN_POINTS {
+            result.push(Trendline { key, points });
         }
-        // Push-down (a): require coverage of every requested x range.
-        for &(lo, hi) in &opts.require_x_ranges {
-            if !points.iter().any(|p| p.x >= lo && p.x <= hi) {
-                continue 'next_group;
-            }
-        }
-        result.push(Trendline { key, points });
     }
     Ok(result)
 }
@@ -230,16 +209,6 @@ mod tests {
         let spec =
             VisualSpec::new("z", "x", "y").with_filter(Predicate::new("z", CompareOp::Eq, "b"));
         let trends = extract(&sample(), &spec, &ExtractOptions::default()).unwrap();
-        assert_eq!(trends.len(), 1);
-        assert_eq!(trends[0].key, "b");
-    }
-
-    #[test]
-    fn x_range_pushdown_prunes() {
-        let spec = VisualSpec::new("z", "x", "y");
-        // Only z=b has a point with x >= 3.
-        let opts = ExtractOptions::with_ranges(vec![(3.0, 10.0)]);
-        let trends = extract(&sample(), &spec, &opts).unwrap();
         assert_eq!(trends.len(), 1);
         assert_eq!(trends[0].key, "b");
     }
