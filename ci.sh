@@ -121,8 +121,11 @@ fi
 # the selector whose only other choice nothing picked. One kind of
 # threshold, the proven one: the unproven shard-wire hint and its
 # verification pass (the frozen benchmark package still passes the inert
-# argument; the wire keys themselves are pinned by a handlers test).
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator)"
+# argument; the wire keys themselves are pinned by a handlers test). One
+# LRU shape, a map plus a tick index: the slab's intrusive list. One
+# push-down (a), the engine's: EXTRACT's range filter (the frozen
+# benchmark package still names the now field-less `ExtractOptions`).
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -137,6 +140,7 @@ PruningMode::Force;crates src README.md docs;a third pruning mode is back
 TrainMethod|train_perceptron;crates src README.md docs;a second CRF trainer is back
 seed_hint|hint_pruned|note_hint_prune|hint_undischarged|live_hints;crates src README.md docs :!crates/bench/src/bin/ssbench;an unproven threshold hint is back
 anchored_upper|record_bounding|ThresholdCell::raise|cell\.raise\(;crates src README.md docs :!crates/bench/src/bin/ssbench;a second bound evaluator, a second bound-time sink or an unproven threshold write is back
+link_front|slot_mut|require_x_ranges|ExtractOptions::with_ranges;crates src README.md docs :!crates/bench/src/bin/ssbench;the slab LRU or EXTRACT's second push-down (a) is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
