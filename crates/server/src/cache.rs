@@ -93,12 +93,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Removes every entry whose key fails `keep`, and returns them.
     fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<(K, V)> {
-        let doomed: Vec<K> = self.map.keys().filter(|k| !keep(k)).cloned().collect();
-        doomed
-            .into_iter()
-            .map(|key| {
-                let (value, last) = self.map.remove(&key).expect("a doomed key");
-                self.ticks.remove(&last);
+        let ticks = &mut self.ticks;
+        self.map
+            .extract_if(|key, _| !keep(key))
+            .map(|(key, (value, last))| {
+                ticks.remove(&last);
                 (key, value)
             })
             .collect()
