@@ -47,9 +47,10 @@ pub fn best_segmentation_in_range(
 /// Admissible placement of one unit, derived from its pins/width.
 #[derive(Debug, Clone, Copy)]
 enum Placement {
-    /// Fuzzy: starts exactly at the previous end, ends freely.
-    Fuzzy,
     /// Pinned start and/or end (point indices), possibly leaving gaps.
+    /// An unpinned start attaches to the previous end; an unpinned end
+    /// ranges freely, or ends the run on the last unit. A fuzzy unit
+    /// pins neither.
     Pinned {
         start: Option<usize>,
         end: Option<usize>,
@@ -62,13 +63,10 @@ fn placement(ev: &Evaluator<'_>, unit: &Unit) -> Placement {
     if let Some(w) = unit.width {
         return Placement::Window(ev.viz.width_to_points(w));
     }
-    if unit.pin_start.is_some() || unit.pin_end.is_some() {
-        return Placement::Pinned {
-            start: unit.pin_start.map(|x| ev.viz.x_to_index(x)),
-            end: unit.pin_end.map(|x| ev.viz.x_to_index(x)),
-        };
+    Placement::Pinned {
+        start: unit.pin_start.map(|x| ev.viz.x_to_index(x)),
+        end: unit.pin_end.map(|x| ev.viz.x_to_index(x)),
     }
-    Placement::Fuzzy
 }
 
 /// DP over (unit, end-point) states. `run_lo`/`run_hi` bound the point range
@@ -82,7 +80,6 @@ pub(crate) fn solve_chain(
     run_hi: usize,
 ) -> MatchResult {
     let k = chain.len();
-    let n_last = run_hi;
     if k == 0 || run_hi <= run_lo {
         return MatchResult::infeasible();
     }
@@ -172,21 +169,6 @@ pub(crate) fn solve_chain(
                                 }
                             }
                         },
-                    }
-                }
-                Placement::Fuzzy => {
-                    let s = pe;
-                    if last {
-                        try_range(&mut layer, parent_t, s, n_last);
-                    } else {
-                        match leaf {
-                            Some(l) => try_run(&mut layer, parent_t, &mut run_scores, l, s),
-                            None => {
-                                for e in (s + 1)..=run_hi {
-                                    try_range(&mut layer, parent_t, s, e);
-                                }
-                            }
-                        }
                     }
                 }
             }
