@@ -125,7 +125,10 @@ fi
 # LRU shape, a map plus a tick index: the slab's intrusive list. One
 # push-down (a), the engine's: EXTRACT's range filter (the frozen
 # benchmark package still names the now field-less `ExtractOptions`).
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down)"
+# One GROUP path: a snapshot stores EXTRACT's output only, so the
+# snapshot-side arena constructor, its column views, its handle builder
+# and the file's bin width are gone.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -141,6 +144,7 @@ TrainMethod|train_perceptron;crates src README.md docs;a second CRF trainer is b
 seed_hint|hint_pruned|note_hint_prune|hint_undischarged|live_hints;crates src README.md docs :!crates/bench/src/bin/ssbench;an unproven threshold hint is back
 anchored_upper|record_bounding|ThresholdCell::raise|cell\.raise\(;crates src README.md docs :!crates/bench/src/bin/ssbench;a second bound evaluator, a second bound-time sink or an unproven threshold write is back
 link_front|slot_mut|require_x_ranges|ExtractOptions::with_ranges;crates src README.md docs :!crates/bench/src/bin/ssbench;the slab LRU or EXTRACT's second push-down (a) is back
+ColumnarArena::from_columns|RawColumns|group::handle|Snapshot::bin_width;crates src README.md docs :!crates/bench/src/bin/ssbench;a second GROUP path (GROUP state read from a snapshot) is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -694,8 +698,8 @@ SNAP_REPLY="/tmp/ci_snap_reply_$$.json"
 CSV_REPLY="/tmp/ci_csv_reply_$$.json"
 CI_TMP="$CI_TMP $SNAP_REPLY $CSV_REPLY $SNAP_REPLY.raw $CSV_REPLY.raw"
 # The located item makes push-down (a) binary-search the mapped raw x
-# column; the bin_width item re-GROUPs from the mapped raw columns (the
-# snapshot seeds width 1 only).
+# column; the bin_width item GROUPs the mapped raw columns at a second
+# width (registration warms width 1, for a snapshot as for a CSV).
 SNAP_BODY='[
   {"dataset":"sales","query":"[p=up][p=down]","k":4},
   {"dataset":"sales","query":"[p=down][p=up]","k":3},
@@ -723,12 +727,11 @@ cmp "$SNAP_REPLY" "$CSV_REPLY" || {
 grep -q '"key":' "$SNAP_REPLY" || {
     echo "snapshot smoke: reply carried no results"; cat "$SNAP_REPLY"; exit 1;
 }
-# GROUP stores each canvas-x row once, and so does the snapshot, whose
-# partitions share one run table: both servers must hold the same
-# resident GROUP bytes for `sales` (one x grid), at both bin widths the
-# batch warmed. A loader that expanded x per viz again, or a builder
-# that stopped sharing x runs, makes them differ. Each server lists
-# `sales` alone, so its one grouped_bytes field is that dataset's.
+# Both servers GROUP the same rows with the same code, so both must hold
+# the same resident GROUP bytes for `sales`, at both bin widths the
+# batch warmed. A snapshot engine that GROUPed any other way makes them
+# differ. Each server lists `sales` alone, so its one grouped_bytes
+# field is that dataset's.
 SNAP_GROUPED=$(curl -s "http://127.0.0.1:$SNAP_PORT/datasets" | grep -o '"grouped_bytes":[0-9]*')
 CSV_GROUPED=$(curl -s "http://127.0.0.1:$CSV_PORT/datasets" | grep -o '"grouped_bytes":[0-9]*')
 [ -n "$SNAP_GROUPED" ] && [ "$SNAP_GROUPED" = "$CSV_GROUPED" ] || {

@@ -73,16 +73,10 @@
 //! angles depend on the trendline only, so the kernel reads them instead
 //! of taking an `atan` per node per query.
 //!
-//! This layout, less the two angle columns, is also the on-disk
-//! snapshot format ([`crate::snapshot`]): the flat `f64` columns plus
-//! the offset and run-index columns serialize byte for byte, and an
-//! opened snapshot's columns map straight back into an arena with no
-//! pointer fix-up — each column is then a `Column::Mapped` zero-copy
-//! view kept alive by the mapping's `Arc`. The angle columns are in no
-//! file format: they are derived from the prefix columns wherever an
-//! arena is built — [`ArenaBuilder`] on the eager path,
-//! `ColumnarArena::from_columns` when a snapshot opens — with the same
-//! operations, so both hold the same bits.
+//! The arena is heap state that every engine builds for itself from its
+//! raw point columns (`PointTable`), whether those were flattened from
+//! EXTRACT's output or cut from a mapped snapshot ([`crate::snapshot`]),
+//! which stores the raw points only.
 
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
@@ -93,14 +87,14 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// One flat `f64` column of a [`ColumnarArena`]: either heap-owned (the
-/// eager GROUP path) or a zero-copy view into a mapped snapshot, kept
-/// alive by an `Arc` on the mapping. Derefs to `&[f64]`, so every kernel
-/// reads both backings identically — same bytes, same bits, same
-/// results.
+/// One flat `f64` column of a [`PointTable`]: either heap-owned
+/// (flattened from EXTRACT's output) or a zero-copy view into a mapped
+/// snapshot, kept alive by an `Arc` on the mapping. Derefs to `&[f64]`,
+/// so GROUP and push-down (a) read both backings identically — same
+/// bytes, same bits, same results.
 #[derive(Clone)]
 pub(crate) enum Column {
-    /// A heap-allocated column (the [`ArenaBuilder`] output).
+    /// A heap-allocated column.
     Owned(Vec<f64>),
     /// An aligned little-endian `f64` run inside a mapped snapshot file.
     Mapped {
@@ -145,17 +139,6 @@ impl Column {
             keep: Arc::clone(map),
         }
     }
-
-    /// Mutable access to the backing vector — builder-side only.
-    ///
-    /// # Panics
-    /// Panics on a mapped column (mapped snapshots are immutable).
-    fn vec_mut(&mut self) -> &mut Vec<f64> {
-        match self {
-            Self::Owned(v) => v,
-            Self::Mapped { .. } => unreachable!("mapped columns are immutable"),
-        }
-    }
 }
 
 impl Deref for Column {
@@ -166,12 +149,6 @@ impl Deref for Column {
             Self::Owned(v) => v,
             Self::Mapped { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
         }
-    }
-}
-
-impl Default for Column {
-    fn default() -> Self {
-        Self::Owned(Vec::new())
     }
 }
 
@@ -196,10 +173,10 @@ impl fmt::Debug for Column {
 
 /// The raw (x, y) points of a collection, stored once: trendline `i`'s
 /// points are `xs[starts[i]..starts[i + 1]]` and the same run of `ys`,
-/// ascending in x. An engine's GROUP (at any bin width), push-down (a)
-/// and the snapshot writer all read these two columns; they are heap
-/// vectors when flattened from EXTRACT's output and zero-copy views of
-/// the mapping when cut from a snapshot.
+/// ascending in x. An engine's GROUP (at any bin width) and push-down
+/// (a) read these two columns; they are heap vectors when flattened
+/// from EXTRACT's output and zero-copy views of the mapping when cut
+/// from a snapshot.
 #[derive(Debug)]
 pub(crate) struct PointTable {
     xs: Column,
@@ -240,12 +217,6 @@ impl PointTable {
         let run = self.starts[i]..self.starts[i + 1];
         (&self.xs[run.clone()], &self.ys[run])
     }
-
-    /// The whole columns and the row offsets — the snapshot writer's
-    /// read access.
-    pub(crate) fn columns(&self) -> (&[f64], &[f64], &[usize]) {
-        (&self.xs, &self.ys, &self.starts)
-    }
 }
 
 /// A row of `f64`s hashed and compared by its bits (`-0.0` is not `0.0`,
@@ -272,38 +243,22 @@ impl PartialEq for BitRow<'_> {
 
 impl Eq for BitRow<'_> {}
 
-/// Borrowed views of every arena column, in snapshot serialization
-/// order — the writer's one-stop read access.
-pub(crate) struct RawColumns<'a> {
-    pub point_starts: &'a [usize],
-    pub runs: &'a [usize],
-    pub run_starts: &'a [usize],
-    pub xs: &'a [f64],
-    pub sum_x: &'a [f64],
-    pub sum_xx: &'a [f64],
-    pub ys: &'a [f64],
-    pub sum_y: &'a [f64],
-    pub sum_xy: &'a [f64],
-    pub slope_min: &'a [f64],
-    pub slope_max: &'a [f64],
-}
-
 /// Structure-of-arrays GROUP output for a whole collection: contiguous
 /// coordinate and prefix-statistic columns shared (via `Arc`) by every
 /// [`VizData`](crate::engine::group::VizData) handle cut from it.
 #[derive(Clone, Default)]
 pub struct ColumnarArena {
-    xs: Column,
-    sum_x: Column,
-    sum_xx: Column,
+    xs: Vec<f64>,
+    sum_x: Vec<f64>,
+    sum_xx: Vec<f64>,
     run_starts: Vec<usize>,
     runs: Vec<usize>,
-    ys: Column,
-    sum_y: Column,
-    sum_xy: Column,
+    ys: Vec<f64>,
+    sum_y: Vec<f64>,
+    sum_xy: Vec<f64>,
     point_starts: Vec<usize>,
-    slope_min: Column,
-    slope_max: Column,
+    slope_min: Vec<f64>,
+    slope_max: Vec<f64>,
     node_angles: Vec<f64>,
     angle_starts: Vec<usize>,
 }
@@ -319,77 +274,12 @@ impl fmt::Debug for ColumnarArena {
 }
 
 impl ColumnarArena {
-    /// Assembles an arena straight from pre-built columns — the snapshot
-    /// loader's constructor. The caller (only [`crate::snapshot`])
-    /// guarantees the columns satisfy the layout invariants above:
-    /// monotone `point_starts` and `run_starts`, every `runs` entry a run
-    /// whose length is its viz's point count, prefix columns of length
-    /// `points + runs` (x side) and `points + vizzes` (y side), slope
-    /// columns of length `vizzes`. The angle columns are derived here
-    /// from the prefix columns.
-    #[allow(clippy::too_many_arguments)] // eleven columns are the format, not an API smell
-    pub(crate) fn from_columns(
-        point_starts: Vec<usize>,
-        runs: Vec<usize>,
-        run_starts: Vec<usize>,
-        xs: Column,
-        sum_x: Column,
-        sum_xx: Column,
-        ys: Column,
-        sum_y: Column,
-        sum_xy: Column,
-        slope_min: Column,
-        slope_max: Column,
-    ) -> Self {
-        let mut arena = Self {
-            xs,
-            sum_x,
-            sum_xx,
-            run_starts,
-            runs,
-            ys,
-            sum_y,
-            sum_xy,
-            point_starts,
-            slope_min,
-            slope_max,
-            node_angles: Vec::new(),
-            angle_starts: vec![0],
-        };
-        let vizzes = arena.viz_count();
-        arena
-            .node_angles
-            .reserve((2 * arena.point_count()).saturating_sub(3 * vizzes));
-        for slot in 0..vizzes {
-            arena.push_node_angles(slot);
-        }
-        arena
-    }
-
-    /// Borrowed views of every column — the snapshot writer's read
-    /// access.
-    pub(crate) fn raw(&self) -> RawColumns<'_> {
-        RawColumns {
-            point_starts: &self.point_starts,
-            runs: &self.runs,
-            run_starts: &self.run_starts,
-            xs: &self.xs,
-            sum_x: &self.sum_x,
-            sum_xx: &self.sum_xx,
-            ys: &self.ys,
-            sum_y: &self.sum_y,
-            sum_xy: &self.sum_xy,
-            slope_min: &self.slope_min,
-            slope_max: &self.slope_max,
-        }
-    }
-
     /// Number of visualizations in the arena.
     pub fn viz_count(&self) -> usize {
         self.point_starts.len().saturating_sub(1)
     }
 
-    /// Total bytes held (or mapped) by the arena's columns — what keeping
+    /// Total bytes held by the arena's columns — what keeping
     /// this GROUP run cached costs.
     pub fn byte_size(&self) -> usize {
         let f64_cells = self.xs.len()
@@ -723,16 +613,16 @@ impl ArenaBuilder {
         let mut b = Self::new();
         let a = &mut b.arena;
         let row = points.checked_div(vizzes).unwrap_or(0);
-        a.xs.vec_mut().reserve(row);
-        a.sum_x.vec_mut().reserve(row + 1);
-        a.sum_xx.vec_mut().reserve(row + 1);
+        a.xs.reserve(row);
+        a.sum_x.reserve(row + 1);
+        a.sum_xx.reserve(row + 1);
         a.runs.reserve(vizzes);
-        a.ys.vec_mut().reserve(points);
-        a.sum_y.vec_mut().reserve(points + vizzes);
-        a.sum_xy.vec_mut().reserve(points + vizzes);
+        a.ys.reserve(points);
+        a.sum_y.reserve(points + vizzes);
+        a.sum_xy.reserve(points + vizzes);
         a.point_starts.reserve(vizzes);
-        a.slope_min.vec_mut().reserve(vizzes);
-        a.slope_max.vec_mut().reserve(vizzes);
+        a.slope_min.reserve(vizzes);
+        a.slope_max.reserve(vizzes);
         a.node_angles
             .reserve((2 * points).saturating_sub(3 * vizzes));
         a.angle_starts.reserve(vizzes);
@@ -757,15 +647,15 @@ impl ArenaBuilder {
         let a = &mut self.arena;
         let slot = a.point_starts.len() - 1;
         a.runs.push(run);
-        a.ys.vec_mut().extend_from_slice(ys);
+        a.ys.extend_from_slice(ys);
         let (mut ay, mut axy) = (0.0f64, 0.0f64);
-        a.sum_y.vec_mut().push(0.0);
-        a.sum_xy.vec_mut().push(0.0);
+        a.sum_y.push(0.0);
+        a.sum_xy.push(0.0);
         for (&x, &y) in xs.iter().zip(ys) {
             ay += y;
             axy += x * y;
-            a.sum_y.vec_mut().push(ay);
-            a.sum_xy.vec_mut().push(axy);
+            a.sum_y.push(ay);
+            a.sum_xy.push(axy);
         }
         a.point_starts.push(a.ys.len());
         // GROUP-time slope extremes straight off the fresh prefix run.
@@ -787,8 +677,8 @@ impl ArenaBuilder {
             lo = f64::NAN;
             hi = f64::NAN;
         }
-        a.slope_min.vec_mut().push(lo);
-        a.slope_max.vec_mut().push(hi);
+        a.slope_min.push(lo);
+        a.slope_max.push(hi);
         a.push_node_angles(slot);
         slot
     }
@@ -809,15 +699,15 @@ impl ArenaBuilder {
             at = self.older[run];
         }
         let run = a.run_starts.len() - 1;
-        a.xs.vec_mut().extend_from_slice(xs);
+        a.xs.extend_from_slice(xs);
         let (mut ax, mut axx) = (0.0f64, 0.0f64);
-        a.sum_x.vec_mut().push(0.0);
-        a.sum_xx.vec_mut().push(0.0);
+        a.sum_x.push(0.0);
+        a.sum_xx.push(0.0);
         for &x in xs {
             ax += x;
             axx += x * x;
-            a.sum_x.vec_mut().push(ax);
-            a.sum_xx.vec_mut().push(axx);
+            a.sum_x.push(ax);
+            a.sum_xx.push(axx);
         }
         a.run_starts.push(a.xs.len());
         self.older.push(self.newest.insert(hash, run));

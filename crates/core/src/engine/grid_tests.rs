@@ -178,9 +178,8 @@ fn answer(shards: &[ShapeEngine], q: &ShapeQuery, k: usize, opts: &EngineOptions
     )
 }
 
-/// The collection cut into `n` shard engines, eagerly or from a snapshot
-/// written at `bin` — the second GROUP path, whose handles the snapshot
-/// load builds.
+/// The collection cut into `n` shard engines, eagerly or from a
+/// snapshot, whose engines GROUP the mapped raw columns.
 fn shards_of(tls: &[Trendline], n: usize, from: Option<&Snapshot>) -> Vec<ShapeEngine> {
     let counts: Vec<usize> = tls.iter().map(|t| t.points.len()).collect();
     shard::partition_bounds_by_points(&counts, n)
@@ -192,14 +191,14 @@ fn shards_of(tls: &[Trendline], n: usize, from: Option<&Snapshot>) -> Vec<ShapeE
         .collect()
 }
 
-/// A snapshot of `tls` at `bin` in a temporary file, removed on drop
-/// (a failing case included).
+/// A snapshot of `tls` in a temporary file, removed on drop (a failing
+/// case included).
 struct Written(std::path::PathBuf);
 
 impl Written {
-    fn new(name: &str, tls: &[Trendline], bin: usize) -> Self {
+    fn new(name: &str, tls: &[Trendline]) -> Self {
         let path = std::env::temp_dir().join(format!("ss-grid-{}-{name}", std::process::id()));
-        snapshot::write(&path, tls, bin).unwrap();
+        snapshot::write(&path, tls).unwrap();
         Self(path)
     }
 
@@ -272,14 +271,14 @@ proptest! {
         tree in 0u8..2,
     ) {
         let segmenter = [SegmenterKind::Dp, SegmenterKind::SegmentTree][tree as usize];
+        let file = Written::new("answers", &tls);
+        let snap = file.open();
         for bin in [1, 3] {
             let opts = EngineOptions {
                 segmenter,
                 bin_width: bin,
                 ..EngineOptions::default()
             };
-            let file = Written::new(&format!("b{bin}"), &tls, bin);
-            let snap = file.open();
             for n in [1, 3, 4] {
                 for from in [None, Some(&snap)] {
                     let shared = shards_of(&tls, n, from);
@@ -298,9 +297,10 @@ proptest! {
     }
 }
 
-/// Eager GROUP and a snapshot load number the same rows alike — the
-/// whole collection and every shard of it, at the snapshot's bin width —
-/// with GROUP-rejected rows (one point, an infinite y) among them.
+/// Eager GROUP and GROUP over a snapshot's mapped rows number the same
+/// rows alike — the whole collection and every shard of it, at bins 1
+/// and 3 — with GROUP-rejected rows (one point, an infinite y) among
+/// them.
 #[test]
 fn eager_group_and_snapshot_open_assign_the_same_grids() {
     let bases = [(12, 3), (7, 1)];
@@ -329,9 +329,9 @@ fn eager_group_and_snapshot_open_assign_the_same_grids() {
             .map(|v| v.as_ref().map(|v| v.grid))
             .collect()
     };
+    let file = Written::new("same", &tls);
+    let snap = file.open();
     for bin in [1, 3] {
-        let file = Written::new(&format!("same-{bin}"), &tls, bin);
-        let snap = file.open();
         let whole = grids(&ShapeEngine::from_trendlines(tls.clone()), bin);
         assert_eq!(
             grids(&snap.partition(0, tls.len()), bin),

@@ -16,20 +16,19 @@
 //! kernels stream over contiguous columns instead of chasing per-viz
 //! `Vec`s.
 //!
-//! GROUP reads the collection's two raw point columns and nothing else.
-//! An engine runs it on the columns it owns (heap vectors flattened from
-//! EXTRACT's output, or views of a mapped snapshot — same code, same
-//! bits); [`group_collection`] and [`VizData::from_trendline`] are front
-//! doors for callers holding `Trendline`s, which flatten and run the
-//! same function. A snapshot load skips GROUP and only rebuilds the
-//! handles over the mapped arena.
+//! GROUP reads the collection's two raw point columns and nothing else,
+//! and `group_points` is its one implementation. An engine runs it on
+//! the columns it owns (heap vectors flattened from EXTRACT's output, or
+//! views of a mapped snapshot — same code, same bits);
+//! [`group_collection`] and [`VizData::from_trendline`] are front doors
+//! for callers holding `Trendline`s, which flatten and run the same
+//! function. No file format holds its output.
 //!
 //! GROUP also numbers the collection's distinct raw x rows (`Grids`):
 //! every handle carries the id of its row's x grid, so a query resolves
 //! what its LOCATION pins name — push-down (a)'s coverage, a pinned
 //! unit's canvas window — once per grid (`GridMemo`) rather than once
-//! per trendline. A snapshot load numbers its rows again with the same
-//! function, so no file format holds the ids.
+//! per trendline.
 //!
 //! GROUP is query-independent. §5.4's push-down (c) — "skip summarized
 //! statistics outside the referenced x ranges" — pays off only when GROUP
@@ -77,8 +76,7 @@ pub struct VizData {
     /// reads the Table 5 scorers at both extremes for every candidate of
     /// every query, save for a segment pinned at both ends (bounded on its
     /// own window instead) — takes no `atan` for them. Derived from the
-    /// arena's slope extremes wherever a handle is built (eager GROUP
-    /// and snapshot load alike), so it is in no file format.
+    /// arena's slope extremes when GROUP builds the handle.
     pub theta_min: f64,
     /// `atan(slope_max)`; see [`Self::theta_min`].
     pub theta_max: f64,
@@ -87,8 +85,7 @@ pub struct VizData {
     /// then so are their raw extents, canvas xs, [`Self::x_to_index`]
     /// and push-down (a)'s coverage — which is what lets a query
     /// resolve its pins once a grid (`GridMemo`). Dense from 0 in
-    /// source order; derived by `Grids` wherever a handle is built, so
-    /// it is in no file format.
+    /// source order; numbered by `Grids` when GROUP builds the handle.
     pub grid: u32,
     /// Index of the source trendline in the engine's collection (its
     /// key is the engine's `key(source)`).
@@ -144,35 +141,17 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
         .collect()
 }
 
-/// The handle for `source`, whose GROUP run sits in `arena` at `slot` —
-/// the snapshot load path ([`crate::snapshot`]): the extents are the
-/// same folds over the same raw points as an eager GROUP's, and `grids`
-/// numbers the accepted rows in the same source order, so the handle is
-/// bit-identical to [`group_points`]'s.
-pub(crate) fn handle(
-    points: &PointTable,
-    source: usize,
-    arena: &Arc<ColumnarArena>,
-    slot: usize,
-    grids: &mut Grids<'_>,
-) -> VizData {
-    let (xs, ys) = points.row(source);
-    let grid = grids.id(source);
-    VizData::from_slot((extent(xs), extent(ys)), grid, source, arena, slot)
-}
-
 /// Numbers the distinct raw x rows of a point table densely from 0, in
 /// the order rows are asked about: the one derivation of
-/// [`VizData::grid`], behind both eager GROUP and the snapshot load.
-/// One hashed pass over each row asked about, plus a bitwise comparison
-/// with the first row of its id.
-pub(crate) struct Grids<'p> {
+/// [`VizData::grid`]. One hashed pass over each row asked about, plus a
+/// bitwise comparison with the first row of its id.
+struct Grids<'p> {
     points: &'p PointTable,
     ids: HashMap<BitRow<'p>, u32>,
 }
 
 impl<'p> Grids<'p> {
-    pub(crate) fn new(points: &'p PointTable) -> Self {
+    fn new(points: &'p PointTable) -> Self {
         Self {
             points,
             ids: HashMap::new(),
@@ -181,7 +160,7 @@ impl<'p> Grids<'p> {
 
     /// The grid id of `source`'s raw x row: the id of the first row
     /// asked about that is bitwise equal to it, or the next free one.
-    pub(crate) fn id(&mut self, source: usize) -> u32 {
+    fn id(&mut self, source: usize) -> u32 {
         let next = self.ids.len() as u32;
         *self
             .ids
@@ -598,20 +577,33 @@ mod tests {
                 continue;
             };
             let c = columns.iter().flatten().next().unwrap();
-            let (f, c) = (f.arena().raw(), c.arena().raw());
-            assert_eq!(f.point_starts, c.point_starts);
-            assert_eq!((f.runs, f.run_starts), (c.runs, c.run_starts));
-            for (f, c) in [
-                (f.xs, c.xs),
-                (f.ys, c.ys),
-                (f.sum_x, c.sum_x),
-                (f.sum_y, c.sum_y),
-                (f.sum_xy, c.sum_xy),
-                (f.sum_xx, c.sum_xx),
-                (f.slope_min, c.slope_min),
-                (f.slope_max, c.slope_max),
-            ] {
-                assert_eq!(bits(f), bits(c), "bin={bin}");
+            let (f, c) = (f.arena(), c.arena());
+            assert_eq!(f.byte_size(), c.byte_size(), "bin={bin}");
+            assert_eq!(f.viz_count(), c.viz_count(), "bin={bin}");
+            // Every column, read back a viz at a time: the prefix sums as
+            // the statistics of each prefix window.
+            for slot in 0..f.viz_count() {
+                let prefix = |a: &ColumnarArena| -> Vec<f64> {
+                    (0..a.n(slot))
+                        .flat_map(|j| {
+                            let s = a.range_stats(slot, 0, j);
+                            [s.sx, s.sy, s.sxy, s.sxx]
+                        })
+                        .collect()
+                };
+                let extent = |a: &ColumnarArena| {
+                    let (lo, hi) = a.slope_extent(slot);
+                    vec![lo, hi]
+                };
+                for (f, c) in [
+                    (f.xs(slot).to_vec(), c.xs(slot).to_vec()),
+                    (f.ys(slot).to_vec(), c.ys(slot).to_vec()),
+                    (prefix(f), prefix(c)),
+                    (extent(f), extent(c)),
+                    (f.node_angles(slot).to_vec(), c.node_angles(slot).to_vec()),
+                ] {
+                    assert_eq!(bits(&f), bits(&c), "bin={bin} slot {slot}");
+                }
             }
         }
     }

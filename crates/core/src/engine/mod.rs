@@ -6,9 +6,10 @@
 //! An engine owns its collection in one form: the keys, and the raw
 //! points as two flat columns ([`crate::columnar`]'s `PointTable`) —
 //! heap vectors when flattened from EXTRACT's `Vec<Trendline>` (which is
-//! then dropped), views of the mapping when cut from a snapshot. Result
-//! keys, push-down (a), and GROUP at any bin width read those columns;
-//! the per-width arenas GROUP builds are the only other copy of anything.
+//! then dropped), views of the mapping when cut from a snapshot, which
+//! holds nothing else. Result keys, push-down (a), and GROUP at any bin
+//! width read those columns; the per-width arenas GROUP builds, on the
+//! heap whatever the source, are the only other copy of anything.
 
 pub mod group;
 pub mod observe;
@@ -176,8 +177,8 @@ pub struct ShapeEngine {
     /// engine behind an `Arc` — shards, the server catalog) reuse one
     /// [`crate::ColumnarArena`] instead of re-running GROUP per call.
     /// At most two entries: the first width grouped (the one a
-    /// registration warms or a snapshot seeds) stays for the engine's
-    /// life, and one other beside it, dropped before the next is built.
+    /// registration warms) stays for the engine's life, and one other
+    /// beside it, dropped before the next is built.
     /// A query's `bin_width` arrives unchecked from outside the program,
     /// so the cache must not grow with the number of distinct widths a
     /// client cares to send; whoever still holds a dropped collection's
@@ -207,28 +208,21 @@ impl ShapeEngine {
     pub fn from_trendlines(trendlines: Vec<Trendline>) -> Self {
         let points = PointTable::from_trendlines(&trendlines);
         let keys = trendlines.into_iter().map(|t| t.key).collect();
-        Self::from_columns(keys, points, None)
+        Self::from_columns(keys, points)
     }
 
-    /// An engine over pre-built columns, its GROUP cache seeded with a
-    /// `(bin width, run)` that then stays for the engine's life like a
-    /// warmed one — what [`crate::snapshot::Snapshot::partition`] cuts
-    /// from a mapping. The caller guarantees the run is the GROUP of
-    /// `points` at that width; other widths GROUP from `points` as usual.
-    pub(crate) fn from_columns(
-        keys: Vec<String>,
-        points: PointTable,
-        seeded: Option<(usize, Vec<Option<VizData>>)>,
-    ) -> Self {
+    /// An engine over pre-built columns, one key per row — what
+    /// [`crate::snapshot::Snapshot::partition`] cuts from a mapping. It
+    /// has GROUPed nothing yet, like any new engine.
+    pub(crate) fn from_columns(keys: Vec<String>, points: PointTable) -> Self {
         debug_assert_eq!(keys.len(), points.len());
-        let seeded = seeded.map(|(bin_width, run)| (bin_width, Arc::new(run)));
         Self {
             keys,
             points,
             options: EngineOptions::default(),
             udps: UdpRegistry::new(),
             base_index: 0,
-            grouped_cache: Mutex::new(seeded.into_iter().collect()),
+            grouped_cache: Mutex::new(Vec::new()),
         }
     }
 

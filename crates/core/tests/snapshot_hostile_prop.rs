@@ -4,41 +4,36 @@
 //!
 //! * a one-byte flip anywhere, or a truncation at any length, is refused
 //!   as `Corrupt` (a flip inside the version field as `Version`);
-//! * a lie in an offset column — `KeyStarts`, `RawStarts`, `VizSlots`,
-//!   `PointStarts`, `VizRuns` or `RunStarts` — with both checksums
-//!   re-sealed is either `Corrupt`, or every partition at shard counts
-//!   1–4 cuts and the merged top-k is identical across those counts;
-//! * a run index out of range, a run index naming a run of another
-//!   length, and run starts that are not monotone are each `Corrupt`.
+//! * a lie in an offset column — `KeyStarts` or `RawStarts` — with both
+//!   checksums re-sealed is either `Corrupt`, or every partition at shard
+//!   counts 1–4 cuts and the merged top-k is identical across those
+//!   counts;
+//! * a lie in a value column — `RawXs` or `RawYs` — with both checksums
+//!   re-sealed answers exactly like an engine built from the rows the
+//!   snapshot then holds, with pruning on and off: the file stores no
+//!   GROUP state that could disagree with its rows.
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    merge_topk, snapshot, EngineOptions, NoopObserver, ShapeQuery, SharedThresholds, Snapshot,
-    SnapshotError, TopKResult,
+    merge_topk, partition_bounds_by_points, snapshot, EngineOptions, NoopObserver, PruningMode,
+    ShapeEngine, ShapeQuery, SharedThresholds, Snapshot, SnapshotError, TopKResult,
 };
 use shapesearch_datastore::Trendline;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Header offsets of the v2 format (see `snapshot.rs`'s layout table).
-const PAYLOAD_HASH_AT: usize = 80;
-const COLUMN_TABLE_AT: usize = 88;
-const HEADER_HASH_AT: usize = 360;
-const HEADER_LEN: usize = 368;
+/// Header offsets of the v3 format (see `snapshot.rs`'s layout table).
+const PAYLOAD_HASH_AT: usize = 40;
+const COLUMN_TABLE_AT: usize = 48;
+const HEADER_HASH_AT: usize = 128;
+const HEADER_LEN: usize = 136;
 const VERSION: std::ops::Range<usize> = 8..12;
-/// Column-table indices of the two x-run offset columns.
-const VIZ_RUNS: usize = 7;
-const RUN_STARTS: usize = 8;
 
 /// The offset columns a lie is planted in, by column-table index.
-const LIAR_COLUMNS: [(usize, &str); 6] = [
-    (1, "KeyStarts"),
-    (4, "RawStarts"),
-    (5, "VizSlots"),
-    (6, "PointStarts"),
-    (VIZ_RUNS, "VizRuns"),
-    (RUN_STARTS, "RunStarts"),
-];
+const LIAR_COLUMNS: [(usize, &str); 2] = [(1, "KeyStarts"), (4, "RawStarts")];
+
+/// The value columns a lie is planted in, by column-table index.
+const VALUE_COLUMNS: [(usize, &str); 2] = [(2, "RawXs"), (3, "RawYs")];
 
 /// Strategy: up to 8 series of 0–20 points, so some are rejected by
 /// GROUP (fewer than two points) and leave a gap in the slot column.
@@ -68,10 +63,10 @@ fn unique_path() -> PathBuf {
     p
 }
 
-/// The bytes of a valid snapshot of `trendlines` at bin width 1.
+/// The bytes of a valid snapshot of `trendlines`.
 fn snapshot_bytes(trendlines: &[Trendline]) -> Vec<u8> {
     let path = unique_path();
-    snapshot::write(&path, trendlines, 1).unwrap();
+    snapshot::write(&path, trendlines).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
@@ -122,6 +117,18 @@ fn lie_about(value: u64, lie: usize) -> u64 {
     }
 }
 
+/// `value` with the value lie numbered `lie` told about it.
+fn value_lie(value: f64, lie: usize) -> f64 {
+    match lie {
+        0 => 0.0,
+        1 => -value,
+        2 => value + 1.0,
+        3 => value * 1e3,
+        4 => f64::NAN,
+        _ => f64::MAX,
+    }
+}
+
 /// NaN-safe canonical rendering: scores compared by bit pattern.
 fn render(results: &[TopKResult]) -> String {
     results
@@ -143,8 +150,7 @@ fn render(results: &[TopKResult]) -> String {
 /// shard under one shared threshold, partials merged.
 fn merged_top_k(snap: &Snapshot, shards: usize, query: &ShapeQuery, k: usize) -> String {
     let shared = SharedThresholds::new(1);
-    let partials = snap
-        .partition_bounds(shards)
+    let partials = partition_bounds_by_points(&snap.raw_point_counts(), shards)
         .into_iter()
         .map(|(start, end)| {
             snap.partition(start, end)
@@ -202,11 +208,7 @@ proptest! {
         let mut bytes = snapshot_bytes(&tls);
         let (index, name) = LIAR_COLUMNS[column];
         let (offset, len) = column_span(&bytes, index);
-        // Every liar column but `VizRuns` has at least one element
-        // (T ≥ 1); that one is empty when GROUP rejects every series.
-        if len == 0 {
-            return Ok(());
-        }
+        // Both liar columns have T + 1 ≥ 2 elements.
         let at = offset + (element % (len / 8)) * 8;
         let told = lie_about(le_u64(&bytes, at), lie);
         bytes[at..at + 8].copy_from_slice(&told.to_le_bytes());
@@ -236,40 +238,71 @@ proptest! {
     }
 }
 
-/// The three lies the x-run columns can tell, each planted alone in a
-/// valid snapshot of series on two x rows of different lengths and
-/// re-sealed: a viz naming a run past the table, a viz naming the other
-/// row's run, and run starts that step backwards.
-#[test]
-fn run_column_lies_are_corrupt() {
-    let series = |n: usize| -> Trendline {
-        let pairs: Vec<(f64, f64)> = (0..n).map(|x| (x as f64, (x * x % 7) as f64)).collect();
-        Trendline::from_pairs(format!("n{n}"), &pairs)
-    };
-    let bytes = snapshot_bytes(&[series(5), series(9), series(5)]);
-    let (runs_at, _) = column_span(&bytes, VIZ_RUNS);
-    let (starts_at, _) = column_span(&bytes, RUN_STARTS);
-    assert_eq!(
-        [0, 1, 2].map(|i| le_u64(&bytes, runs_at + 8 * i)),
-        [0, 1, 0]
-    );
-    assert_eq!(
-        [0, 1, 2].map(|i| le_u64(&bytes, starts_at + 8 * i)),
-        [0, 5, 14]
-    );
-    for (at, told, says) in [
-        (runs_at, 2u64, "viz 0 names x run 2 of 2"),
-        (runs_at, 1, "viz 0 has 5 points but its x run 1 has 9"),
-        (starts_at + 8, 15, "run starts is not monotone"),
-    ] {
-        let mut bytes = bytes.clone();
-        bytes[at..at + 8].copy_from_slice(&told.to_le_bytes());
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_resealed_value_lie_answers_like_the_rows_it_holds(
+        tls in collection_strategy(),
+        column in 0usize..VALUE_COLUMNS.len(),
+        element in 0usize..256,
+        lie in 0usize..6,
+    ) {
+        let mut bytes = snapshot_bytes(&tls);
+        let (index, name) = VALUE_COLUMNS[column];
+        let (offset, len) = column_span(&bytes, index);
+        if len == 0 {
+            return Ok(());
+        }
+        let at = offset + (element % (len / 8)) * 8;
+        let told = value_lie(f64::from_bits(le_u64(&bytes, at)), lie);
+        bytes[at..at + 8].copy_from_slice(&told.to_bits().to_le_bytes());
         reseal(&mut bytes);
-        match open(&bytes) {
-            Err(SnapshotError::Corrupt { detail, .. }) => {
-                assert!(detail.contains(says), "{detail}")
+
+        let snap = match open(&bytes) {
+            Err(SnapshotError::Corrupt { .. }) => return Ok(()),
+            Err(e) => return Err(TestCaseError::fail(format!("{name} lie: {e}"))),
+            Ok(snap) => snap,
+        };
+        let served = snap.partition(0, snap.trendline_count());
+        let rows = (0..served.len())
+            .map(|i| {
+                let (xs, ys) = served.points(i);
+                let pairs: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+                Trendline::from_pairs(served.key(i), &pairs)
+            })
+            .collect();
+        let eager = ShapeEngine::from_trendlines(rows);
+        let answer = |engine: &ShapeEngine, query: &ShapeQuery, pruning_mode| {
+            let options = EngineOptions { pruning_mode, ..EngineOptions::default() };
+            render(
+                &engine
+                    .top_k_batch_observed(
+                        &[(query, 5)],
+                        &options,
+                        &SharedThresholds::new(1),
+                        &NoopObserver,
+                    )
+                    .pop()
+                    .unwrap()
+                    .unwrap(),
+            )
+        };
+        let queries = [
+            ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]),
+            ShapeQuery::up(),
+            ShapeQuery::Or(vec![ShapeQuery::flat(), ShapeQuery::down()]),
+        ];
+        for query in &queries {
+            let want = answer(&eager, query, PruningMode::Off);
+            for mode in [PruningMode::Off, PruningMode::Auto] {
+                prop_assert_eq!(
+                    &answer(&served, query, mode),
+                    &want,
+                    "{} lie at {}: pruning {:?} diverged on {}",
+                    name, at, mode, query
+                );
             }
-            other => panic!("{says}: opened as {:?}", other.map(|_| ())),
         }
     }
 }

@@ -2,14 +2,14 @@
 //! from mapped snapshot partitions must return **byte-identical** top-k
 //! answers to the eager in-memory engine — across random collections
 //! (including NaN-poisoned, constant, and two-point series), shard
-//! counts {1, 2, 4}, pruning on and off, and both the seeded bin width
-//! and a re-GROUPed one. Byte-identity is the snapshot contract: a cold
-//! load is a layout change, never a result change.
+//! counts {1, 2, 4}, pruning on and off, and bin widths 1 and 2, each
+//! GROUPed from the mapped raw columns. Byte-identity is the snapshot
+//! contract: a cold load is a layout change, never a result change.
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    merge_topk, snapshot, EngineOptions, NoopObserver, PruningMode, ShapeEngine, ShapeQuery,
-    ShardedEngine, SharedThresholds, Snapshot, TopKResult,
+    merge_topk, partition_bounds_by_points, snapshot, EngineOptions, NoopObserver, PruningMode,
+    ShapeEngine, ShapeQuery, ShardedEngine, SharedThresholds, Snapshot, TopKResult,
 };
 use shapesearch_datastore::Trendline;
 use std::path::PathBuf;
@@ -84,7 +84,7 @@ fn unique_path() -> PathBuf {
 /// The snapshot path a server registration takes: one engine per
 /// deterministic partition, cut straight from the mapping.
 fn engines_from_snapshot(snap: &Snapshot, shards: usize) -> Vec<ShapeEngine> {
-    snap.partition_bounds(shards)
+    partition_bounds_by_points(&snap.raw_point_counts(), shards)
         .into_iter()
         .map(|(start, end)| snap.partition(start, end))
         .collect()
@@ -128,14 +128,14 @@ proptest! {
 
     /// Cold-load byte-identity: snapshot-backed engines equal the eager
     /// path bit for bit, for shards {1, 2, 4} × pruning {off, auto} ×
-    /// {seeded bin width, re-GROUPed bin width}.
+    /// bin width {1, 2}.
     #[test]
     fn snapshot_backed_engine_is_byte_identical(tls in collection_strategy()) {
         let k = 3;
         let path = unique_path();
-        // Seed bin width 1 (the arena persisted in the snapshot); bin
-        // width 2 forces a re-GROUP from the mapped raw columns.
-        snapshot::write(&path, &tls, 1).unwrap();
+        // The file holds the raw points only: every bin width GROUPs
+        // from the mapped raw columns.
+        snapshot::write(&path, &tls).unwrap();
         let snap = Snapshot::open(&path).unwrap();
         prop_assert_eq!(snap.trendline_count(), tls.len());
 

@@ -4,13 +4,13 @@
 //! per-trendline raw point counts, and from there registration is one
 //! path: counts → partition bounds (the one deterministic rule,
 //! [`partition_bounds_by_points`]) → placement → listing counts →
-//! engines for the **local** slots only, every one built right here. An
-//! eager source's local slots are cut from the trendlines, warmed and
-//! UDP-registered; a snapshot is opened, validated, cut once — each
-//! local partition's columns are views of the mapping, whose pages the
-//! kernel owns; a remote slot holds nothing in this process. The
-//! immutable [`DatasetEntry`] is shared across every request thread via
-//! `Arc`.
+//! engines for the **local** slots only, every one built right here. A
+//! local slot's engine is cut from the trendlines, or from the
+//! snapshot's mapping (its raw columns are views of the mapping, whose
+//! pages the kernel owns); either way it is then warmed — one GROUP
+//! path for every source — and UDP-registered. A remote slot holds
+//! nothing in this process. The immutable [`DatasetEntry`] is shared
+//! across every request thread via `Arc`.
 //!
 //! Registration is the expensive, rare operation; queries are the hot
 //! path and only ever take the read lock, so worker threads never
@@ -303,8 +303,8 @@ pub enum DataSource {
     /// Inline JSON-lines text shipped in the request body.
     InlineJsonl(String),
     /// A server-local on-disk snapshot (`shapesearch snapshot` output):
-    /// pre-extracted, pre-GROUPed columnar state served from the mapping
-    /// instead of an eager EXTRACT.
+    /// EXTRACT's output, served from the mapping instead of an eager
+    /// EXTRACT.
     Snapshot(String),
 }
 
@@ -341,8 +341,8 @@ pub struct DatasetSpec {
 }
 
 /// What a registration serves from, once its source is read: extracted
-/// trendlines, or a validated mapped snapshot holding the same thing
-/// pre-GROUPed on disk.
+/// trendlines, or a validated mapped snapshot holding the same thing on
+/// disk.
 enum Collection {
     Trendlines(Vec<Trendline>),
     Snapshot(Box<Snapshot>),
@@ -393,9 +393,11 @@ fn extracting(e: CoreError) -> ServerError {
     ServerError::bad_request(format!("extracting trendlines: {e}"))
 }
 
-/// Finishes one shard's engine for serving: the built-in UDPs, when the
-/// registration asked for them, before the engine is shared.
+/// Finishes one shard's engine for serving, whatever its source: GROUP
+/// at the default bin width, so the first query pays SEGMENT+SCORE only,
+/// then the built-in UDPs when the registration asked for them.
 fn shard_engine(mut engine: ShapeEngine, builtins: bool) -> Arc<ShapeEngine> {
+    engine.warm(EngineOptions::default().bin_width);
     if builtins {
         engine.register_builtin_udps();
     }
@@ -457,10 +459,9 @@ impl DatasetEntry {
             .any(|p| matches!(p, ShardPlacement::Remote(_)))
     }
 
-    /// Bytes of columnar GROUP state the local shards keep resident (or
-    /// mapped, for a snapshot): the sum of their
-    /// [`ShapeEngine::grouped_byte_size`]. Remote shards count on their
-    /// own servers.
+    /// Bytes of columnar GROUP state the local shards keep resident: the
+    /// sum of their [`ShapeEngine::grouped_byte_size`]. Remote shards
+    /// count on their own servers.
     pub fn grouped_bytes(&self) -> usize {
         self.shards
             .iter()
@@ -470,8 +471,8 @@ impl DatasetEntry {
     }
 
     /// The engine for **local** shard slot `slot`, built at registration.
-    /// Byte-identity holds for every source — a snapshot partition seeds
-    /// the exact GROUP arena the eager path builds.
+    /// Byte-identity holds for every source — a snapshot partition holds
+    /// the same rows and GROUPs them like the eager path.
     ///
     /// # Errors
     /// None: the `Result` stays for callers written against it.
@@ -567,10 +568,9 @@ impl Catalog {
     /// Registers a dataset: reads the source into a collection,
     /// partitions it (or retains one partition in shard-of mode),
     /// resolves the partition map, and publishes an entry that holds
-    /// engines for its local slots only, all built now — warmed from
-    /// extracted trendlines, or cut from the snapshot's mapping with the
-    /// arena it seeds. Replaces any previous dataset with the same id
-    /// (retiring the replaced generation from the query cache is the
+    /// engines for its local slots only, all built and warmed now — from
+    /// extracted trendlines, or cut from the snapshot's mapping. Replaces
+    /// any previous dataset with the same id (retiring the replaced generation from the query cache is the
     /// caller's: [`crate::handlers`] registers through
     /// `register_replacing`, which says which generation went).
     ///
@@ -636,9 +636,8 @@ impl Catalog {
                     .map(|(&(start, _), placement)| {
                         let part = rest.split_off(start);
                         (*placement == ShardPlacement::Local).then(|| {
-                            let engine = ShapeEngine::from_trendlines(part).with_base_index(start);
-                            engine.warm(EngineOptions::default().bin_width);
-                            shard_engine(engine, spec.builtins)
+                            let engine = ShapeEngine::from_trendlines(part);
+                            shard_engine(engine.with_base_index(start), spec.builtins)
                         })
                     })
                     .collect();
@@ -853,7 +852,7 @@ gadget,4,12
         let trendlines = extract(&table, &visual, &ExtractOptions::default()).unwrap();
         let path =
             std::env::temp_dir().join(format!("ss-catalog-{tag}-{}.snap", std::process::id()));
-        shapesearch_core::snapshot::write(&path, &trendlines, 1).unwrap();
+        shapesearch_core::snapshot::write(&path, &trendlines).unwrap();
         DataSource::Snapshot(path.to_str().unwrap().to_owned())
     }
 

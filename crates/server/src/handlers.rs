@@ -2147,7 +2147,7 @@ mod tests {
             Trendline::from_pairs("b", &[(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]),
         ];
         let path = dir.join(name);
-        shapesearch_core::snapshot::write(&path, &trendlines, 1).unwrap();
+        shapesearch_core::snapshot::write(&path, &trendlines).unwrap();
         path
     }
 
@@ -2226,6 +2226,20 @@ mod tests {
             "{}",
             resp.body
         );
+
+        // A version-2 file (it also stored GROUP's output) is refused by
+        // its version, which the error names.
+        bytes[mid] ^= 0xff;
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+        let resp = route(&state, &post("/datasets", &body));
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"code\":\"snapshot_invalid\"")
+                && resp.body.contains("format version 2"),
+            "{}",
+            resp.body
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2286,9 +2300,9 @@ mod tests {
         assert!(again.body.contains("\"cached\":false"), "{}", again.body);
         assert_eq!(results_of(&cold.body), results_of(&again.body));
 
-        // A bin width the snapshot does not seed is GROUPed from the mapped
-        // raw columns, and answers like the CSV registration of the same
-        // collection.
+        // A bin width the registration did not warm is GROUPed from the
+        // mapped raw columns, and answers like the CSV registration of the
+        // same collection.
         register(&state);
         let at_width_2 = |dataset: &str| {
             let q = format!(

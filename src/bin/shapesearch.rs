@@ -12,7 +12,7 @@
 //!             [--data FILE --z COL --x COL --y COL [--name NAME]] \
 //!             [--snapshot FILE [--name NAME]]
 //! shapesearch snapshot --data FILE --z COL --x COL --y COL --out FILE \
-//!             [--bin N] [--filter "col<=value"] [--agg avg]
+//!             [--filter "col<=value"] [--agg avg]
 //! ```
 //!
 //! `--help` prints every flag and the `--algo` values. One-shot mode
@@ -125,7 +125,7 @@ fn usage() -> &'static str {
       [--shard-of I/N [--announce ROUTER ...] [--advertise HOST:PORT] \
        | --shard-endpoint 'HOST:PORT[|HOST:PORT...]'|local|registry ...]\n\
      shapesearch snapshot --data FILE --z COL --x COL --y COL --out FILE \
-     [--bin N] [--filter 'col OP value']... [--agg avg|sum|min|max|count]"
+     [--filter 'col OP value']... [--agg avg|sum|min|max|count]"
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -454,14 +454,13 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Parses and runs `shapesearch snapshot ...`: EXTRACT + GROUP once,
-/// then persist the columnar state to a versioned on-disk snapshot that
-/// `serve --snapshot` (or a `"snapshot"` registration) can mmap and
-/// load shard-by-shard — byte-identical to re-extracting the source.
+/// Parses and runs `shapesearch snapshot ...`: EXTRACT once, then
+/// persist its output to a versioned on-disk snapshot that `serve
+/// --snapshot` (or a `"snapshot"` registration) can mmap and cut
+/// shard-by-shard — byte-identical to re-extracting the source.
 fn run_snapshot(args: &[String]) -> Result<(), String> {
     let mut source = SourceArgs::default();
     let mut out: Option<String> = None;
-    let mut bin = 1usize;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -473,14 +472,6 @@ fn run_snapshot(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             flag if source.accept(flag, &mut take)? => {}
             "--out" | "-o" => out = Some(take("--out")?),
-            "--bin" => {
-                bin = take("--bin")?
-                    .parse()
-                    .map_err(|_| "--bin must be an integer".to_owned())?;
-                if bin == 0 {
-                    return Err("--bin must be at least 1".to_owned());
-                }
-            }
             other => return Err(format!("unknown snapshot argument `{other}`\n{}", usage())),
         }
     }
@@ -495,12 +486,10 @@ fn run_snapshot(args: &[String]) -> Result<(), String> {
         &shapesearch::datastore::ExtractOptions::default(),
     )
     .map_err(|e| e.to_string())?;
-    let stats =
-        shapesearch::core::snapshot::write(&out, &trendlines, bin).map_err(|e| e.to_string())?;
+    let stats = shapesearch::core::snapshot::write(&out, &trendlines).map_err(|e| e.to_string())?;
     println!(
-        "wrote {out}: {} trendlines ({} accepted), {} raw points, \
-         {} canvas points, bin width {bin}, {} bytes",
-        stats.trendlines, stats.vizzes, stats.raw_points, stats.canvas_points, stats.bytes,
+        "wrote {out}: {} trendlines, {} raw points, {} bytes",
+        stats.trendlines, stats.raw_points, stats.bytes,
     );
     Ok(())
 }
