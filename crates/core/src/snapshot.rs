@@ -42,13 +42,13 @@
 //!
 //! [`Snapshot::open`] checks, in order: the header length, the magic,
 //! the version, the header checksum, the recorded file length, the
-//! column table against the layout its counts imply, the payload
-//! checksum, both start columns (monotone from 0, ending at their
-//! column's length) and every key's UTF-8. A torn or corrupted snapshot
-//! is a structured [`SnapshotError`], never a panic or garbage results.
-//! Any `f64` is a value a row may hold, so the point columns need no
-//! check. The payload checksum pass reads the whole file once, which
-//! doubles as page pre-faulting.
+//! counts against it, the column table against the layout the counts
+//! imply, the payload checksum, both start columns (monotone from 0,
+//! ending at their column's length) and every key's UTF-8. A torn or
+//! corrupted snapshot is a structured [`SnapshotError`], never a panic
+//! or garbage results. Any `f64` is a value a row may hold, so the point
+//! columns need no check. The payload checksum pass reads the whole file
+//! once, which doubles as page pre-faulting.
 //!
 //! [`write()`] never writes into an existing file: it writes a sibling
 //! and renames it over the path, so a server still mapping the old file
