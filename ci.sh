@@ -127,8 +127,10 @@ fi
 # benchmark package still names the now field-less `ExtractOptions`).
 # One GROUP path: a snapshot stores EXTRACT's output only, so the
 # snapshot-side arena constructor, its column views, its handle builder
-# and the file's bin width are gone.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path)"
+# and the file's bin width are gone. One Table-5 dispatch,
+# `SlopeLeaf::at`: the slope-taking scorers and the nested-CONCAT
+# wrapper around `dp::solve_chain` are gone.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -145,6 +147,7 @@ seed_hint|hint_pruned|note_hint_prune|hint_undischarged|live_hints;crates src RE
 anchored_upper|record_bounding|ThresholdCell::raise|cell\.raise\(;crates src README.md docs :!crates/bench/src/bin/ssbench;a second bound evaluator, a second bound-time sink or an unproven threshold write is back
 link_front|slot_mut|require_x_ranges|ExtractOptions::with_ranges;crates src README.md docs :!crates/bench/src/bin/ssbench;the slab LRU or EXTRACT's second push-down (a) is back
 ColumnarArena::from_columns|RawColumns|group::handle|Snapshot::bin_width;crates src README.md docs :!crates/bench/src/bin/ssbench;a second GROUP path (GROUP state read from a snapshot) is back
+\bscore_(up|down|flat|theta)\b|best_segmentation_in_range;crates src README.md docs :!crates/bench/src/bin/ssbench;a second Table-5 dispatch (a slope-taking score_* scorer) or the nested-CONCAT wrapper is back
 ROWS
 
 # One threading model: shards on the compute pool are the only

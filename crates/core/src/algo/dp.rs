@@ -19,7 +19,7 @@
 
 use super::{best_over_chains, MatchResult, Segmenter};
 use crate::chain::{Chain, Unit};
-use crate::eval::{chain_score_with_positions, slope_leaf, Evaluator, SlopeLeaf};
+use crate::eval::{chain_score_with_positions, Evaluator, SlopeLeaf};
 
 /// The optimal DP segmenter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,19 +29,6 @@ impl Segmenter for DpSegmenter {
     fn match_viz(&self, ev: &Evaluator<'_>, chains: &[Chain]) -> MatchResult {
         best_over_chains(chains, |chain| solve_chain(ev, chain, 0, ev.viz.n() - 1))
     }
-}
-
-/// Optimal segmentation of `chain` over the inclusive point range
-/// `[lo, hi]`, as used for nested CONCAT patterns. Returns the score and
-/// per-unit ranges.
-pub fn best_segmentation_in_range(
-    ev: &Evaluator<'_>,
-    chain: &Chain,
-    lo: usize,
-    hi: usize,
-) -> (f64, Vec<(usize, usize)>) {
-    let r = solve_chain(ev, chain, lo, hi);
-    (r.score, r.ranges)
 }
 
 /// Admissible placement of one unit, derived from its pins/width.
@@ -71,7 +58,8 @@ fn placement(ev: &Evaluator<'_>, unit: &Unit) -> Placement {
 
 /// DP over (unit, end-point) states. `run_lo`/`run_hi` bound the point range
 /// the chain may occupy; the first fuzzy unit starts at `run_lo` and the
-/// last fuzzy unit must end at `run_hi`.
+/// last fuzzy unit must end at `run_hi`. A nested CONCAT pattern segments
+/// its assigned range through this too.
 #[allow(clippy::needless_range_loop)] // indices cross multiple DP tables
 pub(crate) fn solve_chain(
     ev: &Evaluator<'_>,
@@ -93,17 +81,14 @@ pub(crate) fn solve_chain(
     // Virtual "unit -1" ends at run_lo with score 0.
     prev_layer[run_lo] = 0.0;
 
-    // Slope-leaf classification per unit (once per chain, not per
-    // window): leaf units run the O(n²) inner loops through the batched
+    // Slope-leaf units run the O(n²) inner loops through the batched
     // window kernel instead of per-window `eval_node` calls.
-    let leaves: Vec<Option<SlopeLeaf>> = chain.units.iter().map(|u| slope_leaf(&u.query)).collect();
     let mut run_scores: Vec<f64> = Vec::new();
 
     for (t, unit) in chain.units.iter().enumerate() {
         let mut layer: Vec<f64> = vec![NEG; width];
         let place = placement(ev, unit);
         let last = t + 1 == k;
-        let leaf = leaves[t];
         for pe in run_lo..=run_hi {
             let base = prev_layer[pe];
             if base == NEG {
@@ -115,7 +100,7 @@ pub(crate) fn solve_chain(
                     if e <= s || e > run_hi {
                         return;
                     }
-                    let sc = base + unit.weight * ev.eval_unit(leaf, &unit.query, s, e);
+                    let sc = base + unit.weight * ev.eval_unit(unit.leaf, &unit.query, s, e);
                     if sc > layer[e] {
                         layer[e] = sc;
                         parent_t[e] = (pe as u32, s as u32);
@@ -142,7 +127,9 @@ pub(crate) fn solve_chain(
                 Placement::Window(w) => {
                     // Sliding window: any start at or after the previous end.
                     for s in pe..run_hi {
-                        let e = s + w;
+                        // Saturating: a width wider than any trendline
+                        // reads as `usize::MAX` points.
+                        let e = s.saturating_add(w);
                         if e > run_hi {
                             break;
                         }
@@ -161,7 +148,7 @@ pub(crate) fn solve_chain(
                     match end {
                         Some(e) => try_range(&mut layer, parent_t, s, e),
                         None if last => try_range(&mut layer, parent_t, s, run_hi),
-                        None => match leaf {
+                        None => match unit.leaf {
                             Some(l) => try_run(&mut layer, parent_t, &mut run_scores, l, s),
                             None => {
                                 for e in (s + 1)..=run_hi {
@@ -341,6 +328,37 @@ mod tests {
     }
 
     #[test]
+    fn a_window_wider_than_the_trendline_places_nothing() {
+        // `[p=up][x.s=., x.e=.+w, p=down]`: no width past the canvas fits,
+        // and one past `usize::MAX` points must not overflow the second
+        // unit's start + width. The tree and the greedy hand a width unit
+        // to this DP.
+        use crate::algo::{greedy::GreedySegmenter, segment_tree::SegmentTreeSegmenter};
+        let v = viz(&[(0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 2.0), (4.0, 0.0)]);
+        let params = ScoreParams::default();
+        let udps = UdpRegistry::new();
+        let ev = Evaluator::new(&v, &params, &udps);
+        let chains = |width: f64| {
+            expand_chains(&ShapeQuery::concat(vec![
+                ShapeQuery::up(),
+                ShapeQuery::Segment(ShapeSegment::pattern(Pattern::Down).with_width(width)),
+            ]))
+        };
+        let segmenters: [&dyn Segmenter; 3] = [
+            &DpSegmenter,
+            &SegmentTreeSegmenter::default(),
+            &GreedySegmenter::new(),
+        ];
+        for segmenter in segmenters {
+            let wide = segmenter.match_viz(&ev, &chains(1e3));
+            assert!(wide.ranges.is_empty(), "{:?}", wide.ranges);
+            let huge = segmenter.match_viz(&ev, &chains(1e30));
+            assert_eq!(huge.score.to_bits(), wide.score.to_bits());
+            assert_eq!(huge.ranges, wide.ranges);
+        }
+    }
+
+    #[test]
     fn nested_range_segmentation() {
         let v = viz(&[(0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 2.0), (4.0, 0.0)]);
         let params = ScoreParams::default();
@@ -348,13 +366,16 @@ mod tests {
         let ev = Evaluator::new(&v, &params, &udps);
         let q = ShapeQuery::concat(vec![ShapeQuery::up(), ShapeQuery::down()]);
         let chains = expand_chains(&q);
-        let (score, ranges) = best_segmentation_in_range(&ev, &chains[0], 0, 4);
+        let MatchResult { score, ranges } = solve_chain(&ev, &chains[0], 0, 4);
         // A clean 45°-per-flank peak scores ≈ 0.7 (atan scoring: 45° → 0.5,
         // the canvas doubles the slope of each half).
         assert!(score > 0.6, "score {score}");
         assert_eq!(ranges, vec![(0, 2), (2, 4)]);
         // Sub-range segmentation respects bounds.
-        let (sub_score, sub_ranges) = best_segmentation_in_range(&ev, &chains[0], 1, 3);
+        let MatchResult {
+            score: sub_score,
+            ranges: sub_ranges,
+        } = solve_chain(&ev, &chains[0], 1, 3);
         assert!(sub_score > 0.0);
         assert_eq!(sub_ranges, vec![(1, 2), (2, 3)]);
     }

@@ -6,7 +6,7 @@
 
 use super::{best_over_chains, MatchResult, Segmenter};
 use crate::chain::Chain;
-use crate::eval::{chain_score_with_positions, slope_leaf, Evaluator, SlopeLeaf};
+use crate::eval::{chain_score_with_positions, Evaluator};
 
 /// The greedy local-search segmenter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,11 +50,10 @@ fn solve_greedy(ev: &Evaluator<'_>, chain: &Chain, max_rounds: usize) -> MatchRe
         breaks[t] = breaks[t].max(breaks[t - 1] + 1).min(n - 1 - (k - t));
     }
 
-    let leaves: Vec<Option<SlopeLeaf>> = chain.units.iter().map(|u| slope_leaf(&u.query)).collect();
     let score_of = |breaks: &[usize]| -> f64 {
         let mut total = 0.0;
         for (t, u) in chain.units.iter().enumerate() {
-            total += u.weight * ev.eval_unit(leaves[t], &u.query, breaks[t], breaks[t + 1]);
+            total += u.weight * ev.eval_unit(u.leaf, &u.query, breaks[t], breaks[t + 1]);
         }
         total
     };

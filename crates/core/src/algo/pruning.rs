@@ -1388,7 +1388,7 @@ pub(crate) mod tests {
     use crate::chain::expand_chains;
     use crate::engine::observe::NOOP_OBSERVER;
     use crate::eval::{Evaluator, UdpRegistry};
-    use crate::score::{self, theta_at, theta_target};
+    use crate::score::{theta_at, theta_target};
     use shapesearch_datastore::Trendline;
 
     /// The first tier's bare `(lower, upper)`.
@@ -1835,8 +1835,8 @@ pub(crate) mod tests {
             let ev = Evaluator::new(&v, &params, &udps);
             let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
             let (_, hi) = plan(&q, &v, &params);
-            let on_windows = (score::score_up(v.slope(10, 30))
-                + score::score_theta(v.slope(30, 50), -30.0))
+            let on_windows = (SlopeLeaf::Up.at(v.slope(10, 30).atan())
+                + SlopeLeaf::theta(-30.0).at(v.slope(30, 50).atan()))
                 / 2.0;
             assert_eq!(hi, on_windows, "walk {seed}");
             assert!(

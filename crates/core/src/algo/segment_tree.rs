@@ -42,7 +42,7 @@
 use super::{best_over_chains, MatchResult, Segmenter};
 use crate::chain::{Chain, Unit};
 use crate::columnar::PrefixRuns;
-use crate::eval::{chain_score_with_positions, slope_leaf, Evaluator, SlopeLeaf};
+use crate::eval::{chain_score_with_positions, Evaluator};
 use std::cell::Cell;
 
 #[cfg(test)]
@@ -114,8 +114,7 @@ fn finish(
 /// their own SegmentTree. Partially pinned or width units fall back to the
 /// exact DP, which handles every constraint.
 fn solve_hybrid(ev: &Evaluator<'_>, chain: &Chain, bridges: bool) -> MatchResult {
-    let fully_pinned = |u: &Unit| u.pin_start.is_some() && u.pin_end.is_some() && u.width.is_none();
-    if !chain.units.iter().all(|u| u.is_fuzzy() || fully_pinned(u)) {
+    if !chain.units.iter().all(|u| u.is_fuzzy() || u.fully_pinned()) {
         return super::dp::solve_chain(ev, chain, 0, ev.viz.n() - 1);
     }
     let n = ev.viz.n();
@@ -144,7 +143,7 @@ fn solve_hybrid(ev: &Evaluator<'_>, chain: &Chain, bridges: bool) -> MatchResult
     };
 
     for (i, unit) in chain.units.iter().enumerate() {
-        if !fully_pinned(unit) {
+        if !unit.fully_pinned() {
             continue;
         }
         let s = ev.viz.x_to_index(unit.pin_start.expect("pinned"));
@@ -157,7 +156,7 @@ fn solve_hybrid(ev: &Evaluator<'_>, chain: &Chain, bridges: bool) -> MatchResult
         if !place_run(run, prev_end, s, &mut score, &mut ranges) {
             return MatchResult::infeasible();
         }
-        score += unit.weight * ev.eval_unit(slope_leaf(&unit.query), &unit.query, s, e);
+        score += unit.weight * ev.eval_unit(unit.leaf, &unit.query, s, e);
         ranges.push((s, e));
         prev_end = e;
         run_start = i + 1;
@@ -216,7 +215,6 @@ impl Table {
 #[derive(Default)]
 struct Scratch {
     tables: Vec<Table>,
-    leaves: Vec<Option<SlopeLeaf>>,
     merged: Vec<Cell<f64>>,
 }
 
@@ -244,10 +242,6 @@ fn tree_range(
     // may itself run a query on this thread), and a nested tree must find
     // an empty scratch to grow, never this one half-written.
     let mut scratch = SCRATCH.take();
-    scratch.leaves.clear();
-    scratch
-        .leaves
-        .extend(units.iter().map(|u| slope_leaf(&u.query)));
     let levels = if k == 1 {
         0
     } else {
@@ -265,7 +259,6 @@ fn tree_range(
     let kernel = Kernel {
         ev,
         units,
-        leaves: &scratch.leaves,
         runs: arena.prefix_runs(slot),
         xs: ev.viz.xs(),
         // GROUP laid out the angles of exactly this tree's nodes.
@@ -290,13 +283,12 @@ fn tree_range(
     score
 }
 
-/// One tree's invariants, resolved once: the units with their leaf
-/// classification, and the viz's prefix-sum runs and `xs` as plain slices
-/// so a window costs eight loads and no dispatch.
+/// One tree's invariants, resolved once: the units, and the viz's
+/// prefix-sum runs and `xs` as plain slices so a window costs eight loads
+/// and no dispatch.
 struct Kernel<'a> {
     ev: &'a Evaluator<'a>,
     units: &'a [Unit],
-    leaves: &'a [Option<SlopeLeaf>],
     runs: PrefixRuns<'a>,
     xs: &'a [f64],
     /// The viz's preorder node angles when the tree covers the whole viz;
@@ -327,7 +319,7 @@ impl Kernel<'_> {
     #[inline]
     fn unit_score(&self, t: usize, i: usize, j: usize, angle: impl FnOnce() -> f64) -> f64 {
         let unit = &self.units[t];
-        let score = match self.leaves[t] {
+        let score = match unit.leaf {
             Some(leaf) => {
                 // `width_penalty` ignores the width exactly when the
                 // term is off, so the two `xs` loads go with it.

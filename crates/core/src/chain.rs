@@ -14,6 +14,7 @@
 //! same sub-region of the visualization").
 
 use crate::ast::{Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
+use crate::eval::{slope_leaf, SlopeLeaf};
 
 /// One unit of a chain: an atomic sub-query assigned a single VisualSegment,
 /// its weight in the final score, and its location constraints.
@@ -29,6 +30,10 @@ pub struct Unit {
     pub pin_end: Option<f64>,
     /// Fixed window width in raw x units (ITERATOR sub-primitive).
     pub width: Option<f64>,
+    /// The unit's Table-5 row when its score is a pure function of its
+    /// window's fitted slope (see [`slope_leaf`]): classified once here,
+    /// so no segmenter re-derives it per trendline.
+    pub leaf: Option<SlopeLeaf>,
 }
 
 impl Unit {
@@ -42,6 +47,7 @@ impl Unit {
             _ => (None, None, None),
         };
         Self {
+            leaf: slope_leaf(&query),
             query,
             weight,
             pin_start,
@@ -53,6 +59,12 @@ impl Unit {
     /// True when neither endpoint is pinned and no width constraint applies.
     pub fn is_fuzzy(&self) -> bool {
         self.pin_start.is_none() && self.pin_end.is_none() && self.width.is_none()
+    }
+
+    /// True when both endpoints are pinned and no width constraint applies:
+    /// the unit's window is fixed before any segmentation.
+    pub fn fully_pinned(&self) -> bool {
+        self.pin_start.is_some() && self.pin_end.is_some() && self.width.is_none()
     }
 
     /// True when the unit's pattern is a POSITION (`$`) reference.
@@ -267,6 +279,31 @@ mod tests {
         assert!(!u.is_fuzzy());
         assert!(chains[0].units[1].is_fuzzy());
         assert!(!chains[0].is_fully_fuzzy());
+    }
+
+    #[test]
+    fn units_carry_their_row_and_pin_kind() {
+        let q = ShapeQuery::concat(vec![
+            up(),
+            ShapeQuery::pattern(Pattern::Slope(30.0)),
+            ShapeQuery::Segment(
+                ShapeSegment::pattern(Pattern::Up).with_modifier(Modifier::MuchMore),
+            ),
+            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Flat, 0.0, 1.0)),
+            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Flat, 0.0, 1.0).with_width(2.0)),
+            ShapeQuery::And(vec![up(), flat()]),
+        ]);
+        let units = &expand_chains(&q)[0].units;
+        let leaves: Vec<_> = units.iter().map(|u| u.leaf).collect();
+        assert_eq!(
+            leaves,
+            [Some(SlopeLeaf::Up), Some(SlopeLeaf::theta(30.0))]
+                .into_iter()
+                .chain([None; 4])
+                .collect::<Vec<_>>()
+        );
+        let pinned: Vec<bool> = units.iter().map(Unit::fully_pinned).collect();
+        assert_eq!(pinned, [false, false, false, true, false, false]);
     }
 
     #[test]

@@ -21,10 +21,7 @@
 use crate::ast::{Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
 use crate::chain::Chain;
 use crate::engine::group::VizData;
-use crate::score::{
-    self, clamp_score, combine_and, combine_not, combine_or, score_down, score_flat, score_theta,
-    score_up, ScoreParams,
-};
+use crate::score::{self, clamp_score, combine_and, combine_not, combine_or, ScoreParams};
 use shapesearch_similarity::{normalized_similarity, resample_linear};
 use std::collections::HashMap;
 use std::f64::consts::PI;
@@ -87,19 +84,23 @@ pub struct PosContext<'a> {
 /// [`Evaluator::eval_node`] walk collapses to "fitted slope → score
 /// function → width penalty → clamp", which the batched kernels compute
 /// for whole runs of candidate windows at once. Derived once per chain
-/// unit (see [`slope_leaf`]), never per candidate window.
+/// unit, when the chain is expanded ([`crate::chain::Unit::leaf`]), never
+/// per candidate window.
+///
+/// Its variants are Table 5's slope rows, and `SlopeLeaf::at` over the
+/// `score::*_at` maps is the one place a row becomes a score.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SlopeLeaf {
-    /// `Pattern::Up` — [`score_up`].
+    /// `Pattern::Up` — 2·θ/π.
     Up,
-    /// `Pattern::Down` — [`score_down`].
+    /// `Pattern::Down` — −2·θ/π.
     Down,
-    /// `Pattern::Flat` — [`score_flat`].
+    /// `Pattern::Flat` — 1 − |4·θ/π|.
     Flat,
     /// `Pattern::Any` — constant 1.
     Any,
-    /// `Pattern::Slope(deg)` — [`score_theta`] against `deg`, held as the
-    /// pattern's two constants so no window re-derives them.
+    /// `Pattern::Slope(deg)` — peaked at `deg` (see `SlopeLeaf::theta`), held
+    /// as the pattern's two constants so no window re-derives them.
     Theta {
         /// The target angle in radians, clamped to ±π/2.
         target: f64,
@@ -109,9 +110,15 @@ pub enum SlopeLeaf {
 }
 
 impl SlopeLeaf {
-    /// The row's Table-5 score at a fitted angle, before any clamp: what
-    /// the slope-taking scorers in [`crate::score`] apply after their
-    /// `atan`, and what the §6.3 bounds are written in.
+    /// The `θ = x` row for a target angle in **degrees**.
+    pub(crate) fn theta(target_deg: f64) -> Self {
+        let (target, worst) = score::theta_target(target_deg);
+        SlopeLeaf::Theta { target, worst }
+    }
+
+    /// The row's Table-5 score at a fitted angle `θ = tan⁻¹(slope)`,
+    /// before any clamp: what every evaluation path and the §6.3 bounds
+    /// are written in.
     #[inline]
     pub(crate) fn at(self, theta: f64) -> f64 {
         match self {
@@ -157,19 +164,16 @@ pub fn slope_leaf(q: &ShapeQuery) -> Option<SlopeLeaf> {
 }
 
 /// The Table-5 row a pattern scores by, when it is a slope pattern: the
-/// one classification the leaf fast path ([`slope_leaf`]) and the §6.3
-/// bound plan share. `None` for UDPs, position references and nested
-/// queries.
+/// one classification the leaf fast path ([`slope_leaf`]), the
+/// evaluator's general path and the §6.3 bound plan share. `None` for
+/// UDPs, position references and nested queries.
 pub(crate) fn pattern_row(p: &Pattern) -> Option<SlopeLeaf> {
     match p {
         Pattern::Up => Some(SlopeLeaf::Up),
         Pattern::Down => Some(SlopeLeaf::Down),
         Pattern::Flat => Some(SlopeLeaf::Flat),
         Pattern::Any => Some(SlopeLeaf::Any),
-        Pattern::Slope(deg) => {
-            let (target, worst) = score::theta_target(*deg);
-            Some(SlopeLeaf::Theta { target, worst })
-        }
+        Pattern::Slope(deg) => Some(SlopeLeaf::theta(*deg)),
         Pattern::Udp(_) | Pattern::Position(_) | Pattern::Nested(_) => None,
     }
 }
@@ -205,16 +209,11 @@ impl<'a> Evaluator<'a> {
             ShapeQuery::And(cs) => combine_and(cs.iter().map(|c| self.eval_node(c, i, j, pos))),
             ShapeQuery::Or(cs) => combine_or(cs.iter().map(|c| self.eval_node(c, i, j, pos))),
             ShapeQuery::Not(c) => combine_not(self.eval_node(c, i, j, pos)),
-            ShapeQuery::Concat(_) => {
-                // A nested CONCAT segments its assigned range optimally.
-                let chains = crate::chain::expand_chains(q);
-                let mut best = -1.0f64;
-                for chain in &chains {
-                    let (score, _) = crate::algo::dp::best_segmentation_in_range(self, chain, i, j);
-                    best = best.max(score);
-                }
-                best
-            }
+            // A nested CONCAT segments its assigned range optimally.
+            ShapeQuery::Concat(_) => crate::chain::expand_chains(q)
+                .iter()
+                .map(|chain| crate::algo::dp::solve_chain(self, chain, i, j).score)
+                .fold(-1.0, f64::max),
         }
     }
 
@@ -249,7 +248,7 @@ impl<'a> Evaluator<'a> {
             if let Some(target) = self.target_line_slope(s, i, j) {
                 // Location-only segment with y endpoints: match the implied
                 // line segment.
-                sum += score_theta(self.viz.slope(i, j), target);
+                sum += SlopeLeaf::theta(target).at(self.viz.slope(i, j).atan());
             } else {
                 // Location-only constraints already satisfied: wildcard.
                 sum += 1.0;
@@ -284,7 +283,8 @@ impl<'a> Evaluator<'a> {
 
     /// Scores `q` over `[i, j]` through the leaf fast path when `leaf`
     /// (its precomputed classification) allows, the general walk
-    /// otherwise. The segmenters derive `leaf` once per chain unit.
+    /// otherwise. The segmenters pass a chain unit's
+    /// [`Unit::leaf`](crate::chain::Unit::leaf).
     #[inline]
     pub fn eval_unit(&self, leaf: Option<SlopeLeaf>, q: &ShapeQuery, i: usize, j: usize) -> f64 {
         match leaf {
@@ -363,7 +363,9 @@ impl<'a> Evaluator<'a> {
         Some(slope.atan().to_degrees())
     }
 
-    /// Scores a pattern (with its modifier) over `[i, j]`.
+    /// Scores a pattern (with its modifier) over `[i, j]`. A slope pattern
+    /// scores its Table-5 row ([`pattern_row`]) unless a sharp or gradual
+    /// modifier reshapes `up` or `down`.
     fn pattern_score(
         &self,
         p: &Pattern,
@@ -376,34 +378,27 @@ impl<'a> Evaluator<'a> {
             return self.quantifier_score(p, min, max, i, j);
         }
         let slope = self.viz.slope(i, j);
-        match p {
-            Pattern::Up => match modifier {
-                // Sharp is monotone in steepness; gradual peaks at the
-                // gradual angle (steeper is no longer "gradual").
-                Some(Modifier::MuchMore) => {
-                    score::score_sharp_up(slope, self.params.sharp_angle_deg)
-                }
-                Some(Modifier::More(None)) => score_theta(slope, self.params.gradual_angle_deg),
-                _ => score_up(slope),
-            },
-            Pattern::Down => match modifier {
-                Some(Modifier::MuchMore) | Some(Modifier::MuchLess) => {
-                    score::score_sharp_down(slope, self.params.sharp_angle_deg)
-                }
-                Some(Modifier::More(None)) | Some(Modifier::Less(None)) => {
-                    score_theta(slope, -self.params.gradual_angle_deg)
-                }
-                _ => score_down(slope),
-            },
-            Pattern::Flat => score_flat(slope),
-            Pattern::Any => 1.0,
-            Pattern::Slope(deg) => score_theta(slope, *deg),
-            Pattern::Udp(name) => match self.udps.get(name) {
+        let (sharp, gradual) = (self.params.sharp_angle_deg, self.params.gradual_angle_deg);
+        match (p, modifier) {
+            // Sharp is monotone in steepness; gradual peaks at the
+            // gradual angle (steeper is no longer "gradual").
+            (Pattern::Up, Some(Modifier::MuchMore)) => score::score_sharp_up(slope, sharp),
+            (Pattern::Up, Some(Modifier::More(None))) => SlopeLeaf::theta(gradual).at(slope.atan()),
+            (Pattern::Down, Some(Modifier::MuchMore | Modifier::MuchLess)) => {
+                score::score_sharp_down(slope, sharp)
+            }
+            (Pattern::Down, Some(Modifier::More(None) | Modifier::Less(None))) => {
+                SlopeLeaf::theta(-gradual).at(slope.atan())
+            }
+            (Pattern::Udp(name), _) => match self.udps.get(name) {
                 Some(f) => clamp_score(f(&self.viz.ys()[i..=j])),
                 None => -1.0,
             },
-            Pattern::Position(r) => self.position_score(*r, modifier, slope, pos),
-            Pattern::Nested(q) => self.eval_node(q, i, j, pos),
+            (Pattern::Position(r), _) => self.position_score(*r, modifier, slope, pos),
+            (Pattern::Nested(q), _) => self.eval_node(q, i, j, pos),
+            _ => pattern_row(p)
+                .expect("every other pattern is a slope row")
+                .at(slope.atan()),
         }
     }
 
@@ -475,7 +470,7 @@ impl<'a> Evaluator<'a> {
             // clearly the pattern is absent (strongest interval, negated).
             let mut best = -1.0f64;
             for t in i..j {
-                best = best.max(self.leaf_pattern_score(p, t, t + 1));
+                best = best.max(self.pattern_score(p, None, t, t + 1, None));
             }
             return clamp_score(-best);
         }
@@ -542,14 +537,14 @@ impl<'a> Evaluator<'a> {
                     if sc > thr {
                         run_start.get_or_insert(t);
                     } else if let Some(rs) = run_start.take() {
-                        let merged = self.leaf_pattern_score(p, rs, t);
+                        let merged = self.pattern_score(p, None, rs, t, None);
                         if merged > thr {
                             out.push(((rs, t), merged));
                         }
                     }
                 }
                 if let Some(rs) = run_start {
-                    let merged = self.leaf_pattern_score(p, rs, j);
+                    let merged = self.pattern_score(p, None, rs, j, None);
                     if merged > thr {
                         out.push(((rs, j), merged));
                     }
@@ -559,48 +554,21 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Modifier-free pattern score over a range (quantifier helper).
-    fn leaf_pattern_score(&self, p: &Pattern, i: usize, j: usize) -> f64 {
-        let slope = self.viz.slope(i, j);
-        match p {
-            Pattern::Up => score_up(slope),
-            Pattern::Down => score_down(slope),
-            Pattern::Flat => score_flat(slope),
-            Pattern::Any => 1.0,
-            Pattern::Slope(deg) => score_theta(slope, *deg),
-            Pattern::Udp(name) => self
-                .udps
-                .get(name)
-                .map_or(-1.0, |f| clamp_score(f(&self.viz.ys()[i..=j]))),
-            Pattern::Position(_) => 0.0,
-            Pattern::Nested(q) => self.eval_node(q, i, j, None),
-        }
-    }
-
-    /// [`Self::leaf_pattern_score`] over every adjacent interval
-    /// `[t, t+1]`, `t` in `i..j`, written to `out` (cleared first) —
-    /// slope-mapped patterns go through the batched interval kernel,
-    /// everything else falls back to per-interval calls.
+    /// The modifier-free [`Self::pattern_score`] of every adjacent
+    /// interval `[t, t+1]`, `t` in `i..j`, written to `out` (cleared
+    /// first) — a slope row maps the batched interval kernel's slopes,
+    /// anything else is scored an interval at a time.
     fn interval_leaf_scores(&self, p: &Pattern, i: usize, j: usize, out: &mut Vec<f64>) {
-        match p {
-            Pattern::Up | Pattern::Down | Pattern::Flat | Pattern::Any | Pattern::Slope(_) => {
+        match pattern_row(p) {
+            Some(row) => {
                 self.viz
                     .arena()
                     .interval_slopes_in(self.viz.slot(), i, j, out);
-                for v in out.iter_mut() {
-                    *v = match p {
-                        Pattern::Up => score_up(*v),
-                        Pattern::Down => score_down(*v),
-                        Pattern::Flat => score_flat(*v),
-                        Pattern::Any => 1.0,
-                        Pattern::Slope(deg) => score_theta(*v, *deg),
-                        _ => unreachable!("matched slope patterns only"),
-                    };
-                }
+                out.iter_mut().for_each(|v| *v = row.at(v.atan()));
             }
-            _ => {
+            None => {
                 out.clear();
-                out.extend((i..j).map(|t| self.leaf_pattern_score(p, t, t + 1)));
+                out.extend((i..j).map(|t| self.pattern_score(p, None, t, t + 1, None)));
             }
         }
     }

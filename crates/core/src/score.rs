@@ -83,10 +83,11 @@ pub fn width_penalty(score: f64, width: f64, min_width_frac: f64) -> f64 {
 }
 
 /// `up` at a fitted angle `theta = tan⁻¹(slope)`: 2·θ/π. Table 5 lives in
-/// these four `*_at` maps; the slope-taking scorers below only take the
-/// `atan` first, so a caller that already holds the angle of a window
-/// (the SegmentTree scores every unit of a node over one fitted line)
-/// gets the same bits without taking it again.
+/// these four `*_at` maps, and `eval::SlopeLeaf::at` is the one dispatch
+/// over them: every path that scores a slope pattern takes the `atan` of
+/// its window once and maps it through the row, so a caller that already
+/// holds the angle of a window (the SegmentTree scores every unit of a
+/// node over one fitted line) gets the same bits without taking it again.
 #[inline]
 pub(crate) fn up_at(theta: f64) -> f64 {
     2.0 * theta / PI
@@ -120,37 +121,13 @@ pub(crate) fn theta_at(theta: f64, target: f64, worst: f64) -> f64 {
     1.0 - 2.0 * (theta - target).abs() / worst
 }
 
-/// Score of the `up` pattern for a fitted slope: 2·tan⁻¹(slope)/π.
-/// Rises from −1 (steep fall) through 0 (flat) to +1 (steep rise).
-pub fn score_up(slope: f64) -> f64 {
-    up_at(slope.atan())
-}
-
-/// Score of the `down` pattern: the negation of [`score_up`].
-pub fn score_down(slope: f64) -> f64 {
-    down_at(slope.atan())
-}
-
-/// Score of the `flat` pattern: 1 − |4·tan⁻¹(slope)/π|. Equals 1 at slope 0,
-/// 0 at ±45°, −1 at ±90°.
-pub fn score_flat(slope: f64) -> f64 {
-    flat_at(slope.atan())
-}
-
-/// Score of the `θ = x` pattern (target angle in **degrees**): maximal when
-/// the fitted angle equals the target, decaying to −1 at the farthest
-/// possible angle.
-pub fn score_theta(slope: f64, target_deg: f64) -> f64 {
-    let (target, worst) = theta_target(target_deg);
-    theta_at(slope.atan(), target, worst)
-}
-
-/// Score of a *sharp* rise (`m = >>` with `up`): the [`score_up`] curve
-/// rescaled so the score reaches 0.5 only at `sharp_angle_deg` — monotone in
-/// steepness (a steeper rise is always sharper), unlike the peaked θ scorer.
+/// Score of a *sharp* rise (`m = >>` with `up`): the `up_at` curve over
+/// the slope rescaled so the score reaches 0.5 only at `sharp_angle_deg` —
+/// monotone in steepness (a steeper rise is always sharper), unlike the
+/// peaked θ scorer.
 pub fn score_sharp_up(slope: f64, sharp_angle_deg: f64) -> f64 {
     let pivot = sharp_angle_deg.to_radians().tan().max(1e-9);
-    score_up(slope / pivot)
+    up_at((slope / pivot).atan())
 }
 
 /// Sharp fall: mirror of [`score_sharp_up`].
@@ -197,50 +174,69 @@ mod tests {
 
     const EPS: f64 = 1e-12;
 
+    // The Table-5 rows over a fitted slope, as every evaluation path
+    // applies them.
+    fn up_of(slope: f64) -> f64 {
+        up_at(slope.atan())
+    }
+
+    fn down_of(slope: f64) -> f64 {
+        down_at(slope.atan())
+    }
+
+    fn flat_of(slope: f64) -> f64 {
+        flat_at(slope.atan())
+    }
+
+    fn theta_of(slope: f64, target_deg: f64) -> f64 {
+        let (target, worst) = theta_target(target_deg);
+        theta_at(slope.atan(), target, worst)
+    }
+
     #[test]
     fn up_is_monotone_and_bounded() {
         let slopes = [-100.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0];
         let mut prev = -1.0;
         for s in slopes {
-            let v = score_up(s);
+            let v = up_of(s);
             assert!((-1.0..=1.0).contains(&v));
             assert!(v >= prev);
             prev = v;
         }
-        assert_eq!(score_up(0.0), 0.0);
-        assert!(score_up(1.0) - 0.5 < EPS); // 45° → 0.5
+        assert_eq!(up_of(0.0), 0.0);
+        assert!(up_of(1.0) - 0.5 < EPS); // 45° → 0.5
     }
 
     #[test]
     fn down_mirrors_up() {
         for s in [-3.0, -1.0, 0.0, 0.7, 10.0] {
-            assert!((score_down(s) + score_up(s)).abs() < EPS);
+            assert!((down_of(s) + up_of(s)).abs() < EPS);
         }
     }
 
     #[test]
     fn flat_peaks_at_zero_slope() {
-        assert!((score_flat(0.0) - 1.0).abs() < EPS);
-        assert!((score_flat(1.0)).abs() < EPS); // 45° → 0
-        assert!(score_flat(1e9) < -0.99); // 90° → −1
-        assert!((score_flat(2.0) - score_flat(-2.0)).abs() < EPS); // symmetric
+        assert!((flat_of(0.0) - 1.0).abs() < EPS);
+        assert!((flat_of(1.0)).abs() < EPS); // 45° → 0
+        assert!(flat_of(1e9) < -0.99); // 90° → −1
+        assert!((flat_of(2.0) - flat_of(-2.0)).abs() < EPS); // symmetric
     }
 
     #[test]
     fn theta_peaks_at_target() {
         let slope45 = 1.0;
-        assert!((score_theta(slope45, 45.0) - 1.0).abs() < EPS);
+        assert!((theta_of(slope45, 45.0) - 1.0).abs() < EPS);
         // Deviation reduces score, symmetric in angle space.
-        assert!(score_theta(slope45, 45.0) > score_theta(0.5, 45.0));
-        assert!(score_theta(0.0, 0.0) - 1.0 < EPS);
+        assert!(theta_of(slope45, 45.0) > theta_of(0.5, 45.0));
+        assert!(theta_of(0.0, 0.0) - 1.0 < EPS);
         // Opposite extreme approaches −1.
-        assert!(score_theta(-1e9, 90.0) < -0.99);
+        assert!(theta_of(-1e9, 90.0) < -0.99);
     }
 
     #[test]
     fn theta_matches_up_semantics_at_extremes() {
         // A 45° target scored on a flat segment is midway.
-        let v = score_theta(0.0, 45.0);
+        let v = theta_of(0.0, 45.0);
         assert!(v > 0.0 && v < 0.5);
     }
 

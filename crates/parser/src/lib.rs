@@ -26,3 +26,11 @@ pub use error::{ParseError, Result};
 pub use nl::{cross_validate_corpus, parse_natural_language, NlParser, ParsedNl, MAX_NL_BYTES};
 pub use regex::parse_regex;
 pub use sketch::{sketch_to_pattern_query, sketch_to_precise_query, Canvas};
+
+/// Reads a numeric literal the one way both query front doors do: Rust's
+/// `f64` syntax, holding a finite value. A literal too long for an `f64`
+/// (which reads as `inf`) and the words `nan`, `inf` and `infinity` are
+/// not numbers here, so no query carries a non-finite number.
+pub(crate) fn finite_number(text: &str) -> Option<f64> {
+    text.parse::<f64>().ok().filter(|v| v.is_finite())
+}

@@ -10,6 +10,7 @@
 //! still used for deriving features for the non-noise words", §4), while the
 //! CRF itself runs over the non-noise subsequence.
 
+use crate::finite_number;
 use crate::nl::lexicon::predicted_entity;
 use shapesearch_crf::pos::{is_noise_tag, tag_word, PosTag};
 
@@ -208,7 +209,7 @@ pub fn token_features(t: &Tokenized, i: usize) -> Vec<String> {
     if tokens[i].ends_with("ly") {
         f.push("ends(ly)".into());
     }
-    if tokens[i].parse::<f64>().is_ok() {
+    if finite_number(&tokens[i]).is_some() {
         f.push("is-number".into());
         // A number's role depends on the word before it.
         f.push(format!("num-lead={}", word(i64i - 1)));

@@ -330,7 +330,7 @@ pub fn predicted_entity(word: &str) -> Option<&'static str> {
     if NOT_WORDS.contains(&w.as_str()) {
         return Some("NOT");
     }
-    if w.parse::<f64>().is_ok() {
+    if crate::finite_number(&w).is_some() {
         return Some("NUMBER");
     }
     if matches!(w.as_str(), "once" | "twice" | "thrice") {

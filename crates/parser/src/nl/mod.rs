@@ -186,6 +186,29 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_words_are_not_numbers() {
+        for text in [
+            "rising from nan to 20",
+            "up over a width of inf",
+            "falling from 3 to infinity",
+        ] {
+            let Ok(parsed) = parser().parse(text) else {
+                continue;
+            };
+            for s in parsed.query.segments() {
+                let l = &s.location;
+                let width = s.iterator.map(|it| it.width);
+                for v in [l.x_start, l.x_end, l.y_start, l.y_end, width]
+                    .into_iter()
+                    .flatten()
+                {
+                    assert!(v.is_finite(), "{text:?} → {}", parsed.query);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn paper_example_genomics() {
         // "show me genes that are rising, then going down, and then
         // increasing" (Figure 2).

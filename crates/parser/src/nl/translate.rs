@@ -10,6 +10,7 @@
 //! 4. *Overlapping segments under ⊗* → move x to y if free, else turn the
 //!    CONCAT into an AND.
 
+use crate::finite_number;
 use crate::nl::lexicon::{resolve_modifier, resolve_pattern, ModifierWord, PatternWord};
 use shapesearch_core::{Modifier, Pattern, ShapeQuery, ShapeSegment};
 
@@ -112,11 +113,11 @@ pub fn translate(entities: &[Entity], raw_tokens: &[String]) -> Option<Translati
                     current.count = Some((n, count_kind(raw_tokens, &e.token)));
                 }
             }
-            "XS" => current.x_start = e.token.parse().ok(),
-            "XE" => current.x_end = e.token.parse().ok(),
-            "YS" => current.y_start = e.token.parse().ok(),
-            "YE" => current.y_end = e.token.parse().ok(),
-            "WIDTH" => current.width = e.token.parse().ok(),
+            "XS" => current.x_start = finite_number(&e.token),
+            "XE" => current.x_end = finite_number(&e.token),
+            "YS" => current.y_start = finite_number(&e.token),
+            "YE" => current.y_end = finite_number(&e.token),
+            "WIDTH" => current.width = finite_number(&e.token),
             "NOT" => current.negated = true,
             "CONCAT" | "OR" | "AND" => {
                 let op = match e.label.as_str() {
@@ -485,6 +486,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.query.to_string(), "[x.s=., x.e=.+3, p=up]");
+    }
+
+    #[test]
+    fn non_finite_tokens_are_not_locations() {
+        let t = translate(
+            &ent(&[("rising", "PATTERN"), ("nan", "XS"), ("20", "XE")]),
+            &raw(&["rising", "from", "nan", "to", "20"]),
+        )
+        .unwrap();
+        assert_eq!(t.query.to_string(), "[x.e=20, p=up]");
+        let t = translate(
+            &ent(&[("up", "PATTERN"), ("inf", "WIDTH"), ("infinity", "YE")]),
+            &raw(&["up", "over", "a", "width", "of", "inf", "to", "infinity"]),
+        )
+        .unwrap();
+        assert_eq!(t.query.to_string(), "[p=up]");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! `ShapeQuery`'s `Display` emits this syntax, so parsing round-trips.
 
 use crate::error::{ParseError, Result};
+use crate::finite_number;
 use shapesearch_core::{IteratorSpec, Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
 
 /// Parses a visual-regex string into a ShapeQuery.
@@ -346,11 +347,11 @@ impl<'a> Cursor<'a> {
             return Ok(Modifier::MuchLess);
         }
         if self.eat('>') {
-            let f = self.try_parse_number();
+            let f = self.try_parse_number()?;
             return Ok(Modifier::More(f));
         }
         if self.eat('<') {
-            let f = self.try_parse_number();
+            let f = self.try_parse_number()?;
             return Ok(Modifier::Less(f));
         }
         if self.eat('=') {
@@ -358,10 +359,10 @@ impl<'a> Cursor<'a> {
         }
         if self.eat('{') {
             self.skip_ws();
-            let min = self.try_parse_number().map(|v| v as u32);
+            let min = self.try_parse_number()?.map(|v| v as u32);
             self.expect(',')?;
             self.skip_ws();
-            let max = self.try_parse_number().map(|v| v as u32);
+            let max = self.try_parse_number()?.map(|v| v as u32);
             self.expect('}')?;
             return Ok(Modifier::Quantifier { min, max });
         }
@@ -405,18 +406,11 @@ impl<'a> Cursor<'a> {
         Ok(self.chars[start..self.pos].iter().collect())
     }
 
-    fn try_parse_number(&mut self) -> Option<f64> {
+    /// A number when one starts here, after any whitespace; `Ok(None)`,
+    /// with the cursor left where it was, when none does. A literal that
+    /// starts here but is malformed or not finite is an error.
+    fn try_parse_number(&mut self) -> Result<Option<f64>> {
         let save = self.pos;
-        match self.parse_number() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                self.pos = save;
-                None
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64> {
         self.skip_ws();
         let start = self.pos;
         if matches!(self.peek(), Some('-') | Some('+')) {
@@ -443,19 +437,36 @@ impl<'a> Cursor<'a> {
             }
         }
         if !seen_digit {
-            self.pos = start;
-            return Err(self.err("expected number"));
+            self.pos = save;
+            return Ok(None);
         }
         let text: String = self.chars[start..self.pos].iter().collect();
-        if let Some((num, den)) = text.split_once('/') {
-            let n: f64 = num.parse().map_err(|_| self.err("bad fraction"))?;
-            let d: f64 = den.parse().map_err(|_| self.err("bad fraction"))?;
-            if d == 0.0 {
-                return Err(self.err("fraction with zero denominator"));
+        // An error points at the literal's first character.
+        let end = std::mem::replace(&mut self.pos, start);
+        let number = |v: Option<f64>| v.ok_or_else(|| self.err("expected a finite number"));
+        let value = match text.split_once('/') {
+            None => number(finite_number(&text))?,
+            Some((num, den)) => {
+                let (n, d) = (number(finite_number(num))?, number(finite_number(den))?);
+                if d == 0.0 {
+                    return Err(self.err("fraction with zero denominator"));
+                }
+                // Finite parts can still divide past `f64::MAX`.
+                number(Some(n / d).filter(|q| q.is_finite()))?
             }
-            return Ok(n / d);
+        };
+        self.pos = end;
+        Ok(Some(value))
+    }
+
+    fn parse_number(&mut self) -> Result<f64> {
+        match self.try_parse_number()? {
+            Some(v) => Ok(v),
+            None => {
+                self.skip_ws();
+                Err(self.err("expected number"))
+            }
         }
-        text.parse().map_err(|_| self.err("bad number"))
     }
 }
 
@@ -494,6 +505,37 @@ mod tests {
                 ..
             }) if v == 45.0
         ));
+    }
+
+    #[test]
+    fn non_finite_literals_are_refused() {
+        let nines = "9".repeat(400);
+        let huge = format!("1{}", "0".repeat(300));
+        for text in [
+            format!("[p={nines}]"),
+            format!("[p={nines}/{nines}]"),
+            format!("[p=1/{nines}]"),
+            format!("[x.s=-{nines}]"),
+            format!("[x.s=., x.e=.+{nines}]"),
+            format!("[y.e={huge}/0.0000000001]"),
+            format!("[p=up, m=>{nines}]"),
+        ] {
+            let err = parse_regex(&text).expect_err(&text);
+            assert!(err.message.contains("finite"), "{text}: {err}");
+            // The error points at the literal, not past it.
+            let (before, at) = text.split_at(err.position);
+            assert!(
+                before.ends_with(['=', '+', '>']) && at.starts_with(['1', '9', '-']),
+                "{text}: {err}"
+            );
+        }
+        // A long literal with a finite value still reads.
+        let tiny = format!("[p=0.{}1]", "0".repeat(400));
+        assert_eq!(parse_regex(&tiny).unwrap().to_string(), "[p=0]");
+        assert_eq!(
+            parse_regex(&format!("[y.s={huge}/10]")).unwrap(),
+            parse_regex(&format!("[y.s=1{}]", "0".repeat(299))).unwrap()
+        );
     }
 
     #[test]

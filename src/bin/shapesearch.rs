@@ -128,6 +128,16 @@ fn usage() -> &'static str {
      [--filter 'col OP value']... [--agg avg|sum|min|max|count]"
 }
 
+/// Reads `flag`'s value (through `take`) as an integer.
+fn integer<T: std::str::FromStr>(
+    flag: &str,
+    take: &mut impl FnMut(&str) -> Result<String, String>,
+) -> Result<T, String> {
+    take(flag)?
+        .parse()
+        .map_err(|_| format!("{flag} must be an integer"))
+}
+
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         k: 5,
@@ -145,9 +155,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--query" | "-q" => cli.query = Some(take("--query")?),
             "--nl" => cli.nl = Some(take("--nl")?),
             "--k" | "-k" => {
-                cli.k = take("--k")?
-                    .parse()
-                    .map_err(|_| "--k must be an integer".to_owned())?;
+                cli.k = integer("--k", &mut take)?;
             }
             "--algo" => {
                 let name = take("--algo")?;
@@ -222,19 +230,13 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             flag if source.accept(flag, &mut take)? => {}
             "--addr" => addr = take("--addr")?,
             "--workers" => {
-                config.workers = take("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers must be an integer".to_owned())?;
+                config.workers = integer("--workers", &mut take)?;
             }
             "--cache-cap" => {
-                config.cache_capacity = take("--cache-cap")?
-                    .parse()
-                    .map_err(|_| "--cache-cap must be an integer".to_owned())?;
+                config.cache_capacity = integer("--cache-cap", &mut take)?;
             }
             "--max-batch" => {
-                config.max_batch = take("--max-batch")?
-                    .parse()
-                    .map_err(|_| "--max-batch must be an integer".to_owned())?;
+                config.max_batch = integer("--max-batch", &mut take)?;
                 if config.max_batch == 0 {
                     return Err("--max-batch must be at least 1".to_owned());
                 }
@@ -243,17 +245,13 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 // Engine shards per dataset: 0 = auto (available
                 // parallelism), always capped by each dataset's
                 // collection size.
-                config.shards = take("--shards")?
-                    .parse()
-                    .map_err(|_| "--shards must be an integer".to_owned())?;
+                config.shards = integer("--shards", &mut take)?;
             }
             "--data-root" => config.data_root = Some(take("--data-root")?.into()),
             "--slow-query-micros" => {
                 // Queries slower than this emit a structured stderr line
                 // carrying the trace ID; 0 (the default) disables it.
-                config.slow_query_micros = take("--slow-query-micros")?
-                    .parse()
-                    .map_err(|_| "--slow-query-micros must be an integer".to_owned())?;
+                config.slow_query_micros = integer("--slow-query-micros", &mut take)?;
             }
             "--shard-of" => {
                 // Shard-server mode for the preloaded dataset: own
@@ -285,23 +283,17 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--shard-connect-timeout-ms" => {
                 // Bounds ONE connect attempt to one replica before
                 // failover moves on.
-                config.shard_connect_timeout_ms = take("--shard-connect-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--shard-connect-timeout-ms must be an integer".to_owned())?;
+                config.shard_connect_timeout_ms = integer("--shard-connect-timeout-ms", &mut take)?;
             }
             "--shard-io-timeout-ms" => {
                 // Bounds how long a black-holed replica can stall a
                 // fan-out before failover moves on.
-                config.shard_io_timeout_ms = take("--shard-io-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--shard-io-timeout-ms must be an integer".to_owned())?;
+                config.shard_io_timeout_ms = integer("--shard-io-timeout-ms", &mut take)?;
             }
             "--shard-retries" => {
                 // Extra connect attempts per replica after the first
                 // fails, before failover tries the next replica.
-                config.shard_retries = take("--shard-retries")?
-                    .parse()
-                    .map_err(|_| "--shard-retries must be an integer".to_owned())?;
+                config.shard_retries = integer("--shard-retries", &mut take)?;
             }
             "--announce" => {
                 // Repeatable: a router (`HOST:PORT`, `http://` optional)

@@ -4,7 +4,10 @@
 //! * score boundedness under arbitrary operator trees (Property 5.1),
 //! * DP optimality vs SegmentTree and Greedy,
 //! * Theorem 6.4 score bounds containing the exact score,
-//! * parser round-trip (AST → regex text → AST).
+//! * parser round-trip (AST → regex text → AST), and over generated regex
+//!   text: whatever `parse_regex` accepts holds only finite numbers, and
+//!   its canonical text (the query cache's key) re-parses to an equal AST
+//!   and prints the same again.
 
 use proptest::prelude::*;
 use shapesearch_core::algo::dp::DpSegmenter;
@@ -479,5 +482,88 @@ proptest! {
         prop_assert!((d_ab - d_ba).abs() < 1e-9);
         prop_assert!(shapesearch_similarity::dtw(&a, &a) < 1e-9);
         prop_assert!(d_ab >= 0.0);
+    }
+}
+
+/// Digit runs: short ones, ones near `f64`'s integer precision, and ones
+/// past `f64::MAX` (309 digits).
+fn digits() -> impl Strategy<Value = String> {
+    prop_oneof!["[0-9]{1,3}", "[0-9]{15,20}", "[0-9]{300,400}"]
+}
+
+/// A signed integer, decimal or fraction literal.
+fn literal() -> impl Strategy<Value = String> {
+    (0usize..3, "[-+]?", digits(), digits()).prop_map(|(form, sign, a, b)| match form {
+        0 => format!("{sign}{a}"),
+        1 => format!("{sign}{a}.{b}"),
+        _ => format!("{sign}{a}/{b}"),
+    })
+}
+
+/// One segment: a pattern (`up` or a slope literal) and any of the
+/// numeric location parts, chosen by the bits of `mask`.
+fn segment() -> impl Strategy<Value = String> {
+    (proptest::collection::vec(literal(), 6..=6), 0u32..64).prop_map(|(lits, mask)| {
+        let mut parts = Vec::new();
+        let slots = ["x.s=", "x.e=", "x.s=., x.e=.+", "y.s=", "y.e="];
+        for (bit, (slot, lit)) in slots.iter().zip(&lits).enumerate() {
+            if mask & (1 << bit) != 0 {
+                parts.push(format!("{slot}{lit}"));
+            }
+        }
+        if mask & 32 != 0 {
+            parts.push(format!("p={}", lits[5]));
+        } else {
+            parts.push("p=up".to_owned());
+        }
+        format!("[{}]", parts.join(", "))
+    })
+}
+
+/// Every number the query's segments hold.
+fn numbers(q: &ShapeQuery) -> Vec<f64> {
+    q.segments()
+        .into_iter()
+        .flat_map(|s| {
+            let l = &s.location;
+            let slope = match s.pattern {
+                Some(Pattern::Slope(deg)) => Some(deg),
+                _ => None,
+            };
+            [
+                l.x_start,
+                l.x_end,
+                l.y_start,
+                l.y_end,
+                s.iterator.map(|it| it.width),
+                slope,
+            ]
+        })
+        .flatten()
+        .collect()
+}
+
+// Cheap cases (no trendline is scored), so many more of them.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Numeric literals of 1–400 digits, decimals, fractions and signs in
+    /// every numeric slot a segment has.
+    #[test]
+    fn accepted_regex_text_is_finite_and_round_trips(
+        segments in proptest::collection::vec(segment(), 1..=3),
+    ) {
+        let text = segments.concat();
+        if let Ok(q) = parse_regex(&text) {
+            for v in numbers(&q) {
+                prop_assert!(v.is_finite(), "{} holds {}", text, v);
+            }
+            let canonical = q.to_string();
+            let again = parse_regex(&canonical);
+            prop_assert!(again.is_ok(), "{} printed as {}: {:?}", text, canonical, again);
+            let again = again.unwrap();
+            prop_assert_eq!(&again, &q, "{}", canonical);
+            prop_assert_eq!(again.to_string(), canonical);
+        }
     }
 }
