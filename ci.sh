@@ -454,6 +454,22 @@ if [ "$rpc_count" -ne 2 ] || [ "$echo_count" -ne 2 ] || [ "$compute_count" -lt 4
     cat "$EXPLAIN_REPLY"; exit 1;
 fi
 
+# The plan memo: one text posted twice is planned once — the second
+# request's plan is a memo hit on the router's /healthz.
+for _ in 1 2; do
+    MEMO_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+        -X POST "http://127.0.0.1:$ROUTER_PORT/query" \
+        -d '{"dataset":"sales","query":"[p=down][p=up]","k":2}')
+    [ "$MEMO_STATUS" = "200" ] || {
+        echo "observability smoke: plan-memo query returned $MEMO_STATUS"; exit 1;
+    }
+done
+curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz" |
+    grep -Eq '"plan_cache":\{"lookups":[0-9]+,"hits":[1-9]' || {
+    echo "observability smoke: a repeated query text was not a plan-memo hit"
+    curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz"; exit 1;
+}
+
 # A present-but-mistyped optional key is refused, never defaulted.
 MISTYPED_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
     -X POST "http://127.0.0.1:$ROUTER_PORT/query" \
@@ -494,6 +510,10 @@ ROUTER_METRICS=$(curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics")
 [ -n "$ROUTER_METRICS" ] || { echo "observability smoke: empty /metrics"; exit 1; }
 for series in 'shapesearch_queries_total ' \
               'shapesearch_cache_lookups_total ' \
+              'shapesearch_plan_cache_lookups_total ' \
+              'shapesearch_plan_cache_events_total{event="hit"} ' \
+              'shapesearch_plan_cache_entries ' \
+              'shapesearch_plan_cache_capacity ' \
               'shapesearch_pruning_refined_total ' \
               'shapesearch_pruning_joined_total ' \
               '# TYPE shapesearch_request_duration_micros histogram'; do
@@ -513,6 +533,14 @@ for stage in parse_plan cache_lookup shard_compute remote_rpc merge serialize; d
         echo "$ROUTER_METRICS"; exit 1;
     }
 done
+# Stage sums are booked in nanoseconds and served in fractional
+# microseconds, so even sub-microsecond parse_plan samples (memo hits)
+# move the sum off zero.
+echo "$ROUTER_METRICS" | \
+    grep -Eq 'shapesearch_stage_duration_micros_sum\{stage="parse_plan"\} ([1-9]|0\.[0-9]*[1-9])' || {
+    echo "observability smoke: the parse_plan stage sum reads 0"
+    echo "$ROUTER_METRICS"; exit 1;
+}
 # Docs cannot drift from the stats table: every family this router
 # serves and every top-level /healthz key must be named (in backticks) in
 # docs/ARCHITECTURE.md.

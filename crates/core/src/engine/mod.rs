@@ -40,7 +40,7 @@ use std::time::Instant;
 use topk::TopK;
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
     /// Segmentation algorithm (Figure 10's competitors).
     pub segmenter: SegmenterKind,

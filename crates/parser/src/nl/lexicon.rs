@@ -36,7 +36,8 @@ pub enum ModifierWord {
     Count(u32),
 }
 
-const UP_WORDS: &[&str] = &[
+/// Words for a rising trend (`p=up`).
+pub const UP_WORDS: &[&str] = &[
     "up",
     "increase",
     "increasing",
@@ -62,7 +63,8 @@ const UP_WORDS: &[&str] = &[
     "expressed",
     "expressing",
 ];
-const DOWN_WORDS: &[&str] = &[
+/// Words for a falling trend (`p=down`).
+pub const DOWN_WORDS: &[&str] = &[
     "down",
     "decrease",
     "decreasing",
@@ -91,7 +93,8 @@ const DOWN_WORDS: &[&str] = &[
     "dip",
     "dipping",
 ];
-const FLAT_WORDS: &[&str] = &[
+/// Words for a stable trend (`p=flat`).
+pub const FLAT_WORDS: &[&str] = &[
     "flat",
     "stable",
     "stabilize",
@@ -104,14 +107,17 @@ const FLAT_WORDS: &[&str] = &[
     "stagnant",
     "still",
 ];
-const PEAK_WORDS: &[&str] = &[
+/// Words for a peak (rise then fall).
+pub const PEAK_WORDS: &[&str] = &[
     "peak", "peaks", "spike", "spikes", "bump", "bumps", "top", "tops", "maximum", "maxima",
 ];
-const VALLEY_WORDS: &[&str] = &[
+/// Words for a valley (fall then rise).
+pub const VALLEY_WORDS: &[&str] = &[
     "valley", "valleys", "trough", "troughs", "bottom", "bottoms", "minimum", "minima",
 ];
 
-const SHARP_WORDS: &[&str] = &[
+/// Words for a sharp change (`m=>>`).
+pub const SHARP_WORDS: &[&str] = &[
     "sharp",
     "sharply",
     "steep",
@@ -126,7 +132,8 @@ const SHARP_WORDS: &[&str] = &[
     "abruptly",
     "abrupt",
 ];
-const GRADUAL_WORDS: &[&str] = &[
+/// Words for a gradual change.
+pub const GRADUAL_WORDS: &[&str] = &[
     "gradual",
     "gradually",
     "slowly",

@@ -1,4 +1,5 @@
-//! The server's one cache, used once: query results ([`QueryCache`]).
+//! The server's one cache, used twice: query results ([`QueryCache`]) and
+//! the plans of query texts ([`PlanCache`]).
 //!
 //! A [`Cache`] is an LRU (a map plus an index of last-use ticks), a
 //! singleflight latch per key being computed, the registration generations
@@ -19,7 +20,8 @@
 //!   replaced registration's entries and refuses later inserts for it, so a
 //!   flight still running when its dataset is re-registered wakes its
 //!   waiters but lands nothing — it can neither be served again nor evict a
-//!   live entry.
+//!   live entry. A plan depends on no registration: every [`PlanKey`] has
+//!   the one generation [`PLAN_GENERATION`], and nothing retires it.
 //! * **Poison.** The map lock and every flight latch recover from poison.
 //!   Nothing foreign runs under either: displaced values are dropped
 //!   outside the lock. So a panic elsewhere cannot leave
@@ -28,10 +30,12 @@
 //!
 //! Repeated exploratory queries — the dominant pattern in shape-based
 //! exploration, where a user reissues near-identical ShapeQueries while
-//! tweaking k or switching datasets — skip segmentation entirely on a hit.
+//! tweaking k or switching datasets — skip segmentation entirely on a hit,
+//! and skip parsing (the CRF translation, for natural language) whenever
+//! the same text comes back, whatever its dataset, k or options.
 
-use crate::protocol::{self, Route};
-use shapesearch_core::{EngineOptions, TopKResult};
+use crate::protocol::{self, FrontDoor, Route};
+use shapesearch_core::{EngineOptions, ShapeQuery, TopKResult};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::hash::Hash;
@@ -145,32 +149,56 @@ pub struct CacheKey {
     /// under the old placement" structural.
     pub placement: String,
     /// Canonical rendering of the parsed query AST.
-    pub query_canon: String,
+    pub query_canon: Arc<str>,
     /// Requested result count.
     pub k: usize,
     /// Fingerprint of every result-affecting engine option.
-    pub options_fp: String,
+    pub options_fp: Arc<str>,
 }
 
 impl CacheKey {
-    /// Assembles the key for one planned query.
+    /// Assembles the key for one query, rendering its canonical text and
+    /// its options' fingerprint.
     pub fn new(
         dataset: &str,
         generation: u64,
         shards: usize,
         placement: &str,
-        query: &shapesearch_core::ShapeQuery,
+        query: &ShapeQuery,
         k: usize,
         options: &EngineOptions,
+    ) -> Self {
+        let (canon, options_fp) = (query.to_string(), options_fingerprint(options));
+        Self::rendered(
+            dataset,
+            generation,
+            shards,
+            placement,
+            canon.into(),
+            k,
+            options_fp.into(),
+        )
+    }
+
+    /// Assembles the key from a canonical text and an options fingerprint
+    /// rendered earlier (a memoised [`Plan`]'s, the defaults' own).
+    pub fn rendered(
+        dataset: &str,
+        generation: u64,
+        shards: usize,
+        placement: &str,
+        query_canon: Arc<str>,
+        k: usize,
+        options_fp: Arc<str>,
     ) -> Self {
         Self {
             dataset: dataset.to_owned(),
             generation,
             shards,
             placement: placement.to_owned(),
-            query_canon: query.to_string(),
+            query_canon,
             k,
-            options_fp: options_fingerprint(options),
+            options_fp,
         }
     }
 }
@@ -438,6 +466,43 @@ impl<K: Generational, V: Clone> fmt::Debug for Cache<K, V> {
 
 /// What the query cache holds: one query's shared, merged top-k.
 type Results = Arc<Vec<TopKResult>>;
+
+/// The one generation of every [`PlanKey`]: a plan depends on no
+/// registration, so nothing retires it.
+pub const PLAN_GENERATION: u64 = 0;
+
+/// The plan memo's key: a query text and the front door it came in by
+/// (the same text may parse differently as regex and as natural
+/// language).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PlanKey {
+    /// The request key the text came in under.
+    pub door: FrontDoor,
+    /// The text exactly as sent.
+    pub text: String,
+}
+
+impl Generational for PlanKey {
+    fn generation(&self) -> u64 {
+        PLAN_GENERATION
+    }
+}
+
+/// What a query text alone decides: its AST, the natural-language notes
+/// that came with it, and its canonical text (the query part of every
+/// [`CacheKey`] planned from it).
+#[derive(Debug)]
+pub struct Plan {
+    /// The parsed, canonical AST.
+    pub ast: ShapeQuery,
+    /// NL translation notes; empty for regex text.
+    pub notes: Vec<String>,
+    /// `ast`'s canonical rendering.
+    pub canon: Arc<str>,
+}
+
+/// The plan memo: [`Cache`] over [`PlanKey`]s.
+pub type PlanCache = Cache<PlanKey, Arc<Plan>>;
 
 /// The query-result cache: [`Cache`] over [`CacheKey`]s.
 pub type QueryCache = Cache<CacheKey, Results>;

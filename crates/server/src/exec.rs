@@ -2,9 +2,11 @@
 //! plan → singleflight resolve → shard fan-out → merge.
 //!
 //! [`resolve_items`] takes any slice of request items — a single query
-//! is a batch of one. Each item is planned and run through the cache's
-//! singleflight lookup (identical queries within the slice — or racing
-//! in from other requests — collapse onto one computation), and the
+//! is a batch of one. Each item is planned — its query text's [`Plan`]
+//! comes from the plan memo, or is parsed and memoised — and run through
+//! the result cache's singleflight lookup (identical queries within the
+//! slice — or racing in from other requests — collapse onto one
+//! computation), and the
 //! cache misses are grouped per `(dataset registration, options)`. Each
 //! group then goes through [`execute_on_shards`]: **one task per shard
 //! slot** (a [`shapesearch_core::ShapeEngine::top_k_batch_observed`] pass
@@ -16,28 +18,31 @@
 //! same pool. The envelope renderers in [`crate::handlers`] are the only
 //! place the single and batch forms differ.
 
-use crate::cache::{CacheKey, FlightGuard, FlightWaiter, Lookup};
+use crate::cache::{CacheKey, FlightGuard, FlightWaiter, Lookup, Plan, PlanCache, PlanKey, Probe};
 use crate::catalog::{DatasetEntry, ShardPlacement};
 use crate::error::ServerError;
 use crate::handlers::AppState;
 use crate::json::Json;
 use crate::obs::{self, Span, TraceId};
-use crate::protocol;
+use crate::protocol::{self, FrontDoor};
 use crate::stats::Stats;
 use shapesearch_core::{
     merge_topk_refs, EngineOptions, EngineStage, PruningSnapshot, ShapeEngine, ShapeQuery,
     SharedThresholds, StageObserver, TopKResult,
 };
+use shapesearch_parser::MAX_NL_BYTES;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// One query of a request, planned: dataset resolved, query text parsed
-/// to its canonical AST, effective options and cache key computed.
+/// One query of a request, planned: dataset resolved, query text's plan
+/// (canonical AST, NL notes, canonical text) obtained, effective options
+/// and cache key computed. Everything but the plan is the request's own.
 pub(crate) struct PlannedQuery {
     pub entry: Arc<DatasetEntry>,
-    pub query_ast: ShapeQuery,
-    pub notes: Vec<String>,
+    pub plan: Arc<Plan>,
+    /// How `plan` was obtained: the `parse_plan` span's detail.
+    pub plan_source: PlanSource,
     pub k: usize,
     pub options: EngineOptions,
     pub key: CacheKey,
@@ -53,33 +58,99 @@ pub(crate) struct PlannedQuery {
     pub partial: bool,
 }
 
+/// How an item's [`Plan`] was obtained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PlanSource {
+    /// The plan memo had it.
+    Hit,
+    /// Shared from another request parsing the same text at that moment.
+    Coalesced,
+    /// Parsed by this request (memoised unless the text was too long).
+    Parsed,
+}
+
+impl PlanSource {
+    /// The `parse_plan` span's detail.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlanSource::Hit => "hit",
+            PlanSource::Coalesced => "coalesced",
+            PlanSource::Parsed => "miss",
+        }
+    }
+}
+
 fn plan_query(state: &AppState, body: &Json) -> Result<PlannedQuery, ServerError> {
-    let req = protocol::query_request_from_json(body)?;
+    let mut req = protocol::query_request_from_json(body)?;
     let entry = state
         .catalog
         .get(&req.dataset)
         .ok_or_else(|| ServerError::not_found(format!("unknown dataset `{}`", req.dataset)))?;
-    let (query_ast, notes) = protocol::parse_query(&req)?;
-    let options = req.effective_options(&state.default_options);
-    let key = CacheKey::new(
+    let (door, text) = req.take_text();
+    let (plan, plan_source) = plan_text(&state.plans, door, text)?;
+    let (options, options_fp) = state.effective_options(&req);
+    let key = CacheKey::rendered(
         &entry.id,
         entry.generation,
         entry.shard_count,
         &entry.placement_fp,
-        &query_ast,
+        Arc::clone(&plan.canon),
         req.k,
-        &options,
+        options_fp,
     );
     Ok(PlannedQuery {
         entry,
-        query_ast,
-        notes,
+        plan,
+        plan_source,
         k: req.k,
         options,
         key,
         explain: req.explain,
         partial: req.partial,
     })
+}
+
+/// Parses a query text through its front door into its [`Plan`].
+fn parse_plan(door: FrontDoor, text: &str) -> Result<Plan, ServerError> {
+    let (ast, notes) = protocol::parse_query(door, text)?;
+    let canon = ast.to_string().into();
+    Ok(Plan { ast, notes, canon })
+}
+
+/// The plan of a query text: the memo's, or parsed now. Parsing is pure,
+/// so a plan is shared by every request that sends the same text through
+/// the same front door, whatever its dataset, `k` or options. A text that
+/// parses is memoised — through the cache's singleflight, so a burst of
+/// one text parses once — unless it is longer than [`MAX_NL_BYTES`]: the
+/// memo holds at most its capacity of texts that short. A text that does
+/// not parse is never memoised; whoever sends it again gets the same
+/// error from a fresh parse.
+fn plan_text(
+    plans: &PlanCache,
+    door: FrontDoor,
+    text: String,
+) -> Result<(Arc<Plan>, PlanSource), ServerError> {
+    if text.len() > MAX_NL_BYTES {
+        return Ok((Arc::new(parse_plan(door, &text)?), PlanSource::Parsed));
+    }
+    let key = PlanKey { door, text };
+    loop {
+        match plans.lookup(&key) {
+            Probe::Hit(plan) => return Ok((plan, PlanSource::Hit)),
+            Probe::Lead(leader) => {
+                // An error drops the leader: its waiters wake and parse
+                // for themselves.
+                let plan = Arc::new(parse_plan(door, &key.text)?);
+                leader.complete(Arc::clone(&plan));
+                return Ok((plan, PlanSource::Parsed));
+            }
+            Probe::Pending(waiter) => {
+                if let Some(plan) = waiter.wait() {
+                    return Ok((plan, PlanSource::Coalesced));
+                }
+            }
+        }
+    }
 }
 
 /// The engine stages a local shard task reports, in span order.
@@ -102,7 +173,8 @@ struct StageTap<'m> {
 
 impl StageObserver for StageTap<'_> {
     fn stage(&self, stage: EngineStage, micros: u64) {
-        self.stats.stage(obs::Stage::from_engine(stage), micros);
+        let sample = Duration::from_micros(micros);
+        self.stats.stage(obs::Stage::from_engine(stage), sample);
         self.micros[stage as usize].fetch_add(micros, Ordering::Relaxed);
     }
 }
@@ -196,8 +268,9 @@ impl Slot {
                         outcome.map_err(|e| ServerError::bad_request(format!("query failed: {e}")))
                     })
                     .collect();
-                let micros = started.elapsed().as_micros() as u64;
-                state.stats.stage(obs::Stage::ShardCompute, micros);
+                let elapsed = started.elapsed();
+                state.stats.stage(obs::Stage::ShardCompute, elapsed);
+                let micros = elapsed.as_micros() as u64;
                 ShardRun {
                     outcomes,
                     micros,
@@ -228,8 +301,9 @@ impl Slot {
                                 ))
                             }
                         });
-                let micros = started.elapsed().as_micros() as u64;
-                state.stats.stage(obs::Stage::RemoteRpc, micros);
+                let elapsed = started.elapsed();
+                state.stats.stage(obs::Stage::RemoteRpc, elapsed);
+                let micros = elapsed.as_micros() as u64;
                 state.stats.record_rpc(&outcome.attempts);
                 let (outcomes, remote_spans) = match outcome.accepted {
                     Some((partials, _served_by)) => (partials.outcomes, partials.spans),
@@ -433,10 +507,9 @@ pub(crate) fn execute_on_shards(
         state.compute.run_all(tasks)
     };
 
-    let merge_started = Instant::now();
-    let (outcomes, degraded) = merge_shard_runs(&runs, &ks).into_iter().unzip();
-    let merge_micros = merge_started.elapsed().as_micros() as u64;
-    state.stats.stage(obs::Stage::Merge, merge_micros);
+    let ((outcomes, degraded), merge_micros) = state.stats.time(obs::Stage::Merge, || {
+        merge_shard_runs(&runs, &ks).into_iter().unzip()
+    });
 
     // One critical section per fan-out. Only local slots count as shard
     // tasks; remote RPCs were booked per endpoint as they ran.
@@ -507,9 +580,12 @@ pub(crate) struct Resolved {
     /// are never cached, so hits and coalesced waits are always exact.
     pub degraded: Option<DegradedInfo>,
     pub plan_micros: u64,
-    /// Total time spent in cache lookups (and coalesced waiting) before
-    /// the outcome was known.
+    /// Time spent in result-cache lookups (more than one when a foreign
+    /// leader failed and the item looked its key up again).
     pub lookup_micros: u64,
+    /// Time spent waiting on flights the item joined; `None` when it
+    /// joined none.
+    pub wait_micros: Option<u64>,
 }
 
 impl Resolved {
@@ -521,15 +597,29 @@ impl Resolved {
         }
     }
 
+    /// This item's `parse_plan` trace span, detailed with how the plan
+    /// memo lookup went.
+    pub fn plan_span(&self) -> Span {
+        Span::new(obs::Stage::ParsePlan.name(), self.plan_micros)
+            .with_detail(self.planned.plan_source.name())
+    }
+
     /// This item's `cache_lookup` trace span, detailed with how the
-    /// singleflight lookup went.
-    pub fn lookup_span(&self) -> Span {
+    /// singleflight lookup went, and its `singleflight_wait` span when it
+    /// waited on a flight.
+    pub fn lookup_spans(&self) -> Vec<Span> {
         let outcome = match self.source {
             Source::Hit => "hit",
             Source::Coalesced => "coalesced",
             Source::Led(_) => "miss",
         };
-        Span::new(obs::Stage::CacheLookup.name(), self.lookup_micros).with_detail(outcome)
+        let lookup = Span::new(obs::Stage::CacheLookup.name(), self.lookup_micros);
+        let wait = self
+            .wait_micros
+            .map(|micros| Span::new(obs::Stage::SingleflightWait.name(), micros));
+        std::iter::once(lookup.with_detail(outcome))
+            .chain(wait)
+            .collect()
     }
 }
 
@@ -576,11 +666,9 @@ pub(crate) fn resolve_items(
     let mut leads: Vec<Pending<FlightGuard<'_>>> = Vec::new();
     let mut waits: Vec<Pending<FlightWaiter>> = Vec::new();
     let mut out: Vec<Result<Resolved, ServerError>> = Vec::with_capacity(items.len());
+    let stats = &state.stats;
     for (index, item) in items.iter().enumerate() {
-        let plan_started = Instant::now();
-        let planned = plan_query(state, item);
-        let plan_micros = plan_started.elapsed().as_micros() as u64;
-        state.stats.stage(obs::Stage::ParsePlan, plan_micros);
+        let (planned, plan_micros) = stats.time(obs::Stage::ParsePlan, || plan_query(state, item));
         let planned = match planned {
             Ok(planned) => planned,
             Err(e) => {
@@ -588,10 +676,8 @@ pub(crate) fn resolve_items(
                 continue;
             }
         };
-        let lookup_started = Instant::now();
-        let lookup = state.cache.lookup(&planned.key);
-        let lookup_micros = lookup_started.elapsed().as_micros() as u64;
-        state.stats.stage(obs::Stage::CacheLookup, lookup_micros);
+        let (lookup, lookup_micros) =
+            stats.time(obs::Stage::CacheLookup, || state.cache.lookup(&planned.key));
         let parked = || Err(ServerError::internal("query item left unresolved"));
         out.push(match lookup {
             Lookup::Hit(value) => Ok(Resolved {
@@ -601,6 +687,7 @@ pub(crate) fn resolve_items(
                 degraded: None,
                 plan_micros,
                 lookup_micros,
+                wait_micros: None,
             }),
             Lookup::Pending(flight) => {
                 waits.push(Pending {
@@ -640,7 +727,7 @@ pub(crate) fn resolve_items(
     for group in groups {
         let specs: Vec<(ShapeQuery, usize)> = group
             .iter()
-            .map(|lead| (lead.planned.query_ast.clone(), lead.planned.k))
+            .map(|lead| (lead.planned.plan.ast.clone(), lead.planned.k))
             .collect();
         // One member asking for `explain` traces the whole group's
         // fan-out — the computation is shared, so its spans are too. The
@@ -690,14 +777,14 @@ pub(crate) fn resolve_items(
                 degraded,
                 plan_micros: lead.plan_micros,
                 lookup_micros: lead.lookup_micros,
+                wait_micros: None,
             });
         }
     }
 
     for wait in waits {
-        let wait_started = Instant::now();
-        let outcome = wait.flight.wait();
-        let lookup_micros = wait.lookup_micros + wait_started.elapsed().as_micros() as u64;
+        let (outcome, wait_micros) =
+            stats.time(obs::Stage::SingleflightWait, || wait.flight.wait());
         out[wait.index] = match outcome {
             Some(value) => Ok(Resolved {
                 planned: wait.planned,
@@ -705,7 +792,8 @@ pub(crate) fn resolve_items(
                 source: Source::Coalesced,
                 degraded: None,
                 plan_micros: wait.plan_micros,
-                lookup_micros,
+                lookup_micros: wait.lookup_micros,
+                wait_micros: Some(wait_micros),
             }),
             None => {
                 let item = std::slice::from_ref(&items[wait.index]);
@@ -713,11 +801,59 @@ pub(crate) fn resolve_items(
                     .pop()
                     .expect("one result per item");
                 if let Ok(resolved) = &mut retried {
-                    resolved.lookup_micros += lookup_micros;
+                    resolved.lookup_micros += wait.lookup_micros;
+                    *resolved.wait_micros.get_or_insert(0) += wait_micros;
                 }
                 retried
             }
         };
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::handlers::route;
+    use crate::http::Request;
+    use crate::json;
+
+    fn register(state: &Arc<AppState>, id: &str) {
+        let body = format!(
+            r#"{{"name":"{id}","id":"{id}","csv":"z,x,y\na,1,1\na,2,3\nb,1,3\nb,2,1\n","z":"z","x":"x","y":"y"}}"#
+        );
+        let request = Request {
+            method: "POST".into(),
+            path: "/datasets".into(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        };
+        assert_eq!(route(state, &request).status, 201);
+    }
+
+    /// Two requests that send one text share its plan and nothing else:
+    /// dataset, `k`, `explain`, `partial` and the cache key's dataset
+    /// part are each request's own.
+    #[test]
+    fn a_memo_hit_plans_the_rest_from_its_own_request() {
+        let state = Arc::new(AppState::new(8, 1, None, 1));
+        register(&state, "t1");
+        register(&state, "t2");
+        let plan = |body: &str| plan_query(&state, &json::parse(body).unwrap()).unwrap();
+        let first = plan(r#"{"dataset":"t1","query":"[p=up][p=down]","k":1}"#);
+        let second = plan(
+            r#"{"dataset":"t2","query":"[p=up][p=down]","k":3,"explain":true,"partial":true}"#,
+        );
+        assert_eq!(first.plan_source, PlanSource::Parsed);
+        assert_eq!(second.plan_source, PlanSource::Hit);
+        assert!(Arc::ptr_eq(&first.plan, &second.plan));
+        let own = |p: &PlannedQuery| (p.entry.id.clone(), p.k, p.explain, p.partial);
+        assert_eq!(own(&first), ("t1".to_owned(), 1, false, false));
+        assert_eq!(own(&second), ("t2".to_owned(), 3, true, true));
+        assert_eq!((&*second.key.dataset, second.key.k), ("t2", 3));
+        assert_eq!(second.key.query_canon, first.key.query_canon);
+        // The same text through the other front door is another plan.
+        let nl = plan(r#"{"dataset":"t1","nl":"[p=up][p=down]","k":1}"#);
+        assert_eq!(nl.plan_source, PlanSource::Parsed);
+    }
 }

@@ -13,7 +13,7 @@
 //! /healthz` and `GET /metrics` are the two renderings of one
 //! [`StatsSnapshot`] ([`crate::stats`]).
 
-use crate::cache::QueryCache;
+use crate::cache::{options_fingerprint, PlanCache, QueryCache};
 use crate::catalog::{Catalog, DataSource, REGISTRY_TTL_SECS};
 use crate::client::PooledClient;
 use crate::compute::ComputePool;
@@ -22,7 +22,7 @@ use crate::exec::{execute_on_shards, resolve_items, Resolved, Source};
 use crate::http::{Request, Response};
 use crate::json::{self, obj, Json};
 use crate::obs::{self, Span, TraceId};
-use crate::protocol;
+use crate::protocol::{self, QueryRequest};
 use crate::stats::{Stats, StatsSnapshot};
 use shapesearch_core::{EngineOptions, PruningSnapshot};
 use std::path::{Path, PathBuf};
@@ -35,6 +35,9 @@ pub struct AppState {
     pub catalog: Catalog,
     /// Query-result LRU with singleflight request coalescing.
     pub cache: QueryCache,
+    /// The plan memo: query text → AST, NL notes and canonical text, as
+    /// large as the result cache.
+    pub plans: PlanCache,
     /// The shared compute pool shard tasks fan out on (HTTP workers
     /// submit to it and help drain it while they wait).
     pub compute: ComputePool,
@@ -70,6 +73,10 @@ pub struct AppState {
     /// `shapesearch_connections_*` metrics series. Shared with
     /// [`crate::http::serve`] through [`crate::http::HttpConfig`].
     pub conn_stats: Arc<crate::http::ConnStats>,
+    /// The engine defaults as they were when their fingerprint was
+    /// taken, and that fingerprint: rendered once, and used only while
+    /// `default_options` still equals the copy.
+    defaults_fp: (EngineOptions, Arc<str>),
 }
 
 impl AppState {
@@ -84,13 +91,15 @@ impl AppState {
         data_root: Option<PathBuf>,
         shards: usize,
     ) -> Self {
+        let defaults = EngineOptions::default();
         Self {
             catalog: Catalog::with_default_shards(shards),
             cache: QueryCache::new(cache_capacity),
+            plans: PlanCache::new(cache_capacity),
             compute: ComputePool::new(workers),
             remote: PooledClient::new(),
             stats: Stats::default(),
-            default_options: EngineOptions::default(),
+            default_options: defaults.clone(),
             workers,
             max_batch: protocol::MAX_BATCH_SIZE,
             data_root,
@@ -101,7 +110,23 @@ impl AppState {
                 .unwrap_or(0),
             slow_query_micros: 0,
             conn_stats: Arc::new(crate::http::ConnStats::default()),
+            defaults_fp: (defaults.clone(), options_fingerprint(&defaults).into()),
         }
+    }
+
+    /// A request's effective options and their fingerprint. The
+    /// fingerprint is the defaults' own, rendered once, when the request
+    /// overrides nothing and the defaults still equal what it was taken
+    /// of; otherwise it is rendered now.
+    pub(crate) fn effective_options(&self, req: &QueryRequest) -> (EngineOptions, Arc<str>) {
+        let options = req.effective_options(&self.default_options);
+        let (taken_of, fingerprint) = &self.defaults_fp;
+        let fingerprint = if req.overrides_nothing() && *taken_of == self.default_options {
+            Arc::clone(fingerprint)
+        } else {
+            options_fingerprint(&options).into()
+        };
+        (options, fingerprint)
     }
 }
 
@@ -272,8 +297,9 @@ fn shard_query(state: &Arc<AppState>, request: &Request) -> Result<Response, Ser
         &req.options,
         req.trace_id.as_deref(),
     );
-    let micros = started.elapsed().as_micros() as u64;
-    state.stats.shard_requests.record(micros);
+    let elapsed = started.elapsed();
+    state.stats.shard_requests.record(elapsed);
+    let micros = elapsed.as_micros() as u64;
     // A traced RPC replies with this server's own span tree under one
     // root, so the router stitches a cross-process trace whose remote
     // branches carry the remote servers' own timings.
@@ -356,8 +382,8 @@ fn query_response(item: &Resolved, single_micros: Option<u64>) -> Json {
     let planned = &item.planned;
     let mut fields = vec![
         ("dataset", Json::Str(planned.entry.id.clone())),
-        // The AST's canonical text, rendered once, for the cache key.
-        ("query", Json::Str(planned.key.query_canon.clone())),
+        // The plan's canonical text: the cache key's query part.
+        ("query", Json::Str(planned.plan.canon.to_string())),
         ("k", planned.k.into()),
         ("algo", planned.options.segmenter.name().into()),
         ("shards", planned.entry.shard_count.into()),
@@ -394,10 +420,11 @@ fn query_response(item: &Resolved, single_micros: Option<u64>) -> Json {
         ));
     }
     fields.push(("results", protocol::results_to_json(&item.value)));
-    if !planned.notes.is_empty() {
+    let notes = &planned.plan.notes;
+    if !notes.is_empty() {
         fields.push((
             "notes",
-            Json::Arr(planned.notes.iter().map(|n| Json::Str(n.clone())).collect()),
+            Json::Arr(notes.iter().map(|n| Json::Str(n.clone())).collect()),
         ));
     }
     obj(fields)
@@ -439,8 +466,8 @@ fn single_envelope(
         let serialize_micros = serialize_started.elapsed().as_micros() as u64;
         let trace_id = trace_id.get();
         let mut root = Span::new("request", total_micros).with_detail(format!("trace {trace_id}"));
-        root.push(Span::new(obs::Stage::ParsePlan.name(), item.plan_micros));
-        root.push(item.lookup_span());
+        root.push(item.plan_span());
+        root.children.extend(item.lookup_spans());
         if let Some(led) = item.led() {
             let mut fanout = Span::new("shard_fanout", micros);
             fanout.children = led.spans.clone();
@@ -451,16 +478,18 @@ fn single_envelope(
         push_trace(&mut response, trace_id, &[root], pruning);
     }
     let body = response.to_text();
-    let serialize_micros = serialize_started.elapsed().as_micros() as u64;
-    state.stats.stage(obs::Stage::Serialize, serialize_micros);
-    let total_micros = received.elapsed().as_micros() as u64;
-    state.stats.requests.record(total_micros);
+    state
+        .stats
+        .stage(obs::Stage::Serialize, serialize_started.elapsed());
+    let total = received.elapsed();
+    state.stats.requests.record(total);
+    let total_micros = total.as_micros() as u64;
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
         eprintln!(
             "slow-query trace_id={} dataset={} query={} micros={total_micros} cached={}",
             trace_id.get(),
             item.planned.entry.id,
-            item.planned.key.query_canon,
+            item.planned.plan.canon,
             item.led().is_none()
         );
     }
@@ -486,7 +515,7 @@ fn batch_envelope(
             Ok(item) => {
                 let mut response = query_response(item, None);
                 if item.planned.explain {
-                    let lookup = [item.lookup_span()];
+                    let lookup = item.lookup_spans();
                     let (spans, pruning) = match item.led() {
                         Some(led) => (led.spans.as_slice(), led.pruning),
                         None => (lookup.as_slice(), PruningSnapshot::default()),
@@ -503,10 +532,12 @@ fn batch_envelope(
         ("micros", micros.into()),
         ("responses", Json::Arr(responses)),
     ]));
-    let serialize_micros = serialize_started.elapsed().as_micros() as u64;
-    state.stats.stage(obs::Stage::Serialize, serialize_micros);
-    let total_micros = received.elapsed().as_micros() as u64;
-    state.stats.requests.record(total_micros);
+    state
+        .stats
+        .stage(obs::Stage::Serialize, serialize_started.elapsed());
+    let total = received.elapsed();
+    state.stats.requests.record(total);
+    let total_micros = total.as_micros() as u64;
     if state.slow_query_micros > 0 && total_micros >= state.slow_query_micros {
         eprintln!(
             "slow-query trace_id={} batch={} micros={total_micros}",
@@ -2334,5 +2365,244 @@ mod tests {
             resp.body
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The `name` span of a single reply's `request` trace.
+    fn trace_span(reply: &Json, name: &str) -> Option<Span> {
+        let spans = reply.get("trace")?.get("spans")?;
+        let root = obs::spans_from_json(spans)?.pop()?;
+        root.children.into_iter().find(|span| span.name == name)
+    }
+
+    /// The value of one `/metrics` sample line.
+    fn metric(state: &Arc<AppState>, series: &str) -> Option<String> {
+        let metrics = route(state, &get("/metrics")).body;
+        let prefix = format!("{series} ");
+        metrics
+            .lines()
+            .find_map(|l| Some(l.strip_prefix(&prefix)?.to_owned()))
+    }
+
+    /// A coalesced item's wait is booked as its own stage, in the span
+    /// and in the histogram alike, and `cache_lookup` is the lookup alone:
+    /// each histogram's sum is its span to the microsecond.
+    #[test]
+    fn a_coalesced_wait_is_booked_apart_from_the_lookup() {
+        let state = state();
+        register(&state);
+        let entry = state.catalog.get("t1").unwrap();
+        let q = shapesearch_parser::parse_regex("[p=up][p=down]").unwrap();
+        let key = CacheKey::new(
+            &entry.id,
+            entry.generation,
+            entry.shard_count,
+            &entry.placement_fp,
+            &q,
+            2,
+            &state.default_options,
+        );
+        let crate::cache::Lookup::Lead(guard) = state.cache.lookup(&key) else {
+            panic!("a fresh state must elect the first lookup leader");
+        };
+        let body = r#"{"dataset":"t1","query":"[p=up][p=down]","k":2,"explain":true}"#;
+        let reply = std::thread::scope(|scope| {
+            let request = scope.spawn(|| route(&state, &post("/query", body)));
+            while state.cache.stats().coalesced == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            guard.complete(Arc::new(Vec::new()));
+            request.join().unwrap()
+        });
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let reply = json::parse(&reply.body).unwrap();
+        let lookup = trace_span(&reply, "cache_lookup").expect("a cache_lookup span");
+        assert_eq!(lookup.detail.as_deref(), Some("coalesced"));
+        let wait = trace_span(&reply, "singleflight_wait").expect("a singleflight_wait span");
+        assert!(wait.micros >= 30_000, "{wait:?}");
+        assert!(lookup.micros < 30_000, "the lookup alone: {lookup:?}");
+        for span in [&lookup, &wait] {
+            let stage = format!(
+                "shapesearch_stage_duration_micros_{{}}{{stage=\"{}\"}}",
+                span.name
+            );
+            let count = metric(&state, &stage.replace("{}", "count"));
+            assert_eq!(count.as_deref(), Some("1"), "{}", span.name);
+            let sum = metric(&state, &stage.replace("{}", "sum")).unwrap();
+            let whole: u64 = sum.split('.').next().unwrap().parse().unwrap();
+            assert_eq!(whole, span.micros, "{} histogram {sum} vs span", span.name);
+        }
+    }
+
+    /// A query text is planned once: the next request that sends it hits
+    /// the plan memo, however its options are spelled. Spelling every
+    /// option at its default value reaches the result-cache entry of a
+    /// request that spells none; a non-default option does not. The
+    /// defaults' fingerprint, taken once, is the one `options_fingerprint`
+    /// renders, and stops being used once the defaults change.
+    #[test]
+    fn spelling_the_default_options_shares_the_plan_and_the_answer() {
+        let state = state();
+        register(&state);
+        let plain = r#"{"dataset":"t1","query":"[p=up][p=down]","k":2}"#;
+        let spelled = r#"{"dataset":"t1","query":"[p=up][p=down]","k":2,
+            "algo":"tree","bin_width":1,"pushdown":true,"pruning":"auto"}"#;
+        let dp = r#"{"dataset":"t1","query":"[p=up][p=down]","k":2,"algo":"dp"}"#;
+        let first = route(&state, &post("/query", plain));
+        assert!(first.body.contains("\"cached\":false"), "{}", first.body);
+        let second = route(&state, &post("/query", spelled));
+        assert!(second.body.contains("\"cached\":true"), "{}", second.body);
+        let third = route(&state, &post("/query", dp));
+        assert!(third.body.contains("\"cached\":false"), "{}", third.body);
+        let plans = state.plans.stats();
+        assert_eq!((plans.hits, plans.misses, plans.entries), (2, 1, 1));
+
+        let req = |body: &str| protocol::query_request_from_json(&json::parse(body).unwrap());
+        let (options, fingerprint) = state.effective_options(&req(plain).unwrap());
+        assert_eq!(&*fingerprint, options_fingerprint(&state.default_options));
+        assert_eq!(&*fingerprint, options_fingerprint(&options));
+        let (_, spelled_fp) = state.effective_options(&req(spelled).unwrap());
+        assert_eq!(spelled_fp, fingerprint);
+
+        let mut changed = AppState::new(4, 1, None, 1);
+        changed.default_options.segmenter = shapesearch_core::SegmenterKind::Dp;
+        let (options, fingerprint) = changed.effective_options(&req(plain).unwrap());
+        assert_eq!(&*fingerprint, options_fingerprint(&changed.default_options));
+        assert_eq!(options.segmenter, shapesearch_core::SegmenterKind::Dp);
+    }
+
+    /// A memo hit carries only the text's plan: its dataset, `k` and
+    /// trace are the request's own, its answer is what a server that never
+    /// saw the text gives, and its NL notes are the first request's.
+    #[test]
+    fn a_plan_memo_hit_answers_for_its_own_request() {
+        let nl = "increasing from y = 10 to y = 5";
+        let two = || {
+            let state = state();
+            register(&state);
+            let body = r#"{"name":"u","id":"t2","csv":"z,x,y\nc,1,5\nc,2,9\nc,3,10\nd,1,9\nd,2,7\nd,3,5\n","z":"z","x":"x","y":"y"}"#;
+            assert_eq!(route(&state, &post("/datasets", body)).status, 201);
+            state
+        };
+        let state = two();
+        let first = route(
+            &state,
+            &post(
+                "/query",
+                &format!(r#"{{"dataset":"t1","nl":"{nl}","k":1}}"#),
+            ),
+        );
+        assert_eq!(first.status, 200, "{}", first.body);
+        let body = format!(r#"{{"dataset":"t2","nl":"{nl}","k":2,"explain":true,"partial":true}}"#);
+        let second = route(&state, &post("/query", &body));
+        assert_eq!(second.status, 200, "{}", second.body);
+        let plans = state.plans.stats();
+        assert_eq!((plans.hits, plans.misses), (1, 1));
+
+        let (first, second) = (
+            json::parse(&first.body).unwrap(),
+            json::parse(&second.body).unwrap(),
+        );
+        assert_eq!(second.get("dataset").and_then(Json::as_str), Some("t2"));
+        assert_eq!(second.get("k").and_then(Json::as_usize), Some(2));
+        let notes = first.get("notes").expect("the NL text carries notes");
+        assert_eq!(second.get("notes"), Some(notes));
+        let plan = trace_span(&second, "parse_plan").expect("an explained reply's parse_plan");
+        assert_eq!(plan.detail.as_deref(), Some("hit"));
+
+        let fresh = two();
+        let alone = route(&fresh, &post("/query", &body));
+        let alone = json::parse(&alone.body).unwrap();
+        assert_eq!(comparable(&alone), comparable(&second));
+        let plan = trace_span(&alone, "parse_plan").unwrap();
+        assert_eq!(plan.detail.as_deref(), Some("miss"));
+    }
+
+    /// A text longer than the NL cap is planned as before but never
+    /// memoised, and the memo holds at most its capacity.
+    #[test]
+    fn the_plan_memo_keeps_short_texts_up_to_its_capacity() {
+        let state = Arc::new(AppState::new(2, 1, None, 1));
+        register(&state);
+        let long = format!(
+            "{:<width$}",
+            "[p=up][p=down]",
+            width = shapesearch_parser::MAX_NL_BYTES + 1
+        );
+        let reply = |text: &str| {
+            let body = format!(r#"{{"dataset":"t1","query":"{text}","k":2}}"#);
+            let reply = route(&state, &post("/query", &body));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            comparable(&json::parse(&reply.body).unwrap())
+        };
+        let short = reply("[p=up][p=down]");
+        let before = state.plans.stats();
+        assert_eq!(
+            reply(&long),
+            short.replace("\"cached\":false", "\"cached\":true")
+        );
+        assert_eq!(
+            state.plans.stats(),
+            before,
+            "a long text never reaches the memo"
+        );
+
+        for text in ["[p=up]", "[p=down]", "[p=flat]", "[p=up][p=flat]"] {
+            reply(text);
+            let plans = state.plans.stats();
+            assert!(plans.entries <= plans.capacity, "{plans:?}");
+        }
+        assert_eq!(state.plans.stats().entries, 2);
+        let health = json::parse(&route(&state, &get("/healthz")).body).unwrap();
+        let block = health.get("plan_cache").expect("a plan_cache block");
+        assert_eq!(block.get("entries").and_then(Json::as_usize), Some(2));
+        assert_eq!(block.get("capacity").and_then(Json::as_usize), Some(2));
+    }
+
+    /// A text that does not parse gets the same 400 every time and is
+    /// never memoised.
+    #[test]
+    fn a_bad_text_is_refused_alike_and_never_memoised() {
+        let state = state();
+        register(&state);
+        for body in [
+            r#"{"dataset":"t1","query":"[p=up","k":2}"#,
+            r#"{"dataset":"t1","nl":"qwzx vbnm","k":2}"#,
+        ] {
+            let first = route(&state, &post("/query", body));
+            let again = route(&state, &post("/query", body));
+            assert_eq!(first.status, 400, "{}", first.body);
+            assert_eq!((again.status, &again.body), (first.status, &first.body));
+        }
+        let plans = state.plans.stats();
+        assert_eq!((plans.entries, plans.hits, plans.misses), (0, 0, 4));
+    }
+
+    /// Two requests racing with one NL text translate it once.
+    #[test]
+    fn racing_identical_nl_texts_translate_once() {
+        let state = state();
+        register(&state);
+        let body = r#"{"dataset":"t1","nl":"falling sharply then rising slowly","k":1}"#;
+        let barrier = std::sync::Barrier::new(2);
+        let replies: Vec<Response> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        route(&state, &post("/query", body))
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|racer| racer.join().unwrap())
+                .collect()
+        });
+        for reply in &replies {
+            assert_eq!(reply.status, 200, "{}", reply.body);
+        }
+        let plans = state.plans.stats();
+        assert_eq!((plans.misses, plans.hits + plans.coalesced), (1, 1));
     }
 }

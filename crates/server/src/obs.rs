@@ -20,7 +20,7 @@
 use crate::json::Json;
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Number of histogram buckets: upper bounds `2^0 ‥ 2^24` microseconds
 /// (1 µs to ≈16.8 s) plus a `+Inf` overflow bucket.
@@ -48,30 +48,44 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
     (i < INF).then(|| 1u64 << i)
 }
 
+/// A sample's whole nanoseconds, saturating at `u64::MAX` (≈ 584 years).
+fn nanos(sample: Duration) -> u64 {
+    u64::try_from(sample.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The bucket a sample of `nanos` lands in: the one whose bound is the
+/// first at or above it, so a 300 ns sample counts as `≤ 1` µs and a
+/// 1.5 µs one as `≤ 2` µs.
+fn nanos_bucket(nanos: u64) -> usize {
+    bucket_index(nanos.div_ceil(1000))
+}
+
 /// A fixed-bucket log₂-scale latency histogram over atomic counters.
 ///
 /// Recording is lock-free (two relaxed `fetch_add`s); reading takes a
 /// point-in-time [`HistogramSnapshot`]. Buckets store per-bucket counts
 /// internally; the cumulative `le` form Prometheus wants is derived at
-/// exposition time.
+/// exposition time. The sum is kept in nanoseconds, so a sample shorter
+/// than a microsecond still counts toward it.
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
+    sum_nanos: AtomicU64,
 }
 
 impl Histogram {
     /// Records one latency sample.
-    pub fn record(&self, micros: u64) {
-        self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(micros, Ordering::Relaxed);
+    pub fn record(&self, sample: Duration) {
+        let nanos = nanos(sample);
+        self.buckets[nanos_bucket(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            sum: self.sum.load(Ordering::Relaxed),
+            sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
         }
     }
 }
@@ -81,21 +95,27 @@ impl Histogram {
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) sample counts.
     pub buckets: [u64; BUCKETS],
-    /// Sum of all recorded samples in microseconds.
-    pub sum: u64,
+    /// Sum of all recorded samples in nanoseconds.
+    pub sum_nanos: u64,
 }
 
 impl HistogramSnapshot {
     /// Records one latency sample into a copy some lock already guards
     /// (no atomics needed there; the sum wraps like the atomic one).
-    pub fn record(&mut self, micros: u64) {
-        self.buckets[bucket_index(micros)] += 1;
-        self.sum = self.sum.wrapping_add(micros);
+    pub fn record(&mut self, sample: Duration) {
+        let nanos = nanos(sample);
+        self.buckets[nanos_bucket(nanos)] += 1;
+        self.sum_nanos = self.sum_nanos.wrapping_add(nanos);
     }
 
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
+    }
+
+    /// Sum of all recorded samples in whole microseconds.
+    pub fn sum_micros(&self) -> u64 {
+        self.sum_nanos / 1000
     }
 
     /// Element-wise accumulation — merging two registries' snapshots
@@ -105,7 +125,7 @@ impl HistogramSnapshot {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
         }
-        self.sum += other.sum;
+        self.sum_nanos = self.sum_nanos.wrapping_add(other.sum_nanos);
     }
 }
 
@@ -144,11 +164,14 @@ macro_rules! stages {
 }
 
 stages! {
-    /// Request body parse + query normalization + cache-key planning.
+    /// Request body parse + query plan (from the plan memo, or parsed
+    /// now) + cache-key assembly.
     ParsePlan = "parse_plan",
-    /// Singleflight cache lookup (hits, misses, and coalesced waits all
-    /// record here — the outcome is on the trace span's detail).
+    /// The result cache's singleflight lookup alone (the outcome is on
+    /// the trace span's detail).
     CacheLookup = "cache_lookup",
+    /// A coalesced item's wait for the flight it joined to land.
+    SingleflightWait = "singleflight_wait",
     /// One local shard's compute-pool task end to end.
     ShardCompute = "shard_compute",
     /// One remote shard RPC end to end (also recorded per endpoint).
@@ -174,6 +197,18 @@ impl Stage {
             shapesearch_core::EngineStage::PruneBound => Stage::PruneBound,
         }
     }
+}
+
+/// `nanos` in microseconds, exactly: whole microseconds print as an
+/// integer, anything finer with as many of its three decimals as it needs
+/// (`1500` ns → `1.5`, `300` ns → `0.3`).
+fn micros_text(nanos: u64) -> String {
+    let (whole, frac) = (nanos / 1000, nanos % 1000);
+    if frac == 0 {
+        return whole.to_string();
+    }
+    let decimals = format!("{frac:03}");
+    format!("{whole}.{}", decimals.trim_end_matches('0'))
 }
 
 /// A Prometheus text-format (`text/plain; version=0.0.4`) writer: one
@@ -211,6 +246,10 @@ impl Exposition {
     }
 
     fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+        self.sample_text(name, labels, &value.to_string());
+    }
+
+    fn sample_text(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
         self.out.push_str(name);
         if !labels.is_empty() {
             self.out.push('{');
@@ -226,7 +265,7 @@ impl Exposition {
             self.out.push('}');
         }
         self.out.push(' ');
-        self.out.push_str(&value.to_string());
+        self.out.push_str(value);
         self.out.push('\n');
     }
 
@@ -248,7 +287,8 @@ impl Exposition {
 
     /// A histogram family: one `{le}`-bucketed series per entry (an
     /// entry with no extra label renders unlabeled). Buckets render
-    /// cumulatively, ending in `+Inf`, plus `_sum` and `_count`.
+    /// cumulatively, ending in `+Inf`, plus `_sum` (in microseconds, to
+    /// the nanosecond) and `_count`.
     pub fn histogram_family(
         &mut self,
         name: &str,
@@ -272,7 +312,7 @@ impl Exposition {
                 labels.push(("le", &le));
                 self.sample(&bucket, &labels, cumulative);
             }
-            self.sample(&sum, &base, snap.sum);
+            self.sample_text(&sum, &base, &micros_text(snap.sum_nanos));
             self.sample(&count, &base, snap.count());
         }
     }
@@ -449,7 +489,7 @@ mod tests {
         assert_eq!(bucket_index((1 << 24) + 1), INF);
         assert_eq!(bucket_index(u64::MAX), INF);
         let h = Histogram::default();
-        h.record(u64::MAX);
+        h.record(Duration::MAX);
         let snap = h.snapshot();
         assert_eq!(snap.buckets[INF], 1);
         assert_eq!(snap.count(), 1);
@@ -459,11 +499,11 @@ mod tests {
     fn histogram_records_and_sums() {
         let h = Histogram::default();
         for micros in [0, 1, 2, 3, 1000, 1_000_000] {
-            h.record(micros);
+            h.record(Duration::from_micros(micros));
         }
         let snap = h.snapshot();
         assert_eq!(snap.count(), 6);
-        assert_eq!(snap.sum, 1_001_006);
+        assert_eq!(snap.sum_micros(), 1_001_006);
         assert_eq!(snap.buckets[0], 2); // 0 and 1
         assert_eq!(snap.buckets[1], 1); // 2
         assert_eq!(snap.buckets[2], 1); // 3
@@ -471,21 +511,67 @@ mod tests {
         assert_eq!(snap.buckets[20], 1); // 1_000_000 ≤ 2^20
     }
 
+    /// A stage sample shorter than a microsecond still moves the stage's
+    /// `_sum`, and a sample lands in the first bucket at or above it.
+    #[test]
+    fn a_sub_microsecond_sample_moves_the_sum() {
+        let state = AppState::new(4, 1, None, 1);
+        state
+            .stats
+            .stage(Stage::ParsePlan, Duration::from_nanos(300));
+        let metrics = StatsSnapshot::gather(&state).to_metrics();
+        let line = |series: &str| {
+            let prefix = format!("shapesearch_stage_duration_micros_{series} ");
+            metrics
+                .lines()
+                .find_map(|l| l.strip_prefix(&prefix))
+                .unwrap_or_else(|| panic!("no {series} line in {metrics}"))
+                .to_owned()
+        };
+        assert_eq!(line("sum{stage=\"parse_plan\"}"), "0.3");
+        assert_eq!(line("count{stage=\"parse_plan\"}"), "1");
+        assert_eq!(line("bucket{stage=\"parse_plan\",le=\"1\"}"), "1");
+
+        state
+            .stats
+            .stage(Stage::ParsePlan, Duration::from_nanos(1_500));
+        let metrics = StatsSnapshot::gather(&state).to_metrics();
+        assert!(
+            metrics.contains("shapesearch_stage_duration_micros_sum{stage=\"parse_plan\"} 1.8\n")
+        );
+        assert!(metrics.contains(
+            "shapesearch_stage_duration_micros_bucket{stage=\"parse_plan\",le=\"1\"} 1\n"
+        ));
+        assert!(metrics.contains(
+            "shapesearch_stage_duration_micros_bucket{stage=\"parse_plan\",le=\"2\"} 2\n"
+        ));
+    }
+
+    #[test]
+    fn sums_print_exact_microseconds() {
+        assert_eq!(micros_text(0), "0");
+        assert_eq!(micros_text(300), "0.3");
+        assert_eq!(micros_text(1_500), "1.5");
+        assert_eq!(micros_text(1_001), "1.001");
+        assert_eq!(micros_text(12_000), "12");
+        assert_eq!(micros_text(u64::MAX), "18446744073709551.615");
+    }
+
     #[test]
     fn snapshot_merge_is_elementwise() {
         let a = Histogram::default();
         let b = Histogram::default();
-        a.record(1);
-        a.record(100);
-        b.record(100);
-        b.record(u64::MAX);
+        a.record(Duration::from_micros(1));
+        a.record(Duration::from_micros(100));
+        b.record(Duration::from_micros(100));
+        b.record(Duration::MAX);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.count(), 4);
         assert_eq!(merged.buckets[bucket_index(100)], 2);
         assert_eq!(merged.buckets[INF], 1);
         // The atomic sum wraps on overflow (fetch_add semantics).
-        assert_eq!(merged.sum, 201u64.wrapping_add(u64::MAX));
+        assert_eq!(merged.sum_nanos, 201_000u64.wrapping_add(u64::MAX));
     }
 
     #[test]
@@ -517,8 +603,8 @@ mod tests {
         };
         let state = AppState::new(4, 1, None, 1);
         let m = &state.stats;
-        m.stage(Stage::Group, 5);
-        m.stage(Stage::Group, 7);
+        m.stage(Stage::Group, Duration::from_micros(5));
+        m.stage(Stage::Group, Duration::from_micros(7));
         // One failover trail, one booking: a failed first replica and
         // the peer that answered.
         m.record_rpc(&[
@@ -528,7 +614,7 @@ mod tests {
         m.record_rpc(&[attempt("127.0.0.1:7001", 2, None)]);
         let snapshot = StatsSnapshot::gather(&state);
         assert_eq!(snapshot.stages[Stage::Group as usize].count(), 2);
-        assert_eq!(snapshot.stages[Stage::Group as usize].sum, 12);
+        assert_eq!(snapshot.stages[Stage::Group as usize].sum_micros(), 12);
         assert_eq!(snapshot.stages[Stage::Merge as usize].count(), 0);
         // Requests are the histogram's count and micros its sum.
         let booked: Vec<_> = snapshot
@@ -550,9 +636,9 @@ mod tests {
     #[test]
     fn exposition_renders_cumulative_buckets() {
         let h = Histogram::default();
-        h.record(1);
-        h.record(3);
-        h.record((1 << 24) + 1);
+        h.record(Duration::from_micros(1));
+        h.record(Duration::from_micros(3));
+        h.record(Duration::from_micros((1 << 24) + 1));
         let mut expo = Exposition::default();
         expo.family("x_total", "an x.", "counter", [(None, 3)]);
         expo.family("g", "a g.", "gauge", [(None, 7)]);

@@ -589,6 +589,16 @@ pub struct QueryRequest {
     pub partial: bool,
 }
 
+/// The request key a query's text came in under: `query` (regex syntax)
+/// or `nl` (natural language).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FrontDoor {
+    /// `query`: regex syntax.
+    Regex,
+    /// `nl`: natural language.
+    Nl,
+}
+
 /// Parses one query object of a `POST /query` body.
 pub fn query_request_from_json(body: &Json) -> Result<QueryRequest, ServerError> {
     let dataset = field::<&str>(body, "dataset")?.to_owned();
@@ -651,21 +661,40 @@ impl QueryRequest {
         let _ = read_options(&self.overrides, &mut options, Route::Query);
         options
     }
+
+    /// Whether the request overrides no engine option, so its effective
+    /// options are the defaults.
+    pub fn overrides_nothing(&self) -> bool {
+        matches!(&self.overrides, Json::Obj(fields) if fields.is_empty())
+    }
+
+    /// Moves the query text out of the request, with the front door it
+    /// came in by: `query` wins over `nl`.
+    pub fn take_text(&mut self) -> (FrontDoor, String) {
+        match (self.query.take(), self.nl.take()) {
+            (Some(text), _) => (FrontDoor::Regex, text),
+            (None, Some(text)) => (FrontDoor::Nl, text),
+            (None, None) => unreachable!("validated at extraction"),
+        }
+    }
 }
 
-/// Parses the request's query text into an AST (regex syntax first,
-/// falling back to the NL pipeline when only `nl` was given). Returns
-/// the AST plus any NL translation notes.
-pub fn parse_query(request: &QueryRequest) -> Result<(ShapeQuery, Vec<String>), ServerError> {
-    if let Some(text) = &request.query {
-        let query = shapesearch_parser::parse_regex(text)
-            .map_err(|e| ServerError::bad_request(format!("query parse error: {e}")))?;
-        return Ok((query, Vec::new()));
+/// Parses query text through its front door into an AST, plus the NL
+/// translation notes (none for regex text).
+pub fn parse_query(door: FrontDoor, text: &str) -> Result<(ShapeQuery, Vec<String>), ServerError> {
+    match door {
+        FrontDoor::Regex => {
+            let query = shapesearch_parser::parse_regex(text)
+                .map_err(|e| ServerError::bad_request(format!("query parse error: {e}")))?;
+            Ok((query, Vec::new()))
+        }
+        FrontDoor::Nl => {
+            let parsed = shapesearch_parser::parse_natural_language(text).map_err(|e| {
+                ServerError::bad_request(format!("natural-language parse error: {e}"))
+            })?;
+            Ok((parsed.query, parsed.notes))
+        }
     }
-    let text = request.nl.as_deref().expect("validated at extraction");
-    let parsed = shapesearch_parser::parse_natural_language(text)
-        .map_err(|e| ServerError::bad_request(format!("natural-language parse error: {e}")))?;
-    Ok((parsed.query, parsed.notes))
 }
 
 /// Serializes a catalog entry for listings and registration replies.
@@ -1594,16 +1623,7 @@ mod tests {
 
     #[test]
     fn nl_and_regex_share_canonical_ast() {
-        let nl_req = QueryRequest {
-            dataset: "d".into(),
-            query: None,
-            nl: Some("rising then falling".into()),
-            k: 5,
-            overrides: Json::Obj(Vec::new()),
-            explain: false,
-            partial: false,
-        };
-        let (nl_query, _) = parse_query(&nl_req).unwrap();
+        let (nl_query, _) = parse_query(FrontDoor::Nl, "rising then falling").unwrap();
         let direct = shapesearch_parser::parse_regex(&nl_query.to_string()).unwrap();
         assert_eq!(nl_query, direct, "canonical text must reparse identically");
     }

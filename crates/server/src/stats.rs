@@ -28,6 +28,7 @@ use shapesearch_core::PruningSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// The crate version baked into `/healthz` build info.
 fn build_version() -> &'static str {
@@ -79,7 +80,7 @@ impl RpcStats {
 
     /// Total round-trip microseconds spent on this endpoint's RPCs.
     pub fn micros_total(&self) -> u64 {
-        self.latency.sum
+        self.latency.sum_micros()
     }
 }
 
@@ -145,8 +146,18 @@ impl Stats {
     }
 
     /// Records one `stage` latency sample (lock-free).
-    pub fn stage(&self, stage: Stage, micros: u64) {
-        self.stages[stage as usize].record(micros);
+    pub fn stage(&self, stage: Stage, sample: Duration) {
+        self.stages[stage as usize].record(sample);
+    }
+
+    /// Runs `f`, books its time as one `stage` sample, and returns what it
+    /// returned with that time in whole microseconds (a span's unit).
+    pub fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> (T, u64) {
+        let started = Instant::now();
+        let value = f();
+        let elapsed = started.elapsed();
+        self.stage(stage, elapsed);
+        (value, elapsed.as_micros() as u64)
     }
 
     /// Books one fan-out's local work: one task per entry of
@@ -171,7 +182,7 @@ impl Stats {
         for attempt in attempts {
             let entry = gauges.remote.entry(attempt.endpoint.clone()).or_default();
             entry.errors += u64::from(attempt.error.is_some());
-            entry.latency.record(attempt.micros);
+            entry.latency.record(Duration::from_micros(attempt.micros));
         }
     }
 }
@@ -229,6 +240,8 @@ pub struct StatsSnapshot {
     pub max_batch: usize,
     /// Query-cache counters and occupancy.
     pub cache: CacheStats,
+    /// Plan-memo counters and occupancy.
+    pub plan_cache: CacheStats,
     /// Engine shards a registration gets unless it pins its own count.
     pub default_shards: usize,
     /// Shards summed over every registered dataset.
@@ -327,6 +340,7 @@ impl StatsSnapshot {
             workers: state.workers,
             max_batch: state.max_batch,
             cache: state.cache.stats(),
+            plan_cache: state.plans.stats(),
             default_shards: state.catalog.default_shards(),
             dataset_shards: state.catalog.list().iter().map(|e| e.shard_count).sum(),
             compute_workers: state.compute.workers(),
@@ -357,6 +371,11 @@ impl StatsSnapshot {
             row.counter("shapesearch_cache_events_total", help)
                 .labelled("event", event)
         };
+        let plan_event = |row: Scalar, event| {
+            let help = "Plan-memo lookup outcomes (hit + miss + coalesced = lookups).";
+            row.counter("shapesearch_plan_cache_events_total", help)
+                .labelled("event", event)
+        };
         let outcome = |row: Scalar, outcome| {
             let help = "Pruning-driver candidate outcomes (bounded = bound-checked, \
                         pruned = skipped, scored = segmented in full).";
@@ -369,7 +388,8 @@ impl StatsSnapshot {
         };
         let dialed = self.remote.values().filter_map(|row| row.health.as_ref());
         let stale = self.registry.iter().filter(|s| s.fresh_replicas == 0);
-        let (cache, shards, pruning) = (&self.cache, &self.shards, &self.pruning);
+        let (cache, plans) = (&self.cache, &self.plan_cache);
+        let (shards, pruning) = (&self.shards, &self.pruning);
         let conns = &self.connections;
         // One row, at most two lines: where the number sits on /healthz,
         // then the series that carries it on /metrics.
@@ -393,6 +413,15 @@ impl StatsSnapshot {
                 .gauge("shapesearch_cache_entries", "Live query-cache entries."),
             at("cache", "capacity", cache.capacity as u64)
                 .gauge("shapesearch_cache_capacity", "Query-cache capacity in entries."),
+            at("plan_cache", "lookups", plans.lookups)
+                .counter("shapesearch_plan_cache_lookups_total", "Plan-memo lookups (query texts short enough to memoise)."),
+            plan_event(at("plan_cache", "hits", plans.hits), "hit"),
+            plan_event(at("plan_cache", "misses", plans.misses), "miss"),
+            plan_event(at("plan_cache", "coalesced", plans.coalesced), "coalesced"),
+            at("plan_cache", "entries", plans.entries as u64)
+                .gauge("shapesearch_plan_cache_entries", "Live plan-memo entries."),
+            at("plan_cache", "capacity", plans.capacity as u64)
+                .gauge("shapesearch_plan_cache_capacity", "Plan-memo capacity in entries (the query cache's)."),
             at("shards", "default", self.default_shards as u64),
             at("shards", "dataset_shards", self.dataset_shards as u64),
             at("shards", "compute_workers", self.compute_workers as u64),
@@ -658,7 +687,7 @@ mod tests {
     fn hist(samples: &[u64]) -> HistogramSnapshot {
         let mut snapshot = HistogramSnapshot::default();
         for micros in samples {
-            snapshot.record(*micros);
+            snapshot.record(Duration::from_micros(*micros));
         }
         snapshot
     }
@@ -704,7 +733,10 @@ mod tests {
             },
             requests: hist(&[0, 1, 100, 1 << 25]),
             shard_requests: hist(&[7]),
-            stages: std::array::from_fn(|i| hist(&[i as u64 + 1, 1000 * (i as u64 + 1)])),
+            stages: std::array::from_fn(|i| {
+                let n = captured_place(Stage::ALL[i]) + 1;
+                hist(&[n, 1000 * n])
+            }),
             ..StatsSnapshot::default()
         };
         // Six primes went to a block since removed; skipping them keeps
@@ -753,14 +785,45 @@ mod tests {
                 stalest_age_secs: next(),
             });
         }
+        // Younger than the goldens' row sets: drawn after them.
+        snapshot.plan_cache = CacheStats {
+            lookups: next(),
+            hits: next(),
+            misses: next(),
+            coalesced: next(),
+            entries: next() as usize,
+            capacity: next() as usize,
+        };
         snapshot
+    }
+
+    /// A stage's place in the order the goldens were captured in; a stage
+    /// added since takes the next free place, so no older sample moves.
+    fn captured_place(stage: Stage) -> u64 {
+        const CAPTURED: [&str; 10] = [
+            "parse_plan",
+            "cache_lookup",
+            "shard_compute",
+            "remote_rpc",
+            "merge",
+            "serialize",
+            "group",
+            "segment_score",
+            "prune_bound",
+            "singleflight_wait",
+        ];
+        CAPTURED
+            .iter()
+            .position(|name| *name == stage.name())
+            .unwrap() as u64
     }
 
     /// The bytes db9ab8d (the last commit with two hand-written
     /// renderers) produced for [`primes_snapshot`]'s state, plus the rows
     /// added since (`pruning.joined`, with the HELP text that says "all
-    /// tiers"): `/healthz` must match byte for byte, `/metrics` line for
-    /// line in any family order.
+    /// tiers"; the `plan_cache` block; the `singleflight_wait` stage):
+    /// `/healthz` must match byte for byte, `/metrics` line for line in
+    /// any family order.
     #[test]
     fn renderings_match_the_hand_written_renderers_goldens() {
         let snapshot = primes_snapshot();

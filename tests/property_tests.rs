@@ -7,7 +7,10 @@
 //! * parser round-trip (AST → regex text → AST), and over generated regex
 //!   text: whatever `parse_regex` accepts holds only finite numbers, and
 //!   its canonical text (the query cache's key) re-parses to an equal AST
-//!   and prints the same again.
+//!   and prints the same again,
+//! * over generated natural-language text: the translator never panics,
+//!   is pure (the server memoises its plans by text), and what it accepts
+//!   holds only finite numbers and round-trips through its canonical text.
 
 use proptest::prelude::*;
 use shapesearch_core::algo::dp::DpSegmenter;
@@ -21,7 +24,8 @@ use shapesearch_core::{
     SummaryStats, UdpRegistry, VizData,
 };
 use shapesearch_datastore::Trendline;
-use shapesearch_parser::parse_regex;
+use shapesearch_parser::nl::lexicon;
+use shapesearch_parser::{parse_natural_language, parse_regex};
 
 fn viz_from_ys(ys: &[f64]) -> VizData {
     binned_viz_from_ys(ys, 1).expect("≥2 points")
@@ -564,6 +568,76 @@ proptest! {
             let again = again.unwrap();
             prop_assert_eq!(&again, &q, "{}", canonical);
             prop_assert_eq!(again.to_string(), canonical);
+        }
+    }
+}
+
+/// The lexicon's word lists, from patterns to operators.
+const LEXICON: [&[&str]; 11] = [
+    lexicon::UP_WORDS,
+    lexicon::DOWN_WORDS,
+    lexicon::FLAT_WORDS,
+    lexicon::PEAK_WORDS,
+    lexicon::VALLEY_WORDS,
+    lexicon::SHARP_WORDS,
+    lexicon::GRADUAL_WORDS,
+    lexicon::CONCAT_WORDS,
+    lexicon::OR_WORDS,
+    lexicon::AND_WORDS,
+    lexicon::NOT_WORDS,
+];
+
+/// Location words, filler and punctuation.
+const GLUE: &[&str] = &[
+    "x", "y", "=", "from", "to", "between", "the", "over", "width", "of", "points", "twice", ",",
+    ".", "(", ")", "%", "-", "sales",
+];
+
+/// One token of generated natural-language text: a lexicon word (twice
+/// as likely as the rest), a numeric literal of up to 400 digits, a
+/// non-finite number word, or glue.
+fn nl_token() -> impl Strategy<Value = String> {
+    let word = (0..LEXICON.len(), 0usize..64)
+        .prop_map(|(list, at)| LEXICON[list][at % LEXICON[list].len()].to_owned())
+        .boxed();
+    let non_finite = (0..4usize).prop_map(|i| ["nan", "inf", "infinity", "-inf"][i].to_owned());
+    let glue = (0..GLUE.len()).prop_map(|i| GLUE[i].to_owned());
+    prop_oneof![word.clone(), word, literal(), non_finite, glue]
+}
+
+// Each case translates its text twice; a debug-build translation takes
+// milliseconds, so fewer cases than the regex suite.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Word sequences from the lexicon with numbers and punctuation:
+    /// translating never panics and is pure (same text, same AST and
+    /// notes); an accepted query holds only finite numbers, and its
+    /// canonical text re-parses as regex to an equal AST.
+    #[test]
+    fn nl_translation_is_pure_finite_and_round_trips(
+        tokens in proptest::collection::vec(nl_token(), 1..=12),
+    ) {
+        let text = tokens.join(" ");
+        let first = parse_natural_language(&text);
+        let again = parse_natural_language(&text);
+        match (&first, &again) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(&a.query, &b.query, "{}", text);
+                prop_assert_eq!(&a.notes, &b.notes, "{}", text);
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "{}", text),
+            _ => prop_assert!(false, "{} parsed once as {:?}, then as {:?}", text, first, again),
+        }
+        if let Ok(parsed) = first {
+            let q = parsed.query;
+            for v in numbers(&q) {
+                prop_assert!(v.is_finite(), "{} holds {}", text, v);
+            }
+            let canonical = q.to_string();
+            let reparsed = parse_regex(&canonical);
+            prop_assert!(reparsed.is_ok(), "{} printed as {}: {:?}", text, canonical, reparsed);
+            prop_assert_eq!(reparsed.unwrap(), q, "{} printed as {}", text, canonical);
         }
     }
 }
