@@ -470,6 +470,22 @@ curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz" |
     curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz"; exit 1;
 }
 
+# Keep-alive responses are written by the dispatch thread that built
+# them: three POSTs over one curl's one connection show up as direct
+# writes on the router's /healthz.
+KEEPALIVE_CODES=$(curl -s -w '%{http_code} ' -o /dev/null -o /dev/null -o /dev/null \
+    -X POST -d '{"dataset":"sales","query":"[p=down][p=up]","k":2}' \
+    "http://127.0.0.1:$ROUTER_PORT/query" \
+    "http://127.0.0.1:$ROUTER_PORT/query" \
+    "http://127.0.0.1:$ROUTER_PORT/query")
+[ "$KEEPALIVE_CODES" = "200 200 200 " ] || {
+    echo "observability smoke: keep-alive POSTs returned $KEEPALIVE_CODES"; exit 1;
+}
+curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz" | grep -Eq '"direct_writes":[1-9]' || {
+    echo "observability smoke: no response was written by its dispatch thread"
+    curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz"; exit 1;
+}
+
 # A present-but-mistyped optional key is refused, never defaulted.
 MISTYPED_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
     -X POST "http://127.0.0.1:$ROUTER_PORT/query" \
@@ -516,6 +532,7 @@ for series in 'shapesearch_queries_total ' \
               'shapesearch_plan_cache_capacity ' \
               'shapesearch_pruning_refined_total ' \
               'shapesearch_pruning_joined_total ' \
+              'shapesearch_connections_direct_writes_total ' \
               '# TYPE shapesearch_request_duration_micros histogram'; do
     echo "$ROUTER_METRICS" | grep -q "$series" || {
         echo "observability smoke: /metrics missing $series"

@@ -35,7 +35,7 @@
 //! the same text comes back, whatever its dataset, k or options.
 
 use crate::protocol::{self, FrontDoor, Route};
-use shapesearch_core::{EngineOptions, ShapeQuery, TopKResult};
+use shapesearch_core::{EngineOptions, Pattern, ShapeQuery, TopKResult};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::hash::Hash;
@@ -499,6 +499,39 @@ pub struct Plan {
     pub notes: Vec<String>,
     /// `ast`'s canonical rendering.
     pub canon: Arc<str>,
+}
+
+impl Plan {
+    /// The bytes the plan holds: itself, its AST's nodes (child arrays at
+    /// their capacity), sketch points and UDP names, its notes and its
+    /// canonical text. An AST can be a hundred times its text: a 4 KB
+    /// `([]|[])|…` OR parses to over a thousand nodes.
+    pub fn bytes(&self) -> usize {
+        fn below(query: &ShapeQuery) -> usize {
+            const NODE: usize = size_of::<ShapeQuery>();
+            match query {
+                ShapeQuery::Segment(segment) => {
+                    let sketch = segment
+                        .sketch
+                        .as_ref()
+                        .map_or(0, |points| points.capacity() * size_of::<(f64, f64)>());
+                    sketch
+                        + match &segment.pattern {
+                            Some(Pattern::Nested(nested)) => NODE + below(nested),
+                            Some(Pattern::Udp(name)) => name.capacity(),
+                            _ => 0,
+                        }
+                }
+                ShapeQuery::Concat(parts) | ShapeQuery::And(parts) | ShapeQuery::Or(parts) => {
+                    parts.capacity() * NODE + parts.iter().map(below).sum::<usize>()
+                }
+                ShapeQuery::Not(inner) => NODE + below(inner),
+            }
+        }
+        let notes = self.notes.capacity() * size_of::<String>()
+            + self.notes.iter().map(String::capacity).sum::<usize>();
+        size_of::<Plan>() + below(&self.ast) + notes + self.canon.len()
+    }
 }
 
 /// The plan memo: [`Cache`] over [`PlanKey`]s.

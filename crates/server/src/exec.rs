@@ -117,14 +117,20 @@ fn parse_plan(door: FrontDoor, text: &str) -> Result<Plan, ServerError> {
     Ok(Plan { ast, notes, canon })
 }
 
+/// The most bytes ([`Plan::bytes`]) a memoised plan may hold. A 46-byte
+/// located query's plan holds 542 B, a chain of 16 units 2,736 B, and a
+/// 4 KB text of ORs ≈ 390 KB.
+const MAX_MEMO_PLAN_BYTES: usize = 4 * 1024;
+
 /// The plan of a query text: the memo's, or parsed now. Parsing is pure,
 /// so a plan is shared by every request that sends the same text through
 /// the same front door, whatever its dataset, `k` or options. A text that
 /// parses is memoised — through the cache's singleflight, so a burst of
-/// one text parses once — unless it is longer than [`MAX_NL_BYTES`]: the
-/// memo holds at most its capacity of texts that short. A text that does
-/// not parse is never memoised; whoever sends it again gets the same
-/// error from a fresh parse.
+/// one text parses once — unless it is longer than [`MAX_NL_BYTES`] or its
+/// plan holds more than [`MAX_MEMO_PLAN_BYTES`]: the memo holds at most
+/// its capacity of plans that small. A text that does not parse is never
+/// memoised; whoever sends it again gets the same error from a fresh
+/// parse.
 fn plan_text(
     plans: &PlanCache,
     door: FrontDoor,
@@ -138,10 +144,12 @@ fn plan_text(
         match plans.lookup(&key) {
             Probe::Hit(plan) => return Ok((plan, PlanSource::Hit)),
             Probe::Lead(leader) => {
-                // An error drops the leader: its waiters wake and parse
-                // for themselves.
+                // An error, or a plan too big to keep, drops the leader:
+                // its waiters wake and parse for themselves.
                 let plan = Arc::new(parse_plan(door, &key.text)?);
-                leader.complete(Arc::clone(&plan));
+                if plan.bytes() <= MAX_MEMO_PLAN_BYTES {
+                    leader.complete(Arc::clone(&plan));
+                }
                 return Ok((plan, PlanSource::Parsed));
             }
             Probe::Pending(waiter) => {
@@ -829,6 +837,38 @@ mod tests {
             body: body.into_bytes(),
         };
         assert_eq!(route(state, &request).status, 201);
+    }
+
+    /// The memo keeps only small plans: a 4 KB text of ORs parses to over
+    /// a thousand AST nodes and is planned afresh every time, while a
+    /// located query and a chain of 16 units are memoised.
+    #[test]
+    fn the_plan_memo_keeps_no_plan_far_larger_than_its_text() {
+        let plans = PlanCache::new(8);
+        let plan = |text: &str| plan_text(&plans, FrontDoor::Regex, text.to_owned()).unwrap();
+        let mut ors = String::new();
+        while ors.len() + 10 <= MAX_NL_BYTES {
+            ors.push_str("([]|[])|");
+        }
+        ors.push_str("[]");
+        for _ in 0..2 {
+            let (big, source) = plan(&ors);
+            assert_eq!(source, PlanSource::Parsed);
+            assert!(big.bytes() > 90 * ors.len(), "{}", big.bytes());
+            assert_eq!(plans.stats().entries, 0);
+        }
+        let located = "[x.s=30, x.e=50, p=up][x.s=50, x.e=90, p=down]";
+        let chain = "[p=up][p=down]".repeat(8);
+        for text in [located, &chain] {
+            let (small, _) = plan(text);
+            assert!(
+                small.bytes() <= MAX_MEMO_PLAN_BYTES,
+                "{text}: {}",
+                small.bytes()
+            );
+            assert_eq!(plan(text).1, PlanSource::Hit, "{text}");
+        }
+        assert_eq!(plans.stats().entries, 2);
     }
 
     /// Two requests that send one text share its plan and nothing else:

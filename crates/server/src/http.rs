@@ -13,13 +13,21 @@
 //! listener, a slab of nonblocking connections and the completion inbox.
 //! Each connection is an explicit state machine — read head → read body →
 //! dispatch → write response → keep-alive idle. A complete request runs
-//! on the dispatch pool (the CPU tier, [`crate::compute::DispatchPool`]);
-//! its response comes back through the inbox plus a wakeup pipe. The loop
-//! never runs handler code, so idle keep-alive connections cost an epoll
-//! registration and a small buffer rather than a thread, and one loop
-//! holds tens of thousands of them while the dispatch pool sizes to the
-//! CPU-bound query work. Because the loop closes a finished connection
-//! before it accepts the next one, the connection gauges never race.
+//! on the dispatch pool (the CPU tier, [`crate::compute::DispatchPool`]).
+//! When nothing can follow its response on the connection but the next
+//! request — keep-alive, no pipelined bytes, no peer EOF, no drain — the
+//! dispatch job writes the response itself and re-arms read interest,
+//! and the loop learns of it from a completion it reads when something
+//! else wakes it (usually that next request). Every other response, and
+//! the tail of a direct write that stopped short, comes back through the
+//! inbox plus a wakeup pipe and the loop writes it. The loop never runs
+//! handler code and owns every connection's state; a job writes only to
+//! its own dispatched connection. Idle keep-alive connections cost an
+//! epoll registration and a small buffer rather than a thread, and one
+//! loop holds tens of thousands of them while the dispatch pool sizes to
+//! the CPU-bound query work. Because the loop closes a finished
+//! connection before it accepts the next one, the connection gauges never
+//! race.
 //!
 //! The layer is application-agnostic: it parses requests, hands them to
 //! a router closure, and writes responses (with keep-alive support).
@@ -165,6 +173,10 @@ pub struct ConnStats {
     /// event (a proxy for loop activity; an idle loop ticks without
     /// counting).
     pub event_loop_wakeups: AtomicU64,
+    /// Responses a dispatch job wrote whole to its own connection, so the
+    /// event loop was not woken to write them (counted when the loop
+    /// applies the job's completion, at its next wakeup).
+    pub direct_writes: AtomicU64,
 }
 
 /// The router: maps a request to a response. Panics in a router are
@@ -464,14 +476,20 @@ enum Phase {
     Reading,
     /// A complete request is executing on the dispatch pool; read
     /// interest is off so a pipelining peer cannot buffer without bound.
+    /// Its job may write the response and re-arm read interest itself;
+    /// the connection is `Reading` again once the loop has applied that
+    /// job's completion.
     Dispatched,
-    /// A response is being flushed.
+    /// A response is being flushed by the loop.
     Writing,
 }
 
 #[derive(Debug)]
 struct Conn {
-    stream: TcpStream,
+    /// Shared with a dispatch job that writes its response directly; the
+    /// job's clone keeps the fd from being closed (and its number reused)
+    /// under it.
+    stream: Arc<TcpStream>,
     fd: polling::RawFd,
     /// Guards completions against slot reuse: a completion for an
     /// earlier connection that shared this slot is dropped.
@@ -493,16 +511,32 @@ struct Conn {
     interest: Interest,
 }
 
-/// One response ready to be written back to a connection.
+/// A dispatch job's outcome for its connection.
 struct Completion {
     token: usize,
     generation: u64,
-    response: Response,
-    keep_alive: bool,
+    reply: Reply,
 }
 
-/// The event loop's cross-thread face: dispatch threads push completed
-/// responses here, and the waker makes the loop notice.
+/// What a dispatch job hands back to the loop.
+enum Reply {
+    /// The job wrote the whole response and re-armed read interest.
+    Written,
+    /// The loop writes `wire[written..]`: the response to a request that
+    /// could not be answered directly, or the tail of a direct write that
+    /// stopped short.
+    Write {
+        wire: Vec<u8>,
+        written: usize,
+        keep_alive: bool,
+    },
+    /// A direct write failed: the loop closes the connection.
+    Failed,
+}
+
+/// The event loop's cross-thread face: dispatch jobs push completions
+/// here. The waker makes the loop notice one at once; a quiet one is
+/// applied at the top of the loop's next iteration, whatever wakes it.
 struct Inbox {
     waker: Waker,
     completions: Mutex<Vec<Completion>>,
@@ -551,8 +585,57 @@ fn serialize_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     wire.into_bytes()
 }
 
+/// A dispatch job's handle on its own connection, for writing the
+/// response itself. Given only to a keep-alive request with no pipelined
+/// bytes behind it, no peer EOF and no drain under way: once its response
+/// is out, nothing but the peer's next request can happen on the
+/// connection, and re-armed read interest is how the loop hears of that.
+struct Direct {
+    stream: Arc<TcpStream>,
+    poller: Arc<Poller>,
+    fd: polling::RawFd,
+}
+
+impl Direct {
+    /// One nonblocking write of `wire` (retried on EINTR).
+    fn write(&self, wire: Vec<u8>, keep_alive: bool) -> Reply {
+        let mut stream = &*self.stream;
+        let outcome = loop {
+            match stream.write(&wire) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                outcome => break outcome,
+            }
+        };
+        match outcome {
+            Ok(n) if n == wire.len() => Reply::Written,
+            Ok(written) => Reply::Write {
+                wire,
+                written,
+                keep_alive,
+            },
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Reply::Write {
+                wire,
+                written: 0,
+                keep_alive,
+            },
+            Err(_) => Reply::Failed,
+        }
+    }
+
+    /// Queues a whole write's completion and re-arms read interest, in
+    /// that order: any readable event the loop sees for the fd then finds
+    /// the completion already queued. The loop is not woken for it.
+    fn rearm(self, inbox: &Inbox, completion: Completion) {
+        let token = completion.token;
+        inbox.queue().push(completion);
+        // Fails (ENOENT) once the loop has closed the connection: there
+        // is nothing left to re-arm.
+        let _ = self.poller.modify(self.fd, token, Interest::READ);
+    }
+}
+
 struct EventLoop {
-    poller: Poller,
+    poller: Arc<Poller>,
     inbox: Arc<Inbox>,
     /// Taken (and deregistered) when draining starts.
     listener: Option<TcpListener>,
@@ -582,15 +665,22 @@ impl EventLoop {
                     .event_loop_wakeups
                     .fetch_add(1, Ordering::Relaxed);
             }
+            // Completions first, on every iteration: a job that wrote its
+            // response whole queued its completion quietly before it
+            // re-armed the fd, so this iteration's events for that fd find
+            // the connection back in `Reading`. The pipe is drained before
+            // the queue is taken, so no wake is consumed without its
+            // completion.
+            if events.iter().any(|ev| ev.token == TOKEN_WAKER) {
+                self.inbox.waker.drain();
+            }
+            let completions = std::mem::take(&mut *self.inbox.queue());
+            for completion in completions {
+                self.apply_completion(completion);
+            }
             for ev in events.iter().copied() {
                 match ev.token {
-                    TOKEN_WAKER => {
-                        self.inbox.waker.drain();
-                        let completions = std::mem::take(&mut *self.inbox.queue());
-                        for completion in completions {
-                            self.apply_completion(completion);
-                        }
-                    }
+                    TOKEN_WAKER => {}
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_event(token, ev),
                 }
@@ -669,7 +759,7 @@ impl EventLoop {
         self.next_generation += 1;
         self.stats.idle_keepalive.fetch_add(1, Ordering::Relaxed);
         self.slots[token] = Some(Conn {
-            stream,
+            stream: Arc::new(stream),
             fd,
             generation: self.next_generation,
             phase: Phase::Reading,
@@ -740,7 +830,7 @@ impl EventLoop {
         let mut scratch = [0u8; 16 * 1024];
         loop {
             let conn = self.slots[token].as_mut().expect("checked");
-            match conn.stream.read(&mut scratch) {
+            match (&*conn.stream).read(&mut scratch) {
                 Ok(0) => {
                     conn.peer_eof = true;
                     self.handle_peer_eof(token);
@@ -793,7 +883,7 @@ impl EventLoop {
     fn probe_peer(&mut self, token: usize) {
         let mut scratch = [0u8; 4096];
         let conn = self.slots[token].as_mut().expect("checked");
-        match conn.stream.read(&mut scratch) {
+        match (&*conn.stream).read(&mut scratch) {
             Ok(0) => conn.peer_eof = true,
             Ok(n) => {
                 conn.buf.extend_from_slice(&scratch[..n]);
@@ -821,6 +911,12 @@ impl EventLoop {
         conn.phase = Phase::Dispatched;
         conn.hard_deadline = None;
         let generation = conn.generation;
+        let direct_ok = keep_alive && conn.buf.is_empty() && !conn.peer_eof && !self.draining;
+        let direct = direct_ok.then(|| Direct {
+            stream: Arc::clone(&conn.stream),
+            poller: Arc::clone(&self.poller),
+            fd: conn.fd,
+        });
         self.set_interest(token, Interest::NONE);
         let router = Arc::clone(&self.router);
         let inbox = Arc::clone(&self.inbox);
@@ -830,19 +926,34 @@ impl EventLoop {
                     Ok(r) => r,
                     Err(_) => Response::json(500, "{\"error\":\"internal panic\"}".into()),
                 };
-            inbox.push(Completion {
+            let wire = serialize_response(&response, keep_alive);
+            let reply = match &direct {
+                Some(direct) => direct.write(wire, keep_alive),
+                None => Reply::Write {
+                    wire,
+                    written: 0,
+                    keep_alive,
+                },
+            };
+            let completion = Completion {
                 token,
                 generation,
-                response,
-                keep_alive,
-            });
+                reply,
+            };
+            match direct {
+                Some(direct) if matches!(completion.reply, Reply::Written) => {
+                    direct.rearm(&inbox, completion);
+                }
+                _ => inbox.push(completion),
+            }
         });
     }
 
     fn apply_completion(&mut self, completion: Completion) {
+        let token = completion.token;
         let valid = self
             .slots
-            .get(completion.token)
+            .get(token)
             .and_then(|s| s.as_ref())
             .is_some_and(|conn| {
                 conn.generation == completion.generation && conn.phase == Phase::Dispatched
@@ -850,11 +961,20 @@ impl EventLoop {
         if !valid {
             return;
         }
-        self.respond(
-            completion.token,
-            &completion.response,
-            completion.keep_alive,
-        );
+        match completion.reply {
+            Reply::Written => {
+                self.stats.direct_writes.fetch_add(1, Ordering::Relaxed);
+                // The job re-armed read interest itself.
+                self.slots[token].as_mut().expect("checked").interest = Interest::READ;
+                self.finish_response(token);
+            }
+            Reply::Write {
+                wire,
+                written,
+                keep_alive,
+            } => self.write_back(token, wire, written, keep_alive),
+            Reply::Failed => self.close(token),
+        }
     }
 
     /// Malformed request: best-effort 400 carrying the parse detail (our
@@ -866,13 +986,14 @@ impl EventLoop {
             crate::json::Json::Str(format!("malformed request: {e}")),
         )]);
         let response = Response::json(400, body.to_text());
-        self.respond(token, &response, false);
+        self.write_back(token, serialize_response(&response, false), 0, false);
     }
 
-    fn respond(&mut self, token: usize, response: &Response, keep_alive: bool) {
+    /// Writes `wire` from `written` on, as far as the socket takes it now.
+    fn write_back(&mut self, token: usize, wire: Vec<u8>, written: usize, keep_alive: bool) {
         let conn = self.slots[token].as_mut().expect("checked");
-        conn.write_buf = serialize_response(response, keep_alive);
-        conn.written = 0;
+        conn.write_buf = wire;
+        conn.written = written;
         conn.phase = Phase::Writing;
         conn.close_after_write = !keep_alive;
         self.flush_write(token);
@@ -885,7 +1006,7 @@ impl EventLoop {
                 self.finish_response(token);
                 return;
             }
-            match conn.stream.write(&conn.write_buf[conn.written..]) {
+            match (&*conn.stream).write(&conn.write_buf[conn.written..]) {
                 Ok(0) => {
                     self.close(token);
                     return;
@@ -1017,6 +1138,10 @@ impl ServerHandle {
         // loop only exits once its dispatched connections have written
         // back (or been abandoned).
         self.dispatch.shutdown();
+        // A job that wrote its response whole queued its completion
+        // without a wake: wake the loop once they all have, so the drain
+        // does not wait out a tick for them.
+        let _ = self.inbox.waker.wake();
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
         }
@@ -1050,7 +1175,7 @@ pub fn serve(addr: &str, config: HttpConfig, router: Router) -> io::Result<Serve
         waker: Waker::new()?,
         completions: Mutex::new(Vec::new()),
     });
-    let poller = Poller::new()?;
+    let poller = Arc::new(Poller::new()?);
     poller.add(inbox.waker.fd(), TOKEN_WAKER, Interest::READ)?;
     poller.add(raw_fd(&listener), TOKEN_LISTENER, Interest::READ)?;
 
@@ -1083,6 +1208,7 @@ pub fn serve(addr: &str, config: HttpConfig, router: Router) -> io::Result<Serve
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::sync::mpsc;
 
     fn serve_test(router: Router) -> ServerHandle {
         serve(
@@ -1399,6 +1525,206 @@ mod tests {
                 == 0),
             "disconnected mid-write connection was not reclaimed"
         );
+        handle.shutdown();
+    }
+
+    /// The test's side of [`gated_router`].
+    struct Gate {
+        /// One message each time a `/slow…` request reaches the router.
+        entered: mpsc::Receiver<()>,
+        /// One message lets one `/slow…` request through.
+        open: mpsc::Sender<()>,
+    }
+
+    /// Echoes every request, holding each one whose path starts with
+    /// `/slow` until the test lets it through.
+    fn gated_router() -> (Router, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (open, open_rx) = mpsc::channel::<()>();
+        let open_rx = Mutex::new(open_rx);
+        let echo = echo_router();
+        let router: Router = Arc::new(move |req: &Request| {
+            if req.path.starts_with("/slow") {
+                let _ = entered_tx.send(());
+                let _ = open_rx.lock().unwrap().recv();
+            }
+            echo(req)
+        });
+        (router, Gate { entered, open })
+    }
+
+    fn connect(handle: &ServerHandle) -> (TcpStream, BufReader<TcpStream>) {
+        let s = TcpStream::connect(handle.addr()).unwrap();
+        let reader = BufReader::new(s.try_clone().unwrap());
+        (s, reader)
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    /// A response bigger than any socket buffer: the dispatch job's write
+    /// stops short, the loop writes the tail, and the connection then
+    /// serves on; only the small response counts as a direct write.
+    #[test]
+    fn a_response_larger_than_the_send_buffer_arrives_whole_then_serves_on() {
+        let body: String = (0..(8 << 20) + 7)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let big = body.clone();
+        let echo = echo_router();
+        let router: Router = Arc::new(move |req: &Request| match req.path.as_str() {
+            "/big" => Response::json(200, big.clone()),
+            _ => echo(req),
+        });
+        let handle = serve_test(router);
+        let stats = handle.stats();
+        let (mut s, mut reader) = connect(&handle);
+        s.write_all(b"GET /big HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        // Not reading yet keeps the receive window from growing under the
+        // job's one write.
+        std::thread::sleep(Duration::from_millis(50));
+        let (status, got) = read_response(&mut reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(got == body, "the big body arrived changed");
+        s.write_all(b"GET /after HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let (status, got) = read_response(&mut reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(got.contains("\"path\":\"/after\""), "{got}");
+        assert!(
+            wait_until(WAIT, || stats.direct_writes.load(Ordering::Relaxed) == 1),
+            "direct writes: {}",
+            stats.direct_writes.load(Ordering::Relaxed)
+        );
+        handle.shutdown();
+    }
+
+    /// A keep-alive request's response no longer goes back through the
+    /// loop: one wakeup reads the request, and the dispatch job writes the
+    /// response. Through the loop it would be two wakeups a request.
+    #[test]
+    fn sequential_keep_alive_requests_wake_the_loop_once_each() {
+        let handle = serve_test(echo_router());
+        let stats = handle.stats();
+        let (mut s, mut reader) = connect(&handle);
+        let mut ask = |i: u64| {
+            s.write_all(format!("GET /{i} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+                .unwrap();
+            let (status, body) = read_response(&mut reader);
+            assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+            assert!(body.contains(&format!("\"path\":\"/{i}\"")), "{body}");
+        };
+        // The accept may take a wakeup of its own.
+        ask(0);
+        let before = stats.event_loop_wakeups.load(Ordering::Relaxed);
+        const N: u64 = 40;
+        for i in 1..=N {
+            ask(i);
+        }
+        let woken = stats.event_loop_wakeups.load(Ordering::Relaxed) - before;
+        assert!(2 * woken < 3 * N, "{woken} wakeups for {N} requests");
+        handle.shutdown();
+    }
+
+    /// A request that arrives while the one before it is dispatched
+    /// waits in the socket and is answered after it.
+    #[test]
+    fn a_request_sent_while_the_first_is_dispatched_is_answered_after_it() {
+        let (router, gate) = gated_router();
+        let handle = serve_test(router);
+        let (mut s, mut reader) = connect(&handle);
+        s.write_all(b"GET /slow HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        gate.entered.recv_timeout(WAIT).unwrap();
+        s.write_all(b"GET /second HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        gate.open.send(()).unwrap();
+        for path in ["/slow", "/second"] {
+            let (status, body) = read_response(&mut reader);
+            assert!(status.starts_with("HTTP/1.1 200"), "{path}: {status}");
+            assert!(body.contains(&format!("\"path\":\"{path}\"")), "{body}");
+        }
+        handle.shutdown();
+    }
+
+    /// A response its dispatch job writes after the loop began draining
+    /// wakes the loop: shutdown does not wait out a tick for it.
+    #[test]
+    fn shutdown_with_a_request_in_flight_returns_within_a_tick() {
+        let (router, gate) = gated_router();
+        let handle = serve_test(router);
+        let addr = handle.addr();
+        let (mut s, mut reader) = connect(&handle);
+        s.write_all(b"GET /slow HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        gate.entered.recv_timeout(WAIT).unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done_tx.send(Instant::now());
+        });
+        // The loop is draining once the listener is gone.
+        assert!(wait_until(WAIT, || TcpStream::connect(addr).is_err()));
+        let opened = Instant::now();
+        gate.open.send(()).unwrap();
+        let done = done_rx.recv_timeout(WAIT).expect("shutdown hung");
+        // Half a tick: a loop left to notice the completion on its own
+        // would take a whole tick half the time.
+        assert!(
+            done - opened < READ_TICK / 2,
+            "shutdown took {:?} after the answer",
+            done - opened
+        );
+        let (status, body) = read_response(&mut reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(body.contains("\"path\":\"/slow\""), "{body}");
+        let mut rest = Vec::new();
+        let _ = reader.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "{rest:?}");
+    }
+
+    /// A client that resets its connection while a request is dispatched
+    /// frees the slot at once. The next connection takes that slot, and
+    /// the abandoned job's completion, which lands while the new
+    /// connection's own request is dispatched, never reaches it.
+    #[test]
+    fn a_reset_mid_dispatch_frees_the_slot_and_its_reuse_gets_no_stale_response() {
+        let (router, gate) = gated_router();
+        let handle = serve_test(router);
+        let stats = handle.stats();
+        let (mut a, _) = connect(&handle);
+        // `/first`'s response is left unread, so dropping the socket
+        // sends a reset rather than a FIN.
+        a.write_all(
+            b"GET /first HTTP/1.1\r\nHost: x\r\n\r\nGET /slow?a HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        .unwrap();
+        gate.entered.recv_timeout(WAIT).unwrap();
+        drop(a);
+        assert!(
+            wait_until(WAIT, || stats.active.load(Ordering::Relaxed) == 0),
+            "a reset mid-dispatch must free the slot"
+        );
+
+        // The free slot goes to the next connection.
+        let (mut b, mut reader) = connect(&handle);
+        b.write_all(b"GET /slow?b HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        gate.entered.recv_timeout(WAIT).unwrap();
+        // `a`'s job answers first (it holds the gate's lock); its write
+        // fails and its completion is dropped.
+        gate.open.send(()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        gate.open.send(()).unwrap();
+        let (status, body) = read_response(&mut reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(body.contains("\"path\":\"/slow?b\""), "{body}");
+        b.write_all(b"GET /last HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest.matches("HTTP/1.1").count(), 1, "{rest}");
+        assert!(rest.contains("\"path\":\"/last\""), "{rest}");
         handle.shutdown();
     }
 

@@ -56,7 +56,8 @@
 //!                               "joined","bound_micros"},
 //!                    "connections":{"active","idle_keepalive",
 //!                                   "accepted_total","timeouts",
-//!                                   "event_loop_wakeups"},
+//!                                   "event_loop_wakeups",
+//!                                   "direct_writes"},
 //!                    "remote_shards":{"endpoints","requests","errors",
 //!                                     "ejections","micros_total",
 //!                                     "by_endpoint":[{"endpoint",

@@ -213,6 +213,8 @@ pub struct ConnSnapshot {
     pub timeouts: u64,
     /// Event-loop wakeups that delivered at least one readiness event.
     pub event_loop_wakeups: u64,
+    /// Responses a dispatch job wrote whole to its own connection.
+    pub direct_writes: u64,
 }
 
 /// Everything `/healthz` and `/metrics` report, as plain values.
@@ -352,6 +354,7 @@ impl StatsSnapshot {
                 accepted_total: conn.accepted_total.load(Ordering::Relaxed),
                 timeouts: conn.timeouts.load(Ordering::Relaxed),
                 event_loop_wakeups: conn.event_loop_wakeups.load(Ordering::Relaxed),
+                direct_writes: conn.direct_writes.load(Ordering::Relaxed),
             },
             remote,
             registry: state.catalog.registry().slot_staleness(),
@@ -452,6 +455,8 @@ impl StatsSnapshot {
                 .counter("shapesearch_connections_timeouts_total", "Connections cut by the idle or slow-request deadline."),
             at("connections", "event_loop_wakeups", conns.event_loop_wakeups)
                 .counter("shapesearch_connections_event_loop_wakeups_total", "Readiness event-loop wakeups that delivered at least one event."),
+            at("connections", "direct_writes", conns.direct_writes)
+                .counter("shapesearch_connections_direct_writes_total", "Responses a dispatch thread wrote whole to its own connection, without waking the event loop."),
             // Rollups of the per-endpoint and per-slot row sets.
             at("remote_shards", "endpoints", self.remote.len() as u64),
             at("remote_shards", "requests", rpc_total(RpcStats::requests)),
@@ -749,6 +754,8 @@ mod tests {
             accepted_total: next(),
             timeouts: next(),
             event_loop_wakeups: next(),
+            // Younger than the goldens: drawn last, below.
+            direct_writes: 0,
         };
         snapshot.pruning.joined = next();
         // The golden files were captured with 41 primes drawn before the
@@ -794,6 +801,7 @@ mod tests {
             entries: next() as usize,
             capacity: next() as usize,
         };
+        snapshot.connections.direct_writes = next();
         snapshot
     }
 
@@ -821,7 +829,8 @@ mod tests {
     /// The bytes db9ab8d (the last commit with two hand-written
     /// renderers) produced for [`primes_snapshot`]'s state, plus the rows
     /// added since (`pruning.joined`, with the HELP text that says "all
-    /// tiers"; the `plan_cache` block; the `singleflight_wait` stage):
+    /// tiers"; the `plan_cache` block; the `singleflight_wait` stage;
+    /// `connections.direct_writes`):
     /// `/healthz` must match byte for byte, `/metrics` line for line in
     /// any family order.
     #[test]
