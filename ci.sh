@@ -558,6 +558,16 @@ echo "$ROUTER_METRICS" | \
     echo "observability smoke: the parse_plan stage sum reads 0"
     echo "$ROUTER_METRICS"; exit 1;
 }
+# So are the engine's: the router's two local shards GROUP warm and bound
+# a handful of sales trendlines, each under a microsecond, and the sums
+# must still move.
+for stage in group prune_bound; do
+    echo "$ROUTER_METRICS" | \
+        grep -Eq "shapesearch_stage_duration_micros_sum\{stage=\"$stage\"\} ([1-9]|0\.[0-9]*[1-9])" || {
+        echo "observability smoke: the $stage stage sum reads 0"
+        echo "$ROUTER_METRICS"; exit 1;
+    }
+done
 # Docs cannot drift from the stats table: every family this router
 # serves and every top-level /healthz key must be named (in backticks) in
 # docs/ARCHITECTURE.md.

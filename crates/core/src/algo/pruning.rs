@@ -14,7 +14,8 @@
 //! on the [`VizData`], so the pass takes no `tan`, an `atan` only for a
 //! segment pinned at both ends (below), and reads one clock pair for the
 //! whole collection. Stage 1 then scores the `k`
-//! candidates with the **highest bounds** exactly, best bound first (the
+//! candidates with the **highest bounds** exactly, best bound first, kept
+//! in one pass over the bounds by a bounded heap (the
 //! paper scores a down-sampled subset; scoring exactly costs the same
 //! asymptotics and makes the resulting threshold a *proven* lower bound on
 //! the final top-k score, which is what keeps pruning byte-identical) —
@@ -38,12 +39,15 @@
 //! are then its scores give or take rounding, the `k` seeds its top k,
 //! and the walk after them prunes everyone else but ties. Which window
 //! the pins name depends on the trendline's raw x row alone, so it is
-//! resolved once for each x grid ([`VizData::grid`]) and a candidate pays
-//! only that window's slope and `atan`. A top-level CONCAT places windows
-//! too: every exact segmenter tiles `[0, n − 1]` with the chain's
-//! units in order, so the first unit is scored on some window `[0, j]`
-//! and the last on some `[i, n − 1]` — `n − 1` candidate slopes each, not
-//! a continuum.
+//! resolved once for each x grid ([`VizData::grid`]), and the window's x
+//! side (`Σx`, `Σx²`, `n`) once for each stretch of candidates on one
+//! canvas x run: a candidate pays two prefix differences and a division
+//! for its slope, gathered into one column, then its `atan` in a second
+//! loop over that column (`SlopeLeaf::pinned_bounds`). A top-level
+//! CONCAT places windows too: every exact segmenter tiles `[0, n − 1]`
+//! with the chain's units in order, so the first unit is scored on some
+//! window `[0, j]` and the last on some `[i, n − 1]` — `n − 1` candidate
+//! slopes each, not a continuum.
 //! The second tier takes an un-located first or last unit's upper bound
 //! over exactly those windows (the rest of the plan keeps its first-tier
 //! value and arithmetic), and because every Table 7 row is monotone or
@@ -454,11 +458,12 @@ impl<'a> PruningDriver<'a> {
     /// perfect fit's — sits an ulp under a segmenter's re-associated total
     /// without it). One clock pair and one observer sample for the whole
     /// collection — a candidate costs a few nanoseconds, plus a window's
-    /// slope and `atan` for each unit pinned at both ends (whose window is
-    /// resolved once an x grid): ≈ 0.12 µs a candidate for a located
-    /// query of two such units on 128-point walks, one core. That is why
-    /// the pass runs unconditionally (on a workload it cannot prune it is
-    /// noise next to a single segmentation).
+    /// slope and `atan` for each unit pinned at both ends (the window
+    /// resolved once an x grid, its x side once a stretch of candidates
+    /// on one x run): ≈ 0.05 µs a candidate for a located query of two
+    /// such units on 128-point walks, one core, nearly all of it the two
+    /// `atan`s. That is why the pass runs unconditionally (on a workload
+    /// it cannot prune it is noise next to a single segmentation).
     fn upper_bounds(&self, vizzes: &[&VizData]) -> Vec<f64> {
         let started = Instant::now();
         let allowance = self.plan.allowance();
@@ -471,30 +476,46 @@ impl<'a> PruningDriver<'a> {
         let elapsed = started.elapsed();
         self.counters.record_bound_pass(bounds.len(), elapsed);
         self.observer
-            .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
+            .stage_duration(EngineStage::PruneBound, elapsed);
         bounds
     }
 
     /// §6.3 stage 1: the positions of the `min(k, candidates)` highest
-    /// upper bounds, best first (ties by position). These are the
-    /// candidates no threshold could rule out, so scoring them first
-    /// gives the walk over everyone else the sharpest threshold k exact
-    /// scores can prove. A selection, not a sort: a located query scores
-    /// about k trendlines and spends a large share of its time on the
-    /// bound pass itself (≈ 0.12 µs a trendline: two pinned windows'
-    /// slopes and `atan`s), so ordering its whole collection would be a
-    /// large share of what it does, and saves a needle query 5 % of the
-    /// little it still scores.
+    /// upper bounds, best first (by `f64::total_cmp`, ties by position).
+    /// These are the candidates no threshold could rule out, so scoring
+    /// them first gives the walk over everyone else the sharpest threshold
+    /// k exact scores can prove. One pass that keeps the best k seen in a
+    /// bounded heap, its worst on top: a located query scores about k
+    /// trendlines and its bound pass costs only tens of nanoseconds a
+    /// trendline, so ordering — or copying and partitioning — its whole
+    /// collection would be a large share of what it does, where here a
+    /// candidate below the k-th costs one integer comparison.
     fn seeds(&self, bounds: &[f64]) -> Vec<usize> {
-        let best_first =
-            |a: &usize, b: &usize| bounds[*b].total_cmp(&bounds[*a]).then_with(|| a.cmp(b));
-        let mut order: Vec<usize> = (0..bounds.len()).collect();
-        if self.k < order.len() {
-            order.select_nth_unstable_by(self.k, best_first);
-            order.truncate(self.k);
+        use std::cmp::Reverse;
+        // `total_cmp`'s order as an integer, so a tie is an equal key.
+        let key = |bound: f64| {
+            let bits = bound.to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        };
+        // Greatest = worst: the lowest bound, and of equal bounds the
+        // latest position — which every later candidate is, so one only
+        // displaces the worst with a strictly higher bound.
+        let k = self.k.min(bounds.len());
+        let mut kept = std::collections::BinaryHeap::with_capacity(k);
+        for (pos, &bound) in bounds.iter().enumerate() {
+            let entry = (Reverse(key(bound)), pos);
+            if kept.len() < k {
+                kept.push(entry);
+            } else if let Some(mut worst) = kept.peek_mut() {
+                if entry < *worst {
+                    *worst = entry;
+                }
+            }
         }
-        order.sort_unstable_by(best_first);
-        order
+        kept.into_sorted_vec()
+            .into_iter()
+            .map(|(_, pos)| pos)
+            .collect()
     }
 
     /// Walks `positions` against the live threshold. A candidate whose
@@ -619,7 +640,7 @@ impl<'a> PruningDriver<'a> {
                 .bound_nanos
                 .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
             self.observer
-                .stage(EngineStage::PruneBound, elapsed.as_micros() as u64);
+                .stage_duration(EngineStage::PruneBound, elapsed);
         }
     }
 }
@@ -955,9 +976,10 @@ impl BoundPlan {
     /// interval-slope extremes and their angles cached on the
     /// [`VizData`]: the per-segment Table 7 bounds combined through the
     /// operator bounds of Property 5.1. Evaluated a plan node at a time
-    /// over the whole collection, so each Table 7 row is one tight loop.
-    /// `windows` memoises pinned windows a grid at a time
-    /// ([`PinWindows`]).
+    /// over the whole collection, so each Table 7 row is one tight loop;
+    /// a leaf pinned at both ends is a two-pass column of its own
+    /// ([`SlopeLeaf::pinned_bounds`]). `windows` memoises pinned windows
+    /// a grid at a time ([`PinWindows`]).
     ///
     /// With `anchored`, this is the second tier: each anchored leaf's
     /// upper bound is taken over the `n − 1` windows its end allows, read
@@ -1000,17 +1022,22 @@ impl BoundPlan {
             Self::Slope {
                 row,
                 mode,
+                pins: Some(pins),
+                ..
+            } => row.pinned_bounds(vizzes, *pins, *mode, &mut windows.pinned),
+            Self::Slope {
+                row,
+                mode,
                 constrained,
                 anchor,
-                pins,
                 ..
             } => {
                 let anchor = anchor.filter(|_| anchored);
                 vizzes
                     .iter()
                     .map(|viz| {
-                        let window = pins.map(|pins| windows.pinned.window(viz, pins));
-                        let (lo, hi) = row.leaf_bounds(viz, *mode, *constrained, window);
+                        let (lo, hi) = row.bounds(viz, *mode);
+                        let lo = if *constrained { -1.0 } else { lo };
                         let Some(end) = anchor else {
                             return (lo, hi);
                         };
@@ -1071,41 +1098,72 @@ impl SlopeLeaf {
         }
     }
 
-    /// A slope leaf's first-tier bounds: [`Self::bounds`], with the lower
-    /// one voided to −1 when a hard constraint can force a segment there
-    /// (`constrained`), and the upper one the score on its own window when
-    /// x pins name one (`window`, see [`Self::pinned`]). A pinned leaf is
-    /// constrained, so when its window holds an interval the extremes
-    /// are never read.
-    #[inline]
-    fn leaf_bounds(
+    /// The first-tier bounds of a leaf pinned at both ends by raw
+    /// `pins = (x.s, x.e)`, for each of `vizzes`: `(−1, upper)`, the lower
+    /// bound void because the pins are a hard constraint, and the upper
+    /// one the row's score on the window `(i, j)` the pins name (§5.4:
+    /// `i = x_to_index(x.s)`, `j = x_to_index(x.e)`) when it holds an
+    /// interval. Every exact segmenter either places the segment on
+    /// exactly that window (the SegmentTree anchors it there, the DP and
+    /// the greedy's DP fallback constrain its ends to it) or scores it −1
+    /// through the location check, and on that window it scores this very
+    /// number — the same slope bits from the prefix columns, the same
+    /// `atan`, the same Table 5 map — before y-endpoint checks and the
+    /// width penalty, which only lower it. The clamp is the scorer's. A
+    /// window with no interval (`j ≤ i`) keeps [`Self::bounds`]' upper
+    /// bound from the interval-slope extremes.
+    ///
+    /// Two passes over the column. The first walks it in stretches of
+    /// candidates on one arena, one x run and one window — a grid names
+    /// one window ([`PinWindows`]) on one run, but two grids can share a
+    /// run (the same canvas, raw x shifted) and name different windows —
+    /// and gathers each stretch's slopes with the window's x side taken
+    /// once ([`ColumnarArena::window_slope_column`]); the second maps the
+    /// slope column to scores, `atan` and all, in one tight loop. Each
+    /// upper bound is `clamp_score(self.at(viz.slope(i, j).atan()))`, bit
+    /// for bit.
+    ///
+    /// [`ColumnarArena::window_slope_column`]: crate::columnar::ColumnarArena::window_slope_column
+    fn pinned_bounds(
         self,
-        viz: &VizData,
+        vizzes: &[&VizData],
+        pins: (f64, f64),
         mode: f64,
-        constrained: bool,
-        window: Option<(usize, usize)>,
-    ) -> (f64, f64) {
-        let pinned = window.and_then(|window| self.pinned(viz, window));
-        if let (true, Some(hi)) = (constrained, pinned) {
-            return (-1.0, hi);
+        memo: &mut PinWindows,
+    ) -> Vec<(f64, f64)> {
+        let mut slopes = Vec::with_capacity(vizzes.len());
+        let mut no_interval = Vec::new();
+        let mut at = 0;
+        while let Some(&head) = vizzes.get(at) {
+            let arena = head.arena();
+            let (run, window) = (arena.run(head.slot()), memo.window(head, pins));
+            // One grid is one raw x row, so one run and one window.
+            let len = vizzes[at..]
+                .iter()
+                .take_while(|v| {
+                    std::ptr::eq(v.arena(), arena)
+                        && (v.grid == head.grid
+                            || (arena.run(v.slot()) == run && memo.window(v, pins) == window))
+                })
+                .count();
+            let stretch = at..at + len;
+            if window.1 > window.0 {
+                let slots = vizzes[stretch].iter().map(|v| v.slot());
+                arena.window_slope_column(run, window, slots, &mut slopes);
+            } else {
+                slopes.resize(stretch.end, 0.0);
+                no_interval.extend(stretch);
+            }
+            at += len;
         }
-        let (lo, hi) = self.bounds(viz, mode);
-        (if constrained { -1.0 } else { lo }, pinned.unwrap_or(hi))
-    }
-
-    /// The row's score on the window `(i, j)` raw pins `(x.s, x.e)` name
-    /// in `viz` (§5.4: `i = x_to_index(x.s)`, `j = x_to_index(x.e)`), when
-    /// it holds an interval or more: `None` otherwise. Every exact
-    /// segmenter either places the segment on exactly that window (the
-    /// SegmentTree anchors it there, the DP and the greedy's DP fallback
-    /// constrain its ends to it) or scores it −1 through the location
-    /// check, and on that window it scores this very number — the same
-    /// slope bits from the prefix columns, the same `atan`, the same
-    /// Table 5 map — before y-endpoint checks and the width penalty, which
-    /// only lower it. The clamp is the scorer's.
-    #[inline]
-    fn pinned(self, viz: &VizData, (i, j): (usize, usize)) -> Option<f64> {
-        (j > i).then(|| clamp_score(self.at(viz.slope(i, j).atan())))
+        let mut column: Vec<(f64, f64)> = slopes
+            .into_iter()
+            .map(|slope| (-1.0, clamp_score(self.at(slope.atan()))))
+            .collect();
+        for pos in no_interval {
+            column[pos].1 = self.bounds(vizzes[pos], mode).1;
+        }
+        column
     }
 
     /// The closed slope interval `(lo, hi)` outside which the row scores
@@ -1378,6 +1436,9 @@ impl JointChain {
         }
     }
 }
+
+#[cfg(test)]
+mod column_tests;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -2317,6 +2378,71 @@ pub(crate) mod tests {
         assert_eq!(seeds(usize::MAX, &bounds), [5, 1, 3, 0, 4, 2]);
         assert_eq!(seeds(0, &bounds), [0usize; 0]);
         assert_eq!(seeds(3, &[]), [0usize; 0]);
+    }
+
+    /// The selection the one-pass seeds replaced: every position ordered
+    /// best bound first (`total_cmp`, ties by position), partitioned at
+    /// `k` and the `k` best sorted.
+    fn select_then_sort(bounds: &[f64], k: usize) -> Vec<usize> {
+        let best_first =
+            |a: &usize, b: &usize| bounds[*b].total_cmp(&bounds[*a]).then_with(|| a.cmp(b));
+        let mut order: Vec<usize> = (0..bounds.len()).collect();
+        if k < order.len() {
+            order.select_nth_unstable_by(k, best_first);
+            order.truncate(k);
+        }
+        order.sort_unstable_by(best_first);
+        order
+    }
+
+    #[test]
+    fn seeds_are_select_then_sorts_on_ties_signed_zeros_nans_and_infinities() {
+        let params = ScoreParams::default();
+        let (q, cell, counters) = (
+            ShapeQuery::up(),
+            ThresholdCell::new(),
+            PruningCounters::new(),
+        );
+        let seeds = |k: usize, bounds: &[f64]| {
+            PruningDriver::new(&q, &params, &cell, &counters, k, &NOOP_OBSERVER).seeds(bounds)
+        };
+        // Few values, so most columns tie; both NaNs and both zeros.
+        let palette = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            0.25,
+            0.25 + f64::EPSILON,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut state = 0x5eed_u64;
+        let mut draw = |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        for case in 0..3_000 {
+            let len = draw(48) as usize;
+            let bounds: Vec<f64> = (0..len)
+                .map(|_| match draw(4) {
+                    0 => draw(1 << 20) as f64 / f64::from(1 << 19) - 1.0,
+                    _ => palette[draw(palette.len() as u64) as usize],
+                })
+                .collect();
+            let cut = draw(len as u64 + 1) as usize;
+            for k in [0, 1, cut, len.saturating_sub(1), len, len + 1, usize::MAX] {
+                assert_eq!(
+                    seeds(k, &bounds),
+                    select_then_sort(&bounds, k),
+                    "case {case}, k {k}: {bounds:?}"
+                );
+            }
+        }
     }
 
     #[test]

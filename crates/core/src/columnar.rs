@@ -26,6 +26,17 @@
 //! results to the per-viz index it replaced (`tests/columnar_prop.rs`
 //! asserts this across segmenters and shard counts).
 //!
+//! That holds for a kernel that hoists work out of its loop too: what it
+//! takes once is a value every lane would have computed with the same
+//! operations on the same bits. `ColumnarArena::window_slope_column`
+//! slopes one window across a column of trendlines on one x run: the
+//! window's x side (`Σx`, `n`, the denominator and its guard) is the
+//! run's, taken once, and each lane loads
+//! only its own `Σy`/`Σxy` — the same `hi − lo` subtractions and the same
+//! `(n·Σxy − Σx·Σy) / denom`, so each slope is
+//! [`ColumnarArena::slope`]'s for that trendline and window, bit for bit
+//! (`algo::pruning`'s `column_tests` hold it to the per-candidate call).
+//!
 //! ## Memory layout
 //!
 //! One arena holds V visualizations totalling P canvas points. Three of
@@ -319,6 +330,12 @@ impl ColumnarArena {
         &self.ys[self.point_starts[slot]..self.point_starts[slot + 1]]
     }
 
+    /// The x run viz `slot` stores its canvas x on: two vizzes share it
+    /// exactly when their canvas x rows are bitwise equal.
+    pub(crate) fn run(&self, slot: usize) -> usize {
+        self.runs[slot]
+    }
+
     /// GROUP-time `(min, max)` of viz `slot`'s adjacent-interval slopes
     /// (the §6.3 bound inputs).
     pub fn slope_extent(&self, slot: usize) -> (f64, f64) {
@@ -537,6 +554,46 @@ impl ColumnarArena {
                 }
             },
         ));
+    }
+
+    /// Batched kernel: appends to `out` the fitted slope over the
+    /// inclusive window `[i, j]` of each viz in `slots`, every one of them
+    /// on x run `run` — a column of [`Self::slope`] calls, bit for bit.
+    /// The window's x side (`Σx`, `n`, the denominator
+    /// `n·Σx² − (Σx)²`) and [`SummaryStats::slope`]'s guards on it are
+    /// the run's, so they are taken once, and a window they void reads 0
+    /// for every viz; a lane is two loads and two subtractions a side
+    /// short of a whole [`Self::range_stats`].
+    ///
+    /// # Panics
+    /// Panics when `j < i` (debug) or `j` is past the run's last point.
+    pub(crate) fn window_slope_column(
+        &self,
+        run: usize,
+        (i, j): (usize, usize),
+        slots: impl IntoIterator<Item = usize>,
+        out: &mut Vec<f64>,
+    ) {
+        debug_assert!(i <= j, "window [{i}, {j}] is inverted");
+        let hi = j + 1;
+        assert!(hi <= self.run_starts[run + 1] - self.run_starts[run]);
+        let px = self.run_starts[run] + run;
+        let sx = self.sum_x[px + hi] - self.sum_x[px + i];
+        let sxx = self.sum_xx[px + hi] - self.sum_xx[px + i];
+        let points = (hi - i) as u32;
+        let n = points as f64;
+        let denom = n * sxx - sx * sx;
+        if points < 2 || denom.abs() < 1e-12 {
+            out.extend(slots.into_iter().map(|_| 0.0));
+            return;
+        }
+        out.extend(slots.into_iter().map(|slot| {
+            debug_assert_eq!(self.runs[slot], run, "viz {slot} is off the window's run");
+            let py = self.point_starts[slot] + slot;
+            let sy = self.sum_y[py + hi] - self.sum_y[py + i];
+            let sxy = self.sum_xy[py + hi] - self.sum_xy[py + i];
+            (n * sxy - sx * sy) / denom
+        }));
     }
 }
 

@@ -174,10 +174,11 @@ impl<'p> Grids<'p> {
 /// kept, per key, for the last grid it was asked about: a walk over
 /// candidates that share a grid computes each once, and one over
 /// candidates that don't computes it per candidate, as it would
-/// without the memo.
+/// without the memo. Grid ids are numbered per GROUP run, so a grid is
+/// told apart by its arena (its address) as well as its id.
 #[derive(Debug)]
 pub(crate) struct GridMemo<K, V> {
-    grid: Option<u32>,
+    grid: Option<(usize, u32)>,
     entries: Vec<(K, V)>,
 }
 
@@ -195,8 +196,9 @@ impl<K: PartialEq, V: Copy> GridMemo<K, V> {
     /// was the last one asked about, computed (and remembered) if not.
     #[inline]
     pub(crate) fn get(&mut self, viz: &VizData, key: K, compute: impl FnOnce() -> V) -> V {
-        if self.grid != Some(viz.grid) {
-            self.grid = Some(viz.grid);
+        let grid = (Arc::as_ptr(&viz.arena) as usize, viz.grid);
+        if self.grid != Some(grid) {
+            self.grid = Some(grid);
             self.entries.clear();
         }
         if let Some(&(_, value)) = self.entries.iter().find(|(k, _)| *k == key) {

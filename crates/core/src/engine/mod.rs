@@ -479,10 +479,7 @@ impl ShapeEngine {
         // trendlines a query later filters out cannot change any result.
         let group_started = Instant::now();
         let grouped: GroupedCollection = self.grouped(options.bin_width);
-        observer.stage(
-            EngineStage::Group,
-            group_started.elapsed().as_micros() as u64,
-        );
+        observer.stage_duration(EngineStage::Group, group_started.elapsed());
 
         preps
             .into_iter()
@@ -515,10 +512,7 @@ impl ShapeEngine {
                     options,
                     driver.as_ref(),
                 );
-                observer.stage(
-                    EngineStage::SegmentScore,
-                    score_started.elapsed().as_micros() as u64,
-                );
+                observer.stage_duration(EngineStage::SegmentScore, score_started.elapsed());
 
                 Ok(results
                     .into_sorted()

@@ -2,11 +2,13 @@
 //! per-stage latencies through.
 //!
 //! The core crate stays free of any metrics/export machinery — it only
-//! calls [`StageObserver::stage`] with a stage tag and a duration, and
-//! embedders (the server's `/metrics` registries, a test harness, a
-//! benchmark) decide what to do with the samples. The default
+//! calls [`StageObserver::stage_duration`] with a stage tag and a
+//! duration, and embedders (the server's `/metrics` registries, a test
+//! harness, a benchmark) decide what to do with the samples. The default
 //! [`NoopObserver`] compiles to nothing, so un-observed executions pay
 //! only a virtual call per stage, never any aggregation cost.
+
+use std::time::Duration;
 
 /// Engine pipeline stages that report timings (the observable subset of
 /// the paper's EXTRACT → GROUP → SEGMENT → SCORE pipeline; EXTRACT runs
@@ -28,8 +30,9 @@ pub enum EngineStage {
     SegmentScore,
     /// §6.3 bound work inside the pruning driver. The bound pass — the
     /// whole-trendline upper bounds of all of one query's candidates —
-    /// reports once per pass (one sample per query the driver runs for,
-    /// microseconds long on a collection of any size); the second tier
+    /// reports once per pass (one sample per query the driver runs for:
+    /// a few nanoseconds a candidate, tens for one with a segment pinned
+    /// at both ends, so often under a microsecond a shard); the second tier
     /// reports once per walk of candidates that computed any, the walk's
     /// total (most of a microsecond per candidate it bounded again).
     /// Taken inside `SegmentScore`: a share of it, not an addend.
@@ -50,8 +53,8 @@ impl EngineStage {
 /// A sink for engine stage timings.
 ///
 /// Implementations must be cheap and lock-free on the hot path — the
-/// engine calls [`Self::stage`] on the thread that called it, from
-/// inside the pruning driver's bound pass too. One observer may serve
+/// engine calls [`Self::stage_duration`] on the thread that called it,
+/// from inside the pruning driver's bound pass too. One observer may serve
 /// several engine calls at once (an embedder's pool tasks of one fan-out,
 /// each scoring a shard), hence the `Sync` bound.
 pub trait StageObserver: Sync {
@@ -59,6 +62,15 @@ pub trait StageObserver: Sync {
     /// invocation per timed region, not a running total; implementations
     /// aggregate.
     fn stage(&self, stage: EngineStage, micros: u64);
+
+    /// Reports that `stage` work took `elapsed`: the one call the engine
+    /// makes. The default forwards whole microseconds to [`Self::stage`];
+    /// an observer that keeps finer time overrides it, since a warm GROUP
+    /// or a bound pass over a small shard takes under one and would book
+    /// a column of zeros.
+    fn stage_duration(&self, stage: EngineStage, elapsed: Duration) {
+        self.stage(stage, elapsed.as_micros() as u64);
+    }
 }
 
 /// The default observer: discards every sample.
@@ -97,6 +109,10 @@ mod tests {
         sum.stage(EngineStage::Group, 3);
         sum.stage(EngineStage::PruneBound, 4);
         assert_eq!(sum.0.load(Ordering::Relaxed), 7);
+        // An observer that keeps only `stage` hears whole microseconds.
+        sum.stage_duration(EngineStage::Group, Duration::from_nanos(2_999));
+        sum.stage_duration(EngineStage::PruneBound, Duration::from_nanos(999));
+        assert_eq!(sum.0.load(Ordering::Relaxed), 9);
         NOOP_OBSERVER.stage(EngineStage::SegmentScore, 99);
     }
 }

@@ -168,22 +168,25 @@ const ENGINE_STAGES: [EngineStage; 3] = [
     EngineStage::PruneBound,
 ];
 
-/// The per-task [`StageObserver`]: forwards every engine stage sample
-/// into the process-wide histograms and accumulates per-task totals (in
-/// [`ENGINE_STAGES`] order) for the task's span — the same samples, so
-/// span and histogram cannot disagree. Atomics because a
-/// [`StageObserver`] is `Sync`; one task's engine pass reports from one
-/// thread.
+/// The per-task [`StageObserver`]: forwards every engine stage sample,
+/// at the engine's own resolution, into the process-wide histograms and
+/// accumulates per-task totals in nanoseconds (in [`ENGINE_STAGES`]
+/// order) for the task's span — the same samples, so span and histogram
+/// cannot disagree. Atomics because a [`StageObserver`] is `Sync`; one
+/// task's engine pass reports from one thread.
 struct StageTap<'m> {
     stats: &'m Stats,
-    micros: [AtomicU64; 3],
+    nanos: [AtomicU64; 3],
 }
 
 impl StageObserver for StageTap<'_> {
     fn stage(&self, stage: EngineStage, micros: u64) {
-        let sample = Duration::from_micros(micros);
-        self.stats.stage(obs::Stage::from_engine(stage), sample);
-        self.micros[stage as usize].fetch_add(micros, Ordering::Relaxed);
+        self.stage_duration(stage, Duration::from_micros(micros));
+    }
+
+    fn stage_duration(&self, stage: EngineStage, elapsed: Duration) {
+        self.stats.stage(obs::Stage::from_engine(stage), elapsed);
+        self.nanos[stage as usize].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -198,8 +201,8 @@ type QueryOutcome = Result<Vec<TopKResult>, ServerError>;
 struct ShardRun {
     outcomes: Vec<QueryOutcome>,
     micros: u64,
-    /// Engine-stage totals of a local task in [`ENGINE_STAGES`] order
-    /// (zero for remote shards — their engine time shows in their own
+    /// Engine-stage totals of a local task in [`ENGINE_STAGES`] order,
+    /// in whole microseconds of the exact sum (zero for remote shards — their engine time shows in their own
     /// spans below).
     stages: [u64; 3],
     /// A remote shard server's own span tree (present only when the RPC
@@ -265,7 +268,7 @@ impl Slot {
             Slot::Local(engine) => {
                 let tap = StageTap {
                     stats: &state.stats,
-                    micros: Default::default(),
+                    nanos: Default::default(),
                 };
                 let items: Vec<(&ShapeQuery, usize)> =
                     queries.iter().map(|(q, k)| (q, *k)).collect();
@@ -282,7 +285,7 @@ impl Slot {
                 ShardRun {
                     outcomes,
                     micros,
-                    stages: tap.micros.map(AtomicU64::into_inner),
+                    stages: tap.nanos.map(|nanos| nanos.into_inner() / 1_000),
                     remote_spans: Vec::new(),
                 }
             }

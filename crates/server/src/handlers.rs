@@ -2383,6 +2383,27 @@ mod tests {
             .find_map(|l| Some(l.strip_prefix(&prefix)?.to_owned()))
     }
 
+    /// Engine stages reach the histograms at the engine's resolution: on
+    /// a two-trendline dataset a warm GROUP and a bound pass each take
+    /// under a microsecond, and three fresh queries still move both sums
+    /// off zero (whole microseconds would book three zeros each).
+    #[test]
+    fn sub_microsecond_engine_stages_reach_the_stage_sums() {
+        let state = state();
+        register(&state);
+        for k in 1..=3 {
+            let body = format!(r#"{{"dataset":"t1","query":"[p=up][p=down]","k":{k}}}"#);
+            let reply = route(&state, &post("/query", &body));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            assert!(reply.body.contains("\"cached\":false"), "{}", reply.body);
+        }
+        for stage in ["group", "prune_bound"] {
+            let series = format!("shapesearch_stage_duration_micros_sum{{stage=\"{stage}\"}}");
+            let sum = metric(&state, &series).expect("a stage sum");
+            assert!(sum.parse::<f64>().unwrap() > 0.0, "{series} {sum}");
+        }
+    }
+
     /// A coalesced item's wait is booked as its own stage, in the span
     /// and in the histogram alike, and `cache_lookup` is the lookup alone:
     /// each histogram's sum is its span to the microsecond.
