@@ -752,6 +752,35 @@ set -- $(start_serve --workers 4 --shards 2 \
 CSV_PID=$1 CSV_PORT=$2
 CI_PIDS="$CI_PIDS $CSV_PID"
 
+# GROUP builds no SegmentTree angle run: right after registration the
+# CSV server reports `angle_bytes` 0 for `sales`. A fully fuzzy width-1
+# query builds the runs of the candidates it scores; they count in
+# `angle_bytes` and never in `grouped_bytes`, which stays what GROUP
+# left (the snapshot-vs-CSV check below compares it). The batch below
+# does not send this query, so both servers still answer it uncached.
+csv_sales_bytes() {
+    curl -s "http://127.0.0.1:$CSV_PORT/datasets" | grep -o "\"$1\":[0-9]*" | cut -d: -f2
+}
+GROUPED_BEFORE=$(csv_sales_bytes grouped_bytes)
+ANGLE_BEFORE=$(csv_sales_bytes angle_bytes)
+[ "$ANGLE_BEFORE" = "0" ] || {
+    echo "snapshot smoke: registration left angle_bytes '$ANGLE_BEFORE', want 0"
+    exit 1
+}
+status=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$CSV_PORT/query" \
+    -d '{"dataset":"sales","query":"[p=flat][p=up]","k":2,"algo":"tree","bin_width":1}')
+[ "$status" = "200" ] || { echo "snapshot smoke: fuzzy query returned $status"; exit 1; }
+GROUPED_AFTER=$(csv_sales_bytes grouped_bytes)
+ANGLE_AFTER=$(csv_sales_bytes angle_bytes)
+[ -n "$GROUPED_BEFORE" ] && [ "$GROUPED_AFTER" = "$GROUPED_BEFORE" ] || {
+    echo "snapshot smoke: a query moved grouped_bytes from $GROUPED_BEFORE to $GROUPED_AFTER"
+    exit 1
+}
+[ -n "$ANGLE_AFTER" ] && [ "$ANGLE_AFTER" -gt 0 ] || {
+    echo "snapshot smoke: a scored fuzzy query left angle_bytes '$ANGLE_AFTER', want > 0"
+    exit 1
+}
+
 SNAP_REPLY="/tmp/ci_snap_reply_$$.json"
 CSV_REPLY="/tmp/ci_csv_reply_$$.json"
 CI_TMP="$CI_TMP $SNAP_REPLY $CSV_REPLY $SNAP_REPLY.raw $CSV_REPLY.raw"
@@ -838,7 +867,7 @@ grep -q '"code":"snapshot_invalid"' "$TORN_REPLY" || {
     echo "snapshot smoke: refusal is not a structured snapshot_invalid"
     cat "$TORN_REPLY"; exit 1;
 }
-echo "smoke: snapshot OK (cold load == eager CSV byte for byte and in grouped_bytes, also after re-registration; torn file refused)"
+echo "smoke: snapshot OK (cold load == eager CSV byte for byte and in grouped_bytes, also after re-registration; angle runs built by queries only; torn file refused)"
 
 TREE_AFTER=$(git status --porcelain)
 [ "$TREE_BEFORE" = "$TREE_AFTER" ] || {

@@ -32,10 +32,16 @@
 //! its two boundary units contribute (see `Table`), so a bridge scores
 //! the merged window only and takes the two halves it replaces from the
 //! children's entries; a node's direct entries share one fitted angle,
-//! which a tree over the whole viz reads from GROUP's per-node angle
-//! column ([`ColumnarArena::node_angles`]) instead of taking an `atan`;
-//! and the tables are flat columns a scoring thread keeps between
-//! trendlines, so a node allocates nothing.
+//! which a tree over the whole viz with children reads from the viz's
+//! angle run ([`ColumnarArena::node_angles`]) instead of taking an
+//! `atan`; and the tables are flat columns a scoring thread keeps
+//! between trendlines, so a node allocates nothing.
+//!
+//! The angle run is built the first time a tree over its viz asks for
+//! it and kept in the arena, so §6.3's pruning decides which trendlines
+//! ever pay for one: only a scored candidate of a chain whose fuzzy run
+//! spans the whole viz does. A tree of one unit has no children, so it
+//! takes its root's angle itself and builds no run.
 //!
 //! [`ColumnarArena::node_angles`]: crate::ColumnarArena::node_angles
 
@@ -261,8 +267,9 @@ fn tree_range(
         units,
         runs: arena.prefix_runs(slot),
         xs: ev.viz.xs(),
-        // GROUP laid out the angles of exactly this tree's nodes.
-        node_angles: (lo == 0 && hi + 1 == ev.viz.n()).then(|| arena.node_angles(slot)),
+        // The viz's angle run holds exactly this tree's nodes; a tree of
+        // one unit reads its root only, so it leaves the run unbuilt.
+        node_angles: (k > 1 && lo == 0 && hi + 1 == ev.viz.n()).then(|| arena.node_angles(slot)),
         min_width_frac: ev.params.min_width_frac,
         bridges,
         merged: &scratch.merged,

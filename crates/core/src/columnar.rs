@@ -45,16 +45,19 @@
 //! run*): U runs totalling X points, and each viz names its run.
 //!
 //! ```text
-//! xs                    len X          point t of run r at run_starts[r] + t
-//! sum_x, sum_xx         len X + U      x prefix sums, one leading 0 per run
-//! run_starts            len U + 1      per-run point offsets
-//! runs                  len V          per-viz run index
-//! ys                    len P          point t of viz v at point_starts[v] + t
-//! sum_y, sum_xy         len P + V      y prefix sums, one leading 0 per viz
-//! point_starts          len V + 1      per-viz point offsets
-//! slope_min, slope_max  len V          GROUP-time interval-slope extremes
-//! node_angles           len Σ(2n − 3)  per-viz SegmentTree direct angles
-//! angle_starts          len V + 1      per-viz offsets into node_angles
+//! column                len            read by
+//! xs                    len X          x_to_index (pins, push-down), width penalty
+//! sum_x, sum_xx         len X + U      every slope: GROUP's extremes, the pinned
+//!                                      tier-1 column, the DP and SegmentTree kernels
+//! run_starts            len U + 1      every x-side read (run offsets)
+//! runs                  len V          every x-side read (per-viz run index)
+//! ys                    len P          UDPs, sketches, whole-series baselines
+//! sum_y, sum_xy         len P + V      every slope, as sum_x and sum_xx
+//! point_starts          len V + 1      every y-side read (per-viz point offsets)
+//! slope_min, slope_max  len V          GROUP's VizData handles, whose copies the
+//!                                      §6.3 whole-trendline bound reads
+//! node_angles           len V cells    a scored whole-viz SegmentTree of k ≥ 2 units;
+//!                                      a cell's 2n − 3 angles are built on that read
 //! ```
 //!
 //! A viz shares a run with every other viz whose canvas xs are bitwise
@@ -62,9 +65,9 @@
 //! finds the run by hashing the row in place. A run's `sum_x`/`sum_xx`
 //! are the same accumulation over the same bits each viz of it would
 //! have made, so sharing changes no statistic. On a collection with one
-//! x grid — 1,000 walks of 128 points — the arena holds ≈ 5 `f64` a
-//! point instead of ≈ 8: 2,579,120 bytes a 500-viz shard where the
-//! per-viz x columns took 4,116,016.
+//! x grid — 1,000 walks of 128 points — GROUP leaves ≈ 3 `f64` a
+//! point: 1,575,112 bytes a 500-viz shard, where an angle column built
+//! at GROUP made it 2,579,120, and per-viz x columns besides 4,116,016.
 //!
 //! The prefix columns carry one extra leading zero per run (x side) or
 //! per viz (y side), so viz `v`'s x prefix run starts at
@@ -74,15 +77,19 @@
 //! `prefix[j + 1] − prefix[i]` — O(1), with the four subtractions
 //! sitting in four independent streams.
 //!
-//! `node_angles` holds, per viz, the fitted angle `atan(slope(lo, hi))`
-//! of every node of the implicit SegmentTree over `[0, n − 1]`
-//! ([`crate::algo::segment_tree`]), in preorder: the node over
-//! `[lo, hi]` at index `i` has, when `hi − lo > 1` and `mid = lo +
+//! A viz's `node_angles` cell holds, once built, the fitted angle
+//! `atan(slope(lo, hi))` of every node of the implicit SegmentTree over
+//! `[0, n − 1]` ([`crate::algo::segment_tree`]), in preorder: the node
+//! over `[lo, hi]` at index `i` has, when `hi − lo > 1` and `mid = lo +
 //! (hi − lo) / 2`, its left child `[lo, mid]` at `i + 1` and its right
 //! child `[mid, hi]` at `i + 2·(mid − lo)`. A tree over `n ≥ 2` points
 //! has `2n − 3` nodes; a viz with fewer points has an empty run. Those
-//! angles depend on the trendline only, so the kernel reads them instead
-//! of taking an `atan` per node per query.
+//! angles depend on the trendline only, so a scored tree reads them
+//! instead of taking an `atan` per node per query. §6.3's pruning leaves
+//! most trendlines unscored, so GROUP builds none: each cell is a
+//! `OnceLock` filled the first time [`ColumnarArena::node_angles`] is
+//! asked for it and kept, and `byte_size` counts the empty cells only
+//! (the built runs are [`ColumnarArena::angle_run_bytes`]).
 //!
 //! The arena is heap state that every engine builds for itself from its
 //! raw point columns (`PointTable`), whether those were flattened from
@@ -96,7 +103,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One flat `f64` column of a [`PointTable`]: either heap-owned
 /// (flattened from EXTRACT's output) or a zero-copy view into a mapped
@@ -270,8 +277,8 @@ pub struct ColumnarArena {
     point_starts: Vec<usize>,
     slope_min: Vec<f64>,
     slope_max: Vec<f64>,
-    node_angles: Vec<f64>,
-    angle_starts: Vec<usize>,
+    /// Per viz, its SegmentTree angle run, built on first use.
+    node_angles: Vec<OnceLock<Box<[f64]>>>,
 }
 
 impl fmt::Debug for ColumnarArena {
@@ -290,8 +297,10 @@ impl ColumnarArena {
         self.point_starts.len().saturating_sub(1)
     }
 
-    /// Total bytes held by the arena's columns — what keeping
-    /// this GROUP run cached costs.
+    /// Total bytes held by the arena's GROUP-time columns and its
+    /// per-viz angle cells — what keeping this GROUP run cached costs.
+    /// Fixed at GROUP: the angle runs built into the cells later are
+    /// [`Self::angle_run_bytes`], which depends on what was scored.
     pub fn byte_size(&self) -> usize {
         let f64_cells = self.xs.len()
             + self.sum_x.len()
@@ -300,13 +309,22 @@ impl ColumnarArena {
             + self.sum_y.len()
             + self.sum_xy.len()
             + self.slope_min.len()
-            + self.slope_max.len()
-            + self.node_angles.len();
-        let offsets = self.run_starts.len()
-            + self.runs.len()
-            + self.point_starts.len()
-            + self.angle_starts.len();
-        f64_cells * std::mem::size_of::<f64>() + offsets * std::mem::size_of::<usize>()
+            + self.slope_max.len();
+        let offsets = self.run_starts.len() + self.runs.len() + self.point_starts.len();
+        f64_cells * std::mem::size_of::<f64>()
+            + offsets * std::mem::size_of::<usize>()
+            + self.node_angles.len() * std::mem::size_of::<OnceLock<Box<[f64]>>>()
+    }
+
+    /// Bytes of the angle runs [`Self::node_angles`] has built so far:
+    /// 0 after GROUP, then `8·(2n − 3)` for each viz a whole-viz
+    /// SegmentTree has scored.
+    pub fn angle_run_bytes(&self) -> usize {
+        self.node_angles
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|run| run.len() * std::mem::size_of::<f64>())
+            .sum()
     }
 
     /// Total canvas points across all visualizations.
@@ -343,24 +361,26 @@ impl ColumnarArena {
     }
 
     /// Viz `slot`'s SegmentTree direct angles in preorder (see the module
-    /// docs): `2n − 3` of them, none when `n < 2`.
+    /// docs): `2n − 3` of them, none when `n < 2`. The run is derived
+    /// from the prefix columns the first time it is asked for and kept;
+    /// threads asking at once get the one run, built once.
     pub fn node_angles(&self, slot: usize) -> &[f64] {
-        &self.node_angles[self.angle_starts[slot]..self.angle_starts[slot + 1]]
+        self.node_angles[slot].get_or_init(|| self.build_node_angles(slot))
     }
 
-    /// Appends viz `slot`'s run of [`Self::node_angles`], derived from its
-    /// prefix columns, and closes it with its end offset. Slots are
-    /// appended in order.
-    fn push_node_angles(&mut self, slot: usize) {
-        debug_assert_eq!(self.angle_starts.len(), slot + 1);
-        let mut angles = std::mem::take(&mut self.node_angles);
+    /// Viz `slot`'s run of [`Self::node_angles`], derived from its prefix
+    /// columns. Out of line: a trendline builds it once, and the tree
+    /// that reads it runs on every score.
+    #[cold]
+    #[inline(never)]
+    fn build_node_angles(&self, slot: usize) -> Box<[f64]> {
         let n = self.n(slot);
+        let mut angles = Vec::with_capacity((2 * n).saturating_sub(3));
         if n >= 2 {
             self.prefix_runs(slot)
                 .push_node_angles(0, n - 1, &mut angles);
         }
-        self.angle_starts.push(angles.len());
-        self.node_angles = angles;
+        angles.into_boxed_slice()
     }
 
     /// Viz `slot`'s four prefix-sum runs as plain slices, resolved once:
@@ -648,6 +668,8 @@ pub struct ArenaBuilder {
     newest: HashMap<u64, usize>,
     /// Per run: the next older run with the same hash.
     older: Vec<Option<usize>>,
+    /// The interval slopes of the viz being pushed, kept between pushes.
+    scratch: Vec<f64>,
 }
 
 impl ArenaBuilder {
@@ -656,7 +678,6 @@ impl ArenaBuilder {
         let mut arena = ColumnarArena::default();
         arena.run_starts.push(0);
         arena.point_starts.push(0);
-        arena.angle_starts.push(0);
         Self {
             arena,
             ..Self::default()
@@ -680,9 +701,7 @@ impl ArenaBuilder {
         a.point_starts.reserve(vizzes);
         a.slope_min.reserve(vizzes);
         a.slope_max.reserve(vizzes);
-        a.node_angles
-            .reserve((2 * points).saturating_sub(3 * vizzes));
-        a.angle_starts.reserve(vizzes);
+        a.node_angles.reserve(vizzes);
         b
     }
 
@@ -716,8 +735,8 @@ impl ArenaBuilder {
         }
         a.point_starts.push(a.ys.len());
         // GROUP-time slope extremes straight off the fresh prefix run.
-        let mut scratch = Vec::new();
-        a.interval_slopes(slot, &mut scratch);
+        let scratch = &mut self.scratch;
+        a.interval_slopes(slot, scratch);
         // NaN-propagating fold: `f64::min`/`max` would *ignore* a NaN
         // interval slope and hand pruning a finite bound for a viz whose
         // actual score is NaN — which `total_cmp` ranks above every real
@@ -725,7 +744,7 @@ impl ArenaBuilder {
         // every derived bound NaN and the viz unprunable.
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut saw_nan = false;
-        for &s in &scratch {
+        for &s in scratch.iter() {
             saw_nan |= s.is_nan();
             lo = lo.min(s);
             hi = hi.max(s);
@@ -736,7 +755,7 @@ impl ArenaBuilder {
         }
         a.slope_min.push(lo);
         a.slope_max.push(hi);
-        a.push_node_angles(slot);
+        a.node_angles.push(OnceLock::new());
         slot
     }
 
@@ -1022,18 +1041,76 @@ mod tests {
             + a.sum_y.len()
             + a.sum_xy.len()
             + a.slope_min.len()
-            + a.slope_max.len()
-            + a.node_angles.len();
-        let offsets =
-            a.run_starts.len() + a.runs.len() + a.point_starts.len() + a.angle_starts.len();
-        assert_eq!(a.byte_size(), 8 * f64s + 8 * offsets);
+            + a.slope_max.len();
+        let offsets = a.run_starts.len() + a.runs.len() + a.point_starts.len();
+        let cell = std::mem::size_of::<OnceLock<Box<[f64]>>>();
+        assert_eq!(a.node_angles.len(), 5);
+        assert_eq!(a.byte_size(), 8 * f64s + 8 * offsets + 5 * cell);
         // 4 x runs of 2 + 17 + 128 + 1 = 148 points: xs 148, sum_x and
         // sum_xx 148 + 4 each. 5 vizzes of 148 + 128 = 276 points: ys
-        // 276, sum_y and sum_xy 276 + 5 each, 2 slope extremes each,
-        // 1 + 31 + 253 + 253 + 0 = 538 node angles. Offsets: run_starts
-        // 4 + 1, runs 5, point_starts and angle_starts 5 + 1 each.
-        let f64s = 148 + 2 * 152 + 276 + 2 * 281 + 2 * 5 + 538;
-        assert_eq!(a.byte_size(), 8 * (f64s + 5 + 5 + 2 * 6));
+        // 276, sum_y and sum_xy 276 + 5 each, 2 slope extremes each.
+        // Offsets: run_starts 4 + 1, runs 5, point_starts 5 + 1. One
+        // unbuilt angle cell a viz.
+        let f64s = 148 + 2 * 152 + 276 + 2 * 281 + 2 * 5;
+        assert_eq!(a.byte_size(), 8 * (f64s + 5 + 5 + 6) + 5 * cell);
+    }
+
+    #[test]
+    fn a_fresh_arena_holds_no_built_run() {
+        let mut b = ArenaBuilder::with_capacity(3, 3 * 64);
+        for seed in 0..3u64 {
+            let (xs, ys) = demo_series(seed, 64);
+            b.push_viz(&xs, &ys);
+        }
+        let a = b.finish();
+        // Every other read leaves the cells as GROUP left them.
+        let mut out = Vec::new();
+        for slot in 0..3 {
+            a.interval_slopes(slot, &mut out);
+            a.window_slopes(slot, 0, 1, 63, &mut out);
+            let _ = (a.slope_extent(slot), a.range_stats(slot, 0, 63));
+        }
+        assert!(a.node_angles.iter().all(|cell| cell.get().is_none()));
+        assert_eq!(a.angle_run_bytes(), 0);
+        assert_eq!(a.node_angles(1).len(), 125);
+        assert_eq!(a.angle_run_bytes(), 8 * 125);
+        assert!(a.node_angles[0].get().is_none() && a.node_angles[2].get().is_none());
+    }
+
+    #[test]
+    fn concurrent_first_reads_share_one_run_built_once() {
+        let mut b = ArenaBuilder::new();
+        for seed in 0..4u64 {
+            let (xs, ys) = demo_series(seed + 11, 100 + seed as usize);
+            b.push_viz(&xs, &ys);
+        }
+        let a = b.finish();
+        let bytes = a.byte_size();
+        for slot in 0..4 {
+            let start = std::sync::Barrier::new(4);
+            let runs: Vec<&[f64]> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..4)
+                    .map(|_| {
+                        let (a, start) = (&a, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            a.node_angles(slot)
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(
+                runs.iter().all(|run| std::ptr::eq(*run, runs[0])),
+                "slot {slot}"
+            );
+            let n = a.n(slot);
+            assert_eq!(runs[0].len(), 2 * n - 3);
+            assert_eq!(check_node_angles(&a, slot, 0, 0, n - 1), 2 * n - 3);
+        }
+        let built: usize = (0..4).map(|slot| 8 * (2 * a.n(slot) - 3)).sum();
+        assert_eq!(a.angle_run_bytes(), built);
+        assert_eq!(a.byte_size(), bytes);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::algo::segment_tree::SegmentTreeSegmenter;
 use crate::algo::{MatchResult, Segmenter, SegmenterKind};
 use crate::ast::Pattern;
 use crate::chain::{expand_chains, Chain, MAX_CHAIN_UNITS};
-use crate::columnar::PointTable;
+use crate::columnar::{ColumnarArena, PointTable};
 use crate::error::{CoreError, Result};
 use crate::eval::{Evaluator, UdpFn, UdpRegistry};
 use crate::score::ScoreParams;
@@ -273,9 +273,23 @@ impl ShapeEngine {
 
     /// Total bytes of columnar GROUP state this engine currently holds
     /// resident: the sum of each cached bin width's arena byte size.
-    /// Every [`VizData`] in one GROUP run shares a single arena, so one
-    /// handle per width is enough to account for the whole collection.
+    /// Fixed by GROUP; no query changes it.
     pub fn grouped_byte_size(&self) -> usize {
+        self.sum_over_arenas(ColumnarArena::byte_size)
+    }
+
+    /// Bytes of SegmentTree angle runs the cached GROUP runs have built
+    /// since GROUP ([`ColumnarArena::angle_run_bytes`]): 0 at first, then
+    /// growing with the trendlines queries score, so it depends on the
+    /// query history. Not part of [`Self::grouped_byte_size`].
+    pub fn angle_run_bytes(&self) -> usize {
+        self.sum_over_arenas(ColumnarArena::angle_run_bytes)
+    }
+
+    /// `measure` summed over each cached bin width's arena. Every
+    /// [`VizData`] in one GROUP run shares a single arena, so one handle
+    /// per width is enough to account for the whole collection.
+    fn sum_over_arenas(&self, measure: impl Fn(&ColumnarArena) -> usize) -> usize {
         self.cache()
             .iter()
             .map(|(_, grouped)| {
@@ -283,7 +297,7 @@ impl ShapeEngine {
                     .iter()
                     .flatten()
                     .next()
-                    .map_or(0, |viz| viz.arena().byte_size())
+                    .map_or(0, |viz| measure(viz.arena()))
             })
             .sum()
     }
@@ -1289,6 +1303,63 @@ mod tests {
             let snap = shared.snapshot();
             assert_eq!((snap.bounded, snap.scored, snap.pruned), (0, 0, 0));
         }
+    }
+
+    /// GROUP builds no SegmentTree angle run. Only a scored candidate's
+    /// whole-viz tree of k ≥ 2 units builds one, once, and the resident
+    /// GROUP bytes never move.
+    #[test]
+    fn only_scored_whole_viz_trees_build_angle_runs() {
+        const N: usize = 64;
+        let tls: Vec<Trendline> = (0..200u64)
+            .map(|i| Trendline::from_pairs(format!("wander{i}"), &wander(i + 1, N)))
+            .collect();
+        let engine = ShapeEngine::from_trendlines(tls);
+        engine.warm(1);
+        let grouped = engine.grouped_byte_size();
+        assert_eq!(engine.angle_run_bytes(), 0);
+        // Candidates the pass scored.
+        let scored = |q: &ShapeQuery, kind: SegmenterKind| {
+            let opts = EngineOptions {
+                segmenter: kind,
+                ..EngineOptions::default()
+            };
+            let shared = SharedThresholds::new(1);
+            engine
+                .top_k_batch_observed(&[(q, 5)], &opts, &shared, &NOOP_OBSERVER)
+                .pop()
+                .unwrap()
+                .unwrap();
+            usize::try_from(shared.snapshot().scored).unwrap()
+        };
+        let (tree, dp) = (SegmenterKind::SegmentTree, SegmenterKind::Dp);
+        let located = ShapeQuery::concat(vec![
+            pinned(Pattern::Slope(-30.0), 6.0, 30.0),
+            pinned(Pattern::Flat, 30.0, 55.0),
+        ]);
+        let hybrid = ShapeQuery::concat(vec![
+            pinned(Pattern::Up, 6.0, 30.0),
+            ShapeQuery::down(),
+            ShapeQuery::up(),
+        ]);
+        for (q, kind) in [
+            (&located, tree),
+            (&located, dp),
+            (&hybrid, tree),
+            (&updown(), dp),
+            (&ShapeQuery::up(), tree),
+        ] {
+            assert!(scored(q, kind) > 0, "{q} under {kind:?}");
+            assert_eq!(engine.angle_run_bytes(), 0, "{q} under {kind:?}");
+        }
+        let run = 8 * (2 * N - 3);
+        let fuzzy = scored(&updown(), tree);
+        assert!(fuzzy > 0);
+        assert_eq!(engine.angle_run_bytes(), fuzzy * run);
+        // The same candidates again: every run is there already.
+        assert_eq!(scored(&updown(), tree), fuzzy);
+        assert_eq!(engine.angle_run_bytes(), fuzzy * run);
+        assert_eq!(engine.grouped_byte_size(), grouped);
     }
 
     /// `bin_width` arrives unchecked from outside: one engine asked for

@@ -470,6 +470,18 @@ impl DatasetEntry {
             .sum()
     }
 
+    /// Bytes of SegmentTree angle runs the local shards have built since
+    /// registration: the sum of their [`ShapeEngine::angle_run_bytes`].
+    /// It grows with the trendlines queries have scored, so it reports
+    /// the query history, not the registration.
+    pub fn angle_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .flatten()
+            .map(|engine| engine.angle_run_bytes())
+            .sum()
+    }
+
     /// The engine for **local** shard slot `slot`, built at registration.
     /// Byte-identity holds for every source — a snapshot partition holds
     /// the same rows and GROUPs them like the eager path.

@@ -1341,10 +1341,11 @@ mod tests {
             if shards == 1 {
                 // Two 3-point trendlines on one x row. f64 cells: the
                 // run's xs 3, sum_x and sum_xx 3 + 1 each; ys 6, sum_y
-                // and sum_xy 6 + 2 each; 2 slope extremes and 3 node
-                // angles a viz: 11 + 22 + 10 = 43. Offsets: run_starts
-                // 2, runs 2, point_starts 3, angle_starts 3: 10.
-                assert_eq!(want, 8 * (43 + 10));
+                // and sum_xy 6 + 2 each; 2 slope extremes a viz: 11 + 22
+                // + 4 = 37. Offsets: run_starts 2, runs 2, point_starts
+                // 3: 7. One unbuilt angle cell a viz.
+                let cell = std::mem::size_of::<std::sync::OnceLock<Box<[f64]>>>();
+                assert_eq!(want, 8 * (37 + 7) + 2 * cell);
             }
             let listing = json::parse(&route(&state, &get("/datasets")).body).unwrap();
             let datasets = listing.get("datasets").unwrap().as_array().unwrap();

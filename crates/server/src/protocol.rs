@@ -12,8 +12,8 @@
 //!                                    | "registry",
 //!                  "shard_of"?: "index/total"}
 //! GET  /datasets  → {"datasets":[{"id","name","z","x","y",
-//!                  "trendlines","points","grouped_bytes","shards",
-//!                  "placement","shard_of"?,"snapshot"?}]}
+//!                  "trendlines","points","grouped_bytes","angle_bytes",
+//!                  "shards","placement","shard_of"?,"snapshot"?}]}
 //! POST /query     {"dataset", "query"|"nl", "k"?, "explain"?, "partial"?,
 //!                  and an optional override per `/query` option below}
 //!              or [ {…}, {…}, … ]       (a batch of up to the server's
@@ -709,6 +709,7 @@ pub fn dataset_to_json(entry: &DatasetEntry) -> Json {
         ("trendlines", entry.trendline_count.into()),
         ("points", entry.point_count.into()),
         ("grouped_bytes", entry.grouped_bytes().into()),
+        ("angle_bytes", entry.angle_bytes().into()),
         ("shards", entry.shard_count.into()),
         (
             "placement",
