@@ -129,8 +129,10 @@ fi
 # snapshot-side arena constructor, its column views, its handle builder
 # and the file's bin width are gone. One Table-5 dispatch,
 # `SlopeLeaf::at`: the slope-taking scorers and the nested-CONCAT
-# wrapper around `dp::solve_chain` are gone.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch)"
+# wrapper around `dp::solve_chain` are gone. One test corpus, grammar
+# and rendering: the suites' own copies of the helpers
+# `crates/core/tests/support` holds.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -148,6 +150,7 @@ anchored_upper|record_bounding|ThresholdCell::raise|cell\.raise\(;crates src REA
 link_front|slot_mut|require_x_ranges|ExtractOptions::with_ranges;crates src README.md docs :!crates/bench/src/bin/ssbench;the slab LRU or EXTRACT's second push-down (a) is back
 ColumnarArena::from_columns|RawColumns|group::handle|Snapshot::bin_width;crates src README.md docs :!crates/bench/src/bin/ssbench;a second GROUP path (GROUP state read from a snapshot) is back
 \bscore_(up|down|flat|theta)\b|best_segmentation_in_range;crates src README.md docs :!crates/bench/src/bin/ssbench;a second Table-5 dispatch (a slope-taking score_* scorer) or the nested-CONCAT wrapper is back
+fn (render|series_strategy|collection_strategy|unique_path)\b;tests crates/*/tests :!crates/core/tests/support;a suite defines its own copy of a helper crates/core/tests/support holds
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -250,6 +253,12 @@ pruned_share_at_least located_miss 0.95
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The execution-shape matrix again in release: its answers are score
+# bits, and a NaN score's sign differs between the debug and the release
+# build.
+echo "==> cargo test --release (shape_matrix)"
+cargo test --release -q -p shapesearch-core --test shape_matrix
 
 # The paper's accuracy as a gate: Fig. 12 at scale 0.1 (SegmentTree,
 # Greedy and DTW top-k agreement with DP on the generated Table-11

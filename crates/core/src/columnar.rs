@@ -24,7 +24,9 @@
 //! same IEEE operations in the same order produce the same bits, so an
 //! engine running on columnar state returns byte-identical `top_k*`
 //! results to the per-viz index it replaced (`tests/columnar_prop.rs`
-//! asserts this across segmenters and shard counts).
+//! holds every kernel to that index over the shared test corpus, and
+//! `tests/shape_matrix.rs` holds the answers alike across segmenters,
+//! shard counts, pruning modes and snapshot-cut engines).
 //!
 //! That holds for a kernel that hoists work out of its loop too: what it
 //! takes once is a value every lane would have computed with the same
@@ -54,8 +56,6 @@
 //! ys                    len P          UDPs, sketches, whole-series baselines
 //! sum_y, sum_xy         len P + V      every slope, as sum_x and sum_xx
 //! point_starts          len V + 1      every y-side read (per-viz point offsets)
-//! slope_min, slope_max  len V          GROUP's VizData handles, whose copies the
-//!                                      §6.3 whole-trendline bound reads
 //! node_angles           len V cells    a scored whole-viz SegmentTree of k ≥ 2 units;
 //!                                      a cell's 2n − 3 angles are built on that read
 //! ```
@@ -66,8 +66,11 @@
 //! are the same accumulation over the same bits each viz of it would
 //! have made, so sharing changes no statistic. On a collection with one
 //! x grid — 1,000 walks of 128 points — GROUP leaves ≈ 3 `f64` a
-//! point: 1,575,112 bytes a 500-viz shard, where an angle column built
-//! at GROUP made it 2,579,120, and per-viz x columns besides 4,116,016.
+//! point: 1,567,112 bytes a 500-viz shard, where an angle column built
+//! at GROUP made it 2,571,120, and per-viz x columns besides 4,108,016.
+//! The slope extremes the §6.3 bound reads are not a column:
+//! [`ArenaBuilder::push_viz`] returns them, and GROUP keeps them in each
+//! viz's handle only.
 //!
 //! The prefix columns carry one extra leading zero per run (x side) or
 //! per viz (y side), so viz `v`'s x prefix run starts at
@@ -275,8 +278,6 @@ pub struct ColumnarArena {
     sum_y: Vec<f64>,
     sum_xy: Vec<f64>,
     point_starts: Vec<usize>,
-    slope_min: Vec<f64>,
-    slope_max: Vec<f64>,
     /// Per viz, its SegmentTree angle run, built on first use.
     node_angles: Vec<OnceLock<Box<[f64]>>>,
 }
@@ -307,9 +308,7 @@ impl ColumnarArena {
             + self.sum_xx.len()
             + self.ys.len()
             + self.sum_y.len()
-            + self.sum_xy.len()
-            + self.slope_min.len()
-            + self.slope_max.len();
+            + self.sum_xy.len();
         let offsets = self.run_starts.len() + self.runs.len() + self.point_starts.len();
         f64_cells * std::mem::size_of::<f64>()
             + offsets * std::mem::size_of::<usize>()
@@ -352,12 +351,6 @@ impl ColumnarArena {
     /// exactly when their canvas x rows are bitwise equal.
     pub(crate) fn run(&self, slot: usize) -> usize {
         self.runs[slot]
-    }
-
-    /// GROUP-time `(min, max)` of viz `slot`'s adjacent-interval slopes
-    /// (the §6.3 bound inputs).
-    pub fn slope_extent(&self, slot: usize) -> (f64, f64) {
-        (self.slope_min[slot], self.slope_max[slot])
     }
 
     /// Viz `slot`'s SegmentTree direct angles in preorder (see the module
@@ -699,13 +692,14 @@ impl ArenaBuilder {
         a.sum_y.reserve(points + vizzes);
         a.sum_xy.reserve(points + vizzes);
         a.point_starts.reserve(vizzes);
-        a.slope_min.reserve(vizzes);
-        a.slope_max.reserve(vizzes);
         a.node_angles.reserve(vizzes);
         b
     }
 
-    /// Appends one visualization's canvas points, returning its slot.
+    /// Appends one visualization's canvas points, returning its slot and
+    /// the `(min, max)` of its adjacent-interval slopes — the §6.3 bound
+    /// inputs, which the arena does not keep: GROUP hands them to the
+    /// viz's handle.
     ///
     /// The xs join the run of a bitwise-equal earlier row, or open a new
     /// one. Prefix sums accumulate per column in the same operation
@@ -717,7 +711,7 @@ impl ArenaBuilder {
     ///
     /// # Panics
     /// Panics when `xs` and `ys` differ in length.
-    pub fn push_viz(&mut self, xs: &[f64], ys: &[f64]) -> usize {
+    pub fn push_viz(&mut self, xs: &[f64], ys: &[f64]) -> (usize, (f64, f64)) {
         assert_eq!(xs.len(), ys.len(), "xs and ys must align");
         let run = self.run_of(xs);
         let a = &mut self.arena;
@@ -749,14 +743,28 @@ impl ArenaBuilder {
             lo = lo.min(s);
             hi = hi.max(s);
         }
-        if saw_nan {
+        // The extremes bound every window's fitted slope only when each
+        // window's rise is the sum of its intervals' slope × run: the
+        // window slope is then a positively weighted mean of its interval
+        // slopes. That fails on an interval whose xs descend (a library
+        // caller's row, a re-sealed snapshot's; EXTRACT sorts every row)
+        // and on one whose slope the `1e-12` guard zeroed while its ys
+        // differ (two xs equal or nearly so: its rise is in every window
+        // over it, its slope in none). Such a row gets the NaN extent too.
+        let jump =
+            |((x, y), &s): ((&[f64], &[f64]), &f64)| x[1] < x[0] || (s == 0.0 && y[1] != y[0]);
+        if saw_nan
+            || xs
+                .windows(2)
+                .zip(ys.windows(2))
+                .zip(scratch.iter())
+                .any(jump)
+        {
             lo = f64::NAN;
             hi = f64::NAN;
         }
-        a.slope_min.push(lo);
-        a.slope_max.push(hi);
         a.node_angles.push(OnceLock::new());
-        slot
+        (slot, (lo, hi))
     }
 
     /// The run whose xs are bitwise equal to `xs`, appended (with its
@@ -910,7 +918,7 @@ mod tests {
         let mut b = ArenaBuilder::new();
         // Not the first slot: the runs start past another viz's columns.
         b.push_viz(&[0.0, 0.5, 1.0], &[3.0, 1.0, 2.0]);
-        let slot = b.push_viz(&xs, &ys);
+        let (slot, _) = b.push_viz(&xs, &ys);
         let a = b.finish();
         let (mut prefix, mut suffix) = (Vec::new(), Vec::new());
         a.window_slopes(slot, 0, 1, 1, &mut prefix);
@@ -927,7 +935,7 @@ mod tests {
         let ys = [0.0, 1.0, 2.0];
         let idx = StatsIndex::new(&xs, &ys);
         let mut b = ArenaBuilder::new();
-        let slot = b.push_viz(&xs, &ys);
+        let (slot, _) = b.push_viz(&xs, &ys);
         let a = b.finish();
         let mut out = Vec::new();
         a.interval_slopes(slot, &mut out);
@@ -940,13 +948,33 @@ mod tests {
         assert_eq!(out, vec![0.0, 0.0]);
     }
 
+    /// A row whose rise is not the sum of its intervals' slope × run —
+    /// an x that descends, two equal or pinched xs whose ys differ —
+    /// gets the NaN extent that keeps it from being pruned; equal xs
+    /// whose ys agree add nothing, and keep a finite extent.
+    #[test]
+    fn a_rise_no_interval_slope_carries_makes_the_extent_nan() {
+        let extent = |xs: &[f64], ys: &[f64]| ArenaBuilder::new().push_viz(xs, ys).1;
+        let ys = [0.0, 1.0, 0.5, 1.0];
+        for xs in [
+            [0.0, 0.5, 0.25, 1.0],
+            [0.0, 0.5, 0.5, 1.0],
+            [0.0, 0.5, 0.5 + 1e-9, 1.0],
+        ] {
+            let (lo, hi) = extent(&xs, &ys);
+            assert!(lo.is_nan() && hi.is_nan(), "{xs:?}");
+        }
+        let (lo, hi) = extent(&[0.0, 0.5, 0.5, 1.0], &[0.0, 1.0, 1.0, 0.5]);
+        assert_eq!((lo, hi), (-1.0, 2.0));
+    }
+
     #[test]
     fn nan_inputs_propagate_identically() {
         let xs = [0.0, 0.5, 1.0];
         let ys = [0.0, f64::NAN, 1.0];
         let idx = StatsIndex::new(&xs, &ys);
         let mut b = ArenaBuilder::new();
-        let slot = b.push_viz(&xs, &ys);
+        let (slot, _) = b.push_viz(&xs, &ys);
         let a = b.finish();
         for i in 0..3 {
             for j in i..3 {
@@ -963,16 +991,14 @@ mod tests {
     fn slope_extent_matches_group_time_extremes() {
         let (xs, ys) = demo_series(33, 30);
         let idx = StatsIndex::new(&xs, &ys);
-        let mut b = ArenaBuilder::new();
-        let slot = b.push_viz(&xs, &ys);
-        let a = b.finish();
+        let (_, extent) = ArenaBuilder::new().push_viz(&xs, &ys);
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for t in 0..29 {
             let s = idx.slope(t, t + 1);
             lo = lo.min(s);
             hi = hi.max(s);
         }
-        assert_eq!(a.slope_extent(slot), (lo, hi));
+        assert_eq!(extent, (lo, hi));
     }
 
     /// Checks viz `slot`'s node-angle run against the recursion over
@@ -1003,15 +1029,15 @@ mod tests {
     fn node_angles_match_the_recursion_bit_for_bit() {
         let mut b = ArenaBuilder::new();
         // Slots the builder accepts below two points get empty runs.
-        let short = [b.push_viz(&[], &[]), b.push_viz(&[0.5], &[2.0])];
+        let short = [b.push_viz(&[], &[]).0, b.push_viz(&[0.5], &[2.0]).0];
         let mut slots = Vec::new();
         for n in 2..=200usize {
             let (xs, ys) = demo_series(n as u64, n);
-            slots.push((b.push_viz(&xs, &ys), n));
+            slots.push((b.push_viz(&xs, &ys).0, n));
             let mut with_nan = ys.clone();
             with_nan[n / 2] = f64::NAN;
-            slots.push((b.push_viz(&xs, &with_nan), n));
-            slots.push((b.push_viz(&xs, &vec![0.25; n]), n));
+            slots.push((b.push_viz(&xs, &with_nan).0, n));
+            slots.push((b.push_viz(&xs, &vec![0.25; n]).0, n));
         }
         let a = b.finish();
         for slot in short {
@@ -1039,19 +1065,16 @@ mod tests {
             + a.sum_xx.len()
             + a.ys.len()
             + a.sum_y.len()
-            + a.sum_xy.len()
-            + a.slope_min.len()
-            + a.slope_max.len();
+            + a.sum_xy.len();
         let offsets = a.run_starts.len() + a.runs.len() + a.point_starts.len();
         let cell = std::mem::size_of::<OnceLock<Box<[f64]>>>();
         assert_eq!(a.node_angles.len(), 5);
         assert_eq!(a.byte_size(), 8 * f64s + 8 * offsets + 5 * cell);
         // 4 x runs of 2 + 17 + 128 + 1 = 148 points: xs 148, sum_x and
         // sum_xx 148 + 4 each. 5 vizzes of 148 + 128 = 276 points: ys
-        // 276, sum_y and sum_xy 276 + 5 each, 2 slope extremes each.
-        // Offsets: run_starts 4 + 1, runs 5, point_starts 5 + 1. One
-        // unbuilt angle cell a viz.
-        let f64s = 148 + 2 * 152 + 276 + 2 * 281 + 2 * 5;
+        // 276, sum_y and sum_xy 276 + 5 each. Offsets: run_starts 4 + 1,
+        // runs 5, point_starts 5 + 1. One unbuilt angle cell a viz.
+        let f64s = 148 + 2 * 152 + 276 + 2 * 281;
         assert_eq!(a.byte_size(), 8 * (f64s + 5 + 5 + 6) + 5 * cell);
     }
 
@@ -1068,7 +1091,7 @@ mod tests {
         for slot in 0..3 {
             a.interval_slopes(slot, &mut out);
             a.window_slopes(slot, 0, 1, 63, &mut out);
-            let _ = (a.slope_extent(slot), a.range_stats(slot, 0, 63));
+            let _ = a.range_stats(slot, 0, 63);
         }
         assert!(a.node_angles.iter().all(|cell| cell.get().is_none()));
         assert_eq!(a.angle_run_bytes(), 0);
@@ -1126,7 +1149,7 @@ mod tests {
             let ys: Vec<f64> = (0..xs.len())
                 .map(|t| ((v * 7 + t * 3) % 5) as f64)
                 .collect();
-            assert_eq!(b.push_viz(xs, &ys), v);
+            assert_eq!(b.push_viz(xs, &ys).0, v);
             refs.push(StatsIndex::new(xs, &ys));
         }
         let a = b.finish();
@@ -1157,7 +1180,7 @@ mod tests {
         assert_eq!(a.viz_count(), 0);
         assert_eq!(a.point_count(), 0);
         let mut b = ArenaBuilder::with_capacity(1, 2);
-        let slot = b.push_viz(&[0.0, 1.0], &[0.0, 1.0]);
+        let (slot, _) = b.push_viz(&[0.0, 1.0], &[0.0, 1.0]);
         let a = b.finish();
         let mut out = vec![1.0];
         a.window_slopes(slot, 0, 1, 0, &mut out);

@@ -75,8 +75,9 @@ pub struct VizData {
     /// `atan(slope_min)`, taken once here so the §6.3 bound pass — which
     /// reads the Table 5 scorers at both extremes for every candidate of
     /// every query, save for a segment pinned at both ends (bounded on its
-    /// own window instead) — takes no `atan` for them. Derived from the
-    /// arena's slope extremes when GROUP builds the handle.
+    /// own window instead) — takes no `atan` for them. Taken when GROUP
+    /// builds the handle, from the extremes `ArenaBuilder::push_viz`
+    /// returns; the arena keeps no copy.
     pub theta_min: f64,
     /// `atan(slope_max)`; see [`Self::theta_min`].
     pub theta_max: f64,
@@ -118,7 +119,7 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
     // rare enough to leave the builder's room for it unused.
     let finite = |(lo, hi): (f64, f64)| (hi - lo).is_finite();
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    let parts: Vec<Option<(usize, Extents)>> = (0..points.len())
+    let parts: Vec<_> = (0..points.len())
         .map(|source| {
             if canvas(source) < 2 {
                 return None;
@@ -134,8 +135,17 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
         .into_iter()
         .enumerate()
         .map(|(source, part)| {
-            part.map(|(slot, extents)| {
-                VizData::from_slot(extents, grids.id(source), source, &arena, slot)
+            part.map(|((slot, slopes), extents)| VizData {
+                raw_x: extents.0,
+                raw_y: extents.1,
+                slope_min: slopes.0,
+                slope_max: slopes.1,
+                theta_min: slopes.0.atan(),
+                theta_max: slopes.1.atan(),
+                grid: grids.id(source),
+                source,
+                arena: Arc::clone(&arena),
+                slot,
             })
         })
         .collect()
@@ -222,28 +232,6 @@ impl VizData {
         let mut viz = group_collection(std::slice::from_ref(t), bin).pop()??;
         viz.source = source;
         Some(viz)
-    }
-
-    fn from_slot(
-        (raw_x, raw_y): Extents,
-        grid: u32,
-        source: usize,
-        arena: &Arc<ColumnarArena>,
-        slot: usize,
-    ) -> Self {
-        let (slope_min, slope_max) = arena.slope_extent(slot);
-        Self {
-            raw_x,
-            raw_y,
-            slope_min,
-            slope_max,
-            theta_min: slope_min.atan(),
-            theta_max: slope_max.atan(),
-            grid,
-            source,
-            arena: Arc::clone(arena),
-            slot,
-        }
     }
 
     /// Number of canvas points.
@@ -567,7 +555,12 @@ mod tests {
                     continue;
                 };
                 assert_eq!((f.source, f.slot()), (c.source, c.slot()));
-                for (f, c) in [(f.raw_x, c.raw_x), (f.raw_y, c.raw_y)] {
+                let slopes = |v: &VizData| (v.slope_min, v.slope_max);
+                for (f, c) in [
+                    (f.raw_x, c.raw_x),
+                    (f.raw_y, c.raw_y),
+                    (slopes(f), slopes(c)),
+                ] {
                     assert_eq!(
                         (f.0.to_bits(), f.1.to_bits()),
                         (c.0.to_bits(), c.1.to_bits())
@@ -593,15 +586,10 @@ mod tests {
                         })
                         .collect()
                 };
-                let extent = |a: &ColumnarArena| {
-                    let (lo, hi) = a.slope_extent(slot);
-                    vec![lo, hi]
-                };
                 for (f, c) in [
                     (f.xs(slot).to_vec(), c.xs(slot).to_vec()),
                     (f.ys(slot).to_vec(), c.ys(slot).to_vec()),
                     (prefix(f), prefix(c)),
-                    (extent(f), extent(c)),
                     (f.node_angles(slot).to_vec(), c.node_angles(slot).to_vec()),
                 ] {
                     assert_eq!(bits(&f), bits(&c), "bin={bin} slot {slot}");

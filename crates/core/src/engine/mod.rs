@@ -271,11 +271,14 @@ impl ShapeEngine {
         let _ = self.grouped(bin_width);
     }
 
-    /// Total bytes of columnar GROUP state this engine currently holds
-    /// resident: the sum of each cached bin width's arena byte size.
-    /// Fixed by GROUP; no query changes it.
+    /// Total bytes of GROUP state this engine currently holds resident:
+    /// for each cached bin width, its arena's byte size and its
+    /// `Vec<Option<VizData>>` of handles, one a trendline. Fixed by
+    /// GROUP; no query changes it.
     pub fn grouped_byte_size(&self) -> usize {
-        self.sum_over_arenas(ColumnarArena::byte_size)
+        self.sum_over_runs(|handles, arena| {
+            std::mem::size_of_val(handles) + arena.map_or(0, ColumnarArena::byte_size)
+        })
     }
 
     /// Bytes of SegmentTree angle runs the cached GROUP runs have built
@@ -283,21 +286,21 @@ impl ShapeEngine {
     /// growing with the trendlines queries score, so it depends on the
     /// query history. Not part of [`Self::grouped_byte_size`].
     pub fn angle_run_bytes(&self) -> usize {
-        self.sum_over_arenas(ColumnarArena::angle_run_bytes)
+        self.sum_over_runs(|_, arena| arena.map_or(0, ColumnarArena::angle_run_bytes))
     }
 
-    /// `measure` summed over each cached bin width's arena. Every
-    /// [`VizData`] in one GROUP run shares a single arena, so one handle
-    /// per width is enough to account for the whole collection.
-    fn sum_over_arenas(&self, measure: impl Fn(&ColumnarArena) -> usize) -> usize {
+    /// `measure` summed over each cached bin width's GROUP run: its
+    /// handles, and the one arena every handle of the run shares (`None`
+    /// when GROUP accepted no trendline).
+    fn sum_over_runs(
+        &self,
+        measure: impl Fn(&[Option<VizData>], Option<&ColumnarArena>) -> usize,
+    ) -> usize {
         self.cache()
             .iter()
             .map(|(_, grouped)| {
-                grouped
-                    .iter()
-                    .flatten()
-                    .next()
-                    .map_or(0, |viz| measure(viz.arena()))
+                let arena = grouped.iter().flatten().next().map(VizData::arena);
+                measure(grouped, arena)
             })
             .sum()
     }

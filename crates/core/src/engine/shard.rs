@@ -260,24 +260,21 @@ pub fn partition_bounds_by_points(
     bounds
 }
 
-/// Merges per-shard top-k partials for one query into the final top `k`,
-/// under the engine's deterministic order: score descending, ties to the
-/// lower global `viz_index`. Each partial must itself be sorted engine
-/// output (which [`ShapeEngine::top_k_batch_observed`] guarantees);
-/// the merge then equals the unsharded top-k exactly, because any
-/// collection-global top-k member is necessarily inside its own shard's
-/// top-k.
+/// [`merge_topk_refs`] over owned partials, under the same signature the
+/// frozen benchmark package (`ssbench`) calls.
 pub fn merge_topk(partials: Vec<Vec<TopKResult>>, k: usize) -> Vec<TopKResult> {
-    let mut all: Vec<TopKResult> = partials.into_iter().flatten().collect();
-    all.sort_by(|a, b| super::topk::rank(a.score, a.viz_index, b.score, b.viz_index));
-    all.truncate(k);
-    all
+    merge_topk_refs(partials.iter().map(Vec::as_slice), k)
 }
 
-/// [`merge_topk`] over borrowed partials: the same ordering contract,
-/// cloning only the k winners — for embedders that must keep the
-/// per-shard partials around after the merge (e.g. the server's fan-out,
-/// whose degraded fallback merges the answering shards again).
+/// Merges per-shard top-k partials for one query into the final top `k`,
+/// under the engine's deterministic order: score descending, ties to the
+/// lower global `viz_index`. Each partial must itself be engine output
+/// (which [`ShapeEngine::top_k_batch_observed`] guarantees); the merge
+/// then equals the unsharded top-k exactly, because any collection-global
+/// top-k member is necessarily inside its own shard's top-k. Borrows the
+/// partials and clones only the k winners, so an embedder can keep them
+/// after the merge (the server's fan-out, whose degraded fallback merges
+/// the answering shards again). The workspace's one top-k merge.
 pub fn merge_topk_refs<'a>(
     partials: impl IntoIterator<Item = &'a [TopKResult]>,
     k: usize,

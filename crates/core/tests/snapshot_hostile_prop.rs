@@ -13,14 +13,15 @@
 //!   snapshot then holds, with pruning on and off: the file stores no
 //!   GROUP state that could disagree with its rows.
 
+mod support;
+
 use proptest::prelude::*;
 use shapesearch_core::{
     merge_topk, partition_bounds_by_points, snapshot, EngineOptions, NoopObserver, PruningMode,
-    ShapeEngine, ShapeQuery, SharedThresholds, Snapshot, SnapshotError, TopKResult,
+    ShapeEngine, ShapeQuery, SharedThresholds, Snapshot, SnapshotError,
 };
 use shapesearch_datastore::Trendline;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use support::{corpus, render, unique_path};
 
 /// Header offsets of the v3 format (see `snapshot.rs`'s layout table).
 const PAYLOAD_HASH_AT: usize = 40;
@@ -34,34 +35,6 @@ const LIAR_COLUMNS: [(usize, &str); 2] = [(1, "KeyStarts"), (4, "RawStarts")];
 
 /// The value columns a lie is planted in, by column-table index.
 const VALUE_COLUMNS: [(usize, &str); 2] = [(2, "RawXs"), (3, "RawYs")];
-
-/// Strategy: up to 8 series of 0–20 points, so some are rejected by
-/// GROUP (fewer than two points) and leave a gap in the slot column.
-fn collection_strategy() -> impl Strategy<Value = Vec<Trendline>> {
-    proptest::collection::vec(proptest::collection::vec(-1e2f64..1e2, 0..20), 1..8).prop_map(
-        |all| {
-            all.into_iter()
-                .enumerate()
-                .map(|(i, ys)| {
-                    let pairs: Vec<(f64, f64)> =
-                        ys.iter().enumerate().map(|(x, &y)| (x as f64, y)).collect();
-                    Trendline::from_pairs(format!("t{i}"), &pairs)
-                })
-                .collect()
-        },
-    )
-}
-
-fn unique_path() -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "ss-snap-hostile-{}-{}.snap",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    p
-}
 
 /// The bytes of a valid snapshot of `trendlines`.
 fn snapshot_bytes(trendlines: &[Trendline]) -> Vec<u8> {
@@ -129,23 +102,6 @@ fn value_lie(value: f64, lie: usize) -> f64 {
     }
 }
 
-/// NaN-safe canonical rendering: scores compared by bit pattern.
-fn render(results: &[TopKResult]) -> String {
-    results
-        .iter()
-        .map(|r| {
-            format!(
-                "{}:{}:{}:{:?}",
-                r.key,
-                r.viz_index,
-                r.score.to_bits(),
-                r.ranges
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
 /// Cuts every partition for `shards` shards and answers `query`: every
 /// shard under one shared threshold, partials merged.
 fn merged_top_k(snap: &Snapshot, shards: usize, query: &ShapeQuery, k: usize) -> String {
@@ -173,7 +129,7 @@ proptest! {
 
     #[test]
     fn a_flipped_byte_is_refused(
-        tls in collection_strategy(),
+        tls in corpus(),
         at in 0usize..1 << 20,
         mask in 1u8..=255,
     ) {
@@ -188,7 +144,7 @@ proptest! {
     }
 
     #[test]
-    fn a_truncated_file_is_refused(tls in collection_strategy(), len in 0usize..1 << 20) {
+    fn a_truncated_file_is_refused(tls in corpus(), len in 0usize..1 << 20) {
         let bytes = snapshot_bytes(&tls);
         let len = len % bytes.len();
         let opened = open(&bytes[..len]);
@@ -200,7 +156,7 @@ proptest! {
 
     #[test]
     fn a_resealed_column_lie_is_refused_or_answers_alike_at_every_shard_count(
-        tls in collection_strategy(),
+        tls in corpus(),
         column in 0usize..LIAR_COLUMNS.len(),
         element in 0usize..64,
         lie in 0usize..6,
@@ -243,7 +199,7 @@ proptest! {
 
     #[test]
     fn a_resealed_value_lie_answers_like_the_rows_it_holds(
-        tls in collection_strategy(),
+        tls in corpus(),
         column in 0usize..VALUE_COLUMNS.len(),
         element in 0usize..256,
         lie in 0usize..6,

@@ -1341,11 +1341,12 @@ mod tests {
             if shards == 1 {
                 // Two 3-point trendlines on one x row. f64 cells: the
                 // run's xs 3, sum_x and sum_xx 3 + 1 each; ys 6, sum_y
-                // and sum_xy 6 + 2 each; 2 slope extremes a viz: 11 + 22
-                // + 4 = 37. Offsets: run_starts 2, runs 2, point_starts
-                // 3: 7. One unbuilt angle cell a viz.
+                // and sum_xy 6 + 2 each: 11 + 22 = 33. Offsets:
+                // run_starts 2, runs 2, point_starts 3: 7. One unbuilt
+                // angle cell and one GROUP handle a trendline.
                 let cell = std::mem::size_of::<std::sync::OnceLock<Box<[f64]>>>();
-                assert_eq!(want, 8 * (37 + 7) + 2 * cell);
+                let handle = std::mem::size_of::<Option<shapesearch_core::VizData>>();
+                assert_eq!(want, 8 * (33 + 7) + 2 * (cell + handle));
             }
             let listing = json::parse(&route(&state, &get("/datasets")).body).unwrap();
             let datasets = listing.get("datasets").unwrap().as_array().unwrap();

@@ -30,9 +30,13 @@ pub fn znormalize_in_place(values: &mut [f64]) {
 /// The mapping is `1 − 2·d/(d + scale)`, a smooth monotone transform that
 /// preserves ranking order (the only property the top-k machinery needs).
 /// `scale` defaults to the series length when callers pass the natural
-/// per-point distance budget.
+/// per-point distance budget. A NaN distance (a series holding a NaN)
+/// maps to NaN, as it does in a release build.
 pub fn normalized_similarity(distance: f64, scale: f64) -> f64 {
-    debug_assert!(distance >= 0.0, "distance must be non-negative");
+    debug_assert!(
+        distance >= 0.0 || distance.is_nan(),
+        "distance must be non-negative"
+    );
     let scale = if scale > 0.0 { scale } else { 1.0 };
     1.0 - 2.0 * distance / (distance + scale)
 }

@@ -12,13 +12,15 @@
 //!   is pure (the server memoises its plans by text), and what it accepts
 //!   holds only finite numbers and round-trips through its canonical text.
 
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
+
 use proptest::prelude::*;
 use shapesearch_core::algo::dp::DpSegmenter;
 use shapesearch_core::algo::greedy::GreedySegmenter;
 use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
+use shapesearch_core::bound_tiers;
 use shapesearch_core::chain::expand_chains;
-use shapesearch_core::ShardedEngine;
-use shapesearch_core::{bound_tiers, EngineOptions, PruningMode, SegmenterKind, ShapeEngine};
 use shapesearch_core::{
     Evaluator, Modifier, Pattern, ScoreParams, Segmenter, ShapeQuery, ShapeSegment, StatsIndex,
     SummaryStats, UdpRegistry, VizData,
@@ -43,82 +45,24 @@ fn ys_strategy() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-100.0f64..100.0, 6..40)
 }
 
-/// Strategy: a small random operator tree over leaf patterns.
+/// Strategy: a small random operator tree over leaf patterns, CONCATs
+/// flattened (as the regex text a round trip goes through flattens them).
 fn query_strategy() -> impl Strategy<Value = ShapeQuery> {
-    operator_trees(
-        prop_oneof![
-            Just(ShapeQuery::up()),
-            Just(ShapeQuery::down()),
-            Just(ShapeQuery::flat()),
-            Just(ShapeQuery::pattern(Pattern::Slope(30.0))),
-            Just(ShapeQuery::pattern(Pattern::Any)),
-        ],
-        false,
-    )
-}
-
-/// Strategy: three fuzzy `θ = x` units in a row — on noisy trendlines the
-/// whole-trendline bound of such a chain is ≈ 1 and prunes nothing, so
-/// whatever is pruned, the end-anchored bound pruned.
-fn theta_chain_strategy() -> impl Strategy<Value = ShapeQuery> {
-    proptest::collection::vec(-85.0f64..85.0, 3).prop_map(|degs| {
-        ShapeQuery::concat(
-            degs.into_iter()
-                .map(|deg| ShapeQuery::pattern(Pattern::Slope(deg.round())))
-                .collect(),
-        )
-    })
-}
-
-/// Strategy: operator trees over every leaf the §6.3 bound plan has an
-/// arm for — the four Table 7 rows with the θ target on either side of
-/// flat and on and past the ±90° clamp, a wildcard (trivial bounds), and
-/// segments x-pinned at both ends or at their start only (the upper bound
-/// stands, the lower bound widens to −1, and at an end of a chain they
-/// are not anchored to it) — with CONCATs nested as well as flattened, so
-/// every operator turns up at either end of a chain.
-fn bounded_query_strategy() -> impl Strategy<Value = ShapeQuery> {
-    let pinned =
-        |p: Pattern, xs: f64, xe: f64| ShapeQuery::Segment(ShapeSegment::pinned(p, xs, xe));
-    operator_trees(
-        prop_oneof![
-            Just(ShapeQuery::up()),
-            Just(ShapeQuery::down()),
-            Just(ShapeQuery::flat()),
-            (-89.0f64..89.0).prop_map(|deg| ShapeQuery::pattern(Pattern::Slope(deg))),
-            Just(ShapeQuery::pattern(Pattern::Slope(120.0))),
-            Just(ShapeQuery::pattern(Pattern::Slope(-135.0))),
-            Just(ShapeQuery::pattern(Pattern::Slope(90.0))),
-            Just(ShapeQuery::pattern(Pattern::Any)),
-            (0.0f64..3.0, 1.0f64..3.0).prop_map(move |(xs, w)| pinned(Pattern::Up, xs, xs + w)),
-            (0.0f64..3.0, 1.0f64..3.0, -89.0f64..89.0).prop_map(move |(xs, w, deg)| pinned(
-                Pattern::Slope(deg),
-                xs,
-                xs + w
-            )),
-            (0.0f64..3.0).prop_map(|xs| {
-                let mut seg = ShapeSegment::pattern(Pattern::Down);
-                seg.location.x_start = Some(xs);
-                ShapeQuery::Segment(seg)
-            }),
-        ],
-        true,
-    )
-}
-
-/// Strategy: a chain of two or three free slope units, each any of the
-/// four Table 7 rows (θ on and past the ±90° clamp included) — the
-/// queries the third bound tier places whole.
-fn free_chain_strategy() -> impl Strategy<Value = ShapeQuery> {
-    let unit = prop_oneof![
+    let leaf = prop_oneof![
         Just(ShapeQuery::up()),
         Just(ShapeQuery::down()),
         Just(ShapeQuery::flat()),
-        (-89.0f64..89.0).prop_map(|deg| ShapeQuery::pattern(Pattern::Slope(deg))),
-        Just(ShapeQuery::pattern(Pattern::Slope(120.0))),
-        Just(ShapeQuery::pattern(Pattern::Slope(-135.0))),
+        Just(ShapeQuery::pattern(Pattern::Slope(30.0))),
+        Just(ShapeQuery::pattern(Pattern::Any)),
     ];
-    proptest::collection::vec(unit, 2..4).prop_map(ShapeQuery::concat)
+    leaf.prop_recursive(3, 12, 3, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 2..4).prop_map(ShapeQuery::concat),
+            proptest::collection::vec(inner.clone(), 2..3).prop_map(ShapeQuery::Or),
+            proptest::collection::vec(inner.clone(), 2..3).prop_map(ShapeQuery::And),
+            inner.prop_map(|q| ShapeQuery::Not(Box::new(q))),
+        ]
+    })
 }
 
 /// Noise summed into a random walk.
@@ -168,32 +112,6 @@ fn anchored_bound_covers_the_tree_where_it_ties_the_dp() {
         exact <= tight && tree <= tight,
         "dp {exact}, tree {tree}, anchored {tight}"
     );
-}
-
-/// `nested`: also build CONCATs that stay nested in a CONCAT (`concat`
-/// flattens them, and so does the regex text a round trip goes through).
-fn operator_trees(
-    leaf: impl Strategy<Value = ShapeQuery> + 'static,
-    nested: bool,
-) -> impl Strategy<Value = ShapeQuery> {
-    leaf.prop_recursive(3, 12, 3, move |inner| {
-        let parts = || proptest::collection::vec(inner.clone(), 2..4);
-        let concat = if nested {
-            prop_oneof![
-                parts().prop_map(ShapeQuery::concat),
-                parts().prop_map(ShapeQuery::Concat),
-            ]
-            .boxed()
-        } else {
-            parts().prop_map(ShapeQuery::concat).boxed()
-        };
-        prop_oneof![
-            concat,
-            proptest::collection::vec(inner.clone(), 2..3).prop_map(ShapeQuery::Or),
-            proptest::collection::vec(inner.clone(), 2..3).prop_map(ShapeQuery::And),
-            inner.prop_map(|q| ShapeQuery::Not(Box::new(q))),
-        ]
-    })
 }
 
 proptest! {
@@ -271,7 +189,9 @@ proptest! {
         // units fits well enough for a threshold near its score to cut.
         walk in 0u8..2,
         bin in prop_oneof![Just(1usize), Just(3)],
-        q in prop_oneof![bounded_query_strategy(), free_chain_strategy()],
+        // Every operator and leaf of the shared grammar, pins and
+        // modifiers included.
+        q in support::query(),
         min_width_frac in prop_oneof![Just(0.0), 0.05f64..0.4],
     ) {
         let ys = if walk == 1 { summed(&ys) } else { ys };
@@ -279,7 +199,7 @@ proptest! {
             return Ok(()); // fewer than two canvas points: GROUP rejects it
         };
         let params = ScoreParams { min_width_frac, ..ScoreParams::default() };
-        let udps = UdpRegistry::new();
+        let udps = UdpRegistry::with_builtins();
         let ev = Evaluator::new(&viz, &params, &udps);
         let chains = expand_chains(&q);
         let exact = DpSegmenter.match_viz(&ev, &chains).score;
@@ -382,97 +302,6 @@ proptest! {
         let b = shapesearch_similarity::znormalize(&transformed);
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn pruned_execution_is_byte_identical_for_exact_segmenters_and_shards(
-        collection in proptest::collection::vec(ys_strategy(), 8..24),
-        // Copies of drawn trendlines put back at drawn places: exact score
-        // ties, which land on both sides of the seed/sweep boundary and of
-        // the k-th place and must come out in index order all the same.
-        copies in proptest::collection::vec((0usize..1000, 0usize..1000), 0..12),
-        // (walks, straight, twice), one draw each. `walks`:
-        // noise as drawn, or summed into random walks — with three fuzzy
-        // θ units the case where only the end-anchored bounds prune.
-        // `straight`: half the time, every third trendline (from a drawn
-        // offset) flattened into the straight line between its ends —
-        // each bound tier is then exactly the score, and whether a tie at
-        // the threshold survives is a matter of the last bit. `twice`: the
-        // whole collection over again behind itself, every score twice,
-        // usually in different shards.
-        shape in (0u8..2, 0usize..6, 0u8..2),
-        q in prop_oneof![query_strategy(), theta_chain_strategy()],
-        k_pick in 0usize..13,
-    ) {
-        let (walks, straight, twice) = shape;
-        let mut collection: Vec<Vec<f64>> = if walks == 1 {
-            collection.iter().map(|steps| summed(steps)).collect()
-        } else {
-            collection
-        };
-        if straight < 3 {
-            for ys in collection.iter_mut().skip(straight).step_by(3) {
-                let (first, last, n) = (ys[0], ys[ys.len() - 1], ys.len() as f64 - 1.0);
-                for (t, y) in ys.iter_mut().enumerate() {
-                    *y = first + (last - first) * t as f64 / n;
-                }
-            }
-        }
-        let mut series: Vec<&Vec<f64>> = collection.iter().collect();
-        for &(from, to) in &copies {
-            let copy = series[from % series.len()];
-            series.insert(to % (series.len() + 1), copy);
-        }
-        if twice == 1 {
-            series.extend_from_within(..);
-        }
-        let tls: Vec<shapesearch_datastore::Trendline> = series
-            .iter()
-            .enumerate()
-            .map(|(i, ys)| {
-                let pairs: Vec<(f64, f64)> =
-                    ys.iter().enumerate().map(|(t, &y)| (t as f64, y)).collect();
-                shapesearch_datastore::Trendline::from_pairs(format!("t{i}"), &pairs)
-            })
-            .collect();
-        // Small k, k around the collection size (every candidate a seed,
-        // with and without room to spare), and the k's the bound tiers
-        // were sized on.
-        let k = match k_pick {
-            0..=6 => k_pick + 1,
-            7..=9 => tls.len() + k_pick - 8,
-            10 => 1,
-            11 => 5,
-            _ => 50,
-        };
-        // Every segmenter the Auto default prunes for.
-        let kinds = [SegmenterKind::Dp, SegmenterKind::SegmentTree, SegmenterKind::Greedy];
-        for kind in kinds {
-            let off = EngineOptions {
-                segmenter: kind,
-                pruning_mode: PruningMode::Off,
-                ..EngineOptions::default()
-            };
-            let on = EngineOptions {
-                segmenter: kind,
-                ..EngineOptions::default()
-            };
-            let want = ShapeEngine::from_trendlines(tls.clone())
-                .with_options(off)
-                .top_k(&q, k);
-            let want = want.expect("strategy queries carry no UDPs");
-            for shards in [1usize, 2, 7] {
-                let got = ShardedEngine::from_trendlines(tls.clone(), shards)
-                    .top_k_with_options(&q, k, &on)
-                    .expect("strategy queries carry no UDPs");
-                // Byte-identical: scores, tie order, and fitted ranges.
-                prop_assert_eq!(
-                    &got, &want,
-                    "{:?} shards={} k={} diverged on {}",
-                    kind, shards, k, q
-                );
-            }
         }
     }
 
