@@ -1058,8 +1058,8 @@ impl BoundPlan {
                 }
                 mean
             }
-            Self::And(cs) => fold(cs, f64::min),
-            Self::Or(cs) => fold(cs, f64::max),
+            Self::And(cs) => fold(cs, min_keeping_nan),
+            Self::Or(cs) => fold(cs, max_keeping_nan),
             Self::Not(c) => {
                 let mut column = c.bounds(vizzes, windows, anchored);
                 for (lo, hi) in &mut column {
@@ -1068,6 +1068,26 @@ impl BoundPlan {
                 column
             }
         }
+    }
+}
+
+/// `f64::min`, but NaN when either side is. A NaN bound is no bound:
+/// `f64::min` and `f64::max` drop a NaN and keep the other child's bound,
+/// which an OR's unbounded child (or a negated AND's) can outscore.
+fn min_keeping_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        a + b
+    } else {
+        a.min(b)
+    }
+}
+
+/// `f64::max`, but NaN when either side is (see [`min_keeping_nan`]).
+fn max_keeping_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        a + b
+    } else {
+        a.max(b)
     }
 }
 

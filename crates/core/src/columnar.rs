@@ -731,35 +731,28 @@ impl ArenaBuilder {
         // GROUP-time slope extremes straight off the fresh prefix run.
         let scratch = &mut self.scratch;
         a.interval_slopes(slot, scratch);
-        // NaN-propagating fold: `f64::min`/`max` would *ignore* a NaN
-        // interval slope and hand pruning a finite bound for a viz whose
-        // actual score is NaN — which `total_cmp` ranks above every real
-        // score, so pruning it would change the top-k. A NaN extent makes
-        // every derived bound NaN and the viz unprunable.
+        // A NaN extent makes every derived bound NaN and the viz
+        // unprunable. A row gets one when an interval slope is NaN:
+        // `f64::min`/`max` would *ignore* it and hand pruning a finite
+        // bound for a viz whose actual score is NaN — which `total_cmp`
+        // ranks above every real score, so pruning it would change the
+        // top-k. It gets one, too, when the extremes need not bound every
+        // window's fitted slope. They do when each window's rise is the
+        // sum of its intervals' slope × run: the window slope is then a
+        // positively weighted mean of its interval slopes. That fails on
+        // an interval whose xs descend (a library caller's row, a
+        // re-sealed snapshot's; EXTRACT sorts every row) and on one whose
+        // slope the `1e-12` guard zeroed while its ys differ (two xs equal
+        // or nearly so: its rise is in every window over it, its slope in
+        // none).
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut saw_nan = false;
-        for &s in scratch.iter() {
-            saw_nan |= s.is_nan();
+        let mut unbounded = false;
+        for (t, &s) in scratch.iter().enumerate() {
+            unbounded |= s.is_nan() || xs[t + 1] < xs[t] || (s == 0.0 && ys[t + 1] != ys[t]);
             lo = lo.min(s);
             hi = hi.max(s);
         }
-        // The extremes bound every window's fitted slope only when each
-        // window's rise is the sum of its intervals' slope × run: the
-        // window slope is then a positively weighted mean of its interval
-        // slopes. That fails on an interval whose xs descend (a library
-        // caller's row, a re-sealed snapshot's; EXTRACT sorts every row)
-        // and on one whose slope the `1e-12` guard zeroed while its ys
-        // differ (two xs equal or nearly so: its rise is in every window
-        // over it, its slope in none). Such a row gets the NaN extent too.
-        let jump =
-            |((x, y), &s): ((&[f64], &[f64]), &f64)| x[1] < x[0] || (s == 0.0 && y[1] != y[0]);
-        if saw_nan
-            || xs
-                .windows(2)
-                .zip(ys.windows(2))
-                .zip(scratch.iter())
-                .any(jump)
-        {
+        if unbounded {
             lo = f64::NAN;
             hi = f64::NAN;
         }

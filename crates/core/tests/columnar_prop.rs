@@ -26,64 +26,76 @@ fn leaf_queries() -> Vec<ShapeQuery> {
     ]
 }
 
+/// The arena's range stats, pairwise slopes, interval-slope kernel and
+/// both anchored window kernels (fixed start, fixed end) for `v` all
+/// equal the scalar [`StatsIndex`] reference over its xs and ys, bit for
+/// bit.
+fn kernels_match(v: &VizData) -> Result<(), TestCaseError> {
+    let idx = StatsIndex::new(v.xs(), v.ys());
+    let n = v.n();
+    prop_assert_eq!(idx.len(), n);
+    for i in 0..n {
+        for j in i..n {
+            let (got, want) = (v.slope(i, j), idx.slope(i, j));
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "slope [{}, {}]", i, j);
+            let (got, want) = (v.range_stats(i, j), idx.range(i, j));
+            prop_assert_eq!(
+                [got.sx, got.sy, got.sxy, got.sxx].map(f64::to_bits),
+                [want.sx, want.sy, want.sxy, want.sxx].map(f64::to_bits),
+                "range [{}, {}]",
+                i,
+                j
+            );
+        }
+    }
+    let mut out = Vec::new();
+    v.arena().interval_slopes(v.slot(), &mut out);
+    prop_assert_eq!(out.len(), n - 1);
+    for (t0, &s) in out.iter().enumerate() {
+        prop_assert_eq!(s.to_bits(), idx.slope(t0, t0 + 1).to_bits());
+    }
+    for s in 0..n - 1 {
+        v.arena().window_slopes(v.slot(), s, s + 1, n - 1, &mut out);
+        prop_assert_eq!(out.len(), n - 1 - s);
+        for (off, &slope) in out.iter().enumerate() {
+            let e = s + 1 + off;
+            prop_assert_eq!(
+                slope.to_bits(),
+                idx.slope(s, e).to_bits(),
+                "window [{}, {}]",
+                s,
+                e
+            );
+        }
+    }
+    // The mirrored kernel: every start against every fixed end.
+    for e in 1..n {
+        v.arena()
+            .window_slopes_ending(v.slot(), 0, e - 1, e, &mut out);
+        prop_assert_eq!(out.len(), e);
+        for (s, &slope) in out.iter().enumerate() {
+            prop_assert_eq!(
+                slope.to_bits(),
+                idx.slope(s, e).to_bits(),
+                "[{}, {}] from its end",
+                s,
+                e
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The arena's range stats, pairwise slopes, interval-slope kernel,
-    /// and both anchored window kernels (fixed start, fixed end) all equal
-    /// the scalar [`StatsIndex`] reference bit for bit on the normalized
-    /// canvas.
+    /// [`kernels_match`] for each row of the corpus GROUPed alone, in an
+    /// arena of its own.
     #[test]
     fn kernels_match_scalar_reference_bit_for_bit(tls in corpus()) {
-        for t in &tls {
-            let Some(v) = VizData::from_trendline(t, 0, 1) else {
-                continue; // GROUP rejected (fewer than two canvas points)
-            };
-            let idx = StatsIndex::new(v.xs(), v.ys());
-            let n = v.n();
-            prop_assert_eq!(idx.len(), n);
-
-            for i in 0..n {
-                for j in i..n {
-                    let got = v.slope(i, j);
-                    let want = idx.slope(i, j);
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "slope [{}, {}]: {} vs {}", i, j, got, want
-                    );
-                }
-            }
-
-            let mut out = Vec::new();
-            v.arena().interval_slopes(v.slot(), &mut out);
-            prop_assert_eq!(out.len(), n - 1);
-            for (t0, &s) in out.iter().enumerate() {
-                prop_assert_eq!(s.to_bits(), idx.slope(t0, t0 + 1).to_bits());
-            }
-
-            for s in 0..n - 1 {
-                v.arena().window_slopes(v.slot(), s, s + 1, n - 1, &mut out);
-                prop_assert_eq!(out.len(), n - 1 - s);
-                for (off, &slope) in out.iter().enumerate() {
-                    let e = s + 1 + off;
-                    prop_assert_eq!(
-                        slope.to_bits(), idx.slope(s, e).to_bits(),
-                        "window [{}, {}]", s, e
-                    );
-                }
-            }
-
-            // The mirrored kernel: every start against every fixed end.
-            for e in 1..n {
-                v.arena().window_slopes_ending(v.slot(), 0, e - 1, e, &mut out);
-                prop_assert_eq!(out.len(), e);
-                for (s, &slope) in out.iter().enumerate() {
-                    prop_assert_eq!(
-                        slope.to_bits(), idx.slope(s, e).to_bits(),
-                        "window [{}, {}] from its end", s, e
-                    );
-                }
-            }
+        // GROUP rejects a row of fewer than two canvas points.
+        for v in tls.iter().filter_map(|t| VizData::from_trendline(t, 0, 1)) {
+            kernels_match(&v)?;
         }
     }
 
@@ -92,10 +104,8 @@ proptest! {
     /// slope-pattern query over every range.
     #[test]
     fn slope_leaf_fast_path_matches_eval_node(tls in corpus()) {
-        for t in &tls {
-            let Some(v) = VizData::from_trendline(t, 0, 1) else { continue; };
-            let params = ScoreParams::default();
-            let udps = UdpRegistry::new();
+        let (params, udps) = (ScoreParams::default(), UdpRegistry::new());
+        for v in tls.iter().filter_map(|t| VizData::from_trendline(t, 0, 1)) {
             let ev = Evaluator::new(&v, &params, &udps);
             let n = v.n();
             let mut run = Vec::new();
@@ -127,50 +137,18 @@ proptest! {
         }
     }
 
-    /// Over a collection whose vizzes share x runs, every kernel of
-    /// every viz equals the scalar [`StatsIndex`] reference over that
-    /// viz's own xs and ys bit for bit, and vizzes on one row read one
-    /// run.
+    /// [`kernels_match`] for each viz of the corpus GROUPed whole, where
+    /// vizzes share x runs, and vizzes on one row read one run.
     #[test]
     fn kernels_over_shared_x_runs_match_scalar_reference(tls in corpus()) {
         let grouped = group_collection(&tls, 1);
         let vizzes: Vec<&VizData> = grouped.iter().flatten().collect();
         let accepted = tls.iter().filter(|t| VizData::from_trendline(t, 0, 1).is_some());
         prop_assert_eq!(vizzes.len(), accepted.count());
-        let mut out = Vec::new();
         for v in &vizzes {
             let twin = vizzes.iter().find(|w| w.xs() == v.xs()).unwrap();
             prop_assert_eq!(twin.xs().as_ptr(), v.xs().as_ptr(), "row not shared");
-            let idx = StatsIndex::new(v.xs(), v.ys());
-            let n = v.n();
-            for i in 0..n {
-                for j in i..n {
-                    prop_assert_eq!(v.slope(i, j).to_bits(), idx.slope(i, j).to_bits());
-                    let (got, want) = (v.range_stats(i, j), idx.range(i, j));
-                    prop_assert_eq!(
-                        [got.sx, got.sy, got.sxy, got.sxx].map(f64::to_bits),
-                        [want.sx, want.sy, want.sxy, want.sxx].map(f64::to_bits),
-                        "range [{}, {}]", i, j
-                    );
-                }
-            }
-            v.arena().interval_slopes(v.slot(), &mut out);
-            prop_assert_eq!(out.len(), n - 1);
-            for (t0, &s) in out.iter().enumerate() {
-                prop_assert_eq!(s.to_bits(), idx.slope(t0, t0 + 1).to_bits());
-            }
-            for s in 0..n - 1 {
-                v.arena().window_slopes(v.slot(), s, s + 1, n - 1, &mut out);
-                for (off, &slope) in out.iter().enumerate() {
-                    prop_assert_eq!(slope.to_bits(), idx.slope(s, s + 1 + off).to_bits());
-                }
-            }
-            for e in 1..n {
-                v.arena().window_slopes_ending(v.slot(), 0, e - 1, e, &mut out);
-                for (s, &slope) in out.iter().enumerate() {
-                    prop_assert_eq!(slope.to_bits(), idx.slope(s, e).to_bits());
-                }
-            }
+            kernels_match(v)?;
         }
     }
 }

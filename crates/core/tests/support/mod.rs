@@ -129,10 +129,10 @@ pub fn corpus() -> impl Strategy<Value = Vec<Trendline>> {
         })
 }
 
-/// A ShapeQuery AST: half the time an operator tree up to three deep over
-/// [`leaf`] — CONCAT flattened and nested, AND, OR and NOT — and half
-/// the time a chain of two or three free slope units, the queries the
-/// third bound tier places whole.
+/// A ShapeQuery AST, a third of the time each: an operator tree up to
+/// three deep over [`leaf`] — CONCAT flattened and nested, AND, OR and
+/// NOT —, a chain of two or three free slope units (the queries the third
+/// bound tier places whole), or a [`laid`] chain of pinned units.
 pub fn query() -> impl Strategy<Value = ShapeQuery> {
     let tree = leaf().prop_recursive(3, 12, 3, |inner| {
         let parts = || proptest::collection::vec(inner.clone(), 2..4);
@@ -147,7 +147,30 @@ pub fn query() -> impl Strategy<Value = ShapeQuery> {
     });
     let free = proptest::collection::vec(slope().prop_map(ShapeQuery::pattern), 2..4)
         .prop_map(ShapeQuery::concat);
-    prop_oneof![tree, free]
+    prop_oneof![tree, free, laid()]
+}
+
+/// 1–3 slope units laid left to right from an origin, abutting or a gap
+/// apart, each pinned at both ends but one draw in four left fuzzy: the
+/// located chains a served dataset is asked (`[x.s=a, x.e=b, p=down]
+/// [x.s=b, x.e=c, p=up]`). Pins are in tenths, so most are off-grid, and
+/// a long chain runs past a row's end.
+fn laid() -> impl Strategy<Value = ShapeQuery> {
+    let gap = prop_oneof![Just(0u32), 1u32..40];
+    let unit = (slope(), gap, 20u32..140, 0u8..4);
+    (0u32..80, proptest::collection::vec(unit, 1..4)).prop_map(|(mut at, units)| {
+        let tenths = |t: u32| f64::from(t) / 10.0;
+        let parts = units.into_iter().map(|(pattern, gap, width, fuzzy)| {
+            let start = at + gap;
+            at = start + width;
+            ShapeQuery::Segment(if fuzzy == 0 {
+                ShapeSegment::pattern(pattern)
+            } else {
+                ShapeSegment::pinned(pattern, tenths(start), tenths(at))
+            })
+        });
+        ShapeQuery::concat(parts.collect())
+    })
 }
 
 /// The four Table 5 rows, θ on either side of flat and on and past the
@@ -242,14 +265,7 @@ fn sometimes<T: Clone + 'static>(
     none: T,
     one_in: u32,
 ) -> impl Strategy<Value = T> {
-    let some = some.boxed();
-    (0..one_in).prop_flat_map(move |draw| {
-        if draw == 0 {
-            some.clone()
-        } else {
-            Just(none.clone()).boxed()
-        }
-    })
+    (0..one_in, some).prop_map(move |(draw, some)| if draw == 0 { some } else { none.clone() })
 }
 
 /// Engines with every built-in UDP registered.
@@ -312,13 +328,8 @@ pub fn render(results: &[TopKResult]) -> String {
     results
         .iter()
         .map(|r| {
-            format!(
-                "{}:{}:{:016x}:{:?}",
-                r.key,
-                r.viz_index,
-                r.score.to_bits(),
-                r.ranges
-            )
+            let bits = r.score.to_bits();
+            format!("{}:{}:{bits:016x}:{:?}", r.key, r.viz_index, r.ranges)
         })
         .collect::<Vec<_>>()
         .join(";")

@@ -2,8 +2,9 @@
 //!
 //! Whatever a query pins, the engine scores it on the one GROUP of the
 //! full canvas. For the shared corpus and query grammar, bin widths 1–3,
-//! the three segmenting algorithms, 1 and 3 shards and `pushdown` on and
-//! off, every query's answer equals — score bits, `ranges`, order — an
+//! the three segmenting algorithms and `pushdown` on and off, every
+//! query's answer (from one engine: `shape_matrix` holds every shard
+//! count to it) equals — score bits, `ranges`, order — an
 //! oracle written from the push-down definitions alone: filter with
 //! `covers_ranges`, GROUP each survivor with plain
 //! `VizData::from_trendline`, apply `eager_discard`, run the segmenter,
@@ -20,8 +21,8 @@ use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
 use shapesearch_core::chain::{expand_chains, MAX_CHAIN_UNITS};
 use shapesearch_core::engine::pushdown::{covers_ranges, eager_discard};
 use shapesearch_core::{
-    EngineOptions, Evaluator, MatchResult, Segmenter, SegmenterKind, ShapeEngine, ShapeQuery,
-    TopKResult, UdpRegistry, VizData,
+    EngineOptions, Evaluator, MatchResult, Segmenter, SegmenterKind, ShapeQuery, TopKResult,
+    UdpRegistry, VizData,
 };
 use shapesearch_datastore::Trendline;
 use support::{corpus, eager_shards, query, render, render_outcome, run, CASES};
@@ -89,24 +90,21 @@ proptest! {
         bin_width in 1usize..4,
     ) {
         let batch: Vec<&ShapeQuery> = queries.iter().collect();
+        let engine = eager_shards(&tls, 1).remove(0);
         for segmenter in [SegmenterKind::Dp, SegmenterKind::SegmentTree, SegmenterKind::Greedy] {
             for pushdown in [true, false] {
                 let opts = EngineOptions { segmenter, bin_width, pushdown, ..EngineOptions::default() };
-                for shards in [1, 3] {
-                    let engines = eager_shards(&tls, shards);
-                    let engines: Vec<&ShapeEngine> = engines.iter().collect();
-                    for (q, got) in queries.iter().zip(run(&engines, &batch, k, &opts)) {
-                        let Some(want) = oracle(&tls, q, k, &opts) else {
-                            prop_assert!(got.is_err(), "{} is past the chain width", q);
-                            continue;
-                        };
-                        prop_assert_eq!(
-                            render_outcome(&got),
-                            render(&want),
-                            "{:?} bin {} pushdown {} shards {} on {}",
-                            segmenter, bin_width, pushdown, shards, q
-                        );
-                    }
+                for (q, got) in queries.iter().zip(run(&[&engine], &batch, k, &opts)) {
+                    let Some(want) = oracle(&tls, q, k, &opts) else {
+                        prop_assert!(got.is_err(), "{} is past the chain width", q);
+                        continue;
+                    };
+                    prop_assert_eq!(
+                        render_outcome(&got),
+                        render(&want),
+                        "{:?} bin {} pushdown {} on {}",
+                        segmenter, bin_width, pushdown, q
+                    );
                 }
             }
         }
