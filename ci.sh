@@ -131,8 +131,10 @@ fi
 # `SlopeLeaf::at`: the slope-taking scorers and the nested-CONCAT
 # wrapper around `dp::solve_chain` are gone. One test corpus, grammar
 # and rendering: the suites' own copies of the helpers
-# `crates/core/tests/support` holds.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers)"
+# `crates/core/tests/support` holds. One JSON string decoder, the one
+# that copies runs: the per-byte one's width helper (its test referee
+# inlines it).
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -151,6 +153,7 @@ link_front|slot_mut|require_x_ranges|ExtractOptions::with_ranges;crates src READ
 ColumnarArena::from_columns|RawColumns|group::handle|Snapshot::bin_width;crates src README.md docs :!crates/bench/src/bin/ssbench;a second GROUP path (GROUP state read from a snapshot) is back
 \bscore_(up|down|flat|theta)\b|best_segmentation_in_range;crates src README.md docs :!crates/bench/src/bin/ssbench;a second Table-5 dispatch (a slope-taking score_* scorer) or the nested-CONCAT wrapper is back
 fn (render|series_strategy|collection_strategy|unique_path)\b;tests crates/*/tests :!crates/core/tests/support;a suite defines its own copy of a helper crates/core/tests/support holds
+\butf8_width\b;crates src README.md docs;the per-byte JSON string decode is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -552,7 +555,9 @@ echo "$ROUTER_METRICS" | grep -Eq 'shapesearch_request_duration_micros_count [1-
     echo "observability smoke: request histogram saw no samples"
     echo "$ROUTER_METRICS"; exit 1;
 }
-for stage in parse_plan cache_lookup shard_compute remote_rpc merge serialize; do
+# The registration stages too: the router registered `sales` over HTTP.
+for stage in parse_plan cache_lookup shard_compute remote_rpc merge serialize \
+             register_parse register_extract register_group; do
     echo "$ROUTER_METRICS" | \
         grep -Eq "shapesearch_stage_duration_micros_count\{stage=\"$stage\"\} [1-9]" || {
         echo "observability smoke: stage histogram \"$stage\" saw no samples"

@@ -192,40 +192,75 @@ impl fmt::Debug for Column {
     }
 }
 
-/// The raw (x, y) points of a collection, stored once: trendline `i`'s
-/// points are `xs[starts[i]..starts[i + 1]]` and the same run of `ys`,
-/// ascending in x. An engine's GROUP (at any bin width) and push-down
-/// (a) read these two columns; they are heap vectors when flattened
-/// from EXTRACT's output and zero-copy views of the mapping when cut
-/// from a snapshot.
+/// The raw (x, y) points of a collection, each x row stored once:
+/// trendline `i`'s ys are `ys[starts[i]..starts[i + 1]]`, and its xs
+/// the same number of values from `x_starts[grids[i]]`, ascending.
+/// Trendlines whose raw x rows are bitwise equal share one grid id and
+/// one x run. An engine's GROUP (at any bin width) and push-down (a)
+/// read these columns; they are heap vectors when flattened from
+/// EXTRACT's output — `xs` then holds each distinct row once — and
+/// zero-copy views of the mapping when cut from a snapshot, where an x
+/// row equal to an earlier one is read at the earlier one's offset.
 #[derive(Debug)]
 pub(crate) struct PointTable {
     xs: Column,
     ys: Column,
     starts: Vec<usize>,
+    /// Per trendline, its x row's id: dense from 0 in first-appearance
+    /// order, equal exactly when the rows are bitwise equal.
+    grids: Vec<u32>,
+    /// Per grid id, where its x row starts in `xs`.
+    x_starts: Vec<usize>,
 }
 
 impl PointTable {
     /// Assembles a table from pre-built columns — the snapshot loader's
-    /// constructor; `starts` is monotone from 0 to the columns' length.
+    /// constructor; `starts` is monotone from 0 to the columns' length,
+    /// and both columns hold trendline `i`'s points at `starts[i]..`.
+    /// Each x row is looked up once; nothing is copied.
     pub(crate) fn from_columns(xs: Column, ys: Column, starts: Vec<usize>) -> Self {
         debug_assert_eq!(xs.len(), ys.len());
         debug_assert_eq!(starts.last(), Some(&xs.len()));
-        Self { xs, ys, starts }
+        let (grids, firsts) = distinct_rows(&xs, &starts);
+        let x_starts = firsts.iter().map(|&i| starts[i]).collect();
+        Self {
+            xs,
+            ys,
+            starts,
+            grids,
+            x_starts,
+        }
     }
 
-    /// Flattens EXTRACT's output, one row per trendline.
+    /// Flattens EXTRACT's output, one row per trendline, keeping each
+    /// distinct x row once.
     pub(crate) fn from_trendlines(trendlines: &[Trendline]) -> Self {
         let points = trendlines.iter().map(Trendline::len).sum();
-        let (mut xs, mut ys) = (Vec::with_capacity(points), Vec::with_capacity(points));
+        let (mut all_xs, mut ys) = (Vec::with_capacity(points), Vec::with_capacity(points));
         let mut starts = Vec::with_capacity(trendlines.len() + 1);
         starts.push(0);
         for t in trendlines {
-            xs.extend(t.points.iter().map(|p| p.x));
+            all_xs.extend(t.points.iter().map(|p| p.x));
             ys.extend(t.points.iter().map(|p| p.y));
-            starts.push(xs.len());
+            starts.push(all_xs.len());
         }
-        Self::from_columns(xs.into(), ys.into(), starts)
+        let (grids, firsts) = distinct_rows(&all_xs, &starts);
+        let row = |i: usize| &all_xs[starts[i]..starts[i + 1]];
+        let mut xs = Vec::with_capacity(firsts.iter().map(|&i| row(i).len()).sum());
+        let x_starts = firsts
+            .iter()
+            .map(|&i| {
+                xs.extend_from_slice(row(i));
+                xs.len() - row(i).len()
+            })
+            .collect();
+        Self {
+            xs: xs.into(),
+            ys: ys.into(),
+            starts,
+            grids,
+            x_starts,
+        }
     }
 
     /// Number of trendlines.
@@ -236,15 +271,46 @@ impl PointTable {
     /// Trendline `i`'s raw `(xs, ys)`.
     pub(crate) fn row(&self, i: usize) -> (&[f64], &[f64]) {
         let run = self.starts[i]..self.starts[i + 1];
-        (&self.xs[run.clone()], &self.ys[run])
+        let x = self.x_starts[self.grids[i] as usize];
+        (&self.xs[x..x + run.len()], &self.ys[run])
     }
+
+    /// The id of trendline `i`'s x row: equal for two trendlines exactly
+    /// when their raw x rows are bitwise equal.
+    pub(crate) fn grid(&self, i: usize) -> u32 {
+        self.grids[i]
+    }
+
+    /// Number of distinct x rows (grid ids `0..grid_count()`).
+    pub(crate) fn grid_count(&self) -> usize {
+        self.x_starts.len()
+    }
+}
+
+/// Numbers the rows `xs[starts[i]..starts[i + 1]]` by bitwise equality,
+/// densely from 0 in row order: each row's id, and each id's first row.
+/// One hashed pass over each row, plus a bitwise comparison with the
+/// first row of its id.
+fn distinct_rows(xs: &[f64], starts: &[usize]) -> (Vec<u32>, Vec<usize>) {
+    let mut ids: HashMap<BitRow<'_>, u32> = HashMap::new();
+    let mut firsts = Vec::new();
+    let grids = starts
+        .windows(2)
+        .enumerate()
+        .map(|(i, w)| {
+            *ids.entry(BitRow(&xs[w[0]..w[1]])).or_insert_with(|| {
+                firsts.push(i);
+                (firsts.len() - 1) as u32
+            })
+        })
+        .collect();
+    (grids, firsts)
 }
 
 /// A row of `f64`s hashed and compared by its bits (`-0.0` is not `0.0`,
 /// a NaN equals itself): the equality under which two canvas-x rows
-/// share an x run, and two raw x rows share an x grid
-/// ([`crate::engine::group`]).
-pub(crate) struct BitRow<'a>(pub(crate) &'a [f64]);
+/// share an x run, and two raw x rows share an x grid ([`PointTable`]).
+struct BitRow<'a>(&'a [f64]);
 
 impl Hash for BitRow<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {

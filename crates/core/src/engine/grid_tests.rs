@@ -1,12 +1,13 @@
-//! Grid identity: GROUP numbers the raw x rows ([`group::Grids`]) and a
-//! query resolves what its pins name once a grid ([`GridMemo`]). These
-//! tests hold that to the per-trendline computation it replaces, on
-//! collections that mix rows shared bitwise, rows equal on the canvas but
-//! shifted in raw x, rows one x apart and rows with duplicate x values:
-//! the ids split them exactly by bitwise equality, a value memoised per
-//! grid equals the per-viz call, and located and mixed answers are
-//! byte-identical to a run where every trendline has a grid of its own —
-//! on eager and snapshot-opened engines, one to four shards, bins 1 and 3.
+//! Grid identity: the point table numbers the raw x rows, GROUP hands
+//! the ids to its handles, and a query resolves what its pins name once
+//! a grid ([`GridMemo`]). These tests hold that to the per-trendline
+//! computation it replaces, on collections that mix rows shared bitwise,
+//! rows equal on the canvas but shifted in raw x, rows one x apart and
+//! rows with duplicate x values: the ids split them exactly by bitwise
+//! equality, a value memoised per grid equals the per-viz call, and
+//! located and mixed answers are byte-identical to a run where every
+//! trendline has a grid of its own — on eager and snapshot-opened
+//! engines, one to four shards, bins 1 and 3.
 
 use super::*;
 use crate::ast::ShapeSegment;

@@ -24,11 +24,11 @@
 //! for callers holding `Trendline`s, which flatten and run the same
 //! function. No file format holds its output.
 //!
-//! GROUP also numbers the collection's distinct raw x rows (`Grids`):
-//! every handle carries the id of its row's x grid, so a query resolves
-//! what its LOCATION pins name — push-down (a)'s coverage, a pinned
-//! unit's canvas window — once per grid (`GridMemo`) rather than once
-//! per trendline.
+//! Every handle carries the id of its row's x grid — the point table
+//! numbers the distinct raw x rows when it is built, and GROUP takes the
+//! ids from it — so a query resolves what its LOCATION pins name —
+//! push-down (a)'s coverage, a pinned unit's canvas window — once per
+//! grid (`GridMemo`) rather than once per trendline.
 //!
 //! GROUP is query-independent. §5.4's push-down (c) — "skip summarized
 //! statistics outside the referenced x ranges" — pays off only when GROUP
@@ -47,10 +47,9 @@
 //! z-normalization for slope-based scoring while keeping raw coordinate
 //! mappings available for y-location constraints.
 
-use crate::columnar::{ArenaBuilder, BitRow, ColumnarArena, PointTable};
+use crate::columnar::{ArenaBuilder, ColumnarArena, PointTable};
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A candidate visualization prepared for segmentation and scoring: an
@@ -86,7 +85,8 @@ pub struct VizData {
     /// then so are their raw extents, canvas xs, [`Self::x_to_index`]
     /// and push-down (a)'s coverage — which is what lets a query
     /// resolve its pins once a grid (`GridMemo`). Dense from 0 in
-    /// source order; numbered by `Grids` when GROUP builds the handle.
+    /// source order over the handles of one GROUP run: GROUP renumbers
+    /// the point table's ids for the rows it keeps.
     pub grid: u32,
     /// Index of the source trendline in the engine's collection (its
     /// key is the engine's `key(source)`).
@@ -130,53 +130,34 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
         })
         .collect();
     let arena = Arc::new(builder.finish());
-    let mut grids = Grids::new(points);
+    // The table numbers every row's x grid; the handles renumber the
+    // grids they use densely, in source order.
+    let mut dense = vec![u32::MAX; points.grid_count()];
+    let mut next = 0;
     parts
         .into_iter()
         .enumerate()
         .map(|(source, part)| {
-            part.map(|((slot, slopes), extents)| VizData {
-                raw_x: extents.0,
-                raw_y: extents.1,
-                slope_min: slopes.0,
-                slope_max: slopes.1,
-                theta_min: slopes.0.atan(),
-                theta_max: slopes.1.atan(),
-                grid: grids.id(source),
-                source,
-                arena: Arc::clone(&arena),
-                slot,
+            part.map(|((slot, slopes), extents)| {
+                let grid = &mut dense[points.grid(source) as usize];
+                if *grid == u32::MAX {
+                    (*grid, next) = (next, next + 1);
+                }
+                VizData {
+                    raw_x: extents.0,
+                    raw_y: extents.1,
+                    slope_min: slopes.0,
+                    slope_max: slopes.1,
+                    theta_min: slopes.0.atan(),
+                    theta_max: slopes.1.atan(),
+                    grid: *grid,
+                    source,
+                    arena: Arc::clone(&arena),
+                    slot,
+                }
             })
         })
         .collect()
-}
-
-/// Numbers the distinct raw x rows of a point table densely from 0, in
-/// the order rows are asked about: the one derivation of
-/// [`VizData::grid`]. One hashed pass over each row asked about, plus a
-/// bitwise comparison with the first row of its id.
-struct Grids<'p> {
-    points: &'p PointTable,
-    ids: HashMap<BitRow<'p>, u32>,
-}
-
-impl<'p> Grids<'p> {
-    fn new(points: &'p PointTable) -> Self {
-        Self {
-            points,
-            ids: HashMap::new(),
-        }
-    }
-
-    /// The grid id of `source`'s raw x row: the id of the first row
-    /// asked about that is bitwise equal to it, or the next free one.
-    fn id(&mut self, source: usize) -> u32 {
-        let next = self.ids.len() as u32;
-        *self
-            .ids
-            .entry(BitRow(self.points.row(source).0))
-            .or_insert(next)
-    }
 }
 
 /// A value a query derives from a candidate's x grid alone — push-down

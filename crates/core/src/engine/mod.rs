@@ -162,8 +162,8 @@ pub struct TopKResult {
 pub struct ShapeEngine {
     /// The `z` value of each trendline, in collection order.
     keys: Vec<String>,
-    /// The raw points, stored once: GROUP at any bin width and
-    /// push-down (a) read these columns.
+    /// The raw points, stored once (each distinct x row once): GROUP at
+    /// any bin width and push-down (a) read these columns.
     points: PointTable,
     options: EngineOptions,
     udps: UdpRegistry,

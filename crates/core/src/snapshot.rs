@@ -501,7 +501,8 @@ impl Snapshot {
     /// The engine over trendlines `[start, end)`, reporting
     /// collection-global indices from `start`. Its raw point columns are
     /// zero-copy views of the mapping (decoded copies on a big-endian
-    /// target), so a cut allocates the keys and one offset vector and
+    /// target), so a cut allocates the keys, the row offsets and one
+    /// grid id a trendline (its x row's, found by one hashed pass) and
     /// copies no point. It has GROUPed nothing yet: `ShapeEngine::warm`,
     /// or its first query, GROUPs the mapped columns exactly as it would
     /// the heap columns of an engine over the same trendlines.

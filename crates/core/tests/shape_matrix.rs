@@ -249,3 +249,70 @@ fn an_or_keeps_a_child_without_a_bound_unbounded() {
     };
     fixed(&rows, &[q], 1, &options);
 }
+
+/// A draw from the shared corpus with one x of every even row moved,
+/// cut down: `t1`, `t2` and `t5` each have one x moved to −16, so their
+/// xs descend once. Under a three-unit chain a row bounded by its
+/// interval-slope extremes is pruned from a top 5 it belongs in (greedy
+/// drops `t2` for `t5`): the extremes need not bound a window's slope
+/// when xs descend. `ArenaBuilder::push_viz` gives such a row a NaN
+/// extent, and so no bound; the rest of the matrix holds that rule on
+/// no draw of its own.
+#[test]
+fn a_row_whose_xs_descend_is_not_bounded_by_its_interval_slopes() {
+    let rows = [
+        vec![
+            (4.0, -239.2962211044643),
+            (11.0, -354.89723115131574),
+            (13.0, -339.9078744193599),
+            (14.0, -439.7827647125872),
+        ],
+        vec![
+            (3.0, 15.480543138685118),
+            (4.0, 12.873475699443613),
+            (-16.0, -18.41133357145445),
+            (18.0, -23.625468449937458),
+        ],
+        vec![
+            (0.0, -42.57459714652035),
+            (1.0, -57.05104718858954),
+            (2.0, -71.52749723065874),
+            (3.0, -86.00394727272794),
+            (4.0, -100.48039731479713),
+            (9.0, -172.86264752514313),
+            (10.0, -187.33909756721232),
+            (15.0, -259.7213477775583),
+            (-16.0, -274.1977978196275),
+            (17.0, -288.6742478616967),
+            (19.0, -317.6271479458351),
+        ],
+        vec![
+            (8.0, 659.9635128022157),
+            (10.0, -845.7874031648594),
+            (13.0, 585.5560250494079),
+            (14.0, 439.0630943855629),
+        ],
+        vec![
+            (4.0, -239.2962211044643),
+            (11.0, -354.89723115131574),
+            (13.0, -339.9078744193599),
+            (14.0, -439.7827647125872),
+        ],
+        vec![
+            (1.0, 20.69467801716813),
+            (2.0, 18.087610577926625),
+            (-16.0, -18.41133357145445),
+            (18.0, -23.625468449937458),
+        ],
+    ];
+    let q = ShapeQuery::concat(vec![
+        ShapeQuery::down(),
+        ShapeQuery::pattern(Pattern::Slope(120.0)),
+        ShapeQuery::down(),
+    ]);
+    let options = EngineOptions {
+        pushdown: false,
+        ..EngineOptions::default()
+    };
+    fixed(&rows, &[q], 5, &options);
+}

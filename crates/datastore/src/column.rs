@@ -8,14 +8,19 @@
 //! column that fits the cells pushed so far (`i64`s, then `f64`s, then
 //! dictionary codes) and promotes one way only, so a CSV parses into
 //! 8 bytes a numeric cell and a 4-byte code a string cell, with one heap
-//! copy per distinct string. The builder is pinned, bit for bit, to a
-//! referee that holds every cell as a [`Value`] and infers the type over
-//! the whole column at the end.
+//! copy per distinct string. A reader hands it each cell's text
+//! ([`ColumnBuilder::push_text`]), read by [`Value::infer`]'s rules
+//! without making the `Value`, so a cell costs no allocation. The
+//! builder is pinned, bit for bit, to a referee that holds every cell as
+//! a [`Value`] and infers the type over the whole column at the end, and
+//! `push_text` to that referee fed by the old `Value::infer`.
 
 use crate::error::{DataError, Result};
 use crate::schema::DataType;
-use crate::value::Value;
+use crate::value::{Token, Value};
 use std::collections::HashMap;
+use std::fmt;
+use std::io::Write;
 
 #[cfg(test)]
 mod referee;
@@ -184,18 +189,45 @@ impl FloatCells {
 struct StrCells {
     codes: Vec<u32>,
     lookup: HashMap<String, u32>,
+    /// The text last pushed and its code: a run of equal cells — one
+    /// trendline's rows under its key — is looked up once.
+    last: Option<(String, u32)>,
 }
 
 impl StrCells {
-    fn push(&mut self, text: String) {
-        let next = self.lookup.len() as u32;
-        self.codes.push(*self.lookup.entry(text).or_insert(next));
+    fn push_str(&mut self, text: &str) {
+        if let Some((last, code)) = &self.last {
+            if last == text {
+                self.codes.push(*code);
+                return;
+            }
+        }
+        let code = match self.lookup.get(text) {
+            Some(&code) => code,
+            None => {
+                let code = self.lookup.len() as u32;
+                self.lookup.insert(text.to_owned(), code);
+                code
+            }
+        };
+        self.codes.push(code);
+        // The buffer grows to the longest key once; later runs reuse it.
+        let (last, at) = self.last.get_or_insert_with(|| (String::new(), code));
+        last.clear();
+        last.push_str(text);
+        *at = code;
     }
 
-    fn push_str(&mut self, text: &str) {
-        match self.lookup.get(text) {
-            Some(&code) => self.codes.push(code),
-            None => self.push(text.to_owned()),
+    /// Pushes `v`'s `Display` text, formatted on the stack when it fits.
+    fn push_display(&mut self, v: impl fmt::Display) {
+        const ROOM: usize = 64;
+        let mut buf = [0u8; ROOM];
+        let mut free = &mut buf[..];
+        if write!(free, "{v}").is_ok() {
+            let len = ROOM - free.len();
+            self.push_str(std::str::from_utf8(&buf[..len]).expect("Display writes UTF-8"));
+        } else {
+            self.push_str(&v.to_string());
         }
     }
 }
@@ -218,20 +250,45 @@ impl ColumnBuilder {
     /// not fit its type.
     pub fn push(&mut self, v: Value) {
         match v {
-            Value::Int(i) => match &mut self.cells {
-                Cells::Int(ints) => ints.push(i),
-                Cells::Float(floats) => floats.push_int(i),
-                Cells::Str(strs) => strs.push(i.to_string()),
-            },
-            Value::Float(x) => match self.floats_or_strs() {
-                Ok(floats) => floats.values.push(x),
-                Err(strs) => strs.push(x.to_string()),
-            },
-            Value::Null => match self.floats_or_strs() {
-                Ok(floats) => floats.push_null(),
-                Err(strs) => strs.push_str(""),
-            },
-            Value::Str(s) => self.strs().push(s),
+            Value::Int(i) => self.push_int(i),
+            Value::Float(x) => self.push_float(x),
+            Value::Null => self.push_null(),
+            Value::Str(s) => self.strs().push_str(&s),
+        }
+    }
+
+    /// Appends one cell's text: the column `push(Value::infer(text))`
+    /// builds, without the `Value`. A number parses straight into the
+    /// typed column, and a string is copied only the first time the
+    /// column sees it.
+    pub fn push_text(&mut self, text: &str) {
+        match Token::infer(text) {
+            Token::Int(i) => self.push_int(i),
+            Token::Float(x) => self.push_float(x),
+            Token::Null => self.push_null(),
+            Token::Str(s) => self.strs().push_str(s),
+        }
+    }
+
+    fn push_int(&mut self, i: i64) {
+        match &mut self.cells {
+            Cells::Int(ints) => ints.push(i),
+            Cells::Float(floats) => floats.push_int(i),
+            Cells::Str(strs) => strs.push_display(i),
+        }
+    }
+
+    fn push_float(&mut self, x: f64) {
+        match self.floats_or_strs() {
+            Ok(floats) => floats.values.push(x),
+            Err(strs) => strs.push_display(x),
+        }
+    }
+
+    fn push_null(&mut self) {
+        match self.floats_or_strs() {
+            Ok(floats) => floats.push_null(),
+            Err(strs) => strs.push_str(""),
         }
     }
 
@@ -257,14 +314,14 @@ impl ColumnBuilder {
         if !matches!(self.cells, Cells::Str(_)) {
             let mut strs = StrCells::default();
             match &self.cells {
-                Cells::Int(ints) => ints.iter().for_each(|i| strs.push(i.to_string())),
+                Cells::Int(ints) => ints.iter().for_each(|&i| strs.push_display(i)),
                 Cells::Float(FloatCells { values, notes }) => {
                     let mut notes = notes.iter().peekable();
-                    for (row, x) in values.iter().enumerate() {
+                    for (row, &x) in values.iter().enumerate() {
                         match notes.next_if(|&&(at, _)| at == row) {
                             Some((_, None)) => strs.push_str(""),
-                            Some((_, Some(i))) => strs.push(i.to_string()),
-                            None => strs.push(x.to_string()),
+                            Some(&(_, Some(i))) => strs.push_display(i),
+                            None => strs.push_display(x),
                         }
                     }
                 }
@@ -298,7 +355,7 @@ impl ColumnBuilder {
             Cells::Int(ints) if ints.is_empty() => Column::Float(Vec::new()),
             Cells::Int(ints) => Column::Int(ints),
             Cells::Float(floats) => Column::Float(floats.values),
-            Cells::Str(StrCells { codes, lookup }) => {
+            Cells::Str(StrCells { codes, lookup, .. }) => {
                 let mut dict = vec![String::new(); lookup.len()];
                 for (text, code) in lookup {
                     dict[code as usize] = text;
@@ -535,6 +592,88 @@ mod tests {
                 .collect();
         }
         assert_eq!(checked, 1 + 4 + 16 + 64 + 256 + 1024);
+    }
+
+    /// Cell texts a CSV reader hands [`ColumnBuilder::push_text`]: every
+    /// inference outcome, each promotion's trigger, and texts whose
+    /// `Display` is not themselves (`+5`, `012`, `1e3`, padding).
+    const TEXTS: &[&str] = &[
+        " 12 ",
+        "+5",
+        "012",
+        "-0",
+        "1e3",
+        "3.25",
+        "1e400",
+        "-1e400",
+        "inf",
+        "-Infinity",
+        "NaN",
+        "null",
+        "  NULL ",
+        "",
+        "\t",
+        "9007199254740993",
+        "-9223372036854775809",
+        "5e-324",
+        "1.5e300",
+        "word",
+        " word ",
+        "k1",
+        "é",
+        "0x10",
+    ];
+
+    /// Pushes `texts` through [`ColumnBuilder::push_text`] and, as
+    /// `Value`s the referee's `infer` reads, into the referee builder.
+    fn text_matches_referee(texts: &[&str]) -> std::result::Result<(), TestCaseError> {
+        let (mut got, mut want) = (ColumnBuilder::new(), referee::ColumnBuilder::default());
+        for (i, text) in texts.iter().enumerate() {
+            got.push_text(text);
+            want.push(referee::infer(text));
+            prop_assert_eq!(got.len(), i + 1);
+        }
+        same_column(&got.finish(), &want.finish())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any stream of cell texts finishes as the referee's column.
+        #[test]
+        fn push_text_matches_push_of_infer(
+            picks in proptest::collection::vec(
+                prop_oneof![
+                    (0..TEXTS.len()).prop_map(|i| TEXTS[i].to_owned()),
+                    (i64::MIN..=i64::MAX).prop_map(|i| i.to_string()),
+                    (0u64..=u64::MAX).prop_map(|bits| f64::from_bits(bits).to_string()),
+                    "[0-9 +.eE-]{0,6}",
+                ],
+                0..=24,
+            ),
+        ) {
+            let texts: Vec<&str> = picks.iter().map(String::as_str).collect();
+            text_matches_referee(&texts)?;
+        }
+    }
+
+    /// Every promotion order: each sequence of up to five texts drawn
+    /// from one of each kind, repeated keys included.
+    #[test]
+    fn every_promotion_order_of_texts_matches_referee() {
+        let kinds = ["+5", "1e400", "null", "k", "9007199254740993"];
+        let mut frontier: Vec<Vec<&str>> = vec![Vec::new()];
+        for _ in 0..=5 {
+            for texts in &frontier {
+                if let Err(e) = text_matches_referee(texts) {
+                    panic!("{texts:?}: {e:?}");
+                }
+            }
+            frontier = frontier
+                .iter()
+                .flat_map(|s| kinds.iter().map(|k| [&s[..], &[*k]].concat()))
+                .collect();
+        }
     }
 
     #[test]

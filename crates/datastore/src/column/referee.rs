@@ -1,7 +1,9 @@
 //! The column builder as it stood before it kept typed cells: every
 //! pushed [`Value`] is held as-is and the type is inferred over the whole
-//! column at `finish`. Kept verbatim as the referee the builder proptests
-//! pin [`super::ColumnBuilder`] to — do not optimise it.
+//! column at `finish`; and `Value::infer` as it stood before cells were
+//! read through a borrowed token. Kept verbatim as the referees the
+//! builder proptests pin [`super::ColumnBuilder`] to — do not optimise
+//! them.
 
 use super::Column;
 use crate::value::Value;
@@ -62,4 +64,20 @@ impl ColumnBuilder {
         }
         Column::Str { codes, dict }
     }
+}
+
+/// `Value::infer` as it stood before it read cells through a borrowed
+/// token: the rules [`super::ColumnBuilder::push_text`] is pinned to.
+pub(super) fn infer(token: &str) -> Value {
+    let trimmed = token.trim();
+    if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("null") {
+        return Value::Null;
+    }
+    if let Ok(i) = trimmed.parse::<i64>() {
+        return Value::Int(i);
+    }
+    if let Ok(f) = trimmed.parse::<f64>() {
+        return Value::Float(f);
+    }
+    Value::Str(trimmed.to_owned())
 }

@@ -4,9 +4,11 @@
 //! before streaming them to downstream operators."
 //!
 //! Rows are grouped by `z` in one sweep over integers — the dictionary codes
-//! a string column already carries, so no string is hashed or cloned per
-//! row — and each group is then sorted on `x` and its duplicate `x` values
-//! aggregated through buffers reused across groups.
+//! a string column already carries index the group table, so no string is
+//! hashed or cloned per row — then counting-sorted into one flat index of
+//! rows, group by group. Each group is sorted on `x` (when its rows are not
+//! already in x order) and its duplicate `x` values aggregated through
+//! buffers reused across groups.
 //!
 //! Push-down optimization (a) from §5.4 — pruning visualizations without a
 //! value in a query's pinned x ranges — runs in the engine, per query, not
@@ -84,7 +86,13 @@ const MIN_POINTS: usize = 2;
 /// # Errors
 /// Fails when referenced columns are missing or `x`/`y` are non-numeric.
 pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<Vec<Trendline>> {
-    let rows = table.filter_indices(&spec.filters)?;
+    // Without filters every row is selected, and no index of them is made.
+    let filtered = match spec.filters.as_slice() {
+        [] => None,
+        filters => Some(table.filter_indices(filters)?),
+    };
+    let selected = filtered.as_ref().map_or(table.num_rows(), Vec::len);
+    let row_at = |i: usize| filtered.as_ref().map_or(i, |rows| rows[i]);
     let z_col = table.column(&spec.z)?;
     let x_col = table.column(&spec.x)?;
     let y_col = table.column(&spec.y)?;
@@ -99,38 +107,82 @@ pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<V
         }
     }
 
-    // Group row indices by z value, keeping first-appearance order. Rows
-    // partition on one integer per cell — the dictionary code a string
-    // column already carries, the bits of a number (every null one NaN),
-    // which are equal exactly when the printed keys are — and each
-    // trendline makes its key once.
-    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-    let mut group_of: HashMap<u64, usize> = HashMap::new();
-    for &row in &rows {
-        let code = match z_col {
-            Column::Str { codes, .. } => u64::from(codes[row]),
-            Column::Int(v) => v[row] as u64,
-            Column::Float(v) if v[row].is_nan() => f64::NAN.to_bits(),
-            Column::Float(v) => v[row].to_bits(),
-        };
-        let group = *group_of.entry(code).or_insert_with(|| {
-            groups.push((z_col.value(row).to_string(), Vec::new()));
-            groups.len() - 1
-        });
-        groups[group].1.push(row);
+    // Number each selected row's group by first appearance of its z. A
+    // string column's dense dictionary code indexes the group table
+    // directly; a number's bits (every null one NaN) — equal exactly
+    // when the printed keys are — are hashed once per run of equal keys.
+    let mut group_of_row: Vec<u32> = Vec::with_capacity(selected);
+    let mut first_rows: Vec<usize> = Vec::new();
+    let mut new_group = |row: usize| {
+        first_rows.push(row);
+        (first_rows.len() - 1) as u32
+    };
+    match z_col {
+        Column::Str { codes, dict } => {
+            let mut group_of_code = vec![u32::MAX; dict.len()];
+            for i in 0..selected {
+                let row = row_at(i);
+                let group = &mut group_of_code[codes[row] as usize];
+                if *group == u32::MAX {
+                    *group = new_group(row);
+                }
+                group_of_row.push(*group);
+            }
+        }
+        Column::Int(_) | Column::Float(_) => {
+            let mut group_of: HashMap<u64, u32> = HashMap::new();
+            let mut last: Option<(u64, u32)> = None;
+            for i in 0..selected {
+                let row = row_at(i);
+                let bits = match z_col {
+                    Column::Int(v) => v[row] as u64,
+                    Column::Float(v) if v[row].is_nan() => f64::NAN.to_bits(),
+                    Column::Float(v) => v[row].to_bits(),
+                    Column::Str { .. } => unreachable!("matched above"),
+                };
+                let group = match last {
+                    Some((at, group)) if at == bits => group,
+                    _ => *group_of.entry(bits).or_insert_with(|| new_group(row)),
+                };
+                last = Some((bits, group));
+                group_of_row.push(group);
+            }
+        }
     }
 
-    let mut result = Vec::with_capacity(groups.len());
+    // Counting-sort the rows into one flat index: group `g`'s rows are
+    // `order[starts[g]..starts[g + 1]]`, in row order.
+    let mut starts = vec![0usize; first_rows.len() + 1];
+    for &group in &group_of_row {
+        starts[group as usize + 1] += 1;
+    }
+    for g in 1..starts.len() {
+        starts[g] += starts[g - 1];
+    }
+    let mut order = vec![0usize; selected];
+    let mut next = starts.clone();
+    for (i, &group) in group_of_row.iter().enumerate() {
+        order[next[group as usize]] = row_at(i);
+        next[group as usize] += 1;
+    }
+    drop(group_of_row);
+
+    let mut result = Vec::with_capacity(first_rows.len());
     let mut pts: Vec<(f64, f64)> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
-    for (key, idxs) in groups {
+    for (g, &first) in first_rows.iter().enumerate() {
         pts.clear();
         // Null coordinates are skipped.
         pts.extend(
-            idxs.iter()
+            order[starts[g]..starts[g + 1]]
+                .iter()
                 .filter_map(|&row| Some((x_col.numeric_at(row)?, y_col.numeric_at(row)?))),
         );
-        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Rows arrive in x order more often than not; a stable sort of
+        // sorted points would leave them as they are.
+        if !pts.is_sorted_by(|a, b| a.0.total_cmp(&b.0).is_le()) {
+            pts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
 
         // Aggregate duplicate x coordinates.
         let mut points: Vec<TrendPoint> = Vec::with_capacity(pts.len());
@@ -145,6 +197,10 @@ pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<V
         }
 
         if points.len() >= MIN_POINTS {
+            let key = match z_col {
+                Column::Str { codes, dict } => dict[codes[first] as usize].clone(),
+                _ => z_col.value(first).to_string(),
+            };
             result.push(Trendline { key, points });
         }
     }
@@ -295,6 +351,28 @@ mod tests {
             .unwrap();
             assert_eq!(got, want);
         }
+    }
+
+    /// A numeric `z` looked up once per run of equal keys still gathers
+    /// a key that comes back after another's run, in row order.
+    #[test]
+    fn a_numeric_key_returning_after_a_run_joins_its_group() {
+        let mut b = TableBuilder::new(vec!["z".into(), "x".into(), "y".into()]);
+        for (z, x) in [(7, 1), (7, 2), (8, 1), (8, 2), (7, 4), (7, 3)] {
+            b.push_row(vec![Value::Int(z), Value::Int(x), Value::Float(x as f64)])
+                .unwrap();
+        }
+        let got = extract(
+            &b.finish(),
+            &VisualSpec::new("z", "x", "y"),
+            &ExtractOptions::default(),
+        )
+        .unwrap();
+        let want = [
+            Trendline::from_pairs("7", &[(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]),
+            Trendline::from_pairs("8", &[(1.0, 1.0), (2.0, 2.0)]),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

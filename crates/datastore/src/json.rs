@@ -14,6 +14,9 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
+#[cfg(test)]
+mod referee;
+
 /// Parses JSON-lines text into a [`Table`]. The column set is the union of
 /// keys seen across all records; missing keys become nulls. Keys are ordered
 /// alphabetically for determinism.
@@ -173,7 +176,9 @@ pub fn number_span<'a>(bytes: &'a [u8], pos: &mut usize) -> &'a str {
 }
 
 /// Decodes the JSON string whose opening quote is at `*pos`, leaving
-/// `*pos` just past its closing quote.
+/// `*pos` just past its closing quote. Each run of bytes between a `"`
+/// or `\` is validated and copied whole, so a string without escapes
+/// is one `from_utf8` and one copy.
 ///
 /// # Errors
 /// On a missing opening quote, an unterminated string, an unknown or
@@ -182,41 +187,35 @@ pub fn parse_string(bytes: &[u8], pos: &mut usize) -> std::result::Result<String
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".into());
+        let rest = &bytes[*pos..];
+        let run = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| "unterminated string".to_owned())?;
+        // Neither `"` nor `\` can sit inside a multi-byte sequence, so a
+        // run is valid exactly when each of its code points is.
+        out.push_str(
+            std::str::from_utf8(&rest[..run]).map_err(|_| "invalid utf-8 in string".to_owned())?,
+        );
+        *pos += run + 1;
+        if rest[run] == b'"' {
+            return Ok(out);
+        }
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("dangling escape".into());
         };
         *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("dangling escape".into());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => out.push(decode_unicode_escape(bytes, pos)?),
-                    other => return Err(format!("unknown escape \\{}", other as char)),
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8: copy the full code point.
-                let start = *pos - 1;
-                *pos = start + utf8_width(b);
-                if *pos > bytes.len() {
-                    return Err("truncated utf-8 sequence".into());
-                }
-                let s = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| "invalid utf-8 in string".to_owned())?;
-                out.push_str(s);
-            }
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => out.push(decode_unicode_escape(bytes, pos)?),
+            other => return Err(format!("unknown escape \\{}", other as char)),
         }
     }
 }
@@ -253,16 +252,6 @@ fn decode_unicode_escape(bytes: &[u8], pos: &mut usize) -> Scan<char> {
         }
         0xDC00..=0xDFFF => Err("unpaired utf-16 surrogate".into()),
         code => char::from_u32(code).ok_or_else(|| "bad \\u escape".to_owned()),
-    }
-}
-
-/// Width in bytes of a UTF-8 sequence from its leading byte.
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -343,5 +332,106 @@ mod tests {
     #[test]
     fn unterminated_string_is_error() {
         assert!(read_str("{\"a\":\"oops}\n").is_err());
+    }
+
+    /// Byte pieces a JSON string body is drawn from: plain and multi-byte
+    /// text, raw control bytes, every escape (well-formed, unknown,
+    /// dangling), `\u` escapes across the surrogate ranges (paired,
+    /// unpaired, reversed, short or non-hex), and bytes that are not
+    /// UTF-8 (a lone continuation, a truncated lead, 0xff).
+    const PIECES: &[&[u8]] = &[
+        b"a",
+        b"plain text run ",
+        b",\t\n",
+        "é".as_bytes(),
+        "€".as_bytes(),
+        "\u{1F4C8}".as_bytes(),
+        b"\x00",
+        b"\x1f",
+        b"\x7f",
+        b"\\\"",
+        b"\\\\",
+        b"\\/",
+        b"\\n",
+        b"\\t",
+        b"\\r",
+        b"\\b",
+        b"\\f",
+        b"\\x",
+        b"\\",
+        b"\\u00e9",
+        b"\\u0000",
+        b"\\uFFFF",
+        b"\\ud83d\\udcc8",
+        b"\\ud83d",
+        b"\\udcc8",
+        b"\\udcc8\\ud83d",
+        b"\\ud83d\\u0041",
+        b"\\ud83d\\",
+        b"\\u12",
+        b"\\u12g4",
+        b"\\u+123",
+        b"\\u\xc3\xa9\xc3",
+        b"\x80",
+        b"\xc3",
+        b"\xe2\x82",
+        b"\xf0\x9f\x93",
+        b"\xc3\"",
+        b"\xed\xa0\x80",
+        b"\xff",
+        b"\"",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
+
+        /// The run decoder returns the per-byte referee's string and end
+        /// position, and fails on exactly the inputs the referee fails on.
+        #[test]
+        fn run_decoder_matches_the_per_byte_referee(
+            pieces in proptest::collection::vec(0..PIECES.len(), 0..12),
+            quoted in 0u8..4,
+        ) {
+            let mut bytes = Vec::new();
+            if quoted > 0 {
+                bytes.push(b'"');
+            }
+            pieces.iter().for_each(|&i| bytes.extend_from_slice(PIECES[i]));
+            if quoted > 1 {
+                bytes.extend_from_slice(b"\"}");
+            }
+            let (mut got_at, mut want_at) = (0, 0);
+            let got = parse_string(&bytes, &mut got_at);
+            let want = referee::parse_string(&bytes, &mut want_at);
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    proptest::prop_assert_eq!(g, w);
+                    proptest::prop_assert_eq!(got_at, want_at);
+                }
+                _ => proptest::prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?} vs {:?}", got, want),
+            }
+        }
+    }
+
+    /// A long body decodes alike with escapes dense and sparse.
+    #[test]
+    fn long_bodies_match_the_referee() {
+        for every in [1, 7, 64, 100_000] {
+            let mut body = String::from("\"");
+            for i in 0..20_000 {
+                body.push_str(["x", "é", "€", "\u{1F4C8}"][i % 4]);
+                if i % every == 0 {
+                    body.push_str(["\\n", "\\\"", "\\u00e9", "\\ud83d\\udcc8"][i % 4]);
+                }
+            }
+            body.push('"');
+            let (mut got_at, mut want_at) = (0, 0);
+            let got = parse_string(body.as_bytes(), &mut got_at).unwrap();
+            assert_eq!(
+                got,
+                referee::parse_string(body.as_bytes(), &mut want_at).unwrap()
+            );
+            assert_eq!(got_at, want_at);
+        }
     }
 }

@@ -110,8 +110,8 @@ impl Table {
 }
 
 /// Builder used by the CSV/JSON readers and the data generators: cells go
-/// in one at a time ([`Self::push`]) or a checked row at a time
-/// ([`Self::push_row`]).
+/// in as text one at a time ([`Self::push_text`]) or as values a checked
+/// row at a time ([`Self::push_row`]).
 #[derive(Debug, Default)]
 pub struct TableBuilder {
     names: Vec<String>,
@@ -130,14 +130,15 @@ impl TableBuilder {
         self.builders.len()
     }
 
-    /// Appends one cell to column `column`. Keeping the columns the same
-    /// length is the caller's job — a reader fills them left to right,
-    /// record by record.
+    /// Appends one cell's text to column `column`, read as
+    /// [`Value::infer`] reads it ([`ColumnBuilder::push_text`]). Keeping
+    /// the columns the same length is the caller's job — a reader fills
+    /// them left to right, record by record.
     ///
     /// # Panics
     /// When `column` is out of range.
-    pub fn push(&mut self, column: usize, value: Value) {
-        self.builders[column].push(value);
+    pub fn push_text(&mut self, column: usize, text: &str) {
+        self.builders[column].push_text(text);
     }
 
     /// Appends a row. The number of values must match the number of columns.
@@ -152,8 +153,8 @@ impl TableBuilder {
                 self.builders.len()
             )));
         }
-        for (column, value) in values.into_iter().enumerate() {
-            self.push(column, value);
+        for (builder, value) in self.builders.iter_mut().zip(values) {
+            builder.push(value);
         }
         Ok(())
     }
@@ -166,7 +167,7 @@ impl TableBuilder {
     /// Finishes all columns (inferring types) and assembles the table.
     ///
     /// # Panics
-    /// When [`Self::push`] left the columns with different lengths.
+    /// When [`Self::push_text`] left the columns with different lengths.
     pub fn finish(self) -> Table {
         let columns: Vec<Column> = self
             .builders

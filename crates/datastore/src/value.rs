@@ -71,17 +71,40 @@ impl Value {
     /// Parses a raw text token into the most specific value type:
     /// empty → Null, integer → Int, float → Float, otherwise → Str.
     pub fn infer(token: &str) -> Value {
+        match Token::infer(token) {
+            Token::Null => Value::Null,
+            Token::Int(i) => Value::Int(i),
+            Token::Float(x) => Value::Float(x),
+            Token::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
+/// A cell's text read by [`Value::infer`]'s rules, a string borrowed
+/// rather than copied: what a reader hands a column builder.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Token<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+}
+
+impl<'a> Token<'a> {
+    /// Trimmed, an empty or `null` (any case) token is null; then the
+    /// first of `i64`, `f64` that parses it; otherwise its trimmed text.
+    pub(crate) fn infer(token: &'a str) -> Self {
         let trimmed = token.trim();
         if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("null") {
-            return Value::Null;
+            return Token::Null;
         }
         if let Ok(i) = trimmed.parse::<i64>() {
-            return Value::Int(i);
+            return Token::Int(i);
         }
         if let Ok(f) = trimmed.parse::<f64>() {
-            return Value::Float(f);
+            return Token::Float(f);
         }
-        Value::Str(trimmed.to_owned())
+        Token::Str(trimmed)
     }
 }
 

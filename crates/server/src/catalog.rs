@@ -352,7 +352,14 @@ impl Collection {
     /// Reads `source`: parse + EXTRACT for rows, open + validate (mmap,
     /// checksums, structural invariants) for a snapshot, which stores
     /// extraction *output* — `visual` is then carried for listings only.
-    fn load(source: &DataSource, visual: &VisualSpec) -> Result<Self, ServerError> {
+    /// Books the parse (or the open) in `times.parse` and EXTRACT in
+    /// `times.extract`.
+    fn load(
+        source: &DataSource,
+        visual: &VisualSpec,
+        times: &mut RegisterTimes,
+    ) -> Result<Self, ServerError> {
+        let started = Instant::now();
         let table = match source {
             DataSource::Path(path) if path.ends_with(".json") || path.ends_with(".jsonl") => {
                 json::read_file(path)
@@ -361,19 +368,25 @@ impl Collection {
             DataSource::InlineCsv(text) => csv::read_str(text),
             DataSource::InlineJsonl(text) => json::read_str(text),
             DataSource::Snapshot(path) => {
-                return match Snapshot::open(path) {
+                let opened = Snapshot::open(path);
+                times.parse += started.elapsed();
+                return match opened {
                     Ok(snapshot) => Ok(Self::Snapshot(Box::new(snapshot))),
                     Err(e @ SnapshotError::Io { .. }) => {
                         Err(ServerError::bad_request(format!("loading dataset: {e}")))
                     }
                     Err(corrupt) => Err(ServerError::invalid_snapshot(corrupt.to_string())),
-                }
+                };
             }
         }
         .map_err(|e| ServerError::bad_request(format!("loading dataset: {e}")))?;
-        extract(&table, visual, &ExtractOptions::default())
+        times.parse += started.elapsed();
+        let started = Instant::now();
+        let trendlines = extract(&table, visual, &ExtractOptions::default())
             .map(Self::Trendlines)
-            .map_err(|e| extracting(e.into()))
+            .map_err(|e| extracting(e.into()));
+        times.extract += started.elapsed();
+        trendlines
     }
 
     /// Per-trendline raw point counts — all the partitioning rule and
@@ -393,11 +406,30 @@ fn extracting(e: CoreError) -> ServerError {
     ServerError::bad_request(format!("extracting trendlines: {e}"))
 }
 
+/// Time one registration spent in each of its stages.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RegisterTimes {
+    /// The source parse (CSV or JSON-lines into a table) or the
+    /// snapshot open; the HTTP handler adds the body's JSON decode.
+    pub(crate) parse: Duration,
+    /// EXTRACT, plus building the local engines' point tables.
+    pub(crate) extract: Duration,
+    /// The warm GROUP of every local shard.
+    pub(crate) group: Duration,
+}
+
 /// Finishes one shard's engine for serving, whatever its source: GROUP
-/// at the default bin width, so the first query pays SEGMENT+SCORE only,
-/// then the built-in UDPs when the registration asked for them.
-fn shard_engine(mut engine: ShapeEngine, builtins: bool) -> Arc<ShapeEngine> {
+/// at the default bin width (booked in `times.group`), so the first
+/// query pays SEGMENT+SCORE only, then the built-in UDPs when the
+/// registration asked for them.
+fn shard_engine(
+    mut engine: ShapeEngine,
+    builtins: bool,
+    times: &mut RegisterTimes,
+) -> Arc<ShapeEngine> {
+    let started = Instant::now();
     engine.warm(EngineOptions::default().bin_width);
+    times.group += started.elapsed();
     if builtins {
         engine.register_builtin_udps();
     }
@@ -594,15 +626,17 @@ impl Catalog {
     /// named endpoints — a remote shard is never silently dropped).
     /// Nothing is published on failure.
     pub fn register(&self, spec: DatasetSpec) -> Result<Arc<DatasetEntry>, ServerError> {
-        self.register_replacing(spec).map(|(entry, _)| entry)
+        self.register_replacing(spec).map(|(entry, ..)| entry)
     }
 
-    /// [`Self::register`], also returning the generation it replaced.
+    /// [`Self::register`], also returning the generation it replaced and
+    /// the time each stage took.
     pub(crate) fn register_replacing(
         &self,
         spec: DatasetSpec,
-    ) -> Result<(Arc<DatasetEntry>, Option<u64>), ServerError> {
-        let collection = Collection::load(&spec.source, &spec.visual)?;
+    ) -> Result<(Arc<DatasetEntry>, Option<u64>, RegisterTimes), ServerError> {
+        let mut times = RegisterTimes::default();
+        let collection = Collection::load(&spec.source, &spec.visual, &mut times)?;
 
         // Resolve the placement request into an explicit per-shard
         // replica-list map, so the registry path and the wire path flow
@@ -648,8 +682,11 @@ impl Catalog {
                     .map(|(&(start, _), placement)| {
                         let part = rest.split_off(start);
                         (*placement == ShardPlacement::Local).then(|| {
+                            let started = Instant::now();
                             let engine = ShapeEngine::from_trendlines(part);
-                            shard_engine(engine.with_base_index(start), spec.builtins)
+                            times.extract += started.elapsed();
+                            let engine = engine.with_base_index(start);
+                            shard_engine(engine, spec.builtins, &mut times)
                         })
                     })
                     .collect();
@@ -661,8 +698,12 @@ impl Catalog {
                 .iter()
                 .zip(&placement)
                 .map(|(&(start, end), placement)| {
-                    (*placement == ShardPlacement::Local)
-                        .then(|| shard_engine(snapshot.partition(start, end), spec.builtins))
+                    (*placement == ShardPlacement::Local).then(|| {
+                        let started = Instant::now();
+                        let engine = snapshot.partition(start, end);
+                        times.extract += started.elapsed();
+                        shard_engine(engine, spec.builtins, &mut times)
+                    })
                 })
                 .collect(),
         };
@@ -688,7 +729,7 @@ impl Catalog {
         let replaced = write(&self.inner)
             .insert(id, Arc::clone(&entry))
             .map(|old| old.generation);
-        Ok((entry, replaced))
+        Ok((entry, replaced, times))
     }
 
     /// Resolves a registration's `shard_endpoints` request into an

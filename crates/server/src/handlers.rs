@@ -14,7 +14,7 @@
 //! [`StatsSnapshot`] ([`crate::stats`]).
 
 use crate::cache::{options_fingerprint, PlanCache, QueryCache};
-use crate::catalog::{Catalog, DataSource, REGISTRY_TTL_SECS};
+use crate::catalog::{Catalog, DataSource, DatasetEntry, DatasetSpec, REGISTRY_TTL_SECS};
 use crate::client::PooledClient;
 use crate::compute::ComputePool;
 use crate::error::ServerError;
@@ -27,7 +27,7 @@ use crate::stats::{Stats, StatsSnapshot};
 use shapesearch_core::{EngineOptions, PruningSnapshot};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Shared application state, one per server.
 pub struct AppState {
@@ -128,6 +128,32 @@ impl AppState {
         };
         (options, fingerprint)
     }
+
+    /// Registers a dataset — the one path for `POST /datasets` and a
+    /// `--data`/`--snapshot` preload — and books its stages:
+    /// `register_parse` (the source parse or snapshot open, plus
+    /// `decode`, the request body's JSON decode: zero in process),
+    /// `register_extract` and `register_group`. A replaced dataset's
+    /// generation is retired from the query cache, so neither its results
+    /// nor its stale in-flight completions can surface again.
+    ///
+    /// # Errors
+    /// As [`Catalog::register`].
+    pub fn register(
+        &self,
+        spec: DatasetSpec,
+        decode: Duration,
+    ) -> Result<Arc<DatasetEntry>, ServerError> {
+        let (entry, replaced, times) = self.catalog.register_replacing(spec)?;
+        self.stats
+            .stage(obs::Stage::RegisterParse, decode + times.parse);
+        self.stats.stage(obs::Stage::RegisterExtract, times.extract);
+        self.stats.stage(obs::Stage::RegisterGroup, times.group);
+        if let Some(old) = replaced {
+            self.cache.retire(old);
+        }
+        Ok(entry)
+    }
 }
 
 /// Validates an HTTP-supplied `path` source against the configured data
@@ -222,17 +248,15 @@ fn list_datasets(state: &Arc<AppState>) -> Response {
 }
 
 fn register_dataset(state: &Arc<AppState>, request: &Request) -> Result<Response, ServerError> {
-    let mut spec = protocol::dataset_spec_from_json(body_json(request)?)?;
+    let started = Instant::now();
+    let body = body_json(request)?;
+    let decode = started.elapsed();
+    let mut spec = protocol::dataset_spec_from_json(body)?;
     if let DataSource::Path(path) | DataSource::Snapshot(path) = &mut spec.source {
         let resolved = check_path_source(path, state.data_root.as_deref())?;
         *path = resolved.to_string_lossy().into_owned();
     }
-    let (entry, replaced) = state.catalog.register_replacing(spec)?;
-    // Replacing a dataset id must not serve the old dataset's results,
-    // and stale in-flight completions must not pollute the LRU.
-    if let Some(old) = replaced {
-        state.cache.retire(old);
-    }
+    let entry = state.register(spec, decode)?;
     Ok(Response::json(
         201,
         protocol::dataset_to_json(&entry).to_text(),
@@ -1356,6 +1380,28 @@ mod tests {
                 .unwrap();
             assert_eq!(row.get("grouped_bytes").unwrap().as_usize(), Some(want));
         }
+    }
+
+    /// Each registration books one sample in each registration stage,
+    /// and a refused one books none.
+    #[test]
+    fn each_registration_books_its_three_stages() {
+        let state = state();
+        let counts = || {
+            let snapshot = StatsSnapshot::gather(&state);
+            [
+                obs::Stage::RegisterParse,
+                obs::Stage::RegisterExtract,
+                obs::Stage::RegisterGroup,
+            ]
+            .map(|stage| snapshot.stages[stage as usize].count())
+        };
+        register_sharded(&state, "a", 1);
+        register_sharded(&state, "b", 2);
+        assert_eq!(counts(), [2, 2, 2]);
+        let refused = r#"{"name":"t","csv":"z,x\na,1\n","z":"z","x":"x","y":"nope"}"#;
+        assert_eq!(route(&state, &post("/datasets", refused)).status, 400);
+        assert_eq!(counts(), [2, 2, 2]);
     }
 
     #[test]

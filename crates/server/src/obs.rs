@@ -137,9 +137,11 @@ macro_rules! stages {
         /// The server-level stage taxonomy: every place a request's time
         /// can go.
         ///
-        /// The first block is router work around the engine; the last
+        /// The first block is router work around the engine; the next
         /// three are the engine's own stages, forwarded from
-        /// [`shapesearch_core::EngineStage`] via the observer seam. Stage
+        /// [`shapesearch_core::EngineStage`] via the observer seam; the
+        /// last three split a dataset registration
+        /// ([`crate::AppState::register`]). Stage
         /// names are the `stage` label values of
         /// `shapesearch_stage_duration_micros` and the span names of
         /// `explain` traces — one vocabulary across both.
@@ -186,6 +188,13 @@ stages! {
     SegmentScore = "segment_score",
     /// Engine: one query's §6.3 bound pass inside the pruning driver.
     PruneBound = "prune_bound",
+    /// Registration: the request body's JSON decode plus the source
+    /// parse (CSV or JSON-lines into a table), or the snapshot open.
+    RegisterParse = "register_parse",
+    /// Registration: EXTRACT plus the local engines' point tables.
+    RegisterExtract = "register_extract",
+    /// Registration: the warm GROUP of every local shard.
+    RegisterGroup = "register_group",
 }
 
 impl Stage {

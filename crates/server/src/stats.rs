@@ -808,7 +808,7 @@ mod tests {
     /// A stage's place in the order the goldens were captured in; a stage
     /// added since takes the next free place, so no older sample moves.
     fn captured_place(stage: Stage) -> u64 {
-        const CAPTURED: [&str; 10] = [
+        const CAPTURED: [&str; 13] = [
             "parse_plan",
             "cache_lookup",
             "shard_compute",
@@ -819,6 +819,9 @@ mod tests {
             "segment_score",
             "prune_bound",
             "singleflight_wait",
+            "register_parse",
+            "register_extract",
+            "register_group",
         ];
         CAPTURED
             .iter()
@@ -830,7 +833,7 @@ mod tests {
     /// renderers) produced for [`primes_snapshot`]'s state, plus the rows
     /// added since (`pruning.joined`, with the HELP text that says "all
     /// tiers"; the `plan_cache` block; the `singleflight_wait` stage;
-    /// `connections.direct_writes`):
+    /// `connections.direct_writes`; the three `register_*` stages):
     /// `/healthz` must match byte for byte, `/metrics` line for line in
     /// any family order.
     #[test]

@@ -350,30 +350,30 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             DataSource::Path(p) | DataSource::Snapshot(p) => p.clone(),
             _ => unreachable!("preregistration sources are file paths"),
         };
+        let spec = DatasetSpec {
+            id: name.clone(),
+            name: name.unwrap_or(path),
+            source,
+            visual,
+            builtins: true,
+            shards: None,
+            shard_endpoints: if from_registry {
+                if !shard_endpoints.is_empty() {
+                    return Err(
+                        "--shard-endpoint registry cannot mix with explicit endpoints".into(),
+                    );
+                }
+                Some(ShardEndpoints::FromRegistry)
+            } else if shard_endpoints.is_empty() {
+                None
+            } else {
+                Some(ShardEndpoints::Explicit(shard_endpoints))
+            },
+            shard_of,
+        };
         let entry = service
             .state()
-            .catalog
-            .register(DatasetSpec {
-                id: name.clone(),
-                name: name.unwrap_or(path),
-                source,
-                visual,
-                builtins: true,
-                shards: None,
-                shard_endpoints: if from_registry {
-                    if !shard_endpoints.is_empty() {
-                        return Err(
-                            "--shard-endpoint registry cannot mix with explicit endpoints".into(),
-                        );
-                    }
-                    Some(ShardEndpoints::FromRegistry)
-                } else if shard_endpoints.is_empty() {
-                    None
-                } else {
-                    Some(ShardEndpoints::Explicit(shard_endpoints))
-                },
-                shard_of,
-            })
+            .register(spec, std::time::Duration::ZERO)
             .map_err(|e| e.to_string())?;
         match entry.shard_of {
             Some((index, total)) => println!(
