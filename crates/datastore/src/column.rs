@@ -10,7 +10,8 @@
 //! 8 bytes a numeric cell and a 4-byte code a string cell, with one heap
 //! copy per distinct string. A reader hands it each cell's text
 //! ([`ColumnBuilder::push_text`]), read by [`Value::infer`]'s rules
-//! without making the `Value`, so a cell costs no allocation. The
+//! without making the `Value`, so a cell costs no allocation unless it
+//! is a new string or a number written into a string column. The
 //! builder is pinned, bit for bit, to a referee that holds every cell as
 //! a [`Value`] and infers the type over the whole column at the end, and
 //! `push_text` to that referee fed by the old `Value::infer`.
@@ -19,8 +20,6 @@ use crate::error::{DataError, Result};
 use crate::schema::DataType;
 use crate::value::{Token, Value};
 use std::collections::HashMap;
-use std::fmt;
-use std::io::Write;
 
 #[cfg(test)]
 mod referee;
@@ -217,19 +216,6 @@ impl StrCells {
         last.push_str(text);
         *at = code;
     }
-
-    /// Pushes `v`'s `Display` text, formatted on the stack when it fits.
-    fn push_display(&mut self, v: impl fmt::Display) {
-        const ROOM: usize = 64;
-        let mut buf = [0u8; ROOM];
-        let mut free = &mut buf[..];
-        if write!(free, "{v}").is_ok() {
-            let len = ROOM - free.len();
-            self.push_str(std::str::from_utf8(&buf[..len]).expect("Display writes UTF-8"));
-        } else {
-            self.push_str(&v.to_string());
-        }
-    }
 }
 
 impl Default for ColumnBuilder {
@@ -274,14 +260,14 @@ impl ColumnBuilder {
         match &mut self.cells {
             Cells::Int(ints) => ints.push(i),
             Cells::Float(floats) => floats.push_int(i),
-            Cells::Str(strs) => strs.push_display(i),
+            Cells::Str(strs) => strs.push_str(&i.to_string()),
         }
     }
 
     fn push_float(&mut self, x: f64) {
         match self.floats_or_strs() {
             Ok(floats) => floats.values.push(x),
-            Err(strs) => strs.push_display(x),
+            Err(strs) => strs.push_str(&x.to_string()),
         }
     }
 
@@ -314,14 +300,14 @@ impl ColumnBuilder {
         if !matches!(self.cells, Cells::Str(_)) {
             let mut strs = StrCells::default();
             match &self.cells {
-                Cells::Int(ints) => ints.iter().for_each(|&i| strs.push_display(i)),
+                Cells::Int(ints) => ints.iter().for_each(|&i| strs.push_str(&i.to_string())),
                 Cells::Float(FloatCells { values, notes }) => {
                     let mut notes = notes.iter().peekable();
                     for (row, &x) in values.iter().enumerate() {
                         match notes.next_if(|&&(at, _)| at == row) {
                             Some((_, None)) => strs.push_str(""),
-                            Some(&(_, Some(i))) => strs.push_display(i),
-                            None => strs.push_display(x),
+                            Some(&(_, Some(i))) => strs.push_str(&i.to_string()),
+                            None => strs.push_str(&x.to_string()),
                         }
                     }
                 }

@@ -2,73 +2,16 @@
 //! quoting with `""` escapes, CRLF/LF line endings, and a mandatory header
 //! row. Types are inferred per column ([`crate::Value::infer`] semantics).
 //!
-//! Reading is one pass: the tokenizer hands each finished cell's text
-//! straight to its column builder ([`crate::ColumnBuilder::push_text`]).
-//! A cell that is one unbroken run of the input is handed as a slice of
-//! it; only one with a `""` escape, a quoted line break or a swallowed
-//! `\r` is copied, into one buffer reused across cells. So nothing but
-//! the columns themselves grows with the number of records.
+//! Reading is one pass: the tokenizer keeps one field buffer and hands each
+//! finished cell's text straight to its column builder
+//! ([`crate::ColumnBuilder::push_text`]), so nothing but the columns
+//! themselves grows with the number of records.
 
 use crate::error::{DataError, Result};
 use crate::table::{Table, TableBuilder};
 use crate::value::Value;
 use std::fs;
-use std::ops::Range;
 use std::path::Path;
-
-/// The field being read: a span of the input while it is one unbroken
-/// run of it, copied into `text` once anything else joins it.
-#[derive(Default)]
-struct Field {
-    span: Range<usize>,
-    text: String,
-    copied: bool,
-}
-
-impl Field {
-    /// Appends the input's bytes `run` (cut on character boundaries).
-    fn run(&mut self, input: &str, run: Range<usize>) {
-        if !self.copied && self.span.is_empty() {
-            self.span = run;
-        } else if !run.is_empty() {
-            self.copy(input);
-            self.text.push_str(&input[run]);
-        }
-    }
-
-    /// Appends one ASCII character the input does not hold in line with
-    /// the field's run: the quote a `""` escape stands for, or a comma,
-    /// `\r` or `\n` inside quotes.
-    fn push(&mut self, input: &str, c: char) {
-        self.copy(input);
-        self.text.push(c);
-    }
-
-    fn copy(&mut self, input: &str) {
-        if !self.copied {
-            self.text.push_str(&input[self.span.clone()]);
-            self.copied = true;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.span.is_empty() && self.text.is_empty()
-    }
-
-    fn text<'a>(&'a self, input: &'a str) -> &'a str {
-        if self.copied {
-            &self.text
-        } else {
-            &input[self.span.clone()]
-        }
-    }
-
-    fn clear(&mut self) {
-        self.span = 0..0;
-        self.text.clear();
-        self.copied = false;
-    }
-}
 
 /// Where the tokenizer's cells go: the first record names the columns, every
 /// later one fills them.
@@ -86,17 +29,16 @@ struct Cells {
 }
 
 impl Cells {
-    /// Takes the finished field, leaving it empty for the next.
-    fn field(&mut self, input: &str, field: &mut Field) {
-        let text = field.text(input);
+    /// Takes the finished field out of `text`, leaving it empty for the next.
+    fn field(&mut self, text: &mut String) {
         if self.records == 0 {
-            self.header.push(text.to_owned());
+            self.header.push(std::mem::take(text));
         } else if self.filled < self.builder.num_columns() {
             self.builder.push_text(self.filled, text);
         }
         // A cell past the last column is only counted: the record's end
         // reports how many there were.
-        field.clear();
+        text.clear();
         self.filled += 1;
     }
 
@@ -130,7 +72,7 @@ fn parse_error(line: usize, message: impl Into<String>) -> DataError {
 pub fn read_str(input: &str) -> Result<Table> {
     let bytes = input.as_bytes();
     let mut cells = Cells::default();
-    let mut field = Field::default();
+    let mut field = String::new();
     let mut in_quotes = false;
     // Physical line, for quoting errors (a ragged row reports its record).
     let mut line = 1usize;
@@ -141,12 +83,12 @@ pub fn read_str(input: &str) -> Result<Table> {
 
     loop {
         // Everything the tokenizer acts on is ASCII, so a run of other bytes
-        // is cut on character boundaries and taken in one go.
+        // is cut on character boundaries and copied in one go.
         let run = bytes[pos..]
             .iter()
             .position(|b| matches!(b, b'"' | b',' | b'\r' | b'\n'))
             .unwrap_or(bytes.len() - pos);
-        field.run(input, pos..pos + run);
+        field.push_str(&input[pos..pos + run]);
         pos += run;
         let Some(&c) = bytes.get(pos) else { break };
         pos += 1;
@@ -154,7 +96,7 @@ pub fn read_str(input: &str) -> Result<Table> {
         match c {
             b'"' if in_quotes && bytes.get(pos) == Some(&b'"') => {
                 pos += 1;
-                field.push(input, '"');
+                field.push('"');
             }
             b'"' if !in_quotes && !field.is_empty() => {
                 return Err(parse_error(line, "quote appearing mid-field"));
@@ -162,16 +104,16 @@ pub fn read_str(input: &str) -> Result<Table> {
             b'"' => in_quotes = !in_quotes,
             _ if in_quotes => {
                 line += usize::from(c == b'\n');
-                field.push(input, c as char);
+                field.push(c as char);
             }
-            b',' => cells.field(input, &mut field),
+            b',' => cells.field(&mut field),
             // Swallowed; the following '\n' terminates the record.
             b'\r' => {}
             _ => {
                 // Truly blank lines (e.g. a trailing newline) are skipped; a
                 // line containing only `""` is a real single-field record.
                 if line_had_content {
-                    cells.field(input, &mut field);
+                    cells.field(&mut field);
                     cells.end_record()?;
                 }
                 line_had_content = false;
@@ -185,7 +127,7 @@ pub fn read_str(input: &str) -> Result<Table> {
     // A last line without its newline is a record when it holds a field
     // character or a comma.
     if !field.is_empty() || cells.filled > 0 {
-        cells.field(input, &mut field);
+        cells.field(&mut field);
         cells.end_record()?;
     }
     if cells.records == 0 {

@@ -6,9 +6,8 @@
 //! Rows are grouped by `z` in one sweep over integers — the dictionary codes
 //! a string column already carries index the group table, so no string is
 //! hashed or cloned per row — then counting-sorted into one flat index of
-//! rows, group by group. Each group is sorted on `x` (when its rows are not
-//! already in x order) and its duplicate `x` values aggregated through
-//! buffers reused across groups.
+//! rows, group by group. Each group is sorted on `x` and its duplicate `x`
+//! values aggregated through buffers reused across groups.
 //!
 //! Push-down optimization (a) from §5.4 — pruning visualizations without a
 //! value in a query's pinned x ranges — runs in the engine, per query, not
@@ -178,11 +177,7 @@ pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<V
                 .iter()
                 .filter_map(|&row| Some((x_col.numeric_at(row)?, y_col.numeric_at(row)?))),
         );
-        // Rows arrive in x order more often than not; a stable sort of
-        // sorted points would leave them as they are.
-        if !pts.is_sorted_by(|a, b| a.0.total_cmp(&b.0).is_le()) {
-            pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
+        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Aggregate duplicate x coordinates.
         let mut points: Vec<TrendPoint> = Vec::with_capacity(pts.len());
