@@ -131,7 +131,9 @@ fi
 # `SlopeLeaf::at`: the slope-taking scorers and the nested-CONCAT
 # wrapper around `dp::solve_chain` are gone. One test corpus, grammar
 # and rendering: the suites' own copies of the helpers
-# `crates/core/tests/support` holds. One JSON string decoder, the one
+# `crates/core/tests/support` holds, and of the served ones (market,
+# registration, query body, placement, metric reader, fixtures)
+# `tests/support/served.rs` and `crates/server/tests/support` hold. One JSON string decoder, the one
 # that copies runs: the per-byte one's width helper (its test referee
 # inlines it).
 echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode)"
@@ -153,6 +155,7 @@ link_front|slot_mut|require_x_ranges|ExtractOptions::with_ranges;crates src READ
 ColumnarArena::from_columns|RawColumns|group::handle|Snapshot::bin_width;crates src README.md docs :!crates/bench/src/bin/ssbench;a second GROUP path (GROUP state read from a snapshot) is back
 \bscore_(up|down|flat|theta)\b|best_segmentation_in_range;crates src README.md docs :!crates/bench/src/bin/ssbench;a second Table-5 dispatch (a slope-taking score_* scorer) or the nested-CONCAT wrapper is back
 fn (render|series_strategy|collection_strategy|unique_path)\b;tests crates/*/tests :!crates/core/tests/support;a suite defines its own copy of a helper crates/core/tests/support holds
+fn (market_table|haystack_csv|register_market|query_body|endpoints_json|replicas_json|metric_value|dead_endpoint|decode_results)\b;tests crates src :!tests/support/served.rs :!crates/server/tests/support;a suite defines its own copy of a served helper tests/support/served.rs or crates/server/tests/support holds
 \butf8_width\b;crates src README.md docs;the per-byte JSON string decode is back
 ROWS
 
@@ -166,6 +169,25 @@ done)
 if [ -n "$SPAWNS" ]; then
     echo "$SPAWNS" >&2
     echo "ci: core spawns threads; shards on the server's compute pool are the only parallelism" >&2
+    exit 1
+fi
+
+# No wall clock in `cargo test`: test code asserts the counter or event a
+# timing stands for, never an upper bound on `elapsed()` (a timeout may
+# stay, as a guard against a hang). Test code is `tests/`, the crates'
+# `tests/` and `*_tests.rs`, and every source file from its
+# `#[cfg(test)]` on.
+echo "==> no wall-clock upper bounds in test code"
+UPPER='elapsed\(\) *<|> *[A-Za-z0-9_.]+\.elapsed\(\)'
+BOUNDS=$(
+    git grep -nE "$UPPER" -- tests 'crates/*/tests' 'crates/*/src/*_tests.rs' || true
+    for f in $(git ls-files 'src/*.rs' 'crates/*/src/*.rs'); do
+        awk -v f="$f" '/^ *#\[cfg\(test\)\]/{t=1} t{print f ":" NR ":" $0}' "$f"
+    done | grep -E "$UPPER" || true
+)
+if [ -n "$BOUNDS" ]; then
+    echo "$BOUNDS" >&2
+    echo "ci: test code asserts an upper bound on elapsed(); assert the counter or event it stands for" >&2
     exit 1
 fi
 
@@ -257,11 +279,12 @@ pruned_share_at_least located_miss 0.95
 echo "==> cargo test -q"
 cargo test -q
 
-# The execution-shape matrix again in release: its answers are score
-# bits, and a NaN score's sign differs between the debug and the release
-# build.
-echo "==> cargo test --release (shape_matrix)"
+# The execution-shape matrices again in release: the in-process one's
+# answers are score bits, and a NaN score's sign differs between the
+# debug and the release build; the served one runs the build that serves.
+echo "==> cargo test --release (shape_matrix, served_matrix)"
 cargo test --release -q -p shapesearch-core --test shape_matrix
+cargo test --release -q -p shapesearch --test served_matrix
 
 # The paper's accuracy as a gate: Fig. 12 at scale 0.1 (SegmentTree,
 # Greedy and DTW top-k agreement with DP on the generated Table-11

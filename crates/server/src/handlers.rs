@@ -576,6 +576,7 @@ fn batch_envelope(
 mod tests {
     use super::*;
     use crate::cache::CacheKey;
+    use crate::fixtures::haystack_csv;
 
     const CSV: &str = "z,x,y\\na,1,1\\na,2,3\\na,3,1\\nb,1,3\\nb,2,2\\nb,3,1\\n";
 
@@ -1235,113 +1236,6 @@ mod tests {
         assert!(over.body.contains("longer than 4096"), "{}", over.body);
     }
 
-    /// Shards are the only parallelism, and a batch is no exception: one
-    /// collection registered as one shard and as four answers the same
-    /// 8-query batch byte for byte, each item exactly as its query does
-    /// alone, and a `"parallel"` key is ignored whatever its value — same
-    /// bytes, same cache entry.
-    #[test]
-    fn one_shard_and_four_answer_a_batch_alike_and_parallel_is_ignored() {
-        // 40 random walks of 32 points (a fixed LCG), a few repeated so
-        // ties straddle shard boundaries.
-        let mut seed = 0x2545_f491_4f6c_dd1du64;
-        let mut step = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (seed >> 33) as f64 / (1u64 << 31) as f64 - 1.0
-        };
-        let mut csv = String::from("z,x,y");
-        let walks: Vec<Vec<f64>> = (0..40)
-            .map(|_| {
-                let mut y = 0.0;
-                (0..32)
-                    .map(|_| {
-                        y += step();
-                        y
-                    })
-                    .collect()
-            })
-            .collect();
-        for (i, walk) in walks.iter().enumerate() {
-            let walk = if i % 9 == 4 { &walks[i - 4] } else { walk };
-            for (t, y) in walk.iter().enumerate() {
-                csv.push_str(&format!("\\nw{i},{t},{y}"));
-            }
-        }
-        let fresh = || {
-            let state = state();
-            for (id, shards) in [("one", 1), ("four", 4)] {
-                let body = format!(
-                    r#"{{"name":"w","id":"{id}","csv":"{csv}","z":"z","x":"x","y":"y","shards":{shards}}}"#
-                );
-                let resp = route(&state, &post("/datasets", &body));
-                assert_eq!(resp.status, 201, "{}", resp.body);
-            }
-            state
-        };
-        let queries = [
-            "[p=up][p=down]",
-            "[p=down][p=up]",
-            "[p=45][p=-30][p=60]",
-            "[p=up]",
-            "[p=flat][p=down]",
-            "[x.s=4,x.e=20,p=up][p=down]",
-            "([p=up]|[p=flat])[p=down]",
-            "[p=up][p=down][p=up][p=down]",
-        ];
-        let item = |dataset: &str, i: usize, extra: &str| {
-            format!(
-                r#"{{"dataset":"{dataset}","query":"{}","k":{}{extra}}}"#,
-                queries[i],
-                i + 1
-            )
-        };
-        let batch = |state: &Arc<AppState>, dataset: &str, extra: &str| -> Vec<String> {
-            let items: Vec<String> = (0..queries.len())
-                .map(|i| item(dataset, i, extra))
-                .collect();
-            let resp = route(state, &post("/query", &format!("[{}]", items.join(","))));
-            assert_eq!(resp.status, 200, "{}", resp.body);
-            let reply = json::parse(&resp.body).unwrap();
-            let responses = reply.get("responses").unwrap().as_array().unwrap();
-            responses
-                .iter()
-                .map(|r| r.get("results").expect("every item answers").to_text())
-                .collect()
-        };
-
-        let state = fresh();
-        let want = batch(&state, "one", "");
-        assert_eq!(batch(&state, "four", ""), want, "4 shards vs 1");
-        let alone = fresh();
-        for dataset in ["one", "four"] {
-            for (i, want) in want.iter().enumerate() {
-                let resp = route(&alone, &post("/query", &item(dataset, i, "")));
-                assert_eq!(resp.status, 200, "{}", resp.body);
-                let results = json::parse(&resp.body).unwrap();
-                let results = results.get("results").unwrap().to_text();
-                assert_eq!(&results, want, "{dataset}: `{}` alone", queries[i]);
-            }
-        }
-        for parallel in [
-            r#","parallel":true"#,
-            r#","parallel":false"#,
-            r#","parallel":0"#,
-        ] {
-            assert_eq!(batch(&fresh(), "one", parallel), want, "{parallel}");
-            for dataset in ["one", "four"] {
-                for i in 0..queries.len() {
-                    let resp = route(&state, &post("/query", &item(dataset, i, parallel)));
-                    assert_eq!(resp.status, 200, "{}", resp.body);
-                    assert!(
-                        resp.body.contains(r#""cached":true"#),
-                        "{dataset} {parallel}: {}",
-                        resp.body
-                    );
-                }
-            }
-        }
-    }
-
     fn register_sharded(state: &Arc<AppState>, id: &str, shards: usize) {
         let body = format!(
             r#"{{"name":"t","id":"{id}","csv":"{CSV}","z":"z","x":"x","y":"y","shards":{shards}}}"#
@@ -1402,75 +1296,6 @@ mod tests {
         let refused = r#"{"name":"t","csv":"z,x\na,1\n","z":"z","x":"x","y":"nope"}"#;
         assert_eq!(route(&state, &post("/datasets", refused)).status, 400);
         assert_eq!(counts(), [2, 2, 2]);
-    }
-
-    #[test]
-    fn sharded_execution_reports_and_matches_single_shard() {
-        let state = state();
-        register_sharded(&state, "one", 1);
-        register_sharded(&state, "two", 2);
-
-        let q = |ds: &str| format!(r#"{{"dataset":"{ds}","query":"[p=up][p=down]","k":2}}"#);
-        let single = route(&state, &post("/query", &q("one")));
-        let sharded = route(&state, &post("/query", &q("two")));
-        assert_eq!(single.status, 200, "{}", single.body);
-        assert_eq!(sharded.status, 200, "{}", sharded.body);
-
-        let single = json::parse(&single.body).unwrap();
-        let sharded = json::parse(&sharded.body).unwrap();
-        // Identical answers, shard count reported, per-shard timings on
-        // the computing response.
-        assert_eq!(
-            single.get("results").unwrap().to_text(),
-            sharded.get("results").unwrap().to_text(),
-            "sharded execution must be result-identical"
-        );
-        assert_eq!(sharded.get("shards").unwrap().as_usize(), Some(2));
-        assert_eq!(
-            sharded
-                .get("shard_micros")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .len(),
-            2,
-            "one timing per shard"
-        );
-
-        // A cache hit reports shards but no per-shard timing (it did no
-        // shard work).
-        let warm = route(&state, &post("/query", &q("two")));
-        let warm = json::parse(&warm.body).unwrap();
-        assert_eq!(warm.get("cached").unwrap().as_bool(), Some(true));
-        assert_eq!(warm.get("shards").unwrap().as_usize(), Some(2));
-        assert!(warm.get("shard_micros").is_none());
-
-        // Batches over a sharded dataset match too.
-        let batch = route(
-            &state,
-            &post("/query", &format!("[{},{}]", q("one"), q("two"))),
-        );
-        let batch = json::parse(&batch.body).unwrap();
-        let responses = batch.get("responses").unwrap().as_array().unwrap();
-        assert_eq!(
-            responses[0].get("results").unwrap().to_text(),
-            responses[1].get("results").unwrap().to_text()
-        );
-
-        // Healthz: shard gauges under one snapshot, per-dataset totals.
-        let health = route(&state, &get("/healthz"));
-        let parsed = json::parse(&health.body).unwrap();
-        let shards = parsed.get("shards").unwrap();
-        assert_eq!(shards.get("dataset_shards").unwrap().as_usize(), Some(3));
-        assert_eq!(shards.get("compute_workers").unwrap().as_usize(), Some(2));
-        // one single-shard task + two shard tasks (the warm hit did none).
-        assert!(shards.get("tasks").unwrap().as_usize().unwrap() >= 3);
-        let cache = parsed.get("cache").unwrap();
-        let lookups = cache.get("lookups").unwrap().as_usize().unwrap();
-        let sum = cache.get("hits").unwrap().as_usize().unwrap()
-            + cache.get("misses").unwrap().as_usize().unwrap()
-            + cache.get("coalesced").unwrap().as_usize().unwrap();
-        assert_eq!(lookups, sum, "{}", health.body);
     }
 
     #[test]
@@ -2010,27 +1835,6 @@ mod tests {
         assert_eq!(by_slot[1].get("replicas").unwrap().as_usize(), Some(1));
     }
 
-    /// A CSV with clear peaks buried among falls, big enough that a
-    /// threshold above every real score would prune everything.
-    fn haystack_csv() -> String {
-        let mut csv = String::from("z,x,y");
-        for series in 0..12 {
-            for t in 0..16 {
-                let y = if series % 5 == 2 {
-                    if t < 8 {
-                        t as f64
-                    } else {
-                        16.0 - t as f64
-                    }
-                } else {
-                    16.0 - t as f64 - 0.05 * series as f64
-                };
-                csv.push_str(&format!("\ns{series},{t},{y}"));
-            }
-        }
-        csv
-    }
-
     /// Rewrites every numeric result `score` in a reply as a string.
     fn stringify_scores(value: &mut Json) {
         match value {
@@ -2242,46 +2046,6 @@ mod tests {
             .get("results")
             .unwrap_or_else(|| panic!("no results in {body}"))
             .to_text()
-    }
-
-    #[test]
-    fn snapshot_registration_answers_byte_identical_to_csv() {
-        let dir = temp_dir("snap-http");
-        let snap = demo_snapshot(&dir, "identity.snap");
-        let state = Arc::new(AppState::new(16, 2, Some(dir.clone()), 1));
-        register(&state); // "t1", inline CSV, eager
-        let body = format!(
-            r#"{{"name":"s","id":"s1","snapshot":"{}"}}"#,
-            snap.display()
-        );
-        let resp = route(&state, &post("/datasets", &body));
-        assert_eq!(resp.status, 201, "{}", resp.body);
-        assert!(resp.body.contains("\"snapshot\":true"), "{}", resp.body);
-
-        for q in ["[p=up][p=down]", "[p=down]", "[p=up]"] {
-            let eager = route(
-                &state,
-                &post(
-                    "/query",
-                    &format!(r#"{{"dataset":"t1","query":"{q}","k":2}}"#),
-                ),
-            );
-            let mapped = route(
-                &state,
-                &post(
-                    "/query",
-                    &format!(r#"{{"dataset":"s1","query":"{q}","k":2}}"#),
-                ),
-            );
-            assert_eq!(eager.status, 200, "{}", eager.body);
-            assert_eq!(mapped.status, 200, "{}", mapped.body);
-            assert_eq!(
-                results_of(&eager.body),
-                results_of(&mapped.body),
-                "query {q}"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1360,12 +1360,12 @@ mod tests {
     #[test]
     fn http10_defaults_to_connection_close() {
         let handle = serve_test(echo_router());
-        let t0 = Instant::now();
+        let stats = handle.stats();
         let reply = raw_roundtrip(handle.addr(), "GET /old HTTP/1.0\r\n\r\n");
-        // The server closes immediately (well inside the idle timeout)
-        // and says so.
-        assert!(t0.elapsed() < IDLE_TIMEOUT, "HTTP/1.0 hung to idle timeout");
+        // The server says it closes, and the close that ended the read is
+        // that one: no idle deadline reaped the connection.
         assert!(reply.contains("connection: close"), "{reply}");
+        assert_eq!(stats.timeouts.load(Ordering::Relaxed), 0);
         handle.shutdown();
     }
 
@@ -1394,12 +1394,10 @@ mod tests {
         s.write_all(b"GET /stuck HTTP/1.1\r\nx-slow: 1\r\n")
             .unwrap();
         let mut reply = String::new();
-        let t0 = Instant::now();
+        // A guard against a hang, not the assertion: the server's cut
+        // comes at REQUEST_TIMEOUT, well before this.
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let _ = s.read_to_string(&mut reply); // blocks until server closes
-        assert!(
-            t0.elapsed() < IDLE_TIMEOUT + REQUEST_TIMEOUT + Duration::from_secs(3),
-            "server did not cut off the stalled request"
-        );
         assert!(
             wait_until(Duration::from_secs(2), || {
                 stats.timeouts.load(Ordering::Relaxed) >= 1
@@ -1786,9 +1784,9 @@ mod tests {
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         // Never send anything; the 1s test idle deadline must reap it.
         let mut out = String::new();
-        let t0 = Instant::now();
-        let _ = s.read_to_string(&mut out); // EOF when the server closes
-        assert!(t0.elapsed() >= IDLE_TIMEOUT - Duration::from_millis(100));
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap(); // a hang guard
+        s.read_to_string(&mut out).unwrap(); // EOF when the server closes
+        assert_eq!(out, "", "an idle connection is closed without a reply");
         assert!(
             wait_until(Duration::from_secs(2), || {
                 stats.timeouts.load(Ordering::Relaxed) >= 1

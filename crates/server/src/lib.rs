@@ -250,3 +250,9 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
 #[cfg(test)]
 #[path = "../tests/support/chaos.rs"]
 mod chaos;
+
+/// The std-only corpus text and dead endpoint the unit tests share with
+/// the workspace's served suites.
+#[cfg(test)]
+#[path = "../tests/support/fixtures.rs"]
+mod fixtures;

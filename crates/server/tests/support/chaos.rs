@@ -193,11 +193,11 @@ fn serve_connection(mut client: TcpStream, upstream: &str, mode: ChaosMode) {
     let _ = client.set_write_timeout(cap);
     match mode {
         ChaosMode::Reset => {
-            // Let the client finish (or at least start) its send so
-            // there are unread bytes in our receive buffer, then drop
-            // without reading them — closing with pending unread data
-            // makes the kernel send `RST` instead of an orderly `FIN`.
-            thread::sleep(Duration::from_millis(50));
+            // Wait, without reading, until the client's send has begun
+            // so there are unread bytes in our receive buffer, then drop
+            // — closing with pending unread data makes the kernel send
+            // `RST` instead of an orderly `FIN`.
+            let _ = client.peek(&mut [0u8; 1]);
             drop(client);
         }
         ChaosMode::BlackHole => {

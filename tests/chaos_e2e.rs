@@ -1,146 +1,33 @@
 //! Fault-injection tests of **shard replication**: real `shapesearch`
 //! services behind [`ChaosProxy`] instances that black-hole, reset,
-//! delay, or truncate traffic, proving the failover tier's headline
-//! invariant — results stay **byte-identical** to a single-process run
-//! under every injected failure mode, as long as each shard keeps at
-//! least one healthy replica.
-//!
-//! Three layers of evidence:
+//! delay, or truncate traffic. That a failing replica ahead of a live
+//! one leaves every answer byte-identical is `served_matrix`'s; these
+//! tests pin what the failures leave behind:
 //!
 //! * a mode matrix over a 2-shard × 2-replica topology (pass, delay,
-//!   black-hole, reset, truncate — then healthy again), each mode's
-//!   results diffed byte-for-byte against the single-process reference,
-//!   with the per-replica request/error/ejection counters reconciled
-//!   between `/healthz` and `/metrics` at the end;
+//!   black-hole, reset, truncate — then healthy again), with the
+//!   per-replica request/error/ejection counters reconciled between
+//!   `/healthz` and `/metrics` at the end;
 //! * a `/shard/query` body carrying a retired, poisoned `threshold_hint`
 //!   over live sockets while every shard's primary replica is dead still
 //!   yields exact results via the fallback replica, in one RPC a shard;
-//! * a property sweep (proptest shim) over shard counts {1, 2, 4} ×
-//!   replica-assignment permutations × failure subsets leaving ≥1
-//!   healthy replica per shard, every case byte-identical to the
-//!   unsharded engine.
+//! * the evented listener itself behind a proxy reclaims every
+//!   connection slot a delayed or truncated exchange held.
 
 use chaos::{ChaosMode, ChaosProxy};
-use proptest::test_runner::TestRng;
+use served::{
+    boot, dead_endpoint, endpoints_json, haystack_csv, metric_value, query_body, register,
+    register_market, results_text, with_workers,
+};
 use shapesearch::server::{json, protocol, Client, ServerConfig, Service};
 use shapesearch_core::EngineOptions;
-use shapesearch_datastore::{csv, table_from_series, Table};
 use std::time::{Duration, Instant};
 
 #[allow(dead_code)]
 #[path = "../crates/server/tests/support/chaos.rs"]
 mod chaos;
-
-/// A deterministic collection with mixed shapes and **exact duplicate
-/// trendlines** (every fourth series repeats one peak shape), so the
-/// top-k contains real score ties that straddle shard boundaries — the
-/// tie-order half of the byte-identity claim is exercised under
-/// failover, not vacuous.
-fn market_table() -> Table {
-    let n_series = 12;
-    let n_points = 80;
-    let series: Vec<(String, Vec<(f64, f64)>)> = (0..n_series)
-        .map(|s| {
-            let points: Vec<(f64, f64)> = (0..n_points)
-                .map(|i| {
-                    let t = i as f64;
-                    let y = if s % 4 == 3 {
-                        // Exact duplicates of one peak: tied scores.
-                        if t < 40.0 {
-                            t
-                        } else {
-                            80.0 - t
-                        }
-                    } else {
-                        let phase = s as f64 * 0.61;
-                        let freq = 0.05 + (s % 5) as f64 * 0.021;
-                        (t * freq + phase).sin() * 2.0 + ((s % 3) as f64 - 1.0) * 0.01 * t
-                    };
-                    (t, y)
-                })
-                .collect();
-            (format!("series{s:02}"), points)
-        })
-        .collect();
-    table_from_series("ticker", "day", "price", &series)
-}
-
-fn boot_with(config: ServerConfig) -> Service {
-    shapesearch::server::serve("127.0.0.1:0", config).unwrap()
-}
-
-fn boot() -> Service {
-    boot_with(ServerConfig {
-        workers: 3,
-        ..ServerConfig::default()
-    })
-}
-
-/// Registers `market_table` on a service over HTTP, with optional
-/// extras spliced into the registration object (`"shard_of": …`,
-/// `"shard_endpoints": …`, `"shards": …`).
-fn register_market(client: &Client, extras: Vec<(String, json::Json)>) -> json::Json {
-    let mut fields = vec![
-        ("name".into(), "market".into()),
-        ("id".into(), "market".into()),
-        ("csv".into(), csv::write_str(&market_table()).into()),
-        ("z".into(), "ticker".into()),
-        ("x".into(), "day".into()),
-        ("y".into(), "price".into()),
-    ];
-    fields.extend(extras);
-    client
-        .post("/datasets", &json::Json::Obj(fields))
-        .unwrap()
-        .expect_ok("register")
-}
-
-/// The list-of-lists `"shard_endpoints"` wire form: one replica list
-/// per shard slot.
-fn replicas_json(placement: &[Vec<String>]) -> json::Json {
-    json::Json::Arr(
-        placement
-            .iter()
-            .map(|replicas| {
-                json::Json::Arr(
-                    replicas
-                        .iter()
-                        .map(|ep| json::Json::Str(ep.clone()))
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-fn query_body(query: &str, k: usize) -> json::Json {
-    json::parse(&format!(
-        r#"{{"dataset":"market","query":"{query}","k":{k}}}"#
-    ))
-    .unwrap()
-}
-
-/// One counter/gauge sample's value out of a Prometheus text
-/// exposition, matched on the exact `name{labels}` prefix.
-fn metric_value(text: &str, series: &str) -> Option<u64> {
-    text.lines()
-        .find(|l| {
-            l.strip_prefix(series)
-                .is_some_and(|rest| rest.starts_with(' '))
-        })
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-}
-
-/// Reserves an ephemeral port and immediately frees it: an endpoint
-/// that refuses connections — the shape of a replica that never came
-/// up.
-fn dead_endpoint() -> String {
-    let reserved = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let endpoint = reserved.local_addr().unwrap().to_string();
-    drop(reserved);
-    endpoint
-}
+#[path = "support/served.rs"]
+mod served;
 
 /// The acceptance matrix: a 2-shard topology where each shard's
 /// *primary* replica sits behind a chaos proxy and the fallback replica
@@ -151,26 +38,27 @@ fn dead_endpoint() -> String {
 #[test]
 fn every_failure_mode_with_a_live_replica_is_byte_identical_to_single_process() {
     // Single-process reference.
-    let reference_service = boot();
+    let reference_service = boot(with_workers(3));
     let reference = Client::new(reference_service.addr());
-    register_market(&reference, vec![("shards".into(), 1usize.into())]);
-    let want = reference
-        .post("/query", &query_body("[p=up][p=down]", 6))
-        .unwrap()
-        .expect_ok("reference")
-        .get("results")
-        .unwrap()
-        .to_text();
+    register_market(&reference, &[("shards", 1usize.into())]);
+    let body = query_body("market", "[p=up][p=down]", 6);
+    let want = results_text(
+        &reference
+            .post("/query", &body)
+            .unwrap()
+            .expect_ok("reference"),
+    );
 
     // Two shard servers per shard slot: a primary (fronted by a chaos
     // proxy) and a fallback replica, both owning partition i/2.
     let shards = 2usize;
-    let primaries: Vec<Service> = (0..shards).map(|_| boot()).collect();
-    let fallbacks: Vec<Service> = (0..shards).map(|_| boot()).collect();
+    let primaries: Vec<Service> = (0..shards).map(|_| boot(with_workers(3))).collect();
+    let fallbacks: Vec<Service> = (0..shards).map(|_| boot(with_workers(3))).collect();
     for (i, service) in primaries.iter().chain(fallbacks.iter()).enumerate() {
+        let shard_of = format!("{}/{shards}", i % shards);
         register_market(
             &Client::new(service.addr()),
-            vec![("shard_of".into(), format!("{}/{shards}", i % shards).into())],
+            &[("shard_of", shard_of.into())],
         );
     }
     let proxies: Vec<ChaosProxy> = primaries
@@ -183,7 +71,7 @@ fn every_failure_mode_with_a_live_replica_is_byte_identical_to_single_process() 
 
     // The router: short I/O timeout so a black-holed replica costs one
     // bounded stall, not the 60 s default.
-    let router_service = boot_with(ServerConfig {
+    let router_service = boot(ServerConfig {
         workers: 3,
         shard_connect_timeout_ms: 500,
         shard_io_timeout_ms: 600,
@@ -210,24 +98,15 @@ fn every_failure_mode_with_a_live_replica_is_byte_identical_to_single_process() 
         }
         // Re-register: the generation bump clears the cache, so every
         // mode is a cold computation over the wire.
-        register_market(
-            &router,
-            vec![("shard_endpoints".into(), replicas_json(&placement))],
-        );
-        let started = Instant::now();
+        register_market(&router, &[("shard_endpoints", endpoints_json(&placement))]);
         let reply = router
-            .post("/query", &query_body("[p=up][p=down]", 6))
+            .post("/query", &body)
             .unwrap()
             .expect_ok(&format!("mode {label}"));
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "mode {label} must fail over promptly, not hang: {:?}",
-            started.elapsed()
-        );
         assert_eq!(reply.get("cached").unwrap().as_bool(), Some(false));
         assert_eq!(reply.get("shards").unwrap().as_usize(), Some(shards));
         assert_eq!(
-            reply.get("results").unwrap().to_text(),
+            results_text(&reply),
             want,
             "results diverged from single-process under mode {label}"
         );
@@ -316,27 +195,6 @@ fn every_failure_mode_with_a_live_replica_is_byte_identical_to_single_process() 
     reference_service.shutdown();
 }
 
-/// A CSV with clear peaks buried among falls, big enough that a
-/// threshold above every real score would prune everything.
-fn haystack_csv() -> String {
-    let mut out = String::from("z,x,y");
-    for series in 0..12 {
-        for t in 0..16 {
-            let y = if series % 5 == 2 {
-                if t < 8 {
-                    t as f64
-                } else {
-                    16.0 - t as f64
-                }
-            } else {
-                16.0 - t as f64 - 0.05 * series as f64
-            };
-            out.push_str(&format!("\ns{series},{t},{y}"));
-        }
-    }
-    out
-}
-
 /// A `/shard/query` RPC carrying a poisoned `threshold_hint` (a key the
 /// wire no longer has, read like any unknown key) hits a router whose
 /// every shard lists a dead primary replica first: the one pass fails
@@ -345,34 +203,23 @@ fn haystack_csv() -> String {
 #[test]
 fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
     let haystack = haystack_csv();
-    let register_haystack = |client: &Client, id: &str, extras: Vec<(String, json::Json)>| {
-        let mut fields = vec![
-            ("name".into(), "haystack".into()),
-            ("id".into(), id.into()),
-            ("csv".into(), haystack.as_str().into()),
-            ("z".into(), "z".into()),
-            ("x".into(), "x".into()),
-            ("y".into(), "y".into()),
-        ];
-        fields.extend(extras);
-        client
-            .post("/datasets", &json::Json::Obj(fields))
-            .unwrap()
-            .expect_ok("register")
+    let register_haystack = |client: &Client, id: &str, extras: &[(&str, json::Json)]| {
+        register(client, id, &haystack, extras).expect_ok("register")
     };
 
     // Live fallback replicas owning partitions 0/2 and 1/2.
-    let live: Vec<Service> = (0..2).map(|_| boot()).collect();
+    let live: Vec<Service> = (0..2).map(|_| boot(with_workers(3))).collect();
     for (i, service) in live.iter().enumerate() {
+        let shard_of = format!("{i}/2");
         register_haystack(
             &Client::new(service.addr()),
             "t1",
-            vec![("shard_of".into(), format!("{i}/2").into())],
+            &[("shard_of", shard_of.into())],
         );
     }
 
     // The router: each shard's replica list leads with a dead endpoint.
-    let router_service = boot();
+    let router_service = boot(with_workers(3));
     let router = Client::new(router_service.addr());
     let dead: Vec<String> = (0..2).map(|_| dead_endpoint()).collect();
     let placement: Vec<Vec<String>> = (0..2)
@@ -381,21 +228,13 @@ fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
     register_haystack(
         &router,
         "t1",
-        vec![("shard_endpoints".into(), replicas_json(&placement))],
+        &[("shard_endpoints", endpoints_json(&placement))],
     );
 
     // All-local reference on the same router.
-    register_haystack(&router, "ref", vec![("shards".into(), 2usize.into())]);
-    let want = router
-        .post(
-            "/query",
-            &json::parse(r#"{"dataset":"ref","query":"[p=up][p=down]","k":2}"#).unwrap(),
-        )
-        .unwrap()
-        .expect_ok("reference")
-        .get("results")
-        .unwrap()
-        .to_text();
+    register_haystack(&router, "ref", &[("shards", 2usize.into())]);
+    let body = query_body("ref", "[p=up][p=down]", 2);
+    let want = results_text(&router.post("/query", &body).unwrap().expect_ok("reference"));
 
     // The poisoned RPC: a hint far above any real score, as a stale or
     // buggy upstream router could send.
@@ -454,143 +293,6 @@ fn poisoned_hint_with_a_dead_primary_is_exact_via_the_fallback_replica() {
     }
 }
 
-/// Satellite: the property sweep. For shards ∈ {1, 2} every
-/// replica-assignment permutation × failure subset leaving ≥1 healthy
-/// replica per shard is enumerated exhaustively; for shards = 4 the
-/// space is sampled with the proptest shim's deterministic RNG. Every
-/// case must merge byte-identical to the unsharded engine.
-#[test]
-fn replica_permutations_and_failure_subsets_merge_byte_identical_to_unsharded() {
-    // Unsharded reference.
-    let reference_service = boot();
-    let reference = Client::new(reference_service.addr());
-    register_market(&reference, vec![("shards".into(), 1usize.into())]);
-    let want = reference
-        .post("/query", &query_body("[p=up][p=down]", 8))
-        .unwrap()
-        .expect_ok("reference")
-        .get("results")
-        .unwrap()
-        .to_text();
-
-    // Bounded I/O timeout: a failed replica costs the sweep at most one
-    // short stall per attempt, never the 60 s default.
-    let router_service = boot_with(ServerConfig {
-        workers: 3,
-        shard_connect_timeout_ms: 500,
-        shard_io_timeout_ms: 800,
-        ..ServerConfig::default()
-    });
-    let router = Client::new(router_service.addr());
-    let mut rng = TestRng::seed_from_u64(0x7e57_c4a0_5eed_0007);
-
-    for shards in [1usize, 2, 4] {
-        // Two live replicas per shard, plus one chaos proxy per shard
-        // held in connection-reset mode: the "failed replica" every
-        // failure subset draws from.
-        let live: Vec<Vec<Service>> = (0..shards)
-            .map(|i| {
-                (0..2)
-                    .map(|_| {
-                        let service = boot();
-                        register_market(
-                            &Client::new(service.addr()),
-                            vec![("shard_of".into(), format!("{i}/{shards}").into())],
-                        );
-                        service
-                    })
-                    .collect()
-            })
-            .collect();
-        let proxies: Vec<ChaosProxy> = (0..shards)
-            .map(|i| {
-                let proxy = ChaosProxy::start(&live[i][0].addr().to_string()).unwrap();
-                proxy.set_mode(ChaosMode::Reset);
-                proxy
-            })
-            .collect();
-
-        // Per-shard replica-list variants: singletons, both healthy
-        // orderings, and every position for the failed replica — all
-        // leave ≥1 healthy replica.
-        let variants: Vec<Vec<Vec<String>>> = (0..shards)
-            .map(|i| {
-                let h0 = live[i][0].addr().to_string();
-                let h1 = live[i][1].addr().to_string();
-                let f = proxies[i].endpoint();
-                vec![
-                    vec![h0.clone()],
-                    vec![h1.clone()],
-                    vec![h0.clone(), h1.clone()],
-                    vec![h1.clone(), h0.clone()],
-                    vec![h0.clone(), f.clone()],
-                    vec![f.clone(), h0.clone()],
-                    vec![h1.clone(), f.clone()],
-                    vec![f, h1],
-                ]
-            })
-            .collect();
-        let arity = variants[0].len();
-
-        // Exhaustive cross product for small shard counts; sampled for
-        // shards = 4 (8^4 topologies is past a test budget).
-        let cases: Vec<Vec<usize>> = if shards <= 2 {
-            let mut cases = vec![Vec::new()];
-            for _ in 0..shards {
-                cases = cases
-                    .into_iter()
-                    .flat_map(|case: Vec<usize>| {
-                        (0..arity).map(move |v| {
-                            let mut next = case.clone();
-                            next.push(v);
-                            next
-                        })
-                    })
-                    .collect();
-            }
-            cases
-        } else {
-            (0..10)
-                .map(|_| {
-                    (0..shards)
-                        .map(|_| rng.below(arity as u64) as usize)
-                        .collect()
-                })
-                .collect()
-        };
-
-        for case in cases {
-            let placement: Vec<Vec<String>> = case
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| variants[i][v].clone())
-                .collect();
-            register_market(
-                &router,
-                vec![("shard_endpoints".into(), replicas_json(&placement))],
-            );
-            let reply = router
-                .post("/query", &query_body("[p=up][p=down]", 8))
-                .unwrap()
-                .expect_ok(&format!("shards={shards} case={case:?}"));
-            assert_eq!(reply.get("cached").unwrap().as_bool(), Some(false));
-            assert_eq!(
-                reply.get("results").unwrap().to_text(),
-                want,
-                "shards={shards} placement {placement:?} diverged from the unsharded engine"
-            );
-        }
-
-        drop(proxies);
-        for service in live.into_iter().flatten() {
-            service.shutdown();
-        }
-    }
-
-    router_service.shutdown();
-    reference_service.shutdown();
-}
-
 /// Chaos modes aimed straight at the **evented listener** (no failover
 /// tier in between): a client talking through a [`ChaosProxy`] to a
 /// 2-worker server gets byte-identical `results` under `Pass` and
@@ -602,19 +304,16 @@ fn replica_permutations_and_failure_subsets_merge_byte_identical_to_unsharded() 
 fn evented_listener_survives_delay_and_truncate_with_clean_slot_reclamation() {
     use std::io::{Read, Write};
 
-    let service = boot_with(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    });
+    let service = boot(with_workers(2));
     let direct = Client::new(service.addr());
-    register_market(&direct, vec![("shards".into(), 1usize.into())]);
-    let want = direct
-        .post("/query", &query_body("[p=up][p=down]", 6))
-        .unwrap()
-        .expect_ok("reference")
-        .get("results")
-        .unwrap()
-        .to_text();
+    register_market(&direct, &[("shards", 1usize.into())]);
+    let query = query_body("market", "[p=up][p=down]", 6);
+    let want = results_text(
+        &direct
+            .post("/query", &query)
+            .unwrap()
+            .expect_ok("reference"),
+    );
 
     // `connections.active` as /healthz reports it: the probe's own
     // connection is itself active while the handler runs, so a fully
@@ -656,11 +355,11 @@ fn evented_listener_survives_delay_and_truncate_with_clean_slot_reclamation() {
     ] {
         proxy.set_mode(mode);
         let reply = through
-            .post("/query", &query_body("[p=up][p=down]", 6))
+            .post("/query", &query)
             .unwrap()
             .expect_ok(&format!("mode {label}"));
         assert_eq!(
-            reply.get("results").unwrap().to_text(),
+            results_text(&reply),
             want,
             "results diverged through the proxy under mode {label}"
         );
@@ -672,7 +371,7 @@ fn evented_listener_survives_delay_and_truncate_with_clean_slot_reclamation() {
     // and the server must notice the dead peer and free the slot.
     proxy.set_mode(ChaosMode::Truncate(64));
     let mut stream = std::net::TcpStream::connect(proxy.addr()).unwrap();
-    let body = query_body("[p=up][p=down]", 6).to_text();
+    let body = query.to_text();
     write!(
         stream,
         "POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
@@ -693,11 +392,8 @@ fn evented_listener_survives_delay_and_truncate_with_clean_slot_reclamation() {
     // more through the now-clean proxy) still answers identically.
     proxy.set_mode(ChaosMode::Pass);
     for (label, client) in [("direct", &direct), ("proxy", &through)] {
-        let reply = client
-            .post("/query", &query_body("[p=up][p=down]", 6))
-            .unwrap()
-            .expect_ok(label);
-        assert_eq!(reply.get("results").unwrap().to_text(), want, "{label}");
+        let reply = client.post("/query", &query).unwrap().expect_ok(label);
+        assert_eq!(results_text(&reply), want, "{label}");
     }
     wait_drained("final");
 

@@ -1,141 +1,54 @@
 //! End-to-end tests of the `shapesearch serve` subsystem: boot the
 //! service on an ephemeral port, register a dataset over HTTP, and check
 //! that (a) concurrent clients get exactly the in-process engine's
-//! answers, (b) the result cache turns the second identical query into a
-//! hit that is measurably faster than the cold run, and (c) the health
-//! endpoint exposes the counters.
+//! answers, (b) the result cache answers a repeated query as a hit with
+//! the same bytes and exact counters, and (c) the server survives hostile
+//! requests. Answers across execution shapes are `served_matrix`'s.
 
+#[path = "support/served.rs"]
+mod served;
+
+use served::{
+    boot, market_csv, query_body, register, register_market, results_text, with_workers,
+    MARKET_SERIES,
+};
 use shapesearch::prelude::*;
-use shapesearch::server::{json, Client, ServerConfig};
-use shapesearch_core::TopKResult;
-use shapesearch_datastore::{csv, extract, table_from_series, ExtractOptions, Table};
-
-/// A deterministic synthetic market: enough series × points that a cold
-/// tree-segmentation query takes real work, with varied shapes so top-k
-/// is discriminative.
-fn market_table() -> Table {
-    let n_series = 48;
-    let n_points = 240;
-    let series: Vec<(String, Vec<(f64, f64)>)> = (0..n_series)
-        .map(|s| {
-            let phase = s as f64 * 0.37;
-            let freq = 0.02 + (s % 7) as f64 * 0.013;
-            let drift = ((s % 5) as f64 - 2.0) * 0.004;
-            let points = (0..n_points)
-                .map(|i| {
-                    let t = i as f64;
-                    let y = (t * freq + phase).sin() * 2.0 + (t * 0.005 + phase).cos() + drift * t;
-                    (t, y)
-                })
-                .collect();
-            (format!("series{s:02}"), points)
-        })
-        .collect();
-    table_from_series("ticker", "day", "price", &series)
-}
-
-fn register_market(client: &Client) {
-    register_market_sharded(client, None);
-}
-
-/// Registers the market dataset, optionally pinning an engine shard
-/// count (None = the server's default).
-fn register_market_sharded(client: &Client, shards: Option<usize>) {
-    let extras = shards.map(|n| ("shards".to_owned(), n.into()));
-    let reply = register_market_with(client, extras.into_iter().collect());
-    assert_eq!(reply.get("trendlines").unwrap().as_usize(), Some(48));
-    if let Some(shards) = shards {
-        assert_eq!(reply.get("shards").unwrap().as_usize(), Some(shards));
-    }
-}
-
-/// Registers the market dataset with `extras` spliced into the
-/// registration object (`"shards"`, `"shard_of"`, `"shard_endpoints"`);
-/// returns the 201 summary.
-fn register_market_with(client: &Client, extras: Vec<(String, json::Json)>) -> json::Json {
-    let table = market_table();
-    let mut fields = vec![
-        ("name".into(), "market".into()),
-        ("id".into(), "market".into()),
-        ("csv".into(), csv::write_str(&table).into()),
-        ("z".into(), "ticker".into()),
-        ("x".into(), "day".into()),
-        ("y".into(), "price".into()),
-    ];
-    fields.extend(extras);
-    client
-        .post("/datasets", &json::Json::Obj(fields))
-        .unwrap()
-        .expect_ok("register")
-}
-
-/// Decodes a `/query` response's `results` array into `TopKResult`s.
-fn decode_results(reply: &json::Json) -> Vec<TopKResult> {
-    reply
-        .get("results")
-        .and_then(json::Json::as_array)
-        .expect("results array")
-        .iter()
-        .map(|r| TopKResult {
-            key: r.get("key").unwrap().as_str().unwrap().to_owned(),
-            score: r.get("score").unwrap().as_f64().unwrap(),
-            viz_index: r.get("viz_index").unwrap().as_usize().unwrap(),
-            ranges: r
-                .get("ranges")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array().unwrap();
-                    (pair[0].as_usize().unwrap(), pair[1].as_usize().unwrap())
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-fn query_body(query: &str, k: usize) -> json::Json {
-    json::parse(&format!(
-        r#"{{"dataset":"market","query":"{}","k":{k}}}"#,
-        query.replace('\\', "\\\\").replace('"', "\\\"")
-    ))
-    .unwrap()
-}
+use shapesearch::server::{json, protocol, Client, ServerConfig};
+use shapesearch_datastore::{csv, table_from_series};
 
 #[test]
-fn concurrent_clients_match_in_process_engine_and_cache_accelerates() {
-    let service = shapesearch::server::serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 4,
-            cache_capacity: 64,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+fn concurrent_clients_match_in_process_engine_and_repeats_hit_the_cache() {
+    let service = boot(ServerConfig {
+        workers: 4,
+        cache_capacity: 64,
+        shards: 4,
+        ..ServerConfig::default()
+    });
     let addr = service.addr();
     let client = Client::new(addr);
-    register_market(&client);
+    register_market(&client, &[]);
 
-    // Listing shows the dataset.
+    // Listing shows the dataset, cut into the server's default shards.
     let listing = client.get("/datasets").unwrap().expect_ok("list");
     let datasets = listing.get("datasets").unwrap().as_array().unwrap();
     assert_eq!(datasets.len(), 1);
     assert_eq!(datasets[0].get("id").unwrap().as_str(), Some("market"));
+    assert_eq!(datasets[0].get("shards").unwrap().as_usize(), Some(4));
 
-    // In-process reference answers, computed from the same table.
-    let table = market_table();
-    let spec = VisualSpec::new("ticker", "day", "price");
-    let engine = ShapeEngine::new(&table, &spec).unwrap();
+    // In-process reference answers, computed from the same CSV text.
+    let table = csv::read_str(&market_csv()).unwrap();
+    let engine = ShapeEngine::new(&table, &VisualSpec::new("z", "x", "y")).unwrap();
     let queries = [
         ("[p=up][p=down]", 10),
         ("[p=down][p=up]", 7),
         ("[p=up][p=flat][p=down]", 5),
     ];
-    let expected: Vec<Vec<TopKResult>> = queries
+    let expected: Vec<String> = queries
         .iter()
-        .map(|(q, k)| engine.top_k(&parse_regex(q).unwrap(), *k).unwrap())
+        .map(|(q, k)| {
+            let results = engine.top_k(&parse_regex(q).unwrap(), *k).unwrap();
+            protocol::results_to_json(&results).to_text()
+        })
         .collect();
 
     // ≥4 concurrent clients, each issuing every query through HTTP.
@@ -147,11 +60,10 @@ fn concurrent_clients_match_in_process_engine_and_cache_accelerates() {
                 let client = Client::new(addr);
                 for ((q, k), want) in queries.iter().zip(expected) {
                     let reply = client
-                        .post("/query", &query_body(q, *k))
+                        .post("/query", &query_body("market", q, *k))
                         .unwrap()
                         .expect_ok(&format!("worker {worker} query {q}"));
-                    let got = decode_results(&reply);
-                    assert_eq!(&got, want, "worker {worker} query {q} diverged");
+                    assert_eq!(&results_text(&reply), want, "worker {worker} query {q}");
                 }
             });
         }
@@ -161,22 +73,19 @@ fn concurrent_clients_match_in_process_engine_and_cache_accelerates() {
     // once, then hits. (How much faster a hit is than a miss is
     // `ssbench`'s `hot_hits` vs `*_miss` comparison — tier-1 carries no
     // timing assertions.)
-    let body = query_body("[p=up][p=down][p=up]", 9);
+    let body = query_body("market", "[p=up][p=down][p=up]", 9);
     let cold = client.post("/query", &body).unwrap().expect_ok("cold");
     assert_eq!(cold.get("cached").unwrap().as_bool(), Some(false));
     for _ in 0..3 {
         let warm = client.post("/query", &body).unwrap().expect_ok("warm");
         assert_eq!(warm.get("cached").unwrap().as_bool(), Some(true));
-        // The warm answer is byte-identical to the cold one.
-        assert_eq!(decode_results(&cold), decode_results(&warm));
+        assert_eq!(results_text(&cold), results_text(&warm));
     }
 
     // Whitespace variants of one query normalize onto the same entry.
+    let variant = query_body("market", " [ p = up ] [ p = down ] [ p = up ] ", 9);
     let variant = client
-        .post(
-            "/query",
-            &query_body(" [ p = up ] [ p = down ] [ p = up ] ", 9),
-        )
+        .post("/query", &variant)
         .unwrap()
         .expect_ok("variant");
     assert_eq!(variant.get("cached").unwrap().as_bool(), Some(true));
@@ -185,10 +94,15 @@ fn concurrent_clients_match_in_process_engine_and_cache_accelerates() {
     let health = client.get("/healthz").unwrap().expect_ok("healthz");
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
     assert_eq!(health.get("datasets").unwrap().as_usize(), Some(1));
+    let shards = health.get("shards").unwrap();
+    assert_eq!(shards.get("default").unwrap().as_usize(), Some(4));
+    assert_eq!(shards.get("compute_workers").unwrap().as_usize(), Some(4));
     let cache = health.get("cache").unwrap();
     let hits = cache.get("hits").unwrap().as_f64().unwrap();
     let misses = cache.get("misses").unwrap().as_f64().unwrap();
     let coalesced = cache.get("coalesced").unwrap().as_f64().unwrap();
+    let lookups = cache.get("lookups").unwrap().as_f64().unwrap();
+    assert_eq!(lookups, hits + misses + coalesced, "{}", health.to_text());
     // 18 concurrent + 1 cold + 3 warm + 1 whitespace variant.
     let total_queries = health.get("queries").unwrap().as_f64().unwrap();
     assert_eq!(total_queries, 6.0 * 3.0 + 5.0);
@@ -213,19 +127,19 @@ fn concurrent_clients_match_in_process_engine_and_cache_accelerates() {
 
 #[test]
 fn nl_queries_work_over_http_and_share_cache_with_regex() {
-    let service = shapesearch::server::serve("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let service = boot(ServerConfig::default());
     let client = Client::new(service.addr());
-    register_market(&client);
+    register_market(&client, &[]);
 
     let nl = json::parse(r#"{"dataset":"market","nl":"rising then falling","k":4}"#).unwrap();
     let reply = client.post("/query", &nl).unwrap().expect_ok("nl");
     let canonical = reply.get("query").unwrap().as_str().unwrap().to_owned();
-    assert!(!decode_results(&reply).is_empty());
+    assert_ne!(results_text(&reply), "[]");
 
     // Re-issuing the *canonical regex* of the NL query hits the cache:
     // both front-ends share one normalized AST keyspace.
     let as_regex = client
-        .post("/query", &query_body(&canonical, 4))
+        .post("/query", &query_body("market", &canonical, 4))
         .unwrap()
         .expect_ok("canonical regex");
     assert_eq!(as_regex.get("cached").unwrap().as_bool(), Some(true));
@@ -240,24 +154,18 @@ fn nl_queries_work_over_http_and_share_cache_with_regex() {
 /// byte-identical results.
 #[test]
 fn concurrent_identical_cold_misses_compute_exactly_once() {
-    let service = shapesearch::server::serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 8,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let service = boot(with_workers(8));
     let addr = service.addr();
-    register_market(&Client::new(addr));
+    register_market(&Client::new(addr), &[]);
 
     let n = 6u64;
     let bodies: Vec<json::Json> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|worker| {
                 scope.spawn(move || {
+                    let body = query_body("market", "[p=up][p=down][p=up][p=down]", 8);
                     Client::new(addr)
-                        .post("/query", &query_body("[p=up][p=down][p=up][p=down]", 8))
+                        .post("/query", &body)
                         .unwrap()
                         .expect_ok(&format!("stampede worker {worker}"))
                 })
@@ -266,10 +174,10 @@ fn concurrent_identical_cold_misses_compute_exactly_once() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let reference = decode_results(&bodies[0]);
-    assert!(!reference.is_empty());
+    let reference = results_text(&bodies[0]);
+    assert_ne!(reference, "[]");
     for body in &bodies {
-        assert_eq!(decode_results(body), reference, "divergent stampede result");
+        assert_eq!(results_text(body), reference, "divergent stampede result");
     }
 
     let health = Client::new(addr)
@@ -296,91 +204,6 @@ fn concurrent_identical_cold_misses_compute_exactly_once() {
     service.shutdown();
 }
 
-/// Ten distinct cold queries, per-item. Used both as the sequential
-/// reference and as the batch payload.
-fn bench_queries() -> Vec<(String, usize)> {
-    [
-        "[p=up][p=down]",
-        "[p=down][p=up]",
-        "[p=up][p=flat]",
-        "[p=flat][p=up]",
-        "[p=down][p=flat]",
-        "[p=flat][p=down]",
-        "[p=up][p=down][p=up]",
-        "[p=down][p=up][p=down]",
-        "[p=up][p=flat][p=down]",
-        "[p=down][p=flat][p=up]",
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, q)| (q.to_string(), 3 + i % 5))
-    .collect()
-}
-
-fn batch_item(query: &str, k: usize) -> json::Json {
-    json::parse(&format!(
-        r#"{{"dataset":"market","query":"{query}","k":{k}}}"#
-    ))
-    .unwrap()
-}
-
-/// Batched execution end to end: a 10-query batch returns exactly the
-/// per-query answers of 10 sequential requests, and pays one HTTP round
-/// trip instead of ten. (The wall-clock comparison of the two forms is
-/// `ssbench`'s `mixed_batch` workload, where noise is controlled —
-/// tier-1 carries no timing assertions.)
-#[test]
-fn batch_matches_sequential() {
-    let service = shapesearch::server::serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = service.addr();
-    let client = Client::new(addr);
-    register_market(&client);
-    let queries = bench_queries();
-
-    // --- Correctness: sequential cold answers are the reference.
-    let sequential: Vec<Vec<TopKResult>> = queries
-        .iter()
-        .map(|(q, k)| {
-            let reply = client
-                .post("/query", &query_body(q, *k))
-                .unwrap()
-                .expect_ok(&format!("sequential {q}"));
-            assert_eq!(reply.get("cached").unwrap().as_bool(), Some(false));
-            decode_results(&reply)
-        })
-        .collect();
-
-    // Re-register the dataset (bumps the generation, emptying the cached
-    // keyspace) so the batch also runs cold — then every item must still
-    // agree with the sequential reference, computed this time through the
-    // shared-GROUP batched engine path.
-    register_market(&client);
-    let reply = client
-        .query_batch(queries.iter().map(|(q, k)| batch_item(q, *k)).collect())
-        .unwrap()
-        .expect_ok("batch");
-    assert_eq!(reply.get("batch").unwrap().as_usize(), Some(queries.len()));
-    let responses = reply.get("responses").unwrap().as_array().unwrap();
-    assert_eq!(responses.len(), queries.len());
-    for (item, want) in responses.iter().zip(&sequential) {
-        assert_eq!(item.get("cached").unwrap().as_bool(), Some(false));
-        assert_eq!(
-            &decode_results(item),
-            want,
-            "batch diverged from sequential"
-        );
-    }
-
-    service.shutdown();
-}
-
 /// The evented core's scaling claim from a client's side: a keep-alive
 /// connection held open amid 200 parked idle peers (far more than the
 /// one event loop + 2 dispatch threads) answers the batch exactly as a fresh
@@ -392,17 +215,10 @@ fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
-    let service = shapesearch::server::serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let service = boot(with_workers(2));
     let addr = service.addr();
     let fresh = Client::new(addr);
-    register_market(&fresh);
+    register_market(&fresh, &[]);
     let conns = std::sync::Arc::clone(&service.state().conn_stats);
     fn wait_for(what: &str, done: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -413,12 +229,12 @@ fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
     }
 
     let batch = json::Json::Arr(vec![
-        batch_item("[p=up][p=down]", 4),
-        batch_item("[p=down][p=up]", 3),
+        query_body("market", "[p=up][p=down]", 4),
+        query_body("market", "[p=down][p=up]", 3),
     ]);
-    let answers = |reply: json::Json| -> Vec<Vec<TopKResult>> {
+    let answers = |reply: json::Json| -> Vec<String> {
         let responses = reply.get("responses").unwrap().as_array().unwrap();
-        responses.iter().map(decode_results).collect()
+        responses.iter().map(results_text).collect()
     };
 
     // The cold batch opens the connection the pooled client then holds.
@@ -426,7 +242,7 @@ fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
     let endpoint = addr.to_string();
     let ask_held = || held.post(&endpoint, "/query", &batch).unwrap();
     let cold = answers(ask_held().expect_ok("cold batch"));
-    assert!(cold.iter().all(|results| !results.is_empty()));
+    assert!(cold.iter().all(|results| results != "[]"));
 
     // Park the crowd in waves the listen backlog can hold.
     let mut crowd: Vec<TcpStream> = Vec::with_capacity(200);
@@ -464,178 +280,13 @@ fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
     service.shutdown();
 }
 
-/// Sharded execution end to end: a server whose datasets default to 4
-/// engine shards (fanned per query across the compute pool) returns
-/// exactly the answers of the unsharded in-process engine, and the
-/// envelope + health endpoint report the shard structure.
-#[test]
-fn sharded_server_matches_in_process_engine() {
-    let service = shapesearch::server::serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 4,
-            shards: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let client = Client::new(service.addr());
-    register_market(&client);
-
-    // The default shard count applied: the registration got 4 shards.
-    let listing = client.get("/datasets").unwrap().expect_ok("list");
-    let datasets = listing.get("datasets").unwrap().as_array().unwrap();
-    assert_eq!(datasets[0].get("shards").unwrap().as_usize(), Some(4));
-
-    // Reference: the plain unsharded engine over the same table.
-    let table = market_table();
-    let spec = VisualSpec::new("ticker", "day", "price");
-    let engine = ShapeEngine::new(&table, &spec).unwrap();
-    for (q, k) in [("[p=up][p=down]", 10), ("[p=down][p=flat][p=up]", 48)] {
-        let want = engine.top_k(&parse_regex(q).unwrap(), k).unwrap();
-        let reply = client
-            .post("/query", &query_body(q, k))
-            .unwrap()
-            .expect_ok(&format!("sharded {q}"));
-        assert_eq!(decode_results(&reply), want, "sharded run diverged on {q}");
-        assert_eq!(reply.get("shards").unwrap().as_usize(), Some(4));
-        assert_eq!(
-            reply
-                .get("shard_micros")
-                .expect("cold responses carry per-shard timings")
-                .as_array()
-                .unwrap()
-                .len(),
-            4
-        );
-    }
-
-    // Health reports the shard gauges consistently.
-    let health = client.get("/healthz").unwrap().expect_ok("healthz");
-    let shards = health.get("shards").unwrap();
-    assert_eq!(shards.get("default").unwrap().as_usize(), Some(4));
-    assert_eq!(shards.get("dataset_shards").unwrap().as_usize(), Some(4));
-    assert!(shards.get("tasks").unwrap().as_usize().unwrap() >= 8);
-    let cache = health.get("cache").unwrap();
-    assert_eq!(
-        cache.get("lookups").unwrap().as_usize().unwrap(),
-        cache.get("hits").unwrap().as_usize().unwrap()
-            + cache.get("misses").unwrap().as_usize().unwrap()
-            + cache.get("coalesced").unwrap().as_usize().unwrap()
-    );
-
-    service.shutdown();
-}
-
-/// A located answer's `ranges` are positions on the full canvas — the
-/// points the front-end overlays — whatever executes it: 1 or 4 shards,
-/// `pushdown` on or off, alone or in a batch beside a fuzzy query. On
-/// the market's integer x axis an on-grid pin is its own index, and an
-/// off-grid pin snaps to the nearest point of the *whole* trendline.
-#[test]
-fn located_ranges_are_canvas_positions_in_every_execution_shape() {
-    let service = shapesearch::server::serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let client = Client::new(service.addr());
-
-    let spec = VisualSpec::new("ticker", "day", "price");
-    let trendlines = extract(&market_table(), &spec, &ExtractOptions::default()).unwrap();
-    let full = shapesearch_core::VizData::from_trendline(&trendlines[0], 0, 1).unwrap();
-    let cases = [
-        (
-            "[x.s=30, x.e=50, p=up][x.s=50, x.e=100, p=down]",
-            vec![(30, 50), (50, 100)],
-        ),
-        (
-            "[x.s=10.4, x.e=40.6, p=up]",
-            vec![(full.x_to_index(10.4), full.x_to_index(40.6))],
-        ),
-    ];
-    assert_eq!(cases[1].1, vec![(10, 41)]);
-
-    for (query, want_ranges) in cases {
-        let mut answers: Vec<(String, Vec<TopKResult>)> = Vec::new();
-        for shards in [1, 4] {
-            // Re-registering bumps the generation: every run below is cold.
-            register_market_sharded(&client, Some(shards));
-            for pushdown in [true, false] {
-                let item = json::parse(&format!(
-                    r#"{{"dataset":"market","query":"{query}","k":5,"pushdown":{pushdown}}}"#
-                ))
-                .unwrap();
-                let single = client.post("/query", &item).unwrap().expect_ok(query);
-                let batch = client
-                    .query_batch(vec![batch_item("[p=up][p=down]", 3), item])
-                    .unwrap()
-                    .expect_ok("batch");
-                let in_batch = &batch.get("responses").unwrap().as_array().unwrap()[1];
-                let shape = format!("{shards} shards, pushdown {pushdown}");
-                answers.push((format!("{shape}, single"), decode_results(&single)));
-                answers.push((format!("{shape}, batch"), decode_results(in_batch)));
-            }
-        }
-        let (first_shape, first) = &answers[0];
-        assert_eq!(first.len(), 5, "{query}");
-        for (shape, got) in &answers {
-            for r in got {
-                assert_eq!(r.ranges, want_ranges, "{query} ({shape}): {}", r.key);
-            }
-            assert_eq!(got, first, "{query}: {shape} vs {first_shape}");
-        }
-    }
-
-    service.shutdown();
-}
-
-/// Re-registering a dataset under a new shard count must invalidate its
-/// cached results (the key carries generation *and* shard count), while
-/// the recomputed answers stay identical — sharding never changes
-/// results.
-#[test]
-fn reregistration_under_new_shard_count_invalidates_cache() {
-    let service = shapesearch::server::serve("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let client = Client::new(service.addr());
-    register_market_sharded(&client, Some(1));
-
-    let body = query_body("[p=up][p=down]", 6);
-    let cold = client.post("/query", &body).unwrap().expect_ok("cold");
-    assert_eq!(cold.get("cached").unwrap().as_bool(), Some(false));
-    let warm = client.post("/query", &body).unwrap().expect_ok("warm");
-    assert_eq!(warm.get("cached").unwrap().as_bool(), Some(true));
-
-    register_market_sharded(&client, Some(3));
-    let fresh = client.post("/query", &body).unwrap().expect_ok("fresh");
-    assert_eq!(
-        fresh.get("cached").unwrap().as_bool(),
-        Some(false),
-        "new shard layout must recompute, not serve the old entry"
-    );
-    assert_eq!(fresh.get("shards").unwrap().as_usize(), Some(3));
-    assert_eq!(
-        decode_results(&fresh),
-        decode_results(&cold),
-        "resharding must not change answers"
-    );
-
-    service.shutdown();
-}
-
 #[test]
 fn errors_surface_with_proper_statuses() {
-    let service = shapesearch::server::serve("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let service = boot(ServerConfig::default());
     let client = Client::new(service.addr());
 
     let miss = client
-        .post(
-            "/query",
-            &json::parse(r#"{"dataset":"ghost","query":"[p=up]"}"#).unwrap(),
-        )
+        .post("/query", &query_body("ghost", "[p=up]", 10))
         .unwrap();
     assert_eq!(miss.status, 404);
 
@@ -660,24 +311,18 @@ fn errors_surface_with_proper_statuses() {
 /// aborted the whole process.)
 #[test]
 fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
-    let boot = || {
-        let config = ServerConfig {
-            workers: 2,
-            shards: 2,
-            ..ServerConfig::default()
-        };
-        shapesearch::server::serve("127.0.0.1:0", config).unwrap()
+    let config = || ServerConfig {
+        workers: 2,
+        shards: 2,
+        ..ServerConfig::default()
     };
-    let (local, shard, router) = (boot(), boot(), boot());
+    let (local, shard, router) = (boot(config()), boot(config()), boot(config()));
     let local_client = Client::new(local.addr());
-    register_market(&local_client);
-    register_market_with(
-        &Client::new(shard.addr()),
-        vec![("shard_of".into(), "1/2".into())],
-    );
+    register_market(&local_client, &[]);
+    register_market(&Client::new(shard.addr()), &[("shard_of", "1/2".into())]);
     let router_client = Client::new(router.addr());
     let placement = json::Json::Arr(vec![json::Json::Null, shard.addr().to_string().into()]);
-    register_market_with(&router_client, vec![("shard_endpoints".into(), placement)]);
+    register_market(&router_client, &[("shard_endpoints", placement)]);
 
     let item = |k: f64| {
         json::obj([
@@ -686,13 +331,16 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
             ("k", k.into()),
         ])
     };
-    let want = decode_results(
-        &local_client
-            .post("/query", &item(48.0))
-            .unwrap()
-            .expect_ok("k = collection size"),
+    let whole = local_client
+        .post("/query", &item(MARKET_SERIES as f64))
+        .unwrap()
+        .expect_ok("k = collection size");
+    let want = whole.get("results").unwrap().as_array().unwrap().to_vec();
+    assert!(
+        want.len() > MARKET_SERIES / 2,
+        "most of the market admits up-down"
     );
-    assert!(want.len() > 40, "most of the market admits up-down");
+    let want_text = |n: usize| json::Json::Arr(want[..n].to_vec()).to_text();
 
     for k in [1e15, 1e300] {
         for (client, shape) in [(&local_client, "single"), (&router_client, "router")] {
@@ -700,7 +348,11 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
                 .post("/query", &item(k))
                 .unwrap()
                 .expect_ok(&format!("{shape} k={k:e}"));
-            assert_eq!(decode_results(&reply), want, "{shape} k={k:e}");
+            assert_eq!(
+                results_text(&reply),
+                want_text(want.len()),
+                "{shape} k={k:e}"
+            );
         }
         let batch = json::Json::Arr(vec![item(k), item(3.0)]);
         let reply = local_client
@@ -708,13 +360,17 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
             .unwrap()
             .expect_ok(&format!("batch k={k:e}"));
         let responses = reply.get("responses").unwrap().as_array().unwrap();
-        assert_eq!(decode_results(&responses[0]), want, "batch k={k:e}");
-        assert_eq!(decode_results(&responses[1]), want[..3]);
+        assert_eq!(
+            results_text(&responses[0]),
+            want_text(want.len()),
+            "batch k={k:e}"
+        );
+        assert_eq!(results_text(&responses[1]), want_text(3));
     }
     // The other end of the range asks for nothing and gets it.
     for (client, shape) in [(&local_client, "single"), (&router_client, "router")] {
         let reply = client.post("/query", &item(0.0)).unwrap().expect_ok(shape);
-        assert_eq!(decode_results(&reply), [], "{shape} k=0");
+        assert_eq!(results_text(&reply), "[]", "{shape} k=0");
     }
     // The router really crossed the wire with it.
     let health = router_client.get("/healthz").unwrap().expect_ok("healthz");
@@ -738,14 +394,14 @@ fn huge_k_returns_every_candidate_and_the_server_keeps_serving() {
 /// stack and the process was gone.)
 #[test]
 fn deeply_nested_query_text_is_refused_and_the_server_keeps_serving() {
-    let service = shapesearch::server::serve("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let service = boot(ServerConfig::default());
     let client = Client::new(service.addr());
-    register_market(&client);
+    register_market(&client, &[]);
 
     let fine = "[p=up][p=down]";
-    let rpc = shapesearch::server::protocol::shard_request_to_json(
+    let rpc = protocol::shard_request_to_json(
         "market",
-        &[(shapesearch_parser::parse_regex(fine).unwrap(), 1)],
+        &[(parse_regex(fine).unwrap(), 1)],
         &[None],
         &shapesearch_core::EngineOptions::default(),
         None,
@@ -758,11 +414,7 @@ fn deeply_nested_query_text_is_refused_and_the_server_keeps_serving() {
         format!("{}[p=up]{}", "[p=[".repeat(levels), "]]".repeat(levels)),
     ];
     for text in &hostile {
-        let single = json::obj([
-            ("dataset", "market".into()),
-            ("query", text.as_str().into()),
-            ("k", 1usize.into()),
-        ]);
+        let single = query_body("market", text, 1);
         let shard = json::parse(&rpc.replace(fine, text)).unwrap();
         for (path, body) in [("/query", &single), ("/shard/query", &shard)] {
             let refused = client.post(path, body).unwrap();
@@ -775,10 +427,11 @@ fn deeply_nested_query_text_is_refused_and_the_server_keeps_serving() {
             .unwrap()
             .expect_ok("healthz after a hostile query");
         let reply = client
-            .post("/query", &query_body(fine, 3))
+            .post("/query", &query_body("market", fine, 3))
             .unwrap()
             .expect_ok("an ordinary query after a hostile one");
-        assert_eq!(decode_results(&reply).len(), 3);
+        let results = reply.get("results").unwrap().as_array().unwrap();
+        assert_eq!(results.len(), 3);
     }
 
     service.shutdown();
@@ -789,11 +442,7 @@ fn deeply_nested_query_text_is_refused_and_the_server_keeps_serving() {
 /// the end-anchored one does, and not a byte of the answer may show it.
 #[test]
 fn anchored_bounds_prune_served_walks_without_changing_a_byte() {
-    let config = ServerConfig {
-        workers: 4,
-        ..ServerConfig::default()
-    };
-    let service = shapesearch::server::serve("127.0.0.1:0", config).unwrap();
+    let service = boot(with_workers(4));
     let client = Client::new(service.addr());
 
     use rand::{rngs::StdRng, SeedableRng};
@@ -805,25 +454,12 @@ fn anchored_bounds_prune_served_walks_without_changing_a_byte() {
             (format!("walk{i:03}"), with_index_x(&ys))
         })
         .collect();
-    let csv = csv::write_str(&table_from_series("walk", "step", "level", &walks));
+    let csv = csv::write_str(&table_from_series("z", "x", "y", &walks));
     // Registering again bumps the generation, so each query below is
     // computed: the pruning mode is not part of the cache key.
-    let register = || {
-        let reply = client
-            .post(
-                "/datasets",
-                &json::obj([
-                    ("name", "walks".into()),
-                    ("id", "walks".into()),
-                    ("csv", csv.as_str().into()),
-                    ("z", "walk".into()),
-                    ("x", "step".into()),
-                    ("y", "level".into()),
-                    ("shards", 4usize.into()),
-                ]),
-            )
-            .unwrap()
-            .expect_ok("register");
+    let register_walks = || {
+        let reply = register(&client, "walks", &csv, &[("shards", 4usize.into())]);
+        let reply = reply.expect_ok("register");
         assert_eq!(reply.get("shards").unwrap().as_usize(), Some(4));
     };
     let ask = |extra: &str| {
@@ -840,13 +476,13 @@ fn anchored_bounds_prune_served_walks_without_changing_a_byte() {
             pruning.get(name).unwrap().as_usize().unwrap()
         };
         let counters = ["bounded", "pruned", "scored", "refined", "joined"].map(counter);
-        (reply.get("results").unwrap().to_text(), counters)
+        (results_text(&reply), counters)
     };
 
-    register();
+    register_walks();
     let (want, off) = ask(r#","pruning":"off""#);
     assert_eq!(off, [0, 0, 0, 0, 0]);
-    register();
+    register_walks();
     let (got, [bounded, pruned, scored, refined, joined]) = ask("");
     assert_eq!(got, want);
     assert!(pruned > 0, "pruned {pruned}, refined {refined}");
