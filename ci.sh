@@ -135,8 +135,9 @@ fi
 # registration, query body, placement, metric reader, fixtures)
 # `tests/support/served.rs` and `crates/server/tests/support` hold. One JSON string decoder, the one
 # that copies runs: the per-byte one's width helper (its test referee
-# inlines it).
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode)"
+# inlines it). One x-row identity, the raw grid: GROUP's second hash
+# of each canvas x row (`run_of` and its SipHash) is gone.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -157,6 +158,7 @@ ColumnarArena::from_columns|RawColumns|group::handle|Snapshot::bin_width;crates 
 fn (render|series_strategy|collection_strategy|unique_path)\b;tests crates/*/tests :!crates/core/tests/support;a suite defines its own copy of a helper crates/core/tests/support holds
 fn (market_table|haystack_csv|register_market|query_body|endpoints_json|replicas_json|metric_value|dead_endpoint|decode_results)\b;tests crates src :!tests/support/served.rs :!crates/server/tests/support;a suite defines its own copy of a served helper tests/support/served.rs or crates/server/tests/support holds
 \butf8_width\b;crates src README.md docs;the per-byte JSON string decode is back
+\brun_of\b|DefaultHasher;crates/core/src;a second x-row identity is back
 ROWS
 
 # One threading model: shards on the compute pool are the only

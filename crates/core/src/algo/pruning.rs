@@ -41,7 +41,7 @@
 //! the pins name depends on the trendline's raw x row alone, so it is
 //! resolved once for each x grid ([`VizData::grid`]), and the window's x
 //! side (`Σx`, `Σx²`, `n`) once for each stretch of candidates on one
-//! canvas x run: a candidate pays two prefix differences and a division
+//! grid, whose canvas xs are one x run: a candidate pays two prefix differences and a division
 //! for its slope, gathered into one column, then its `atan` in a second
 //! loop over that column (`SlopeLeaf::pinned_bounds`). A top-level
 //! CONCAT places windows too: every exact segmenter tiles `[0, n − 1]`
@@ -1134,11 +1134,10 @@ impl SlopeLeaf {
     /// bound from the interval-slope extremes.
     ///
     /// Two passes over the column. The first walks it in stretches of
-    /// candidates on one arena, one x run and one window — a grid names
-    /// one window ([`PinWindows`]) on one run, but two grids can share a
-    /// run (the same canvas, raw x shifted) and name different windows —
-    /// and gathers each stretch's slopes with the window's x side taken
-    /// once ([`ColumnarArena::window_slope_column`]); the second maps the
+    /// candidates on one arena and one grid — one raw x row, so one x run
+    /// and one window ([`PinWindows`]) — and gathers each stretch's
+    /// slopes with the window's x side taken once
+    /// ([`ColumnarArena::window_slope_column`]); the second maps the
     /// slope column to scores, `atan` and all, in one tight loop. Each
     /// upper bound is `clamp_score(self.at(viz.slope(i, j).atan()))`, bit
     /// for bit.
@@ -1157,14 +1156,9 @@ impl SlopeLeaf {
         while let Some(&head) = vizzes.get(at) {
             let arena = head.arena();
             let (run, window) = (arena.run(head.slot()), memo.window(head, pins));
-            // One grid is one raw x row, so one run and one window.
             let len = vizzes[at..]
                 .iter()
-                .take_while(|v| {
-                    std::ptr::eq(v.arena(), arena)
-                        && (v.grid == head.grid
-                            || (arena.run(v.slot()) == run && memo.window(v, pins) == window))
-                })
+                .take_while(|v| std::ptr::eq(v.arena(), arena) && v.grid == head.grid)
                 .count();
             let stretch = at..at + len;
             if window.1 > window.0 {

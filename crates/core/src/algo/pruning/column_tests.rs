@@ -3,98 +3,21 @@
 //! pinned at both ends is `clamp_score(row.at(viz.slope(i, j).atan()))`
 //! on the window its pins name in that trendline, to the bit, or — when
 //! the window holds no interval — the interval-slope extremes' bound.
-//! Collections mix rows shared bitwise, rows on the same canvas but
-//! shifted in raw x (one x run, other windows), rows one x off, rows with
-//! a NaN y and rows with two x values a nanounit apart (a window whose
-//! slope denominator is under 1e-12); pins run past the rows' ends and
-//! backwards. One to four shards, bins 1 and 3, each shard's column and
-//! all of them joined (several arenas in one column).
+//! Collections come from the grid-variant corpus
+//! ([`crate::grid_corpus`]): rows shared bitwise, rows on the same
+//! canvas but other in raw x (another grid and run, other windows), rows
+//! one x off, rows with a NaN y and rows with two x values a nanounit
+//! apart (a window whose slope denominator is under 1e-12), among
+//! others; pins run past the rows' ends and backwards. One to four
+//! shards, bins 1 and 3, each shard's column and all of them joined
+//! (several arenas in one column).
 
 use super::*;
 use crate::ast::Pattern;
+use crate::grid_corpus::{collection_strategy, row, touched, Base, Variant, PINCH};
 use crate::{partition_bounds_by_points, ShapeEngine};
 use proptest::prelude::*;
 use shapesearch_datastore::Trendline;
-
-/// The raw x gap of a pinched row's two close points.
-const PINCH: f64 = 1e-9;
-
-/// How a trendline's row derives from its base grid.
-#[derive(Debug, Clone, Copy)]
-enum Variant {
-    /// The base row itself: shared bitwise.
-    Shared,
-    /// The base row plus 3: the same canvas x run, other raw x.
-    Shifted,
-    /// One interior x moved a quarter step right.
-    OneOff,
-    /// The base row with one y NaN.
-    NanY,
-    /// The base row with the x after the touched one moved to `PINCH`
-    /// past it.
-    Pinched,
-}
-
-const VARIANTS: [Variant; 5] = [
-    Variant::Shared,
-    Variant::Shifted,
-    Variant::OneOff,
-    Variant::NanY,
-    Variant::Pinched,
-];
-
-/// A base grid: `n` integer xs from 0, and where a variant touches it.
-type Base = (usize, usize);
-
-/// The point a variant touches: interior, with an interior point after.
-fn touched(&(n, at): &Base) -> usize {
-    1 + at % (n - 3)
-}
-
-fn row(base: &Base, variant: Variant, seed: u64) -> Vec<(f64, f64)> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut y = 0.0;
-    let mut points: Vec<(f64, f64)> = (0..base.0)
-        .map(|t| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            y += ((state >> 33) as f64) / ((1u64 << 31) as f64) - 1.0;
-            (t as f64, y)
-        })
-        .collect();
-    let at = touched(base);
-    match variant {
-        Variant::Shared => {}
-        Variant::Shifted => points.iter_mut().for_each(|p| p.0 += 3.0),
-        Variant::OneOff => points[at].0 += 0.25,
-        Variant::NanY => points[at].1 = f64::NAN,
-        Variant::Pinched => points[at + 1].0 = points[at].0 + PINCH,
-    }
-    points
-}
-
-/// One to three base grids of 6–40 points, and 4–24 trendlines on them;
-/// half of them share their base row bitwise.
-fn collection_strategy() -> impl Strategy<Value = (Vec<Base>, Vec<Trendline>)> {
-    let variant = prop_oneof![Just(0u8), Just(0u8), Just(0u8), 1u8..5];
-    (
-        proptest::collection::vec((6usize..40, 0usize..40), 1..4),
-        proptest::collection::vec((0usize..3, variant, 0u64..1_000), 4..24),
-    )
-        .prop_map(|(bases, members)| {
-            let tls = members
-                .iter()
-                .enumerate()
-                .map(|(i, &(base, variant, seed))| {
-                    let base = &bases[base % bases.len()];
-                    let points = row(base, VARIANTS[variant as usize % 5], seed);
-                    Trendline::from_pairs(format!("t{i}"), &points)
-                })
-                .collect();
-            (bases, tls)
-        })
-}
 
 /// Where a unit's pins go: raw tenths, in either order (so some windows
 /// are empty or backwards, some past a short row's end), or onto the
@@ -241,20 +164,22 @@ proptest! {
     }
 }
 
-/// The suite reaches what it is there for: a stretch on one x run whose
-/// rows name different windows, an empty window, a NaN bound and a
-/// window whose denominator the guard voids — all on one fixed draw, at
-/// bin 1, and the column equals the reference there too.
+/// The suite reaches what it is there for: neighbours equal on the
+/// canvas but on two grids, whose pins name different windows, an empty
+/// window, a NaN bound and a window whose denominator the guard voids —
+/// all on one fixed draw, at bin 1, and the column equals the reference
+/// there too.
 #[test]
 fn the_mixed_collection_holds_every_case_the_kernel_guards() {
+    use Variant::{NanY, OneOff, Pinched, Shared, Shifted};
     let bases = [(16, 4)];
-    let kinds = [0, 1, 0, 2, 3, 1, 4, 0, 4];
+    let kinds = [
+        Shared, Shifted, Shared, OneOff, NanY, Shifted, Pinched, Shared, Pinched,
+    ];
     let tls: Vec<Trendline> = kinds
         .iter()
         .enumerate()
-        .map(|(i, &v)| {
-            Trendline::from_pairs(format!("t{i}"), &row(&bases[0], VARIANTS[v], i as u64))
-        })
+        .map(|(i, &v)| Trendline::from_pairs(format!("t{i}"), &row(&bases[0], v, i as u64)))
         .collect();
     let pinch = touched(&bases[0]) as f64;
     let cases = [(2.0, 9.5), (pinch, pinch + PINCH), (7.0, 3.0), (50.0, 60.0)];
@@ -269,9 +194,7 @@ fn the_mixed_collection_holds_every_case_the_kernel_guards() {
         for (pair, &bound) in column.windows(2).zip(&got[1..]) {
             let [a, b] = [pair[0], pair[1]];
             let window = |v: &VizData| (v.x_to_index(start), v.x_to_index(end));
-            shifted_apart |= a.arena().run(a.slot()) == b.arena().run(b.slot())
-                && a.grid != b.grid
-                && window(a) != window(b);
+            shifted_apart |= a.xs() == b.xs() && a.grid != b.grid && window(a) != window(b);
             empty |= window(b).1 <= window(b).0;
             nan |= bound.1.is_nan();
             flat |= degenerate(b, (start, end));

@@ -43,8 +43,8 @@
 //!
 //! One arena holds V visualizations totalling P canvas points. Three of
 //! a point's columns — `xs`, `sum_x` and `sum_xx` — depend on canvas x
-//! alone, so they are stored once per distinct canvas-x row (an *x
-//! run*): U runs totalling X points, and each viz names its run.
+//! alone, so they are stored once per raw x grid (an *x run*): U runs
+//! totalling X points, and each viz names its run.
 //!
 //! ```text
 //! column                len            read by
@@ -52,7 +52,7 @@
 //! sum_x, sum_xx         len X + U      every slope: GROUP's extremes, the pinned
 //!                                      tier-1 column, the DP and SegmentTree kernels
 //! run_starts            len U + 1      every x-side read (run offsets)
-//! runs                  len V          every x-side read (per-viz run index)
+//! runs                  len V          every x-side read (per-viz run: its grid)
 //! ys                    len P          UDPs, sketches, whole-series baselines
 //! sum_y, sum_xy         len P + V      every slope, as sum_x and sum_xx
 //! point_starts          len V + 1      every y-side read (per-viz point offsets)
@@ -60,17 +60,19 @@
 //!                                      a cell's 2n − 3 angles are built on that read
 //! ```
 //!
-//! A viz shares a run with every other viz whose canvas xs are bitwise
-//! equal (`-0.0` is not `0.0`; a NaN equals itself): [`ArenaBuilder`]
-//! finds the run by hashing the row in place. A run's `sum_x`/`sum_xx`
-//! are the same accumulation over the same bits each viz of it would
-//! have made, so sharing changes no statistic. On a collection with one
-//! x grid — 1,000 walks of 128 points — GROUP leaves ≈ 3 `f64` a
-//! point: 1,567,112 bytes a 500-viz shard, where an angle column built
-//! at GROUP made it 2,571,120, and per-viz x columns besides 4,108,016.
-//! The slope extremes the §6.3 bound reads are not a column:
-//! [`ArenaBuilder::push_viz`] returns them, and GROUP keeps them in each
-//! viz's handle only.
+//! A viz shares a run with every other viz whose raw x row is bitwise
+//! equal (`-0.0` is not `0.0`; a NaN equals itself): the point table
+//! numbers those rows once (`PointTable`'s grids), and GROUP opens one
+//! run per grid at its first accepted row (`ArenaBuilder::push_run`),
+//! so a viz's run is its grid. Canvas xs are a function of the raw xs
+//! and the bin width alone, so a run's `xs`/`sum_x`/`sum_xx` are the
+//! bits each viz of it would have computed, and sharing changes no
+//! statistic. On a collection with one x grid — 1,000 walks of 128
+//! points — GROUP leaves ≈ 3 `f64` a point: 1,567,112 bytes a 500-viz
+//! shard, where an angle column built at GROUP made it 2,571,120, and
+//! per-viz x columns besides 4,108,016. The slope extremes the §6.3
+//! bound reads are not a column: `ArenaBuilder::push_viz` returns
+//! them, and GROUP keeps them in each viz's handle only.
 //!
 //! The prefix columns carry one extra leading zero per run (x side) or
 //! per viz (y side), so viz `v`'s x prefix run starts at
@@ -101,7 +103,6 @@
 
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -308,8 +309,8 @@ fn distinct_rows(xs: &[f64], starts: &[usize]) -> (Vec<u32>, Vec<usize>) {
 }
 
 /// A row of `f64`s hashed and compared by its bits (`-0.0` is not `0.0`,
-/// a NaN equals itself): the equality under which two canvas-x rows
-/// share an x run, and two raw x rows share an x grid ([`PointTable`]).
+/// a NaN equals itself): the equality under which two raw x rows share
+/// an x grid ([`PointTable`]), and so an x run.
 struct BitRow<'a>(&'a [f64]);
 
 impl Hash for BitRow<'_> {
@@ -413,8 +414,9 @@ impl ColumnarArena {
         &self.ys[self.point_starts[slot]..self.point_starts[slot + 1]]
     }
 
-    /// The x run viz `slot` stores its canvas x on: two vizzes share it
-    /// exactly when their canvas x rows are bitwise equal.
+    /// The x run viz `slot` stores its canvas x on. GROUP opens one run
+    /// per raw x grid, so this is the viz's
+    /// [`VizData::grid`](crate::engine::group::VizData::grid).
     pub(crate) fn run(&self, slot: usize) -> usize {
         self.runs[slot]
     }
@@ -718,22 +720,19 @@ impl PrefixRuns<'_> {
     }
 }
 
-/// Incremental [`ColumnarArena`] construction: one `push_viz` per
-/// GROUP'd visualization, in slot order.
+/// Incremental [`ColumnarArena`] construction, GROUP's alone: one
+/// `push_run` per x run and one `push_viz` per GROUP'd visualization on
+/// a run already pushed, in slot order.
 #[derive(Debug, Default)]
-pub struct ArenaBuilder {
+pub(crate) struct ArenaBuilder {
     arena: ColumnarArena,
-    /// Hash of a canvas-x row → the newest run with that hash.
-    newest: HashMap<u64, usize>,
-    /// Per run: the next older run with the same hash.
-    older: Vec<Option<usize>>,
     /// The interval slopes of the viz being pushed, kept between pushes.
     scratch: Vec<f64>,
 }
 
 impl ArenaBuilder {
     /// An empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut arena = ColumnarArena::default();
         arena.run_starts.push(0);
         arena.point_starts.push(0);
@@ -746,7 +745,7 @@ impl ArenaBuilder {
     /// A builder pre-sized for `points` total canvas points across
     /// `vizzes` visualizations. The x columns are sized for one run; a
     /// collection with more grows them.
-    pub fn with_capacity(vizzes: usize, points: usize) -> Self {
+    pub(crate) fn with_capacity(vizzes: usize, points: usize) -> Self {
         let mut b = Self::new();
         let a = &mut b.arena;
         let row = points.checked_div(vizzes).unwrap_or(0);
@@ -762,25 +761,42 @@ impl ArenaBuilder {
         b
     }
 
-    /// Appends one visualization's canvas points, returning its slot and
-    /// the `(min, max)` of its adjacent-interval slopes — the §6.3 bound
-    /// inputs, which the arena does not keep: GROUP hands them to the
-    /// viz's handle.
-    ///
-    /// The xs join the run of a bitwise-equal earlier row, or open a new
-    /// one. Prefix sums accumulate per column in the same operation
+    /// Appends an x run: the canvas xs a grid's vizzes share, with their
+    /// x-only prefix sums, accumulated per column in the same operation
     /// order as [`StatsIndex::new`](crate::stats::StatsIndex::new)
-    /// (`acc + x`, `acc + y`, `acc + x·y`, `acc + x·x` per point, after a
-    /// leading zero) — the x-only `sum_x`/`sum_xx` once per run, which
-    /// gives the bits every viz of the run would have computed — so every
-    /// downstream range query is bit-identical to the scalar index.
+    /// (`acc + x`, `acc + x·x` per point, after a leading zero) — the
+    /// bits every viz of the run would have computed. Returns the run.
+    pub(crate) fn push_run(&mut self, xs: &[f64]) -> usize {
+        let a = &mut self.arena;
+        a.xs.extend_from_slice(xs);
+        let (mut ax, mut axx) = (0.0f64, 0.0f64);
+        a.sum_x.push(0.0);
+        a.sum_xx.push(0.0);
+        for &x in xs {
+            ax += x;
+            axx += x * x;
+            a.sum_x.push(ax);
+            a.sum_xx.push(axx);
+        }
+        a.run_starts.push(a.xs.len());
+        a.run_starts.len() - 2
+    }
+
+    /// Appends one visualization's canvas ys on x run `run`, returning
+    /// its slot and the `(min, max)` of its adjacent-interval slopes —
+    /// the §6.3 bound inputs, which the arena does not keep: GROUP hands
+    /// them to the viz's handle.
+    ///
+    /// The y prefix sums accumulate as [`Self::push_run`]'s x ones do
+    /// (`acc + y`, `acc + x·y` per point), so every downstream range
+    /// query is bit-identical to the scalar index.
     ///
     /// # Panics
-    /// Panics when `xs` and `ys` differ in length.
-    pub fn push_viz(&mut self, xs: &[f64], ys: &[f64]) -> (usize, (f64, f64)) {
-        assert_eq!(xs.len(), ys.len(), "xs and ys must align");
-        let run = self.run_of(xs);
+    /// Panics when `ys` and the run's xs differ in length.
+    pub(crate) fn push_viz(&mut self, run: usize, ys: &[f64]) -> (usize, (f64, f64)) {
         let a = &mut self.arena;
+        let xs = &a.xs[a.run_starts[run]..a.run_starts[run + 1]];
+        assert_eq!(xs.len(), ys.len(), "ys must align with the run's xs");
         let slot = a.point_starts.len() - 1;
         a.runs.push(run);
         a.ys.extend_from_slice(ys);
@@ -826,39 +842,8 @@ impl ArenaBuilder {
         (slot, (lo, hi))
     }
 
-    /// The run whose xs are bitwise equal to `xs`, appended (with its
-    /// two prefix columns) when no earlier row was. Hashes the row in
-    /// place: nothing is allocated unless a run is.
-    fn run_of(&mut self, xs: &[f64]) -> usize {
-        let mut hasher = DefaultHasher::new();
-        BitRow(xs).hash(&mut hasher);
-        let hash = hasher.finish();
-        let a = &mut self.arena;
-        let mut at = self.newest.get(&hash).copied();
-        while let Some(run) = at {
-            if BitRow(&a.xs[a.run_starts[run]..a.run_starts[run + 1]]) == BitRow(xs) {
-                return run;
-            }
-            at = self.older[run];
-        }
-        let run = a.run_starts.len() - 1;
-        a.xs.extend_from_slice(xs);
-        let (mut ax, mut axx) = (0.0f64, 0.0f64);
-        a.sum_x.push(0.0);
-        a.sum_xx.push(0.0);
-        for &x in xs {
-            ax += x;
-            axx += x * x;
-            a.sum_x.push(ax);
-            a.sum_xx.push(axx);
-        }
-        a.run_starts.push(a.xs.len());
-        self.older.push(self.newest.insert(hash, run));
-        run
-    }
-
     /// Finalizes the arena.
-    pub fn finish(self) -> ColumnarArena {
+    pub(crate) fn finish(self) -> ColumnarArena {
         self.arena
     }
 }
@@ -866,7 +851,14 @@ impl ArenaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::group::{group_collection, VizData};
     use crate::stats::StatsIndex;
+
+    /// Pushes `xs` as an x run of its own, and one viz on it.
+    fn push(b: &mut ArenaBuilder, xs: &[f64], ys: &[f64]) -> (usize, (f64, f64)) {
+        let run = b.push_run(xs);
+        b.push_viz(run, ys)
+    }
 
     fn demo_series(seed: u64, n: usize) -> (Vec<f64>, Vec<f64>) {
         let mut state = seed;
@@ -893,7 +885,7 @@ mod tests {
         let mut refs = Vec::new();
         for (seed, n) in [(1u64, 2usize), (7, 13), (42, 48)] {
             let (xs, ys) = demo_series(seed, n);
-            b.push_viz(&xs, &ys);
+            push(&mut b, &xs, &ys);
             refs.push(StatsIndex::new(&xs, &ys));
         }
         let a = b.finish();
@@ -922,15 +914,16 @@ mod tests {
 
     #[test]
     fn interval_and_window_kernels_match_scalar_reference() {
-        // 1,228 seeded walks of 48 points in ONE arena, so slots past the
-        // first read their runs at non-zero column offsets.
+        // 1,228 seeded walks of 48 points on one x run in ONE arena, so
+        // slots past the first read their y runs at non-zero offsets.
         const VIZZES: usize = 1228;
         const POINTS: usize = 48;
         let mut b = ArenaBuilder::with_capacity(VIZZES, VIZZES * POINTS);
+        let run = b.push_run(&demo_series(1, POINTS).0);
         let mut refs = Vec::with_capacity(VIZZES);
         for v in 0..VIZZES {
             let (xs, ys) = demo_series(v as u64 + 1, POINTS);
-            b.push_viz(&xs, &ys);
+            b.push_viz(run, &ys);
             refs.push(StatsIndex::new(&xs, &ys));
         }
         let a = b.finish();
@@ -976,8 +969,8 @@ mod tests {
         let idx = StatsIndex::new(&xs, &ys);
         let mut b = ArenaBuilder::new();
         // Not the first slot: the runs start past another viz's columns.
-        b.push_viz(&[0.0, 0.5, 1.0], &[3.0, 1.0, 2.0]);
-        let (slot, _) = b.push_viz(&xs, &ys);
+        push(&mut b, &[0.0, 0.5, 1.0], &[3.0, 1.0, 2.0]);
+        let (slot, _) = push(&mut b, &xs, &ys);
         let a = b.finish();
         let (mut prefix, mut suffix) = (Vec::new(), Vec::new());
         a.window_slopes(slot, 0, 1, 1, &mut prefix);
@@ -994,7 +987,7 @@ mod tests {
         let ys = [0.0, 1.0, 2.0];
         let idx = StatsIndex::new(&xs, &ys);
         let mut b = ArenaBuilder::new();
-        let (slot, _) = b.push_viz(&xs, &ys);
+        let (slot, _) = push(&mut b, &xs, &ys);
         let a = b.finish();
         let mut out = Vec::new();
         a.interval_slopes(slot, &mut out);
@@ -1013,7 +1006,7 @@ mod tests {
     /// whose ys agree add nothing, and keep a finite extent.
     #[test]
     fn a_rise_no_interval_slope_carries_makes_the_extent_nan() {
-        let extent = |xs: &[f64], ys: &[f64]| ArenaBuilder::new().push_viz(xs, ys).1;
+        let extent = |xs: &[f64], ys: &[f64]| push(&mut ArenaBuilder::new(), xs, ys).1;
         let ys = [0.0, 1.0, 0.5, 1.0];
         for xs in [
             [0.0, 0.5, 0.25, 1.0],
@@ -1033,7 +1026,7 @@ mod tests {
         let ys = [0.0, f64::NAN, 1.0];
         let idx = StatsIndex::new(&xs, &ys);
         let mut b = ArenaBuilder::new();
-        let (slot, _) = b.push_viz(&xs, &ys);
+        let (slot, _) = push(&mut b, &xs, &ys);
         let a = b.finish();
         for i in 0..3 {
             for j in i..3 {
@@ -1050,7 +1043,7 @@ mod tests {
     fn slope_extent_matches_group_time_extremes() {
         let (xs, ys) = demo_series(33, 30);
         let idx = StatsIndex::new(&xs, &ys);
-        let (_, extent) = ArenaBuilder::new().push_viz(&xs, &ys);
+        let (_, extent) = push(&mut ArenaBuilder::new(), &xs, &ys);
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for t in 0..29 {
             let s = idx.slope(t, t + 1);
@@ -1088,15 +1081,16 @@ mod tests {
     fn node_angles_match_the_recursion_bit_for_bit() {
         let mut b = ArenaBuilder::new();
         // Slots the builder accepts below two points get empty runs.
-        let short = [b.push_viz(&[], &[]).0, b.push_viz(&[0.5], &[2.0]).0];
+        let short = [push(&mut b, &[], &[]).0, push(&mut b, &[0.5], &[2.0]).0];
         let mut slots = Vec::new();
         for n in 2..=200usize {
             let (xs, ys) = demo_series(n as u64, n);
-            slots.push((b.push_viz(&xs, &ys).0, n));
+            let run = b.push_run(&xs);
+            slots.push((b.push_viz(run, &ys).0, n));
             let mut with_nan = ys.clone();
             with_nan[n / 2] = f64::NAN;
-            slots.push((b.push_viz(&xs, &with_nan).0, n));
-            slots.push((b.push_viz(&xs, &vec![0.25; n]).0, n));
+            slots.push((b.push_viz(run, &with_nan).0, n));
+            slots.push((b.push_viz(run, &vec![0.25; n]).0, n));
         }
         let a = b.finish();
         for slot in short {
@@ -1111,13 +1105,14 @@ mod tests {
     #[test]
     fn byte_size_counts_every_column() {
         let mut b = ArenaBuilder::new();
-        // Seeds 5 and 6 share one 128-point x row; every other row is
+        // Seeds 5 and 6 share one 128-point x run; every other row is
         // its own.
-        for (seed, n) in [(3u64, 2usize), (4, 17), (5, 128), (6, 128)] {
+        for (seed, n) in [(3u64, 2usize), (4, 17), (5, 128)] {
             let (xs, ys) = demo_series(seed, n);
-            b.push_viz(&xs, &ys);
+            push(&mut b, &xs, &ys);
         }
-        b.push_viz(&[1.0], &[1.0]);
+        b.push_viz(2, &demo_series(6, 128).1);
+        push(&mut b, &[1.0], &[1.0]);
         let a = b.finish();
         let f64s = a.xs.len()
             + a.sum_x.len()
@@ -1140,9 +1135,9 @@ mod tests {
     #[test]
     fn a_fresh_arena_holds_no_built_run() {
         let mut b = ArenaBuilder::with_capacity(3, 3 * 64);
+        let run = b.push_run(&demo_series(0, 64).0);
         for seed in 0..3u64 {
-            let (xs, ys) = demo_series(seed, 64);
-            b.push_viz(&xs, &ys);
+            b.push_viz(run, &demo_series(seed, 64).1);
         }
         let a = b.finish();
         // Every other read leaves the cells as GROUP left them.
@@ -1164,7 +1159,7 @@ mod tests {
         let mut b = ArenaBuilder::new();
         for seed in 0..4u64 {
             let (xs, ys) = demo_series(seed + 11, 100 + seed as usize);
-            b.push_viz(&xs, &ys);
+            push(&mut b, &xs, &ys);
         }
         let a = b.finish();
         let bytes = a.byte_size();
@@ -1195,6 +1190,11 @@ mod tests {
         assert_eq!(a.byte_size(), bytes);
     }
 
+    /// GROUP opens one x run per raw x grid: rows bitwise equal in raw
+    /// x share one, and `-0.0` vs `0.0`, one ulp and a prefix each open
+    /// their own — `-0.0`'s row too, though it lands on the canvas `0.0`'s
+    /// does — while a NaN row equals itself. Each handle's grid is its
+    /// run, and every statistic is the per-viz index's.
     #[test]
     fn bitwise_equal_x_rows_share_one_run() {
         let row = [0.0, 0.5, 1.0];
@@ -1202,26 +1202,33 @@ mod tests {
         let ulp = [0.0, 0.5, f64::from_bits(1.0f64.to_bits() + 1)];
         let nan = [0.0, f64::NAN, 1.0];
         let rows: [&[f64]; 8] = [&row, &signed, &row, &ulp, &row[..2], &signed, &nan, &nan];
-        let mut b = ArenaBuilder::new();
-        let mut refs = Vec::new();
-        for (v, xs) in rows.iter().enumerate() {
-            let ys: Vec<f64> = (0..xs.len())
-                .map(|t| ((v * 7 + t * 3) % 5) as f64)
-                .collect();
-            assert_eq!(b.push_viz(xs, &ys).0, v);
-            refs.push(StatsIndex::new(xs, &ys));
-        }
-        let a = b.finish();
-        // `-0.0` vs `0.0`, one ulp and a prefix each open a run; a NaN
-        // row equals itself.
+        let tls: Vec<Trendline> = rows
+            .iter()
+            .enumerate()
+            .map(|(v, xs)| {
+                let points: Vec<(f64, f64)> = (xs.iter().enumerate())
+                    .map(|(t, &x)| (x, ((v * 7 + t * 3) % 5) as f64))
+                    .collect();
+                Trendline::from_pairs(format!("t{v}"), &points)
+            })
+            .collect();
+        let grouped = group_collection(&tls, 1);
+        let vizzes: Vec<&VizData> = grouped.iter().flatten().collect();
+        assert_eq!(vizzes.len(), rows.len());
+        let a = vizzes[0].arena();
         assert_eq!(a.runs, [0, 1, 0, 2, 3, 1, 4, 4]);
         assert_eq!(a.run_starts, [0, 3, 6, 9, 11, 14]);
         assert_eq!(a.point_count(), 23);
-        for (slot, (xs, idx)) in rows.iter().zip(&refs).enumerate() {
-            let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a.xs(slot)), bits(xs), "slot {slot}");
-            for i in 0..xs.len() {
-                for j in i..xs.len() {
+        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(vizzes[1].xs()), bits(vizzes[0].xs()));
+        for (v, t) in vizzes.iter().zip(&tls) {
+            let slot = v.slot();
+            assert_eq!(v.grid as usize, a.run(slot), "slot {slot}");
+            let alone = VizData::from_trendline(t, 0, 1).unwrap();
+            assert_eq!(bits(v.xs()), bits(alone.xs()), "slot {slot}");
+            let idx = StatsIndex::new(alone.xs(), alone.ys());
+            for i in 0..v.n() {
+                for j in i..v.n() {
                     let (want, got) = (idx.range(i, j), a.range_stats(slot, i, j));
                     assert_eq!(
                         [want.sx, want.sy, want.sxy, want.sxx].map(f64::to_bits),
@@ -1239,7 +1246,7 @@ mod tests {
         assert_eq!(a.viz_count(), 0);
         assert_eq!(a.point_count(), 0);
         let mut b = ArenaBuilder::with_capacity(1, 2);
-        let (slot, _) = b.push_viz(&[0.0, 1.0], &[0.0, 1.0]);
+        let (slot, _) = push(&mut b, &[0.0, 1.0], &[0.0, 1.0]);
         let a = b.finish();
         let mut out = vec![1.0];
         a.window_slopes(slot, 0, 1, 0, &mut out);

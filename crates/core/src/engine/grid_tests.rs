@@ -1,92 +1,23 @@
-//! Grid identity: the point table numbers the raw x rows, GROUP hands
-//! the ids to its handles, and a query resolves what its pins name once
-//! a grid ([`GridMemo`]). These tests hold that to the per-trendline
-//! computation it replaces, on collections that mix rows shared bitwise,
-//! rows equal on the canvas but shifted in raw x, rows one x apart and
-//! rows with duplicate x values: the ids split them exactly by bitwise
-//! equality, a value memoised per grid equals the per-viz call, and
-//! located and mixed answers are byte-identical to a run where every
-//! trendline has a grid of its own — on eager and snapshot-opened
-//! engines, one to four shards, bins 1 and 3.
+//! Grid identity: the point table numbers the raw x rows, GROUP opens
+//! one x run per grid and hands the run to its handles as their grid,
+//! and a query resolves what its pins name once a grid ([`GridMemo`]).
+//! These tests hold that to the per-trendline computation it replaces,
+//! on the grid-variant corpus ([`crate::grid_corpus`]): rows shared
+//! bitwise, rows equal on the canvas but other in raw x (shifted, a
+//! `-0.0`), rows one x or one ulp apart, prefixes, duplicate and NaN x
+//! values. The ids and the runs split them exactly by bitwise equality,
+//! a value memoised per grid equals the per-viz call, and located and
+//! mixed answers are byte-identical to a run where every trendline has
+//! a grid of its own — on eager and snapshot-opened engines, one to four
+//! shards, bins 1 and 3.
 
 use super::*;
 use crate::ast::ShapeSegment;
 use crate::engine::pushdown::covers_ranges;
+use crate::grid_corpus::{build, collection_strategy, row, Variant};
 use crate::snapshot::{self, Snapshot};
 use proptest::prelude::*;
 use shapesearch_datastore::Trendline;
-
-/// How a trendline's x row derives from its base grid.
-#[derive(Debug, Clone, Copy)]
-enum Variant {
-    /// The base row itself: shared bitwise.
-    Shared,
-    /// The base row plus 3: the same canvas, other raw x.
-    Shifted,
-    /// The base row with one interior x moved a quarter step right.
-    OneOff,
-    /// The base row with one x repeated in place of the next.
-    Duplicate,
-}
-
-/// A base grid: `n` integer xs from 0, the point `at` is where a variant
-/// touches it.
-type Base = (usize, usize);
-
-fn x_row(&(n, at): &Base, variant: Variant) -> Vec<f64> {
-    let mut xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let at = 1 + at % (n - 2);
-    match variant {
-        Variant::Shared => {}
-        Variant::Shifted => xs.iter_mut().for_each(|x| *x += 3.0),
-        Variant::OneOff => xs[at] += 0.25,
-        Variant::Duplicate => xs[at] = xs[at - 1],
-    }
-    xs
-}
-
-/// A seeded walk over `xs` (64-bit LCG steps in `[−1, 1)`).
-fn walk_over(xs: &[f64], seed: u64) -> Vec<(f64, f64)> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut y = 0.0;
-    xs.iter()
-        .map(|&x| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            y += ((state >> 33) as f64) / ((1u64 << 31) as f64) - 1.0;
-            (x, y)
-        })
-        .collect()
-}
-
-fn build(bases: &[Base], members: &[(usize, u8, u64)]) -> Vec<Trendline> {
-    const VARIANTS: [Variant; 4] = [
-        Variant::Shared,
-        Variant::Shifted,
-        Variant::OneOff,
-        Variant::Duplicate,
-    ];
-    members
-        .iter()
-        .enumerate()
-        .map(|(i, &(base, variant, seed))| {
-            let xs = x_row(&bases[base % bases.len()], VARIANTS[variant as usize % 4]);
-            Trendline::from_pairs(format!("t{i}"), &walk_over(&xs, seed))
-        })
-        .collect()
-}
-
-/// One to three base grids of 6–40 points, and 4–24 trendlines on them;
-/// half of the trendlines share their base row bitwise.
-fn collection_strategy() -> impl Strategy<Value = Vec<Trendline>> {
-    let variant = prop_oneof![Just(0u8), Just(0u8), Just(0u8), 1u8..4];
-    (
-        proptest::collection::vec((6usize..40, 0usize..40), 1..4),
-        proptest::collection::vec((0usize..3, variant, 0u64..1_000), 4..24),
-    )
-        .prop_map(|(bases, members)| build(&bases, &members))
-}
 
 /// 1–3 units left to right, pins in tenths (most off the integer grid,
 /// some past a short row's end); one unit in four is fuzzy, so a draw is
@@ -222,11 +153,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Ids are dense from 0 in source order and name exactly the bitwise
-    /// equal rows; push-down (a)'s verdict and `x_to_index` memoised per
-    /// grid equal the per-viz calls.
+    /// equal rows, as do the arena's x runs, and each id is its handle's
+    /// run; push-down (a)'s verdict and `x_to_index` memoised per grid
+    /// equal the per-viz calls.
     #[test]
     fn grids_split_rows_by_bits_and_memos_match_the_per_viz_call(
-        tls in collection_strategy(),
+        (_, tls) in collection_strategy(),
         q in query_strategy(),
     ) {
         let engine = ShapeEngine::from_trendlines(tls);
@@ -240,10 +172,13 @@ proptest! {
                 next = next.max(v.grid + 1);
             }
             let row = |v: &VizData| engine.points.row(v.source).0;
+            let run = |v: &VizData| v.arena().run(v.slot());
             for a in &live {
+                prop_assert_eq!(a.grid as usize, run(a), "#{}", a.source);
                 for b in &live {
                     let equal = same_row(row(a), row(b));
                     prop_assert_eq!(a.grid == b.grid, equal, "#{} and #{}", a.source, b.source);
+                    prop_assert_eq!(run(a) == run(b), equal, "#{} and #{}", a.source, b.source);
                 }
             }
             let mut covered = GridMemo::default();
@@ -266,7 +201,7 @@ proptest! {
     /// and the SegmentTree under pruning.
     #[test]
     fn answers_match_a_run_with_a_grid_per_trendline(
-        tls in collection_strategy(),
+        (_, tls) in collection_strategy(),
         q in query_strategy(),
         k in 1usize..6,
         tree in 0u8..2,
@@ -320,7 +255,7 @@ fn eager_group_and_snapshot_open_assign_the_same_grids() {
         ],
     );
     tls.insert(2, Trendline::from_pairs("one", &[(0.0, 1.0)]));
-    let mut infinite = walk_over(&x_row(&bases[0], Variant::Shared), 10);
+    let mut infinite = row(&bases[0], Variant::Shared, 10);
     infinite[4].1 = f64::INFINITY;
     tls.insert(5, Trendline::from_pairs("inf", &infinite));
     let grids = |engine: &ShapeEngine, bin: usize| -> Vec<Option<u32>> {

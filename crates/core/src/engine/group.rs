@@ -24,11 +24,14 @@
 //! for callers holding `Trendline`s, which flatten and run the same
 //! function. No file format holds its output.
 //!
-//! Every handle carries the id of its row's x grid — the point table
-//! numbers the distinct raw x rows when it is built, and GROUP takes the
-//! ids from it — so a query resolves what its LOCATION pins name —
-//! push-down (a)'s coverage, a pinned unit's canvas window — once per
-//! grid (`GridMemo`) rather than once per trendline.
+//! The raw x grid is the one x-row identity. The point table numbers
+//! the distinct raw x rows when it is built; GROUP opens one x run per
+//! grid at the grid's first accepted row — canvas xs, their prefix sums
+//! and the raw x extent, computed once — and every other row on the
+//! grid normalizes and pushes its ys alone. A handle's grid id is its
+//! run, so a query resolves what its LOCATION pins name — push-down
+//! (a)'s coverage, a pinned unit's canvas window — once per grid
+//! (`GridMemo`) rather than once per trendline.
 //!
 //! GROUP is query-independent. §5.4's push-down (c) — "skip summarized
 //! statistics outside the referenced x ranges" — pays off only when GROUP
@@ -84,9 +87,9 @@ pub struct VizData {
     /// share it exactly when their raw x rows are bitwise equal, and
     /// then so are their raw extents, canvas xs, [`Self::x_to_index`]
     /// and push-down (a)'s coverage — which is what lets a query
-    /// resolve its pins once a grid (`GridMemo`). Dense from 0 in
-    /// source order over the handles of one GROUP run: GROUP renumbers
-    /// the point table's ids for the rows it keeps.
+    /// resolve its pins once a grid (`GridMemo`). It is the x run the
+    /// arena stores the canvas xs on, so dense from 0 in source order
+    /// over the handles of one GROUP run.
     pub grid: u32,
     /// Index of the source trendline in the engine's collection (its
     /// key is the engine's `key(source)`).
@@ -118,6 +121,9 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
     // 1e308) — which would put NaN on the canvas and score NaN. That is
     // rare enough to leave the builder's room for it unused.
     let finite = |(lo, hi): (f64, f64)| (hi - lo).is_finite();
+    // Per grid, the run opened at its first accepted row and that row's
+    // raw x extent.
+    let mut runs = vec![None; points.grid_count()];
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     let parts: Vec<_> = (0..points.len())
         .map(|source| {
@@ -125,36 +131,40 @@ pub(crate) fn group_points(points: &PointTable, bin: usize) -> Vec<Option<VizDat
                 return None;
             }
             let (raw_xs, raw_ys) = points.row(source);
-            let extents = normalize(raw_xs, raw_ys, bin, &mut xs, &mut ys);
-            (finite(extents.0) && finite(extents.1)).then(|| (builder.push_viz(&xs, &ys), extents))
+            let raw_y = normalize(raw_ys, bin, &mut ys);
+            if !finite(raw_y) {
+                return None;
+            }
+            let grid = &mut runs[points.grid(source) as usize];
+            let (run, raw_x) = match *grid {
+                Some(opened) => opened,
+                None => {
+                    let raw_x = normalize(raw_xs, bin, &mut xs);
+                    if !finite(raw_x) {
+                        return None;
+                    }
+                    *grid.insert((builder.push_run(&xs), raw_x))
+                }
+            };
+            Some((builder.push_viz(run, &ys), run, (raw_x, raw_y)))
         })
         .collect();
     let arena = Arc::new(builder.finish());
-    // The table numbers every row's x grid; the handles renumber the
-    // grids they use densely, in source order.
-    let mut dense = vec![u32::MAX; points.grid_count()];
-    let mut next = 0;
     parts
         .into_iter()
         .enumerate()
         .map(|(source, part)| {
-            part.map(|((slot, slopes), extents)| {
-                let grid = &mut dense[points.grid(source) as usize];
-                if *grid == u32::MAX {
-                    (*grid, next) = (next, next + 1);
-                }
-                VizData {
-                    raw_x: extents.0,
-                    raw_y: extents.1,
-                    slope_min: slopes.0,
-                    slope_max: slopes.1,
-                    theta_min: slopes.0.atan(),
-                    theta_max: slopes.1.atan(),
-                    grid: *grid,
-                    source,
-                    arena: Arc::clone(&arena),
-                    slot,
-                }
+            part.map(|((slot, slopes), run, extents)| VizData {
+                raw_x: extents.0,
+                raw_y: extents.1,
+                slope_min: slopes.0,
+                slope_max: slopes.1,
+                theta_min: slopes.0.atan(),
+                theta_max: slopes.1.atan(),
+                grid: run as u32,
+                source,
+                arena: Arc::clone(&arena),
+                slot,
             })
         })
         .collect()
@@ -200,9 +210,6 @@ impl<K: PartialEq, V: Copy> GridMemo<K, V> {
         value
     }
 }
-
-/// Raw `(x, y)` domains of one trendline, each `(min, max)`.
-type Extents = ((f64, f64), (f64, f64));
 
 impl VizData {
     /// Builds the GROUP output for a trendline, binning every `bin` raw
@@ -294,43 +301,30 @@ impl VizData {
     }
 }
 
-/// Normalizes one trendline's raw points onto the unit canvas, `bin` raw
-/// points to a canvas point, into `xs`/`ys` (cleared first — one scratch
-/// pair serves a whole collection), and returns the raw extents.
-fn normalize(
-    raw_xs: &[f64],
-    raw_ys: &[f64],
-    bin: usize,
-    xs: &mut Vec<f64>,
-    ys: &mut Vec<f64>,
-) -> Extents {
-    let raw_x = extent(raw_xs);
-    let raw_y = extent(raw_ys);
-    let x_span = span(raw_x);
-    let y_span = span(raw_y);
-
-    xs.clear();
-    ys.clear();
-    let mut chunk_x = 0.0;
-    let mut chunk_y = 0.0;
+/// Normalizes one axis of a trendline's raw points onto the unit
+/// canvas, `bin` raw points to a canvas point, into `out` (cleared
+/// first — one scratch vector serves a whole collection), and returns
+/// the raw extent. GROUP runs it on a grid's xs once and on each row's
+/// ys.
+fn normalize(raw: &[f64], bin: usize, out: &mut Vec<f64>) -> (f64, f64) {
+    let raw_extent = extent(raw);
+    let raw_span = span(raw_extent);
+    out.clear();
+    let mut chunk = 0.0;
     let mut chunk_n = 0usize;
-    for (&x, &y) in raw_xs.iter().zip(raw_ys) {
-        chunk_x += (x - raw_x.0) / x_span;
-        chunk_y += (y - raw_y.0) / y_span;
+    for &v in raw {
+        chunk += (v - raw_extent.0) / raw_span;
         chunk_n += 1;
         if chunk_n == bin {
-            xs.push(chunk_x / bin as f64);
-            ys.push(chunk_y / bin as f64);
-            chunk_x = 0.0;
-            chunk_y = 0.0;
+            out.push(chunk / bin as f64);
+            chunk = 0.0;
             chunk_n = 0;
         }
     }
     if chunk_n > 0 {
-        xs.push(chunk_x / chunk_n as f64);
-        ys.push(chunk_y / chunk_n as f64);
+        out.push(chunk / chunk_n as f64);
     }
-    (raw_x, raw_y)
+    raw_extent
 }
 
 fn extent(values: &[f64]) -> (f64, f64) {

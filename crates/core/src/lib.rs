@@ -50,6 +50,8 @@ pub mod columnar;
 pub mod engine;
 pub mod error;
 pub mod eval;
+#[cfg(test)]
+mod grid_corpus;
 pub mod score;
 pub mod snapshot;
 pub mod stats;
@@ -61,7 +63,7 @@ pub use algo::pruning::{
 };
 pub use algo::{MatchResult, Segmenter, SegmenterKind};
 pub use ast::{IteratorSpec, Location, Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
-pub use columnar::{ArenaBuilder, ColumnarArena};
+pub use columnar::ColumnarArena;
 pub use engine::group::{group_collection, VizData};
 pub use engine::observe::{EngineStage, NoopObserver, StageObserver};
 pub use engine::shard::{merge_topk, merge_topk_refs, partition_bounds_by_points, ShardedEngine};

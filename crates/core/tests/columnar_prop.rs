@@ -138,16 +138,22 @@ proptest! {
     }
 
     /// [`kernels_match`] for each viz of the corpus GROUPed whole, where
-    /// vizzes share x runs, and vizzes on one row read one run.
+    /// vizzes share x runs: vizzes read one run exactly when their raw x
+    /// rows are bitwise equal.
     #[test]
     fn kernels_over_shared_x_runs_match_scalar_reference(tls in corpus()) {
         let grouped = group_collection(&tls, 1);
         let vizzes: Vec<&VizData> = grouped.iter().flatten().collect();
         let accepted = tls.iter().filter(|t| VizData::from_trendline(t, 0, 1).is_some());
         prop_assert_eq!(vizzes.len(), accepted.count());
+        let raw_x = |v: &VizData| -> Vec<u64> {
+            tls[v.source].points.iter().map(|p| p.x.to_bits()).collect()
+        };
         for v in &vizzes {
-            let twin = vizzes.iter().find(|w| w.xs() == v.xs()).unwrap();
-            prop_assert_eq!(twin.xs().as_ptr(), v.xs().as_ptr(), "row not shared");
+            for w in &vizzes {
+                let shared = w.xs().as_ptr() == v.xs().as_ptr();
+                prop_assert_eq!(shared, raw_x(w) == raw_x(v), "#{} and #{}", v.source, w.source);
+            }
             kernels_match(v)?;
         }
     }

@@ -184,10 +184,10 @@ fn the_anchored_bound_holds_a_tree_tie_with_its_twin() {
     }
 }
 
-/// Rows on one canvas x run, half of them shifted 3 in raw x: one
-/// pinned window names other canvas points on the shifted rows, so a
-/// stretch of the pinned-window column keyed on the run alone bounds
-/// them on the wrong window.
+/// Rows equal on the canvas, half of them shifted 3 in raw x (another
+/// grid, so another x run): one pinned window names other canvas points
+/// on the shifted rows, so a stretch of the pinned-window column keyed
+/// on the canvas alone would bound them on the wrong window.
 #[test]
 fn a_shifted_x_run_is_bounded_on_its_own_window() {
     let rows: Vec<Vec<(f64, f64)>> = (0..8)

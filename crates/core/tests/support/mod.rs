@@ -37,7 +37,7 @@ const UDPS: [&str; 8] = [
 /// One row before its base grid is known: a shape (0 noise, 1–3 walk,
 /// 4 constant, 5 two points, 6 a row GROUP rejects), its base, how its
 /// xs derive from the base grid `0, 1, …, n − 1` (0–2 the grid itself,
-/// shared bitwise; 3 plus 3, the same canvas x run on other raw x; 4 one
+/// shared bitwise; 3 plus 3, the same canvas on other raw x; 4 one
 /// interior x a quarter step right; 5 an interior x repeated by the next
 /// point; 6 the next x moved to [`PINCH`] past it), 40 drawn values, and
 /// where a NaN y goes (one row in six).

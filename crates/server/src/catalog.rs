@@ -898,15 +898,35 @@ gadget,4,12
         merge_topk(partials, k)
     }
 
-    /// [`CSV`]'s trendlines as an on-disk snapshot.
-    fn snapshot_of(csv_text: &str, tag: &str) -> DataSource {
+    /// A file in the temp dir, removed on drop (a failing test included).
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        /// `ss-catalog-{tag}-<pid>.{ext}`; nothing is written yet.
+        fn new(tag: &str, ext: &str) -> Self {
+            let name = format!("ss-catalog-{tag}-{}.{ext}", std::process::id());
+            Self(std::env::temp_dir().join(name))
+        }
+
+        fn path(&self) -> String {
+            self.0.to_str().unwrap().to_owned()
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// `csv_text`'s trendlines as an on-disk snapshot.
+    fn snapshot_of(csv_text: &str, tag: &str) -> TempFile {
         let table = csv::read_str(csv_text).unwrap();
         let visual = VisualSpec::new("product", "week", "sales");
         let trendlines = extract(&table, &visual, &ExtractOptions::default()).unwrap();
-        let path =
-            std::env::temp_dir().join(format!("ss-catalog-{tag}-{}.snap", std::process::id()));
-        shapesearch_core::snapshot::write(&path, &trendlines).unwrap();
-        DataSource::Snapshot(path.to_str().unwrap().to_owned())
+        let file = TempFile::new(tag, "snap");
+        shapesearch_core::snapshot::write(&file.0, &trendlines).unwrap();
+        file
     }
 
     fn spec(id: Option<&str>) -> DatasetSpec {
@@ -1063,9 +1083,10 @@ gadget,4,12
 
         // An all-remote router builds no engine at all, whichever kind
         // of source it registered.
+        let snap = snapshot_of(CSV, "all-remote");
         for (id, source) in [
             ("csv", DataSource::InlineCsv(CSV.into())),
-            ("snap", snapshot_of(CSV, "all-remote")),
+            ("snap", DataSource::Snapshot(snap.path())),
         ] {
             let mut s = spec(Some(id));
             s.source = source;
@@ -1114,10 +1135,11 @@ gadget,4,12
         // shard_of index out of range (past the *effective* count: two
         // trendlines partition into two shards at most): a structured
         // error, and the same one whichever kind of source it came from.
+        let snap = snapshot_of(CSV, "out-of-range");
         for (index, total) in [(2, 2), (3, 8)] {
             for source in [
                 DataSource::InlineCsv(CSV.into()),
-                snapshot_of(CSV, "out-of-range"),
+                DataSource::Snapshot(snap.path()),
             ] {
                 let mut s = spec(None);
                 s.source = source;
@@ -1195,13 +1217,14 @@ gadget,4,12
                 jsonl += &format!("{{\"product\":\"p{t}\",\"week\":{week},\"sales\":{sales}}}\n");
             }
         }
-        let file = std::env::temp_dir().join(format!("ss-catalog-path-{}.csv", std::process::id()));
-        std::fs::write(&file, &csv_text).unwrap();
+        let file = TempFile::new("path", "csv");
+        std::fs::write(&file.0, &csv_text).unwrap();
+        let snap = snapshot_of(&csv_text, "same-entry");
         let sources = [
             DataSource::InlineCsv(csv_text.clone()),
             DataSource::InlineJsonl(jsonl),
-            DataSource::Path(file.to_str().unwrap().to_owned()),
-            snapshot_of(&csv_text, "same-entry"),
+            DataSource::Path(file.path()),
+            DataSource::Snapshot(snap.path()),
         ];
         type Shape = (
             Option<usize>,
@@ -1263,7 +1286,6 @@ gadget,4,12
                 assert_eq!(other, &described[0]);
             }
         }
-        std::fs::remove_file(&file).ok();
     }
 
     #[test]
