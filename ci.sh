@@ -136,8 +136,12 @@ fi
 # `tests/support/served.rs` and `crates/server/tests/support` hold. One JSON string decoder, the one
 # that copies runs: the per-byte one's width helper (its test referee
 # inlines it). One x-row identity, the raw grid: GROUP's second hash
-# of each canvas x row (`run_of` and its SipHash) is gone.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity)"
+# of each canvas x row (`run_of` and its SipHash) is gone. One collection
+# cut: EXTRACT's output is one `Collection`, heap or mapped, and
+# `Collection::partition` cuts every engine from it, so the snapshot's
+# own cut and counts, the shard builder's private bounds, the point
+# table's second constructor and the catalog's collection enum are gone.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -159,6 +163,7 @@ fn (render|series_strategy|collection_strategy|unique_path)\b;tests crates/*/tes
 fn (market_table|haystack_csv|register_market|query_body|endpoints_json|replicas_json|metric_value|dead_endpoint|decode_results)\b;tests crates src :!tests/support/served.rs :!crates/server/tests/support;a suite defines its own copy of a served helper tests/support/served.rs or crates/server/tests/support holds
 \butf8_width\b;crates src README.md docs;the per-byte JSON string decode is back
 \brun_of\b|DefaultHasher;crates/core/src;a second x-row identity is back
+Snapshot::partition|raw_point_counts|fn partition_bounds\(|PointTable::from_trendlines|Collection::Trendlines;crates src README.md docs :!crates/bench/src/bin/ssbench;a second collection cut is back
 ROWS
 
 # One threading model: shards on the compute pool are the only

@@ -39,7 +39,7 @@
 //! are then its scores give or take rounding, the `k` seeds its top k,
 //! and the walk after them prunes everyone else but ties. Which window
 //! the pins name depends on the trendline's raw x row alone, so it is
-//! resolved once for each x grid ([`VizData::grid`]), and the window's x
+//! resolved once for each x grid (`VizData`'s `grid`), and the window's x
 //! side (`Σx`, `Σx²`, `n`) once for each stretch of candidates on one
 //! grid, whose canvas xs are one x run: a candidate pays two prefix differences and a division
 //! for its slope, gathered into one column, then its `atan` in a second

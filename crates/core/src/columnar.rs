@@ -96,32 +96,41 @@
 //! asked for it and kept, and `byte_size` counts the empty cells only
 //! (the built runs are [`ColumnarArena::angle_run_bytes`]).
 //!
-//! The arena is heap state that every engine builds for itself from its
-//! raw point columns (`PointTable`), whether those were flattened from
-//! EXTRACT's output or cut from a mapped snapshot ([`crate::snapshot`]),
-//! which stores the raw points only.
+//! ## From EXTRACT to an engine
+//!
+//! EXTRACT's output has one layout, [`Collection`]: the keys plus flat
+//! raw x and y columns with row starts — the columns of a version-3
+//! snapshot file, byte for byte. [`Collection::extract`] writes them on
+//! the heap, [`crate::snapshot::open`] maps them from a file, and
+//! [`Collection::partition`] is the one cut of an engine from either:
+//! its `PointTable`, built by the table's one constructor, copies a
+//! heap cut's ys and each distinct x row once, and views the mapping for
+//! a mapped cut. The arena is heap state that every engine builds for
+//! itself from its `PointTable`, whatever backs it.
 
+use crate::engine::ShapeEngine;
+use crate::error::Result;
 use crate::stats::SummaryStats;
-use shapesearch_datastore::Trendline;
+use shapesearch_datastore::{extract_each, Table, TrendPoint, Trendline, VisualSpec};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-/// One flat `f64` column of a [`PointTable`]: either heap-owned
-/// (flattened from EXTRACT's output) or a zero-copy view into a mapped
-/// snapshot, kept alive by an `Arc` on the mapping. Derefs to `&[f64]`,
-/// so GROUP and push-down (a) read both backings identically — same
-/// bytes, same bits, same results.
+/// One flat column of a [`Collection`] or a [`PointTable`]: either
+/// heap-owned or a zero-copy view into a mapped snapshot, kept alive by
+/// an `Arc` on the mapping. Derefs to a slice, so the snapshot writer,
+/// GROUP and push-down (a) read both backings identically — same bytes,
+/// same bits, same results.
 #[derive(Clone)]
-pub(crate) enum Column {
+pub(crate) enum Column<T = f64> {
     /// A heap-allocated column.
-    Owned(Vec<f64>),
-    /// An aligned little-endian `f64` run inside a mapped snapshot file.
+    Owned(Vec<T>),
+    /// An aligned little-endian run of `T` inside a mapped snapshot file.
     Mapped {
-        /// First element of the run (8-byte aligned, inside `keep`).
-        ptr: *const f64,
+        /// First element of the run (aligned for `T`, inside `keep`).
+        ptr: *const T,
         /// Element count.
         len: usize,
         /// Keeps the mapping (and so `ptr`) alive; only held, never read.
@@ -130,57 +139,90 @@ pub(crate) enum Column {
     },
 }
 
-// Safety: a Mapped column points into a read-only private mapping that
-// stays alive for as long as `keep` does and is never written through;
-// Owned is a plain Vec. Sharing across threads therefore cannot race.
-unsafe impl Send for Column {}
-unsafe impl Sync for Column {}
+// SAFETY: `Owned` is a plain `Vec<T>`, sent and shared under the same
+// bounds a `Vec<T>` needs. `Mapped`'s `ptr` and `len` point into a
+// read-only private mapping that stays alive for as long as `keep` (an
+// `Arc`, itself `Send + Sync`) does and that nothing writes through, so
+// every thread that holds or shares the column only reads `T`s.
+unsafe impl<T: Send + Sync> Send for Column<T> {}
+unsafe impl<T: Sync> Sync for Column<T> {}
 
-impl Column {
-    /// A zero-copy column over `len` `f64`s starting `byte_offset` bytes
+/// An element type a mapped column may hold: every bit pattern of its
+/// size is a value, so any bytes of a file read as one.
+///
+/// # Safety
+/// Implement only for `Copy` types without invalid bit patterns.
+pub(crate) unsafe trait Plain: Copy {}
+
+// SAFETY: every byte is a `u8`, and every 8 bytes an `f64`.
+unsafe impl Plain for u8 {}
+unsafe impl Plain for f64 {}
+
+impl<T: Plain> Column<T> {
+    /// A zero-copy column over `len` `T`s starting `byte_offset` bytes
     /// into `map`.
     ///
     /// # Panics
-    /// The run must lie inside the mapping and start 8-byte aligned —
+    /// The run must lie inside the mapping and start aligned for `T` —
     /// the snapshot loader validates both before calling.
     pub(crate) fn mapped(map: &Arc<memmap2::Mmap>, byte_offset: usize, len: usize) -> Self {
-        let bytes = len.checked_mul(8).expect("column byte length overflows");
+        let bytes = len
+            .checked_mul(std::mem::size_of::<T>())
+            .expect("column byte length overflows");
         let end = byte_offset
             .checked_add(bytes)
             .expect("column end overflows");
         assert!(end <= map.len(), "column run outside the mapping");
+        // SAFETY: `byte_offset <= end <= map.len()`, checked above, so the
+        // pointer stays inside the mapping or one past its end.
         let ptr = unsafe { map.as_ptr().add(byte_offset) };
         assert_eq!(
-            ptr as usize % std::mem::align_of::<f64>(),
+            ptr as usize % std::mem::align_of::<T>(),
             0,
             "column run misaligned"
         );
         Self::Mapped {
-            ptr: ptr.cast::<f64>(),
+            ptr: ptr.cast::<T>(),
             len,
             keep: Arc::clone(map),
         }
     }
+
+    /// Elements `[lo, hi)`: a heap copy of a heap column, a view of the
+    /// same mapping for a mapped one.
+    fn slice(&self, lo: usize, hi: usize) -> Self {
+        match self {
+            Self::Owned(v) => Self::Owned(v[lo..hi].to_vec()),
+            Self::Mapped { ptr, keep, .. } => {
+                assert!(lo <= hi && hi <= self.len(), "slice outside the column");
+                Self::Mapped {
+                    // SAFETY: `lo <= len`, checked above, so the pointer
+                    // stays inside this run or one past its end.
+                    ptr: unsafe { ptr.add(lo) },
+                    len: hi - lo,
+                    keep: Arc::clone(keep),
+                }
+            }
+        }
+    }
 }
 
-impl Deref for Column {
-    type Target = [f64];
+impl<T> Deref for Column<T> {
+    type Target = [T];
 
-    fn deref(&self) -> &[f64] {
+    fn deref(&self) -> &[T] {
         match self {
             Self::Owned(v) => v,
+            // SAFETY: `mapped` and `slice` check that the `len` elements
+            // from `ptr` lie inside the mapping, aligned for `T`, which is
+            // `Plain`; `keep` holds the mapping alive and unwritten while
+            // `self` is.
             Self::Mapped { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
         }
     }
 }
 
-impl From<Vec<f64>> for Column {
-    fn from(v: Vec<f64>) -> Self {
-        Self::Owned(v)
-    }
-}
-
-impl fmt::Debug for Column {
+impl<T> fmt::Debug for Column<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match self {
             Self::Owned(_) => "owned",
@@ -193,15 +235,126 @@ impl fmt::Debug for Column {
     }
 }
 
-/// The raw (x, y) points of a collection, each x row stored once:
-/// trendline `i`'s ys are `ys[starts[i]..starts[i + 1]]`, and its xs
-/// the same number of values from `x_starts[grids[i]]`, ascending.
+/// EXTRACT's output as the columns of a version-3 snapshot
+/// ([`crate::snapshot`]): the keys' UTF-8 bytes and their starts, and
+/// every trendline's raw xs and ys, one trendline after another, with
+/// their starts. Trendline `i`'s key is `key_bytes[key_starts[i]..
+/// key_starts[i + 1]]` and its points are at `starts[i]..starts[i + 1]`
+/// in both point columns, ascending in x.
+///
+/// [`Self::extract`] builds the columns on the heap, and
+/// [`crate::snapshot::open`] maps them from a file that
+/// [`crate::snapshot::write`] wrote verbatim. Either way engines are cut
+/// from it by [`Self::partition`], the one cut.
+#[derive(Debug)]
+pub struct Collection {
+    pub(crate) key_bytes: Column<u8>,
+    pub(crate) key_starts: Vec<usize>,
+    pub(crate) xs: Column,
+    pub(crate) ys: Column,
+    pub(crate) starts: Vec<usize>,
+}
+
+impl Collection {
+    /// Runs EXTRACT over a table with the given visual parameters,
+    /// writing each trendline straight into the heap columns.
+    ///
+    /// # Errors
+    /// Propagates extraction errors (unknown columns, non-numeric axes).
+    pub fn extract(table: &Table, spec: &VisualSpec) -> Result<Self> {
+        // EXTRACT keeps at most one point a row.
+        let (collection, extracted) =
+            Self::build(table.num_rows(), |push| extract_each(table, spec, push));
+        extracted?;
+        Ok(collection)
+    }
+
+    /// Flattens trendlines (EXTRACT's output collected, or a
+    /// generator's) into the heap columns.
+    pub fn from_trendlines(trendlines: &[Trendline]) -> Self {
+        let points = trendlines.iter().map(Trendline::len).sum();
+        Self::build(points, |push| {
+            for t in trendlines {
+                push(&t.key, &t.points);
+            }
+        })
+        .0
+    }
+
+    /// Heap columns filled by `fill`, which pushes one trendline at a
+    /// time; the point columns start with room for `points`.
+    fn build<R>(
+        points: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&str, &[TrendPoint])) -> R,
+    ) -> (Self, R) {
+        let (mut key_bytes, mut key_starts) = (String::new(), vec![0]);
+        let (mut xs, mut ys) = (Vec::with_capacity(points), Vec::with_capacity(points));
+        let mut starts = vec![0];
+        let filled = fill(&mut |key, points| {
+            key_bytes.push_str(key);
+            key_starts.push(key_bytes.len());
+            xs.extend(points.iter().map(|p| p.x));
+            ys.extend(points.iter().map(|p| p.y));
+            starts.push(xs.len());
+        });
+        let collection = Self {
+            key_bytes: Column::Owned(key_bytes.into_bytes()),
+            key_starts,
+            xs: Column::Owned(xs),
+            ys: Column::Owned(ys),
+            starts,
+        };
+        (collection, filled)
+    }
+
+    /// Number of trendlines.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True for a collection of no trendlines.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Raw points across all trendlines.
+    pub fn point_count(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// Per-trendline raw point counts: the input
+    /// [`crate::partition_bounds_by_points`] cuts shards by.
+    pub fn point_counts(&self) -> Vec<usize> {
+        self.starts.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    /// The `z` value of trendline `i`.
+    fn key(&self, i: usize) -> &str {
+        let bytes = &self.key_bytes[self.key_starts[i]..self.key_starts[i + 1]];
+        std::str::from_utf8(bytes).expect("keys are UTF-8: pushed as text, or checked at open")
+    }
+
+    /// The engine over trendlines `[start, end)`, reporting
+    /// collection-global indices from `start`. A heap cut copies the
+    /// keys, the ys and each distinct x row once; a mapped cut copies
+    /// the keys and views the mapping for the points. It has GROUPed
+    /// nothing yet: `ShapeEngine::warm`, or its first query, GROUPs it.
+    ///
+    /// # Panics
+    /// Panics when `start > end` or `end` exceeds the trendline count.
+    pub fn partition(&self, start: usize, end: usize) -> ShapeEngine {
+        assert!(start <= end && end <= self.len());
+        let keys = (start..end).map(|i| self.key(i).to_owned()).collect();
+        ShapeEngine::from_columns(keys, PointTable::new(self, start, end)).with_base_index(start)
+    }
+}
+
+/// The raw (x, y) points of an engine's trendlines, each x row stored
+/// once: trendline `i`'s ys are `ys[starts[i]..starts[i + 1]]`, and its
+/// xs the same number of values from `x_starts[grids[i]]`, ascending.
 /// Trendlines whose raw x rows are bitwise equal share one grid id and
 /// one x run. An engine's GROUP (at any bin width) and push-down (a)
-/// read these columns; they are heap vectors when flattened from
-/// EXTRACT's output — `xs` then holds each distinct row once — and
-/// zero-copy views of the mapping when cut from a snapshot, where an x
-/// row equal to an earlier one is read at the earlier one's offset.
+/// read these columns.
 #[derive(Debug)]
 pub(crate) struct PointTable {
     xs: Column,
@@ -215,49 +368,40 @@ pub(crate) struct PointTable {
 }
 
 impl PointTable {
-    /// Assembles a table from pre-built columns — the snapshot loader's
-    /// constructor; `starts` is monotone from 0 to the columns' length,
-    /// and both columns hold trendline `i`'s points at `starts[i]..`.
-    /// Each x row is looked up once; nothing is copied.
-    pub(crate) fn from_columns(xs: Column, ys: Column, starts: Vec<usize>) -> Self {
-        debug_assert_eq!(xs.len(), ys.len());
-        debug_assert_eq!(starts.last(), Some(&xs.len()));
-        let (grids, firsts) = distinct_rows(&xs, &starts);
-        let x_starts = firsts.iter().map(|&i| starts[i]).collect();
+    /// Trendlines `[start, end)` of `collection`, each x row looked up
+    /// once. Cut from heap columns, the table holds the ys and each
+    /// distinct x row once; cut from mapped ones, it views the mapping
+    /// and reads an x row equal to an earlier one at the earlier one's
+    /// offset.
+    pub(crate) fn new(collection: &Collection, start: usize, end: usize) -> Self {
+        let (lo, hi) = (collection.starts[start], collection.starts[end]);
+        let starts: Vec<usize> = collection.starts[start..=end]
+            .iter()
+            .map(|&s| s - lo)
+            .collect();
+        let all_xs = &collection.xs[lo..hi];
+        let (grids, firsts) = distinct_rows(all_xs, &starts);
+        let row = |i: usize| &all_xs[starts[i]..starts[i + 1]];
+        let (xs, x_starts) = match &collection.xs {
+            Column::Owned(_) => {
+                let mut xs = Vec::with_capacity(firsts.iter().map(|&i| row(i).len()).sum());
+                let x_starts = firsts
+                    .iter()
+                    .map(|&i| {
+                        xs.extend_from_slice(row(i));
+                        xs.len() - row(i).len()
+                    })
+                    .collect();
+                (Column::Owned(xs), x_starts)
+            }
+            mapped => (
+                mapped.slice(lo, hi),
+                firsts.iter().map(|&i| starts[i]).collect(),
+            ),
+        };
         Self {
             xs,
-            ys,
-            starts,
-            grids,
-            x_starts,
-        }
-    }
-
-    /// Flattens EXTRACT's output, one row per trendline, keeping each
-    /// distinct x row once.
-    pub(crate) fn from_trendlines(trendlines: &[Trendline]) -> Self {
-        let points = trendlines.iter().map(Trendline::len).sum();
-        let (mut all_xs, mut ys) = (Vec::with_capacity(points), Vec::with_capacity(points));
-        let mut starts = Vec::with_capacity(trendlines.len() + 1);
-        starts.push(0);
-        for t in trendlines {
-            all_xs.extend(t.points.iter().map(|p| p.x));
-            ys.extend(t.points.iter().map(|p| p.y));
-            starts.push(all_xs.len());
-        }
-        let (grids, firsts) = distinct_rows(&all_xs, &starts);
-        let row = |i: usize| &all_xs[starts[i]..starts[i + 1]];
-        let mut xs = Vec::with_capacity(firsts.iter().map(|&i| row(i).len()).sum());
-        let x_starts = firsts
-            .iter()
-            .map(|&i| {
-                xs.extend_from_slice(row(i));
-                xs.len() - row(i).len()
-            })
-            .collect();
-        Self {
-            xs: xs.into(),
-            ys: ys.into(),
+            ys: collection.ys.slice(lo, hi),
             starts,
             grids,
             x_starts,
@@ -858,6 +1002,44 @@ mod tests {
     fn push(b: &mut ArenaBuilder, xs: &[f64], ys: &[f64]) -> (usize, (f64, f64)) {
         let run = b.push_run(xs);
         b.push_viz(run, ys)
+    }
+
+    /// A heap cut stores each distinct raw x row once: two of its
+    /// trendlines read one x row exactly when their rows are bitwise
+    /// equal (`-0.0` is not `0.0`), whichever trendlines the cut spans,
+    /// and the distinct rows lie packed, one after another.
+    #[test]
+    fn a_heap_cut_stores_each_distinct_x_row_once() {
+        let on = |key: &str, xs: [f64; 3]| Trendline::from_pairs(key, &xs.map(|x| (x, 2.0 * x)));
+        let tls = [
+            on("a", [0.0, 1.0, 2.0]),
+            on("b", [0.0, 1.0, 3.0]),
+            on("c", [0.0, 1.0, 2.0]),
+            on("d", [-0.0, 1.0, 2.0]),
+            on("e", [0.0, 1.0, 3.0]),
+        ];
+        let collection = Collection::from_trendlines(&tls);
+        let bits = |t: &Trendline| t.xs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (start, end) in [(0, 5), (1, 5), (2, 4)] {
+            let engine = collection.partition(start, end);
+            let mut rows: Vec<_> = tls[start..end].iter().map(bits).collect();
+            rows.sort();
+            rows.dedup();
+            let at = |i: usize| engine.points(i).0.as_ptr() as usize;
+            let (first, last) = (
+                (0..engine.len()).map(at).min(),
+                (0..engine.len()).map(at).max(),
+            );
+            let span = (last.unwrap() - first.unwrap()) / 8 + 3;
+            assert_eq!(span, 3 * rows.len(), "cut {start}..{end} packs its x rows");
+            for i in 0..engine.len() {
+                for j in 0..engine.len() {
+                    let shared = engine.points(i).0.as_ptr() == engine.points(j).0.as_ptr();
+                    let equal = bits(&tls[start + i]) == bits(&tls[start + j]);
+                    assert_eq!(shared, equal, "cut {start}..{end}, rows {i} and {j}");
+                }
+            }
+        }
     }
 
     fn demo_series(seed: u64, n: usize) -> (Vec<f64>, Vec<f64>) {

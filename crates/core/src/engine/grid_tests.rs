@@ -15,7 +15,7 @@ use super::*;
 use crate::ast::ShapeSegment;
 use crate::engine::pushdown::covers_ranges;
 use crate::grid_corpus::{build, collection_strategy, row, Variant};
-use crate::snapshot::{self, Snapshot};
+use crate::snapshot;
 use proptest::prelude::*;
 use shapesearch_datastore::Trendline;
 
@@ -112,7 +112,7 @@ fn answer(shards: &[ShapeEngine], q: &ShapeQuery, k: usize, opts: &EngineOptions
 
 /// The collection cut into `n` shard engines, eagerly or from a
 /// snapshot, whose engines GROUP the mapped raw columns.
-fn shards_of(tls: &[Trendline], n: usize, from: Option<&Snapshot>) -> Vec<ShapeEngine> {
+fn shards_of(tls: &[Trendline], n: usize, from: Option<&Collection>) -> Vec<ShapeEngine> {
     let counts: Vec<usize> = tls.iter().map(|t| t.points.len()).collect();
     shard::partition_bounds_by_points(&counts, n)
         .into_iter()
@@ -130,12 +130,12 @@ struct Written(std::path::PathBuf);
 impl Written {
     fn new(name: &str, tls: &[Trendline]) -> Self {
         let path = std::env::temp_dir().join(format!("ss-grid-{}-{name}", std::process::id()));
-        snapshot::write(&path, tls).unwrap();
+        snapshot::write(&path, &Collection::from_trendlines(tls)).unwrap();
         Self(path)
     }
 
-    fn open(&self) -> Snapshot {
-        Snapshot::open(&self.0).unwrap()
+    fn open(&self) -> Collection {
+        snapshot::open(&self.0).unwrap()
     }
 }
 

@@ -50,7 +50,7 @@
 //! z-normalization for slope-based scoring while keeping raw coordinate
 //! mappings available for y-location constraints.
 
-use crate::columnar::{ArenaBuilder, ColumnarArena, PointTable};
+use crate::columnar::{ArenaBuilder, Collection, ColumnarArena, PointTable};
 use crate::stats::SummaryStats;
 use shapesearch_datastore::Trendline;
 use std::sync::Arc;
@@ -58,31 +58,33 @@ use std::sync::Arc;
 /// A candidate visualization prepared for segmentation and scoring: an
 /// `Arc`-shared handle into a [`ColumnarArena`] slot plus the per-viz
 /// scalars scoring needs (raw extents, slope extremes and their angles,
-/// x grid, source index).
+/// x grid, source index). GROUP alone writes those scalars, and the
+/// §6.3 bound pass trusts every one of them, so they are the crate's:
+/// callers outside it read what they need through methods.
 #[derive(Debug, Clone)]
 pub struct VizData {
     /// Raw x domain (min, max) for mapping query literals.
-    pub raw_x: (f64, f64),
+    pub(crate) raw_x: (f64, f64),
     /// Raw y domain (min, max).
-    pub raw_y: (f64, f64),
+    pub(crate) raw_y: (f64, f64),
     /// Smallest slope among the intervals between adjacent canvas points
     /// (the leaf level of the SegmentTree). Cached at GROUP time from the
     /// prefix sums so the §6.3 score bounds are O(1) per query: any merged
     /// range's fitted slope is a convex combination of its interval slopes
     /// (the "law of the triangle" of Theorem 6.4), so it lies in
     /// `[slope_min, slope_max]`.
-    pub slope_min: f64,
+    pub(crate) slope_min: f64,
     /// Largest interval slope; see [`Self::slope_min`].
-    pub slope_max: f64,
+    pub(crate) slope_max: f64,
     /// `atan(slope_min)`, taken once here so the §6.3 bound pass — which
     /// reads the Table 5 scorers at both extremes for every candidate of
     /// every query, save for a segment pinned at both ends (bounded on its
     /// own window instead) — takes no `atan` for them. Taken when GROUP
     /// builds the handle, from the extremes `ArenaBuilder::push_viz`
     /// returns; the arena keeps no copy.
-    pub theta_min: f64,
+    pub(crate) theta_min: f64,
     /// `atan(slope_max)`; see [`Self::theta_min`].
-    pub theta_max: f64,
+    pub(crate) theta_max: f64,
     /// Id of this trendline's x grid within its GROUP run: two handles
     /// share it exactly when their raw x rows are bitwise equal, and
     /// then so are their raw extents, canvas xs, [`Self::x_to_index`]
@@ -90,10 +92,10 @@ pub struct VizData {
     /// resolve its pins once a grid (`GridMemo`). It is the x run the
     /// arena stores the canvas xs on, so dense from 0 in source order
     /// over the handles of one GROUP run.
-    pub grid: u32,
+    pub(crate) grid: u32,
     /// Index of the source trendline in the engine's collection (its
     /// key is the engine's `key(source)`).
-    pub source: usize,
+    pub(crate) source: usize,
     arena: Arc<ColumnarArena>,
     slot: usize,
 }
@@ -104,7 +106,8 @@ pub struct VizData {
 /// door for callers holding EXTRACT's output: it flattens the points and
 /// runs the column GROUP an engine runs on its own table.
 pub fn group_collection(trendlines: &[Trendline], bin: usize) -> Vec<Option<VizData>> {
-    group_points(&PointTable::from_trendlines(trendlines), bin)
+    let collection = Collection::from_trendlines(trendlines);
+    group_points(&PointTable::new(&collection, 0, collection.len()), bin)
 }
 
 /// GROUP over the raw point columns — the one implementation behind
@@ -260,6 +263,11 @@ impl VizData {
     /// This visualization's slot in [`Self::arena`].
     pub fn slot(&self) -> usize {
         self.slot
+    }
+
+    /// Index of the source trendline in the engine's collection.
+    pub fn source(&self) -> usize {
+        self.source
     }
 
     /// Maps a raw x value onto the canvas.

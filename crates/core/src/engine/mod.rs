@@ -3,13 +3,14 @@
 //! dataset D, a ShapeQuery Q, visual parameters R, and a scoring function SF,
 //! find top k visualizations that maximize SF(Q, Vᵢ)".
 //!
-//! An engine owns its collection in one form: the keys, and the raw
-//! points as two flat columns ([`crate::columnar`]'s `PointTable`) —
-//! heap vectors when flattened from EXTRACT's `Vec<Trendline>` (which is
-//! then dropped), views of the mapping when cut from a snapshot, which
-//! holds nothing else. Result keys, push-down (a), and GROUP at any bin
-//! width read those columns; the per-width arenas GROUP builds, on the
-//! heap whatever the source, are the only other copy of anything.
+//! An engine owns its trendlines in one form: the keys, and the raw
+//! points as two flat columns ([`crate::columnar`]'s `PointTable`), cut
+//! from EXTRACT's [`crate::Collection`] by [`crate::Collection::partition`]
+//! — heap vectors when the collection is (which is then dropped), views
+//! of the mapping when it was opened from a snapshot, which holds
+//! nothing else. Result keys, push-down (a), and GROUP at any bin width
+//! read those columns; the per-width arenas GROUP builds, on the heap
+//! whatever the source, are the only other copy of anything.
 
 pub mod group;
 pub mod observe;
@@ -27,14 +28,14 @@ use crate::algo::segment_tree::SegmentTreeSegmenter;
 use crate::algo::{MatchResult, Segmenter, SegmenterKind};
 use crate::ast::Pattern;
 use crate::chain::{expand_chains, Chain, MAX_CHAIN_UNITS};
-use crate::columnar::{ColumnarArena, PointTable};
+use crate::columnar::{Collection, ColumnarArena, PointTable};
 use crate::error::{CoreError, Result};
 use crate::eval::{Evaluator, UdpFn, UdpRegistry};
 use crate::score::ScoreParams;
 use crate::ShapeQuery;
 use group::{GridMemo, VizData};
 use observe::{EngineStage, StageObserver, NOOP_OBSERVER};
-use shapesearch_datastore::{extract, ExtractOptions, Table, Trendline, VisualSpec};
+use shapesearch_datastore::{Table, Trendline, VisualSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use topk::TopK;
@@ -198,22 +199,22 @@ impl ShapeEngine {
     /// # Errors
     /// Propagates extraction errors (unknown columns, non-numeric axes).
     pub fn new(table: &Table, spec: &VisualSpec) -> Result<Self> {
-        let trendlines = extract(table, spec, &ExtractOptions::default())?;
-        Ok(Self::from_trendlines(trendlines))
+        let collection = Collection::extract(table, spec)?;
+        Ok(collection.partition(0, collection.len()))
     }
 
     /// Builds an engine directly from trendlines (e.g. from a generator):
-    /// the points are flattened into the engine's two raw columns and
-    /// the trendlines dropped.
+    /// the trendlines are flattened into a [`Collection`] and dropped,
+    /// and the engine is cut from it whole.
     pub fn from_trendlines(trendlines: Vec<Trendline>) -> Self {
-        let points = PointTable::from_trendlines(&trendlines);
-        let keys = trendlines.into_iter().map(|t| t.key).collect();
-        Self::from_columns(keys, points)
+        let collection = Collection::from_trendlines(&trendlines);
+        drop(trendlines);
+        collection.partition(0, collection.len())
     }
 
-    /// An engine over pre-built columns, one key per row — what
-    /// [`crate::snapshot::Snapshot::partition`] cuts from a mapping. It
-    /// has GROUPed nothing yet, like any new engine.
+    /// An engine over cut columns, one key per row — what
+    /// [`Collection::partition`] builds. It has GROUPed nothing yet,
+    /// like any new engine.
     pub(crate) fn from_columns(keys: Vec<String>, points: PointTable) -> Self {
         debug_assert_eq!(keys.len(), points.len());
         Self {

@@ -31,7 +31,7 @@ use crate::ShapeQuery;
 /// `xs` is ascending, so the first value at or past `lo` decides each
 /// range: O(log n) per range. The verdict depends on `xs` alone, so the
 /// engine takes it once for each x grid of a collection
-/// ([`crate::VizData::grid`]), not once per trendline.
+/// (`VizData`'s `grid`), not once per trendline.
 pub fn covers_ranges(xs: &[f64], ranges: &[(f64, f64)]) -> bool {
     ranges.iter().all(|&(lo, hi)| {
         let first = xs.partition_point(|&x| x < lo);

@@ -28,8 +28,9 @@
 use super::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 use crate::error::Result;
 use crate::eval::UdpFn;
+use crate::Collection;
 use crate::ShapeQuery;
-use shapesearch_datastore::{extract, ExtractOptions, Table, Trendline, VisualSpec};
+use shapesearch_datastore::{Table, Trendline, VisualSpec};
 use std::sync::Arc;
 
 /// A trendline collection partitioned into N independently queryable
@@ -48,8 +49,7 @@ impl ShardedEngine {
     /// # Errors
     /// Propagates extraction errors (unknown columns, non-numeric axes).
     pub fn new(table: &Table, spec: &VisualSpec, shard_count: usize) -> Result<Self> {
-        let trendlines = extract(table, spec, &ExtractOptions::default())?;
-        Ok(Self::from_trendlines(trendlines, shard_count))
+        Ok(Self::cut(&Collection::extract(table, spec)?, shard_count))
     }
 
     /// Partitions `trendlines` into (at most) `shard_count` contiguous,
@@ -59,24 +59,21 @@ impl ShardedEngine {
     /// offset plus the local index. The effective shard count is clamped
     /// to `[1, trendline_count]` (never an empty shard).
     pub fn from_trendlines(trendlines: Vec<Trendline>, shard_count: usize) -> Self {
-        let trendline_count = trendlines.len();
-        let point_count: usize = trendlines.iter().map(|t| t.points.len()).sum();
-        let bounds = partition_bounds(&trendlines, shard_count);
+        let collection = Collection::from_trendlines(&trendlines);
+        drop(trendlines);
+        Self::cut(&collection, shard_count)
+    }
 
-        let mut shards = Vec::with_capacity(bounds.len());
-        let mut rest = trendlines;
-        // Split back-to-front so each boundary is a cheap `split_off`.
-        for &(start, _) in bounds.iter().rev() {
-            let part = rest.split_off(start);
-            shards.push(Arc::new(
-                ShapeEngine::from_trendlines(part).with_base_index(start),
-            ));
-        }
-        shards.reverse();
+    /// `collection` cut at [`partition_bounds_by_points`].
+    fn cut(collection: &Collection, shard_count: usize) -> Self {
+        let shards = partition_bounds_by_points(&collection.point_counts(), shard_count)
+            .into_iter()
+            .map(|(start, end)| Arc::new(collection.partition(start, end)))
+            .collect();
         Self {
             shards,
-            trendline_count,
-            point_count,
+            trendline_count: collection.len(),
+            point_count: collection.point_count(),
         }
     }
 
@@ -208,22 +205,13 @@ impl ShardedEngine {
     }
 }
 
-/// Contiguous `(start, end)` trendline ranges for (at most) `shard_count`
-/// size-balanced shards. Balancing minimizes the spread of per-shard
-/// point totals by cutting at the cumulative-points quantiles.
-fn partition_bounds(trendlines: &[Trendline], shard_count: usize) -> Vec<(usize, usize)> {
-    let counts: Vec<usize> = trendlines.iter().map(|t| t.points.len()).collect();
-    partition_bounds_by_points(&counts, shard_count)
-}
-
-/// [`partition_bounds`](ShardedEngine) over bare per-trendline **raw**
-/// point counts: contiguous `(start, end)` trendline ranges for (at
-/// most) `shard_count` size-balanced shards, cutting at the
-/// cumulative-points quantiles with every shard kept non-empty. This is
-/// the single deterministic partitioning rule every sharding path uses —
-/// in-process shards, `--shard-of` shard servers, and the snapshot
-/// loader (which stores raw point counts precisely so it can reproduce
-/// these bounds without materializing trendlines).
+/// Contiguous `(start, end)` trendline ranges for (at most)
+/// `shard_count` shards, balanced by per-trendline **raw** point counts:
+/// cut at the cumulative-points quantiles with every shard kept
+/// non-empty. This is the single deterministic partitioning rule every
+/// sharding path uses — in-process shards, `--shard-of` shard servers,
+/// and a snapshot registration, whose collection carries the raw point
+/// counts like a heap one.
 pub fn partition_bounds_by_points(
     point_counts: &[usize],
     shard_count: usize,

@@ -63,7 +63,7 @@ pub use algo::pruning::{
 };
 pub use algo::{MatchResult, Segmenter, SegmenterKind};
 pub use ast::{IteratorSpec, Location, Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
-pub use columnar::ColumnarArena;
+pub use columnar::{Collection, ColumnarArena};
 pub use engine::group::{group_collection, VizData};
 pub use engine::observe::{EngineStage, NoopObserver, StageObserver};
 pub use engine::shard::{merge_topk, merge_topk_refs, partition_bounds_by_points, ShardedEngine};
@@ -71,5 +71,5 @@ pub use engine::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
 pub use error::{CoreError, Result};
 pub use eval::{slope_leaf, Evaluator, PosContext, SlopeLeaf, UdpFn, UdpRegistry};
 pub use score::ScoreParams;
-pub use snapshot::{Snapshot, SnapshotError, SnapshotStats};
+pub use snapshot::{SnapshotError, SnapshotStats};
 pub use stats::{StatsIndex, SummaryStats};

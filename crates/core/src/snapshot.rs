@@ -1,15 +1,16 @@
 //! Versioned on-disk snapshots of EXTRACT's output.
 //!
-//! A snapshot persists what EXTRACT produced — the trendline keys and
-//! the two raw point columns — as one flat little-endian file. Opening a
-//! snapshot maps it ([`memmap2::Mmap`] behind the workspace's std-only
-//! syscall shim), and [`Snapshot::partition`] hands back an engine whose
-//! raw columns are **zero-copy views into the mapping**: a server
-//! registration opens, validates and cuts a snapshot once, allocating
-//! keys and offsets and copying no point, and the kernel pages the
-//! mapping. The file holds no GROUP state: the engine GROUPs the mapped
-//! columns with the same `ShapeEngine::warm` a CSV registration calls,
-//! so there is one GROUP path, and nothing derived to trust at open.
+//! A snapshot is the file form of a [`Collection`]: its five columns —
+//! the trendline keys and the two raw point columns, with their starts —
+//! written verbatim as one flat little-endian file. [`open()`] maps it
+//! ([`memmap2::Mmap`] behind the workspace's std-only syscall shim),
+//! validates it, and returns a collection whose columns are **zero-copy
+//! views into the mapping**, so [`Collection::partition`] — the same cut
+//! a heap collection takes — hands back engines that allocate keys and
+//! offsets and copy no point, and the kernel pages the mapping. The file
+//! holds no GROUP state: the engine GROUPs the mapped columns with the
+//! same `ShapeEngine::warm` a CSV registration calls, so there is one
+//! GROUP path, and nothing derived to trust at open.
 //!
 //! ## File layout (version 3)
 //!
@@ -40,7 +41,7 @@
 //! [`SnapshotError::Version`], and `shapesearch snapshot` rebuilds it
 //! from the source data.
 //!
-//! [`Snapshot::open`] checks, in order: the header length, the magic,
+//! [`open()`] checks, in order: the header length, the magic,
 //! the version, the header checksum, the recorded file length, the
 //! counts against it, the column table against the layout the counts
 //! imply, the payload checksum, both start columns (monotone from 0,
@@ -54,9 +55,7 @@
 //! and renames it over the path, so a server still mapping the old file
 //! keeps the old bytes.
 
-use crate::columnar::{Column, PointTable};
-use crate::engine::ShapeEngine;
-use shapesearch_datastore::Trendline;
+use crate::columnar::{Collection, Column};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -188,8 +187,8 @@ fn layout(key_bytes: usize, t: usize, r: usize) -> ([Span; COLUMNS], usize) {
     (spans, offset)
 }
 
-/// Writes a version-3 snapshot of `trendlines`: their keys and raw
-/// points, bit for bit.
+/// Writes a version-3 snapshot of `collection`: its columns, bit for
+/// bit.
 ///
 /// The file is written beside `path`, synced, and renamed over it, so a
 /// mapping of the file `path` named before keeps its bytes.
@@ -198,13 +197,13 @@ fn layout(key_bytes: usize, t: usize, r: usize) -> ([Span; COLUMNS], usize) {
 /// Propagates filesystem errors as [`SnapshotError::Io`].
 pub fn write(
     path: impl AsRef<Path>,
-    trendlines: &[Trendline],
+    collection: &Collection,
 ) -> Result<SnapshotStats, SnapshotError> {
     let path = path.as_ref();
     let mut sibling = path.as_os_str().to_owned();
     sibling.push(format!(".{}.tmp", std::process::id()));
     let sibling = PathBuf::from(sibling);
-    let written = write_file(&sibling, trendlines).and_then(|stats| {
+    let written = write_file(&sibling, collection).and_then(|stats| {
         fs::rename(&sibling, path)?;
         // The rename is durable once the directory holding it is synced.
         let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
@@ -218,10 +217,8 @@ pub fn write(
 }
 
 /// [`write()`]'s file, written at `path` itself.
-fn write_file(path: &Path, trendlines: &[Trendline]) -> io::Result<SnapshotStats> {
-    let t = trendlines.len();
-    let r = trendlines.iter().map(Trendline::len).sum();
-    let key_bytes = trendlines.iter().map(|tl| tl.key.len()).sum();
+fn write_file(path: &Path, c: &Collection) -> io::Result<SnapshotStats> {
+    let (t, r, key_bytes) = (c.len(), c.point_count(), c.key_bytes.len());
     let (spans, file_len) = layout(key_bytes, t, r);
 
     let mut out = BufWriter::new(File::create(path)?);
@@ -233,34 +230,17 @@ fn write_file(path: &Path, trendlines: &[Trendline]) -> io::Result<SnapshotStats
         fnv1a(&mut hash, bytes);
         out.write_all(bytes)
     };
-    // Running ends of a per-trendline length, from a leading 0.
-    let starts = |len: fn(&Trendline) -> usize| {
-        let ends = trendlines.iter().scan(0u64, move |end, tl| {
-            *end += len(tl) as u64;
-            Some(*end)
-        });
-        std::iter::once(0).chain(ends)
-    };
     // Key bytes, padded to the 8-byte boundary the next column needs.
-    for tl in trendlines {
-        put(tl.key.as_bytes())?;
-    }
+    put(&c.key_bytes)?;
     put(&[0u8; 8][..key_bytes.div_ceil(8) * 8 - key_bytes])?;
-    for end in starts(|tl| tl.key.len()) {
-        put(&end.to_le_bytes())?;
+    for &end in &c.key_starts {
+        put(&(end as u64).to_le_bytes())?;
     }
-    for tl in trendlines {
-        for p in &tl.points {
-            put(&p.x.to_le_bytes())?;
-        }
+    for v in c.xs.iter().chain(c.ys.iter()) {
+        put(&v.to_le_bytes())?;
     }
-    for tl in trendlines {
-        for p in &tl.points {
-            put(&p.y.to_le_bytes())?;
-        }
-    }
-    for end in starts(Trendline::len) {
-        put(&end.to_le_bytes())?;
+    for &end in &c.starts {
+        put(&(end as u64).to_le_bytes())?;
     }
 
     // Assemble and install the real header.
@@ -292,26 +272,6 @@ fn write_file(path: &Path, trendlines: &[Trendline]) -> io::Result<SnapshotStats
     })
 }
 
-/// An opened, validated snapshot file. Cheap to cut partitions from;
-/// the mapping stays alive for as long as any column cut from it does
-/// (each holds an `Arc` on the map).
-pub struct Snapshot {
-    map: Arc<memmap2::Mmap>,
-    path: PathBuf,
-    spans: [Span; COLUMNS],
-    key_starts: Vec<usize>,
-    raw_starts: Vec<usize>,
-}
-
-impl std::fmt::Debug for Snapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("path", &self.path)
-            .field("trendlines", &self.trendline_count())
-            .finish()
-    }
-}
-
 fn corrupt(path: &Path, detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt {
         path: path.to_owned(),
@@ -328,208 +288,160 @@ fn le_usize(bytes: &[u8], at: usize, path: &Path, what: &str) -> Result<usize, S
         .map_err(|_| corrupt(path, format!("{what} does not fit this platform's usize")))
 }
 
-impl Snapshot {
-    /// Opens and fully validates a snapshot file.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] for filesystem/mapping failures,
-    /// [`SnapshotError::Version`] for any format version but this one,
-    /// and [`SnapshotError::Corrupt`] for everything a torn, truncated,
-    /// or tampered file can present: bad magic, checksum mismatches
-    /// (header and payload), a recorded length that disagrees with the
-    /// file, or structural invariants that do not hold.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let path = path.as_ref();
-        let file = File::open(path).map_err(|e| io_err(path, e))?;
-        // SAFETY: mapping contract — the file must not be truncated or
-        // written while mapped. `write()` never writes an existing
-        // file: it renames a new one over the path, and this mapping
-        // keeps the file it opened. Another program writing the file in
-        // place breaks the contract.
-        let map = unsafe { memmap2::Mmap::map(&file) }.map_err(|e| io_err(path, e))?;
-        let map = Arc::new(map);
-        let bytes: &[u8] = &map;
+/// Opens and fully validates a snapshot file, and returns its
+/// collection: columns that view the mapping (decoded copies of the
+/// point columns on a big-endian target). The mapping stays alive for
+/// as long as any column of the collection, or cut from it, does.
+///
+/// # Errors
+/// [`SnapshotError::Io`] for filesystem/mapping failures,
+/// [`SnapshotError::Version`] for any format version but this one,
+/// and [`SnapshotError::Corrupt`] for everything a torn, truncated,
+/// or tampered file can present: bad magic, checksum mismatches
+/// (header and payload), a recorded length that disagrees with the
+/// file, or structural invariants that do not hold.
+pub fn open(path: impl AsRef<Path>) -> Result<Collection, SnapshotError> {
+    let path = path.as_ref();
+    let file = File::open(path).map_err(|e| io_err(path, e))?;
+    // SAFETY: mapping contract — the file must not be truncated or
+    // written while mapped. `write()` never writes an existing
+    // file: it renames a new one over the path, and this mapping
+    // keeps the file it opened. Another program writing the file in
+    // place breaks the contract.
+    let map = unsafe { memmap2::Mmap::map(&file) }.map_err(|e| io_err(path, e))?;
+    let map = Arc::new(map);
+    let bytes: &[u8] = &map;
 
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(
-                path,
-                format!(
-                    "{} bytes is shorter than the {HEADER_LEN}-byte header",
-                    bytes.len()
-                ),
-            ));
-        }
-        if bytes[..8] != MAGIC {
-            return Err(corrupt(path, "bad magic (not a ShapeSearch snapshot)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::Version {
-                path: path.to_owned(),
-                found: version,
-            });
-        }
-        // Header checksum before trusting any counted field.
-        let mut header_hash = FNV_OFFSET;
-        fnv1a(&mut header_hash, &bytes[..HEADER_LEN - 8]);
-        if header_hash != le_u64(bytes, HEADER_LEN - 8) {
-            return Err(corrupt(path, "header checksum mismatch"));
-        }
-
-        let t = le_usize(bytes, 16, path, "trendline count")?;
-        let r = le_usize(bytes, 24, path, "raw point count")?;
-        let file_len = le_usize(bytes, 32, path, "file length")?;
-        if file_len != bytes.len() {
-            return Err(corrupt(
-                path,
-                format!(
-                    "recorded length {file_len} != actual {} (torn or truncated)",
-                    bytes.len()
-                ),
-            ));
-        }
-
-        // The column table must match the deterministic layout for
-        // these counts; key byte length comes from the table itself.
-        // No count exceeds the file's length, so the layout cannot
-        // overflow.
-        let key_bytes = le_usize(bytes, TABLE_AT + 8, path, "key column length")?;
-        if t.max(r).max(key_bytes) > file_len {
-            return Err(corrupt(path, "a recorded count exceeds the file length"));
-        }
-        let (spans, expected_len) = layout(key_bytes, t, r);
-        if expected_len != file_len {
-            return Err(corrupt(
-                path,
-                format!("layout for the recorded counts needs {expected_len} bytes, file has {file_len}"),
-            ));
-        }
-        for (i, span) in spans.iter().enumerate() {
-            let offset = le_usize(bytes, TABLE_AT + i * 16, path, "column offset")?;
-            let len = le_usize(bytes, TABLE_AT + i * 16 + 8, path, "column length")?;
-            if offset != span.offset || len != span.bytes {
-                return Err(corrupt(
-                    path,
-                    format!(
-                        "column {i} at {offset}+{len} disagrees with the layout \
-                         ({}+{})",
-                        span.offset, span.bytes
-                    ),
-                ));
-            }
-        }
-
-        // Payload checksum: one sequential pass over everything after
-        // the header (which also pre-faults the mapping's pages).
-        let mut payload_hash = FNV_OFFSET;
-        fnv1a(&mut payload_hash, &bytes[HEADER_LEN..]);
-        if payload_hash != le_u64(bytes, 40) {
-            return Err(corrupt(path, "payload checksum mismatch"));
-        }
-
-        let starts = |col: Col, last: usize, what: &str| -> Result<Vec<usize>, SnapshotError> {
-            let span = spans[col as usize];
-            let mut out = Vec::with_capacity(span.bytes / 8);
-            for (i, at) in (span.offset..span.offset + span.bytes)
-                .step_by(8)
-                .enumerate()
-            {
-                let val = le_usize(bytes, at, path, what)?;
-                if (i == 0 && val != 0) || out.last().is_some_and(|&prev| val < prev) {
-                    return Err(corrupt(path, format!("{what} is not monotone from 0")));
-                }
-                out.push(val);
-            }
-            if out.last() != Some(&last) {
-                return Err(corrupt(path, format!("{what} does not end at {last}")));
-            }
-            Ok(out)
-        };
-        let key_starts = starts(Col::KeyStarts, key_bytes, "key starts")?;
-        let raw_starts = starts(Col::RawStarts, r, "raw starts")?;
-
-        // Keys must be valid UTF-8 now, so partitioning never fails.
-        let kb = spans[Col::KeyBytes as usize];
-        for w in key_starts.windows(2) {
-            if std::str::from_utf8(&bytes[kb.offset + w[0]..kb.offset + w[1]]).is_err() {
-                return Err(corrupt(path, "a trendline key is not valid UTF-8"));
-            }
-        }
-
-        Ok(Self {
-            map: Arc::clone(&map),
+    if bytes.len() < HEADER_LEN {
+        return Err(corrupt(
+            path,
+            format!(
+                "{} bytes is shorter than the {HEADER_LEN}-byte header",
+                bytes.len()
+            ),
+        ));
+    }
+    if bytes[..8] != MAGIC {
+        return Err(corrupt(path, "bad magic (not a ShapeSearch snapshot)"));
+    }
+    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if version != FORMAT_VERSION {
+        return Err(SnapshotError::Version {
             path: path.to_owned(),
-            spans,
-            key_starts,
-            raw_starts,
-        })
+            found: version,
+        });
+    }
+    // Header checksum before trusting any counted field.
+    let mut header_hash = FNV_OFFSET;
+    fnv1a(&mut header_hash, &bytes[..HEADER_LEN - 8]);
+    if header_hash != le_u64(bytes, HEADER_LEN - 8) {
+        return Err(corrupt(path, "header checksum mismatch"));
     }
 
-    /// Number of trendlines.
-    pub fn trendline_count(&self) -> usize {
-        self.raw_starts.len() - 1
+    let t = le_usize(bytes, 16, path, "trendline count")?;
+    let r = le_usize(bytes, 24, path, "raw point count")?;
+    let file_len = le_usize(bytes, 32, path, "file length")?;
+    if file_len != bytes.len() {
+        return Err(corrupt(
+            path,
+            format!(
+                "recorded length {file_len} != actual {} (torn or truncated)",
+                bytes.len()
+            ),
+        ));
     }
 
-    /// Per-trendline raw point counts — the input
-    /// [`crate::partition_bounds_by_points`] needs to reproduce the
-    /// eager path's deterministic shard bounds without materializing a
-    /// single trendline.
-    pub fn raw_point_counts(&self) -> Vec<usize> {
-        self.raw_starts.windows(2).map(|w| w[1] - w[0]).collect()
+    // The column table must match the deterministic layout for
+    // these counts; key byte length comes from the table itself.
+    // No count exceeds the file's length, so the layout cannot
+    // overflow.
+    let key_bytes = le_usize(bytes, TABLE_AT + 8, path, "key column length")?;
+    if t.max(r).max(key_bytes) > file_len {
+        return Err(corrupt(path, "a recorded count exceeds the file length"));
     }
-
-    /// A mapped `f64` column slice (elements `[lo, hi)` of column
-    /// `col`) as a [`Column`]: zero-copy on little-endian targets, a
-    /// decoded copy on big-endian ones.
-    fn f64_col(&self, col: Col, lo: usize, hi: usize) -> Column {
-        let span = self.spans[col as usize];
-        debug_assert!(hi * 8 <= span.bytes);
-        let offset = span.offset + lo * 8;
-        if cfg!(target_endian = "little") {
-            Column::mapped(&self.map, offset, hi - lo)
-        } else {
-            let bytes = &self.map[offset..offset + (hi - lo) * 8];
-            Column::Owned(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            )
+    let (spans, expected_len) = layout(key_bytes, t, r);
+    if expected_len != file_len {
+        return Err(corrupt(
+            path,
+            format!(
+                "layout for the recorded counts needs {expected_len} bytes, file has {file_len}"
+            ),
+        ));
+    }
+    for (i, span) in spans.iter().enumerate() {
+        let offset = le_usize(bytes, TABLE_AT + i * 16, path, "column offset")?;
+        let len = le_usize(bytes, TABLE_AT + i * 16 + 8, path, "column length")?;
+        if offset != span.offset || len != span.bytes {
+            return Err(corrupt(
+                path,
+                format!(
+                    "column {i} at {offset}+{len} disagrees with the layout \
+                         ({}+{})",
+                    span.offset, span.bytes
+                ),
+            ));
         }
     }
 
-    /// The engine over trendlines `[start, end)`, reporting
-    /// collection-global indices from `start`. Its raw point columns are
-    /// zero-copy views of the mapping (decoded copies on a big-endian
-    /// target), so a cut allocates the keys, the row offsets and one
-    /// grid id a trendline (its x row's, found by one hashed pass) and
-    /// copies no point. It has GROUPed nothing yet: `ShapeEngine::warm`,
-    /// or its first query, GROUPs the mapped columns exactly as it would
-    /// the heap columns of an engine over the same trendlines.
-    ///
-    /// # Panics
-    /// Panics when `start > end` or `end` exceeds the trendline count.
-    pub fn partition(&self, start: usize, end: usize) -> ShapeEngine {
-        assert!(start <= end && end <= self.trendline_count());
-        let kb = self.spans[Col::KeyBytes as usize];
-        let keys = self.key_starts[start..=end]
-            .windows(2)
-            .map(|w| {
-                std::str::from_utf8(&self.map[kb.offset + w[0]..kb.offset + w[1]])
-                    .expect("validated at open")
-                    .to_owned()
-            })
-            .collect();
-        let (r_lo, r_hi) = (self.raw_starts[start], self.raw_starts[end]);
-        let points = PointTable::from_columns(
-            self.f64_col(Col::RawXs, r_lo, r_hi),
-            self.f64_col(Col::RawYs, r_lo, r_hi),
-            self.raw_starts[start..=end]
-                .iter()
-                .map(|&s| s - r_lo)
+    // Payload checksum: one sequential pass over everything after
+    // the header (which also pre-faults the mapping's pages).
+    let mut payload_hash = FNV_OFFSET;
+    fnv1a(&mut payload_hash, &bytes[HEADER_LEN..]);
+    if payload_hash != le_u64(bytes, 40) {
+        return Err(corrupt(path, "payload checksum mismatch"));
+    }
+
+    let starts = |col: Col, last: usize, what: &str| -> Result<Vec<usize>, SnapshotError> {
+        let span = spans[col as usize];
+        let mut out = Vec::with_capacity(span.bytes / 8);
+        for (i, at) in (span.offset..span.offset + span.bytes)
+            .step_by(8)
+            .enumerate()
+        {
+            let val = le_usize(bytes, at, path, what)?;
+            if (i == 0 && val != 0) || out.last().is_some_and(|&prev| val < prev) {
+                return Err(corrupt(path, format!("{what} is not monotone from 0")));
+            }
+            out.push(val);
+        }
+        if out.last() != Some(&last) {
+            return Err(corrupt(path, format!("{what} does not end at {last}")));
+        }
+        Ok(out)
+    };
+    let key_starts = starts(Col::KeyStarts, key_bytes, "key starts")?;
+    let raw_starts = starts(Col::RawStarts, r, "raw starts")?;
+
+    // Keys must be valid UTF-8 now, so partitioning never fails.
+    let kb = spans[Col::KeyBytes as usize];
+    for w in key_starts.windows(2) {
+        if std::str::from_utf8(&bytes[kb.offset + w[0]..kb.offset + w[1]]).is_err() {
+            return Err(corrupt(path, "a trendline key is not valid UTF-8"));
+        }
+    }
+
+    Ok(Collection {
+        key_bytes: Column::mapped(&map, kb.offset, kb.bytes),
+        key_starts,
+        xs: f64_col(&map, spans[Col::RawXs as usize]),
+        ys: f64_col(&map, spans[Col::RawYs as usize]),
+        starts: raw_starts,
+    })
+}
+
+/// A mapped `f64` column as a [`Column`]: zero-copy on little-endian
+/// targets, a decoded copy on big-endian ones.
+fn f64_col(map: &Arc<memmap2::Mmap>, span: Span) -> Column {
+    if cfg!(target_endian = "little") {
+        Column::mapped(map, span.offset, span.bytes / 8)
+    } else {
+        let bytes = &map[span.offset..span.offset + span.bytes];
+        Column::Owned(
+            bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
                 .collect(),
-        );
-        ShapeEngine::from_columns(keys, points).with_base_index(start)
+        )
     }
 }
 
@@ -537,7 +449,10 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::engine::group::group_collection;
-    use crate::{EngineOptions, NoopObserver, ShapeQuery, SharedThresholds, TopKResult, VizData};
+    use crate::{
+        EngineOptions, NoopObserver, ShapeEngine, ShapeQuery, SharedThresholds, TopKResult, VizData,
+    };
+    use shapesearch_datastore::Trendline;
 
     /// Nine series on two x rows, alternating, so every partition
     /// boundary falls inside both rows' trendlines: even ones on evenly
@@ -609,15 +524,15 @@ mod tests {
     fn round_trip_is_bit_identical() {
         let trendlines = demo_trendlines();
         let path = temp_path("roundtrip.snap");
-        let stats = write(&path, &trendlines).unwrap();
+        let stats = write(&path, &Collection::from_trendlines(&trendlines)).unwrap();
         assert_eq!(stats.trendlines, trendlines.len());
         assert_eq!(stats.raw_points, 7 * 12 + 1);
         assert_eq!(stats.bytes as u64, std::fs::metadata(&path).unwrap().len());
 
-        let snap = Snapshot::open(&path).unwrap();
-        assert_eq!(snap.trendline_count(), trendlines.len());
+        let snap = open(&path).unwrap();
+        assert_eq!(snap.len(), trendlines.len());
         assert_eq!(
-            snap.raw_point_counts(),
+            snap.point_counts(),
             trendlines
                 .iter()
                 .map(|t| t.points.len())
@@ -648,10 +563,10 @@ mod tests {
     fn partitions_match_whole_collection() {
         let trendlines = demo_trendlines();
         let path = temp_path("parts.snap");
-        write(&path, &trendlines).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
+        write(&path, &Collection::from_trendlines(&trendlines)).unwrap();
+        let snap = open(&path).unwrap();
         let counts: Vec<usize> = trendlines.iter().map(|t| t.points.len()).collect();
-        assert_eq!(snap.raw_point_counts(), counts);
+        assert_eq!(snap.point_counts(), counts);
         let eager_vizzes = group_collection(&trendlines, 3);
         for shards in [1usize, 2, 3, 4] {
             let mut keys = Vec::new();
@@ -687,9 +602,12 @@ mod tests {
     fn partition_columns_lie_inside_the_mapping() {
         let trendlines = demo_trendlines();
         let path = temp_path("zerocopy.snap");
-        write(&path, &trendlines).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
-        let mapping = snap.map.as_ptr_range();
+        write(&path, &Collection::from_trendlines(&trendlines)).unwrap();
+        let snap = open(&path).unwrap();
+        let Column::Mapped { keep, .. } = &snap.xs else {
+            panic!("a little-endian open maps the point columns");
+        };
+        let mapping = keep.as_ptr_range();
         let mapped = |what: &str, vals: &[f64]| {
             let run = vals.as_ptr_range();
             let (lo, hi) = (run.start.cast::<u8>(), run.end.cast::<u8>());
@@ -698,7 +616,7 @@ mod tests {
                 "{what}: {run:?} is outside the mapping {mapping:?}"
             );
         };
-        let counts = snap.raw_point_counts();
+        let counts = snap.point_counts();
         for (start, end) in crate::partition_bounds_by_points(&counts, 3) {
             let engine = snap.partition(start, end);
             for i in 0..engine.len() {
@@ -714,9 +632,9 @@ mod tests {
     #[test]
     fn empty_collection_round_trips() {
         let path = temp_path("empty.snap");
-        write(&path, &[]).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
-        assert_eq!(snap.trendline_count(), 0);
+        write(&path, &Collection::from_trendlines(&[])).unwrap();
+        let snap = open(&path).unwrap();
+        assert_eq!(snap.len(), 0);
         let engine = snap.partition(0, 0);
         assert!(engine.is_empty());
         assert!(engine.grouped(7).is_empty());
@@ -730,10 +648,8 @@ mod tests {
     fn rewriting_the_path_leaves_a_cut_engine_alone() {
         let trendlines = demo_trendlines();
         let path = temp_path("rewrite.snap");
-        write(&path, &trendlines).unwrap();
-        let engine = Snapshot::open(&path)
-            .unwrap()
-            .partition(0, trendlines.len());
+        write(&path, &Collection::from_trendlines(&trendlines)).unwrap();
+        let engine = open(&path).unwrap().partition(0, trendlines.len());
         let bytes = std::fs::metadata(&path).unwrap().len();
         // The same keys and point counts with other ys: a file of the
         // same size, every data page different.
@@ -744,7 +660,7 @@ mod tests {
                 Trendline::from_pairs(t.key.clone(), &pairs)
             })
             .collect();
-        write(&path, &other).unwrap();
+        write(&path, &Collection::from_trendlines(&other)).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
 
         assert_rows_eq(&engine, &trendlines);
@@ -757,14 +673,27 @@ mod tests {
 
     fn write_demo(name: &str) -> (PathBuf, Vec<u8>) {
         let path = temp_path(name);
-        write(&path, &demo_trendlines()).unwrap();
+        write(&path, &Collection::from_trendlines(&demo_trendlines())).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         (path, bytes)
     }
 
+    /// The writer's bytes are pinned, not only its round trip: a change
+    /// made alike in writer and reader would pass a round trip and break
+    /// every file already on disk. The FNV-1a of the whole demo file is
+    /// the value the version-3 writer has always produced.
+    #[test]
+    fn the_demo_file_keeps_its_version_3_bytes() {
+        let (path, bytes) = write_demo("pinned.snap");
+        let mut hash = FNV_OFFSET;
+        fnv1a(&mut hash, &bytes);
+        assert_eq!((hash, bytes.len()), (0xa4bf_e48a_2f85_bbea, 1728));
+        std::fs::remove_file(&path).ok();
+    }
+
     fn expect_corrupt(path: &Path, bytes: Vec<u8>) {
         std::fs::write(path, bytes).unwrap();
-        match Snapshot::open(path) {
+        match open(path) {
             Err(SnapshotError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -822,7 +751,7 @@ mod tests {
             fnv1a(&mut h, &bytes[..HEADER_LEN - 8]);
             bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
             std::fs::write(&path, bytes).unwrap();
-            match Snapshot::open(&path) {
+            match open(&path) {
                 Err(SnapshotError::Version { found, .. }) if found == version => {}
                 other => panic!("expected Version {version}, got {other:?}"),
             }
@@ -835,7 +764,7 @@ mod tests {
         let (path, mut bytes) = write_demo("msg.snap");
         bytes[0] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = Snapshot::open(&path).unwrap_err();
+        let err = open(&path).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("not valid"), "{msg}");
         assert!(msg.contains("magic"), "{msg}");

@@ -147,12 +147,12 @@ proptest! {
         let accepted = tls.iter().filter(|t| VizData::from_trendline(t, 0, 1).is_some());
         prop_assert_eq!(vizzes.len(), accepted.count());
         let raw_x = |v: &VizData| -> Vec<u64> {
-            tls[v.source].points.iter().map(|p| p.x.to_bits()).collect()
+            tls[v.source()].points.iter().map(|p| p.x.to_bits()).collect()
         };
         for v in &vizzes {
             for w in &vizzes {
                 let shared = w.xs().as_ptr() == v.xs().as_ptr();
-                prop_assert_eq!(shared, raw_x(w) == raw_x(v), "#{} and #{}", v.source, w.source);
+                prop_assert_eq!(shared, raw_x(w) == raw_x(v), "#{} and #{}", v.source(), w.source());
             }
             kernels_match(v)?;
         }

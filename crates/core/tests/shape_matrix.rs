@@ -20,8 +20,8 @@ mod support;
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    partition_bounds_by_points, snapshot, EngineOptions, Pattern, PruningMode, ScoreParams,
-    SegmenterKind, ShapeEngine, ShapeQuery, ShapeSegment, Snapshot,
+    partition_bounds_by_points, snapshot, Collection, EngineOptions, Pattern, PruningMode,
+    ScoreParams, SegmenterKind, ShapeEngine, ShapeQuery, ShapeSegment,
 };
 use shapesearch_datastore::Trendline;
 use support::{corpus, eager_shards, query, render_outcome, run, unique_path, with_udps, CASES};
@@ -46,12 +46,12 @@ fn check(
 ) -> std::result::Result<(), TestCaseError> {
     let referee = eager_shards(tls, 1);
     let path = unique_path();
-    snapshot::write(&path, tls).unwrap();
-    let snap = Snapshot::open(&path).unwrap();
+    snapshot::write(&path, &Collection::from_trendlines(tls)).unwrap();
+    let snap = snapshot::open(&path).unwrap();
     let mut shapes = Vec::new();
     for shards in [1, 3, 4] {
         shapes.push(("eager", eager_shards(tls, shards)));
-        let bounds = partition_bounds_by_points(&snap.raw_point_counts(), shards);
+        let bounds = partition_bounds_by_points(&snap.point_counts(), shards);
         let cut = bounds
             .into_iter()
             .map(|(start, end)| snap.partition(start, end));

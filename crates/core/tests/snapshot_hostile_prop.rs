@@ -1,4 +1,4 @@
-//! Property tests for `Snapshot::open` on hostile bytes. A server cuts
+//! Property tests for `snapshot::open` on hostile bytes. A server cuts
 //! every partition of a snapshot at registration, so whatever `open`
 //! accepts must cut and query without panicking:
 //!
@@ -17,8 +17,8 @@ mod support;
 
 use proptest::prelude::*;
 use shapesearch_core::{
-    merge_topk, partition_bounds_by_points, snapshot, EngineOptions, NoopObserver, PruningMode,
-    ShapeEngine, ShapeQuery, SharedThresholds, Snapshot, SnapshotError,
+    merge_topk, partition_bounds_by_points, snapshot, Collection, EngineOptions, NoopObserver,
+    PruningMode, ShapeEngine, ShapeQuery, SharedThresholds, SnapshotError,
 };
 use shapesearch_datastore::Trendline;
 use support::{corpus, render, unique_path};
@@ -39,17 +39,17 @@ const VALUE_COLUMNS: [(usize, &str); 2] = [(2, "RawXs"), (3, "RawYs")];
 /// The bytes of a valid snapshot of `trendlines`.
 fn snapshot_bytes(trendlines: &[Trendline]) -> Vec<u8> {
     let path = unique_path();
-    snapshot::write(&path, trendlines).unwrap();
+    snapshot::write(&path, &Collection::from_trendlines(trendlines)).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
 }
 
 /// Opens `bytes` as a snapshot file.
-fn open(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+fn open(bytes: &[u8]) -> Result<Collection, SnapshotError> {
     let path = unique_path();
     std::fs::write(&path, bytes).unwrap();
-    let opened = Snapshot::open(&path);
+    let opened = snapshot::open(&path);
     std::fs::remove_file(&path).ok();
     opened
 }
@@ -104,9 +104,9 @@ fn value_lie(value: f64, lie: usize) -> f64 {
 
 /// Cuts every partition for `shards` shards and answers `query`: every
 /// shard under one shared threshold, partials merged.
-fn merged_top_k(snap: &Snapshot, shards: usize, query: &ShapeQuery, k: usize) -> String {
+fn merged_top_k(snap: &Collection, shards: usize, query: &ShapeQuery, k: usize) -> String {
     let shared = SharedThresholds::new(1);
-    let partials = partition_bounds_by_points(&snap.raw_point_counts(), shards)
+    let partials = partition_bounds_by_points(&snap.point_counts(), shards)
         .into_iter()
         .map(|(start, end)| {
             snap.partition(start, end)
@@ -220,7 +220,7 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("{name} lie: {e}"))),
             Ok(snap) => snap,
         };
-        let served = snap.partition(0, snap.trendline_count());
+        let served = snap.partition(0, snap.len());
         let rows = (0..served.len())
             .map(|i| {
                 let (xs, ys) = served.points(i);

@@ -19,6 +19,7 @@ use crate::schema::DataType;
 use crate::table::Table;
 use crate::VisualSpec;
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// One point of a trendline, after aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,11 +81,35 @@ const MIN_POINTS: usize = 2;
 
 /// Runs EXTRACT: filter → project (z, x, y) → group by z → sort by x →
 /// aggregate duplicate x. Returns trendlines ordered by first appearance of
-/// their `z` value (stable, deterministic).
+/// their `z` value (stable, deterministic): [`extract_each`]'s output,
+/// each trendline copied out of its buffer.
 ///
 /// # Errors
 /// Fails when referenced columns are missing or `x`/`y` are non-numeric.
 pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<Vec<Trendline>> {
+    let mut out = Vec::new();
+    extract_each(table, spec, |key, points| {
+        out.push(Trendline {
+            key: key.to_owned(),
+            points: points.to_vec(),
+        });
+    })?;
+    Ok(out)
+}
+
+/// EXTRACT into a sink: hands `emit` each accepted trendline's key and
+/// its points, ascending in x with duplicate x aggregated, in order of
+/// first appearance of the `z` value. The points sit in one buffer
+/// reused from trendline to trendline, and a string `z` hands over its
+/// dictionary entry, so EXTRACT allocates per table, not per trendline.
+///
+/// # Errors
+/// Fails when referenced columns are missing or `x`/`y` are non-numeric.
+pub fn extract_each(
+    table: &Table,
+    spec: &VisualSpec,
+    mut emit: impl FnMut(&str, &[TrendPoint]),
+) -> Result<()> {
     // Without filters every row is selected, and no index of them is made.
     let filtered = match spec.filters.as_slice() {
         [] => None,
@@ -166,9 +191,10 @@ pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<V
     }
     drop(group_of_row);
 
-    let mut result = Vec::with_capacity(first_rows.len());
     let mut pts: Vec<(f64, f64)> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
+    let mut points: Vec<TrendPoint> = Vec::new();
+    let mut printed = String::new();
     for (g, &first) in first_rows.iter().enumerate() {
         pts.clear();
         // Null coordinates are skipped.
@@ -180,7 +206,7 @@ pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<V
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Aggregate duplicate x coordinates.
-        let mut points: Vec<TrendPoint> = Vec::with_capacity(pts.len());
+        points.clear();
         for same_x in pts.chunk_by(|a, b| a.0 == b.0) {
             ys.clear();
             ys.extend(same_x.iter().map(|p| p.1));
@@ -193,13 +219,17 @@ pub fn extract(table: &Table, spec: &VisualSpec, _: &ExtractOptions) -> Result<V
 
         if points.len() >= MIN_POINTS {
             let key = match z_col {
-                Column::Str { codes, dict } => dict[codes[first] as usize].clone(),
-                _ => z_col.value(first).to_string(),
+                Column::Str { codes, dict } => &dict[codes[first] as usize],
+                _ => {
+                    printed.clear();
+                    write!(printed, "{}", z_col.value(first)).expect("a String takes any text");
+                    &printed
+                }
             };
-            result.push(Trendline { key, points });
+            emit(key, &points);
         }
     }
-    Ok(result)
+    Ok(())
 }
 
 #[cfg(test)]

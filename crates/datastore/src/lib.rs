@@ -15,9 +15,10 @@
 //!   column-at-a-time.
 //! * [`Aggregation`] — the aggregation (`a`) applied when multiple `y` values
 //!   share an `x` coordinate (e.g. the Real Estate dataset in Table 11).
-//! * [`VisualSpec`] + [`extract`] — the EXTRACT physical operator: select and
-//!   aggregate records based on the `z`, `x`, `y`, filter, and aggregation
-//!   constraints, sorted on `z` then `x`, streamed as [`TrendPoint`]s.
+//! * [`VisualSpec`] + [`extract_each`] — the EXTRACT physical operator:
+//!   select and aggregate records based on the `z`, `x`, `y`, filter, and
+//!   aggregation constraints, sorted on `z` then `x`, streamed to a sink as
+//!   [`TrendPoint`]s ([`extract`] collects them into [`Trendline`]s).
 //!
 //! The downstream GROUP / SEGMENT / SCORE operators live in
 //! `shapesearch-core`; this crate is deliberately independent of the query
@@ -40,7 +41,7 @@ mod value;
 pub use aggregate::Aggregation;
 pub use column::{Column, ColumnBuilder};
 pub use error::{DataError, Result};
-pub use extract::{extract, ExtractOptions, TrendPoint, Trendline};
+pub use extract::{extract, extract_each, ExtractOptions, TrendPoint, Trendline};
 pub use filter::{CompareOp, Predicate};
 pub use schema::{DataType, Field, Schema};
 pub use table::{table_from_series, Table, TableBuilder};

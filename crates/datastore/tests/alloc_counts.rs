@@ -1,10 +1,11 @@
 //! Allocation counts of the ingest path, held to their orders: reading a
-//! CSV allocates per distinct key and per column, never per row, and
-//! decoding a long JSON string allocates only as its buffer doubles.
+//! CSV allocates per distinct key and per column, never per row,
+//! decoding a long JSON string allocates only as its buffer doubles, and
+//! EXTRACT into a sink allocates per table, never per trendline.
 //! A counting allocator wraps the system one and counts, per thread, the
 //! allocations made while a closure runs; a count has no clock in it.
 
-use shapesearch_datastore::{csv, json};
+use shapesearch_datastore::{csv, extract_each, json, VisualSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -103,5 +104,36 @@ fn decoding_a_long_json_string_allocates_only_as_its_buffer_doubles() {
         made <= 40,
         "{made} allocations to decode {} bytes",
         body.len()
+    );
+}
+
+/// EXTRACT into a sink makes the same allocations over 1,000 trendlines
+/// as over 100, but for the doublings of its per-table vectors: the
+/// points sit in one buffer reused from trendline to trendline, and a
+/// string `z` hands over its dictionary entry, so no key is formatted.
+/// (Collecting `Trendline`s costs at least two a trendline: the key and
+/// the point vector.)
+#[test]
+fn extracting_into_a_sink_allocates_per_table_not_per_trendline() {
+    let spec = VisualSpec::new("z", "x", "y");
+    let made = |keys: usize| {
+        let table = csv::read_str(&zxy_csv(keys, 32)).unwrap();
+        let (mut trendlines, mut points) = (0, 0);
+        let ((), made) = allocations(|| {
+            extract_each(&table, &spec, |_, p| {
+                trendlines += 1;
+                points += p.len();
+            })
+            .unwrap()
+        });
+        assert_eq!((trendlines, points), (keys, keys * 32));
+        made
+    };
+    let (few, many) = (made(100), made(1_000));
+    // log2(1000 / 100) ≈ 3.3 more doublings of the per-group table,
+    // with room to spare; a per-trendline allocation makes it 900 more.
+    assert!(
+        many <= few + 8,
+        "{many} allocations for 1,000 trendlines, {few} for 100"
     );
 }

@@ -1,16 +1,15 @@
 //! The dataset catalog: one [`Catalog::register`] for every
-//! [`DataSource`]. A CSV / JSON-lines source is parsed and EXTRACTed; a
-//! snapshot is opened and validated. Either way the collection gives
-//! per-trendline raw point counts, and from there registration is one
-//! path: counts → partition bounds (the one deterministic rule,
-//! [`partition_bounds_by_points`]) → placement → listing counts →
-//! engines for the **local** slots only, every one built right here. A
-//! local slot's engine is cut from the trendlines, or from the
-//! snapshot's mapping (its raw columns are views of the mapping, whose
-//! pages the kernel owns); either way it is then warmed — one GROUP
-//! path for every source — and UDP-registered. A remote slot holds
-//! nothing in this process. The immutable [`DatasetEntry`] is shared
-//! across every request thread via `Arc`.
+//! [`DataSource`]. A CSV / JSON-lines source is parsed and EXTRACTed
+//! into a [`Collection`] on the heap; a snapshot is opened and validated
+//! into one whose columns view the mapping. From there registration is
+//! one path: point counts → partition bounds (the one deterministic
+//! rule, [`partition_bounds_by_points`]) → placement → listing counts →
+//! engines for the **local** slots only, each cut by
+//! [`Collection::partition`]. The collection is dropped once they are
+//! cut, before the first GROUP; then each is warmed — one GROUP path for
+//! every source — and UDP-registered. A remote slot holds nothing in
+//! this process. The immutable [`DatasetEntry`] is shared across every
+//! request thread via `Arc`.
 //!
 //! Registration is the expensive, rare operation; queries are the hot
 //! path and only ever take the read lock, so worker threads never
@@ -31,9 +30,10 @@
 use crate::cache::{lock, read, write};
 use crate::error::ServerError;
 use shapesearch_core::{
-    partition_bounds_by_points, CoreError, EngineOptions, ShapeEngine, Snapshot, SnapshotError,
+    partition_bounds_by_points, snapshot, Collection, CoreError, EngineOptions, ShapeEngine,
+    SnapshotError,
 };
-use shapesearch_datastore::{csv, extract, json, ExtractOptions, Trendline, VisualSpec};
+use shapesearch_datastore::{csv, json, VisualSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -340,63 +340,41 @@ pub struct DatasetSpec {
     pub shard_of: Option<(usize, usize)>,
 }
 
-/// What a registration serves from, once its source is read: extracted
-/// trendlines, or a validated mapped snapshot holding the same thing on
-/// disk.
-enum Collection {
-    Trendlines(Vec<Trendline>),
-    Snapshot(Box<Snapshot>),
-}
-
-impl Collection {
-    /// Reads `source`: parse + EXTRACT for rows, open + validate (mmap,
-    /// checksums, structural invariants) for a snapshot, which stores
-    /// extraction *output* — `visual` is then carried for listings only.
-    /// Books the parse (or the open) in `times.parse` and EXTRACT in
-    /// `times.extract`.
-    fn load(
-        source: &DataSource,
-        visual: &VisualSpec,
-        times: &mut RegisterTimes,
-    ) -> Result<Self, ServerError> {
-        let started = Instant::now();
-        let table = match source {
-            DataSource::Path(path) if path.ends_with(".json") || path.ends_with(".jsonl") => {
-                json::read_file(path)
-            }
-            DataSource::Path(path) => csv::read_file(path),
-            DataSource::InlineCsv(text) => csv::read_str(text),
-            DataSource::InlineJsonl(text) => json::read_str(text),
-            DataSource::Snapshot(path) => {
-                let opened = Snapshot::open(path);
-                times.parse += started.elapsed();
-                return match opened {
-                    Ok(snapshot) => Ok(Self::Snapshot(Box::new(snapshot))),
-                    Err(e @ SnapshotError::Io { .. }) => {
-                        Err(ServerError::bad_request(format!("loading dataset: {e}")))
-                    }
-                    Err(corrupt) => Err(ServerError::invalid_snapshot(corrupt.to_string())),
-                };
-            }
+/// Reads `source` into the collection a registration serves: parse +
+/// EXTRACT for rows, open + validate (mmap, checksums, structural
+/// invariants) for a snapshot, which stores extraction *output* —
+/// `visual` is then carried for listings only. Books the parse (or the
+/// open) in `times.parse` and EXTRACT in `times.extract`.
+fn load(
+    source: &DataSource,
+    visual: &VisualSpec,
+    times: &mut RegisterTimes,
+) -> Result<Collection, ServerError> {
+    let started = Instant::now();
+    let table = match source {
+        DataSource::Path(path) if path.ends_with(".json") || path.ends_with(".jsonl") => {
+            json::read_file(path)
         }
-        .map_err(|e| ServerError::bad_request(format!("loading dataset: {e}")))?;
-        times.parse += started.elapsed();
-        let started = Instant::now();
-        let trendlines = extract(&table, visual, &ExtractOptions::default())
-            .map(Self::Trendlines)
-            .map_err(|e| extracting(e.into()));
-        times.extract += started.elapsed();
-        trendlines
-    }
-
-    /// Per-trendline raw point counts — all the partitioning rule and
-    /// the listings need.
-    fn point_counts(&self) -> Vec<usize> {
-        match self {
-            Self::Trendlines(trendlines) => trendlines.iter().map(Trendline::len).collect(),
-            Self::Snapshot(snapshot) => snapshot.raw_point_counts(),
+        DataSource::Path(path) => csv::read_file(path),
+        DataSource::InlineCsv(text) => csv::read_str(text),
+        DataSource::InlineJsonl(text) => json::read_str(text),
+        DataSource::Snapshot(path) => {
+            let opened = snapshot::open(path);
+            times.parse += started.elapsed();
+            return opened.map_err(|e| match e {
+                SnapshotError::Io { .. } => {
+                    ServerError::bad_request(format!("loading dataset: {e}"))
+                }
+                corrupt => ServerError::invalid_snapshot(corrupt.to_string()),
+            });
         }
     }
+    .map_err(|e| ServerError::bad_request(format!("loading dataset: {e}")))?;
+    times.parse += started.elapsed();
+    let started = Instant::now();
+    let collection = Collection::extract(&table, visual).map_err(extracting);
+    times.extract += started.elapsed();
+    collection
 }
 
 /// The 400 for a source that loaded but does not yield the collection
@@ -412,7 +390,7 @@ pub(crate) struct RegisterTimes {
     /// The source parse (CSV or JSON-lines into a table) or the
     /// snapshot open; the HTTP handler adds the body's JSON decode.
     pub(crate) parse: Duration,
-    /// EXTRACT, plus building the local engines' point tables.
+    /// EXTRACT, plus cutting the local engines from the collection.
     pub(crate) extract: Duration,
     /// The warm GROUP of every local shard.
     pub(crate) group: Duration,
@@ -612,8 +590,8 @@ impl Catalog {
     /// Registers a dataset: reads the source into a collection,
     /// partitions it (or retains one partition in shard-of mode),
     /// resolves the partition map, and publishes an entry that holds
-    /// engines for its local slots only, all built and warmed now — from
-    /// extracted trendlines, or cut from the snapshot's mapping. Replaces
+    /// engines for its local slots only, all cut from the collection
+    /// (heap columns, or the snapshot's mapping) and warmed now. Replaces
     /// any previous dataset with the same id (retiring the replaced generation from the query cache is the
     /// caller's: [`crate::handlers`] registers through
     /// `register_replacing`, which says which generation went).
@@ -636,7 +614,7 @@ impl Catalog {
         spec: DatasetSpec,
     ) -> Result<(Arc<DatasetEntry>, Option<u64>, RegisterTimes), ServerError> {
         let mut times = RegisterTimes::default();
-        let collection = Collection::load(&spec.source, &spec.visual, &mut times)?;
+        let collection = load(&spec.source, &spec.visual, &mut times)?;
 
         // Resolve the placement request into an explicit per-shard
         // replica-list map, so the registry path and the wire path flow
@@ -666,48 +644,27 @@ impl Catalog {
         let placement =
             Self::resolve_placement(endpoints.as_deref(), spec.shard_of.is_some(), shard_count)?;
 
+        // Cut every local slot, then drop the collection before the first
+        // GROUP: a mapped cut holds the mapping alive, and what a remote
+        // slot covers is never cut here.
+        let started = Instant::now();
+        let engines: Vec<_> = bounds
+            .iter()
+            .zip(&placement)
+            .map(|(&(start, end), placement)| {
+                (*placement == ShardPlacement::Local).then(|| collection.partition(start, end))
+            })
+            .collect();
+        drop(collection);
+        times.extract += started.elapsed();
+        let shards = engines
+            .into_iter()
+            .map(|engine| engine.map(|engine| shard_engine(engine, spec.builtins, &mut times)))
+            .collect();
+
         // Listings describe everything the slots cover — the whole
         // collection, remote slots included, or the owned partition.
         let (first, last) = (bounds[0].0, bounds[shard_count - 1].1);
-        let snapshot = matches!(collection, Collection::Snapshot(_));
-        let shards = match collection {
-            Collection::Trendlines(mut rest) => {
-                // Split back-to-front so each boundary is a cheap
-                // `split_off`; what a remote slot covers is dropped here.
-                rest.truncate(last);
-                let mut engines: Vec<_> = bounds
-                    .iter()
-                    .zip(&placement)
-                    .rev()
-                    .map(|(&(start, _), placement)| {
-                        let part = rest.split_off(start);
-                        (*placement == ShardPlacement::Local).then(|| {
-                            let started = Instant::now();
-                            let engine = ShapeEngine::from_trendlines(part);
-                            times.extract += started.elapsed();
-                            let engine = engine.with_base_index(start);
-                            shard_engine(engine, spec.builtins, &mut times)
-                        })
-                    })
-                    .collect();
-                engines.reverse();
-                engines
-            }
-            // The cut columns hold the mapping alive; the snapshot drops here.
-            Collection::Snapshot(snapshot) => bounds
-                .iter()
-                .zip(&placement)
-                .map(|(&(start, end), placement)| {
-                    (*placement == ShardPlacement::Local).then(|| {
-                        let started = Instant::now();
-                        let engine = snapshot.partition(start, end);
-                        times.extract += started.elapsed();
-                        shard_engine(engine, spec.builtins, &mut times)
-                    })
-                })
-                .collect(),
-        };
-
         let id = match spec.id {
             Some(id) if !id.is_empty() => id,
             _ => format!("ds{}", self.next_id.fetch_add(1, Ordering::Relaxed)),
@@ -723,7 +680,7 @@ impl Catalog {
             shard_of: spec.shard_of,
             trendline_count: last - first,
             point_count: counts[first..last].iter().sum(),
-            snapshot,
+            snapshot: matches!(spec.source, DataSource::Snapshot(_)),
             shards,
         });
         let replaced = write(&self.inner)
@@ -923,9 +880,9 @@ gadget,4,12
     fn snapshot_of(csv_text: &str, tag: &str) -> TempFile {
         let table = csv::read_str(csv_text).unwrap();
         let visual = VisualSpec::new("product", "week", "sales");
-        let trendlines = extract(&table, &visual, &ExtractOptions::default()).unwrap();
+        let collection = Collection::extract(&table, &visual).unwrap();
         let file = TempFile::new(tag, "snap");
-        shapesearch_core::snapshot::write(&file.0, &trendlines).unwrap();
+        shapesearch_core::snapshot::write(&file.0, &collection).unwrap();
         file
     }
 

@@ -2030,7 +2030,8 @@ mod tests {
             Trendline::from_pairs("b", &[(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]),
         ];
         let path = dir.join(name);
-        shapesearch_core::snapshot::write(&path, &trendlines).unwrap();
+        let collection = shapesearch_core::Collection::from_trendlines(&trendlines);
+        shapesearch_core::snapshot::write(&path, &collection).unwrap();
         path
     }
 

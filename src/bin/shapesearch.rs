@@ -25,7 +25,7 @@
 //! the mapping. See the `shapesearch-server` crate docs for the protocol.
 
 use shapesearch::prelude::*;
-use shapesearch_core::{PruningMode, SegmenterKind};
+use shapesearch_core::{Collection, PruningMode, SegmenterKind};
 use std::process::ExitCode;
 
 /// The table-source flags all three subcommands take: `--data`, the
@@ -472,13 +472,8 @@ fn run_snapshot(args: &[String]) -> Result<(), String> {
     let spec = source.visual("snapshot needs --z, --x, and --y")?;
     let table = load_table(data)?;
 
-    let trendlines = shapesearch::datastore::extract(
-        &table,
-        &spec,
-        &shapesearch::datastore::ExtractOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    let stats = shapesearch::core::snapshot::write(&out, &trendlines).map_err(|e| e.to_string())?;
+    let collection = Collection::extract(&table, &spec).map_err(|e| e.to_string())?;
+    let stats = shapesearch::core::snapshot::write(&out, &collection).map_err(|e| e.to_string())?;
     println!(
         "wrote {out}: {} trendlines, {} raw points, {} bytes",
         stats.trendlines, stats.raw_points, stats.bytes,

@@ -36,7 +36,8 @@ use served::{boot, dead_endpoint, endpoints_json, market_csv, query_body, regist
 use shapesearch::server::json::{self, Json};
 use shapesearch::server::{protocol, Client, ServerConfig, Service};
 use shapesearch_core::{
-    partition_bounds_by_points, snapshot, EngineOptions, PruningMode, ShapeEngine, ShapeQuery,
+    partition_bounds_by_points, snapshot, Collection, EngineOptions, PruningMode, ShapeEngine,
+    ShapeQuery,
 };
 use shapesearch_datastore::{
     csv, extract, table_from_series, ExtractOptions, Trendline, VisualSpec,
@@ -204,7 +205,7 @@ impl Shape<'_> {
             Some(layout) => register(self.server, "d", &draw.csv, layout),
             None => {
                 let path = unique_path();
-                snapshot::write(&path, &referee.trendlines).unwrap();
+                snapshot::write(&path, &Collection::from_trendlines(&referee.trendlines)).unwrap();
                 let body = json::obj([
                     ("name", "d".into()),
                     ("id", "d".into()),
