@@ -141,7 +141,10 @@ fi
 # `Collection::partition` cuts every engine from it, so the snapshot's
 # own cut and counts, the shard builder's private bounds, the point
 # table's second constructor and the catalog's collection enum are gone.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut)"
+# One request path: the thread that reads a request serves it, so the
+# dispatch pool, the event loop's completion inbox and the dispatch
+# thread's direct-write handle are gone.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut, second request path)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -164,6 +167,7 @@ fn (market_table|haystack_csv|register_market|query_body|endpoints_json|replicas
 \butf8_width\b;crates src README.md docs;the per-byte JSON string decode is back
 \brun_of\b|DefaultHasher;crates/core/src;a second x-row identity is back
 Snapshot::partition|raw_point_counts|fn partition_bounds\(|PointTable::from_trendlines|Collection::Trendlines;crates src README.md docs :!crates/bench/src/bin/ssbench;a second collection cut is back
+DispatchPool|struct Inbox|Reply::Written|struct Direct|fn apply_completion;crates src README.md docs ROADMAP.md;a second request path is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -180,12 +184,15 @@ if [ -n "$SPAWNS" ]; then
 fi
 
 # No wall clock in `cargo test`: test code asserts the counter or event a
-# timing stands for, never an upper bound on `elapsed()` (a timeout may
-# stay, as a guard against a hang). Test code is `tests/`, the crates'
-# `tests/` and `*_tests.rs`, and every source file from its
-# `#[cfg(test)]` on.
+# timing stands for, never an upper bound on `elapsed()` or on the
+# difference of two `Instant`s (`b - a`, `b.duration_since(a)`, compared
+# below something duration-shaped); a timeout may stay, as a guard
+# against a hang. Test code is `tests/`, the crates' `tests/` and
+# `*_tests.rs`, and every source file from its `#[cfg(test)]` on.
 echo "==> no wall-clock upper bounds in test code"
-UPPER='elapsed\(\) *<|> *[A-Za-z0-9_.]+\.elapsed\(\)'
+UPPER='elapsed\(\) *<|> *[A-Za-z0-9_.]+\.elapsed\(\)|duration_since\([^)]*\) *<'
+UPPER="$UPPER"'|[A-Za-z0-9_.]+ - [A-Za-z0-9_.]+ *<=? *[^<]*(Duration|TICK|TIMEOUT|_millis|_secs|_micros|_nanos)'
+UPPER="$UPPER"'|(Duration|TICK|TIMEOUT|_millis|_secs)[^>]* >=? *[A-Za-z0-9_.]+ - [A-Za-z0-9_.]+'
 BOUNDS=$(
     git grep -nE "$UPPER" -- tests 'crates/*/tests' 'crates/*/src/*_tests.rs' || true
     for f in $(git ls-files 'src/*.rs' 'crates/*/src/*.rs'); do
@@ -194,7 +201,7 @@ BOUNDS=$(
 )
 if [ -n "$BOUNDS" ]; then
     echo "$BOUNDS" >&2
-    echo "ci: test code asserts an upper bound on elapsed(); assert the counter or event it stands for" >&2
+    echo "ci: test code asserts an upper bound on elapsed time; assert the counter or event it stands for" >&2
     exit 1
 fi
 

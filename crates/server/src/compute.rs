@@ -4,12 +4,12 @@
 //!
 //! This is what lets a single query saturate the machine — its dataset's
 //! shards fan out as independent tasks — while keeping admission fair: a
-//! giant batch no longer monopolizes one HTTP worker for its full
+//! giant batch no longer monopolizes one HTTP serving thread for its full
 //! duration, because it decomposes into many short shard tasks that
 //! drain from the same queue as everyone else's.
 //!
 //! Submitters are not idle bystanders: [`ComputePool::run_all`] makes
-//! the calling (HTTP worker) thread *help drain the queue* while its own
+//! the calling (HTTP serving) thread *help drain the queue* while its own
 //! batch is outstanding. That guarantees progress with any pool size
 //! (even zero threads — everything runs on the caller), adds the blocked
 //! submitter's core back into the compute budget, and can never deadlock
@@ -39,33 +39,13 @@ struct PoolInner {
 }
 
 impl PoolInner {
-    /// An empty, open queue shared by `threads` workers running
-    /// [`Self::work`].
-    fn spawn(threads: usize) -> (Arc<Self>, Vec<JoinHandle<()>>) {
-        let inner = Arc::new(PoolInner {
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let worker = || {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || inner.work())
-        };
-        let handles = (0..threads).map(|_| worker()).collect();
-        (inner, handles)
-    }
-
     fn pop(&self) -> Option<Job> {
         lock(&self.queue).jobs.pop_front()
     }
 
     /// The one worker loop: run queued jobs until the queue is empty
     /// *and* shut down. Popping before honoring shutdown means shutdown
-    /// drains the queue instead of dropping it — queued dispatch jobs
-    /// carry in-flight requests whose connections wait on their
-    /// completions.
+    /// drains the queue instead of dropping it.
     fn work(&self) {
         loop {
             let job = {
@@ -83,10 +63,9 @@ impl PoolInner {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            // A panicking job must not take the pool thread down. A
-            // compute task's batch guard has already released its latch,
-            // and the submitter surfaces the panic; router jobs catch
-            // their own (they must always deliver a completion).
+            // A panicking job must not take the pool thread down: its
+            // batch guard has already released its latch, and the
+            // submitter surfaces the panic.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         }
     }
@@ -131,7 +110,19 @@ impl ComputePool {
     /// A pool of `threads` compute threads. Zero is valid: every task
     /// then runs on the submitting thread inside [`Self::run_all`].
     pub fn new(threads: usize) -> Self {
-        let (inner, threads) = PoolInner::spawn(threads);
+        let inner = Arc::new(PoolInner {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let threads = (0..threads)
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || inner.work())
+            })
+            .collect();
         Self { inner, threads }
     }
 
@@ -225,78 +216,6 @@ impl Drop for ComputePool {
     }
 }
 
-/// The request-dispatch tier of the evented HTTP core: a fixed set of
-/// threads that run router closures handed over by the event loops.
-///
-/// Deliberately **not** [`ComputePool`]: compute tasks are leaf work and
-/// their submitters help drain the queue, which is exactly wrong for
-/// router jobs — a router job *submits* compute batches, so a helping
-/// router thread could pop another router job mid-wait and recurse
-/// without bound. Dispatch workers are plain consumers: one queued job
-/// at a time, completion delivered back to the owning event loop via its
-/// inbox + waker, never by the dispatcher touching sockets.
-pub struct DispatchPool {
-    inner: Arc<PoolInner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl DispatchPool {
-    /// A pool of `threads` dispatch threads (at least one: unlike the
-    /// compute pool there is no helping submitter to fall back on).
-    pub fn new(threads: usize) -> Self {
-        let (inner, threads) = PoolInner::spawn(threads.max(1));
-        Self {
-            inner,
-            threads: Mutex::new(threads),
-        }
-    }
-
-    /// Number of dispatch threads.
-    pub fn workers(&self) -> usize {
-        lock(&self.threads).len()
-    }
-
-    /// Enqueues `job` for the next free dispatch thread. If the pool has
-    /// already shut down (a shutdown/enqueue race at server stop), the
-    /// job runs inline on the caller so its completion is never lost.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let job: Job = Box::new(job);
-        let job = {
-            let mut queue = lock(&self.inner.queue);
-            if queue.shutdown {
-                Some(job)
-            } else {
-                queue.jobs.push_back(job);
-                None
-            }
-        };
-        match job {
-            Some(job) => {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            }
-            None => self.inner.ready.notify_one(),
-        }
-    }
-
-    /// Closes the queue, runs every queued job to completion, and joins
-    /// the threads. Idempotent; callable through a shared reference (the
-    /// event loops and the server handle share the pool via `Arc`).
-    pub fn shutdown(&self) {
-        lock(&self.inner.queue).shutdown = true;
-        self.inner.ready.notify_all();
-        let handles = std::mem::take(&mut *lock(&self.threads));
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for DispatchPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,27 +264,6 @@ mod tests {
             }
         });
         assert_eq!(executed.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn dispatch_pool_runs_jobs_and_drains_on_shutdown() {
-        let pool = DispatchPool::new(2);
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..50 {
-            let ran = Arc::clone(&ran);
-            pool.spawn(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // Shutdown must run every queued job, not drop the backlog.
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 50);
-        // Post-shutdown spawns run inline so completions are never lost.
-        let ran2 = Arc::clone(&ran);
-        pool.spawn(move || {
-            ran2.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 51);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The server's HTTP/1.1 layer: one framing for both directions of the
-//! wire, and one readiness event loop that serves every connection.
+//! wire, and serving threads that each serve a request on the thread that
+//! reads it.
 //!
 //! **Framing.** `Parse` reads a message incrementally out of a byte
 //! buffer: a request on this server's sockets, a response in
@@ -9,38 +10,37 @@
 //! (`StartLine`). Bytes from a peer are hostile until it has framed
 //! them.
 //!
-//! **Serving.** One event loop (epoll via the `polling` shim) owns the
-//! listener, a slab of nonblocking connections and the completion inbox.
-//! Each connection is an explicit state machine — read head → read body →
-//! dispatch → write response → keep-alive idle. A complete request runs
-//! on the dispatch pool (the CPU tier, [`crate::compute::DispatchPool`]).
-//! When nothing can follow its response on the connection but the next
-//! request — keep-alive, no pipelined bytes, no peer EOF, no drain — the
-//! dispatch job writes the response itself and re-arms read interest,
-//! and the loop learns of it from a completion it reads when something
-//! else wakes it (usually that next request). Every other response, and
-//! the tail of a direct write that stopped short, comes back through the
-//! inbox plus a wakeup pipe and the loop writes it. The loop never runs
-//! handler code and owns every connection's state; a job writes only to
-//! its own dispatched connection. Idle keep-alive connections cost an
-//! epoll registration and a small buffer rather than a thread, and one
-//! loop holds tens of thousands of them while the dispatch pool sizes to
-//! the CPU-bound query work. Because the loop closes a finished
-//! connection before it accepts the next one, the connection gauges never
-//! race.
+//! **Serving.** [`HttpConfig::dispatch_threads`] serving threads wait on
+//! one poller (epoll via the `polling` shim) for one event at a time. The
+//! listener and every connection are armed one-shot, so each event goes to
+//! one thread, and that thread owns the connection until it re-arms it: it
+//! takes the connection out of its slot, reads and parses the request,
+//! runs the router, writes the response, serves any request pipelined
+//! behind it, then puts the connection back and re-arms read interest —
+//! one `epoll_ctl` a request, and no request crosses threads. A response
+//! the socket takes only partly is put back armed for writability, and
+//! whichever thread gets that event writes the rest. Each connection is a
+//! state machine — read head → read body → route → write response →
+//! keep-alive idle — whose state waits in its slot between events; the
+//! slab's lock is held to take it and to put it back and re-arm it, never
+//! across socket I/O or the router. Idle keep-alive connections cost an epoll registration and a
+//! small buffer rather than a thread, so a few threads hold tens of
+//! thousands of them, and one slow request holds only its own thread. A
+//! peer that resets while its request runs is noticed when the response
+//! write fails: a disarmed one-shot fd reports no error or hangup.
 //!
 //! The layer is application-agnostic: it parses requests, hands them to
 //! a router closure, and writes responses (with keep-alive support).
 
-use polling::{Event, Interest, Poller, Waker};
+use polling::{Interest, Poller, Waker};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::compute::DispatchPool;
+use crate::cache::lock;
 
 /// Bodies larger than this are refused, in either direction (inline
 /// dataset uploads are the biggest legitimate payload).
@@ -49,8 +49,8 @@ const MAX_HEADERS: usize = 100;
 /// Start-line / header-line length cap: a peer streaming bytes with no
 /// newline must not grow a buffer without bound.
 const MAX_LINE: usize = 64 * 1024;
-/// Event-loop tick: the `epoll_wait` timeout, which bounds how long the
-/// shutdown flag and connection deadlines can go unchecked.
+/// Serving tick: the `epoll_wait` timeout, and how often connection
+/// deadlines are swept.
 const READ_TICK: Duration = Duration::from_millis(200);
 /// How long an idle keep-alive connection may wait for its *next*
 /// request before the server closes it. Idle connections are cheap now
@@ -154,7 +154,7 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Connection-level counters shared between the event loop and the
+/// Connection-level counters shared between the serving threads and the
 /// observability surface (`/healthz` `connections` block and the
 /// `shapesearch_connections_*` metrics series).
 #[derive(Debug, Default)]
@@ -169,13 +169,12 @@ pub struct ConnStats {
     /// Connections closed by a deadline: idle keep-alive expiry or the
     /// slow-loris request cutoff.
     pub timeouts: AtomicU64,
-    /// Event-loop `wait` returns that delivered at least one readiness
-    /// event (a proxy for loop activity; an idle loop ticks without
+    /// Serving-thread waits that delivered a readiness event (one a
+    /// request on a keep-alive connection; an idle server ticks without
     /// counting).
     pub event_loop_wakeups: AtomicU64,
-    /// Responses a dispatch job wrote whole to its own connection, so the
-    /// event loop was not woken to write them (counted when the loop
-    /// applies the job's completion, at its next wakeup).
+    /// Responses written whole by their first write: the connection never
+    /// waited for writability.
     pub direct_writes: AtomicU64,
 }
 
@@ -183,11 +182,11 @@ pub struct ConnStats {
 /// caught per-request so one bad request can't take the server down.
 pub type Router = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// Dispatch sizing and counters for [`serve`].
+/// Thread count and counters for [`serve`].
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
-    /// Dispatch (CPU tier) threads running the router (`0` = auto:
-    /// available parallelism).
+    /// Serving threads: each reads a request, runs the router on it and
+    /// writes its response (`0` = auto: available parallelism).
     pub dispatch_threads: usize,
     /// Shared connection counters (exposed via [`ServerHandle::stats`]).
     pub stats: Arc<ConnStats>,
@@ -467,37 +466,28 @@ fn content_length<S: StartLine>(headers: &[(String, String)]) -> io::Result<usiz
 }
 
 // ---------------------------------------------------------------------------
-// Connection state machine
+// Connections and the serving threads
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for (more of) a request.
-    Reading,
-    /// A complete request is executing on the dispatch pool; read
-    /// interest is off so a pipelining peer cannot buffer without bound.
-    /// Its job may write the response and re-arm read interest itself;
-    /// the connection is `Reading` again once the loop has applied that
-    /// job's completion.
-    Dispatched,
-    /// A response is being flushed by the loop.
-    Writing,
+/// A connection's poller token is its slot index in the low half and the
+/// registration's generation in the high half: an event left over from a
+/// connection that has since closed finds another token in the slot (or
+/// none) and is dropped.
+const SLOT_BITS: u32 = usize::BITS / 2;
+
+fn slot_of(token: usize) -> usize {
+    token & ((1 << SLOT_BITS) - 1)
 }
 
 #[derive(Debug)]
 struct Conn {
-    /// Shared with a dispatch job that writes its response directly; the
-    /// job's clone keeps the fd from being closed (and its number reused)
-    /// under it.
-    stream: Arc<TcpStream>,
+    stream: TcpStream,
     fd: polling::RawFd,
-    /// Guards completions against slot reuse: a completion for an
-    /// earlier connection that shared this slot is dropped.
-    generation: u64,
-    phase: Phase,
+    token: usize,
     /// Bytes read but not yet consumed by the parser.
     buf: Vec<u8>,
     parse: Parse<RequestLine>,
+    /// The response being written (empty between responses).
     write_buf: Vec<u8>,
     written: usize,
     close_after_write: bool,
@@ -508,52 +498,415 @@ struct Conn {
     peer_eof: bool,
     /// Whether this connection is counted in the `idle_keepalive` gauge.
     counted_idle: bool,
-    interest: Interest,
+    /// Whether this connection is counted in the `active` gauge. Its last
+    /// response takes it off before being written: a client that has
+    /// read that response and connects again never finds it still open.
+    counted_active: bool,
 }
 
-/// A dispatch job's outcome for its connection.
-struct Completion {
-    token: usize,
-    generation: u64,
-    reply: Reply,
+impl Conn {
+    /// Part of a response is still to be written.
+    fn writing(&self) -> bool {
+        self.written < self.write_buf.len()
+    }
 }
 
-/// What a dispatch job hands back to the loop.
-enum Reply {
-    /// The job wrote the whole response and re-armed read interest.
-    Written,
-    /// The loop writes `wire[written..]`: the response to a request that
-    /// could not be answered directly, or the tail of a direct write that
-    /// stopped short.
-    Write {
-        wire: Vec<u8>,
-        written: usize,
-        keep_alive: bool,
-    },
-    /// A direct write failed: the loop closes the connection.
-    Failed,
+struct Slab {
+    /// A connection parked in its slot, armed one-shot for its next
+    /// event; `None` while a serving thread holds it, or while the slot
+    /// is on the free list.
+    slots: Vec<Option<Box<Conn>>>,
+    free: Vec<usize>,
+    generation: usize,
 }
 
-/// The event loop's cross-thread face: dispatch jobs push completions
-/// here. The waker makes the loop notice one at once; a quiet one is
-/// applied at the top of the loop's next iteration, whatever wakes it.
-struct Inbox {
+/// What the thread holding a connection does with it next.
+enum Step {
+    /// Run the router on a complete request and write its response.
+    Serve(Message<RequestLine>),
+    /// Answer a malformed request with a 400, then close.
+    Refuse(io::Error),
+    /// Put the connection back, armed for the next request's bytes.
+    AwaitRead,
+    /// Put it back, armed for the socket to take the rest of a response.
+    AwaitWrite,
+    Close,
+}
+
+/// What every serving thread shares.
+struct Shared {
+    poller: Poller,
+    /// Registered level-triggered and never drained: once shutdown wakes
+    /// it, every thread's next wait returns it.
     waker: Waker,
-    completions: Mutex<Vec<Completion>>,
+    /// Taken (and deregistered) at shutdown.
+    listener: Mutex<Option<TcpListener>>,
+    /// Locked only to take, put back and re-arm, add or sweep
+    /// connections: never across socket I/O or the router.
+    slab: Mutex<Slab>,
+    stats: Arc<ConnStats>,
+    router: Router,
+    stop: AtomicBool,
+    /// When the deadlines are next due a sweep, in nanoseconds after
+    /// `epoch`.
+    next_sweep: AtomicU64,
+    epoch: Instant,
 }
 
-impl Inbox {
-    fn push(&self, completion: Completion) {
-        self.queue().push(completion);
-        let _ = self.waker.wake();
+impl Shared {
+    /// One serving thread: one event per wait, served to the end on this
+    /// thread, until shutdown.
+    fn run(&self) {
+        let mut events = Vec::with_capacity(1);
+        let mut scratch = vec![0u8; 16 * 1024];
+        while !self.stopping() {
+            let _ = self.poller.wait(&mut events, 1, Some(READ_TICK));
+            if let Some(event) = events.first() {
+                self.stats
+                    .event_loop_wakeups
+                    .fetch_add(1, Ordering::Relaxed);
+                match event.token {
+                    TOKEN_WAKER => {}
+                    TOKEN_LISTENER => self.accept_ready(),
+                    token => self.serve(token, &mut scratch),
+                }
+            }
+            self.sweep_if_due();
+        }
     }
 
-    /// The queue survives a panic elsewhere: it holds plain values, so a
-    /// poisoned lock is recovered rather than propagated.
-    fn queue(&self) -> std::sync::MutexGuard<'_, Vec<Completion>> {
-        self.completions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Accepts until the backlog is empty, then re-arms the listener.
+    fn accept_ready(&self) {
+        let listener = lock(&self.listener);
+        let Some(listener) = listener.as_ref() else {
+            return;
+        };
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    self.stats.accepted_total.fetch_add(1, Ordering::Relaxed);
+                    self.stats.active.fetch_add(1, Ordering::Relaxed);
+                    self.register(stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // Transient accept failure (e.g. fd exhaustion): back
+                    // off before re-arming instead of busy-spinning.
+                    std::thread::sleep(READ_TICK / 4);
+                    break;
+                }
+            }
+        }
+        let _ = self
+            .poller
+            .modify(raw_fd(listener), TOKEN_LISTENER, Interest::READ.oneshot());
+    }
+
+    fn register(&self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            self.stats.active.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let fd = raw_fd(&stream);
+        self.stats.idle_keepalive.fetch_add(1, Ordering::Relaxed);
+        let token = {
+            let mut slab = lock(&self.slab);
+            let slot = slab.free.pop().unwrap_or_else(|| {
+                slab.slots.push(None);
+                slab.slots.len() - 1
+            });
+            slab.generation = slab.generation.wrapping_add(1);
+            let token = slab.generation << SLOT_BITS | slot;
+            slab.slots[slot] = Some(Box::new(Conn {
+                stream,
+                fd,
+                token,
+                buf: Vec::new(),
+                parse: Parse::new(),
+                write_buf: Vec::new(),
+                written: 0,
+                close_after_write: false,
+                idle_deadline: Instant::now() + IDLE_TIMEOUT,
+                hard_deadline: None,
+                peer_eof: false,
+                counted_idle: true,
+                counted_active: true,
+            }));
+            token
+        };
+        if self
+            .poller
+            .add(fd, token, Interest::READ.oneshot())
+            .is_err()
+        {
+            if let Some(conn) = self.take(token) {
+                self.close(conn);
+            }
+        }
+    }
+
+    /// Takes the connection an event is for out of its slot; `None` for
+    /// an event left over from a connection since closed.
+    fn take(&self, token: usize) -> Option<Box<Conn>> {
+        lock(&self.slab)
+            .slots
+            .get_mut(slot_of(token))?
+            .take_if(|conn| conn.token == token)
+    }
+
+    /// Arms the connection one-shot and puts it back, both under the
+    /// slab's lock: its next event, whichever thread receives it, finds it
+    /// in its slot, and a sweep cannot close its fd (which a new
+    /// connection may then reuse) between the put-back and the arm.
+    fn park(&self, conn: Box<Conn>, interest: Interest) {
+        let mut slab = lock(&self.slab);
+        let slot = slot_of(conn.token);
+        if self
+            .poller
+            .modify(conn.fd, conn.token, interest.oneshot())
+            .is_ok()
+        {
+            slab.slots[slot] = Some(conn);
+            return;
+        }
+        slab.free.push(slot);
+        drop(slab);
+        self.forget(conn);
+    }
+
+    /// Closes a connection this thread holds and frees its slot.
+    fn close(&self, conn: Box<Conn>) {
+        lock(&self.slab).free.push(slot_of(conn.token));
+        self.forget(conn);
+    }
+
+    /// Deregisters and closes a connection already out of the slab.
+    fn forget(&self, conn: Box<Conn>) {
+        let _ = self.poller.delete(conn.fd);
+        if conn.counted_active {
+            self.stats.active.fetch_sub(1, Ordering::Relaxed);
+        }
+        if conn.counted_idle {
+            self.stats.idle_keepalive.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Serves the connection an event is for until it has to wait again:
+    /// the request and every request pipelined behind it, or the rest of
+    /// a response.
+    fn serve(&self, token: usize, scratch: &mut [u8]) {
+        let Some(mut conn) = self.take(token) else {
+            return;
+        };
+        let mut step = if conn.writing() {
+            self.flush(&mut conn)
+        } else {
+            self.read(&mut conn, scratch)
+        };
+        loop {
+            step = match step {
+                Step::Serve(message) => self.respond(&mut conn, message),
+                Step::Refuse(e) => self.refuse(&mut conn, &e),
+                Step::AwaitRead => return self.park(conn, Interest::READ),
+                Step::AwaitWrite => return self.park(conn, Interest::WRITE),
+                Step::Close => return self.close(conn),
+            };
+        }
+    }
+
+    /// Reads until a request is complete or the socket is drained.
+    fn read(&self, conn: &mut Conn, scratch: &mut [u8]) -> Step {
+        loop {
+            match (&conn.stream).read(scratch) {
+                Ok(0) => {
+                    conn.peer_eof = true;
+                    return at_eof(conn);
+                }
+                Ok(n) => {
+                    conn.buf.extend_from_slice(&scratch[..n]);
+                    if conn.counted_idle {
+                        conn.counted_idle = false;
+                        self.stats.idle_keepalive.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    if conn.hard_deadline.is_none() {
+                        conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
+                    }
+                    match conn.parse.step(&mut conn.buf) {
+                        Ok(Some(message)) => return Step::Serve(message),
+                        Ok(None) => {}
+                        Err(e) => return Step::Refuse(e),
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::AwaitRead,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Step::Close,
+            }
+        }
+    }
+
+    /// Runs the router on a request (a panic is a 500) and writes the
+    /// response.
+    fn respond(&self, conn: &mut Conn, message: Message<RequestLine>) -> Step {
+        let keep_alive = message.keep_alive();
+        conn.hard_deadline = None;
+        let request = Request {
+            method: message.start.method,
+            path: message.start.path,
+            headers: message.headers,
+            body: message.body,
+        };
+        let routed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.router)(&request)));
+        let response =
+            routed.unwrap_or_else(|_| Response::json(500, "{\"error\":\"internal panic\"}".into()));
+        self.write(conn, serialize_response(&response, keep_alive), keep_alive)
+    }
+
+    /// Malformed request: best-effort 400 carrying the parse detail (our
+    /// own error strings — "transfer-encoding is not supported", "line
+    /// too long" — are the client's only diagnostic), then close.
+    fn refuse(&self, conn: &mut Conn, e: &io::Error) -> Step {
+        let body = crate::json::obj([(
+            "error",
+            crate::json::Json::Str(format!("malformed request: {e}")),
+        )]);
+        let response = Response::json(400, body.to_text());
+        self.write(conn, serialize_response(&response, false), false)
+    }
+
+    fn write(&self, conn: &mut Conn, wire: Vec<u8>, keep_alive: bool) -> Step {
+        conn.write_buf = wire;
+        conn.written = 0;
+        conn.close_after_write = !keep_alive;
+        if !keep_alive && conn.counted_active {
+            conn.counted_active = false;
+            self.stats.active.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.flush(conn)
+    }
+
+    /// Writes the response as far as the socket takes it now; once it is
+    /// all out, goes on to the next request.
+    fn flush(&self, conn: &mut Conn) -> Step {
+        while conn.writing() {
+            match (&conn.stream).write(&conn.write_buf[conn.written..]) {
+                Ok(0) => return Step::Close,
+                Ok(n) => {
+                    if conn.written == 0 && n == conn.write_buf.len() {
+                        self.stats.direct_writes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    conn.written += n;
+                }
+                // Shutdown abandons a peer that is not reading.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return match self.stopping() {
+                        true => Step::Close,
+                        false => Step::AwaitWrite,
+                    };
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Step::Close,
+            }
+        }
+        self.next_request(conn)
+    }
+
+    /// After a response: the request pipelined behind it, if its bytes
+    /// are here, or a wait for the next one.
+    fn next_request(&self, conn: &mut Conn) -> Step {
+        if conn.close_after_write || self.stopping() {
+            return Step::Close;
+        }
+        conn.write_buf = Vec::new();
+        conn.written = 0;
+        conn.idle_deadline = Instant::now() + IDLE_TIMEOUT;
+        conn.hard_deadline = None;
+        if !conn.buf.is_empty() {
+            conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
+            return match conn.parse.step(&mut conn.buf) {
+                Ok(Some(message)) => Step::Serve(message),
+                Ok(None) if conn.peer_eof => at_eof(conn),
+                Ok(None) => Step::AwaitRead,
+                Err(e) => Step::Refuse(e),
+            };
+        }
+        if conn.peer_eof {
+            return Step::Close;
+        }
+        conn.counted_idle = true;
+        self.stats.idle_keepalive.fetch_add(1, Ordering::Relaxed);
+        Step::AwaitRead
+    }
+
+    /// Closes the parked connections whose deadline has passed. The sweep
+    /// is due a tick after the last one, and whichever thread first finds
+    /// it due runs it: a thread whose wait timed out, or one serving, so a
+    /// busy server sweeps too. Connections other threads hold are not in
+    /// their slots, so it skips them; one writing a response waits on its
+    /// peer, not on a deadline.
+    fn sweep_if_due(&self) {
+        let now = Instant::now();
+        let at = now.duration_since(self.epoch).as_nanos() as u64;
+        let due = self.next_sweep.load(Ordering::Relaxed);
+        let next = at + READ_TICK.as_nanos() as u64;
+        if at < due
+            || self
+                .next_sweep
+                .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        let expired_at = |conn: &mut Box<Conn>| {
+            !conn.writing() && now >= conn.hard_deadline.unwrap_or(conn.idle_deadline)
+        };
+        let mut expired = Vec::new();
+        {
+            let mut slab = lock(&self.slab);
+            let Slab { slots, free, .. } = &mut *slab;
+            for (index, slot) in slots.iter_mut().enumerate() {
+                if let Some(conn) = slot.take_if(expired_at) {
+                    expired.push(conn);
+                    free.push(index);
+                }
+            }
+        }
+        for conn in expired {
+            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+            self.forget(conn);
+        }
+    }
+
+    /// Once every serving thread has stopped: one last try at each
+    /// response still being written, then every connection closes.
+    fn close_all(&self) {
+        let parked: Vec<Box<Conn>> = lock(&self.slab)
+            .slots
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
+        for mut conn in parked {
+            if conn.writing() {
+                let _ = self.flush(&mut conn);
+            }
+            self.forget(conn);
+        }
+    }
+}
+
+/// Peer EOF: a clean close between requests, a request completed by the
+/// EOF, or a malformed one cut short.
+fn at_eof(conn: &mut Conn) -> Step {
+    match conn.parse.finish_eof(&mut conn.buf) {
+        Ok(None) => Step::Close,
+        Ok(Some(message)) => Step::Serve(message),
+        Err(e) => Step::Refuse(e),
     }
 }
 
@@ -585,528 +938,15 @@ fn serialize_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     wire.into_bytes()
 }
 
-/// A dispatch job's handle on its own connection, for writing the
-/// response itself. Given only to a keep-alive request with no pipelined
-/// bytes behind it, no peer EOF and no drain under way: once its response
-/// is out, nothing but the peer's next request can happen on the
-/// connection, and re-armed read interest is how the loop hears of that.
-struct Direct {
-    stream: Arc<TcpStream>,
-    poller: Arc<Poller>,
-    fd: polling::RawFd,
-}
-
-impl Direct {
-    /// One nonblocking write of `wire` (retried on EINTR).
-    fn write(&self, wire: Vec<u8>, keep_alive: bool) -> Reply {
-        let mut stream = &*self.stream;
-        let outcome = loop {
-            match stream.write(&wire) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                outcome => break outcome,
-            }
-        };
-        match outcome {
-            Ok(n) if n == wire.len() => Reply::Written,
-            Ok(written) => Reply::Write {
-                wire,
-                written,
-                keep_alive,
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Reply::Write {
-                wire,
-                written: 0,
-                keep_alive,
-            },
-            Err(_) => Reply::Failed,
-        }
-    }
-
-    /// Queues a whole write's completion and re-arms read interest, in
-    /// that order: any readable event the loop sees for the fd then finds
-    /// the completion already queued. The loop is not woken for it.
-    fn rearm(self, inbox: &Inbox, completion: Completion) {
-        let token = completion.token;
-        inbox.queue().push(completion);
-        // Fails (ENOENT) once the loop has closed the connection: there
-        // is nothing left to re-arm.
-        let _ = self.poller.modify(self.fd, token, Interest::READ);
-    }
-}
-
-struct EventLoop {
-    poller: Arc<Poller>,
-    inbox: Arc<Inbox>,
-    /// Taken (and deregistered) when draining starts.
-    listener: Option<TcpListener>,
-    slots: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    next_generation: u64,
-    stats: Arc<ConnStats>,
-    router: Router,
-    dispatch: Arc<DispatchPool>,
-    stop: Arc<AtomicBool>,
-    /// Set once `stop` is observed: new work is refused, Reading
-    /// connections close, and the loop exits when in-flight requests
-    /// have written back.
-    draining: bool,
-}
-
-impl EventLoop {
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            let _ = self.poller.wait(&mut events, Some(READ_TICK));
-            if self.stop.load(Ordering::SeqCst) && !self.draining {
-                self.begin_drain();
-            }
-            if !events.is_empty() {
-                self.stats
-                    .event_loop_wakeups
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Completions first, on every iteration: a job that wrote its
-            // response whole queued its completion quietly before it
-            // re-armed the fd, so this iteration's events for that fd find
-            // the connection back in `Reading`. The pipe is drained before
-            // the queue is taken, so no wake is consumed without its
-            // completion.
-            if events.iter().any(|ev| ev.token == TOKEN_WAKER) {
-                self.inbox.waker.drain();
-            }
-            let completions = std::mem::take(&mut *self.inbox.queue());
-            for completion in completions {
-                self.apply_completion(completion);
-            }
-            for ev in events.iter().copied() {
-                match ev.token {
-                    TOKEN_WAKER => {}
-                    TOKEN_LISTENER => self.accept_ready(),
-                    token => self.conn_event(token, ev),
-                }
-            }
-            self.sweep_deadlines();
-            if self.draining && self.slots.iter().all(Option::is_none) {
-                break;
-            }
-        }
-    }
-
-    fn begin_drain(&mut self) {
-        self.draining = true;
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.delete(raw_fd(&listener));
-        }
-        for token in 0..self.slots.len() {
-            let Some(conn) = &self.slots[token] else {
-                continue;
-            };
-            match conn.phase {
-                // Idle / mid-request connections are abandoned (the old
-                // pool abandoned them too); in-flight requests drain.
-                Phase::Reading => self.close(token),
-                // One final flush attempt; `flush_write` closes on
-                // WouldBlock while draining.
-                Phase::Writing => self.flush_write(token),
-                Phase::Dispatched => {}
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    self.stats.accepted_total.fetch_add(1, Ordering::Relaxed);
-                    self.stats.active.fetch_add(1, Ordering::Relaxed);
-                    self.register(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure (e.g. fd exhaustion):
-                    // back off instead of busy-spinning — the listener
-                    // is level-triggered and will fire again.
-                    std::thread::sleep(READ_TICK / 4);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn register(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            self.stats.active.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let fd = raw_fd(&stream);
-        let token = match self.free.pop() {
-            Some(t) => t,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        if self.poller.add(fd, token, Interest::READ).is_err() {
-            self.free.push(token);
-            self.stats.active.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        self.next_generation += 1;
-        self.stats.idle_keepalive.fetch_add(1, Ordering::Relaxed);
-        self.slots[token] = Some(Conn {
-            stream: Arc::new(stream),
-            fd,
-            generation: self.next_generation,
-            phase: Phase::Reading,
-            buf: Vec::new(),
-            parse: Parse::new(),
-            write_buf: Vec::new(),
-            written: 0,
-            close_after_write: false,
-            idle_deadline: Instant::now() + IDLE_TIMEOUT,
-            hard_deadline: None,
-            peer_eof: false,
-            counted_idle: true,
-            interest: Interest::READ,
-        });
-    }
-
-    fn close(&mut self, token: usize) {
-        let Some(conn) = self.slots[token].take() else {
-            return;
-        };
-        let _ = self.poller.delete(conn.fd);
-        self.free.push(token);
-        self.stats.active.fetch_sub(1, Ordering::Relaxed);
-        if conn.counted_idle {
-            self.stats.idle_keepalive.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn set_interest(&mut self, token: usize, interest: Interest) {
-        let Some(conn) = self.slots[token].as_mut() else {
-            return;
-        };
-        if conn.interest == interest {
-            return;
-        }
-        let fd = conn.fd;
-        conn.interest = interest;
-        if self.poller.modify(fd, token, interest).is_err() {
-            self.close(token);
-        }
-    }
-
-    fn conn_event(&mut self, token: usize, ev: Event) {
-        if !matches!(self.slots.get(token), Some(Some(_))) {
-            return;
-        }
-        if ev.readable {
-            self.on_readable(token);
-        }
-        if self.slots[token].is_none() {
-            return;
-        }
-        if ev.writable && self.slots[token].as_ref().expect("checked").phase == Phase::Writing {
-            self.flush_write(token);
-        }
-    }
-
-    fn on_readable(&mut self, token: usize) {
-        match self.slots[token].as_ref().expect("checked").phase {
-            Phase::Reading => self.read_and_parse(token),
-            Phase::Dispatched => self.probe_peer(token),
-            // The write path surfaces errors on its own.
-            Phase::Writing => {}
-        }
-    }
-
-    fn read_and_parse(&mut self, token: usize) {
-        let mut scratch = [0u8; 16 * 1024];
-        loop {
-            let conn = self.slots[token].as_mut().expect("checked");
-            match (&*conn.stream).read(&mut scratch) {
-                Ok(0) => {
-                    conn.peer_eof = true;
-                    self.handle_peer_eof(token);
-                    return;
-                }
-                Ok(n) => {
-                    conn.buf.extend_from_slice(&scratch[..n]);
-                    if conn.counted_idle {
-                        conn.counted_idle = false;
-                        self.stats.idle_keepalive.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    if conn.hard_deadline.is_none() {
-                        conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
-                    }
-                    match conn.parse.step(&mut conn.buf) {
-                        Ok(Some(request)) => {
-                            self.dispatch(token, request);
-                            return;
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            self.respond_framing_error(token, &e);
-                            return;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(token);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn handle_peer_eof(&mut self, token: usize) {
-        let conn = self.slots[token].as_mut().expect("checked");
-        match conn.parse.finish_eof(&mut conn.buf) {
-            Ok(None) => self.close(token),
-            Ok(Some(request)) => self.dispatch(token, request),
-            Err(e) => self.respond_framing_error(token, &e),
-        }
-    }
-
-    /// A readiness event on a `Dispatched` connection can only mean an
-    /// error/hangup (read interest is off): probe the socket so resets
-    /// are discovered and pipelined bytes (delivered alongside a
-    /// half-close) stay buffered.
-    fn probe_peer(&mut self, token: usize) {
-        let mut scratch = [0u8; 4096];
-        let conn = self.slots[token].as_mut().expect("checked");
-        match (&*conn.stream).read(&mut scratch) {
-            Ok(0) => conn.peer_eof = true,
-            Ok(n) => {
-                conn.buf.extend_from_slice(&scratch[..n]);
-                // A peer flooding pipelined bytes while a request is in
-                // flight is bounded here, not by its send rate.
-                if conn.buf.len() > 4 * MAX_LINE {
-                    self.close(token);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => self.close(token),
-        }
-    }
-
-    fn dispatch(&mut self, token: usize, message: Message<RequestLine>) {
-        let keep_alive = message.keep_alive();
-        let request = Request {
-            method: message.start.method,
-            path: message.start.path,
-            headers: message.headers,
-            body: message.body,
-        };
-        let conn = self.slots[token].as_mut().expect("checked");
-        conn.phase = Phase::Dispatched;
-        conn.hard_deadline = None;
-        let generation = conn.generation;
-        let direct_ok = keep_alive && conn.buf.is_empty() && !conn.peer_eof && !self.draining;
-        let direct = direct_ok.then(|| Direct {
-            stream: Arc::clone(&conn.stream),
-            poller: Arc::clone(&self.poller),
-            fd: conn.fd,
-        });
-        self.set_interest(token, Interest::NONE);
-        let router = Arc::clone(&self.router);
-        let inbox = Arc::clone(&self.inbox);
-        self.dispatch.spawn(move || {
-            let response =
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router(&request))) {
-                    Ok(r) => r,
-                    Err(_) => Response::json(500, "{\"error\":\"internal panic\"}".into()),
-                };
-            let wire = serialize_response(&response, keep_alive);
-            let reply = match &direct {
-                Some(direct) => direct.write(wire, keep_alive),
-                None => Reply::Write {
-                    wire,
-                    written: 0,
-                    keep_alive,
-                },
-            };
-            let completion = Completion {
-                token,
-                generation,
-                reply,
-            };
-            match direct {
-                Some(direct) if matches!(completion.reply, Reply::Written) => {
-                    direct.rearm(&inbox, completion);
-                }
-                _ => inbox.push(completion),
-            }
-        });
-    }
-
-    fn apply_completion(&mut self, completion: Completion) {
-        let token = completion.token;
-        let valid = self
-            .slots
-            .get(token)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|conn| {
-                conn.generation == completion.generation && conn.phase == Phase::Dispatched
-            });
-        if !valid {
-            return;
-        }
-        match completion.reply {
-            Reply::Written => {
-                self.stats.direct_writes.fetch_add(1, Ordering::Relaxed);
-                // The job re-armed read interest itself.
-                self.slots[token].as_mut().expect("checked").interest = Interest::READ;
-                self.finish_response(token);
-            }
-            Reply::Write {
-                wire,
-                written,
-                keep_alive,
-            } => self.write_back(token, wire, written, keep_alive),
-            Reply::Failed => self.close(token),
-        }
-    }
-
-    /// Malformed request: best-effort 400 carrying the parse detail (our
-    /// own error strings — "transfer-encoding is not supported", "line
-    /// too long" — are the client's only diagnostic), then close.
-    fn respond_framing_error(&mut self, token: usize, e: &io::Error) {
-        let body = crate::json::obj([(
-            "error",
-            crate::json::Json::Str(format!("malformed request: {e}")),
-        )]);
-        let response = Response::json(400, body.to_text());
-        self.write_back(token, serialize_response(&response, false), 0, false);
-    }
-
-    /// Writes `wire` from `written` on, as far as the socket takes it now.
-    fn write_back(&mut self, token: usize, wire: Vec<u8>, written: usize, keep_alive: bool) {
-        let conn = self.slots[token].as_mut().expect("checked");
-        conn.write_buf = wire;
-        conn.written = written;
-        conn.phase = Phase::Writing;
-        conn.close_after_write = !keep_alive;
-        self.flush_write(token);
-    }
-
-    fn flush_write(&mut self, token: usize) {
-        loop {
-            let conn = self.slots[token].as_mut().expect("checked");
-            if conn.written == conn.write_buf.len() {
-                self.finish_response(token);
-                return;
-            }
-            match (&*conn.stream).write(&conn.write_buf[conn.written..]) {
-                Ok(0) => {
-                    self.close(token);
-                    return;
-                }
-                Ok(n) => conn.written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.draining {
-                        // Shutdown abandons peers that aren't draining
-                        // their receive buffer (the old pool did too).
-                        self.close(token);
-                    } else {
-                        self.set_interest(token, Interest::WRITE);
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(token);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn finish_response(&mut self, token: usize) {
-        let conn = self.slots[token].as_mut().expect("checked");
-        if conn.close_after_write || self.draining {
-            self.close(token);
-            return;
-        }
-        conn.phase = Phase::Reading;
-        conn.parse = Parse::new();
-        conn.write_buf = Vec::new();
-        conn.written = 0;
-        conn.idle_deadline = Instant::now() + IDLE_TIMEOUT;
-        conn.hard_deadline = None;
-        if !conn.buf.is_empty() {
-            // Pipelined bytes arrived during the previous request.
-            conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
-            match conn.parse.step(&mut conn.buf) {
-                Ok(Some(request)) => {
-                    self.dispatch(token, request);
-                    return;
-                }
-                Ok(None) => {
-                    if self.slots[token].as_ref().expect("checked").peer_eof {
-                        self.handle_peer_eof(token);
-                        return;
-                    }
-                }
-                Err(e) => {
-                    self.respond_framing_error(token, &e);
-                    return;
-                }
-            }
-            self.set_interest(token, Interest::READ);
-            return;
-        }
-        if conn.peer_eof {
-            self.close(token);
-            return;
-        }
-        conn.counted_idle = true;
-        self.stats.idle_keepalive.fetch_add(1, Ordering::Relaxed);
-        self.set_interest(token, Interest::READ);
-    }
-
-    fn sweep_deadlines(&mut self) {
-        if self.draining {
-            return;
-        }
-        let now = Instant::now();
-        for token in 0..self.slots.len() {
-            let expired = match &self.slots[token] {
-                Some(conn) if conn.phase == Phase::Reading => match conn.hard_deadline {
-                    Some(hard) => now >= hard,
-                    None => now >= conn.idle_deadline,
-                },
-                _ => false,
-            };
-            if expired {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.close(token);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Server handle + entry point
 // ---------------------------------------------------------------------------
 
-/// A running server: the event-loop thread plus the dispatch pool.
+/// A running server: its serving threads.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    event_loop: Option<JoinHandle<()>>,
-    inbox: Arc<Inbox>,
-    dispatch: Arc<DispatchPool>,
-    stats: Arc<ConnStats>,
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -1117,34 +957,29 @@ impl ServerHandle {
 
     /// The shared connection counters.
     pub fn stats(&self) -> Arc<ConnStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.shared.stats)
     }
 
-    /// Stops accepting, drains in-flight requests, and joins all
-    /// threads. Idle keep-alive connections are closed immediately; the
-    /// event loop notices the flag within one tick (200 ms), so this
-    /// returns promptly even while clients hold sockets open.
+    /// Stops accepting, lets in-flight requests finish and write, and
+    /// joins every serving thread. Parked connections (idle keep-alive
+    /// ones included) are closed then, so this returns promptly even
+    /// while clients hold sockets open.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = self.inbox.waker.wake();
-        // Order matters: draining the dispatch pool first guarantees
-        // every in-flight request's completion reaches the inbox, and the
-        // loop only exits once its dispatched connections have written
-        // back (or been abandoned).
-        self.dispatch.shutdown();
-        // A job that wrote its response whole queued its completion
-        // without a wake: wake the loop once they all have, so the drain
-        // does not wait out a tick for them.
-        let _ = self.inbox.waker.wake();
-        if let Some(event_loop) = self.event_loop.take() {
-            let _ = event_loop.join();
+        if let Some(listener) = lock(&self.shared.listener).take() {
+            let _ = self.shared.poller.delete(raw_fd(&listener));
         }
+        let _ = self.shared.waker.wake();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+        self.shared.close_all();
     }
 }
 
@@ -1154,9 +989,9 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `addr` (e.g. `127.0.0.1:0`) and serves `router` from one
-/// readiness loop backed by a [`HttpConfig::dispatch_threads`]-sized CPU
-/// tier, until [`ServerHandle::shutdown`].
+/// Binds `addr` (e.g. `127.0.0.1:0`) and serves `router` on
+/// [`HttpConfig::dispatch_threads`] serving threads, until
+/// [`ServerHandle::shutdown`].
 ///
 /// # Errors
 /// Propagates bind and poller-setup failures.
@@ -1164,43 +999,42 @@ pub fn serve(addr: &str, config: HttpConfig, router: Router) -> io::Result<Serve
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let dispatch_threads = match config.dispatch_threads {
+    let threads = match config.dispatch_threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
         n => n,
     };
 
-    let inbox = Arc::new(Inbox {
-        waker: Waker::new()?,
-        completions: Mutex::new(Vec::new()),
-    });
-    let poller = Arc::new(Poller::new()?);
-    poller.add(inbox.waker.fd(), TOKEN_WAKER, Interest::READ)?;
-    poller.add(raw_fd(&listener), TOKEN_LISTENER, Interest::READ)?;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let dispatch = Arc::new(DispatchPool::new(dispatch_threads));
-    let event_loop = EventLoop {
+    let poller = Poller::new()?;
+    let waker = Waker::new()?;
+    poller.add(waker.fd(), TOKEN_WAKER, Interest::READ)?;
+    poller.add(raw_fd(&listener), TOKEN_LISTENER, Interest::READ.oneshot())?;
+    let shared = Arc::new(Shared {
         poller,
-        inbox: Arc::clone(&inbox),
-        listener: Some(listener),
-        slots: Vec::new(),
-        free: Vec::new(),
-        next_generation: 0,
-        stats: Arc::clone(&config.stats),
+        waker,
+        listener: Mutex::new(Some(listener)),
+        slab: Mutex::new(Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            generation: 0,
+        }),
+        stats: config.stats,
         router,
-        dispatch: Arc::clone(&dispatch),
-        stop: Arc::clone(&stop),
-        draining: false,
-    };
+        stop: AtomicBool::new(false),
+        next_sweep: AtomicU64::new(0),
+        epoch: Instant::now(),
+    });
+    let threads = (0..threads)
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.run())
+        })
+        .collect();
     Ok(ServerHandle {
         addr: local,
-        stop,
-        event_loop: Some(std::thread::spawn(move || event_loop.run())),
-        inbox,
-        dispatch,
-        stats: config.stats,
+        shared,
+        threads,
     })
 }
 
@@ -1311,7 +1145,7 @@ mod tests {
     fn shutdown_unblocks_loops_parked_on_idle_keepalive() {
         let handle = serve_test(echo_router());
         // One request without Connection: close, then leave the socket
-        // open: the connection parks idle in the event loop.
+        // open: the connection parks idle in its slot.
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         s.write_all(b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n")
             .unwrap();
@@ -1559,9 +1393,19 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
-    /// A response bigger than any socket buffer: the dispatch job's write
-    /// stops short, the loop writes the tail, and the connection then
-    /// serves on; only the small response counts as a direct write.
+    /// Whether a connection is parked with part of a response unwritten.
+    fn parked_writing(handle: &ServerHandle) -> bool {
+        lock(&handle.shared.slab)
+            .slots
+            .iter()
+            .flatten()
+            .any(|conn| conn.writing())
+    }
+
+    /// A response bigger than any socket buffer: its first write stops
+    /// short, the connection waits for writability, a writable event
+    /// writes the tail, and the connection then serves on; only the small
+    /// response counts as a direct write.
     #[test]
     fn a_response_larger_than_the_send_buffer_arrives_whole_then_serves_on() {
         let body: String = (0..(8 << 20) + 7)
@@ -1578,9 +1422,12 @@ mod tests {
         let (mut s, mut reader) = connect(&handle);
         s.write_all(b"GET /big HTTP/1.1\r\nHost: x\r\n\r\n")
             .unwrap();
-        // Not reading yet keeps the receive window from growing under the
-        // job's one write.
-        std::thread::sleep(Duration::from_millis(50));
+        // Not reading until the first write has stopped short keeps the
+        // receive window from growing under it.
+        assert!(
+            wait_until(WAIT, || parked_writing(&handle)),
+            "the big response never waited for writability"
+        );
         let (status, got) = read_response(&mut reader);
         assert!(status.starts_with("HTTP/1.1 200"), "{status}");
         assert!(got == body, "the big body arrived changed");
@@ -1597,9 +1444,8 @@ mod tests {
         handle.shutdown();
     }
 
-    /// A keep-alive request's response no longer goes back through the
-    /// loop: one wakeup reads the request, and the dispatch job writes the
-    /// response. Through the loop it would be two wakeups a request.
+    /// A keep-alive request costs one wakeup: the thread it wakes reads
+    /// the request, writes the response and re-arms the connection.
     #[test]
     fn sequential_keep_alive_requests_wake_the_loop_once_each() {
         let handle = serve_test(echo_router());
@@ -1624,7 +1470,7 @@ mod tests {
         handle.shutdown();
     }
 
-    /// A request that arrives while the one before it is dispatched
+    /// A request that arrives while the one before it is in the router
     /// waits in the socket and is answered after it.
     #[test]
     fn a_request_sent_while_the_first_is_dispatched_is_answered_after_it() {
@@ -1645,8 +1491,9 @@ mod tests {
         handle.shutdown();
     }
 
-    /// A response its dispatch job writes after the loop began draining
-    /// wakes the loop: shutdown does not wait out a tick for it.
+    /// Shutdown lets a request in the router finish: it has not returned
+    /// while the request is held, and returns once the response is
+    /// written, which is then the connection's last.
     #[test]
     fn shutdown_with_a_request_in_flight_returns_within_a_tick() {
         let (router, gate) = gated_router();
@@ -1659,20 +1506,17 @@ mod tests {
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::spawn(move || {
             handle.shutdown();
-            let _ = done_tx.send(Instant::now());
+            let _ = done_tx.send(());
         });
-        // The loop is draining once the listener is gone.
+        // Shutdown has begun once the listener is gone.
         assert!(wait_until(WAIT, || TcpStream::connect(addr).is_err()));
-        let opened = Instant::now();
-        gate.open.send(()).unwrap();
-        let done = done_rx.recv_timeout(WAIT).expect("shutdown hung");
-        // Half a tick: a loop left to notice the completion on its own
-        // would take a whole tick half the time.
-        assert!(
-            done - opened < READ_TICK / 2,
-            "shutdown took {:?} after the answer",
-            done - opened
+        assert_eq!(
+            done_rx.try_recv(),
+            Err(mpsc::TryRecvError::Empty),
+            "shutdown returned while a request was in the router"
         );
+        gate.open.send(()).unwrap();
+        done_rx.recv_timeout(WAIT).expect("shutdown hung");
         let (status, body) = read_response(&mut reader);
         assert!(status.starts_with("HTTP/1.1 200"), "{status}");
         assert!(body.contains("\"path\":\"/slow\""), "{body}");
@@ -1681,16 +1525,17 @@ mod tests {
         assert!(rest.is_empty(), "{rest:?}");
     }
 
-    /// A client that resets its connection while a request is dispatched
-    /// frees the slot at once. The next connection takes that slot, and
-    /// the abandoned job's completion, which lands while the new
-    /// connection's own request is dispatched, never reaches it.
+    /// A client that resets its connection while a request is in the
+    /// router is noticed when that request's response write fails, which
+    /// frees the slot. The next connection takes that slot and gets its
+    /// own responses only.
     #[test]
     fn a_reset_mid_dispatch_frees_the_slot_and_its_reuse_gets_no_stale_response() {
         let (router, gate) = gated_router();
         let handle = serve_test(router);
         let stats = handle.stats();
         let (mut a, _) = connect(&handle);
+        let a_slot = wait_for_one_slot(&handle);
         // `/first`'s response is left unread, so dropping the socket
         // sends a reset rather than a FIN.
         a.write_all(
@@ -1699,6 +1544,7 @@ mod tests {
         .unwrap();
         gate.entered.recv_timeout(WAIT).unwrap();
         drop(a);
+        gate.open.send(()).unwrap();
         assert!(
             wait_until(WAIT, || stats.active.load(Ordering::Relaxed) == 0),
             "a reset mid-dispatch must free the slot"
@@ -1706,13 +1552,10 @@ mod tests {
 
         // The free slot goes to the next connection.
         let (mut b, mut reader) = connect(&handle);
+        assert_eq!(wait_for_one_slot(&handle), a_slot);
         b.write_all(b"GET /slow?b HTTP/1.1\r\nHost: x\r\n\r\n")
             .unwrap();
         gate.entered.recv_timeout(WAIT).unwrap();
-        // `a`'s job answers first (it holds the gate's lock); its write
-        // fails and its completion is dropped.
-        gate.open.send(()).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
         gate.open.send(()).unwrap();
         let (status, body) = read_response(&mut reader);
         assert!(status.starts_with("HTTP/1.1 200"), "{status}");
@@ -1726,13 +1569,90 @@ mod tests {
         handle.shutdown();
     }
 
+    /// The slot of the one open connection, once it is registered.
+    fn wait_for_one_slot(handle: &ServerHandle) -> usize {
+        let open = || -> Vec<usize> {
+            let slab = lock(&handle.shared.slab);
+            let slots = 0..slab.slots.len();
+            slots.filter(|slot| !slab.free.contains(slot)).collect()
+        };
+        assert!(wait_until(WAIT, || open().len() == 1), "{:?}", open());
+        open()[0]
+    }
+
+    /// One slow request holds its own thread only: another connection is
+    /// answered meanwhile by the other serving thread.
+    #[test]
+    fn a_slow_request_does_not_hold_up_another_connection() {
+        let (router, gate) = gated_router();
+        let handle = serve_test(router);
+        // Bound after the server, so a failed assertion drops it first:
+        // that releases the held request, and the server's drop can join.
+        let gate = gate;
+        let (mut a, mut a_reader) = connect(&handle);
+        a.write_all(b"GET /slow HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        gate.entered.recv_timeout(WAIT).unwrap();
+        let (mut b, mut b_reader) = connect(&handle);
+        b.set_read_timeout(Some(WAIT)).unwrap(); // a hang guard
+        b.write_all(b"GET /fast HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let (status, body) = read_response(&mut b_reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(body.contains("\"path\":\"/fast\""), "{body}");
+        gate.open.send(()).unwrap();
+        let (status, body) = read_response(&mut a_reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(body.contains("\"path\":\"/slow\""), "{body}");
+        handle.shutdown();
+    }
+
+    /// Eight connections pipelining 50 keep-alive requests each at once,
+    /// on two serving threads: every reply comes back in order on its own
+    /// connection, and once the clients close, the gauges settle at 0.
+    #[test]
+    fn concurrent_pipelining_clients_get_every_reply_in_order_and_the_gauges_settle() {
+        let handle = serve_test(echo_router());
+        let stats = handle.stats();
+        let addr = handle.addr();
+        std::thread::scope(|scope| {
+            for client in 0..8 {
+                scope.spawn(move || {
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    s.set_read_timeout(Some(WAIT)).unwrap(); // a hang guard
+                    let wire: String = (0..50)
+                        .map(|i| format!("GET /{client}/{i} HTTP/1.1\r\nHost: x\r\n\r\n"))
+                        .collect();
+                    s.write_all(wire.as_bytes()).unwrap();
+                    let mut reader = BufReader::new(s.try_clone().unwrap());
+                    for i in 0..50 {
+                        let (status, body) = read_response(&mut reader);
+                        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+                        let path = format!("\"path\":\"/{client}/{i}\"");
+                        assert!(body.contains(&path), "{path}: {body}");
+                    }
+                });
+            }
+        });
+        assert!(
+            wait_until(WAIT, || {
+                stats.active.load(Ordering::Relaxed) == 0
+                    && stats.idle_keepalive.load(Ordering::Relaxed) == 0
+            }),
+            "active={}, idle={}",
+            stats.active.load(Ordering::Relaxed),
+            stats.idle_keepalive.load(Ordering::Relaxed),
+        );
+        handle.shutdown();
+    }
+
     #[test]
     fn idle_keepalive_connections_scale_beyond_the_thread_count() {
         let handle = serve_test(echo_router());
         let stats = handle.stats();
-        // Far more parked connections than the event (1) + dispatch (2)
-        // threads; under the old thread-per-connection model these would
-        // starve the pool.
+        // Far more parked connections than the 2 serving threads; under
+        // the old thread-per-connection model these would starve the
+        // pool.
         // Connect in waves the listen backlog can hold, letting accepts
         // catch up between them: a backlog overflow stalls the client on
         // a ~1 s SYN retransmit, longer than the test-profile idle

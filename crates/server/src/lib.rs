@@ -3,16 +3,19 @@
 //! The concurrent ShapeSearch query service (the system of paper
 //! Figure 2, productionized): a long-running process that registers
 //! datasets once, keeps their extracted trendlines hot behind `Arc`, and
-//! serves ShapeQueries over a std-only HTTP/1.1 JSON protocol from one
-//! readiness event loop and a fixed dispatch tier, with an LRU
+//! serves ShapeQueries over a std-only HTTP/1.1 JSON protocol from a
+//! fixed set of serving threads sharing one readiness poller, each
+//! serving a request on the thread that reads it, with an LRU
 //! query-result cache in front of the segmentation engine.
 //!
 //! Architecture (one module per box; `docs/ARCHITECTURE.md` at the repo
 //! root walks the full request lifecycle):
 //!
 //! ```text
-//!        TcpListener ─► event loop (http) ──► dispatch ─► route (handlers)
-//!                       (epoll readiness)     (CPU tier)         │
+//!        TcpListener ─► serving threads (http, one epoll set, one-shot):
+//!                       the thread that reads a request routes it
+//!                       (handlers), writes the response and re-arms
+//!                                                   │
 //!                          POST /query, /shard/query ─► one pipeline (exec):
 //!                          plan → singleflight resolve → shard fan-out → merge
 //!                    ┌──────────────┬───────────────┼──────────────┐
@@ -34,7 +37,7 @@
 //!   the placement, and build engines for the local slots only; queries
 //!   never touch raw tables.
 //! * Every computation fans out as one compute-pool task per shard (a
-//!   lone local shard runs on the dispatch thread) and merges the
+//!   lone local shard runs on the serving thread) and merges the
 //!   per-shard top-k partials deterministically — results are
 //!   byte-identical for every shard count, one query uses as many cores
 //!   as it has shards, and large batches interleave fairly with other
@@ -123,10 +126,11 @@ use std::sync::Arc;
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dispatch (CPU tier) threads running request handlers, and the
-    /// compute pool's size (defaults to the machine's available
-    /// parallelism). The thread model is one event loop for every
-    /// socket, `workers` dispatch threads and `workers` compute threads.
+    /// HTTP serving threads, and the compute pool's size (defaults to the
+    /// machine's available parallelism). The thread model is `workers`
+    /// serving threads sharing one poller — each serves a request on the
+    /// thread that reads it, handlers included — and `workers` compute
+    /// threads.
     pub workers: usize,
     /// Query-result cache capacity in entries.
     pub cache_capacity: usize,
@@ -248,6 +252,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
 /// part of the served crate (the workspace's e2e suites pull the same
 /// file in with `#[path]`).
 #[cfg(test)]
+#[allow(dead_code)]
 #[path = "../tests/support/chaos.rs"]
 mod chaos;
 

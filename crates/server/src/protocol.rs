@@ -56,8 +56,10 @@
 //!                               "joined","bound_micros"},
 //!                    "connections":{"active","idle_keepalive",
 //!                                   "accepted_total","timeouts",
-//!                                   "event_loop_wakeups",
-//!                                   "direct_writes"},
+//!                                   "event_loop_wakeups" (serving-
+//!                                   thread waits with an event),
+//!                                   "direct_writes" (responses
+//!                                   written whole at once)},
 //!                    "remote_shards":{"endpoints","requests","errors",
 //!                                     "ejections","micros_total",
 //!                                     "by_endpoint":[{"endpoint",

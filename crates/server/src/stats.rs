@@ -211,9 +211,9 @@ pub struct ConnSnapshot {
     pub accepted_total: u64,
     /// Connections cut by the idle or slow-request deadline.
     pub timeouts: u64,
-    /// Event-loop wakeups that delivered at least one readiness event.
+    /// Serving-thread waits that delivered a readiness event.
     pub event_loop_wakeups: u64,
-    /// Responses a dispatch job wrote whole to its own connection.
+    /// Responses written whole by their first write.
     pub direct_writes: u64,
 }
 
@@ -236,7 +236,8 @@ pub struct StatsSnapshot {
     pub queries: u64,
     /// `POST /shard/query` RPCs received by this process.
     pub shard_queries: u64,
-    /// Dispatch (CPU tier) threads.
+    /// HTTP serving threads (each runs the handlers of the requests it
+    /// reads).
     pub workers: usize,
     /// The `POST /query` batch cap.
     pub max_batch: usize,
@@ -454,9 +455,9 @@ impl StatsSnapshot {
             at("connections", "timeouts", conns.timeouts)
                 .counter("shapesearch_connections_timeouts_total", "Connections cut by the idle or slow-request deadline."),
             at("connections", "event_loop_wakeups", conns.event_loop_wakeups)
-                .counter("shapesearch_connections_event_loop_wakeups_total", "Readiness event-loop wakeups that delivered at least one event."),
+                .counter("shapesearch_connections_event_loop_wakeups_total", "Serving-thread waits that delivered a readiness event."),
             at("connections", "direct_writes", conns.direct_writes)
-                .counter("shapesearch_connections_direct_writes_total", "Responses a dispatch thread wrote whole to its own connection, without waking the event loop."),
+                .counter("shapesearch_connections_direct_writes_total", "Responses written whole by their first write, without waiting for writability."),
             // Rollups of the per-endpoint and per-slot row sets.
             at("remote_shards", "endpoints", self.remote.len() as u64),
             at("remote_shards", "requests", rpc_total(RpcStats::requests)),

@@ -12,15 +12,19 @@
 //! more:
 //!
 //! * [`Poller`] — register file descriptors with a `usize` token and an
-//!   interest set, then [`Poller::wait`] for level-triggered readiness
-//!   [`Event`]s.
+//!   interest set, then [`Poller::wait`] for up to a given number of
+//!   readiness [`Event`]s. Interest is level-triggered, or one-shot
+//!   ([`Interest::oneshot`], `EPOLLONESHOT`): the fd reports one event
+//!   and is then disarmed until the next [`Poller::modify`], so threads
+//!   sharing one poller never get the same fd's events at once.
 //! * [`Waker`] — a nonblocking self-pipe whose read end is registered
 //!   like any other fd; other threads call [`Waker::wake`] to make a
 //!   blocked `wait` return.
 //!
 //! Error and hangup conditions (`EPOLLERR`/`EPOLLHUP`) are reported as
 //! both readable *and* writable so callers discover them through their
-//! next `read`/`write`, which is where the actual `io::Error` lives.
+//! next `read`/`write`, which is where the actual `io::Error` lives. A
+//! disarmed one-shot fd reports neither until it is re-armed.
 
 use std::io;
 use std::time::Duration;
@@ -50,6 +54,9 @@ pub struct Interest {
     pub readable: bool,
     /// Wake when the fd becomes writable.
     pub writable: bool,
+    /// Report one event, then stay registered but disarmed until the
+    /// next [`Poller::modify`].
+    pub oneshot: bool,
 }
 
 impl Interest {
@@ -57,17 +64,28 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
+        oneshot: false,
     };
     /// Write-only interest.
     pub const WRITE: Interest = Interest {
         readable: false,
         writable: true,
+        oneshot: false,
     };
     /// No interest: stay registered, report nothing but errors/hangups.
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
+        oneshot: false,
     };
+
+    /// The same interest, one-shot.
+    pub const fn oneshot(self) -> Interest {
+        Interest {
+            oneshot: true,
+            ..self
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -84,6 +102,7 @@ mod sys {
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
+    const EPOLLONESHOT: u32 = 1 << 30;
 
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLL_CTL_DEL: i32 = 2;
@@ -106,7 +125,7 @@ mod sys {
         fn close(fd: i32) -> i32;
     }
 
-    /// An epoll instance (level-triggered).
+    /// An epoll instance.
     #[derive(Debug)]
     pub struct Poller {
         epfd: i32,
@@ -149,18 +168,25 @@ mod sys {
             self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::NONE)
         }
 
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(
+            &self,
+            events: &mut Vec<Event>,
+            max_events: usize,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             events.clear();
             let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
+            let max_events = max_events.clamp(1, raw.len());
             let timeout_ms = match timeout {
                 None => -1,
                 // Round up so a 0 < t < 1ms timeout does not busy-spin.
                 Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
                     .unwrap_or(i32::MAX),
             };
-            // Safety: `raw` outlives the call and maxevents matches its len.
+            // Safety: `raw` outlives the call and holds at least
+            // `max_events` entries.
             let n =
-                unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as i32, timeout_ms) };
+                unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), max_events as i32, timeout_ms) };
             if n < 0 {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::Interrupted {
@@ -197,6 +223,9 @@ mod sys {
         }
         if interest.writable {
             bits |= EPOLLOUT;
+        }
+        if interest.oneshot {
+            bits |= EPOLLONESHOT;
         }
         bits
     }
@@ -236,13 +265,19 @@ mod sys {
         pub fn delete(&self, _fd: RawFd) -> io::Result<()> {
             Err(unsupported())
         }
-        pub fn wait(&self, _events: &mut Vec<Event>, _timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(
+            &self,
+            _events: &mut Vec<Event>,
+            _max_events: usize,
+            _timeout: Option<Duration>,
+        ) -> io::Result<()> {
             Err(unsupported())
         }
     }
 }
 
-/// A level-triggered readiness poller over the platform backend.
+/// A readiness poller over the platform backend, shareable between
+/// threads (`epoll_wait` and `epoll_ctl` are thread-safe).
 #[derive(Debug)]
 pub struct Poller {
     inner: sys::Poller,
@@ -284,13 +319,19 @@ impl Poller {
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
-    /// elapses (`None` blocks indefinitely), filling `events` with the
-    /// ready set. A signal interruption returns `Ok` with no events.
+    /// elapses (`None` blocks indefinitely), filling `events` with at
+    /// most `max_events` of the ready set (at least 1, at most 256). A
+    /// signal interruption returns `Ok` with no events.
     ///
     /// # Errors
     /// Propagates `epoll_wait` failures from the OS.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.wait(events, timeout)
+    pub fn wait(
+        &self,
+        events: &mut Vec<Event>,
+        max_events: usize,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
+        self.inner.wait(events, max_events, timeout)
     }
 }
 
@@ -456,14 +497,14 @@ mod tests {
 
         let mut events = Vec::new();
         poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.is_empty(), "no wakeup yet");
 
         waker.wake().unwrap();
         waker.wake().unwrap(); // coalesces
         poller
-            .wait(&mut events, Some(Duration::from_secs(2)))
+            .wait(&mut events, 256, Some(Duration::from_secs(2)))
             .unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
@@ -471,7 +512,7 @@ mod tests {
 
         waker.drain();
         poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.is_empty(), "drained waker is quiet");
     }
@@ -490,7 +531,7 @@ mod tests {
 
         let mut events = Vec::new();
         poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 1);
@@ -513,7 +554,7 @@ mod tests {
         // Listener becomes readable when a connection is pending.
         let mut events = Vec::new();
         poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 10 && e.readable));
 
@@ -525,7 +566,7 @@ mod tests {
 
         client.write_all(b"ping").unwrap();
         poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 20 && e.readable));
 
@@ -534,7 +575,7 @@ mod tests {
             .modify(server_side.as_raw_fd(), 20, Interest::NONE)
             .unwrap();
         poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
+            .wait(&mut events, 256, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(
             !events.iter().any(|e| e.token == 20 && e.readable),
@@ -546,7 +587,7 @@ mod tests {
             .modify(server_side.as_raw_fd(), 20, Interest::WRITE)
             .unwrap();
         poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 20 && e.writable));
 
@@ -554,12 +595,52 @@ mod tests {
         poller.delete(server_side.as_raw_fd()).unwrap();
         client.write_all(b"more").unwrap();
         poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
+            .wait(&mut events, 256, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(!events.iter().any(|e| e.token == 20));
 
         let mut sink = [0u8; 8];
         let _ = (&server_side).read(&mut sink);
         drop(client);
+    }
+
+    #[test]
+    fn oneshot_reports_once_until_rearmed_and_wait_caps_its_events() {
+        let poller = Poller::new().unwrap();
+        let wakers = [Waker::new().unwrap(), Waker::new().unwrap()];
+        for (token, waker) in wakers.iter().enumerate() {
+            poller
+                .add(waker.fd(), token, Interest::READ.oneshot())
+                .unwrap();
+            waker.wake().unwrap();
+        }
+
+        // Both are ready; a wait asked for one event returns one.
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, 1, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        let first = events[0].token;
+        poller
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1, "the first fd is disarmed: {events:?}");
+        assert_ne!(events[0].token, first);
+
+        // Still readable, but disarmed: nothing until a re-arm.
+        poller
+            .wait(&mut events, 256, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty(), "{events:?}");
+        poller
+            .modify(wakers[first].fd(), first, Interest::READ.oneshot())
+            .unwrap();
+        poller
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, first);
+        assert!(events[0].readable);
     }
 }

@@ -19,8 +19,9 @@
 //! prints the ranked matches with scores and the fitted segment
 //! boundaries (the engine-side equivalent of the paper's result panel,
 //! Figure 2 Box 4). `serve` exposes the same pipeline over HTTP with a
-//! dataset catalog and a query-result cache, on one event loop for every
-//! socket, `--workers` dispatch threads and `--workers` compute threads;
+//! dataset catalog and a query-result cache, on `--workers` serving
+//! threads (each serves a request on the thread that reads it) and
+//! `--workers` compute threads;
 //! a `--snapshot` is opened, validated and cut once, and the kernel pages
 //! the mapping. See the `shapesearch-server` crate docs for the protocol.
 
@@ -114,8 +115,8 @@ fn usage() -> &'static str {
      (--query REGEX | --nl TEXT) [--k N] [--algo dp|tree|pruned|greedy|dtw|euclid] \
      [--pruning auto|off] \
      [--filter 'col OP value']... [--agg avg|sum|min|max|count] [--builtins]\n\
-     shapesearch serve [--addr HOST:PORT] [--workers N (dispatch and compute threads; \
-      one event loop serves every socket)] [--cache-cap N] \
+     shapesearch serve [--addr HOST:PORT] [--workers N (serving and compute threads; \
+      a request is served on the thread that reads it)] [--cache-cap N] \
      [--max-batch N] [--shards N] \
      [--data-root DIR] [--slow-query-micros N] \
      [--shard-connect-timeout-ms N] [--shard-io-timeout-ms N] [--shard-retries N] \

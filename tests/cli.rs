@@ -128,7 +128,7 @@ fn bad_arguments_exit_2_in_every_subcommand() {
         assert_refused(&args, "usage: shapesearch");
         assert_refused(&args, "--no-such-flag");
     }
-    // One event loop serves every socket: its count is not a knob.
+    // `--workers` sizes the serving threads; there is no second knob.
     assert_refused(
         &["serve", "--event-threads", "2"],
         "unknown serve argument `--event-threads`",

@@ -206,8 +206,8 @@ fn concurrent_identical_cold_misses_compute_exactly_once() {
 
 /// The evented core's scaling claim from a client's side: a keep-alive
 /// connection held open amid 200 parked idle peers (far more than the
-/// one event loop + 2 dispatch threads) answers the batch exactly as a fresh
-/// connection does, and every slot is reclaimed once the peers hang up.
+/// 2 serving threads) answers the batch exactly as a fresh connection
+/// does, and every slot is reclaimed once the peers hang up.
 #[test]
 fn held_keepalive_connection_answers_like_a_fresh_one_amid_an_idle_crowd() {
     use shapesearch::server::PooledClient;

@@ -49,7 +49,7 @@ pub fn boot(config: ServerConfig) -> Service {
     shapesearch::server::serve("127.0.0.1:0", config).unwrap()
 }
 
-/// The default configuration with `workers` dispatch and compute threads.
+/// The default configuration with `workers` serving and compute threads.
 pub fn with_workers(workers: usize) -> ServerConfig {
     ServerConfig {
         workers,
