@@ -143,8 +143,11 @@ fi
 # table's second constructor and the catalog's collection enum are gone.
 # One request path: the thread that reads a request serves it, so the
 # dispatch pool, the event loop's completion inbox and the dispatch
-# thread's direct-write handle are gone.
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut, second request path)"
+# thread's direct-write handle are gone. One form for each wait a serving
+# thread makes: the poller returns one token (no event array, no event
+# struct, no waker drain), a connection has one deadline, and a fan-out
+# collects its results from one channel (no batch latch or drop guard).
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut, second request path, second wait shape)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -168,6 +171,7 @@ fn (market_table|haystack_csv|register_market|query_body|endpoints_json|replicas
 \brun_of\b|DefaultHasher;crates/core/src;a second x-row identity is back
 Snapshot::partition|raw_point_counts|fn partition_bounds\(|PointTable::from_trendlines|Collection::Trendlines;crates src README.md docs :!crates/bench/src/bin/ssbench;a second collection cut is back
 DispatchPool|struct Inbox|Reply::Written|struct Direct|fn apply_completion;crates src README.md docs ROADMAP.md;a second request path is back
+max_events|struct Event\b|fn drain\b|hard_deadline|idle_deadline|BatchState|FinishGuard;crates/shims/polling/src crates/server/src;a second wait shape is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -519,9 +523,9 @@ curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz" |
     curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz"; exit 1;
 }
 
-# Keep-alive responses are written by the dispatch thread that built
-# them: three POSTs over one curl's one connection show up as direct
-# writes on the router's /healthz.
+# Keep-alive responses are written whole by the serving thread that read
+# their requests: three POSTs over one curl's one connection show up as
+# direct writes on the router's /healthz.
 KEEPALIVE_CODES=$(curl -s -w '%{http_code} ' -o /dev/null -o /dev/null -o /dev/null \
     -X POST -d '{"dataset":"sales","query":"[p=down][p=up]","k":2}' \
     "http://127.0.0.1:$ROUTER_PORT/query" \
@@ -531,7 +535,7 @@ KEEPALIVE_CODES=$(curl -s -w '%{http_code} ' -o /dev/null -o /dev/null -o /dev/n
     echo "observability smoke: keep-alive POSTs returned $KEEPALIVE_CODES"; exit 1;
 }
 curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz" | grep -Eq '"direct_writes":[1-9]' || {
-    echo "observability smoke: no response was written by its dispatch thread"
+    echo "observability smoke: no response was written whole by its first write"
     curl -sf "http://127.0.0.1:$ROUTER_PORT/healthz"; exit 1;
 }
 
@@ -560,7 +564,7 @@ WIDE_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
     echo "observability smoke: a 17-unit chain should 400, got $WIDE_STATUS"; exit 1;
 }
 # So is natural-language text one byte past its 4096-byte cap, before
-# the dispatch thread spends any time translating it.
+# the serving thread spends any time translating it.
 LONG_NL=$(printf '%4097s' 'rising then falling')
 LONG_NL_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
     -X POST "http://127.0.0.1:$ROUTER_PORT/query" \

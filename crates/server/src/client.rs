@@ -719,6 +719,7 @@ mod tests {
     fn pooled_client_reuses_connections_and_recovers_from_stale_ones() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let endpoint = listener.local_addr().unwrap().to_string();
+        let (closed_tx, closed) = std::sync::mpsc::channel();
         let server = std::thread::spawn(move || {
             // Connection 1: two requests back to back (proving reuse),
             // then the server closes it while it idles in the pool.
@@ -726,6 +727,7 @@ mod tests {
             serve_one(&mut a, 1);
             serve_one(&mut a, 2);
             drop(a);
+            closed_tx.send(()).unwrap();
             // Connection 2: the client's stale-retry lands here.
             let (mut b, _) = listener.accept().unwrap();
             serve_one(&mut b, 3);
@@ -746,10 +748,10 @@ mod tests {
             Some(2),
             "the second call reuses connection 1"
         );
-        // Give the server a moment to close the pooled connection, then
-        // post again: the stale socket fails and the retry reconnects
-        // (landing on connection 2).
-        std::thread::sleep(Duration::from_millis(100));
+        // Once the server has closed the pooled connection, post again:
+        // the stale socket fails and the retry reconnects (landing on
+        // connection 2).
+        closed.recv().unwrap();
         let third = client.post(&endpoint, "/shard/query", &body).unwrap();
         assert_eq!(third.body.get("n").unwrap().as_usize(), Some(3));
         server.join().unwrap();

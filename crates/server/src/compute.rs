@@ -2,11 +2,11 @@
 //! pass for one query group) from *every* request interleave on one
 //! fixed set of threads.
 //!
-//! This is what lets a single query saturate the machine — its dataset's
-//! shards fan out as independent tasks — while keeping admission fair: a
-//! giant batch no longer monopolizes one HTTP serving thread for its full
-//! duration, because it decomposes into many short shard tasks that
-//! drain from the same queue as everyone else's.
+//! This is what lets a single query use as many cores as its dataset has
+//! shards — they fan out as independent tasks — while keeping admission
+//! fair: a giant batch decomposes into many short shard tasks that drain
+//! from the same queue as everyone else's, so it cannot hold the cores
+//! for its full duration while other requests wait behind it.
 //!
 //! Submitters are not idle bystanders: [`ComputePool::run_all`] makes
 //! the calling (HTTP serving) thread *help drain the queue* while its own
@@ -15,13 +15,14 @@
 //! submitter's core back into the compute budget, and can never deadlock
 //! because shard tasks are leaf work that submits nothing.
 //!
-//! Every lock here guards plain data — the job queue and its shutdown
-//! flag, a batch's outstanding count, a task's result slot — and no job
-//! runs under one, so every lock recovers from poison through
-//! `cache::lock`: a thread that panicked holding one cannot wedge the pool.
+//! A batch's results come back down a channel of its own. The job queue
+//! is the one lock here: it guards plain data and no job runs under it,
+//! so it recovers from poison through `cache::lock`, and a thread that
+//! panicked holding it cannot wedge the pool.
 
 use crate::cache::lock;
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
@@ -63,40 +64,16 @@ impl PoolInner {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            // A panicking job must not take the pool thread down: its
-            // batch guard has already released its latch, and the
-            // submitter surfaces the panic.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            run(job);
         }
     }
 }
 
-/// Tracks one `run_all` batch: how many of its tasks are still
-/// outstanding, signalled as each completes.
-struct BatchState {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl BatchState {
-    /// Marks one task finished (runs even if the task panicked, so a
-    /// waiter can never hang on a poisoned batch).
-    fn finish_one(&self) {
-        let mut remaining = lock(&self.remaining);
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// Drop guard: decrements the batch latch even when the task panics.
-struct FinishGuard<'a>(&'a BatchState);
-
-impl Drop for FinishGuard<'_> {
-    fn drop(&mut self) {
-        self.0.finish_one();
-    }
+/// Runs one job. A panicking job must not take its thread down: the
+/// unwind drops the job's result sender, and its submitter surfaces the
+/// panic.
+fn run(job: Job) {
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
 }
 
 /// A fixed pool of compute threads with a help-while-waiting submitter
@@ -141,67 +118,49 @@ impl ComputePool {
     /// Re-panics on the caller if any task panicked.
     pub fn run_all<T: Send + 'static>(&self, tasks: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
         let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let batch = Arc::new(BatchState {
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-        });
-        let slots: Arc<Vec<Mutex<Option<T>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-
+        // Room for every result: a task never blocks on its send.
+        let (done, results) = mpsc::sync_channel(n);
         {
             let mut queue = lock(&self.inner.queue);
             for (i, task) in tasks.into_iter().enumerate() {
-                let batch = Arc::clone(&batch);
-                let slots = Arc::clone(&slots);
+                let done = done.clone();
                 queue.jobs.push_back(Box::new(move || {
-                    // The guard releases the latch even if `task` panics.
-                    let _guard = FinishGuard(&batch);
-                    let value = task();
-                    *lock(&slots[i]) = Some(value);
+                    let _ = done.send((i, task()));
                 }));
             }
         }
+        drop(done);
         self.inner.ready.notify_all();
 
-        // Help drain until this batch completes. When the queue is
-        // empty, every outstanding task of ours is running on some other
-        // thread, whose completion will signal the batch latch. The
-        // latch is re-checked after every popped job — once this batch
-        // is done the submitter must return its response immediately,
-        // not keep chewing through other requests' backlog.
-        loop {
-            if *lock(&batch.remaining) == 0 {
-                break;
-            }
-            if let Some(job) = self.inner.pop() {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                continue;
-            }
-            let remaining = lock(&batch.remaining);
-            if *remaining == 0 {
-                break;
-            }
-            // Re-check the queue periodically so a task enqueued after
-            // the empty check above still finds a helper.
-            let (guard, _) = batch
-                .done
-                .wait_timeout(remaining, std::time::Duration::from_millis(20))
-                .unwrap_or_else(PoisonError::into_inner);
-            if *guard == 0 {
-                break;
-            }
+        // Help drain until every result is in, taking each one as it
+        // lands so the submitter returns as soon as its batch is done,
+        // not after other requests' backlog. Once the queue is empty,
+        // every outstanding task of this batch is running on some thread
+        // and will send its result, or drop its sender as it unwinds:
+        // the channel disconnects once every sender is gone.
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut received = 0;
+        while received < n {
+            let (i, value) = match results.try_recv() {
+                Ok(result) => result,
+                Err(TryRecvError::Empty) => match self.inner.pop() {
+                    Some(job) => {
+                        run(job);
+                        continue;
+                    }
+                    None => match results.recv() {
+                        Ok(result) => result,
+                        Err(_) => break,
+                    },
+                },
+                Err(TryRecvError::Disconnected) => break,
+            };
+            slots[i] = Some(value);
+            received += 1;
         }
-
-        // Take results through the mutexes: a finished job's closure may
-        // not have dropped its `Arc` clone of `slots` yet (the latch
-        // releases from a local drop guard, before captured upvars drop),
-        // so the Arc is not necessarily unique here.
         slots
-            .iter()
-            .map(|slot| lock(slot).take().expect("a shard task panicked"))
+            .into_iter()
+            .map(|slot| slot.expect("a shard task panicked"))
             .collect()
     }
 }

@@ -10,22 +10,26 @@
 //! (`StartLine`). Bytes from a peer are hostile until it has framed
 //! them.
 //!
-//! **Serving.** [`HttpConfig::dispatch_threads`] serving threads wait on
-//! one poller (epoll via the `polling` shim) for one event at a time. The
-//! listener and every connection are armed one-shot, so each event goes to
-//! one thread, and that thread owns the connection until it re-arms it: it
-//! takes the connection out of its slot, reads and parses the request,
-//! runs the router, writes the response, serves any request pipelined
-//! behind it, then puts the connection back and re-arms read interest —
-//! one `epoll_ctl` a request, and no request crosses threads. A response
-//! the socket takes only partly is put back armed for writability, and
-//! whichever thread gets that event writes the rest. Each connection is a
-//! state machine — read head → read body → route → write response →
-//! keep-alive idle — whose state waits in its slot between events; the
-//! slab's lock is held to take it and to put it back and re-arm it, never
-//! across socket I/O or the router. Idle keep-alive connections cost an epoll registration and a
-//! small buffer rather than a thread, so a few threads hold tens of
-//! thousands of them, and one slow request holds only its own thread. A
+//! **Serving.** [`HttpConfig::threads`] serving threads wait on one
+//! poller (epoll via the `polling` shim) for one ready token at a time.
+//! The listener and every connection are armed one-shot, so each event
+//! goes to one thread, and that thread owns the connection until it
+//! re-arms it: it takes the connection out of its slot, reads and parses
+//! the request, runs the router, writes the response, serves any request
+//! pipelined behind it, then puts the connection back and re-arms read
+//! interest — one `epoll_ctl` a request, and no request crosses threads.
+//! A response the socket takes only partly is put back armed for
+//! writability, and whichever thread gets that event writes the rest.
+//! Each connection is a state machine — read head → read body → route →
+//! write response → keep-alive idle — whose state waits in its slot
+//! between events; the slab's lock is held to take it and to put it back
+//! and re-arm it, never across socket I/O or the router. Idle keep-alive connections cost an
+//! epoll registration and a small buffer rather than a thread, so a few
+//! threads hold tens of thousands of them, and one slow request holds only
+//! its own thread. Each parked connection has one deadline: the idle
+//! timeout between requests, the request timeout from a request's first
+//! byte, and the request timeout again each time a response waits for the
+//! socket to take more of it, so a peer that stops reading is cut too. A
 //! peer that resets while its request runs is noticed when the response
 //! write fails: a disarmed one-shot fd reports no error or hangup.
 //!
@@ -166,8 +170,8 @@ pub struct ConnStats {
     /// Open connections parked between requests waiting for keep-alive
     /// reuse (gauge; a subset of `active`).
     pub idle_keepalive: AtomicU64,
-    /// Connections closed by a deadline: idle keep-alive expiry or the
-    /// slow-loris request cutoff.
+    /// Connections closed by a deadline: idle keep-alive expiry, the
+    /// slow-loris request cutoff, or a response its peer stopped reading.
     pub timeouts: AtomicU64,
     /// Serving-thread waits that delivered a readiness event (one a
     /// request on a keep-alive connection; an idle server ticks without
@@ -187,7 +191,7 @@ pub type Router = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 pub struct HttpConfig {
     /// Serving threads: each reads a request, runs the router on it and
     /// writes its response (`0` = auto: available parallelism).
-    pub dispatch_threads: usize,
+    pub threads: usize,
     /// Shared connection counters (exposed via [`ServerHandle::stats`]).
     pub stats: Arc<ConnStats>,
 }
@@ -195,7 +199,7 @@ pub struct HttpConfig {
 impl Default for HttpConfig {
     fn default() -> Self {
         Self {
-            dispatch_threads: 0,
+            threads: 0,
             stats: Arc::new(ConnStats::default()),
         }
     }
@@ -491,10 +495,11 @@ struct Conn {
     write_buf: Vec<u8>,
     written: usize,
     close_after_write: bool,
-    idle_deadline: Instant,
-    /// Armed at a request's first byte; a request that hasn't completed
-    /// by then is cut off (slow-loris defense).
-    hard_deadline: Option<Instant>,
+    /// When a sweep closes the connection: the idle timeout after the
+    /// last response, the request timeout from a request's first byte
+    /// (slow-loris defense) and again each time a response waits for the
+    /// socket to take more of it (a peer that stops reading).
+    deadline: Instant,
     peer_eof: bool,
     /// Whether this connection is counted in the `idle_keepalive` gauge.
     counted_idle: bool,
@@ -557,15 +562,13 @@ impl Shared {
     /// One serving thread: one event per wait, served to the end on this
     /// thread, until shutdown.
     fn run(&self) {
-        let mut events = Vec::with_capacity(1);
         let mut scratch = vec![0u8; 16 * 1024];
         while !self.stopping() {
-            let _ = self.poller.wait(&mut events, 1, Some(READ_TICK));
-            if let Some(event) = events.first() {
+            if let Ok(Some(token)) = self.poller.wait(Some(READ_TICK)) {
                 self.stats
                     .event_loop_wakeups
                     .fetch_add(1, Ordering::Relaxed);
-                match event.token {
+                match token {
                     TOKEN_WAKER => {}
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.serve(token, &mut scratch),
@@ -632,8 +635,7 @@ impl Shared {
                 write_buf: Vec::new(),
                 written: 0,
                 close_after_write: false,
-                idle_deadline: Instant::now() + IDLE_TIMEOUT,
-                hard_deadline: None,
+                deadline: Instant::now() + IDLE_TIMEOUT,
                 peer_eof: false,
                 counted_idle: true,
                 counted_active: true,
@@ -732,10 +734,8 @@ impl Shared {
                     conn.buf.extend_from_slice(&scratch[..n]);
                     if conn.counted_idle {
                         conn.counted_idle = false;
+                        conn.deadline = Instant::now() + REQUEST_TIMEOUT;
                         self.stats.idle_keepalive.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    if conn.hard_deadline.is_none() {
-                        conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
                     }
                     match conn.parse.step(&mut conn.buf) {
                         Ok(Some(message)) => return Step::Serve(message),
@@ -754,7 +754,6 @@ impl Shared {
     /// response.
     fn respond(&self, conn: &mut Conn, message: Message<RequestLine>) -> Step {
         let keep_alive = message.keep_alive();
-        conn.hard_deadline = None;
         let request = Request {
             method: message.start.method,
             path: message.start.path,
@@ -805,10 +804,11 @@ impl Shared {
                 }
                 // Shutdown abandons a peer that is not reading.
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return match self.stopping() {
-                        true => Step::Close,
-                        false => Step::AwaitWrite,
-                    };
+                    if self.stopping() {
+                        return Step::Close;
+                    }
+                    conn.deadline = Instant::now() + REQUEST_TIMEOUT;
+                    return Step::AwaitWrite;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Step::Close,
@@ -825,10 +825,8 @@ impl Shared {
         }
         conn.write_buf = Vec::new();
         conn.written = 0;
-        conn.idle_deadline = Instant::now() + IDLE_TIMEOUT;
-        conn.hard_deadline = None;
         if !conn.buf.is_empty() {
-            conn.hard_deadline = Some(Instant::now() + REQUEST_TIMEOUT);
+            conn.deadline = Instant::now() + REQUEST_TIMEOUT;
             return match conn.parse.step(&mut conn.buf) {
                 Ok(Some(message)) => Step::Serve(message),
                 Ok(None) if conn.peer_eof => at_eof(conn),
@@ -840,6 +838,7 @@ impl Shared {
             return Step::Close;
         }
         conn.counted_idle = true;
+        conn.deadline = Instant::now() + IDLE_TIMEOUT;
         self.stats.idle_keepalive.fetch_add(1, Ordering::Relaxed);
         Step::AwaitRead
     }
@@ -848,8 +847,7 @@ impl Shared {
     /// is due a tick after the last one, and whichever thread first finds
     /// it due runs it: a thread whose wait timed out, or one serving, so a
     /// busy server sweeps too. Connections other threads hold are not in
-    /// their slots, so it skips them; one writing a response waits on its
-    /// peer, not on a deadline.
+    /// their slots, so it skips them.
     fn sweep_if_due(&self) {
         let now = Instant::now();
         let at = now.duration_since(self.epoch).as_nanos() as u64;
@@ -863,9 +861,7 @@ impl Shared {
         {
             return;
         }
-        let expired_at = |conn: &mut Box<Conn>| {
-            !conn.writing() && now >= conn.hard_deadline.unwrap_or(conn.idle_deadline)
-        };
+        let expired_at = |conn: &mut Box<Conn>| now >= conn.deadline;
         let mut expired = Vec::new();
         {
             let mut slab = lock(&self.slab);
@@ -990,7 +986,7 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:0`) and serves `router` on
-/// [`HttpConfig::dispatch_threads`] serving threads, until
+/// [`HttpConfig::threads`] serving threads, until
 /// [`ServerHandle::shutdown`].
 ///
 /// # Errors
@@ -999,7 +995,7 @@ pub fn serve(addr: &str, config: HttpConfig, router: Router) -> io::Result<Serve
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let threads = match config.dispatch_threads {
+    let threads = match config.threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
@@ -1048,7 +1044,7 @@ mod tests {
         serve(
             "127.0.0.1:0",
             HttpConfig {
-                dispatch_threads: 2,
+                threads: 2,
                 stats: Arc::new(ConnStats::default()),
             },
             router,
@@ -1222,7 +1218,7 @@ mod tests {
         let handle = serve_test(echo_router());
         let stats = handle.stats();
         // A request line with no terminating blank line, then silence:
-        // the connection must be cut at the hard deadline instead of
+        // the connection must be cut at the request deadline instead of
         // holding its slot forever.
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         s.write_all(b"GET /stuck HTTP/1.1\r\nx-slow: 1\r\n")
@@ -1441,6 +1437,39 @@ mod tests {
             "direct writes: {}",
             stats.direct_writes.load(Ordering::Relaxed)
         );
+        handle.shutdown();
+    }
+
+    /// A peer that sends a keep-alive request and never reads the big
+    /// response is cut once that response has waited the request timeout
+    /// for the socket to take more of it: the cut counts as a timeout and
+    /// frees the slot, and the server serves on.
+    #[test]
+    fn a_peer_that_stops_reading_is_cut_and_its_slot_freed() {
+        let echo = echo_router();
+        let router: Router = Arc::new(move |req: &Request| match req.path.as_str() {
+            "/big" => Response::json(200, "x".repeat((8 << 20) + 7)),
+            _ => echo(req),
+        });
+        let handle = serve_test(router);
+        let stats = handle.stats();
+        let (mut s, _unread) = connect(&handle);
+        s.write_all(b"GET /big HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        assert!(
+            wait_until(WAIT, || {
+                stats.timeouts.load(Ordering::Relaxed) == 1
+                    && stats.active.load(Ordering::Relaxed) == 0
+            }),
+            "timeouts={}, active={}",
+            stats.timeouts.load(Ordering::Relaxed),
+            stats.active.load(Ordering::Relaxed),
+        );
+        let reply = raw_roundtrip(
+            handle.addr(),
+            "GET /after HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        assert!(reply.contains("\"path\":\"/after\""), "{reply}");
         handle.shutdown();
     }
 

@@ -240,7 +240,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<Service> {
     let handle = http::serve(
         addr,
         http::HttpConfig {
-            dispatch_threads: config.workers,
+            threads: config.workers,
             stats: Arc::clone(&state.conn_stats),
         },
         Arc::new(move |request| handlers::route(&router_state, request)),

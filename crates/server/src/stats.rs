@@ -209,7 +209,7 @@ pub struct ConnSnapshot {
     pub idle_keepalive: u64,
     /// Connections accepted since startup.
     pub accepted_total: u64,
-    /// Connections cut by the idle or slow-request deadline.
+    /// Connections cut by the idle, slow-request or stalled-write deadline.
     pub timeouts: u64,
     /// Serving-thread waits that delivered a readiness event.
     pub event_loop_wakeups: u64,
@@ -453,7 +453,7 @@ impl StatsSnapshot {
             at("connections", "accepted_total", conns.accepted_total)
                 .counter("shapesearch_connections_accepted_total", "Client connections accepted since startup."),
             at("connections", "timeouts", conns.timeouts)
-                .counter("shapesearch_connections_timeouts_total", "Connections cut by the idle or slow-request deadline."),
+                .counter("shapesearch_connections_timeouts_total", "Connections cut by the idle, slow-request or stalled-write deadline."),
             at("connections", "event_loop_wakeups", conns.event_loop_wakeups)
                 .counter("shapesearch_connections_event_loop_wakeups_total", "Serving-thread waits that delivered a readiness event."),
             at("connections", "direct_writes", conns.direct_writes)
