@@ -147,7 +147,10 @@ fi
 # thread makes: the poller returns one token (no event array, no event
 # struct, no waker drain), a connection has one deadline, and a fan-out
 # collects its results from one channel (no batch latch or drop guard).
-echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut, second request path, second wait shape)"
+# One third bound tier for a chain of any length: the two-or-three-unit
+# special case (an optional middle, abutting ends) lives on only as its
+# test referee, `algo/pruning/referee.rs`.
+echo "==> retired names (event-thread knob, residency budget, parallel trigger and opt-out, pruning force mode, CRF trainer selector, threshold hints, second bound evaluator, slab LRU, EXTRACT push-down, snapshot GROUP path, second Table-5 dispatch, copied test helpers, per-byte JSON string decode, second x-row identity, second collection cut, second request path, second wait shape, length-special third tier)"
 while IFS=';' read -r pattern paths message; do
     # shellcheck disable=SC2086 # the pathspecs are separate words
     if git grep -nE "$pattern" -- $paths; then
@@ -172,6 +175,7 @@ fn (market_table|haystack_csv|register_market|query_body|endpoints_json|replicas
 Snapshot::partition|raw_point_counts|fn partition_bounds\(|PointTable::from_trendlines|Collection::Trendlines;crates src README.md docs :!crates/bench/src/bin/ssbench;a second collection cut is back
 DispatchPool|struct Inbox|Reply::Written|struct Direct|fn apply_completion;crates src README.md docs ROADMAP.md;a second request path is back
 max_events|struct Event\b|fn drain\b|hard_deadline|idle_deadline|BatchState|FinishGuard;crates/shims/polling/src crates/server/src;a second wait shape is back
+middle: Option<SlopeLeaf>|abutting;crates/core/src/algo/pruning.rs;a length-special third tier is back
 ROWS
 
 # One threading model: shards on the compute pool are the only
@@ -190,13 +194,16 @@ fi
 # No wall clock in `cargo test`: test code asserts the counter or event a
 # timing stands for, never an upper bound on `elapsed()` or on the
 # difference of two `Instant`s (`b - a`, `b.duration_since(a)`, compared
-# below something duration-shaped); a timeout may stay, as a guard
+# below something duration-shaped), nor a measured `micros`/`nanos`
+# compared below a literal (a span's or a counter's time, `x.micros <
+# 30_000`); a lower bound or a timeout may stay, the timeout as a guard
 # against a hang. Test code is `tests/`, the crates' `tests/` and
 # `*_tests.rs`, and every source file from its `#[cfg(test)]` on.
 echo "==> no wall-clock upper bounds in test code"
 UPPER='elapsed\(\) *<|> *[A-Za-z0-9_.]+\.elapsed\(\)|duration_since\([^)]*\) *<'
 UPPER="$UPPER"'|[A-Za-z0-9_.]+ - [A-Za-z0-9_.]+ *<=? *[^<]*(Duration|TICK|TIMEOUT|_millis|_secs|_micros|_nanos)'
 UPPER="$UPPER"'|(Duration|TICK|TIMEOUT|_millis|_secs)[^>]* >=? *[A-Za-z0-9_.]+ - [A-Za-z0-9_.]+'
+UPPER="$UPPER"'|[A-Za-z0-9_.]*(micros|nanos)\b *<=? *[0-9]|[0-9][0-9_]* *>=? *[A-Za-z0-9_.]*(micros|nanos)\b'
 BOUNDS=$(
     git grep -nE "$UPPER" -- tests 'crates/*/tests' 'crates/*/src/*_tests.rs' || true
     for f in $(git ls-files 'src/*.rs' 'crates/*/src/*.rs'); do
@@ -300,9 +307,12 @@ cargo test -q
 # The execution-shape matrices again in release: the in-process one's
 # answers are score bits, and a NaN score's sign differs between the
 # debug and the release build; the served one runs the build that serves.
-echo "==> cargo test --release (shape_matrix, served_matrix)"
+# The bound tiers' soundness over the shared grammar too: the third tier
+# takes chains of any length, and its cuts are float comparisons.
+echo "==> cargo test --release (shape_matrix, served_matrix, bounds_contain_exact_score)"
 cargo test --release -q -p shapesearch-core --test shape_matrix
 cargo test --release -q -p shapesearch --test served_matrix
+cargo test --release -q -p shapesearch --test property_tests bounds_contain_exact_score
 
 # The paper's accuracy as a gate: Fig. 12 at scale 0.1 (SegmentTree,
 # Greedy and DTW top-k agreement with DP on the generated Table-11

@@ -2,7 +2,7 @@
 //! exactness-preserving driver** every segmenter the bounds dominate (the
 //! DP, the SegmentTree, and the greedy, which never scores above the DP)
 //! composes with. The driver owns the whole walk: an executor hands
-//! [`PruningDriver::run`] its candidates and a scorer, and `run` decides
+//! `PruningDriver::run` its candidates and a scorer, and `run` decides
 //! what is bounded, in which order, what is pruned and what is scored.
 //! [`bound_tiers`] is the one way in from outside to the bounds alone.
 //!
@@ -63,24 +63,25 @@
 //!
 //! The second tier still scores whatever lies between the two ends as a
 //! perfect 1. The **third** places it: when the whole query is a chain of
-//! two or three free slope units, the two end windows leave the middle
-//! unit exactly one window, `[j, i]`, and the chain's total over that
-//! placement is the very number the DP maximises. Enumerating every pair
-//! of ends would be the DP; what makes it a bound is the live threshold τ:
+//! free slope units — two of them or sixteen — a placement is a run of
+//! break points, and the chain's total over it is the very number the DP
+//! maximises, unit by unit over (unit, end point) states. Walking every
+//! state would be the DP; what makes it a bound is the live threshold τ:
 //! a total can reach τ only if each end alone would with everything else
-//! perfect, and each pair of ends only if their sum would with a perfect
-//! middle, which on a walk leaves a handful of placements out of `n²/2` —
-//! see `JointChain`. It answers a different question from the first two
-//! (not "how high can this score" but "can it reach τ"), so it runs last,
-//! against the sharpest threshold the walk has, and the walk visits the
-//! second tier's survivors **best bound first** so that threshold is sharp
-//! early. On walks it prunes another four in ten.
+//! perfect, and a partial total only goes on to the next unit while it
+//! could still reach τ with the rest perfect, which on a walk leaves a
+//! handful of placements — see `JointChain`. It answers a different
+//! question from the first two (not "how high can this score" but "can it
+//! reach τ"), so it runs last, against the sharpest threshold the walk
+//! has, and the walk visits the second tier's survivors **best bound
+//! first** so that threshold is sharp early. On walks it prunes another
+//! four in ten.
 //! What all three feed is the same rule, and each takes the same rounding
 //! allowance before it does (`BoundPlan::allowance`): a bound that is a
 //! score exactly sits an ulp under a segmenter's re-associated total
 //! without it.
 //!
-//! The threshold lives in a [`ThresholdCell`] — an atomic-`f64`
+//! The threshold lives in a `ThresholdCell` — an atomic-`f64`
 //! (`AtomicU64` bit-cast) max register shared across every executor of
 //! one query: the shards of a [`crate::ShardedEngine`] and the server's
 //! compute-pool shard tasks all publish into and consume from the same
@@ -217,7 +218,7 @@ struct ScorePool {
 /// k-th best becomes the threshold (k candidates with at least that score
 /// exist, so anything provably below it is out).
 #[derive(Debug)]
-pub struct ThresholdCell {
+pub(crate) struct ThresholdCell {
     proven: AtomicU64,
     pool: std::sync::Mutex<ScorePool>,
 }
@@ -289,7 +290,7 @@ impl ThresholdCell {
 /// Shared pruning effectiveness counters (`/healthz`-style gauges), one
 /// set per batch computation, accumulated across all of its executors.
 #[derive(Debug, Default)]
-pub struct PruningCounters {
+pub(crate) struct PruningCounters {
     bounded: AtomicU64,
     pruned: AtomicU64,
     scored: AtomicU64,
@@ -302,11 +303,6 @@ pub struct PruningCounters {
 }
 
 impl PruningCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Counts one bound pass over `candidates` that took `elapsed`.
     fn record_bound_pass(&self, candidates: usize, elapsed: Duration) {
         self.bounded.fetch_add(candidates as u64, Ordering::Relaxed);
@@ -327,7 +323,7 @@ impl PruningCounters {
     }
 }
 
-/// A plain copy of [`PruningCounters`], addable for aggregation.
+/// A plain copy of the pruning counters, addable for aggregation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruningSnapshot {
     /// Upper bounds computed: one per candidate of every query the
@@ -369,7 +365,7 @@ impl PruningSnapshot {
 /// borrowed by every executor of a query within one engine; the mutable
 /// state lives in the shared cell and counters, so it is thread-safe by
 /// construction.
-pub struct PruningDriver<'a> {
+pub(crate) struct PruningDriver<'a> {
     plan: BoundPlan,
     /// The trendline ends the plan has an anchored leaf at — decided here,
     /// once per query, so a query with none never looks at a candidate
@@ -382,17 +378,6 @@ pub struct PruningDriver<'a> {
     counters: &'a PruningCounters,
     k: usize,
     observer: &'a dyn StageObserver,
-}
-
-impl std::fmt::Debug for PruningDriver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PruningDriver")
-            .field("plan", &self.plan)
-            .field("cell", &self.cell)
-            .field("counters", &self.counters)
-            .field("k", &self.k)
-            .finish_non_exhaustive()
-    }
 }
 
 /// What one walk did, kept locally and published once: the counters are
@@ -663,7 +648,8 @@ pub struct BoundTiers {
     /// never runs for it.
     pub anchored: Option<f64>,
     /// The third tier against the given threshold — `None` when the query
-    /// is not a chain the tier places whole. At or above the threshold it
+    /// is not a chain of free slope units, of any length, that the tier
+    /// places whole ([`bound_tiers`]). At or above the threshold it
     /// is an upper bound on the exact score; below it, a proof that the
     /// exact score is below the threshold too.
     pub joint: Option<f64>,
@@ -782,15 +768,19 @@ impl Ends {
 /// One candidate's end-anchored window slopes, `n − 1` a side: every
 /// window that starts at its first point and every window that ends at
 /// its last — and, for the third tier, the few of either the threshold
-/// leaves standing, as (inner end point, unit score). Four buffers a walk
-/// reuses from candidate to candidate, beside the windows its x-pinned
-/// leaves name, resolved once a grid.
+/// leaves standing, as (inner end point, slope, then score), its partial
+/// totals by end point and the steps a middle unit takes. Buffers a walk reuses
+/// from candidate to candidate, beside the windows its x-pinned leaves
+/// name, resolved once a grid.
 #[derive(Debug, Default)]
 struct EndWindows {
     first: Vec<f64>,
     last: Vec<f64>,
     kept_first: Vec<(usize, f64)>,
     kept_last: Vec<(usize, f64)>,
+    reach: Vec<f64>,
+    next: Vec<f64>,
+    steps: Vec<(usize, usize)>,
     pinned: PinWindows,
 }
 
@@ -914,34 +904,31 @@ impl BoundPlan {
     }
 
     /// The chain the third tier places whole, when the plan is one: a flat
-    /// CONCAT of two or three slope units, the first and last anchored to
-    /// their ends and the one between them free to take whatever window
-    /// they leave. Any other shape — a longer chain, an operator or a
-    /// nested CONCAT for a unit, a located or non-slope unit — has
-    /// placements this enumeration does not cover.
+    /// CONCAT of two or more slope units, the first and last anchored to
+    /// their ends and those between free to take whatever windows they
+    /// leave. Any other shape — an operator or a nested CONCAT for a unit,
+    /// a located or non-slope unit — has placements this walk does not
+    /// cover.
     fn joint(&self) -> Option<JointChain> {
         let Self::Concat(units) = self else {
             return None;
         };
-        let free_at = |unit: &Self, end: Option<End>| match unit {
-            Self::Slope {
-                row,
-                located: false,
-                anchor,
-                ..
-            } if *anchor == end => Some(*row),
-            _ => None,
-        };
-        let middle = match units.len() {
-            2 => None,
-            3 => Some(free_at(&units[1], None)?),
-            _ => return None,
-        };
-        Some(JointChain {
-            first: free_at(units.first()?, Some(End::First))?,
-            middle,
-            last: free_at(units.last()?, Some(End::Last))?,
-        })
+        let last = units.len().checked_sub(1)?;
+        let free = units.iter().enumerate().map(|(at, unit)| {
+            let end = (at == 0)
+                .then_some(End::First)
+                .or((at == last).then_some(End::Last));
+            match unit {
+                Self::Slope {
+                    row,
+                    located: false,
+                    anchor,
+                    ..
+                } if *anchor == end => Some(*row),
+                _ => None,
+            }
+        });
+        free.collect::<Option<_>>().map(JointChain)
     }
 
     /// [`ROUNDING_ALLOWANCE`] for each leaf of the plan: what every tier's
@@ -1276,87 +1263,93 @@ fn largest(slopes: &[f64], key: impl Fn(f64) -> f64) -> f64 {
 /// window just outside the band could still be part of a total a segmenter
 /// reads as τ: the cut itself (`(τ − 1)/w + 1`, two roundings), its
 /// product with π/2 or π/4 and the `tan` (an ulp each), the segmenter's
-/// `atan` and Table 5 map (three more), and [`ROUNDING_ALLOWANCE`] on the
-/// total, which is 3 × 2⁻⁴³ of a unit score and so at most π/2 times that,
-/// 5.4 × 10⁻¹³ rad. A nanoradian is three orders of magnitude above their
-/// sum, and costs a window only when its score is within 1.3 × 10⁻⁹ of
-/// the cut — on a walk, none.
+/// `atan` and Table 5 map (three more), and the chain's share of
+/// [`ROUNDING_ALLOWANCE`] on the total, which is 3 × 2⁻⁴³ of a unit score
+/// for three units and so at most π/2 times that, 5.4 × 10⁻¹³ rad — and
+/// for sixteen, eight shares over sixteen units, 2⁻³⁶ and 2.3 × 10⁻¹¹
+/// rad. A nanoradian is three orders of magnitude above their sum at three
+/// units and forty times it at sixteen, and costs a window only when its
+/// score is within 1.3 × 10⁻⁹ of the cut — on a walk, none.
 const BAND_MARGIN: f64 = 1e-9;
 
-/// What [`JointChain`] adds to a placement's total so that it dominates
-/// the same placement's total in every segmenter's arithmetic: 512 ulps of
-/// 1.0 (2⁻⁴³ ≈ 1.1 × 10⁻¹³). The DP and the greedy add `weight · score`
-/// unit by unit in chain order, which is the order used here, bit for bit.
-/// The SegmentTree re-associates and cancels: each bridge is `left.score −
-/// left.last + right.score − right.first + merged`, four operations on
-/// values below 3 in magnitude, so at most one ulp of 1.0 each; an entry
-/// of two or more units has a break inside its node, a three-unit chain
-/// has two breaks, so at most two entries a level are combined on the way
-/// to the root's, and a tree has at most 32 levels (breaks are `u32`) —
-/// 2 · 4 · 32 = 256 ulps, plus the three roundings here. Twice that. The
-/// second tier takes it once per leaf ([`BoundPlan::allowance`]).
+/// What [`JointChain`] adds to a placement's total of two or three units
+/// so that it dominates the same placement's total in every segmenter's
+/// arithmetic: 512 ulps of 1.0 (2⁻⁴³ ≈ 1.1 × 10⁻¹³). The DP and the
+/// greedy add `weight · score` unit by unit in chain order, which is the
+/// order used here, bit for bit. The SegmentTree re-associates and
+/// cancels: each bridge is `left.score − left.last + right.score −
+/// right.first + merged`, four operations on values below 3 in magnitude,
+/// so at most one ulp of 1.0 each; an entry of two or more units has a
+/// break inside its node, so each break adds at most one entry a level on
+/// the way to the root's, and a tree has at most 32 levels (breaks are
+/// `u32`) — 4 · 32 = 128 ulps a break, 256 for a three-unit chain's two,
+/// plus the three roundings here. Twice that. A chain of `u` units takes
+/// it once for every two of its `u − 1` breaks, or one — at least
+/// `128(u − 1) + u` ulps, twice it from four units on — and the second
+/// tier once per leaf ([`BoundPlan::allowance`]).
 const ROUNDING_ALLOWANCE: f64 = 512.0 * f64::EPSILON;
 
 /// The third tier gives up, before its first `atan`, when the two bands
 /// admit more end windows than this between them: half of what there is.
 /// With [`max_pairs`] it holds the tier's worst case to `n/2` end windows
-/// and `n − 1` middles: `3n/2` fitted angles, where a three-unit
-/// SegmentTree takes `≈ 8.5n` (at `n = 128`, one shared by each of 253
-/// nodes and ≈ 850 bridges, seven an inner node) — a sixth. Measured where
-/// it matters — k = 200 on 1,000 × 128-point walks, where the threshold is
-/// low and the tier prunes only one in seven of the candidates that reach
-/// it — it costs 2.6 µs a candidate, under a tenth of the tree the other
-/// six then cost. A candidate that overruns is one the threshold does not
-/// yet separate from the top k: worth the tree.
+/// and `n − 1` windows a middle unit: `3n/2` fitted angles for three
+/// units, where a three-unit SegmentTree takes `≈ 8.5n` (at `n = 128`, one
+/// shared by each of 253 nodes and ≈ 850 bridges, seven an inner node) —
+/// a sixth. Measured where it matters — k = 200 on 1,000 × 128-point
+/// walks, where the threshold is low and the tier prunes only one in seven
+/// of the candidates that reach it — it costs 2.6 µs a candidate, under a
+/// tenth of the tree the other six then cost. A candidate that overruns is
+/// one the threshold does not yet separate from the top k: worth the tree.
 const fn max_end_windows(n: usize) -> usize {
     n / 2
 }
 
-/// ... and, before its first middle window, when more pairs of ends than
-/// this survive the pair cut. Swept on the same walks (34 three-unit
-/// queries a pass, one thread; trees scored a pass at k = 5 without the
-/// tier: 17,234): a cap of 64 leaves 6,822, `n − 1` = 127 leaves 5,954,
-/// 256 leaves 5,548, 512 leaves 5,399 and no cap 5,385, while the pass
-/// takes the same time from 64 up to within the noise of the machine
-/// (≈ 240 ms; 610 at the parent commit). So the cap buys almost nothing
-/// past `n − 1` and is there for the worst case above, not the average.
+/// ... and, before a middle unit's first window score, when more steps
+/// onto it than this survive the cuts. Swept on the same walks (34
+/// three-unit queries a pass, one thread; trees scored a pass at k = 5
+/// without the tier: 17,234): a cap of 64 leaves 6,822, `n − 1` = 127
+/// leaves 5,954, 256 leaves 5,548, 512 leaves 5,399 and no cap 5,385,
+/// while the pass takes the same time from 64 up to within the noise of
+/// the machine (≈ 240 ms; 610 before the tier). So the cap buys almost
+/// nothing past `n − 1` and is there for the worst case above, not the
+/// average.
 const fn max_pairs(n: usize) -> usize {
     n - 1
 }
 
-/// The third tier of the bound: a query that is one chain of two or three
-/// free slope units ([`BoundPlan::joint`]), placed whole.
+/// The third tier of the bound: a query that is one chain of free slope
+/// units ([`BoundPlan::joint`]), placed whole by the §6.1 (unit, end
+/// point) recurrence of Theorem 6.1, walked a unit at a time and cut at
+/// the live threshold τ.
 ///
-/// Every segmenter tiles `[0, n − 1]` with the chain's units in order, so
-/// a placement is a pair of end windows `[0, j]`, `[i, n − 1]` — `i = j`
-/// for two units, `i > j` for three, with the middle unit on `[j, i]` —
-/// and its total is `w·f(j) + w·m(j, i) + w·g(i)`, `w = 1/units`. The best
-/// total over all placements is the DP's optimum, which bounds the
-/// SegmentTree's and the greedy's. All `n²/2` of them is the DP's work;
-/// the live threshold τ cuts it to a handful, soundly, because no unit
-/// scores above 1:
+/// Every segmenter tiles `[0, n − 1]` with the chain's `u` units in order,
+/// each on one interval at least, so a placement is a run of break points
+/// `0 < b₁ < … < b_{u−1} < n − 1` and its total is `Σ w·score`, `w = 1/u`.
+/// The best total over all placements is the DP's optimum, which bounds
+/// the SegmentTree's and the greedy's. Finding it is the DP's work; τ cuts
+/// it to a handful of placements, soundly, because no unit scores above 1:
 ///
-/// * a placement reaches τ only if its first window alone would with the
-///   other units perfect, `f(j) ≥ (τ − 1)/w + 1`, and its last likewise —
-///   [`SlopeLeaf::band`] turns that into a slope interval, so the two runs
-///   the second tier already read are cut by comparisons, and only the
-///   members pay an `atan` for their exact score;
-/// * a pair of members only if `w·f(j) + w·1 + w·g(i) ≥ τ`;
-/// * and each surviving pair with room between its windows has its middle
-///   scored on the window the ends leave it.
+/// * the first unit's end windows `[0, b₁]` and the last's start windows
+///   `[b_{u−1}, n − 1]` are kept only if each alone would reach τ with the
+///   other units perfect, `f ≥ (τ − 1)/w + 1` — [`SlopeLeaf::band`] turns
+///   that into a slope interval, so the two runs the second tier already
+///   read are cut by comparisons, and only the members pay an `atan`;
+/// * each kept first window seeds a partial total at its end point, and
+///   each middle unit extends the partial totals that could still reach τ
+///   — with it and the middles after it perfect and the last unit's best
+///   kept window, onto the windows its own band keeps; the last middle
+///   with the kept last window it meets, onto those;
+/// * of the totals that meet at one end point only the largest goes on
+///   (rounding is monotone, so no later sum turns their order round), and
+///   the last unit's kept windows close them.
 ///
-/// Totals are taken in the DP's own order with [`ROUNDING_ALLOWANCE`] on
-/// top, and the minimum-width term, which only lowers a score, is left
-/// out; so a total here is at or above what any segmenter computes for the
-/// same placement, and a placement cut here totals below τ for every
-/// segmenter.
-#[derive(Debug, Clone, Copy)]
-struct JointChain {
-    first: SlopeLeaf,
-    /// The unit between the ends, in a chain of three.
-    middle: Option<SlopeLeaf>,
-    last: SlopeLeaf,
-}
+/// Totals are taken in the DP's own order, `((w·f + w·m) + …) + w·g`, with
+/// the chain's share of [`ROUNDING_ALLOWANCE`] on top, and the
+/// minimum-width term, which only lowers a score, is left out; so a total
+/// here is at or above what any segmenter computes for the same placement,
+/// and a placement cut here totals below τ for every segmenter.
+#[derive(Debug)]
+struct JointChain(Vec<SlopeLeaf>);
 
 impl JointChain {
     /// The largest placement total, when that reaches `threshold`: an
@@ -1370,18 +1363,17 @@ impl JointChain {
     /// tier has nothing to say: NaN data (which nothing may prune), a
     /// chain with more units than the trendline has intervals (infeasible;
     /// −1 needs no bound), or a threshold so low that the cuts leave more
-    /// than [`max_end_windows`] or [`max_pairs`] standing. `windows` holds
-    /// `viz`'s runs for both ends.
+    /// than [`max_end_windows`] end windows or [`max_pairs`] steps onto a
+    /// middle unit standing. `windows` holds `viz`'s runs for both ends.
     fn bound(&self, viz: &VizData, windows: &mut EndWindows, threshold: f64, refined: f64) -> f64 {
-        let n = viz.n();
-        let units = if self.middle.is_some() { 3 } else { 2 };
+        let (n, units) = (viz.n(), self.0.len());
         if refined.is_nan() || n <= units {
             return refined;
         }
         let w = 1.0 / units as f64;
-        let w_middle = if self.middle.is_some() { w } else { 0.0 };
-        let total = |f: f64, m: f64, g: f64| w * f + w_middle * m + w * g + ROUNDING_ALLOWANCE;
-        let score = |row: SlopeLeaf, slope: f64| clamp_score(row.at(slope.atan()));
+        let allowance = ROUNDING_ALLOWANCE * (units - 1).div_ceil(2) as f64;
+        let score = |row: SlopeLeaf, slope: f64| w * clamp_score(row.at(slope.atan()));
+        let (head, middles, tail) = (self.0[0], &self.0[1..units - 1], self.0[units - 1]);
 
         // The inner end points 1..=n − 2: `first[j − 1]` is `[0, j]`,
         // `last[i]` is `[i, n − 1]`.
@@ -1391,6 +1383,9 @@ impl JointChain {
             last,
             kept_first,
             kept_last,
+            reach,
+            next,
+            steps,
             ..
         } = windows;
         let keep = |row: SlopeLeaf, slopes: &[f64], kept: &mut Vec<(usize, f64)>| {
@@ -1404,55 +1399,83 @@ impl JointChain {
                     .map(|(&slope, at)| (at, slope)),
             );
         };
-        keep(self.first, &first[..n - 2], kept_first);
-        keep(self.last, &last[1..], kept_last);
+        keep(head, &first[..n - 2], kept_first);
+        keep(tail, &last[1..], kept_last);
         if kept_first.len() + kept_last.len() > max_end_windows(n) {
             return refined;
         }
-        kept_first
-            .iter_mut()
-            .for_each(|(_, f)| *f = score(self.first, *f));
-        kept_last
-            .iter_mut()
-            .for_each(|(_, g)| *g = score(self.last, *g));
+        // `reach[e]`: the best partial total of the units placed so far
+        // that ends at point `e`.
+        reach.clear();
+        reach.resize(n, f64::NEG_INFINITY);
+        for &(j, slope) in kept_first.iter() {
+            reach[j] = score(head, slope);
+        }
+        kept_last.iter_mut().for_each(|(_, g)| *g = score(tail, *g));
+        let best_last = kept_last
+            .iter()
+            .fold(f64::NEG_INFINITY, |a, &(_, g)| a.max(g));
 
-        let (kept_first, kept_last) = (&*kept_first, &*kept_last);
-        let abutting = self.middle.is_none();
-        let pairs = || {
-            kept_first.iter().flat_map(move |&(j, f)| {
-                kept_last
-                    .iter()
-                    .filter(move |&&(i, g)| {
-                        (if abutting { i == j } else { i > j }) && total(f, 1.0, g) >= threshold
-                    })
-                    .map(move |&(i, g)| (j, f, i, g))
-            })
-        };
-        if pairs().count() > max_pairs(n) {
-            return refined;
-        }
+        // Each middle unit's steps `(j, i)` onto the window `[j, i]`, all
+        // of them before its first score, then its partial totals by end
+        // point. `perfect`: the middles after it, each taken as a 1.
         let runs = viz.arena().prefix_runs(viz.slot());
-        let mut best = f64::NEG_INFINITY;
-        for (j, f, i, g) in pairs() {
-            let m = match self.middle {
-                Some(row) => score(row, runs.range_stats(j, i).slope()),
-                None => 1.0,
-            };
-            if m.is_nan() {
-                return refined;
+        for (at, &row) in middles.iter().enumerate() {
+            let perfect = middles.len() - 1 - at;
+            let band = (perfect > 0).then(|| row.band(alone));
+            steps.clear();
+            for (j, &p) in reach.iter().enumerate().filter(|(_, p)| p.is_finite()) {
+                let p = p + w;
+                match band {
+                    // The last middle: onto each kept last window right of
+                    // it that would reach τ with this unit perfect.
+                    None => steps.extend(
+                        kept_last
+                            .iter()
+                            .filter(|&&(i, g)| i > j && p + g + allowance >= threshold)
+                            .map(|&(i, _)| (j, i)),
+                    ),
+                    // An earlier one: not at all unless this unit and the
+                    // middles after it perfect and the best last window
+                    // would reach τ; then onto every window its band keeps
+                    // that leaves the units after it an interval each. A
+                    // NaN slope stays, for its score to give up on.
+                    Some(_)
+                        if (0..perfect).fold(p, |p, _| p + w) + best_last + allowance
+                            < threshold => {}
+                    Some((lo, hi)) => steps.extend((j + 1..n - 1 - perfect).filter_map(|i| {
+                        let slope = runs.range_stats(j, i).slope();
+                        (!(slope < lo || slope > hi)).then_some((j, i))
+                    })),
+                }
+                if steps.len() > max_pairs(n) {
+                    return refined;
+                }
             }
-            best = best.max(total(f, m, g));
+            next.clear();
+            next.resize(n, f64::NEG_INFINITY);
+            for &(j, i) in steps.iter() {
+                let m = score(row, runs.range_stats(j, i).slope());
+                if m.is_nan() {
+                    return refined;
+                }
+                next[i] = next[i].max(reach[j] + m);
+            }
+            std::mem::swap(reach, next);
         }
-        if best >= threshold {
-            best
-        } else {
-            threshold.next_down()
-        }
+        // The last unit closes each partial total at its kept window.
+        kept_last
+            .iter()
+            .map(|&(i, g)| reach[i] + g + allowance)
+            .fold(threshold.next_down(), f64::max)
     }
 }
 
 #[cfg(test)]
 mod column_tests;
+
+#[cfg(test)]
+mod referee;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -1555,7 +1578,8 @@ pub(crate) mod tests {
         // the second tier, each operator and a nested CONCAT at either end
         // of a chain, located units at the ends (not anchored), one-unit
         // chains (no tier); for the third, chains of two and of three
-        // with each row at an end and in the middle. Segments pinned at
+        // with each row at an end and in the middle, and of four, five and
+        // six, whose middles are walked one after another. Segments pinned at
         // both ends are bounded by their own window: alone and chained,
         // with y endpoints too, with pins that meet at one canvas point
         // (no window: the extremes), inside a fuzzy chain, and under NOT,
@@ -1643,6 +1667,19 @@ pub(crate) mod tests {
                 ShapeQuery::Segment(ShapeSegment::pattern(Pattern::Down).with_width(3.0)),
             ]),
             ShapeQuery::concat(vec![ShapeQuery::flat(); 5]),
+            ShapeQuery::concat(vec![
+                slope(45.0),
+                ShapeQuery::down(),
+                slope(20.0),
+                ShapeQuery::up(),
+            ]),
+            ShapeQuery::concat(
+                [ShapeQuery::up(), ShapeQuery::down(), slope(-60.0)]
+                    .into_iter()
+                    .cycle()
+                    .take(6)
+                    .collect(),
+            ),
             pinned(Pattern::Up, 2.0, 9.0),
             pinned(Pattern::Slope(-120.0), 0.0, 15.0),
             ShapeQuery::concat(vec![
@@ -1832,11 +1869,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn only_a_whole_chain_of_two_or_three_free_slope_units_is_placed_whole() {
+    fn only_a_whole_chain_of_free_slope_units_is_placed_whole() {
         let joint = |q: &ShapeQuery, params: &ScoreParams| {
             BoundPlan::compile(q, params, Ends::BOTH)
                 .joint()
-                .map(|chain| 2 + usize::from(chain.middle.is_some()))
+                .map(|chain| chain.0.len())
         };
         let params = ScoreParams::default();
         let slope = |deg: f64| ShapeQuery::pattern(Pattern::Slope(deg));
@@ -1853,12 +1890,15 @@ pub(crate) mod tests {
             ..ScoreParams::default()
         };
         assert_eq!(joint(&chain(vec![up(), down(), up()]), &widthy), Some(3));
-        // One unit has nothing to place; four have two middles.
+        // One unit has nothing to place; four have two middles, walked
+        // one after the other.
         assert_eq!(joint(&up(), &params), None);
         assert_eq!(
             joint(&chain(vec![up(), down(), up(), down()]), &params),
-            None
+            Some(4)
         );
+        let sixteen: Vec<ShapeQuery> = (0..16).map(|i| slope(10.0 * i as f64 - 75.0)).collect();
+        assert_eq!(joint(&chain(sixteen), &params), Some(16));
         // Every unit must be a slope leaf free to take the window it is
         // left: not located or windowed (at an end or between them), not a
         // wildcard, not an operator, not a chain of its own (whose units
@@ -1870,14 +1910,17 @@ pub(crate) mod tests {
         let negated = ShapeQuery::Not(Box::new(down()));
         let inner = ShapeQuery::Concat(vec![down(), up()]);
         for odd in [pinned, windowed, any, either, negated, inner] {
-            for at in 0..3 {
-                let mut units = vec![up(), down(), up()];
-                units[at] = odd.clone();
-                assert_eq!(
-                    joint(&ShapeQuery::Concat(units), &params),
-                    None,
-                    "{odd} at {at}"
-                );
+            for len in [3, 5] {
+                for at in 0..len {
+                    let mut units = vec![up(), down(), up(), flat(), down()];
+                    units.truncate(len);
+                    units[at] = odd.clone();
+                    assert_eq!(
+                        joint(&ShapeQuery::Concat(units), &params),
+                        None,
+                        "{odd} at {at} of {len}"
+                    );
+                }
             }
             assert_eq!(
                 joint(&ShapeQuery::Concat(vec![odd.clone(), up()]), &params),
@@ -2099,6 +2142,75 @@ pub(crate) mod tests {
         assert_eq!(joint, threshold.next_down());
     }
 
+    /// One unit of a referee chain: each Table 5 row, θ either side of
+    /// flat and on and past the ±90° clamp.
+    fn chain_unit(kind: usize) -> ShapeQuery {
+        let deg = [30.0, -62.5, 4.0, 90.0, 120.0, -135.0];
+        match kind {
+            0 => ShapeQuery::up(),
+            1 => ShapeQuery::down(),
+            2 => ShapeQuery::flat(),
+            k => ShapeQuery::pattern(Pattern::Slope(deg[(k - 3) % deg.len()])),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The walk over a chain's units against the tier it replaced, on
+        /// every chain both place — two and three units — bit for bit:
+        /// over falling walks, wandering walks and noise, at thresholds of
+        /// −∞, below, on, an ulp above and above the exact score, and at
+        /// a spread below it where the cuts and the give-ups decide.
+        #[test]
+        fn chain_walk_matches_referee(
+            kinds in proptest::collection::vec(0usize..9, 2..=3),
+            ys in proptest::collection::vec(-100.0f64..100.0, 3..=130),
+            series in 0u8..3,
+            seed in 0u64..10_000,
+            below in proptest::collection::vec(0.0f64..0.4, 1..=4),
+            narrow in 0u8..2,
+        ) {
+            let n = ys.len();
+            let pairs: Vec<(f64, f64)> = match series {
+                0 => walk(seed, n),
+                1 => wander(seed, n),
+                _ => ys.iter().enumerate().map(|(t, &y)| (t as f64, y)).collect(),
+            };
+            let v = viz(&pairs, 0);
+            let q = ShapeQuery::concat(kinds.iter().map(|&kind| chain_unit(kind)).collect());
+            let params = ScoreParams {
+                min_width_frac: [0.0, 0.25][narrow as usize],
+                ..ScoreParams::default()
+            };
+            let plan = BoundPlan::compile(&q, &params, Ends::BOTH);
+            let chain = plan.joint().expect("a chain of free slope units");
+            let units = &chain.0;
+            let old = referee::JointChain {
+                first: units[0],
+                middle: (units.len() == 3).then(|| units[1]),
+                last: units[units.len() - 1],
+            };
+            let mut windows = EndWindows::default();
+            windows.load(&v, Ends::BOTH);
+            let refined = plan.bounds(&[&v], &mut windows, true)[0].1 + plan.allowance();
+            let udps = UdpRegistry::new();
+            let ev = Evaluator::new(&v, &params, &udps);
+            let exact = DpSegmenter.match_viz(&ev, &expand_chains(&q)).score;
+            let near = [f64::NEG_INFINITY, exact, exact.next_up(), exact + 0.05];
+            for threshold in near.into_iter().chain(below.iter().map(|b| exact - b)) {
+                let got = chain.bound(&v, &mut windows, threshold, refined);
+                let want = old.bound(&v, &mut windows, threshold, refined);
+                proptest::prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} over {} points at τ {} (exact {}): {} vs {}",
+                    q, n, threshold, exact, got, want
+                );
+            }
+        }
+    }
+
     #[test]
     fn bounds_are_tight_on_monotone_series() {
         // A perfectly linear rise: every interval slope equals the whole
@@ -2206,7 +2318,7 @@ pub(crate) mod tests {
 
     #[test]
     fn bound_time_accumulates_below_a_microsecond_per_bound() {
-        let counters = PruningCounters::new();
+        let counters = PruningCounters::default();
         // 2,500 passes of 400 ns over 3 candidates each (tiny shards):
         // each truncates to 0 µs on its own, the run took a millisecond.
         for _ in 0..2_500 {
@@ -2245,7 +2357,7 @@ pub(crate) mod tests {
 
         // The whole-trendline bound alone: one unit, no end to anchor.
         let q = ShapeQuery::up();
-        let counters = PruningCounters::new();
+        let counters = PruningCounters::default();
         let fall = viz(
             &(0..16).map(|t| (t as f64, -(t as f64))).collect::<Vec<_>>(),
             0,
@@ -2301,7 +2413,7 @@ pub(crate) mod tests {
             .expect("both ends are free");
         assert!(tight < whole - 0.1, "anchored {tight}, whole {whole}");
         let between = (tight + whole) / 2.0;
-        let counters = PruningCounters::new();
+        let counters = PruningCounters::default();
         let scores_under = |cell: &ThresholdCell| {
             let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
             scored(&driver, &zigzag, &[whole])
@@ -2342,7 +2454,7 @@ pub(crate) mod tests {
             .expect("both ends are free");
         assert!(exact < tight - 0.01, "score {exact}, anchored {tight}");
         let between = (exact + tight) / 2.0;
-        let counters = PruningCounters::new();
+        let counters = PruningCounters::default();
         let scores_under = |cell: &ThresholdCell| {
             let driver = PruningDriver::new(&q, &params, cell, &counters, 1, &NOOP_OBSERVER);
             scored(&driver, &wander, &[whole])
@@ -2377,7 +2489,7 @@ pub(crate) mod tests {
         let (q, cell, counters) = (
             ShapeQuery::up(),
             ThresholdCell::new(),
-            PruningCounters::new(),
+            PruningCounters::default(),
         );
         let seeds = |k: usize, bounds: &[f64]| {
             PruningDriver::new(&q, &params, &cell, &counters, k, &NOOP_OBSERVER).seeds(bounds)
@@ -2415,7 +2527,7 @@ pub(crate) mod tests {
         let (q, cell, counters) = (
             ShapeQuery::up(),
             ThresholdCell::new(),
-            PruningCounters::new(),
+            PruningCounters::default(),
         );
         let seeds = |k: usize, bounds: &[f64]| {
             PruningDriver::new(&q, &params, &cell, &counters, k, &NOOP_OBSERVER).seeds(bounds)

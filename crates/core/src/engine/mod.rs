@@ -79,7 +79,7 @@ impl Default for EngineOptions {
 }
 
 /// Cross-executor shared state for one batched computation: one
-/// [`ThresholdCell`] per query plus one set of pruning counters.
+/// threshold cell per query plus one set of pruning counters.
 ///
 /// Everything that executes parts of the *same* logical computation —
 /// a [`shard::ShardedEngine`]'s shards, the server's local compute-pool
@@ -103,7 +103,7 @@ impl SharedThresholds {
             cells: (0..queries)
                 .map(|_| Arc::new(ThresholdCell::new()))
                 .collect(),
-            counters: Arc::new(PruningCounters::new()),
+            counters: Arc::new(PruningCounters::default()),
         }
     }
 
@@ -121,12 +121,12 @@ impl SharedThresholds {
     ///
     /// # Panics
     /// When `query` is out of range.
-    pub fn cell(&self, query: usize) -> &ThresholdCell {
+    pub(crate) fn cell(&self, query: usize) -> &ThresholdCell {
         &self.cells[query]
     }
 
     /// The shared counter sink every driver of this computation feeds.
-    pub fn counters(&self) -> &PruningCounters {
+    pub(crate) fn counters(&self) -> &PruningCounters {
         &self.counters
     }
 
@@ -422,7 +422,7 @@ impl ShapeEngine {
     /// `shared` is caller-owned execution state: an embedder fanning one
     /// computation across several engines (a partition map's shards, the
     /// server's compute-pool shard tasks) gives every executor the *same*
-    /// per-query [`ThresholdCell`]s, so each executor's proven top-k
+    /// per-query threshold cells, so each executor's proven top-k
     /// progress prunes work in all the others. Results are byte-identical
     /// to a private `SharedThresholds::new(items.len())` — pruning only
     /// ever skips candidates that provably cannot enter the top k.
@@ -1072,9 +1072,10 @@ mod tests {
         // The exact work the driver does for one in-process shard over a
         // seeded walk corpus, each query reaching a different tier: a
         // two-unit needle (the second tier), a three-unit free chain (the
-        // third) and a located query pinned at both ends of both units
-        // (the pinned first tier). A change to the driver that keeps these
-        // counts makes the same bound, prune and score decisions.
+        // third), a located query pinned at both ends of both units (the
+        // pinned first tier) and a four-unit free chain (the third, through
+        // two middles). A change to the driver that keeps these counts
+        // makes the same bound, prune and score decisions.
         let tls: Vec<Trendline> = (0..300u64)
             .map(|i| Trendline::from_pairs(format!("walk{i}"), &walk(i + 1, 64)))
             .collect();
@@ -1092,6 +1093,12 @@ mod tests {
             pinned(Pattern::Slope(-30.0), 6.0, 30.0),
             pinned(Pattern::Flat, 30.0, 55.0),
         ]);
+        let four = ShapeQuery::concat(vec![
+            ShapeQuery::pattern(Pattern::Slope(45.0)),
+            ShapeQuery::pattern(Pattern::Slope(-30.0)),
+            ShapeQuery::pattern(Pattern::Slope(60.0)),
+            ShapeQuery::pattern(Pattern::Slope(-45.0)),
+        ]);
         // (bounded, pruned, scored, refined, joined) per query and segmenter.
         let golden = [
             (&needle, SegmenterKind::Dp, (300, 290, 10, 295, 5)),
@@ -1100,6 +1107,8 @@ mod tests {
             (&chain, SegmenterKind::SegmentTree, (300, 268, 32, 295, 27)),
             (&located, SegmenterKind::Dp, (300, 295, 5, 0, 0)),
             (&located, SegmenterKind::SegmentTree, (300, 295, 5, 0, 0)),
+            (&four, SegmenterKind::Dp, (300, 250, 50, 295, 45)),
+            (&four, SegmenterKind::SegmentTree, (300, 237, 63, 295, 58)),
         ];
         for (q, kind, want) in golden {
             let opts = EngineOptions {

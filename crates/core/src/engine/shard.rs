@@ -180,7 +180,7 @@ impl ShardedEngine {
     /// `options`, `shared` state and `observer` passed through untouched,
     /// then merges each query's per-shard partials deterministically —
     /// bit-identical to the unsharded engine, per query. Every shard
-    /// consumes and tightens the same per-query [`super::ThresholdCell`]s
+    /// consumes and tightens the same per-query threshold cells
     /// and feeds the same observer, so a later shard is pruned by what
     /// the earlier ones proved and samples aggregate like the pruning
     /// counters do. Public under this name only because the frozen

@@ -14,8 +14,14 @@ use std::collections::BinaryHeap;
 /// The deterministic result ordering: higher score first, ties broken by
 /// the lower (global) visualization index. Returns `Less` when `a` ranks
 /// ahead of `b`, so sorting by `rank` yields descending score order.
+/// `−0` and `+0` are one score: a NOT negates a zero to `−0`, and a shard
+/// server's reply carries it back as JSON's one zero, so a router merging
+/// it beside a local `−0` must see a tie, as the unsharded engine does.
 pub(crate) fn rank(a_score: f64, a_viz: usize, b_score: f64, b_viz: usize) -> Ordering {
-    b_score.total_cmp(&a_score).then_with(|| a_viz.cmp(&b_viz))
+    let one_zero = |score: f64| if score == 0.0 { 0.0 } else { score };
+    one_zero(b_score)
+        .total_cmp(&one_zero(a_score))
+        .then_with(|| a_viz.cmp(&b_viz))
 }
 
 /// One scored candidate.
@@ -110,6 +116,18 @@ mod tests {
         let out = tk.into_sorted();
         assert_eq!(out[0].viz, 1);
         assert_eq!(out[1].viz, 3);
+    }
+
+    #[test]
+    fn both_zeros_are_one_score() {
+        // A NOT's −0 beside the +0 a shard reply decodes the same −0 to.
+        let mut tk = TopK::new(2, 2);
+        tk.push(13, res(0.0));
+        tk.push(1, res(-0.0));
+        let order: Vec<usize> = tk.into_sorted().iter().map(|s| s.viz).collect();
+        assert_eq!(order, vec![1, 13]);
+        assert_eq!(rank(0.0, 13, -0.0, 1), Ordering::Greater);
+        assert_eq!(rank(-0.0, 1, 0.0, 13), Ordering::Less);
     }
 
     #[test]

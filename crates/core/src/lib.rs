@@ -57,10 +57,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod udps;
 
-pub use algo::pruning::{
-    bound_tiers, BoundTiers, PruningCounters, PruningDriver, PruningMode, PruningSnapshot,
-    ThresholdCell,
-};
+pub use algo::pruning::{bound_tiers, BoundTiers, PruningMode, PruningSnapshot};
 pub use algo::{MatchResult, Segmenter, SegmenterKind};
 pub use ast::{IteratorSpec, Location, Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
 pub use columnar::{Collection, ColumnarArena};

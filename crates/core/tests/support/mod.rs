@@ -131,7 +131,7 @@ pub fn corpus() -> impl Strategy<Value = Vec<Trendline>> {
 
 /// A ShapeQuery AST, a third of the time each: an operator tree up to
 /// three deep over [`leaf`] — CONCAT flattened and nested, AND, OR and
-/// NOT —, a chain of two or three free slope units (the queries the third
+/// NOT —, a chain of two to six free slope units (the queries the third
 /// bound tier places whole), or a [`laid`] chain of pinned units.
 pub fn query() -> impl Strategy<Value = ShapeQuery> {
     let tree = leaf().prop_recursive(3, 12, 3, |inner| {
@@ -145,7 +145,7 @@ pub fn query() -> impl Strategy<Value = ShapeQuery> {
             inner.prop_map(|q| ShapeQuery::Not(Box::new(q))),
         ]
     });
-    let free = proptest::collection::vec(slope().prop_map(ShapeQuery::pattern), 2..4)
+    let free = proptest::collection::vec(slope().prop_map(ShapeQuery::pattern), 2..7)
         .prop_map(ShapeQuery::concat);
     prop_oneof![tree, free, laid()]
 }

@@ -239,8 +239,16 @@ impl ColumnBuilder {
             Value::Int(i) => self.push_int(i),
             Value::Float(x) => self.push_float(x),
             Value::Null => self.push_null(),
-            Value::Str(s) => self.strs().push_str(&s),
+            Value::Str(s) => self.push_str(&s),
         }
+    }
+
+    /// Appends one string cell as a string, whatever its text — `"123"`
+    /// turns the column into strings, where [`Self::push_text`] would
+    /// read it as the integer: [`Self::push`] of a [`Value::Str`], without
+    /// the `Value`.
+    pub(crate) fn push_str(&mut self, text: &str) {
+        self.strs().push_str(text);
     }
 
     /// Appends one cell's text: the column `push(Value::infer(text))`

@@ -7,10 +7,11 @@
 //! tokenizer: the server crate's full-JSON parser is written over the same
 //! four functions.
 
+use crate::column::ColumnBuilder;
 use crate::error::{DataError, Result};
 use crate::table::{Table, TableBuilder};
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
@@ -19,40 +20,30 @@ mod referee;
 
 /// Parses JSON-lines text into a [`Table`]. The column set is the union of
 /// keys seen across all records; missing keys become nulls. Keys are ordered
-/// alphabetically for determinism.
+/// alphabetically for determinism. Each record's cells go straight into
+/// their columns' builders, keys and strings decoded into buffers reused
+/// from record to record, so a record allocates nothing its keys and
+/// strings have not brought before.
 ///
 /// # Errors
-/// Fails on malformed JSON or non-scalar field values.
+/// Fails on malformed JSON, non-scalar field values, or a key named twice
+/// in one record.
 pub fn read_str(input: &str) -> Result<Table> {
-    let mut rows: Vec<BTreeMap<String, Value>> = Vec::new();
+    let mut records = Records::default();
     for (i, raw) in input.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() {
             continue;
         }
-        rows.push(parse_object(line).map_err(|message| DataError::Parse {
-            line: i + 1,
-            message,
-        })?);
+        records
+            .read(line.as_bytes())
+            .map_err(|message| DataError::Parse {
+                line: i + 1,
+                message,
+            })?;
     }
-    let mut keys: Vec<String> = Vec::new();
-    for row in &rows {
-        for k in row.keys() {
-            if !keys.contains(k) {
-                keys.push(k.clone());
-            }
-        }
-    }
-    keys.sort();
-    let mut builder = TableBuilder::new(keys.clone());
-    for mut row in rows {
-        let values = keys
-            .iter()
-            .map(|k| row.remove(k).unwrap_or(Value::Null))
-            .collect();
-        builder.push_row(values)?;
-    }
-    Ok(builder.finish())
+    records.columns.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(TableBuilder::from_columns(records.columns).finish())
 }
 
 /// Reads a JSON-lines file from disk.
@@ -77,46 +68,101 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Scan<()> {
     }
 }
 
-/// One record: a flat object of scalar fields filling the whole line.
-fn parse_object(line: &str) -> Scan<BTreeMap<String, Value>> {
-    let bytes = line.as_bytes();
-    let pos = &mut 0;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    expect(bytes, pos, b'{')?;
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        return Ok(map);
-    }
-    loop {
+/// The columns of the records read so far, each named and building, the
+/// index from a name to its column, and the buffers a field's key and
+/// string value are decoded into.
+#[derive(Default)]
+struct Records {
+    columns: Vec<(String, ColumnBuilder)>,
+    index: HashMap<String, usize>,
+    rows: usize,
+    key: String,
+    text: String,
+}
+
+impl Records {
+    /// Reads one record, a flat object of scalar fields filling the whole
+    /// line, as the next row: a key first seen here starts a column of
+    /// nulls for the rows before, and a column the record leaves out gets
+    /// a null.
+    fn read(&mut self, bytes: &[u8]) -> Scan<()> {
+        let pos = &mut 0;
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        expect(bytes, pos, b'{')?;
         skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
+        if bytes.get(*pos) == Some(&b'}') {
+            *pos += 1;
+        } else {
+            loop {
                 skip_ws(bytes, pos);
-                if *pos != bytes.len() {
-                    return Err("trailing content after object".into());
+                self.key.clear();
+                parse_string_into(bytes, pos, &mut self.key)?;
+                skip_ws(bytes, pos);
+                expect(bytes, pos, b':')?;
+                let at = self.column()?;
+                push_value(bytes, pos, &mut self.columns[at].1, &mut self.text)?;
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        break;
+                    }
+                    _ => return Err("expected `,` or `}` in object".into()),
                 }
-                return Ok(map);
             }
-            _ => return Err("expected `,` or `}` in object".into()),
         }
+        skip_ws(bytes, pos);
+        if *pos != bytes.len() {
+            return Err("trailing content after object".into());
+        }
+        self.rows += 1;
+        for (_, column) in &mut self.columns {
+            if column.len() < self.rows {
+                column.push(Value::Null);
+            }
+        }
+        Ok(())
+    }
+
+    /// Where the column named by the key just read is, started if it is
+    /// new.
+    fn column(&mut self) -> Scan<usize> {
+        let at = match self.index.get(self.key.as_str()) {
+            Some(&at) => at,
+            None => {
+                let mut column = ColumnBuilder::new();
+                (0..self.rows).for_each(|_| column.push(Value::Null));
+                self.index.insert(self.key.clone(), self.columns.len());
+                self.columns.push((self.key.clone(), column));
+                self.columns.len() - 1
+            }
+        };
+        if self.columns[at].1.len() > self.rows {
+            return Err(format!("duplicate key `{}` in object", self.key));
+        }
+        Ok(at)
     }
 }
 
-/// One scalar field value. Booleans load as the integers 1 / 0, and a
-/// number is an [`Value::Int`] unless its text has a fraction or exponent.
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Scan<Value> {
+/// Reads one scalar field value into `column`, a string through `text`.
+/// A string stays a string, whatever its text; booleans load as the
+/// integers 1 / 0, and a number is an integer unless its text has a
+/// fraction or exponent.
+fn push_value(
+    bytes: &[u8],
+    pos: &mut usize,
+    column: &mut ColumnBuilder,
+    text: &mut String,
+) -> Scan<()> {
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+    let value = match bytes.get(*pos) {
+        Some(b'"') => {
+            text.clear();
+            parse_string_into(bytes, pos, text)?;
+            column.push_str(text);
+            return Ok(());
+        }
         Some(b't') => take_literal(bytes, pos, "true").map(|()| Value::Int(1)),
         Some(b'f') => take_literal(bytes, pos, "false").map(|()| Value::Int(0)),
         Some(b'n') => take_literal(bytes, pos, "null").map(|()| Value::Null),
@@ -138,7 +184,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Scan<Value> {
             *b as char
         )),
         None => Err("unexpected end of line".into()),
-    }
+    }?;
+    column.push(value);
+    Ok(())
 }
 
 /// Advances `*pos` past any ASCII whitespace.
@@ -184,8 +232,14 @@ pub fn number_span<'a>(bytes: &'a [u8], pos: &mut usize) -> &'a str {
 /// On a missing opening quote, an unterminated string, an unknown or
 /// malformed escape (unpaired surrogates included), or invalid UTF-8.
 pub fn parse_string(bytes: &[u8], pos: &mut usize) -> std::result::Result<String, String> {
-    expect(bytes, pos, b'"')?;
     let mut out = String::new();
+    parse_string_into(bytes, pos, &mut out)?;
+    Ok(out)
+}
+
+/// [`parse_string`], appending the decoded string to `out`.
+fn parse_string_into(bytes: &[u8], pos: &mut usize, out: &mut String) -> Scan<()> {
+    expect(bytes, pos, b'"')?;
     loop {
         let rest = &bytes[*pos..];
         let run = rest
@@ -199,7 +253,7 @@ pub fn parse_string(bytes: &[u8], pos: &mut usize) -> std::result::Result<String
         );
         *pos += run + 1;
         if rest[run] == b'"' {
-            return Ok(out);
+            return Ok(());
         }
         let Some(&esc) = bytes.get(*pos) else {
             return Err("dangling escape".into());
@@ -276,6 +330,18 @@ mod tests {
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.value(0, "b").unwrap(), Value::Null);
         assert_eq!(t.value(1, "a").unwrap(), Value::Null);
+        // A key first seen two records in: its string column reads "" for
+        // both rows before, and the columns are in name order.
+        let t = read_str("{\"b\":1}\n{\"b\":2}\n{\"a\":\"x\",\"b\":3}\n").unwrap();
+        let names: Vec<&str> = t
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names, ["a", "b"]);
+        let a: Vec<Value> = (0..3).map(|row| t.value(row, "a").unwrap()).collect();
+        assert_eq!(a, ["", "", "x"].map(|s| Value::Str(s.into())));
     }
 
     #[test]
@@ -319,6 +385,21 @@ mod tests {
     }
 
     #[test]
+    fn a_string_stays_a_string_whatever_its_text() {
+        let t = read_str("{\"s\":\"123\",\"n\":123}\n{\"s\":\"7\",\"n\":7}\n").unwrap();
+        assert_eq!(t.schema().field("s").unwrap().data_type, DataType::Str);
+        assert_eq!(t.value(1, "s").unwrap(), Value::Str("7".into()));
+        assert_eq!(t.schema().field("n").unwrap().data_type, DataType::Int);
+    }
+
+    #[test]
+    fn a_key_named_twice_in_one_record_is_an_error() {
+        let err = read_str("{\"a\":1}\n{\"a\":2,\"b\":1,\"a\":3}\n").unwrap_err();
+        assert!(matches!(err, DataError::Parse { line: 2, .. }), "{err}");
+        assert!(read_str("{\"a\":1}\n{\"a\":2}\n").is_ok());
+    }
+
+    #[test]
     fn malformed_reports_line() {
         let err = read_str("{\"a\":1}\n{oops}\n").unwrap_err();
         assert!(matches!(err, DataError::Parse { line: 2, .. }));
@@ -327,6 +408,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_error() {
         assert!(read_str("{\"a\":1} extra\n").is_err());
+        assert!(read_str("{} extra\n").is_err());
     }
 
     #[test]
@@ -410,6 +492,66 @@ mod tests {
                 }
                 _ => proptest::prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?} vs {:?}", got, want),
             }
+        }
+    }
+
+    /// One field value's JSON text: each kind a cell can take, numbers that
+    /// read as integers and as floats, strings that read as numbers.
+    const CELLS: &[&str] = &[
+        "1",
+        "-7",
+        "0",
+        "12.5",
+        "-0.25",
+        "1e3",
+        "true",
+        "false",
+        "null",
+        "\"x\"",
+        "\"123\"",
+        "\"\"",
+        "\"a\\nb\"",
+        "9007199254740993",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        /// Records streamed into their columns make the table the
+        /// row-at-a-time referee makes: keys in any order and any subset,
+        /// first seen on any record, blank lines between.
+        #[test]
+        fn streamed_records_match_the_referee(
+            records in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..2, 0..CELLS.len()), 5),
+                    0usize..5,
+                    0u8..4,
+                ),
+                0..24,
+            ),
+        ) {
+            const KEYS: [&str; 5] = ["a", "b", "y", "z", "zz"];
+            let mut text = String::new();
+            for (cells, turn, blank) in &records {
+                let mut fields: Vec<String> = KEYS
+                    .iter()
+                    .zip(cells)
+                    .filter(|(_, &(present, _))| present == 1)
+                    .map(|(key, &(_, cell))| format!("\"{key}\": {}", CELLS[cell]))
+                    .collect();
+                if !fields.is_empty() {
+                    let at = turn % fields.len();
+                    fields.rotate_left(at);
+                }
+                if *blank == 0 {
+                    text.push('\n');
+                }
+                text.push_str(&format!(" {{{}}}\n", fields.join(", ")));
+            }
+            let got = read_str(&text).unwrap();
+            let want = referee::read_str(&text).unwrap();
+            proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", text);
         }
     }
 

@@ -47,6 +47,19 @@ pub use schema::{DataType, Field, Schema};
 pub use table::{table_from_series, Table, TableBuilder};
 pub use value::Value;
 
+/// Reads the table at `path` by its suffix: JSON lines for `.json` and
+/// `.jsonl`, CSV for anything else.
+///
+/// # Errors
+/// Propagates I/O and parse errors.
+pub fn read_file(path: &str) -> Result<Table> {
+    if path.ends_with(".json") || path.ends_with(".jsonl") {
+        json::read_file(path)
+    } else {
+        csv::read_file(path)
+    }
+}
+
 /// Visual parameters `R` from the paper (§5.1): the space of candidate
 /// visualizations is defined by a category attribute `z`, an x-axis attribute
 /// `x`, a y-axis attribute `y`, optional filters `f`, and an aggregation `a`

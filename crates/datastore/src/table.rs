@@ -110,8 +110,9 @@ impl Table {
 }
 
 /// Builder used by the CSV/JSON readers and the data generators: cells go
-/// in as text one at a time ([`Self::push_text`]) or as values a checked
-/// row at a time ([`Self::push_row`]).
+/// in as text one at a time ([`Self::push_text`]), as values a checked
+/// row at a time ([`Self::push_row`]), or straight into column builders
+/// the JSON-lines reader names as it meets their keys.
 #[derive(Debug, Default)]
 pub struct TableBuilder {
     names: Vec<String>,
@@ -122,6 +123,12 @@ impl TableBuilder {
     /// Creates a builder for the given column names.
     pub fn new(names: Vec<String>) -> Self {
         let builders = names.iter().map(|_| ColumnBuilder::new()).collect();
+        Self { names, builders }
+    }
+
+    /// A builder over named columns already under construction, in order.
+    pub(crate) fn from_columns(columns: Vec<(String, ColumnBuilder)>) -> Self {
+        let (names, builders) = columns.into_iter().unzip();
         Self { names, builders }
     }
 

@@ -1,5 +1,6 @@
 //! Allocation counts of the ingest path, held to their orders: reading a
-//! CSV allocates per distinct key and per column, never per row,
+//! CSV allocates per distinct key and per column, never per row, reading
+//! JSON lines per column, never per record,
 //! decoding a long JSON string allocates only as its buffer doubles, and
 //! EXTRACT into a sink allocates per table, never per trendline.
 //! A counting allocator wraps the system one and counts, per thread, the
@@ -83,6 +84,44 @@ fn reading_a_csv_allocates_per_distinct_key_not_per_row() {
     let text = zxy_csv(keys, points / 2);
     let (_, half) = allocations(|| csv::read_str(&text).unwrap());
     assert!(half <= bound, "{half} allocations at half the rows");
+}
+
+/// `records` JSON-lines records over ten keys, as [`zxy_csv`]'s rows: a
+/// string key, an integer x and a float y, keys in either order.
+fn zxy_jsonl(records: usize) -> String {
+    let mut text = String::new();
+    for r in 0..records {
+        let (k, x) = (r % 10, r / 10);
+        let y = ((k * 31 + x * 7) % 1000) as f64 / 8.0 - 40.0;
+        text.push_str(&match r % 2 {
+            0 => format!("{{\"z\":\"key-{k:04}\",\"x\":{x},\"y\":{y:.3}}}\n"),
+            _ => format!("{{\"y\":{y:.3}, \"x\":{x}, \"z\":\"key-{k:04}\"}}\n"),
+        });
+    }
+    text
+}
+
+/// Reading JSON lines makes the same allocations over 1,000 records as
+/// over 100, but for the doublings of its columns' vectors: each record's
+/// keys and strings are decoded into buffers reused from record to record
+/// and its cells pushed straight into their columns, so no record builds
+/// a map, a key or a string of its own.
+#[test]
+fn reading_json_lines_allocates_per_column_not_per_record() {
+    let made = |records: usize| {
+        let text = zxy_jsonl(records);
+        let (table, made) = allocations(|| json::read_str(&text).unwrap());
+        assert_eq!((table.num_rows(), table.num_columns()), (records, 3));
+        made
+    };
+    let (few, many) = (made(100), made(1_000));
+    // log2(1000 / 100) ≈ 3.3 more doublings of each of three columns'
+    // vectors, with room to spare; a per-record allocation makes it 900
+    // more.
+    assert!(
+        many <= few + 16,
+        "{many} allocations for 1,000 records, {few} for 100"
+    );
 }
 
 /// A 2 MB JSON string dense with escapes decodes with O(log n)

@@ -66,8 +66,12 @@ impl NlParser {
 
     /// Tags the non-noise tokens of a sentence with entity labels.
     pub fn tag(&self, text: &str) -> Vec<Entity> {
-        let analyzed = analyze(text);
-        let (feats, idx) = non_noise_features(&analyzed);
+        self.tag_analyzed(&analyze(text))
+    }
+
+    /// [`Self::tag`] over a sentence already analyzed.
+    fn tag_analyzed(&self, analyzed: &Tokenized) -> Vec<Entity> {
+        let (feats, idx) = non_noise_features(analyzed);
         if feats.is_empty() {
             return Vec::new();
         }
@@ -99,7 +103,7 @@ impl NlParser {
             ));
         }
         let analyzed = analyze(text);
-        let entities = self.tag(text);
+        let entities = self.tag_analyzed(&analyzed);
         let Some(Translation { query, notes }) = translate::translate(&entities, &analyzed.tokens)
         else {
             return Err(ParseError::new(

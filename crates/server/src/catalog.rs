@@ -33,7 +33,7 @@ use shapesearch_core::{
     partition_bounds_by_points, snapshot, Collection, CoreError, EngineOptions, ShapeEngine,
     SnapshotError,
 };
-use shapesearch_datastore::{csv, json, VisualSpec};
+use shapesearch_datastore::{csv, json, read_file, VisualSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -296,7 +296,8 @@ impl Registry {
 #[derive(Debug, Clone)]
 pub enum DataSource {
     /// A server-local file path; format chosen by extension
-    /// (`.json`/`.jsonl` → JSON-lines, anything else → CSV).
+    /// (`.json`/`.jsonl` → JSON-lines, anything else → CSV:
+    /// [`shapesearch_datastore::read_file`]).
     Path(String),
     /// Inline CSV text shipped in the request body.
     InlineCsv(String),
@@ -352,10 +353,7 @@ fn load(
 ) -> Result<Collection, ServerError> {
     let started = Instant::now();
     let table = match source {
-        DataSource::Path(path) if path.ends_with(".json") || path.ends_with(".jsonl") => {
-            json::read_file(path)
-        }
-        DataSource::Path(path) => csv::read_file(path),
+        DataSource::Path(path) => read_file(path),
         DataSource::InlineCsv(text) => csv::read_str(text),
         DataSource::InlineJsonl(text) => json::read_str(text),
         DataSource::Snapshot(path) => {

@@ -91,12 +91,7 @@ impl SourceArgs {
 
 /// Loads `path` as JSON-lines or CSV, by extension.
 fn load_table(path: &str) -> Result<Table, String> {
-    if path.ends_with(".json") || path.ends_with(".jsonl") {
-        shapesearch::datastore::json::read_file(path)
-    } else {
-        shapesearch::datastore::csv::read_file(path)
-    }
-    .map_err(|e| format!("loading {path}: {e}"))
+    shapesearch::datastore::read_file(path).map_err(|e| format!("loading {path}: {e}"))
 }
 
 #[derive(Debug, Default)]
